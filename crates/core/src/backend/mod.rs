@@ -9,33 +9,38 @@
 //! layers:
 //!
 //! * [`SimEngine`] — the minimal, ownership-agnostic engine contract
-//!   (allocate, gate, measure, diagnose). Three engines ship:
+//!   (allocate, apply a gate batch, measure, diagnose). Six engines ship:
 //!   [`statevector::StateVectorEngine`] (exact amplitudes, the paper's
 //!   prototype), [`stabilizer::StabilizerEngine`] (CHP tableau; Clifford
-//!   protocols at thousands of ranks), and [`trace::TraceEngine`] (no
+//!   protocols at thousands of ranks), [`trace::TraceEngine`] (no
 //!   amplitudes at all — pure operation counting for Table 1–3-style
-//!   resource estimation at paper scale).
-//! * [`SimEngine`] implementations also include
-//!   [`sparse::SparseEngine`] (exact amplitudes stored sparsely — only
-//!   nonzero entries — so structured states carry real amplitudes at
-//!   hundreds of ranks), [`sharded::ShardedStateVector`] (exact amplitudes
-//!   over a lock-striped shard array, built for concurrent gate dispatch)
-//!   and [`remote::RemoteShardedEngine`] (exact amplitudes over shards
-//!   owned by dedicated worker ranks that exchange nothing but [`cmpi`]
-//!   messages — the paper's process-separated deployment model).
-//! * [`Shared`] — the mutex locality wrapper: one lock-guarded engine plus
-//!   the qubit-ownership registry. Every engine gets the paper's locality
-//!   semantics for free — a multi-qubit gate across ranks is rejected with
-//!   [`QmpiError::Locality`], so algorithm code must communicate via QMPI
-//!   exactly as on real distributed hardware. The only cross-rank quantum
-//!   operation is [`QuantumBackend::entangle_epr`], modeling the
-//!   quantum-coherent interconnect. [`sharded::ShardedShared`] is the
-//!   second locality wrapper: the same ownership registry behind a
-//!   reader-writer lock, so gate traffic from many ranks proceeds
-//!   concurrently and only structural operations serialize.
+//!   resource estimation at paper scale), [`sparse::SparseEngine`] (exact
+//!   amplitudes stored sparsely — only nonzero entries — so structured
+//!   states carry real amplitudes at hundreds of ranks),
+//!   [`sharded::ShardedStateVector`] (exact amplitudes over a lock-striped
+//!   shard array, built for concurrent gate dispatch) and
+//!   [`remote::RemoteShardedEngine`] (exact amplitudes over shards owned by
+//!   dedicated worker ranks that exchange nothing but [`cmpi`] messages —
+//!   the paper's process-separated deployment model). The last two also
+//!   implement [`ShardableEngine`]: the same gate batch through `&self`,
+//!   safe for concurrent ranks acting on disjoint qubits.
+//! * [`Shared`] — the locality wrapper: one reader-writer-locked engine
+//!   plus the qubit-ownership registry. Every engine gets the paper's
+//!   locality semantics for free — a multi-qubit gate across ranks is
+//!   rejected with [`QmpiError::Locality`], so algorithm code must
+//!   communicate via QMPI exactly as on real distributed hardware. The
+//!   only cross-rank quantum operation is
+//!   [`QuantumBackend::entangle_epr`], modeling the quantum-coherent
+//!   interconnect. Gate batches take the shared side of the lock exactly
+//!   when the engine is a [`ShardableEngine`]; everything else — and every
+//!   operation on the other engines — takes the exclusive side.
 //! * [`QuantumBackend`] — the rank-aware trait object held by every
-//!   `QmpiRank`. Select an implementation per world via
-//!   [`crate::QmpiConfig::backend`] and [`BackendKind`].
+//!   `QmpiRank`, implemented by [`Shared`] alone. Select an engine per
+//!   world via [`crate::QmpiConfig::backend`] and [`BackendKind`].
+//!
+//! One gate IR crosses all three layers: a [`qsim::GateBatch`] handed to
+//! `apply_batch` (an eager gate is a batch of one), and each engine holds
+//! the one `match` over [`qsim::BatchOp`] that executes it.
 //!
 //! Every engine additionally accepts a [`qsim::noise::NoiseModel`]
 //! (threaded through [`build_backend`] from
@@ -45,12 +50,12 @@
 //! into a modeled fidelity ([`QuantumBackend::modeled_fidelity`]). See
 //! `docs/NOISE.md` for channel definitions and conventions.
 //!
-//! The single-mutex acquisition mirrors the prototype's "all ranks forward
+//! Exclusive acquisition mirrors the prototype's "all ranks forward
 //! quantum operations to rank 0" — identical serialization semantics, and
 //! the engine's global state faithfully represents the distributed machine
-//! at every point. The sharded wrapper keeps the same observable semantics
-//! while letting gates on disjoint qubits (which locality guarantees across
-//! ranks) execute in parallel.
+//! at every point. The shardable engines keep the same observable
+//! semantics while letting gates on disjoint qubits (which locality
+//! guarantees across ranks) execute in parallel.
 
 pub mod remote;
 pub mod remote_transport;
@@ -60,17 +65,19 @@ pub mod stabilizer;
 pub mod statevector;
 pub mod trace;
 
+use crate::context::BatchPolicy;
 use crate::error::{QmpiError, Result};
 use cmpi::TransportKind;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 use qsim::noise::NoiseModel;
-use qsim::{BatchOp, Gate, GateBatch, Pauli, QubitId, State};
+use qsim::{GateBatch, Pauli, QubitId, State};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub use remote::{RemoteShardedEngine, ShardLease, ShardWorkerPool};
 pub use remote_transport::{qworker_main, ProcessShardLease, ProcessWorkerPool};
-pub use sharded::{ShardableEngine, ShardedShared, ShardedStateVector};
+pub use sharded::{ShardableEngine, ShardedStateVector};
 pub use sparse::SparseEngine;
 pub use stabilizer::StabilizerEngine;
 pub use statevector::StateVectorEngine;
@@ -218,29 +225,22 @@ pub fn build_backend(
     seed: u64,
     noise: NoiseModel,
 ) -> Result<Arc<dyn QuantumBackend>> {
-    build_backend_with_policy(
-        kind,
-        transport,
-        seed,
-        noise,
-        crate::context::BatchPolicy::env_default(),
-    )
+    build_backend_with_policy(kind, transport, seed, noise, BatchPolicy::env_default())
 }
 
 /// [`build_backend`] with an explicit [`crate::BatchPolicy`], which on the
-/// sharded backends governs the cross-rank coalesce window
-/// ([`ShardedShared`]): whether concurrent ranks' flushed plans merge into
-/// shared per-worker frames (`policy.coalesce`) and the window's op / byte
-/// / age budgets. Backends under the [`Shared`] mutex wrapper serialize
-/// every flush anyway and ignore the policy. This is what
-/// [`crate::QmpiConfig::build_backend`] calls, so a world's configured
-/// policy reaches the backend it constructs.
+/// shardable engines governs [`Shared`]'s cross-rank coalesce window:
+/// whether concurrent ranks' flushed plans merge into shared per-worker
+/// frames (`policy.coalesce`) and the window's op / byte / age budgets.
+/// The other engines serialize every flush anyway and ignore the policy.
+/// This is what [`crate::QmpiConfig::build_backend`] calls, so a world's
+/// configured policy reaches the backend it constructs.
 pub fn build_backend_with_policy(
     kind: BackendKind,
     transport: TransportKind,
     seed: u64,
     noise: NoiseModel,
-    policy: crate::context::BatchPolicy,
+    policy: BatchPolicy,
 ) -> Result<Arc<dyn QuantumBackend>> {
     noise.validate().map_err(QmpiError::InvalidArgument)?;
     if kind == BackendKind::Stabilizer && !noise.is_clifford() {
@@ -254,24 +254,23 @@ pub fn build_backend_with_policy(
         emit_clamp_warning_once(&warning);
     }
     Ok(match kind {
-        BackendKind::StateVector => {
-            Arc::new(Shared::new(StateVectorEngine::with_noise(seed, noise)))
-        }
-        BackendKind::Stabilizer => Arc::new(Shared::new(StabilizerEngine::with_noise(seed, noise))),
-        BackendKind::Trace => Arc::new(Shared::new(TraceEngine::with_noise(noise))),
-        BackendKind::Sparse => Arc::new(Shared::new(SparseEngine::with_noise(seed, noise))),
-        BackendKind::ShardedStateVector { shards } => Arc::new(ShardedShared::with_policy(
+        BackendKind::StateVector => Arc::new(Shared::new(
+            StateVectorEngine::with_noise(seed, noise),
+            policy,
+        )),
+        BackendKind::Stabilizer => Arc::new(Shared::new(
+            StabilizerEngine::with_noise(seed, noise),
+            policy,
+        )),
+        BackendKind::Trace => Arc::new(Shared::new(TraceEngine::with_noise(noise), policy)),
+        BackendKind::Sparse => Arc::new(Shared::new(SparseEngine::with_noise(seed, noise), policy)),
+        BackendKind::ShardedStateVector { shards } => Arc::new(Shared::new(
             ShardedStateVector::with_noise(seed, shards, noise),
             policy,
         )),
-        BackendKind::RemoteSharded { shards } if transport.is_multiprocess() => {
-            Arc::new(ShardedShared::with_policy(
-                RemoteShardedEngine::over_transport(seed, shards, noise, transport),
-                policy,
-            ))
-        }
-        BackendKind::RemoteSharded { shards } => Arc::new(ShardedShared::with_policy(
-            RemoteShardedEngine::with_noise(seed, shards, noise),
+        // `over_transport` falls back to worker threads in-process.
+        BackendKind::RemoteSharded { shards } => Arc::new(Shared::new(
+            RemoteShardedEngine::over_transport(seed, shards, noise, transport),
             policy,
         )),
     })
@@ -373,7 +372,7 @@ pub struct OpCounts {
 /// The minimal engine contract: quantum state manipulation with stable
 /// qubit handles, no notion of ranks or ownership. Implementations are
 /// wrapped in [`Shared`], which adds locking, ownership, and locality.
-pub trait SimEngine: Send {
+pub trait SimEngine: Send + Sync {
     /// Which [`BackendKind`] this engine realizes.
     fn kind(&self) -> BackendKind;
 
@@ -398,6 +397,13 @@ pub trait SimEngine: Send {
         None
     }
 
+    /// The engine's `&self` gate surface, when it has one. [`Shared`] asks
+    /// once at construction and keeps gate traffic on the shared side of
+    /// its lock exactly for the engines that answer `Some`.
+    fn as_shardable(&self) -> Option<&dyn ShardableEngine> {
+        None
+    }
+
     /// Allocates one fresh qubit in |0>.
     fn alloc(&mut self) -> QubitId;
 
@@ -407,88 +413,12 @@ pub trait SimEngine: Send {
     /// Measures a qubit and frees it.
     fn measure_and_free(&mut self, q: QubitId) -> std::result::Result<bool, qsim::SimError>;
 
-    /// Applies a single-qubit gate.
-    fn apply(&mut self, gate: Gate, q: QubitId) -> std::result::Result<(), qsim::SimError>;
-
-    /// Applies a multi-controlled single-qubit gate.
-    fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> std::result::Result<(), qsim::SimError>;
-
-    /// CNOT.
-    fn cnot(&mut self, c: QubitId, t: QubitId) -> std::result::Result<(), qsim::SimError>;
-
-    /// CZ.
-    fn cz(&mut self, a: QubitId, b: QubitId) -> std::result::Result<(), qsim::SimError>;
-
-    /// SWAP.
-    fn swap(&mut self, a: QubitId, b: QubitId) -> std::result::Result<(), qsim::SimError>;
-
-    /// Applies a plan-time-fused 2×2 unitary ([`BatchOp::Fused1q`]). The
-    /// default routes through the engine's ordinary 1q entry point as
-    /// `Gate::U(m)` — the exact kernel a fused run must match — so every
-    /// engine is correct without opting in; amplitude engines with a
-    /// cheaper native path (none needed so far: `U` already is the native
-    /// path) may override.
-    fn apply_fused_1q(
-        &mut self,
-        q: QubitId,
-        m: &qsim::gates::Mat2,
-    ) -> std::result::Result<(), qsim::SimError> {
-        self.apply(Gate::U(*m), q)
-    }
-
-    /// Applies a plan-time-merged diagonal sweep ([`BatchOp::PhaseSweep`]).
-    /// The default decomposes into one diagonal `Gate::U` per factor plus
-    /// one CZ per pair — always correct (each factor stays a separate
-    /// kernel pass, in the sweep's factor order). Amplitude engines
-    /// override with a single-pass sweep; the decomposition and the native
-    /// pass differ only in the signs of exact zeros.
-    fn apply_phase_sweep(
-        &mut self,
-        diags: &[(QubitId, qsim::Complex, qsim::Complex)],
-        czs: &[(QubitId, QubitId)],
-    ) -> std::result::Result<(), qsim::SimError> {
-        use qsim::complex::C_ZERO;
-        for &(q, d0, d1) in diags {
-            self.apply(Gate::U([[d0, C_ZERO], [C_ZERO, d1]]), q)?;
-        }
-        for &(a, b) in czs {
-            self.cz(a, b)?;
-        }
-        Ok(())
-    }
-
-    /// Applies a whole recorded gate stream in program order. The default
-    /// implementation loops the per-gate entry points — correct for every
-    /// engine, since a [`GateBatch`] is by construction equivalent to its
-    /// eager expansion. Engines for which batch application is materially
-    /// cheaper (the process-separated engine collapses one message round
-    /// per gate into one round per batch; the trace engine skips per-op
-    /// dynamic dispatch) specialize it. On error, the operations preceding
-    /// the failing one have been applied — the same partial-application
-    /// semantics as issuing the gates eagerly.
-    fn apply_batch(&mut self, batch: &GateBatch) -> std::result::Result<(), qsim::SimError> {
-        for op in batch.ops() {
-            match op {
-                BatchOp::Gate { gate, q } => self.apply(*gate, *q)?,
-                BatchOp::Controlled {
-                    controls,
-                    gate,
-                    target,
-                } => self.apply_controlled(controls, *gate, *target)?,
-                BatchOp::Cnot { c, t } => self.cnot(*c, *t)?,
-                BatchOp::Cz { a, b } => self.cz(*a, *b)?,
-                BatchOp::Swap { a, b } => self.swap(*a, *b)?,
-                BatchOp::Fused1q { q, m } => self.apply_fused_1q(*q, m)?,
-                BatchOp::PhaseSweep { diags, czs } => self.apply_phase_sweep(diags, czs)?,
-            }
-        }
-        Ok(())
-    }
+    /// Applies a recorded gate stream in program order — the engine's only
+    /// gate entry point (an eager gate is a batch of one). Each
+    /// [`qsim::BatchOp`] counts as one gate, a `Swap` of a qubit with
+    /// itself as none. On error, the operations preceding the failing one
+    /// have been applied.
+    fn apply_batch(&mut self, batch: &GateBatch) -> std::result::Result<(), qsim::SimError>;
 
     /// Projective Z measurement.
     fn measure(&mut self, q: QubitId) -> std::result::Result<bool, qsim::SimError>;
@@ -532,21 +462,16 @@ pub trait SimEngine: Send {
     /// Total measurements performed.
     fn measurement_count(&self) -> u64;
 
-    /// Entangles two fresh |0> qubits into (|00> + |11>)/sqrt(2). The
-    /// default realization is H + CNOT; counting engines override it.
-    fn entangle_epr(
-        &mut self,
-        qa: QubitId,
-        qb: QubitId,
-    ) -> std::result::Result<(), qsim::SimError> {
-        self.apply(Gate::H, qa)?;
-        self.cnot(qa, qb)
-    }
+    /// Entangles two fresh |0> qubits into (|00> + |11>)/sqrt(2): an H and
+    /// a CNOT in the gate tally, with noise drawn from the dedicated
+    /// [`qsim::noise::OpClass::Epr`] channel rather than the gate channels.
+    fn entangle_epr(&mut self, qa: QubitId, qb: QubitId)
+        -> std::result::Result<(), qsim::SimError>;
 }
 
 /// The full, rank-aware backend surface held by every `QmpiRank` as
-/// `Arc<dyn QuantumBackend>`. All implementations come from wrapping a
-/// [`SimEngine`] in [`Shared`], so locality enforcement is uniform.
+/// `Arc<dyn QuantumBackend>`. [`Shared`] is the one implementation, so
+/// locality enforcement is uniform across engines.
 pub trait QuantumBackend: Send + Sync {
     /// Which engine kind backs this world.
     fn kind(&self) -> BackendKind;
@@ -562,19 +487,14 @@ pub trait QuantumBackend: Send + Sync {
     /// The engine's transport accounting, if it is driven over a message
     /// substrate — see [`SimEngine::transport_stats`]. Per-job accounting
     /// (the `qserve` job service) reads these through the backend handle.
-    fn transport_stats(&self) -> Option<TransportStats> {
-        None
-    }
+    fn transport_stats(&self) -> Option<TransportStats>;
 
-    /// Ships any cross-rank coalesce window the backend holds (see
-    /// [`ShardedShared`]), so every gate segment flushed into it so far
-    /// becomes visible engine state. Called by the rank layer at
-    /// synchronization points that do not otherwise touch the backend
-    /// (classical sends, barriers); a no-op everywhere else — the default
-    /// covers backends without a window.
-    fn sync_coalesced(&self) -> Result<()> {
-        Ok(())
-    }
+    /// Ships the cross-rank coalesce window (see [`Shared`]), so every
+    /// gate segment flushed into it so far becomes visible engine state.
+    /// Called by the rank layer at synchronization points that do not
+    /// otherwise touch the backend (classical sends, barriers); a no-op
+    /// when the backend is not coalescing.
+    fn sync_coalesced(&self) -> Result<()>;
 
     /// Allocates `n` fresh |0> qubits owned by `rank`.
     fn alloc(&self, rank: usize, n: usize) -> Vec<QubitId>;
@@ -588,68 +508,18 @@ pub trait QuantumBackend: Send + Sync {
     /// Owner rank of a qubit.
     fn owner_of(&self, q: QubitId) -> Option<usize>;
 
-    /// Applies a local single-qubit gate.
-    fn apply(&self, rank: usize, gate: Gate, q: QubitId) -> Result<()>;
-
-    /// Applies a local CNOT; both qubits must live on `rank`.
-    fn cnot(&self, rank: usize, control: QubitId, target: QubitId) -> Result<()>;
-
-    /// Applies a local CZ; both qubits must live on `rank`.
-    fn cz(&self, rank: usize, a: QubitId, b: QubitId) -> Result<()>;
-
-    /// Applies a local SWAP; both qubits must live on `rank`.
-    fn swap(&self, rank: usize, a: QubitId, b: QubitId) -> Result<()>;
-
-    /// Applies a local multi-controlled gate; all qubits must live on
-    /// `rank`.
-    fn apply_controlled(
-        &self,
-        rank: usize,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<()>;
-
-    /// Applies a whole recorded gate stream owned by `rank` in one backend
-    /// acquisition. Per-rank gate calls accumulate into a
-    /// [`qsim::GateBatch`] and flush through here, so the wrapper's
-    /// locality lock is taken once per *batch* instead of once per gate —
-    /// and the engine underneath sees the stream as one unit (one framed
-    /// message round per worker on the process-separated engine).
+    /// Applies a recorded gate stream owned by `rank` in one backend
+    /// acquisition — the only gate entry point. Per-rank gate calls
+    /// accumulate into a [`qsim::GateBatch`] and flush through here (an
+    /// eager gate is a batch of one), so the locality lock is taken once
+    /// per *batch* — and the engine underneath sees the stream as one unit
+    /// (one framed message round per worker on the process-separated
+    /// engine).
     ///
     /// Every qubit in the batch is ownership-checked against `rank`
     /// *before* anything applies; an engine-level failure partway through
-    /// leaves the preceding operations applied, exactly like issuing the
-    /// gates eagerly. The default implementation loops the per-gate
-    /// methods; both wrappers override it with a single acquisition.
-    fn apply_batch(&self, rank: usize, batch: &GateBatch) -> Result<()> {
-        for op in batch.ops() {
-            match op {
-                BatchOp::Gate { gate, q } => self.apply(rank, *gate, *q)?,
-                BatchOp::Controlled {
-                    controls,
-                    gate,
-                    target,
-                } => self.apply_controlled(rank, controls, *gate, *target)?,
-                BatchOp::Cnot { c, t } => self.cnot(rank, *c, *t)?,
-                BatchOp::Cz { a, b } => self.cz(rank, *a, *b)?,
-                BatchOp::Swap { a, b } => self.swap(rank, *a, *b)?,
-                BatchOp::Fused1q { q, m } => self.apply(rank, Gate::U(*m), *q)?,
-                BatchOp::PhaseSweep { diags, czs } => {
-                    // Decomposed fallback; both wrappers override with a
-                    // single-acquisition engine call.
-                    use qsim::complex::C_ZERO;
-                    for &(q, d0, d1) in diags {
-                        self.apply(rank, Gate::U([[d0, C_ZERO], [C_ZERO, d1]]), q)?;
-                    }
-                    for &(a, b) in czs {
-                        self.cz(rank, a, b)?;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
+    /// leaves the preceding operations applied.
+    fn apply_batch(&self, rank: usize, batch: &GateBatch) -> Result<()>;
 
     /// Measures a qubit (projective, qubit survives).
     fn measure(&self, rank: usize, q: QubitId) -> Result<bool>;
@@ -670,14 +540,8 @@ pub trait QuantumBackend: Send + Sync {
     /// Entangles many EPR pairs in one backend acquisition. Collectives
     /// that establish a whole spanning tree of pairs (the cat-state bcast)
     /// use this so `n - 1` establishments cost one lock round-trip instead
-    /// of `n - 1`. The default implementation loops [`Self::entangle_epr`];
-    /// wrappers override it with a single acquisition.
-    fn entangle_epr_batch(&self, pairs: &[(QubitId, QubitId)]) -> Result<()> {
-        for &(qa, qb) in pairs {
-            self.entangle_epr(qa, qb)?;
-        }
-        Ok(())
-    }
+    /// of `n - 1`.
+    fn entangle_epr_batch(&self, pairs: &[(QubitId, QubitId)]) -> Result<()>;
 
     /// Expectation value of a Pauli string over qubits owned by `rank`.
     /// Diagnostics pass [`DIAG_RANK`] to read across the whole machine.
@@ -686,15 +550,8 @@ pub trait QuantumBackend: Send + Sync {
     /// Expectation values of many Pauli strings — one observable, many
     /// terms — in a single backend acquisition. Callers evaluating an
     /// observable term-by-term (per-site magnetization, multi-rank parity
-    /// checks) would otherwise take the global lock once per term. The
-    /// default implementation loops [`Self::expectation`]; wrappers
-    /// override it with a single acquisition.
-    fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>> {
-        strings
-            .iter()
-            .map(|terms| self.expectation(rank, terms))
-            .collect()
-    }
+    /// checks) would otherwise take the global lock once per term.
+    fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>>;
 
     /// Global state snapshot in the given qubit order — diagnostics for
     /// tests and examples ("the state vector faithfully represents the
@@ -720,13 +577,11 @@ pub trait QuantumBackend: Send + Sync {
     fn counts(&self) -> OpCounts;
 }
 
-/// Engine state plus the ownership registry and resource counters. Both
-/// locality wrappers ([`Shared`] behind one mutex, [`ShardedShared`] behind
-/// a reader-writer lock) guard an `Inner` and call these methods, so the
-/// ownership/locality semantics are written exactly once regardless of the
-/// locking strategy.
-pub(crate) struct Inner<E> {
-    pub(crate) engine: E,
+/// Engine state plus the ownership registry and resource counters — what
+/// [`Shared`] guards. The ownership/locality semantics live here, written
+/// once for every engine and either side of the lock.
+struct Inner<E> {
+    engine: E,
     owner: HashMap<QubitId, usize>,
     epr_entanglements: u64,
     allocations: u64,
@@ -734,19 +589,16 @@ pub(crate) struct Inner<E> {
     max_live: u64,
 }
 
-impl<E> Inner<E> {
-    pub(crate) fn new(engine: E) -> Self {
-        Inner {
-            engine,
-            owner: HashMap::new(),
-            epr_entanglements: 0,
-            allocations: 0,
-            frees: 0,
-            max_live: 0,
-        }
+impl<E: SimEngine> Inner<E> {
+    /// The engine's `&self` gate surface. Only reached on a wrapper whose
+    /// `concurrent` flag the same engine set at construction.
+    fn shardable(&self) -> &dyn ShardableEngine {
+        self.engine
+            .as_shardable()
+            .expect("an engine's `as_shardable` answer never changes")
     }
 
-    pub(crate) fn check_owner(&self, rank: usize, q: QubitId) -> Result<()> {
+    fn check_owner(&self, rank: usize, q: QubitId) -> Result<()> {
         match self.owner.get(&q) {
             None => Err(QmpiError::Sim(qsim::SimError::UnknownQubit(q))),
             Some(&o) if o == rank => Ok(()),
@@ -758,13 +610,9 @@ impl<E> Inner<E> {
         }
     }
 
-    pub(crate) fn owner_of(&self, q: QubitId) -> Option<usize> {
-        self.owner.get(&q).copied()
-    }
-
-    /// Ownership-checks every qubit a batch touches — the once-per-batch
-    /// analogue of the per-gate checks, shared by both locality wrappers.
-    pub(crate) fn check_batch(&self, rank: usize, batch: &GateBatch) -> Result<()> {
+    /// Ownership-checks every qubit a batch touches, before any of it
+    /// applies.
+    fn check_batch(&self, rank: usize, batch: &GateBatch) -> Result<()> {
         for op in batch.ops() {
             // Allocation-free qubit sweep: this runs under the backend
             // lock on every flush, so no per-op `Vec`s.
@@ -781,10 +629,8 @@ impl<E> Inner<E> {
         }
         Ok(())
     }
-}
 
-impl<E: SimEngine> Inner<E> {
-    pub(crate) fn alloc(&mut self, rank: usize, n: usize) -> Vec<QubitId> {
+    fn alloc(&mut self, rank: usize, n: usize) -> Vec<QubitId> {
         let ids: Vec<QubitId> = (0..n).map(|_| self.engine.alloc()).collect();
         for &id in &ids {
             self.owner.insert(id, rank);
@@ -795,7 +641,7 @@ impl<E: SimEngine> Inner<E> {
         ids
     }
 
-    pub(crate) fn free(&mut self, rank: usize, q: QubitId) -> Result<bool> {
+    fn free(&mut self, rank: usize, q: QubitId) -> Result<bool> {
         self.check_owner(rank, q)?;
         let out = self.engine.free(q)?;
         self.owner.remove(&q);
@@ -803,7 +649,7 @@ impl<E: SimEngine> Inner<E> {
         Ok(out)
     }
 
-    pub(crate) fn measure_and_free(&mut self, rank: usize, q: QubitId) -> Result<bool> {
+    fn measure_and_free(&mut self, rank: usize, q: QubitId) -> Result<bool> {
         self.check_owner(rank, q)?;
         let out = self.engine.measure_and_free(q)?;
         self.owner.remove(&q);
@@ -811,24 +657,24 @@ impl<E: SimEngine> Inner<E> {
         Ok(out)
     }
 
-    pub(crate) fn measure(&mut self, rank: usize, q: QubitId) -> Result<bool> {
+    fn measure(&mut self, rank: usize, q: QubitId) -> Result<bool> {
         self.check_owner(rank, q)?;
         Ok(self.engine.measure(q)?)
     }
 
-    pub(crate) fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64> {
+    fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64> {
         self.check_owner(rank, q)?;
         Ok(self.engine.prob_one(q)?)
     }
 
-    pub(crate) fn measure_z_parity(&mut self, rank: usize, qubits: &[QubitId]) -> Result<bool> {
+    fn measure_z_parity(&mut self, rank: usize, qubits: &[QubitId]) -> Result<bool> {
         for &q in qubits {
             self.check_owner(rank, q)?;
         }
         Ok(self.engine.measure_z_parity(qubits)?)
     }
 
-    pub(crate) fn entangle_epr(&mut self, qa: QubitId, qb: QubitId) -> Result<()> {
+    fn entangle_epr(&mut self, qa: QubitId, qb: QubitId) -> Result<()> {
         if !self.owner.contains_key(&qa) {
             return Err(QmpiError::Sim(qsim::SimError::UnknownQubit(qa)));
         }
@@ -845,14 +691,7 @@ impl<E: SimEngine> Inner<E> {
         Ok(())
     }
 
-    pub(crate) fn entangle_epr_batch(&mut self, pairs: &[(QubitId, QubitId)]) -> Result<()> {
-        for &(qa, qb) in pairs {
-            self.entangle_epr(qa, qb)?;
-        }
-        Ok(())
-    }
-
-    pub(crate) fn expectation(&self, rank: usize, terms: &[(QubitId, Pauli)]) -> Result<f64> {
+    fn expectation(&self, rank: usize, terms: &[(QubitId, Pauli)]) -> Result<f64> {
         if rank != DIAG_RANK {
             for &(q, _) in terms {
                 self.check_owner(rank, q)?;
@@ -861,7 +700,7 @@ impl<E: SimEngine> Inner<E> {
         Ok(self.engine.expectation(terms)?)
     }
 
-    pub(crate) fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex> {
+    fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex> {
         if rank != DIAG_RANK {
             for &q in ones {
                 self.check_owner(rank, q)?;
@@ -870,18 +709,7 @@ impl<E: SimEngine> Inner<E> {
         Ok(self.engine.amplitude_of(ones)?)
     }
 
-    pub(crate) fn expectation_each(
-        &self,
-        rank: usize,
-        strings: &[Vec<(QubitId, Pauli)>],
-    ) -> Result<Vec<f64>> {
-        strings
-            .iter()
-            .map(|terms| self.expectation(rank, terms))
-            .collect()
-    }
-
-    pub(crate) fn counts(&self) -> OpCounts {
+    fn counts(&self) -> OpCounts {
         OpCounts {
             gates: self.engine.gate_count(),
             measurements: self.engine.measurement_count(),
@@ -894,25 +722,166 @@ impl<E: SimEngine> Inner<E> {
     }
 }
 
-/// The shared locality wrapper: one lock-guarded [`SimEngine`] plus the
-/// qubit-ownership registry. Implements [`QuantumBackend`] for any engine,
-/// so ownership/locality semantics are written exactly once.
+/// The cross-rank coalesce window: flushed-but-not-yet-dispatched gate
+/// segments from one or more ranks, in arrival order. Lives behind its own
+/// mutex inside [`Shared`]; the lock order is always `inner` lock first,
+/// window second.
+#[derive(Default)]
+struct CoalesceWindow {
+    /// `(rank, segment)` in arrival order. Consecutive segments from the
+    /// same rank merge in place — they would have been consecutive
+    /// dispatches anyway.
+    segs: Vec<(usize, GateBatch)>,
+    /// Total recorded ops across `segs` (window op budget).
+    ops: usize,
+    /// Total [`GateBatch::approx_bytes`] across `segs` (byte budget).
+    bytes: usize,
+    /// When the first pending segment arrived (age budget); `None` while
+    /// the window is empty.
+    opened: Option<std::time::Instant>,
+}
+
+impl CoalesceWindow {
+    /// Drains the window, resetting every budget.
+    fn take(&mut self) -> Vec<(usize, GateBatch)> {
+        self.ops = 0;
+        self.bytes = 0;
+        self.opened = None;
+        std::mem::take(&mut self.segs)
+    }
+}
+
+/// The locality wrapper and the one [`QuantumBackend`]: a reader-writer
+/// locked [`SimEngine`] plus the qubit-ownership registry and resource
+/// counters, so ownership/locality semantics are written exactly once.
+///
+/// Structural and reading operations (alloc/free, measurement, EPR
+/// establishment, expectations, snapshots) always take the exclusive side.
+/// Gate batches take it too — unless the engine is a [`ShardableEngine`]:
+/// then gate dispatch, the overwhelming majority of backend traffic, holds
+/// only the shared side (plus whatever finer-grained exclusion the engine
+/// provides), so ranks do not serialize on one global lock. Which side is
+/// fixed by the engine type ([`SimEngine::as_shardable`]), not configured.
+///
+/// ## Cross-rank coalescing
+///
+/// On a shardable engine with [`crate::BatchPolicy::coalesce`] on (the
+/// default), a rank's [`QuantumBackend::apply_batch`] flush does not
+/// dispatch to the engine immediately: the (ownership-checked) segment is
+/// parked in a coalescing window, and the whole window ships as **one**
+/// [`ShardableEngine::apply_segments_concurrent`] call — one merged
+/// command round per worker on the process-separated engine — when any
+/// rank hits a synchronization point (measurement, probability or
+/// expectation reads, free, EPR establishment, snapshots, or an explicit
+/// [`QuantumBackend::sync_coalesced`], which the rank layer calls at
+/// classical sends and barriers) or a window budget (`max_ops`,
+/// `max_bytes`, `max_age_ms`) trips. Ranks own disjoint qubits, so parked
+/// segments commute; shipping them in arrival order reproduces the
+/// uncoalesced execution bit for bit, noise draws included (segments are
+/// planned — and noise sampled — at ship time, in the same arrival order
+/// the uncoalesced dispatches would have used). Every gate enters through
+/// `apply_batch`, so no gate can overtake the window. An eager policy
+/// (`max_ops = 0`) never coalesces: its batches of one dispatch at once.
 pub struct Shared<E> {
     /// Cached at construction so [`QuantumBackend::kind`] never touches the
     /// lock that serializes quantum operations.
     kind: BackendKind,
     /// Cached like `kind`: the model is immutable after construction.
     noise: NoiseModel,
-    inner: Mutex<Inner<E>>,
+    policy: BatchPolicy,
+    /// Whether the engine offers the `&self` gate surface — gate batches
+    /// then take the shared side of `inner`.
+    concurrent: bool,
+    /// Whether flushes park in `window`: a concurrent engine under a
+    /// batching, coalescing policy (an eager world has no flush stream to
+    /// merge).
+    coalescing: bool,
+    inner: RwLock<Inner<E>>,
+    window: Mutex<CoalesceWindow>,
+    /// Flushes absorbed into an already-open window: each one is a command
+    /// fan-out round saved versus dispatching per rank flush. Surfaced via
+    /// [`QuantumBackend::transport_stats`] on engines that report stats.
+    coalesced_flushes: AtomicU64,
 }
 
 impl<E: SimEngine> Shared<E> {
-    /// Wraps an engine.
-    pub fn new(engine: E) -> Self {
+    /// Wraps an engine. `policy` governs the cross-rank coalesce window
+    /// (`policy.coalesce` plus the op / byte / age budgets) and must be the
+    /// policy the world's ranks flush under;
+    /// [`build_backend_with_policy`] routes a world's configured policy
+    /// here.
+    pub fn new(engine: E, policy: BatchPolicy) -> Self {
+        let concurrent = engine.as_shardable().is_some();
         Shared {
             kind: engine.kind(),
             noise: engine.noise(),
-            inner: Mutex::new(Inner::new(engine)),
+            policy,
+            concurrent,
+            coalescing: concurrent && policy.coalesce && policy.is_batching(),
+            inner: RwLock::new(Inner {
+                engine,
+                owner: HashMap::new(),
+                epr_entanglements: 0,
+                allocations: 0,
+                frees: 0,
+                max_live: 0,
+            }),
+            window: Mutex::new(CoalesceWindow::default()),
+            coalesced_flushes: AtomicU64::new(0),
+        }
+    }
+
+    /// Ships `segs` (a drained window) to the engine as one merged
+    /// dispatch. Callers hold an `inner` guard (either side — the segment
+    /// surface is `&self`), which is what serializes shipping against
+    /// structural changes.
+    fn ship(&self, inner: &Inner<E>, segs: Vec<(usize, GateBatch)>) -> Result<()> {
+        if !segs.is_empty() {
+            inner.shardable().apply_segments_concurrent(segs)?;
+        }
+        Ok(())
+    }
+
+    /// Drains the coalesce window (releasing its lock) and ships it.
+    fn ship_window(&self, inner: &Inner<E>) -> Result<()> {
+        let segs = self.window.lock().take();
+        self.ship(inner, segs)
+    }
+
+    /// The exclusive side of the lock with the coalesce window shipped:
+    /// every structural or reading operation is a synchronization point.
+    fn synced(&self) -> Result<RwLockWriteGuard<'_, Inner<E>>> {
+        let g = self.inner.write();
+        if self.coalescing {
+            self.ship_window(&g)?;
+        }
+        Ok(g)
+    }
+
+    /// Parks an ownership-checked flush in the coalesce window and returns
+    /// the drained window when a budget tripped.
+    fn park(&self, rank: usize, batch: &GateBatch) -> Vec<(usize, GateBatch)> {
+        let mut w = self.window.lock();
+        if !w.segs.is_empty() {
+            // This flush joins an already-open window: one command
+            // fan-out round saved versus per-rank dispatch.
+            self.coalesced_flushes.fetch_add(1, Ordering::Relaxed);
+        }
+        w.ops += batch.len();
+        w.bytes += batch.approx_bytes();
+        match w.segs.last_mut() {
+            // Back-to-back flushes from the same rank merge in place —
+            // pure concatenation, same as two consecutive dispatches.
+            Some((r, seg)) if *r == rank => seg.append(batch.clone()),
+            _ => w.segs.push((rank, batch.clone())),
+        }
+        let opened = *w.opened.get_or_insert_with(std::time::Instant::now);
+        let age_tripped = self.policy.max_age_ms > 0
+            && opened.elapsed().as_millis() as u64 >= self.policy.max_age_ms;
+        if w.ops >= self.policy.max_ops || w.bytes >= self.policy.max_bytes || age_tripped {
+            w.take()
+        } else {
+            Vec::new()
         }
     }
 }
@@ -927,142 +896,134 @@ impl<E: SimEngine> QuantumBackend for Shared<E> {
     }
 
     fn modeled_fidelity(&self) -> Option<f64> {
-        self.inner.lock().engine.modeled_fidelity()
+        self.inner.read().engine.modeled_fidelity()
     }
 
     fn transport_stats(&self) -> Option<TransportStats> {
-        self.inner.lock().engine.transport_stats()
+        // A read-only observer: reports without shipping the window (the
+        // engine's own counters are likewise stale while a rank holds
+        // unflushed gates). The wrapper owns the coalesce counter, so it
+        // is added on top of the engine's transport numbers here.
+        let mut stats = self.inner.read().engine.transport_stats()?;
+        stats.coalesced_flushes += self.coalesced_flushes.load(Ordering::Relaxed);
+        Some(stats)
+    }
+
+    fn sync_coalesced(&self) -> Result<()> {
+        if !self.coalescing {
+            return Ok(());
+        }
+        self.ship_window(&self.inner.read())
     }
 
     fn alloc(&self, rank: usize, n: usize) -> Vec<QubitId> {
-        self.inner.lock().alloc(rank, n)
+        // Infallible, so it cannot ship the window itself; the rank layer
+        // syncs before allocating (`alloc_qmem` is an accessor flush
+        // point). Parked segments name only pre-existing qubits, so
+        // shipping them after an alloc computes the same amplitudes.
+        self.inner.write().alloc(rank, n)
     }
 
     fn free(&self, rank: usize, q: QubitId) -> Result<bool> {
-        self.inner.lock().free(rank, q)
+        self.synced()?.free(rank, q)
     }
 
     fn measure_and_free(&self, rank: usize, q: QubitId) -> Result<bool> {
-        self.inner.lock().measure_and_free(rank, q)
+        self.synced()?.measure_and_free(rank, q)
     }
 
     fn owner_of(&self, q: QubitId) -> Option<usize> {
-        self.inner.lock().owner_of(q)
-    }
-
-    fn apply(&self, rank: usize, gate: Gate, q: QubitId) -> Result<()> {
-        let mut g = self.inner.lock();
-        g.check_owner(rank, q)?;
-        g.engine.apply(gate, q)?;
-        Ok(())
-    }
-
-    fn cnot(&self, rank: usize, control: QubitId, target: QubitId) -> Result<()> {
-        let mut g = self.inner.lock();
-        g.check_owner(rank, control)?;
-        g.check_owner(rank, target)?;
-        g.engine.cnot(control, target)?;
-        Ok(())
-    }
-
-    fn cz(&self, rank: usize, a: QubitId, b: QubitId) -> Result<()> {
-        let mut g = self.inner.lock();
-        g.check_owner(rank, a)?;
-        g.check_owner(rank, b)?;
-        g.engine.cz(a, b)?;
-        Ok(())
-    }
-
-    fn swap(&self, rank: usize, a: QubitId, b: QubitId) -> Result<()> {
-        let mut g = self.inner.lock();
-        g.check_owner(rank, a)?;
-        g.check_owner(rank, b)?;
-        g.engine.swap(a, b)?;
-        Ok(())
-    }
-
-    fn apply_controlled(
-        &self,
-        rank: usize,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<()> {
-        let mut g = self.inner.lock();
-        for &c in controls {
-            g.check_owner(rank, c)?;
-        }
-        g.check_owner(rank, target)?;
-        g.engine.apply_controlled(controls, gate, target)?;
-        Ok(())
+        self.inner.read().owner.get(&q).copied()
     }
 
     fn apply_batch(&self, rank: usize, batch: &GateBatch) -> Result<()> {
-        // One acquisition for the whole gate stream.
-        let mut g = self.inner.lock();
+        // One acquisition (plus one ownership sweep) for the whole gate
+        // stream — the lock-per-batch rule. Ownership errors surface here,
+        // before the segment can enter the coalesce window, so a bad flush
+        // fails at its own call site exactly as without coalescing.
+        if !self.concurrent {
+            let mut g = self.inner.write();
+            g.check_batch(rank, batch)?;
+            return Ok(g.engine.apply_batch(batch)?);
+        }
+        let g = self.inner.read();
         g.check_batch(rank, batch)?;
-        g.engine.apply_batch(batch)?;
-        Ok(())
+        if !self.coalescing {
+            return Ok(g.shardable().apply_batch_concurrent(batch)?);
+        }
+        if batch.is_empty() {
+            return Ok(());
+        }
+        self.ship(&g, self.park(rank, batch))
     }
 
     fn measure(&self, rank: usize, q: QubitId) -> Result<bool> {
-        self.inner.lock().measure(rank, q)
+        self.synced()?.measure(rank, q)
     }
 
     fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64> {
-        self.inner.lock().prob_one(rank, q)
+        self.synced()?.prob_one(rank, q)
     }
 
     fn measure_z_parity(&self, rank: usize, qubits: &[QubitId]) -> Result<bool> {
-        self.inner.lock().measure_z_parity(rank, qubits)
+        self.synced()?.measure_z_parity(rank, qubits)
     }
 
     fn entangle_epr(&self, qa: QubitId, qb: QubitId) -> Result<()> {
-        self.inner.lock().entangle_epr(qa, qb)
+        self.synced()?.entangle_epr(qa, qb)
     }
 
     fn entangle_epr_batch(&self, pairs: &[(QubitId, QubitId)]) -> Result<()> {
-        // One acquisition for the whole spanning tree.
-        self.inner.lock().entangle_epr_batch(pairs)
+        let mut g = self.synced()?;
+        pairs
+            .iter()
+            .try_for_each(|&(qa, qb)| g.entangle_epr(qa, qb))
     }
 
     fn expectation(&self, rank: usize, terms: &[(QubitId, Pauli)]) -> Result<f64> {
-        self.inner.lock().expectation(rank, terms)
+        self.synced()?.expectation(rank, terms)
     }
 
     fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>> {
-        // One acquisition per observable, not one per Pauli string.
-        self.inner.lock().expectation_each(rank, strings)
+        let g = self.synced()?;
+        strings
+            .iter()
+            .map(|terms| g.expectation(rank, terms))
+            .collect()
     }
 
     fn state_vector(&self, order: &[QubitId]) -> Result<State> {
-        let g = self.inner.lock();
-        Ok(g.engine.state_vector(order)?)
+        Ok(self.synced()?.engine.state_vector(order)?)
     }
 
     fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex> {
-        self.inner.lock().amplitude_of(rank, ones)
+        self.synced()?.amplitude_of(rank, ones)
     }
 
     fn n_qubits(&self) -> usize {
-        self.inner.lock().engine.n_qubits()
+        self.inner.read().engine.n_qubits()
     }
 
     fn gate_count(&self) -> u64 {
-        self.inner.lock().engine.gate_count()
+        self.inner.read().engine.gate_count()
     }
 
     fn counts(&self) -> OpCounts {
-        self.inner.lock().counts()
+        self.inner.read().counts()
     }
 }
+
+/// Op-to-batch helpers shared with the integration suites.
+#[cfg(test)]
+#[path = "../../../../tests/common/ops.rs"]
+pub(crate) mod ops;
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The unified construction path with the defaults the deprecated
-    /// shims supplied (in-process transport, ideal noise).
+    /// The unified construction path over the in-process transport, ideal
+    /// noise.
     fn build(kind: BackendKind, seed: u64) -> Arc<dyn QuantumBackend> {
         build_backend(kind, TransportKind::InProcess, seed, NoiseModel::ideal())
             .expect("test backend configurations are valid")
@@ -1090,26 +1051,124 @@ mod tests {
         ]
     }
 
+    /// The one gate surface's contract, checked on every backend kind:
+    /// batch granularity is unobservable, locality is checked before
+    /// anything applies, an engine failure leaves the prefix applied, and
+    /// an eager world's gates dispatch at once (never parked in a coalesce
+    /// window the world would not ship).
     #[test]
-    fn ownership_enforced_on_gates_for_every_backend() {
+    fn gate_surface_contract_holds_on_every_backend() {
+        use crate::context::{run_on_backend, QmpiConfig};
+        use qsim::{BatchOp, Gate};
         for kind in all_kinds() {
-            let b = build(kind, 1);
-            let q0 = b.alloc(0, 1)[0];
-            let q1 = b.alloc(1, 1)[0];
-            assert!(b.apply(0, Gate::H, q0).is_ok(), "{kind}");
+            let non_clifford = kind != BackendKind::Stabilizer;
+            let circuit = |q: &[QubitId]| {
+                vec![
+                    BatchOp::Gate {
+                        gate: Gate::H,
+                        q: q[0],
+                    },
+                    BatchOp::Cnot { c: q[0], t: q[1] },
+                    BatchOp::Gate {
+                        gate: if non_clifford { Gate::T } else { Gate::S },
+                        q: q[2],
+                    },
+                    BatchOp::Swap { a: q[1], b: q[2] },
+                    BatchOp::Cz { a: q[0], b: q[2] },
+                    BatchOp::Controlled {
+                        controls: vec![q[2]],
+                        gate: Gate::X,
+                        target: q[1],
+                    },
+                ]
+            };
+
+            // N one-op batches == one N-op batch.
+            let (split, whole) = (build(kind, 5), build(kind, 5));
+            let (sq, wq) = (split.alloc(0, 3), whole.alloc(0, 3));
+            for op in circuit(&sq) {
+                split.apply_batch(0, &ops::batch([op])).unwrap();
+            }
+            whole.apply_batch(0, &ops::batch(circuit(&wq))).unwrap();
+            split.sync_coalesced().unwrap();
+            whole.sync_coalesced().unwrap();
+            assert_eq!(split.counts(), whole.counts(), "{kind}");
+            assert_eq!(whole.counts().gates, 6, "{kind}");
+            if let (Ok(want), Ok(got)) = (split.state_vector(&sq), whole.state_vector(&wq)) {
+                for i in 0..want.len() {
+                    let (w, g) = (want.amplitude(i), got.amplitude(i));
+                    assert!(
+                        w.re.to_bits() == g.re.to_bits() && w.im.to_bits() == g.im.to_bits(),
+                        "{kind} amp[{i}]: {w:?} vs {g:?}"
+                    );
+                }
+            }
+
+            // A cross-rank qubit anywhere in a batch: typed rejection
+            // before any op applies.
+            let theirs = whole.alloc(1, 1)[0];
+            let mut crossing = circuit(&wq);
+            crossing.push(BatchOp::Cnot {
+                c: wq[0],
+                t: theirs,
+            });
             assert_eq!(
-                b.apply(0, Gate::H, q1),
+                whole.apply_batch(0, &ops::batch(crossing)),
                 Err(QmpiError::Locality {
-                    qubit: q1,
+                    qubit: theirs,
                     owner: 1,
                     acting: 0
                 }),
                 "{kind}"
             );
-            assert!(
-                b.cnot(0, q0, q1).is_err(),
-                "{kind}: cross-rank CNOT must be rejected"
-            );
+            whole.sync_coalesced().unwrap();
+            assert_eq!(whole.gate_count(), 6, "{kind}: rejected batch applied ops");
+
+            // An engine-level failure mid-batch leaves the prefix applied.
+            if !non_clifford {
+                let mut failing = ops::gate(Gate::H, wq[0]);
+                failing.append(ops::gate(Gate::T, wq[0]));
+                failing.append(ops::gate(Gate::H, wq[0]));
+                assert!(matches!(
+                    whole.apply_batch(0, &failing),
+                    Err(QmpiError::Sim(qsim::SimError::Unsupported(_)))
+                ));
+                assert_eq!(
+                    whole.gate_count(),
+                    7,
+                    "{kind}: H lands, T fails, H never runs"
+                );
+            }
+
+            // An eager world dispatches each gate at its call site — on
+            // the remote engine, one command round per gate.
+            let eager = BatchPolicy::eager();
+            let backend = build_backend_with_policy(
+                kind,
+                TransportKind::InProcess,
+                5,
+                NoiseModel::ideal(),
+                eager,
+            )
+            .unwrap();
+            let config = QmpiConfig::new().batch(eager).backend(kind);
+            let run = run_on_backend(1, config, Arc::clone(&backend), |ctx| {
+                let q = ctx.alloc_one();
+                // A handle taken up front: reading through it is not a
+                // flush point.
+                let backend = Arc::clone(ctx.backend());
+                let rounds = || backend.transport_stats().map(|t| t.command_rounds);
+                let (gates, before) = (backend.gate_count(), rounds());
+                for landed in 1..=3 {
+                    ctx.h(&q).unwrap();
+                    assert_eq!(backend.gate_count(), gates + landed);
+                }
+                let per_gate = rounds().map(|after| after - before.unwrap());
+                ctx.measure_and_free(q).unwrap();
+                per_gate
+            });
+            let expect = matches!(kind, BackendKind::RemoteSharded { .. }).then_some(3);
+            assert_eq!(run.results, vec![expect], "{kind}");
         }
     }
 
@@ -1145,7 +1204,7 @@ mod tests {
             let b = build(kind, 3);
             let qa = b.alloc(0, 1)[0];
             let qb = b.alloc(1, 1)[0];
-            b.apply(0, Gate::X, qa).unwrap();
+            b.apply_batch(0, &ops::gate(qsim::Gate::X, qa)).unwrap();
             assert_eq!(
                 b.entangle_epr(qa, qb),
                 Err(QmpiError::EprQubitNotFresh(qa)),
@@ -1160,7 +1219,10 @@ mod tests {
             let b = build(kind, 1);
             let q = b.alloc(0, 1)[0];
             assert_eq!(b.free(0, q), Ok(false), "{kind}");
-            assert!(b.apply(0, Gate::X, q).is_err(), "{kind}");
+            assert!(
+                b.apply_batch(0, &ops::gate(qsim::Gate::X, q)).is_err(),
+                "{kind}"
+            );
         }
     }
 
@@ -1274,75 +1336,11 @@ mod tests {
     }
 
     #[test]
-    fn apply_batch_checks_ownership_before_applying_anything() {
-        for kind in all_kinds() {
-            let b = build(kind, 2);
-            let mine = b.alloc(0, 2);
-            let theirs = b.alloc(1, 1)[0];
-            let mut batch = GateBatch::new();
-            batch.push(BatchOp::Gate {
-                gate: Gate::H,
-                q: mine[0],
-            });
-            batch.push(BatchOp::Cnot {
-                c: mine[0],
-                t: theirs,
-            });
-            let before = b.gate_count();
-            assert!(
-                matches!(b.apply_batch(0, &batch), Err(QmpiError::Locality { .. })),
-                "{kind}: cross-rank op inside a batch must be rejected"
-            );
-            assert_eq!(
-                b.gate_count(),
-                before,
-                "{kind}: rejected batch must not partially apply"
-            );
-        }
-    }
-
-    #[test]
-    fn apply_batch_equals_eager_application() {
-        let eager = build(BackendKind::StateVector, 5);
-        let batched = build(BackendKind::StateVector, 5);
-        let eq = eager.alloc(0, 3);
-        let bq = batched.alloc(0, 3);
-        eager.apply(0, Gate::H, eq[0]).unwrap();
-        eager.cnot(0, eq[0], eq[1]).unwrap();
-        eager.apply(0, Gate::T, eq[2]).unwrap();
-        eager.swap(0, eq[1], eq[2]).unwrap();
-        eager.cz(0, eq[0], eq[2]).unwrap();
-        let mut batch = GateBatch::new();
-        batch.push(BatchOp::Gate {
-            gate: Gate::H,
-            q: bq[0],
-        });
-        batch.push(BatchOp::Cnot { c: bq[0], t: bq[1] });
-        batch.push(BatchOp::Gate {
-            gate: Gate::T,
-            q: bq[2],
-        });
-        batch.push(BatchOp::Swap { a: bq[1], b: bq[2] });
-        batch.push(BatchOp::Cz { a: bq[0], b: bq[2] });
-        batched.apply_batch(0, &batch).unwrap();
-        assert_eq!(batched.gate_count(), eager.gate_count());
-        let want = eager.state_vector(&eq).unwrap();
-        let got = batched.state_vector(&bq).unwrap();
-        for i in 0..want.len() {
-            let (w, g) = (want.amplitude(i), got.amplitude(i));
-            assert!(
-                w.re.to_bits() == g.re.to_bits() && w.im.to_bits() == g.im.to_bits(),
-                "amp[{i}]: {w:?} vs {g:?}"
-            );
-        }
-    }
-
-    #[test]
     fn trace_backend_counts_operations() {
         let b = build(BackendKind::Trace, 0);
         let qs = b.alloc(0, 3);
-        b.apply(0, Gate::H, qs[0]).unwrap();
-        b.cnot(0, qs[0], qs[1]).unwrap();
+        b.apply_batch(0, &ops::gate(qsim::Gate::H, qs[0])).unwrap();
+        b.apply_batch(0, &ops::cnot(qs[0], qs[1])).unwrap();
         b.entangle_epr(qs[1], qs[2]).unwrap();
         b.measure(0, qs[0]).unwrap();
         let c = b.counts();
@@ -1360,7 +1358,7 @@ mod tests {
         let b = build(BackendKind::Stabilizer, 1);
         let q = b.alloc(0, 1)[0];
         assert!(matches!(
-            b.apply(0, Gate::T, q),
+            b.apply_batch(0, &ops::gate(qsim::Gate::T, q)),
             Err(QmpiError::Sim(qsim::SimError::Unsupported(_)))
         ));
     }

@@ -76,9 +76,9 @@
 //! [`RemoteShardedEngine::with_watchdog`]); expiry panics with the shard and
 //! operation that timed out.
 //!
-//! The engine implements [`super::ShardableEngine`], so it slots under the
-//! existing [`super::ShardedShared`] reader-writer locality wrapper
-//! unchanged: select it with [`super::BackendKind::RemoteSharded`].
+//! The engine implements [`super::ShardableEngine`], so its gate batches
+//! run on the shared side of the [`super::Shared`] locality wrapper's
+//! lock: select it with [`super::BackendKind::RemoteSharded`].
 
 use super::remote_transport::{ProcessHandle, ProcessLink};
 use super::{BackendKind, TransportStats};
@@ -2080,11 +2080,6 @@ impl RemoteShardedEngine {
         self.reg.pos(q)
     }
 
-    #[inline]
-    fn count_gate(&self) {
-        self.gate_count.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Uncounted single-qubit matrix application (noise insertions).
     fn gate_1q_at(&self, pos: usize, m: &Mat2) {
         let mut ctl = self.ctl.lock();
@@ -2322,6 +2317,11 @@ impl ShardLease {
     }
 }
 
+/// A SWAP of a qubit with itself: legal, applies nothing, counts as no gate.
+fn is_noop(op: &qsim::BatchOp) -> bool {
+    matches!(op, qsim::BatchOp::Swap { a, b } if a == b)
+}
+
 impl RemoteShardedEngine {
     /// Plans one [`BatchOp`] into `plan` (positions resolved, masks split)
     /// under an already-held controller lock. Returns the positions the
@@ -2378,8 +2378,7 @@ impl RemoteShardedEngine {
                 Ok((OpClass::Gate2q, vec![pa, pb]))
             }
             BatchOp::Swap { a, b } => {
-                // a == b is filtered by the caller (it is a no-op that must
-                // not count as a gate).
+                // a == b is filtered by the callers ([`is_noop`]).
                 let pa = self.pos(*a)?;
                 let pb = self.pos(*b)?;
                 ctl.plan_swap(pa, pb, plan);
@@ -2415,11 +2414,32 @@ impl RemoteShardedEngine {
         }
     }
 
+    /// Plans a gate stream — every op plus its Pauli-noise insertions —
+    /// into `plan`, counting the gates planned. Stops at the first failing
+    /// op: the caller still ships `plan`, so the applied prefix is what
+    /// issuing the gates one by one would have left.
+    fn plan_ops(
+        &self,
+        ctl: &Controller,
+        ops: &[qsim::BatchOp],
+        plan: &mut Plan,
+    ) -> Result<(), SimError> {
+        let mut planned = 0;
+        let result = ops.iter().filter(|op| !is_noop(op)).try_for_each(|op| {
+            let (class, positions) = self.plan_op(ctl, op, plan)?;
+            planned += 1;
+            self.plan_noise(ctl, class, &positions, plan);
+            Ok(())
+        });
+        self.gate_count.fetch_add(planned, Ordering::Relaxed);
+        result
+    }
+
     /// Plans the Pauli-noise insertions for one op directly into the same
     /// plan (uncounted 1q kernels), drawing from the shared seeded stream
     /// in exactly the order the eager path would. Only valid for
-    /// state-independent models — the caller routes amplitude damping
-    /// through the eager per-gate path instead.
+    /// state-independent models — the caller dispatches op by op under
+    /// amplitude damping instead.
     fn plan_noise(&self, ctl: &Controller, class: OpClass, positions: &[usize], plan: &mut Plan) {
         let ch = self.noise_model.channel(class);
         if ch.is_ideal() {
@@ -2444,128 +2464,25 @@ impl RemoteShardedEngine {
 }
 
 impl super::ShardableEngine for RemoteShardedEngine {
-    fn apply_concurrent(&self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        let pos = self.pos(q)?;
-        {
-            let mut ctl = self.ctl.lock();
-            let mut plan = ctl.new_plan();
-            ctl.plan_pair(0, 0, pos, PairKernel::Mat(gate.matrix()), &mut plan);
-            ctl.run(|c| c.dispatch(&plan));
-        }
-        self.count_gate();
-        self.inject(OpClass::Gate1q, &[pos]);
-        Ok(())
-    }
-
-    fn apply_controlled_concurrent(
-        &self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        let tpos = self.pos(target)?;
-        let mut cpos = Vec::with_capacity(controls.len());
-        for &c in controls {
-            if c == target {
-                return Err(SimError::DuplicateQubit(c));
-            }
-            cpos.push(self.pos(c)?);
-        }
-        {
-            let mut ctl = self.ctl.lock();
-            let mut plan = ctl.new_plan();
-            let (c_lo, c_hi) = ctl.split_masks(&cpos);
-            ctl.plan_pair(c_lo, c_hi, tpos, PairKernel::Mat(gate.matrix()), &mut plan);
-            ctl.run(|c| c.dispatch(&plan));
-        }
-        self.count_gate();
-        cpos.push(tpos);
-        self.inject(OpClass::Gate2q, &cpos);
-        Ok(())
-    }
-
-    fn cnot_concurrent(&self, c: QubitId, t: QubitId) -> Result<(), SimError> {
-        if c == t {
-            return Err(SimError::DuplicateQubit(c));
-        }
-        let cp = self.pos(c)?;
-        let tp = self.pos(t)?;
-        {
-            let mut ctl = self.ctl.lock();
-            let mut plan = ctl.new_plan();
-            let (c_lo, c_hi) = ctl.split_masks(&[cp]);
-            ctl.plan_pair(c_lo, c_hi, tp, PairKernel::Swap, &mut plan);
-            ctl.run(|c| c.dispatch(&plan));
-        }
-        self.count_gate();
-        self.inject(OpClass::Gate2q, &[cp, tp]);
-        Ok(())
-    }
-
-    fn cz_concurrent(&self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        if a == b {
-            return Err(SimError::DuplicateQubit(a));
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        {
-            let mut ctl = self.ctl.lock();
-            let mut plan = ctl.new_plan();
-            let (lo_mask, hi_mask) = ctl.split_masks(&[pa, pb]);
-            ctl.plan_phase(lo_mask, hi_mask, &mut plan);
-            ctl.run(|c| c.dispatch(&plan));
-        }
-        self.count_gate();
-        self.inject(OpClass::Gate2q, &[pa, pb]);
-        Ok(())
-    }
-
-    fn swap_concurrent(&self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        if a == b {
-            return Ok(());
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        {
-            // One-round stripe exchange (see Controller::plan_swap) — the
-            // same amplitude permutation as the three-CNOT realization,
-            // minus 4 of its 6 cross-shard transfers.
-            let mut ctl = self.ctl.lock();
-            let mut plan = ctl.new_plan();
-            ctl.plan_swap(pa, pb, &mut plan);
-            ctl.run(|c| c.dispatch(&plan));
-        }
-        self.count_gate();
-        self.inject(OpClass::Gate2q, &[pa, pb]);
-        Ok(())
-    }
-
     fn apply_batch_concurrent(&self, batch: &qsim::GateBatch) -> Result<(), SimError> {
-        use qsim::BatchOp;
         if self.noise_model.is_state_dependent() {
             // Amplitude damping reads P(|1>) per insertion — each jump
             // decision must see the state its gate produced, so the stream
-            // degrades to eager per-gate dispatch (identical trajectories
-            // to the unbatched path by construction).
+            // degrades to one command round per op, each followed by its
+            // own noise insertions.
             for op in batch.ops() {
-                match op {
-                    BatchOp::Gate { gate, q } => self.apply_concurrent(*gate, *q)?,
-                    BatchOp::Controlled {
-                        controls,
-                        gate,
-                        target,
-                    } => self.apply_controlled_concurrent(controls, *gate, *target)?,
-                    BatchOp::Cnot { c, t } => self.cnot_concurrent(*c, *t)?,
-                    BatchOp::Cz { a, b } => self.cz_concurrent(*a, *b)?,
-                    BatchOp::Swap { a, b } => self.swap_concurrent(*a, *b)?,
-                    // The optimizer never emits these under state-dependent
-                    // noise; the decomposing trait defaults keep the eager
-                    // path total anyway.
-                    BatchOp::Fused1q { q, m } => self.apply_fused_1q_concurrent(*q, m)?,
-                    BatchOp::PhaseSweep { diags, czs } => {
-                        self.apply_phase_sweep_concurrent(diags, czs)?
-                    }
+                if is_noop(op) {
+                    continue;
                 }
+                let (class, positions) = {
+                    let mut ctl = self.ctl.lock();
+                    let mut plan = ctl.new_plan();
+                    let planned = self.plan_op(&ctl, op, &mut plan)?;
+                    ctl.run(|c| c.dispatch(&plan));
+                    planned
+                };
+                self.gate_count.fetch_add(1, Ordering::Relaxed);
+                self.inject(class, &positions);
             }
             return Ok(());
         }
@@ -2575,30 +2492,8 @@ impl super::ShardableEngine for RemoteShardedEngine {
         // acquisition, then ship ONE framed command message per worker.
         let mut ctl = self.ctl.lock();
         let mut plan = ctl.new_plan();
-        let mut gates = 0u64;
-        let mut result = Ok(());
-        for op in batch.ops() {
-            if let BatchOp::Swap { a, b } = op {
-                if a == b {
-                    continue;
-                }
-            }
-            match self.plan_op(&ctl, op, &mut plan) {
-                Ok((class, positions)) => {
-                    gates += 1;
-                    self.plan_noise(&ctl, class, &positions, &mut plan);
-                }
-                Err(e) => {
-                    // Ship what was planned so the applied prefix matches
-                    // the eager path, then surface the error.
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
+        let result = self.plan_ops(&ctl, batch.ops(), &mut plan);
         ctl.run(|c| c.dispatch(&plan));
-        drop(ctl);
-        self.gate_count.fetch_add(gates, Ordering::Relaxed);
         result
     }
 
@@ -2606,19 +2501,13 @@ impl super::ShardableEngine for RemoteShardedEngine {
         &self,
         segs: Vec<(usize, qsim::GateBatch)>,
     ) -> Result<(), SimError> {
-        use qsim::BatchOp;
-        if self.noise_model.is_state_dependent() {
-            // Amplitude damping degrades to eager per-gate dispatch anyway;
-            // running segments back to back reproduces the uncoalesced
-            // stream exactly.
-            for (_rank, batch) in segs {
-                self.apply_batch_concurrent(&batch)?;
-            }
-            return Ok(());
-        }
-        if segs.len() == 1 {
-            let (_rank, batch) = segs.into_iter().next().expect("one segment");
-            return self.apply_batch_concurrent(&batch);
+        if self.noise_model.is_state_dependent() || segs.len() == 1 {
+            // Nothing to merge: amplitude damping degrades to per-op
+            // dispatch anyway, and running segments back to back
+            // reproduces the uncoalesced stream exactly.
+            return segs
+                .iter()
+                .try_for_each(|(_rank, batch)| self.apply_batch_concurrent(batch));
         }
         // The coalesced path: plan every segment's gates (and their
         // controller-sampled Pauli-noise insertions, drawn in segment
@@ -2629,35 +2518,15 @@ impl super::ShardableEngine for RemoteShardedEngine {
         let mut ctl = self.ctl.lock();
         let mut plan = ctl.new_plan();
         let mut cuts: Vec<(u64, Vec<usize>)> = Vec::with_capacity(segs.len());
-        let mut gates = 0u64;
         let mut result = Ok(());
-        'segs: for (rank, batch) in &segs {
-            for op in batch.ops() {
-                if let BatchOp::Swap { a, b } = op {
-                    if a == b {
-                        continue;
-                    }
-                }
-                match self.plan_op(&ctl, op, &mut plan) {
-                    Ok((class, positions)) => {
-                        gates += 1;
-                        self.plan_noise(&ctl, class, &positions, &mut plan);
-                    }
-                    Err(e) => {
-                        // Ship the planned prefix (cut mid-segment) so the
-                        // applied stream matches the uncoalesced path, then
-                        // surface the error.
-                        result = Err(e);
-                        cuts.push((*rank as u64, plan.ops.iter().map(Vec::len).collect()));
-                        break 'segs;
-                    }
-                }
-            }
+        for (rank, batch) in &segs {
+            result = self.plan_ops(&ctl, batch.ops(), &mut plan);
             cuts.push((*rank as u64, plan.ops.iter().map(Vec::len).collect()));
+            if result.is_err() {
+                break;
+            }
         }
         ctl.run(|c| c.dispatch_merged(&plan, &cuts));
-        drop(ctl);
-        self.gate_count.fetch_add(gates, Ordering::Relaxed);
         result
     }
 }
@@ -2675,6 +2544,10 @@ impl super::SimEngine for RemoteShardedEngine {
 
     fn transport_stats(&self) -> Option<TransportStats> {
         Some(self.transport_stats())
+    }
+
+    fn as_shardable(&self) -> Option<&dyn super::ShardableEngine> {
+        Some(self)
     }
 
     fn alloc(&mut self) -> QubitId {
@@ -2699,36 +2572,6 @@ impl super::SimEngine for RemoteShardedEngine {
         let pos = self.pos(q)?;
         self.remove_at(q, pos, outcome);
         Ok(outcome)
-    }
-
-    fn apply(&mut self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        use super::ShardableEngine;
-        self.apply_concurrent(gate, q)
-    }
-
-    fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        use super::ShardableEngine;
-        self.apply_controlled_concurrent(controls, gate, target)
-    }
-
-    fn cnot(&mut self, c: QubitId, t: QubitId) -> Result<(), SimError> {
-        use super::ShardableEngine;
-        self.cnot_concurrent(c, t)
-    }
-
-    fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        use super::ShardableEngine;
-        self.cz_concurrent(a, b)
-    }
-
-    fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        use super::ShardableEngine;
-        self.swap_concurrent(a, b)
     }
 
     fn apply_batch(&mut self, batch: &qsim::GateBatch) -> Result<(), SimError> {
@@ -2855,7 +2698,7 @@ impl super::SimEngine for RemoteShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{QuantumBackend, SimEngine, StateVectorEngine};
+    use crate::backend::{ops, QuantumBackend, SimEngine, StateVectorEngine};
 
     #[test]
     fn shard_cmd_roundtrips_every_variant() {
@@ -3077,24 +2920,33 @@ mod tests {
         let mut remote = RemoteShardedEngine::with_noise(1, shards, noise);
         let dq: Vec<QubitId> = (0..n_qubits).map(|_| dense.alloc()).collect();
         let rq: Vec<QubitId> = (0..n_qubits).map(|_| remote.alloc()).collect();
-        type Step = Box<dyn Fn(&mut dyn SimEngine, &[QubitId])>;
-        let circuit: Vec<Step> = vec![
-            Box::new(|e, q| e.apply(Gate::H, q[0]).unwrap()),
-            Box::new(|e, q| e.apply(Gate::H, q[q.len() - 1]).unwrap()),
-            Box::new(|e, q| e.apply(Gate::T, q[q.len() - 1]).unwrap()),
-            Box::new(|e, q| e.cnot(q[0], q[q.len() - 1]).unwrap()),
-            Box::new(|e, q| e.cnot(q[q.len() - 1], q[0]).unwrap()),
-            Box::new(|e, q| e.cz(q[1], q[q.len() - 2]).unwrap()),
-            Box::new(|e, q| e.apply(Gate::S, q[2]).unwrap()),
-            Box::new(|e, q| e.swap(q[1], q[q.len() - 1]).unwrap()),
-            Box::new(|e, q| {
-                e.apply_controlled(&[q[0], q[q.len() - 1]], Gate::Ry(0.7), q[2])
-                    .unwrap()
-            }),
-        ];
-        for step in &circuit {
-            step(&mut dense, &dq);
-            step(&mut remote, &rq);
+        use qsim::BatchOp;
+        let circuit = |q: &[QubitId]| {
+            let last = q[q.len() - 1];
+            let gate = |gate, q| BatchOp::Gate { gate, q };
+            [
+                gate(Gate::H, q[0]),
+                gate(Gate::H, last),
+                gate(Gate::T, last),
+                BatchOp::Cnot { c: q[0], t: last },
+                BatchOp::Cnot { c: last, t: q[0] },
+                BatchOp::Cz {
+                    a: q[1],
+                    b: q[q.len() - 2],
+                },
+                gate(Gate::S, q[2]),
+                BatchOp::Swap { a: q[1], b: last },
+                BatchOp::Controlled {
+                    controls: vec![q[0], last],
+                    gate: Gate::Ry(0.7),
+                    target: q[2],
+                },
+            ]
+        };
+        // Op by op: one command round (and one noise draw point) per gate.
+        for (d, r) in circuit(&dq).into_iter().zip(circuit(&rq)) {
+            dense.apply_batch(&ops::batch([d])).unwrap();
+            remote.apply_batch(&ops::batch([r])).unwrap();
         }
         let want = dense.state_vector(&dq).unwrap();
         let got = remote.state_vector(&rq).unwrap();
@@ -3130,7 +2982,7 @@ mod tests {
         let a = e.alloc();
         let b = e.alloc();
         let c = e.alloc();
-        e.apply(Gate::X, c).unwrap();
+        e.apply_batch(&ops::gate(Gate::X, c)).unwrap();
         assert!((e.prob_one(c).unwrap() - 1.0).abs() < 1e-12);
         assert!(e.prob_one(a).unwrap() < 1e-12);
         // Removing the middle qubit shifts c down; it must still read |1>.
@@ -3161,8 +3013,8 @@ mod tests {
         let mut e = RemoteShardedEngine::new(11, 4);
         let a = e.alloc();
         let b = e.alloc();
-        e.apply(Gate::H, a).unwrap();
-        e.cnot(a, b).unwrap();
+        e.apply_batch(&ops::gate(Gate::H, a)).unwrap();
+        e.apply_batch(&ops::cnot(a, b)).unwrap();
         // EPR pair lives entirely in the even-parity subspace.
         assert!(!e.measure_z_parity(&[a, b]).unwrap());
         let st = e.state_vector(&[a, b]).unwrap();
@@ -3181,13 +3033,15 @@ mod tests {
         let dq: Vec<QubitId> = (0..4).map(|_| dense.alloc()).collect();
         let rq: Vec<QubitId> = (0..4).map(|_| remote.alloc()).collect();
         for (d, r) in [(0, 0), (1, 1)] {
-            dense.apply(Gate::H, dq[d]).unwrap();
-            remote.apply(Gate::H, rq[r]).unwrap();
+            dense.apply_batch(&ops::gate(Gate::H, dq[d])).unwrap();
+            remote.apply_batch(&ops::gate(Gate::H, rq[r])).unwrap();
         }
-        dense.cnot(dq[0], dq[2]).unwrap();
-        remote.cnot(rq[0], rq[2]).unwrap();
-        dense.apply(Gate::Ry(0.9), dq[1]).unwrap();
-        remote.apply(Gate::Ry(0.9), rq[1]).unwrap();
+        dense.apply_batch(&ops::cnot(dq[0], dq[2])).unwrap();
+        remote.apply_batch(&ops::cnot(rq[0], rq[2])).unwrap();
+        dense.apply_batch(&ops::gate(Gate::Ry(0.9), dq[1])).unwrap();
+        remote
+            .apply_batch(&ops::gate(Gate::Ry(0.9), rq[1]))
+            .unwrap();
         let want = dense.state_vector(&dq).unwrap();
         let got = remote.state_vector(&rq).unwrap();
         for i in 0..want.len() {
@@ -3198,14 +3052,6 @@ mod tests {
                 got.amplitude(i)
             );
         }
-    }
-
-    fn batch_of(ops: Vec<qsim::BatchOp>) -> qsim::GateBatch {
-        let mut b = qsim::GateBatch::new();
-        for op in ops {
-            b.push(op);
-        }
-        b
     }
 
     /// The acceptance assertion behind the batching claim: an N-gate
@@ -3220,7 +3066,7 @@ mod tests {
         // Eager: one command round per gate.
         let before = e.transport_stats().command_rounds;
         for &q in &qs {
-            SimEngine::apply(&mut e, Gate::H, q).unwrap();
+            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         }
         assert_eq!(
             e.transport_stats().command_rounds - before,
@@ -3230,12 +3076,8 @@ mod tests {
 
         // Batched: the same four gates in one round.
         let before = e.transport_stats().command_rounds;
-        let batch = batch_of(
-            qs.iter()
-                .map(|&q| BatchOp::Gate { gate: Gate::H, q })
-                .collect(),
-        );
-        SimEngine::apply_batch(&mut e, &batch).unwrap();
+        let batch = ops::batch(qs.iter().map(|&q| BatchOp::Gate { gate: Gate::H, q }));
+        e.apply_batch(&batch).unwrap();
         assert_eq!(
             e.transport_stats().command_rounds - before,
             1,
@@ -3248,7 +3090,7 @@ mod tests {
         // (2 local bits).
         let stats_before = e.transport_stats();
         let (before, xchg_before) = (stats_before.command_rounds, stats_before.exchange_rounds);
-        let batch = batch_of(vec![
+        let batch = ops::batch(vec![
             BatchOp::Gate {
                 gate: Gate::T,
                 q: qs[0],
@@ -3257,7 +3099,7 @@ mod tests {
             BatchOp::Swap { a: qs[1], b: qs[2] },
             BatchOp::Cz { a: qs[2], b: qs[3] },
         ]);
-        SimEngine::apply_batch(&mut e, &batch).unwrap();
+        e.apply_batch(&batch).unwrap();
         let stats_after = e.transport_stats();
         let cmd_delta = stats_after.command_rounds - before;
         let xchg_delta = stats_after.exchange_rounds - xchg_before;
@@ -3276,13 +3118,13 @@ mod tests {
         let mut dense = StateVectorEngine::new(5);
         let dq: Vec<QubitId> = (0..4).map(|_| dense.alloc()).collect();
         for &q in &dq {
-            dense.apply(Gate::H, q).unwrap();
-            dense.apply(Gate::H, q).unwrap();
+            dense.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+            dense.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         }
-        dense.apply(Gate::T, dq[0]).unwrap();
-        dense.cnot(dq[0], dq[3]).unwrap();
-        dense.swap(dq[1], dq[2]).unwrap();
-        dense.cz(dq[2], dq[3]).unwrap();
+        dense.apply_batch(&ops::gate(Gate::T, dq[0])).unwrap();
+        dense.apply_batch(&ops::cnot(dq[0], dq[3])).unwrap();
+        dense.apply_batch(&ops::swap(dq[1], dq[2])).unwrap();
+        dense.apply_batch(&ops::cz(dq[2], dq[3])).unwrap();
         let want = dense.state_vector(&dq).unwrap();
         for i in 0..want.len() {
             let (w, g) = (want.amplitude(i), got.amplitude(i));
@@ -3305,7 +3147,7 @@ mod tests {
         // so the sweep exercises local factors, shard-constant factors,
         // and all three CZ localizations (lo/lo+hi/hi+hi).
         let stream = |qs: &[QubitId]| {
-            batch_of(vec![
+            ops::batch(vec![
                 BatchOp::Gate {
                     gate: Gate::H,
                     q: qs[0],
@@ -3336,8 +3178,8 @@ mod tests {
         let dq: Vec<QubitId> = (0..5).map(|_| dense.alloc()).collect();
         let rq: Vec<QubitId> = (0..5).map(|_| remote.alloc()).collect();
         for i in 0..5 {
-            dense.apply(Gate::H, dq[i]).unwrap();
-            SimEngine::apply(&mut remote, Gate::H, rq[i]).unwrap();
+            dense.apply_batch(&ops::gate(Gate::H, dq[i])).unwrap();
+            remote.apply_batch(&ops::gate(Gate::H, rq[i])).unwrap();
         }
         let d_opt = qsim::optimize(stream(&dq));
         let r_opt = qsim::optimize(stream(&rq));
@@ -3391,7 +3233,7 @@ mod tests {
             let mut batched = RemoteShardedEngine::with_noise(9, shards, noise);
             let eq: Vec<QubitId> = (0..5).map(|_| eager.alloc()).collect();
             let bq: Vec<QubitId> = (0..5).map(|_| batched.alloc()).collect();
-            let ops = |qs: &[QubitId]| {
+            let stream = |qs: &[QubitId]| {
                 vec![
                     BatchOp::Gate {
                         gate: Gate::H,
@@ -3411,23 +3253,10 @@ mod tests {
                     },
                 ]
             };
-            for op in ops(&eq) {
-                match op {
-                    BatchOp::Gate { gate, q } => SimEngine::apply(&mut eager, gate, q).unwrap(),
-                    BatchOp::Controlled {
-                        ref controls,
-                        gate,
-                        target,
-                    } => eager.apply_controlled(controls, gate, target).unwrap(),
-                    BatchOp::Cnot { c, t } => eager.cnot(c, t).unwrap(),
-                    BatchOp::Cz { a, b } => eager.cz(a, b).unwrap(),
-                    BatchOp::Swap { a, b } => SimEngine::swap(&mut eager, a, b).unwrap(),
-                    BatchOp::Fused1q { .. } | BatchOp::PhaseSweep { .. } => {
-                        unreachable!("this stream records primitive ops only")
-                    }
-                }
+            for op in stream(&eq) {
+                eager.apply_batch(&ops::batch([op])).unwrap();
             }
-            SimEngine::apply_batch(&mut batched, &batch_of(ops(&bq))).unwrap();
+            batched.apply_batch(&ops::batch(stream(&bq))).unwrap();
             assert_eq!(eager.gate_count(), batched.gate_count(), "shards={shards}");
             let want = eager.state_vector(&eq).unwrap();
             let got = batched.state_vector(&bq).unwrap();
@@ -3455,13 +3284,13 @@ mod tests {
         let rq: Vec<QubitId> = (0..6).map(|_| e.alloc()).collect();
         let dq: Vec<QubitId> = (0..6).map(|_| dense.alloc()).collect();
         for (engine_q, dense_q) in rq.iter().zip(&dq) {
-            SimEngine::apply(&mut e, Gate::H, *engine_q).unwrap();
-            dense.apply(Gate::H, *dense_q).unwrap();
+            e.apply_batch(&ops::gate(Gate::H, *engine_q)).unwrap();
+            dense.apply_batch(&ops::gate(Gate::H, *dense_q)).unwrap();
         }
-        e.cnot(rq[0], rq[5]).unwrap();
-        dense.cnot(dq[0], dq[5]).unwrap();
-        SimEngine::apply(&mut e, Gate::T, rq[2]).unwrap();
-        dense.apply(Gate::T, dq[2]).unwrap();
+        e.apply_batch(&ops::cnot(rq[0], rq[5])).unwrap();
+        dense.apply_batch(&ops::cnot(dq[0], dq[5])).unwrap();
+        e.apply_batch(&ops::gate(Gate::T, rq[2])).unwrap();
+        dense.apply_batch(&ops::gate(Gate::T, dq[2])).unwrap();
         let pick = |qs: &[QubitId]| -> Vec<Vec<(QubitId, Pauli)>> {
             vec![
                 vec![(qs[0], Pauli::Z), (qs[5], Pauli::Z)],
@@ -3507,7 +3336,7 @@ mod tests {
         let mut e = e;
         let a = e.alloc();
         let b = e.alloc();
-        e.apply(Gate::H, a).unwrap();
+        e.apply_batch(&ops::gate(Gate::H, a)).unwrap();
         // Kill shard 1's worker, then run a reduction that needs it.
         e.debug_kill_worker(1);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -3541,12 +3370,12 @@ mod tests {
         let start = std::time::Instant::now();
         let mut e = RemoteShardedEngine::new(7, 4).with_watchdog(Duration::from_millis(200));
         let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
-        SimEngine::apply(&mut e, Gate::H, qs[0]).unwrap();
+        e.apply_batch(&ops::gate(Gate::H, qs[0])).unwrap();
         // Kill shard 2's worker, then ship a batch whose cross-shard CNOT
         // pairs a live worker with the dead one. The batch send itself is
         // fire-and-forget; the failure must surface on the next reduction.
         e.debug_kill_worker(2);
-        let batch = batch_of(vec![
+        let batch = ops::batch(vec![
             BatchOp::Gate {
                 gate: Gate::H,
                 q: qs[1],
@@ -3555,7 +3384,7 @@ mod tests {
             // this pairs shards across the dead worker.
             BatchOp::Cnot { c: qs[0], t: qs[3] },
         ]);
-        SimEngine::apply_batch(&mut e, &batch).unwrap();
+        e.apply_batch(&batch).unwrap();
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             e.prob_one(qs[3]).unwrap();
         }))
@@ -3614,10 +3443,18 @@ mod tests {
                 let backend = Arc::clone(&backend);
                 s.spawn(move || {
                     for _ in 0..10 {
-                        backend.apply(*rank, Gate::H, qs[0]).unwrap();
-                        backend.cnot(*rank, qs[0], qs[1]).unwrap();
-                        backend.cnot(*rank, qs[0], qs[1]).unwrap();
-                        backend.apply(*rank, Gate::H, qs[0]).unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::gate(Gate::H, qs[0]))
+                            .unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::cnot(qs[0], qs[1]))
+                            .unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::cnot(qs[0], qs[1]))
+                            .unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::gate(Gate::H, qs[0]))
+                            .unwrap();
                     }
                 });
             }
@@ -3636,10 +3473,11 @@ mod tests {
     /// cross-shard pairing, and RNG-consuming collapses.
     fn seeded_trajectory(e: &mut RemoteShardedEngine, seed_angle: f64) -> (Vec<bool>, Vec<u64>) {
         let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
-        SimEngine::apply(e, Gate::Ry(seed_angle), qs[0]).unwrap();
-        e.cnot(qs[0], qs[3]).unwrap();
-        SimEngine::apply(e, Gate::H, qs[1]).unwrap();
-        e.cz(qs[1], qs[2]).unwrap();
+        e.apply_batch(&ops::gate(Gate::Ry(seed_angle), qs[0]))
+            .unwrap();
+        e.apply_batch(&ops::cnot(qs[0], qs[3])).unwrap();
+        e.apply_batch(&ops::gate(Gate::H, qs[1])).unwrap();
+        e.apply_batch(&ops::cz(qs[1], qs[2])).unwrap();
         let outcomes: Vec<bool> = qs
             .into_iter()
             .map(|q| SimEngine::measure_and_free(e, q).unwrap())

@@ -1,24 +1,21 @@
-//! The sharded state-vector engine and its reader-writer locality wrapper.
+//! The sharded state-vector engine and the `&self` gate surface.
 //!
 //! [`ShardedStateVector`] is a full-amplitude engine like
 //! [`super::StateVectorEngine`], but its amplitudes live in a
 //! [`qsim::sharded::ShardedState`] — `2^k` contiguous shards, each behind
-//! its own stripe lock — and every *gate* entry point is available through
-//! `&self`. That second surface is what [`ShardedShared`] exploits: instead
-//! of the single mutex that [`super::Shared`] funnels every operation
-//! through, it guards the ownership registry with a reader-writer lock.
-//! Gate traffic from concurrently executing ranks takes the *read* side
-//! (ranks act on disjoint qubits, so their gates commute and the stripe
-//! locks provide amplitude-level exclusion); only structural operations —
-//! allocation, free, measurement collapse, EPR establishment, snapshots —
-//! take the write side.
+//! its own stripe lock — and its gate entry point is available through
+//! `&self` ([`ShardableEngine`]). That is what [`super::Shared`] exploits:
+//! gate traffic from concurrently executing ranks takes the *shared* side
+//! of the wrapper's reader-writer lock (ranks act on disjoint qubits, so
+//! their gates commute and the stripe locks provide amplitude-level
+//! exclusion); only structural operations — allocation, free, measurement
+//! collapse, EPR establishment, snapshots — take the exclusive side.
 //!
 //! The result is the fourth [`super::BackendKind`]:
 //! `BackendKind::ShardedStateVector { shards }`.
 
-use super::{BackendKind, Inner, OpCounts, QuantumBackend, SimEngine};
-use crate::error::Result;
-use parking_lot::{Mutex, RwLock};
+use super::{BackendKind, SimEngine};
+use parking_lot::Mutex;
 use qsim::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
 use qsim::registry::QubitRegistry;
 use qsim::sharded::ShardedState;
@@ -27,60 +24,15 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A [`SimEngine`] that additionally exposes its gate set through `&self`,
+/// A [`SimEngine`] that additionally accepts gate batches through `&self`,
 /// safe for concurrent callers operating on disjoint qubits. Engines
-/// implementing this can be driven by [`ShardedShared`], which keeps gate
-/// dispatch on the read side of a reader-writer lock.
-pub trait ShardableEngine: SimEngine + Sync {
-    /// Applies a single-qubit gate (concurrent-safe).
-    fn apply_concurrent(&self, gate: Gate, q: QubitId) -> std::result::Result<(), SimError>;
-
-    /// Applies a multi-controlled single-qubit gate (concurrent-safe).
-    fn apply_controlled_concurrent(
-        &self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> std::result::Result<(), SimError>;
-
-    /// CNOT (concurrent-safe).
-    fn cnot_concurrent(&self, c: QubitId, t: QubitId) -> std::result::Result<(), SimError>;
-
-    /// CZ (concurrent-safe).
-    fn cz_concurrent(&self, a: QubitId, b: QubitId) -> std::result::Result<(), SimError>;
-
-    /// SWAP (concurrent-safe).
-    fn swap_concurrent(&self, a: QubitId, b: QubitId) -> std::result::Result<(), SimError>;
-
-    /// Applies a plan-time-fused 2×2 unitary (concurrent-safe). The
-    /// default routes through the 1q entry point as `Gate::U(m)` — the
-    /// kernel fused runs must match bit-for-bit.
-    fn apply_fused_1q_concurrent(
-        &self,
-        q: QubitId,
-        m: &qsim::gates::Mat2,
-    ) -> std::result::Result<(), SimError> {
-        self.apply_concurrent(Gate::U(*m), q)
-    }
-
-    /// Applies a plan-time-merged diagonal sweep (concurrent-safe). The
-    /// default decomposes into per-factor diagonal `Gate::U`s plus CZs, in
-    /// the sweep's factor order; engines with a one-pass stripe kernel
-    /// override.
-    fn apply_phase_sweep_concurrent(
-        &self,
-        diags: &[(QubitId, qsim::Complex, qsim::Complex)],
-        czs: &[(QubitId, QubitId)],
-    ) -> std::result::Result<(), SimError> {
-        use qsim::complex::C_ZERO;
-        for &(q, d0, d1) in diags {
-            self.apply_concurrent(Gate::U([[d0, C_ZERO], [C_ZERO, d1]]), q)?;
-        }
-        for &(a, b) in czs {
-            self.cz_concurrent(a, b)?;
-        }
-        Ok(())
-    }
+/// implementing this (and answering [`SimEngine::as_shardable`]) keep gate
+/// dispatch on the shared side of [`super::Shared`]'s lock.
+pub trait ShardableEngine: SimEngine {
+    /// [`SimEngine::apply_batch`] through `&self` (concurrent-safe): same
+    /// stream, same order, same gate tally and
+    /// partial-application-on-error semantics.
+    fn apply_batch_concurrent(&self, batch: &GateBatch) -> std::result::Result<(), SimError>;
 
     /// Applies several ranks' gate segments — the drained contents of a
     /// cross-rank coalesce window, in arrival order — as one unit. Each
@@ -99,33 +51,6 @@ pub trait ShardableEngine: SimEngine + Sync {
     ) -> std::result::Result<(), SimError> {
         let merged = qsim::concat_segments(segs.into_iter().map(|(_, b)| b));
         self.apply_batch_concurrent(&merged)
-    }
-
-    /// Applies a whole recorded gate stream through the concurrent surface.
-    /// The default loops the per-gate entry points (stripe locks still
-    /// provide amplitude-level exclusion per pass); the process-separated
-    /// engine overrides it to ship the stream as one framed message per
-    /// worker. Same partial-application-on-error semantics as
-    /// [`SimEngine::apply_batch`].
-    fn apply_batch_concurrent(&self, batch: &GateBatch) -> std::result::Result<(), SimError> {
-        for op in batch.ops() {
-            match op {
-                BatchOp::Gate { gate, q } => self.apply_concurrent(*gate, *q)?,
-                BatchOp::Controlled {
-                    controls,
-                    gate,
-                    target,
-                } => self.apply_controlled_concurrent(controls, *gate, *target)?,
-                BatchOp::Cnot { c, t } => self.cnot_concurrent(*c, *t)?,
-                BatchOp::Cz { a, b } => self.cz_concurrent(*a, *b)?,
-                BatchOp::Swap { a, b } => self.swap_concurrent(*a, *b)?,
-                BatchOp::Fused1q { q, m } => self.apply_fused_1q_concurrent(*q, m)?,
-                BatchOp::PhaseSweep { diags, czs } => {
-                    self.apply_phase_sweep_concurrent(diags, czs)?
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -246,119 +171,90 @@ impl ShardedStateVector {
         self.reg.remove(q, pos);
     }
 
-    #[inline]
-    fn count_gate(&self) {
-        self.gate_count.fetch_add(1, Ordering::Relaxed);
+    /// Positions of two distinct qubits.
+    fn pair(&self, a: QubitId, b: QubitId) -> std::result::Result<[usize; 2], SimError> {
+        if a == b {
+            return Err(SimError::DuplicateQubit(a));
+        }
+        Ok([self.pos(a)?, self.pos(b)?])
     }
 }
 
 impl ShardableEngine for ShardedStateVector {
-    fn apply_concurrent(&self, gate: Gate, q: QubitId) -> std::result::Result<(), SimError> {
-        let pos = self.pos(q)?;
-        self.state.apply_1q(pos, &gate.matrix());
-        self.count_gate();
-        self.inject(OpClass::Gate1q, &[pos]);
-        Ok(())
-    }
-
-    fn apply_controlled_concurrent(
-        &self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> std::result::Result<(), SimError> {
-        let tpos = self.pos(target)?;
-        let mut cpos = Vec::with_capacity(controls.len());
-        for &c in controls {
-            if c == target {
-                return Err(SimError::DuplicateQubit(c));
-            }
-            cpos.push(self.pos(c)?);
+    fn apply_batch_concurrent(&self, batch: &GateBatch) -> std::result::Result<(), SimError> {
+        // The positions each op's noise channel rides on, reused across ops.
+        let mut touched = Vec::new();
+        for op in batch.ops() {
+            touched.clear();
+            let class = match op {
+                BatchOp::Gate { gate, q } => {
+                    touched.push(self.pos(*q)?);
+                    self.state.apply_1q(touched[0], &gate.matrix());
+                    OpClass::Gate1q
+                }
+                BatchOp::Fused1q { q, m } => {
+                    touched.push(self.pos(*q)?);
+                    self.state.apply_1q(touched[0], m);
+                    OpClass::Gate1q
+                }
+                BatchOp::Controlled {
+                    controls,
+                    gate,
+                    target,
+                } => {
+                    let tpos = self.pos(*target)?;
+                    for c in controls {
+                        if c == target {
+                            return Err(SimError::DuplicateQubit(*c));
+                        }
+                        touched.push(self.pos(*c)?);
+                    }
+                    self.state
+                        .apply_controlled_1q(&touched, tpos, &gate.matrix());
+                    touched.push(tpos);
+                    OpClass::Gate2q
+                }
+                BatchOp::Cnot { c, t } => {
+                    let [pc, pt] = self.pair(*c, *t)?;
+                    self.state.apply_cnot(pc, pt);
+                    touched.extend([pc, pt]);
+                    OpClass::Gate2q
+                }
+                BatchOp::Cz { a, b } => {
+                    let [pa, pb] = self.pair(*a, *b)?;
+                    self.state.apply_cz(pa, pb);
+                    touched.extend([pa, pb]);
+                    OpClass::Gate2q
+                }
+                BatchOp::Swap { a, b } if a == b => continue,
+                BatchOp::Swap { a, b } => {
+                    let [pa, pb] = self.pair(*a, *b)?;
+                    self.state.apply_swap(pa, pb);
+                    touched.extend([pa, pb]);
+                    OpClass::Gate2q
+                }
+                BatchOp::PhaseSweep { diags, czs } => {
+                    let mut factors = Vec::with_capacity(diags.len());
+                    for &(q, d0, d1) in diags {
+                        let pos = self.pos(q)?;
+                        factors.push((pos, d0, d1));
+                        touched.push(pos);
+                    }
+                    let mut flips = Vec::with_capacity(czs.len());
+                    for &(a, b) in czs {
+                        let [pa, pb] = self.pair(a, b)?;
+                        flips.push((pa, pb));
+                        touched.extend([pa, pb]);
+                    }
+                    // One stripe pass for the whole merged sweep, same
+                    // per-amplitude sequence as the dense engine.
+                    self.state.apply_phase_sweep(&factors, &flips);
+                    OpClass::Gate1q
+                }
+            };
+            self.gate_count.fetch_add(1, Ordering::Relaxed);
+            self.inject(class, &touched);
         }
-        self.state.apply_controlled_1q(&cpos, tpos, &gate.matrix());
-        self.count_gate();
-        cpos.push(tpos);
-        self.inject(OpClass::Gate2q, &cpos);
-        Ok(())
-    }
-
-    fn cnot_concurrent(&self, c: QubitId, t: QubitId) -> std::result::Result<(), SimError> {
-        if c == t {
-            return Err(SimError::DuplicateQubit(c));
-        }
-        let cp = self.pos(c)?;
-        let tp = self.pos(t)?;
-        self.state.apply_cnot(cp, tp);
-        self.count_gate();
-        self.inject(OpClass::Gate2q, &[cp, tp]);
-        Ok(())
-    }
-
-    fn cz_concurrent(&self, a: QubitId, b: QubitId) -> std::result::Result<(), SimError> {
-        if a == b {
-            return Err(SimError::DuplicateQubit(a));
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        self.state.apply_cz(pa, pb);
-        self.count_gate();
-        self.inject(OpClass::Gate2q, &[pa, pb]);
-        Ok(())
-    }
-
-    fn swap_concurrent(&self, a: QubitId, b: QubitId) -> std::result::Result<(), SimError> {
-        if a == b {
-            return Ok(());
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        self.state.apply_swap(pa, pb);
-        self.count_gate();
-        self.inject(OpClass::Gate2q, &[pa, pb]);
-        Ok(())
-    }
-
-    fn apply_fused_1q_concurrent(
-        &self,
-        q: QubitId,
-        m: &qsim::gates::Mat2,
-    ) -> std::result::Result<(), SimError> {
-        let pos = self.pos(q)?;
-        self.state.apply_1q(pos, m);
-        self.count_gate();
-        self.inject(OpClass::Gate1q, &[pos]);
-        Ok(())
-    }
-
-    fn apply_phase_sweep_concurrent(
-        &self,
-        diags: &[(QubitId, qsim::Complex, qsim::Complex)],
-        czs: &[(QubitId, QubitId)],
-    ) -> std::result::Result<(), SimError> {
-        let mut factors = Vec::with_capacity(diags.len());
-        let mut touched = Vec::with_capacity(diags.len() + 2 * czs.len());
-        for &(q, d0, d1) in diags {
-            let pos = self.pos(q)?;
-            factors.push((pos, d0, d1));
-            touched.push(pos);
-        }
-        let mut flips = Vec::with_capacity(czs.len());
-        for &(a, b) in czs {
-            if a == b {
-                return Err(SimError::DuplicateQubit(a));
-            }
-            let pa = self.pos(a)?;
-            let pb = self.pos(b)?;
-            flips.push((pa, pb));
-            touched.push(pa);
-            touched.push(pb);
-        }
-        // One stripe pass for the whole merged sweep, same per-amplitude
-        // sequence as the dense engine; counted as one gate like every
-        // other single-pass kernel.
-        self.state.apply_phase_sweep(&factors, &flips);
-        self.count_gate();
-        self.inject(OpClass::Gate1q, &touched);
         Ok(())
     }
 }
@@ -374,15 +270,15 @@ impl SimEngine for ShardedStateVector {
         self.noise_model
     }
 
+    fn as_shardable(&self) -> Option<&dyn ShardableEngine> {
+        Some(self)
+    }
+
     fn entangle_epr(&mut self, qa: QubitId, qb: QubitId) -> std::result::Result<(), SimError> {
-        if qa == qb {
-            return Err(SimError::DuplicateQubit(qa));
-        }
         // Same H + CNOT realization (and gate tally) as the other engines,
         // with interconnect noise drawn from the dedicated EPR channel in
         // the same order as the dense engine.
-        let pa = self.pos(qa)?;
-        let pb = self.pos(qb)?;
+        let [pa, pb] = self.pair(qa, qb)?;
         self.state.apply_1q(pa, &Gate::H.matrix());
         self.state.apply_cnot(pa, pb);
         self.gate_count.fetch_add(2, Ordering::Relaxed);
@@ -407,31 +303,6 @@ impl SimEngine for ShardedStateVector {
         let pos = self.pos(q)?;
         self.remove_at(q, pos, outcome);
         Ok(outcome)
-    }
-
-    fn apply(&mut self, gate: Gate, q: QubitId) -> std::result::Result<(), SimError> {
-        self.apply_concurrent(gate, q)
-    }
-
-    fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> std::result::Result<(), SimError> {
-        self.apply_controlled_concurrent(controls, gate, target)
-    }
-
-    fn cnot(&mut self, c: QubitId, t: QubitId) -> std::result::Result<(), SimError> {
-        self.cnot_concurrent(c, t)
-    }
-
-    fn cz(&mut self, a: QubitId, b: QubitId) -> std::result::Result<(), SimError> {
-        self.cz_concurrent(a, b)
-    }
-
-    fn swap(&mut self, a: QubitId, b: QubitId) -> std::result::Result<(), SimError> {
-        self.swap_concurrent(a, b)
     }
 
     fn apply_batch(&mut self, batch: &GateBatch) -> std::result::Result<(), SimError> {
@@ -491,342 +362,10 @@ impl SimEngine for ShardedStateVector {
     }
 }
 
-/// The cross-rank coalesce window: flushed-but-not-yet-dispatched gate
-/// segments from one or more ranks, in arrival order. Lives behind its own
-/// mutex inside [`ShardedShared`]; the lock order is always `inner` lock
-/// first, window second.
-#[derive(Default)]
-struct CoalesceWindow {
-    /// `(rank, segment)` in arrival order. Consecutive segments from the
-    /// same rank merge in place — they would have been consecutive
-    /// dispatches anyway.
-    segs: Vec<(usize, GateBatch)>,
-    /// Total recorded ops across `segs` (window op budget).
-    ops: usize,
-    /// Total [`GateBatch::approx_bytes`] across `segs` (byte budget).
-    bytes: usize,
-    /// When the first pending segment arrived (age budget); `None` while
-    /// the window is empty.
-    opened: Option<std::time::Instant>,
-}
-
-impl CoalesceWindow {
-    /// Drains the window, resetting every budget.
-    fn take(&mut self) -> Vec<(usize, GateBatch)> {
-        self.ops = 0;
-        self.bytes = 0;
-        self.opened = None;
-        std::mem::take(&mut self.segs)
-    }
-}
-
-/// The lock-striped locality wrapper: the same ownership registry and
-/// resource counters as [`super::Shared`], but behind a reader-writer lock.
-///
-/// Gate dispatch — the overwhelming majority of backend traffic — holds
-/// only the *read* guard plus the stripe locks the gate actually touches,
-/// so ranks no longer serialize on one global mutex. Structural operations
-/// (alloc/free, measurement, EPR establishment, snapshots) take the write
-/// guard, giving them the same exclusive view `Shared` provides.
-///
-/// ## Cross-rank coalescing
-///
-/// With [`crate::BatchPolicy::coalesce`] on (the default), a rank's
-/// [`QuantumBackend::apply_batch`] flush does not dispatch to the engine
-/// immediately: the (ownership-checked) segment is parked in a
-/// coalescing window, and the whole window ships as **one**
-/// [`ShardableEngine::apply_segments_concurrent`] call — one merged
-/// command round per worker on the process-separated engine — when any
-/// rank hits a synchronization point (measurement, probability or
-/// expectation reads, free, EPR establishment, snapshots, or an explicit
-/// [`QuantumBackend::sync_coalesced`], which the rank layer calls at
-/// classical sends and barriers) or a window budget (`max_ops`,
-/// `max_bytes`, `max_age_ms`) trips. Ranks own disjoint qubits, so parked
-/// segments commute; shipping them in arrival order reproduces the
-/// uncoalesced execution bit for bit, noise draws included (segments are
-/// planned — and noise sampled — at ship time, in the same arrival order
-/// the uncoalesced dispatches would have used).
-///
-/// The per-gate surface (`apply`/`cnot`/…) does not consult the window —
-/// the rank layer never mixes it with batched flushes (eager policies
-/// have `coalesce` off). Direct backend users mixing `apply_batch` under
-/// a coalescing policy with per-gate calls must call
-/// [`QuantumBackend::sync_coalesced`] between the two.
-pub struct ShardedShared<E: ShardableEngine = ShardedStateVector> {
-    kind: BackendKind,
-    noise: NoiseModel,
-    policy: crate::context::BatchPolicy,
-    inner: RwLock<Inner<E>>,
-    window: Mutex<CoalesceWindow>,
-    /// Flushes absorbed into an already-open window: each one is a command
-    /// fan-out round saved versus dispatching per rank flush. Surfaced via
-    /// [`QuantumBackend::transport_stats`] on engines that report stats.
-    coalesced_flushes: AtomicU64,
-}
-
-impl<E: ShardableEngine> ShardedShared<E> {
-    /// Wraps a concurrent-capable engine under the environment-default
-    /// batch policy ([`crate::BatchPolicy::env_default`]).
-    pub fn new(engine: E) -> Self {
-        ShardedShared::with_policy(engine, crate::context::BatchPolicy::env_default())
-    }
-
-    /// Wraps a concurrent-capable engine with an explicit policy governing
-    /// the cross-rank coalesce window (`policy.coalesce` plus the op /
-    /// byte / age budgets). [`super::build_backend_with_policy`] routes a
-    /// world's configured policy here.
-    pub fn with_policy(engine: E, policy: crate::context::BatchPolicy) -> Self {
-        ShardedShared {
-            kind: engine.kind(),
-            noise: engine.noise(),
-            policy,
-            inner: RwLock::new(Inner::new(engine)),
-            window: Mutex::new(CoalesceWindow::default()),
-            coalesced_flushes: AtomicU64::new(0),
-        }
-    }
-
-    /// Whether flushes coalesce at all: requires batching (an eager world
-    /// has no flush stream to merge) and the coalesce switch.
-    fn coalescing(&self) -> bool {
-        self.policy.coalesce && self.policy.is_batching()
-    }
-
-    /// Ships every parked segment (if any) to the engine as one merged
-    /// dispatch. Callers hold an `inner` guard (read or write — the
-    /// segment surface is `&self`), which is what serializes shipping
-    /// against structural changes.
-    fn ship_window(&self, inner: &Inner<E>) -> Result<()> {
-        if !self.coalescing() {
-            return Ok(());
-        }
-        let segs = self.window.lock().take();
-        if segs.is_empty() {
-            return Ok(());
-        }
-        inner.engine.apply_segments_concurrent(segs)?;
-        Ok(())
-    }
-}
-
-impl<E: ShardableEngine> QuantumBackend for ShardedShared<E> {
-    fn kind(&self) -> BackendKind {
-        self.kind
-    }
-
-    fn noise(&self) -> NoiseModel {
-        self.noise
-    }
-
-    fn modeled_fidelity(&self) -> Option<f64> {
-        self.inner.read().engine.modeled_fidelity()
-    }
-
-    fn transport_stats(&self) -> Option<super::TransportStats> {
-        // A read-only observer: reports without shipping the window (the
-        // engine's own counters are likewise stale while a rank holds
-        // unflushed gates). The wrapper owns the coalesce counter, so it
-        // is added on top of the engine's transport numbers here.
-        let mut stats = self.inner.read().engine.transport_stats()?;
-        stats.coalesced_flushes += self.coalesced_flushes.load(Ordering::Relaxed);
-        Some(stats)
-    }
-
-    fn sync_coalesced(&self) -> Result<()> {
-        let g = self.inner.read();
-        self.ship_window(&g)
-    }
-
-    fn alloc(&self, rank: usize, n: usize) -> Vec<QubitId> {
-        // Infallible, so it cannot ship the window itself; the rank layer
-        // syncs before allocating (`alloc_qmem` is an accessor flush
-        // point). Parked segments name only pre-existing qubits, so
-        // shipping them after an alloc computes the same amplitudes.
-        self.inner.write().alloc(rank, n)
-    }
-
-    fn free(&self, rank: usize, q: QubitId) -> Result<bool> {
-        let mut g = self.inner.write();
-        self.ship_window(&g)?;
-        g.free(rank, q)
-    }
-
-    fn measure_and_free(&self, rank: usize, q: QubitId) -> Result<bool> {
-        let mut g = self.inner.write();
-        self.ship_window(&g)?;
-        g.measure_and_free(rank, q)
-    }
-
-    fn owner_of(&self, q: QubitId) -> Option<usize> {
-        self.inner.read().owner_of(q)
-    }
-
-    fn apply(&self, rank: usize, gate: Gate, q: QubitId) -> Result<()> {
-        let g = self.inner.read();
-        g.check_owner(rank, q)?;
-        g.engine.apply_concurrent(gate, q)?;
-        Ok(())
-    }
-
-    fn cnot(&self, rank: usize, control: QubitId, target: QubitId) -> Result<()> {
-        let g = self.inner.read();
-        g.check_owner(rank, control)?;
-        g.check_owner(rank, target)?;
-        g.engine.cnot_concurrent(control, target)?;
-        Ok(())
-    }
-
-    fn cz(&self, rank: usize, a: QubitId, b: QubitId) -> Result<()> {
-        let g = self.inner.read();
-        g.check_owner(rank, a)?;
-        g.check_owner(rank, b)?;
-        g.engine.cz_concurrent(a, b)?;
-        Ok(())
-    }
-
-    fn swap(&self, rank: usize, a: QubitId, b: QubitId) -> Result<()> {
-        let g = self.inner.read();
-        g.check_owner(rank, a)?;
-        g.check_owner(rank, b)?;
-        g.engine.swap_concurrent(a, b)?;
-        Ok(())
-    }
-
-    fn apply_controlled(
-        &self,
-        rank: usize,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<()> {
-        let g = self.inner.read();
-        for &c in controls {
-            g.check_owner(rank, c)?;
-        }
-        g.check_owner(rank, target)?;
-        g.engine
-            .apply_controlled_concurrent(controls, gate, target)?;
-        Ok(())
-    }
-
-    fn apply_batch(&self, rank: usize, batch: &GateBatch) -> Result<()> {
-        // One read-side acquisition (plus one ownership sweep) for the
-        // whole gate stream — the lock-per-batch rule. Ownership errors
-        // surface here, before the segment can enter the coalesce window,
-        // so a bad flush fails at its own call site exactly as without
-        // coalescing.
-        let g = self.inner.read();
-        g.check_batch(rank, batch)?;
-        if !self.coalescing() {
-            g.engine.apply_batch_concurrent(batch)?;
-            return Ok(());
-        }
-        if batch.is_empty() {
-            return Ok(());
-        }
-        let shipped = {
-            let mut w = self.window.lock();
-            if !w.segs.is_empty() {
-                // This flush joins an already-open window: one command
-                // fan-out round saved versus per-rank dispatch.
-                self.coalesced_flushes.fetch_add(1, Ordering::Relaxed);
-            }
-            w.ops += batch.len();
-            w.bytes += batch.approx_bytes();
-            match w.segs.last_mut() {
-                // Back-to-back flushes from the same rank merge in place —
-                // pure concatenation, same as two consecutive dispatches.
-                Some((r, seg)) if *r == rank => seg.append(batch.clone()),
-                _ => w.segs.push((rank, batch.clone())),
-            }
-            let opened = *w.opened.get_or_insert_with(std::time::Instant::now);
-            let age_tripped = self.policy.max_age_ms > 0
-                && opened.elapsed().as_millis() as u64 >= self.policy.max_age_ms;
-            if w.ops >= self.policy.max_ops || w.bytes >= self.policy.max_bytes || age_tripped {
-                Some(w.take())
-            } else {
-                None
-            }
-        };
-        if let Some(segs) = shipped {
-            g.engine.apply_segments_concurrent(segs)?;
-        }
-        Ok(())
-    }
-
-    fn measure(&self, rank: usize, q: QubitId) -> Result<bool> {
-        let mut g = self.inner.write();
-        self.ship_window(&g)?;
-        g.measure(rank, q)
-    }
-
-    fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64> {
-        let g = self.inner.write();
-        self.ship_window(&g)?;
-        g.prob_one(rank, q)
-    }
-
-    fn measure_z_parity(&self, rank: usize, qubits: &[QubitId]) -> Result<bool> {
-        let mut g = self.inner.write();
-        self.ship_window(&g)?;
-        g.measure_z_parity(rank, qubits)
-    }
-
-    fn entangle_epr(&self, qa: QubitId, qb: QubitId) -> Result<()> {
-        let mut g = self.inner.write();
-        self.ship_window(&g)?;
-        g.entangle_epr(qa, qb)
-    }
-
-    fn entangle_epr_batch(&self, pairs: &[(QubitId, QubitId)]) -> Result<()> {
-        // One striped acquisition for the whole spanning tree.
-        let mut g = self.inner.write();
-        self.ship_window(&g)?;
-        g.entangle_epr_batch(pairs)
-    }
-
-    fn expectation(&self, rank: usize, terms: &[(QubitId, Pauli)]) -> Result<f64> {
-        let g = self.inner.write();
-        self.ship_window(&g)?;
-        g.expectation(rank, terms)
-    }
-
-    fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>> {
-        // One acquisition per observable, not one per Pauli string.
-        let g = self.inner.write();
-        self.ship_window(&g)?;
-        g.expectation_each(rank, strings)
-    }
-
-    fn state_vector(&self, order: &[QubitId]) -> Result<State> {
-        let g = self.inner.write();
-        self.ship_window(&g)?;
-        Ok(g.engine.state_vector(order)?)
-    }
-
-    fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex> {
-        let g = self.inner.write();
-        self.ship_window(&g)?;
-        g.amplitude_of(rank, ones)
-    }
-
-    fn n_qubits(&self) -> usize {
-        self.inner.read().engine.n_qubits()
-    }
-
-    fn gate_count(&self) -> u64 {
-        self.inner.read().engine.gate_count()
-    }
-
-    fn counts(&self) -> OpCounts {
-        self.inner.read().counts()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::StateVectorEngine;
+    use crate::backend::{ops, QuantumBackend, StateVectorEngine};
 
     const TOL: f64 = 1e-12;
 
@@ -841,9 +380,9 @@ mod tests {
     fn apply_steps<E: SimEngine>(engine: &mut E, qs: &[QubitId], steps: &[Step]) {
         for &step in steps {
             match step {
-                Step::Gate(g, t) => engine.apply(g, qs[t]).unwrap(),
-                Step::Cnot(c, t) if c != t => engine.cnot(qs[c], qs[t]).unwrap(),
-                Step::Cz(a, b) if a != b => engine.cz(qs[a], qs[b]).unwrap(),
+                Step::Gate(g, t) => engine.apply_batch(&ops::gate(g, qs[t])).unwrap(),
+                Step::Cnot(c, t) if c != t => engine.apply_batch(&ops::cnot(qs[c], qs[t])).unwrap(),
+                Step::Cz(a, b) if a != b => engine.apply_batch(&ops::cz(qs[a], qs[b])).unwrap(),
                 _ => {}
             }
         }
@@ -962,10 +501,10 @@ mod tests {
         let mut engine = ShardedStateVector::with_noise(5, 4, NoiseModel::amplitude_damping(0.3));
         let qs: Vec<QubitId> = (0..6).map(|_| engine.alloc()).collect();
         for &q in &qs {
-            engine.apply(Gate::H, q).unwrap();
+            engine.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         }
         for w in qs.windows(2) {
-            engine.cnot(w[0], w[1]).unwrap();
+            engine.apply_batch(&ops::cnot(w[0], w[1])).unwrap();
         }
         let st = engine.state_vector(&qs).unwrap();
         let norm: f64 = (0..st.len()).map(|i| st.amplitude(i).norm_sqr()).sum();
@@ -991,10 +530,18 @@ mod tests {
                 let backend = Arc::clone(&backend);
                 s.spawn(move || {
                     for _ in 0..25 {
-                        backend.apply(*rank, Gate::H, qs[0]).unwrap();
-                        backend.cnot(*rank, qs[0], qs[1]).unwrap();
-                        backend.cnot(*rank, qs[0], qs[1]).unwrap();
-                        backend.apply(*rank, Gate::H, qs[0]).unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::gate(Gate::H, qs[0]))
+                            .unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::cnot(qs[0], qs[1]))
+                            .unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::cnot(qs[0], qs[1]))
+                            .unwrap();
+                        backend
+                            .apply_batch(*rank, &ops::gate(Gate::H, qs[0]))
+                            .unwrap();
                     }
                 });
             }

@@ -3,7 +3,7 @@
 use super::{BackendKind, SimEngine};
 use qsim::noise::NoiseModel;
 use qsim::sparse::SparseSim;
-use qsim::{Gate, Pauli, QubitId, SimError, State};
+use qsim::{BatchOp, GateBatch, Pauli, QubitId, SimError, State};
 
 /// Sparse-amplitude engine over [`qsim::sparse::SparseSim`]. Exact for
 /// arbitrary gates like the dense engine — bit-identical to it under the
@@ -66,41 +66,23 @@ impl SimEngine for SparseEngine {
         self.sim.measure_and_free(q)
     }
 
-    fn apply(&mut self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        self.sim.apply(gate, q)
-    }
-
-    fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        self.sim.apply_controlled(controls, gate, target)
-    }
-
-    fn cnot(&mut self, c: QubitId, t: QubitId) -> Result<(), SimError> {
-        self.sim.cnot(c, t)
-    }
-
-    fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.sim.cz(a, b)
-    }
-
-    fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.sim.swap(a, b)
-    }
-
-    fn apply_fused_1q(&mut self, q: QubitId, m: &qsim::gates::Mat2) -> Result<(), SimError> {
-        self.sim.apply_fused_1q(q, m)
-    }
-
-    fn apply_phase_sweep(
-        &mut self,
-        diags: &[(QubitId, qsim::Complex, qsim::Complex)],
-        czs: &[(QubitId, QubitId)],
-    ) -> Result<(), SimError> {
-        self.sim.apply_phase_sweep(diags, czs)
+    fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
+        for op in batch.ops() {
+            match op {
+                BatchOp::Gate { gate, q } => self.sim.apply(*gate, *q)?,
+                BatchOp::Controlled {
+                    controls,
+                    gate,
+                    target,
+                } => self.sim.apply_controlled(controls, *gate, *target)?,
+                BatchOp::Cnot { c, t } => self.sim.cnot(*c, *t)?,
+                BatchOp::Cz { a, b } => self.sim.cz(*a, *b)?,
+                BatchOp::Swap { a, b } => self.sim.swap(*a, *b)?,
+                BatchOp::Fused1q { q, m } => self.sim.apply_fused_1q(*q, m)?,
+                BatchOp::PhaseSweep { diags, czs } => self.sim.apply_phase_sweep(diags, czs)?,
+            }
+        }
+        Ok(())
     }
 
     fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
@@ -143,8 +125,9 @@ impl SimEngine for SparseEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{build_backend, BackendKind, DIAG_RANK};
+    use crate::backend::{build_backend, ops, BackendKind, DIAG_RANK};
     use cmpi::TransportKind;
+    use qsim::Gate;
 
     #[test]
     fn engine_reports_its_kind_and_counts() {
@@ -171,9 +154,9 @@ mod tests {
         )
         .unwrap();
         let q = backend.alloc(0, 3);
-        backend.apply(0, Gate::H, q[0]).unwrap();
-        backend.cnot(0, q[0], q[1]).unwrap();
-        backend.cnot(0, q[1], q[2]).unwrap();
+        backend.apply_batch(0, &ops::gate(Gate::H, q[0])).unwrap();
+        backend.apply_batch(0, &ops::cnot(q[0], q[1])).unwrap();
+        backend.apply_batch(0, &ops::cnot(q[1], q[2])).unwrap();
         let h = std::f64::consts::FRAC_1_SQRT_2;
         let a0 = backend.amplitude_of(0, &[]).unwrap();
         let a1 = backend.amplitude_of(DIAG_RANK, &q).unwrap();

@@ -8,7 +8,7 @@
 
 use super::{BackendKind, SimEngine};
 use qsim::noise::NoiseModel;
-use qsim::{Gate, Pauli, QubitId, SimError, StabilizerSim, State};
+use qsim::{BatchOp, GateBatch, Pauli, QubitId, SimError, StabilizerSim, State};
 
 /// Tableau engine over [`qsim::StabilizerSim`].
 pub struct StabilizerEngine {
@@ -62,29 +62,28 @@ impl SimEngine for StabilizerEngine {
         self.sim.measure_and_free(q)
     }
 
-    fn apply(&mut self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        self.sim.apply(gate, q)
-    }
-
-    fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        self.sim.apply_controlled(controls, gate, target)
-    }
-
-    fn cnot(&mut self, c: QubitId, t: QubitId) -> Result<(), SimError> {
-        self.sim.cnot(c, t)
-    }
-
-    fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.sim.cz(a, b)
-    }
-
-    fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.sim.swap(a, b)
+    fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
+        for op in batch.ops() {
+            match op {
+                BatchOp::Gate { gate, q } => self.sim.apply(*gate, *q)?,
+                BatchOp::Controlled {
+                    controls,
+                    gate,
+                    target,
+                } => self.sim.apply_controlled(controls, *gate, *target)?,
+                BatchOp::Cnot { c, t } => self.sim.cnot(*c, *t)?,
+                BatchOp::Cz { a, b } => self.sim.cz(*a, *b)?,
+                BatchOp::Swap { a, b } => self.sim.swap(*a, *b)?,
+                // Optimizer products carry raw matrices; the optimizer
+                // never runs for this backend.
+                BatchOp::Fused1q { .. } | BatchOp::PhaseSweep { .. } => {
+                    return Err(SimError::Unsupported(format!(
+                        "{op:?} is not Clifford; the stabilizer backend takes unfused gate streams"
+                    )))
+                }
+            }
+        }
+        Ok(())
     }
 
     fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {

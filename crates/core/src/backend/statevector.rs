@@ -2,7 +2,7 @@
 
 use super::{BackendKind, SimEngine};
 use qsim::noise::NoiseModel;
-use qsim::{Gate, Pauli, QubitId, SimError, Simulator, State};
+use qsim::{BatchOp, GateBatch, Pauli, QubitId, SimError, Simulator, State};
 
 /// Dense-amplitude engine over [`qsim::Simulator`]. Exact for arbitrary
 /// gates, exponential in total qubit count (~25-qubit practical cap).
@@ -54,41 +54,23 @@ impl SimEngine for StateVectorEngine {
         self.sim.measure_and_free(q)
     }
 
-    fn apply(&mut self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        self.sim.apply(gate, q)
-    }
-
-    fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        self.sim.apply_controlled(controls, gate, target)
-    }
-
-    fn cnot(&mut self, c: QubitId, t: QubitId) -> Result<(), SimError> {
-        self.sim.cnot(c, t)
-    }
-
-    fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.sim.cz(a, b)
-    }
-
-    fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.sim.swap(a, b)
-    }
-
-    fn apply_fused_1q(&mut self, q: QubitId, m: &qsim::gates::Mat2) -> Result<(), SimError> {
-        self.sim.apply_fused_1q(q, m)
-    }
-
-    fn apply_phase_sweep(
-        &mut self,
-        diags: &[(QubitId, qsim::Complex, qsim::Complex)],
-        czs: &[(QubitId, QubitId)],
-    ) -> Result<(), SimError> {
-        self.sim.apply_phase_sweep(diags, czs)
+    fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
+        for op in batch.ops() {
+            match op {
+                BatchOp::Gate { gate, q } => self.sim.apply(*gate, *q)?,
+                BatchOp::Controlled {
+                    controls,
+                    gate,
+                    target,
+                } => self.sim.apply_controlled(controls, *gate, *target)?,
+                BatchOp::Cnot { c, t } => self.sim.cnot(*c, *t)?,
+                BatchOp::Cz { a, b } => self.sim.cz(*a, *b)?,
+                BatchOp::Swap { a, b } => self.sim.swap(*a, *b)?,
+                BatchOp::Fused1q { q, m } => self.sim.apply_fused_1q(*q, m)?,
+                BatchOp::PhaseSweep { diags, czs } => self.sim.apply_phase_sweep(diags, czs)?,
+            }
+        }
+        Ok(())
     }
 
     fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {

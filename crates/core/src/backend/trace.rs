@@ -10,7 +10,7 @@
 
 use super::{BackendKind, SimEngine};
 use qsim::noise::{NoiseModel, OpClass};
-use qsim::{BatchOp, Gate, GateBatch, Pauli, QubitId, SimError, State};
+use qsim::{BatchOp, GateBatch, Pauli, QubitId, SimError, State};
 use std::collections::HashSet;
 
 /// Counting-only engine; see the module docs.
@@ -56,6 +56,15 @@ impl TraceEngine {
         } else {
             Err(SimError::UnknownQubit(q))
         }
+    }
+
+    /// Checks two distinct live qubits.
+    fn check_pair(&self, a: QubitId, b: QubitId) -> Result<(), SimError> {
+        if a == b {
+            return Err(SimError::DuplicateQubit(a));
+        }
+        self.check(a)?;
+        self.check(b)
     }
 
     /// Folds one application of the `class` channel on `qubits` qubits into
@@ -108,125 +117,18 @@ impl SimEngine for TraceEngine {
         Ok(false)
     }
 
-    fn apply(&mut self, _gate: Gate, q: QubitId) -> Result<(), SimError> {
-        self.check(q)?;
-        self.gate_count += 1;
-        self.model_noise(OpClass::Gate1q, 1);
-        Ok(())
-    }
-
-    fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        _gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        for &c in controls {
-            self.check(c)?;
-            if c == target {
-                return Err(SimError::DuplicateQubit(c));
-            }
-        }
-        self.check(target)?;
-        self.gate_count += 1;
-        self.model_noise(OpClass::Gate2q, controls.len() as u32 + 1);
-        Ok(())
-    }
-
-    fn cnot(&mut self, c: QubitId, t: QubitId) -> Result<(), SimError> {
-        if c == t {
-            return Err(SimError::DuplicateQubit(c));
-        }
-        self.check(c)?;
-        self.check(t)?;
-        self.gate_count += 1;
-        self.model_noise(OpClass::Gate2q, 2);
-        Ok(())
-    }
-
-    fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        if a == b {
-            return Err(SimError::DuplicateQubit(a));
-        }
-        self.check(a)?;
-        self.check(b)?;
-        self.gate_count += 1;
-        self.model_noise(OpClass::Gate2q, 2);
-        Ok(())
-    }
-
-    fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        if a == b {
-            return Ok(());
-        }
-        self.check(a)?;
-        self.check(b)?;
-        self.gate_count += 1;
-        self.model_noise(OpClass::Gate2q, 2);
-        Ok(())
-    }
-
-    fn apply_fused_1q(&mut self, q: QubitId, _m: &qsim::gates::Mat2) -> Result<(), SimError> {
-        // One kernel sweep = one counted gate, matching every amplitude
-        // engine (the counters report sweeps, which is what fusion cuts).
-        self.check(q)?;
-        self.gate_count += 1;
-        self.model_noise(OpClass::Gate1q, 1);
-        Ok(())
-    }
-
-    fn apply_phase_sweep(
-        &mut self,
-        diags: &[(QubitId, qsim::Complex, qsim::Complex)],
-        czs: &[(QubitId, QubitId)],
-    ) -> Result<(), SimError> {
-        let mut touched = 0u32;
-        for &(q, ..) in diags {
-            self.check(q)?;
-            touched += 1;
-        }
-        for &(a, b) in czs {
-            if a == b {
-                return Err(SimError::DuplicateQubit(a));
-            }
-            self.check(a)?;
-            self.check(b)?;
-            touched += 2;
-        }
-        self.gate_count += 1;
-        self.model_noise(OpClass::Gate1q, touched);
-        Ok(())
-    }
-
     fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
-        // Specialized fast path for the (common) ideal model: one sweep
-        // that validates and counts without the per-op noise-fold calls.
-        // Error precedence and the skip-identical-SWAP rule mirror the
-        // per-gate entry points exactly, including the eager prefix
-        // semantics: ops before a failing one stay counted.
-        if !self.noise.is_ideal() {
-            // Noisy models fold per-qubit channel fidelities per op; the
-            // per-gate entry points already sequence that correctly.
-            for op in batch.ops() {
-                match op {
-                    BatchOp::Gate { gate, q } => self.apply(*gate, *q)?,
-                    BatchOp::Controlled {
-                        controls,
-                        gate,
-                        target,
-                    } => self.apply_controlled(controls, *gate, *target)?,
-                    BatchOp::Cnot { c, t } => self.cnot(*c, *t)?,
-                    BatchOp::Cz { a, b } => self.cz(*a, *b)?,
-                    BatchOp::Swap { a, b } => self.swap(*a, *b)?,
-                    BatchOp::Fused1q { q, m } => self.apply_fused_1q(*q, m)?,
-                    BatchOp::PhaseSweep { diags, czs } => self.apply_phase_sweep(diags, czs)?,
-                }
-            }
-            return Ok(());
-        }
+        // One sweep that validates, counts and folds the op's noise class
+        // over the qubits it touches. One kernel sweep = one counted gate,
+        // matching every amplitude engine (the counters report sweeps,
+        // which is what fusion cuts); ops before a failing one stay
+        // counted.
         for op in batch.ops() {
-            match op {
-                BatchOp::Gate { q, .. } => self.check(*q)?,
+            let (class, touched) = match op {
+                BatchOp::Gate { q, .. } | BatchOp::Fused1q { q, .. } => {
+                    self.check(*q)?;
+                    (OpClass::Gate1q, 1)
+                }
                 BatchOp::Controlled {
                     controls, target, ..
                 } => {
@@ -237,36 +139,25 @@ impl SimEngine for TraceEngine {
                         }
                     }
                     self.check(*target)?;
+                    (OpClass::Gate2q, controls.len() as u32 + 1)
                 }
-                BatchOp::Cnot { c: a, t: b } | BatchOp::Cz { a, b } => {
-                    if a == b {
-                        return Err(SimError::DuplicateQubit(*a));
-                    }
-                    self.check(*a)?;
-                    self.check(*b)?;
+                BatchOp::Swap { a, b } if a == b => continue,
+                BatchOp::Cnot { c: a, t: b } | BatchOp::Cz { a, b } | BatchOp::Swap { a, b } => {
+                    self.check_pair(*a, *b)?;
+                    (OpClass::Gate2q, 2)
                 }
-                BatchOp::Swap { a, b } => {
-                    if a == b {
-                        continue;
-                    }
-                    self.check(*a)?;
-                    self.check(*b)?;
-                }
-                BatchOp::Fused1q { q, .. } => self.check(*q)?,
                 BatchOp::PhaseSweep { diags, czs } => {
                     for &(q, ..) in diags {
                         self.check(q)?;
                     }
                     for &(a, b) in czs {
-                        if a == b {
-                            return Err(SimError::DuplicateQubit(a));
-                        }
-                        self.check(a)?;
-                        self.check(b)?;
+                        self.check_pair(a, b)?;
                     }
+                    (OpClass::Gate1q, (diags.len() + 2 * czs.len()) as u32)
                 }
-            }
+            };
             self.gate_count += 1;
+            self.model_noise(class, touched);
         }
         Ok(())
     }

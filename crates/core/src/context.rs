@@ -81,9 +81,8 @@ pub(crate) fn ptag_role(op: ProtoOp, role: EprRole, user_tag: QTag) -> cmpi::Tag
 /// the memory such a stream can pin (the op and byte budgets) and decides
 /// whether the plan-time optimizer ([`qsim::optimize`]) rewrites each
 /// batch into fused kernel sweeps before dispatch. Defaults come from the
-/// environment at [`QmpiConfig::new`] time (`QMPI_BATCH_OPS`,
-/// `QMPI_BATCH_BYTES`, `QMPI_FUSE`, and the legacy `QMPI_BATCH` kill
-/// switch), so an explicit [`QmpiConfig::batch`] call always wins over the
+/// environment at [`QmpiConfig::new`] time ([`BatchPolicy::env_default`]),
+/// so an explicit [`QmpiConfig::batch`] call always wins over the
 /// environment.
 ///
 /// ```
@@ -99,8 +98,7 @@ pub(crate) fn ptag_role(op: ProtoOp, role: EprRole, user_tag: QTag) -> cmpi::Tag
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct BatchPolicy {
     /// Auto-flush once this many ops are pending. `0` disables batching
-    /// entirely: every gate call dispatches eagerly through the per-gate
-    /// backend surface, exactly like the pre-batching engines.
+    /// entirely: every gate call dispatches eagerly, as a batch of one.
     pub max_ops: usize,
     /// Auto-flush once the pending stream's approximate in-memory size
     /// ([`qsim::GateBatch::approx_bytes`]) reaches this many bytes —
@@ -355,31 +353,6 @@ impl QmpiConfig {
     pub fn batch_policy(&self) -> BatchPolicy {
         self.batch
     }
-
-    /// Compat shim over [`QmpiConfig::batch`]: `true` maps to
-    /// [`BatchPolicy::env_default`], `false` to [`BatchPolicy::eager`].
-    pub fn batching(self, enabled: bool) -> Self {
-        self.batch(if enabled {
-            BatchPolicy::env_default()
-        } else {
-            BatchPolicy::eager()
-        })
-    }
-
-    /// Whether gate batching is enabled for the world
-    /// ([`BatchPolicy::is_batching`]).
-    pub fn batching_enabled(&self) -> bool {
-        self.batch.is_batching()
-    }
-}
-
-/// The legacy `QMPI_BATCH` kill switch: batching is on unless the
-/// variable reads `off`, `0`, or `false` (CI's eager cross-check lane).
-fn batching_env_default() -> bool {
-    match std::env::var("QMPI_BATCH") {
-        Ok(v) => !matches!(v.to_lowercase().as_str(), "off" | "0" | "false"),
-        Err(_) => true,
-    }
 }
 
 impl Default for QmpiConfig {
@@ -390,11 +363,7 @@ impl Default for QmpiConfig {
             backend: BackendKind::default(),
             transport: TransportKind::default(),
             noise: NoiseModel::ideal(),
-            batch: if batching_env_default() {
-                BatchPolicy::env_default()
-            } else {
-                BatchPolicy::eager()
-            },
+            batch: BatchPolicy::env_default(),
         }
     }
 }
@@ -410,8 +379,8 @@ pub struct QmpiRank {
     /// collectives must be invoked in the same order everywhere; used to
     /// derive private tags in the reserved range `0x8000..`.
     pub(crate) qcoll_seq: std::cell::Cell<u16>,
-    /// The rank's pending gate stream: gate calls append here when
-    /// [`QmpiConfig::batching`] is on, and every state-observing or
+    /// The rank's pending gate stream: gate calls append here under a
+    /// batching [`BatchPolicy`], and every state-observing or
     /// state-restructuring operation flushes it first (see
     /// [`QmpiRank::flush`]). A rank is single-threaded, so a `RefCell`
     /// suffices.
@@ -527,30 +496,11 @@ impl QmpiRank {
             || (self.backend.kind() == BackendKind::Stabilizer && !op.is_clifford())
         {
             // The eager path proper: flush anything recorded before the
-            // mode switch, then dispatch this op through the per-gate
-            // backend surface.
+            // mode switch, then dispatch this op as a batch of one.
             self.flush()?;
-            use qsim::BatchOp;
-            return match op {
-                BatchOp::Gate { gate, q } => self.backend.apply(self.rank(), gate, q),
-                BatchOp::Controlled {
-                    controls,
-                    gate,
-                    target,
-                } => self
-                    .backend
-                    .apply_controlled(self.rank(), &controls, gate, target),
-                BatchOp::Cnot { c, t } => self.backend.cnot(self.rank(), c, t),
-                BatchOp::Cz { a, b } => self.backend.cz(self.rank(), a, b),
-                BatchOp::Swap { a, b } => self.backend.swap(self.rank(), a, b),
-                // Only the optimizer emits these; user gate calls record
-                // primitive ops. Kept total via a one-op batch.
-                op @ (BatchOp::Fused1q { .. } | BatchOp::PhaseSweep { .. }) => {
-                    let mut one = qsim::GateBatch::new();
-                    one.push(op);
-                    self.backend.apply_batch(self.rank(), &one)
-                }
-            };
+            let mut one = qsim::GateBatch::new();
+            one.push(op);
+            return self.backend.apply_batch(self.rank(), &one);
         }
         // The op/byte budgets bound the memory a long measurement-free
         // gate storm can pin, without cutting fusion windows at an
@@ -869,21 +819,11 @@ mod tests {
         assert_eq!(cfg.unlimited_buffer().epr_buffer_limit(), None);
     }
 
-    /// The boolean `batching` entry points are thin shims over the policy
-    /// API: `false` is exactly [`BatchPolicy::eager`], `true` exactly the
-    /// environment-derived batching default. (Compared against the same
-    /// constructors rather than literals so the assertions hold under
-    /// CI's `QMPI_FUSE=off` / `QMPI_BATCH_OPS` lanes too.)
+    /// A fresh config carries the environment-derived policy; an explicit
+    /// policy wins over it and round-trips through the accessor.
     #[test]
-    fn batching_shim_is_equivalent_to_the_policy_api() {
-        let off = QmpiConfig::new().batching(false);
-        assert_eq!(off.batch_policy(), BatchPolicy::eager());
-        assert!(!off.batching_enabled());
-        let on = off.batching(true);
-        assert_eq!(on.batch_policy(), BatchPolicy::env_default());
-        assert!(on.batching_enabled());
-        // An explicit policy wins over the environment default and round-
-        // trips through the accessor.
+    fn explicit_batch_policy_wins_over_the_environment_default() {
+        assert_eq!(QmpiConfig::new().batch_policy(), BatchPolicy::env_default());
         let custom = BatchPolicy {
             max_ops: 17,
             max_bytes: 1234,
@@ -945,7 +885,7 @@ mod tests {
     /// accessor, which defers the error instead of panicking.
     #[test]
     fn flush_failures_surface_typed_not_as_panics() {
-        let out = run_with_config(2, QmpiConfig::new().batching(true), |ctx| {
+        let out = run_with_config(2, QmpiConfig::new(), |ctx| {
             if ctx.rank() == 0 {
                 let q = ctx.alloc_one();
                 ctx.barrier(); // rank 1 forges its handle after this

@@ -111,8 +111,8 @@ pub mod resources;
 pub use backend::{
     build_backend, build_backend_with_policy, qworker_main, BackendKind, OpCounts,
     ProcessShardLease, ProcessWorkerPool, QuantumBackend, RemoteShardedEngine, ShardLease,
-    ShardWorkerPool, ShardableEngine, ShardedShared, ShardedStateVector, Shared, SimEngine,
-    SparseEngine, StabilizerEngine, StateVectorEngine, TraceEngine, TransportStats, DIAG_RANK,
+    ShardWorkerPool, ShardableEngine, ShardedStateVector, Shared, SimEngine, SparseEngine,
+    StabilizerEngine, StateVectorEngine, TraceEngine, TransportStats, DIAG_RANK,
 };
 pub use cmpi::TransportKind;
 pub use collectives::{

@@ -20,7 +20,7 @@
 use crate::spec::{JobBackend, JobError, JobOutput, JobReport, JobSpec, SubmitError};
 use qmpi::{
     run_on_backend, NoiseModel, ProcessShardLease, ProcessWorkerPool, QmpiConfig, QmpiRank,
-    QuantumBackend, RemoteShardedEngine, ShardLease, ShardWorkerPool, ShardedShared, TransportKind,
+    QuantumBackend, RemoteShardedEngine, ShardLease, ShardWorkerPool, Shared, TransportKind,
     TransportStats,
 };
 use std::collections::VecDeque;
@@ -466,7 +466,15 @@ where
     T: Send + 'static,
     F: Fn(&QmpiRank) -> T + Send + Sync + 'static,
 {
-    let (backend, kind): (Arc<dyn QuantumBackend>, _) = match (&spec.backend, lease) {
+    // The noise rides in the backend; the config's model would only
+    // rebuild it. s_limit and the batch policy apply per rank — and the
+    // same policy governs the backend's coalesce window, so both are built
+    // from this one config.
+    let mut config = QmpiConfig::new().seed(spec.seed).noise(NoiseModel::ideal());
+    if let Some(limit) = spec.s_limit {
+        config = config.s_limit(limit);
+    }
+    let backend: Arc<dyn QuantumBackend> = match (&spec.backend, lease) {
         (JobBackend::Pooled, Some(lease)) => {
             spec.noise
                 .validate()
@@ -479,28 +487,19 @@ where
                     RemoteShardedEngine::from_process_lease(spec.seed, lease, spec.noise)
                 }
             };
-            let backend = Arc::new(ShardedShared::new(engine));
-            let kind = QuantumBackend::kind(&*backend);
-            (backend, kind)
+            Arc::new(Shared::new(engine, config.batch_policy()))
         }
-        (JobBackend::Spawn(kind), _) => {
-            let backend = qmpi::build_backend(*kind, transport, spec.seed, spec.noise)
-                .map_err(|e| e.to_string())?;
-            let kind = backend.kind();
-            (backend, kind)
-        }
+        (JobBackend::Spawn(kind), _) => qmpi::build_backend_with_policy(
+            *kind,
+            transport,
+            spec.seed,
+            spec.noise,
+            config.batch_policy(),
+        )
+        .map_err(|e| e.to_string())?,
         (JobBackend::Pooled, None) => unreachable!("pooled dispatch always carries a lease"),
     };
-
-    let mut config = QmpiConfig::new().seed(spec.seed).noise(NoiseModel::ideal());
-    // The noise rides in the backend (already built); the config's model
-    // would only rebuild it. s_limit and batching apply per rank.
-    if let Some(limit) = spec.s_limit {
-        config = config.s_limit(limit);
-    }
-    if let Some(batching) = spec.batching {
-        config = config.batching(batching);
-    }
+    let kind = backend.kind();
     config = config.backend(kind);
 
     let run = run_on_backend(spec.ranks, config, Arc::clone(&backend), f);

@@ -33,7 +33,6 @@ pub struct JobSpec {
     pub(crate) seed: u64,
     pub(crate) s_limit: Option<u32>,
     pub(crate) noise: NoiseModel,
-    pub(crate) batching: Option<bool>,
     pub(crate) backend: JobBackend,
     pub(crate) s_budget: Option<u64>,
 }
@@ -47,7 +46,6 @@ impl JobSpec {
             seed: 0,
             s_limit: None,
             noise: NoiseModel::ideal(),
-            batching: None,
             backend: JobBackend::Pooled,
             s_budget: None,
         }
@@ -70,13 +68,6 @@ impl JobSpec {
     /// Sets the noise model the job's backend applies.
     pub fn noise(mut self, noise: NoiseModel) -> Self {
         self.noise = noise;
-        self
-    }
-
-    /// Forces gate batching on or off for the job (defaults to the
-    /// process-wide [`qmpi::QmpiConfig`] default otherwise).
-    pub fn batching(mut self, enabled: bool) -> Self {
-        self.batching = Some(enabled);
         self
     }
 

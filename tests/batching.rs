@@ -149,7 +149,10 @@ fn amplitude_damping_falls_back_to_identical_trajectories() {
 #[test]
 fn duplicate_qubit_errors_surface_at_the_call_site() {
     for kind in all_kinds() {
-        let cfg = QmpiConfig::new().seed(1).backend(kind).batching(true);
+        let cfg = QmpiConfig::new()
+            .seed(1)
+            .backend(kind)
+            .batch(BatchPolicy::env_default());
         let out = run_with_config(1, cfg, |ctx| {
             let q = ctx.alloc_one();
             let a = ctx.alloc_one();
@@ -178,7 +181,7 @@ fn stabilizer_rejects_unsupported_controlled_ops_eagerly() {
     let cfg = QmpiConfig::new()
         .seed(1)
         .backend(BackendKind::Stabilizer)
-        .batching(true);
+        .batch(BatchPolicy::env_default());
     let out = run_with_config(1, cfg, |ctx| {
         let a = ctx.alloc_one();
         let b = ctx.alloc_one();

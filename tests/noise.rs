@@ -9,6 +9,9 @@
 //!   teleportation sweep on the state-vector, sharded, and stabilizer
 //!   backends.
 
+mod common;
+
+use common::ops;
 use qalgo::fidelity::{analytic_teleport_fidelity, teleport_fidelity, teleport_fidelity_sweep};
 use qmpi::{
     run_with_config, BackendKind, NoiseChannel, NoiseModel, OpCounts, QmpiConfig, QmpiError,
@@ -112,12 +115,12 @@ fn zero_rate_amplitudes_are_bit_identical() {
         let q1 = engine.alloc();
         let q2 = engine.alloc();
         let q3 = engine.alloc();
-        engine.apply(Gate::Ry(0.73), q0).unwrap();
-        engine.cnot(q0, q1).unwrap();
-        engine.apply(Gate::T, q1).unwrap();
+        engine.apply_batch(&ops::gate(Gate::Ry(0.73), q0)).unwrap();
+        engine.apply_batch(&ops::cnot(q0, q1)).unwrap();
+        engine.apply_batch(&ops::gate(Gate::T, q1)).unwrap();
         engine.entangle_epr(q2, q3).unwrap();
         engine.measure(q2).unwrap();
-        engine.cz(q0, q2).unwrap();
+        engine.apply_batch(&ops::cz(q0, q2)).unwrap();
     }
     // Equal handle streams: use the same ids on both engines.
     let order: Vec<qsim::QubitId> = (0..4).map(qsim::QubitId).collect();
@@ -201,8 +204,8 @@ fn trace_backend_models_error_free_probability() {
     let noise = NoiseModel::depolarizing(0.1);
     let b = build(BackendKind::Trace, 0, noise).unwrap();
     let qs = b.alloc(0, 3);
-    b.apply(0, Gate::H, qs[0]).unwrap(); // 1q: 0.9
-    b.cnot(0, qs[0], qs[1]).unwrap(); // 2q: 0.9^2
+    b.apply_batch(0, &ops::gate(Gate::H, qs[0])).unwrap(); // 1q: 0.9
+    b.apply_batch(0, &ops::cnot(qs[0], qs[1])).unwrap(); // 2q: 0.9^2
     b.entangle_epr(qs[1], qs[2]).unwrap(); // epr: 0.9^2
     b.measure(0, qs[0]).unwrap(); // measurement: 0.9
     let got = b.modeled_fidelity().expect("trace models fidelity");
@@ -228,7 +231,7 @@ fn amplitude_damping_relaxes_excited_qubits() {
     ] {
         let b = build(kind, 5, model).unwrap();
         let q = b.alloc(0, 1)[0];
-        b.apply(0, Gate::X, q).unwrap();
+        b.apply_batch(0, &ops::gate(Gate::X, q)).unwrap();
         assert!(
             b.prob_one(0, q).unwrap() < 1e-12,
             "{kind}: X then full damping must read |0>"

@@ -3,6 +3,9 @@
 //! classical substrate over the shared simulator — verified against dense
 //! single-process references at the state-vector level.
 
+mod common;
+
+use common::ops;
 use qmpi::{run_with_config, QmpiConfig};
 use qsim::{Gate, QubitId, Simulator};
 
@@ -133,7 +136,7 @@ fn locality_is_enforced_end_to_end() {
             // Forge a backend-level access: must be refused.
             let err = ctx
                 .backend()
-                .apply(1, qsim::Gate::X, qsim::QubitId(raw))
+                .apply_batch(1, &ops::gate(qsim::Gate::X, qsim::QubitId(raw)))
                 .unwrap_err();
             let ok = matches!(
                 err,

@@ -22,6 +22,7 @@
 mod common;
 
 use common::conformance::{ensure_worker_bin, run_circuit, Outcome, Step};
+use common::ops;
 use qmpi::{run_with_config, BackendKind, QmpiConfig, TransportKind};
 use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli};
 
@@ -130,12 +131,12 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
         );
         let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
         for &q in &qs {
-            e.apply(Gate::H, q).unwrap();
+            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         }
         for w in qs.windows(2) {
-            e.cnot(w[0], w[1]).unwrap();
+            e.apply_batch(&ops::cnot(w[0], w[1])).unwrap();
         }
-        e.apply(Gate::T, qs[0]).unwrap();
+        e.apply_batch(&ops::gate(Gate::T, qs[0])).unwrap();
         if kill {
             // The hardest death a shard node can die: no protocol, no
             // cleanup — the child is SIGKILLed outright.
@@ -204,7 +205,7 @@ fn sigkilled_worker_mid_merged_batch_replays_segments_bit_identically() {
         );
         let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
         for &q in &qs {
-            e.apply(Gate::H, q).unwrap();
+            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         }
         // One "rank's" segment: a rotation plus an entangler confined to
         // its own qubit pair (the window's disjoint-ownership shape).
@@ -270,12 +271,12 @@ fn worker_survives_repeated_kills() {
     );
     let q = e.alloc();
     let p = e.alloc();
-    e.apply(Gate::H, q).unwrap();
-    e.cnot(q, p).unwrap();
+    e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+    e.apply_batch(&ops::cnot(q, p)).unwrap();
     e.debug_kill_worker_process(0);
-    e.cnot(q, p).unwrap();
+    e.apply_batch(&ops::cnot(q, p)).unwrap();
     e.debug_kill_worker_process(SHARDS - 1);
-    e.apply(Gate::H, q).unwrap();
+    e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
     assert!(
         e.prob_one(q).unwrap() < 1e-9,
         "the self-inverse run ends in |00>"
