@@ -15,7 +15,6 @@ pub mod collectives;
 pub mod comm;
 pub mod encode;
 pub mod mailbox;
-pub mod pool;
 pub mod transport;
 pub mod universe;
 
@@ -23,7 +22,6 @@ pub use collectives::{ops, ReduceOp};
 pub use comm::{Communicator, RecvRequest, SendRequest, Status, World};
 pub use encode::{from_bytes, to_bytes, Decode, Encode};
 pub use mailbox::{Envelope, Mailbox, SourceSel, Tag, TagSel};
-pub use pool::{WorkerLease, WorkerPool};
 pub use transport::{FrameHeader, TransportKind, WireListener, WireStream};
 pub use universe::{Universe, WorkerGroup};
 

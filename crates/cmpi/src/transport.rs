@@ -266,7 +266,7 @@ impl WireListener {
             WireListener::Unix { listener, .. } => {
                 listener.accept().map(|(s, _)| WireStream::Unix(s))
             }
-            WireListener::Tcp(l) => l.accept().map(|(s, _)| WireStream::Tcp(s)),
+            WireListener::Tcp(l) => l.accept().and_then(|(s, _)| WireStream::tcp(s)),
         }
     }
 
@@ -297,12 +297,19 @@ pub enum WireStream {
 }
 
 impl WireStream {
+    /// Frames are small and pipelined; with Nagle on, each one after the
+    /// first waits out the peer's delayed ACK (~40 ms).
+    fn tcp(s: TcpStream) -> io::Result<WireStream> {
+        s.set_nodelay(true)?;
+        Ok(WireStream::Tcp(s))
+    }
+
     /// Connects to an address produced by [`WireListener::addr`].
     pub fn connect(addr: &str) -> io::Result<WireStream> {
         if let Some(path) = addr.strip_prefix("unix:") {
             Ok(WireStream::Unix(UnixStream::connect(path)?))
         } else if let Some(sock) = addr.strip_prefix("tcp:") {
-            Ok(WireStream::Tcp(TcpStream::connect(sock)?))
+            WireStream::tcp(TcpStream::connect(sock)?)
         } else {
             Err(io::Error::new(
                 io::ErrorKind::InvalidInput,

@@ -57,6 +57,7 @@
 //! semantics while letting gates on disjoint qubits (which locality
 //! guarantees across ranks) execute in parallel.
 
+pub mod pool;
 pub mod remote;
 pub mod remote_transport;
 pub mod sharded;
@@ -75,8 +76,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use remote::{RemoteShardedEngine, ShardLease, ShardWorkerPool};
-pub use remote_transport::{qworker_main, ProcessShardLease, ProcessWorkerPool};
+pub use pool::{ShardLease, ShardWorkerPool};
+pub use remote::RemoteShardedEngine;
+pub use remote_transport::qworker_main;
 pub use sharded::{ShardableEngine, ShardedStateVector};
 pub use sparse::SparseEngine;
 pub use stabilizer::StabilizerEngine;
@@ -216,9 +218,11 @@ pub fn auto_shards() -> usize {
 /// ignores the parameter.
 ///
 /// Fails with [`QmpiError::InvalidArgument`] when a noise rate is outside
-/// `[0, 1]`, or when the stabilizer backend is paired with a non-Clifford
+/// `[0, 1]`, when the stabilizer backend is paired with a non-Clifford
 /// channel (amplitude damping) — the tableau can only realize Pauli noise
-/// (depolarizing/dephasing).
+/// (depolarizing/dephasing) — or when a multi-process transport cannot
+/// start its `qworker` processes (the message names the transport and the
+/// binary path tried).
 pub fn build_backend(
     kind: BackendKind,
     transport: TransportKind,
@@ -268,9 +272,10 @@ pub fn build_backend_with_policy(
             ShardedStateVector::with_noise(seed, shards, noise),
             policy,
         )),
-        // `over_transport` falls back to worker threads in-process.
         BackendKind::RemoteSharded { shards } => Arc::new(Shared::new(
-            RemoteShardedEngine::over_transport(seed, shards, noise, transport),
+            RemoteShardedEngine::over_transport(seed, shards, noise, transport).map_err(|e| {
+                QmpiError::InvalidArgument(format!("cannot spawn {transport} shard workers: {e}"))
+            })?,
             policy,
         )),
     })
@@ -1361,6 +1366,28 @@ mod tests {
             b.apply_batch(0, &ops::gate(qsim::Gate::T, q)),
             Err(QmpiError::Sim(qsim::SimError::Unsupported(_)))
         ));
+    }
+
+    /// No other test in this binary spawns worker processes, so pointing
+    /// the lookup at a missing file races with nothing.
+    #[test]
+    fn missing_qworker_binary_is_a_typed_error() {
+        std::env::set_var("QMPI_QWORKER_BIN", "/nonexistent/qworker");
+        let err = build_backend(
+            BackendKind::RemoteSharded { shards: 2 },
+            TransportKind::UnixSocket,
+            1,
+            NoiseModel::ideal(),
+        )
+        .err()
+        .expect("no worker binary, no backend");
+        let QmpiError::InvalidArgument(msg) = err else {
+            panic!("expected InvalidArgument, got {err:?}");
+        };
+        assert!(
+            msg.contains("unix-socket") && msg.contains("/nonexistent/qworker"),
+            "{msg}"
+        );
     }
 
     #[test]

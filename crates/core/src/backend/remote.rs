@@ -80,13 +80,10 @@
 //! run on the shared side of the [`super::Shared`] locality wrapper's
 //! lock: select it with [`super::BackendKind::RemoteSharded`].
 
-use super::remote_transport::{ProcessHandle, ProcessLink};
+use super::pool::ShardLease;
 use super::{BackendKind, TransportStats};
 use bytes::{Bytes, BytesMut};
-use cmpi::{
-    Communicator, Decode, Encode, SourceSel, TransportKind, Universe, WorkerGroup, WorkerLease,
-    WorkerPool,
-};
+use cmpi::{Communicator, Decode, Encode, TransportKind};
 use parking_lot::Mutex;
 use qsim::gates::Mat2;
 use qsim::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
@@ -101,9 +98,9 @@ use std::sync::Arc;
 use std::time::Duration;
 
 /// Command channel: controller → worker.
-const TAG_CMD: cmpi::Tag = 0;
+pub(super) const TAG_CMD: cmpi::Tag = 0;
 /// Reply channel: worker → controller.
-const TAG_REPLY: cmpi::Tag = 1;
+pub(super) const TAG_REPLY: cmpi::Tag = 1;
 /// Stripe-exchange channel: worker ↔ worker (cross-shard pairing).
 const TAG_XCHG: cmpi::Tag = 2;
 
@@ -1068,7 +1065,7 @@ impl ShardChannel for ThreadChannel {
 
 /// The mailbox-driven shard worker: [`worker_loop`] over a
 /// [`ThreadChannel`] (the in-process transport).
-fn shard_worker(comm: Communicator, watchdog: Arc<AtomicU64>) {
+pub(super) fn shard_worker(comm: Communicator, watchdog: Arc<AtomicU64>) {
     let mut chan = ThreadChannel { comm, watchdog };
     worker_loop(&mut chan);
 }
@@ -1156,14 +1153,9 @@ impl FailoverState {
 /// while the engine holds the controller lock, so every worker sees
 /// commands in the same global order.
 struct Controller {
-    /// The worker world this controller drives: privately spawned threads
-    /// (owned, shut down on engine drop), leased from a [`ShardWorkerPool`]
-    /// (returned, still running, on engine drop), or child processes
-    /// behind a socket transport.
-    link: WorkerLink,
-    /// Watchdog in milliseconds, shared with every worker's exchange waits
-    /// so [`RemoteShardedEngine::with_watchdog`] reaches both sides.
-    watchdog: Arc<AtomicU64>,
+    /// The worker world this controller drives, for as long as it lives;
+    /// dropping it sends the world home to its pool or shuts it down.
+    lease: ShardLease,
     /// Live qubit positions (mirrors the registry length).
     n_qubits: usize,
     /// Active shard-index bits: `min(max_shard_bits, n_qubits)`.
@@ -1189,50 +1181,10 @@ struct Plan {
     xchg: u64,
 }
 
-/// How a [`Controller`] came by its worker world.
-enum WorkerLink {
-    /// Workers spawned privately for this engine; the engine owns their
-    /// shutdown and thread joins.
-    Owned {
-        comm: Communicator,
-        group: Option<WorkerGroup>,
-    },
-    /// Workers leased from a [`ShardWorkerPool`]; dropping the lease
-    /// returns them — still running their event loop — to the pool.
-    Leased(WorkerLease),
-    /// Workers running as child processes behind a socket transport
-    /// (possibly pooled; the handle returns pooled links on drop).
-    /// Boxed: the handle dwarfs the thread-backed variants.
-    Process(Box<ProcessHandle>),
-}
-
-impl WorkerLink {
-    /// The in-process controller communicator. Only thread-backed links
-    /// have one; the socket transport speaks frames, not mailboxes.
-    /// (Test-only: lets tests count substrate messages directly.)
-    #[cfg(test)]
-    fn comm(&self) -> &Communicator {
-        match self {
-            WorkerLink::Owned { comm, .. } => comm,
-            WorkerLink::Leased(lease) => lease.comm(),
-            WorkerLink::Process(_) => {
-                panic!("a multi-process worker link has no in-process communicator")
-            }
-        }
-    }
-}
-
 impl Controller {
     /// Total worker count (`2^k`).
     fn workers(&self) -> usize {
         1 << self.max_shard_bits
-    }
-
-    /// The controller-side communicator of the worker world (test-only;
-    /// panics for the multi-process link, which has no communicator).
-    #[cfg(test)]
-    fn comm(&self) -> &Communicator {
-        self.link.comm()
     }
 
     /// Currently active shard count (`2^min(k, n)`).
@@ -1253,18 +1205,7 @@ impl Controller {
     /// Raw command send: straight to the wire/mailbox, no unit recording.
     /// Recovery and checkpoint traffic uses this directly.
     fn send_raw(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
-        let rank = self.rank_of(shard);
-        match &mut self.link {
-            WorkerLink::Owned { comm, .. } => {
-                comm.send(cmd, rank, TAG_CMD);
-                Ok(())
-            }
-            WorkerLink::Leased(lease) => {
-                lease.comm().send(cmd, rank, TAG_CMD);
-                Ok(())
-            }
-            WorkerLink::Process(h) => h.link().send_cmd(shard, cmd),
-        }
+        self.lease.link_mut().send_cmd(shard, cmd)
     }
 
     /// Sends one command to shard `shard`, recording it into the open
@@ -1276,29 +1217,9 @@ impl Controller {
         self.send_raw(shard, cmd)
     }
 
-    /// The current watchdog duration.
-    fn watchdog(&self) -> Duration {
-        Duration::from_millis(self.watchdog.load(Ordering::Relaxed))
-    }
-
-    /// Raw reply receive, no unit recording. In-process links keep the
-    /// historical contract: watchdog expiry panics with a diagnostic.
-    /// Process links report a dead worker instead, and failover handles it.
+    /// Raw reply receive, no unit recording.
     fn reply_raw(&mut self, shard: usize, what: &str) -> Result<ShardReply, DeadWorker> {
-        let wd = self.watchdog();
-        let rank = self.rank_of(shard);
-        let comm = match &mut self.link {
-            WorkerLink::Owned { comm, .. } => comm,
-            WorkerLink::Leased(lease) => lease.comm(),
-            WorkerLink::Process(h) => return h.link().reply_from(shard, wd),
-        };
-        match comm.recv_timeout::<ShardReply>(rank, TAG_REPLY, wd) {
-            Some((r, _)) => Ok(r),
-            None => panic!(
-                "remote-shard watchdog: no {what} reply from shard {shard}'s worker within \
-                 {wd:?}; the worker is presumed dead or deadlocked"
-            ),
-        }
+        self.lease.link_mut().reply_from(shard, what)
     }
 
     /// Receives shard `s`'s reply, recording the drain into the open retry
@@ -1504,7 +1425,6 @@ impl Controller {
     /// committed log. Loops until a full generation survives the whole
     /// sequence; panics if workers keep dying past the respawn budget.
     fn recover(&mut self) {
-        let wd = self.watchdog();
         let mut attempts = 0usize;
         loop {
             attempts += 1;
@@ -1513,15 +1433,7 @@ impl Controller {
                 "remote-shard failover: respawn budget exhausted — workers keep dying during \
                  recovery"
             );
-            {
-                let WorkerLink::Process(h) = &mut self.link else {
-                    unreachable!("only multi-process links report dead workers")
-                };
-                if h.link().restart_generation(wd).is_err() {
-                    continue;
-                }
-            }
-            if self.replay().is_ok() {
+            if self.lease.link_mut().reset().is_ok() && self.replay().is_ok() {
                 return;
             }
         }
@@ -1871,129 +1783,57 @@ pub struct RemoteShardedEngine {
 }
 
 impl RemoteShardedEngine {
-    /// Spawns the worker ranks for a noiseless engine. `shards` is rounded
-    /// up to a power of two and clamped to `[1, 2^MAX_REMOTE_SHARD_BITS]`.
+    /// Spawns in-process worker ranks for a noiseless engine. `shards` is
+    /// rounded up to a power of two and clamped to
+    /// `[1, 2^MAX_REMOTE_SHARD_BITS]`.
     pub fn new(seed: u64, shards: usize) -> Self {
         RemoteShardedEngine::with_noise(seed, shards, NoiseModel::ideal())
     }
 
-    /// Spawns the worker ranks for an engine applying `noise` as
+    /// Spawns in-process worker ranks for an engine applying `noise` as
     /// controller-sampled trajectory insertions.
-    ///
-    /// This is the spawn-per-engine path: a thin wrapper over the shared
-    /// construction routine that owns a freshly spawned worker world.
-    /// Engines multiplexed over long-lived workers instead come from
-    /// [`RemoteShardedEngine::from_lease`].
     pub fn with_noise(seed: u64, shards: usize, noise: NoiseModel) -> Self {
-        let shards = qsim::sharded::normalize_shards(shards, MAX_REMOTE_SHARD_BITS);
-        let watchdog = Arc::new(AtomicU64::new(watchdog_from_env().as_millis() as u64));
-        let worker_watchdog = Arc::clone(&watchdog);
-        let (comm, group) = Universe::spawn_workers(shards, move |c| {
-            shard_worker(c, Arc::clone(&worker_watchdog))
-        });
-        Self::from_parts(
-            seed,
-            WorkerLink::Owned {
-                comm,
-                group: Some(group),
-            },
-            shards,
-            noise,
-            watchdog,
-        )
+        Self::over_transport(seed, shards, noise, TransportKind::InProcess)
+            .expect("spawning worker threads performs no I/O")
     }
 
-    /// Builds an engine over a slot leased from a [`ShardWorkerPool`]. The
-    /// lease's workers keep running when the engine is dropped; the slot
-    /// returns to the pool for the next engine.
-    ///
-    /// Construction resets the slot: any replies a previous (possibly
-    /// panicked) lessee left unread in the controller mailbox are drained,
-    /// and the scatter of the fresh scalar state overwrites every worker's
-    /// stripe. Per-seed trajectories are therefore bit-identical to an
-    /// engine over freshly spawned workers.
-    pub fn from_lease(seed: u64, lease: ShardLease, noise: NoiseModel) -> Self {
-        let ShardLease {
-            lease,
-            watchdog,
-            shards,
-        } = lease;
-        while lease
-            .comm()
-            .irecv::<ShardReply>(SourceSel::Any, TAG_REPLY)
-            .test()
-            .is_some()
-        {}
-        Self::from_parts(seed, WorkerLink::Leased(lease), shards, noise, watchdog)
-    }
-
-    /// Builds an engine whose workers live behind the given transport:
-    /// threads for [`TransportKind::InProcess`] (identical to
-    /// [`RemoteShardedEngine::with_noise`]), child processes speaking
-    /// framed sockets otherwise — with checkpoint/replay failover armed.
-    /// Per-seed trajectories are bit-identical across transports: both run
-    /// the same planner, the same kernels, in the same global order.
+    /// Spawns a worker world for this engine alone behind the given
+    /// transport: threads for [`TransportKind::InProcess`], child
+    /// processes speaking framed sockets otherwise — with
+    /// checkpoint/replay failover armed. Per-seed trajectories are
+    /// bit-identical across transports: both run the same planner, the
+    /// same kernels, in the same global order. Fails when the worker
+    /// processes cannot be started (no `qworker` binary, no socket).
     pub fn over_transport(
         seed: u64,
         shards: usize,
         noise: NoiseModel,
         kind: TransportKind,
-    ) -> Self {
-        if !kind.is_multiprocess() {
-            return Self::with_noise(seed, shards, noise);
-        }
-        let shards = qsim::sharded::normalize_shards(shards, MAX_REMOTE_SHARD_BITS);
-        let watchdog = Arc::new(AtomicU64::new(watchdog_from_env().as_millis() as u64));
-        let link = ProcessLink::spawn(kind, shards, Arc::clone(&watchdog))
-            .unwrap_or_else(|e| panic!("cannot spawn {kind} shard worker processes: {e}"));
-        Self::from_parts(
+    ) -> std::io::Result<Self> {
+        Ok(Self::from_lease(
             seed,
-            WorkerLink::Process(Box::new(ProcessHandle::owned(link))),
-            shards,
+            ShardLease::spawn(kind, shards)?,
             noise,
-            watchdog,
-        )
+        ))
     }
 
-    /// Builds an engine over a process-worker slot leased from a
-    /// [`super::remote_transport::ProcessWorkerPool`]. The lease's child
-    /// processes keep running when the engine drops; construction resets
-    /// the slot (epoch bump aborts any protocol a panicked previous lessee
-    /// left dangling, then the scalar-state scatter overwrites every
-    /// stripe), so per-seed trajectories match a freshly spawned engine.
-    pub fn from_process_lease(
-        seed: u64,
-        lease: super::remote_transport::ProcessShardLease,
-        noise: NoiseModel,
-    ) -> Self {
-        let (handle, watchdog, shards) = lease.into_handle();
-        Self::from_parts(
-            seed,
-            WorkerLink::Process(Box::new(handle)),
-            shards,
-            noise,
-            watchdog,
-        )
-    }
-
-    /// Common construction over an already-running worker world — the seam
-    /// between engine semantics and worker lifecycle. `shards` must be the
-    /// world's worker count (a power of two).
-    fn from_parts(
-        seed: u64,
-        link: WorkerLink,
-        shards: usize,
-        noise: NoiseModel,
-        watchdog: Arc<AtomicU64>,
-    ) -> Self {
-        debug_assert!(shards.is_power_of_two());
-        let failover = matches!(link, WorkerLink::Process(_)).then(FailoverState::new);
+    /// Builds an engine over an already-running worker world — the seam
+    /// between engine semantics and worker lifecycle. A lease from a
+    /// [`super::ShardWorkerPool`] returns its workers, still running, to
+    /// the pool when the engine drops.
+    ///
+    /// Construction resets a pooled world (see [`ShardLease`]) and the
+    /// scatter of the fresh scalar state overwrites every worker's stripe,
+    /// so per-seed trajectories are bit-identical to an engine over
+    /// freshly spawned workers.
+    pub fn from_lease(seed: u64, mut lease: ShardLease, noise: NoiseModel) -> Self {
+        lease.reset();
+        let failover = lease.link().arms_failover().then(FailoverState::new);
         let mut ctl = Controller {
-            link,
-            watchdog,
             n_qubits: 0,
             shard_bits: 0,
-            max_shard_bits: shards.trailing_zeros(),
+            max_shard_bits: lease.shards().trailing_zeros(),
+            lease,
             cmd_rounds: 0,
             xchg_rounds: 0,
             failover,
@@ -2018,7 +1858,9 @@ impl RemoteShardedEngine {
     pub fn with_watchdog(self, watchdog: Duration) -> Self {
         self.ctl
             .lock()
-            .watchdog
+            .lease
+            .link()
+            .watchdog()
             .store(watchdog.as_millis() as u64, Ordering::Relaxed);
         self
     }
@@ -2036,16 +1878,11 @@ impl RemoteShardedEngine {
     /// always 0 in-process).
     pub fn transport_stats(&self) -> TransportStats {
         let ctl = self.ctl.lock();
-        let (wire_bytes, respawns) = match &ctl.link {
-            WorkerLink::Owned { comm, .. } => (comm.world_handle().bytes_sent(), 0),
-            WorkerLink::Leased(lease) => (lease.comm().world_handle().bytes_sent(), 0),
-            WorkerLink::Process(h) => (h.link_ref().wire_bytes(), h.link_ref().respawns()),
-        };
         TransportStats {
             command_rounds: ctl.cmd_rounds,
             exchange_rounds: ctl.xchg_rounds,
-            wire_bytes,
-            respawns,
+            wire_bytes: ctl.lease.link().wire_bytes(),
+            respawns: ctl.lease.link().respawns(),
             // Coalescing happens in the locality wrapper above this engine;
             // the wrapper adds its own window counter on top of these.
             coalesced_flushes: 0,
@@ -2070,10 +1907,7 @@ impl RemoteShardedEngine {
     pub fn debug_kill_worker_process(&self, shard: usize) {
         let mut ctl = self.ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");
-        let WorkerLink::Process(h) = &mut ctl.link else {
-            panic!("debug_kill_worker_process requires a multi-process transport");
-        };
-        h.link().kill_child(shard);
+        ctl.lease.link_mut().kill_process(shard);
     }
 
     fn pos(&self, q: QubitId) -> Result<usize, SimError> {
@@ -2163,157 +1997,6 @@ impl RemoteShardedEngine {
         let n = ctl.n_qubits - 1;
         ctl.run_scatter(out, n);
         self.reg.remove(q, pos);
-    }
-}
-
-impl Drop for RemoteShardedEngine {
-    fn drop(&mut self) {
-        let ctl = self.ctl.get_mut();
-        match &mut ctl.link {
-            WorkerLink::Owned { .. } => {
-                for s in 0..ctl.workers() {
-                    let _ = ctl.send_raw(s, &ShardCmd::Shutdown);
-                }
-                let WorkerLink::Owned { group, .. } = &mut ctl.link else {
-                    unreachable!("link variant checked above");
-                };
-                if let Some(group) = group.take() {
-                    // Never propagate from a destructor (unwinding here
-                    // would abort), but a worker that panicked mid-run may
-                    // have silently dropped fire-and-forget gate commands —
-                    // say so.
-                    let panicked = group.join();
-                    if panicked > 0 {
-                        eprintln!(
-                            "remote-shard engine: {panicked} shard worker(s) panicked during the \
-                             run; results involving their stripes are suspect"
-                        );
-                    }
-                }
-            }
-            // Leased workers stay in their event loop: dropping the lease
-            // (with the controller) returns the slot to its pool, and the
-            // next lessee's construction resets the stripes.
-            WorkerLink::Leased(_) => {}
-            // Process links own their shutdown protocol: the handle's drop
-            // returns pooled links to their pool or terminates the child
-            // processes (Shutdown frames, then reap).
-            WorkerLink::Process(_) => {}
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool
-// ---------------------------------------------------------------------------
-
-/// A long-lived pool of shard-worker worlds for [`RemoteShardedEngine`]s.
-///
-/// Each of the pool's `slots` is an independent worker world of `shards`
-/// workers running the shard event loop. [`ShardWorkerPool::lease`] grants
-/// one engine exclusive use of a slot ([`RemoteShardedEngine::from_lease`]);
-/// dropping that engine returns the slot — workers still running — for the
-/// next engine, shedding the per-engine thread spawn/join of the
-/// [`RemoteShardedEngine::new`] path. Dropping the pool shuts every worker
-/// down.
-pub struct ShardWorkerPool {
-    pool: WorkerPool,
-    /// Pool-wide watchdog, shared with every worker at spawn time and with
-    /// every controller built over a lease.
-    watchdog: Arc<AtomicU64>,
-    shards: usize,
-}
-
-impl ShardWorkerPool {
-    /// Spawns `slots` worker worlds of `shards` shard workers each.
-    /// `shards` is rounded up to a power of two and clamped to
-    /// `[1, 2^MAX_REMOTE_SHARD_BITS]`, as in [`RemoteShardedEngine::new`].
-    pub fn new(slots: usize, shards: usize) -> Self {
-        let shards = qsim::sharded::normalize_shards(shards, MAX_REMOTE_SHARD_BITS);
-        let watchdog = Arc::new(AtomicU64::new(watchdog_from_env().as_millis() as u64));
-        let worker_watchdog = Arc::clone(&watchdog);
-        let pool = WorkerPool::new(
-            slots,
-            shards,
-            move |c| shard_worker(c, Arc::clone(&worker_watchdog)),
-            |comm, workers| {
-                for w in 1..=workers {
-                    comm.send(&ShardCmd::Shutdown, w, TAG_CMD);
-                }
-            },
-        );
-        ShardWorkerPool {
-            pool,
-            watchdog,
-            shards,
-        }
-    }
-
-    /// Overrides the watchdog for every engine built over this pool's
-    /// leases (shared atomically with the already-running workers).
-    pub fn with_watchdog(self, watchdog: Duration) -> Self {
-        self.watchdog
-            .store(watchdog.as_millis() as u64, Ordering::Relaxed);
-        self
-    }
-
-    /// Worker (shard) count per slot, after normalization.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Total slot count.
-    pub fn slots(&self) -> usize {
-        self.pool.slots()
-    }
-
-    /// Slots currently free (racy by nature; a scheduling heuristic).
-    pub fn available(&self) -> usize {
-        self.pool.available()
-    }
-
-    /// Leases a slot, blocking until one frees.
-    pub fn lease(&self) -> ShardLease {
-        self.wrap(self.pool.lease())
-    }
-
-    /// Leases a slot if one is free right now.
-    pub fn try_lease(&self) -> Option<ShardLease> {
-        self.pool.try_lease().map(|l| self.wrap(l))
-    }
-
-    /// Leases a slot, blocking up to `timeout`; `None` on expiry.
-    pub fn lease_timeout(&self, timeout: Duration) -> Option<ShardLease> {
-        self.pool.lease_timeout(timeout).map(|l| self.wrap(l))
-    }
-
-    fn wrap(&self, lease: WorkerLease) -> ShardLease {
-        ShardLease {
-            lease,
-            watchdog: Arc::clone(&self.watchdog),
-            shards: self.shards,
-        }
-    }
-}
-
-/// Exclusive use of one [`ShardWorkerPool`] slot, consumed by
-/// [`RemoteShardedEngine::from_lease`]. Dropping it unused returns the slot
-/// untouched.
-pub struct ShardLease {
-    lease: WorkerLease,
-    watchdog: Arc<AtomicU64>,
-    shards: usize,
-}
-
-impl ShardLease {
-    /// Worker (shard) count of the leased slot.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// Stable index of the leased slot within its pool.
-    pub fn slot_index(&self) -> usize {
-        self.lease.slot_index()
     }
 }
 
@@ -3311,17 +2994,13 @@ mod tests {
         // Traffic check: a shard-crossing expectation moves the paired
         // stripes worker↔worker (half the amplitudes), never the full
         // gather to the controller.
-        let world = {
-            let ctl = e.ctl.lock();
-            std::sync::Arc::clone(ctl.comm().world_handle())
-        };
-        let bytes_before = world.bytes_sent();
+        let bytes_before = e.transport_stats().wire_bytes;
         e.expectation(&[(rq[0], Pauli::X), (rq[5], Pauli::X)])
             .unwrap();
-        let xchg_traffic = world.bytes_sent() - bytes_before;
-        let bytes_before = world.bytes_sent();
+        let xchg_traffic = e.transport_stats().wire_bytes - bytes_before;
+        let bytes_before = e.transport_stats().wire_bytes;
         let _ = e.state_vector(&rq).unwrap(); // a real gather, for scale
-        let gather_traffic = world.bytes_sent() - bytes_before;
+        let gather_traffic = e.transport_stats().wire_bytes - bytes_before;
         assert!(
             xchg_traffic < gather_traffic,
             "gather-free expectation ({xchg_traffic} B) must move less than a gather \
@@ -3467,71 +3146,5 @@ mod tests {
             }
         }
         assert_eq!(backend.counts().live_qubits, 0);
-    }
-
-    /// A short seeded program with measurements, exercising gates,
-    /// cross-shard pairing, and RNG-consuming collapses.
-    fn seeded_trajectory(e: &mut RemoteShardedEngine, seed_angle: f64) -> (Vec<bool>, Vec<u64>) {
-        let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
-        e.apply_batch(&ops::gate(Gate::Ry(seed_angle), qs[0]))
-            .unwrap();
-        e.apply_batch(&ops::cnot(qs[0], qs[3])).unwrap();
-        e.apply_batch(&ops::gate(Gate::H, qs[1])).unwrap();
-        e.apply_batch(&ops::cz(qs[1], qs[2])).unwrap();
-        let outcomes: Vec<bool> = qs
-            .into_iter()
-            .map(|q| SimEngine::measure_and_free(e, q).unwrap())
-            .collect();
-        (outcomes, vec![e.gate_count(), e.measurement_count()])
-    }
-
-    #[test]
-    fn leased_engines_are_bit_identical_to_spawned_and_slots_reset() {
-        let pool = ShardWorkerPool::new(2, 4);
-        assert_eq!(pool.shards(), 4);
-        assert_eq!(pool.available(), 2);
-        for (seed, angle) in [(11u64, 0.3), (12, 1.1), (11, 0.3)] {
-            // Spawn-per-engine reference trajectory.
-            let mut spawned = RemoteShardedEngine::new(seed, 4);
-            let want = seeded_trajectory(&mut spawned, angle);
-            // Same seed over a pooled lease — including the third pass,
-            // which reuses a slot two earlier engines already dirtied.
-            let lease = pool.try_lease().expect("slot free");
-            let mut leased = RemoteShardedEngine::from_lease(seed, lease, NoiseModel::ideal());
-            let got = seeded_trajectory(&mut leased, angle);
-            assert_eq!(got, want, "seed {seed}: pooled must match spawned");
-            drop(leased);
-            assert_eq!(pool.available(), 2, "slot returned on engine drop");
-        }
-    }
-
-    #[test]
-    fn concurrent_leases_run_isolated_worlds() {
-        use std::sync::Arc;
-        let pool = Arc::new(ShardWorkerPool::new(2, 2));
-        let solo: Vec<_> = (0..2u64)
-            .map(|seed| {
-                let mut e = RemoteShardedEngine::new(seed, 2);
-                seeded_trajectory(&mut e, 0.4 + seed as f64)
-            })
-            .collect();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..2u64)
-                .map(|seed| {
-                    let pool = Arc::clone(&pool);
-                    s.spawn(move || {
-                        let mut e = RemoteShardedEngine::from_lease(
-                            seed,
-                            pool.lease(),
-                            NoiseModel::ideal(),
-                        );
-                        seeded_trajectory(&mut e, 0.4 + seed as f64)
-                    })
-                })
-                .collect();
-            for (seed, h) in handles.into_iter().enumerate() {
-                assert_eq!(h.join().unwrap(), solo[seed], "seed {seed}");
-            }
-        });
     }
 }

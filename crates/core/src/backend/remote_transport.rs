@@ -7,7 +7,9 @@
 //! across real OS boundaries: each shard worker is a child process (the
 //! `qworker` binary) speaking length-prefixed [`cmpi::transport`] frames
 //! over a Unix domain socket or TCP loopback connection back to the
-//! controller.
+//! controller. The controller's end, `ProcessLink`, is one of the two shapes
+//! of [`super::pool`]'s worker link; spawning, leasing and shutting worlds
+//! down is that module's business, not this one's.
 //!
 //! ## Topology: one socket per worker, relayed exchanges
 //!
@@ -36,7 +38,10 @@
 //!
 //! A dead worker surfaces as an `Eof` router event (its socket closed) or
 //! a reply timeout (the deadlock watchdog mapped onto a bounded event
-//! wait). Recovery bumps the *epoch*: the dead worker's process is killed
+//! wait). *Any* worker's EOF fails the controller's current reply wait,
+//! whichever shard it was waiting on: a survivor blocked in a stripe
+//! exchange with the dead worker would otherwise hold the controller
+//! until the watchdog expired. Recovery bumps the *epoch*: the dead worker's process is killed
 //! and respawned at the new epoch, survivors receive an `ABORT` frame
 //! (which makes a worker blocked mid-exchange abandon its batch) and
 //! answer `ACK`, and every frame stamped with an older epoch is discarded
@@ -61,7 +66,7 @@ use cmpi::transport::{
     read_frame, write_frame, FrameHeader, TransportKind, WireListener, WireStream, FRAME_OVERHEAD,
 };
 use cmpi::{from_bytes, to_bytes};
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use qsim::Complex;
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
@@ -86,9 +91,9 @@ const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
 /// Locates the `qworker` binary: `QMPI_QWORKER_BIN` wins, then the
 /// directory of the current executable and its parent (which covers
 /// `target/<profile>/deps/<test>` binaries finding `target/<profile>/qworker`).
-fn qworker_bin() -> PathBuf {
+fn qworker_bin() -> io::Result<PathBuf> {
     if let Ok(p) = std::env::var("QMPI_QWORKER_BIN") {
-        return PathBuf::from(p);
+        return Ok(PathBuf::from(p));
     }
     if let Ok(exe) = std::env::current_exe() {
         let mut candidates = Vec::new();
@@ -99,13 +104,14 @@ fn qworker_bin() -> PathBuf {
             }
         }
         if let Some(found) = candidates.into_iter().find(|c| c.is_file()) {
-            return found;
+            return Ok(found);
         }
     }
-    panic!(
+    Err(io::Error::new(
+        io::ErrorKind::NotFound,
         "cannot locate the qworker binary for the socket shard transport; build it \
-         (`cargo build --bin qworker`) and/or set QMPI_QWORKER_BIN to its path"
-    );
+         (`cargo build --bin qworker`) and/or set QMPI_QWORKER_BIN to its path",
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -353,7 +359,7 @@ impl ProcessLink {
     ) -> io::Result<ProcessLink> {
         let listener = WireListener::bind(kind)?;
         let addr = listener.addr()?;
-        let bin = qworker_bin();
+        let bin = qworker_bin()?;
         let (events_tx, events_rx) = mpsc::channel();
         let writers = Arc::new(
             (0..shards)
@@ -399,6 +405,12 @@ impl ProcessLink {
         self.respawns
     }
 
+    /// The watchdog (milliseconds) handed to every worker at (re)spawn
+    /// time; the controller-side waits read the same value.
+    pub(crate) fn watchdog(&self) -> &AtomicU64 {
+        &self.watchdog
+    }
+
     /// Spawns (or respawns) shard `shard`'s worker process: launch the
     /// child at the current epoch, accept its connection, verify its
     /// HELLO, start its router.
@@ -410,7 +422,10 @@ impl ProcessLink {
             .arg(self.epoch.to_string())
             .arg(self.watchdog.load(Ordering::Relaxed).to_string())
             .stdin(Stdio::null())
-            .spawn()?;
+            .spawn()
+            .map_err(|e| {
+                io::Error::new(e.kind(), format!("cannot run {}: {e}", self.bin.display()))
+            })?;
         let stream = self.listener.accept_timeout(SPAWN_TIMEOUT)?;
         stream.set_read_timeout(Some(SPAWN_TIMEOUT))?;
         let mut reader = stream.try_clone()?;
@@ -544,7 +559,10 @@ impl ProcessLink {
     }
 
     /// Processes one router event against the dead set / pending buffers.
-    /// Returns the reply if it is a current-epoch reply from `want`.
+    /// Returns the reply if it is a current-epoch reply from `want`, and
+    /// `DeadWorker` on *any* worker's EOF: the awaited shard may be blocked
+    /// in a stripe exchange with the dead one, so its reply would arrive
+    /// only at watchdog expiry.
     fn absorb_event(
         &mut self,
         event: RouterEvent,
@@ -560,9 +578,7 @@ impl ProcessLink {
             RouterEvent::Eof { from, router_id } if router_id == self.slots[from].router_id => {
                 *self.writers[from].lock() = None;
                 self.dead.insert(from);
-                if from == want {
-                    return Some(Err(DeadWorker));
-                }
+                return Some(Err(DeadWorker));
             }
             // Stale replies, stale EOFs, out-of-protocol acks.
             _ => {}
@@ -570,15 +586,16 @@ impl ProcessLink {
         None
     }
 
-    /// Awaits shard `shard`'s next current-epoch reply, up to `wd`. Expiry
-    /// means the worker is dead *or* deadlocked — either way it is killed
-    /// and reported dead, and failover respawns it.
+    /// Awaits shard `shard`'s next current-epoch reply, up to `wd`, failing
+    /// at once while any worker is known dead. Expiry means the worker is
+    /// dead *or* deadlocked — either way it is killed and reported dead,
+    /// and failover respawns it.
     pub(crate) fn reply_from(
         &mut self,
         shard: usize,
         wd: Duration,
     ) -> Result<ShardReply, DeadWorker> {
-        if self.dead.contains(&shard) {
+        if !self.dead.is_empty() {
             return Err(DeadWorker);
         }
         if let Some(r) = self.pending.get_mut(&shard).and_then(|q| q.pop_front()) {
@@ -702,248 +719,6 @@ impl Drop for ProcessLink {
                     }
                 }
             }
-        }
-    }
-}
-
-/// How a process link travels inside the engine: owned outright (children
-/// die with the engine) or leased from a [`ProcessWorkerPool`] (the link
-/// returns to the pool on drop, children still running).
-pub(crate) struct ProcessHandle {
-    link: Option<ProcessLink>,
-    pool: Option<Arc<ProcPoolShared>>,
-}
-
-impl ProcessHandle {
-    pub(crate) fn owned(link: ProcessLink) -> Self {
-        ProcessHandle {
-            link: Some(link),
-            pool: None,
-        }
-    }
-
-    fn pooled(link: ProcessLink, pool: Arc<ProcPoolShared>) -> Self {
-        ProcessHandle {
-            link: Some(link),
-            pool: Some(pool),
-        }
-    }
-
-    pub(crate) fn link(&mut self) -> &mut ProcessLink {
-        self.link.as_mut().expect("link present until drop")
-    }
-
-    pub(crate) fn link_ref(&self) -> &ProcessLink {
-        self.link.as_ref().expect("link present until drop")
-    }
-}
-
-impl Drop for ProcessHandle {
-    fn drop(&mut self) {
-        if let Some(link) = self.link.take() {
-            match &self.pool {
-                Some(pool) => pool.give_back(link),
-                None => drop(link),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Process-worker pool
-// ---------------------------------------------------------------------------
-
-struct ProcPoolState {
-    free: Vec<ProcessLink>,
-    closing: bool,
-}
-
-struct ProcPoolShared {
-    state: Mutex<ProcPoolState>,
-    cv: Condvar,
-    shards: usize,
-    slots: usize,
-}
-
-impl ProcPoolShared {
-    fn give_back(&self, link: ProcessLink) {
-        let mut st = self.state.lock();
-        if st.closing {
-            drop(st);
-            drop(link); // shuts the children down
-        } else {
-            st.free.push(link);
-            drop(st);
-            self.cv.notify_one();
-        }
-    }
-}
-
-/// A long-lived pool of process-worker worlds for socket-transport
-/// [`super::RemoteShardedEngine`]s — the multi-process analogue of
-/// [`super::ShardWorkerPool`]. Each slot is an independent
-/// `ProcessLink` whose child processes outlive individual engines;
-/// leasing hands one engine exclusive use
-/// ([`super::RemoteShardedEngine::from_process_lease`]), and dropping that
-/// engine returns the slot, children still running. Dropping the pool
-/// terminates every child.
-pub struct ProcessWorkerPool {
-    shared: Arc<ProcPoolShared>,
-    watchdog: Arc<AtomicU64>,
-}
-
-impl ProcessWorkerPool {
-    /// Spawns `slots` process-worker worlds of `shards` child processes
-    /// each, over `kind` (which must be a multi-process transport).
-    pub fn new(slots: usize, shards: usize, kind: TransportKind) -> Self {
-        assert!(slots > 0, "need at least one pool slot");
-        assert!(
-            kind.is_multiprocess(),
-            "a process-worker pool needs a multi-process transport, not {kind}"
-        );
-        let shards = qsim::sharded::normalize_shards(shards, super::remote::MAX_REMOTE_SHARD_BITS);
-        let watchdog = Arc::new(AtomicU64::new(
-            super::remote::watchdog_from_env().as_millis() as u64,
-        ));
-        let free = (0..slots)
-            .map(|_| {
-                ProcessLink::spawn(kind, shards, Arc::clone(&watchdog)).unwrap_or_else(|e| {
-                    panic!("cannot spawn {kind} shard worker processes for the pool: {e}")
-                })
-            })
-            .collect();
-        ProcessWorkerPool {
-            shared: Arc::new(ProcPoolShared {
-                state: Mutex::new(ProcPoolState {
-                    free,
-                    closing: false,
-                }),
-                cv: Condvar::new(),
-                shards,
-                slots,
-            }),
-            watchdog,
-        }
-    }
-
-    /// Worker (shard) count per slot, after normalization.
-    pub fn shards(&self) -> usize {
-        self.shared.shards
-    }
-
-    /// Total slot count.
-    pub fn slots(&self) -> usize {
-        self.shared.slots
-    }
-
-    /// Slots currently free (racy by nature; a scheduling heuristic).
-    pub fn available(&self) -> usize {
-        self.shared.state.lock().free.len()
-    }
-
-    /// Leases a slot, blocking until one frees.
-    pub fn lease(&self) -> ProcessShardLease {
-        let mut st = self.shared.state.lock();
-        loop {
-            if let Some(link) = st.free.pop() {
-                return self.wrap(link);
-            }
-            self.cv_wait(&mut st);
-        }
-    }
-
-    /// Leases a slot if one is free right now.
-    pub fn try_lease(&self) -> Option<ProcessShardLease> {
-        let mut st = self.shared.state.lock();
-        st.free.pop().map(|link| self.wrap(link))
-    }
-
-    /// Leases a slot, blocking up to `timeout`; `None` on expiry.
-    pub fn lease_timeout(&self, timeout: Duration) -> Option<ProcessShardLease> {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock();
-        loop {
-            if let Some(link) = st.free.pop() {
-                return Some(self.wrap(link));
-            }
-            if Instant::now() >= deadline {
-                return None;
-            }
-            let _ = self.shared.cv.wait_until(&mut st, deadline);
-        }
-    }
-
-    fn cv_wait(&self, st: &mut parking_lot::MutexGuard<'_, ProcPoolState>) {
-        self.shared.cv.wait(st);
-    }
-
-    fn wrap(&self, link: ProcessLink) -> ProcessShardLease {
-        ProcessShardLease {
-            link: Some(link),
-            shared: Arc::clone(&self.shared),
-            watchdog: Arc::clone(&self.watchdog),
-        }
-    }
-}
-
-impl Drop for ProcessWorkerPool {
-    fn drop(&mut self) {
-        let mut st = self.shared.state.lock();
-        st.closing = true;
-        let free = std::mem::take(&mut st.free);
-        drop(st);
-        // Leased slots shut down when their handle drops (give_back
-        // observes `closing`); the free ones shut down here.
-        drop(free);
-    }
-}
-
-/// Exclusive use of one [`ProcessWorkerPool`] slot, consumed by
-/// [`super::RemoteShardedEngine::from_process_lease`]. Dropping it unused
-/// returns the slot untouched.
-pub struct ProcessShardLease {
-    link: Option<ProcessLink>,
-    shared: Arc<ProcPoolShared>,
-    watchdog: Arc<AtomicU64>,
-}
-
-impl ProcessShardLease {
-    /// Worker (shard) count of the leased slot.
-    pub fn shards(&self) -> usize {
-        self.shared.shards
-    }
-
-    /// Resets the slot for a fresh engine — an epoch bump aborts whatever
-    /// protocol a panicked previous lessee left dangling (respawning any
-    /// workers it got killed) — and converts the lease into the engine's
-    /// link handle.
-    pub(crate) fn into_handle(mut self) -> (ProcessHandle, Arc<AtomicU64>, usize) {
-        let mut link = self
-            .link
-            .take()
-            .expect("lease holds its link until consumed");
-        let wd = Duration::from_millis(self.watchdog.load(Ordering::Relaxed).max(1));
-        let mut attempts = 0usize;
-        while link.restart_generation(wd).is_err() {
-            attempts += 1;
-            assert!(
-                attempts <= 16,
-                "process-pool lease reset: workers keep dying during the reset"
-            );
-        }
-        let shards = link.shards();
-        (
-            ProcessHandle::pooled(link, Arc::clone(&self.shared)),
-            Arc::clone(&self.watchdog),
-            shards,
-        )
-    }
-}
-
-impl Drop for ProcessShardLease {
-    fn drop(&mut self) {
-        if let Some(link) = self.link.take() {
-            self.shared.give_back(link);
         }
     }
 }

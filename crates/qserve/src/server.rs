@@ -19,9 +19,8 @@
 
 use crate::spec::{JobBackend, JobError, JobOutput, JobReport, JobSpec, SubmitError};
 use qmpi::{
-    run_on_backend, NoiseModel, ProcessShardLease, ProcessWorkerPool, QmpiConfig, QmpiRank,
-    QuantumBackend, RemoteShardedEngine, ShardLease, ShardWorkerPool, Shared, TransportKind,
-    TransportStats,
+    run_on_backend, NoiseModel, QmpiConfig, QmpiRank, QuantumBackend, RemoteShardedEngine,
+    ShardLease, ShardWorkerPool, Shared, TransportKind, TransportStats,
 };
 use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
@@ -79,41 +78,9 @@ pub struct ServerStats {
     pub pool_available: usize,
 }
 
-/// The server's long-lived shard-worker capacity, in whichever shape the
-/// configured transport dictates.
-enum Pool {
-    /// In-process worker threads over `cmpi` mailboxes.
-    Thread(ShardWorkerPool),
-    /// `qworker` child processes behind framed sockets.
-    Process(ProcessWorkerPool),
-}
-
-impl Pool {
-    fn available(&self) -> usize {
-        match self {
-            Pool::Thread(p) => p.available(),
-            Pool::Process(p) => p.available(),
-        }
-    }
-
-    fn try_lease(&self) -> Option<Lease> {
-        match self {
-            Pool::Thread(p) => p.try_lease().map(Lease::Thread),
-            Pool::Process(p) => p.try_lease().map(Lease::Process),
-        }
-    }
-}
-
-/// An exclusive pool slot of either shape, carried from admission to the
-/// engine constructor.
-enum Lease {
-    Thread(ShardLease),
-    Process(ProcessShardLease),
-}
-
 /// What the dispatcher hands a job at dispatch time.
 struct RunCtx {
-    lease: Option<Lease>,
+    lease: Option<ShardLease>,
     transport: TransportKind,
     queued: Duration,
     dispatch_seq: u64,
@@ -144,7 +111,7 @@ struct SchedState {
 
 struct Inner {
     cfg: ServerConfig,
-    pool: Option<Pool>,
+    pool: Option<ShardWorkerPool>,
     state: Mutex<SchedState>,
     /// Signaled on every job completion (drain waits on it).
     done_cv: Condvar,
@@ -166,18 +133,12 @@ pub struct JobServer {
 
 impl JobServer {
     /// Starts a server: spawns the worker pool (if any) and nothing else —
-    /// jobs bring their own rank threads.
+    /// jobs bring their own rank threads. Panics when a multi-process
+    /// `cfg.transport` cannot start the pool's `qworker` processes.
     pub fn new(cfg: ServerConfig) -> Self {
         let pool = (cfg.pool_slots > 0).then(|| {
-            if cfg.transport.is_multiprocess() {
-                Pool::Process(ProcessWorkerPool::new(
-                    cfg.pool_slots,
-                    cfg.pool_shards.max(1),
-                    cfg.transport,
-                ))
-            } else {
-                Pool::Thread(ShardWorkerPool::new(cfg.pool_slots, cfg.pool_shards.max(1)))
-            }
+            ShardWorkerPool::over_transport(cfg.pool_slots, cfg.pool_shards.max(1), cfg.transport)
+                .expect("cannot spawn the shard-worker pool")
         });
         JobServer {
             inner: Arc::new(Inner {
@@ -459,7 +420,7 @@ struct BackendStats {
 fn execute<T, F>(
     spec: &JobSpec,
     f: F,
-    lease: Option<Lease>,
+    lease: Option<ShardLease>,
     transport: TransportKind,
 ) -> Result<(Vec<T>, BackendStats), String>
 where
@@ -479,14 +440,7 @@ where
             spec.noise
                 .validate()
                 .map_err(|e| format!("invalid noise model: {e}"))?;
-            let engine = match lease {
-                Lease::Thread(lease) => {
-                    RemoteShardedEngine::from_lease(spec.seed, lease, spec.noise)
-                }
-                Lease::Process(lease) => {
-                    RemoteShardedEngine::from_process_lease(spec.seed, lease, spec.noise)
-                }
-            };
+            let engine = RemoteShardedEngine::from_lease(spec.seed, lease, spec.noise);
             Arc::new(Shared::new(engine, config.batch_policy()))
         }
         (JobBackend::Spawn(kind), _) => qmpi::build_backend_with_policy(

@@ -23,7 +23,10 @@ mod common;
 
 use common::conformance::{ensure_worker_bin, run_circuit, Outcome, Step};
 use common::ops;
-use qmpi::{run_with_config, BackendKind, QmpiConfig, TransportKind};
+use qmpi::{
+    run_with_config, BackendKind, QmpiConfig, RemoteShardedEngine, ShardWorkerPool, SimEngine,
+    TransportKind,
+};
 use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli};
 
 const SHARDS: usize = 2;
@@ -49,13 +52,18 @@ fn run_remote(transport: TransportKind, steps: &[Step], noise: NoiseModel, seed:
     out
 }
 
-fn assert_transports_bit_identical(steps: &[Step], noise: NoiseModel, seed: u64) {
+fn assert_transports_bit_identical(
+    socket: TransportKind,
+    steps: &[Step],
+    noise: NoiseModel,
+    seed: u64,
+) {
     ensure_worker_bin();
     let reference = run_remote(TransportKind::InProcess, steps, noise, seed);
-    let socket = run_remote(TransportKind::UnixSocket, steps, noise, seed);
     assert_eq!(
-        reference, socket,
-        "unix-socket transport diverged from in-process (seed {seed})"
+        reference,
+        run_remote(socket, steps, noise, seed),
+        "{socket} transport diverged from in-process (seed {seed})"
     );
 }
 
@@ -76,9 +84,11 @@ fn socket_transport_matches_in_process_bit_for_bit() {
         Step::Cnot(2, 3),
         Step::G(Gate::H, 3),
     ];
-    for seed in [1u64, 7, 42] {
-        assert_transports_bit_identical(&steps, NoiseModel::ideal(), seed);
-        assert_transports_bit_identical(&steps, NoiseModel::depolarizing(0.2), seed);
+    for socket in [TransportKind::UnixSocket, TransportKind::Tcp] {
+        for seed in [1u64, 7, 42] {
+            assert_transports_bit_identical(socket, &steps, NoiseModel::ideal(), seed);
+            assert_transports_bit_identical(socket, &steps, NoiseModel::depolarizing(0.2), seed);
+        }
     }
 }
 
@@ -121,14 +131,14 @@ fn teleportation_over_socket_workers_matches_in_process() {
 #[test]
 fn sigkilled_worker_respawns_and_finishes_bit_identically() {
     ensure_worker_bin();
-    use qmpi::{RemoteShardedEngine, SimEngine};
     let run = |kill: bool| {
         let mut e = RemoteShardedEngine::over_transport(
             11,
             SHARDS,
             NoiseModel::depolarizing(0.1),
             TransportKind::UnixSocket,
-        );
+        )
+        .expect("spawn unix-socket shard workers");
         let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
         for &q in &qs {
             e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
@@ -195,14 +205,15 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
 #[test]
 fn sigkilled_worker_mid_merged_batch_replays_segments_bit_identically() {
     ensure_worker_bin();
-    use qmpi::{RemoteShardedEngine, ShardableEngine, SimEngine};
+    use qmpi::ShardableEngine;
     let run = |kill: bool| {
         let mut e = RemoteShardedEngine::over_transport(
             17,
             SHARDS,
             NoiseModel::depolarizing(0.1),
             TransportKind::UnixSocket,
-        );
+        )
+        .expect("spawn unix-socket shard workers");
         let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
         for &q in &qs {
             e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
@@ -262,13 +273,13 @@ fn sigkilled_worker_mid_merged_batch_replays_segments_bit_identically() {
 #[test]
 fn worker_survives_repeated_kills() {
     ensure_worker_bin();
-    use qmpi::{RemoteShardedEngine, SimEngine};
     let mut e = RemoteShardedEngine::over_transport(
         5,
         SHARDS,
         NoiseModel::ideal(),
         TransportKind::UnixSocket,
-    );
+    )
+    .expect("spawn unix-socket shard workers");
     let q = e.alloc();
     let p = e.alloc();
     e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
@@ -283,6 +294,156 @@ fn worker_survives_repeated_kills() {
     );
     assert!(e.prob_one(p).unwrap() < 1e-9);
     assert!(e.transport_stats().respawns >= 2);
+}
+
+/// Every place worker worlds can live.
+const TRANSPORTS: [TransportKind; 3] = [
+    TransportKind::InProcess,
+    TransportKind::UnixSocket,
+    TransportKind::Tcp,
+];
+
+fn spawned(seed: u64, shards: usize, kind: TransportKind) -> RemoteShardedEngine {
+    RemoteShardedEngine::over_transport(seed, shards, NoiseModel::ideal(), kind)
+        .expect("spawn shard workers")
+}
+
+fn pool_over(slots: usize, shards: usize, kind: TransportKind) -> ShardWorkerPool {
+    ShardWorkerPool::over_transport(slots, shards, kind).expect("spawn the worker pool")
+}
+
+/// A short seeded program with measurements, exercising gates,
+/// cross-shard pairing, and RNG-consuming collapses.
+fn seeded_trajectory(e: &mut RemoteShardedEngine, seed_angle: f64) -> (Vec<bool>, Vec<u64>) {
+    let qs: Vec<_> = (0..4).map(|_| e.alloc()).collect();
+    e.apply_batch(&ops::gate(Gate::Ry(seed_angle), qs[0]))
+        .unwrap();
+    e.apply_batch(&ops::cnot(qs[0], qs[3])).unwrap();
+    e.apply_batch(&ops::gate(Gate::H, qs[1])).unwrap();
+    e.apply_batch(&ops::cz(qs[1], qs[2])).unwrap();
+    let outcomes: Vec<bool> = qs
+        .into_iter()
+        .map(|q| e.measure_and_free(q).unwrap())
+        .collect();
+    (outcomes, vec![e.gate_count(), e.measurement_count()])
+}
+
+#[test]
+fn leased_engines_are_bit_identical_to_spawned_and_slots_reset() {
+    ensure_worker_bin();
+    for kind in TRANSPORTS {
+        let pool = pool_over(2, 4, kind);
+        assert_eq!((pool.slots(), pool.shards()), (2, 4));
+        assert_eq!(pool.available(), 2);
+        for (seed, angle) in [(11u64, 0.3), (12, 1.1), (11, 0.3)] {
+            // Spawn-per-engine reference trajectory.
+            let want = seeded_trajectory(&mut spawned(seed, 4, kind), angle);
+            // Same seed over a pooled lease — including the third pass,
+            // which reuses a slot two earlier engines already dirtied.
+            let lease = pool.try_lease().expect("slot free");
+            assert_eq!(lease.shards(), 4);
+            let mut leased = RemoteShardedEngine::from_lease(seed, lease, NoiseModel::ideal());
+            let got = seeded_trajectory(&mut leased, angle);
+            assert_eq!(got, want, "{kind} seed {seed}: pooled must match spawned");
+            // The slot came back with its workers alive, not replaced.
+            assert_eq!(leased.transport_stats().respawns, 0, "{kind}");
+            drop(leased);
+            assert_eq!(pool.available(), 2, "{kind}: slot returned on engine drop");
+        }
+    }
+}
+
+/// Leases are exclusive, the pool reports exhaustion, and engines over
+/// concurrently held leases never observe each other's traffic.
+#[test]
+fn concurrent_leases_run_isolated_worlds() {
+    ensure_worker_bin();
+    for kind in TRANSPORTS {
+        let pool = pool_over(2, 2, kind);
+        let solo: Vec<_> = (0..2u64)
+            .map(|seed| seeded_trajectory(&mut spawned(seed, 2, kind), 0.4 + seed as f64))
+            .collect();
+        let leases = [pool.lease(), pool.lease()];
+        assert!(pool.try_lease().is_none(), "{kind}: both slots out");
+        std::thread::scope(|s| {
+            let handles: Vec<_> = leases
+                .into_iter()
+                .zip(0u64..)
+                .map(|(lease, seed)| {
+                    s.spawn(move || {
+                        let mut e =
+                            RemoteShardedEngine::from_lease(seed, lease, NoiseModel::ideal());
+                        seeded_trajectory(&mut e, 0.4 + seed as f64)
+                    })
+                })
+                .collect();
+            for (h, want) in handles.into_iter().zip(&solo) {
+                assert_eq!(&h.join().unwrap(), want, "{kind}");
+            }
+        });
+        assert_eq!(pool.available(), 2, "{kind}");
+    }
+}
+
+/// A blocking `lease()` wakes when the slot is released, and dropping the
+/// pool shuts its free slots down at once but a leased slot only when its
+/// lease drops (the engine over it keeps working until then).
+#[test]
+fn blocked_lease_wakes_on_release_and_leases_outlive_the_pool() {
+    ensure_worker_bin();
+    for kind in TRANSPORTS {
+        let pool = pool_over(1, 2, kind);
+        let held = pool.lease();
+        let (about_to_block, blocked) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| {
+                about_to_block.send(()).unwrap();
+                drop(pool.lease());
+            });
+            blocked.recv().unwrap();
+            // Best effort at letting the waiter reach the condvar; the
+            // assertions hold either way.
+            std::thread::sleep(std::time::Duration::from_millis(20));
+            assert!(!waiter.is_finished(), "{kind}: the only slot is held");
+            drop(held);
+            waiter.join().unwrap();
+        });
+        assert_eq!(pool.available(), 1, "{kind}");
+
+        let pool = pool_over(2, 2, kind);
+        let held = pool.lease();
+        drop(pool);
+        let want = seeded_trajectory(&mut spawned(5, 2, kind), 0.7);
+        let mut orphan = RemoteShardedEngine::from_lease(5, held, NoiseModel::ideal());
+        assert_eq!(seeded_trajectory(&mut orphan, 0.7), want, "{kind}");
+    }
+}
+
+/// A lessee that gets a worker process killed and then drops its engine
+/// mid-protocol (live qubits, a dead child, nothing cleaned up) poisons
+/// nothing: the slot goes home, and the next lessee's reset respawns the
+/// worker and lands on the trajectory of a freshly spawned engine.
+#[test]
+fn poisoned_lease_is_reset_for_the_next_lessee() {
+    ensure_worker_bin();
+    let kind = TransportKind::UnixSocket;
+    let pool = pool_over(1, SHARDS, kind);
+    let want = seeded_trajectory(&mut spawned(31, SHARDS, kind), 0.9);
+    {
+        let mut e = RemoteShardedEngine::from_lease(30, pool.lease(), NoiseModel::ideal());
+        let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
+        for w in qs.windows(2) {
+            e.apply_batch(&ops::gate(Gate::H, w[0])).unwrap();
+            e.apply_batch(&ops::cnot(w[0], w[1])).unwrap();
+        }
+        e.debug_kill_worker_process(SHARDS - 1);
+    }
+    assert_eq!(pool.available(), 1, "a poisoned slot still goes home");
+    let mut next = RemoteShardedEngine::from_lease(31, pool.lease(), NoiseModel::ideal());
+    assert_eq!(seeded_trajectory(&mut next, 0.9), want);
+    assert!(next.transport_stats().respawns >= 1, "the reset respawned");
+    drop(next);
+    assert_eq!(pool.available(), pool.slots());
 }
 
 mod proptests {
@@ -303,8 +464,9 @@ mod proptests {
             seed in 0u64..1000,
             p in 0.0f64..0.4,
         ) {
-            assert_transports_bit_identical(&steps, NoiseModel::ideal(), seed);
-            assert_transports_bit_identical(&steps, NoiseModel::depolarizing(p), seed);
+            let socket = TransportKind::UnixSocket;
+            assert_transports_bit_identical(socket, &steps, NoiseModel::ideal(), seed);
+            assert_transports_bit_identical(socket, &steps, NoiseModel::depolarizing(p), seed);
         }
     }
 }
