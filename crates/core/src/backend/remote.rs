@@ -18,8 +18,8 @@
 //! | tag | direction | carries |
 //! |---|---|---|
 //! | `TAG_CMD` | controller → worker | [`ShardCmd`] (gates, queries, lifecycle) |
-//! | `TAG_REPLY` | worker → controller | [`ShardReply`] (partial sums, stripes) |
-//! | `TAG_XCHG` | worker ↔ worker | stripe amplitudes for cross-shard pairing |
+//! | `TAG_REPLY` | worker → controller | [`ShardReply`] (partial sums, reshape reports, stripes) |
+//! | `TAG_XCHG` | worker ↔ worker | stripe amplitudes (cross-shard pairing, reshape parts) |
 //!
 //! Every command broadcast happens under one controller lock, so all
 //! workers observe the *same global command order*; each worker applies its
@@ -62,9 +62,17 @@
 //!   threaded trajectories are identical) and injected as uncounted
 //!   single-qubit gate commands — planned into the same batch frame as
 //!   the gates they ride on, in eager draw order.
-//! * **Structural operations** (allocate/free qubits, snapshots) gather the
-//!   stripes, rebuild, and scatter — the message-passing analogue of the
-//!   in-process store's flatten/rebuild.
+//! * **Allocating and freeing qubits** reshapes the stripes where they
+//!   live ([`ShardCmd::Reshape`]): the shard stays the top `k` bits of the
+//!   global index and a new qubit takes the top position, so the
+//!   controller can tell each worker which equal parts of its stripe go to
+//!   which workers and whose parts make up its new stripe. Parts move
+//!   worker↔worker on `TAG_XCHG`; a free sends two floats per worker back
+//!   (dropped mass, new squared norm) for the renormalization, an alloc
+//!   nothing.
+//! * **Snapshots** (`state_vector`), failover checkpoints and recovery are
+//!   the only users of the dense state: [`ShardCmd::Gather`] and
+//!   [`ShardCmd::Load`].
 //!
 //! ## Deadlock watchdog
 //!
@@ -111,6 +119,10 @@ const CONTROLLER: usize = 0;
 /// real thread with a mailbox, so this is deliberately tighter than the
 /// in-process stripe cap.
 pub const MAX_REMOTE_SHARD_BITS: u32 = 6;
+
+/// Qubit budget of the engine (`2^MAX_QUBITS` amplitudes across all
+/// stripes); the wire codec bounds stripe lengths by it.
+const MAX_QUBITS: usize = 29;
 
 /// Default watchdog for blocking protocol receives.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
@@ -594,6 +606,32 @@ pub enum ShardCmd {
         /// Real scale factor.
         factor: f64,
     },
+    /// In-place layout change for an alloc or a free: compact the stripe
+    /// locally, ship its equal parts worker↔worker on `TAG_XCHG`, and
+    /// assemble the new stripe from the parts received (zero-padded to
+    /// `len`). A rank equal to the worker's own (`shard_index + 1`) names a
+    /// part that stays where it is. Everyone sends before receiving and
+    /// sends are buffered, so no cycle of workers can wait on each other.
+    Reshape {
+        /// Drop this within-stripe qubit first, keeping the `bool` branch
+        /// ([`stripe::remove_qubit_flat`] on the worker's own stripe).
+        compact: Option<(usize, bool)>,
+        /// World ranks the stripe's `sends.len()` equal parts go to, in
+        /// offset order; empty discards the stripe (its mass is reported
+        /// as dropped).
+        sends: Vec<usize>,
+        /// World ranks whose parts make up the new stripe, in offset order.
+        recvs: Vec<usize>,
+        /// This worker's shard index under the new layout.
+        shard_index: usize,
+        /// Within-stripe bit count under the new layout.
+        local_bits: usize,
+        /// New stripe length: `2^local_bits`, or 0 for an inactive worker.
+        len: usize,
+        /// Whether to reply [`ShardReply::Reshaped`]: a free renormalizes
+        /// on the reports, an alloc needs nothing back.
+        report: bool,
+    },
     /// Exit the event loop cleanly (sent by the engine's destructor).
     Shutdown,
     /// Exit the event loop *without* completing the protocol — a test hook
@@ -656,6 +694,24 @@ impl Encode for ShardCmd {
             }
             ShardCmd::Shutdown => 9u8.encode(buf),
             ShardCmd::Die => 10u8.encode(buf),
+            ShardCmd::Reshape {
+                compact,
+                sends,
+                recvs,
+                shard_index,
+                local_bits,
+                len,
+                report,
+            } => {
+                12u8.encode(buf);
+                compact.encode(buf);
+                sends.encode(buf);
+                recvs.encode(buf);
+                shard_index.encode(buf);
+                local_bits.encode(buf);
+                len.encode(buf);
+                report.encode(buf);
+            }
             ShardCmd::Merged { segs } => {
                 11u8.encode(buf);
                 (segs.len() as u32).encode(buf);
@@ -732,6 +788,31 @@ impl Decode for ShardCmd {
                 }
                 ShardCmd::Merged { segs }
             }
+            12 => {
+                // The generic decoders reject an unknown compaction tag and
+                // a rank count beyond the bytes that remain.
+                let compact = Option::<(usize, bool)>::decode(buf)?;
+                let sends = Vec::<usize>::decode(buf)?;
+                let recvs = Vec::<usize>::decode(buf)?;
+                let shard_index = usize::decode(buf)?;
+                let local_bits = usize::decode(buf)?;
+                let len = usize::decode(buf)?;
+                let report = bool::decode(buf)?;
+                // No payload bytes back the stripe length; it must agree
+                // with a layout the engine can reach.
+                if local_bits > MAX_QUBITS || (len != 0 && len != 1 << local_bits) {
+                    return None;
+                }
+                ShardCmd::Reshape {
+                    compact,
+                    sends,
+                    recvs,
+                    shard_index,
+                    local_bits,
+                    len,
+                    report,
+                }
+            }
             _ => return None,
         })
     }
@@ -746,6 +827,14 @@ pub enum ShardReply {
     Amps(Vec<Complex>),
     /// A complex partial accumulator (distributed Pauli expectations).
     PartialC(Complex),
+    /// Outcome of a [`ShardCmd::Reshape`]: the probability mass this worker
+    /// discarded and the squared norm of its new stripe.
+    Reshaped {
+        /// Mass compacted away or discarded with the stripe.
+        dropped: f64,
+        /// Squared norm of the new stripe.
+        norm_sqr: f64,
+    },
 }
 
 impl Encode for ShardReply {
@@ -763,6 +852,11 @@ impl Encode for ShardReply {
                 2u8.encode(buf);
                 encode_complex(c, buf);
             }
+            ShardReply::Reshaped { dropped, norm_sqr } => {
+                3u8.encode(buf);
+                dropped.encode(buf);
+                norm_sqr.encode(buf);
+            }
         }
     }
 }
@@ -773,6 +867,10 @@ impl Decode for ShardReply {
             0 => f64::decode(buf).map(ShardReply::Partial),
             1 => decode_amps(buf).map(ShardReply::Amps),
             2 => decode_complex(buf).map(ShardReply::PartialC),
+            3 => Some(ShardReply::Reshaped {
+                dropped: f64::decode(buf)?,
+                norm_sqr: f64::decode(buf)?,
+            }),
             _ => None,
         }
     }
@@ -789,9 +887,9 @@ pub(crate) enum WorkerHalt {
     /// or a watchdog expired. The worker exits its loop.
     Exit,
     /// A failover abort: the controller declared a new epoch mid-protocol.
-    /// The worker abandons the in-flight batch and returns to the command
-    /// loop; its (possibly half-updated) stripe is overwritten by the
-    /// recovery `Load`.
+    /// The worker abandons the in-flight batch or reshape and returns to
+    /// the command loop; its (possibly half-updated) stripe is overwritten
+    /// by the recovery `Load`.
     Aborted,
 }
 
@@ -865,6 +963,55 @@ fn run_op<C: ShardChannel>(
         }
     }
     Ok(())
+}
+
+/// Executes a [`ShardCmd::Reshape`] against the owned stripe (`me` is this
+/// worker's world rank) and returns the probability mass it discarded.
+/// Every part is sent before any is awaited.
+fn reshape<C: ShardChannel>(
+    chan: &mut C,
+    amps: &mut Vec<Complex>,
+    me: usize,
+    compact: Option<(usize, bool)>,
+    sends: &[usize],
+    recvs: &[usize],
+    len: usize,
+) -> Result<f64, WorkerHalt> {
+    let mut old = std::mem::take(amps);
+    let mut dropped = 0.0;
+    if let Some((pos, outcome)) = compact {
+        (old, dropped) = stripe::remove_qubit_flat(&old, pos, outcome);
+    }
+    if sends.is_empty() {
+        dropped += old.iter().map(|a| a.norm_sqr()).sum::<f64>();
+    }
+    let part = old.len() / sends.len().max(1);
+    let mut kept = Vec::new();
+    for &to in sends {
+        let rest = old.split_off(part);
+        let chunk = std::mem::replace(&mut old, rest);
+        if to == me {
+            kept = chunk;
+        } else {
+            chan.send_xchg(to, chunk)?;
+        }
+    }
+    let mut new = Vec::new();
+    for &from in recvs {
+        let chunk = if from == me {
+            std::mem::take(&mut kept)
+        } else {
+            chan.recv_xchg(from, "its stripe part")?
+        };
+        if new.is_empty() {
+            new = chunk;
+        } else {
+            new.extend(chunk);
+        }
+    }
+    new.resize(len, Complex::default());
+    *amps = new;
+    Ok(dropped)
 }
 
 /// The event loop each shard worker runs, generic over its transport:
@@ -1020,6 +1167,31 @@ pub(crate) fn worker_loop<C: ShardChannel>(chan: &mut C) {
                 }
             }
             ShardCmd::Scale { factor } => stripe::scale(&mut amps, factor),
+            ShardCmd::Reshape {
+                compact,
+                sends,
+                recvs,
+                shard_index,
+                local_bits,
+                len,
+                report,
+            } => {
+                base = shard_index << local_bits;
+                let me = shard_index + 1;
+                match reshape(chan, &mut amps, me, compact, &sends, &recvs, len) {
+                    Ok(dropped) if report => {
+                        let norm_sqr = amps.iter().map(|a| a.norm_sqr()).sum();
+                        let reply = ShardReply::Reshaped { dropped, norm_sqr };
+                        if chan.send_reply(&reply).is_err() {
+                            return;
+                        }
+                    }
+                    // Aborted as mid-batch: the recovery Load overwrites
+                    // the half-moved stripe.
+                    Ok(_) | Err(WorkerHalt::Aborted) => {}
+                    Err(WorkerHalt::Exit) => return,
+                }
+            }
             ShardCmd::Shutdown | ShardCmd::Die => return,
         }
     }
@@ -1105,6 +1277,7 @@ impl LoggedUnit {
                     | ShardCmd::Collapse { .. }
                     | ShardCmd::CollapseParity { .. }
                     | ShardCmd::Scale { .. }
+                    | ShardCmd::Reshape { .. }
             )
         })
     }
@@ -1116,8 +1289,9 @@ impl LoggedUnit {
 /// always "reload checkpoint, replay log" — a failed unit's partial
 /// effects are erased by the reload and the unit is retried whole.
 struct FailoverState {
-    /// Last checkpointed dense state (refreshed by every scatter, every
-    /// whole-state gather, and the periodic forced checkpoint).
+    /// Last checkpointed dense state: the scalar state of a fresh engine,
+    /// then every whole-state gather (snapshot reads and the periodic
+    /// forced checkpoint).
     checkpoint: Vec<Complex>,
     /// Qubit count the checkpoint was taken at.
     ckpt_qubits: usize,
@@ -1232,11 +1406,26 @@ impl Controller {
         Ok(reply)
     }
 
+    /// Unwraps the reply shape the protocol calls for at this point; a
+    /// worker answering with any other shape is a protocol bug, diagnosed
+    /// here for every caller.
+    fn shaped<T>(
+        shard: usize,
+        label: &str,
+        reply: ShardReply,
+        extract: impl FnOnce(ShardReply) -> Result<T, ShardReply>,
+    ) -> T {
+        extract(reply).unwrap_or_else(|other| {
+            panic!("shard {shard} sent {other:?} where {label} was expected")
+        })
+    }
+
     fn partial_from(&mut self, shard: usize, what: &str) -> Result<f64, DeadWorker> {
-        match self.reply_from(shard, what)? {
+        let reply = self.reply_from(shard, what)?;
+        Ok(Self::shaped(shard, "a partial", reply, |r| match r {
             ShardReply::Partial(v) => Ok(v),
-            other => panic!("shard {shard} sent {other:?} where a partial was expected"),
-        }
+            other => Err(other),
+        }))
     }
 
     /// Fans a query command out to every active shard and sums the partial
@@ -1262,37 +1451,27 @@ impl Controller {
         }
         let mut flat = Vec::with_capacity(1usize << self.n_qubits);
         for s in 0..self.active() {
-            match self.reply_raw(s, "gather")? {
-                ShardReply::Amps(a) => flat.extend(a),
-                other => panic!("shard {s} sent {other:?} where a stripe was expected"),
-            }
+            let reply = self.reply_raw(s, "gather")?;
+            flat.extend(Self::shaped(s, "a stripe", reply, |r| match r {
+                ShardReply::Amps(a) => Ok(a),
+                other => Err(other),
+            }));
         }
         Ok(flat)
     }
 
-    /// Gathers the dense state, retrying through failover until it
-    /// succeeds. A successful gather IS a checkpoint — the freshest one
-    /// possible — so failover state is refreshed for free.
+    /// Gathers the dense state for a reader, surviving worker death. With
+    /// failover armed the gather IS a checkpoint — the freshest one
+    /// possible — so the reader gets a copy of it.
     fn run_gather(&mut self) -> Vec<Complex> {
         self.cmd_rounds += 1;
-        if self.failover.is_none() {
-            return self
-                .gather_raw()
-                .unwrap_or_else(|_| unreachable!("in-process links never report dead workers"));
+        if self.failover.is_some() {
+            self.checkpoint_now();
+            let f = self.failover.as_ref().expect("checked above");
+            return f.checkpoint.clone();
         }
-        loop {
-            match self.gather_raw() {
-                Ok(flat) => {
-                    let n = self.n_qubits;
-                    let f = self.failover.as_mut().expect("checked above");
-                    f.checkpoint = flat.clone();
-                    f.ckpt_qubits = n;
-                    f.log.clear();
-                    return flat;
-                }
-                Err(DeadWorker) => self.recover(),
-            }
-        }
+        self.gather_raw()
+            .unwrap_or_else(|_| unreachable!("in-process links never report dead workers"))
     }
 
     /// Uncounted, unrecorded scatter: recomputes the shard layout for
@@ -1321,29 +1500,6 @@ impl Controller {
             )?;
         }
         Ok(())
-    }
-
-    /// Scatters a new dense state, surviving worker death. The scatter
-    /// itself becomes the checkpoint *before* any frame is sent — a `Load`
-    /// overwrites whole stripes, so recovery's checkpoint reload simply
-    /// re-does the scatter. The failover log is cleared: nothing before a
-    /// full-state scatter needs replaying.
-    fn run_scatter(&mut self, flat: Vec<Complex>, n_qubits: usize) {
-        self.cmd_rounds += 1;
-        if self.failover.is_some() {
-            let f = self.failover.as_mut().expect("checked above");
-            f.checkpoint = flat.clone();
-            f.ckpt_qubits = n_qubits;
-            f.log.clear();
-            if self.scatter_raw(flat, n_qubits).is_err() {
-                // recover() reloads the just-refreshed checkpoint, which
-                // re-performs this very scatter.
-                self.recover();
-            }
-        } else {
-            self.scatter_raw(flat, n_qubits)
-                .unwrap_or_else(|_| unreachable!("in-process links never report dead workers"));
-        }
     }
 
     /// Runs one retry unit to completion. For in-process links this is a
@@ -1450,16 +1606,23 @@ impl Controller {
                 .expect("recovery requires failover state");
             (f.checkpoint.clone(), f.ckpt_qubits, f.log.clone())
         };
-        self.scatter_raw(flat, n)?;
-        for unit in &log {
-            for (s, cmd) in &unit.sends {
-                self.send_raw(*s, cmd)?;
+        // The scatter rewinds the layout to the checkpoint's; logged
+        // reshapes carry their own layouts, so the controller's goes back
+        // to the live one whether or not this attempt survives.
+        let live = (self.n_qubits, self.shard_bits);
+        let result = self.scatter_raw(flat, n).and_then(|()| {
+            for unit in &log {
+                for (s, cmd) in &unit.sends {
+                    self.send_raw(*s, cmd)?;
+                }
+                for &s in &unit.drains {
+                    self.reply_raw(s, "replayed reply")?;
+                }
             }
-            for &s in &unit.drains {
-                self.reply_raw(s, "replayed reply")?;
-            }
-        }
-        Ok(())
+            Ok(())
+        });
+        (self.n_qubits, self.shard_bits) = live;
+        result
     }
 
     /// Splits a set of global qubit positions into (within-stripe,
@@ -1738,12 +1901,110 @@ impl Controller {
         }
         let mut acc = Complex::default();
         for s in reporters {
-            match self.reply_from(s, "expectation partial")? {
-                ShardReply::PartialC(c) => acc += c,
-                other => panic!("shard {s} sent {other:?} where a complex partial was expected"),
-            }
+            let reply = self.reply_from(s, "expectation partial")?;
+            acc += Self::shaped(s, "a complex partial", reply, |r| match r {
+                ShardReply::PartialC(c) => Ok(c),
+                other => Err(other),
+            });
         }
         Ok(acc)
+    }
+
+    /// Alloc (`remove` is `None`: the new qubit takes the top position) or
+    /// free (`Some((pos, outcome))`, the qubit already collapsed) where the
+    /// amplitudes live. The shard stays the top `k` bits of the global
+    /// index, so every old stripe splits into equal parts with one
+    /// destination each: one [`ShardCmd::Reshape`] round tells each worker
+    /// where its parts go and whose parts it assembles. Nothing comes back
+    /// from an alloc; a free reduces the per-worker reports in shard order
+    /// and ends with the rescale broadcast. The layout fields change last,
+    /// so a retried unit plans from the old layout again.
+    fn reshape(&mut self, remove: Option<(usize, bool)>) -> Result<(), DeadWorker> {
+        let (l, bits) = (self.local_bits(), self.shard_bits);
+        let new_n = if remove.is_some() {
+            self.n_qubits - 1
+        } else {
+            self.n_qubits + 1
+        };
+        let new_bits = self.max_shard_bits.min(new_n as u32);
+        let new_l = new_n - new_bits as usize;
+        // Destination shards of old shard `s`'s equal parts, in offset
+        // order; none when the stripe lies on the discarded branch.
+        let dest = |s: usize| match remove {
+            // The shard count doubles: single amplitudes stay put.
+            None if new_bits > bits => vec![s],
+            // New shard `s'` is old shards `2s'` and `2s' + 1` end to end.
+            None => vec![s >> 1],
+            Some((pos, _)) if pos < l => vec![s],
+            Some((pos, outcome)) => {
+                let j = pos - l;
+                if (s >> j) & 1 != outcome as usize {
+                    return Vec::new();
+                }
+                let s_r = (s & ((1 << j) - 1)) | ((s >> (j + 1)) << j);
+                if new_bits < bits {
+                    vec![s_r]
+                } else {
+                    vec![s_r << 1, (s_r << 1) | 1]
+                }
+            }
+        };
+        let involved = self.active().max(1 << new_bits);
+        let mut sends = vec![Vec::new(); involved];
+        let mut recvs = vec![Vec::new(); involved];
+        for (s, sends) in sends.iter_mut().enumerate().take(self.active()) {
+            for d in dest(s) {
+                sends.push(self.rank_of(d));
+                recvs[d].push(self.rank_of(s));
+                self.xchg_rounds += (d != s) as u64;
+            }
+        }
+        self.cmd_rounds += 1;
+        for (s, (sends, recvs)) in sends.into_iter().zip(recvs).enumerate() {
+            let cmd = ShardCmd::Reshape {
+                compact: remove.filter(|&(pos, _)| pos < l),
+                sends,
+                recvs,
+                shard_index: s,
+                local_bits: new_l,
+                len: if s >> new_bits == 0 { 1 << new_l } else { 0 },
+                report: remove.is_some(),
+            };
+            self.send_to(s, &cmd)?;
+        }
+        if let Some((pos, outcome)) = remove {
+            let (mut dropped, mut norm_sqr) = (0.0, 0.0);
+            for s in 0..involved {
+                let reply = self.reply_from(s, "reshape report")?;
+                let (d, n) = Self::shaped(s, "a reshape report", reply, |r| match r {
+                    ShardReply::Reshaped { dropped, norm_sqr } => Ok((dropped, norm_sqr)),
+                    other => Err(other),
+                });
+                dropped += d;
+                norm_sqr += n;
+            }
+            assert!(
+                dropped < NORM_TOL,
+                "removing qubit position {pos} with outcome {outcome} would discard \
+                 {dropped:.3e} probability; collapse it first"
+            );
+            let norm = norm_sqr.sqrt();
+            assert!(norm > 0.0, "cannot renormalize the zero vector");
+            self.rescale(1 << new_bits, 1.0 / norm)?;
+        }
+        self.n_qubits = new_n;
+        self.shard_bits = new_bits;
+        Ok(())
+    }
+
+    /// Fire-and-forget rescale of the first `shards` stripes: the last
+    /// round of every renormalization.
+    fn rescale(&mut self, shards: usize, factor: f64) -> Result<(), DeadWorker> {
+        self.cmd_rounds += 1;
+        for s in 0..shards {
+            self.send_to(s, &ShardCmd::Scale { factor })?;
+        }
+        Ok(())
     }
 
     /// Two-phase projective collapse onto `want` under `mask`: zero the
@@ -1751,11 +2012,7 @@ impl Controller {
     fn collapse(&mut self, mask: usize, want: usize) -> Result<f64, DeadWorker> {
         let norm = self.reduce_partials(&ShardCmd::Collapse { mask, want }, "collapse")?;
         assert!(norm > 1e-12, "collapsing onto probability-zero outcome");
-        let inv = 1.0 / norm.sqrt();
-        self.cmd_rounds += 1;
-        for s in 0..self.active() {
-            self.send_to(s, &ShardCmd::Scale { factor: inv })?;
-        }
+        self.rescale(self.active(), 1.0 / norm.sqrt())?;
         Ok(norm)
     }
 }
@@ -1838,8 +2095,11 @@ impl RemoteShardedEngine {
             xchg_rounds: 0,
             failover,
         };
-        // The 0-qubit scalar state |> with amplitude 1.
-        ctl.run_scatter(vec![Complex::real(1.0)], 0);
+        // The 0-qubit scalar state |> with amplitude 1 — the checkpoint a
+        // fresh `FailoverState` holds, so a death during this scatter
+        // recovers into the same state.
+        ctl.cmd_rounds += 1;
+        ctl.run(|c| c.scatter_raw(vec![Complex::real(1.0)], 0));
         RemoteShardedEngine {
             ctl: Mutex::new(ctl),
             reg: QubitRegistry::new(),
@@ -1981,21 +2241,10 @@ impl RemoteShardedEngine {
         }
     }
 
-    /// Gathers, removes a collapsed qubit from the flat vector, rebuilds.
+    /// Frees the already-collapsed qubit at `pos`, in place on the workers.
     fn remove_at(&mut self, q: QubitId, pos: usize, outcome: bool) {
         let ctl = self.ctl.get_mut();
-        let flat = ctl.run_gather();
-        let (mut out, dropped) = stripe::remove_qubit_flat(&flat, pos, outcome);
-        assert!(
-            dropped < NORM_TOL,
-            "removing qubit position {pos} with outcome {outcome} would discard {dropped:.3e} \
-             probability; collapse it first"
-        );
-        let norm: f64 = out.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
-        assert!(norm > 0.0, "cannot renormalize the zero vector");
-        stripe::scale(&mut out, 1.0 / norm);
-        let n = ctl.n_qubits - 1;
-        ctl.run_scatter(out, n);
+        ctl.run(|c| c.reshape(Some((pos, outcome))));
         self.reg.remove(q, pos);
     }
 }
@@ -2235,11 +2484,9 @@ impl super::SimEngine for RemoteShardedEngine {
 
     fn alloc(&mut self) -> QubitId {
         let ctl = self.ctl.get_mut();
-        assert!(ctl.n_qubits < 29, "qubit budget exhausted");
+        assert!(ctl.n_qubits < MAX_QUBITS, "qubit budget exhausted");
         let pos = ctl.n_qubits;
-        let mut flat = ctl.run_gather();
-        flat.resize(flat.len() * 2, Complex::default());
-        ctl.run_scatter(flat, pos + 1);
+        ctl.run(|c| c.reshape(None));
         self.reg.push(pos)
     }
 
@@ -2300,12 +2547,7 @@ impl super::SimEngine for RemoteShardedEngine {
                 &ShardCmd::CollapseParity { mask, want_odd },
                 "parity collapse",
             )?;
-            let inv = 1.0 / norm.sqrt();
-            c.cmd_rounds += 1;
-            for s in 0..c.active() {
-                c.send_to(s, &ShardCmd::Scale { factor: inv })?;
-            }
-            Ok(())
+            c.rescale(c.active(), 1.0 / norm.sqrt())
         });
         Ok(want_odd)
     }
@@ -2477,6 +2719,36 @@ mod tests {
             ShardCmd::Scale { factor: 1.25 },
             ShardCmd::Shutdown,
             ShardCmd::Die,
+            // A free that compacts locally and keeps the stripe...
+            ShardCmd::Reshape {
+                compact: Some((2, true)),
+                sends: vec![4],
+                recvs: vec![4],
+                shard_index: 3,
+                local_bits: 5,
+                len: 32,
+                report: true,
+            },
+            // ...an alloc assembling two neighbours' stripes...
+            ShardCmd::Reshape {
+                compact: None,
+                sends: vec![1],
+                recvs: vec![1, 2],
+                shard_index: 0,
+                local_bits: 3,
+                len: 8,
+                report: false,
+            },
+            // ...and a worker that discards its stripe and goes inactive.
+            ShardCmd::Reshape {
+                compact: None,
+                sends: vec![],
+                recvs: vec![],
+                shard_index: 6,
+                local_bits: 0,
+                len: 0,
+                report: true,
+            },
             ShardCmd::Merged { segs: vec![] },
             ShardCmd::Merged {
                 segs: vec![
@@ -2515,6 +2787,10 @@ mod tests {
             ShardReply::Amps(vec![Complex::new(1.0, -2.0); 5]),
             ShardReply::Amps(vec![]),
             ShardReply::PartialC(Complex::new(-0.75, 2.5)),
+            ShardReply::Reshaped {
+                dropped: 1e-17,
+                norm_sqr: 0.5,
+            },
         ] {
             let bytes = cmpi::to_bytes(&reply);
             let back: ShardReply = cmpi::from_bytes(&bytes).expect("decode");
@@ -2580,6 +2856,29 @@ mod tests {
         3u8.encode(&mut buf); // ...but only one Phase follows
         0b1usize.encode(&mut buf);
         assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
+        // Reshape frames: an unknown compaction tag, a rank list longer
+        // than the payload (either list), a frame cut short, and a stripe
+        // length that disagrees with the layout.
+        let reshape = |compact_tag: u8, sends: usize, recvs: usize, len: usize| {
+            let mut buf = BytesMut::new();
+            12u8.encode(&mut buf); // ShardCmd::Reshape
+            compact_tag.encode(&mut buf);
+            sends.encode(&mut buf); // rank counts; no ranks follow
+            recvs.encode(&mut buf);
+            1usize.encode(&mut buf); // shard_index
+            4usize.encode(&mut buf); // local_bits
+            len.encode(&mut buf);
+            true.encode(&mut buf); // report
+            buf.freeze()
+        };
+        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, 0, 0, 16)).is_some());
+        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(7, 0, 0, 16)).is_none());
+        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, usize::MAX, 0, 16)).is_none());
+        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, 0, usize::MAX, 16)).is_none());
+        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, 0, 0, 17)).is_none());
+        let mut whole = reshape(0, 0, 0, 16);
+        let cut = whole.split_to(whole.len() - 1);
+        assert!(cmpi::from_bytes::<ShardCmd>(&cut).is_none());
         // Expect with an unknown role.
         let mut buf = BytesMut::new();
         3u8.encode(&mut buf); // ShardCmd::Expect

@@ -23,11 +23,12 @@ mod common;
 
 use common::conformance::{ensure_worker_bin, run_circuit, Outcome, Step};
 use common::ops;
+use proptest::test_runner::TestRng;
 use qmpi::{
     run_with_config, BackendKind, QmpiConfig, RemoteShardedEngine, ShardWorkerPool, SimEngine,
-    TransportKind,
+    StateVectorEngine, TransportKind,
 };
-use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli};
+use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli, QubitId};
 
 const SHARDS: usize = 2;
 const N_QUBITS: usize = 4;
@@ -65,6 +66,17 @@ fn assert_transports_bit_identical(
         run_remote(socket, steps, noise, seed),
         "{socket} transport diverged from in-process (seed {seed})"
     );
+}
+
+/// Amplitudes of the engine's state as bit patterns.
+fn amp_bits(e: &RemoteShardedEngine, order: &[QubitId]) -> Vec<(u64, u64)> {
+    let st = e.state_vector(order).unwrap();
+    (0..st.len())
+        .map(|i| {
+            let a = st.amplitude(i);
+            (a.re.to_bits(), a.im.to_bits())
+        })
+        .collect()
 }
 
 /// A fixed dense circuit (Clifford + T + rotations, cross-shard traffic
@@ -170,13 +182,7 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
         // A measurement draws from the engine RNG: trajectory identity
         // proves replay did not re-draw or skip randomness.
         let m = e.measure(qs[1]).unwrap();
-        let st = e.state_vector(&qs).unwrap();
-        let amps: Vec<(u64, u64)> = (0..st.len())
-            .map(|i| {
-                let a = st.amplitude(i);
-                (a.re.to_bits(), a.im.to_bits())
-            })
-            .collect();
+        let amps = amp_bits(&e, &qs);
         let stats = e.transport_stats();
         if kill {
             assert!(
@@ -243,13 +249,7 @@ fn sigkilled_worker_mid_merged_batch_replays_segments_bit_identically() {
             .unwrap();
         // Trajectory identity proves replay did not re-draw randomness.
         let m = e.measure(qs[0]).unwrap();
-        let st = e.state_vector(&qs).unwrap();
-        let amps: Vec<(u64, u64)> = (0..st.len())
-            .map(|i| {
-                let a = st.amplitude(i);
-                (a.re.to_bits(), a.im.to_bits())
-            })
-            .collect();
+        let amps = amp_bits(&e, &qs);
         let stats = e.transport_stats();
         if kill {
             assert!(
@@ -294,6 +294,176 @@ fn worker_survives_repeated_kills() {
     );
     assert!(e.prob_one(p).unwrap() < 1e-9);
     assert!(e.transport_stats().respawns >= 2);
+}
+
+/// Allocs and frees are logged units like any gate batch, not
+/// checkpoints: a worker SIGKILLed (a) before an alloc, (b) between an
+/// alloc and its first gate, (c) before a `measure_and_free` is respawned,
+/// the checkpoint reloaded at *its* layout, the logged reshapes replayed on
+/// top — and the run lands on the undisturbed run's outcomes and amplitude
+/// bits. Odd rounds free a low (within-stripe) position, even rounds the
+/// top (shard-selecting) one, so both data paths replay.
+#[test]
+fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
+    ensure_worker_bin();
+    const ROUNDS: usize = 12;
+    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+        let run = |kill: bool| {
+            let mut e = spawned(19, SHARDS, kind);
+            let mut kills = 0u64;
+            let mut kill_at = |e: &RemoteShardedEngine, round: usize, site: usize| {
+                if kill && round % 3 == site {
+                    e.debug_kill_worker_process(round % SHARDS);
+                    kills += 1;
+                }
+            };
+            let mut live: Vec<_> = (0..3).map(|_| e.alloc()).collect();
+            for (i, &q) in live.iter().enumerate() {
+                e.apply_batch(&ops::gate(Gate::Ry(0.4 + i as f64), q))
+                    .unwrap();
+            }
+            let mut outcomes = Vec::new();
+            for round in 0..ROUNDS {
+                kill_at(&e, round, 0);
+                let fresh = e.alloc();
+                kill_at(&e, round, 1);
+                e.apply_batch(&ops::gate(Gate::H, fresh)).unwrap();
+                e.apply_batch(&ops::cnot(fresh, live[round % 3])).unwrap();
+                kill_at(&e, round, 2);
+                let gone = if round % 2 == 0 {
+                    fresh
+                } else {
+                    std::mem::replace(&mut live[round % 3], fresh)
+                };
+                outcomes.push(e.measure_and_free(gone).unwrap());
+            }
+            let respawns = e.transport_stats().respawns;
+            assert!(
+                respawns >= kills,
+                "{kind}: {respawns} respawns, {kills} kills"
+            );
+            (outcomes, amp_bits(&e, &live))
+        };
+        assert_eq!(
+            run(false),
+            run(true),
+            "{kind}: worker deaths around layout changes must not show"
+        );
+    }
+}
+
+/// The in-place reshape against the dense engine: seeded interleavings of
+/// alloc / rotation + CNOT / `measure_and_free` at random positions, up to
+/// 7 live qubits, so at 8 shards the state grows and shrinks through
+/// fewer-qubits-than-shard-bits and every stripe-part routing case runs.
+/// Outcomes are identical and amplitudes agree to 1e-12 after every step —
+/// bit for bit with one shard, where the reduction order is the dense one.
+#[test]
+fn reshape_tracks_the_dense_engine_through_every_layout_case() {
+    for shards in [1usize, 2, 4, 8] {
+        for seed in 0..4u64 {
+            let mut rng = TestRng::for_case(seed * 16 + shards as u64);
+            let mut dense = StateVectorEngine::new(seed);
+            let mut remote = RemoteShardedEngine::new(seed, shards);
+            let (mut dq, mut rq): (Vec<QubitId>, Vec<QubitId>) = (Vec::new(), Vec::new());
+            for step in 0..80 {
+                let n = dq.len();
+                match rng.below(3) {
+                    0 if n < 7 => {
+                        dq.push(dense.alloc());
+                        rq.push(remote.alloc());
+                    }
+                    1 if n > 0 => {
+                        let i = rng.below(n as u64) as usize;
+                        let ry = Gate::Ry(3.0 * rng.unit_f64());
+                        dense.apply_batch(&ops::gate(ry, dq[i])).unwrap();
+                        remote.apply_batch(&ops::gate(ry, rq[i])).unwrap();
+                        if n > 1 {
+                            let j = (i + 1 + rng.below(n as u64 - 1) as usize) % n;
+                            dense.apply_batch(&ops::cnot(dq[i], dq[j])).unwrap();
+                            remote.apply_batch(&ops::cnot(rq[i], rq[j])).unwrap();
+                        }
+                    }
+                    2 if n > 0 => {
+                        let i = rng.below(n as u64) as usize;
+                        assert_eq!(
+                            dense.measure_and_free(dq.remove(i)).unwrap(),
+                            remote.measure_and_free(rq.remove(i)).unwrap(),
+                            "shards={shards} seed={seed} step={step}: outcome"
+                        );
+                    }
+                    _ => continue,
+                }
+                let want = dense.state_vector(&dq).unwrap();
+                let got = remote.state_vector(&rq).unwrap();
+                assert_eq!(want.len(), got.len());
+                for i in 0..want.len() {
+                    let (w, g) = (want.amplitude(i), got.amplitude(i));
+                    let same = if shards == 1 {
+                        (w.re.to_bits(), w.im.to_bits()) == (g.re.to_bits(), g.im.to_bits())
+                    } else {
+                        w.approx_eq(g, 1e-12)
+                    };
+                    assert!(
+                        same,
+                        "shards={shards} seed={seed} step={step} amp[{i}]: {w:?} vs {g:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Alloc and free move stripe parts worker↔worker and report two floats per
+/// worker; the dense state never reaches the controller. Over the socket
+/// that is a byte bound: growing a 12-qubit state costs the one stripe that
+/// changes owner, relayed once (in and out of the router: one state's worth
+/// of bytes, where gather + doubled scatter cost three), and freeing a
+/// within-stripe qubit costs command and report frames only.
+#[test]
+fn alloc_and_free_keep_the_state_off_the_controller_wire() {
+    // A forced checkpoint is a gather by design; with the interval lowered
+    // (CI's QMPI_CHECKPOINT_ROUNDS=1 lane) one lands inside every window
+    // measured here, and the bounds are about alloc and free themselves.
+    if std::env::var_os("QMPI_CHECKPOINT_ROUNDS").is_some() {
+        return;
+    }
+    ensure_worker_bin();
+    let mut e = spawned(3, SHARDS, TransportKind::UnixSocket);
+    let qs: Vec<_> = (0..12).map(|_| e.alloc()).collect();
+    for &q in &qs {
+        e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+    }
+    let state_bytes = 16u64 << qs.len();
+    // Gate batches are fire-and-forget; a reduction first, so the routers
+    // have counted every exchange still in flight.
+    let bytes = |e: &RemoteShardedEngine| {
+        e.prob_one(qs[1]).unwrap();
+        e.transport_stats().wire_bytes
+    };
+
+    let before = bytes(&e);
+    let top = e.alloc();
+    let alloc_bytes = bytes(&e) - before;
+    assert!(
+        alloc_bytes < state_bytes + 1024,
+        "alloc moved {alloc_bytes} B for a {state_bytes} B state"
+    );
+
+    let before = bytes(&e);
+    e.measure_and_free(qs[0]).unwrap();
+    let free_bytes = bytes(&e) - before;
+    assert!(
+        free_bytes < 1024,
+        "a within-stripe free moved {free_bytes} B"
+    );
+
+    // The state survived both: every remaining qubit still reads |+>.
+    for &q in &qs[1..] {
+        let x = e.expectation(&[(q, Pauli::X)]).unwrap();
+        assert!((x - 1.0).abs() < 1e-12, "<X> = {x}");
+    }
+    assert!(e.prob_one(top).unwrap() < 1e-12);
 }
 
 /// Every place worker worlds can live.
