@@ -3,6 +3,8 @@
 //! to the values measured from this implementation, so EXPERIMENTS.md can
 //! be audited by running them.
 
+#![forbid(unsafe_code)]
+
 use qchem::{molecular_hamiltonian, Encoding, Molecule, PauliSum};
 
 /// Parses a `--atoms N` style argument (defaults provided per binary).

@@ -11,6 +11,8 @@
 //! See DESIGN.md substitution #1 for why an in-process transport preserves
 //! everything the paper's prototype needs from MPI.
 
+#![forbid(unsafe_code)]
+
 pub mod collectives;
 pub mod comm;
 pub mod encode;

@@ -6,6 +6,8 @@
 //! track a `[start, end)` window, so `clone`/`split_to` are O(1) like the
 //! real crate.
 
+#![forbid(unsafe_code)]
+
 use std::sync::Arc;
 
 /// A cheaply cloneable, contiguous slice of immutable bytes.

@@ -16,6 +16,8 @@
 //!   collected results as JSON after the groups finish, so pipelines can
 //!   archive a machine-readable perf artifact per commit.
 
+#![forbid(unsafe_code)]
+
 use std::sync::{Mutex, OnceLock};
 use std::time::{Duration, Instant};
 

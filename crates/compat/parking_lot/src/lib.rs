@@ -12,6 +12,8 @@
 //!   `Condvar::{wait, wait_until, notify_one, notify_all}` and
 //!   `WaitTimeoutResult::timed_out`.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Deref, DerefMut};
 use std::time::Instant;
 

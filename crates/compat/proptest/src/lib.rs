@@ -18,6 +18,8 @@
 //! stress lane uses to rerun the in-tree properties at ~10x depth off the
 //! pull-request critical path.
 
+#![forbid(unsafe_code)]
+
 pub mod test_runner {
     /// Per-test configuration (case count only).
     #[derive(Clone, Copy, Debug)]

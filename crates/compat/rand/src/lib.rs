@@ -5,6 +5,8 @@
 //! Deterministic across platforms, which the simulator's seeded-measurement
 //! contract requires.
 
+#![forbid(unsafe_code)]
+
 /// Construction of a generator from a seed.
 pub trait SeedableRng: Sized {
     /// Builds a generator whose stream is fully determined by `seed`.

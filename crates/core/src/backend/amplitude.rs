@@ -1,37 +1,62 @@
-//! The sparse full-state engine: real amplitudes at paper-scale rank counts.
+//! The two full-state amplitude engines — dense (the paper's prototype
+//! backend) and sparse (real amplitudes at paper-scale rank counts) — as one
+//! generic engine over the simulator front's amplitude store.
 
 use super::{BackendKind, SimEngine};
 use qsim::noise::NoiseModel;
-use qsim::sparse::SparseSim;
-use qsim::{BatchOp, GateBatch, Pauli, QubitId, SimError, State};
+use qsim::sim::AmpSim;
+use qsim::{AmpStore, BatchOp, GateBatch, Pauli, QubitId, SimError, SparseState, State};
 
-/// Sparse-amplitude engine over [`qsim::sparse::SparseSim`]. Exact for
-/// arbitrary gates like the dense engine — bit-identical to it under the
-/// canonical rule documented in [`qsim::sparse`] — but memory scales with
-/// the number of *nonzero* amplitudes instead of `2^n`, so structured
-/// states (cat/GHZ spanning trees, teleport chains) carry real amplitudes
-/// at hundreds of ranks where every dense backend is out of memory.
-pub struct SparseEngine {
-    sim: SparseSim,
+/// An amplitude store that backs an engine, and the [`BackendKind`] it is
+/// selected by.
+pub trait EngineStore: AmpStore + Send + Sync {
+    /// The kind [`AmplitudeEngine`] reports over this store.
+    const KIND: BackendKind;
 }
 
-impl SparseEngine {
+impl EngineStore for State {
+    const KIND: BackendKind = BackendKind::StateVector;
+}
+
+impl EngineStore for SparseState {
+    const KIND: BackendKind = BackendKind::Sparse;
+}
+
+/// Full-state engine over [`qsim::sim::AmpSim`]: exact for arbitrary gates,
+/// with the storage format chosen by `S`.
+pub struct AmplitudeEngine<S> {
+    sim: AmpSim<S>,
+}
+
+/// Dense-amplitude engine over [`qsim::Simulator`]. Exponential in total
+/// qubit count (~25-qubit practical cap).
+pub type StateVectorEngine = AmplitudeEngine<State>;
+
+/// Sparse-amplitude engine over [`qsim::SparseSim`]. Bit-identical to the
+/// dense engine under the canonical rule documented in [`qsim::sparse`],
+/// but memory scales with the number of *nonzero* amplitudes instead of
+/// `2^n`, so structured states (cat/GHZ spanning trees, teleport chains)
+/// carry real amplitudes at hundreds of ranks where every dense backend is
+/// out of memory.
+pub type SparseEngine = AmplitudeEngine<SparseState>;
+
+impl<S: EngineStore> AmplitudeEngine<S> {
     /// Creates a noiseless engine with a deterministic measurement RNG seed.
     pub fn new(seed: u64) -> Self {
-        SparseEngine {
-            sim: SparseSim::new(seed),
-        }
+        Self::with_noise(seed, NoiseModel::ideal())
     }
 
     /// Creates an engine that applies `noise` as stochastic Pauli/Kraus
-    /// trajectory insertions (see [`qsim::noise`]), with the same RNG
-    /// stream discipline as the dense engine.
+    /// trajectory insertions (see [`qsim::noise`]); both stores share one
+    /// RNG stream discipline.
     pub fn with_noise(seed: u64, noise: NoiseModel) -> Self {
-        SparseEngine {
-            sim: SparseSim::with_noise(seed, noise),
+        AmplitudeEngine {
+            sim: AmpSim::with_noise(seed, noise),
         }
     }
+}
 
+impl SparseEngine {
     /// Number of nonzero amplitudes currently stored — the working-set
     /// size that stays small for the paper's structured states.
     pub fn nonzero_count(&self) -> usize {
@@ -39,9 +64,9 @@ impl SparseEngine {
     }
 }
 
-impl SimEngine for SparseEngine {
+impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
     fn kind(&self) -> BackendKind {
-        BackendKind::Sparse
+        S::KIND
     }
 
     fn noise(&self) -> NoiseModel {

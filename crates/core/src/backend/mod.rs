@@ -10,11 +10,11 @@
 //!
 //! * [`SimEngine`] — the minimal, ownership-agnostic engine contract
 //!   (allocate, apply a gate batch, measure, diagnose). Six engines ship:
-//!   [`statevector::StateVectorEngine`] (exact amplitudes, the paper's
+//!   [`amplitude::StateVectorEngine`] (exact amplitudes, the paper's
 //!   prototype), [`stabilizer::StabilizerEngine`] (CHP tableau; Clifford
 //!   protocols at thousands of ranks), [`trace::TraceEngine`] (no
 //!   amplitudes at all — pure operation counting for Table 1–3-style
-//!   resource estimation at paper scale), [`sparse::SparseEngine`] (exact
+//!   resource estimation at paper scale), [`amplitude::SparseEngine`] (exact
 //!   amplitudes stored sparsely — only nonzero entries — so structured
 //!   states carry real amplitudes at hundreds of ranks),
 //!   [`sharded::ShardedStateVector`] (exact amplitudes over a lock-striped
@@ -57,13 +57,12 @@
 //! semantics while letting gates on disjoint qubits (which locality
 //! guarantees across ranks) execute in parallel.
 
+pub mod amplitude;
 pub mod pool;
 pub mod remote;
 pub mod remote_transport;
 pub mod sharded;
-pub mod sparse;
 pub mod stabilizer;
-pub mod statevector;
 pub mod trace;
 
 use crate::context::BatchPolicy;
@@ -76,13 +75,12 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+pub use amplitude::{SparseEngine, StateVectorEngine};
 pub use pool::{ShardLease, ShardWorkerPool};
 pub use remote::RemoteShardedEngine;
 pub use remote_transport::qworker_main;
 pub use sharded::{ShardableEngine, ShardedStateVector};
-pub use sparse::SparseEngine;
 pub use stabilizer::StabilizerEngine;
-pub use statevector::StateVectorEngine;
 pub use trace::TraceEngine;
 
 /// Which simulation engine backs a QMPI world.

@@ -96,7 +96,7 @@ use parking_lot::Mutex;
 use qsim::gates::Mat2;
 use qsim::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
 use qsim::registry::QubitRegistry;
-use qsim::state::NORM_TOL;
+use qsim::state::{MAX_DENSE_QUBITS, NORM_TOL};
 use qsim::stripe;
 use qsim::{Complex, Gate, Pauli, QubitId, SimError, State};
 use rand::rngs::StdRng;
@@ -119,10 +119,6 @@ const CONTROLLER: usize = 0;
 /// real thread with a mailbox, so this is deliberately tighter than the
 /// in-process stripe cap.
 pub const MAX_REMOTE_SHARD_BITS: u32 = 6;
-
-/// Qubit budget of the engine (`2^MAX_QUBITS` amplitudes across all
-/// stripes); the wire codec bounds stripe lengths by it.
-const MAX_QUBITS: usize = 29;
 
 /// Default watchdog for blocking protocol receives.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
@@ -800,7 +796,7 @@ impl Decode for ShardCmd {
                 let report = bool::decode(buf)?;
                 // No payload bytes back the stripe length; it must agree
                 // with a layout the engine can reach.
-                if local_bits > MAX_QUBITS || (len != 0 && len != 1 << local_bits) {
+                if local_bits > MAX_DENSE_QUBITS || (len != 0 && len != 1 << local_bits) {
                     return None;
                 }
                 ShardCmd::Reshape {
@@ -2484,7 +2480,10 @@ impl super::SimEngine for RemoteShardedEngine {
 
     fn alloc(&mut self) -> QubitId {
         let ctl = self.ctl.get_mut();
-        assert!(ctl.n_qubits < MAX_QUBITS, "qubit budget exhausted");
+        assert!(
+            ctl.n_qubits < MAX_DENSE_QUBITS,
+            "qubit budget exhausted (MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS})"
+        );
         let pos = ctl.n_qubits;
         ctl.run(|c| c.reshape(None));
         self.reg.push(pos)
@@ -2892,6 +2891,26 @@ mod tests {
         1u8.encode(&mut buf); // ShardReply::Amps
         usize::MAX.encode(&mut buf);
         assert!(cmpi::from_bytes::<ShardReply>(&buf.freeze()).is_none());
+    }
+
+    #[test]
+    fn reshape_frames_are_bounded_by_the_shared_qubit_budget() {
+        // An empty stripe (`len = 0`) is legal at any reachable layout, so
+        // only the budget check can refuse `local_bits = MAX + 1`.
+        let reshape = |local_bits: usize| {
+            let mut buf = BytesMut::new();
+            12u8.encode(&mut buf); // ShardCmd::Reshape
+            0u8.encode(&mut buf); // no compaction
+            0usize.encode(&mut buf); // sends
+            0usize.encode(&mut buf); // recvs
+            0usize.encode(&mut buf); // shard_index
+            local_bits.encode(&mut buf);
+            0usize.encode(&mut buf); // len
+            false.encode(&mut buf); // report
+            buf.freeze()
+        };
+        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS)).is_some());
+        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS + 1)).is_none());
     }
 
     /// Applies the same circuit to the dense engine and a remote engine and

@@ -93,6 +93,8 @@
 //!   1q gates, 2q gates, measurement, and EPR establishment) into every
 //!   backend for fidelity-vs-`S`-budget studies.
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod cat;
 pub mod collectives;

@@ -14,6 +14,8 @@
 //! * [`fidelity`] — teleportation-fidelity-vs-noise sweeps over an
 //!   imperfect interconnect, with closed-form cross-checks.
 
+#![forbid(unsafe_code)]
+
 pub mod fidelity;
 pub mod gadgets;
 pub mod maxcut;

@@ -14,6 +14,8 @@
 //! * the Fig. 5 term-weight histogram ([`histogram`]) and the Fig. 7
 //!   per-term EPR cost model over block layouts ([`layout`]).
 
+#![forbid(unsafe_code)]
+
 pub mod dense;
 pub mod encoding;
 pub mod gaussian;

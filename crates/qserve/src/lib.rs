@@ -66,6 +66,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod server;
 pub mod spec;
 

@@ -2,7 +2,7 @@
 //!
 //! Implemented in-repo (rather than pulling in an external numerics crate) so
 //! that the whole simulator substrate is self-contained and the hot kernels in
-//! [`crate::apply`] compile down to plain f64 arithmetic.
+//! [`crate::stripe`] compile down to plain f64 arithmetic.
 
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};

@@ -8,11 +8,15 @@
 //! Layering:
 //! - [`complex`] — self-contained complex arithmetic.
 //! - [`gates`] — the paper's gate set (Pauli, H, S/T, rotations, CNOT/CZ/...).
-//! - [`state`] — dense amplitude vector with add/remove-qubit support.
+//! - [`stripe`] — the amplitude kernels (pair gates, phase passes, masked
+//!   norms, collapse, Pauli expectation, qubit removal) over one contiguous
+//!   stripe: the single definition of the per-amplitude arithmetic, serial
+//!   by design (ranks are the unit of parallelism).
+//! - [`state`] — dense amplitude vector with add/remove-qubit support: the
+//!   one-stripe case of [`stripe`].
 //! - [`sharded`] — [`sharded::ShardedState`]: the same amplitude vector
 //!   split into `2^k` contiguous lock-striped shards, so gate application
 //!   from concurrent callers needs no global lock.
-//! - [`apply`] — serial + multi-threaded gate application kernels.
 //! - [`batch`] — [`batch::GateBatch`]: the batched gate-stream IR that
 //!   engines apply as one unit (one lock acquisition / one message round
 //!   per batch instead of per gate).
@@ -21,17 +25,24 @@
 //!   and merges commuting diagonal gates/CZs into
 //!   [`batch::BatchOp::PhaseSweep`]s, so engines sweep memory once per
 //!   fused op instead of once per recorded gate.
-//! - [`measure`] — projective measurement, joint parity, Pauli expectations.
-//! - [`sim`] — [`sim::Simulator`]: stable qubit handles over the above.
+//! - [`measure`] — [`measure::PauliTerm`], the Pauli-string observable type.
+//! - [`sparse`] — [`sparse::SparseState`]: the nonzero amplitudes in a map
+//!   keyed by 512-bit basis state, evaluating the stripe expressions in the
+//!   same order over its present entries.
+//! - [`sim`] — the simulator front, written once over [`sim::AmpStore`]:
+//!   stable qubit handles, operand checks, counters, noise and measurement
+//!   draws. [`sim::Simulator`] runs it over [`state::State`],
+//!   [`sim::SparseSim`] over [`sparse::SparseState`].
 //! - [`stabilizer`] — [`stabilizer::StabilizerSim`]: CHP tableau engine with
 //!   the same handle surface, for Clifford-only workloads at scales far
 //!   beyond any state vector (the QMPI protocols are all Clifford).
 //! - [`noise`] — pluggable noise channels ([`noise::NoiseModel`]):
 //!   depolarizing/dephasing/amplitude-damping with independent rates per
 //!   operation class, realized as seeded stochastic Pauli/Kraus insertions
-//!   in both simulators.
+//!   in every simulator.
 
-pub mod apply;
+#![forbid(unsafe_code)]
+
 pub mod batch;
 pub mod complex;
 pub mod gates;
@@ -52,8 +63,8 @@ pub use gates::{Gate, Pauli};
 pub use noise::{NoiseChannel, NoiseModel};
 pub use optimizer::{concat_segments, optimize};
 pub use sharded::ShardedState;
-pub use sim::{QubitId, SimError, Simulator};
-pub use sparse::SparseSim;
+pub use sim::{AmpStore, QubitId, SimError, Simulator, SparseSim};
+pub use sparse::SparseState;
 pub use stabilizer::StabilizerSim;
 pub use state::State;
 

@@ -1,86 +1,8 @@
-//! Projective measurement, collapse, and Pauli-string expectation values.
-
-use crate::complex::Complex;
-use crate::state::State;
-use rand::Rng;
-
-/// Probability that measuring `target` yields 1.
-pub fn prob_one(state: &State, target: usize) -> f64 {
-    assert!(target < state.n_qubits(), "qubit {target} out of range");
-    let bit = 1usize << target;
-    state
-        .amplitudes()
-        .iter()
-        .enumerate()
-        .filter(|(i, _)| i & bit == bit)
-        .map(|(_, a)| a.norm_sqr())
-        .sum()
-}
-
-/// Collapses `target` onto `outcome` and renormalizes. The caller must ensure
-/// the outcome has nonzero probability.
-pub fn collapse(state: &mut State, target: usize, outcome: bool) {
-    let bit = 1usize << target;
-    let keep = if outcome { bit } else { 0 };
-    let mut norm = 0.0f64;
-    for (i, a) in state.amplitudes_mut().iter_mut().enumerate() {
-        if i & bit == keep {
-            norm += a.norm_sqr();
-        } else {
-            *a = crate::complex::C_ZERO;
-        }
-    }
-    assert!(
-        norm > 1e-12,
-        "collapsing qubit {target} onto probability-zero outcome"
-    );
-    let inv = 1.0 / norm.sqrt();
-    for a in state.amplitudes_mut() {
-        *a = a.scale(inv);
-    }
-}
-
-/// Measures `target` in the computational basis, sampling with `rng`,
-/// collapsing the state, and returning the outcome.
-pub fn measure(state: &mut State, target: usize, rng: &mut impl Rng) -> bool {
-    let p1 = prob_one(state, target);
-    let outcome = rng.gen::<f64>() < p1;
-    collapse(state, target, outcome);
-    outcome
-}
-
-/// Non-destructive joint Z-parity measurement over `qubits`: projects onto
-/// the even (+1, `false`) or odd (−1, `true`) parity subspace, sampling the
-/// outcome, and returns it. No qubit is individually collapsed.
-pub fn measure_z_parity(state: &mut State, qubits: &[usize], rng: &mut impl Rng) -> bool {
-    let mut mask = 0usize;
-    for &q in qubits {
-        assert!(q < state.n_qubits(), "qubit {q} out of range");
-        mask |= 1usize << q;
-    }
-    let mut p_odd = 0.0f64;
-    for (i, a) in state.amplitudes().iter().enumerate() {
-        if (i & mask).count_ones() % 2 == 1 {
-            p_odd += a.norm_sqr();
-        }
-    }
-    let outcome = rng.gen::<f64>() < p_odd;
-    let want_odd = outcome;
-    let mut norm = 0.0f64;
-    for (i, a) in state.amplitudes_mut().iter_mut().enumerate() {
-        let odd = (i & mask).count_ones() % 2 == 1;
-        if odd == want_odd {
-            norm += a.norm_sqr();
-        } else {
-            *a = crate::complex::C_ZERO;
-        }
-    }
-    let inv = 1.0 / norm.sqrt();
-    for a in state.amplitudes_mut() {
-        *a = a.scale(inv);
-    }
-    outcome
-}
+//! The Pauli-string observable type shared by every engine's expectation
+//! entry point. The measurement, collapse and expectation kernels
+//! themselves live in [`crate::stripe`] (dense amplitudes) and
+//! [`crate::sparse`] (the nonzero-entry map), behind
+//! [`crate::sim::AmpStore`].
 
 /// One factor of a Pauli-string observable.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -89,284 +11,4 @@ pub struct PauliTerm {
     pub qubit: usize,
     /// Which Pauli operator.
     pub op: crate::gates::Pauli,
-}
-
-/// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
-/// single-qubit Paulis on distinct qubits; identity elsewhere).
-pub fn expectation_pauli(state: &State, terms: &[PauliTerm]) -> f64 {
-    use crate::gates::Pauli;
-    let n = state.n_qubits();
-    let mut x_mask = 0usize; // qubits flipped by the string (X or Y)
-    let mut z_mask = 0usize; // qubits acquiring a (-1)^bit phase (Z or Y)
-    let mut y_count = 0u32;
-    for t in terms {
-        assert!(t.qubit < n, "qubit {} out of range", t.qubit);
-        match t.op {
-            Pauli::X => x_mask |= 1 << t.qubit,
-            Pauli::Z => z_mask |= 1 << t.qubit,
-            Pauli::Y => {
-                x_mask |= 1 << t.qubit;
-                z_mask |= 1 << t.qubit;
-                y_count += 1;
-            }
-        }
-    }
-    // P|i> = i^{y_count} * (-1)^{parity(i & z_eff)} |i ^ x_mask>, where for Y the
-    // phase acts on the flipped bit; using the convention Y = i X Z.
-    // <psi|P|psi> = sum_i conj(a[i ^ x_mask]) * phase(i) * a[i].
-    let amps = state.amplitudes();
-    let mut acc = Complex::default();
-    let i_pow = match y_count % 4 {
-        0 => Complex::real(1.0),
-        1 => crate::complex::C_I,
-        2 => Complex::real(-1.0),
-        _ => -crate::complex::C_I,
-    };
-    for (i, &a) in amps.iter().enumerate() {
-        if a.is_negligible(1e-300) {
-            continue;
-        }
-        let sign = if (i & z_mask).count_ones() % 2 == 1 {
-            -1.0
-        } else {
-            1.0
-        };
-        let j = i ^ x_mask;
-        acc += amps[j].conj() * (a.scale(sign));
-    }
-    let val = i_pow * acc;
-    debug_assert!(
-        val.im.abs() < 1e-9,
-        "expectation of Hermitian operator must be real"
-    );
-    val.re
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::apply::{apply_1q, apply_cnot};
-    use crate::gates::{Gate, Pauli};
-    use crate::state::State;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    const TOL: f64 = 1e-10;
-
-    fn rng() -> StdRng {
-        StdRng::seed_from_u64(42)
-    }
-
-    #[test]
-    fn prob_one_of_zero_state_is_zero() {
-        let s = State::zero(2);
-        assert!(prob_one(&s, 0) < TOL);
-        assert!(prob_one(&s, 1) < TOL);
-    }
-
-    #[test]
-    fn prob_one_after_x() {
-        let mut s = State::zero(2);
-        apply_1q(&mut s, 1, &Gate::X.matrix());
-        assert!((prob_one(&s, 1) - 1.0).abs() < TOL);
-        assert!(prob_one(&s, 0) < TOL);
-    }
-
-    #[test]
-    fn measurement_statistics_of_plus_state() {
-        let mut ones = 0u32;
-        let trials = 2000;
-        let mut r = rng();
-        for _ in 0..trials {
-            let mut s = State::zero(1);
-            apply_1q(&mut s, 0, &Gate::H.matrix());
-            if measure(&mut s, 0, &mut r) {
-                ones += 1;
-            }
-        }
-        let frac = ones as f64 / trials as f64;
-        assert!((frac - 0.5).abs() < 0.05, "frac={frac}");
-    }
-
-    #[test]
-    fn measurement_collapses_entanglement() {
-        let mut r = rng();
-        for _ in 0..50 {
-            let mut s = State::zero(2);
-            apply_1q(&mut s, 0, &Gate::H.matrix());
-            apply_cnot(&mut s, 0, 1);
-            let m0 = measure(&mut s, 0, &mut r);
-            let m1 = measure(&mut s, 1, &mut r);
-            assert_eq!(m0, m1, "EPR halves must agree");
-        }
-    }
-
-    #[test]
-    fn collapse_renormalizes() {
-        let mut s = State::zero(1);
-        apply_1q(&mut s, 0, &Gate::Ry(1.0).matrix());
-        collapse(&mut s, 0, true);
-        assert!((s.norm_sqr() - 1.0).abs() < TOL);
-        assert!((prob_one(&s, 0) - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn parity_measurement_of_epr_pair_is_even() {
-        let mut r = rng();
-        for _ in 0..20 {
-            let mut s = State::zero(2);
-            apply_1q(&mut s, 0, &Gate::H.matrix());
-            apply_cnot(&mut s, 0, 1);
-            // EPR pair lives entirely in the even-parity subspace.
-            assert!(!measure_z_parity(&mut s, &[0, 1], &mut r));
-            // State must still be the EPR pair (projection was trivial).
-            assert!((s.probability(0b00) - 0.5).abs() < TOL);
-            assert!((s.probability(0b11) - 0.5).abs() < TOL);
-        }
-    }
-
-    #[test]
-    fn parity_measurement_preserves_superposition() {
-        // |++> has equal weight in both parity sectors; after measurement the
-        // state is a GHZ-like superposition within one sector.
-        let mut r = rng();
-        let mut s = State::zero(2);
-        apply_1q(&mut s, 0, &Gate::H.matrix());
-        apply_1q(&mut s, 1, &Gate::H.matrix());
-        let odd = measure_z_parity(&mut s, &[0, 1], &mut r);
-        if odd {
-            assert!((s.probability(0b01) - 0.5).abs() < TOL);
-            assert!((s.probability(0b10) - 0.5).abs() < TOL);
-        } else {
-            assert!((s.probability(0b00) - 0.5).abs() < TOL);
-            assert!((s.probability(0b11) - 0.5).abs() < TOL);
-        }
-        assert!((s.norm_sqr() - 1.0).abs() < TOL);
-    }
-
-    #[test]
-    fn expectation_z_of_zero_and_one() {
-        let s = State::zero(1);
-        assert!(
-            (expectation_pauli(
-                &s,
-                &[PauliTerm {
-                    qubit: 0,
-                    op: Pauli::Z
-                }]
-            ) - 1.0)
-                .abs()
-                < TOL
-        );
-        let mut s1 = State::zero(1);
-        apply_1q(&mut s1, 0, &Gate::X.matrix());
-        assert!(
-            (expectation_pauli(
-                &s1,
-                &[PauliTerm {
-                    qubit: 0,
-                    op: Pauli::Z
-                }]
-            ) + 1.0)
-                .abs()
-                < TOL
-        );
-    }
-
-    #[test]
-    fn expectation_x_of_plus_state() {
-        let mut s = State::zero(1);
-        apply_1q(&mut s, 0, &Gate::H.matrix());
-        assert!(
-            (expectation_pauli(
-                &s,
-                &[PauliTerm {
-                    qubit: 0,
-                    op: Pauli::X
-                }]
-            ) - 1.0)
-                .abs()
-                < TOL
-        );
-        assert!(
-            expectation_pauli(
-                &s,
-                &[PauliTerm {
-                    qubit: 0,
-                    op: Pauli::Z
-                }]
-            )
-            .abs()
-                < TOL
-        );
-    }
-
-    #[test]
-    fn expectation_y_of_y_eigenstate() {
-        // S H |0> = (|0> + i|1>)/sqrt(2), the +1 eigenstate of Y.
-        let mut s = State::zero(1);
-        apply_1q(&mut s, 0, &Gate::H.matrix());
-        apply_1q(&mut s, 0, &Gate::S.matrix());
-        assert!(
-            (expectation_pauli(
-                &s,
-                &[PauliTerm {
-                    qubit: 0,
-                    op: Pauli::Y
-                }]
-            ) - 1.0)
-                .abs()
-                < TOL
-        );
-    }
-
-    #[test]
-    fn expectation_zz_of_epr_pair() {
-        let mut s = State::zero(2);
-        apply_1q(&mut s, 0, &Gate::H.matrix());
-        apply_cnot(&mut s, 0, 1);
-        let zz = expectation_pauli(
-            &s,
-            &[
-                PauliTerm {
-                    qubit: 0,
-                    op: Pauli::Z,
-                },
-                PauliTerm {
-                    qubit: 1,
-                    op: Pauli::Z,
-                },
-            ],
-        );
-        let xx = expectation_pauli(
-            &s,
-            &[
-                PauliTerm {
-                    qubit: 0,
-                    op: Pauli::X,
-                },
-                PauliTerm {
-                    qubit: 1,
-                    op: Pauli::X,
-                },
-            ],
-        );
-        let yy = expectation_pauli(
-            &s,
-            &[
-                PauliTerm {
-                    qubit: 0,
-                    op: Pauli::Y,
-                },
-                PauliTerm {
-                    qubit: 1,
-                    op: Pauli::Y,
-                },
-            ],
-        );
-        // Bell state (|00>+|11>)/sqrt(2): <ZZ> = <XX> = 1, <YY> = -1.
-        assert!((zz - 1.0).abs() < TOL);
-        assert!((xx - 1.0).abs() < TOL);
-        assert!((yy + 1.0).abs() < TOL);
-    }
 }

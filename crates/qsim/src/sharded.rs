@@ -42,7 +42,7 @@
 use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
-use crate::state::{State, NORM_TOL};
+use crate::state::{State, MAX_DENSE_QUBITS, NORM_TOL};
 use crate::stripe;
 use parking_lot::{Mutex, RwLock};
 use rand::Rng;
@@ -174,7 +174,10 @@ impl ShardedState {
     /// Appends a fresh qubit in |0> as the new most-significant qubit and
     /// returns its index. Existing qubit indices are stable.
     pub fn add_qubit(&mut self) -> usize {
-        assert!(self.n_qubits < 29, "qubit budget exhausted");
+        assert!(
+            self.n_qubits < MAX_DENSE_QUBITS,
+            "qubit budget exhausted (MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS})"
+        );
         let idx = self.n_qubits;
         let mut flat = self.flatten();
         flat.resize(flat.len() * 2, C_ZERO);
@@ -555,8 +558,8 @@ impl ShardedState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::apply;
     use crate::gates::Gate;
+    use crate::sim::AmpStore;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -588,22 +591,22 @@ mod tests {
         for shards in [1usize, 2, 4, 8, 16] {
             assert_matches_dense(shards, |dense, striped| {
                 for q in 0..6 {
-                    apply::apply_1q(dense, q, &Gate::H.matrix());
+                    dense.apply_1q(&[], q, &Gate::H.matrix());
                     striped.apply_1q(q, &Gate::H.matrix());
                 }
-                apply::apply_1q(dense, 5, &Gate::T.matrix());
+                dense.apply_1q(&[], 5, &Gate::T.matrix());
                 striped.apply_1q(5, &Gate::T.matrix());
-                apply::apply_cnot(dense, 0, 5); // low control, high target
+                dense.apply_cnot(0, 5); // low control, high target
                 striped.apply_cnot(0, 5);
-                apply::apply_cnot(dense, 5, 0); // high control, low target
+                dense.apply_cnot(5, 0); // high control, low target
                 striped.apply_cnot(5, 0);
-                apply::apply_cnot(dense, 4, 5); // both high (at 8+ shards)
+                dense.apply_cnot(4, 5); // both high (at 8+ shards)
                 striped.apply_cnot(4, 5);
-                apply::apply_cz(dense, 1, 4);
+                dense.apply_cz(1, 4);
                 striped.apply_cz(1, 4);
-                apply::apply_swap(dense, 2, 5);
+                dense.apply_swap(2, 5);
                 striped.apply_swap(2, 5);
-                apply::apply_controlled_1q(dense, &[0, 5], 3, &Gate::Ry(0.7).matrix());
+                dense.apply_1q(&[0, 5], 3, &Gate::Ry(0.7).matrix());
                 striped.apply_controlled_1q(&[0, 5], 3, &Gate::Ry(0.7).matrix());
             });
         }
@@ -619,7 +622,7 @@ mod tests {
         for shards in [1usize, 2, 4, 8, 16] {
             assert_matches_dense(shards, |dense, striped| {
                 for q in 0..6 {
-                    apply::apply_1q(dense, q, &Gate::H.matrix());
+                    dense.apply_1q(&[], q, &Gate::H.matrix());
                     striped.apply_1q(q, &Gate::H.matrix());
                 }
                 let factors = [(1, t[0][0], t[1][1]), (5, s[0][0], s[1][1])];
@@ -652,15 +655,15 @@ mod tests {
                 striped.add_qubit();
             }
             for q in 0..6 {
-                apply::apply_1q(&mut dense, q, &Gate::H.matrix());
+                dense.apply_1q(&[], q, &Gate::H.matrix());
                 striped.apply_1q(q, &Gate::H.matrix());
             }
-            apply::apply_1q(&mut dense, 3, &Gate::T.matrix());
+            dense.apply_1q(&[], 3, &Gate::T.matrix());
             striped.apply_1q(3, &Gate::T.matrix());
-            apply::apply_cnot(&mut dense, 0, 4);
+            dense.apply_cnot(0, 4);
             striped.apply_cnot(0, 4);
             for (a, b) in [(0usize, 1usize), (1, 4), (3, 5), (5, 2)] {
-                apply::apply_swap(&mut dense, a, b);
+                dense.apply_swap(a, b);
                 striped.apply_swap(a, b);
             }
             let got = striped.to_dense();

@@ -1,19 +1,30 @@
-//! The `Simulator` facade: stable qubit handles over a dynamic state vector.
+//! The simulator front: stable qubit handles over a dynamic amplitude store.
 //!
 //! This is the component the paper's prototype runs on rank 0 ("all ranks
 //! forward quantum operations to rank 0, which then applies the operation to
 //! the state vector"). Qubits are identified by stable [`QubitId`]s; the
-//! simulator maintains the id -> state-vector-position mapping across
-//! allocations and deallocations.
+//! front maintains the id -> store-position mapping across allocations and
+//! deallocations, validates operands, counts operations, draws noise and
+//! measurement randomness in a fixed order, and hands *positions* to an
+//! [`AmpStore`], which holds the amplitudes and does the arithmetic.
+//!
+//! The front is written once, generic over the store: [`Simulator`] runs it
+//! over the dense [`State`], [`SparseSim`] over the
+//! [`SparseState`] map. Both therefore seed and draw their RNG streams
+//! identically — the noise stream before the measurement stream, one draw
+//! per touched position in operand order — which is what makes the two
+//! engines line up draw for draw (see [`crate::sparse`] for the rule their
+//! amplitudes agree under).
 
-use crate::apply;
 use crate::complex::Complex;
-use crate::gates::{Gate, Mat2, Mat4};
-use crate::measure::{self, PauliTerm};
+use crate::gates::{Gate, Mat2, Pauli};
+use crate::measure::PauliTerm;
 use crate::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
+use crate::registry::{classical_outcome, QubitRegistry};
+use crate::sparse::SparseState;
 use crate::state::State;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// A stable handle to an allocated qubit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -52,31 +63,123 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Full state-vector simulator with dynamic qubit allocation.
-pub struct Simulator {
-    state: State,
-    reg: crate::registry::QubitRegistry,
+/// Amplitude storage under the simulator front: a register of qubits
+/// addressed by *position* (bit index of the basis state), no handles, no
+/// counters, no randomness. The trait hides the storage format — a dense
+/// `2^n` vector ([`State`]) or a map of the nonzero entries
+/// ([`SparseState`]) — and every implementation evaluates the same
+/// floating-point expressions in the same order, so the front's results do
+/// not depend on which one it runs over (up to the sparse canonical rule).
+pub trait AmpStore {
+    /// The 0-qubit register: one amplitude of 1.
+    fn empty() -> Self;
+
+    /// Appends a fresh qubit in |0> as the new most-significant position and
+    /// returns that position. Existing positions are stable.
+    fn add_qubit(&mut self) -> usize;
+
+    /// Removes position `target`, which must already be collapsed to the
+    /// classical value `outcome` (all amplitude mass on that branch);
+    /// positions above `target` shift down by one.
+    fn remove_qubit(&mut self, target: usize, outcome: bool);
+
+    /// Applies the 2×2 matrix `m` to `target` on the basis states where
+    /// every position in `controls` reads 1 (no controls: everywhere).
+    fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2);
+
+    /// CNOT: flips `target` where `control` reads 1. A pure permutation.
+    fn apply_cnot(&mut self, control: usize, target: usize);
+
+    /// CZ: phase −1 where both positions read 1 (symmetric).
+    fn apply_cz(&mut self, a: usize, b: usize);
+
+    /// SWAP of two distinct positions. A pure permutation.
+    fn apply_swap(&mut self, a: usize, b: usize);
+
+    /// One-pass diagonal sweep: per amplitude, each `(position, d0, d1)`
+    /// factor multiplies **sequentially in slice order** (`d1` where the
+    /// position reads 1, else `d0`), then the amplitude is negated when an
+    /// odd number of `czs` pairs read 1 on both positions.
+    fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]);
+
+    /// Probability that measuring `target` yields 1.
+    fn prob_one(&self, target: usize) -> f64;
+
+    /// Collapses `target` onto `outcome` and renormalizes. The caller must
+    /// ensure the outcome has nonzero probability.
+    fn collapse(&mut self, target: usize, outcome: bool);
+
+    /// Probability mass of the basis states with odd parity over `qubits`.
+    fn parity_prob_odd(&self, qubits: &[usize]) -> f64;
+
+    /// Projects onto the odd (`true`) or even parity subspace over `qubits`
+    /// and renormalizes. No position is individually collapsed.
+    fn collapse_parity(&mut self, qubits: &[usize], odd: bool);
+
+    /// Expectation value `<psi| P |psi>` of a Pauli string over positions.
+    fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64;
+
+    /// Dense snapshot in which old position `perm[k]` becomes position `k`
+    /// (see [`State::permuted`]), or [`SimError::Unsupported`] when the
+    /// register is too wide to materialize.
+    fn snapshot(&self, perm: &[usize]) -> Result<State, SimError>;
+
+    /// The amplitude of the basis state where the positions in `ones` read
+    /// 1 and every other position reads 0.
+    fn amplitude_of(&self, ones: &[usize]) -> Complex;
+}
+
+/// Full-state simulator with dynamic qubit allocation over the amplitude
+/// store `S`. Use it through its two instantiations, [`Simulator`] and
+/// [`SparseSim`].
+pub struct AmpSim<S> {
+    state: S,
+    reg: QubitRegistry,
     rng: StdRng,
     noise: NoiseState,
     gate_count: u64,
     measurement_count: u64,
 }
 
+/// The dense state-vector simulator: `2^n` amplitudes, exact for arbitrary
+/// gates, exponential in the live qubit count.
+pub type Simulator = AmpSim<State>;
+
+/// The sparse full-state simulator: only nonzero amplitudes are stored, so
+/// structured states stay cheap at hundreds of qubits. Bit-identical to
+/// [`Simulator`] under the canonical rule documented in [`crate::sparse`].
+pub type SparseSim = AmpSim<SparseState>;
+
 impl Simulator {
+    /// Raw internal state (position ordering); mostly for diagnostics.
+    pub fn raw_state(&self) -> &State {
+        &self.state
+    }
+}
+
+impl SparseSim {
+    /// Number of nonzero amplitudes currently stored — the quantity that
+    /// stays small for structured states and makes paper-scale runs feasible.
+    pub fn nonzero_count(&self) -> usize {
+        self.state.nonzero_count()
+    }
+}
+
+impl<S: AmpStore> AmpSim<S> {
     /// Creates an empty, noiseless simulator with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
-        Simulator::with_noise(seed, NoiseModel::ideal())
+        Self::with_noise(seed, NoiseModel::ideal())
     }
 
     /// Creates an empty simulator with a deterministic RNG seed and a noise
     /// model, realized as stochastic Pauli/Kraus insertions after each
     /// noisy operation (see [`crate::noise`]). The noise stream is seeded
     /// independently of the measurement stream, so a zero-rate model is
-    /// bit-identical to [`Simulator::new`].
+    /// bit-identical to [`AmpSim::new`].
     pub fn with_noise(seed: u64, model: NoiseModel) -> Self {
-        Simulator {
-            state: State::zero(0),
-            reg: crate::registry::QubitRegistry::new(),
+        AmpSim {
+            state: S::empty(),
+            reg: QubitRegistry::new(),
             rng: StdRng::seed_from_u64(seed),
             noise: NoiseState::new(seed, model),
             gate_count: 0,
@@ -89,7 +192,7 @@ impl Simulator {
         self.noise.model
     }
 
-    /// Samples and applies the `class` channel to each listed state-vector
+    /// Samples and applies the `class` channel to each listed store
     /// position. Noise insertions are not counted as gates: the counters
     /// report the *program's* operations, and the trace backend's modeled
     /// fidelity stays comparable across engines.
@@ -99,11 +202,11 @@ impl Simulator {
             return;
         }
         for &pos in positions {
-            let action = ch.sample(|| measure::prob_one(&self.state, pos), &mut self.noise.rng);
+            let action = ch.sample(|| self.state.prob_one(pos), &mut self.noise.rng);
             match action {
                 ChannelAction::Nothing => {}
-                ChannelAction::Pauli(p) => apply::apply_1q(&mut self.state, pos, &p.matrix()),
-                ChannelAction::Kraus(m) => apply::apply_1q(&mut self.state, pos, &m),
+                ChannelAction::Pauli(p) => self.state.apply_1q(&[], pos, &p.matrix()),
+                ChannelAction::Kraus(m) => self.state.apply_1q(&[], pos, &m),
             }
         }
     }
@@ -138,12 +241,16 @@ impl Simulator {
         self.reg.pos(q)
     }
 
+    fn positions(&self, qubits: &[QubitId]) -> Result<Vec<usize>, SimError> {
+        qubits.iter().map(|&q| self.pos(q)).collect()
+    }
+
     /// Frees a qubit that is already in a classical state (prob 0 or 1 of
     /// being |1>, up to tolerance). Errors with [`SimError::NotClassical`]
     /// otherwise — mirroring `QMPI_Free_qmem`'s contract.
     pub fn free(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
-        let outcome = crate::registry::classical_outcome(q, measure::prob_one(&self.state, pos))?;
+        let outcome = classical_outcome(q, self.state.prob_one(pos))?;
         self.remove_at(q, pos, outcome);
         Ok(outcome)
     }
@@ -163,32 +270,25 @@ impl Simulator {
 
     /// Applies a single-qubit gate.
     pub fn apply(&mut self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        let pos = self.pos(q)?;
-        apply::apply_1q(&mut self.state, pos, &gate.matrix());
-        self.gate_count += 1;
-        self.inject(OpClass::Gate1q, &[pos]);
-        Ok(())
+        self.apply_fused_1q(q, &gate.matrix())
     }
 
     /// Applies a pre-fused 2×2 unitary — a run of adjacent 1q gates
     /// multiplied at plan time ([`crate::batch::BatchOp::Fused1q`]).
-    /// Executes through the same dense kernel as [`Simulator::apply`] with
-    /// `Gate::U(m)`, so fusion cannot change per-pair arithmetic; counted
-    /// as one gate (the counters report kernel sweeps, which is what the
-    /// fused plan reduces).
+    /// [`AmpSim::apply`] is this with the gate's own matrix, so fusion
+    /// cannot change per-pair arithmetic; counted as one gate (the counters
+    /// report kernel sweeps, which is what the fused plan reduces).
     pub fn apply_fused_1q(&mut self, q: QubitId, m: &Mat2) -> Result<(), SimError> {
         let pos = self.pos(q)?;
-        apply::apply_1q(&mut self.state, pos, m);
+        self.state.apply_1q(&[], pos, m);
         self.gate_count += 1;
         self.inject(OpClass::Gate1q, &[pos]);
         Ok(())
     }
 
     /// Applies a merged diagonal sweep
-    /// ([`crate::batch::BatchOp::PhaseSweep`]) in one pass over the state:
-    /// per amplitude, each `(q, d0, d1)` factor multiplies sequentially in
-    /// slice order (`d1` when qubit `q` reads 1), then the amplitude is
-    /// negated when an odd number of `czs` pairs have both qubits set.
+    /// ([`crate::batch::BatchOp::PhaseSweep`]) in one pass over the state
+    /// (see [`AmpStore::apply_phase_sweep`] for the per-amplitude order).
     /// Counted as one gate.
     pub fn apply_phase_sweep(
         &mut self,
@@ -199,7 +299,7 @@ impl Simulator {
         let mut touched = Vec::with_capacity(diags.len() + 2 * czs.len());
         for &(q, d0, d1) in diags {
             let pos = self.pos(q)?;
-            factors.push((1usize << pos, d0, d1));
+            factors.push((pos, d0, d1));
             touched.push(pos);
         }
         let mut flips = Vec::with_capacity(czs.len());
@@ -209,11 +309,11 @@ impl Simulator {
             }
             let pa = self.pos(a)?;
             let pb = self.pos(b)?;
-            flips.push((1usize << pa) | (1usize << pb));
+            flips.push((pa, pb));
             touched.push(pa);
             touched.push(pb);
         }
-        crate::stripe::phase_sweep(self.state.amplitudes_mut(), 0, &factors, &flips);
+        self.state.apply_phase_sweep(&factors, &flips);
         self.gate_count += 1;
         self.inject(OpClass::Gate1q, &touched);
         Ok(())
@@ -227,57 +327,55 @@ impl Simulator {
         target: QubitId,
     ) -> Result<(), SimError> {
         let tpos = self.pos(target)?;
-        let mut cpos = Vec::with_capacity(controls.len());
+        let mut cpos = Vec::with_capacity(controls.len() + 1);
         for &c in controls {
             if c == target {
                 return Err(SimError::DuplicateQubit(c));
             }
             cpos.push(self.pos(c)?);
         }
-        apply::apply_controlled_1q(&mut self.state, &cpos, tpos, &gate.matrix());
+        self.state.apply_1q(&cpos, tpos, &gate.matrix());
         self.gate_count += 1;
         cpos.push(tpos);
         self.inject(OpClass::Gate2q, &cpos);
         Ok(())
     }
 
-    /// CNOT with `control`, `target`.
-    pub fn cnot(&mut self, control: QubitId, target: QubitId) -> Result<(), SimError> {
-        if control == target {
-            return Err(SimError::DuplicateQubit(control));
-        }
-        let c = self.pos(control)?;
-        let t = self.pos(target)?;
-        apply::apply_cnot(&mut self.state, c, t);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[c, t]);
-        Ok(())
-    }
-
-    /// Controlled-Z (symmetric).
-    pub fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
+    /// One two-qubit fast-path gate on distinct qubits `(a, b)`.
+    fn apply_pair(
+        &mut self,
+        a: QubitId,
+        b: QubitId,
+        kernel: impl FnOnce(&mut S, usize, usize),
+    ) -> Result<(), SimError> {
         if a == b {
             return Err(SimError::DuplicateQubit(a));
         }
         let pa = self.pos(a)?;
         let pb = self.pos(b)?;
-        apply::apply_cz(&mut self.state, pa, pb);
+        kernel(&mut self.state, pa, pb);
         self.gate_count += 1;
         self.inject(OpClass::Gate2q, &[pa, pb]);
         Ok(())
     }
 
-    /// SWAP two qubits.
+    /// CNOT with `control`, `target`.
+    pub fn cnot(&mut self, control: QubitId, target: QubitId) -> Result<(), SimError> {
+        self.apply_pair(control, target, S::apply_cnot)
+    }
+
+    /// Controlled-Z (symmetric).
+    pub fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
+        self.apply_pair(a, b, S::apply_cz)
+    }
+
+    /// SWAP two qubits; swapping a qubit with itself is a no-op and counts
+    /// as no gate.
     pub fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
         if a == b {
             return Ok(());
         }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        apply::apply_swap(&mut self.state, pa, pb);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[pa, pb]);
-        Ok(())
+        self.apply_pair(a, b, S::apply_swap)
     }
 
     /// Toffoli (doubly-controlled NOT), the gate whose count dominates the
@@ -286,22 +384,9 @@ impl Simulator {
         self.apply_controlled(&[c1, c2], Gate::X, target)
     }
 
-    /// Applies an arbitrary two-qubit unitary to `(high, low)`.
-    pub fn apply_2q(&mut self, high: QubitId, low: QubitId, m: &Mat4) -> Result<(), SimError> {
-        if high == low {
-            return Err(SimError::DuplicateQubit(high));
-        }
-        let hp = self.pos(high)?;
-        let lp = self.pos(low)?;
-        apply::apply_2q(&mut self.state, hp, lp, m);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[hp, lp]);
-        Ok(())
-    }
-
     /// Probability of measuring 1 on `q` (non-destructive).
     pub fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
-        Ok(measure::prob_one(&self.state, self.pos(q)?))
+        Ok(self.state.prob_one(self.pos(q)?))
     }
 
     /// Projective measurement with collapse. The measurement channel of a
@@ -310,26 +395,27 @@ impl Simulator {
         let pos = self.pos(q)?;
         self.inject(OpClass::Measurement, &[pos]);
         self.measurement_count += 1;
-        Ok(measure::measure(&mut self.state, pos, &mut self.rng))
+        let p1 = self.state.prob_one(pos);
+        let outcome = self.rng.gen::<f64>() < p1;
+        self.state.collapse(pos, outcome);
+        Ok(outcome)
     }
 
-    /// Non-destructive joint Z-parity measurement over `qubits`.
+    /// Non-destructive joint Z-parity measurement over `qubits`: projects
+    /// onto the even (+1, `false`) or odd (−1, `true`) parity subspace,
+    /// sampling the outcome, and returns it.
     pub fn measure_z_parity(&mut self, qubits: &[QubitId]) -> Result<bool, SimError> {
-        let mut pos = Vec::with_capacity(qubits.len());
-        for &q in qubits {
-            pos.push(self.pos(q)?);
-        }
+        let pos = self.positions(qubits)?;
         self.inject(OpClass::Measurement, &pos);
         self.measurement_count += 1;
-        Ok(measure::measure_z_parity(
-            &mut self.state,
-            &pos,
-            &mut self.rng,
-        ))
+        let p_odd = self.state.parity_prob_odd(&pos);
+        let outcome = self.rng.gen::<f64>() < p_odd;
+        self.state.collapse_parity(&pos, outcome);
+        Ok(outcome)
     }
 
     /// Expectation value of a Pauli string given as `(qubit, pauli)` pairs.
-    pub fn expectation(&self, terms: &[(QubitId, crate::gates::Pauli)]) -> Result<f64, SimError> {
+    pub fn expectation(&self, terms: &[(QubitId, Pauli)]) -> Result<f64, SimError> {
         let mut mapped = Vec::with_capacity(terms.len());
         for &(q, op) in terms {
             mapped.push(PauliTerm {
@@ -337,7 +423,7 @@ impl Simulator {
                 op,
             });
         }
-        Ok(measure::expectation_pauli(&self.state, &mapped))
+        Ok(self.state.expectation_pauli(&mapped))
     }
 
     /// Entangles two fresh |0> qubits into (|00> + |11>)/sqrt(2), modeling
@@ -351,8 +437,8 @@ impl Simulator {
         }
         let pa = self.pos(qa)?;
         let pb = self.pos(qb)?;
-        apply::apply_1q(&mut self.state, pa, &Gate::H.matrix());
-        apply::apply_cnot(&mut self.state, pa, pb);
+        self.state.apply_1q(&[], pa, &Gate::H.matrix());
+        self.state.apply_cnot(pa, pb);
         self.gate_count += 2;
         self.inject(OpClass::Epr, &[pa, pb]);
         Ok(())
@@ -360,24 +446,18 @@ impl Simulator {
 
     /// Snapshot of the state vector with qubits ordered as given in `order`
     /// (`order[0]` is the least-significant bit). `order` must contain every
-    /// live qubit exactly once.
+    /// live qubit exactly once. The sparse store refuses registers wider
+    /// than [`crate::state::MAX_DENSE_QUBITS`]; absent entries appear as
+    /// `+0.0`.
     pub fn state_vector(&self, order: &[QubitId]) -> Result<State, SimError> {
-        Ok(self.state.permuted(&self.reg.permutation(order)?))
-    }
-
-    /// Raw internal state (position ordering); mostly for diagnostics.
-    pub fn raw_state(&self) -> &State {
-        &self.state
+        self.state.snapshot(&self.reg.permutation(order)?)
     }
 
     /// The amplitude of the basis state where the qubits listed in `ones` are
-    /// 1 and all other live qubits are 0.
+    /// 1 and all other live qubits are 0 — usable at any qubit count, unlike
+    /// [`AmpSim::state_vector`].
     pub fn amplitude_of(&self, ones: &[QubitId]) -> Result<Complex, SimError> {
-        let mut idx = 0usize;
-        for &q in ones {
-            idx |= 1usize << self.pos(q)?;
-        }
-        Ok(self.state.amplitude(idx))
+        Ok(self.state.amplitude_of(&self.positions(ones)?))
     }
 }
 

@@ -1,12 +1,14 @@
-//! Sparse full-state simulator: only nonzero amplitudes are stored.
+//! Sparse full-state storage: only nonzero amplitudes are stored.
 //!
 //! Structured states — the cat/GHZ spanning trees and teleport chains the
 //! paper's protocols are built from — have very few nonzero amplitudes, so a
 //! map keyed by basis state simulates *real amplitudes* at hundreds of ranks
 //! where the dense [`crate::Simulator`] caps out near 20 qubits (the design of
-//! the Microsoft QDK `quantum_sparse_sim`). [`SparseSim`] mirrors the
-//! [`crate::Simulator`] facade method-for-method and is proven against it by
-//! the cross-backend conformance harness.
+//! the Microsoft QDK `quantum_sparse_sim`). This module holds the storage
+//! half only — [`BasisKey`] and the [`SparseState`] map kernels behind
+//! [`AmpStore`]; the simulator over it, [`crate::SparseSim`], is the same
+//! generic front as the dense [`crate::Simulator`] ([`crate::sim::AmpSim`])
+//! and is proven against it by the cross-backend conformance harness.
 //!
 //! # Canonical bit-identity rule
 //!
@@ -20,35 +22,35 @@
 //! every expectation value, every RNG draw — matches the dense engine
 //! *bitwise* for the same seed and noise model. This works because the sparse
 //! kernels evaluate the *same floating-point expressions in the same order*
-//! as the dense kernels, treating absent entries as exact zero:
+//! as the dense kernels in [`crate::stripe`], treating absent entries as
+//! exact zero:
 //!
 //! * gate application computes `m[0][0]*a0 + m[0][1]*a1` (etc.) exactly as
-//!   [`crate::apply::apply_1q`] does, and results that are exactly `±0.0` are
-//!   dropped from the map (IEEE-754 guarantees a signed zero operand can only
-//!   ever produce results differing in the sign of a zero — the difference
-//!   never escapes the zero equivalence class);
+//!   [`crate::stripe::pair_unitary`] does, and results that are exactly
+//!   `±0.0` are dropped from the map (IEEE-754 guarantees a signed zero
+//!   operand can only ever produce results differing in the sign of a zero —
+//!   the difference never escapes the zero equivalence class);
 //! * every probability/norm/expectation accumulation iterates present entries
 //!   in **ascending basis-index order**, which matches the dense loop because
 //!   dense's exact-zero entries contribute `+0.0` — a bitwise no-op on the
 //!   accumulator;
-//! * collapse, free-compaction (`j = (i & low) | ((i >> 1) & !low)`) and
-//!   renormalization reuse the dense formulas verbatim;
-//! * the measurement RNG and the decoupled noise RNG are seeded and drawn in
-//!   exactly the same order as [`crate::Simulator`], so zero-rate noise models
-//!   are bit-identical to noiseless runs and trajectories line up draw for
-//!   draw.
+//! * collapse ([`crate::stripe::collapse_keep`] then
+//!   [`crate::stripe::scale`]), free-compaction
+//!   (`j = (i & low) | ((i >> 1) & !low)`) and renormalization reuse the
+//!   dense formulas verbatim;
+//! * the measurement RNG and the decoupled noise RNG live in the shared
+//!   front, so zero-rate noise models are bit-identical to noiseless runs and
+//!   trajectories line up draw for draw.
 //!
 //! CNOT and SWAP are pure key permutations (no float arithmetic at all) and
 //! CZ is a sign flip, mirroring the dense fast paths.
 
 use crate::complex::{Complex, C_ONE, C_ZERO};
-use crate::gates::{Gate, Mat2, Mat4, Pauli};
-use crate::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
-use crate::registry::{classical_outcome, QubitRegistry};
-use crate::sim::{QubitId, SimError};
-use crate::state::{State, NORM_TOL};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::gates::{Mat2, Pauli};
+use crate::measure::PauliTerm;
+use crate::sim::{AmpStore, SimError};
+use crate::state::{State, MAX_DENSE_QUBITS, NORM_TOL};
+use crate::stripe;
 use std::collections::HashMap;
 
 /// Number of 64-bit words in a [`BasisKey`].
@@ -170,7 +172,7 @@ impl BasisKey {
 
     /// Removes bit `pos`, shifting all higher bits down one position — the
     /// key analogue of the dense compaction `(i & low) | ((i >> 1) & !low)`
-    /// in [`crate::state::State::remove_qubit`].
+    /// in [`crate::stripe::remove_qubit_flat`].
     pub fn remove_bit(self, pos: usize) -> Self {
         let low = BasisKey::low_mask(pos);
         let mut r = self.and(low);
@@ -219,134 +221,93 @@ fn sorted_entries(amps: &HashMap<BasisKey, Complex>) -> Vec<(BasisKey, Complex)>
     v
 }
 
-/// Probability of reading 1 at state position `pos` — free function so the
-/// noise-sampling closure can borrow the map disjointly from the noise RNG,
-/// exactly like `measure::prob_one(&self.state, pos)` on the dense path.
-fn prob_one_at(amps: &HashMap<BasisKey, Complex>, pos: usize) -> f64 {
-    sorted_entries(amps)
-        .iter()
-        .filter(|(k, _)| k.bit(pos))
-        .map(|(_, a)| a.norm_sqr())
-        .sum()
-}
-
-/// Sparse full-state simulator with dynamic qubit allocation. See the module
-/// docs for the canonical bit-identity rule relative to [`crate::Simulator`].
-pub struct SparseSim {
+/// The nonzero amplitudes of a register, keyed by basis state. See the
+/// module docs for the canonical bit-identity rule relative to the dense
+/// [`State`].
+pub struct SparseState {
     amps: HashMap<BasisKey, Complex>,
     n_qubits: usize,
-    reg: QubitRegistry,
-    rng: StdRng,
-    noise: NoiseState,
-    gate_count: u64,
-    measurement_count: u64,
 }
 
-impl SparseSim {
-    /// Creates an empty, noiseless simulator with a deterministic RNG seed.
-    pub fn new(seed: u64) -> Self {
-        SparseSim::with_noise(seed, NoiseModel::ideal())
-    }
-
-    /// Creates an empty simulator with seed and noise model; RNG streams are
-    /// seeded exactly as [`crate::Simulator::with_noise`] so trajectories are
-    /// draw-for-draw identical.
-    pub fn with_noise(seed: u64, model: NoiseModel) -> Self {
-        let mut amps = HashMap::new();
-        amps.insert(BasisKey::ZERO, C_ONE); // the 0-qubit scalar state
-        SparseSim {
-            amps,
-            n_qubits: 0,
-            reg: QubitRegistry::new(),
-            rng: StdRng::seed_from_u64(seed),
-            noise: NoiseState::new(seed, model),
-            gate_count: 0,
-            measurement_count: 0,
-        }
-    }
-
-    /// The configured noise model.
-    pub fn noise_model(&self) -> NoiseModel {
-        self.noise.model
-    }
-
-    /// Number of currently allocated qubits.
-    pub fn n_qubits(&self) -> usize {
-        self.reg.len()
-    }
-
-    /// Total gates applied so far.
-    pub fn gate_count(&self) -> u64 {
-        self.gate_count
-    }
-
-    /// Total measurements performed so far.
-    pub fn measurement_count(&self) -> u64 {
-        self.measurement_count
-    }
-
-    /// Number of nonzero amplitudes currently stored — the quantity that
-    /// stays small for structured states and makes paper-scale runs feasible.
+impl SparseState {
+    /// Number of nonzero amplitudes currently stored.
     pub fn nonzero_count(&self) -> usize {
         self.amps.len()
     }
 
-    /// Samples and applies the `class` channel at each listed position, in
-    /// the same draw order as the dense engine. Not counted as gates.
-    fn inject(&mut self, class: OpClass, positions: &[usize]) {
-        let ch = self.noise.model.channel(class);
-        if ch.is_ideal() {
-            return;
-        }
-        for &pos in positions {
-            let action = ch.sample(|| prob_one_at(&self.amps, pos), &mut self.noise.rng);
-            match action {
-                ChannelAction::Nothing => {}
-                ChannelAction::Pauli(p) => self.apply_1q_at(pos, &p.matrix()),
-                ChannelAction::Kraus(m) => self.apply_1q_at(pos, &m),
+    /// Probability mass of the entries `pred` accepts, accumulated in
+    /// ascending key order.
+    fn mass_where(&self, pred: impl Fn(BasisKey) -> bool) -> f64 {
+        sorted_entries(&self.amps)
+            .iter()
+            .filter(|(k, _)| pred(*k))
+            .map(|(_, a)| a.norm_sqr())
+            .sum()
+    }
+
+    /// Keeps the entries `keep` accepts, drops the rest, and returns the
+    /// kept probability mass (accumulated in ascending key order).
+    fn project(&mut self, keep: impl Fn(BasisKey) -> bool) -> f64 {
+        let mut norm = 0.0f64;
+        for (k, a) in sorted_entries(&self.amps) {
+            if keep(k) {
+                norm += a.norm_sqr();
+            } else {
+                self.amps.remove(&k);
             }
         }
+        norm
     }
 
-    /// Allocates one fresh qubit in |0> as the new most-significant position.
+    /// Rescales every entry by the real factor, pruning exact zeros.
+    fn scale(&mut self, factor: f64) {
+        let keys: Vec<BasisKey> = self.amps.keys().copied().collect();
+        for k in keys {
+            let a = self.amps[&k].scale(factor);
+            set_or_prune(&mut self.amps, k, a);
+        }
+    }
+
+    /// Moves every entry `moves` accepts to the key `to` maps it to — the
+    /// shape of a permutation gate (CNOT, SWAP) on a map.
+    fn permute(&mut self, moves: impl Fn(BasisKey) -> bool, to: impl Fn(BasisKey) -> BasisKey) {
+        let moved: Vec<(BasisKey, Complex)> = self
+            .amps
+            .iter()
+            .filter(|(k, _)| moves(**k))
+            .map(|(k, &a)| (*k, a))
+            .collect();
+        for (k, _) in &moved {
+            self.amps.remove(k);
+        }
+        for (k, a) in moved {
+            self.amps.insert(to(k), a);
+        }
+    }
+}
+
+/// Key with exactly the listed bit positions set.
+fn key_of(positions: &[usize]) -> BasisKey {
+    positions
+        .iter()
+        .fold(BasisKey::ZERO, |k, &pos| k.with_set(pos))
+}
+
+impl AmpStore for SparseState {
+    fn empty() -> Self {
+        let mut amps = HashMap::new();
+        amps.insert(BasisKey::ZERO, C_ONE); // the 0-qubit scalar state
+        SparseState { amps, n_qubits: 0 }
+    }
+
     /// Existing keys keep their value (the new bit is 0 everywhere).
-    pub fn alloc(&mut self) -> QubitId {
+    fn add_qubit(&mut self) -> usize {
         assert!(self.n_qubits < MAX_QUBITS, "sparse qubit budget exhausted");
-        let pos = self.n_qubits;
         self.n_qubits += 1;
-        self.reg.push(pos)
+        self.n_qubits - 1
     }
 
-    /// Allocates `n` fresh qubits in |0>.
-    pub fn alloc_n(&mut self, n: usize) -> Vec<QubitId> {
-        (0..n).map(|_| self.alloc()).collect()
-    }
-
-    fn pos(&self, q: QubitId) -> Result<usize, SimError> {
-        self.reg.pos(q)
-    }
-
-    /// Frees a qubit already in a classical state; errors with
-    /// [`SimError::NotClassical`] otherwise — same contract as the dense
-    /// engine (`QMPI_Free_qmem`).
-    pub fn free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let pos = self.pos(q)?;
-        let outcome = classical_outcome(q, prob_one_at(&self.amps, pos))?;
-        self.remove_at(q, pos, outcome);
-        Ok(outcome)
-    }
-
-    /// Measures a qubit and frees it in one step.
-    pub fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let outcome = self.measure(q)?;
-        let pos = self.pos(q)?;
-        self.remove_at(q, pos, outcome);
-        Ok(outcome)
-    }
-
-    fn remove_at(&mut self, q: QubitId, pos: usize, outcome: bool) {
-        // Mirror of State::remove_qubit: keep the `outcome` branch, compact
-        // higher bits down, assert the discarded mass, renormalize.
+    fn remove_qubit(&mut self, pos: usize, outcome: bool) {
         let mut out: HashMap<BasisKey, Complex> = HashMap::with_capacity(self.amps.len());
         let mut dropped = 0.0f64;
         for (k, a) in sorted_entries(&self.amps) {
@@ -362,36 +323,18 @@ impl SparseSim {
         );
         self.amps = out;
         self.n_qubits -= 1;
-        self.reg.remove(q, pos);
-        self.renormalize();
-    }
-
-    fn renormalize(&mut self) {
-        let norm_sqr: f64 = sorted_entries(&self.amps)
-            .iter()
-            .map(|(_, a)| a.norm_sqr())
-            .sum();
-        let n = norm_sqr.sqrt();
+        let n = self.mass_where(|_| true).sqrt();
         assert!(n > 0.0, "cannot renormalize the zero vector");
-        let inv = 1.0 / n;
-        let keys: Vec<BasisKey> = self.amps.keys().copied().collect();
-        for k in keys {
-            let a = self.amps[&k].scale(inv);
-            set_or_prune(&mut self.amps, k, a);
-        }
+        self.scale(1.0 / n);
     }
 
-    /// Single-qubit pair kernel: same expressions as `apply::apply_1q`, with
-    /// absent entries read as exact zero and exact-zero results pruned. With
-    /// `cmask = Some(m)` only pairs whose base index has every bit of `m` set
-    /// are touched (mirror of `apply::apply_controlled_1q`).
-    fn apply_pairs(&mut self, target: usize, m: &Mat2, cmask: Option<BasisKey>) {
+    /// Absent entries read as exact zero and exact-zero results are pruned.
+    fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
+        let cmask = key_of(controls);
         let mut pairs: HashMap<BasisKey, [Complex; 2]> = HashMap::new();
         for (k, &a) in self.amps.iter() {
-            if let Some(cm) = cmask {
-                if k.and(cm) != cm {
-                    continue;
-                }
+            if k.and(cmask) != cmask {
+                continue;
             }
             let base = k.with_cleared(target);
             pairs.entry(base).or_insert([C_ZERO; 2])[k.bit(target) as usize] = a;
@@ -404,29 +347,11 @@ impl SparseSim {
         }
     }
 
-    fn apply_1q_at(&mut self, target: usize, m: &Mat2) {
-        self.apply_pairs(target, m, None);
+    fn apply_cnot(&mut self, control: usize, target: usize) {
+        self.permute(|k| k.bit(control), |k| k.with_flipped(target));
     }
 
-    /// CNOT fast path: a pure key permutation, mirroring the dense
-    /// `amps.swap` walk (no floating-point arithmetic at all).
-    fn apply_cnot_at(&mut self, control: usize, target: usize) {
-        let moved: Vec<(BasisKey, Complex)> = self
-            .amps
-            .iter()
-            .filter(|(k, _)| k.bit(control))
-            .map(|(k, &a)| (*k, a))
-            .collect();
-        for (k, _) in &moved {
-            self.amps.remove(k);
-        }
-        for (k, a) in moved {
-            self.amps.insert(k.with_flipped(target), a);
-        }
-    }
-
-    /// CZ fast path: phase −1 where both bits are 1, as in the dense kernel.
-    fn apply_cz_at(&mut self, a: usize, b: usize) {
+    fn apply_cz(&mut self, a: usize, b: usize) {
         for (k, amp) in self.amps.iter_mut() {
             if k.bit(a) && k.bit(b) {
                 *amp = -*amp;
@@ -434,299 +359,70 @@ impl SparseSim {
         }
     }
 
-    /// SWAP fast path: key permutation exchanging bits `a` and `b`.
-    fn apply_swap_at(&mut self, a: usize, b: usize) {
-        let moved: Vec<(BasisKey, Complex)> = self
-            .amps
-            .iter()
-            .filter(|(k, _)| k.bit(a) != k.bit(b))
-            .map(|(k, &amp)| (*k, amp))
-            .collect();
-        for (k, _) in &moved {
-            self.amps.remove(k);
-        }
-        for (k, amp) in moved {
-            self.amps.insert(k.with_flipped(a).with_flipped(b), amp);
-        }
+    fn apply_swap(&mut self, a: usize, b: usize) {
+        self.permute(
+            |k| k.bit(a) != k.bit(b),
+            |k| k.with_flipped(a).with_flipped(b),
+        );
     }
 
-    /// Applies a single-qubit gate.
-    pub fn apply(&mut self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        let pos = self.pos(q)?;
-        self.apply_1q_at(pos, &gate.matrix());
-        self.gate_count += 1;
-        self.inject(OpClass::Gate1q, &[pos]);
-        Ok(())
-    }
-
-    /// Applies a pre-fused 2×2 unitary ([`crate::batch::BatchOp::Fused1q`])
-    /// through the same pair kernel as [`SparseSim::apply`]; one gate.
-    pub fn apply_fused_1q(&mut self, q: QubitId, m: &Mat2) -> Result<(), SimError> {
-        let pos = self.pos(q)?;
-        self.apply_1q_at(pos, m);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate1q, &[pos]);
-        Ok(())
-    }
-
-    /// Applies a merged diagonal sweep
-    /// ([`crate::batch::BatchOp::PhaseSweep`]) in one pass over the stored
-    /// entries: factors multiply sequentially in slice order, then odd
-    /// CZ-parity negates — the identical per-amplitude sequence the dense
-    /// engine runs (absent entries are exact zeros and stay zero under
-    /// unit-modulus factors, so nothing needs pruning). One gate.
-    pub fn apply_phase_sweep(
-        &mut self,
-        diags: &[(QubitId, Complex, Complex)],
-        czs: &[(QubitId, QubitId)],
-    ) -> Result<(), SimError> {
-        let mut factors = Vec::with_capacity(diags.len());
-        let mut touched = Vec::with_capacity(diags.len() + 2 * czs.len());
-        for &(q, d0, d1) in diags {
-            let pos = self.pos(q)?;
-            factors.push((pos, d0, d1));
-            touched.push(pos);
-        }
-        let mut flips = Vec::with_capacity(czs.len());
-        for &(a, b) in czs {
-            if a == b {
-                return Err(SimError::DuplicateQubit(a));
-            }
-            let pa = self.pos(a)?;
-            let pb = self.pos(b)?;
-            flips.push((pa, pb));
-            touched.push(pa);
-            touched.push(pb);
-        }
+    /// Absent entries are exact zeros and stay zero under unit-modulus
+    /// factors, so nothing needs pruning.
+    fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]) {
         for (k, amp) in self.amps.iter_mut() {
             let mut v = *amp;
-            for &(pos, d0, d1) in &factors {
+            for &(pos, d0, d1) in diags {
                 v *= if k.bit(pos) { d1 } else { d0 };
             }
-            if flips.iter().filter(|&&(a, b)| k.bit(a) && k.bit(b)).count() % 2 == 1 {
+            if czs.iter().filter(|&&(a, b)| k.bit(a) && k.bit(b)).count() % 2 == 1 {
                 v = -v;
             }
             *amp = v;
         }
-        self.gate_count += 1;
-        self.inject(OpClass::Gate1q, &touched);
-        Ok(())
     }
 
-    /// Applies a controlled single-qubit gate (any number of controls).
-    pub fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        let tpos = self.pos(target)?;
-        let mut cpos = Vec::with_capacity(controls.len());
-        for &c in controls {
-            if c == target {
-                return Err(SimError::DuplicateQubit(c));
-            }
-            cpos.push(self.pos(c)?);
-        }
-        let mut cmask = BasisKey::ZERO;
-        for &c in &cpos {
-            cmask = cmask.with_set(c);
-        }
-        self.apply_pairs(tpos, &gate.matrix(), Some(cmask));
-        self.gate_count += 1;
-        cpos.push(tpos);
-        self.inject(OpClass::Gate2q, &cpos);
-        Ok(())
+    fn prob_one(&self, pos: usize) -> f64 {
+        self.mass_where(|k| k.bit(pos))
     }
 
-    /// CNOT with `control`, `target`.
-    pub fn cnot(&mut self, control: QubitId, target: QubitId) -> Result<(), SimError> {
-        if control == target {
-            return Err(SimError::DuplicateQubit(control));
-        }
-        let c = self.pos(control)?;
-        let t = self.pos(target)?;
-        self.apply_cnot_at(c, t);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[c, t]);
-        Ok(())
-    }
-
-    /// Controlled-Z (symmetric).
-    pub fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        if a == b {
-            return Err(SimError::DuplicateQubit(a));
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        self.apply_cz_at(pa, pb);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[pa, pb]);
-        Ok(())
-    }
-
-    /// SWAP two qubits.
-    pub fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        if a == b {
-            return Ok(());
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        self.apply_swap_at(pa, pb);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[pa, pb]);
-        Ok(())
-    }
-
-    /// Toffoli (doubly-controlled NOT).
-    pub fn toffoli(&mut self, c1: QubitId, c2: QubitId, target: QubitId) -> Result<(), SimError> {
-        self.apply_controlled(&[c1, c2], Gate::X, target)
-    }
-
-    /// Applies an arbitrary two-qubit unitary to `(high, low)`, quartet by
-    /// quartet with the dense accumulation order (`acc += m[r][c] * a[c]`).
-    pub fn apply_2q(&mut self, high: QubitId, low: QubitId, m: &Mat4) -> Result<(), SimError> {
-        if high == low {
-            return Err(SimError::DuplicateQubit(high));
-        }
-        let hp = self.pos(high)?;
-        let lp = self.pos(low)?;
-        let mut quartets: HashMap<BasisKey, [Complex; 4]> = HashMap::new();
-        for (k, &a) in self.amps.iter() {
-            let base = k.with_cleared(hp).with_cleared(lp);
-            let slot = (k.bit(hp) as usize) << 1 | k.bit(lp) as usize;
-            quartets.entry(base).or_insert([C_ZERO; 4])[slot] = a;
-        }
-        for (base, a) in quartets {
-            let idx = [
-                base,
-                base.with_set(lp),
-                base.with_set(hp),
-                base.with_set(hp).with_set(lp),
-            ];
-            for (r, &out_k) in idx.iter().enumerate() {
-                let mut acc = C_ZERO;
-                for (c, &ac) in a.iter().enumerate() {
-                    acc += m[r][c] * ac;
-                }
-                set_or_prune(&mut self.amps, out_k, acc);
-            }
-        }
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[hp, lp]);
-        Ok(())
-    }
-
-    /// Probability of measuring 1 on `q` (non-destructive).
-    pub fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
-        Ok(prob_one_at(&self.amps, self.pos(q)?))
-    }
-
-    /// Collapse mirror of `measure::collapse`: sector norm accumulated in
-    /// ascending order, `assert norm > 1e-12`, scale by `1/sqrt(norm)`.
-    fn collapse_at(&mut self, target: usize, outcome: bool) {
-        let mut norm = 0.0f64;
-        let mut doomed = Vec::new();
-        for (k, a) in sorted_entries(&self.amps) {
-            if k.bit(target) == outcome {
-                norm += a.norm_sqr();
-            } else {
-                doomed.push(k);
-            }
-        }
+    fn collapse(&mut self, target: usize, outcome: bool) {
+        let norm = self.project(|k| k.bit(target) == outcome);
         assert!(
             norm > 1e-12,
             "collapsing qubit {target} onto probability-zero outcome"
         );
-        for k in doomed {
-            self.amps.remove(&k);
-        }
-        let inv = 1.0 / norm.sqrt();
-        let keys: Vec<BasisKey> = self.amps.keys().copied().collect();
-        for k in keys {
-            let a = self.amps[&k].scale(inv);
-            set_or_prune(&mut self.amps, k, a);
-        }
+        self.scale(1.0 / norm.sqrt());
     }
 
-    /// Projective measurement with collapse; readout noise applied first.
-    pub fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let pos = self.pos(q)?;
-        self.inject(OpClass::Measurement, &[pos]);
-        self.measurement_count += 1;
-        let p1 = prob_one_at(&self.amps, pos);
-        let outcome = self.rng.gen::<f64>() < p1;
-        self.collapse_at(pos, outcome);
-        Ok(outcome)
+    fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
+        let mask = key_of(qubits);
+        self.mass_where(|k| k.and(mask).parity())
     }
 
-    /// Non-destructive joint Z-parity measurement over `qubits`.
-    pub fn measure_z_parity(&mut self, qubits: &[QubitId]) -> Result<bool, SimError> {
-        let mut pos = Vec::with_capacity(qubits.len());
-        for &q in qubits {
-            pos.push(self.pos(q)?);
-        }
-        self.inject(OpClass::Measurement, &pos);
-        self.measurement_count += 1;
-        let mut mask = BasisKey::ZERO;
-        for &p in &pos {
-            mask = mask.with_set(p);
-        }
-        let mut p_odd = 0.0f64;
-        for (k, a) in sorted_entries(&self.amps) {
-            if k.and(mask).parity() {
-                p_odd += a.norm_sqr();
-            }
-        }
-        let outcome = self.rng.gen::<f64>() < p_odd;
-        let want_odd = outcome;
-        let mut norm = 0.0f64;
-        let mut doomed = Vec::new();
-        for (k, a) in sorted_entries(&self.amps) {
-            if k.and(mask).parity() == want_odd {
-                norm += a.norm_sqr();
-            } else {
-                doomed.push(k);
-            }
-        }
-        for k in doomed {
-            self.amps.remove(&k);
-        }
-        let inv = 1.0 / norm.sqrt();
-        let keys: Vec<BasisKey> = self.amps.keys().copied().collect();
-        for k in keys {
-            let a = self.amps[&k].scale(inv);
-            set_or_prune(&mut self.amps, k, a);
-        }
-        Ok(outcome)
+    fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
+        let mask = key_of(qubits);
+        let norm = self.project(|k| k.and(mask).parity() == odd);
+        self.scale(1.0 / norm.sqrt());
     }
 
-    /// Expectation value of a Pauli string given as `(qubit, pauli)` pairs —
-    /// the mirror of `measure::expectation_pauli` over present entries in
+    /// [`crate::stripe::expectation_pauli_flat`] over present entries in
     /// ascending order, with the identical `is_negligible(1e-300)` skip.
-    pub fn expectation(&self, terms: &[(QubitId, Pauli)]) -> Result<f64, SimError> {
+    fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         let mut x_mask = BasisKey::ZERO;
         let mut z_mask = BasisKey::ZERO;
         let mut y_count = 0u32;
-        for &(q, op) in terms {
-            let pos = self.pos(q)?;
-            match op {
-                Pauli::X => x_mask = x_mask.with_set(pos),
-                Pauli::Z => z_mask = z_mask.with_set(pos),
+        for t in terms {
+            match t.op {
+                Pauli::X => x_mask = x_mask.with_set(t.qubit),
+                Pauli::Z => z_mask = z_mask.with_set(t.qubit),
                 Pauli::Y => {
-                    x_mask = x_mask.with_set(pos);
-                    z_mask = z_mask.with_set(pos);
+                    x_mask = x_mask.with_set(t.qubit);
+                    z_mask = z_mask.with_set(t.qubit);
                     y_count += 1;
                 }
             }
         }
         let mut acc = Complex::default();
-        let i_pow = match y_count % 4 {
-            0 => Complex::real(1.0),
-            1 => crate::complex::C_I,
-            2 => Complex::real(-1.0),
-            _ => -crate::complex::C_I,
-        };
         for (k, a) in sorted_entries(&self.amps) {
             if a.is_negligible(1e-300) {
                 continue;
@@ -736,66 +432,38 @@ impl SparseSim {
             let b = self.amps.get(&partner).copied().unwrap_or(C_ZERO);
             acc += b.conj() * (a.scale(sign));
         }
-        let val = i_pow * acc;
-        debug_assert!(
-            val.im.abs() < 1e-9,
-            "expectation of Hermitian operator must be real"
-        );
-        Ok(val.re)
+        stripe::hermitian_value(stripe::y_phase(y_count), acc)
     }
 
-    /// Entangles two fresh |0> qubits into (|00> + |11>)/sqrt(2); counted as
-    /// the H + CNOT it stands for, with interconnect noise on the EPR class.
-    pub fn entangle_epr(&mut self, qa: QubitId, qb: QubitId) -> Result<(), SimError> {
-        if qa == qb {
-            return Err(SimError::DuplicateQubit(qa));
-        }
-        let pa = self.pos(qa)?;
-        let pb = self.pos(qb)?;
-        self.apply_1q_at(pa, &Gate::H.matrix());
-        self.apply_cnot_at(pa, pb);
-        self.gate_count += 2;
-        self.inject(OpClass::Epr, &[pa, pb]);
-        Ok(())
-    }
-
-    /// Dense snapshot with qubits ordered as in `order`, for states small
-    /// enough to materialize (< 30 qubits). Absent entries appear as `+0.0`.
-    pub fn state_vector(&self, order: &[QubitId]) -> Result<State, SimError> {
-        if self.n_qubits >= 30 {
+    fn snapshot(&self, perm: &[usize]) -> Result<State, SimError> {
+        if self.n_qubits > MAX_DENSE_QUBITS {
             return Err(SimError::Unsupported(format!(
-                "dense snapshot of {} qubits from the sparse engine",
+                "dense snapshot of {} qubits from the sparse engine (MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS})",
                 self.n_qubits
             )));
         }
-        let perm = self.reg.permutation(order)?;
         let mut st = State::zero(self.n_qubits);
         st.amplitudes_mut()[0] = C_ZERO;
         for (k, &a) in self.amps.iter() {
             let idx = k
                 .to_index()
-                .expect("key exceeds dense range despite n_qubits < 30");
+                .expect("key exceeds dense range despite the qubit budget check");
             st.amplitudes_mut()[idx] = a;
         }
-        Ok(st.permuted(&perm))
+        Ok(st.permuted(perm))
     }
 
-    /// The amplitude of the basis state where the qubits in `ones` are 1 and
-    /// all other live qubits are 0 — usable at any rank count, unlike
-    /// [`SparseSim::state_vector`].
-    pub fn amplitude_of(&self, ones: &[QubitId]) -> Result<Complex, SimError> {
-        let mut k = BasisKey::ZERO;
-        for &q in ones {
-            k = k.with_set(self.pos(q)?);
-        }
-        Ok(self.amps.get(&k).copied().unwrap_or(C_ZERO))
+    fn amplitude_of(&self, ones: &[usize]) -> Complex {
+        self.amps.get(&key_of(ones)).copied().unwrap_or(C_ZERO)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::gates::Gate;
+    use crate::noise::NoiseModel;
+    use crate::sim::{AmpSim, QubitId, Simulator, SparseSim};
 
     const TOL: f64 = 1e-12;
 
@@ -897,11 +565,18 @@ mod tests {
     /// Drives the same op sequence through dense and sparse and asserts
     /// *bitwise* equal snapshots under the canonical rule (+0.0 == -0.0 is
     /// free here because exact zeros never survive in either snapshot check).
-    fn assert_matches_dense(seed: u64, noise: NoiseModel, ops: impl Fn(&mut dyn OpSink)) {
+    /// The sequence is one function generic over the front's store, passed
+    /// once per instantiation.
+    fn assert_matches_dense(
+        seed: u64,
+        noise: NoiseModel,
+        dense_ops: fn(&mut Simulator),
+        sparse_ops: fn(&mut SparseSim),
+    ) {
         let mut dense = Simulator::with_noise(seed, noise);
         let mut sparse = SparseSim::with_noise(seed, noise);
-        ops(&mut DenseSink(&mut dense));
-        ops(&mut SparseSink(&mut sparse));
+        dense_ops(&mut dense);
+        sparse_ops(&mut sparse);
         let dq: Vec<QubitId> = (0..dense.n_qubits() as u64).map(QubitId).collect();
         let ds = dense.state_vector(&dq).unwrap();
         let ss = sparse.state_vector(&dq).unwrap();
@@ -927,98 +602,63 @@ mod tests {
         }
     }
 
-    trait OpSink {
-        fn alloc_n(&mut self, n: usize) -> Vec<QubitId>;
-        fn apply(&mut self, g: Gate, q: QubitId);
-        fn cnot(&mut self, c: QubitId, t: QubitId);
-        fn cz(&mut self, a: QubitId, b: QubitId);
-        fn swap(&mut self, a: QubitId, b: QubitId);
-        fn toffoli(&mut self, c1: QubitId, c2: QubitId, t: QubitId);
-        fn measure(&mut self, q: QubitId) -> bool;
-        fn measure_and_free(&mut self, q: QubitId) -> bool;
-        fn entangle_epr(&mut self, a: QubitId, b: QubitId);
-        fn expectation(&mut self, terms: &[(QubitId, Pauli)]) -> f64;
+    fn clifford_t_mix<S: AmpStore>(s: &mut AmpSim<S>) {
+        let q = s.alloc_n(5);
+        s.apply(Gate::H, q[0]).unwrap();
+        s.apply(Gate::T, q[1]).unwrap();
+        s.cnot(q[0], q[1]).unwrap();
+        s.apply(Gate::Ry(0.37), q[2]).unwrap();
+        s.cz(q[1], q[2]).unwrap();
+        s.swap(q[0], q[3]).unwrap();
+        s.toffoli(q[0], q[1], q[4]).unwrap();
+        s.apply(Gate::Sdg, q[3]).unwrap();
+        s.apply(Gate::Rz(-1.2), q[4]).unwrap();
+        s.cnot(q[4], q[0]).unwrap();
+        s.apply(Gate::Tdg, q[2]).unwrap();
+        s.apply(Gate::H, q[4]).unwrap();
     }
-
-    struct DenseSink<'a>(&'a mut Simulator);
-    struct SparseSink<'a>(&'a mut SparseSim);
-
-    macro_rules! impl_sink {
-        ($t:ty) => {
-            impl OpSink for $t {
-                fn alloc_n(&mut self, n: usize) -> Vec<QubitId> {
-                    self.0.alloc_n(n)
-                }
-                fn apply(&mut self, g: Gate, q: QubitId) {
-                    self.0.apply(g, q).unwrap()
-                }
-                fn cnot(&mut self, c: QubitId, t: QubitId) {
-                    self.0.cnot(c, t).unwrap()
-                }
-                fn cz(&mut self, a: QubitId, b: QubitId) {
-                    self.0.cz(a, b).unwrap()
-                }
-                fn swap(&mut self, a: QubitId, b: QubitId) {
-                    self.0.swap(a, b).unwrap()
-                }
-                fn toffoli(&mut self, c1: QubitId, c2: QubitId, t: QubitId) {
-                    self.0.toffoli(c1, c2, t).unwrap()
-                }
-                fn measure(&mut self, q: QubitId) -> bool {
-                    self.0.measure(q).unwrap()
-                }
-                fn measure_and_free(&mut self, q: QubitId) -> bool {
-                    self.0.measure_and_free(q).unwrap()
-                }
-                fn entangle_epr(&mut self, a: QubitId, b: QubitId) {
-                    self.0.entangle_epr(a, b).unwrap()
-                }
-                fn expectation(&mut self, terms: &[(QubitId, Pauli)]) -> f64 {
-                    self.0.expectation(terms).unwrap()
-                }
-            }
-        };
-    }
-    impl_sink!(DenseSink<'_>);
-    impl_sink!(SparseSink<'_>);
 
     #[test]
     fn bitwise_matches_dense_on_clifford_t_mix() {
-        assert_matches_dense(42, NoiseModel::ideal(), |s| {
-            let q = s.alloc_n(5);
-            s.apply(Gate::H, q[0]);
-            s.apply(Gate::T, q[1]);
-            s.cnot(q[0], q[1]);
-            s.apply(Gate::Ry(0.37), q[2]);
-            s.cz(q[1], q[2]);
-            s.swap(q[0], q[3]);
-            s.toffoli(q[0], q[1], q[4]);
-            s.apply(Gate::Sdg, q[3]);
-            s.apply(Gate::Rz(-1.2), q[4]);
-            s.cnot(q[4], q[0]);
-            s.apply(Gate::Tdg, q[2]);
-            s.apply(Gate::H, q[4]);
-        });
+        assert_matches_dense(42, NoiseModel::ideal(), clifford_t_mix, clifford_t_mix);
+    }
+
+    fn measure_free_epr<S: AmpStore>(s: &mut AmpSim<S>) {
+        let q = s.alloc_n(6);
+        s.entangle_epr(q[0], q[1]).unwrap();
+        s.apply(Gate::H, q[2]).unwrap();
+        s.cnot(q[2], q[3]).unwrap();
+        let m = s.measure(q[2]).unwrap();
+        if m {
+            s.apply(Gate::X, q[3]).unwrap();
+        }
+        s.measure_and_free(q[4]).unwrap();
+        s.measure_and_free(q[5]).unwrap();
+        s.apply(Gate::T, q[3]).unwrap();
+        let _ = s
+            .expectation(&[(q[0], Pauli::Z), (q[1], Pauli::Z)])
+            .unwrap();
+        let _ = s
+            .expectation(&[(q[0], Pauli::X), (q[1], Pauli::X)])
+            .unwrap();
+        let _ = s.expectation(&[(q[3], Pauli::Y)]).unwrap();
     }
 
     #[test]
     fn bitwise_matches_dense_through_measure_free_epr() {
-        assert_matches_dense(7, NoiseModel::ideal(), |s| {
-            let q = s.alloc_n(6);
-            s.entangle_epr(q[0], q[1]);
-            s.apply(Gate::H, q[2]);
-            s.cnot(q[2], q[3]);
-            let m = s.measure(q[2]);
-            if m {
-                s.apply(Gate::X, q[3]);
-            }
-            s.measure_and_free(q[4]);
-            s.measure_and_free(q[5]);
-            s.apply(Gate::T, q[3]);
-            let _ = s.expectation(&[(q[0], Pauli::Z), (q[1], Pauli::Z)]);
-            let _ = s.expectation(&[(q[0], Pauli::X), (q[1], Pauli::X)]);
-            let _ = s.expectation(&[(q[3], Pauli::Y)]);
-        });
+        assert_matches_dense(7, NoiseModel::ideal(), measure_free_epr, measure_free_epr);
+    }
+
+    fn noisy_trajectory<S: AmpStore>(s: &mut AmpSim<S>) {
+        let q = s.alloc_n(4);
+        s.apply(Gate::H, q[0]).unwrap();
+        s.cnot(q[0], q[1]).unwrap();
+        s.entangle_epr(q[2], q[3]).unwrap();
+        s.apply(Gate::T, q[1]).unwrap();
+        s.cz(q[1], q[2]).unwrap();
+        s.measure(q[0]).unwrap();
+        s.apply(Gate::H, q[3]).unwrap();
+        s.swap(q[1], q[3]).unwrap();
     }
 
     #[test]
@@ -1029,17 +669,7 @@ mod tests {
             (3, NoiseModel::amplitude_damping(0.25)),
             (4, NoiseModel::ideal()), // zero-rate must equal noiseless bitwise
         ] {
-            assert_matches_dense(seed, model, |s| {
-                let q = s.alloc_n(4);
-                s.apply(Gate::H, q[0]);
-                s.cnot(q[0], q[1]);
-                s.entangle_epr(q[2], q[3]);
-                s.apply(Gate::T, q[1]);
-                s.cz(q[1], q[2]);
-                s.measure(q[0]);
-                s.apply(Gate::H, q[3]);
-                s.swap(q[1], q[3]);
-            });
+            assert_matches_dense(seed, model, noisy_trajectory, noisy_trajectory);
         }
     }
 

@@ -5,11 +5,27 @@
 //! significant bit). Qubits can be appended (tensor with |0>) and removed
 //! (after collapse), which is what the dynamic `QMPI_Alloc_qmem` /
 //! `QMPI_Free_qmem` interface of the paper's prototype requires.
+//!
+//! The dense state is the one-stripe case of [`crate::stripe`]: its
+//! [`AmpStore`] implementation checks operands, turns positions into bit
+//! masks, and runs the stripe kernels over the whole vector at `base = 0`.
+//! No per-amplitude arithmetic is defined here except the 4×4
+//! [`State::apply_2q`], which no engine executes and the fast-path tests
+//! use as their reference.
 
 use crate::complex::{Complex, C_ONE, C_ZERO};
+use crate::gates::{Mat2, Mat4};
+use crate::measure::PauliTerm;
+use crate::sim::{AmpStore, SimError};
+use crate::stripe;
 
 /// Numerical tolerance used for normalization and classicality checks.
 pub const NORM_TOL: f64 = 1e-9;
+
+/// The qubit budget of every dense-amplitude engine: `2^29` amplitudes
+/// (8 GiB) is the widest register a [`State`], a lock-striped or a
+/// remote-sharded state will hold or a sparse state will materialize.
+pub const MAX_DENSE_QUBITS: usize = 29;
 
 /// A pure quantum state over `n` qubits as a dense amplitude vector.
 #[derive(Clone, Debug)]
@@ -25,8 +41,8 @@ impl State {
     /// which is the correct identity for tensoring.
     pub fn zero(n_qubits: usize) -> Self {
         assert!(
-            n_qubits < 30,
-            "state vector of {n_qubits} qubits would not fit in memory"
+            n_qubits <= MAX_DENSE_QUBITS,
+            "state vector of {n_qubits} qubits would not fit in memory (MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS})"
         );
         let mut amps = vec![C_ZERO; 1usize << n_qubits];
         amps[0] = C_ONE;
@@ -74,7 +90,7 @@ impl State {
         &self.amps
     }
 
-    /// Mutable view of the amplitudes (used by the apply kernels).
+    /// Mutable view of the amplitudes.
     #[inline]
     pub(crate) fn amplitudes_mut(&mut self) -> &mut [Complex] {
         &mut self.amps
@@ -95,47 +111,56 @@ impl State {
     pub fn renormalize(&mut self) {
         let n = self.norm_sqr().sqrt();
         assert!(n > 0.0, "cannot renormalize the zero vector");
-        let inv = 1.0 / n;
-        for a in &mut self.amps {
-            *a = a.scale(inv);
-        }
+        stripe::scale(&mut self.amps, 1.0 / n);
     }
 
-    /// Appends a fresh qubit in |0> as the new most-significant qubit and
-    /// returns its index (`old n_qubits`). Existing qubit indices are stable.
-    pub fn add_qubit(&mut self) -> usize {
-        assert!(self.n_qubits < 29, "qubit budget exhausted");
-        let idx = self.n_qubits;
-        self.amps.resize(self.amps.len() * 2, C_ZERO);
-        self.n_qubits += 1;
-        idx
-    }
-
-    /// Removes qubit `target`, which must already be collapsed to the
-    /// classical value `outcome` (all amplitude mass on that branch).
-    /// Qubits above `target` shift down by one index.
-    pub fn remove_qubit(&mut self, target: usize, outcome: bool) {
-        assert!(target < self.n_qubits, "qubit {target} out of range");
-        let bit = 1usize << target;
-        let low_mask = bit - 1;
-        let keep = if outcome { bit } else { 0 };
-        let mut out = vec![C_ZERO; self.amps.len() / 2];
-        let mut dropped = 0.0f64;
-        for (i, &a) in self.amps.iter().enumerate() {
-            if i & bit == keep {
-                let j = (i & low_mask) | ((i >> 1) & !low_mask);
-                out[j] = a;
-            } else {
-                dropped += a.norm_sqr();
+    /// Applies an arbitrary two-qubit unitary to qubits `(q1, q0)`, where `q0`
+    /// indexes the low bit of the 4x4 matrix and `q1` the high bit. Not on
+    /// any engine's gate path: it is the independent reference the
+    /// CNOT/CZ/SWAP fast-path tests compare against.
+    pub fn apply_2q(&mut self, q1: usize, q0: usize, m: &Mat4) {
+        let n = self.n_qubits;
+        assert!(q0 < n && q1 < n, "qubit out of range (n={n})");
+        assert_ne!(q0, q1, "two-qubit gate needs distinct qubits");
+        let b0 = 1usize << q0;
+        let b1 = 1usize << q1;
+        let quarter = self.amps.len() / 4;
+        let (lo_bit, hi_bit) = if q0 < q1 { (b0, b1) } else { (b1, b0) };
+        let amps = &mut self.amps;
+        for i in 0..quarter {
+            // Spread i over positions with both gate bits cleared.
+            let mut base = i & (lo_bit - 1);
+            let mid = (i & !(lo_bit - 1)) << 1;
+            base |= mid & (hi_bit - 1);
+            base |= (mid & !(hi_bit - 1)) << 1;
+            let idx = [base, base | b0, base | b1, base | b0 | b1];
+            let a = [amps[idx[0]], amps[idx[1]], amps[idx[2]], amps[idx[3]]];
+            for (r, &out_i) in idx.iter().enumerate() {
+                let mut acc = C_ZERO;
+                for (c, &ac) in a.iter().enumerate() {
+                    acc += m[r][c] * ac;
+                }
+                amps[out_i] = acc;
             }
         }
-        assert!(
-            dropped < NORM_TOL,
-            "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
-        );
-        self.amps = out;
-        self.n_qubits -= 1;
-        self.renormalize();
+    }
+
+    /// Bit mask of the listed positions, each checked against the register
+    /// width.
+    fn mask_of(&self, qubits: &[usize]) -> usize {
+        let n = self.n_qubits;
+        qubits.iter().fold(0usize, |mask, &q| {
+            assert!(q < n, "qubit {q} out of range (n={n})");
+            mask | 1usize << q
+        })
+    }
+
+    /// Checks a two-qubit fast-path operand pair and returns its bits.
+    fn pair_bits(&self, a: usize, b: usize, what: &str) -> (usize, usize) {
+        let n = self.n_qubits;
+        assert!(a < n && b < n, "qubit out of range (n={n})");
+        assert_ne!(a, b, "{what} needs distinct qubits");
+        (1usize << a, 1usize << b)
     }
 
     /// Tensor product `self ⊗ other`: `other`'s qubits become the new
@@ -210,10 +235,141 @@ impl State {
     }
 }
 
+impl AmpStore for State {
+    fn empty() -> Self {
+        State::zero(0)
+    }
+
+    fn add_qubit(&mut self) -> usize {
+        assert!(
+            self.n_qubits < MAX_DENSE_QUBITS,
+            "qubit budget exhausted (MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS})"
+        );
+        let idx = self.n_qubits;
+        self.amps.resize(self.amps.len() * 2, C_ZERO);
+        self.n_qubits += 1;
+        idx
+    }
+
+    fn remove_qubit(&mut self, target: usize, outcome: bool) {
+        assert!(target < self.n_qubits, "qubit {target} out of range");
+        let (out, dropped) = stripe::remove_qubit_flat(&self.amps, target, outcome);
+        assert!(
+            dropped < NORM_TOL,
+            "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
+        );
+        self.amps = out;
+        self.n_qubits -= 1;
+        self.renormalize();
+    }
+
+    fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
+        let n = self.n_qubits;
+        assert!(target < n, "qubit {target} out of range (n={n})");
+        let cmask = self.mask_of(controls);
+        let tbit = 1usize << target;
+        assert_eq!(cmask & tbit, 0, "control equals target");
+        stripe::pair_unitary(&mut self.amps, cmask, tbit, m);
+    }
+
+    fn apply_cnot(&mut self, control: usize, target: usize) {
+        let (cbit, tbit) = self.pair_bits(control, target, "CNOT");
+        stripe::pair_within(&mut self.amps, cbit, tbit, std::mem::swap);
+    }
+
+    fn apply_cz(&mut self, a: usize, b: usize) {
+        let (abit, bbit) = self.pair_bits(a, b, "CZ");
+        stripe::phase_flip(&mut self.amps, abit | bbit);
+    }
+
+    fn apply_swap(&mut self, a: usize, b: usize) {
+        let (abit, bbit) = (self.mask_of(&[a]), self.mask_of(&[b]));
+        if a != b {
+            stripe::swap_within(&mut self.amps, abit, bbit);
+        }
+    }
+
+    fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]) {
+        let factors: Vec<_> = diags
+            .iter()
+            .map(|&(q, d0, d1)| (self.mask_of(&[q]), d0, d1))
+            .collect();
+        let flips: Vec<_> = czs.iter().map(|&(a, b)| self.mask_of(&[a, b])).collect();
+        stripe::phase_sweep(&mut self.amps, 0, &factors, &flips);
+    }
+
+    fn prob_one(&self, target: usize) -> f64 {
+        let bit = self.mask_of(&[target]);
+        stripe::masked_norm(&self.amps, 0, bit, bit)
+    }
+
+    fn collapse(&mut self, target: usize, outcome: bool) {
+        let bit = self.mask_of(&[target]);
+        let norm = stripe::collapse_keep(&mut self.amps, 0, bit, if outcome { bit } else { 0 });
+        assert!(
+            norm > 1e-12,
+            "collapsing qubit {target} onto probability-zero outcome"
+        );
+        stripe::scale(&mut self.amps, 1.0 / norm.sqrt());
+    }
+
+    fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
+        stripe::parity_prob_odd(&self.amps, 0, self.mask_of(qubits))
+    }
+
+    fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
+        let mask = self.mask_of(qubits);
+        let norm = stripe::collapse_parity(&mut self.amps, 0, mask, odd);
+        stripe::scale(&mut self.amps, 1.0 / norm.sqrt());
+    }
+
+    fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
+        stripe::expectation_pauli_flat(&self.amps, terms)
+    }
+
+    fn snapshot(&self, perm: &[usize]) -> Result<State, SimError> {
+        Ok(self.permuted(perm))
+    }
+
+    fn amplitude_of(&self, ones: &[usize]) -> Complex {
+        self.amps[self.mask_of(ones)]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::complex::Complex;
+    use crate::gates::{cnot_matrix, cz_matrix, swap_matrix, Gate, Pauli};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    const TOL: f64 = 1e-10;
+
+    fn basis(n: usize, idx: usize) -> State {
+        let mut amps = vec![C_ZERO; 1 << n];
+        amps[idx] = C_ONE;
+        State::from_amplitudes(amps)
+    }
+
+    fn rng() -> StdRng {
+        StdRng::seed_from_u64(42)
+    }
+
+    /// Computational-basis measurement at the store level: the front's
+    /// draw-then-collapse sequence.
+    fn measure(s: &mut State, target: usize, rng: &mut StdRng) -> bool {
+        let outcome = rng.gen::<f64>() < s.prob_one(target);
+        s.collapse(target, outcome);
+        outcome
+    }
+
+    /// Joint Z-parity measurement at the store level.
+    fn measure_z_parity(s: &mut State, qubits: &[usize], rng: &mut StdRng) -> bool {
+        let outcome = rng.gen::<f64>() < s.parity_prob_odd(qubits);
+        s.collapse_parity(qubits, outcome);
+        outcome
+    }
 
     #[test]
     fn zero_state_has_unit_amp_at_origin() {
@@ -221,6 +377,12 @@ mod tests {
         assert_eq!(s.len(), 8);
         assert!((s.probability(0) - 1.0).abs() < 1e-12);
         assert!((s.norm_sqr() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    #[should_panic(expected = "MAX_DENSE_QUBITS = 29")]
+    fn zero_state_past_the_budget_panics_before_allocating() {
+        let _ = State::zero(MAX_DENSE_QUBITS + 1);
     }
 
     #[test]
@@ -309,5 +471,388 @@ mod tests {
         let s = State::from_amplitudes(amps);
         let p = s.permuted(&[0, 1]);
         assert!((s.fidelity(&p) - 1.0).abs() < 1e-12);
+    }
+
+    // Gate kernels through the store entry points.
+
+    #[test]
+    fn x_flips_basis_state() {
+        let mut s = State::zero(1);
+        s.apply_1q(&[], 0, &Gate::X.matrix());
+        assert!((s.probability(1) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn h_creates_uniform_superposition() {
+        let mut s = State::zero(3);
+        for q in 0..3 {
+            s.apply_1q(&[], q, &Gate::H.matrix());
+        }
+        for i in 0..8 {
+            assert!((s.probability(i) - 0.125).abs() < TOL);
+        }
+    }
+
+    #[test]
+    fn hh_is_identity() {
+        let mut s = basis(2, 0b10);
+        s.apply_1q(&[], 1, &Gate::H.matrix());
+        s.apply_1q(&[], 1, &Gate::H.matrix());
+        assert!((s.probability(0b10) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn cnot_fast_path_matches_matrix() {
+        for init in 0..4 {
+            let mut s1 = basis(2, init);
+            let mut s2 = basis(2, init);
+            s1.apply_cnot(1, 0);
+            // cnot_matrix is ordered |c t> with t low, matching (q1=control, q0=target).
+            s2.apply_2q(1, 0, &cnot_matrix());
+            assert!((s1.fidelity(&s2) - 1.0).abs() < TOL, "init={init}");
+        }
+    }
+
+    #[test]
+    fn cnot_reversed_operands() {
+        // Control on low bit: |01> -> |11>.
+        let mut s = basis(2, 0b01);
+        s.apply_cnot(0, 1);
+        assert!((s.probability(0b11) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn cz_fast_path_matches_matrix() {
+        let mut s1 = State::zero(2);
+        let mut s2 = State::zero(2);
+        for q in 0..2 {
+            s1.apply_1q(&[], q, &Gate::H.matrix());
+            s2.apply_1q(&[], q, &Gate::H.matrix());
+        }
+        s1.apply_cz(0, 1);
+        s2.apply_2q(1, 0, &cz_matrix());
+        assert!((s1.fidelity(&s2) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn swap_fast_path_matches_matrix() {
+        let mut s1 = basis(2, 0b01);
+        let mut s2 = basis(2, 0b01);
+        s1.apply_swap(0, 1);
+        s2.apply_2q(1, 0, &swap_matrix());
+        assert!((s1.fidelity(&s2) - 1.0).abs() < TOL);
+        assert!((s1.probability(0b10) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn bell_pair_construction() {
+        let mut s = State::zero(2);
+        s.apply_1q(&[], 0, &Gate::H.matrix());
+        s.apply_cnot(0, 1);
+        assert!((s.probability(0b00) - 0.5).abs() < TOL);
+        assert!((s.probability(0b11) - 0.5).abs() < TOL);
+        assert!(s.probability(0b01) < TOL);
+        assert!(s.probability(0b10) < TOL);
+    }
+
+    #[test]
+    fn toffoli_truth_table() {
+        for init in 0..8usize {
+            let mut s = basis(3, init);
+            s.apply_1q(&[2, 1], 0, &Gate::X.matrix());
+            let expect = if init & 0b110 == 0b110 {
+                init ^ 1
+            } else {
+                init
+            };
+            assert!((s.probability(expect) - 1.0).abs() < TOL, "init={init}");
+        }
+    }
+
+    #[test]
+    fn controlled_gate_with_zero_control_is_identity() {
+        let mut s = basis(2, 0b00);
+        s.apply_1q(&[1], 0, &Gate::X.matrix());
+        assert!((s.probability(0b00) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn large_state_do_undo_returns_to_zero() {
+        // 15 qubits => 32768 amplitudes: the one kernel set at a size past
+        // the small-state tests, with the target above and below the control.
+        let n = 15;
+        let mut big = State::zero(n);
+        for q in 0..n {
+            big.apply_1q(&[], q, &Gate::H.matrix());
+        }
+        big.apply_1q(&[], 7, &Gate::Rz(0.3).matrix());
+        big.apply_1q(&[3], 7, &Gate::Ry(1.1).matrix());
+        for q in 0..n {
+            big.apply_1q(&[], q, &Gate::H.matrix());
+        }
+        assert!((big.norm_sqr() - 1.0).abs() < 1e-9);
+        // Undo everything and verify we return to |0...0>.
+        for q in 0..n {
+            big.apply_1q(&[], q, &Gate::H.matrix());
+        }
+        big.apply_1q(&[3], 7, &Gate::Ry(-1.1).matrix());
+        big.apply_1q(&[], 7, &Gate::Rz(-0.3).matrix());
+        for q in 0..n {
+            big.apply_1q(&[], q, &Gate::H.matrix());
+        }
+        assert!((big.probability(0) - 1.0).abs() < 1e-8);
+    }
+
+    #[test]
+    fn norm_preserved_under_random_circuit() {
+        let mut s = State::zero(6);
+        let gates = [
+            Gate::H,
+            Gate::Rx(0.4),
+            Gate::T,
+            Gate::Ry(2.2),
+            Gate::S,
+            Gate::Rz(-0.9),
+        ];
+        for (i, g) in gates.iter().enumerate() {
+            s.apply_1q(&[], i % 6, &g.matrix());
+            s.apply_cnot(i % 6, (i + 1) % 6);
+        }
+        assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn phase_gate_only_affects_one_branch() {
+        let mut s = State::zero(1);
+        s.apply_1q(&[], 0, &Gate::H.matrix());
+        s.apply_1q(&[], 0, &Gate::Phase(std::f64::consts::PI).matrix());
+        s.apply_1q(&[], 0, &Gate::H.matrix());
+        // H Z H = X, so we should be in |1>.
+        assert!((s.probability(1) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn apply_2q_general_unitary_preserves_norm() {
+        // Use an arbitrary product of the fixed 4x4 unitaries.
+        let m = crate::gates::matmul4(&cnot_matrix(), &cz_matrix());
+        let mut s = State::zero(4);
+        for q in 0..4 {
+            s.apply_1q(&[], q, &Gate::H.matrix());
+        }
+        s.apply_2q(3, 1, &m);
+        assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn fanout_parallel_controls_fig2() {
+        // Fig. 2: fanout of control qubit, controlled gates in parallel on
+        // distinct targets, then unfanout — equals two gates controlled on
+        // the original qubit.
+        let u1 = Gate::Ry(0.7);
+        let u2 = Gate::Rz(1.3);
+        // Reference: both controlled on qubit 0 directly. Targets 1, 2.
+        let mut reference = State::zero(4);
+        reference.apply_1q(&[], 0, &Gate::H.matrix());
+        reference.apply_1q(&[0], 1, &u1.matrix());
+        reference.apply_1q(&[0], 2, &u2.matrix());
+        // Fanout version: qubit 3 is the auxiliary copy.
+        let mut fan = State::zero(4);
+        fan.apply_1q(&[], 0, &Gate::H.matrix());
+        fan.apply_cnot(0, 3); // fanout
+        fan.apply_1q(&[0], 1, &u1.matrix());
+        fan.apply_1q(&[3], 2, &u2.matrix());
+        fan.apply_cnot(0, 3); // unfanout
+        assert!((reference.fidelity(&fan) - 1.0).abs() < TOL);
+    }
+
+    // Probabilities, collapse, parity and Pauli expectations.
+
+    #[test]
+    fn prob_one_of_zero_state_is_zero() {
+        let s = State::zero(2);
+        assert!(s.prob_one(0) < TOL);
+        assert!(s.prob_one(1) < TOL);
+    }
+
+    #[test]
+    fn prob_one_after_x() {
+        let mut s = State::zero(2);
+        s.apply_1q(&[], 1, &Gate::X.matrix());
+        assert!((s.prob_one(1) - 1.0).abs() < TOL);
+        assert!(s.prob_one(0) < TOL);
+    }
+
+    #[test]
+    fn measurement_statistics_of_plus_state() {
+        let mut ones = 0u32;
+        let trials = 2000;
+        let mut r = rng();
+        for _ in 0..trials {
+            let mut s = State::zero(1);
+            s.apply_1q(&[], 0, &Gate::H.matrix());
+            if measure(&mut s, 0, &mut r) {
+                ones += 1;
+            }
+        }
+        let frac = ones as f64 / trials as f64;
+        assert!((frac - 0.5).abs() < 0.05, "frac={frac}");
+    }
+
+    #[test]
+    fn measurement_collapses_entanglement() {
+        let mut r = rng();
+        for _ in 0..50 {
+            let mut s = State::zero(2);
+            s.apply_1q(&[], 0, &Gate::H.matrix());
+            s.apply_cnot(0, 1);
+            let m0 = measure(&mut s, 0, &mut r);
+            let m1 = measure(&mut s, 1, &mut r);
+            assert_eq!(m0, m1, "EPR halves must agree");
+        }
+    }
+
+    #[test]
+    fn collapse_renormalizes() {
+        let mut s = State::zero(1);
+        s.apply_1q(&[], 0, &Gate::Ry(1.0).matrix());
+        s.collapse(0, true);
+        assert!((s.norm_sqr() - 1.0).abs() < TOL);
+        assert!((s.prob_one(0) - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn parity_measurement_of_epr_pair_is_even() {
+        let mut r = rng();
+        for _ in 0..20 {
+            let mut s = State::zero(2);
+            s.apply_1q(&[], 0, &Gate::H.matrix());
+            s.apply_cnot(0, 1);
+            // EPR pair lives entirely in the even-parity subspace.
+            assert!(!measure_z_parity(&mut s, &[0, 1], &mut r));
+            // State must still be the EPR pair (projection was trivial).
+            assert!((s.probability(0b00) - 0.5).abs() < TOL);
+            assert!((s.probability(0b11) - 0.5).abs() < TOL);
+        }
+    }
+
+    #[test]
+    fn parity_measurement_preserves_superposition() {
+        // |++> has equal weight in both parity sectors; after measurement the
+        // state is a GHZ-like superposition within one sector.
+        let mut r = rng();
+        let mut s = State::zero(2);
+        s.apply_1q(&[], 0, &Gate::H.matrix());
+        s.apply_1q(&[], 1, &Gate::H.matrix());
+        let odd = measure_z_parity(&mut s, &[0, 1], &mut r);
+        if odd {
+            assert!((s.probability(0b01) - 0.5).abs() < TOL);
+            assert!((s.probability(0b10) - 0.5).abs() < TOL);
+        } else {
+            assert!((s.probability(0b00) - 0.5).abs() < TOL);
+            assert!((s.probability(0b11) - 0.5).abs() < TOL);
+        }
+        assert!((s.norm_sqr() - 1.0).abs() < TOL);
+    }
+
+    #[test]
+    fn expectation_z_of_zero_and_one() {
+        let s = State::zero(1);
+        assert!(
+            (s.expectation_pauli(&[PauliTerm {
+                qubit: 0,
+                op: Pauli::Z
+            }]) - 1.0)
+                .abs()
+                < TOL
+        );
+        let mut s1 = State::zero(1);
+        s1.apply_1q(&[], 0, &Gate::X.matrix());
+        assert!(
+            (s1.expectation_pauli(&[PauliTerm {
+                qubit: 0,
+                op: Pauli::Z
+            }]) + 1.0)
+                .abs()
+                < TOL
+        );
+    }
+
+    #[test]
+    fn expectation_x_of_plus_state() {
+        let mut s = State::zero(1);
+        s.apply_1q(&[], 0, &Gate::H.matrix());
+        assert!(
+            (s.expectation_pauli(&[PauliTerm {
+                qubit: 0,
+                op: Pauli::X
+            }]) - 1.0)
+                .abs()
+                < TOL
+        );
+        assert!(
+            s.expectation_pauli(&[PauliTerm {
+                qubit: 0,
+                op: Pauli::Z
+            }])
+            .abs()
+                < TOL
+        );
+    }
+
+    #[test]
+    fn expectation_y_of_y_eigenstate() {
+        // S H |0> = (|0> + i|1>)/sqrt(2), the +1 eigenstate of Y.
+        let mut s = State::zero(1);
+        s.apply_1q(&[], 0, &Gate::H.matrix());
+        s.apply_1q(&[], 0, &Gate::S.matrix());
+        assert!(
+            (s.expectation_pauli(&[PauliTerm {
+                qubit: 0,
+                op: Pauli::Y
+            }]) - 1.0)
+                .abs()
+                < TOL
+        );
+    }
+
+    #[test]
+    fn expectation_zz_of_epr_pair() {
+        let mut s = State::zero(2);
+        s.apply_1q(&[], 0, &Gate::H.matrix());
+        s.apply_cnot(0, 1);
+        let zz = s.expectation_pauli(&[
+            PauliTerm {
+                qubit: 0,
+                op: Pauli::Z,
+            },
+            PauliTerm {
+                qubit: 1,
+                op: Pauli::Z,
+            },
+        ]);
+        let xx = s.expectation_pauli(&[
+            PauliTerm {
+                qubit: 0,
+                op: Pauli::X,
+            },
+            PauliTerm {
+                qubit: 1,
+                op: Pauli::X,
+            },
+        ]);
+        let yy = s.expectation_pauli(&[
+            PauliTerm {
+                qubit: 0,
+                op: Pauli::Y,
+            },
+            PauliTerm {
+                qubit: 1,
+                op: Pauli::Y,
+            },
+        ]);
+        // Bell state (|00>+|11>)/sqrt(2): <ZZ> = <XX> = 1, <YY> = -1.
+        assert!((zz - 1.0).abs() < TOL);
+        assert!((xx - 1.0).abs() < TOL);
+        assert!((yy + 1.0).abs() < TOL);
     }
 }

@@ -1,4 +1,5 @@
-//! Shard-local amplitude kernels.
+//! Amplitude kernels over one contiguous stripe — the one definition of
+//! the per-amplitude arithmetic for every dense-amplitude engine.
 //!
 //! A sharded state vector stores the `2^n` amplitudes of an `n`-qubit
 //! register as `2^k` *contiguous* stripes: stripe `s` holds the amplitudes
@@ -9,18 +10,16 @@
 //! passes — only needs the stripe slice plus its global base index
 //! `s << l`.
 //!
-//! These kernels are that per-stripe work, factored out of
-//! [`crate::sharded::ShardedState`] so that an execution engine which does
-//! *not* share an address space with the stripes — a process-separated
-//! shard worker receiving commands over a message channel — can run the
-//! identical arithmetic on its own stripe. The in-process lock-striped
-//! store calls the same functions under its stripe locks, so the two
-//! deployments cannot drift apart on kernel semantics.
-//!
-//! All pair kernels perform the same per-amplitude arithmetic as the dense
-//! kernels in [`crate::apply`] (same operations, same order), which is what
-//! keeps dense, lock-striped, and remote-sharded engines bit-identical on
-//! gate circuits.
+//! Three deployments run these functions and nothing else: the dense
+//! [`crate::state::State`] is the one-stripe case (`k = 0`, `base = 0`, the
+//! cross-stripe kernels never fire); the in-process lock-striped
+//! [`crate::sharded::ShardedState`] calls them under its stripe locks; and a
+//! process-separated shard worker receiving commands over a message channel
+//! runs them on the stripe it owns. One kernel set is what keeps dense,
+//! lock-striped, and remote-sharded engines bit-identical: there is no
+//! second copy of the arithmetic to drift. The sparse map
+//! ([`crate::sparse`]) evaluates the same expressions in the same order
+//! over its present entries.
 
 use crate::complex::{Complex, C_ZERO};
 use crate::gates::Mat2;
@@ -107,11 +106,11 @@ pub fn swap_across_mixed(low: &mut [Complex], high: &mut [Complex], abit: usize)
 
 /// Applies an arbitrary 2×2 unitary to every within-stripe amplitude pair
 /// `(i, i | tbit)` whose low member satisfies the control mask `c_lo` —
-/// the kernel behind fused 1q runs ([`crate::batch::BatchOp::Fused1q`]).
-/// Performs the exact per-pair arithmetic of the dense
-/// [`crate::apply::apply_1q`] kernel (two reads, then two multiply-add
-/// rows in matrix order), so fused application stays bit-identical across
-/// dense, lock-striped, and remote-sharded engines.
+/// the kernel behind every (controlled) single-qubit gate and fused 1q run
+/// ([`crate::batch::BatchOp::Fused1q`]). The per-pair arithmetic — two
+/// reads, then two multiply-add rows in matrix order — is defined here and
+/// nowhere else, so a fused run and the gates it replaced, on any engine,
+/// go through the same floating-point sequence.
 pub fn pair_unitary(amps: &mut [Complex], c_lo: usize, tbit: usize, m: &Mat2) {
     pair_within(amps, c_lo, tbit, |a0, a1| {
         let (x0, x1) = (*a0, *a1);
@@ -224,10 +223,29 @@ pub fn scale(amps: &mut [Complex], factor: f64) {
     }
 }
 
-/// Expectation value `<psi| P |psi>` of a Pauli string over an `n`-qubit
-/// register, reading amplitudes through `at` (global basis index →
-/// amplitude). The accessor indirection lets the caller serve amplitudes
-/// from locked stripes, a gathered flat vector, or anything else.
+/// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
+/// single-qubit Paulis on distinct qubits; identity elsewhere) over one
+/// contiguous amplitude slice holding the whole register — the kernel the
+/// dense [`crate::state::State`] runs. Walks the slice directly instead of
+/// going through an accessor (measured: the accessor form costs a
+/// whole-state readout about a fifth more), and shares [`pauli_masks`] and
+/// the per-basis-state term with [`expectation_pauli`], so both accumulate
+/// the identical floating-point sequence.
+pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
+    let n_qubits = amps.len().trailing_zeros() as usize;
+    let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
+    let mut acc = Complex::default();
+    for (g, &a) in amps.iter().enumerate() {
+        if !a.is_negligible(NEGLIGIBLE) {
+            acc += signed_term(a, amps[g ^ x_mask], g, z_mask);
+        }
+    }
+    hermitian_value(i_pow, acc)
+}
+
+/// [`expectation_pauli_flat`] for callers whose amplitudes are not one
+/// slice: reads them through `at` (global basis index → amplitude), so the
+/// caller can serve them from locked stripes or anything else.
 pub fn expectation_pauli(
     n_qubits: usize,
     at: impl Fn(usize) -> Complex,
@@ -240,6 +258,12 @@ pub fn expectation_pauli(
             acc += t;
         }
     }
+    hermitian_value(i_pow, acc)
+}
+
+/// Applies the `i^{#Y}` phase to a finished accumulator and returns the
+/// (necessarily real) expectation value.
+pub(crate) fn hermitian_value(i_pow: Complex, acc: Complex) -> f64 {
     let val = i_pow * acc;
     debug_assert!(
         val.im.abs() < 1e-9,
@@ -249,8 +273,11 @@ pub fn expectation_pauli(
 }
 
 /// Derives the X/Z bit masks and the `i^{#Y}` phase factor of a Pauli
-/// string — the quantities both the accessor-based evaluation above and
-/// the distributed (per-stripe, gather-free) evaluation need.
+/// string — the quantities the evaluations above and the distributed
+/// (per-stripe, gather-free) evaluation need. With the convention
+/// `Y = i X Z`, `P|g> = i^{#Y} (-1)^{|g & z_mask|} |g ^ x_mask>`: `x_mask`
+/// holds the qubits the string flips (X or Y), `z_mask` those acquiring a
+/// `(-1)^bit` phase (Z or Y).
 pub fn pauli_masks(n_qubits: usize, terms: &[PauliTerm]) -> (usize, usize, Complex) {
     use crate::gates::Pauli;
     let mut x_mask = 0usize;
@@ -268,13 +295,17 @@ pub fn pauli_masks(n_qubits: usize, terms: &[PauliTerm]) -> (usize, usize, Compl
             }
         }
     }
-    let i_pow = match y_count % 4 {
+    (x_mask, z_mask, y_phase(y_count))
+}
+
+/// `i^{y_count}`: the phase a Pauli string with that many Y factors carries.
+pub(crate) fn y_phase(y_count: u32) -> Complex {
+    match y_count % 4 {
         0 => Complex::real(1.0),
         1 => crate::complex::C_I,
         2 => Complex::real(-1.0),
         _ => -crate::complex::C_I,
-    };
-    (x_mask, z_mask, i_pow)
+    }
 }
 
 /// One basis state's contribution to the (pre-phase) Pauli expectation
@@ -290,15 +321,26 @@ pub fn expectation_term(
     z_mask: usize,
 ) -> Option<Complex> {
     let a = at(g);
-    if a.is_negligible(1e-300) {
+    if a.is_negligible(NEGLIGIBLE) {
         return None;
     }
+    Some(signed_term(a, at(g ^ x_mask), g, z_mask))
+}
+
+/// Amplitudes below this magnitude are skipped by every Pauli-expectation
+/// accumulation (skipped, not added as zero).
+const NEGLIGIBLE: f64 = 1e-300;
+
+/// The term a non-negligible amplitude `a` at basis state `g` contributes,
+/// given its `x_mask` partner.
+#[inline(always)]
+fn signed_term(a: Complex, partner: Complex, g: usize, z_mask: usize) -> Complex {
     let sign = if (g & z_mask).count_ones() % 2 == 1 {
         -1.0
     } else {
         1.0
     };
-    Some(at(g ^ x_mask).conj() * a.scale(sign))
+    partner.conj() * a.scale(sign)
 }
 
 /// Removes qubit `target` from a dense amplitude vector, keeping the
@@ -327,7 +369,9 @@ pub fn remove_qubit_flat(flat: &[Complex], target: usize, outcome: bool) -> (Vec
 mod tests {
     use super::*;
     use crate::complex::C_ONE;
-    use crate::gates::Gate;
+    use crate::gates::{cnot_matrix, swap_matrix, Gate};
+    use crate::sim::AmpStore;
+    use crate::state::State;
 
     fn uniform(n: usize) -> Vec<Complex> {
         let len = 1usize << n;
@@ -336,10 +380,10 @@ mod tests {
 
     #[test]
     fn pair_within_matches_dense_1q_kernel() {
-        // One 8-amplitude stripe; H on the low qubit via the stripe kernel
-        // vs the dense kernel must be bit-identical.
-        let mut dense = crate::state::State::zero(3);
-        crate::apply::apply_1q(&mut dense, 1, &Gate::H.matrix());
+        // One 8-amplitude stripe; H on the low qubit via the raw pair walk
+        // vs the dense state's entry point must be bit-identical.
+        let mut dense = State::zero(3);
+        dense.apply_1q(&[], 1, &Gate::H.matrix());
         let mut amps = vec![C_ZERO; 8];
         amps[0] = C_ONE;
         let m = Gate::H.matrix();
@@ -366,15 +410,15 @@ mod tests {
 
     #[test]
     fn swap_within_matches_dense_swap_kernel() {
-        // Arbitrary 3-qubit state; SWAP(0, 2) via the stripe kernel must be
-        // bit-identical to the dense one-pass kernel.
+        // Arbitrary 3-qubit state; SWAP(0, 2) via the stripe kernel must
+        // equal the 4x4 reference (whose 0/1 entries make it exact).
         let raw: Vec<Complex> = (0..8)
             .map(|i| Complex::new(i as f64 + 0.25, -(i as f64) * 0.5))
             .collect();
         let norm: f64 = raw.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
         let amps: Vec<Complex> = raw.iter().map(|a| a.scale(1.0 / norm)).collect();
-        let mut dense = crate::state::State::from_amplitudes(amps.clone());
-        crate::apply::apply_swap(&mut dense, 0, 2);
+        let mut dense = State::from_amplitudes(amps.clone());
+        dense.apply_2q(2, 0, &swap_matrix());
         let mut striped = amps;
         swap_within(&mut striped, 1 << 0, 1 << 2);
         for (i, &a) in striped.iter().enumerate() {
@@ -407,12 +451,17 @@ mod tests {
         let norm: f64 = raw.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
         let amps: Vec<Complex> = raw.iter().map(|a| a.scale(1.0 / norm)).collect();
         let m = crate::gates::matmul2(&Gate::H.matrix(), &Gate::T.matrix());
-        let mut dense = crate::state::State::from_amplitudes(amps.clone());
-        crate::apply::apply_1q(&mut dense, 1, &m);
+        // Reference: the two multiply-add rows written out per pair.
+        let mut dense = amps.clone();
+        for i0 in [0b000, 0b001, 0b100, 0b101] {
+            let (x0, x1) = (amps[i0], amps[i0 | 0b10]);
+            dense[i0] = m[0][0] * x0 + m[0][1] * x1;
+            dense[i0 | 0b10] = m[1][0] * x0 + m[1][1] * x1;
+        }
         let mut striped = amps;
         pair_unitary(&mut striped, 0, 1 << 1, &m);
         for (i, &a) in striped.iter().enumerate() {
-            assert_eq!(a, dense.amplitude(i), "amp[{i}]");
+            assert_eq!(a, dense[i], "amp[{i}]");
         }
     }
 
@@ -519,8 +568,8 @@ mod tests {
     fn single_qubit_register_is_one_two_amplitude_stripe() {
         // The smallest register the kernels ever see: n=1, one stripe of
         // two amplitudes, tbit == 1. Every kernel must degrade cleanly.
-        let mut dense = crate::state::State::zero(1);
-        crate::apply::apply_1q(&mut dense, 0, &Gate::H.matrix());
+        let mut dense = State::zero(1);
+        dense.apply_1q(&[], 0, &Gate::H.matrix());
         let mut amps = vec![C_ONE, C_ZERO];
         let m = Gate::H.matrix();
         pair_within(&mut amps, 0, 1, |a0, a1| {
@@ -544,15 +593,15 @@ mod tests {
     fn one_shard_configuration_covers_the_full_register() {
         // k=0 stripes: the single stripe holds all 2^n amplitudes at base
         // 0 and the cross-stripe kernels never fire. The within-stripe
-        // CNOT (control mask + swap pair) must match the dense kernel
-        // bit-for-bit on an arbitrary state.
+        // CNOT (control mask + swap pair) must equal the 4x4 reference
+        // (whose 0/1 entries make it exact) on an arbitrary state.
         let raw: Vec<Complex> = (0..8)
             .map(|i| Complex::new(0.5 + i as f64, (i as f64) * 0.3 - 1.0))
             .collect();
         let norm: f64 = raw.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
         let amps: Vec<Complex> = raw.iter().map(|a| a.scale(1.0 / norm)).collect();
-        let mut dense = crate::state::State::from_amplitudes(amps.clone());
-        crate::apply::apply_cnot(&mut dense, 2, 0);
+        let mut dense = State::from_amplitudes(amps.clone());
+        dense.apply_2q(2, 0, &cnot_matrix());
         let mut striped = amps;
         pair_within(&mut striped, 1 << 2, 1 << 0, |a0, a1| {
             std::mem::swap(a0, a1)
@@ -598,5 +647,27 @@ mod tests {
         let xx = expectation_pauli(2, |g| flat[g], &[term(0, Pauli::X), term(1, Pauli::X)]);
         assert!((zz - 1.0).abs() < 1e-12);
         assert!((xx - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn flat_and_accessor_expectations_agree_bitwise() {
+        use crate::gates::Pauli;
+        // Arbitrary 4-qubit state with one exact zero (the skip path).
+        let mut raw: Vec<Complex> = (0..16)
+            .map(|i| Complex::new(0.3 + i as f64 * 0.11, 0.9 - i as f64 * 0.07))
+            .collect();
+        raw[5] = C_ZERO;
+        let norm: f64 = raw.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+        let flat: Vec<Complex> = raw.iter().map(|a| a.scale(1.0 / norm)).collect();
+        let term = |q: usize, op: Pauli| PauliTerm { qubit: q, op };
+        for terms in [
+            vec![term(0, Pauli::Z)],
+            vec![term(1, Pauli::X), term(3, Pauli::Z)],
+            vec![term(0, Pauli::Y), term(2, Pauli::Y), term(3, Pauli::X)],
+        ] {
+            let via_slice = expectation_pauli_flat(&flat, &terms);
+            let via_accessor = expectation_pauli(4, |g| flat[g], &terms);
+            assert_eq!(via_slice.to_bits(), via_accessor.to_bits(), "{terms:?}");
+        }
     }
 }

@@ -12,6 +12,8 @@
 //! that enforces the model's resource constraints, so every closed form is
 //! *checked* rather than merely restated.
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod event_sim;
 pub mod model;

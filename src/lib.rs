@@ -4,6 +4,8 @@
 //! See `README.md` for the repository tour and `DESIGN.md` / `EXPERIMENTS.md`
 //! for the paper-reproduction inventory.
 
+#![forbid(unsafe_code)]
+
 pub use cmpi;
 pub use qalgo;
 pub use qchem;

@@ -18,7 +18,7 @@
 
 mod common;
 
-use common::conformance::{assert_matches_dense_oracle, ensure_worker_bin, Step};
+use common::conformance::{assert_matches_dense_oracle, canon_bits, ensure_worker_bin, Step};
 use qmpi::{BackendKind, BatchPolicy};
 use qsim::{Gate, NoiseModel};
 
@@ -165,6 +165,65 @@ fn fixed_circuit_matches_dense_oracle_over_remote_workers() {
         11,
         BatchPolicy::eager(),
     );
+}
+
+/// Everything the benchmark-sized case observes, as canonical bit patterns.
+type LargeStateObs = (Vec<(u64, u64)>, bool, u64);
+
+/// One fixed circuit at the benchmark's state size (2^16 amplitudes, where
+/// qperf's `tfim_sv` / `readout_sv` run and the 10-qubit sweeps above never
+/// reach): every kernel once, with operands on both sides of the top
+/// (shard-selecting) qubit.
+fn large_state_observables(kind: BackendKind) -> LargeStateObs {
+    const N: usize = 16;
+    let cfg = qmpi::QmpiConfig::new()
+        .seed(5)
+        .backend(kind)
+        .transport(cmpi::TransportKind::InProcess);
+    let out = qmpi::run_with_config(1, cfg, |ctx| {
+        let qs = ctx.alloc_qmem(N);
+        for q in &qs {
+            ctx.apply(Gate::H, q).unwrap();
+        }
+        ctx.apply(Gate::Rz(0.3), &qs[7]).unwrap();
+        ctx.controlled(&[&qs[15]], Gate::Ry(1.1), &qs[0]).unwrap();
+        ctx.controlled(&[&qs[1]], Gate::Ry(-0.7), &qs[15]).unwrap();
+        ctx.cnot(&qs[2], &qs[14]).unwrap();
+        ctx.cnot(&qs[15], &qs[3]).unwrap();
+        ctx.cz(&qs[4], &qs[15]).unwrap();
+        ctx.swap(&qs[5], &qs[15]).unwrap();
+        let outcome = ctx.measure(&qs[15]).unwrap();
+        let xz = ctx
+            .expectation(&[(&qs[0], qsim::Pauli::X), (&qs[14], qsim::Pauli::Z)])
+            .unwrap();
+        let ids: Vec<qsim::QubitId> = qs.iter().map(|q| q.id()).collect();
+        let st = ctx.backend().state_vector(&ids).unwrap();
+        let amps = st
+            .amplitudes()
+            .iter()
+            .map(|a| (canon_bits(a.re), canon_bits(a.im)))
+            .collect();
+        for q in qs {
+            ctx.measure_and_free(q).unwrap();
+        }
+        (amps, outcome, canon_bits(xz))
+    });
+    out.into_iter().next().unwrap()
+}
+
+#[test]
+fn benchmark_sized_state_is_bit_identical_across_dense_engines() {
+    let dense = large_state_observables(BackendKind::StateVector);
+    assert_eq!(dense.0.len(), 1 << 16);
+    for kind in [
+        BackendKind::ShardedStateVector { shards: 2 },
+        BackendKind::RemoteSharded { shards: 2 },
+    ] {
+        let other = large_state_observables(kind);
+        assert!(dense.0 == other.0, "{kind}: amplitude bits diverged");
+        assert_eq!(dense.1, other.1, "{kind}: measurement outcome");
+        assert_eq!(dense.2, other.2, "{kind}: expectation bits");
+    }
 }
 
 mod proptests {
