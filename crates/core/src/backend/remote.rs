@@ -200,66 +200,23 @@ impl Decode for WireAmps {
     }
 }
 
-/// The amplitude-pair kernel a pairing command applies: a full 2x2 unitary
-/// or the CNOT/SWAP fast path (a pure amplitude swap, no arithmetic).
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum PairKernel {
-    /// Swap the pair members (CNOT/SWAP fast path).
-    Swap,
-    /// Multiply the pair by a 2x2 matrix.
-    Mat(Mat2),
-}
+pub use qsim::stripe::PairKernel;
 
-impl PairKernel {
-    /// Runs the kernel over within-stripe pairs (target bit inside the
-    /// stripe). Identical arithmetic to the dense and lock-striped engines.
-    fn apply_within(self, amps: &mut [Complex], c_lo: usize, tbit: usize) {
-        match self {
-            PairKernel::Swap => stripe::pair_within(amps, c_lo, tbit, |a0, a1| {
-                std::mem::swap(a0, a1);
-            }),
-            PairKernel::Mat(m) => stripe::pair_within(amps, c_lo, tbit, |a0, a1| {
-                let (x0, x1) = (*a0, *a1);
-                *a0 = m[0][0] * x0 + m[0][1] * x1;
-                *a1 = m[1][0] * x0 + m[1][1] * x1;
-            }),
-        }
-    }
-
-    /// Runs the kernel across a stripe pair (target bit selects the shard).
-    fn apply_across(self, a: &mut [Complex], b: &mut [Complex], c_lo: usize) {
-        match self {
-            PairKernel::Swap => stripe::pair_across(a, b, c_lo, |a0, a1| {
-                std::mem::swap(a0, a1);
-            }),
-            PairKernel::Mat(m) => stripe::pair_across(a, b, c_lo, |a0, a1| {
-                let (x0, x1) = (*a0, *a1);
-                *a0 = m[0][0] * x0 + m[0][1] * x1;
-                *a1 = m[1][0] * x0 + m[1][1] * x1;
-            }),
+fn encode_kernel(kernel: &PairKernel, buf: &mut BytesMut) {
+    match kernel {
+        PairKernel::Swap => 0u8.encode(buf),
+        PairKernel::Mat(m) => {
+            1u8.encode(buf);
+            encode_mat(m, buf);
         }
     }
 }
 
-impl Encode for PairKernel {
-    fn encode(&self, buf: &mut BytesMut) {
-        match self {
-            PairKernel::Swap => 0u8.encode(buf),
-            PairKernel::Mat(m) => {
-                1u8.encode(buf);
-                encode_mat(m, buf);
-            }
-        }
-    }
-}
-
-impl Decode for PairKernel {
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        match u8::decode(buf)? {
-            0 => Some(PairKernel::Swap),
-            1 => decode_mat(buf).map(PairKernel::Mat),
-            _ => None,
-        }
+fn decode_kernel(buf: &mut Bytes) -> Option<PairKernel> {
+    match u8::decode(buf)? {
+        0 => Some(PairKernel::Swap),
+        1 => decode_mat(buf).map(PairKernel::Mat),
+        _ => None,
     }
 }
 
@@ -353,7 +310,7 @@ impl Encode for WorkerOp {
                 0u8.encode(buf);
                 c_lo.encode(buf);
                 tbit.encode(buf);
-                kernel.encode(buf);
+                encode_kernel(kernel, buf);
             }
             WorkerOp::CrossLow {
                 partner,
@@ -363,7 +320,7 @@ impl Encode for WorkerOp {
                 1u8.encode(buf);
                 partner.encode(buf);
                 c_lo.encode(buf);
-                kernel.encode(buf);
+                encode_kernel(kernel, buf);
             }
             WorkerOp::CrossHigh { partner } => {
                 2u8.encode(buf);
@@ -410,12 +367,12 @@ impl Decode for WorkerOp {
             0 => WorkerOp::PairWithin {
                 c_lo: usize::decode(buf)?,
                 tbit: usize::decode(buf)?,
-                kernel: PairKernel::decode(buf)?,
+                kernel: decode_kernel(buf)?,
             },
             1 => WorkerOp::CrossLow {
                 partner: usize::decode(buf)?,
                 c_lo: usize::decode(buf)?,
-                kernel: PairKernel::decode(buf)?,
+                kernel: decode_kernel(buf)?,
             },
             2 => WorkerOp::CrossHigh {
                 partner: usize::decode(buf)?,
@@ -610,7 +567,7 @@ pub enum ShardCmd {
     /// sends are buffered, so no cycle of workers can wait on each other.
     Reshape {
         /// Drop this within-stripe qubit first, keeping the `bool` branch
-        /// ([`stripe::remove_qubit_flat`] on the worker's own stripe).
+        /// ([`stripe::remove_qubit_in_place`] on the worker's own stripe).
         compact: Option<(usize, bool)>,
         /// World ranks the stripe's `sends.len()` equal parts go to, in
         /// offset order; empty discards the stripe (its mass is reported
@@ -976,7 +933,7 @@ fn reshape<C: ShardChannel>(
     let mut old = std::mem::take(amps);
     let mut dropped = 0.0;
     if let Some((pos, outcome)) = compact {
-        (old, dropped) = stripe::remove_qubit_flat(&old, pos, outcome);
+        dropped = stripe::remove_qubit_in_place(&mut old, pos, outcome);
     }
     if sends.is_empty() {
         dropped += old.iter().map(|a| a.norm_sqr()).sum::<f64>();

@@ -43,7 +43,7 @@ use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
 use crate::state::{State, MAX_DENSE_QUBITS, NORM_TOL};
-use crate::stripe;
+use crate::stripe::{self, PairKernel};
 use parking_lot::{Mutex, RwLock};
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -189,14 +189,17 @@ impl ShardedState {
     /// classical value `outcome`. Qubits above `target` shift down by one.
     pub fn remove_qubit(&mut self, target: usize, outcome: bool) {
         assert!(target < self.n_qubits, "qubit {target} out of range");
-        let flat = self.flatten();
-        let (out, dropped) = stripe::remove_qubit_flat(&flat, target, outcome);
+        let mut flat = self.flatten();
+        let dropped = stripe::remove_qubit_in_place(&mut flat, target, outcome);
         assert!(
             dropped < NORM_TOL,
             "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
         );
+        // The stripes are cut from `flat`: give back the half it no longer
+        // fills rather than leave it attached to stripe 0.
+        flat.shrink_to_fit();
         let n = self.n_qubits - 1;
-        self.rebuild(out, n);
+        self.rebuild(flat, n);
         self.renormalize();
     }
 
@@ -204,11 +207,8 @@ impl ShardedState {
     pub fn renormalize(&mut self) {
         let norm = self.norm_sqr().sqrt();
         assert!(norm > 0.0, "cannot renormalize the zero vector");
-        let inv = 1.0 / norm;
         for sh in &mut self.shards {
-            for a in sh.amps.get_mut().iter_mut() {
-                *a = a.scale(inv);
-            }
+            stripe::scale(sh.amps.get_mut(), 1.0 / norm);
         }
     }
 
@@ -344,7 +344,7 @@ impl ShardedState {
         }
     }
 
-    /// Core pairwise kernel: applies `f(a0, a1)` to every amplitude pair
+    /// Core pairwise kernel: applies `kernel` to every amplitude pair
     /// `(index, index | 2^target)` whose index satisfies the control masks
     /// (`c_lo` over within-shard bits, `c_hi` over shard-index bits).
     ///
@@ -352,13 +352,7 @@ impl ShardedState {
     ///   processed independently.
     /// * `target >= local_bits`: stripes pair up; both members of a pair
     ///   are held (ascending index order) while the offsets are zipped.
-    fn for_pairs(
-        &self,
-        c_lo: usize,
-        c_hi: usize,
-        target: usize,
-        f: impl Fn(&mut Complex, &mut Complex) + Sync,
-    ) {
+    fn for_pairs(&self, c_lo: usize, c_hi: usize, target: usize, kernel: PairKernel) {
         let l = self.local_bits();
         let num = self.num_shards();
         if target < l {
@@ -371,7 +365,7 @@ impl ShardedState {
                     return;
                 }
                 let mut amps = self.shards[s].amps.lock();
-                stripe::pair_within(&mut amps, c_lo, tbit, &f);
+                kernel.apply_within(&mut amps, c_lo, tbit);
             });
         } else {
             // Cross-shard pairing: exclusive, so no other gate can leave a
@@ -384,7 +378,7 @@ impl ShardedState {
                 }
                 let mut a = self.shards[s0].amps.lock();
                 let mut b = self.shards[s0 | tbit].amps.lock();
-                stripe::pair_across(&mut a, &mut b, c_lo, &f);
+                kernel.apply_across(&mut a, &mut b, c_lo);
             });
         }
     }
@@ -409,12 +403,7 @@ impl ShardedState {
     /// Applies a single-qubit unitary `m` to `target`.
     pub fn apply_1q(&self, target: usize, m: &Mat2) {
         assert!(target < self.n_qubits, "qubit {target} out of range");
-        let m = *m;
-        self.for_pairs(0, 0, target, move |a0, a1| {
-            let (x0, x1) = (*a0, *a1);
-            *a0 = m[0][0] * x0 + m[0][1] * x1;
-            *a1 = m[1][0] * x0 + m[1][1] * x1;
-        });
+        self.for_pairs(0, 0, target, PairKernel::Mat(*m));
     }
 
     /// Applies `m` to `target` on basis states where every control is 1.
@@ -424,21 +413,14 @@ impl ShardedState {
             assert_ne!(c, target, "control equals target");
         }
         let (c_lo, c_hi) = self.split_masks(controls);
-        let m = *m;
-        self.for_pairs(c_lo, c_hi, target, move |a0, a1| {
-            let (x0, x1) = (*a0, *a1);
-            *a0 = m[0][0] * x0 + m[0][1] * x1;
-            *a1 = m[1][0] * x0 + m[1][1] * x1;
-        });
+        self.for_pairs(c_lo, c_hi, target, PairKernel::Mat(*m));
     }
 
     /// CNOT fast path (amplitude swap, no complex multiplies).
     pub fn apply_cnot(&self, control: usize, target: usize) {
         assert_ne!(control, target, "CNOT needs distinct qubits");
         let (c_lo, c_hi) = self.split_masks(&[control]);
-        self.for_pairs(c_lo, c_hi, target, |a0, a1| {
-            std::mem::swap(a0, a1);
-        });
+        self.for_pairs(c_lo, c_hi, target, PairKernel::Swap);
     }
 
     /// CZ fast path: pure phase, so every stripe is independent regardless
@@ -469,30 +451,19 @@ impl ShardedState {
         factors: &[(usize, Complex, Complex)],
         flips: &[(usize, usize)],
     ) {
-        let masked: Vec<(usize, Complex, Complex)> = factors
-            .iter()
-            .map(|&(q, d0, d1)| {
-                assert!(q < self.n_qubits, "qubit {q} out of range");
-                (1usize << q, d0, d1)
-            })
-            .collect();
-        let flip_masks: Vec<usize> = flips
-            .iter()
-            .map(|&(a, b)| {
-                assert!(
-                    a < self.n_qubits && b < self.n_qubits,
-                    "flip qubit out of range"
-                );
-                assert_ne!(a, b, "CZ needs distinct qubits");
-                (1usize << a) | (1usize << b)
-            })
-            .collect();
+        for &(a, b) in flips {
+            assert_ne!(a, b, "CZ needs distinct qubits");
+        }
+        let qubits = factors.iter().map(|(q, ..)| q);
+        for &q in qubits.chain(flips.iter().flat_map(|(a, b)| [a, b])) {
+            assert!(q < self.n_qubits, "qubit {q} out of range");
+        }
         let l = self.local_bits();
         // Diagonal: stripe-local regardless of qubit positions (like CZ).
         let _shared_axis = self.axis.read();
         self.dispatch(self.num_shards(), |s| {
             let mut amps = self.shards[s].amps.lock();
-            stripe::phase_sweep(&mut amps, s << l, &masked, &flip_masks);
+            stripe::phase_sweep_positions(&mut amps, s << l, factors, flips);
         });
     }
 
@@ -549,7 +520,7 @@ impl ShardedState {
                 let (first, second) = (s.min(partner), s.max(partner));
                 let mut x = self.shards[first].amps.lock();
                 let mut y = self.shards[second].amps.lock();
-                stripe::pair_across(&mut x, &mut y, 0, std::mem::swap);
+                std::mem::swap(&mut *x, &mut *y);
             });
         }
     }

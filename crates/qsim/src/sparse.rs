@@ -171,8 +171,8 @@ impl BasisKey {
     }
 
     /// Removes bit `pos`, shifting all higher bits down one position — the
-    /// key analogue of the dense compaction `(i & low) | ((i >> 1) & !low)`
-    /// in [`crate::stripe::remove_qubit_flat`].
+    /// key analogue, `(i & low) | ((i >> 1) & !low)`, of what
+    /// [`crate::stripe::remove_qubit_in_place`] does to a dense index.
     pub fn remove_bit(self, pos: usize) -> Self {
         let low = BasisKey::low_mask(pos);
         let mut r = self.and(low);

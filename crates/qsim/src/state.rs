@@ -4,7 +4,9 @@
 //! corresponds to bit `k` of the basis-state index (qubit 0 is the least
 //! significant bit). Qubits can be appended (tensor with |0>) and removed
 //! (after collapse), which is what the dynamic `QMPI_Alloc_qmem` /
-//! `QMPI_Free_qmem` interface of the paper's prototype requires.
+//! `QMPI_Free_qmem` interface of the paper's prototype requires. Removal
+//! compacts the vector in place and keeps its capacity, so the append that
+//! follows a removal only zero-fills: an alloc/free pair allocates nothing.
 //!
 //! The dense state is the one-stripe case of [`crate::stripe`]: its
 //! [`AmpStore`] implementation checks operands, turns positions into bit
@@ -145,14 +147,17 @@ impl State {
         }
     }
 
+    /// Bit of position `q`, checked against the register width.
+    fn bit_of(&self, q: usize) -> usize {
+        let n = self.n_qubits;
+        assert!(q < n, "qubit {q} out of range (n={n})");
+        1usize << q
+    }
+
     /// Bit mask of the listed positions, each checked against the register
     /// width.
     fn mask_of(&self, qubits: &[usize]) -> usize {
-        let n = self.n_qubits;
-        qubits.iter().fold(0usize, |mask, &q| {
-            assert!(q < n, "qubit {q} out of range (n={n})");
-            mask | 1usize << q
-        })
+        qubits.iter().fold(0, |mask, &q| mask | self.bit_of(q))
     }
 
     /// Checks a two-qubit fast-path operand pair and returns its bits.
@@ -253,28 +258,24 @@ impl AmpStore for State {
 
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
         assert!(target < self.n_qubits, "qubit {target} out of range");
-        let (out, dropped) = stripe::remove_qubit_flat(&self.amps, target, outcome);
+        let dropped = stripe::remove_qubit_in_place(&mut self.amps, target, outcome);
         assert!(
             dropped < NORM_TOL,
             "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
         );
-        self.amps = out;
         self.n_qubits -= 1;
         self.renormalize();
     }
 
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
-        let n = self.n_qubits;
-        assert!(target < n, "qubit {target} out of range (n={n})");
-        let cmask = self.mask_of(controls);
-        let tbit = 1usize << target;
+        let (cmask, tbit) = (self.mask_of(controls), self.bit_of(target));
         assert_eq!(cmask & tbit, 0, "control equals target");
         stripe::pair_unitary(&mut self.amps, cmask, tbit, m);
     }
 
     fn apply_cnot(&mut self, control: usize, target: usize) {
         let (cbit, tbit) = self.pair_bits(control, target, "CNOT");
-        stripe::pair_within(&mut self.amps, cbit, tbit, std::mem::swap);
+        stripe::PairKernel::Swap.apply_within(&mut self.amps, cbit, tbit);
     }
 
     fn apply_cz(&mut self, a: usize, b: usize) {
@@ -283,28 +284,27 @@ impl AmpStore for State {
     }
 
     fn apply_swap(&mut self, a: usize, b: usize) {
-        let (abit, bbit) = (self.mask_of(&[a]), self.mask_of(&[b]));
+        let (abit, bbit) = (self.bit_of(a), self.bit_of(b));
         if a != b {
             stripe::swap_within(&mut self.amps, abit, bbit);
         }
     }
 
     fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]) {
-        let factors: Vec<_> = diags
-            .iter()
-            .map(|&(q, d0, d1)| (self.mask_of(&[q]), d0, d1))
-            .collect();
-        let flips: Vec<_> = czs.iter().map(|&(a, b)| self.mask_of(&[a, b])).collect();
-        stripe::phase_sweep(&mut self.amps, 0, &factors, &flips);
+        let touched = diags.iter().map(|d| d.0);
+        for q in touched.chain(czs.iter().flat_map(|&(a, b)| [a, b])) {
+            self.bit_of(q);
+        }
+        stripe::phase_sweep_positions(&mut self.amps, 0, diags, czs);
     }
 
     fn prob_one(&self, target: usize) -> f64 {
-        let bit = self.mask_of(&[target]);
+        let bit = self.bit_of(target);
         stripe::masked_norm(&self.amps, 0, bit, bit)
     }
 
     fn collapse(&mut self, target: usize, outcome: bool) {
-        let bit = self.mask_of(&[target]);
+        let bit = self.bit_of(target);
         let norm = stripe::collapse_keep(&mut self.amps, 0, bit, if outcome { bit } else { 0 });
         assert!(
             norm > 1e-12,
@@ -428,6 +428,80 @@ mod tests {
         let amps = vec![Complex::real(h), Complex::real(h)];
         let mut s = State::from_amplitudes(amps);
         s.remove_qubit(0, false);
+    }
+
+    /// Seeded generic amplitudes over `n` qubits with `target` all but
+    /// collapsed onto `outcome`: the other branch keeps amplitudes small
+    /// enough to pass `remove_qubit`'s check and large enough that the
+    /// dropped mass and the renormalisation are not trivial.
+    fn nearly_collapsed(n: usize, target: usize, outcome: bool, rng: &mut StdRng) -> Vec<Complex> {
+        let mut amps: Vec<Complex> = (0..1usize << n)
+            .map(|i| {
+                let a = Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+                if (i >> target) & 1 == outcome as usize {
+                    a
+                } else {
+                    a.scale(1e-6)
+                }
+            })
+            .collect();
+        let norm = amps.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+        stripe::scale(&mut amps, 1.0 / norm);
+        amps
+    }
+
+    fn bits(amps: &[Complex]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn in_place_remove_equals_the_copying_form_bit_for_bit() {
+        let mut r = rng();
+        for n in 1..=8usize {
+            for target in 0..n {
+                for outcome in [false, true] {
+                    let amps = nearly_collapsed(n, target, outcome, &mut r);
+                    let case = (n, target, outcome);
+                    // The copying form, then the same renormalisation.
+                    let (copied, dropped) = stripe::remove_qubit_flat(&amps, target, outcome);
+                    assert!(dropped > 0.0 && dropped < NORM_TOL, "{case:?}: {dropped:e}");
+                    let mut want = State {
+                        amps: copied,
+                        n_qubits: n - 1,
+                    };
+                    want.renormalize();
+                    let mut in_place = amps.clone();
+                    let mass = stripe::remove_qubit_in_place(&mut in_place, target, outcome);
+                    assert_eq!(mass.to_bits(), dropped.to_bits(), "{case:?}");
+                    let mut got = State::from_amplitudes(amps);
+                    got.remove_qubit(target, outcome);
+                    assert_eq!(got.n_qubits(), n - 1, "{case:?}");
+                    assert_eq!(bits(got.amplitudes()), bits(want.amplitudes()), "{case:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn remove_keeps_the_capacity_and_the_next_add_only_zero_fills() {
+        let mut r = rng();
+        for (target, outcome) in [(0, false), (3, true), (5, false)] {
+            let mut s = State::from_amplitudes(nearly_collapsed(6, target, outcome, &mut r));
+            let (capacity, ptr) = (s.amps.capacity(), s.amps.as_ptr());
+            s.remove_qubit(target, outcome);
+            assert_eq!(s.len(), 32);
+            assert!(s.amps.capacity() >= capacity, "capacity shrank on remove");
+            let kept = bits(s.amplitudes());
+            assert_eq!(s.add_qubit(), 5);
+            assert_eq!(s.amps.as_ptr(), ptr, "add after remove reallocated");
+            assert_eq!(s.amps.capacity(), capacity);
+            assert_eq!(bits(&s.amplitudes()[..32]), kept);
+            // The new half is +0.0 throughout: nothing the compaction left
+            // behind past the halved length shows through.
+            assert!(bits(&s.amplitudes()[32..]).iter().all(|&b| b == (0, 0)));
+        }
     }
 
     #[test]

@@ -20,20 +20,142 @@
 //! second copy of the arithmetic to drift. The sparse map
 //! ([`crate::sparse`]) evaluates the same expressions in the same order
 //! over its present entries.
+//!
+//! # Traversal
+//!
+//! No kernel computes an index per amplitude. A gate on bit `t` pairs
+//! *contiguous blocks* of `2^t` amplitudes, and a condition on a set of
+//! index bits is constant over every aligned run as long as the lowest of
+//! them, so the kernels walk runs (`for_runs`): the condition is tested once
+//! per run, blocks whose controls above the target are clear are skipped
+//! whole, and the arithmetic loops over plain slices. Every reduction still
+//! adds into one accumulator in ascending index order: runs remove the
+//! per-amplitude test, they do not re-associate the sum.
 
 use crate::complex::{Complex, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
 
-/// Yields the amplitude-pair indices for iteration `i` of a pair loop over
-/// a register, where `bit` is the target-qubit bit: the `i`-th index with
-/// `bit` cleared, and its partner with `bit` set.
+/// Calls `f` with the offset of each whole `len`-long run below `total`, in
+/// ascending order. Inlined, so a constant `len` is a constant length of
+/// every slice the caller cuts with it.
 #[inline(always)]
-pub fn pair_indices(i: usize, bit: usize) -> (usize, usize) {
-    let low = i & (bit - 1);
-    let high = (i & !(bit - 1)) << 1;
-    let i0 = high | low;
-    (i0, i0 | bit)
+fn walk(total: usize, len: usize, f: &mut impl FnMut(usize)) {
+    let mut at = 0;
+    while at + len <= total {
+        f(at);
+        at += len;
+    }
+}
+
+/// Lowest set bit of `bits`: the length of the aligned runs over which
+/// `index & bits` is constant (with no bit set, everywhere).
+#[inline(always)]
+fn run_len(bits: usize) -> usize {
+    match bits {
+        0 => usize::MAX,
+        _ => 1 << bits.trailing_zeros(),
+    }
+}
+
+/// Evaluates `$walk` with `$len` bound as a constant when it is 1 or 2: a
+/// run that short cannot pay for a loop whose trip count is read at run
+/// time; with the length known, the kernel's loop over the run unrolls.
+macro_rules! walk_known_short {
+    ($len:expr, |$known:ident| $walk:expr) => {
+        match $len {
+            1 => {
+                let $known = 1usize;
+                $walk
+            }
+            2 => {
+                let $known = 2usize;
+                $walk
+            }
+            $known => $walk,
+        }
+    };
+}
+
+/// The traversal under every kernel: cuts `total` amplitudes (a power of
+/// two) into the aligned runs on which `index & bits` is constant and hands
+/// `f` each one's offset and length in ascending order. Runs are taken two
+/// at a time: neighbours differ in the lowest bit of `bits`, so a test of it
+/// reads the same, run after run, at each place `f` is called from. (That is
+/// seven places; where the optimizer would rather call `f` than inline it
+/// that often, the caller marks its closure `#[inline(always)]`.)
+fn for_runs(total: usize, bits: usize, mut f: impl FnMut(usize, usize)) {
+    debug_assert!(total == 0 || total.is_power_of_two());
+    if run_len(bits) >= total {
+        return f(0, total);
+    }
+    walk_known_short!(run_len(bits), |len| walk(total, 2 * len, &mut |at| {
+        f(at, len);
+        f(at + len, len);
+    }));
+}
+
+/// Hands `f` the runs of two equal-length slices, offset for offset, whose
+/// offsets satisfy the control mask `c_lo`.
+#[inline(always)]
+fn across_runs(
+    a: &mut [Complex],
+    b: &mut [Complex],
+    c_lo: usize,
+    mut f: impl FnMut(&mut [Complex], &mut [Complex]),
+) {
+    debug_assert_eq!(a.len(), b.len(), "paired stripes must have equal length");
+    for_runs(
+        a.len().min(b.len()),
+        c_lo,
+        #[inline(always)]
+        |at, len| {
+            if at & c_lo == c_lo {
+                f(&mut a[at..at + len], &mut b[at..at + len]);
+            }
+        },
+    );
+}
+
+/// Hands `f` every pair of runs `(i.., (i | tbit)..)` within one stripe
+/// whose low member satisfies `c_lo`: blocks of `2·tbit`, skipped whole
+/// unless the controls above the target are all set, then the runs of the
+/// two halves that the controls below it select.
+#[inline(always)]
+fn within_runs(
+    amps: &mut [Complex],
+    c_lo: usize,
+    tbit: usize,
+    mut f: impl FnMut(&mut [Complex], &mut [Complex]),
+) {
+    let (below, above) = (c_lo & (tbit - 1), c_lo & !(tbit - 1));
+    walk_known_short!(run_len(below | tbit), |len| {
+        // With no control below the target a half is one run, so a block of
+        // known-short halves is itself of known length.
+        let block = if below == 0 { 2 * len } else { 2 * tbit };
+        walk(amps.len(), block, &mut |at| {
+            if at & above == above {
+                let (lo, hi) = amps[at..at + block].split_at_mut(block / 2);
+                walk(block / 2, len, &mut |at| {
+                    if at & below == below {
+                        f(&mut lo[at..at + len], &mut hi[at..at + len]);
+                    }
+                });
+            }
+        })
+    });
+}
+
+/// Applies `f` to the pairs of one run pair, offset for offset. (Indexed,
+/// not zipped: inlined, a zipped loop is guarded by an overlap check on the
+/// enclosing stripes, which the adjacent halves of a block fail.)
+#[inline(always)]
+fn each_pair(lo: &mut [Complex], hi: &mut [Complex], f: impl Fn(&mut Complex, &mut Complex)) {
+    let len = lo.len().min(hi.len());
+    let (lo, hi) = (&mut lo[..len], &mut hi[..len]);
+    for j in 0..len {
+        f(&mut lo[j], &mut hi[j]);
+    }
 }
 
 /// Applies `f` to every within-stripe amplitude pair `(i, i | tbit)` whose
@@ -45,14 +167,7 @@ pub fn pair_within(
     tbit: usize,
     f: impl Fn(&mut Complex, &mut Complex),
 ) {
-    let half = amps.len() / 2;
-    for i in 0..half {
-        let (i0, i1) = pair_indices(i, tbit);
-        if i0 & c_lo == c_lo {
-            let (lo, hi) = amps.split_at_mut(i1);
-            f(&mut lo[i0], &mut hi[0]);
-        }
-    }
+    within_runs(amps, c_lo, tbit, |lo, hi| each_pair(lo, hi, &f));
 }
 
 /// Applies `f` to amplitude pairs spanning two stripes: `a` is the stripe
@@ -65,12 +180,62 @@ pub fn pair_across(
     c_lo: usize,
     f: impl Fn(&mut Complex, &mut Complex),
 ) {
-    debug_assert_eq!(a.len(), b.len(), "paired stripes must have equal length");
-    for i in 0..a.len() {
-        if i & c_lo == c_lo {
-            f(&mut a[i], &mut b[i]);
+    across_runs(a, b, c_lo, |lo, hi| each_pair(lo, hi, &f));
+}
+
+/// What a pairing gate does to each amplitude pair it selects: a full 2×2
+/// unitary, or the CNOT/SWAP fast path (a pure amplitude swap, no
+/// arithmetic). Every engine's pair gates, within a stripe and across two,
+/// run through here.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum PairKernel {
+    /// Swap the pair members (CNOT/SWAP fast path).
+    Swap,
+    /// Multiply the pair by a 2x2 matrix.
+    Mat(Mat2),
+}
+
+impl PairKernel {
+    /// The kernel over one run pair. The 2×2 arithmetic — two reads, then
+    /// two multiply-add rows in matrix order — is spelled here and nowhere
+    /// else, so a fused run and the gates it replaced, on any engine, go
+    /// through the same floating-point sequence. (By-value reads and writes
+    /// with the matrix in locals: the form that vectorizes unguarded.)
+    #[inline(always)]
+    fn run(self, lo: &mut [Complex], hi: &mut [Complex]) {
+        match self {
+            PairKernel::Swap => lo.swap_with_slice(hi),
+            PairKernel::Mat([[m00, m01], [m10, m11]]) => {
+                let len = lo.len().min(hi.len());
+                let (lo, hi) = (&mut lo[..len], &mut hi[..len]);
+                for j in 0..len {
+                    let (x0, x1) = (lo[j], hi[j]);
+                    lo[j] = m00 * x0 + m01 * x1;
+                    hi[j] = m10 * x0 + m11 * x1;
+                }
+            }
         }
     }
+
+    /// Runs the kernel over the within-stripe pairs `(i, i | tbit)` whose
+    /// low member satisfies the control mask `c_lo`.
+    pub fn apply_within(self, amps: &mut [Complex], c_lo: usize, tbit: usize) {
+        within_runs(amps, c_lo, tbit, |lo, hi| self.run(lo, hi));
+    }
+
+    /// Runs the kernel across a stripe pair (the target bit selects the
+    /// shard), offset for offset, on the offsets satisfying `c_lo`.
+    pub fn apply_across(self, a: &mut [Complex], b: &mut [Complex], c_lo: usize) {
+        across_runs(a, b, c_lo, |lo, hi| self.run(lo, hi));
+    }
+}
+
+/// Applies an arbitrary 2×2 unitary to every within-stripe amplitude pair
+/// `(i, i | tbit)` whose low member satisfies the control mask `c_lo` —
+/// the kernel behind every (controlled) single-qubit gate and fused 1q run
+/// ([`crate::batch::BatchOp::Fused1q`]): [`PairKernel::Mat`] in one stripe.
+pub fn pair_unitary(amps: &mut [Complex], c_lo: usize, tbit: usize, m: &Mat2) {
+    PairKernel::Mat(*m).apply_within(amps, c_lo, tbit);
 }
 
 /// One-pass SWAP kernel for two qubits that both address *within* the
@@ -80,51 +245,47 @@ pub fn pair_across(
 /// as three CNOT passes.
 pub fn swap_within(amps: &mut [Complex], abit: usize, bbit: usize) {
     debug_assert_ne!(abit, bbit, "SWAP needs distinct qubits");
-    let xor = abit | bbit;
-    for i in 0..amps.len() {
-        if i & abit != 0 && i & bbit == 0 {
-            amps.swap(i, i ^ xor);
-        }
-    }
+    let (lo_bit, hi_bit) = (abit.min(bbit), abit.max(bbit));
+    walk_known_short!(lo_bit, |lo_bit| walk(amps.len(), 2 * hi_bit, &mut |at| {
+        let (low, high) = amps[at..at + 2 * hi_bit].split_at_mut(hi_bit);
+        swap_set_with_clear(low, high, lo_bit);
+    }));
 }
 
 /// One-round SWAP kernel for a mixed pair: qubit `a` addresses within the
 /// stripe (`abit`), qubit `b` selects the shard. `low` is the stripe whose
 /// shard index has the `b` bit clear, `high` its partner with the bit set;
-/// the `(a=1, b=0)` amplitudes in `low` exchange with the `(a=0, b=1)`
-/// amplitudes in `high` at offset `i ^ abit`. One stripe exchange replaces
-/// the three cross-shard CNOT passes (6 transfers) of the naive
-/// realization.
+/// the `(a=1, b=0)` runs of `low` exchange with the `(a=0, b=1)` runs of
+/// `high`, `abit` amplitudes at a time. One stripe exchange replaces the
+/// three cross-shard CNOT passes (6 transfers) of the naive realization.
 pub fn swap_across_mixed(low: &mut [Complex], high: &mut [Complex], abit: usize) {
     debug_assert_eq!(low.len(), high.len(), "paired stripes must match");
-    for i in 0..low.len() {
-        if i & abit != 0 {
-            std::mem::swap(&mut low[i], &mut high[i ^ abit]);
-        }
-    }
+    walk_known_short!(abit, |abit| swap_set_with_clear(low, high, abit));
 }
 
-/// Applies an arbitrary 2×2 unitary to every within-stripe amplitude pair
-/// `(i, i | tbit)` whose low member satisfies the control mask `c_lo` —
-/// the kernel behind every (controlled) single-qubit gate and fused 1q run
-/// ([`crate::batch::BatchOp::Fused1q`]). The per-pair arithmetic — two
-/// reads, then two multiply-add rows in matrix order — is defined here and
-/// nowhere else, so a fused run and the gates it replaced, on any engine,
-/// go through the same floating-point sequence.
-pub fn pair_unitary(amps: &mut [Complex], c_lo: usize, tbit: usize, m: &Mat2) {
-    pair_within(amps, c_lo, tbit, |a0, a1| {
-        let (x0, x1) = (*a0, *a1);
-        *a0 = m[0][0] * x0 + m[0][1] * x1;
-        *a1 = m[1][0] * x0 + m[1][1] * x1;
+/// Exchanges each `abit`-set run of `low` with the `abit`-clear run of
+/// `high` one run before it.
+#[inline(always)]
+fn swap_set_with_clear(low: &mut [Complex], high: &mut [Complex], abit: usize) {
+    walk(low.len().min(high.len()), 2 * abit, &mut |at| {
+        low[at + abit..at + 2 * abit].swap_with_slice(&mut high[at..at + abit])
     });
 }
+
+/// Amplitudes [`phase_sweep`] takes through all its factors before moving
+/// on: few enough to stay in the first-level cache between passes.
+const SWEEP_TILE: usize = 1 << 9;
 
 /// One-pass diagonal sweep (the [`crate::batch::BatchOp::PhaseSweep`]
 /// kernel). For every amplitude, the global basis index is `base | i`;
 /// each `(mask, d0, d1)` factor multiplies **sequentially in slice
 /// order** — `d1` when `g & mask != 0`, else `d0` — and the amplitude is
 /// finally negated when an odd number of `flips` masks are fully set
-/// (`g & f == f`).
+/// (`g & f == f`). The stripe is swept a tile at a time; within a tile each
+/// factor in turn multiplies the runs its own mask cuts the tile into, and
+/// each flip in turn negates the runs it selects — for every amplitude the
+/// same multiplications in the same order, and an odd number of exact
+/// negations exactly when one is due.
 ///
 /// The factor order is the only floating-point degree of freedom (the
 /// negation is exact), so callers on different deployments must present
@@ -140,79 +301,136 @@ pub fn phase_sweep(
     factors: &[(usize, Complex, Complex)],
     flips: &[usize],
 ) {
-    for (i, a) in amps.iter_mut().enumerate() {
-        let g = base | i;
-        let mut v = *a;
-        for &(mask, d0, d1) in factors {
-            v *= if g & mask != 0 { d1 } else { d0 };
+    sweep(amps, base, factors.iter().copied(), flips.iter().copied());
+}
+
+/// [`phase_sweep`] with the sweep given the way an engine holds it, by qubit
+/// position (`(position, d0, d1)` factors and CZ position pairs): the masks
+/// are derived on the fly, not collected into two vectors per call.
+pub fn phase_sweep_positions(
+    amps: &mut [Complex],
+    base: usize,
+    diags: &[(usize, Complex, Complex)],
+    czs: &[(usize, usize)],
+) {
+    let factors = diags.iter().map(|&(q, d0, d1)| (1usize << q, d0, d1));
+    sweep(
+        amps,
+        base,
+        factors,
+        czs.iter().map(|&(a, b)| 1usize << a | 1usize << b),
+    );
+}
+
+fn sweep(
+    amps: &mut [Complex],
+    base: usize,
+    factors: impl Iterator<Item = (usize, Complex, Complex)> + Clone,
+    flips: impl Iterator<Item = usize> + Clone,
+) {
+    for_runs(amps.len(), SWEEP_TILE, |at, len| {
+        let (base, tile) = (base | at, &mut amps[at..at + len]);
+        for (mask, d0, d1) in factors.clone() {
+            for_runs(tile.len(), mask, |at, len| {
+                let d = if (base | at) & mask != 0 { d1 } else { d0 };
+                tile[at..at + len].iter_mut().for_each(|a| *a *= d);
+            });
         }
-        if flips.iter().filter(|&&f| g & f == f).count() % 2 == 1 {
-            v = -v;
+        for flip in flips.clone() {
+            phase_flip_where(tile, flip, |at| (base | at) & flip == flip);
         }
-        *a = v;
-    }
+    });
+}
+
+/// Negates the runs of `amps`, as `bits` cuts them, whose offset passes
+/// `selected`.
+#[inline(always)]
+fn phase_flip_where(amps: &mut [Complex], bits: usize, selected: impl Fn(usize) -> bool) {
+    for_runs(amps.len(), bits, |at, len| {
+        if selected(at) {
+            amps[at..at + len].iter_mut().for_each(|a| *a = -*a);
+        }
+    });
 }
 
 /// Diagonal phase pass (the CZ kernel): negates every amplitude whose
 /// within-stripe offset satisfies `lo_mask`. The caller is responsible for
 /// only running it on stripes whose shard index satisfies the high mask.
 pub fn phase_flip(amps: &mut [Complex], lo_mask: usize) {
-    for (i, amp) in amps.iter_mut().enumerate() {
-        if i & lo_mask == lo_mask {
-            *amp = -*amp;
+    phase_flip_where(amps, lo_mask, |at| at & lo_mask == lo_mask);
+}
+
+/// Probability mass of the runs of `amps`, as `bits` cuts them, whose
+/// global start index passes `selected`: one sum, in ascending index order,
+/// over exactly the selected amplitudes.
+#[inline(always)]
+fn norm_where(amps: &[Complex], base: usize, bits: usize, selected: impl Fn(usize) -> bool) -> f64 {
+    // What `Iterator::sum` makes of no terms, and of these terms after it.
+    let mut mass = -0.0f64;
+    for_runs(amps.len(), bits, |at, len| {
+        if selected(base | at) {
+            for a in &amps[at..at + len] {
+                mass += a.norm_sqr();
+            }
         }
-    }
+    });
+    mass
+}
+
+/// Zeroes the runs of `amps`, as `bits` cuts them, whose global start index
+/// fails `keep`, and returns the mass of the rest: one sum, in ascending
+/// index order, over exactly the kept amplitudes.
+#[inline(always)]
+fn collapse_where(
+    amps: &mut [Complex],
+    base: usize,
+    bits: usize,
+    keep: impl Fn(usize) -> bool,
+) -> f64 {
+    let mut kept = 0.0f64;
+    for_runs(amps.len(), bits, |at, len| {
+        let run = &mut amps[at..at + len];
+        if keep(base | at) {
+            for a in run.iter() {
+                kept += a.norm_sqr();
+            }
+        } else {
+            run.fill(C_ZERO);
+        }
+    });
+    kept
+}
+
+/// True when an odd number of the `mask` bits of `g` are set.
+#[inline(always)]
+fn odd_parity(g: usize, mask: usize) -> bool {
+    (g & mask).count_ones() % 2 == 1
 }
 
 /// Partial probability mass of the basis states in this stripe whose
 /// *global* index (stripe base ORed with the offset) matches `want` under
 /// `mask`. Summing the partials over all stripes gives the global mass.
 pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
-    amps.iter()
-        .enumerate()
-        .filter(|(i, _)| (base | i) & mask == want)
-        .map(|(_, a)| a.norm_sqr())
-        .sum()
+    norm_where(amps, base, mask, |g| g & mask == want)
 }
 
 /// Collapse pass: zeroes every amplitude whose global index does *not*
 /// match `want` under `mask` and returns the kept probability mass of this
 /// stripe. The caller renormalizes once the global mass is known.
 pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize) -> f64 {
-    let mut kept = 0.0f64;
-    for (i, a) in amps.iter_mut().enumerate() {
-        if (base | i) & mask == want {
-            kept += a.norm_sqr();
-        } else {
-            *a = C_ZERO;
-        }
-    }
-    kept
+    collapse_where(amps, base, mask, |g| g & mask == want)
 }
 
 /// Partial probability mass of odd `mask`-parity basis states in this
 /// stripe (joint Z-parity measurement, phase 1).
 pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
-    amps.iter()
-        .enumerate()
-        .filter(|(i, _)| ((base | i) & mask).count_ones() % 2 == 1)
-        .map(|(_, a)| a.norm_sqr())
-        .sum()
+    norm_where(amps, base, mask, |g| odd_parity(g, mask))
 }
 
 /// Parity-collapse pass: keeps the `want_odd` parity subspace, zeroes the
 /// rest, returns the kept mass of this stripe (joint Z-parity, phase 2).
 pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd: bool) -> f64 {
-    let mut kept = 0.0f64;
-    for (i, a) in amps.iter_mut().enumerate() {
-        let odd = ((base | i) & mask).count_ones() % 2 == 1;
-        if odd == want_odd {
-            kept += a.norm_sqr();
-        } else {
-            *a = C_ZERO;
-        }
-    }
-    kept
+    collapse_where(amps, base, mask, |g| odd_parity(g, mask) == want_odd)
 }
 
 /// Rescales every amplitude by the real factor (collapse renormalization,
@@ -226,20 +444,28 @@ pub fn scale(amps: &mut [Complex], factor: f64) {
 /// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
 /// single-qubit Paulis on distinct qubits; identity elsewhere) over one
 /// contiguous amplitude slice holding the whole register — the kernel the
-/// dense [`crate::state::State`] runs. Walks the slice directly instead of
-/// going through an accessor (measured: the accessor form costs a
-/// whole-state readout about a fifth more), and shares [`pauli_masks`] and
-/// the per-basis-state term with [`expectation_pauli`], so both accumulate
-/// the identical floating-point sequence.
+/// dense [`crate::state::State`] runs. Below the string's lowest qubit the
+/// sign is constant and partners are neighbours, so it zips each run with
+/// its partner run instead of going through an accessor; it shares
+/// [`pauli_masks`] and the per-basis-state term with [`expectation_pauli`],
+/// so both accumulate the identical floating-point sequence.
 pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
     let n_qubits = amps.len().trailing_zeros() as usize;
     let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
     let mut acc = Complex::default();
-    for (g, &a) in amps.iter().enumerate() {
-        if !a.is_negligible(NEGLIGIBLE) {
-            acc += signed_term(a, amps[g ^ x_mask], g, z_mask);
-        }
-    }
+    for_runs(
+        amps.len(),
+        x_mask | z_mask,
+        #[inline(always)]
+        |g, len| {
+            let sign = z_sign(g, z_mask);
+            for (&a, &partner) in amps[g..g + len].iter().zip(&amps[g ^ x_mask..][..len]) {
+                if !a.is_negligible(NEGLIGIBLE) {
+                    acc += signed_term(a, partner, sign);
+                }
+            }
+        },
+    );
     hermitian_value(i_pow, acc)
 }
 
@@ -324,44 +550,63 @@ pub fn expectation_term(
     if a.is_negligible(NEGLIGIBLE) {
         return None;
     }
-    Some(signed_term(a, at(g ^ x_mask), g, z_mask))
+    Some(signed_term(a, at(g ^ x_mask), z_sign(g, z_mask)))
 }
 
 /// Amplitudes below this magnitude are skipped by every Pauli-expectation
 /// accumulation (skipped, not added as zero).
 const NEGLIGIBLE: f64 = 1e-300;
 
-/// The term a non-negligible amplitude `a` at basis state `g` contributes,
-/// given its `x_mask` partner.
+/// `(-1)^{|g & z_mask|}`: the sign basis state `g` takes from the Z and Y
+/// factors of a Pauli string.
 #[inline(always)]
-fn signed_term(a: Complex, partner: Complex, g: usize, z_mask: usize) -> Complex {
-    let sign = if (g & z_mask).count_ones() % 2 == 1 {
+fn z_sign(g: usize, z_mask: usize) -> f64 {
+    if odd_parity(g, z_mask) {
         -1.0
     } else {
         1.0
-    };
+    }
+}
+
+/// The term a non-negligible amplitude `a` contributes, given its `x_mask`
+/// partner and its [`z_sign`].
+#[inline(always)]
+fn signed_term(a: Complex, partner: Complex, sign: f64) -> Complex {
     partner.conj() * a.scale(sign)
 }
 
-/// Removes qubit `target` from a dense amplitude vector, keeping the
-/// `outcome` branch; qubits above `target` shift down one position. Returns
-/// the halved vector plus the probability mass that was discarded — the
-/// caller asserts it is negligible (the qubit must already be collapsed)
-/// and renormalizes.
-pub fn remove_qubit_flat(flat: &[Complex], target: usize, outcome: bool) -> (Vec<Complex>, f64) {
-    let bit = 1usize << target;
-    let low_mask = bit - 1;
-    let keep = if outcome { bit } else { 0 };
-    let mut out = vec![C_ZERO; flat.len() / 2];
-    let mut dropped = 0.0f64;
-    for (i, &a) in flat.iter().enumerate() {
-        if i & bit == keep {
-            let j = (i & low_mask) | ((i >> 1) & !low_mask);
-            out[j] = a;
-        } else {
-            dropped += a.norm_sqr();
+/// Removes qubit `target` from a dense amplitude vector in place, keeping
+/// the `outcome` branch; qubits above `target` shift down one position.
+/// Halves the length, keeps the capacity, and returns the probability mass
+/// that was discarded — the caller asserts it is negligible (the qubit must
+/// already be collapsed) and renormalizes.
+///
+/// Compacts forward: block `k` (`2·bit` amplitudes) keeps one `bit`-long
+/// run, which moves down to `k·bit` — into an earlier block, or for block 0
+/// onto the run it drops — so summing a block's dropped run before moving
+/// its kept run never reads an amplitude that was already overwritten.
+pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool) -> f64 {
+    let dropped = walk_known_short!(1usize << target, |bit| {
+        let (kept_at, dropped_at) = if outcome { (bit, 0) } else { (0, bit) };
+        let mut dropped = 0.0f64;
+        for k in 0..amps.len() / (2 * bit) {
+            let block = 2 * k * bit;
+            for a in &amps[block + dropped_at..][..bit] {
+                dropped += a.norm_sqr();
+            }
+            amps.copy_within(block + kept_at..block + kept_at + bit, k * bit);
         }
-    }
+        dropped
+    });
+    amps.truncate(amps.len() / 2);
+    dropped
+}
+
+/// The copying form of [`remove_qubit_in_place`]: returns the halved vector
+/// plus the discarded probability mass and leaves `flat` as it was.
+pub fn remove_qubit_flat(flat: &[Complex], target: usize, outcome: bool) -> (Vec<Complex>, f64) {
+    let mut out = flat.to_vec();
+    let dropped = remove_qubit_in_place(&mut out, target, outcome);
     (out, dropped)
 }
 
@@ -668,6 +913,492 @@ mod tests {
             let via_slice = expectation_pauli_flat(&flat, &terms);
             let via_accessor = expectation_pauli(4, |g| flat[g], &terms);
             assert_eq!(via_slice.to_bits(), via_accessor.to_bits(), "{terms:?}");
+        }
+    }
+
+    /// The per-index loops the run traversal replaced, kept as the
+    /// reference: one index computation, one test and one bounds-checked
+    /// access per amplitude.
+    mod naive {
+        use super::super::*;
+
+        pub fn pair_indices(i: usize, bit: usize) -> (usize, usize) {
+            let low = i & (bit - 1);
+            let high = (i & !(bit - 1)) << 1;
+            let i0 = high | low;
+            (i0, i0 | bit)
+        }
+
+        pub fn pair_within(
+            amps: &mut [Complex],
+            c_lo: usize,
+            tbit: usize,
+            f: impl Fn(&mut Complex, &mut Complex),
+        ) {
+            let half = amps.len() / 2;
+            for i in 0..half {
+                let (i0, i1) = pair_indices(i, tbit);
+                if i0 & c_lo == c_lo {
+                    let (lo, hi) = amps.split_at_mut(i1);
+                    f(&mut lo[i0], &mut hi[0]);
+                }
+            }
+        }
+
+        pub fn pair_across(
+            a: &mut [Complex],
+            b: &mut [Complex],
+            c_lo: usize,
+            f: impl Fn(&mut Complex, &mut Complex),
+        ) {
+            for i in 0..a.len() {
+                if i & c_lo == c_lo {
+                    f(&mut a[i], &mut b[i]);
+                }
+            }
+        }
+
+        pub fn unitary(m: &Mat2) -> impl Fn(&mut Complex, &mut Complex) + '_ {
+            move |a0, a1| {
+                let (x0, x1) = (*a0, *a1);
+                *a0 = m[0][0] * x0 + m[0][1] * x1;
+                *a1 = m[1][0] * x0 + m[1][1] * x1;
+            }
+        }
+
+        pub fn swap_within(amps: &mut [Complex], abit: usize, bbit: usize) {
+            let xor = abit | bbit;
+            for i in 0..amps.len() {
+                if i & abit != 0 && i & bbit == 0 {
+                    amps.swap(i, i ^ xor);
+                }
+            }
+        }
+
+        pub fn swap_across_mixed(low: &mut [Complex], high: &mut [Complex], abit: usize) {
+            for i in 0..low.len() {
+                if i & abit != 0 {
+                    std::mem::swap(&mut low[i], &mut high[i ^ abit]);
+                }
+            }
+        }
+
+        pub fn phase_sweep(
+            amps: &mut [Complex],
+            base: usize,
+            factors: &[(usize, Complex, Complex)],
+            flips: &[usize],
+        ) {
+            for (i, a) in amps.iter_mut().enumerate() {
+                let g = base | i;
+                let mut v = *a;
+                for &(mask, d0, d1) in factors {
+                    v *= if g & mask != 0 { d1 } else { d0 };
+                }
+                if flips.iter().filter(|&&f| g & f == f).count() % 2 == 1 {
+                    v = -v;
+                }
+                *a = v;
+            }
+        }
+
+        pub fn phase_flip(amps: &mut [Complex], lo_mask: usize) {
+            for (i, amp) in amps.iter_mut().enumerate() {
+                if i & lo_mask == lo_mask {
+                    *amp = -*amp;
+                }
+            }
+        }
+
+        pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
+            amps.iter()
+                .enumerate()
+                .filter(|(i, _)| (base | i) & mask == want)
+                .map(|(_, a)| a.norm_sqr())
+                .sum()
+        }
+
+        pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize) -> f64 {
+            let mut kept = 0.0f64;
+            for (i, a) in amps.iter_mut().enumerate() {
+                if (base | i) & mask == want {
+                    kept += a.norm_sqr();
+                } else {
+                    *a = C_ZERO;
+                }
+            }
+            kept
+        }
+
+        pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
+            amps.iter()
+                .enumerate()
+                .filter(|(i, _)| ((base | i) & mask).count_ones() % 2 == 1)
+                .map(|(_, a)| a.norm_sqr())
+                .sum()
+        }
+
+        pub fn collapse_parity(
+            amps: &mut [Complex],
+            base: usize,
+            mask: usize,
+            want_odd: bool,
+        ) -> f64 {
+            let mut kept = 0.0f64;
+            for (i, a) in amps.iter_mut().enumerate() {
+                let odd = ((base | i) & mask).count_ones() % 2 == 1;
+                if odd == want_odd {
+                    kept += a.norm_sqr();
+                } else {
+                    *a = C_ZERO;
+                }
+            }
+            kept
+        }
+
+        pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
+            let n_qubits = amps.len().trailing_zeros() as usize;
+            let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
+            let mut acc = Complex::default();
+            for (g, &a) in amps.iter().enumerate() {
+                if !a.is_negligible(1e-300) {
+                    let sign = if (g & z_mask).count_ones() % 2 == 1 {
+                        -1.0
+                    } else {
+                        1.0
+                    };
+                    acc += amps[g ^ x_mask].conj() * a.scale(sign);
+                }
+            }
+            hermitian_value(i_pow, acc)
+        }
+
+        pub fn remove_qubit_flat(
+            flat: &[Complex],
+            target: usize,
+            outcome: bool,
+        ) -> (Vec<Complex>, f64) {
+            let bit = 1usize << target;
+            let low_mask = bit - 1;
+            let keep = if outcome { bit } else { 0 };
+            let mut out = vec![C_ZERO; flat.len() / 2];
+            let mut dropped = 0.0f64;
+            for (i, &a) in flat.iter().enumerate() {
+                if i & bit == keep {
+                    let j = (i & low_mask) | ((i >> 1) & !low_mask);
+                    out[j] = a;
+                } else {
+                    dropped += a.norm_sqr();
+                }
+            }
+            (out, dropped)
+        }
+    }
+
+    /// Seeded generic-angle amplitudes (nothing a kernel could get right by
+    /// symmetry), every seventh one an exact zero so skip rules are hit.
+    fn seeded(len: usize, seed: u64) -> Vec<Complex> {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        (0..len)
+            .map(|i| {
+                let a = Complex::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+                if i % 7 == 3 {
+                    C_ZERO
+                } else {
+                    a
+                }
+            })
+            .collect()
+    }
+
+    fn bits(amps: &[Complex]) -> Vec<(u64, u64)> {
+        amps.iter()
+            .map(|a| (a.re.to_bits(), a.im.to_bits()))
+            .collect()
+    }
+
+    /// Runs `new` and `old` on copies of `amps` and compares every
+    /// amplitude and the returned sum bit for bit.
+    fn same_bits(
+        amps: &[Complex],
+        what: impl std::fmt::Debug,
+        new: impl Fn(&mut Vec<Complex>) -> f64,
+        old: impl Fn(&mut Vec<Complex>) -> f64,
+    ) {
+        let (mut got, mut want) = (amps.to_vec(), amps.to_vec());
+        let (sum_got, sum_want) = (new(&mut got), old(&mut want));
+        assert_eq!(sum_got.to_bits(), sum_want.to_bits(), "sum, {what:?}");
+        assert_eq!(bits(&got), bits(&want), "amplitudes, {what:?}");
+    }
+
+    /// Lifts a kernel over two stripes of `len` amplitudes to the vector
+    /// holding one after the other (no sum to return).
+    fn on_halves<'f>(
+        len: usize,
+        f: &'f dyn Fn(&mut [Complex], &mut [Complex]),
+    ) -> impl Fn(&mut Vec<Complex>) -> f64 + 'f {
+        move |v| {
+            let (a, b) = v.split_at_mut(len);
+            f(a, b);
+            0.0
+        }
+    }
+
+    /// Lifts a kernel over one stripe to the first `len` amplitudes of a
+    /// vector (no sum to return).
+    fn on_first<'f>(
+        len: usize,
+        f: &'f dyn Fn(&mut [Complex]),
+    ) -> impl Fn(&mut Vec<Complex>) -> f64 + 'f {
+        move |v| {
+            f(&mut v[..len]);
+            0.0
+        }
+    }
+
+    /// Stripe lengths the equivalence tests sweep: 2^1 ..= 2^7 amplitudes.
+    fn stripe_lens() -> impl Iterator<Item = usize> {
+        (1..=7).map(|bits| 1usize << bits)
+    }
+
+    #[test]
+    fn pair_kernels_match_the_per_index_loops_bit_for_bit() {
+        let m = crate::gates::matmul2(&Gate::Ry(0.37).matrix(), &Gate::Rz(1.1).matrix());
+        // A kernel that is neither symmetric nor linear in the pair, so a
+        // swapped or repeated visit shows.
+        let lopsided = |a0: &mut Complex, a1: &mut Complex| {
+            *a0 = *a0 * *a1 + Complex::real(0.25);
+            *a1 -= *a0;
+        };
+        for len in stripe_lens() {
+            let amps = seeded(2 * len, len as u64);
+            // Every control subset of the stripe's bits (the ones naming
+            // the target select nothing), plus a control above the stripe.
+            for c_lo in (0..len).chain([len, len | 1, 3 * len]) {
+                let case = (len, c_lo);
+                same_bits(
+                    &amps,
+                    ("pair_across", case),
+                    on_halves(len, &|a, b| pair_across(a, b, c_lo, lopsided)),
+                    on_halves(len, &|a, b| naive::pair_across(a, b, c_lo, lopsided)),
+                );
+                same_bits(
+                    &amps,
+                    ("Mat across", case),
+                    on_halves(len, &|a, b| PairKernel::Mat(m).apply_across(a, b, c_lo)),
+                    on_halves(len, &|a, b| {
+                        naive::pair_across(a, b, c_lo, naive::unitary(&m))
+                    }),
+                );
+                same_bits(
+                    &amps,
+                    ("Swap across", case),
+                    on_halves(len, &|a, b| PairKernel::Swap.apply_across(a, b, c_lo)),
+                    on_halves(len, &|a, b| naive::pair_across(a, b, c_lo, std::mem::swap)),
+                );
+                for tbit in (0..len.trailing_zeros()).map(|t| 1usize << t) {
+                    let case = (len, c_lo, tbit);
+                    same_bits(
+                        &amps,
+                        ("pair_within", case),
+                        on_first(len, &|s| pair_within(s, c_lo, tbit, lopsided)),
+                        on_first(len, &|s| naive::pair_within(s, c_lo, tbit, lopsided)),
+                    );
+                    same_bits(
+                        &amps,
+                        ("pair_unitary", case),
+                        on_first(len, &|s| pair_unitary(s, c_lo, tbit, &m)),
+                        on_first(len, &|s| {
+                            naive::pair_within(s, c_lo, tbit, naive::unitary(&m))
+                        }),
+                    );
+                    same_bits(
+                        &amps,
+                        ("cnot", case),
+                        on_first(len, &|s| PairKernel::Swap.apply_within(s, c_lo, tbit)),
+                        on_first(len, &|s| naive::pair_within(s, c_lo, tbit, std::mem::swap)),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn swap_kernels_match_the_per_index_loops_bit_for_bit() {
+        for len in stripe_lens() {
+            let amps = seeded(2 * len, 100 + len as u64);
+            let qubit_bits = || (0..len.trailing_zeros()).map(|q| 1usize << q);
+            for abit in qubit_bits() {
+                same_bits(
+                    &amps,
+                    ("swap_across_mixed", len, abit),
+                    on_halves(len, &|low, high| swap_across_mixed(low, high, abit)),
+                    on_halves(len, &|low, high| naive::swap_across_mixed(low, high, abit)),
+                );
+                for bbit in qubit_bits().filter(|&b| b != abit) {
+                    same_bits(
+                        &amps,
+                        ("swap_within", len, abit, bbit),
+                        on_first(len, &|s| swap_within(s, abit, bbit)),
+                        on_first(len, &|s| naive::swap_within(s, abit, bbit)),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masked_kernels_match_the_per_index_loops_bit_for_bit() {
+        for len in stripe_lens() {
+            let amps = seeded(len, 200 + len as u64);
+            // Masks over the stripe's bits and the two above them, at every
+            // base those two bits allow.
+            for mask in 0..4 * len {
+                for base in [0, len, 2 * len, 3 * len] {
+                    let case = (len, base, mask);
+                    same_bits(
+                        &amps,
+                        ("parity_prob_odd", case),
+                        |v| parity_prob_odd(v, base, mask),
+                        |v| naive::parity_prob_odd(v, base, mask),
+                    );
+                    for want_odd in [false, true] {
+                        same_bits(
+                            &amps,
+                            ("collapse_parity", case, want_odd),
+                            |v| collapse_parity(v, base, mask, want_odd),
+                            |v| naive::collapse_parity(v, base, mask, want_odd),
+                        );
+                    }
+                    // Every value the masked bits can take, then one they
+                    // cannot: the empty selection.
+                    let mut want = mask;
+                    loop {
+                        let case = (len, base, mask, want);
+                        same_bits(
+                            &amps,
+                            ("masked_norm", case),
+                            |v| masked_norm(v, base, mask, want),
+                            |v| naive::masked_norm(v, base, mask, want),
+                        );
+                        same_bits(
+                            &amps,
+                            ("collapse_keep", case),
+                            |v| collapse_keep(v, base, mask, want),
+                            |v| naive::collapse_keep(v, base, mask, want),
+                        );
+                        if want == !mask {
+                            break;
+                        }
+                        want = if want == 0 { !mask } else { (want - 1) & mask };
+                    }
+                }
+                same_bits(
+                    &amps,
+                    ("phase_flip", len, mask),
+                    on_first(len, &|s| phase_flip(s, mask)),
+                    on_first(len, &|s| naive::phase_flip(s, mask)),
+                );
+            }
+        }
+        // The empty selection returns the empty sum's own bits.
+        assert_eq!(
+            masked_norm(&seeded(8, 1), 0, 0b1, 0b10).to_bits(),
+            (-0.0f64).to_bits()
+        );
+        assert_eq!(collapse_keep(&mut seeded(8, 1), 0, 0b1, 0b10).to_bits(), 0);
+    }
+
+    #[test]
+    fn phase_sweep_matches_the_per_index_loop_bit_for_bit() {
+        let d = |k: usize| {
+            (
+                Complex::cis(-0.1 - 0.07 * k as f64),
+                Complex::cis(0.3 + 0.05 * k as f64),
+            )
+        };
+        // Longer than SWEEP_TILE once, so more than one tile is swept.
+        for len in stripe_lens().chain([4 * SWEEP_TILE]) {
+            let amps = seeded(len, 300 + len as u64);
+            let top = len.trailing_zeros() as usize + 2;
+            // Single-qubit masks over the stripe's bits and the two above,
+            // a many-qubit mask, and the stripe-constant encoding `0`.
+            let masks: Vec<usize> = (0..top).map(|q| 1 << q).chain([0b101, 0]).collect();
+            for (i, &m0) in masks.iter().enumerate() {
+                for &m1 in &masks[i..] {
+                    let factors = [
+                        (m0, d(0).0, d(0).1),
+                        (m1, d(1).0, d(1).1),
+                        (m0, d(2).0, d(2).1),
+                    ];
+                    let flip_sets: [&[usize]; 4] = [&[], &[0], &[m0 | m1], &[m1, 0b11, m0 | 0b100]];
+                    for flips in flip_sets {
+                        for base in [0, len, 3 * len] {
+                            for used in [&factors[..0], &factors[..2], &factors[..]] {
+                                same_bits(
+                                    &amps,
+                                    ("phase_sweep", len, base, m0, m1, flips, used.len()),
+                                    on_first(len, &|s| phase_sweep(s, base, used, flips)),
+                                    on_first(len, &|s| naive::phase_sweep(s, base, used, flips)),
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn expectation_matches_the_per_index_loop_bit_for_bit() {
+        use crate::gates::Pauli;
+        for n in 1..=7usize {
+            let amps = seeded(1 << n, 400 + n as u64);
+            // Every Pauli string over n qubits: base-4 digits I, X, Y, Z.
+            for code in 0..(1usize << (2 * n)) {
+                let terms: Vec<PauliTerm> = (0..n)
+                    .filter_map(|q| {
+                        let op = match (code >> (2 * q)) & 3 {
+                            0 => return None,
+                            1 => Pauli::X,
+                            2 => Pauli::Y,
+                            _ => Pauli::Z,
+                        };
+                        Some(PauliTerm { qubit: q, op })
+                    })
+                    .collect();
+                let got = expectation_pauli_flat(&amps, &terms);
+                let want = naive::expectation_pauli_flat(&amps, &terms);
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n} code={code:#x}");
+                let via_accessor = expectation_pauli(n, |g| amps[g], &terms);
+                assert_eq!(
+                    got.to_bits(),
+                    via_accessor.to_bits(),
+                    "n={n} code={code:#x}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_removal_matches_the_per_index_copy_bit_for_bit() {
+        for n in 1..=7usize {
+            let amps = seeded(1 << n, 500 + n as u64);
+            for target in 0..n {
+                for outcome in [false, true] {
+                    let (want, want_dropped) = naive::remove_qubit_flat(&amps, target, outcome);
+                    let mut got = amps.clone();
+                    let dropped = remove_qubit_in_place(&mut got, target, outcome);
+                    let case = (n, target, outcome);
+                    assert_eq!(dropped.to_bits(), want_dropped.to_bits(), "{case:?}");
+                    assert_eq!(bits(&got), bits(&want), "{case:?}");
+                    assert!(got.capacity() >= amps.len(), "capacity kept, {case:?}");
+                    let (copied, copied_dropped) = remove_qubit_flat(&amps, target, outcome);
+                    assert_eq!(copied_dropped.to_bits(), want_dropped.to_bits(), "{case:?}");
+                    assert_eq!(bits(&copied), bits(&want), "{case:?}");
+                }
+            }
         }
     }
 }

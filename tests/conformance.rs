@@ -226,6 +226,83 @@ fn benchmark_sized_state_is_bit_identical_across_dense_engines() {
     }
 }
 
+/// What the interleaving case observes: the amplitudes after each free (as
+/// canonical bit patterns), every measurement outcome, and two reads.
+type InterleavingObs = (Vec<Vec<(u64, u64)>>, Vec<bool>, [u64; 2]);
+
+/// Alloc → entangle → measure-and-free, three times over, with the freed
+/// qubit at the bottom, in the middle and at the top of the register: the
+/// dense engine compacts in place, the lock-striped one flattens and
+/// re-cuts its stripes, the remote one reshapes worker to worker. The state
+/// is `a|0…0> + b|1…1>` with generic `a`, `b` and phases, measured in the X
+/// basis, so no reduction here ever adds more than two nonzero terms and
+/// the order an engine adds its partial sums in cannot show.
+fn alloc_free_interleaving(kind: BackendKind, seed: u64) -> InterleavingObs {
+    let cfg = qmpi::QmpiConfig::new()
+        .seed(seed)
+        .backend(kind)
+        .transport(cmpi::TransportKind::InProcess);
+    let out = qmpi::run_with_config(1, cfg, |ctx| {
+        let mut qs = ctx.alloc_qmem(6);
+        ctx.apply(Gate::Ry(0.9), &qs[0]).unwrap();
+        for k in 1..6 {
+            ctx.cnot(&qs[0], &qs[k]).unwrap();
+        }
+        ctx.apply(Gate::T, &qs[2]).unwrap();
+        ctx.apply(Gate::Rz(1.1), &qs[4]).unwrap();
+        let mut states = Vec::new();
+        let mut outcomes = Vec::new();
+        // Position of the qubit to free among the live ones, allocation
+        // order being position order: bottom, middle, then the fresh top.
+        for position in [0usize, 3, 6] {
+            let fresh = ctx.alloc_one();
+            ctx.cnot(&qs[1], &fresh).unwrap();
+            qs.push(fresh);
+            let freed = qs.remove(position);
+            ctx.apply(Gate::H, &freed).unwrap();
+            outcomes.push(ctx.measure_and_free(freed).unwrap());
+            let ids: Vec<qsim::QubitId> = qs.iter().map(|q| q.id()).collect();
+            let st = ctx.backend().state_vector(&ids).unwrap();
+            states.push(
+                st.amplitudes()
+                    .iter()
+                    .map(|a| (canon_bits(a.re), canon_bits(a.im)))
+                    .collect(),
+            );
+        }
+        let p = ctx.prob_one(&qs[2]).unwrap();
+        let zz = ctx
+            .expectation(&[(&qs[0], qsim::Pauli::Z), (&qs[5], qsim::Pauli::Z)])
+            .unwrap();
+        for q in qs {
+            outcomes.push(ctx.measure_and_free(q).unwrap());
+        }
+        (states, outcomes, [canon_bits(p), canon_bits(zz)])
+    });
+    out.into_iter().next().unwrap()
+}
+
+#[test]
+fn alloc_free_interleaving_is_bit_identical_across_amplitude_engines() {
+    for seed in [2u64, 9, 31] {
+        let dense = alloc_free_interleaving(BackendKind::StateVector, seed);
+        assert_eq!(dense.0.iter().map(Vec::len).collect::<Vec<_>>(), [64; 3]);
+        for kind in [
+            BackendKind::Sparse,
+            BackendKind::ShardedStateVector { shards: 2 },
+            BackendKind::ShardedStateVector { shards: 8 },
+            BackendKind::RemoteSharded { shards: 2 },
+            BackendKind::RemoteSharded { shards: 4 },
+        ] {
+            assert_eq!(
+                dense,
+                alloc_free_interleaving(kind, seed),
+                "{kind}, seed {seed}"
+            );
+        }
+    }
+}
+
 mod proptests {
     use super::*;
     use crate::common::conformance::strategies::arb_steps;
