@@ -8,10 +8,11 @@
 //!   identical Clifford protocol at 64+ ranks and the trace backend scales
 //!   to whatever the thread launcher tolerates — which is what makes
 //!   Table 1–3-style resource estimation at paper scale possible;
-//! * on dense workloads that *fit* in a state vector, the lock-striped
-//!   sharded backend beats the single global mutex as soon as several
-//!   ranks issue gates concurrently (`local_gates` below: 8 ranks, 16
-//!   qubits, every gate pass striping through 2^16 amplitudes).
+//! * on dense workloads that *fit* in a state vector, the striped engine
+//!   runs the same kernels as the dense one behind the same single lock and
+//!   pays for re-cutting its stripes on alloc and free; the ranking of the
+//!   amplitude engines is `cargo run --release -p qmpi-bench --bin
+//!   engine_census`, whose rows are the programs timed here.
 //!
 //! `QMPI_BENCH_QUICK=1` shrinks the size sweep for CI smoke runs, and the
 //! compat criterion harness honors `CRITERION_SAMPLE_SIZE` /
@@ -78,24 +79,7 @@ fn bench_teleport_chain(c: &mut Criterion) {
     for &n in sizes(&[4usize, 8, 16, 32]) {
         for kind in kinds_for(n) {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &n, |b, &n| {
-                b.iter(|| {
-                    // Relay one qubit along the whole chain of ranks.
-                    run_with_config(n, cfg(kind), move |ctx| {
-                        let r = ctx.rank();
-                        if r == 0 {
-                            let q = ctx.alloc_one();
-                            ctx.x(&q).unwrap();
-                            ctx.send_move(q, 1, 0).unwrap();
-                        } else {
-                            let q = ctx.recv_move(r - 1, (r - 1) as u16).unwrap();
-                            if r + 1 < ctx.size() {
-                                ctx.send_move(q, r + 1, r as u16).unwrap();
-                            } else {
-                                ctx.measure_and_free(q).unwrap();
-                            }
-                        }
-                    })
-                });
+                b.iter(|| run_with_config(n, cfg(kind), qmpi_bench::teleport_chain));
             });
         }
     }
@@ -108,73 +92,32 @@ fn bench_parity_reduce(c: &mut Criterion) {
     for &n in sizes(&[4usize, 8, 32]) {
         for kind in kinds_for(n) {
             group.bench_with_input(BenchmarkId::new(kind.name(), n), &n, |b, &n| {
-                b.iter(|| {
-                    run_with_config(n, cfg(kind), |ctx| {
-                        let q = ctx.alloc_one();
-                        if ctx.rank() % 2 == 1 {
-                            ctx.x(&q).unwrap();
-                        }
-                        let (result, handle) = ctx.reduce(&q, &qmpi::Parity, 0).unwrap();
-                        ctx.unreduce(&q, result, handle, &qmpi::Parity).unwrap();
-                        ctx.measure_and_free(q).unwrap();
-                    })
-                });
+                b.iter(|| run_with_config(n, cfg(kind), qmpi_bench::parity_reduce));
             });
         }
     }
     group.finish();
 }
 
-/// The lock-contention acceptance workload: 8 ranks × 2 qubits = 16 total
-/// qubits (a 65 536-amplitude dense state), every rank streaming local
-/// gates concurrently. The single-mutex `Shared` wrapper serializes every
-/// gate; the lock-striped wrapper lets the eight ranks pipeline through
-/// the stripes. Rotations are non-Clifford, so only the two dense engines
-/// can run this — exactly the comparison that matters.
-///
-/// Host note: on a single-core machine the sharded engine still wins
-/// (~10-15% here) because it sheds the dense kernels' per-gate scoped
-/// thread spawns and global-mutex handoffs; the *concurrency* win on top
-/// of that needs as many cores as gate-issuing ranks.
+/// 8 ranks × 2 qubits = 16 total qubits (a 65 536-amplitude dense state),
+/// every rank streaming local gates at once ([`qmpi_bench::local_gates`]).
+/// Both engines serialize the ranks' batches through one lock and run the
+/// same kernels; the striped one additionally re-cuts its stripes on every
+/// alloc and free.
 fn bench_local_gates(c: &mut Criterion) {
     let mut group = c.benchmark_group("backend/local_gates");
     group.sample_size(10);
     let ranks = 8usize;
-    let qubits_per_rank = 2usize;
     let gates_per_rank = if quick() { 16 } else { 48 };
     for kind in [
         BackendKind::StateVector,
         BackendKind::ShardedStateVector { shards: SHARDS },
     ] {
-        let label = format!("{}q_{}r", ranks * qubits_per_rank, ranks);
+        let label = format!("{}q_{}r", ranks * 2, ranks);
         group.bench_with_input(BenchmarkId::new(kind.name(), label), &ranks, |b, &n| {
             b.iter(|| {
                 run_with_config(n, cfg(kind), move |ctx| {
-                    let qs = ctx.alloc_qmem(qubits_per_rank);
-                    // Ranks allocate in racing order; sync so every gate
-                    // below runs against the full 16-qubit register.
-                    ctx.barrier();
-                    for i in 0..gates_per_rank {
-                        let q = &qs[i % qubits_per_rank];
-                        ctx.ry(q, 0.1 + i as f64 * 0.01).unwrap();
-                        ctx.cnot(&qs[0], &qs[1]).unwrap();
-                        ctx.cnot(&qs[1], &qs[0]).unwrap();
-                        ctx.cz(&qs[0], &qs[1]).unwrap();
-                        ctx.rz(q, -0.05).unwrap();
-                    }
-                    // Undo entanglement so the qubits free cleanly.
-                    for i in (0..gates_per_rank).rev() {
-                        let q = &qs[i % qubits_per_rank];
-                        ctx.rz(q, 0.05).unwrap();
-                        ctx.cz(&qs[0], &qs[1]).unwrap();
-                        ctx.cnot(&qs[1], &qs[0]).unwrap();
-                        ctx.cnot(&qs[0], &qs[1]).unwrap();
-                        ctx.ry(q, -(0.1 + i as f64 * 0.01)).unwrap();
-                    }
-                    ctx.barrier();
-                    for q in qs {
-                        ctx.free_qmem(q).unwrap();
-                    }
+                    qmpi_bench::local_gates(ctx, gates_per_rank)
                 })
             });
         });
@@ -184,9 +127,9 @@ fn bench_local_gates(c: &mut Criterion) {
 
 /// The message-passing counterpart of `local_gates`: 4 ranks × 2 qubits,
 /// every gate crossing the shard boundary as `cmpi` commands to worker
-/// ranks. Compared against the lock-striped engine on the identical
-/// workload, the gap *is* the protocol overhead (encode + mailbox hop per
-/// gate vs. a stripe-lock acquisition) — the number to watch as the remote
+/// ranks. Compared against the striped engine (same layout, one address
+/// space) on the identical workload, the gap *is* the protocol overhead
+/// (encode + mailbox hop per batch) — the number to watch as the remote
 /// engine's batching improves. Kept smaller than `local_gates` because a
 /// message round per gate is the point, not raw amplitude throughput.
 ///
@@ -264,8 +207,8 @@ fn bench_remote_gates(c: &mut Criterion) {
 /// batching, fusion off — the pre-fusion stream), and `per-gate`
 /// (`BatchPolicy::eager()`). On the remote engine batching's gap is one
 /// framed command round per *batch* against one per *gate*; on the
-/// lock-striped engine it is one locality-lock acquisition per batch
-/// against one per gate. Fusion then shrinks the batch itself: adjacent
+/// striped engine it is one locality-lock acquisition per batch against
+/// one per gate. Fusion then shrinks the batch itself: adjacent
 /// 1q gates collapse into single matrix sweeps and diagonal stretches
 /// into single phase sweeps, which the counter assertion below proves
 /// before timing anything.

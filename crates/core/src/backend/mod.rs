@@ -17,12 +17,12 @@
 //!   resource estimation at paper scale), [`amplitude::SparseEngine`] (exact
 //!   amplitudes stored sparsely — only nonzero entries — so structured
 //!   states carry real amplitudes at hundreds of ranks),
-//!   [`sharded::ShardedStateVector`] (exact amplitudes over a lock-striped
-//!   shard array, built for concurrent gate dispatch) and
-//!   [`remote::RemoteShardedEngine`] (exact amplitudes over shards owned by
-//!   dedicated worker ranks that exchange nothing but [`cmpi`] messages —
-//!   the paper's process-separated deployment model). The last two also
-//!   implement [`ShardableEngine`]: the same gate batch through `&self`,
+//!   [`amplitude::ShardedStateVector`] (the dense vector cut into the
+//!   remote workers' stripes in one address space — the layout reference)
+//!   and [`remote::RemoteShardedEngine`] (exact amplitudes over shards owned
+//!   by dedicated worker ranks that exchange nothing but [`cmpi`] messages —
+//!   the paper's process-separated deployment model). The last one also
+//!   implements [`ShardableEngine`]: the same gate batch through `&self`,
 //!   safe for concurrent ranks acting on disjoint qubits.
 //! * [`Shared`] — the locality wrapper: one reader-writer-locked engine
 //!   plus the qubit-ownership registry. Every engine gets the paper's
@@ -53,15 +53,14 @@
 //! Exclusive acquisition mirrors the prototype's "all ranks forward
 //! quantum operations to rank 0" — identical serialization semantics, and
 //! the engine's global state faithfully represents the distributed machine
-//! at every point. The shardable engines keep the same observable
-//! semantics while letting gates on disjoint qubits (which locality
-//! guarantees across ranks) execute in parallel.
+//! at every point. The shardable engine keeps the same observable
+//! semantics while letting ranks' flushed gate streams (on disjoint qubits,
+//! which locality guarantees) merge into shared command rounds.
 
 pub mod amplitude;
 pub mod pool;
 pub mod remote;
 pub mod remote_transport;
-pub mod sharded;
 pub mod stabilizer;
 pub mod trace;
 
@@ -75,11 +74,10 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-pub use amplitude::{SparseEngine, StateVectorEngine};
+pub use amplitude::{ShardedStateVector, SparseEngine, StateVectorEngine};
 pub use pool::{ShardLease, ShardWorkerPool};
 pub use remote::RemoteShardedEngine;
 pub use remote_transport::qworker_main;
-pub use sharded::{ShardableEngine, ShardedStateVector};
 pub use stabilizer::StabilizerEngine;
 pub use trace::TraceEngine;
 
@@ -105,12 +103,15 @@ pub enum BackendKind {
     /// amplitudes instead of `2^n` — structured states (cat/GHZ trees,
     /// teleport chains) run with real amplitudes at hundreds of ranks.
     Sparse,
-    /// Full state-vector simulation over `shards` lock-striped amplitude
-    /// shards behind a reader-writer locality wrapper: gates from many
-    /// ranks run concurrently instead of serializing through one mutex.
-    /// `shards` is rounded up to a power of two (clamped to `[1, 256]`).
+    /// Full state-vector simulation with the amplitudes cut into `shards`
+    /// contiguous stripes in one address space: the stripe layout, kernels
+    /// and partial-sum order of [`BackendKind::RemoteSharded`] without its
+    /// transport, serialized through one lock like the dense engine (which
+    /// is faster on every measured workload — this is the reference that
+    /// tells a layout bug from a transport or planner bug). `shards` is
+    /// rounded up to a power of two (clamped to `[1, 256]`).
     ShardedStateVector {
-        /// Number of amplitude shards (= independent stripe locks).
+        /// Number of amplitude stripes.
         shards: usize,
     },
     /// Full state-vector simulation whose `shards` amplitude shards live in
@@ -129,7 +130,7 @@ pub enum BackendKind {
 impl BackendKind {
     /// The shard/stripe count this kind will actually run with, after the
     /// rounding and clamping its engine constructor applies (`[1, 256]`
-    /// stripes for the lock-striped engine, `[1, 64]` worker ranks for the
+    /// stripes for the striped engine, `[1, 64]` worker ranks for the
     /// process-separated one). `None` for the unsharded kinds.
     pub fn effective_shards(self) -> Option<usize> {
         // One normalization rule, shared with the engine constructors
@@ -231,7 +232,7 @@ pub fn build_backend(
 }
 
 /// [`build_backend`] with an explicit [`crate::BatchPolicy`], which on the
-/// shardable engines governs [`Shared`]'s cross-rank coalesce window:
+/// shardable engine governs [`Shared`]'s cross-rank coalesce window:
 /// whether concurrent ranks' flushed plans merge into shared per-worker
 /// frames (`policy.coalesce`) and the window's op / byte / age budgets.
 /// The other engines serialize every flush anyway and ignore the policy.
@@ -725,6 +726,36 @@ impl<E: SimEngine> Inner<E> {
     }
 }
 
+/// A [`SimEngine`] that additionally accepts gate batches through `&self`,
+/// safe for concurrent callers operating on disjoint qubits. The engine
+/// implementing this (and answering [`SimEngine::as_shardable`]) keeps gate
+/// dispatch on the shared side of [`Shared`]'s lock.
+pub trait ShardableEngine: SimEngine {
+    /// [`SimEngine::apply_batch`] through `&self` (concurrent-safe): same
+    /// stream, same order, same gate tally and
+    /// partial-application-on-error semantics.
+    fn apply_batch_concurrent(&self, batch: &GateBatch) -> std::result::Result<(), qsim::SimError>;
+
+    /// Applies several ranks' gate segments — the drained contents of a
+    /// cross-rank coalesce window, in arrival order — as one unit. Each
+    /// `(rank, batch)` segment is a stream that was flushed (and possibly
+    /// plan-time-optimized) by one rank in isolation; ranks own disjoint
+    /// qubits, so the segments commute and concatenating them in arrival
+    /// order reproduces exactly what dispatching each separately would
+    /// have computed. The default does that concatenation seam-preserving
+    /// ([`qsim::concat_segments`] — no cross-rank re-fusion) and applies
+    /// it as one batch; the process-separated engine overrides this to
+    /// ship one *merged* framed command per worker with per-rank segment
+    /// markers, so failover replay keeps segment boundaries.
+    fn apply_segments_concurrent(
+        &self,
+        segs: Vec<(usize, GateBatch)>,
+    ) -> std::result::Result<(), qsim::SimError> {
+        let merged = qsim::concat_segments(segs.into_iter().map(|(_, b)| b));
+        self.apply_batch_concurrent(&merged)
+    }
+}
+
 /// The cross-rank coalesce window: flushed-but-not-yet-dispatched gate
 /// segments from one or more ranks, in arrival order. Lives behind its own
 /// mutex inside [`Shared`]; the lock order is always `inner` lock first,
@@ -760,11 +791,11 @@ impl CoalesceWindow {
 ///
 /// Structural and reading operations (alloc/free, measurement, EPR
 /// establishment, expectations, snapshots) always take the exclusive side.
-/// Gate batches take it too — unless the engine is a [`ShardableEngine`]:
-/// then gate dispatch, the overwhelming majority of backend traffic, holds
-/// only the shared side (plus whatever finer-grained exclusion the engine
-/// provides), so ranks do not serialize on one global lock. Which side is
-/// fixed by the engine type ([`SimEngine::as_shardable`]), not configured.
+/// Gate batches take it too — unless the engine is a [`ShardableEngine`]
+/// (the process-separated one): then a flush holds only the shared side,
+/// because dispatch is a fire-and-forget send to the workers and the
+/// engine orders concurrent senders itself. Which side is fixed by the
+/// engine type ([`SimEngine::as_shardable`]), not configured.
 ///
 /// ## Cross-rank coalescing
 ///
@@ -1331,7 +1362,7 @@ mod tests {
             .shard_clamp_warning()
             .expect("6 stripes round to 8");
         assert!(w.contains("rounded") && w.contains('8'), "{w}");
-        // Over the lock-striped cap too.
+        // Over the striped cap too.
         assert_eq!(
             BackendKind::ShardedStateVector { shards: 1000 }.effective_shards(),
             Some(256)

@@ -1,7 +1,7 @@
 //! Process-separated shard workers: the remote sharded state-vector engine.
 //!
-//! [`super::ShardedStateVector`] stripes the amplitude vector across lock
-//! guards in one address space. This module removes that last assumption:
+//! [`super::ShardedStateVector`] cuts the amplitude vector into stripes in
+//! one address space. This module removes that last assumption:
 //! [`RemoteShardedEngine`] places each of the `2^k` amplitude shards in a
 //! dedicated *worker rank* — its own thread of control with its own mailbox,
 //! spawned via [`cmpi::Universe::spawn_workers`] — and turns every shard
@@ -37,8 +37,8 @@
 //!   the identical planner, so the two paths execute the same kernels in
 //!   the same order and stay bit-identical per seed.
 //! * **Within-shard gates** become [`WorkerOp::PairWithin`] entries;
-//!   workers run the identical [`qsim::stripe`] kernels the lock-striped
-//!   store uses, in parallel.
+//!   workers run the identical [`qsim::stripe`] kernels the in-process
+//!   striped store runs, in parallel.
 //! * **Cross-shard gates** pair shard `s0` with `s0 | tbit`: the high
 //!   member ships its stripe to the low member ([`WorkerOp::CrossHigh`] /
 //!   [`WorkerOp::CrossLow`]), which zips the pair kernel across both
@@ -89,7 +89,7 @@
 //! lock: select it with [`super::BackendKind::RemoteSharded`].
 
 use super::pool::ShardLease;
-use super::{BackendKind, TransportStats};
+use super::{BackendKind, ShardableEngine, TransportStats};
 use bytes::{Bytes, BytesMut};
 use cmpi::{Communicator, Decode, Encode, TransportKind};
 use parking_lot::Mutex;
@@ -1976,8 +1976,8 @@ impl Controller {
 
 /// Full state-vector engine whose `2^k` amplitude shards live in dedicated
 /// worker ranks and exchange nothing but [`cmpi`] messages. See the module
-/// docs for the protocol; see [`super::ShardedStateVector`] for the
-/// in-process analogue with the same observable semantics.
+/// docs for the protocol; see [`super::ShardedStateVector`] for the same
+/// stripe layout in one address space, this engine's layout reference.
 pub struct RemoteShardedEngine {
     ctl: Mutex<Controller>,
     /// Stable handle <-> position bookkeeping, shared with the other
@@ -2151,9 +2151,10 @@ impl RemoteShardedEngine {
     }
 
     /// Samples and applies the `class` channel to each listed position —
-    /// the same sequencing as the in-process engines (see
-    /// `ShardedStateVector::inject`), with the amplitude work expressed as
-    /// shard commands.
+    /// the same draws as the in-process engines (the simulator front's
+    /// `inject`), with the amplitude work expressed as shard commands.
+    /// Pauli channels never read the state, so all positions are sampled
+    /// before any is applied; amplitude damping alternates.
     fn inject(&self, class: OpClass, positions: &[usize]) {
         let ch = self.noise_model.channel(class);
         if ch.is_ideal() {
@@ -2348,7 +2349,7 @@ impl RemoteShardedEngine {
     }
 }
 
-impl super::ShardableEngine for RemoteShardedEngine {
+impl ShardableEngine for RemoteShardedEngine {
     fn apply_batch_concurrent(&self, batch: &qsim::GateBatch) -> Result<(), SimError> {
         if self.noise_model.is_state_dependent() {
             // Amplitude damping reads P(|1>) per insertion — each jump
@@ -2431,7 +2432,7 @@ impl super::SimEngine for RemoteShardedEngine {
         Some(self.transport_stats())
     }
 
-    fn as_shardable(&self) -> Option<&dyn super::ShardableEngine> {
+    fn as_shardable(&self) -> Option<&dyn ShardableEngine> {
         Some(self)
     }
 
@@ -2461,7 +2462,6 @@ impl super::SimEngine for RemoteShardedEngine {
     }
 
     fn apply_batch(&mut self, batch: &qsim::GateBatch) -> Result<(), SimError> {
-        use super::ShardableEngine;
         self.apply_batch_concurrent(batch)
     }
 

@@ -62,9 +62,10 @@
 //!   ([`OpCounts`]), which reproduces the paper's Table 1–3 resource
 //!   formulas at arbitrary scale in microseconds.
 //! * `BackendKind::ShardedStateVector { shards }` — exact amplitudes like
-//!   the default engine, but striped across `shards` per-shard locks behind
-//!   a reader-writer locality wrapper, so gates issued by different ranks
-//!   run concurrently instead of serializing on one mutex.
+//!   the default engine, cut into `shards` contiguous stripes in one address
+//!   space: the remote engine's layout without its transport, kept as the
+//!   reference that separates a layout bug from a transport bug. Slower than
+//!   the default engine on every measured workload.
 //! * `BackendKind::RemoteSharded { shards }` — exact amplitudes whose
 //!   shards live in dedicated *worker ranks* driven purely by [`cmpi`]
 //!   message passing (the paper's process-separated deployment model); same

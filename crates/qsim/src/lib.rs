@@ -15,8 +15,8 @@
 //! - [`state`] — dense amplitude vector with add/remove-qubit support: the
 //!   one-stripe case of [`stripe`].
 //! - [`sharded`] — [`sharded::ShardedState`]: the same amplitude vector
-//!   split into `2^k` contiguous lock-striped shards, so gate application
-//!   from concurrent callers needs no global lock.
+//!   cut into `2^k` contiguous stripes, one kernel call per stripe — the
+//!   remote workers' layout in one address space.
 //! - [`batch`] — [`batch::GateBatch`]: the batched gate-stream IR that
 //!   engines apply as one unit (one lock acquisition / one message round
 //!   per batch instead of per gate).
@@ -32,7 +32,8 @@
 //! - [`sim`] — the simulator front, written once over [`sim::AmpStore`]:
 //!   stable qubit handles, operand checks, counters, noise and measurement
 //!   draws. [`sim::Simulator`] runs it over [`state::State`],
-//!   [`sim::SparseSim`] over [`sparse::SparseState`].
+//!   [`sim::SparseSim`] over [`sparse::SparseState`], and it runs over a
+//!   [`sharded::ShardedState`] just the same.
 //! - [`stabilizer`] — [`stabilizer::StabilizerSim`]: CHP tableau engine with
 //!   the same handle surface, for Clifford-only workloads at scales far
 //!   beyond any state vector (the QMPI protocols are all Clifford).

@@ -1,11 +1,11 @@
 //! Stable qubit-handle bookkeeping shared by the amplitude engines.
 //!
-//! Both the dense [`crate::Simulator`] and the lock-striped
-//! `ShardedStateVector` engine expose stable [`QubitId`] handles over a
-//! state whose internal qubit *positions* shift as qubits are freed. This
-//! registry is the single source of truth for that mapping — handle
-//! allocation, position lookup, the shift-down on removal, and snapshot
-//! permutations — so the engines cannot drift apart on handle semantics.
+//! The simulator front ([`crate::sim::AmpSim`]) and the remote engine's
+//! controller expose stable [`QubitId`] handles over a state whose internal
+//! qubit *positions* shift as qubits are freed. This registry is the single
+//! source of truth for that mapping — handle allocation, position lookup,
+//! the shift-down on removal, and snapshot permutations — so the engines
+//! cannot drift apart on handle semantics.
 
 use crate::sim::{QubitId, SimError};
 use std::collections::HashMap;

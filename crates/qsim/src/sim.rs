@@ -66,14 +66,13 @@ impl std::error::Error for SimError {}
 /// Amplitude storage under the simulator front: a register of qubits
 /// addressed by *position* (bit index of the basis state), no handles, no
 /// counters, no randomness. The trait hides the storage format — a dense
-/// `2^n` vector ([`State`]) or a map of the nonzero entries
-/// ([`SparseState`]) — and every implementation evaluates the same
-/// floating-point expressions in the same order, so the front's results do
-/// not depend on which one it runs over (up to the sparse canonical rule).
+/// `2^n` vector ([`State`]), the same vector cut into stripes
+/// ([`crate::sharded::ShardedState`]) or a map of the nonzero entries ([`SparseState`]) —
+/// and every implementation evaluates the same floating-point expressions
+/// in the same order, so the front's results do not depend on which one it
+/// runs over (up to the sparse canonical rule, and to the order in which a
+/// striped store adds its per-stripe partial sums).
 pub trait AmpStore {
-    /// The 0-qubit register: one amplitude of 1.
-    fn empty() -> Self;
-
     /// Appends a fresh qubit in |0> as the new most-significant position and
     /// returns that position. Existing positions are stable.
     fn add_qubit(&mut self) -> usize;
@@ -130,8 +129,8 @@ pub trait AmpStore {
 }
 
 /// Full-state simulator with dynamic qubit allocation over the amplitude
-/// store `S`. Use it through its two instantiations, [`Simulator`] and
-/// [`SparseSim`].
+/// store `S`: [`Simulator`], [`SparseSim`], or [`AmpSim::over`] a
+/// [`crate::sharded::ShardedState`].
 pub struct AmpSim<S> {
     state: S,
     reg: QubitRegistry,
@@ -150,13 +149,6 @@ pub type Simulator = AmpSim<State>;
 /// [`Simulator`] under the canonical rule documented in [`crate::sparse`].
 pub type SparseSim = AmpSim<SparseState>;
 
-impl Simulator {
-    /// Raw internal state (position ordering); mostly for diagnostics.
-    pub fn raw_state(&self) -> &State {
-        &self.state
-    }
-}
-
 impl SparseSim {
     /// Number of nonzero amplitudes currently stored — the quantity that
     /// stays small for structured states and makes paper-scale runs feasible.
@@ -165,26 +157,39 @@ impl SparseSim {
     }
 }
 
-impl<S: AmpStore> AmpSim<S> {
+impl<S: AmpStore + Default> AmpSim<S> {
     /// Creates an empty, noiseless simulator with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
         Self::with_noise(seed, NoiseModel::ideal())
     }
 
-    /// Creates an empty simulator with a deterministic RNG seed and a noise
-    /// model, realized as stochastic Pauli/Kraus insertions after each
-    /// noisy operation (see [`crate::noise`]). The noise stream is seeded
-    /// independently of the measurement stream, so a zero-rate model is
-    /// bit-identical to [`AmpSim::new`].
+    /// [`AmpSim::over`] the store's default (0-qubit) register.
     pub fn with_noise(seed: u64, model: NoiseModel) -> Self {
+        Self::over(S::default(), seed, model)
+    }
+}
+
+impl<S: AmpStore> AmpSim<S> {
+    /// Creates a simulator over `store`, which must hold the 0-qubit
+    /// register, with a deterministic RNG seed and a noise model, realized
+    /// as stochastic Pauli/Kraus insertions after each noisy operation (see
+    /// [`crate::noise`]). The noise stream is seeded independently of the
+    /// measurement stream, so a zero-rate model is bit-identical to
+    /// [`NoiseModel::ideal`].
+    pub fn over(store: S, seed: u64, model: NoiseModel) -> Self {
         AmpSim {
-            state: S::empty(),
+            state: store,
             reg: QubitRegistry::new(),
             rng: StdRng::seed_from_u64(seed),
             noise: NoiseState::new(seed, model),
             gate_count: 0,
             measurement_count: 0,
         }
+    }
+
+    /// The amplitude store (position ordering); mostly for diagnostics.
+    pub fn raw_state(&self) -> &S {
+        &self.state
     }
 
     /// The configured noise model.
@@ -467,6 +472,85 @@ mod tests {
     use crate::gates::{Gate, Pauli};
 
     const TOL: f64 = 1e-10;
+
+    /// One seeded program over every front entry point — each `BatchOp`
+    /// kind's method, both measurements, `free` and `measure_and_free` at
+    /// the top, bottom and middle positions — returning everything it can
+    /// observe.
+    ///
+    /// Only the first gate and the EPR pair (made after everything else is
+    /// measured) superpose; the rest permute or phase basis states. With at
+    /// most two nonzero amplitudes every reduction has at most two nonzero
+    /// terms, which no order of addition can tell apart: on wider states
+    /// the dense sum and the striped partial sums round differently in the
+    /// last bit, as they did before the striped store joined this front.
+    fn observe<S: AmpStore>(store: S, model: NoiseModel) -> (Vec<(u64, u64)>, Vec<bool>, u64, u64) {
+        let mut sim = AmpSim::over(store, 17, model);
+        let mut q = sim.alloc_n(7);
+        let mut outcomes = Vec::new();
+        let t = Gate::T.matrix();
+        sim.apply(Gate::Ry(0.37), q[0]).unwrap();
+        for &qi in &q[1..] {
+            sim.apply(Gate::X, qi).unwrap();
+        }
+        sim.cnot(q[0], q[6]).unwrap();
+        sim.cnot(q[5], q[1]).unwrap();
+        sim.cz(q[2], q[4]).unwrap();
+        sim.apply(Gate::Rz(1.1), q[3]).unwrap();
+        sim.apply_controlled(&[q[0], q[5]], Gate::X, q[3]).unwrap();
+        sim.apply_controlled(&[q[6]], Gate::S, q[2]).unwrap();
+        // At 8 stripes: within a stripe, mixed, both stripe-selecting.
+        for (a, b) in [(0, 1), (1, 5), (4, 6)] {
+            sim.swap(q[a], q[b]).unwrap();
+        }
+        sim.apply_fused_1q(q[4], &crate::gates::matmul2(&Gate::X.matrix(), &t))
+            .unwrap();
+        sim.apply_phase_sweep(
+            &[(q[1], t[0][0], t[1][1]), (q[6], t[1][1], t[0][0])],
+            &[(q[0], q[6]), (q[2], q[3])],
+        )
+        .unwrap();
+        outcomes.push(sim.measure(q[3]).unwrap());
+        outcomes.push(sim.measure_z_parity(&[q[0], q[2], q[6]]).unwrap());
+        for at in [6, 0, 2] {
+            outcomes.push(sim.measure_and_free(q.remove(at)).unwrap());
+        }
+        for &qi in &q {
+            outcomes.push(sim.measure(qi).unwrap());
+        }
+        let (ea, eb) = (sim.alloc(), sim.alloc());
+        sim.entangle_epr(ea, eb).unwrap();
+        sim.cnot(q[0], ea).unwrap();
+        outcomes.push(sim.measure(ea).unwrap());
+        outcomes.push(sim.free(ea).unwrap());
+        sim.apply(Gate::H, eb).unwrap();
+        q.push(eb);
+        let state = sim.state_vector(&q).unwrap();
+        let bits = state.amplitudes().iter();
+        (
+            bits.map(|a| (a.re.to_bits(), a.im.to_bits())).collect(),
+            outcomes,
+            sim.gate_count(),
+            sim.measurement_count(),
+        )
+    }
+
+    #[test]
+    fn striped_store_matches_dense_through_the_front() {
+        use crate::noise::NoiseChannel;
+        use crate::sharded::ShardedState;
+        for model in [
+            NoiseModel::ideal(),
+            NoiseModel::depolarizing(0.2).with_measurement(NoiseChannel::Dephasing { p: 0.3 }),
+            NoiseModel::amplitude_damping(0.2),
+        ] {
+            let want = observe(State::default(), model);
+            for stripes in [1, 2, 8] {
+                let got = observe(ShardedState::new(stripes), model);
+                assert_eq!(got, want, "{stripes} stripes under {model:?}");
+            }
+        }
+    }
 
     #[test]
     fn alloc_free_roundtrip() {

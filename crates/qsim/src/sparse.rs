@@ -293,13 +293,16 @@ fn key_of(positions: &[usize]) -> BasisKey {
         .fold(BasisKey::ZERO, |k, &pos| k.with_set(pos))
 }
 
-impl AmpStore for SparseState {
-    fn empty() -> Self {
+/// The 0-qubit register: one amplitude of 1.
+impl Default for SparseState {
+    fn default() -> Self {
         let mut amps = HashMap::new();
-        amps.insert(BasisKey::ZERO, C_ONE); // the 0-qubit scalar state
+        amps.insert(BasisKey::ZERO, C_ONE);
         SparseState { amps, n_qubits: 0 }
     }
+}
 
+impl AmpStore for SparseState {
     /// Existing keys keep their value (the new bit is 0 everywhere).
     fn add_qubit(&mut self) -> usize {
         assert!(self.n_qubits < MAX_QUBITS, "sparse qubit budget exhausted");

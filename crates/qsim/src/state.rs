@@ -25,7 +25,7 @@ use crate::stripe;
 pub const NORM_TOL: f64 = 1e-9;
 
 /// The qubit budget of every dense-amplitude engine: `2^29` amplitudes
-/// (8 GiB) is the widest register a [`State`], a lock-striped or a
+/// (8 GiB) is the widest register a [`State`], a striped or a
 /// remote-sharded state will hold or a sparse state will materialize.
 pub const MAX_DENSE_QUBITS: usize = 29;
 
@@ -240,11 +240,14 @@ impl State {
     }
 }
 
-impl AmpStore for State {
-    fn empty() -> Self {
+/// The 0-qubit register: one amplitude of 1.
+impl Default for State {
+    fn default() -> Self {
         State::zero(0)
     }
+}
 
+impl AmpStore for State {
     fn add_qubit(&mut self) -> usize {
         assert!(
             self.n_qubits < MAX_DENSE_QUBITS,

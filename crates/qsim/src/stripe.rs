@@ -12,11 +12,11 @@
 //!
 //! Three deployments run these functions and nothing else: the dense
 //! [`crate::state::State`] is the one-stripe case (`k = 0`, `base = 0`, the
-//! cross-stripe kernels never fire); the in-process lock-striped
-//! [`crate::sharded::ShardedState`] calls them under its stripe locks; and a
-//! process-separated shard worker receiving commands over a message channel
-//! runs them on the stripe it owns. One kernel set is what keeps dense,
-//! lock-striped, and remote-sharded engines bit-identical: there is no
+//! cross-stripe kernels never fire); the in-process
+//! [`crate::sharded::ShardedState`] loops over its stripes calling them; and
+//! a process-separated shard worker receiving commands over a message
+//! channel runs them on the stripe it owns. One kernel set is what keeps
+//! dense, striped, and remote-sharded engines bit-identical: there is no
 //! second copy of the arithmetic to drift. The sparse map
 //! ([`crate::sparse`]) evaluates the same expressions in the same order
 //! over its present entries.
@@ -471,7 +471,7 @@ pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
 
 /// [`expectation_pauli_flat`] for callers whose amplitudes are not one
 /// slice: reads them through `at` (global basis index → amplitude), so the
-/// caller can serve them from locked stripes or anything else.
+/// caller can serve them from separate stripes or anything else.
 pub fn expectation_pauli(
     n_qubits: usize,
     at: impl Fn(usize) -> Complex,

@@ -11,7 +11,7 @@
 //! environment variable (`statevector`, `stabilizer`, `trace`, `sparse`,
 //! `sharded`, `remote`; `QMPI_TEST_SHARDS` overrides the stripe/worker
 //! count — default
-//! 8 for the lock-striped engine, 4 for the process-separated one), so a
+//! 8 for the striped engine, 4 for the process-separated one), so a
 //! regression in one engine cannot hide behind another engine's pass.
 //! `QMPI_TEST_TRANSPORT=unix-socket` additionally moves the remote
 //! backend's workers into real `qworker` child processes, re-proving every

@@ -168,13 +168,13 @@ fn coalescing_never_costs_wire_bytes() {
     );
 }
 
-/// In-process deferral proof: on the lock-striped sharded backend the
-/// window parks sub-budget flushes — the engine sees nothing until a
-/// sync point ships the whole window in one merged application.
+/// In-process deferral proof: with the remote engine's workers as
+/// threads, the window parks sub-budget flushes — the engine sees nothing
+/// until a sync point ships the whole window in one merged application.
 #[test]
 fn window_defers_engine_dispatch_until_sync() {
     let backend = build_backend_with_policy(
-        BackendKind::ShardedStateVector { shards: 4 },
+        BackendKind::RemoteSharded { shards: 4 },
         TransportKind::InProcess,
         3,
         NoiseModel::ideal(),
@@ -206,7 +206,7 @@ fn window_defers_engine_dispatch_until_sync() {
 #[test]
 fn coalescing_off_dispatches_each_flush_eagerly() {
     let backend = build_backend_with_policy(
-        BackendKind::ShardedStateVector { shards: 4 },
+        BackendKind::RemoteSharded { shards: 4 },
         TransportKind::InProcess,
         3,
         NoiseModel::ideal(),
@@ -233,7 +233,7 @@ fn window_budget_trips_ship_immediately() {
         ..BatchPolicy::default()
     };
     let backend = build_backend_with_policy(
-        BackendKind::ShardedStateVector { shards: 2 },
+        BackendKind::RemoteSharded { shards: 2 },
         TransportKind::InProcess,
         5,
         NoiseModel::ideal(),
@@ -267,7 +267,7 @@ fn age_budget_ships_stale_window() {
         ..BatchPolicy::default()
     };
     let backend = build_backend_with_policy(
-        BackendKind::ShardedStateVector { shards: 2 },
+        BackendKind::RemoteSharded { shards: 2 },
         TransportKind::InProcess,
         9,
         NoiseModel::ideal(),
@@ -292,7 +292,7 @@ fn age_budget_ships_stale_window() {
 #[test]
 fn age_budget_disabled_by_default() {
     let backend = build_backend_with_policy(
-        BackendKind::ShardedStateVector { shards: 2 },
+        BackendKind::RemoteSharded { shards: 2 },
         TransportKind::InProcess,
         9,
         NoiseModel::ideal(),

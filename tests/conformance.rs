@@ -1,7 +1,7 @@
 //! Cross-backend amplitude conformance suite: one harness, six backends.
 //!
-//! Every amplitude-class backend — sparse, lock-striped sharded (at one
-//! and several shards), process-separated remote — must be bit-identical
+//! Every amplitude-class backend — sparse, striped (at one and several
+//! stripes), process-separated remote — must be bit-identical
 //! to the dense state-vector oracle per seed, under the shared harness's
 //! canonical rule (`-0.0 ≡ +0.0`, everything else exact): same
 //! amplitudes, same expectation values, same measurement trajectory, same
@@ -211,10 +211,61 @@ fn large_state_observables(kind: BackendKind) -> LargeStateObs {
     out.into_iter().next().unwrap()
 }
 
+/// The benchmark-sized register again, gated by eight ranks at once (two
+/// qubits each, the shape of `qmpi_bench::local_gates`). The order in which
+/// the ranks' batches reach an engine is a race, and floating-point products
+/// on disjoint qubits do not commute bitwise, so the stream is one whose
+/// gates do: H from |0…0> (every amplitude the same product of equal
+/// factors), a barrier, then permutations (X, CNOT, SWAP) and exact phases
+/// (S, Z, CZ). Returns the amplitudes by rank order and the gate count.
+fn concurrent_ranks_observables(kind: BackendKind) -> (Vec<(u64, u64)>, u64) {
+    let cfg = qmpi::QmpiConfig::new()
+        .seed(5)
+        .backend(kind)
+        .transport(cmpi::TransportKind::InProcess);
+    let out = qmpi::run_with_config(8, cfg, |ctx| {
+        let qs = ctx.alloc_qmem(2);
+        for q in &qs {
+            ctx.apply(Gate::H, q).unwrap();
+        }
+        ctx.barrier();
+        let r = ctx.rank();
+        for i in 0..5 + r % 3 {
+            let (a, b) = (&qs[(i + r) % 2], &qs[(i + r + 1) % 2]);
+            ctx.apply(Gate::S, a).unwrap();
+            ctx.cnot(a, b).unwrap();
+            ctx.cz(a, b).unwrap();
+            if i % 3 == r % 3 {
+                ctx.swap(a, b).unwrap();
+            }
+            ctx.apply(if i % 2 == 0 { Gate::X } else { Gate::Z }, b)
+                .unwrap();
+        }
+        let ids: Vec<u64> = qs.iter().map(|q| q.id().0).collect();
+        let seen = ctx.classical().gather(&ids, 0).map(|all| {
+            let order: Vec<_> = all.into_iter().flatten().map(qsim::QubitId).collect();
+            let st = ctx.backend().state_vector(&order).unwrap();
+            let amps = st.amplitudes().iter();
+            (
+                amps.map(|a| (canon_bits(a.re), canon_bits(a.im))).collect(),
+                ctx.backend().gate_count(),
+            )
+        });
+        ctx.barrier();
+        for q in qs {
+            ctx.measure_and_free(q).unwrap();
+        }
+        seen
+    });
+    out.into_iter().next().unwrap().unwrap()
+}
+
 #[test]
 fn benchmark_sized_state_is_bit_identical_across_dense_engines() {
     let dense = large_state_observables(BackendKind::StateVector);
     assert_eq!(dense.0.len(), 1 << 16);
+    let dense_8_ranks = concurrent_ranks_observables(BackendKind::StateVector);
+    assert_eq!(dense_8_ranks.0.len(), 1 << 16);
     for kind in [
         BackendKind::ShardedStateVector { shards: 2 },
         BackendKind::RemoteSharded { shards: 2 },
@@ -224,6 +275,17 @@ fn benchmark_sized_state_is_bit_identical_across_dense_engines() {
         assert_eq!(dense.1, other.1, "{kind}: measurement outcome");
         assert_eq!(dense.2, other.2, "{kind}: expectation bits");
     }
+    for kind in [
+        BackendKind::ShardedStateVector { shards: 2 },
+        BackendKind::ShardedStateVector { shards: 8 },
+        BackendKind::RemoteSharded { shards: 2 },
+    ] {
+        let other = concurrent_ranks_observables(kind);
+        assert!(
+            dense_8_ranks == other,
+            "{kind}: 8 concurrent ranks diverged"
+        );
+    }
 }
 
 /// What the interleaving case observes: the amplitudes after each free (as
@@ -232,8 +294,8 @@ type InterleavingObs = (Vec<Vec<(u64, u64)>>, Vec<bool>, [u64; 2]);
 
 /// Alloc → entangle → measure-and-free, three times over, with the freed
 /// qubit at the bottom, in the middle and at the top of the register: the
-/// dense engine compacts in place, the lock-striped one flattens and
-/// re-cuts its stripes, the remote one reshapes worker to worker. The state
+/// dense engine compacts in place, the striped one flattens and re-cuts
+/// its stripes, the remote one reshapes worker to worker. The state
 /// is `a|0…0> + b|1…1>` with generic `a`, `b` and phases, measured in the X
 /// basis, so no reduction here ever adds more than two nonzero terms and
 /// the order an engine adds its partial sums in cannot show.
