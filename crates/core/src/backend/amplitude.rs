@@ -152,7 +152,9 @@ impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
                 BatchOp::Cz { a, b } => self.sim.cz(*a, *b)?,
                 BatchOp::Swap { a, b } => self.sim.swap(*a, *b)?,
                 BatchOp::Fused1q { q, m } => self.sim.apply_fused_1q(*q, m)?,
-                BatchOp::PhaseSweep { diags, czs } => self.sim.apply_phase_sweep(diags, czs)?,
+                BatchOp::PhaseSweep { qubits, diags, czs } => {
+                    self.sim.apply_phase_sweep(qubits, diags, czs)?
+                }
             }
         }
         Ok(())

@@ -98,7 +98,7 @@ use qsim::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
 use qsim::registry::QubitRegistry;
 use qsim::state::{MAX_DENSE_QUBITS, NORM_TOL};
 use qsim::stripe;
-use qsim::{Complex, Gate, Pauli, QubitId, SimError, State};
+use qsim::{Complex, Gate, Pauli, QubitId, SimError, State, SweepFactor};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -1652,36 +1652,40 @@ impl Controller {
 
     /// Plans one merged diagonal sweep for every shard. All sweeps are
     /// shard-local (no exchange): every worker receives the *full* factor
-    /// list in plan order — a factor whose qubit is a shard-index bit
-    /// arrives as the constant `(0, c, c)` branch that shard lives on —
-    /// so each worker's sequential multiply reproduces the dense engine's
-    /// floating-point sequence exactly. A CZ flip mask is shipped only to
-    /// the shards whose index bits satisfy its high half (`0` = negate the
-    /// whole stripe, which is exact).
+    /// list in plan order, each factor's position mask cut down to the
+    /// within-stripe bits. The shard-index bits a mask reads are settled by
+    /// the shard itself — odd parity there swaps `(d0, d1)` — and a factor
+    /// left reading no stripe bit arrives as the constant `(0, c, c)`, so
+    /// each worker multiplies by the product the dense engine forms for the
+    /// same global index. A CZ flip mask is shipped only to the shards whose
+    /// index bits satisfy its high half (`0` = negate the whole stripe,
+    /// which is exact).
     fn plan_phase_sweep(
         &self,
-        factors: &[(usize, Complex, Complex)],
-        flips: &[(usize, usize)],
+        positions: &[usize],
+        diags: &[SweepFactor],
+        czs: &[(usize, usize)],
         plan: &mut Plan,
     ) {
         let l = self.local_bits();
+        let low = (1usize << l) - 1;
+        let (factors, flips) = stripe::sweep_masks(positions, diags, czs);
         for s in 0..self.active() {
-            let mut diags = Vec::with_capacity(factors.len());
-            for &(p, d0, d1) in factors {
-                if p < l {
-                    diags.push((1usize << p, d0, d1));
-                } else {
-                    let c = if s & (1usize << (p - l)) != 0 { d1 } else { d0 };
-                    diags.push((0, c, c));
-                }
-            }
-            let mut lo_flips = Vec::with_capacity(flips.len());
-            for &(a, b) in flips {
-                let (lo_mask, hi_mask) = self.split_masks(&[a, b]);
-                if s & hi_mask == hi_mask {
-                    lo_flips.push(lo_mask);
-                }
-            }
+            let diags: Vec<_> = factors
+                .iter()
+                .map(|&(mask, d0, d1)| {
+                    let (d0, d1) = match (s & mask >> l).count_ones() % 2 {
+                        0 => (d0, d1),
+                        _ => (d1, d0),
+                    };
+                    match mask & low {
+                        0 => (0, d0, d0),
+                        lo_mask => (lo_mask, d0, d1),
+                    }
+                })
+                .collect();
+            let on_shard = flips.iter().filter(|&&flip| s & flip >> l == flip >> l);
+            let lo_flips: Vec<_> = on_shard.map(|flip| flip & low).collect();
             if !diags.is_empty() || !lo_flips.is_empty() {
                 plan.ops[s].push(WorkerOp::PhaseSweep {
                     diags,
@@ -2275,26 +2279,10 @@ impl RemoteShardedEngine {
                 ctl.plan_pair(0, 0, pos, PairKernel::Mat(*m), plan);
                 Ok((OpClass::Gate1q, vec![pos]))
             }
-            BatchOp::PhaseSweep { diags, czs } => {
-                let mut factors = Vec::with_capacity(diags.len());
-                let mut touched = Vec::with_capacity(diags.len() + 2 * czs.len());
-                for &(q, d0, d1) in diags {
-                    let p = self.pos(q)?;
-                    factors.push((p, d0, d1));
-                    touched.push(p);
-                }
-                let mut flips = Vec::with_capacity(czs.len());
-                for &(a, b) in czs {
-                    if a == b {
-                        return Err(SimError::DuplicateQubit(a));
-                    }
-                    let pa = self.pos(a)?;
-                    let pb = self.pos(b)?;
-                    flips.push((pa, pb));
-                    touched.push(pa);
-                    touched.push(pb);
-                }
-                ctl.plan_phase_sweep(&factors, &flips, plan);
+            BatchOp::PhaseSweep { qubits, diags, czs } => {
+                let (positions, flips, touched) =
+                    qsim::sweep_positions(qubits, diags, czs, |q| self.pos(q))?;
+                ctl.plan_phase_sweep(&positions, diags, &flips, plan);
                 Ok((OpClass::Gate1q, touched))
             }
         }

@@ -146,14 +146,12 @@ impl SimEngine for TraceEngine {
                     self.check_pair(*a, *b)?;
                     (OpClass::Gate2q, 2)
                 }
-                BatchOp::PhaseSweep { diags, czs } => {
-                    for &(q, ..) in diags {
-                        self.check(q)?;
-                    }
-                    for &(a, b) in czs {
-                        self.check_pair(a, b)?;
-                    }
-                    (OpClass::Gate1q, (diags.len() + 2 * czs.len()) as u32)
+                BatchOp::PhaseSweep { qubits, diags, czs } => {
+                    // Every listed qubit and CZ operand checked; a noise
+                    // site per distinct qubit, as on the amplitude engines.
+                    let site = |q: QubitId| self.check(q).map(|()| q.0 as usize);
+                    let (.., touched) = qsim::sweep_positions(qubits, diags, czs, site)?;
+                    (OpClass::Gate1q, touched.len() as u32)
                 }
             };
             self.gate_count += 1;

@@ -18,7 +18,7 @@
 
 use crate::complex::Complex;
 use crate::gates::{Gate, Mat2};
-use crate::sim::QubitId;
+use crate::sim::{QubitId, SimError};
 
 /// One recorded gate operation in a [`GateBatch`].
 #[derive(Clone, Debug, PartialEq)]
@@ -71,21 +71,105 @@ pub enum BatchOp {
         m: Mat2,
     },
     /// A merged sweep of commuting diagonal operations (Z/S/T/Rz/Phase
-    /// factors and CZ sign flips), produced by the plan-time optimizer.
+    /// factors, the same factors read through CNOT ladders, and CZ sign
+    /// flips), produced by the plan-time optimizer.
+    ///
+    /// A factor reads the *parity* of a set of qubits: `(set, d0, d1)`
+    /// applies `d1` to the basis states where an odd number of the set's
+    /// qubits read 1 and `d0` elsewhere. Bit `i` of `set` names
+    /// `qubits[i]`, so no factor owns an allocation; a one-qubit set is a
+    /// plain single-qubit diagonal gate, and `CNOT(a,b)·Rz(b)·CNOT(a,b)` is
+    /// the one factor on `{a, b}`.
     ///
     /// Semantics are fixed exactly so every engine lands on the same bits:
-    /// per amplitude, each `(q, d0, d1)` factor multiplies in `diags`
-    /// order (`d1` when qubit `q` reads 1, else `d0`), then the amplitude
-    /// is negated when an odd number of `czs` pairs have both qubits set.
-    /// Sign flips are exact, so only the factor *order* carries FP
-    /// meaning — and it is preserved end to end, including across the
-    /// process-separated engine's wire format.
+    /// per amplitude, the selected entries of `diags` are multiplied
+    /// together left to right in `diags` order (the first one starts the
+    /// product; there is no leading 1), the amplitude is multiplied by that
+    /// product once, and it is then negated when an odd number of `czs`
+    /// pairs have both qubits set. Sign flips are exact, so the
+    /// product-first association and the factor *order* are the only FP
+    /// degrees of freedom — and both are preserved end to end, including
+    /// across the process-separated engine's wire format.
     PhaseSweep {
-        /// Diagonal factors in merge order: `(qubit, factor-at-0, factor-at-1)`.
-        diags: Vec<(QubitId, Complex, Complex)>,
+        /// The qubits the factors read, each listed once (at most 64 can be
+        /// named by a factor).
+        qubits: Vec<QubitId>,
+        /// Diagonal factors in merge order: `(set, factor-at-even-parity,
+        /// factor-at-odd-parity)`, `set` a bit mask over `qubits`.
+        diags: Vec<SweepFactor>,
         /// CZ sign flips (order-insensitive: negation is exact).
         czs: Vec<(QubitId, QubitId)>,
     },
+}
+
+/// One diagonal factor of a [`BatchOp::PhaseSweep`]: `(set, d0, d1)`, where
+/// bit `i` of `set` names the sweep's `i`-th listed qubit (or, once a
+/// simulator front has resolved them, its `i`-th store position).
+pub type SweepFactor = (u64, Complex, Complex);
+
+/// The entries of a sweep's qubit (or position) list that a factor's `set`
+/// names.
+pub fn named<T>(set: u64, listed: &[T]) -> impl Iterator<Item = &T> {
+    let listed = listed.iter().take(64).enumerate();
+    listed
+        .filter(move |(i, _)| set >> i & 1 == 1)
+        .map(|(_, x)| x)
+}
+
+/// The structural error in a [`BatchOp::PhaseSweep`]'s operands, if any: a
+/// qubit listed twice (a parity set naming both would silently cancel it), a
+/// CZ of a qubit with itself, or a factor naming a qubit past the list.
+fn check_sweep(
+    qubits: &[QubitId],
+    diags: &[SweepFactor],
+    czs: &[(QubitId, QubitId)],
+) -> Result<(), SimError> {
+    if let Some(i) = (1..qubits.len()).find(|&i| qubits[..i].contains(&qubits[i])) {
+        return Err(SimError::DuplicateQubit(qubits[i]));
+    }
+    if let Some(&(a, _)) = czs.iter().find(|(a, b)| a == b) {
+        return Err(SimError::DuplicateQubit(a));
+    }
+    let listed = 1u64
+        .checked_shl(qubits.len() as u32)
+        .map_or(u64::MAX, |bit| bit - 1);
+    if diags.iter().any(|d| d.0 & !listed != 0) {
+        return Err(SimError::Unsupported(
+            "phase-sweep factor names a qubit past the sweep's list".into(),
+        ));
+    }
+    Ok(())
+}
+
+/// Resolves a [`BatchOp::PhaseSweep`]'s operands to store positions through
+/// `pos`, for the simulator fronts: the listed qubits' positions (what the
+/// factor sets index from here on), the CZ pairs as positions, and every
+/// touched position once — the sites a noise channel rides on. Fails on the
+/// errors [`BatchOp::validate`] reports and on whatever `pos` rejects.
+#[allow(clippy::type_complexity)]
+pub fn sweep_positions(
+    qubits: &[QubitId],
+    diags: &[SweepFactor],
+    czs: &[(QubitId, QubitId)],
+    pos: impl Fn(QubitId) -> Result<usize, SimError>,
+) -> Result<(Vec<usize>, Vec<(usize, usize)>, Vec<usize>), SimError> {
+    check_sweep(qubits, diags, czs)?;
+    let positions = qubits
+        .iter()
+        .map(|&q| pos(q))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut touched = positions.clone();
+    let mut flips = Vec::with_capacity(czs.len());
+    for &(a, b) in czs {
+        let pair = (pos(a)?, pos(b)?);
+        flips.push(pair);
+        for p in [pair.0, pair.1] {
+            if !touched.contains(&p) {
+                touched.push(p);
+            }
+        }
+    }
+    Ok((positions, flips, touched))
 }
 
 impl BatchOp {
@@ -113,8 +197,8 @@ impl BatchOp {
                 f(*b);
             }
             BatchOp::Fused1q { q, .. } => f(*q),
-            BatchOp::PhaseSweep { diags, czs } => {
-                for &(q, _, _) in diags {
+            BatchOp::PhaseSweep { qubits, czs, .. } => {
+                for &q in qubits {
                     f(q);
                 }
                 for &(a, b) in czs {
@@ -154,23 +238,21 @@ impl BatchOp {
     }
 
     /// The structural error the op would raise on any engine, checked
-    /// *without* engine state: duplicate qubits in a CNOT/CZ or a control
-    /// equal to its target. The batching layer runs this at record time so
+    /// *without* engine state: duplicate qubits in a CNOT/CZ, a control
+    /// equal to its target, or a malformed sweep. The batching layer runs
+    /// this at record time so
     /// these errors surface at the gate call site, exactly like the eager
     /// path — not at an arbitrary later flush point. (`Swap { a, a }` is a
     /// legal no-op everywhere, so it passes.)
-    pub fn validate(&self) -> Result<(), crate::SimError> {
+    pub fn validate(&self) -> Result<(), SimError> {
         match self {
             BatchOp::Cnot { c: a, t: b } | BatchOp::Cz { a, b } if a == b => {
-                Err(crate::SimError::DuplicateQubit(*a))
+                Err(SimError::DuplicateQubit(*a))
             }
             BatchOp::Controlled {
                 controls, target, ..
-            } if controls.contains(target) => Err(crate::SimError::DuplicateQubit(*target)),
-            BatchOp::PhaseSweep { czs, .. } => match czs.iter().find(|(a, b)| a == b) {
-                Some(&(a, _)) => Err(crate::SimError::DuplicateQubit(a)),
-                None => Ok(()),
-            },
+            } if controls.contains(target) => Err(SimError::DuplicateQubit(*target)),
+            BatchOp::PhaseSweep { qubits, diags, czs } => check_sweep(qubits, diags, czs),
             _ => Ok(()),
         }
     }
@@ -183,8 +265,10 @@ impl BatchOp {
     pub fn approx_bytes(&self) -> usize {
         let heap = match self {
             BatchOp::Controlled { controls, .. } => std::mem::size_of_val(controls.as_slice()),
-            BatchOp::PhaseSweep { diags, czs } => {
-                std::mem::size_of_val(diags.as_slice()) + std::mem::size_of_val(czs.as_slice())
+            BatchOp::PhaseSweep { qubits, diags, czs } => {
+                std::mem::size_of_val(qubits.as_slice())
+                    + std::mem::size_of_val(diags.as_slice())
+                    + std::mem::size_of_val(czs.as_slice())
             }
             _ => 0,
         };
@@ -348,18 +432,55 @@ mod tests {
             vec![q(4)]
         );
         let one = Complex::real(1.0);
-        let sweep = BatchOp::PhaseSweep {
-            diags: vec![(q(2), one, one), (q(5), one, one)],
-            czs: vec![(q(1), q(3))],
+        let sweep = |qubits: Vec<QubitId>, sets: &[u64], czs: Vec<(QubitId, QubitId)>| {
+            BatchOp::PhaseSweep {
+                qubits,
+                diags: sets.iter().map(|&set| (set, one, one)).collect(),
+                czs,
+            }
         };
-        assert_eq!(sweep.qubits(), vec![q(2), q(5), q(1), q(3)]);
-        assert!(!sweep.is_clifford());
-        assert!(sweep.validate().is_ok());
-        let bad = BatchOp::PhaseSweep {
-            diags: vec![],
-            czs: vec![(q(1), q(1))],
+        let good = sweep(vec![q(2), q(5)], &[0b01, 0b11, 0], vec![(q(1), q(3))]);
+        assert_eq!(good.qubits(), vec![q(2), q(5), q(1), q(3)]);
+        assert!(!good.is_clifford());
+        assert!(good.validate().is_ok());
+        assert_eq!(
+            sweep(vec![], &[], vec![(q(1), q(1))]).validate(),
+            Err(SimError::DuplicateQubit(q(1)))
+        );
+        // A qubit listed twice would cancel out of any set naming both.
+        assert_eq!(
+            sweep(vec![q(2), q(5), q(2)], &[0b101], vec![]).validate(),
+            Err(SimError::DuplicateQubit(q(2)))
+        );
+        assert!(matches!(
+            sweep(vec![q(2), q(5)], &[0b100], vec![]).validate(),
+            Err(SimError::Unsupported(_))
+        ));
+    }
+
+    #[test]
+    fn sweep_positions_lists_every_touched_position_once() {
+        let q = |i: u64| QubitId(i);
+        let one = Complex::real(1.0);
+        let pos = |id: QubitId| match id.0 {
+            9 => Err(SimError::UnknownQubit(id)),
+            i => Ok(10 + i as usize),
         };
-        assert!(bad.validate().is_err());
+        let diags = [(0b01, one, one), (0b11, one, one), (0b01, one, one)];
+        let czs = [(q(5), q(1)), (q(3), q(1))];
+        let (positions, flips, touched) =
+            sweep_positions(&[q(2), q(5)], &diags, &czs, pos).unwrap();
+        assert_eq!(positions, vec![12, 15]);
+        assert_eq!(flips, vec![(15, 11), (13, 11)]);
+        assert_eq!(touched, vec![12, 15, 11, 13]);
+        assert_eq!(
+            sweep_positions(&[q(2)], &diags[..1], &[(q(9), q(1))], pos),
+            Err(SimError::UnknownQubit(q(9)))
+        );
+        assert_eq!(
+            sweep_positions(&[q(2), q(2)], &diags[..1], &[], pos),
+            Err(SimError::DuplicateQubit(q(2)))
+        );
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //!   per batch instead of per gate).
 //! - [`optimizer`] — the plan-time pass over a recorded batch: fuses runs
 //!   of adjacent 1q gates into single [`batch::BatchOp::Fused1q`] kernels
-//!   and merges commuting diagonal gates/CZs into
-//!   [`batch::BatchOp::PhaseSweep`]s, so engines sweep memory once per
-//!   fused op instead of once per recorded gate.
+//!   and merges commuting diagonal gates/CZs, read through the CNOTs
+//!   around them, into [`batch::BatchOp::PhaseSweep`]s, so engines sweep
+//!   memory once per fused op instead of once per recorded gate.
 //! - [`measure`] — [`measure::PauliTerm`], the Pauli-string observable type.
 //! - [`sparse`] — [`sparse::SparseState`]: the nonzero amplitudes in a map
 //!   keyed by 512-bit basis state, evaluating the stripe expressions in the
@@ -58,7 +58,7 @@ pub mod stabilizer;
 pub mod state;
 pub mod stripe;
 
-pub use batch::{BatchOp, GateBatch};
+pub use batch::{sweep_positions, BatchOp, GateBatch, SweepFactor};
 pub use complex::Complex;
 pub use gates::{Gate, Pauli};
 pub use noise::{NoiseChannel, NoiseModel};

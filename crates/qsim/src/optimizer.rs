@@ -15,12 +15,39 @@
 //!    runs flush at the first 2q op that touches their qubit. Length-1
 //!    runs re-emit the original op verbatim.
 //! 2. **Phase-sweep merging.** Diagonal items — diagonal gates, diagonal
-//!    fused runs, CZs — collect into one [`BatchOp::PhaseSweep`], a single
-//!    pass applying every factor and sign flip at once. Non-diagonal ops
-//!    on disjoint qubits pass through (they commute with a diagonal
-//!    sweep); an op that mixes a sweep qubit's bit closes the sweep.
-//!    CZ pairs cancel in parity (CZ² = I exactly), exact-identity factors
-//!    drop, and a sweep that absorbed a single op re-emits it verbatim.
+//!    fused runs, CZs — *and the CNOTs around them* collect into one
+//!    [`BatchOp::PhaseSweep`], a single pass applying every factor and sign
+//!    flip at once. The open sweep is a diagonal `D`, written in the basis
+//!    the sweep opened in, followed by a linear map `L`, the product of the
+//!    CNOTs absorbed so far:
+//!    * **the frame** records `L` as, per qubit, the set of input qubits
+//!      whose parity that qubit reads after `L`; `Cnot { c, t }` is
+//!      `frame[t] ^= frame[c]`;
+//!    * a diagonal item on `q` arriving after `L` equals the same factors on
+//!      the parity `frame[q]` applied *before* `L` — a diagonal pulled in
+//!      front of a linear map is the diagonal of the map's pre-image — so it
+//!      joins `D` as a factor on that set;
+//!    * **the stack** holds the CNOTs of `L` not yet cancelled, in order; a
+//!      CNOT equal to the top pops it (CNOT² = I exactly);
+//!    * **on close** the sweep emits `D` as one `PhaseSweep` and then the
+//!      stack in order, which is `L·D`: the unitary of everything absorbed.
+//!
+//!    So `Cnot(a,b) Rz(b) Cnot(a,b)` is one factor on `{a, b}` with nothing
+//!    left on the stack, a rank's whole TFIM ladder is one sweep of
+//!    `sites − 1` factors, a Jordan–Wigner string `C01 C12 C23 Rz3 C23 C12
+//!    C01` is one factor on four qubits, and a CNOT with no partner is
+//!    emitted once, after the sweep.
+//!    **The close rule**: while `L = I`, an op closes the sweep only if it
+//!    changes a bit some factor or CZ of `D` reads (everything else
+//!    commutes with a diagonal and passes in front); while CNOTs are held,
+//!    any op other than a diagonal item or a CNOT that touches a qubit of
+//!    the sweep closes it, since it would have to commute with `L` too. A CZ
+//!    of a qubit a held CNOT has moved closes the sweep (in front of `L` it
+//!    is a product of parity factors the IR's pairs do not spell). CZ pairs
+//!    cancel in parity (CZ² = I exactly), exact-identity factors drop, and
+//!    a sweep whose one item reads its qubit unmoved re-emits it verbatim.
+//!    Every absorbed CNOT comes out at most once and every run of diagonal
+//!    items as at most one op, so output never has more ops than input.
 //!
 //! The pass reorders and re-associates floating-point products, so a
 //! fused stream is *not* bit-identical to its eager expansion (H·H ≠ I at
@@ -33,7 +60,7 @@
 //! reorders noise-injection sites) or for engines without amplitude
 //! kernels (stabilizer, trace) — `qmpi`'s flush point gates on both.
 
-use crate::batch::{BatchOp, GateBatch};
+use crate::batch::{BatchOp, GateBatch, SweepFactor};
 use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::{matmul2, Mat2};
 use crate::sim::QubitId;
@@ -171,46 +198,77 @@ fn fuse_1q_runs(ops: Vec<BatchOp>) -> Vec<BatchOp> {
     out
 }
 
-/// The open phase sweep being accumulated by stage 2.
+/// Qubits one sweep's table can hold: a factor names its set as a `u64` mask
+/// over the table. A sweep is closed before an op could take it past this.
+const TABLE_QUBITS: usize = 64;
+
+/// The open phase sweep being accumulated by stage 2: a diagonal `D` in the
+/// basis the sweep opened in, followed by the linear map `L` of the CNOTs it
+/// has absorbed and not cancelled. See the module docs.
 #[derive(Default)]
 struct Sweep {
-    diags: Vec<(QubitId, Complex, Complex)>,
-    czs: Vec<(QubitId, QubitId)>,
-    /// The original ops the sweep absorbed, for verbatim re-emission when
-    /// only one joined.
-    absorbed: Vec<BatchOp>,
-    /// Every qubit any absorbed op touches (dedup'd).
+    /// Every qubit an absorbed op touched; bit `i` of a set names
+    /// `qubits[i]`.
     qubits: Vec<QubitId>,
+    /// `frame[i]`: the set of *input* qubits whose parity `qubits[i]` reads
+    /// after `L` (`{i}` itself until a CNOT targets it).
+    frame: Vec<u64>,
+    /// `L`: the absorbed CNOTs `(c, t)` not yet cancelled, in program order.
+    stack: Vec<(QubitId, QubitId)>,
+    diags: Vec<SweepFactor>,
+    czs: Vec<(QubitId, QubitId)>,
+    /// Input qubits some factor or CZ of `D` reads.
+    reads: u64,
+    /// Whether a diagonal item (a cancelled or identity one included) has
+    /// been absorbed.
+    absorbed: bool,
+    /// The only item absorbed so far, when re-emitting it verbatim is the
+    /// same as emitting the sweep.
+    verbatim: Option<BatchOp>,
 }
 
 impl Sweep {
-    fn touch(&mut self, q: QubitId) {
-        if !self.qubits.contains(&q) {
+    /// `q`'s index in the table, if it is there.
+    fn at(&self, q: QubitId) -> Option<usize> {
+        self.qubits.iter().position(|&x| x == q)
+    }
+
+    /// `q`'s index in the table, entering it if new.
+    fn index(&mut self, q: QubitId) -> usize {
+        self.at(q).unwrap_or_else(|| {
+            self.frame.push(1 << self.qubits.len());
             self.qubits.push(q);
-        }
+            self.qubits.len() - 1
+        })
     }
 
-    fn touches(&self, q: QubitId) -> bool {
-        self.qubits.contains(&q)
+    /// Whether an absorbed CNOT has `q` reading anything but its own input.
+    fn moved(&self, q: QubitId) -> bool {
+        self.at(q).is_some_and(|i| self.frame[i] != 1 << i)
     }
 
+    fn note(&mut self, original: BatchOp, as_is: bool) {
+        self.verbatim = (!self.absorbed && as_is).then_some(original);
+        self.absorbed = true;
+    }
+
+    /// A diagonal item on `q` is, in front of `L`, the same factors on the
+    /// parity `q` reads through `L`.
     fn push_diag(&mut self, q: QubitId, d0: Complex, d1: Complex, original: BatchOp) {
+        let i = self.index(q);
+        let set = self.frame[i];
         // Exact identities (e.g. a fused Z·Z run) contribute nothing.
         if !(d0 == C_ONE && d1 == C_ONE) {
-            self.diags.push((q, d0, d1));
+            self.diags.push((set, d0, d1));
+            self.reads |= set;
         }
-        self.absorbed.push(original);
-        self.touch(q);
+        self.note(original, set == 1 << i);
     }
 
+    /// A CZ of two qubits no CNOT has moved (the caller closes the sweep
+    /// otherwise).
     fn push_cz(&mut self, a: QubitId, b: QubitId) {
-        self.fold_cz(a, b);
-        self.absorbed.push(BatchOp::Cz { a, b });
-    }
-
-    /// CZ parity fold without absorbing an op (used when splicing a
-    /// pre-merged sweep's pairs in).
-    fn fold_cz(&mut self, a: QubitId, b: QubitId) {
+        self.reads |= 1 << self.index(a) | 1 << self.index(b);
         let pair = (a.min(b), a.max(b));
         // CZ² = I exactly: a repeated pair cancels instead of stacking.
         match self.czs.iter().position(|&p| p == pair) {
@@ -219,34 +277,75 @@ impl Sweep {
             }
             None => self.czs.push(pair),
         }
-        self.touch(a);
-        self.touch(b);
+        self.note(BatchOp::Cz { a, b }, true);
     }
 
+    /// `L ← CNOT·L`: the target now reads its parity XOR the control's, and
+    /// a CNOT equal to the last uncancelled one undoes it.
+    fn push_cnot(&mut self, c: QubitId, t: QubitId) {
+        let (ci, ti) = (self.index(c), self.index(t));
+        self.frame[ti] ^= self.frame[ci];
+        if self.stack.last() == Some(&(c, t)) {
+            self.stack.pop();
+        } else {
+            self.stack.push((c, t));
+        }
+    }
+
+    /// Whether `op` (not a diagonal item, not a CNOT) has to come after the
+    /// sweep. With `L` pending it must commute with `L` and `D` alike, so
+    /// touching any table qubit blocks; with `L = I` only changing a bit
+    /// `D` reads does.
+    fn blocks(&self, op: &BatchOp) -> bool {
+        let mut hit = false;
+        if !self.stack.is_empty() {
+            op.for_each_qubit(|q| hit |= self.at(q).is_some());
+            return hit;
+        }
+        let mut mixes = |q: QubitId| hit |= self.at(q).is_some_and(|i| self.reads >> i & 1 == 1);
+        match op {
+            BatchOp::Gate { q, .. } | BatchOp::Fused1q { q, .. } => mixes(*q),
+            // A controlled *diagonal* gate is itself diagonal and commutes;
+            // otherwise only the target's bit changes.
+            BatchOp::Controlled { gate, target, .. } if !gate.is_diagonal() => mixes(*target),
+            BatchOp::Cnot { t, .. } => mixes(*t),
+            BatchOp::Swap { a, b } => {
+                mixes(*a);
+                mixes(*b);
+            }
+            BatchOp::Controlled { .. } | BatchOp::Cz { .. } | BatchOp::PhaseSweep { .. } => {}
+        }
+        hit
+    }
+
+    /// Emits `D`, then `L`, and empties the sweep.
     fn close(&mut self, out: &mut Vec<BatchOp>) {
         let sweep = std::mem::take(self);
-        if sweep.diags.is_empty() && sweep.czs.is_empty() {
+        match sweep.verbatim {
             // Everything cancelled (CZ pairs) or was an exact identity.
-            return;
+            _ if sweep.diags.is_empty() && sweep.czs.is_empty() => {}
+            Some(only) => out.push(only),
+            None => out.push(BatchOp::PhaseSweep {
+                qubits: sweep.qubits,
+                diags: sweep.diags,
+                czs: sweep.czs,
+            }),
         }
-        if sweep.absorbed.len() == 1 {
-            out.extend(sweep.absorbed);
-            return;
-        }
-        out.push(BatchOp::PhaseSweep {
-            diags: sweep.diags,
-            czs: sweep.czs,
-        });
+        out.extend(sweep.stack.iter().map(|&(c, t)| BatchOp::Cnot { c, t }));
     }
 }
 
-/// Stage 2: collect runs of commuting diagonal items into single
-/// [`BatchOp::PhaseSweep`] passes.
+/// Stage 2: collect runs of diagonal items, and the CNOTs around them, into
+/// single [`BatchOp::PhaseSweep`] passes.
 fn merge_phase_sweeps(ops: Vec<BatchOp>) -> Vec<BatchOp> {
     let mut out: Vec<BatchOp> = Vec::with_capacity(ops.len());
     let mut sweep = Sweep::default();
 
     for op in ops {
+        // Every op absorbed below enters at most two qubits.
+        if sweep.qubits.len() + 2 > TABLE_QUBITS {
+            sweep.close(&mut out);
+        }
         match op {
             BatchOp::Gate { gate, q } if gate.is_diagonal() => {
                 let m = gate.matrix();
@@ -255,68 +354,23 @@ fn merge_phase_sweeps(ops: Vec<BatchOp>) -> Vec<BatchOp> {
             BatchOp::Fused1q { q, m } if is_diag_mat(&m) => {
                 sweep.push_diag(q, m[0][0], m[1][1], BatchOp::Fused1q { q, m });
             }
-            BatchOp::Cz { a, b } => sweep.push_cz(a, b),
-            // Everything below is non-diagonal (or not mergeable). An op
-            // that cannot change a sweep qubit's bit commutes with the
-            // (diagonal) sweep and passes through; anything else closes
-            // the sweep first.
-            BatchOp::Cnot { c, t } => {
-                if sweep.touches(t) {
+            BatchOp::Cz { a, b } if a != b => {
+                // In front of `L` a CZ of a moved qubit is a product of
+                // parity terms, which the IR's pairs do not spell.
+                if sweep.moved(a) || sweep.moved(b) {
                     sweep.close(&mut out);
                 }
-                out.push(BatchOp::Cnot { c, t });
+                sweep.push_cz(a, b);
             }
-            BatchOp::Controlled {
-                controls,
-                gate,
-                target,
-            } => {
-                // A controlled *diagonal* gate is itself diagonal and
-                // commutes; otherwise only the target's bit changes.
-                if !gate.is_diagonal() && sweep.touches(target) {
+            BatchOp::Cnot { c, t } if c != t => sweep.push_cnot(c, t),
+            // Everything else (a pre-merged sweep and the malformed pairs
+            // an engine will reject included) passes in front of the sweep
+            // if it commutes with it and closes it if not.
+            op => {
+                if sweep.blocks(&op) {
                     sweep.close(&mut out);
                 }
-                out.push(BatchOp::Controlled {
-                    controls,
-                    gate,
-                    target,
-                });
-            }
-            BatchOp::Gate { gate, q } => {
-                if sweep.touches(q) {
-                    sweep.close(&mut out);
-                }
-                out.push(BatchOp::Gate { gate, q });
-            }
-            BatchOp::Fused1q { q, m } => {
-                if sweep.touches(q) {
-                    sweep.close(&mut out);
-                }
-                out.push(BatchOp::Fused1q { q, m });
-            }
-            BatchOp::Swap { a, b } => {
-                if sweep.touches(a) || sweep.touches(b) {
-                    sweep.close(&mut out);
-                }
-                out.push(BatchOp::Swap { a, b });
-            }
-            BatchOp::PhaseSweep { diags, czs } => {
-                // Pre-merged input is fully diagonal: fold it into the
-                // open sweep as one absorbed op (so a sweep that absorbed
-                // nothing else re-emits it verbatim).
-                sweep.absorbed.push(BatchOp::PhaseSweep {
-                    diags: diags.clone(),
-                    czs: czs.clone(),
-                });
-                for (q, d0, d1) in diags {
-                    if !(d0 == C_ONE && d1 == C_ONE) {
-                        sweep.diags.push((q, d0, d1));
-                    }
-                    sweep.touch(q);
-                }
-                for (a, b) in czs {
-                    sweep.fold_cz(a, b);
-                }
+                out.push(op);
             }
         }
     }
@@ -380,6 +434,70 @@ mod tests {
             b.push(op);
         }
         optimize(b).into_ops()
+    }
+
+    fn cnot(c: u64, t: u64) -> BatchOp {
+        BatchOp::Cnot { c: q(c), t: q(t) }
+    }
+
+    /// The lone [`BatchOp::PhaseSweep`] in `out[at]`, its sets spelled as
+    /// qubit ids.
+    #[allow(clippy::type_complexity)]
+    fn sweep_at(out: &[BatchOp], at: usize) -> (Vec<Vec<u64>>, Vec<(QubitId, QubitId)>) {
+        let BatchOp::PhaseSweep { qubits, diags, czs } = &out[at] else {
+            panic!("expected a sweep at {at}, got {out:?}");
+        };
+        let ids = |&(set, ..): &SweepFactor| {
+            let mut ids: Vec<u64> = crate::batch::named(set, qubits).map(|q| q.0).collect();
+            ids.sort_unstable();
+            ids
+        };
+        (diags.iter().map(ids).collect(), czs.clone())
+    }
+
+    /// The state `ops` leave `n` qubits in, from a product state of generic
+    /// angles, through the simulator front (one method per op kind).
+    fn run(n: usize, ops: &[BatchOp]) -> crate::State {
+        let mut sim = crate::Simulator::new(1);
+        let qs = sim.alloc_n(n);
+        for (i, &qi) in qs.iter().enumerate() {
+            sim.apply(Gate::Ry(0.4 + 0.3 * i as f64), qi).unwrap();
+            sim.apply(Gate::Rz(1.1 - 0.2 * i as f64), qi).unwrap();
+        }
+        for op in ops {
+            match op {
+                BatchOp::Gate { gate, q } => sim.apply(*gate, *q),
+                BatchOp::Controlled {
+                    controls,
+                    gate,
+                    target,
+                } => sim.apply_controlled(controls, *gate, *target),
+                BatchOp::Cnot { c, t } => sim.cnot(*c, *t),
+                BatchOp::Cz { a, b } => sim.cz(*a, *b),
+                BatchOp::Swap { a, b } => sim.swap(*a, *b),
+                BatchOp::Fused1q { q, m } => sim.apply_fused_1q(*q, m),
+                BatchOp::PhaseSweep { qubits, diags, czs } => {
+                    sim.apply_phase_sweep(qubits, diags, czs)
+                }
+            }
+            .unwrap();
+        }
+        sim.state_vector(&qs).unwrap()
+    }
+
+    /// Optimizes `ops`, checks the result never grew and applies the same
+    /// unitary to 1e-12, and returns it.
+    fn optimize_checked(n: usize, ops: Vec<BatchOp>) -> Vec<BatchOp> {
+        let out = optimize_ops(ops.clone());
+        assert!(out.len() <= ops.len(), "optimizer grew the stream: {out:?}");
+        let (want, got) = (run(n, &ops), run(n, &out));
+        for (i, (w, g)) in want.amplitudes().iter().zip(got.amplitudes()).enumerate() {
+            assert!(
+                w.approx_eq(*g, 1e-12),
+                "amp[{i}]: {w:?} vs {g:?} for {out:?}"
+            );
+        }
+        out
     }
 
     #[test]
@@ -461,17 +579,14 @@ mod tests {
 
     #[test]
     fn diagonal_run_commutes_past_cnot_control_and_keeps_fusing() {
-        let out = optimize_ops(vec![
-            gate(Gate::T, 0),
-            BatchOp::Cnot { c: q(0), t: q(1) },
-            gate(Gate::T, 0),
-        ]);
+        let out = optimize_checked(2, vec![gate(Gate::T, 0), cnot(0, 1), gate(Gate::T, 0)]);
         // T commutes past the control, meets the second T, and the fused
-        // T·T (diagonal) becomes a single diagonal item — emitted after
-        // the CNOT it commuted past.
+        // T·T (diagonal) is the one item of a sweep that had absorbed the
+        // CNOT: the control's parity is untouched, so the sweep re-emits the
+        // run verbatim, in front of the CNOT it holds.
         assert_eq!(out.len(), 2);
-        assert!(matches!(out[0], BatchOp::Cnot { .. }));
-        assert!(matches!(out[1], BatchOp::Fused1q { .. }));
+        assert!(matches!(out[0], BatchOp::Fused1q { .. }));
+        assert_eq!(out[1], cnot(0, 1));
     }
 
     #[test]
@@ -483,14 +598,9 @@ mod tests {
             gate(Gate::S, 4),
         ]);
         assert_eq!(out.len(), 1);
-        let BatchOp::PhaseSweep { diags, czs } = &out[0] else {
-            panic!("expected one merged sweep, got {out:?}");
-        };
-        assert_eq!(diags.len(), 3);
-        assert_eq!(diags[0].0, q(0));
-        assert_eq!(diags[1].0, q(3));
-        assert_eq!(diags[2].0, q(4));
-        assert_eq!(czs, &vec![(q(1), q(2))]);
+        let (sets, czs) = sweep_at(&out, 0);
+        assert_eq!(sets, vec![vec![0], vec![3], vec![4]]);
+        assert_eq!(czs, vec![(q(1), q(2))]);
     }
 
     #[test]
@@ -504,10 +614,8 @@ mod tests {
         // verbatim (single absorbed op)... except the sweep absorbed three
         // ops, so it stays a sweep with the lone factor.
         assert_eq!(out.len(), 1);
-        let BatchOp::PhaseSweep { diags, czs } = &out[0] else {
-            panic!("expected a sweep, got {out:?}");
-        };
-        assert_eq!(diags.len(), 1);
+        let (sets, czs) = sweep_at(&out, 0);
+        assert_eq!(sets, vec![vec![2]]);
         assert!(czs.is_empty());
     }
 
@@ -521,24 +629,111 @@ mod tests {
     }
 
     #[test]
-    fn sweep_closes_when_an_op_mixes_a_sweep_qubit() {
-        let out = optimize_ops(vec![
-            gate(Gate::T, 0),
-            gate(Gate::T, 1),
-            BatchOp::Cnot { c: q(2), t: q(0) },
-            gate(Gate::T, 0),
-        ]);
-        // Stage 1 flushes the T0 run at the CNOT target (emitted
-        // verbatim), while the diagonal T1 run and the trailing T0 drift
-        // to batch end and merge into one sweep in stage 2.
-        assert_eq!(out.len(), 3);
-        assert_eq!(out[0], gate(Gate::T, 0));
-        assert!(matches!(out[1], BatchOp::Cnot { .. }));
-        let BatchOp::PhaseSweep { diags, czs } = &out[2] else {
-            panic!("expected trailing sweep, got {out:?}");
-        };
-        assert_eq!(diags.len(), 2);
+    fn sweep_reads_a_factor_through_an_unmatched_cnot() {
+        let out = optimize_checked(
+            3,
+            vec![
+                gate(Gate::T, 0),
+                gate(Gate::T, 1),
+                cnot(2, 0),
+                gate(Gate::T, 0),
+            ],
+        );
+        // The CNOT does not close the sweep: the trailing T reads the
+        // parity of {0, 2} in front of it, so all three factors are one
+        // sweep and the CNOT follows. 2 ops where there were 3.
+        assert_eq!(out.len(), 2);
+        let (sets, czs) = sweep_at(&out, 0);
+        assert_eq!(sets, vec![vec![0], vec![1], vec![0, 2]]);
         assert!(czs.is_empty());
+        assert_eq!(out[1], cnot(2, 0));
+    }
+
+    /// One rank's share of a TFIM Trotter step (§7.2, Listing 1): the ZZ
+    /// ladder over `sites` qubits, then the transverse-field layer.
+    fn tfim_step(sites: u64) -> Vec<BatchOp> {
+        let mut ops = Vec::new();
+        for s in 0..sites - 1 {
+            ops.extend([cnot(s, s + 1), gate(Gate::Rz(0.31), s + 1), cnot(s, s + 1)]);
+        }
+        ops.extend((0..sites).map(|s| gate(Gate::Rx(-0.47), s)));
+        ops
+    }
+
+    #[test]
+    fn tfim_ladder_is_one_sweep_with_no_cnot_left() {
+        let out = optimize_checked(8, tfim_step(8));
+        assert_eq!(out.len(), 1 + 8);
+        let (sets, _) = sweep_at(&out, 0);
+        let bonds: Vec<Vec<u64>> = (0..7).map(|s| vec![s, s + 1]).collect();
+        assert_eq!(sets, bonds);
+        assert!(out[1..].iter().all(|op| matches!(op, BatchOp::Gate { .. })));
+        // Two steps: the Rx layer closes each ladder's sweep.
+        let two = [tfim_step(8), tfim_step(8)].concat();
+        assert_eq!(optimize_checked(8, two).len(), 2 * (1 + 8));
+    }
+
+    #[test]
+    fn jordan_wigner_ladder_is_one_factor_on_four_qubits() {
+        let ladder = [cnot(0, 1), cnot(1, 2), cnot(2, 3)];
+        let mut ops = ladder.to_vec();
+        ops.push(gate(Gate::Rz(0.83), 3));
+        ops.extend(ladder.iter().rev().cloned());
+        let out = optimize_checked(4, ops);
+        assert_eq!(out.len(), 1);
+        assert_eq!(sweep_at(&out, 0).0, vec![vec![0, 1, 2, 3]]);
+    }
+
+    #[test]
+    fn cnot_then_rz_with_no_partner_is_sweep_then_cnot() {
+        let out = optimize_checked(2, vec![cnot(0, 1), gate(Gate::Rz(0.83), 1)]);
+        assert_eq!(out.len(), 2);
+        assert_eq!(sweep_at(&out, 0).0, vec![vec![0, 1]]);
+        assert_eq!(out[1], cnot(0, 1));
+    }
+
+    #[test]
+    fn non_diagonal_gate_on_a_moved_qubit_closes_the_sweep_before_it() {
+        // (The second CNOT keeps stage 1 from fusing the H into the Rz.)
+        let ops = vec![
+            cnot(0, 1),
+            gate(Gate::Rz(0.83), 1),
+            cnot(2, 1),
+            gate(Gate::H, 1),
+        ];
+        let out = optimize_checked(3, ops);
+        assert_eq!(out.len(), 4);
+        assert_eq!(sweep_at(&out, 0).0, vec![vec![0, 1]]);
+        assert_eq!(out[1..], [cnot(0, 1), cnot(2, 1), gate(Gate::H, 1)]);
+        // So does one on a qubit a held CNOT only reads; an H elsewhere
+        // passes in front of sweep and CNOT alike.
+        let out = optimize_checked(
+            3,
+            vec![
+                cnot(0, 1),
+                gate(Gate::T, 1),
+                gate(Gate::H, 2),
+                gate(Gate::H, 0),
+            ],
+        );
+        assert_eq!(out[0], gate(Gate::H, 2));
+        assert_eq!(out[2..], [cnot(0, 1), gate(Gate::H, 0)]);
+        // A CZ of a moved qubit closes the sweep too (here an empty one,
+        // holding the CNOT) and opens the next.
+        let cz = BatchOp::Cz { a: q(1), b: q(2) };
+        let out = optimize_checked(3, vec![cnot(0, 1), cz, gate(Gate::T, 1)]);
+        assert_eq!(out[0], cnot(0, 1));
+        assert_eq!(sweep_at(&out, 1), (vec![vec![1]], vec![(q(1), q(2))]));
+    }
+
+    #[test]
+    fn a_sweep_past_the_table_width_closes_and_reopens() {
+        let layer: Vec<BatchOp> = (0..70).map(|i| gate(Gate::T, i)).collect();
+        let out = optimize_ops(layer);
+        assert_eq!(out.len(), 2);
+        let named = |at| sweep_at(&out, at).0.concat();
+        assert_eq!([named(0), named(1)].concat(), (0..70).collect::<Vec<_>>());
+        assert!(out.iter().all(|op| op.validate().is_ok()));
     }
 
     #[test]
@@ -601,14 +796,38 @@ mod tests {
                 BatchOp::Swap { a: q(1), b: q(2) },
             ],
             vec![BatchOp::PhaseSweep {
-                diags: vec![(q(0), C_ONE, C_ONE)],
+                qubits: vec![q(0)],
+                diags: vec![(0b1, C_ONE, C_ONE)],
                 czs: vec![(q(1), q(2))],
             }],
         ];
         for ops in circuits {
-            let n = ops.len();
-            let out = optimize_ops(ops);
-            assert!(out.len() <= n, "optimizer grew the stream: {out:?}");
+            optimize_checked(3, ops);
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn random_cnot_diagonal_streams_keep_their_unitary_and_never_grow(
+            stream in proptest::collection::vec(
+                (0usize..5, 0u64..5, 1u64..5, -3.2f64..3.2),
+                0..40,
+            ),
+        ) {
+            // `b` is an offset, so pairs are always distinct; most streams
+            // leave CNOTs uncancelled (a linear map that is not the identity).
+            let ops = stream.into_iter().map(|(kind, a, by, angle)| {
+                let b = (a + by) % 5;
+                match kind {
+                    0 | 1 => cnot(a, b),
+                    2 => gate(Gate::Rz(angle), a),
+                    3 => gate(Gate::H, a),
+                    _ => BatchOp::Cz { a: q(a), b: q(b) },
+                }
+            });
+            optimize_checked(5, ops.collect());
         }
     }
 }

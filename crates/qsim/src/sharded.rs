@@ -21,6 +21,7 @@
 //! [`AmpStore`] like the dense [`State`] and is driven by the one simulator
 //! front ([`crate::sim::AmpSim`]); it has no locks and spawns no threads.
 
+use crate::batch::SweepFactor;
 use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
@@ -270,19 +271,24 @@ impl AmpStore for ShardedState {
         }
     }
 
-    /// Every stripe runs the factors in slice order against the *global*
-    /// basis index (stripe base ORed with the offset): the dense engine's
-    /// per-amplitude sequence, one pass per stripe.
-    fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]) {
+    /// Every stripe evaluates the factors in slice order against the
+    /// *global* basis index (stripe base ORed with the offset): the dense
+    /// engine's per-amplitude arithmetic, one pass per stripe.
+    fn apply_phase_sweep(
+        &mut self,
+        positions: &[usize],
+        diags: &[SweepFactor],
+        czs: &[(usize, usize)],
+    ) {
         for &(a, b) in czs {
             assert_ne!(a, b, "CZ needs distinct qubits");
         }
-        let touched = diags.iter().map(|d| d.0);
-        for q in touched.chain(czs.iter().flat_map(|&(a, b)| [a, b])) {
+        for &q in positions.iter().chain(czs.iter().flat_map(|(a, b)| [a, b])) {
             assert!(q < self.n_qubits, "qubit {q} out of range");
         }
+        let (factors, flips) = stripe::sweep_masks(positions, diags, czs);
         for (base, amps) in self.based_mut() {
-            stripe::phase_sweep_positions(amps, base, diags, czs);
+            stripe::phase_sweep(amps, base, &factors, &flips);
         }
     }
 
@@ -402,29 +408,32 @@ mod tests {
 
     #[test]
     fn phase_sweep_is_bit_identical_to_dense_in_every_sharding() {
-        // Factors on low and shard-selecting qubits plus mixed CZ flips:
-        // every stripe must run the identical sequential multiply the
-        // dense single-stripe pass runs.
+        // Factors on low and shard-selecting qubits, parity factors that
+        // span both at every shard count ({1, 5}; {0, 3, 4} from 4 shards
+        // up) and mixed CZ flips: every stripe must form the product the
+        // dense single-stripe pass forms.
         let t = Gate::T.matrix();
         let s = Gate::S.matrix();
+        let rz = Gate::Rz(0.37).matrix();
         for shards in [1usize, 2, 4, 8, 16] {
             assert_matches_dense(shards, |dense, striped| {
                 for q in 0..6 {
                     dense.apply_1q(&[], q, &Gate::H.matrix());
                     striped.apply_1q(&[], q, &Gate::H.matrix());
                 }
-                let factors = [(1, t[0][0], t[1][1]), (5, s[0][0], s[1][1])];
+                let positions = [1, 5, 0, 3, 4];
+                let diags = [
+                    (0b00001, t[0][0], t[1][1]),
+                    (0b00011, rz[0][0], rz[1][1]),
+                    (0b00010, s[0][0], s[1][1]),
+                    (0b11100, rz[1][1], rz[0][0]),
+                ];
                 let flips = [(0, 5), (2, 3)];
-                let masked: Vec<(usize, Complex, Complex)> = factors
-                    .iter()
-                    .map(|&(q, d0, d1)| (1usize << q, d0, d1))
-                    .collect();
-                let flip_masks: Vec<usize> = flips
-                    .iter()
-                    .map(|&(a, b)| (1usize << a) | (1 << b))
-                    .collect();
+                let (masked, flip_masks) = stripe::sweep_masks(&positions, &diags, &flips);
+                assert_eq!(masked[1].0, 0b100010);
+                assert_eq!(masked[3].0, 0b011001);
                 stripe::phase_sweep(dense.amplitudes_mut(), 0, &masked, &flip_masks);
-                striped.apply_phase_sweep(&factors, &flips);
+                striped.apply_phase_sweep(&positions, &diags, &flips);
             });
         }
     }

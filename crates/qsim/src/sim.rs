@@ -16,6 +16,7 @@
 //! engines line up draw for draw (see [`crate::sparse`] for the rule their
 //! amplitudes agree under).
 
+use crate::batch::{sweep_positions, SweepFactor};
 use crate::complex::Complex;
 use crate::gates::{Gate, Mat2, Pauli};
 use crate::measure::PauliTerm;
@@ -95,11 +96,18 @@ pub trait AmpStore {
     /// SWAP of two distinct positions. A pure permutation.
     fn apply_swap(&mut self, a: usize, b: usize);
 
-    /// One-pass diagonal sweep: per amplitude, each `(position, d0, d1)`
-    /// factor multiplies **sequentially in slice order** (`d1` where the
-    /// position reads 1, else `d0`), then the amplitude is negated when an
-    /// odd number of `czs` pairs read 1 on both positions.
-    fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]);
+    /// One-pass diagonal sweep. Bit `i` of a `(set, d0, d1)` factor's set
+    /// names `positions[i]`; per amplitude, each factor selects `d1` where
+    /// an odd number of its positions read 1, else `d0`, the selected
+    /// factors are multiplied together **in slice order**, the amplitude is
+    /// multiplied by that product, and it is then negated when an odd
+    /// number of `czs` pairs read 1 on both positions.
+    fn apply_phase_sweep(
+        &mut self,
+        positions: &[usize],
+        diags: &[SweepFactor],
+        czs: &[(usize, usize)],
+    );
 
     /// Probability that measuring `target` yields 1.
     fn prob_one(&self, target: usize) -> f64;
@@ -107,6 +115,14 @@ pub trait AmpStore {
     /// Collapses `target` onto `outcome` and renormalizes. The caller must
     /// ensure the outcome has nonzero probability.
     fn collapse(&mut self, target: usize, outcome: bool);
+
+    /// [`AmpStore::collapse`] then [`AmpStore::remove_qubit`] — measure and
+    /// free — to the same bits; a store overrides it only to make fewer
+    /// passes over its amplitudes.
+    fn collapse_remove(&mut self, target: usize, outcome: bool) {
+        self.collapse(target, outcome);
+        self.remove_qubit(target, outcome);
+    }
 
     /// Probability mass of the basis states with odd parity over `qubits`.
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64;
@@ -256,21 +272,18 @@ impl<S: AmpStore> AmpSim<S> {
     pub fn free(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
         let outcome = classical_outcome(q, self.state.prob_one(pos))?;
-        self.remove_at(q, pos, outcome);
+        self.state.remove_qubit(pos, outcome);
+        self.reg.remove(q, pos);
         Ok(outcome)
     }
 
     /// Measures a qubit and frees it in one step.
     pub fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let outcome = self.measure(q)?;
         let pos = self.pos(q)?;
-        self.remove_at(q, pos, outcome);
-        Ok(outcome)
-    }
-
-    fn remove_at(&mut self, q: QubitId, pos: usize, outcome: bool) {
-        self.state.remove_qubit(pos, outcome);
+        let outcome = self.draw_outcome(pos);
+        self.state.collapse_remove(pos, outcome);
         self.reg.remove(q, pos);
+        Ok(outcome)
     }
 
     /// Applies a single-qubit gate.
@@ -292,33 +305,18 @@ impl<S: AmpStore> AmpSim<S> {
     }
 
     /// Applies a merged diagonal sweep
-    /// ([`crate::batch::BatchOp::PhaseSweep`]) in one pass over the state
-    /// (see [`AmpStore::apply_phase_sweep`] for the per-amplitude order).
-    /// Counted as one gate.
+    /// ([`crate::batch::BatchOp::PhaseSweep`], whose fields these are) in
+    /// one pass over the state (see [`AmpStore::apply_phase_sweep`] for the
+    /// per-amplitude arithmetic). Counted as one gate; a noise channel rides
+    /// on each touched qubit once.
     pub fn apply_phase_sweep(
         &mut self,
-        diags: &[(QubitId, Complex, Complex)],
+        qubits: &[QubitId],
+        diags: &[SweepFactor],
         czs: &[(QubitId, QubitId)],
     ) -> Result<(), SimError> {
-        let mut factors = Vec::with_capacity(diags.len());
-        let mut touched = Vec::with_capacity(diags.len() + 2 * czs.len());
-        for &(q, d0, d1) in diags {
-            let pos = self.pos(q)?;
-            factors.push((pos, d0, d1));
-            touched.push(pos);
-        }
-        let mut flips = Vec::with_capacity(czs.len());
-        for &(a, b) in czs {
-            if a == b {
-                return Err(SimError::DuplicateQubit(a));
-            }
-            let pa = self.pos(a)?;
-            let pb = self.pos(b)?;
-            flips.push((pa, pb));
-            touched.push(pa);
-            touched.push(pb);
-        }
-        self.state.apply_phase_sweep(&factors, &flips);
+        let (positions, flips, touched) = sweep_positions(qubits, diags, czs, |q| self.pos(q))?;
+        self.state.apply_phase_sweep(&positions, diags, &flips);
         self.gate_count += 1;
         self.inject(OpClass::Gate1q, &touched);
         Ok(())
@@ -398,12 +396,18 @@ impl<S: AmpStore> AmpSim<S> {
     /// configured noise model is applied before projection (readout error).
     pub fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
+        let outcome = self.draw_outcome(pos);
+        self.state.collapse(pos, outcome);
+        Ok(outcome)
+    }
+
+    /// The part of a measurement of `pos` before the collapse: readout
+    /// noise, the count, and the outcome drawn against `prob_one`.
+    fn draw_outcome(&mut self, pos: usize) -> bool {
         self.inject(OpClass::Measurement, &[pos]);
         self.measurement_count += 1;
         let p1 = self.state.prob_one(pos);
-        let outcome = self.rng.gen::<f64>() < p1;
-        self.state.collapse(pos, outcome);
-        Ok(outcome)
+        self.rng.gen::<f64>() < p1
     }
 
     /// Non-destructive joint Z-parity measurement over `qubits`: projects
@@ -505,11 +509,22 @@ mod tests {
         }
         sim.apply_fused_1q(q[4], &crate::gates::matmul2(&Gate::X.matrix(), &t))
             .unwrap();
+        // Factors on q1, on q6 and on the parity of {q6, q2} (at 8 stripes a
+        // stripe-selecting and a within-stripe bit); q6 is a noise site once.
         sim.apply_phase_sweep(
-            &[(q[1], t[0][0], t[1][1]), (q[6], t[1][1], t[0][0])],
+            &[q[1], q[6], q[2]],
+            &[
+                (0b001, t[0][0], t[1][1]),
+                (0b010, t[1][1], t[0][0]),
+                (0b110, t[0][0], t[1][1]),
+            ],
             &[(q[0], q[6]), (q[2], q[3])],
         )
         .unwrap();
+        assert_eq!(
+            sim.apply_phase_sweep(&[q[1], q[1]], &[(0b11, t[0][0], t[1][1])], &[]),
+            Err(SimError::DuplicateQubit(q[1]))
+        );
         outcomes.push(sim.measure(q[3]).unwrap());
         outcomes.push(sim.measure_z_parity(&[q[0], q[2], q[6]]).unwrap());
         for at in [6, 0, 2] {

@@ -45,6 +45,7 @@
 //! CNOT and SWAP are pure key permutations (no float arithmetic at all) and
 //! CZ is a sign flip, mirroring the dense fast paths.
 
+use crate::batch::{named, SweepFactor};
 use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::{Mat2, Pauli};
 use crate::measure::PauliTerm;
@@ -287,10 +288,9 @@ impl SparseState {
 }
 
 /// Key with exactly the listed bit positions set.
-fn key_of(positions: &[usize]) -> BasisKey {
-    positions
-        .iter()
-        .fold(BasisKey::ZERO, |k, &pos| k.with_set(pos))
+fn key_of<'a>(positions: impl IntoIterator<Item = &'a usize>) -> BasisKey {
+    let positions = positions.into_iter();
+    positions.fold(BasisKey::ZERO, |k, &pos| k.with_set(pos))
 }
 
 /// The 0-qubit register: one amplitude of 1.
@@ -369,18 +369,29 @@ impl AmpStore for SparseState {
         );
     }
 
-    /// Absent entries are exact zeros and stay zero under unit-modulus
-    /// factors, so nothing needs pruning.
-    fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]) {
+    /// [`crate::stripe::phase_sweep`]'s expression per present entry. Absent
+    /// entries are exact zeros and stay zero under unit-modulus factors, so
+    /// nothing needs pruning.
+    fn apply_phase_sweep(
+        &mut self,
+        positions: &[usize],
+        diags: &[SweepFactor],
+        czs: &[(usize, usize)],
+    ) {
+        let keyed = |&(set, d0, d1): &SweepFactor| (key_of(named(set, positions)), d0, d1);
+        let factors: Vec<(BasisKey, Complex, Complex)> = diags.iter().map(keyed).collect();
         for (k, amp) in self.amps.iter_mut() {
-            let mut v = *amp;
-            for &(pos, d0, d1) in diags {
-                v *= if k.bit(pos) { d1 } else { d0 };
+            let selected =
+                |&(mask, d0, d1): &(BasisKey, Complex, Complex)| match k.and(mask).parity() {
+                    true => d1,
+                    false => d0,
+                };
+            if let Some((first, rest)) = factors.split_first() {
+                *amp *= rest.iter().fold(selected(first), |p, f| p * selected(f));
             }
             if czs.iter().filter(|&&(a, b)| k.bit(a) && k.bit(b)).count() % 2 == 1 {
-                v = -v;
+                *amp = -*amp;
             }
-            *amp = v;
         }
     }
 

@@ -15,6 +15,7 @@
 //! [`State::apply_2q`], which no engine executes and the fast-path tests
 //! use as their reference.
 
+use crate::batch::SweepFactor;
 use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::{Mat2, Mat4};
 use crate::measure::PauliTerm;
@@ -293,12 +294,17 @@ impl AmpStore for State {
         }
     }
 
-    fn apply_phase_sweep(&mut self, diags: &[(usize, Complex, Complex)], czs: &[(usize, usize)]) {
-        let touched = diags.iter().map(|d| d.0);
-        for q in touched.chain(czs.iter().flat_map(|&(a, b)| [a, b])) {
+    fn apply_phase_sweep(
+        &mut self,
+        positions: &[usize],
+        diags: &[SweepFactor],
+        czs: &[(usize, usize)],
+    ) {
+        for &q in positions.iter().chain(czs.iter().flat_map(|(a, b)| [a, b])) {
             self.bit_of(q);
         }
-        stripe::phase_sweep_positions(&mut self.amps, 0, diags, czs);
+        let (factors, flips) = stripe::sweep_masks(positions, diags, czs);
+        stripe::phase_sweep(&mut self.amps, 0, &factors, &flips);
     }
 
     fn prob_one(&self, target: usize) -> f64 {
@@ -314,6 +320,12 @@ impl AmpStore for State {
             "collapsing qubit {target} onto probability-zero outcome"
         );
         stripe::scale(&mut self.amps, 1.0 / norm.sqrt());
+    }
+
+    fn collapse_remove(&mut self, target: usize, outcome: bool) {
+        self.bit_of(target);
+        stripe::collapse_remove_in_place(&mut self.amps, target, outcome);
+        self.n_qubits -= 1;
     }
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
@@ -485,6 +497,49 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn collapse_remove_equals_collapse_then_remove_bit_for_bit() {
+        let mut r = rng();
+        for n in 1..=12usize {
+            // Generic angles on every amplitude, a few exact zeros.
+            let raw: Vec<Complex> = (0..1usize << n)
+                .map(|i| match i % 11 {
+                    5 => C_ZERO,
+                    _ => Complex::new(r.gen::<f64>() - 0.5, r.gen::<f64>() - 0.5),
+                })
+                .collect();
+            let norm = raw.iter().map(|a| a.norm_sqr()).sum::<f64>().sqrt();
+            let amps: Vec<Complex> = raw.iter().map(|a| a.scale(1.0 / norm)).collect();
+            for target in 0..n {
+                for outcome in [false, true] {
+                    // `AmpStore::collapse_remove`'s default body.
+                    let mut want = State::from_amplitudes(amps.clone());
+                    want.collapse(target, outcome);
+                    want.remove_qubit(target, outcome);
+                    let mut got = State::from_amplitudes(amps.clone());
+                    let capacity = got.amps.capacity();
+                    got.collapse_remove(target, outcome);
+                    let case = (n, target, outcome);
+                    assert_eq!(got.n_qubits(), n - 1, "{case:?}");
+                    assert_eq!(bits(got.amplitudes()), bits(want.amplitudes()), "{case:?}");
+                    assert!(got.amps.capacity() >= capacity, "{case:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "probability-zero outcome")]
+    fn collapse_remove_onto_a_probability_zero_outcome_panics() {
+        basis(3, 0b010).collapse_remove(1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn collapse_remove_past_the_register_panics() {
+        basis(3, 0b010).collapse_remove(3, false);
     }
 
     #[test]

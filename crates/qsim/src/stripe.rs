@@ -32,6 +32,7 @@
 //! adds into one accumulator in ascending index order: runs remove the
 //! per-amplitude test, they do not re-associate the sum.
 
+use crate::batch::{named, SweepFactor};
 use crate::complex::{Complex, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
@@ -272,74 +273,97 @@ fn swap_set_with_clear(low: &mut [Complex], high: &mut [Complex], abit: usize) {
     });
 }
 
-/// Amplitudes [`phase_sweep`] takes through all its factors before moving
-/// on: few enough to stay in the first-level cache between passes.
+/// Amplitudes [`phase_sweep`] keeps one table of factor products for, and
+/// flips, before moving on: few enough that table and tile stay in the
+/// first-level cache.
 const SWEEP_TILE: usize = 1 << 9;
 
 /// One-pass diagonal sweep (the [`crate::batch::BatchOp::PhaseSweep`]
-/// kernel). For every amplitude, the global basis index is `base | i`;
-/// each `(mask, d0, d1)` factor multiplies **sequentially in slice
-/// order** — `d1` when `g & mask != 0`, else `d0` — and the amplitude is
-/// finally negated when an odd number of `flips` masks are fully set
-/// (`g & f == f`). The stripe is swept a tile at a time; within a tile each
-/// factor in turn multiplies the runs its own mask cuts the tile into, and
-/// each flip in turn negates the runs it selects — for every amplitude the
-/// same multiplications in the same order, and an odd number of exact
-/// negations exactly when one is due.
+/// kernel). For every amplitude, the global basis index is `g = base | i`.
+/// A `(mask, d0, d1)` factor selects `d1` when an odd number of the `mask`
+/// bits of `g` are set, else `d0`; the selected factors are multiplied
+/// together **left to right in slice order** (the first starts the product),
+/// the amplitude is multiplied by that product once, and it is finally
+/// negated when an odd number of `flips` masks are fully set (`g & f == f`).
 ///
-/// The factor order is the only floating-point degree of freedom (the
-/// negation is exact), so callers on different deployments must present
-/// factors in the same order to stay bit-identical. A factor constant
-/// over the stripe (e.g. a shard-selecting qubit's contribution on a
-/// remote worker) is encoded as `(0, c, c)` — `g & 0` is never nonzero,
-/// so `d0 = c` always applies and the multiply sequence matches the
-/// global-index run exactly. A flip mask of `0` is always fully set and
-/// toggles the whole stripe.
+/// The product is constant over every aligned run as long as the lowest bit
+/// any mask reads, so it is computed once per run of a tile, not per
+/// amplitude, and a tile's table of products is kept for the next tile for
+/// as long as the index bits the masks read above the tile are unchanged:
+/// masks below the tile build one table for the whole stripe, masks above
+/// it a handful of products per tile.
+///
+/// The factor order and the product-first association are the only
+/// floating-point degrees of freedom (the negation is exact), so callers on
+/// different deployments must present factors in the same order to stay
+/// bit-identical. A factor constant over the stripe (e.g. a shard-selecting
+/// qubit's contribution on a remote worker) is encoded as `(0, c, c)` — no
+/// bit of `g & 0` is set, so `d0 = c` always applies and the product
+/// matches the global-index run exactly; a mask that reads shard bits and
+/// stripe bits arrives with the stripe bits only and `(d0, d1)` swapped on
+/// the shards whose bits have odd parity. A flip mask of `0` is always
+/// fully set and toggles the whole stripe.
 pub fn phase_sweep(
     amps: &mut [Complex],
     base: usize,
     factors: &[(usize, Complex, Complex)],
     flips: &[usize],
 ) {
-    sweep(amps, base, factors.iter().copied(), flips.iter().copied());
-}
-
-/// [`phase_sweep`] with the sweep given the way an engine holds it, by qubit
-/// position (`(position, d0, d1)` factors and CZ position pairs): the masks
-/// are derived on the fly, not collected into two vectors per call.
-pub fn phase_sweep_positions(
-    amps: &mut [Complex],
-    base: usize,
-    diags: &[(usize, Complex, Complex)],
-    czs: &[(usize, usize)],
-) {
-    let factors = diags.iter().map(|&(q, d0, d1)| (1usize << q, d0, d1));
-    sweep(
-        amps,
-        base,
-        factors,
-        czs.iter().map(|&(a, b)| 1usize << a | 1usize << b),
-    );
-}
-
-fn sweep(
-    amps: &mut [Complex],
-    base: usize,
-    factors: impl Iterator<Item = (usize, Complex, Complex)> + Clone,
-    flips: impl Iterator<Item = usize> + Clone,
-) {
+    let reads = factors.iter().fold(0, |bits, f| bits | f.0);
+    let tile_len = amps.len().clamp(1, SWEEP_TILE);
+    let run = run_len(reads).min(tile_len);
+    let above = reads & !(tile_len - 1);
+    let mut table = [C_ZERO; SWEEP_TILE];
+    let mut built_for = None;
     for_runs(amps.len(), SWEEP_TILE, |at, len| {
         let (base, tile) = (base | at, &mut amps[at..at + len]);
-        for (mask, d0, d1) in factors.clone() {
-            for_runs(tile.len(), mask, |at, len| {
-                let d = if (base | at) & mask != 0 { d1 } else { d0 };
-                tile[at..at + len].iter_mut().for_each(|a| *a *= d);
+        if let Some((first, rest)) = factors.split_first() {
+            let table = &mut table[..len / run];
+            if built_for != Some(base & above) {
+                for (r, product) in table.iter_mut().enumerate() {
+                    let g = base | (r * run);
+                    *product = rest
+                        .iter()
+                        .fold(selected(g, first), |p, f| p * selected(g, f));
+                }
+                built_for = Some(base & above);
+            }
+            walk_known_short!(run, |run| {
+                for (amps, &product) in tile.chunks_exact_mut(run).zip(table.iter()) {
+                    amps.iter_mut().for_each(|a| *a *= product);
+                }
             });
         }
-        for flip in flips.clone() {
+        for &flip in flips {
             phase_flip_where(tile, flip, |at| (base | at) & flip == flip);
         }
     });
+}
+
+/// The entry of a [`phase_sweep`] factor that basis index `g` selects.
+#[inline(always)]
+fn selected(g: usize, &(mask, d0, d1): &(usize, Complex, Complex)) -> Complex {
+    if odd_parity(g, mask) {
+        d1
+    } else {
+        d0
+    }
+}
+
+/// The `(mask, d0, d1)` factors and flip masks [`phase_sweep`] takes, from a
+/// sweep held the way a simulator front resolves it: the listed qubits'
+/// `positions`, factor sets as bit masks over that list, CZ position pairs.
+pub fn sweep_masks(
+    positions: &[usize],
+    diags: &[SweepFactor],
+    czs: &[(usize, usize)],
+) -> (Vec<(usize, Complex, Complex)>, Vec<usize>) {
+    let factors = diags.iter().map(|&(set, d0, d1)| {
+        let mask = named(set, positions).fold(0, |mask, p| mask | 1usize << p);
+        (mask, d0, d1)
+    });
+    let flips = czs.iter().map(|&(a, b)| 1usize << a | 1usize << b);
+    (factors.collect(), flips.collect())
 }
 
 /// Negates the runs of `amps`, as `bits` cuts them, whose offset passes
@@ -602,6 +626,56 @@ pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bo
     dropped
 }
 
+/// Measure-and-free on a dense amplitude vector: leaves, to the bit, what
+/// [`collapse_keep`] on `target = outcome`, [`scale`] by the kept mass,
+/// [`remove_qubit_in_place`], a norm and a second [`scale`] leave — the same
+/// two sums in the same ascending order and the same two roundings per
+/// amplitude — in three passes over the kept half: nothing is zeroed, scaled
+/// or summed in the half that is dropped, and each kept amplitude moves once.
+/// Panics, as the composed form does, when the outcome has no probability.
+pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool) {
+    walk_known_short!(1usize << target, |bit| {
+        let kept_at = if outcome { bit } else { 0 };
+        let mut kept = 0.0f64;
+        for block in amps.chunks_exact(2 * bit) {
+            for a in &block[kept_at..kept_at + bit] {
+                kept += a.norm_sqr();
+            }
+        }
+        assert!(
+            kept > 1e-12,
+            "collapsing qubit {target} onto probability-zero outcome"
+        );
+        let s1 = 1.0 / kept.sqrt();
+        // From `-0.0`: what `Iterator::sum` makes of the compacted vector.
+        let mut norm = -0.0f64;
+        for block in amps.chunks_exact(2 * bit) {
+            for a in &block[kept_at..kept_at + bit] {
+                norm += a.scale(s1).norm_sqr();
+            }
+        }
+        assert!(norm.sqrt() > 0.0, "cannot renormalize the zero vector");
+        let s2 = 1.0 / norm.sqrt();
+        // Block 0 keeping its low run rescales where it stands; every other
+        // kept run moves down, by at least its own length, onto amplitudes
+        // that were dropped or have moved already.
+        for k in 0..amps.len() / (2 * bit) {
+            let (to, from) = (k * bit, 2 * k * bit + kept_at);
+            if from == to {
+                for a in &mut amps[..bit] {
+                    *a = a.scale(s1).scale(s2);
+                }
+            } else {
+                let (low, high) = amps.split_at_mut(from);
+                for (to, a) in low[to..to + bit].iter_mut().zip(&high[..bit]) {
+                    *to = a.scale(s1).scale(s2);
+                }
+            }
+        }
+    });
+    amps.truncate(amps.len() / 2);
+}
+
 /// The copying form of [`remove_qubit_in_place`]: returns the halved vector
 /// plus the discarded probability mass and leaves `flat` as it was.
 pub fn remove_qubit_flat(flat: &[Complex], target: usize, outcome: bool) -> (Vec<Complex>, f64) {
@@ -711,9 +785,10 @@ mod tests {
     }
 
     #[test]
-    fn phase_sweep_applies_factors_in_order_and_flips_by_parity() {
-        // S on qubit 0, T on qubit 1, CZ(0,1) over a 2-qubit stripe at
-        // base 0: check each amplitude against the hand-applied sequence.
+    fn phase_sweep_applies_the_product_of_its_factors_and_flips_by_parity() {
+        // S on qubit 0, T on qubit 1, Rz on the parity of both, CZ(0,1) over
+        // a 2-qubit stripe at base 0: check each amplitude against the
+        // product formed by hand.
         let amps: Vec<Complex> = vec![
             Complex::new(0.5, 0.1),
             Complex::new(-0.3, 0.4),
@@ -722,18 +797,27 @@ mod tests {
         ];
         let s = Gate::S.matrix();
         let t = Gate::T.matrix();
-        let factors = [(0b01, s[0][0], s[1][1]), (0b10, t[0][0], t[1][1])];
+        let rz = Gate::Rz(0.37).matrix();
+        let factors = [
+            (0b01, s[0][0], s[1][1]),
+            (0b10, t[0][0], t[1][1]),
+            (0b11, rz[0][0], rz[1][1]),
+        ];
         let flips = [0b11usize];
         let mut swept = amps.clone();
         phase_sweep(&mut swept, 0, &factors, &flips);
+        let products = [
+            s[0][0] * t[0][0] * rz[0][0],
+            s[1][1] * t[0][0] * rz[1][1],
+            s[0][0] * t[1][1] * rz[1][1],
+            s[1][1] * t[1][1] * rz[0][0],
+        ];
         for (g, &a) in amps.iter().enumerate() {
-            let mut want = a;
-            for &(mask, d0, d1) in &factors {
-                want *= if g & mask != 0 { d1 } else { d0 };
-            }
-            if g & 0b11 == 0b11 {
-                want = -want;
-            }
+            let want = if g == 0b11 {
+                -(a * products[g])
+            } else {
+                a * products[g]
+            };
             assert_eq!(swept[g], want, "amp[{g}]");
         }
     }
@@ -992,8 +1076,17 @@ mod tests {
             for (i, a) in amps.iter_mut().enumerate() {
                 let g = base | i;
                 let mut v = *a;
+                let mut product = None;
                 for &(mask, d0, d1) in factors {
-                    v *= if g & mask != 0 { d1 } else { d0 };
+                    let d = if (g & mask).count_ones() % 2 == 1 {
+                        d1
+                    } else {
+                        d0
+                    };
+                    product = Some(product.map_or(d, |p: Complex| p * d));
+                }
+                if let Some(p) = product {
+                    v *= p;
                 }
                 if flips.iter().filter(|&&f| g & f == f).count() % 2 == 1 {
                     v = -v;
@@ -1322,9 +1415,22 @@ mod tests {
         for len in stripe_lens().chain([4 * SWEEP_TILE]) {
             let amps = seeded(len, 300 + len as u64);
             let top = len.trailing_zeros() as usize + 2;
-            // Single-qubit masks over the stripe's bits and the two above,
-            // a many-qubit mask, and the stripe-constant encoding `0`.
-            let masks: Vec<usize> = (0..top).map(|q| 1 << q).chain([0b101, 0]).collect();
+            // Single-qubit masks over the stripe's bits and the two above
+            // (past one tile, bit 9 and up change parity from tile to tile),
+            // the stripe-constant encoding `0`, and parity masks: low bits,
+            // one astride the tile boundary, one astride the stripe's `base`,
+            // one whose above-tile parity changes every tile under bit 0.
+            let parities = [
+                0b101,
+                3 * SWEEP_TILE / 2,
+                (len / 2) | (2 * len),
+                1 | SWEEP_TILE,
+            ];
+            let masks: Vec<usize> = (0..top)
+                .map(|q| 1 << q)
+                .chain(parities)
+                .chain([0])
+                .collect();
             for (i, &m0) in masks.iter().enumerate() {
                 for &m1 in &masks[i..] {
                     let factors = [

@@ -288,6 +288,81 @@ fn benchmark_sized_state_is_bit_identical_across_dense_engines() {
     }
 }
 
+/// The fused ladders of the paper's applications, amplitudes (canonical bit
+/// patterns) and gate count: a product state of generic angles, one rank's
+/// TFIM Trotter step (a ZZ bond per neighbour pair, then the Rx layer) and
+/// a Jordan–Wigner string over all eight qubits. Under the default policy
+/// each ladder reaches the engine as one parity sweep whose factors read
+/// the top qubits — shard-selecting on the sharded engines — together with
+/// stripe-local ones. Amplitudes are read before anything is measured: an
+/// engine's reduction order does not enter.
+fn fused_ladder_observables(
+    kind: BackendKind,
+    transport: cmpi::TransportKind,
+) -> (Vec<(u64, u64)>, u64) {
+    const N: usize = 8;
+    let cfg = qmpi::QmpiConfig::new()
+        .seed(5)
+        .backend(kind)
+        .transport(transport);
+    let out = qmpi::run_with_config(1, cfg, |ctx| {
+        let qs = ctx.alloc_qmem(N);
+        for (s, q) in qs.iter().enumerate() {
+            ctx.apply(Gate::Ry(0.4 + 0.3 * s as f64), q).unwrap();
+        }
+        for s in 0..N - 1 {
+            ctx.cnot(&qs[s], &qs[s + 1]).unwrap();
+            ctx.apply(Gate::Rz(0.31 + 0.17 * s as f64), &qs[s + 1])
+                .unwrap();
+            ctx.cnot(&qs[s], &qs[s + 1]).unwrap();
+        }
+        for (s, q) in qs.iter().enumerate() {
+            ctx.apply(Gate::Rx(-0.47 - 0.05 * s as f64), q).unwrap();
+        }
+        for s in 0..N - 1 {
+            ctx.cnot(&qs[s], &qs[s + 1]).unwrap();
+        }
+        ctx.apply(Gate::Rz(0.83), &qs[N - 1]).unwrap();
+        for s in (0..N - 1).rev() {
+            ctx.cnot(&qs[s], &qs[s + 1]).unwrap();
+        }
+        let ids: Vec<qsim::QubitId> = qs.iter().map(|q| q.id()).collect();
+        let st = ctx.backend().state_vector(&ids).unwrap();
+        let amps = st.amplitudes().iter();
+        let seen = (
+            amps.map(|a| (canon_bits(a.re), canon_bits(a.im))).collect(),
+            ctx.backend().gate_count(),
+        );
+        for q in qs {
+            ctx.measure_and_free(q).unwrap();
+        }
+        seen
+    });
+    out.into_iter().next().unwrap()
+}
+
+#[test]
+fn fused_ladders_are_bit_identical_across_amplitude_engines_and_transports() {
+    use cmpi::TransportKind::{InProcess, UnixSocket};
+    ensure_worker_bin();
+    let dense = fused_ladder_observables(BackendKind::StateVector, InProcess);
+    assert_eq!(dense.0.len(), 1 << 8);
+    // Eight preparations, one sweep, eight Rx, one sweep.
+    assert_eq!(dense.1, 8 + 1 + 8 + 1);
+    for (kind, transport) in [
+        (BackendKind::Sparse, InProcess),
+        (BackendKind::ShardedStateVector { shards: 2 }, InProcess),
+        (BackendKind::ShardedStateVector { shards: 8 }, InProcess),
+        (BackendKind::RemoteSharded { shards: 2 }, InProcess),
+        (BackendKind::RemoteSharded { shards: 4 }, InProcess),
+        (BackendKind::RemoteSharded { shards: 2 }, UnixSocket),
+        (BackendKind::RemoteSharded { shards: 4 }, UnixSocket),
+    ] {
+        let other = fused_ladder_observables(kind, transport);
+        assert!(dense == other, "{kind} over {transport:?} diverged");
+    }
+}
+
 /// What the interleaving case observes: the amplitudes after each free (as
 /// canonical bit patterns), every measurement outcome, and two reads.
 type InterleavingObs = (Vec<Vec<(u64, u64)>>, Vec<bool>, [u64; 2]);

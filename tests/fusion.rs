@@ -14,7 +14,9 @@
 //!   and multiply by unit factors with exact IEEE representations;
 //! * identical measurement trajectories per seed;
 //! * strictly *fewer* kernel sweeps on fusible circuits — the counters
-//!   prove the optimizer actually fired, not just that it did no harm.
+//!   prove the optimizer actually fired, not just that it did no harm —
+//!   and at most a third of them on the CNOT·Rz·CNOT ladders both of the
+//!   paper's applications are made of, which merge into parity sweeps.
 //!
 //! The property module runs under the nightly stress lane's
 //! `PROPTEST_CASES=320` sweep alongside the other in-tree proptest suites.
@@ -93,11 +95,38 @@ fn permutation_phase_circuit() -> Vec<Step> {
     ]
 }
 
+/// The two ladder shapes of the paper's applications, generic angles
+/// throughout: one rank's TFIM Trotter step (§7.2: a ZZ bond per neighbour
+/// pair, then the transverse-field layer) and a Jordan–Wigner string (§7.3:
+/// one `Rz` read through a CNOT chain). Every qubit is on a ladder, so on
+/// the sharded engines the shard-selecting (top) qubits are too.
+fn ladder_circuit() -> Vec<Step> {
+    use Step::*;
+    let mut steps = Vec::new();
+    for s in 0..N_QUBITS - 1 {
+        let rz = Gate::Rz(0.31 + 0.17 * s as f64);
+        steps.extend([Cnot(s, s + 1), G(rz, s + 1), Cnot(s, s + 1)]);
+    }
+    steps.extend((0..N_QUBITS).map(|s| G(Gate::Rx(-0.47 - 0.05 * s as f64), s)));
+    let chain: Vec<Step> = (0..N_QUBITS - 1).map(|s| Cnot(s, s + 1)).collect();
+    steps.extend(chain.iter().copied());
+    steps.push(G(Gate::Rz(0.83), N_QUBITS - 1));
+    steps.extend(chain.iter().rev().copied());
+    steps
+}
+
+/// [`ladder_circuit`] on a product state of generic angles, so every
+/// amplitude is nonzero and no two factors act alike.
+fn prepared_ladder_circuit() -> Vec<Step> {
+    let prepare = (0..N_QUBITS).map(|s| Step::G(Gate::Ry(0.4 + 0.3 * s as f64), s));
+    prepare.chain(ladder_circuit()).collect()
+}
+
 #[test]
 fn clifford_t_fused_matches_unfused_within_tolerance() {
-    let steps = clifford_t_circuit();
     for kind in amplitude_kinds() {
-        assert_fused_matches_unfused(kind, N_QUBITS, &steps, 42, TOL);
+        assert_fused_matches_unfused(kind, N_QUBITS, &clifford_t_circuit(), 42, TOL);
+        assert_fused_matches_unfused(kind, N_QUBITS, &prepared_ladder_circuit(), 42, TOL);
     }
 }
 
@@ -117,6 +146,12 @@ fn remote_workers_fuse_identically() {
     let kind = BackendKind::RemoteSharded { shards: 2 };
     assert_fused_matches_unfused(kind, N_QUBITS, &clifford_t_circuit(), 42, TOL);
     assert_fused_matches_unfused(kind, N_QUBITS, &permutation_phase_circuit(), 7, 0.0);
+    // Qubit 5 (then 4 as well) selects the shard: the ladders' parity
+    // factors read it from the shard index, not from the stripe.
+    for shards in [2, 4] {
+        let kind = BackendKind::RemoteSharded { shards };
+        assert_fused_matches_unfused(kind, N_QUBITS, &prepared_ladder_circuit(), 42, TOL);
+    }
 }
 
 /// The counter proof: on a 1q-run-heavy circuit the fused run must apply
@@ -139,19 +174,20 @@ fn fusion_strictly_reduces_kernel_sweeps() {
         G(Gate::Rz(0.2), 3),
         G(Gate::H, 3),
     ];
-    let run = |policy: BatchPolicy| {
+    let run = |steps: &[Step], policy: BatchPolicy| {
         let cfg = QmpiConfig::new()
             .seed(3)
             .backend(BackendKind::StateVector)
             .noise(NoiseModel::ideal())
             .batch(policy);
-        run_circuit(cfg, N_QUBITS, &steps, false).0
+        run_circuit(cfg, N_QUBITS, steps, false).0
     };
-    let unfused = run(BatchPolicy {
+    let unfused_policy = BatchPolicy {
         fuse: false,
         ..BatchPolicy::default()
-    });
-    let fused = run(BatchPolicy::default());
+    };
+    let unfused = run(&steps, unfused_policy);
+    let fused = run(&steps, BatchPolicy::default());
     assert!(
         fused.counts.0 < unfused.counts.0,
         "fusion must strictly reduce kernel sweeps on this circuit \
@@ -159,6 +195,14 @@ fn fusion_strictly_reduces_kernel_sweeps() {
         fused.counts.0,
         unfused.counts.0
     );
+    assert_eq!(fused.outcomes, unfused.outcomes);
+    // The ladders: each is one parity sweep, so a Trotter step costs its
+    // transverse-field layer plus one, and the CNOTs are gone.
+    let unfused = run(&ladder_circuit(), unfused_policy);
+    let fused = run(&ladder_circuit(), BatchPolicy::default());
+    assert_eq!(unfused.counts.0, (3 * 5 + 6 + 2 * 5 + 1) as u64);
+    assert_eq!(fused.counts.0, 1 + 6 + 1);
+    assert!(3 * fused.counts.0 <= unfused.counts.0);
     assert_eq!(fused.outcomes, unfused.outcomes);
 }
 

@@ -220,6 +220,49 @@ fn trace_backend_models_error_free_probability() {
     );
 }
 
+/// A merged sweep's noise rides on each qubit it touches once, however
+/// many factors read it, and a sweep that lists a qubit twice (a parity set
+/// naming both would silently cancel it) is an error on every engine.
+#[test]
+fn sweep_noise_sites_are_distinct_and_a_repeated_qubit_is_rejected() {
+    use qsim::{BatchOp, Complex, QubitId, SimError};
+    let (one, i) = (Complex::real(1.0), Complex::new(0.0, 1.0));
+    let sweep = |qubits: Vec<QubitId>, czs: Vec<(QubitId, QubitId)>| {
+        ops::batch([BatchOp::PhaseSweep {
+            qubits,
+            diags: vec![(0b01, one, i), (0b11, one, i), (0b01, i, one)],
+            czs,
+        }])
+    };
+    // Three factors and a CZ over three distinct qubits: three sites.
+    let b = build(BackendKind::Trace, 0, NoiseModel::depolarizing(0.1)).unwrap();
+    let qs = b.alloc(0, 3);
+    b.apply_batch(0, &sweep(vec![qs[0], qs[1]], vec![(qs[0], qs[2])]))
+        .unwrap();
+    let got = b.modeled_fidelity().expect("trace models fidelity");
+    assert!((got - 0.9f64.powi(3)).abs() < 1e-12, "{got}");
+    for kind in [
+        BackendKind::StateVector,
+        BackendKind::Sparse,
+        BackendKind::Trace,
+        BackendKind::ShardedStateVector { shards: 4 },
+        BackendKind::RemoteSharded { shards: 2 },
+    ] {
+        let b = build(kind, 0, NoiseModel::ideal()).unwrap();
+        let qs = b.alloc(0, 2);
+        let apply = |batch| b.apply_batch(0, &batch).and_then(|()| b.sync_coalesced());
+        assert_eq!(
+            apply(sweep(vec![qs[0], qs[0]], vec![])),
+            Err(QmpiError::Sim(SimError::DuplicateQubit(qs[0]))),
+            "{kind}"
+        );
+        // Every listed qubit is checked, not only the first of a set.
+        let stray = QubitId(999);
+        assert!(apply(sweep(vec![qs[0], stray], vec![])).is_err(), "{kind}");
+        assert_eq!(b.gate_count(), 0, "{kind}");
+    }
+}
+
 #[test]
 fn amplitude_damping_relaxes_excited_qubits() {
     // gamma = 1 after a 1q gate: the excited state must relax to |0>
