@@ -22,11 +22,6 @@ pub trait EngineStore: AmpStore + Send + Sync {
     fn transport_stats(&self) -> Option<TransportStats> {
         None
     }
-
-    /// Makes every gate applied so far engine state. A store whose gate
-    /// methods only plan (the remote one) ships the plan here; the engine
-    /// calls this at the end of each gate batch and EPR establishment.
-    fn ship(&self) {}
 }
 
 impl EngineStore for State {
@@ -150,9 +145,7 @@ impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
     fn entangle_epr(&mut self, qa: QubitId, qb: QubitId) -> Result<(), SimError> {
         // Routed through the simulator so interconnect noise uses the
         // dedicated EPR channel rather than the gate channels.
-        let result = self.sim.entangle_epr(qa, qb);
-        self.store().ship();
-        result
+        self.sim.entangle_epr(qa, qb)
     }
 
     fn alloc(&mut self) -> QubitId {
@@ -168,7 +161,7 @@ impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
     }
 
     fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
-        let result = batch.ops().iter().try_for_each(|op| match op {
+        batch.ops().iter().try_for_each(|op| match op {
             BatchOp::Gate { gate, q } => self.sim.apply(*gate, *q),
             BatchOp::Controlled {
                 controls,
@@ -182,11 +175,7 @@ impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
             BatchOp::PhaseSweep { qubits, diags, czs } => {
                 self.sim.apply_phase_sweep(qubits, diags, czs)
             }
-        });
-        // On error too: the ops before the failing one have applied. A
-        // planning store ships the whole batch as one command round.
-        self.store().ship();
-        result
+        })
     }
 
     fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {

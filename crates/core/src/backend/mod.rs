@@ -54,7 +54,7 @@
 //! the engine's global state faithfully represents the distributed machine
 //! at every point. In front of the process-separated engine, [`Shared`]
 //! also lets ranks' flushed gate streams (on disjoint qubits, which
-//! locality guarantees) merge into one command round.
+//! locality guarantees) merge into one gate batch.
 
 pub mod amplitude;
 pub mod pool;
@@ -69,7 +69,7 @@ use cmpi::TransportKind;
 use parking_lot::{RwLock, RwLockWriteGuard};
 use qsim::noise::NoiseModel;
 use qsim::{GateBatch, Pauli, QubitId, State};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -193,15 +193,6 @@ impl BackendKind {
     }
 }
 
-/// The default stripe count for the sharded state-vector backend: one per
-/// available hardware thread, capped at 8, rounded up to a power of two.
-pub fn auto_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(8))
-        .unwrap_or(4)
-        .next_power_of_two()
-}
-
 /// The single backend construction point: builds a ready-to-share backend
 /// of `kind` over `transport` with a noise model. Every other constructor
 /// ([`crate::QmpiConfig::build_backend`], qserve's job launcher) funnels
@@ -232,9 +223,9 @@ pub fn build_backend(
 
 /// [`build_backend`] with an explicit [`crate::BatchPolicy`], which on the
 /// process-separated engine governs [`Shared`]'s cross-rank coalesce
-/// window: whether concurrent ranks' flushes merge into one command round
+/// window: whether concurrent ranks' flushes merge into one gate batch
 /// (`policy.coalesce`) and the window's op / byte / age budgets. The other
-/// engines have no command rounds to save and ignore the policy.
+/// engines have no command rounds and ignore the policy.
 /// This is what [`crate::QmpiConfig::build_backend`] calls, so a world's
 /// configured policy reaches the backend it constructs.
 pub fn build_backend_with_policy(
@@ -330,8 +321,9 @@ pub const DIAG_RANK: usize = usize::MAX;
 /// are the consumer's job (qserve snapshots them into its `JobReport`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
-    /// Controller→worker command rounds (one per broadcast `ShardCmd`
-    /// round-trip group — gate batches collapse many gates into one).
+    /// Controller→worker command rounds: one per fan-out of command frames,
+    /// and a fan-out carries a read (gates, allocs and collapses wait for
+    /// the next one).
     pub command_rounds: u64,
     /// Worker↔worker stripe-exchange rounds (cross-shard gate traffic).
     pub exchange_rounds: u64,
@@ -339,16 +331,16 @@ pub struct TransportStats {
     /// exchanges. Over a socket transport the controller counts them as
     /// frames pass through it. In-process they are the serialized bytes
     /// the worker world's mailboxes carried, counted by whichever thread
-    /// sends — workers' exchanges after a fire-and-forget dispatch land
-    /// late, so read this after a reduction (`prob_one`).
+    /// sends — workers' exchanges set off by a read land while it runs, so
+    /// read this after a reduction (`prob_one`).
     pub wire_bytes: u64,
     /// Worker processes respawned by failover. Zero for the in-process
     /// transport, which has no process boundary to fail over.
     pub respawns: u64,
     /// Rank flushes absorbed into an already-open cross-rank coalesce
-    /// window instead of dispatching their own command round — each count
-    /// is one command fan-out round saved versus the uncoalesced path.
-    /// Zero with coalescing off (`BatchPolicy::coalesce = false`).
+    /// window instead of reaching the engine on their own. Since the remote
+    /// engine queues every flush until a read, a join saves no command
+    /// round. Zero with coalescing off (`BatchPolicy::coalesce = false`).
     pub coalesced_flushes: u64,
 }
 
@@ -513,8 +505,8 @@ pub trait QuantumBackend: Send + Sync {
     /// accumulate into a [`qsim::GateBatch`] and flush through here (an
     /// eager gate is a batch of one), so the locality lock is taken once
     /// per *batch* — and the engine underneath sees the stream as one unit
-    /// (one framed message round per worker on the process-separated
-    /// engine).
+    /// (queued, on the process-separated engine, for the frame of the next
+    /// read).
     ///
     /// Every qubit in the batch is ownership-checked against `rank`
     /// *before* anything applies; an engine-level failure partway through
@@ -584,6 +576,10 @@ pub trait QuantumBackend: Send + Sync {
 struct Inner<E> {
     engine: E,
     owner: HashMap<QubitId, usize>,
+    /// Qubits untouched since their alloc, so certainly |0>: an EPR
+    /// establishment on them skips the freshness probe (a read, on an
+    /// engine driven over a message substrate).
+    fresh: HashSet<QubitId>,
     epr_entanglements: u64,
     allocations: u64,
     frees: u64,
@@ -594,8 +590,7 @@ struct Inner<E> {
     /// When the window's first flush arrived (the age budget); `None`
     /// while it is empty.
     opened: Option<Instant>,
-    /// Flushes that joined a non-empty window: each is one command fan-out
-    /// round saved versus dispatching every flush.
+    /// Flushes that joined a non-empty window.
     coalesced_flushes: u64,
 }
 
@@ -657,10 +652,24 @@ impl<E: SimEngine> Inner<E> {
         Ok(())
     }
 
+    /// Takes every qubit an ownership-checked batch names out of the fresh
+    /// set.
+    fn touch_batch(&mut self, batch: &GateBatch) {
+        if self.fresh.is_empty() {
+            return;
+        }
+        for op in batch.ops() {
+            op.for_each_qubit(|q| {
+                self.fresh.remove(&q);
+            });
+        }
+    }
+
     fn alloc(&mut self, rank: usize, n: usize) -> Vec<QubitId> {
         let ids: Vec<QubitId> = (0..n).map(|_| self.engine.alloc()).collect();
         for &id in &ids {
             self.owner.insert(id, rank);
+            self.fresh.insert(id);
         }
         self.allocations += n as u64;
         let live = self.engine.n_qubits() as u64;
@@ -670,6 +679,7 @@ impl<E: SimEngine> Inner<E> {
 
     fn free(&mut self, rank: usize, q: QubitId) -> Result<bool> {
         self.check_owner(rank, q)?;
+        self.fresh.remove(&q);
         let out = self.engine.free(q)?;
         self.owner.remove(&q);
         self.frees += 1;
@@ -678,6 +688,7 @@ impl<E: SimEngine> Inner<E> {
 
     fn measure_and_free(&mut self, rank: usize, q: QubitId) -> Result<bool> {
         self.check_owner(rank, q)?;
+        self.fresh.remove(&q);
         let out = self.engine.measure_and_free(q)?;
         self.owner.remove(&q);
         self.frees += 1;
@@ -686,6 +697,7 @@ impl<E: SimEngine> Inner<E> {
 
     fn measure(&mut self, rank: usize, q: QubitId) -> Result<bool> {
         self.check_owner(rank, q)?;
+        self.fresh.remove(&q);
         Ok(self.engine.measure(q)?)
     }
 
@@ -697,6 +709,7 @@ impl<E: SimEngine> Inner<E> {
     fn measure_z_parity(&mut self, rank: usize, qubits: &[QubitId]) -> Result<bool> {
         for &q in qubits {
             self.check_owner(rank, q)?;
+            self.fresh.remove(&q);
         }
         Ok(self.engine.measure_z_parity(qubits)?)
     }
@@ -709,11 +722,13 @@ impl<E: SimEngine> Inner<E> {
             return Err(QmpiError::Sim(qsim::SimError::UnknownQubit(qb)));
         }
         for &q in &[qa, qb] {
-            if self.engine.prob_one(q)? > 1e-9 {
+            if !self.fresh.contains(&q) && self.engine.prob_one(q)? > 1e-9 {
                 return Err(QmpiError::EprQubitNotFresh(q));
             }
         }
         self.engine.entangle_epr(qa, qb)?;
+        self.fresh.remove(&qa);
+        self.fresh.remove(&qb);
         self.epr_entanglements += 1;
         Ok(())
     }
@@ -765,8 +780,8 @@ impl<E: SimEngine> Inner<E> {
 /// [`crate::BatchPolicy::coalesce`] on (the default), a rank's
 /// [`QuantumBackend::apply_batch`] flush does not dispatch to the engine
 /// immediately: the (ownership-checked) batch joins one coalesce window,
-/// and the whole window ships as **one** [`SimEngine::apply_batch`] — one
-/// command round — when any rank hits a synchronization point
+/// and the whole window ships as **one** [`SimEngine::apply_batch`] when
+/// any rank hits a synchronization point
 /// (measurement, probability or expectation reads, free, EPR
 /// establishment, snapshots, or an explicit
 /// [`QuantumBackend::sync_coalesced`], which the rank layer calls at
@@ -787,7 +802,7 @@ pub struct Shared<E> {
     policy: BatchPolicy,
     /// Whether flushes park in the coalesce window: an engine with a
     /// transport under a batching, coalescing policy (an eager world has no
-    /// flush stream to merge, an in-memory engine no rounds to save).
+    /// flush stream to merge, an in-memory engine no transport).
     coalescing: bool,
     inner: RwLock<Inner<E>>,
 }
@@ -809,6 +824,7 @@ impl<E: SimEngine> Shared<E> {
             inner: RwLock::new(Inner {
                 engine,
                 owner: HashMap::new(),
+                fresh: HashSet::new(),
                 epr_entanglements: 0,
                 allocations: 0,
                 frees: 0,
@@ -887,6 +903,7 @@ impl<E: SimEngine> QuantumBackend for Shared<E> {
         // fails at its own call site exactly as without coalescing.
         let mut g = self.inner.write();
         g.check_batch(rank, batch)?;
+        g.touch_batch(batch);
         if !self.coalescing {
             return Ok(g.engine.apply_batch(batch)?);
         }
@@ -993,8 +1010,10 @@ mod tests {
     /// The one gate surface's contract, checked on every backend kind:
     /// batch granularity is unobservable, locality is checked before
     /// anything applies, an engine failure leaves the prefix applied, and
-    /// an eager world's gates dispatch at once (never parked in a coalesce
-    /// window the world would not ship).
+    /// an eager world's gates reach the engine at once (never parked in a
+    /// coalesce window the world would not ship) — on the remote engine
+    /// they then wait in the store's queue for the next read, costing no
+    /// command round.
     #[test]
     fn gate_surface_contract_holds_on_every_backend() {
         use crate::context::{run_on_backend, QmpiConfig};
@@ -1079,8 +1098,9 @@ mod tests {
                 );
             }
 
-            // An eager world dispatches each gate at its call site — on
-            // the remote engine, one command round per gate.
+            // An eager world hands each gate to the engine at its call
+            // site; on the remote engine none of them is a command round,
+            // and the measurement that follows is one read for all three.
             let eager = BatchPolicy::eager();
             let backend = build_backend_with_policy(
                 kind,
@@ -1102,11 +1122,15 @@ mod tests {
                     ctx.h(&q).unwrap();
                     assert_eq!(backend.gate_count(), gates + landed);
                 }
-                let per_gate = rounds().map(|after| after - before.unwrap());
+                let gates_cost = rounds().map(|after| after - before.unwrap());
+                let before = rounds();
+                ctx.measure(&q).unwrap();
+                let read_cost = rounds().map(|after| after - before.unwrap());
                 ctx.measure_and_free(q).unwrap();
-                per_gate
+                (gates_cost, read_cost)
             });
-            let expect = matches!(kind, BackendKind::RemoteSharded { .. }).then_some(3);
+            let remote = matches!(kind, BackendKind::RemoteSharded { .. });
+            let expect = (remote.then_some(0), remote.then_some(1));
             assert_eq!(run.results, vec![expect], "{kind}");
         }
     }

@@ -183,7 +183,7 @@ impl Drop for WorkerLink {
         }
         // Never propagate from a destructor (unwinding here would abort),
         // but a worker that panicked mid-run may have silently dropped
-        // fire-and-forget gate commands — say so.
+        // reply-free commands — say so.
         let panicked = group.take().map_or(0, WorkerGroup::join);
         if panicked > 0 {
             eprintln!(

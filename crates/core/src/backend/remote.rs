@@ -28,14 +28,21 @@
 //! single consistent history — the property the striped store gets from
 //! `&mut self` — without any shared memory.
 //!
+//! * **Ship on a read.** Work that needs no reply waits in a per-worker
+//!   queue on the controller, in global order: planned gate streams, alloc
+//!   reshapes, renormalisation scales, measurement collapses. A command
+//!   that needs a reply takes the worker's queue with it in one
+//!   [`ShardCmd::Seq`] frame (queue first, then the read), and a worker the
+//!   read does not address gets its queue in the same fan-out. So a command
+//!   round is a read, which is the QMPI paper's aggregation argument (and
+//!   the NetQASM SDK's, on which NetQMPI builds) applied to the simulator's
+//!   own transport. A queue that reaches `BatchPolicy::default().max_ops`
+//!   entries ships in a round of its own.
 //! * **Gate streams** are *planned*: the controller decomposes each gate
-//!   into per-stripe moves ([`WorkerOp`]) and ships every worker its share
-//!   of the whole stream as ONE framed [`ShardCmd::Batch`] message — one
-//!   command round per batch instead of one per gate, which is the QMPI
-//!   paper's aggregation argument applied to the simulator's own
-//!   transport. The eager (unbatched) path ships single-op frames through
-//!   the identical planner, so the two paths execute the same kernels in
-//!   the same order and stay bit-identical per seed.
+//!   into per-stripe moves ([`WorkerOp`]) and appends them to the
+//!   [`ShardCmd::Batch`] at the tail of each worker's queue. Batched, eager
+//!   and coalesced gate streams therefore become the same frames, execute
+//!   the same kernels in the same order and stay bit-identical per seed.
 //! * **Within-shard gates** become [`WorkerOp::PairWithin`] entries;
 //!   workers run the identical [`qsim::stripe`] kernels the in-process
 //!   striped store runs, in parallel.
@@ -50,9 +57,11 @@
 //!   [`WorkerOp::SwapFull`]): a pure amplitude permutation costing at most
 //!   one exchange per shard pair, where the previous three-CNOT
 //!   realization paid three (6 cross-shard stripe transfers).
-//! * **Measurement** is a reduction: a probability query fans out, partial
-//!   masses come back, the controller samples, and a collapse + rescale
-//!   round trip finishes the projection.
+//! * **Measurement** is one read: [`ShardCmd::Branches`] brings back each
+//!   stripe's (even, odd) mass under a parity mask (a single qubit is a
+//!   one-bit parity), the controller compares the front's uniform draw with
+//!   the odd total, and the projection onto the outcome is queued as a
+//!   reply-free [`ShardCmd::CollapseScale`].
 //! * **Expectation values** are gather-free: [`ShardCmd::Expect`] pairs
 //!   each shard with its `x_mask`-partner ([`ExpectRole`]), the partners
 //!   exchange stripes worker↔worker, and only complex partial sums flow
@@ -61,19 +70,20 @@
 //!   ([`qsim::sim::AmpSim`], the dense engine's, so trajectories are
 //!   identical draw for draw) and injected as uncounted single-qubit
 //!   gates — planned into the same batch frame as the gates they ride on.
-//!   An amplitude-damping draw reads `prob_one`, which ships the plan made
-//!   so far first.
+//!   An amplitude-damping draw reads `prob_one`, which ships the queue
+//!   first.
 //! * **Allocating and freeing qubits** reshapes the stripes where they
 //!   live ([`ShardCmd::Reshape`]): the shard stays the top `k` bits of the
 //!   global index and a new qubit takes the top position, so the
 //!   controller can tell each worker which equal parts of its stripe go to
 //!   which workers and whose parts make up its new stripe. Parts move
-//!   worker↔worker on `TAG_XCHG`; a free sends two floats per worker back
-//!   (dropped mass, new squared norm) for the renormalization, an alloc
-//!   nothing.
+//!   worker↔worker on `TAG_XCHG`. An alloc needs nothing back and queues.
+//!   A free is a read: each worker reports two floats (dropped mass, new
+//!   squared norm), and the renormalising [`ShardCmd::Scale`] is queued.
 //! * **Snapshots** (`state_vector`), failover checkpoints and recovery are
 //!   the only users of the dense state: [`ShardCmd::Gather`] and
-//!   [`ShardCmd::Load`].
+//!   [`ShardCmd::Load`]. A snapshot ships the queue in a round of its own
+//!   before it gathers.
 //!
 //! ## Deadlock watchdog
 //!
@@ -90,19 +100,19 @@
 //! [`RemoteShardedEngine`] is [`AmplitudeEngine`] over [`RemoteStore`], the
 //! same generic engine as the dense, sparse and striped ones: handles,
 //! operand checks, counters, noise and the measurement draw order come from
-//! [`qsim::sim::AmpSim`]. The store's gate methods only *plan* — they
-//! append to the controller's pending plan — and every other store method
-//! ships that plan first, because it was made against the current layout.
-//! The engine ships at the end of each gate batch and EPR establishment, so
-//! a batch is one command round. Select it with
+//! [`qsim::sim::AmpSim`]. The store's gate methods and `add_qubit` only
+//! *queue*; its reads (probabilities, measurements, frees, expectations,
+//! snapshots) ship the queue. A measurement is one read because the front
+//! draws its uniform before calling the store. Select the engine with
 //! [`super::BackendKind::RemoteSharded`].
 
 use super::amplitude::{AmplitudeEngine, EngineStore};
 use super::pool::ShardLease;
 use super::{BackendKind, TransportStats};
+use crate::context::BatchPolicy;
 use bytes::{Bytes, BytesMut};
 use cmpi::{Communicator, Decode, Encode, TransportKind};
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::Mutex;
 use qsim::gates::Mat2;
 use qsim::measure::PauliTerm;
 use qsim::noise::NoiseModel;
@@ -495,9 +505,9 @@ pub enum ShardCmd {
     },
     /// Reply with the current stripe ([`ShardReply::Amps`]).
     Gather,
-    /// A framed gate stream: execute the ops front to back. This is the
-    /// whole point of the batched path — one command message carries every
-    /// move this worker performs for an entire [`qsim::GateBatch`].
+    /// A framed gate stream: execute the ops front to back. Every gate
+    /// planned between two other queued commands joins one of these, so one
+    /// command carries every move this worker makes for them.
     Batch {
         /// The worker's share of the planned gate stream, in global gate
         /// order.
@@ -517,35 +527,29 @@ pub enum ShardCmd {
         /// This worker's role in the evaluation.
         role: ExpectRole,
     },
-    /// Reply with the stripe's probability mass where the global index
-    /// matches `want` under `mask` ([`ShardReply::Partial`]).
-    Prob {
-        /// Global index mask.
-        mask: usize,
-        /// Required masked value.
-        want: usize,
-    },
-    /// Reply with the stripe's odd-parity probability mass under `mask`.
-    ParityProb {
-        /// Global parity mask.
+    /// Reply with the stripe's even- and odd-parity probability masses
+    /// under `mask` ([`ShardReply::Branches`]): a probability read, and the
+    /// read half of a measurement.
+    Branches {
+        /// Global parity mask; one bit for a single qubit.
         mask: usize,
     },
-    /// Zero amplitudes not matching `want` under `mask`; reply with the
-    /// kept mass (collapse phase of a projective measurement).
-    Collapse {
-        /// Global index mask.
-        mask: usize,
-        /// Masked value of the surviving subspace.
-        want: usize,
-    },
-    /// Parity collapse: keep the `want_odd` subspace, reply with kept mass.
-    CollapseParity {
+    /// Keep the `odd` (or even) parity subspace under `mask`, zero the rest,
+    /// and rescale every amplitude by `factor`: the reply-free half of a
+    /// measurement.
+    CollapseScale {
         /// Global parity mask.
         mask: usize,
         /// Which parity survives.
-        want_odd: bool,
+        odd: bool,
+        /// `1/√(kept mass)`, reduced from the [`ShardCmd::Branches`] read.
+        factor: f64,
     },
-    /// Rescale every amplitude (renormalization after a collapse).
+    /// Execute the commands in order: a worker's queue followed by the
+    /// command that needs its reply. Holds no `Seq`; a failover abort
+    /// abandons the rest of the frame.
+    Seq(Vec<ShardCmd>),
+    /// Rescale every amplitude (renormalization after a free).
     Scale {
         /// Real scale factor.
         factor: f64,
@@ -613,24 +617,19 @@ impl Encode for ShardCmd {
                 z_mask.encode(buf);
                 role.encode(buf);
             }
-            ShardCmd::Prob { mask, want } => {
-                4u8.encode(buf);
-                mask.encode(buf);
-                want.encode(buf);
-            }
-            ShardCmd::ParityProb { mask } => {
-                5u8.encode(buf);
+            ShardCmd::Branches { mask } => {
+                13u8.encode(buf);
                 mask.encode(buf);
             }
-            ShardCmd::Collapse { mask, want } => {
-                6u8.encode(buf);
+            ShardCmd::CollapseScale { mask, odd, factor } => {
+                14u8.encode(buf);
                 mask.encode(buf);
-                want.encode(buf);
+                odd.encode(buf);
+                factor.encode(buf);
             }
-            ShardCmd::CollapseParity { mask, want_odd } => {
-                7u8.encode(buf);
-                mask.encode(buf);
-                want_odd.encode(buf);
+            ShardCmd::Seq(cmds) => {
+                SEQ.encode(buf);
+                cmds.encode(buf);
             }
             ShardCmd::Scale { factor } => {
                 8u8.encode(buf);
@@ -660,80 +659,102 @@ impl Encode for ShardCmd {
     }
 }
 
+/// Wire discriminant of [`ShardCmd::Seq`].
+const SEQ: u8 = 15;
+
 impl Decode for ShardCmd {
     fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(match u8::decode(buf)? {
-            0 => ShardCmd::Load {
-                shard_index: usize::decode(buf)?,
-                local_bits: usize::decode(buf)?,
-                amps: decode_amps(buf)?,
-            },
-            1 => ShardCmd::Gather,
-            2 => ShardCmd::Batch {
-                ops: Vec::<WorkerOp>::decode(buf)?,
-            },
-            3 => ShardCmd::Expect {
-                x_lo: usize::decode(buf)?,
-                x_hi: usize::decode(buf)?,
-                z_mask: usize::decode(buf)?,
-                role: ExpectRole::decode(buf)?,
-            },
-            4 => ShardCmd::Prob {
-                mask: usize::decode(buf)?,
-                want: usize::decode(buf)?,
-            },
-            5 => ShardCmd::ParityProb {
-                mask: usize::decode(buf)?,
-            },
-            6 => ShardCmd::Collapse {
-                mask: usize::decode(buf)?,
-                want: usize::decode(buf)?,
-            },
-            7 => ShardCmd::CollapseParity {
-                mask: usize::decode(buf)?,
-                want_odd: bool::decode(buf)?,
-            },
-            8 => ShardCmd::Scale {
-                factor: f64::decode(buf)?,
-            },
-            9 => ShardCmd::Shutdown,
-            10 => ShardCmd::Die,
-            // 11 was a retired multi-segment frame; it decodes as unknown.
-            12 => {
-                // The generic decoders reject an unknown compaction tag and
-                // a rank count beyond the bytes that remain.
-                let compact = Option::<(usize, bool)>::decode(buf)?;
-                let sends = Vec::<usize>::decode(buf)?;
-                let recvs = Vec::<usize>::decode(buf)?;
-                let shard_index = usize::decode(buf)?;
-                let local_bits = usize::decode(buf)?;
-                let len = usize::decode(buf)?;
-                let report = bool::decode(buf)?;
-                // No payload bytes back the stripe length; it must agree
-                // with a layout the engine can reach.
-                if local_bits > MAX_DENSE_QUBITS || (len != 0 && len != 1 << local_bits) {
+        match u8::decode(buf)? {
+            SEQ => {
+                let n = usize::decode(buf)?;
+                if n > buf.len() {
                     return None;
                 }
-                ShardCmd::Reshape {
-                    compact,
-                    sends,
-                    recvs,
-                    shard_index,
-                    local_bits,
-                    len,
-                    report,
-                }
+                // One level deep: an element is decoded as a plain command,
+                // so a nested `Seq` is unknown and cannot recurse.
+                (0..n)
+                    .map(|_| decode_plain(u8::decode(buf)?, buf))
+                    .collect::<Option<_>>()
+                    .map(ShardCmd::Seq)
             }
-            _ => return None,
-        })
+            tag => decode_plain(tag, buf),
+        }
     }
+}
+
+/// Decodes the body of every command but [`ShardCmd::Seq`] after its
+/// discriminant `tag`.
+fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
+    Some(match tag {
+        0 => ShardCmd::Load {
+            shard_index: usize::decode(buf)?,
+            local_bits: usize::decode(buf)?,
+            amps: decode_amps(buf)?,
+        },
+        1 => ShardCmd::Gather,
+        2 => ShardCmd::Batch {
+            ops: Vec::<WorkerOp>::decode(buf)?,
+        },
+        3 => ShardCmd::Expect {
+            x_lo: usize::decode(buf)?,
+            x_hi: usize::decode(buf)?,
+            z_mask: usize::decode(buf)?,
+            role: ExpectRole::decode(buf)?,
+        },
+        // 4–7 were per-branch probability and collapse commands, and
+        // 11 a multi-segment frame; retired, they decode as unknown.
+        8 => ShardCmd::Scale {
+            factor: f64::decode(buf)?,
+        },
+        9 => ShardCmd::Shutdown,
+        10 => ShardCmd::Die,
+        12 => {
+            // The generic decoders reject an unknown compaction tag and
+            // a rank count beyond the bytes that remain.
+            let compact = Option::<(usize, bool)>::decode(buf)?;
+            let sends = Vec::<usize>::decode(buf)?;
+            let recvs = Vec::<usize>::decode(buf)?;
+            let shard_index = usize::decode(buf)?;
+            let local_bits = usize::decode(buf)?;
+            let len = usize::decode(buf)?;
+            let report = bool::decode(buf)?;
+            // No payload bytes back the stripe length; it must agree
+            // with a layout the engine can reach.
+            if local_bits > MAX_DENSE_QUBITS || (len != 0 && len != 1 << local_bits) {
+                return None;
+            }
+            ShardCmd::Reshape {
+                compact,
+                sends,
+                recvs,
+                shard_index,
+                local_bits,
+                len,
+                report,
+            }
+        }
+        13 => ShardCmd::Branches {
+            mask: usize::decode(buf)?,
+        },
+        14 => ShardCmd::CollapseScale {
+            mask: usize::decode(buf)?,
+            odd: bool::decode(buf)?,
+            factor: f64::decode(buf)?,
+        },
+        _ => return None,
+    })
 }
 
 /// One reply from a shard worker to the controller.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShardReply {
-    /// A partial reduction value (probability mass, kept norm).
-    Partial(f64),
+    /// The stripe's even- and odd-parity masses ([`ShardCmd::Branches`]).
+    Branches {
+        /// Mass of the even-parity basis states.
+        even: f64,
+        /// Mass of the odd-parity basis states.
+        odd: f64,
+    },
     /// The worker's stripe (gather).
     Amps(Vec<Complex>),
     /// A complex partial accumulator (distributed Pauli expectations).
@@ -751,9 +772,10 @@ pub enum ShardReply {
 impl Encode for ShardReply {
     fn encode(&self, buf: &mut BytesMut) {
         match self {
-            ShardReply::Partial(v) => {
-                0u8.encode(buf);
-                v.encode(buf);
+            ShardReply::Branches { even, odd } => {
+                4u8.encode(buf);
+                even.encode(buf);
+                odd.encode(buf);
             }
             ShardReply::Amps(amps) => {
                 1u8.encode(buf);
@@ -775,12 +797,16 @@ impl Encode for ShardReply {
 impl Decode for ShardReply {
     fn decode(buf: &mut Bytes) -> Option<Self> {
         match u8::decode(buf)? {
-            0 => f64::decode(buf).map(ShardReply::Partial),
+            // 0 was a single partial sum; retired, it decodes as unknown.
             1 => decode_amps(buf).map(ShardReply::Amps),
             2 => decode_complex(buf).map(ShardReply::PartialC),
             3 => Some(ShardReply::Reshaped {
                 dropped: f64::decode(buf)?,
                 norm_sqr: f64::decode(buf)?,
+            }),
+            4 => Some(ShardReply::Branches {
+                even: f64::decode(buf)?,
+                odd: f64::decode(buf)?,
             }),
             _ => None,
         }
@@ -798,7 +824,7 @@ pub(crate) enum WorkerHalt {
     /// or a watchdog expired. The worker exits its loop.
     Exit,
     /// A failover abort: the controller declared a new epoch mid-protocol.
-    /// The worker abandons the in-flight batch or reshape and returns to
+    /// The worker abandons the rest of the in-flight frame and returns to
     /// the command loop; its (possibly half-updated) stripe is overwritten
     /// by the recovery `Load`.
     Aborted,
@@ -933,40 +959,48 @@ fn reshape<C: ShardChannel>(
 pub(crate) fn worker_loop<C: ShardChannel>(chan: &mut C) {
     let mut amps: Vec<Complex> = Vec::new();
     let mut base: usize = 0;
-    loop {
-        let Some(cmd) = chan.recv_cmd() else { return };
-        match cmd {
-            ShardCmd::Load {
-                shard_index,
-                local_bits,
-                amps: stripe_amps,
-            } => {
-                base = shard_index << local_bits;
-                amps = stripe_amps;
+    while let Some(cmd) = chan.recv_cmd() {
+        // An abort abandons the rest of the frame, leaving the stripe half
+        // updated; the recovery Load overwrites it before any further
+        // command can observe it.
+        if exec(chan, &mut amps, &mut base, cmd) == Err(WorkerHalt::Exit) {
+            return;
+        }
+    }
+}
+
+/// Executes one command against the owned stripe, whose global base index
+/// is `base`; a [`ShardCmd::Seq`] frame runs its commands in order and
+/// stops at the first halt.
+fn exec<C: ShardChannel>(
+    chan: &mut C,
+    amps: &mut Vec<Complex>,
+    base: &mut usize,
+    cmd: ShardCmd,
+) -> Result<(), WorkerHalt> {
+    match cmd {
+        ShardCmd::Load {
+            shard_index,
+            local_bits,
+            amps: stripe_amps,
+        } => {
+            *base = shard_index << local_bits;
+            *amps = stripe_amps;
+        }
+        ShardCmd::Gather => chan.send_reply(&ShardReply::Amps(amps.clone()))?,
+        ShardCmd::Batch { ops } => {
+            for op in ops {
+                run_op(chan, amps, op)?;
             }
-            ShardCmd::Gather => {
-                if chan.send_reply(&ShardReply::Amps(amps.clone())).is_err() {
-                    return;
-                }
-            }
-            ShardCmd::Batch { ops } => {
-                for op in ops {
-                    match run_op(chan, &mut amps, op) {
-                        Ok(()) => {}
-                        // The abandoned batch leaves the stripe half
-                        // updated; the recovery Load overwrites it before
-                        // any further op can observe it.
-                        Err(WorkerHalt::Aborted) => break,
-                        Err(WorkerHalt::Exit) => return,
-                    }
-                }
-            }
-            ShardCmd::Expect {
-                x_lo,
-                x_hi,
-                z_mask,
-                role,
-            } => match role {
+        }
+        ShardCmd::Expect {
+            x_lo,
+            x_hi,
+            z_mask,
+            role,
+        } => {
+            let base = *base;
+            match role {
                 ExpectRole::Solo => {
                     // x never leaves the stripe: the partner amplitude of
                     // offset `i` sits at `i ^ x_lo` locally.
@@ -979,22 +1013,12 @@ pub(crate) fn worker_loop<C: ShardChannel>(chan: &mut C) {
                             acc += t;
                         }
                     }
-                    if chan.send_reply(&ShardReply::PartialC(acc)).is_err() {
-                        return;
-                    }
+                    chan.send_reply(&ShardReply::PartialC(acc))?;
                 }
-                ExpectRole::High { partner } => {
-                    // Ship the stripe; the low member accumulates for both.
-                    if chan.send_xchg(partner, amps.clone()).is_err() {
-                        return;
-                    }
-                }
+                // Ship the stripe; the low member accumulates for both.
+                ExpectRole::High { partner } => chan.send_xchg(partner, amps.clone())?,
                 ExpectRole::Low { partner } => {
-                    let b = match chan.recv_xchg(partner, "its stripe for the expectation") {
-                        Ok(b) => b,
-                        Err(WorkerHalt::Aborted) => continue,
-                        Err(WorkerHalt::Exit) => return,
-                    };
+                    let b = chan.recv_xchg(partner, "its stripe for the expectation")?;
                     let partner_base = base ^ x_hi;
                     let mut acc = Complex::default();
                     // Own-stripe terms: partner amplitude lives in `b` at
@@ -1032,64 +1056,43 @@ pub(crate) fn worker_loop<C: ShardChannel>(chan: &mut C) {
                             acc += t;
                         }
                     }
-                    if chan.send_reply(&ShardReply::PartialC(acc)).is_err() {
-                        return;
-                    }
-                }
-            },
-            ShardCmd::Prob { mask, want } => {
-                let p = stripe::masked_norm(&amps, base, mask, want);
-                if chan.send_reply(&ShardReply::Partial(p)).is_err() {
-                    return;
+                    chan.send_reply(&ShardReply::PartialC(acc))?;
                 }
             }
-            ShardCmd::ParityProb { mask } => {
-                let p = stripe::parity_prob_odd(&amps, base, mask);
-                if chan.send_reply(&ShardReply::Partial(p)).is_err() {
-                    return;
-                }
-            }
-            ShardCmd::Collapse { mask, want } => {
-                let kept = stripe::collapse_keep(&mut amps, base, mask, want);
-                if chan.send_reply(&ShardReply::Partial(kept)).is_err() {
-                    return;
-                }
-            }
-            ShardCmd::CollapseParity { mask, want_odd } => {
-                let kept = stripe::collapse_parity(&mut amps, base, mask, want_odd);
-                if chan.send_reply(&ShardReply::Partial(kept)).is_err() {
-                    return;
-                }
-            }
-            ShardCmd::Scale { factor } => stripe::scale(&mut amps, factor),
-            ShardCmd::Reshape {
-                compact,
-                sends,
-                recvs,
-                shard_index,
-                local_bits,
-                len,
-                report,
-            } => {
-                base = shard_index << local_bits;
-                let me = shard_index + 1;
-                match reshape(chan, &mut amps, me, compact, &sends, &recvs, len) {
-                    Ok(dropped) if report => {
-                        let norm_sqr = amps.iter().map(|a| a.norm_sqr()).sum();
-                        let reply = ShardReply::Reshaped { dropped, norm_sqr };
-                        if chan.send_reply(&reply).is_err() {
-                            return;
-                        }
-                    }
-                    // Aborted as mid-batch: the recovery Load overwrites
-                    // the half-moved stripe.
-                    Ok(_) | Err(WorkerHalt::Aborted) => {}
-                    Err(WorkerHalt::Exit) => return,
-                }
-            }
-            ShardCmd::Shutdown | ShardCmd::Die => return,
         }
+        ShardCmd::Branches { mask } => {
+            let (even, odd) = stripe::branch_masses(amps, *base, mask);
+            chan.send_reply(&ShardReply::Branches { even, odd })?;
+        }
+        ShardCmd::CollapseScale { mask, odd, factor } => {
+            stripe::collapse_parity(amps, *base, mask, odd);
+            stripe::scale(amps, factor);
+        }
+        ShardCmd::Seq(cmds) => {
+            for cmd in cmds {
+                exec(chan, amps, base, cmd)?;
+            }
+        }
+        ShardCmd::Scale { factor } => stripe::scale(amps, factor),
+        ShardCmd::Reshape {
+            compact,
+            sends,
+            recvs,
+            shard_index,
+            local_bits,
+            len,
+            report,
+        } => {
+            *base = shard_index << local_bits;
+            let dropped = reshape(chan, amps, shard_index + 1, compact, &sends, &recvs, len)?;
+            if report {
+                let norm_sqr = amps.iter().map(|a| a.norm_sqr()).sum();
+                chan.send_reply(&ShardReply::Reshaped { dropped, norm_sqr })?;
+            }
+        }
+        ShardCmd::Shutdown | ShardCmd::Die => return Err(WorkerHalt::Exit),
     }
+    Ok(())
 }
 
 /// The in-process transport: a cmpi mailbox endpoint inside the engine's
@@ -1163,25 +1166,32 @@ impl LoggedUnit {
     /// must be replayed after a checkpoint reload). Read-only fan-outs
     /// (probes, gathers, expectations) re-derive nothing and are dropped.
     fn is_mutating(&self) -> bool {
-        self.sends.iter().any(|(_, cmd)| {
-            matches!(
-                cmd,
-                ShardCmd::Batch { .. }
-                    | ShardCmd::Load { .. }
-                    | ShardCmd::Collapse { .. }
-                    | ShardCmd::CollapseParity { .. }
-                    | ShardCmd::Scale { .. }
-                    | ShardCmd::Reshape { .. }
-            )
-        })
+        self.sends.iter().any(|(_, cmd)| cmd.mutates())
+    }
+}
+
+impl ShardCmd {
+    /// Whether executing the command changes the worker's stripe.
+    fn mutates(&self) -> bool {
+        match self {
+            ShardCmd::Seq(cmds) => cmds.iter().any(ShardCmd::mutates),
+            ShardCmd::Batch { .. }
+            | ShardCmd::Load { .. }
+            | ShardCmd::CollapseScale { .. }
+            | ShardCmd::Scale { .. }
+            | ShardCmd::Reshape { .. } => true,
+            _ => false,
+        }
     }
 }
 
 /// Controller-side failover state, present only on multi-process links (an
 /// in-process engine pays zero overhead for it). Invariant: *checkpoint +
-/// log ≡ the state as of the last committed retry unit*, so recovery is
-/// always "reload checkpoint, replay log" — a failed unit's partial
-/// effects are erased by the reload and the unit is retried whole.
+/// log + queue ≡ the state*, so recovery is always "reload checkpoint,
+/// replay log" and the queue ships with the retried unit — a failed unit's
+/// partial effects are erased by the reload, the queue it consumed is
+/// restored, and the unit is retried whole. A checkpoint taken while scales
+/// are queued is the pre-scale state, and the queue completes it.
 struct FailoverState {
     /// Last checkpointed dense state: the scalar state of a fresh engine,
     /// then every whole-state gather (snapshot reads and the periodic
@@ -1216,10 +1226,10 @@ impl FailoverState {
     }
 }
 
-/// The controller half of the shard protocol: the worker link plus the
-/// shard layout bookkeeping. All sends for one logical operation happen
-/// while the engine holds the controller lock, so every worker sees
-/// commands in the same global order.
+/// The controller half of the shard protocol: the worker link, the shard
+/// layout bookkeeping and the queue of reply-free work. All sends for one
+/// logical operation happen while the engine holds the controller lock, so
+/// every worker sees commands in the same global order.
 struct Controller {
     /// The worker world this controller drives, for as long as it lives;
     /// dropping it sends the world home to its pool or shuts it down.
@@ -1230,25 +1240,27 @@ struct Controller {
     shard_bits: u32,
     /// Configured shard-count exponent.
     max_shard_bits: u32,
-    /// Controller→worker command rounds issued (one per fan-out of command
-    /// frames, whether the frames carry one gate or a whole batch). The
-    /// batched-vs-eager acceptance tests read this.
+    /// Controller→worker command rounds issued: one per fan-out, which
+    /// carries a read, a snapshot's queue, or a queue at its bound. The
+    /// round-cost acceptance tests read this.
     cmd_rounds: u64,
-    /// Worker↔worker stripe-exchange rounds set up by dispatched plans
-    /// (one per cross-shard op — the irreducible data motion).
+    /// Worker↔worker stripe-exchange rounds planned (one per cross-shard
+    /// op — the irreducible data motion).
     xchg_rounds: u64,
     /// Checkpoint + replay state; `Some` exactly for multi-process links.
     failover: Option<FailoverState>,
-    /// Gates planned against the current layout and not yet shipped.
-    pending: Option<Plan>,
+    /// Reply-free work not yet shipped.
+    queue: Queue,
 }
 
-/// A planned gate stream: every participating worker's `WorkerOp` list (in
-/// global gate order) plus the exchange-round tally. Built gate by gate,
-/// dispatched as one [`ShardCmd::Batch`] frame per worker.
-struct Plan {
-    ops: Vec<Vec<WorkerOp>>,
-    xchg: u64,
+/// The reply-free commands each worker has yet to receive, in global order:
+/// planned gate streams, alloc reshapes, scales and measurement collapses.
+/// They travel in the frame of the next command round.
+#[derive(Clone)]
+struct Queue {
+    cmds: Vec<Vec<ShardCmd>>,
+    /// Commands and gate-stream ops held, over every worker.
+    len: usize,
 }
 
 impl Controller {
@@ -1316,26 +1328,95 @@ impl Controller {
         })
     }
 
-    fn partial_from(&mut self, shard: usize, what: &str) -> Result<f64, DeadWorker> {
-        let reply = self.reply_from(shard, what)?;
-        Ok(Self::shaped(shard, "a partial", reply, |r| match r {
-            ShardReply::Partial(v) => Ok(v),
-            other => Err(other),
-        }))
+    /// Appends a reply-free command to shard `s`'s queue.
+    fn enqueue(&mut self, s: usize, cmd: ShardCmd) {
+        self.queue.len += 1;
+        self.queue.cmds[s].push(cmd);
     }
 
-    /// Fans a query command out to every active shard and sums the partial
-    /// replies in shard order.
-    fn reduce_partials(&mut self, cmd: &ShardCmd, what: &str) -> Result<f64, DeadWorker> {
+    /// Appends a gate-stream op to shard `s`'s queue, joining the batch at
+    /// its tail or opening one.
+    fn push_op(&mut self, s: usize, op: WorkerOp) {
+        self.queue.len += 1;
+        match self.queue.cmds[s].last_mut() {
+            Some(ShardCmd::Batch { ops }) => ops.push(op),
+            _ => self.queue.cmds[s].push(ShardCmd::Batch { ops: vec![op] }),
+        }
+    }
+
+    /// Queues reply-free work with `f`; a queue that has reached
+    /// `BatchPolicy::default().max_ops` entries then ships on its own.
+    fn defer(&mut self, f: impl FnOnce(&mut Controller)) {
+        f(self);
+        if self.queue.len >= BatchPolicy::default().max_ops {
+            self.flush();
+        }
+    }
+
+    /// Ships the queue in a round of its own, if it holds anything.
+    fn flush(&mut self) {
+        if self.queue.len > 0 {
+            self.run(|c| c.round(|_| None));
+        }
+    }
+
+    /// One command round: every worker gets its queue followed by `read(s)`
+    /// (asked once per worker, in shard order) in one frame, and a worker
+    /// with neither gets nothing. The caller collects the replies.
+    fn round(&mut self, mut read: impl FnMut(usize) -> Option<ShardCmd>) -> Result<(), DeadWorker> {
         self.cmd_rounds += 1;
-        for s in 0..self.active() {
-            self.send_to(s, cmd)?;
+        self.queue.len = 0;
+        for s in 0..self.workers() {
+            let mut frame = std::mem::take(&mut self.queue.cmds[s]);
+            frame.extend(read(s));
+            let cmd = match frame.len() {
+                0 => continue,
+                1 => frame.remove(0),
+                _ => ShardCmd::Seq(frame),
+            };
+            self.send_to(s, &cmd)?;
         }
-        let mut sum = 0.0;
+        Ok(())
+    }
+
+    /// The (even, odd) masses under the parity of `mask`, each summed over
+    /// the active shards in shard order from `0.0`: one read.
+    fn branches(&mut self, mask: usize) -> (f64, f64) {
+        self.run(|c| {
+            let active = c.active();
+            c.round(|s| (s < active).then_some(ShardCmd::Branches { mask }))?;
+            let (mut even, mut odd) = (0.0, 0.0);
+            for s in 0..active {
+                let reply = c.reply_from(s, "branch masses")?;
+                let (e, o) = Self::shaped(s, "branch masses", reply, |r| match r {
+                    ShardReply::Branches { even, odd } => Ok((even, odd)),
+                    other => Err(other),
+                });
+                even += e;
+                odd += o;
+            }
+            Ok((even, odd))
+        })
+    }
+
+    /// Projects onto the parity of `mask` that `pick` chooses from the odd
+    /// mass of one [`Controller::branches`] read, and queues the collapse;
+    /// returns the pick.
+    fn project(&mut self, mask: usize, pick: impl FnOnce(f64) -> bool) -> bool {
+        let (even, odd) = self.branches(mask);
+        let odd_kept = pick(odd);
+        let kept = if odd_kept { odd } else { even };
+        assert!(kept > 1e-12, "collapsing onto probability-zero outcome");
+        let factor = 1.0 / kept.sqrt();
         for s in 0..self.active() {
-            sum += self.partial_from(s, what)?;
+            let cmd = ShardCmd::CollapseScale {
+                mask,
+                odd: odd_kept,
+                factor,
+            };
+            self.enqueue(s, cmd);
         }
-        Ok(sum)
+        odd_kept
     }
 
     /// Uncounted, unrecorded whole-state gather (shards are contiguous
@@ -1375,8 +1456,7 @@ impl Controller {
     /// workers get an empty stripe).
     fn scatter_raw(&mut self, mut flat: Vec<Complex>, n_qubits: usize) -> Result<(), DeadWorker> {
         debug_assert_eq!(flat.len(), 1usize << n_qubits);
-        self.n_qubits = n_qubits;
-        self.shard_bits = self.max_shard_bits.min(n_qubits as u32);
+        self.set_layout(n_qubits);
         let local_bits = self.local_bits();
         let len = flat.len() >> self.shard_bits;
         for s in 0..self.workers() {
@@ -1401,16 +1481,17 @@ impl Controller {
     /// Runs one retry unit to completion. For in-process links this is a
     /// plain call (failures panic inside, never return `Err`). For process
     /// links the unit body is recorded; on worker death the generation is
-    /// restarted (respawn + checkpoint reload + log replay) and the unit
-    /// retried from scratch. The closure must therefore be free of
-    /// external side effects — in particular it must not draw RNG, which
-    /// the engine keeps outside units precisely so trajectories stay
-    /// bit-identical across failovers.
+    /// restarted (respawn + checkpoint reload + log replay), the queue the
+    /// unit consumed is restored, and the unit retried from scratch. The
+    /// closure must therefore be free of external side effects — in
+    /// particular it must not draw RNG, which the engine keeps outside units
+    /// precisely so trajectories stay bit-identical across failovers.
     fn run<T>(&mut self, mut f: impl FnMut(&mut Controller) -> Result<T, DeadWorker>) -> T {
         if self.failover.is_none() {
             return f(self)
                 .unwrap_or_else(|_| unreachable!("in-process links never report dead workers"));
         }
+        let queue = self.queue.clone();
         loop {
             if let Some(fo) = self.failover.as_mut() {
                 fo.unit = Some(LoggedUnit::default());
@@ -1424,6 +1505,7 @@ impl Controller {
                     if let Some(fo) = self.failover.as_mut() {
                         fo.unit = None;
                     }
+                    self.queue = queue.clone();
                     self.recover();
                 }
             }
@@ -1538,40 +1620,16 @@ impl Controller {
         (lo, hi)
     }
 
-    /// Plans more gates into the pending plan (opening one sized to the
-    /// active shard set when none is pending).
-    fn plan(&mut self, f: impl FnOnce(&Controller, &mut Plan)) {
-        let mut plan = self.pending.take().unwrap_or_else(|| Plan {
-            ops: vec![Vec::new(); self.active()],
-            xchg: 0,
-        });
-        f(self, &mut plan);
-        self.pending = Some(plan);
-    }
-
-    /// Ships the pending plan as one retry unit.
-    fn ship(&mut self) {
-        if let Some(plan) = self.pending.take() {
-            self.run(|c| c.dispatch(&plan));
-        }
-    }
-
-    /// Plans one pair gate into `plan`: within-shard targets get a local
-    /// pass, cross-shard targets get the stripe-pair exchange ops.
-    fn plan_pair(
-        &self,
-        c_lo: usize,
-        c_hi: usize,
-        target: usize,
-        kernel: PairKernel,
-        plan: &mut Plan,
-    ) {
+    /// Plans one pair gate: within-shard targets get a local pass,
+    /// cross-shard targets get the stripe-pair exchange ops.
+    fn plan_pair(&mut self, controls: &[usize], target: usize, kernel: PairKernel) {
+        let (c_lo, c_hi) = self.split_masks(controls);
         let l = self.local_bits();
         if target < l {
             let tbit = 1usize << target;
             for s in 0..self.active() {
                 if s & c_hi == c_hi {
-                    plan.ops[s].push(WorkerOp::PairWithin { c_lo, tbit, kernel });
+                    self.push_op(s, WorkerOp::PairWithin { c_lo, tbit, kernel });
                 }
             }
         } else {
@@ -1581,24 +1639,28 @@ impl Controller {
                     continue;
                 }
                 let s1 = s0 | tbit;
-                plan.ops[s0].push(WorkerOp::CrossLow {
-                    partner: self.rank_of(s1),
-                    c_lo,
-                    kernel,
-                });
-                plan.ops[s1].push(WorkerOp::CrossHigh {
-                    partner: self.rank_of(s0),
-                });
-                plan.xchg += 1;
+                let partner = self.rank_of(s1);
+                self.push_op(
+                    s0,
+                    WorkerOp::CrossLow {
+                        partner,
+                        c_lo,
+                        kernel,
+                    },
+                );
+                let partner = self.rank_of(s0);
+                self.push_op(s1, WorkerOp::CrossHigh { partner });
+                self.xchg_rounds += 1;
             }
         }
     }
 
     /// Plans a diagonal phase pass (CZ) for the matching shards.
-    fn plan_phase(&self, lo_mask: usize, hi_mask: usize, plan: &mut Plan) {
+    fn plan_phase(&mut self, a: usize, b: usize) {
+        let (lo_mask, hi_mask) = self.split_masks(&[a, b]);
         for s in 0..self.active() {
             if s & hi_mask == hi_mask {
-                plan.ops[s].push(WorkerOp::Phase { lo_mask });
+                self.push_op(s, WorkerOp::Phase { lo_mask });
             }
         }
     }
@@ -1614,11 +1676,10 @@ impl Controller {
     /// index bits satisfy its high half (`0` = negate the whole stripe,
     /// which is exact).
     fn plan_phase_sweep(
-        &self,
+        &mut self,
         positions: &[usize],
         diags: &[SweepFactor],
         czs: &[(usize, usize)],
-        plan: &mut Plan,
     ) {
         let l = self.local_bits();
         let low = (1usize << l) - 1;
@@ -1640,10 +1701,11 @@ impl Controller {
             let on_shard = flips.iter().filter(|&&flip| s & flip >> l == flip >> l);
             let lo_flips: Vec<_> = on_shard.map(|flip| flip & low).collect();
             if !diags.is_empty() || !lo_flips.is_empty() {
-                plan.ops[s].push(WorkerOp::PhaseSweep {
+                let op = WorkerOp::PhaseSweep {
                     diags,
                     flips: lo_flips,
-                });
+                };
+                self.push_op(s, op);
             }
         }
     }
@@ -1651,14 +1713,14 @@ impl Controller {
     /// Plans a one-round SWAP of positions `a` and `b` (the stripe-exchange
     /// realization — one exchange per shard pair instead of the three CNOT
     /// passes, 6 transfers, of the naive form).
-    fn plan_swap(&self, a: usize, b: usize, plan: &mut Plan) {
+    fn plan_swap(&mut self, a: usize, b: usize) {
         debug_assert_ne!(a, b);
         let l = self.local_bits();
         let (lo, hi) = (a.min(b), a.max(b));
         if hi < l {
             let (abit, bbit) = (1usize << lo, 1usize << hi);
             for s in 0..self.active() {
-                plan.ops[s].push(WorkerOp::SwapWithin { abit, bbit });
+                self.push_op(s, WorkerOp::SwapWithin { abit, bbit });
             }
         } else if lo < l {
             let abit = 1usize << lo;
@@ -1668,14 +1730,11 @@ impl Controller {
                     continue;
                 }
                 let s1 = s0 | hbit;
-                plan.ops[s0].push(WorkerOp::SwapCrossLow {
-                    partner: self.rank_of(s1),
-                    abit,
-                });
-                plan.ops[s1].push(WorkerOp::CrossHigh {
-                    partner: self.rank_of(s0),
-                });
-                plan.xchg += 1;
+                let partner = self.rank_of(s1);
+                self.push_op(s0, WorkerOp::SwapCrossLow { partner, abit });
+                let partner = self.rank_of(s0);
+                self.push_op(s1, WorkerOp::CrossHigh { partner });
+                self.xchg_rounds += 1;
             }
         } else {
             let abit = 1usize << (lo - l);
@@ -1685,84 +1744,50 @@ impl Controller {
                     continue;
                 }
                 let p = s ^ abit ^ bbit;
-                plan.ops[s].push(WorkerOp::SwapFull {
-                    partner: self.rank_of(p),
-                });
-                plan.ops[p].push(WorkerOp::SwapFull {
-                    partner: self.rank_of(s),
-                });
-                plan.xchg += 1;
+                let partner = self.rank_of(p);
+                self.push_op(s, WorkerOp::SwapFull { partner });
+                let partner = self.rank_of(s);
+                self.push_op(p, WorkerOp::SwapFull { partner });
+                self.xchg_rounds += 1;
             }
         }
     }
 
-    /// Ships a plan: one [`ShardCmd::Batch`] frame per participating
-    /// worker, counted as a single command round however many gates the
-    /// plan carries. No-op (and no round) for an empty plan. Borrows the
-    /// plan so a failover retry can ship the identical stream again —
-    /// plans may embed noise draws and must never be rebuilt.
-    fn dispatch(&mut self, plan: &Plan) -> Result<(), DeadWorker> {
-        if plan.ops.iter().all(|ops| ops.is_empty()) {
-            return Ok(());
-        }
-        self.cmd_rounds += 1;
-        self.xchg_rounds += plan.xchg;
-        for (s, ops) in plan.ops.iter().enumerate() {
-            if !ops.is_empty() {
-                self.send_to(s, &ShardCmd::Batch { ops: ops.clone() })?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Distributed (gather-free) Pauli expectation: fan [`ShardCmd::Expect`]
-    /// out with the pairing roles implied by the shard-crossing half of the
-    /// X mask, then sum the complex partials in shard order.
+    /// Distributed (gather-free) Pauli expectation: one read of
+    /// [`ShardCmd::Expect`] with the pairing roles implied by the
+    /// shard-crossing half of the X mask, then the complex partials summed
+    /// in shard order.
     fn expect(&mut self, x_mask: usize, z_mask: usize) -> Result<Complex, DeadWorker> {
         let l = self.local_bits();
         let x_lo = x_mask & ((1usize << l) - 1);
         let x_hi = x_mask & !((1usize << l) - 1);
-        self.cmd_rounds += 1;
-        let mut reporters = Vec::new();
-        if x_hi == 0 {
-            for s in 0..self.active() {
-                self.send_to(
-                    s,
-                    &ShardCmd::Expect {
-                        x_lo,
-                        x_hi,
-                        z_mask,
-                        role: ExpectRole::Solo,
-                    },
-                )?;
-                reporters.push(s);
-            }
-        } else {
-            let flip = x_hi >> l;
-            for s in 0..self.active() {
-                let p = s ^ flip;
-                let role = if s < p {
-                    reporters.push(s);
+        let flip = x_hi >> l;
+        let (mut reporters, mut cmds) = (Vec::new(), Vec::new());
+        for s in 0..self.active() {
+            let role = match s ^ flip {
+                p if p == s => ExpectRole::Solo,
+                p if s < p => {
                     self.xchg_rounds += 1;
                     ExpectRole::Low {
                         partner: self.rank_of(p),
                     }
-                } else {
-                    ExpectRole::High {
-                        partner: self.rank_of(p),
-                    }
-                };
-                self.send_to(
-                    s,
-                    &ShardCmd::Expect {
-                        x_lo,
-                        x_hi,
-                        z_mask,
-                        role,
-                    },
-                )?;
+                }
+                p => ExpectRole::High {
+                    partner: self.rank_of(p),
+                },
+            };
+            if !matches!(role, ExpectRole::High { .. }) {
+                reporters.push(s);
             }
+            cmds.push(ShardCmd::Expect {
+                x_lo,
+                x_hi,
+                z_mask,
+                role,
+            });
         }
+        let mut cmds = cmds.into_iter();
+        self.round(|_| cmds.next())?;
         let mut acc = Complex::default();
         for s in reporters {
             let reply = self.reply_from(s, "expectation partial")?;
@@ -1774,16 +1799,15 @@ impl Controller {
         Ok(acc)
     }
 
-    /// Alloc (`remove` is `None`: the new qubit takes the top position) or
-    /// free (`Some((pos, outcome))`, the qubit already collapsed) where the
-    /// amplitudes live. The shard stays the top `k` bits of the global
-    /// index, so every old stripe splits into equal parts with one
-    /// destination each: one [`ShardCmd::Reshape`] round tells each worker
-    /// where its parts go and whose parts it assembles. Nothing comes back
-    /// from an alloc; a free reduces the per-worker reports in shard order
-    /// and ends with the rescale broadcast. The layout fields change last,
-    /// so a retried unit plans from the old layout again.
-    fn reshape(&mut self, remove: Option<(usize, bool)>) -> Result<(), DeadWorker> {
+    /// The layout change of an alloc (`remove` is `None`: the new qubit
+    /// takes the top position) or a free (`Some((pos, outcome))`, the qubit
+    /// already collapsed) where the amplitudes live: the qubit count after
+    /// it, and one [`ShardCmd::Reshape`] per involved worker, in shard
+    /// order. The shard stays the top `k` bits of the global index, so every
+    /// old stripe splits into equal parts with one destination each, and
+    /// each command tells its worker where its parts go and whose parts it
+    /// assembles.
+    fn reshape_cmds(&mut self, remove: Option<(usize, bool)>) -> (usize, Vec<ShardCmd>) {
         let (l, bits) = (self.local_bits(), self.shard_bits);
         let new_n = if remove.is_some() {
             self.n_qubits - 1
@@ -1823,61 +1847,65 @@ impl Controller {
                 self.xchg_rounds += (d != s) as u64;
             }
         }
-        self.cmd_rounds += 1;
-        for (s, (sends, recvs)) in sends.into_iter().zip(recvs).enumerate() {
-            let cmd = ShardCmd::Reshape {
-                compact: remove.filter(|&(pos, _)| pos < l),
-                sends,
-                recvs,
-                shard_index: s,
-                local_bits: new_l,
-                len: if s >> new_bits == 0 { 1 << new_l } else { 0 },
-                report: remove.is_some(),
-            };
-            self.send_to(s, &cmd)?;
+        let zipped = sends.into_iter().zip(recvs).enumerate();
+        let cmds = zipped.map(|(s, (sends, recvs))| ShardCmd::Reshape {
+            compact: remove.filter(|&(pos, _)| pos < l),
+            sends,
+            recvs,
+            shard_index: s,
+            local_bits: new_l,
+            len: if s >> new_bits == 0 { 1 << new_l } else { 0 },
+            report: remove.is_some(),
+        });
+        (new_n, cmds.collect())
+    }
+
+    /// Alloc: nothing comes back, so the reshape is queued.
+    fn alloc(&mut self) {
+        let (new_n, cmds) = self.reshape_cmds(None);
+        for (s, cmd) in cmds.into_iter().enumerate() {
+            self.enqueue(s, cmd);
         }
-        if let Some((pos, outcome)) = remove {
-            let (mut dropped, mut norm_sqr) = (0.0, 0.0);
-            for s in 0..involved {
-                let reply = self.reply_from(s, "reshape report")?;
-                let (d, n) = Self::shaped(s, "a reshape report", reply, |r| match r {
-                    ShardReply::Reshaped { dropped, norm_sqr } => Ok((dropped, norm_sqr)),
-                    other => Err(other),
-                });
-                dropped += d;
-                norm_sqr += n;
-            }
-            assert!(
-                dropped < NORM_TOL,
-                "removing qubit position {pos} with outcome {outcome} would discard \
-                 {dropped:.3e} probability; collapse it first"
-            );
-            let norm = norm_sqr.sqrt();
-            assert!(norm > 0.0, "cannot renormalize the zero vector");
-            self.rescale(1 << new_bits, 1.0 / norm)?;
+        self.set_layout(new_n);
+    }
+
+    /// Free, a read: the reshape goes out with the queue, the per-worker
+    /// reports are reduced in shard order, and the rescale is queued. The
+    /// layout changes last, so a retried unit plans from the old layout
+    /// again.
+    fn free(&mut self, pos: usize, outcome: bool) -> Result<(), DeadWorker> {
+        let (new_n, cmds) = self.reshape_cmds(Some((pos, outcome)));
+        let involved = cmds.len();
+        let mut cmds = cmds.into_iter();
+        self.round(|_| cmds.next())?;
+        let (mut dropped, mut norm_sqr) = (0.0, 0.0);
+        for s in 0..involved {
+            let reply = self.reply_from(s, "reshape report")?;
+            let (d, n) = Self::shaped(s, "a reshape report", reply, |r| match r {
+                ShardReply::Reshaped { dropped, norm_sqr } => Ok((dropped, norm_sqr)),
+                other => Err(other),
+            });
+            dropped += d;
+            norm_sqr += n;
         }
-        self.n_qubits = new_n;
-        self.shard_bits = new_bits;
+        assert!(
+            dropped < NORM_TOL,
+            "removing qubit position {pos} with outcome {outcome} would discard \
+             {dropped:.3e} probability; collapse it first"
+        );
+        let norm = norm_sqr.sqrt();
+        assert!(norm > 0.0, "cannot renormalize the zero vector");
+        self.set_layout(new_n);
+        for s in 0..self.active() {
+            self.enqueue(s, ShardCmd::Scale { factor: 1.0 / norm });
+        }
         Ok(())
     }
 
-    /// Fire-and-forget rescale of the first `shards` stripes: the last
-    /// round of every renormalization.
-    fn rescale(&mut self, shards: usize, factor: f64) -> Result<(), DeadWorker> {
-        self.cmd_rounds += 1;
-        for s in 0..shards {
-            self.send_to(s, &ShardCmd::Scale { factor })?;
-        }
-        Ok(())
-    }
-
-    /// Two-phase projective collapse onto `want` under `mask`: zero the
-    /// complement, reduce the kept mass, broadcast the rescale.
-    fn collapse(&mut self, mask: usize, want: usize) -> Result<f64, DeadWorker> {
-        let norm = self.reduce_partials(&ShardCmd::Collapse { mask, want }, "collapse")?;
-        assert!(norm > 1e-12, "collapsing onto probability-zero outcome");
-        self.rescale(self.active(), 1.0 / norm.sqrt())?;
-        Ok(norm)
+    /// Switches the layout bookkeeping to `n_qubits` live qubits.
+    fn set_layout(&mut self, n_qubits: usize) {
+        self.n_qubits = n_qubits;
+        self.shard_bits = self.max_shard_bits.min(n_qubits as u32);
     }
 }
 
@@ -1887,9 +1915,9 @@ impl Controller {
 
 /// The amplitude store of [`RemoteShardedEngine`]: the controller of one
 /// worker world, driven by the simulator front like any other
-/// [`AmpStore`]. Gate methods plan into the controller's pending plan;
-/// every other method ships that plan first (one retry unit) and then runs
-/// its own protocol round.
+/// [`AmpStore`]. Gate methods and `add_qubit` queue their work; every other
+/// method is a read, which ships the queue in the frame of its own command
+/// (one retry unit per read).
 pub struct RemoteStore {
     ctl: Mutex<Controller>,
 }
@@ -1905,15 +1933,19 @@ impl RemoteStore {
     fn from_lease(mut lease: ShardLease) -> Self {
         lease.reset();
         let failover = lease.link().arms_failover().then(FailoverState::new);
+        let workers = lease.shards();
         let mut ctl = Controller {
             n_qubits: 0,
             shard_bits: 0,
-            max_shard_bits: lease.shards().trailing_zeros(),
+            max_shard_bits: workers.trailing_zeros(),
             lease,
             cmd_rounds: 0,
             xchg_rounds: 0,
             failover,
-            pending: None,
+            queue: Queue {
+                cmds: vec![Vec::new(); workers],
+                len: 0,
+            },
         };
         // The 0-qubit scalar state |> with amplitude 1 — the checkpoint a
         // fresh `FailoverState` holds, so a death during this scatter
@@ -1925,25 +1957,16 @@ impl RemoteStore {
         }
     }
 
-    /// The controller, with the pending plan shipped.
-    fn shipped(&self) -> MutexGuard<'_, Controller> {
-        let mut ctl = self.ctl.lock();
-        ctl.ship();
-        ctl
-    }
-
-    /// Fans `cmd` out and sums the partials, after shipping.
-    fn reduce(&self, cmd: &ShardCmd, what: &str) -> f64 {
-        self.shipped().run(|c| c.reduce_partials(cmd, what))
-    }
-
-    /// The dense state, after shipping (a checkpoint, with failover armed).
+    /// The dense state: the queue in a round of its own, then a gather (a
+    /// checkpoint, with failover armed).
     fn gather(&self) -> Vec<Complex> {
-        self.shipped().run_gather()
+        let mut ctl = self.ctl.lock();
+        ctl.flush();
+        ctl.run_gather()
     }
 
-    /// Command rounds (one per fan-out of command frames — `(after -
-    /// before)` across an N-gate batch is 1 where the eager path pays N),
+    /// Command rounds (one per fan-out of command frames, which is one per
+    /// read: gates, allocs and collapses wait for the next one),
     /// worker↔worker exchange rounds (data motion no framing can remove),
     /// wire bytes (see [`TransportStats::wire_bytes`]) and worker respawns
     /// (failover events; always 0 in-process).
@@ -1963,43 +1986,39 @@ impl RemoteStore {
 
 impl AmpStore for RemoteStore {
     fn add_qubit(&mut self) -> usize {
-        let mut ctl = self.shipped();
+        let ctl = self.ctl.get_mut();
         assert!(
             ctl.n_qubits < MAX_DENSE_QUBITS,
             "qubit budget exhausted (MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS})"
         );
         let pos = ctl.n_qubits;
-        ctl.run(|c| c.reshape(None));
+        ctl.defer(Controller::alloc);
         pos
     }
 
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
-        self.shipped().run(|c| c.reshape(Some((target, outcome))));
+        self.ctl.get_mut().run(|c| c.free(target, outcome));
     }
 
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
-        self.ctl.get_mut().plan(|c, plan| {
-            let (c_lo, c_hi) = c.split_masks(controls);
-            c.plan_pair(c_lo, c_hi, target, PairKernel::Mat(*m), plan);
-        });
+        let kernel = PairKernel::Mat(*m);
+        self.ctl
+            .get_mut()
+            .defer(|c| c.plan_pair(controls, target, kernel));
     }
 
     fn apply_cnot(&mut self, control: usize, target: usize) {
-        self.ctl.get_mut().plan(|c, plan| {
-            let (c_lo, c_hi) = c.split_masks(&[control]);
-            c.plan_pair(c_lo, c_hi, target, PairKernel::Swap, plan);
-        });
+        self.ctl
+            .get_mut()
+            .defer(|c| c.plan_pair(&[control], target, PairKernel::Swap));
     }
 
     fn apply_cz(&mut self, a: usize, b: usize) {
-        self.ctl.get_mut().plan(|c, plan| {
-            let (lo_mask, hi_mask) = c.split_masks(&[a, b]);
-            c.plan_phase(lo_mask, hi_mask, plan);
-        });
+        self.ctl.get_mut().defer(|c| c.plan_phase(a, b));
     }
 
     fn apply_swap(&mut self, a: usize, b: usize) {
-        self.ctl.get_mut().plan(|c, plan| c.plan_swap(a, b, plan));
+        self.ctl.get_mut().defer(|c| c.plan_swap(a, b));
     }
 
     fn apply_phase_sweep(
@@ -2010,40 +2029,43 @@ impl AmpStore for RemoteStore {
     ) {
         self.ctl
             .get_mut()
-            .plan(|c, plan| c.plan_phase_sweep(positions, diags, czs, plan));
+            .defer(|c| c.plan_phase_sweep(positions, diags, czs));
     }
 
     fn prob_one(&self, target: usize) -> f64 {
-        let bit = 1usize << target;
-        self.reduce(
-            &ShardCmd::Prob {
-                mask: bit,
-                want: bit,
-            },
-            "probability",
-        )
+        self.ctl.lock().branches(1 << target).1
     }
 
     fn collapse(&mut self, target: usize, outcome: bool) {
-        let bit = 1usize << target;
-        let want = if outcome { bit } else { 0 };
-        self.shipped().run(|c| c.collapse(bit, want));
+        self.ctl.get_mut().project(1 << target, |_| outcome);
     }
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
-        let mask = mask_of(qubits);
-        self.reduce(&ShardCmd::ParityProb { mask }, "parity probability")
+        self.ctl.lock().branches(mask_of(qubits)).1
     }
 
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
-        let cmd = ShardCmd::CollapseParity {
-            mask: mask_of(qubits),
-            want_odd: odd,
-        };
-        self.shipped().run(|c| {
-            let norm = c.reduce_partials(&cmd, "parity collapse")?;
-            c.rescale(c.active(), 1.0 / norm.sqrt())
-        });
+        self.ctl.get_mut().project(mask_of(qubits), |_| odd);
+    }
+
+    /// One read: both branch masses come back with the probability, and the
+    /// collapse onto the outcome is queued.
+    fn measure(&mut self, target: usize, u: f64) -> bool {
+        self.ctl.get_mut().project(1 << target, |p1| u < p1)
+    }
+
+    /// Two reads: the measurement's, then the free reshape's (the dropped
+    /// mass and the norm have to come back), which carries the collapse.
+    fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
+        let outcome = self.measure(target, u);
+        self.remove_qubit(target, outcome);
+        outcome
+    }
+
+    fn measure_parity(&mut self, qubits: &[usize], u: f64) -> bool {
+        self.ctl
+            .get_mut()
+            .project(mask_of(qubits), |p_odd| u < p_odd)
     }
 
     /// Gather-free: the X mask's shard-crossing half pairs workers up
@@ -2053,7 +2075,7 @@ impl AmpStore for RemoteStore {
     /// store's per-stripe sums to re-association (last ulp), not bit for
     /// bit; expectations never write state.
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
-        let mut ctl = self.shipped();
+        let mut ctl = self.ctl.lock();
         let (x_mask, z_mask, i_pow) = stripe::pauli_masks(ctl.n_qubits, terms);
         let val = i_pow * ctl.run(|c| c.expect(x_mask, z_mask));
         debug_assert!(
@@ -2082,10 +2104,6 @@ impl EngineStore for RemoteStore {
 
     fn transport_stats(&self) -> Option<TransportStats> {
         Some(self.stats())
-    }
-
-    fn ship(&self) {
-        self.ctl.lock().ship();
     }
 }
 
@@ -2275,19 +2293,27 @@ mod tests {
                 z_mask: 0,
                 role: ExpectRole::High { partner: 1 },
             },
-            ShardCmd::Prob {
-                mask: 0b100,
-                want: 0b100,
-            },
-            ShardCmd::ParityProb { mask: 0b111 },
-            ShardCmd::Collapse {
-                mask: 0b10,
-                want: 0,
-            },
-            ShardCmd::CollapseParity {
+            ShardCmd::Branches { mask: 0b100 },
+            ShardCmd::Branches { mask: 0b111 },
+            ShardCmd::CollapseScale {
                 mask: 0b11,
-                want_odd: true,
+                odd: true,
+                factor: 1.5,
             },
+            ShardCmd::Seq(vec![]),
+            // A worker's queue ahead of the read that ships it.
+            ShardCmd::Seq(vec![
+                ShardCmd::Batch {
+                    ops: vec![WorkerOp::Phase { lo_mask: 0b1 }],
+                },
+                ShardCmd::Scale { factor: 0.5 },
+                ShardCmd::CollapseScale {
+                    mask: 0b10,
+                    odd: false,
+                    factor: 2.0,
+                },
+                ShardCmd::Branches { mask: 0b10 },
+            ]),
             ShardCmd::Scale { factor: 1.25 },
             ShardCmd::Shutdown,
             ShardCmd::Die,
@@ -2332,8 +2358,10 @@ mod tests {
     #[test]
     fn shard_reply_roundtrips() {
         for reply in [
-            ShardReply::Partial(0.625),
-            ShardReply::Partial(f64::MIN_POSITIVE),
+            ShardReply::Branches {
+                even: 0.625,
+                odd: f64::MIN_POSITIVE,
+            },
             ShardReply::Amps(vec![Complex::new(1.0, -2.0); 5]),
             ShardReply::Amps(vec![]),
             ShardReply::PartialC(Complex::new(-0.75, 2.5)),
@@ -2398,6 +2426,34 @@ mod tests {
         11u8.encode(&mut buf);
         0u32.encode(&mut buf);
         assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
+        // So are 4–7, the retired per-branch probability and collapse
+        // commands, with what were once their fields.
+        for tag in 4u8..=7 {
+            let mut buf = BytesMut::new();
+            tag.encode(&mut buf);
+            0b1usize.encode(&mut buf);
+            0b1usize.encode(&mut buf);
+            assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
+        }
+        // A frame nests one level: a `Seq` inside a `Seq` is unknown, and a
+        // command count beyond the bytes that remain is refused.
+        let seq = |inner: ShardCmd, count: usize| {
+            let mut buf = BytesMut::new();
+            SEQ.encode(&mut buf);
+            count.encode(&mut buf);
+            inner.encode(&mut buf);
+            buf.freeze()
+        };
+        let plain = ShardCmd::Branches { mask: 1 };
+        assert!(cmpi::from_bytes::<ShardCmd>(&seq(plain.clone(), 1)).is_some());
+        assert!(cmpi::from_bytes::<ShardCmd>(&seq(plain.clone(), usize::MAX)).is_none());
+        let nested = ShardCmd::Seq(vec![plain]);
+        assert!(cmpi::from_bytes::<ShardCmd>(&seq(nested, 1)).is_none());
+        // Reply discriminant 0, a retired single partial sum, is unknown.
+        let mut buf = BytesMut::new();
+        0u8.encode(&mut buf);
+        0.5f64.encode(&mut buf);
+        assert!(cmpi::from_bytes::<ShardReply>(&buf.freeze()).is_none());
         // Reshape frames: an unknown compaction tag, a rank list longer
         // than the payload (either list), a frame cut short, and a stripe
         // length that disagrees with the layout.
@@ -2487,7 +2543,7 @@ mod tests {
                 },
             ]
         };
-        // Op by op: one command round (and one noise draw point) per gate.
+        // Op by op: one batch (and one noise draw point) per gate.
         for (d, r) in circuit(&dq).into_iter().zip(circuit(&rq)) {
             dense.apply_batch(&ops::batch([d])).unwrap();
             remote.apply_batch(&ops::batch([r])).unwrap();
@@ -2598,42 +2654,30 @@ mod tests {
         }
     }
 
-    /// The acceptance assertion behind the batching claim: an N-gate
-    /// within-shard stream costs ONE controller→worker command round
-    /// batched (plus one round per cross-shard op for the exchanges),
-    /// where the eager path pays one round per gate.
+    /// What a gate stream costs in command rounds: nothing, eager or
+    /// batched, within-shard or cross-shard — it waits in the queue — and
+    /// the read that follows ships all of it in its one round. Cross-shard
+    /// pairings still pay their irreducible stripe exchanges.
     #[test]
-    fn batched_stream_collapses_command_rounds() {
+    fn gate_streams_cost_no_rounds_and_ship_with_the_next_read() {
         use qsim::BatchOp;
         let mut e = RemoteShardedEngine::new(5, 4);
         let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
-        // Eager: one command round per gate.
-        let before = e.transport_stats().command_rounds;
+        let rounds = |e: &RemoteShardedEngine| e.transport_stats().command_rounds;
+        // Eager and batched: the same four gates, no round either way.
+        let before = rounds(&e);
         for &q in &qs {
             e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         }
-        assert_eq!(
-            e.transport_stats().command_rounds - before,
-            4,
-            "eager pays a round per gate"
-        );
-
-        // Batched: the same four gates in one round.
-        let before = e.transport_stats().command_rounds;
         let batch = ops::batch(qs.iter().map(|&q| BatchOp::Gate { gate: Gate::H, q }));
         e.apply_batch(&batch).unwrap();
-        assert_eq!(
-            e.transport_stats().command_rounds - before,
-            1,
-            "batched pays one round total"
-        );
+        assert_eq!(rounds(&e), before, "gates wait for a read");
 
-        // A batch with cross-shard ops: still one command round; each
+        // A batch with cross-shard ops: still no command round; each
         // cross-shard pairing adds only its irreducible stripe exchange.
         // Qubits 2 and 3 are shard-selecting at 4 shards with 4 qubits
         // (2 local bits).
-        let stats_before = e.transport_stats();
-        let (before, xchg_before) = (stats_before.command_rounds, stats_before.exchange_rounds);
+        let xchg_before = e.transport_stats().exchange_rounds;
         let batch = ops::batch(vec![
             BatchOp::Gate {
                 gate: Gate::T,
@@ -2644,18 +2688,15 @@ mod tests {
             BatchOp::Cz { a: qs[2], b: qs[3] },
         ]);
         e.apply_batch(&batch).unwrap();
-        let stats_after = e.transport_stats();
-        let cmd_delta = stats_after.command_rounds - before;
-        let xchg_delta = stats_after.exchange_rounds - xchg_before;
-        assert_eq!(
-            cmd_delta, 1,
-            "one command round regardless of batch content"
-        );
+        let xchg_delta = e.transport_stats().exchange_rounds - xchg_before;
+        assert_eq!(rounds(&e), before, "no round regardless of batch content");
         assert!(
-            cmd_delta + xchg_delta <= 1 + 2 * 4,
-            "total rounds bounded by 1 + cross-shard exchange pairs, got {cmd_delta}+{xchg_delta}"
+            (2..=2 * 4).contains(&xchg_delta),
+            "cross-shard ops pay their exchanges and no more, got {xchg_delta}"
         );
-        assert!(xchg_delta >= 2, "cross-shard ops must pay their exchanges");
+        // One read ships the allocs and every gate above.
+        e.prob_one(qs[0]).unwrap();
+        assert_eq!(rounds(&e), before + 1, "the read is the one round");
         // The state must still be exact: undo everything and check |0..0>
         // parity against the dense engine instead of trusting counters.
         let got = e.state_vector(&qs).unwrap();
@@ -2679,13 +2720,32 @@ mod tests {
         }
     }
 
-    /// Optimizer-emitted ops are first-class wire ops: a fused 1q kernel
-    /// plus a merged phase sweep ship in ONE command round with zero
-    /// stripe exchanges (sweeps are shard-local by construction), apply
-    /// fewer kernel sweeps than the primitive stream they replace, and
-    /// reproduce the dense engine's amplitudes bit-for-bit.
+    /// A long gate stream with no read never lets the queue reach its bound:
+    /// at `BatchPolicy::default().max_ops` entries it ships in a round of
+    /// its own.
     #[test]
-    fn fused_ops_ship_in_one_round_and_match_dense_bitwise() {
+    fn a_long_gate_stream_without_a_read_stays_under_the_queue_bound() {
+        let bound = BatchPolicy::default().max_ops;
+        let mut e = RemoteShardedEngine::new(1, 2);
+        let qs: Vec<QubitId> = (0..3).map(|_| e.alloc()).collect();
+        let before = e.transport_stats().command_rounds;
+        for i in 0..2 * bound {
+            let gate = Gate::Rz(1e-3 * i as f64);
+            e.apply_batch(&ops::gate(gate, qs[i % 3])).unwrap();
+            assert!(e.store().ctl.lock().queue.len < bound, "gate {i}");
+        }
+        // Every gate queues one op on each of the two stripes, within a
+        // stripe or across the pair.
+        assert_eq!(e.transport_stats().command_rounds - before, 4);
+    }
+
+    /// Optimizer-emitted ops are first-class wire ops: a fused 1q kernel
+    /// plus a merged phase sweep queue with zero stripe exchanges (sweeps
+    /// are shard-local by construction) and ship in the snapshot's queue
+    /// round, apply fewer kernel sweeps than the primitive stream they
+    /// replace, and reproduce the dense engine's amplitudes bit-for-bit.
+    #[test]
+    fn fused_ops_ship_with_the_next_read_and_match_dense_bitwise() {
         use qsim::BatchOp;
         // 5 qubits over 4 shards: positions 3 and 4 are shard-selecting,
         // so the sweep exercises local factors, shard-constant factors,
@@ -2745,9 +2805,8 @@ mod tests {
         SimEngine::apply_batch(&mut remote, &r_opt).unwrap();
         let after = remote.transport_stats();
         assert_eq!(
-            after.command_rounds - before.command_rounds,
-            1,
-            "one framed round per batch, fused or not"
+            after.command_rounds, before.command_rounds,
+            "a batch, fused or not, waits for a read"
         );
         assert_eq!(
             after.exchange_rounds, before.exchange_rounds,
@@ -2756,6 +2815,11 @@ mod tests {
         assert_eq!(dense.gate_count(), remote.gate_count());
         let want = dense.state_vector(&dq).unwrap();
         let got = remote.state_vector(&rq).unwrap();
+        assert_eq!(
+            remote.transport_stats().command_rounds - after.command_rounds,
+            2,
+            "the snapshot ships the queue in a round of its own, then gathers"
+        );
         for i in 0..want.len() {
             let (w, g) = (want.amplitude(i), got.amplitude(i));
             assert!(
@@ -2911,9 +2975,9 @@ mod tests {
         let mut e = RemoteShardedEngine::new(7, 4).with_watchdog(Duration::from_millis(200));
         let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
         e.apply_batch(&ops::gate(Gate::H, qs[0])).unwrap();
-        // Kill shard 2's worker, then ship a batch whose cross-shard CNOT
-        // pairs a live worker with the dead one. The batch send itself is
-        // fire-and-forget; the failure must surface on the next reduction.
+        // Kill shard 2's worker, then queue a batch whose cross-shard CNOT
+        // pairs a live worker with the dead one. The next reduction ships
+        // it, and the failure must surface there.
         e.debug_kill_worker(2);
         let batch = ops::batch(vec![
             BatchOp::Gate {

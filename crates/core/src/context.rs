@@ -111,13 +111,16 @@ pub struct BatchPolicy {
     /// ideal noise model. Latency stays bounded by the flush points
     /// themselves — fusion never delays dispatch.
     pub fuse: bool,
-    /// Merge concurrent ranks' flushes into one command round on the
+    /// Merge concurrent ranks' flushes into one gate batch on the
     /// process-separated engine (cross-rank coalescing; see
     /// `docs/ARCHITECTURE.md`). With it on (the default), a rank's flush
     /// *appends* its optimized stream to a backend-side coalesce window
     /// instead of dispatching immediately; the window ships as one gate
     /// batch when any rank hits a synchronization point or a budget trips.
-    /// Off restores the one-round-per-rank-flush behavior
+    /// Off hands each rank's flush to the engine on its own. The engine
+    /// queues every flush until a read either way, so both settings cost
+    /// the same command rounds and wire bytes (`tests/coalesce.rs`); the
+    /// knob stays because the qperf harness reads it
     /// (`QMPI_COALESCE=off`).
     pub coalesce: bool,
     /// Time budget for an open coalesce window, in milliseconds: a flush
@@ -165,7 +168,7 @@ impl BatchPolicy {
     /// `QMPI_BATCH_OPS` / `QMPI_BATCH_BYTES` (decimal sizes),
     /// `QMPI_FUSE` (`off`/`0`/`false` disables the optimizer — CI's
     /// fusion-off cross-check lane), `QMPI_COALESCE` (`off`/`0`/`false`
-    /// restores one command round per rank flush), and
+    /// hands each rank flush to the engine on its own), and
     /// `QMPI_BATCH_AGE_MS` (window age budget in milliseconds, `0`
     /// disables). Unparsable values are ignored.
     pub fn env_default() -> Self {
@@ -339,8 +342,7 @@ impl QmpiConfig {
     /// probability/expectation reads, allocation, EPR establishment,
     /// barriers, backend access, budget exhaustion, or an explicit
     /// [`crate::QmpiRank::flush`] — so the backend takes its locality lock
-    /// (and, on the process-separated engine, pays its command round) once
-    /// per *batch* instead of once per gate. Flush points are placed so
+    /// once per *batch* instead of once per gate. Flush points are placed so
     /// batched and eager runs are bit-identical per seed; with
     /// [`BatchPolicy::fuse`] on, each flushed batch is additionally
     /// rewritten into fewer kernel sweeps (matching to ~1e-12 rather than
@@ -433,8 +435,9 @@ impl QmpiRank {
     }
 
     /// Applies the rank's pending gate stream as one batched backend call
-    /// (one locality-lock acquisition; one framed command round per worker
-    /// on the process-separated engine). No-op when nothing is pending or
+    /// (one locality-lock acquisition; on the process-separated engine the
+    /// batch waits in the store's queue for the next read). No-op when
+    /// nothing is pending or
     /// batching is off.
     ///
     /// Called automatically at every point where deferred gates could be

@@ -200,9 +200,8 @@ pub struct JobReport {
     /// Transport accounting (command rounds, exchange rounds, wire bytes,
     /// worker respawns, cross-rank coalesced flushes), for message-driven
     /// backends; `None` when the backend has no transport. With coalescing
-    /// on, `coalesced_flushes` is the job's round savings: each count is
-    /// one rank flush that rode an already-open window instead of paying
-    /// its own command fan-out round.
+    /// on, `coalesced_flushes` counts the rank flushes that rode an
+    /// already-open window instead of reaching the engine on their own.
     pub transport: Option<TransportStats>,
     /// The backend's modeled run fidelity, when it maintains one (the
     /// trace engine's error-free probability).

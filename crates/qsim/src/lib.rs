@@ -18,8 +18,8 @@
 //!   cut into `2^k` contiguous stripes, one kernel call per stripe — the
 //!   remote workers' layout in one address space.
 //! - [`batch`] — [`batch::GateBatch`]: the batched gate-stream IR that
-//!   engines apply as one unit (one lock acquisition / one message round
-//!   per batch instead of per gate).
+//!   engines apply as one unit (one lock acquisition per batch instead of
+//!   per gate).
 //! - [`optimizer`] — the plan-time pass over a recorded batch: fuses runs
 //!   of adjacent 1q gates into single [`batch::BatchOp::Fused1q`] kernels
 //!   and merges commuting diagonal gates/CZs, read through the CNOTs

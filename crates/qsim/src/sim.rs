@@ -70,8 +70,8 @@ impl std::error::Error for SimError {}
 /// counters, no randomness. The trait hides the storage format — a dense
 /// `2^n` vector ([`State`]), the same vector cut into stripes
 /// ([`crate::sharded::ShardedState`]) or a map of the nonzero entries ([`SparseState`]),
-/// or stripes held by other processes (`qmpi`'s remote store, whose gate
-/// methods only plan and whose other methods ship the plan first) —
+/// or stripes held by other processes (`qmpi`'s remote store, which queues
+/// whatever needs no reply and ships the queue with the next read) —
 /// and every implementation evaluates the same floating-point expressions
 /// in the same order, so the front's results do not depend on which one it
 /// runs over (up to the sparse canonical rule, and to the order in which a
@@ -133,6 +133,32 @@ pub trait AmpStore {
     /// Projects onto the odd (`true`) or even parity subspace over `qubits`
     /// and renormalizes. No position is individually collapsed.
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool);
+
+    /// Measures `target` against the uniform draw `u`: the outcome is
+    /// `u < prob_one(target)`, and the state collapses onto it. A store
+    /// overrides it only to read the probability and collapse in fewer
+    /// round trips, to the same bits.
+    fn measure(&mut self, target: usize, u: f64) -> bool {
+        let outcome = u < self.prob_one(target);
+        self.collapse(target, outcome);
+        outcome
+    }
+
+    /// [`AmpStore::measure`], then the measured position is removed (measure
+    /// and free), as [`AmpStore::collapse_remove`] removes it.
+    fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
+        let outcome = u < self.prob_one(target);
+        self.collapse_remove(target, outcome);
+        outcome
+    }
+
+    /// Joint Z-parity measurement against the uniform draw `u`: the outcome
+    /// is `u < parity_prob_odd(qubits)`, and the state is projected onto it.
+    fn measure_parity(&mut self, qubits: &[usize], u: f64) -> bool {
+        let outcome = u < self.parity_prob_odd(qubits);
+        self.collapse_parity(qubits, outcome);
+        outcome
+    }
 
     /// Expectation value `<psi| P |psi>` of a Pauli string over positions.
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64;
@@ -283,8 +309,8 @@ impl<S: AmpStore> AmpSim<S> {
     /// Measures a qubit and frees it in one step.
     pub fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
-        let outcome = self.draw_outcome(pos);
-        self.state.collapse_remove(pos, outcome);
+        let u = self.draw_uniform(pos);
+        let outcome = self.state.measure_and_remove(pos, u);
         self.reg.remove(q, pos);
         Ok(outcome)
     }
@@ -399,18 +425,18 @@ impl<S: AmpStore> AmpSim<S> {
     /// configured noise model is applied before projection (readout error).
     pub fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
-        let outcome = self.draw_outcome(pos);
-        self.state.collapse(pos, outcome);
-        Ok(outcome)
+        let u = self.draw_uniform(pos);
+        Ok(self.state.measure(pos, u))
     }
 
-    /// The part of a measurement of `pos` before the collapse: readout
-    /// noise, the count, and the outcome drawn against `prob_one`.
-    fn draw_outcome(&mut self, pos: usize) -> bool {
+    /// The part of a measurement of `pos` before the store reads it: readout
+    /// noise, the count, and the uniform the outcome is drawn against. It is
+    /// drawn before the read, so a store can read and collapse at once; no
+    /// other draw comes from this stream, so its position does not move.
+    fn draw_uniform(&mut self, pos: usize) -> f64 {
         self.inject(OpClass::Measurement, &[pos]);
         self.measurement_count += 1;
-        let p1 = self.state.prob_one(pos);
-        self.rng.gen::<f64>() < p1
+        self.rng.gen::<f64>()
     }
 
     /// Non-destructive joint Z-parity measurement over `qubits`: projects
@@ -420,10 +446,8 @@ impl<S: AmpStore> AmpSim<S> {
         let pos = self.positions(qubits)?;
         self.inject(OpClass::Measurement, &pos);
         self.measurement_count += 1;
-        let p_odd = self.state.parity_prob_odd(&pos);
-        let outcome = self.rng.gen::<f64>() < p_odd;
-        self.state.collapse_parity(&pos, outcome);
-        Ok(outcome)
+        let u = self.rng.gen::<f64>();
+        Ok(self.state.measure_parity(&pos, u))
     }
 
     /// Expectation value of a Pauli string given as `(qubit, pauli)` pairs.

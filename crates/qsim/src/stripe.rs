@@ -451,6 +451,25 @@ pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
     norm_where(amps, base, mask, |g| odd_parity(g, mask))
 }
 
+/// Partial probability masses of the even and the odd `mask`-parity basis
+/// states in this stripe, in one pass: each is the sum [`parity_prob_odd`]
+/// forms for its side, to the bit. Under a one-bit mask the odd side is
+/// [`masked_norm`]`(mask, mask)` and the even side `masked_norm(mask, 0)`.
+pub fn branch_masses(amps: &[Complex], base: usize, mask: usize) -> (f64, f64) {
+    let (mut even, mut odd) = (-0.0f64, -0.0f64);
+    for_runs(amps.len(), mask, |at, len| {
+        let mass = if odd_parity(base | at, mask) {
+            &mut odd
+        } else {
+            &mut even
+        };
+        for a in &amps[at..at + len] {
+            *mass += a.norm_sqr();
+        }
+    });
+    (even, odd)
+}
+
 /// Parity-collapse pass: keeps the `want_odd` parity subspace, zeroes the
 /// rest, returns the kept mass of this stripe (joint Z-parity, phase 2).
 pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd: bool) -> f64 {
@@ -1355,6 +1374,24 @@ mod tests {
                         ("parity_prob_odd", case),
                         |v| parity_prob_odd(v, base, mask),
                         |v| naive::parity_prob_odd(v, base, mask),
+                    );
+                    same_bits(
+                        &amps,
+                        ("branch_masses odd", case),
+                        |v| branch_masses(v, base, mask).1,
+                        |v| naive::parity_prob_odd(v, base, mask),
+                    );
+                    same_bits(
+                        &amps,
+                        ("branch_masses even", case),
+                        |v| branch_masses(v, base, mask).0,
+                        |v| {
+                            v.iter()
+                                .enumerate()
+                                .filter(|(i, _)| ((base | i) & mask).count_ones() % 2 == 0)
+                                .map(|(_, a)| a.norm_sqr())
+                                .sum()
+                        },
                     );
                     for want_odd in [false, true] {
                         same_bits(

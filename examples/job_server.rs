@@ -6,7 +6,7 @@
 //! spawn-per-job state-vector, stabilizer, and trace engines — then prints
 //! the accounting table every tenant would be billed from: EPR pairs,
 //! correction bits, rounds, buffer peaks, transport rounds, coalesced
-//! flushes (command rounds saved by cross-rank batch coalescing), fidelity,
+//! flushes (rank flushes joined by cross-rank batch coalescing), fidelity,
 //! and wall/queue time.
 //!
 //! Run: `cargo run --release --example job_server`
@@ -135,11 +135,13 @@ fn main() {
     }
     assert!(reports.iter().all(|(_, ok, _)| *ok));
 
-    let saved: u64 = reports
+    let joined: u64 = reports
         .iter()
         .filter_map(|(_, _, r)| r.transport.map(|t| t.coalesced_flushes))
         .sum();
-    println!("\ncross-rank coalescing saved {saved} command fan-out rounds across the storm");
+    println!(
+        "\ncross-rank coalescing joined {joined} rank flushes into open windows across the storm"
+    );
 
     server.drain();
     let stats = server.stats();

@@ -25,8 +25,8 @@ use common::conformance::{ensure_worker_bin, run_circuit, Outcome, Step};
 use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
-    run_with_config, BackendKind, QmpiConfig, RemoteShardedEngine, ShardWorkerPool, SimEngine,
-    StateVectorEngine, TransportKind,
+    build_backend, run_with_config, BackendKind, QmpiConfig, QuantumBackend, RemoteShardedEngine,
+    ShardWorkerPool, SimEngine, StateVectorEngine, TransportKind,
 };
 use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli, QubitId, SimError};
 
@@ -137,9 +137,9 @@ fn teleportation_over_socket_workers_matches_in_process() {
 }
 
 /// The failover acceptance test: SIGKILL a worker process mid-run, let
-/// the next batched dispatch trip over the EOF, and require the run to
-/// finish with amplitudes and a measurement trajectory bit-identical to
-/// an undisturbed run — plus a respawn on the books.
+/// the next read trip over the EOF, and require the run to finish with
+/// amplitudes and a measurement trajectory bit-identical to an undisturbed
+/// run — plus a respawn on the books.
 #[test]
 fn sigkilled_worker_respawns_and_finishes_bit_identically() {
     ensure_worker_bin();
@@ -164,9 +164,10 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
             // cleanup — the child is SIGKILLed outright.
             e.debug_kill_worker_process(SHARDS - 1);
         }
-        // The next dispatch is a whole batch; its command fan-out hits
-        // the dead socket, failover respawns the worker, re-scatters the
-        // stripe from the checkpoint, and replays the logged suffix.
+        // The batch waits in the queue; the measurement's read ships it
+        // into the dead socket, failover respawns the worker, re-scatters
+        // the stripe from the checkpoint, replays the logged suffix and
+        // retries the read with the queue restored.
         let mut batch = GateBatch::new();
         for (i, &q) in qs.iter().enumerate() {
             batch.push(BatchOp::Gate {
@@ -179,7 +180,7 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
             b: qs[N_QUBITS - 1],
         });
         e.apply_batch(&batch).unwrap();
-        // A measurement draws from the engine RNG: trajectory identity
+        // The measurement draws from the engine RNG: trajectory identity
         // proves replay did not re-draw or skip randomness.
         let m = e.measure(qs[1]).unwrap();
         let amps = amp_bits(&e, &qs);
@@ -202,11 +203,11 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
 }
 
 /// Failover through *coalesced* batches: two ranks' flushes joined into one
-/// batch (what the coalesce window ships) are one command round and one
-/// logged mutating unit. SIGKILL a worker after one such batch committed;
-/// the next one trips over the EOF, failover reloads the checkpoint,
-/// replays the logged batch verbatim, retries the in-flight one — and the
-/// run finishes bit-identical to an undisturbed run, noise draws included.
+/// batch (what the coalesce window ships) wait in the queue at no command
+/// round. SIGKILL a worker after one such batch; the measurement's read
+/// ships both and trips over the EOF, failover reloads the checkpoint,
+/// restores the queue, retries the read — and the run finishes
+/// bit-identical to an undisturbed run, noise draws included.
 #[test]
 fn sigkilled_worker_mid_coalesced_batch_replays_segments_bit_identically() {
     ensure_worker_bin();
@@ -241,14 +242,14 @@ fn sigkilled_worker_mid_coalesced_batch_replays_segments_bit_identically() {
             window.append(second);
             window
         };
-        // A committed coalesced batch (two segments, one command round).
+        // A coalesced batch (two segments) is queued: no command round.
         let rounds = e.transport_stats().command_rounds;
         e.apply_batch(&coalesced(seg(0, 0.3), seg(2, 0.7))).unwrap();
-        assert_eq!(e.transport_stats().command_rounds, rounds + 1);
+        assert_eq!(e.transport_stats().command_rounds, rounds);
         if kill {
             e.debug_kill_worker_process(SHARDS - 1);
         }
-        // This dispatch discovers the dead socket mid-fan-out.
+        // Queued too; the measurement's read discovers the dead socket.
         e.apply_batch(&coalesced(seg(0, 1.1), seg(2, 0.2))).unwrap();
         // Trajectory identity proves replay did not re-draw randomness.
         let m = e.measure(qs[0]).unwrap();
@@ -299,8 +300,7 @@ fn worker_survives_repeated_kills() {
     assert!(e.transport_stats().respawns >= 2);
 }
 
-/// Allocs and frees are logged units like any gate batch, not
-/// checkpoints: a worker SIGKILLed (a) before an alloc, (b) between an
+/// Allocs and frees are logged like any gate batch, not checkpoints: a worker SIGKILLed (a) before an alloc, (b) between an
 /// alloc and its first gate, (c) before a `measure_and_free` is respawned,
 /// the checkpoint reloaded at *its* layout, the logged reshapes replayed on
 /// top — and the run lands on the undisturbed run's outcomes and amplitude
@@ -352,6 +352,129 @@ fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
             run(true),
             "{kind}: worker deaths around layout changes must not show"
         );
+    }
+}
+
+/// A worker SIGKILLed while work waits in the queue: right after a
+/// `measure` (its `CollapseScale` queued), right after an alloc (its
+/// `Reshape` queued) and right after a `measure_and_free` (its `Scale`
+/// queued). Each time the next read ships the queue into the dead socket,
+/// and failover reloads the checkpoint, replays the log, restores the queue
+/// and retries the read — landing on the undisturbed run's amplitudes and
+/// measurement trajectory.
+#[test]
+fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
+    ensure_worker_bin();
+    let run = |kill: bool| {
+        let mut e = RemoteShardedEngine::over_transport(
+            23,
+            SHARDS,
+            NoiseModel::depolarizing(0.1),
+            TransportKind::UnixSocket,
+        )
+        .expect("spawn unix-socket shard workers");
+        let kill_now = |e: &RemoteShardedEngine, shard: usize| {
+            if kill {
+                e.debug_kill_worker_process(shard);
+            }
+        };
+        let mut qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
+        for (i, &q) in qs.iter().enumerate() {
+            e.apply_batch(&ops::gate(Gate::Ry(0.5 + 0.2 * i as f64), q))
+                .unwrap();
+        }
+        e.apply_batch(&ops::cnot(qs[0], qs[N_QUBITS - 1])).unwrap();
+        let mut trajectory = vec![e.measure(qs[1]).unwrap()];
+        kill_now(&e, 0);
+        trajectory.push(e.measure(qs[2]).unwrap());
+        qs.push(e.alloc());
+        kill_now(&e, SHARDS - 1);
+        e.apply_batch(&ops::gate(Gate::H, qs[N_QUBITS])).unwrap();
+        e.apply_batch(&ops::cnot(qs[N_QUBITS], qs[0])).unwrap();
+        trajectory.push(e.measure_and_free(qs.remove(1)).unwrap());
+        kill_now(&e, 0);
+        trajectory.push(e.measure(qs[0]).unwrap());
+        let respawns = e.transport_stats().respawns;
+        (trajectory, amp_bits(&e, &qs), respawns)
+    };
+    let (calm, killed) = (run(false), run(true));
+    assert_eq!(calm.2, 0, "undisturbed run respawns nothing");
+    assert!(killed.2 >= 3, "{} respawns for three kills", killed.2);
+    assert_eq!(
+        (calm.0, calm.1),
+        (killed.0, killed.1),
+        "worker deaths with work queued must not show"
+    );
+}
+
+/// What each call costs in command rounds on `RemoteSharded{2}`, over
+/// threads and over sockets. Allocs, gate batches and EPR establishment on
+/// fresh qubits wait in the queue. A read is one round, and so is an EPR
+/// establishment that has to probe a qubit a batch touched. A free,
+/// measuring or not, is two: the dropped mass and the norm come back. A
+/// snapshot is one, or two when work is queued.
+#[test]
+fn every_call_costs_its_pinned_command_rounds() {
+    ensure_worker_bin();
+    type Call = fn(&dyn QuantumBackend, &[QubitId]);
+    let table: [(&str, u64, Call); 12] = [
+        ("alloc", 0, |b, _| {
+            b.alloc(0, 1);
+        }),
+        ("gate batch", 0, |b, q| {
+            b.apply_batch(0, &ops::cnot(q[0], q[1])).unwrap();
+            b.sync_coalesced().unwrap();
+        }),
+        ("entangle_epr on fresh qubits", 0, |b, _| {
+            let (x, y) = (b.alloc(0, 1)[0], b.alloc(1, 1)[0]);
+            b.entangle_epr(x, y).unwrap();
+        }),
+        ("entangle_epr on a qubit flipped by X twice", 1, |b, _| {
+            let (x, y) = (b.alloc(0, 1)[0], b.alloc(1, 1)[0]);
+            for _ in 0..2 {
+                b.apply_batch(0, &ops::gate(Gate::X, x)).unwrap();
+            }
+            b.entangle_epr(x, y).unwrap();
+        }),
+        ("prob_one", 1, |b, q| {
+            b.prob_one(0, q[0]).unwrap();
+        }),
+        ("measure", 1, |b, q| {
+            b.measure(0, q[0]).unwrap();
+        }),
+        ("measure_z_parity", 1, |b, q| {
+            b.measure_z_parity(0, q).unwrap();
+        }),
+        ("expectation", 1, |b, q| {
+            b.expectation(0, &[(q[0], Pauli::X)]).unwrap();
+        }),
+        ("measure_and_free", 2, |b, q| {
+            b.measure_and_free(0, q[0]).unwrap();
+        }),
+        ("free", 2, |b, q| {
+            b.free(0, q[1]).unwrap();
+        }),
+        ("state_vector, nothing queued", 1, |b, q| {
+            b.state_vector(q).unwrap();
+        }),
+        ("state_vector, work queued", 2, |b, q| {
+            b.apply_batch(0, &ops::gate(Gate::H, q[1])).unwrap();
+            b.state_vector(q).unwrap();
+        }),
+    ];
+    for transport in [TransportKind::InProcess, TransportKind::UnixSocket] {
+        for (call, cost, run) in table {
+            let kind = BackendKind::RemoteSharded { shards: 2 };
+            let b = build_backend(kind, transport, 3, NoiseModel::ideal()).unwrap();
+            let q = b.alloc(0, 2);
+            b.apply_batch(0, &ops::gate(Gate::H, q[0])).unwrap();
+            // A read first, so nothing is queued when the call starts.
+            b.prob_one(0, q[0]).unwrap();
+            let rounds = || b.transport_stats().unwrap().command_rounds;
+            let before = rounds();
+            run(&*b, &q);
+            assert_eq!(rounds() - before, cost, "{transport}: {call}");
+        }
     }
 }
 
@@ -438,8 +561,8 @@ fn alloc_and_free_keep_the_state_off_the_controller_wire() {
         e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
     }
     let state_bytes = 16u64 << qs.len();
-    // Gate batches are fire-and-forget; a reduction first, so the routers
-    // have counted every exchange still in flight.
+    // Gate batches and allocs wait in the queue; a reduction ships them,
+    // and its replies come after every exchange they set off.
     let bytes = |e: &RemoteShardedEngine| {
         e.prob_one(qs[1]).unwrap();
         e.transport_stats().wire_bytes
