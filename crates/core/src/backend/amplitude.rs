@@ -178,10 +178,6 @@ impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
         })
     }
 
-    fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
-        self.sim.measure(q)
-    }
-
     fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
         self.sim.prob_one(q)
     }
@@ -231,7 +227,7 @@ mod tests {
         e.entangle_epr(a, b).unwrap();
         assert_eq!(e.gate_count(), 2); // H + CNOT
         assert_eq!(e.nonzero_count(), 2);
-        let ma = e.measure(a).unwrap();
+        let ma = e.measure_z_parity(&[a]).unwrap();
         let mb = e.measure_and_free(b).unwrap();
         assert_eq!(ma, mb, "EPR halves must agree");
         assert_eq!(e.measurement_count(), 2);
@@ -480,8 +476,8 @@ mod tests {
         let pairs: Vec<(QubitId, QubitId)> = a.iter().copied().zip(b.iter().copied()).collect();
         backend.entangle_epr_batch(&pairs).unwrap();
         for (qa, qb) in pairs {
-            let ma = backend.measure(0, qa).unwrap();
-            let mb = backend.measure(1, qb).unwrap();
+            let ma = backend.measure_z_parity(0, &[qa]).unwrap();
+            let mb = backend.measure_z_parity(1, &[qb]).unwrap();
             assert_eq!(ma, mb, "batched pair must be entangled");
         }
         assert_eq!(backend.counts().epr_entanglements, 3);

@@ -30,7 +30,7 @@
 //!   rejected with [`QmpiError::Locality`], so algorithm code must
 //!   communicate via QMPI exactly as on real distributed hardware. The
 //!   only cross-rank quantum operation is
-//!   [`QuantumBackend::entangle_epr`], modeling the quantum-coherent
+//!   [`QuantumBackend::entangle_epr_batch`], modeling the quantum-coherent
 //!   interconnect. Every quantum operation takes the exclusive side of the
 //!   lock.
 //! * [`QuantumBackend`] — the rank-aware trait object held by every
@@ -411,13 +411,12 @@ pub trait SimEngine: Send + Sync {
     /// have been applied.
     fn apply_batch(&mut self, batch: &GateBatch) -> std::result::Result<(), qsim::SimError>;
 
-    /// Projective Z measurement.
-    fn measure(&mut self, q: QubitId) -> std::result::Result<bool, qsim::SimError>;
-
     /// Probability of measuring |1> (non-destructive).
     fn prob_one(&self, q: QubitId) -> std::result::Result<f64, qsim::SimError>;
 
-    /// Joint Z-parity measurement.
+    /// Joint Z-parity measurement over distinct qubits; a projective Z
+    /// measurement is the one-qubit case. A repeated qubit is
+    /// [`qsim::SimError::DuplicateQubit`], before any draw or count.
     fn measure_z_parity(&mut self, qubits: &[QubitId])
         -> std::result::Result<bool, qsim::SimError>;
 
@@ -513,26 +512,23 @@ pub trait QuantumBackend: Send + Sync {
     /// leaves the preceding operations applied.
     fn apply_batch(&self, rank: usize, batch: &GateBatch) -> Result<()>;
 
-    /// Measures a qubit (projective, qubit survives).
-    fn measure(&self, rank: usize, q: QubitId) -> Result<bool>;
-
     /// Probability of measuring 1 (non-destructive diagnostic).
     fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64>;
 
-    /// Local joint Z-parity measurement (all qubits on `rank`).
+    /// Local joint Z-parity measurement (all qubits on `rank`, qubits
+    /// survive). Measuring one qubit projectively is `&[q]`.
     fn measure_z_parity(&self, rank: usize, qubits: &[QubitId]) -> Result<bool>;
 
-    /// Models the quantum-coherent interconnect: entangles two fresh |0>
-    /// qubits on (possibly) different ranks into (|00> + |11>)/sqrt(2).
+    /// Models the quantum-coherent interconnect: entangles each pair of
+    /// fresh |0> qubits on (possibly) different ranks into
+    /// (|00> + |11>)/sqrt(2), all in one backend acquisition (one pair is a
+    /// batch of one).
     ///
     /// This is the *only* cross-rank quantum operation; everything else
     /// must go through teleportation/fanout protocols built on it.
-    fn entangle_epr(&self, qa: QubitId, qb: QubitId) -> Result<()>;
-
-    /// Entangles many EPR pairs in one backend acquisition. Collectives
-    /// that establish a whole spanning tree of pairs (the cat-state bcast)
-    /// use this so `n - 1` establishments cost one lock round-trip instead
-    /// of `n - 1`.
+    /// Collectives that establish a whole spanning tree of pairs (the
+    /// cat-state bcast) pass it at once, so `n - 1` establishments cost one
+    /// lock round-trip instead of `n - 1`.
     fn entangle_epr_batch(&self, pairs: &[(QubitId, QubitId)]) -> Result<()>;
 
     /// Expectation value of a Pauli string over qubits owned by `rank`.
@@ -693,12 +689,6 @@ impl<E: SimEngine> Inner<E> {
         self.owner.remove(&q);
         self.frees += 1;
         Ok(out)
-    }
-
-    fn measure(&mut self, rank: usize, q: QubitId) -> Result<bool> {
-        self.check_owner(rank, q)?;
-        self.fresh.remove(&q);
-        Ok(self.engine.measure(q)?)
     }
 
     fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64> {
@@ -913,20 +903,12 @@ impl<E: SimEngine> QuantumBackend for Shared<E> {
         Ok(())
     }
 
-    fn measure(&self, rank: usize, q: QubitId) -> Result<bool> {
-        self.synced()?.measure(rank, q)
-    }
-
     fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64> {
         self.synced()?.prob_one(rank, q)
     }
 
     fn measure_z_parity(&self, rank: usize, qubits: &[QubitId]) -> Result<bool> {
         self.synced()?.measure_z_parity(rank, qubits)
-    }
-
-    fn entangle_epr(&self, qa: QubitId, qb: QubitId) -> Result<()> {
-        self.synced()?.entangle_epr(qa, qb)
     }
 
     fn entangle_epr_batch(&self, pairs: &[(QubitId, QubitId)]) -> Result<()> {
@@ -1140,7 +1122,7 @@ mod tests {
         let b = build(BackendKind::StateVector, 3);
         let qa = b.alloc(0, 1)[0];
         let qb = b.alloc(1, 1)[0];
-        b.entangle_epr(qa, qb).unwrap();
+        b.entangle_epr_batch(&[(qa, qb)]).unwrap();
         let st = b.state_vector(&[qa, qb]).unwrap();
         assert!((st.probability(0b00) - 0.5).abs() < 1e-10);
         assert!((st.probability(0b11) - 0.5).abs() < 1e-10);
@@ -1151,13 +1133,13 @@ mod tests {
         let b = build(BackendKind::Stabilizer, 3);
         let qa = b.alloc(0, 1)[0];
         let qb = b.alloc(1, 1)[0];
-        b.entangle_epr(qa, qb).unwrap();
+        b.entangle_epr_batch(&[(qa, qb)]).unwrap();
         assert_eq!(
             b.expectation(DIAG_RANK, &[(qa, Pauli::Z), (qb, Pauli::Z)]),
             Ok(1.0)
         );
-        let ma = b.measure(0, qa).unwrap();
-        let mb = b.measure(1, qb).unwrap();
+        let ma = b.measure_z_parity(0, &[qa]).unwrap();
+        let mb = b.measure_z_parity(1, &[qb]).unwrap();
         assert_eq!(ma, mb);
     }
 
@@ -1169,7 +1151,7 @@ mod tests {
             let qb = b.alloc(1, 1)[0];
             b.apply_batch(0, &ops::gate(qsim::Gate::X, qa)).unwrap();
             assert_eq!(
-                b.entangle_epr(qa, qb),
+                b.entangle_epr_batch(&[(qa, qb)]),
                 Err(QmpiError::EprQubitNotFresh(qa)),
                 "{kind}"
             );
@@ -1207,9 +1189,9 @@ mod tests {
             let b = build(kind, 9);
             let qa = b.alloc(0, 1)[0];
             let qb = b.alloc(1, 1)[0];
-            b.entangle_epr(qa, qb).unwrap();
-            let ma = b.measure(0, qa).unwrap();
-            let mb = b.measure(1, qb).unwrap();
+            b.entangle_epr_batch(&[(qa, qb)]).unwrap();
+            let ma = b.measure_z_parity(0, &[qa]).unwrap();
+            let mb = b.measure_z_parity(1, &[qb]).unwrap();
             assert_eq!(ma, mb, "{kind}");
         }
     }
@@ -1304,8 +1286,8 @@ mod tests {
         let qs = b.alloc(0, 3);
         b.apply_batch(0, &ops::gate(qsim::Gate::H, qs[0])).unwrap();
         b.apply_batch(0, &ops::cnot(qs[0], qs[1])).unwrap();
-        b.entangle_epr(qs[1], qs[2]).unwrap();
-        b.measure(0, qs[0]).unwrap();
+        b.entangle_epr_batch(&[(qs[1], qs[2])]).unwrap();
+        b.measure_z_parity(0, &[qs[0]]).unwrap();
         let c = b.counts();
         assert_eq!(c.allocations, 3);
         assert_eq!(c.epr_entanglements, 1);

@@ -53,15 +53,18 @@
 //!   batch frame in the same global gate order, so exchanges inside a
 //!   batch pair up deadlock-free.
 //! * **SWAP** is a dedicated one-round stripe exchange
-//!   ([`WorkerOp::SwapWithin`] / [`WorkerOp::SwapCrossLow`] /
-//!   [`WorkerOp::SwapFull`]): a pure amplitude permutation costing at most
-//!   one exchange per shard pair, where the previous three-CNOT
-//!   realization paid three (6 cross-shard stripe transfers).
+//!   ([`WorkerOp::SwapWithin`], or [`WorkerOp::SwapCrossLow`] against a
+//!   [`WorkerOp::CrossHigh`] partner, or two shard-selecting qubits'
+//!   stripes traded whole by a [`WorkerOp::CrossHigh`] on each member): a
+//!   pure amplitude permutation costing at most one exchange per shard
+//!   pair, where the three-CNOT realization pays three (6 cross-shard
+//!   stripe transfers).
 //! * **Measurement** is one read: [`ShardCmd::Branches`] brings back each
 //!   stripe's (even, odd) mass under a parity mask (a single qubit is a
-//!   one-bit parity), the controller compares the front's uniform draw with
-//!   the odd total, and the projection onto the outcome is queued as a
-//!   reply-free [`ShardCmd::CollapseScale`].
+//!   one-bit parity, the only form the store is asked for), the controller
+//!   compares the front's uniform draw with the odd total, and the
+//!   projection onto the outcome is queued as a reply-free
+//!   [`ShardCmd::CollapseScale`].
 //! * **Expectation values** are gather-free: [`ShardCmd::Expect`] pairs
 //!   each shard with its `x_mask`-partner ([`ExpectRole`]), the partners
 //!   exchange stripes worker↔worker, and only complex partial sums flow
@@ -70,8 +73,8 @@
 //!   ([`qsim::sim::AmpSim`], the dense engine's, so trajectories are
 //!   identical draw for draw) and injected as uncounted single-qubit
 //!   gates — planned into the same batch frame as the gates they ride on.
-//!   An amplitude-damping draw reads `prob_one`, which ships the queue
-//!   first.
+//!   An amplitude-damping draw reads the qubit's one-bit parity mass, which
+//!   ships the queue first.
 //! * **Allocating and freeing qubits** reshapes the stripes where they
 //!   live ([`ShardCmd::Reshape`]): the shard stays the top `k` bits of the
 //!   global index and a new qubit takes the top position, so the
@@ -264,11 +267,13 @@ pub enum WorkerOp {
         /// Kernel to apply.
         kernel: PairKernel,
     },
-    /// Cross-shard pairing, high member: ship the stripe to the low
-    /// partner, await the updated amplitudes. (Shared by the pair-gate and
-    /// mixed-SWAP exchanges — the high side's role is identical.)
+    /// Ship the stripe to `partner`, then take the stripe that comes back as
+    /// this one. The high member of a pair-gate or mixed-SWAP exchange runs
+    /// it, and both members of a SWAP of two shard-selecting qubits run it to
+    /// trade whole stripes (sends are buffered, so both send first and then
+    /// receive).
     CrossHigh {
-        /// World rank of the low partner.
+        /// World rank of the partner.
         partner: usize,
     },
     /// Diagonal phase pass (CZ): negate amplitudes matching the mask.
@@ -293,13 +298,6 @@ pub enum WorkerOp {
         partner: usize,
         /// Within-stripe bit of the local qubit.
         abit: usize,
-    },
-    /// Shard-selecting SWAP of two high qubits: trade entire stripes with
-    /// the partner, offset-for-offset. Both members execute this op (sends
-    /// are buffered, so both send first and then receive).
-    SwapFull {
-        /// World rank of the partner shard.
-        partner: usize,
     },
     /// One-pass merged diagonal sweep ([`qsim::BatchOp::PhaseSweep`]
     /// planned onto this shard): every factor multiplies sequentially in
@@ -358,10 +356,6 @@ impl Encode for WorkerOp {
                 partner.encode(buf);
                 abit.encode(buf);
             }
-            WorkerOp::SwapFull { partner } => {
-                6u8.encode(buf);
-                partner.encode(buf);
-            }
             WorkerOp::PhaseSweep { diags, flips } => {
                 7u8.encode(buf);
                 diags.len().encode(buf);
@@ -405,9 +399,6 @@ impl Decode for WorkerOp {
             5 => WorkerOp::SwapCrossLow {
                 partner: usize::decode(buf)?,
                 abit: usize::decode(buf)?,
-            },
-            6 => WorkerOp::SwapFull {
-                partner: usize::decode(buf)?,
             },
             7 => {
                 let n = usize::decode(buf)?;
@@ -876,7 +867,7 @@ fn run_op<C: ShardChannel>(
         WorkerOp::CrossHigh { partner } => {
             let own = std::mem::take(amps);
             chan.send_xchg(partner, own)?;
-            *amps = chan.recv_xchg(partner, "the updated stripe half")?;
+            *amps = chan.recv_xchg(partner, "a stripe")?;
         }
         WorkerOp::Phase { lo_mask } => stripe::phase_flip(amps, lo_mask),
         WorkerOp::SwapWithin { abit, bbit } => stripe::swap_within(amps, abit, bbit),
@@ -884,13 +875,6 @@ fn run_op<C: ShardChannel>(
             let mut b = chan.recv_xchg(partner, "its stripe half")?;
             stripe::swap_across_mixed(amps, &mut b, abit);
             chan.send_xchg(partner, b)?;
-        }
-        WorkerOp::SwapFull { partner } => {
-            // Both members run this op; buffered sends let each post its
-            // stripe before blocking on the partner's.
-            let own = std::mem::take(amps);
-            chan.send_xchg(partner, own)?;
-            *amps = chan.recv_xchg(partner, "its full stripe")?;
         }
         WorkerOp::PhaseSweep { diags, flips } => {
             // Masks arrive pre-localized (shard-constant factors as
@@ -1743,11 +1727,12 @@ impl Controller {
                 if s & abit == 0 || s & bbit != 0 {
                     continue;
                 }
+                // Both members trade whole stripes.
                 let p = s ^ abit ^ bbit;
                 let partner = self.rank_of(p);
-                self.push_op(s, WorkerOp::SwapFull { partner });
+                self.push_op(s, WorkerOp::CrossHigh { partner });
                 let partner = self.rank_of(s);
-                self.push_op(p, WorkerOp::SwapFull { partner });
+                self.push_op(p, WorkerOp::CrossHigh { partner });
                 self.xchg_rounds += 1;
             }
         }
@@ -2032,14 +2017,6 @@ impl AmpStore for RemoteStore {
             .defer(|c| c.plan_phase_sweep(positions, diags, czs));
     }
 
-    fn prob_one(&self, target: usize) -> f64 {
-        self.ctl.lock().branches(1 << target).1
-    }
-
-    fn collapse(&mut self, target: usize, outcome: bool) {
-        self.ctl.get_mut().project(1 << target, |_| outcome);
-    }
-
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
         self.ctl.lock().branches(mask_of(qubits)).1
     }
@@ -2048,20 +2025,16 @@ impl AmpStore for RemoteStore {
         self.ctl.get_mut().project(mask_of(qubits), |_| odd);
     }
 
-    /// One read: both branch masses come back with the probability, and the
-    /// collapse onto the outcome is queued.
-    fn measure(&mut self, target: usize, u: f64) -> bool {
-        self.ctl.get_mut().project(1 << target, |p1| u < p1)
-    }
-
     /// Two reads: the measurement's, then the free reshape's (the dropped
     /// mass and the norm have to come back), which carries the collapse.
     fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
-        let outcome = self.measure(target, u);
+        let outcome = self.measure_parity(&[target], u);
         self.remove_qubit(target, outcome);
         outcome
     }
 
+    /// One read: both branch masses come back with the probability, and the
+    /// collapse onto the outcome is queued.
     fn measure_parity(&mut self, qubits: &[usize], u: f64) -> bool {
         self.ctl
             .get_mut()
@@ -2259,7 +2232,6 @@ mod tests {
                         partner: 4,
                         abit: 1,
                     },
-                    WorkerOp::SwapFull { partner: 7 },
                     WorkerOp::PhaseSweep {
                         diags: vec![
                             (1 << 2, Complex::new(1.0, 0.0), Complex::new(0.0, 1.0)),
@@ -2389,12 +2361,16 @@ mod tests {
         3u8.encode(&mut buf); // ...but only one Phase follows
         0b1usize.encode(&mut buf);
         assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
-        // Batch carrying an op with an unknown discriminant.
-        let mut buf = BytesMut::new();
-        2u8.encode(&mut buf);
-        1usize.encode(&mut buf);
-        42u8.encode(&mut buf);
-        assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
+        // Batch carrying an op with an unknown discriminant: 42, and 6, the
+        // retired whole-stripe trade, with what was once its partner field.
+        for tag in [42u8, 6] {
+            let mut buf = BytesMut::new();
+            2u8.encode(&mut buf);
+            1usize.encode(&mut buf);
+            tag.encode(&mut buf);
+            7usize.encode(&mut buf);
+            assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
+        }
         // Truncated matrix inside a batched within-stripe pair op.
         let mut buf = BytesMut::new();
         2u8.encode(&mut buf);
@@ -2588,7 +2564,7 @@ mod tests {
         // Removing the middle qubit shifts c down; it must still read |1>.
         assert!(!e.free(b).unwrap());
         assert!(e.measure_and_free(c).unwrap());
-        assert!(!e.measure(a).unwrap());
+        assert!(!e.measure_z_parity(&[a]).unwrap());
         assert_eq!(e.n_qubits(), 1);
         assert_eq!(e.measurement_count(), 2);
     }
@@ -2602,8 +2578,8 @@ mod tests {
             e.entangle_epr(a, b).unwrap();
             let zz = e.expectation(&[(a, Pauli::Z), (b, Pauli::Z)]).unwrap();
             assert!((zz - 1.0).abs() < 1e-10, "seed {seed}: <ZZ> = {zz}");
-            let ma = e.measure(a).unwrap();
-            let mb = e.measure(b).unwrap();
+            let ma = e.measure_z_parity(&[a]).unwrap();
+            let mb = e.measure_z_parity(&[b]).unwrap();
             assert_eq!(ma, mb, "seed {seed}: EPR halves must agree");
         }
     }
@@ -3021,9 +2997,9 @@ mod tests {
         assert_eq!(backend.kind(), BackendKind::RemoteSharded { shards: 4 });
         let qa = backend.alloc(0, 1)[0];
         let qb = backend.alloc(1, 1)[0];
-        backend.entangle_epr(qa, qb).unwrap();
-        let ma = backend.measure(0, qa).unwrap();
-        let mb = backend.measure(1, qb).unwrap();
+        backend.entangle_epr_batch(&[(qa, qb)]).unwrap();
+        let ma = backend.measure_z_parity(0, &[qa]).unwrap();
+        let mb = backend.measure_z_parity(1, &[qb]).unwrap();
         assert_eq!(ma, mb);
         assert_eq!(backend.counts().epr_entanglements, 1);
     }

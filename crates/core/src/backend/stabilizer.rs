@@ -86,10 +86,6 @@ impl SimEngine for StabilizerEngine {
         Ok(())
     }
 
-    fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
-        self.sim.measure(q)
-    }
-
     fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
         self.sim.prob_one(q)
     }

@@ -160,13 +160,6 @@ impl SimEngine for TraceEngine {
         Ok(())
     }
 
-    fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
-        self.check(q)?;
-        self.measurement_count += 1;
-        self.model_noise(OpClass::Measurement, 1);
-        Ok(false)
-    }
-
     fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
         self.check(q)?;
         // Every qubit reads |0>: EPR freshness checks pass and frees
@@ -175,8 +168,11 @@ impl SimEngine for TraceEngine {
     }
 
     fn measure_z_parity(&mut self, qubits: &[QubitId]) -> Result<bool, SimError> {
-        for &q in qubits {
+        for (i, &q) in qubits.iter().enumerate() {
             self.check(q)?;
+            if qubits[..i].contains(&q) {
+                return Err(SimError::DuplicateQubit(q));
+            }
         }
         self.measurement_count += 1;
         self.model_noise(OpClass::Measurement, qubits.len() as u32);

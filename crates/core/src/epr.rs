@@ -104,9 +104,8 @@ impl EprRequest {
             ptag_role(ProtoOp::EprId, self.role.opposite(), self.tag),
         );
         if my_rank < self.dest {
-            let result = ctx
-                .backend
-                .entangle_epr(qsim::QubitId(self.local), qsim::QubitId(their_id));
+            let pair = (qsim::QubitId(self.local), qsim::QubitId(their_id));
+            let result = ctx.backend.entangle_epr_batch(&[pair]);
             // Always acknowledge — even on failure — so the peer never
             // blocks forever on a one-sided error.
             let ok = result.is_ok();

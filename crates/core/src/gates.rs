@@ -124,10 +124,11 @@ impl QmpiRank {
         })
     }
 
-    /// Projective measurement; the qubit stays allocated. A flush point.
+    /// Projective measurement; the qubit stays allocated. The one-qubit
+    /// [`QmpiRank::measure_z_parity`]. A flush point.
     pub fn measure(&self, q: &Qubit) -> Result<bool> {
         self.flush()?;
-        self.backend.measure(self.rank(), q.id)
+        self.backend.measure_z_parity(self.rank(), &[q.id])
     }
 
     /// Probability of measuring |1> (non-destructive diagnostic). A flush

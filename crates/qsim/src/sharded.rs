@@ -292,28 +292,6 @@ impl AmpStore for ShardedState {
         }
     }
 
-    fn prob_one(&self, target: usize) -> f64 {
-        assert!(target < self.n_qubits, "qubit {target} out of range");
-        let bit = 1usize << target;
-        self.based()
-            .map(|(base, amps)| stripe::masked_norm(amps, base, bit, bit))
-            .sum()
-    }
-
-    fn collapse(&mut self, target: usize, outcome: bool) {
-        let bit = 1usize << target;
-        let keep = if outcome { bit } else { 0 };
-        let mut norm = 0.0f64;
-        for (base, amps) in self.based_mut() {
-            norm += stripe::collapse_keep(amps, base, bit, keep);
-        }
-        assert!(
-            norm > 1e-12,
-            "collapsing qubit {target} onto probability-zero outcome"
-        );
-        self.scale(1.0 / norm.sqrt());
-    }
-
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
         let mask = self.mask_of(qubits);
         let mut p_odd = 0.0f64;
@@ -329,6 +307,10 @@ impl AmpStore for ShardedState {
         for (base, amps) in self.based_mut() {
             norm += stripe::collapse_parity(amps, base, mask, odd);
         }
+        assert!(
+            norm > 1e-12,
+            "collapsing {qubits:?} onto probability-zero outcome"
+        );
         self.scale(1.0 / norm.sqrt());
     }
 
@@ -483,8 +465,19 @@ mod tests {
         assert_eq!(s.num_shards(), 4);
         assert_eq!(s.max_shards(), 256);
         s.apply_1q(&[], 0, &Gate::X.matrix());
-        assert!((s.prob_one(0) - 1.0).abs() < TOL);
-        assert!(s.prob_one(1) < TOL);
+        assert!((s.parity_prob_odd(&[0]) - 1.0).abs() < TOL);
+        assert!(s.parity_prob_odd(&[1]) < TOL);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability-zero outcome")]
+    fn collapse_parity_onto_a_probability_zero_outcome_panics() {
+        let mut s = ShardedState::new(4);
+        for _ in 0..3 {
+            s.add_qubit();
+        }
+        s.apply_1q(&[], 2, &Gate::X.matrix());
+        s.collapse_parity(&[2], false);
     }
 
     #[test]
@@ -497,8 +490,8 @@ mod tests {
         // Removing the middle qubit shifts c down; it must still read |1>.
         s.remove_qubit(b, false);
         assert_eq!(s.n_qubits(), 2);
-        assert!((s.prob_one(c - 1) - 1.0).abs() < TOL);
-        assert!(s.prob_one(a) < TOL);
+        assert!((s.parity_prob_odd(&[c - 1]) - 1.0).abs() < TOL);
+        assert!(s.parity_prob_odd(&[a]) < TOL);
     }
 
     #[test]

@@ -112,48 +112,37 @@ pub trait AmpStore {
         czs: &[(usize, usize)],
     );
 
-    /// Probability that measuring `target` yields 1.
-    fn prob_one(&self, target: usize) -> f64;
-
-    /// Collapses `target` onto `outcome` and renormalizes. The caller must
-    /// ensure the outcome has nonzero probability.
-    fn collapse(&mut self, target: usize, outcome: bool);
-
-    /// [`AmpStore::collapse`] then [`AmpStore::remove_qubit`] — measure and
-    /// free — to the same bits; a store overrides it only to make fewer
-    /// passes over its amplitudes.
-    fn collapse_remove(&mut self, target: usize, outcome: bool) {
-        self.collapse(target, outcome);
-        self.remove_qubit(target, outcome);
-    }
-
     /// Probability mass of the basis states with odd parity over `qubits`.
+    /// Over one position it is the probability that measuring it yields 1:
+    /// a single-qubit Z measurement is the one-position parity measurement.
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64;
 
     /// Projects onto the odd (`true`) or even parity subspace over `qubits`
-    /// and renormalizes. No position is individually collapsed.
+    /// and renormalizes; over one position, collapses it onto the outcome.
+    /// Panics when the kept subspace has no probability.
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool);
 
-    /// Measures `target` against the uniform draw `u`: the outcome is
-    /// `u < prob_one(target)`, and the state collapses onto it. A store
-    /// overrides it only to read the probability and collapse in fewer
-    /// round trips, to the same bits.
-    fn measure(&mut self, target: usize, u: f64) -> bool {
-        let outcome = u < self.prob_one(target);
-        self.collapse(target, outcome);
-        outcome
+    /// [`AmpStore::collapse_parity`] over `target` alone, then
+    /// [`AmpStore::remove_qubit`] — measure and free — to the same bits; a
+    /// store overrides it only to make fewer passes over its amplitudes.
+    fn collapse_remove(&mut self, target: usize, outcome: bool) {
+        self.collapse_parity(&[target], outcome);
+        self.remove_qubit(target, outcome);
     }
 
-    /// [`AmpStore::measure`], then the measured position is removed (measure
-    /// and free), as [`AmpStore::collapse_remove`] removes it.
+    /// Measures `target` against the uniform draw `u`, as
+    /// [`AmpStore::measure_parity`] over it alone does, then removes it
+    /// (measure and free), as [`AmpStore::collapse_remove`] removes it.
     fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
-        let outcome = u < self.prob_one(target);
+        let outcome = u < self.parity_prob_odd(&[target]);
         self.collapse_remove(target, outcome);
         outcome
     }
 
     /// Joint Z-parity measurement against the uniform draw `u`: the outcome
     /// is `u < parity_prob_odd(qubits)`, and the state is projected onto it.
+    /// A store overrides it only to read the probability and collapse in
+    /// fewer round trips, to the same bits.
     fn measure_parity(&mut self, qubits: &[usize], u: f64) -> bool {
         let outcome = u < self.parity_prob_odd(qubits);
         self.collapse_parity(qubits, outcome);
@@ -252,7 +241,7 @@ impl<S: AmpStore> AmpSim<S> {
             return;
         }
         for &pos in positions {
-            let action = ch.sample(|| self.state.prob_one(pos), &mut self.noise.rng);
+            let action = ch.sample(|| self.state.parity_prob_odd(&[pos]), &mut self.noise.rng);
             match action {
                 ChannelAction::Nothing => {}
                 ChannelAction::Pauli(p) => self.state.apply_1q(&[], pos, &p.matrix()),
@@ -300,7 +289,7 @@ impl<S: AmpStore> AmpSim<S> {
     /// otherwise — mirroring `QMPI_Free_qmem`'s contract.
     pub fn free(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
-        let outcome = classical_outcome(q, self.state.prob_one(pos))?;
+        let outcome = classical_outcome(q, self.state.parity_prob_odd(&[pos]))?;
         self.state.remove_qubit(pos, outcome);
         self.reg.remove(q, pos);
         Ok(outcome)
@@ -309,7 +298,7 @@ impl<S: AmpStore> AmpSim<S> {
     /// Measures a qubit and frees it in one step.
     pub fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
-        let u = self.draw_uniform(pos);
+        let u = self.draw_uniform(&[pos]);
         let outcome = self.state.measure_and_remove(pos, u);
         self.reg.remove(q, pos);
         Ok(outcome)
@@ -418,35 +407,41 @@ impl<S: AmpStore> AmpSim<S> {
 
     /// Probability of measuring 1 on `q` (non-destructive).
     pub fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
-        Ok(self.state.prob_one(self.pos(q)?))
+        Ok(self.state.parity_prob_odd(&[self.pos(q)?]))
     }
 
-    /// Projective measurement with collapse. The measurement channel of a
-    /// configured noise model is applied before projection (readout error).
+    /// Projective measurement with collapse: [`AmpSim::measure_z_parity`]
+    /// over `q` alone. The measurement channel of a configured noise model
+    /// is applied before projection (readout error).
     pub fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let pos = self.pos(q)?;
-        let u = self.draw_uniform(pos);
-        Ok(self.state.measure(pos, u))
+        self.measure_z_parity(&[q])
     }
 
-    /// The part of a measurement of `pos` before the store reads it: readout
-    /// noise, the count, and the uniform the outcome is drawn against. It is
-    /// drawn before the read, so a store can read and collapse at once; no
-    /// other draw comes from this stream, so its position does not move.
-    fn draw_uniform(&mut self, pos: usize) -> f64 {
-        self.inject(OpClass::Measurement, &[pos]);
+    /// The part of a measurement of `positions` before the store reads it:
+    /// readout noise on each, the count, and the uniform the outcome is
+    /// drawn against. It is drawn before the read, so a store can read and
+    /// collapse at once; no other draw comes from this stream, so its
+    /// position does not move.
+    fn draw_uniform(&mut self, positions: &[usize]) -> f64 {
+        self.inject(OpClass::Measurement, positions);
         self.measurement_count += 1;
         self.rng.gen::<f64>()
     }
 
     /// Non-destructive joint Z-parity measurement over `qubits`: projects
     /// onto the even (+1, `false`) or odd (−1, `true`) parity subspace,
-    /// sampling the outcome, and returns it.
+    /// sampling the outcome, and returns it. A repeated qubit is
+    /// [`SimError::DuplicateQubit`], before any noise or measurement draw.
     pub fn measure_z_parity(&mut self, qubits: &[QubitId]) -> Result<bool, SimError> {
-        let pos = self.positions(qubits)?;
-        self.inject(OpClass::Measurement, &pos);
-        self.measurement_count += 1;
-        let u = self.rng.gen::<f64>();
+        let mut pos = Vec::with_capacity(qubits.len());
+        for &q in qubits {
+            let p = self.pos(q)?;
+            if pos.contains(&p) {
+                return Err(SimError::DuplicateQubit(q));
+            }
+            pos.push(p);
+        }
+        let u = self.draw_uniform(&pos);
         Ok(self.state.measure_parity(&pos, u))
     }
 

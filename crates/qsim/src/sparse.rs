@@ -34,7 +34,7 @@
 //!   in **ascending basis-index order**, which matches the dense loop because
 //!   dense's exact-zero entries contribute `+0.0` — a bitwise no-op on the
 //!   accumulator;
-//! * collapse ([`crate::stripe::collapse_keep`] then
+//! * collapse ([`crate::stripe::collapse_parity`] then
 //!   [`crate::stripe::scale`]), free-compaction
 //!   (`j = (i & low) | ((i >> 1) & !low)`) and renormalization reuse the
 //!   dense formulas verbatim;
@@ -395,19 +395,6 @@ impl AmpStore for SparseState {
         }
     }
 
-    fn prob_one(&self, pos: usize) -> f64 {
-        self.mass_where(|k| k.bit(pos))
-    }
-
-    fn collapse(&mut self, target: usize, outcome: bool) {
-        let norm = self.project(|k| k.bit(target) == outcome);
-        assert!(
-            norm > 1e-12,
-            "collapsing qubit {target} onto probability-zero outcome"
-        );
-        self.scale(1.0 / norm.sqrt());
-    }
-
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
         let mask = key_of(qubits);
         self.mass_where(|k| k.and(mask).parity())
@@ -416,6 +403,10 @@ impl AmpStore for SparseState {
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
         let mask = key_of(qubits);
         let norm = self.project(|k| k.and(mask).parity() == odd);
+        assert!(
+            norm > 1e-12,
+            "collapsing {qubits:?} onto probability-zero outcome"
+        );
         self.scale(1.0 / norm.sqrt());
     }
 
@@ -726,6 +717,17 @@ mod tests {
         sim.free(q).unwrap();
         assert_eq!(sim.apply(Gate::X, q), Err(SimError::UnknownQubit(q)));
         assert_eq!(sim.measure(q), Err(SimError::UnknownQubit(q)));
+    }
+
+    #[test]
+    #[should_panic(expected = "probability-zero outcome")]
+    fn collapse_parity_onto_a_probability_zero_outcome_panics() {
+        let mut s = SparseState::default();
+        for _ in 0..3 {
+            s.add_qubit();
+        }
+        s.apply_1q(&[], 1, &Gate::X.matrix());
+        s.collapse_parity(&[1], false);
     }
 
     #[test]

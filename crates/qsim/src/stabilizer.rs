@@ -450,13 +450,12 @@ impl StabilizerSim {
         scratch.neg != p.neg
     }
 
-    /// Projective Z measurement with collapse. The measurement channel of a
-    /// configured noise model is applied before projection (readout error).
+    /// Projective Z measurement with collapse:
+    /// [`StabilizerSim::measure_z_parity`] over `q` alone. The measurement
+    /// channel of a configured noise model is applied before projection
+    /// (readout error).
     pub fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let j = self.pos(q)?;
-        self.inject(OpClass::Measurement, &[j])?;
-        let p = self.z_string(&[j]);
-        Ok(self.measure_pauli(&p))
+        self.measure_z_parity(&[q])
     }
 
     /// Joint Z-parity measurement over `qubits` (collapses onto the parity
@@ -585,12 +584,7 @@ impl StabilizerSim {
 
     /// Measures a qubit and frees it in one step.
     pub fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let outcome = {
-            let j = self.pos(q)?;
-            self.inject(OpClass::Measurement, &[j])?;
-            let p = self.z_string(&[j]);
-            self.measure_pauli(&p)
-        };
+        let outcome = self.measure(q)?;
         let j = self.pos(q)?;
         self.remove_classical_qubit(q, j);
         Ok(outcome)

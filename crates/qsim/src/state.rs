@@ -307,21 +307,6 @@ impl AmpStore for State {
         stripe::phase_sweep(&mut self.amps, 0, &factors, &flips);
     }
 
-    fn prob_one(&self, target: usize) -> f64 {
-        let bit = self.bit_of(target);
-        stripe::masked_norm(&self.amps, 0, bit, bit)
-    }
-
-    fn collapse(&mut self, target: usize, outcome: bool) {
-        let bit = self.bit_of(target);
-        let norm = stripe::collapse_keep(&mut self.amps, 0, bit, if outcome { bit } else { 0 });
-        assert!(
-            norm > 1e-12,
-            "collapsing qubit {target} onto probability-zero outcome"
-        );
-        stripe::scale(&mut self.amps, 1.0 / norm.sqrt());
-    }
-
     fn collapse_remove(&mut self, target: usize, outcome: bool) {
         self.bit_of(target);
         stripe::collapse_remove_in_place(&mut self.amps, target, outcome);
@@ -335,6 +320,10 @@ impl AmpStore for State {
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
         let mask = self.mask_of(qubits);
         let norm = stripe::collapse_parity(&mut self.amps, 0, mask, odd);
+        assert!(
+            norm > 1e-12,
+            "collapsing {qubits:?} onto probability-zero outcome"
+        );
         stripe::scale(&mut self.amps, 1.0 / norm.sqrt());
     }
 
@@ -371,15 +360,9 @@ mod tests {
         StdRng::seed_from_u64(42)
     }
 
-    /// Computational-basis measurement at the store level: the front's
-    /// draw-then-collapse sequence.
-    fn measure(s: &mut State, target: usize, rng: &mut StdRng) -> bool {
-        let outcome = rng.gen::<f64>() < s.prob_one(target);
-        s.collapse(target, outcome);
-        outcome
-    }
-
-    /// Joint Z-parity measurement at the store level.
+    /// Joint Z-parity measurement at the store level (over one position, a
+    /// computational-basis measurement): the front's draw-then-collapse
+    /// sequence.
     fn measure_z_parity(s: &mut State, qubits: &[usize], rng: &mut StdRng) -> bool {
         let outcome = rng.gen::<f64>() < s.parity_prob_odd(qubits);
         s.collapse_parity(qubits, outcome);
@@ -516,7 +499,7 @@ mod tests {
                 for outcome in [false, true] {
                     // `AmpStore::collapse_remove`'s default body.
                     let mut want = State::from_amplitudes(amps.clone());
-                    want.collapse(target, outcome);
+                    want.collapse_parity(&[target], outcome);
                     want.remove_qubit(target, outcome);
                     let mut got = State::from_amplitudes(amps.clone());
                     let capacity = got.amps.capacity();
@@ -534,6 +517,12 @@ mod tests {
     #[should_panic(expected = "probability-zero outcome")]
     fn collapse_remove_onto_a_probability_zero_outcome_panics() {
         basis(3, 0b010).collapse_remove(1, false);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability-zero outcome")]
+    fn collapse_parity_onto_a_probability_zero_outcome_panics() {
+        basis(3, 0b010).collapse_parity(&[1], false);
     }
 
     #[test]
@@ -802,16 +791,16 @@ mod tests {
     #[test]
     fn prob_one_of_zero_state_is_zero() {
         let s = State::zero(2);
-        assert!(s.prob_one(0) < TOL);
-        assert!(s.prob_one(1) < TOL);
+        assert!(s.parity_prob_odd(&[0]) < TOL);
+        assert!(s.parity_prob_odd(&[1]) < TOL);
     }
 
     #[test]
     fn prob_one_after_x() {
         let mut s = State::zero(2);
         s.apply_1q(&[], 1, &Gate::X.matrix());
-        assert!((s.prob_one(1) - 1.0).abs() < TOL);
-        assert!(s.prob_one(0) < TOL);
+        assert!((s.parity_prob_odd(&[1]) - 1.0).abs() < TOL);
+        assert!(s.parity_prob_odd(&[0]) < TOL);
     }
 
     #[test]
@@ -822,7 +811,7 @@ mod tests {
         for _ in 0..trials {
             let mut s = State::zero(1);
             s.apply_1q(&[], 0, &Gate::H.matrix());
-            if measure(&mut s, 0, &mut r) {
+            if measure_z_parity(&mut s, &[0], &mut r) {
                 ones += 1;
             }
         }
@@ -837,8 +826,8 @@ mod tests {
             let mut s = State::zero(2);
             s.apply_1q(&[], 0, &Gate::H.matrix());
             s.apply_cnot(0, 1);
-            let m0 = measure(&mut s, 0, &mut r);
-            let m1 = measure(&mut s, 1, &mut r);
+            let m0 = measure_z_parity(&mut s, &[0], &mut r);
+            let m1 = measure_z_parity(&mut s, &[1], &mut r);
             assert_eq!(m0, m1, "EPR halves must agree");
         }
     }
@@ -847,9 +836,9 @@ mod tests {
     fn collapse_renormalizes() {
         let mut s = State::zero(1);
         s.apply_1q(&[], 0, &Gate::Ry(1.0).matrix());
-        s.collapse(0, true);
+        s.collapse_parity(&[0], true);
         assert!((s.norm_sqr() - 1.0).abs() < TOL);
-        assert!((s.prob_one(0) - 1.0).abs() < TOL);
+        assert!((s.parity_prob_odd(&[0]) - 1.0).abs() < TOL);
     }
 
     #[test]

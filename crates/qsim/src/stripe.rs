@@ -434,13 +434,17 @@ fn odd_parity(g: usize, mask: usize) -> bool {
 /// Partial probability mass of the basis states in this stripe whose
 /// *global* index (stripe base ORed with the offset) matches `want` under
 /// `mask`. Summing the partials over all stripes gives the global mass.
+/// No engine reads it: under a one-bit mask it is [`parity_prob_odd`] to the
+/// bit (`want = mask`), which is how every store reads one qubit.
 pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
     norm_where(amps, base, mask, |g| g & mask == want)
 }
 
 /// Collapse pass: zeroes every amplitude whose global index does *not*
 /// match `want` under `mask` and returns the kept probability mass of this
-/// stripe. The caller renormalizes once the global mass is known.
+/// stripe. The caller renormalizes once the global mass is known. Under a
+/// one-bit mask it is [`collapse_parity`] to the bit, which every store
+/// collapses one qubit with.
 pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize) -> f64 {
     collapse_where(amps, base, mask, |g| g & mask == want)
 }
@@ -646,7 +650,7 @@ pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bo
 }
 
 /// Measure-and-free on a dense amplitude vector: leaves, to the bit, what
-/// [`collapse_keep`] on `target = outcome`, [`scale`] by the kept mass,
+/// [`collapse_parity`] over `target` onto `outcome`, [`scale`] by the kept mass,
 /// [`remove_qubit_in_place`], a norm and a second [`scale`] leave — the same
 /// two sums in the same ascending order and the same two roundings per
 /// amplitude — in three passes over the kept half: nothing is zeroed, scaled
@@ -1438,6 +1442,37 @@ mod tests {
             (-0.0f64).to_bits()
         );
         assert_eq!(collapse_keep(&mut seeded(8, 1), 0, 0b1, 0b10).to_bits(), 0);
+    }
+
+    /// A single-qubit Z measurement is the one-bit parity measurement: under
+    /// a one-bit mask the parity kernels select the runs the masked kernels
+    /// select, in the same order, from the same start value.
+    #[test]
+    fn one_bit_parity_kernels_are_the_masked_kernels_bit_for_bit() {
+        for len in stripe_lens() {
+            let amps = seeded(len, 600 + len as u64);
+            // Every bit of the stripe and the two above it, at every base
+            // those two bits allow.
+            for bit in (0..len.trailing_zeros() + 2).map(|q| 1usize << q) {
+                for base in [0, len, 2 * len, 3 * len] {
+                    let case = (len, base, bit);
+                    same_bits(
+                        &amps,
+                        ("parity_prob_odd", case),
+                        |v| parity_prob_odd(v, base, bit),
+                        |v| masked_norm(v, base, bit, bit),
+                    );
+                    for (odd, want) in [(false, 0), (true, bit)] {
+                        same_bits(
+                            &amps,
+                            ("collapse_parity", case, odd),
+                            |v| collapse_parity(v, base, bit, odd),
+                            |v| collapse_keep(v, base, bit, want),
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

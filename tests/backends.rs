@@ -7,56 +7,26 @@
 //! the resource consumption alone, at scales only it and the stabilizer
 //! engine can reach.
 //!
-//! CI runs this suite once per [`BackendKind`] via the `QMPI_TEST_BACKEND`
-//! environment variable (`statevector`, `stabilizer`, `trace`, `sparse`,
-//! `sharded`, `remote`; `QMPI_TEST_SHARDS` overrides the stripe/worker
-//! count — default
-//! 8 for the striped engine, 4 for the process-separated one), so a
-//! regression in one engine cannot hide behind another engine's pass.
-//! `QMPI_TEST_TRANSPORT=unix-socket` additionally moves the remote
-//! backend's workers into real `qworker` child processes, re-proving every
-//! protocol invariant across an OS boundary. Without the variables, every
-//! backend runs in-process.
+//! Every test runs on every [`BackendKind`] it applies to, and every
+//! assertion names its kind, so a regression in one engine cannot hide
+//! behind another engine's pass. `QMPI_TEST_TRANSPORT=unix-socket` moves the
+//! remote backend's workers into real `qworker` child processes, re-proving
+//! every protocol invariant across an OS boundary; without it, every backend
+//! runs in-process.
 
 use qmpi::{run_with_config, BackendKind, Parity, QmpiConfig, ResourceSnapshot, TransportKind};
 use qsim::Pauli;
 
-/// The backend selected by `QMPI_TEST_BACKEND`, if any.
-fn env_kind() -> Option<BackendKind> {
-    let v = std::env::var("QMPI_TEST_BACKEND").ok()?;
-    let shards = |default: usize| {
-        std::env::var("QMPI_TEST_SHARDS")
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(default)
-    };
-    Some(match v.to_lowercase().replace('_', "-").as_str() {
-        "statevector" | "state-vector" => BackendKind::StateVector,
-        "stabilizer" => BackendKind::Stabilizer,
-        "trace" => BackendKind::Trace,
-        "sparse" => BackendKind::Sparse,
-        "sharded" | "sharded-state-vector" => BackendKind::ShardedStateVector { shards: shards(8) },
-        "remote" | "remote-sharded" => BackendKind::RemoteSharded { shards: shards(4) },
-        other => panic!(
-            "unknown QMPI_TEST_BACKEND '{other}' \
-             (expected statevector|stabilizer|trace|sparse|sharded|remote)"
-        ),
-    })
-}
-
-/// All backends under test this run.
-fn selected_kinds() -> Vec<BackendKind> {
-    match env_kind() {
-        Some(kind) => vec![kind],
-        None => vec![
-            BackendKind::StateVector,
-            BackendKind::Stabilizer,
-            BackendKind::Sparse,
-            BackendKind::ShardedStateVector { shards: 8 },
-            BackendKind::RemoteSharded { shards: 4 },
-            BackendKind::Trace,
-        ],
-    }
+/// Every backend under test.
+fn all_kinds() -> Vec<BackendKind> {
+    vec![
+        BackendKind::StateVector,
+        BackendKind::Stabilizer,
+        BackendKind::Sparse,
+        BackendKind::ShardedStateVector { shards: 8 },
+        BackendKind::RemoteSharded { shards: 4 },
+        BackendKind::Trace,
+    ]
 }
 
 /// Whether `kind` tracks real quantum state (trace only counts).
@@ -64,17 +34,12 @@ fn is_stateful(kind: BackendKind) -> bool {
     kind != BackendKind::Trace
 }
 
-/// The selected backends that track real quantum state.
+/// The backends that track real quantum state.
 fn stateful_kinds() -> Vec<BackendKind> {
-    selected_kinds()
+    all_kinds()
         .into_iter()
         .filter(|&k| is_stateful(k))
         .collect()
-}
-
-/// Whether `kind` is part of this run (for tests pinned to one engine).
-fn kind_selected(kind: BackendKind) -> bool {
-    selected_kinds().contains(&kind)
 }
 
 /// The shard-worker transport selected by `QMPI_TEST_TRANSPORT`, if any.
@@ -106,7 +71,7 @@ fn cfg(kind: BackendKind, seed: u64) -> QmpiConfig {
 fn teleportation_chain_identical_across_backends() {
     for input in [false, true] {
         let mut per_backend: Vec<(BackendKind, bool, ResourceSnapshot)> = Vec::new();
-        for kind in selected_kinds() {
+        for kind in all_kinds() {
             let out = run_with_config(3, cfg(kind, 7), move |ctx| {
                 let (delta, delivered) = ctx.measure_resources(|| match ctx.rank() {
                     0 => {
@@ -236,9 +201,6 @@ fn parity_reduce_identical_across_backends() {
 /// seconds, all shares agree, and the X-basis disband parity check passes.
 #[test]
 fn stabilizer_runs_64_rank_cat_broadcast_fast() {
-    if !kind_selected(BackendKind::Stabilizer) {
-        return;
-    }
     let n = 64;
     let start = std::time::Instant::now();
     let out = run_with_config(n, cfg(BackendKind::Stabilizer, 64), |ctx| {
@@ -271,9 +233,6 @@ fn stabilizer_runs_64_rank_cat_broadcast_fast() {
 /// which the dense engine would need a 2^96-amplitude vector.
 #[test]
 fn stabilizer_scales_to_96_rank_ghz() {
-    if !kind_selected(BackendKind::Stabilizer) {
-        return;
-    }
     let n = 96;
     let out = run_with_config(n, cfg(BackendKind::Stabilizer, 5), |ctx| {
         let share = ctx.cat_establish().unwrap();
@@ -289,18 +248,11 @@ fn stabilizer_scales_to_96_rank_ghz() {
 }
 
 /// The sharded backend runs the full cat-state protocol (establish, agree,
-/// disband) at 8 ranks — 14+ simulator qubits striped over 8 locks — with
+/// disband) at 8 ranks — 14+ simulator qubits cut into 8 stripes — with
 /// the batched single-acquisition EPR establishment underneath.
 #[test]
 fn sharded_runs_cat_broadcast_with_batched_establishment() {
-    // Match on the variant, not an exact shard count, so the documented
-    // QMPI_TEST_SHARDS knob changes this test's stripe count instead of
-    // silently skipping it.
-    let kind = match env_kind() {
-        Some(k @ BackendKind::ShardedStateVector { .. }) => k,
-        Some(_) => return,
-        None => BackendKind::ShardedStateVector { shards: 8 },
-    };
+    let kind = BackendKind::ShardedStateVector { shards: 8 };
     let out = run_with_config(8, cfg(kind, 13), |ctx| {
         let share = ctx.cat_establish().unwrap();
         ctx.barrier();
@@ -324,13 +276,7 @@ fn sharded_runs_cat_broadcast_with_batched_establishment() {
 /// engine's deadlock watchdog rather than stall this test forever.
 #[test]
 fn remote_runs_cat_broadcast_over_message_passing_shards() {
-    // Match on the variant so QMPI_TEST_SHARDS changes the worker count
-    // instead of silently skipping the test.
-    let kind = match env_kind() {
-        Some(k @ BackendKind::RemoteSharded { .. }) => k,
-        Some(_) => return,
-        None => BackendKind::RemoteSharded { shards: 4 },
-    };
+    let kind = BackendKind::RemoteSharded { shards: 4 };
     let out = run_with_config(4, cfg(kind, 17), |ctx| {
         let share = ctx.cat_establish().unwrap();
         ctx.barrier();
@@ -354,9 +300,6 @@ fn remote_runs_cat_broadcast_over_message_passing_shards() {
 /// memory high-water profile no dense engine could measure at this size.
 #[test]
 fn trace_backend_reproduces_table3_formulas_at_64_ranks() {
-    if !kind_selected(BackendKind::Trace) {
-        return;
-    }
     use qmpi::BcastAlgorithm;
     let n = 64;
     for (algo, bits, rounds) in [
@@ -408,7 +351,7 @@ fn trace_backend_reproduces_table3_formulas_at_64_ranks() {
 fn resource_ledger_is_backend_invariant() {
     let n = 5;
     let mut bills = Vec::new();
-    for kind in selected_kinds() {
+    for kind in all_kinds() {
         let out = run_with_config(n, cfg(kind, 3), |ctx| {
             let (delta, q) = ctx.measure_resources(|| {
                 let q = ctx.alloc_one();
@@ -444,15 +387,13 @@ fn resource_ledger_is_backend_invariant() {
 #[test]
 fn non_clifford_rejected_on_stabilizer_only() {
     assert_eq!(QmpiConfig::new().backend_kind(), BackendKind::StateVector);
-    if kind_selected(BackendKind::Stabilizer) {
-        let out = run_with_config(1, cfg(BackendKind::Stabilizer, 1), |ctx| {
-            let q = ctx.alloc_one();
-            let err = ctx.t(&q).unwrap_err();
-            ctx.measure_and_free(q).unwrap();
-            matches!(err, qmpi::QmpiError::Sim(qsim::SimError::Unsupported(_)))
-        });
-        assert!(out[0]);
-    }
+    let out = run_with_config(1, cfg(BackendKind::Stabilizer, 1), |ctx| {
+        let q = ctx.alloc_one();
+        let err = ctx.t(&q).unwrap_err();
+        ctx.measure_and_free(q).unwrap();
+        matches!(err, qmpi::QmpiError::Sim(qsim::SimError::Unsupported(_)))
+    });
+    assert!(out[0]);
     for kind in stateful_kinds() {
         if kind == BackendKind::Stabilizer {
             continue;
@@ -464,5 +405,45 @@ fn non_clifford_rejected_on_stabilizer_only() {
             ok
         });
         assert!(out[0], "{kind}: dense backends support T");
+    }
+}
+
+/// A qubit named twice in a parity measurement is `DuplicateQubit` on every
+/// backend, before any noise or measurement draw: the failed call counts no
+/// measurement, and what follows it reads, to the bit, what a run without
+/// it reads.
+#[test]
+fn repeated_qubit_in_a_parity_measurement_is_rejected_before_any_draw() {
+    let noise = qsim::NoiseModel::depolarizing(0.2);
+    for kind in all_kinds() {
+        let run = |repeat: bool| {
+            run_with_config(1, cfg(kind, 8).noise(noise), move |ctx| {
+                let qs = ctx.alloc_qmem(3);
+                for q in &qs {
+                    ctx.h(q).unwrap();
+                }
+                ctx.cnot(&qs[0], &qs[2]).unwrap();
+                if repeat {
+                    let before = ctx.backend().counts();
+                    let err = ctx.measure_z_parity(&[&qs[0], &qs[0]]);
+                    assert!(
+                        matches!(
+                            err,
+                            Err(qmpi::QmpiError::Sim(qsim::SimError::DuplicateQubit(_)))
+                        ),
+                        "{kind}: {err:?}"
+                    );
+                    assert_eq!(ctx.backend().counts(), before, "{kind}");
+                }
+                let m = ctx.measure(&qs[0]).unwrap();
+                let probs = [&qs[1], &qs[2]].map(|q| ctx.prob_one(q).unwrap().to_bits());
+                let frees: Vec<bool> = qs
+                    .into_iter()
+                    .map(|q| ctx.measure_and_free(q).unwrap())
+                    .collect();
+                (m, probs, frees, ctx.backend().counts())
+            })
+        };
+        assert_eq!(run(true), run(false), "{kind}");
     }
 }

@@ -99,7 +99,11 @@ fn run_storm(backend: &Arc<dyn QuantumBackend>) -> (StormOutcome, u64, u64) {
         .iter()
         .enumerate()
         .flat_map(|(r, qs)| qs.iter().map(move |&q| (r, q)))
-        .map(|(r, q)| backend.measure(r, q).expect("owned measurement"))
+        .map(|(r, q)| {
+            backend
+                .measure_z_parity(r, &[q])
+                .expect("owned measurement")
+        })
         .collect();
     (
         StormOutcome { amps, trajectory },

@@ -489,7 +489,7 @@ fn generic_angle_program(e: &mut impl SimEngine, seed: u64) -> (GenericAngleObs,
             .unwrap(),
     ];
     let mut outcomes = vec![
-        e.measure(qs[3]).unwrap(),
+        e.measure_z_parity(&[qs[3]]).unwrap(),
         e.measure_z_parity(&[qs[1], qs[7]]).unwrap(),
     ];
     // The bottom qubit, then the one below the top.

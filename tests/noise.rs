@@ -119,7 +119,7 @@ fn zero_rate_amplitudes_are_bit_identical() {
         engine.apply_batch(&ops::cnot(q0, q1)).unwrap();
         engine.apply_batch(&ops::gate(Gate::T, q1)).unwrap();
         engine.entangle_epr(q2, q3).unwrap();
-        engine.measure(q2).unwrap();
+        engine.measure_z_parity(&[q2]).unwrap();
         engine.apply_batch(&ops::cz(q0, q2)).unwrap();
     }
     // Equal handle streams: use the same ids on both engines.
@@ -206,8 +206,8 @@ fn trace_backend_models_error_free_probability() {
     let qs = b.alloc(0, 3);
     b.apply_batch(0, &ops::gate(Gate::H, qs[0])).unwrap(); // 1q: 0.9
     b.apply_batch(0, &ops::cnot(qs[0], qs[1])).unwrap(); // 2q: 0.9^2
-    b.entangle_epr(qs[1], qs[2]).unwrap(); // epr: 0.9^2
-    b.measure(0, qs[0]).unwrap(); // measurement: 0.9
+    b.entangle_epr_batch(&[(qs[1], qs[2])]).unwrap(); // epr: 0.9^2
+    b.measure_z_parity(0, &[qs[0]]).unwrap(); // measurement: 0.9
     let got = b.modeled_fidelity().expect("trace models fidelity");
     let want = 0.9f64.powi(6);
     assert!((got - want).abs() < 1e-12, "{got} vs {want}");

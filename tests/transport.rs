@@ -182,7 +182,7 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
         e.apply_batch(&batch).unwrap();
         // The measurement draws from the engine RNG: trajectory identity
         // proves replay did not re-draw or skip randomness.
-        let m = e.measure(qs[1]).unwrap();
+        let m = e.measure_z_parity(&[qs[1]]).unwrap();
         let amps = amp_bits(&e, &qs);
         let stats = e.transport_stats();
         if kill {
@@ -252,7 +252,7 @@ fn sigkilled_worker_mid_coalesced_batch_replays_segments_bit_identically() {
         // Queued too; the measurement's read discovers the dead socket.
         e.apply_batch(&coalesced(seg(0, 1.1), seg(2, 0.2))).unwrap();
         // Trajectory identity proves replay did not re-draw randomness.
-        let m = e.measure(qs[0]).unwrap();
+        let m = e.measure_z_parity(&[qs[0]]).unwrap();
         let amps = amp_bits(&e, &qs);
         let stats = e.transport_stats();
         if kill {
@@ -384,16 +384,16 @@ fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
                 .unwrap();
         }
         e.apply_batch(&ops::cnot(qs[0], qs[N_QUBITS - 1])).unwrap();
-        let mut trajectory = vec![e.measure(qs[1]).unwrap()];
+        let mut trajectory = vec![e.measure_z_parity(&[qs[1]]).unwrap()];
         kill_now(&e, 0);
-        trajectory.push(e.measure(qs[2]).unwrap());
+        trajectory.push(e.measure_z_parity(&[qs[2]]).unwrap());
         qs.push(e.alloc());
         kill_now(&e, SHARDS - 1);
         e.apply_batch(&ops::gate(Gate::H, qs[N_QUBITS])).unwrap();
         e.apply_batch(&ops::cnot(qs[N_QUBITS], qs[0])).unwrap();
         trajectory.push(e.measure_and_free(qs.remove(1)).unwrap());
         kill_now(&e, 0);
-        trajectory.push(e.measure(qs[0]).unwrap());
+        trajectory.push(e.measure_z_parity(&[qs[0]]).unwrap());
         let respawns = e.transport_stats().respawns;
         (trajectory, amp_bits(&e, &qs), respawns)
     };
@@ -425,22 +425,22 @@ fn every_call_costs_its_pinned_command_rounds() {
             b.apply_batch(0, &ops::cnot(q[0], q[1])).unwrap();
             b.sync_coalesced().unwrap();
         }),
-        ("entangle_epr on fresh qubits", 0, |b, _| {
+        ("an EPR pair on fresh qubits", 0, |b, _| {
             let (x, y) = (b.alloc(0, 1)[0], b.alloc(1, 1)[0]);
-            b.entangle_epr(x, y).unwrap();
+            b.entangle_epr_batch(&[(x, y)]).unwrap();
         }),
-        ("entangle_epr on a qubit flipped by X twice", 1, |b, _| {
+        ("an EPR pair on a qubit flipped by X twice", 1, |b, _| {
             let (x, y) = (b.alloc(0, 1)[0], b.alloc(1, 1)[0]);
             for _ in 0..2 {
                 b.apply_batch(0, &ops::gate(Gate::X, x)).unwrap();
             }
-            b.entangle_epr(x, y).unwrap();
+            b.entangle_epr_batch(&[(x, y)]).unwrap();
         }),
         ("prob_one", 1, |b, q| {
             b.prob_one(0, q[0]).unwrap();
         }),
         ("measure", 1, |b, q| {
-            b.measure(0, q[0]).unwrap();
+            b.measure_z_parity(0, &[q[0]]).unwrap();
         }),
         ("measure_z_parity", 1, |b, q| {
             b.measure_z_parity(0, q).unwrap();
