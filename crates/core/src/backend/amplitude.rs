@@ -190,6 +190,10 @@ impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
         self.sim.expectation(terms)
     }
 
+    fn expectation_each(&self, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>, SimError> {
+        self.sim.expectation_each(strings)
+    }
+
     fn state_vector(&self, order: &[QubitId]) -> Result<State, SimError> {
         self.sim.state_vector(order)
     }

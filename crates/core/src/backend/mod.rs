@@ -420,8 +420,19 @@ pub trait SimEngine: Send + Sync {
     fn measure_z_parity(&mut self, qubits: &[QubitId])
         -> std::result::Result<bool, qsim::SimError>;
 
-    /// Expectation value of a Pauli string.
+    /// Expectation value of a Pauli string over distinct qubits. A repeated
+    /// qubit is [`qsim::SimError::DuplicateQubit`].
     fn expectation(&self, terms: &[(QubitId, Pauli)]) -> std::result::Result<f64, qsim::SimError>;
+
+    /// [`SimEngine::expectation`] of each string, to the same bits. An
+    /// amplitude engine hands the list to its store in one call (the dense
+    /// store sweeps once for all Z-only strings); the default loops.
+    fn expectation_each(
+        &self,
+        strings: &[Vec<(QubitId, Pauli)>],
+    ) -> std::result::Result<Vec<f64>, qsim::SimError> {
+        strings.iter().map(|t| self.expectation(t)).collect()
+    }
 
     /// Dense state snapshot in the given qubit order (engines without
     /// amplitudes return [`qsim::SimError::Unsupported`]).
@@ -536,9 +547,11 @@ pub trait QuantumBackend: Send + Sync {
     fn expectation(&self, rank: usize, terms: &[(QubitId, Pauli)]) -> Result<f64>;
 
     /// Expectation values of many Pauli strings — one observable, many
-    /// terms — in a single backend acquisition. Callers evaluating an
-    /// observable term-by-term (per-site magnetization, multi-rank parity
-    /// checks) would otherwise take the global lock once per term.
+    /// terms — in one backend acquisition and one engine call
+    /// ([`SimEngine::expectation_each`]), each to [`Self::expectation`]'s
+    /// bits, every qubit ownership-checked before anything is read. Term by
+    /// term (per-site magnetization, multi-rank parity checks) costs a lock
+    /// and, on the dense engine, a sweep per Z-only term.
     fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>>;
 
     /// Global state snapshot in the given qubit order — diagnostics for
@@ -723,13 +736,13 @@ impl<E: SimEngine> Inner<E> {
         Ok(())
     }
 
-    fn expectation(&self, rank: usize, terms: &[(QubitId, Pauli)]) -> Result<f64> {
+    fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>> {
         if rank != DIAG_RANK {
-            for &(q, _) in terms {
+            for &(q, _) in strings.iter().flatten() {
                 self.check_owner(rank, q)?;
             }
         }
-        Ok(self.engine.expectation(terms)?)
+        Ok(self.engine.expectation_each(strings)?)
     }
 
     fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex> {
@@ -919,15 +932,11 @@ impl<E: SimEngine> QuantumBackend for Shared<E> {
     }
 
     fn expectation(&self, rank: usize, terms: &[(QubitId, Pauli)]) -> Result<f64> {
-        self.synced()?.expectation(rank, terms)
+        Ok(self.expectation_each(rank, &[terms.to_vec()])?[0])
     }
 
     fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>> {
-        let g = self.synced()?;
-        strings
-            .iter()
-            .map(|terms| g.expectation(rank, terms))
-            .collect()
+        self.synced()?.expectation_each(rank, strings)
     }
 
     fn state_vector(&self, order: &[QubitId]) -> Result<State> {

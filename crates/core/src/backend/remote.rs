@@ -2050,12 +2050,7 @@ impl AmpStore for RemoteStore {
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         let mut ctl = self.ctl.lock();
         let (x_mask, z_mask, i_pow) = stripe::pauli_masks(ctl.n_qubits, terms);
-        let val = i_pow * ctl.run(|c| c.expect(x_mask, z_mask));
-        debug_assert!(
-            val.im.abs() < 1e-9,
-            "expectation of Hermitian operator must be real"
-        );
-        val.re
+        stripe::hermitian_value(i_pow, ctl.run(|c| c.expect(x_mask, z_mask)))
     }
 
     fn snapshot(&self, perm: &[usize]) -> Result<State, SimError> {

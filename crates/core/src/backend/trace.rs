@@ -180,8 +180,11 @@ impl SimEngine for TraceEngine {
     }
 
     fn expectation(&self, terms: &[(QubitId, Pauli)]) -> Result<f64, SimError> {
-        for &(q, _) in terms {
+        for (i, &(q, _)) in terms.iter().enumerate() {
             self.check(q)?;
+            if terms[..i].iter().any(|&(p, _)| p == q) {
+                return Err(SimError::DuplicateQubit(q));
+            }
         }
         // Consistent with the all-|0> convention: <Z> = +1, <X> = <Y> = 0.
         Ok(if terms.iter().all(|&(_, p)| p == Pauli::Z) {

@@ -152,6 +152,13 @@ pub trait AmpStore {
     /// Expectation value `<psi| P |psi>` of a Pauli string over positions.
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64;
 
+    /// [`AmpStore::expectation_pauli`] of each string, to the same bits; a
+    /// store overrides it only to make fewer passes over its amplitudes
+    /// (the dense store reads every Z-only string in one sweep).
+    fn expectation_pauli_each(&self, strings: &[Vec<PauliTerm>]) -> Vec<f64> {
+        strings.iter().map(|t| self.expectation_pauli(t)).collect()
+    }
+
     /// Dense snapshot in which old position `perm[k]` becomes position `k`
     /// (see [`State::permuted`]), or [`SimError::Unsupported`] when the
     /// register is too wide to materialize.
@@ -446,15 +453,33 @@ impl<S: AmpStore> AmpSim<S> {
     }
 
     /// Expectation value of a Pauli string given as `(qubit, pauli)` pairs.
+    /// A repeated qubit is [`SimError::DuplicateQubit`].
     pub fn expectation(&self, terms: &[(QubitId, Pauli)]) -> Result<f64, SimError> {
-        let mut mapped = Vec::with_capacity(terms.len());
+        Ok(self.state.expectation_pauli(&self.pauli_positions(terms)?))
+    }
+
+    /// [`AmpSim::expectation`] of each string, to the same bits, in one call
+    /// to the store (see [`AmpStore::expectation_pauli_each`]). Every string
+    /// is checked before any is read.
+    pub fn expectation_each(
+        &self,
+        strings: &[Vec<(QubitId, Pauli)>],
+    ) -> Result<Vec<f64>, SimError> {
+        let mapped: Result<Vec<_>, _> = strings.iter().map(|t| self.pauli_positions(t)).collect();
+        Ok(self.state.expectation_pauli_each(&mapped?))
+    }
+
+    /// A Pauli string over handles as one over store positions.
+    fn pauli_positions(&self, terms: &[(QubitId, Pauli)]) -> Result<Vec<PauliTerm>, SimError> {
+        let mut mapped: Vec<PauliTerm> = Vec::with_capacity(terms.len());
         for &(q, op) in terms {
-            mapped.push(PauliTerm {
-                qubit: self.pos(q)?,
-                op,
-            });
+            let qubit = self.pos(q)?;
+            if mapped.iter().any(|t| t.qubit == qubit) {
+                return Err(SimError::DuplicateQubit(q));
+            }
+            mapped.push(PauliTerm { qubit, op });
         }
-        Ok(self.state.expectation_pauli(&mapped))
+        Ok(mapped)
     }
 
     /// Entangles two fresh |0> qubits into (|00> + |11>)/sqrt(2), modeling

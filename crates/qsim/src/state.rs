@@ -331,6 +331,10 @@ impl AmpStore for State {
         stripe::expectation_pauli_flat(&self.amps, terms)
     }
 
+    fn expectation_pauli_each(&self, strings: &[Vec<PauliTerm>]) -> Vec<f64> {
+        stripe::expectation_pauli_each_flat(&self.amps, strings)
+    }
+
     fn snapshot(&self, perm: &[usize]) -> Result<State, SimError> {
         Ok(self.permuted(perm))
     }

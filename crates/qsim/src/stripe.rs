@@ -534,9 +534,68 @@ pub fn expectation_pauli(
     hermitian_value(i_pow, acc)
 }
 
+/// Diagonal strings [`expectation_pauli_each_flat`] reads in one sweep: one
+/// accumulator each, as many as stay in registers.
+const DIAGONAL_CHUNK: usize = 16;
+
+/// Amplitudes per tile of a diagonal sweep: the low index bits whose signs
+/// are tabled once per call; the bits above are one sign per tile.
+const SIGN_TILE: usize = 1 << 8;
+
+/// [`expectation_pauli_flat`] of each string in `strings`, bit for bit, with
+/// the diagonal (Z-only) strings read together, up to 16 per sweep. A
+/// diagonal term `conj(a)·(±a)` is exactly `±|a|²` with a `+0.0` imaginary
+/// part and the `i^{#Y}` phase is 1, so the value is one real sum of
+/// `±a.norm_sqr()` in ascending index order from `+0.0`. The negligible skip
+/// only drops terms whose `norm_sqr()` is `0.0`, and adding `±0.0` to an
+/// accumulator that starts at `+0.0` leaves its bits alone, so the sweep
+/// adds every term.
+pub fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
+    let n_qubits = amps.len().trailing_zeros() as usize;
+    let mut values = vec![0.0; strings.len()];
+    let mut diagonal = Vec::new();
+    for (i, terms) in strings.iter().enumerate() {
+        match pauli_masks(n_qubits, terms) {
+            (0, z_mask, _) => diagonal.push((i, z_mask)),
+            _ => values[i] = expectation_pauli_flat(amps, terms),
+        }
+    }
+    for chunk in diagonal.chunks(DIAGONAL_CHUNK) {
+        let mut z_masks: Vec<usize> = chunk.iter().map(|&(_, z)| z).collect();
+        z_masks.resize(DIAGONAL_CHUNK, 0);
+        for (&(i, _), sum) in chunk.iter().zip(diagonal_sums(amps, &z_masks)) {
+            values[i] = sum;
+        }
+    }
+    values
+}
+
+/// `Σ_g (-1)^{|g & z|} |a_g|²` for each of the [`DIAGONAL_CHUNK`] masks, in
+/// one pass: one accumulator per mask, from `+0.0`, in ascending index
+/// order. A sign is a sign bit, its low-bit half from a table built once and
+/// its high-bit half once per tile: no amplitude pays a popcount.
+fn diagonal_sums(amps: &[Complex], z_masks: &[usize]) -> [f64; DIAGONAL_CHUNK] {
+    let sign_bits = |g: usize| -> [u64; DIAGONAL_CHUNK] {
+        std::array::from_fn(|k| u64::from(odd_parity(g, z_masks[k])) << 63)
+    };
+    let tile = amps.len().min(SIGN_TILE);
+    let low: Vec<[u64; DIAGONAL_CHUNK]> = (0..tile).map(sign_bits).collect();
+    let mut acc = [0.0f64; DIAGONAL_CHUNK];
+    for (at, amps) in (0..).step_by(tile).zip(amps.chunks_exact(tile)) {
+        let high = sign_bits(at);
+        for (a, low) in amps.iter().zip(&low) {
+            let mass = a.norm_sqr().to_bits();
+            for k in 0..DIAGONAL_CHUNK {
+                acc[k] += f64::from_bits(mass ^ low[k] ^ high[k]);
+            }
+        }
+    }
+    acc
+}
+
 /// Applies the `i^{#Y}` phase to a finished accumulator and returns the
 /// (necessarily real) expectation value.
-pub(crate) fn hermitian_value(i_pow: Complex, acc: Complex) -> f64 {
+pub fn hermitian_value(i_pow: Complex, acc: Complex) -> f64 {
     let val = i_pow * acc;
     debug_assert!(
         val.im.abs() < 1e-9,
@@ -1528,24 +1587,139 @@ mod tests {
         }
     }
 
+    /// The Pauli string over `n` qubits whose base-4 digits of `code` are,
+    /// from qubit 0 up, I, X, Y or Z.
+    fn pauli_string(n: usize, code: u64) -> Vec<PauliTerm> {
+        use crate::gates::Pauli;
+        (0..n)
+            .filter_map(|q| {
+                let op = match (code >> (2 * q)) & 3 {
+                    0 => return None,
+                    1 => Pauli::X,
+                    2 => Pauli::Y,
+                    _ => Pauli::Z,
+                };
+                Some(PauliTerm { qubit: q, op })
+            })
+            .collect()
+    }
+
+    /// The Z-only string over the set bits of `mask`.
+    fn z_string(mask: usize) -> Vec<PauliTerm> {
+        (0..usize::BITS as usize)
+            .filter(|q| mask >> q & 1 == 1)
+            .map(|qubit| PauliTerm {
+                qubit,
+                op: crate::gates::Pauli::Z,
+            })
+            .collect()
+    }
+
+    /// [`seeded`] amplitudes with the values a sum can get wrong in its
+    /// last bit or its sign: exact `+0.0` / `-0.0` components, and
+    /// amplitudes of 1e-170 (whose `norm_sqr` underflows to `0.0`, the
+    /// negligible skip's case) and 1e-160 (a subnormal `norm_sqr`).
+    fn extremes(len: usize, seed: u64) -> Vec<Complex> {
+        let mut amps = seeded(len, seed);
+        for (i, a) in amps.iter_mut().enumerate() {
+            *a = match i % 6 {
+                1 => Complex::new(-0.0, 0.0),
+                2 => Complex::new(0.0, -0.0),
+                4 => a.scale(1e-170),
+                5 if i % 4 == 1 => a.scale(1e-160),
+                _ => *a,
+            };
+        }
+        amps
+    }
+
+    /// Asserts that one fused call reads each string to the bits
+    /// [`expectation_pauli_flat`] reads it to.
+    fn assert_each_matches_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) {
+        let got = expectation_pauli_each_flat(amps, strings);
+        assert_eq!(got.len(), strings.len());
+        for (value, terms) in got.iter().zip(strings) {
+            let want = expectation_pauli_flat(amps, terms);
+            assert_eq!(
+                value.to_bits(),
+                want.to_bits(),
+                "{terms:?}: {value} vs {want}"
+            );
+        }
+    }
+
+    #[test]
+    fn fused_expectations_match_one_string_at_a_time_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        for n in 0..=10usize {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(700 + n as u64);
+            let all = (1usize << n) - 1;
+            // Every single-Z string, the identity, random Z-only and general
+            // strings and one repeat: past one chunk of diagonal strings at
+            // every n, in an order that interleaves the kinds.
+            let mut strings: Vec<_> = (0..n).map(|q| z_string(1 << q)).collect();
+            strings.push(vec![]);
+            for _ in 0..DIAGONAL_CHUNK {
+                strings.push(z_string(rng.gen::<usize>() & all));
+                strings.push(pauli_string(n, rng.gen()));
+            }
+            strings.push(strings[strings.len() / 2].clone());
+            strings.reverse();
+            for amps in [
+                seeded(1 << n, 800 + n as u64),
+                extremes(1 << n, 900 + n as u64),
+            ] {
+                assert_each_matches_flat(&amps, &strings);
+            }
+        }
+        assert!(expectation_pauli_each_flat(&seeded(8, 1), &[]).is_empty());
+    }
+
+    mod proptests {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// Random lists of strings over random states: every value of
+            /// one fused call is the one-string kernel's value to the bit.
+            /// A code's low digit picks the kind — Z on one qubit, Z on a
+            /// mask, the identity, any string — and the rest its operand.
+            #[test]
+            fn fused_expectations_are_the_flat_kernel_bit_for_bit(
+                n in 0usize..11,
+                seed in any::<u64>(),
+                tame in any::<bool>(),
+                codes in collection::vec(any::<u64>(), 1..40),
+            ) {
+                let all = (1usize << n) - 1;
+                let strings: Vec<Vec<PauliTerm>> = codes
+                    .iter()
+                    .map(|&code| match (code & 3, (code >> 2) as usize) {
+                        (0, q) if n > 0 => z_string(1 << (q % n)),
+                        (1, mask) => z_string(mask & all),
+                        (2, _) => vec![],
+                        (_, rest) => pauli_string(n, rest as u64),
+                    })
+                    .collect();
+                let amps = if tame {
+                    seeded(1 << n, seed)
+                } else {
+                    extremes(1 << n, seed)
+                };
+                assert_each_matches_flat(&amps, &strings);
+            }
+        }
+    }
+
     #[test]
     fn expectation_matches_the_per_index_loop_bit_for_bit() {
-        use crate::gates::Pauli;
         for n in 1..=7usize {
             let amps = seeded(1 << n, 400 + n as u64);
             // Every Pauli string over n qubits: base-4 digits I, X, Y, Z.
-            for code in 0..(1usize << (2 * n)) {
-                let terms: Vec<PauliTerm> = (0..n)
-                    .filter_map(|q| {
-                        let op = match (code >> (2 * q)) & 3 {
-                            0 => return None,
-                            1 => Pauli::X,
-                            2 => Pauli::Y,
-                            _ => Pauli::Z,
-                        };
-                        Some(PauliTerm { qubit: q, op })
-                    })
-                    .collect();
+            for code in 0..(1u64 << (2 * n)) {
+                let terms = pauli_string(n, code);
                 let got = expectation_pauli_flat(&amps, &terms);
                 let want = naive::expectation_pauli_flat(&amps, &terms);
                 assert_eq!(got.to_bits(), want.to_bits(), "n={n} code={code:#x}");

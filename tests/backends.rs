@@ -447,3 +447,41 @@ fn repeated_qubit_in_a_parity_measurement_is_rejected_before_any_draw() {
         assert_eq!(run(true), run(false), "{kind}");
     }
 }
+
+/// A qubit named twice in a Pauli string is `DuplicateQubit` on every
+/// backend, through `expectation` and `expectation_each` alike (Z·Z is the
+/// identity, not Z; X·Z is not Hermitian), before anything is read; a read
+/// after it sees the state as it was.
+#[test]
+fn repeated_qubit_in_a_pauli_string_is_rejected() {
+    for kind in all_kinds() {
+        let out = run_with_config(1, cfg(kind, 8), move |ctx| {
+            let qs = ctx.alloc_qmem(2);
+            ctx.x(&qs[0]).unwrap();
+            let duplicate = |e: Option<qmpi::QmpiError>| {
+                matches!(
+                    e,
+                    Some(qmpi::QmpiError::Sim(qsim::SimError::DuplicateQubit(_)))
+                )
+            };
+            let mut rejected = Vec::new();
+            for repeat in [
+                vec![(&qs[0], Pauli::Z), (&qs[0], Pauli::Z)],
+                vec![(&qs[0], Pauli::X), (&qs[1], Pauli::Z), (&qs[0], Pauli::Z)],
+            ] {
+                rejected.push(duplicate(ctx.expectation(&repeat).err()));
+                let strings = [vec![(&qs[1], Pauli::Z)], repeat];
+                rejected.push(duplicate(ctx.expectation_each(&strings).err()));
+            }
+            let z = ctx.expectation(&[(&qs[0], Pauli::Z)]).unwrap();
+            for q in qs {
+                ctx.measure_and_free(q).unwrap();
+            }
+            (rejected, z)
+        });
+        let (rejected, z) = &out[0];
+        assert_eq!(rejected, &[true; 4], "{kind}");
+        let want = if is_stateful(kind) { -1.0 } else { 1.0 };
+        assert_eq!(*z, want, "{kind}: <Z> of |1>");
+    }
+}
