@@ -207,6 +207,11 @@ impl BytesMut {
         self.data.len()
     }
 
+    /// Reserves room for at least `additional` more bytes.
+    pub fn reserve(&mut self, additional: usize) {
+        self.data.reserve(additional);
+    }
+
     /// Whether nothing has been written.
     pub fn is_empty(&self) -> bool {
         self.data.is_empty()

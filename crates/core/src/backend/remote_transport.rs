@@ -32,7 +32,9 @@
 //!
 //! The controller binds a listener, spawns each `qworker <addr> <rank>
 //! <epoch> <watchdog_ms>` child, accepts its connection, and reads one
-//! `HELLO` frame whose `peer` field authenticates the worker's rank.
+//! `HELLO` frame whose `peer` field authenticates the worker's rank and
+//! whose body is its build's wire-format version: a missing or different
+//! one fails the spawn, naming both, instead of the first decode.
 //!
 //! ## Failover: epochs, abort, replay
 //!
@@ -83,6 +85,10 @@ const TAG_REPLY: u8 = 3;
 const TAG_XCHG: u8 = 4;
 const TAG_ABORT: u8 = 5;
 const TAG_ACK: u8 = 6;
+
+/// Version of the byte layout of every command, reply and exchange frame,
+/// sent as the `HELLO` body; bump it with any change to that layout.
+const WIRE_VERSION: u32 = 1;
 
 /// How long a spawned child gets to connect and say HELLO before the
 /// spawn is declared failed (an environmental error, not a protocol one).
@@ -290,7 +296,7 @@ pub fn qworker_main() {
         epoch,
         peer: rank as u32,
     };
-    if write_frame(&mut stream, &hello, &[]).is_err() {
+    if write_frame(&mut stream, &hello, &WIRE_VERSION.to_le_bytes()).is_err() {
         std::process::exit(1);
     }
     let mut chan = SockChannel::new(stream, rank, epoch, watchdog_ms);
@@ -300,6 +306,22 @@ pub fn qworker_main() {
 // ---------------------------------------------------------------------------
 // Controller side
 // ---------------------------------------------------------------------------
+
+/// Checks the `HELLO` of the worker spawned as `rank`: its tag, its rank,
+/// and this build's [`WIRE_VERSION`] as its body.
+fn check_hello(rank: usize, hello: &FrameHeader, body: &[u8]) -> io::Result<()> {
+    let version = <[u8; 4]>::try_from(body).ok().map(u32::from_le_bytes);
+    if hello.tag == TAG_HELLO && hello.peer as usize == rank && version == Some(WIRE_VERSION) {
+        return Ok(());
+    }
+    let theirs = version.map_or("none".into(), |v| v.to_string());
+    let why = format!(
+        "worker handshake: expected HELLO from rank {rank} at wire format {WIRE_VERSION}, \
+         got tag {} peer {} at wire format {theirs}",
+        hello.tag, hello.peer
+    );
+    Err(io::Error::new(io::ErrorKind::InvalidData, why))
+}
 
 /// What a worker's router thread feeds the controller.
 enum RouterEvent {
@@ -429,16 +451,8 @@ impl ProcessLink {
         let stream = self.listener.accept_timeout(SPAWN_TIMEOUT)?;
         stream.set_read_timeout(Some(SPAWN_TIMEOUT))?;
         let mut reader = stream.try_clone()?;
-        let (hello, _) = read_frame(&mut reader)?;
-        if hello.tag != TAG_HELLO || hello.peer as usize != rank {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!(
-                    "worker handshake: expected HELLO from rank {rank}, got tag {} peer {}",
-                    hello.tag, hello.peer
-                ),
-            ));
-        }
+        let (hello, body) = read_frame(&mut reader)?;
+        check_hello(rank, &hello, &body)?;
         stream.set_read_timeout(None)?;
         *self.writers[shard].lock() = Some(stream);
         let router_id = self.next_router_id;
@@ -720,5 +734,40 @@ impl Drop for ProcessLink {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn handshake_refuses_a_worker_of_another_wire_format() {
+        let hello = FrameHeader {
+            tag: TAG_HELLO,
+            epoch: 0,
+            peer: 3,
+        };
+        assert!(check_hello(3, &hello, &WIRE_VERSION.to_le_bytes()).is_ok());
+        // Another build's version, and a build from before the version was
+        // sent, are refused at spawn, naming both sides' versions.
+        for (body, theirs) in [
+            (
+                &(WIRE_VERSION + 1).to_le_bytes()[..],
+                (WIRE_VERSION + 1).to_string(),
+            ),
+            (&[][..], "none".to_string()),
+        ] {
+            let err = check_hello(3, &hello, body).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains(&format!("at wire format {WIRE_VERSION},")),
+                "{msg}"
+            );
+            assert!(msg.ends_with(&format!("at wire format {theirs}")), "{msg}");
+        }
+        // The rank still authenticates.
+        assert!(check_hello(2, &hello, &WIRE_VERSION.to_le_bytes()).is_err());
     }
 }

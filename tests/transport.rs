@@ -592,6 +592,41 @@ fn alloc_and_free_keep_the_state_off_the_controller_wire() {
     assert!(e.prob_one(top).unwrap() < 1e-12);
 }
 
+/// A fresh qubit's |1⟩ half is exact zeros, shipped by the reshape that
+/// makes room for it and again, both ways, when a gate first pairs it
+/// across shards. Stripe payloads send such runs as lengths, so growing a
+/// 12-qubit state by an entangled pair moves about three states' worth of
+/// bytes, where shipping every zero cost eleven.
+#[test]
+fn a_fresh_pair_ships_its_zero_halves_as_lengths() {
+    // A forced checkpoint gathers the state; see the test above.
+    if std::env::var_os("QMPI_CHECKPOINT_ROUNDS").is_some() {
+        return;
+    }
+    ensure_worker_bin();
+    let mut e = spawned(3, SHARDS, TransportKind::UnixSocket);
+    let qs: Vec<_> = (0..12).map(|_| e.alloc()).collect();
+    for &q in &qs {
+        e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+    }
+    let state_bytes = 16u64 << qs.len();
+    let bytes = |e: &RemoteShardedEngine| {
+        e.prob_one(qs[1]).unwrap();
+        e.transport_stats().wire_bytes
+    };
+
+    let before = bytes(&e);
+    let (a, b) = (e.alloc(), e.alloc());
+    e.apply_batch(&ops::gate(Gate::H, a)).unwrap();
+    e.apply_batch(&ops::cnot(a, b)).unwrap();
+    let moved = bytes(&e) - before;
+    assert!(
+        moved < 4 * state_bytes,
+        "an entangled pair's alloc moved {moved} B for a {state_bytes} B state"
+    );
+    assert!((e.prob_one(b).unwrap() - 0.5).abs() < 1e-12);
+}
+
 /// A snapshot order the front rejects — a freed qubit, or a live one twice —
 /// errors before any protocol round: no gather, no checkpoint, no bytes.
 #[test]
