@@ -3,22 +3,34 @@
 //! to the values measured from this implementation, so EXPERIMENTS.md can
 //! be audited by running them.
 //!
-//! Also the engine-census programs: the per-rank bodies `backend_scaling`
-//! and the `engine_census` binary both time, written once.
+//! Also the engine-census programs: the per-rank bodies the
+//! `engine_census` binary times.
 
 #![forbid(unsafe_code)]
 
 use qchem::{molecular_hamiltonian, Encoding, Molecule, PauliSum};
 use qmpi::QmpiRank;
 
-/// Parses a `--atoms N` style argument (defaults provided per binary).
+/// Reads a `--atoms N` style argument (defaults provided per binary). A
+/// flag given without a value, or with one that is not a count, exits
+/// with a message naming the flag.
 pub fn arg_usize(name: &str, default: usize) -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(default)
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_arg_usize(&args, name, default).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
+}
+
+/// [`arg_usize`] over an explicit argument list.
+fn parse_arg_usize(args: &[String], name: &str, default: usize) -> Result<usize, String> {
+    let Some(i) = args.iter().position(|a| a == name) else {
+        return Ok(default);
+    };
+    let value = args.get(i + 1).ok_or(format!("{name} needs a value"))?;
+    value
+        .parse()
+        .map_err(|_| format!("{name} expects a non-negative integer, got {value:?}"))
 }
 
 /// Builds the paper's hydrogen-ring Hamiltonian (Fig. 5/7 workload):
@@ -120,6 +132,24 @@ pub fn tfim(ctx: &QmpiRank, sites: usize, steps: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arg_usize_rejects_a_missing_or_bad_value_by_flag_name() {
+        let args = |a: &[&str]| a.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(parse_arg_usize(&args(&[]), "--repeats", 5), Ok(5));
+        assert_eq!(
+            parse_arg_usize(&args(&["--atoms", "8", "--repeats", "3"]), "--repeats", 5),
+            Ok(3)
+        );
+        for bad in [
+            &["--repeats", "x"][..],
+            &["--repeats", "-1"],
+            &["--repeats"],
+        ] {
+            let err = parse_arg_usize(&args(bad), "--repeats", 5).unwrap_err();
+            assert!(err.contains("--repeats"), "{err}");
+        }
+    }
 
     #[test]
     fn log_bar_monotone() {

@@ -94,8 +94,8 @@
 //! A dead or deadlocked worker must fail CI with a diagnostic, not hang it.
 //! Every blocking receive the controller (and a worker awaiting its
 //! exchange partner) performs goes through [`cmpi::Communicator::recv_timeout`]
-//! with the engine's watchdog duration (default 30 s, overridable via the
-//! `QMPI_REMOTE_WATCHDOG_MS` environment variable at engine construction or
+//! with the engine's watchdog duration (default 30 s, overridable via a
+//! positive `QMPI_REMOTE_WATCHDOG_MS` at engine construction or
 //! [`RemoteShardedEngine::with_watchdog`]); expiry panics with the shard and
 //! operation that timed out.
 //!
@@ -113,7 +113,7 @@
 use super::amplitude::{AmplitudeEngine, EngineStore};
 use super::pool::ShardLease;
 use super::{BackendKind, TransportStats};
-use crate::context::BatchPolicy;
+use crate::context::{env_positive, BatchPolicy};
 use bytes::{BufMut, Bytes, BytesMut};
 use cmpi::{Communicator, Decode, Encode, TransportKind};
 use parking_lot::Mutex;
@@ -142,15 +142,12 @@ const CONTROLLER: usize = 0;
 /// in-process stripe cap.
 pub const MAX_REMOTE_SHARD_BITS: u32 = 6;
 
-/// Default watchdog for blocking protocol receives.
-const DEFAULT_WATCHDOG: Duration = Duration::from_secs(30);
+/// Default watchdog for blocking protocol receives, in milliseconds.
+const DEFAULT_WATCHDOG_MS: usize = 30_000;
 
 pub(crate) fn watchdog_from_env() -> Duration {
-    std::env::var("QMPI_REMOTE_WATCHDOG_MS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .map(Duration::from_millis)
-        .unwrap_or(DEFAULT_WATCHDOG)
+    let ms = env_positive("QMPI_REMOTE_WATCHDOG_MS", DEFAULT_WATCHDOG_MS);
+    Duration::from_millis(ms as u64)
 }
 
 // ---------------------------------------------------------------------------
@@ -1240,17 +1237,12 @@ struct FailoverState {
 
 impl FailoverState {
     fn new() -> Self {
-        let limit = std::env::var("QMPI_CHECKPOINT_ROUNDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&v| v > 0)
-            .unwrap_or(32);
         FailoverState {
             checkpoint: vec![Complex::real(1.0)],
             ckpt_qubits: 0,
             log: Vec::new(),
             unit: None,
-            limit,
+            limit: env_positive("QMPI_CHECKPOINT_ROUNDS", 32),
         }
     }
 }

@@ -193,7 +193,24 @@ impl BatchPolicy {
 }
 
 fn env_usize(name: &str) -> Option<usize> {
-    std::env::var(name).ok()?.trim().parse().ok()
+    parse_count(&std::env::var(name).ok()?)
+}
+
+/// A knob's text as a count, surrounding whitespace ignored.
+fn parse_count(raw: &str) -> Option<usize> {
+    raw.trim().parse().ok()
+}
+
+/// A count knob that must be positive: unset, `0` or unparsable reads as
+/// `default`.
+pub(crate) fn env_positive(name: &str, default: usize) -> usize {
+    positive_or(std::env::var(name).ok().as_deref(), default)
+}
+
+fn positive_or(raw: Option<&str>, default: usize) -> usize {
+    raw.and_then(parse_count)
+        .filter(|&v| v > 0)
+        .unwrap_or(default)
 }
 
 /// World configuration, built fluently:
@@ -771,6 +788,24 @@ impl Drop for QmpiRank {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The parse behind `QMPI_REMOTE_WATCHDOG_MS` and
+    /// `QMPI_CHECKPOINT_ROUNDS`: a zero watchdog would expire every
+    /// receive at once, so `0` reads as the default.
+    #[test]
+    fn positive_knobs_trim_and_read_zero_as_the_default() {
+        assert_eq!(positive_or(Some(" 250 \n"), 30_000), 250);
+        for raw in [
+            None,
+            Some("0"),
+            Some(" 0 "),
+            Some("x"),
+            Some("-5"),
+            Some(""),
+        ] {
+            assert_eq!(positive_or(raw, 30_000), 30_000, "{raw:?}");
+        }
+    }
 
     #[test]
     fn world_sizes_and_ranks() {

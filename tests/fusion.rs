@@ -156,9 +156,22 @@ fn remote_workers_fuse_identically() {
 
 /// The counter proof: on a 1q-run-heavy circuit the fused run must apply
 /// *strictly fewer* kernel sweeps than the unfused-batched run — the
-/// optimizer demonstrably fired, it didn't just pass the stream through.
+/// optimizer demonstrably fired, it didn't just pass the stream through —
+/// on the dense engine and on the striped and remote ones, which plan the
+/// same fused stream onto stripes.
 #[test]
 fn fusion_strictly_reduces_kernel_sweeps() {
+    ensure_worker_bin();
+    for kind in [
+        BackendKind::StateVector,
+        BackendKind::ShardedStateVector { shards: 4 },
+        BackendKind::RemoteSharded { shards: 4 },
+    ] {
+        assert_fusion_reduces_sweeps(kind);
+    }
+}
+
+fn assert_fusion_reduces_sweeps(kind: BackendKind) {
     use Step::*;
     let steps = [
         G(Gate::H, 0),
@@ -177,7 +190,7 @@ fn fusion_strictly_reduces_kernel_sweeps() {
     let run = |steps: &[Step], policy: BatchPolicy| {
         let cfg = QmpiConfig::new()
             .seed(3)
-            .backend(BackendKind::StateVector)
+            .backend(kind)
             .noise(NoiseModel::ideal())
             .batch(policy);
         run_circuit(cfg, N_QUBITS, steps, false).0
@@ -190,20 +203,20 @@ fn fusion_strictly_reduces_kernel_sweeps() {
     let fused = run(&steps, BatchPolicy::default());
     assert!(
         fused.counts.0 < unfused.counts.0,
-        "fusion must strictly reduce kernel sweeps on this circuit \
+        "{kind}: fusion must strictly reduce kernel sweeps on this circuit \
          ({} fused vs {} unfused)",
         fused.counts.0,
         unfused.counts.0
     );
-    assert_eq!(fused.outcomes, unfused.outcomes);
+    assert_eq!(fused.outcomes, unfused.outcomes, "{kind}");
     // The ladders: each is one parity sweep, so a Trotter step costs its
     // transverse-field layer plus one, and the CNOTs are gone.
     let unfused = run(&ladder_circuit(), unfused_policy);
     let fused = run(&ladder_circuit(), BatchPolicy::default());
-    assert_eq!(unfused.counts.0, (3 * 5 + 6 + 2 * 5 + 1) as u64);
-    assert_eq!(fused.counts.0, 1 + 6 + 1);
-    assert!(3 * fused.counts.0 <= unfused.counts.0);
-    assert_eq!(fused.outcomes, unfused.outcomes);
+    assert_eq!(unfused.counts.0, (3 * 5 + 6 + 2 * 5 + 1) as u64, "{kind}");
+    assert_eq!(fused.counts.0, 1 + 6 + 1, "{kind}");
+    assert!(3 * fused.counts.0 <= unfused.counts.0, "{kind}");
+    assert_eq!(fused.outcomes, unfused.outcomes, "{kind}");
 }
 
 mod proptests {

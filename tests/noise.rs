@@ -150,7 +150,7 @@ fn stabilizer_depolarizing_teleport_matches_analytic_fidelity() {
 
 #[test]
 fn noisy_sweep_runs_on_all_stateful_backends_from_one_config() {
-    // The acceptance criterion: an 8-rank noisy teleportation sweep on the
+    // The acceptance bar: an 8-rank noisy teleportation sweep on the
     // state-vector, sharded, and stabilizer backends, all driven by the
     // same QmpiConfig::noise(..) call inside the sweep.
     for kind in [

@@ -70,32 +70,42 @@ fn wait_for(server: &JobServer, pred: impl Fn(&qserve::ServerStats) -> bool) {
 /// eight jobs provably run *concurrently* over one worker pool (a shared
 /// barrier inside the jobs cannot release otherwise), and every job's
 /// trajectory is bit-identical to a solo spawn-per-run execution of the
-/// same seed.
+/// same seed. Eight spawn-per-job submissions of the same seeds run in the
+/// same barrier, each provisioning its own remote worker set under the
+/// scheduler, and must match the same solo runs.
 #[test]
 fn eight_concurrent_pooled_jobs_match_solo_runs_bit_for_bit() {
     const JOBS: usize = 8;
     let server = Arc::new(JobServer::new(ServerConfig {
         s_capacity: 64,
-        max_concurrent: JOBS,
+        max_concurrent: 2 * JOBS,
         pool_slots: JOBS,
         pool_shards: 2,
         ..ServerConfig::default()
     }));
-    let all_running = Arc::new(Barrier::new(JOBS));
+    let all_running = Arc::new(Barrier::new(2 * JOBS));
 
-    let threads: Vec<_> = (0..JOBS)
+    let threads: Vec<_> = (0..2 * JOBS)
         .map(|i| {
             let server = Arc::clone(&server);
             let all_running = Arc::clone(&all_running);
             std::thread::spawn(move || {
-                let seed = 100 + i as u64;
-                let theta = 0.2 + 0.3 * i as f64;
+                let seed = 100 + (i % JOBS) as u64;
+                let theta = 0.2 + 0.3 * (i % JOBS) as f64;
                 let body = teleport(theta);
-                let spec = JobSpec::new(format!("tenant-{i}"), 2).seed(seed).s_limit(2);
+                let backend = if i < JOBS {
+                    JobBackend::Pooled
+                } else {
+                    JobBackend::Spawn(BackendKind::RemoteSharded { shards: 2 })
+                };
+                let spec = JobSpec::new(format!("tenant-{i}"), 2)
+                    .seed(seed)
+                    .s_limit(2)
+                    .backend(backend);
                 let handle = server
                     .submit(spec, move |ctx| {
                         if ctx.rank() == 0 {
-                            // Released only once all eight jobs are live.
+                            // Released only once all sixteen jobs are live.
                             all_running.wait();
                         }
                         body(ctx)
@@ -108,16 +118,17 @@ fn eight_concurrent_pooled_jobs_match_solo_runs_bit_for_bit() {
     let served: Vec<_> = threads.into_iter().map(|t| t.join().unwrap()).collect();
 
     for (i, out) in served.iter().enumerate() {
-        let seed = 100 + i as u64;
-        let theta = 0.2 + 0.3 * i as f64;
+        let seed = 100 + (i % JOBS) as u64;
+        let theta = 0.2 + 0.3 * (i % JOBS) as f64;
         let cfg = QmpiConfig::new()
             .seed(seed)
             .s_limit(2)
             .backend(BackendKind::RemoteSharded { shards: 2 });
         let solo = run_with_config(2, cfg, teleport(theta));
+        let how = if i < JOBS { "pooled" } else { "spawn-per-job" };
         assert_eq!(
             out.results, solo,
-            "job {i}: pooled concurrent trajectory diverged from solo run"
+            "job {i}: {how} concurrent trajectory diverged from solo run"
         );
         assert!(out.report.resources.epr_pairs >= 1);
         assert_eq!(out.report.ranks, 2);
@@ -141,7 +152,7 @@ fn eight_concurrent_pooled_jobs_match_solo_runs_bit_for_bit() {
     // Stats update in the job threads after the result is delivered, so
     // quiesce before reading them.
     server.drain();
-    assert_eq!(server.stats().finished, JOBS as u64);
+    assert_eq!(server.stats().finished, 2 * JOBS as u64);
     assert_eq!(server.stats().pool_available, JOBS);
 }
 
