@@ -322,10 +322,11 @@ pub const DIAG_RANK: usize = usize::MAX;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TransportStats {
     /// Controller→worker command rounds: one per fan-out of command frames,
-    /// and a fan-out carries a read (gates, allocs and collapses wait for
-    /// the next one).
+    /// and a fan-out carries a read (gates, allocs, frees and collapses
+    /// wait for the next one).
     pub command_rounds: u64,
-    /// Worker↔worker stripe-exchange rounds (cross-shard gate traffic).
+    /// Worker↔worker exchange rounds: cross-shard gate and reshape
+    /// traffic, and a free's norm all-gather.
     pub exchange_rounds: u64,
     /// Bytes put on the wire, both directions, including relayed
     /// exchanges. Over a socket transport the controller counts them as

@@ -18,8 +18,8 @@
 //! | tag | direction | carries |
 //! |---|---|---|
 //! | `TAG_CMD` | controller → worker | [`ShardCmd`] (gates, queries, lifecycle) |
-//! | `TAG_REPLY` | worker → controller | [`ShardReply`] (partial sums, reshape reports, stripes) |
-//! | `TAG_XCHG` | worker ↔ worker | stripe amplitudes (cross-shard pairing, reshape parts) |
+//! | `TAG_REPLY` | worker → controller | [`ShardReply`] (partial sums, stripes) |
+//! | `TAG_XCHG` | worker ↔ worker | stripe amplitudes (cross-shard pairing, reshape parts, a free's squared norms) |
 //!
 //! Every command broadcast happens under one controller lock, so all
 //! workers observe the *same global command order*; each worker applies its
@@ -30,7 +30,7 @@
 //!
 //! * **Ship on a read.** Work that needs no reply waits in a per-worker
 //!   queue on the controller, in global order: planned gate streams, alloc
-//!   reshapes, renormalisation scales, measurement collapses. A command
+//!   and free reshapes, measurement collapses. A command
 //!   that needs a reply takes the worker's queue with it in one
 //!   [`ShardCmd::Seq`] frame (queue first, then the read), and a worker the
 //!   read does not address gets its queue in the same fan-out. So a command
@@ -81,9 +81,10 @@
 //!   controller can tell each worker which equal parts of its stripe go to
 //!   which workers and whose parts make up its new stripe. Parts move
 //!   worker↔worker on `TAG_XCHG`; a fresh top qubit's all-zero |1⟩ half
-//!   travels as a length. An alloc needs nothing back and queues.
-//!   A free is a read: each worker reports two floats (dropped mass, new
-//!   squared norm), and the renormalising [`ShardCmd::Scale`] is queued.
+//!   travels as a length. Neither needs anything back, so both queue. After
+//!   a free the workers of the new layout renormalise among themselves:
+//!   each sends its squared norm to the others on `TAG_XCHG`, and all add
+//!   them in shard order and scale by the same `1/√sum`.
 //! * **Snapshots** (`state_vector`), failover checkpoints and recovery are
 //!   the only users of the dense state: [`ShardCmd::Gather`] and
 //!   [`ShardCmd::Load`]. A snapshot ships the queue in a round of its own
@@ -105,8 +106,8 @@
 //! same generic engine as the dense, sparse and striped ones: handles,
 //! operand checks, counters, noise and the measurement draw order come from
 //! [`qsim::sim::AmpSim`]. The store's gate methods and `add_qubit` only
-//! *queue*; its reads (probabilities, measurements, frees, expectations,
-//! snapshots) ship the queue. A measurement is one read because the front
+//! *queue*, and so does `remove_qubit`; its reads (probabilities,
+//! measurements, expectations, snapshots) ship the queue. A measurement is one read because the front
 //! draws its uniform before calling the store. Select the engine with
 //! [`super::BackendKind::RemoteSharded`].
 
@@ -120,7 +121,7 @@ use parking_lot::Mutex;
 use qsim::gates::Mat2;
 use qsim::measure::PauliTerm;
 use qsim::noise::NoiseModel;
-use qsim::state::{MAX_DENSE_QUBITS, NORM_TOL};
+use qsim::state::MAX_DENSE_QUBITS;
 use qsim::stripe;
 use qsim::{AmpStore, Complex, SimError, State, SweepFactor};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -582,11 +583,6 @@ pub enum ShardCmd {
     /// command that needs its reply. Holds no `Seq`; a failover abort
     /// abandons the rest of the frame.
     Seq(Vec<ShardCmd>),
-    /// Rescale every amplitude (renormalization after a free).
-    Scale {
-        /// Real scale factor.
-        factor: f64,
-    },
     /// In-place layout change for an alloc or a free: compact the stripe
     /// locally, ship its equal parts worker↔worker on `TAG_XCHG`, and
     /// assemble the new stripe from the parts received (zero-padded to
@@ -598,8 +594,7 @@ pub enum ShardCmd {
         /// ([`stripe::remove_qubit_in_place`] on the worker's own stripe).
         compact: Option<(usize, bool)>,
         /// World ranks the stripe's `sends.len()` equal parts go to, in
-        /// offset order; empty discards the stripe (its mass is reported
-        /// as dropped).
+        /// offset order; empty discards the stripe.
         sends: Vec<usize>,
         /// World ranks whose parts make up the new stripe, in offset order.
         recvs: Vec<usize>,
@@ -609,9 +604,12 @@ pub enum ShardCmd {
         local_bits: usize,
         /// New stripe length: `2^local_bits`, or 0 for an inactive worker.
         len: usize,
-        /// Whether to reply [`ShardReply::Reshaped`]: a free renormalizes
-        /// on the reports, an alloc needs nothing back.
-        report: bool,
+        /// After a free, the count of shards active in the new layout,
+        /// which renormalise among themselves: each sends its squared norm
+        /// to the others on `TAG_XCHG`, and all scale by `1/√sum`, the sum
+        /// taken from `+0.0` in shard order. 0 for an alloc, which keeps
+        /// the norm.
+        renorm: usize,
     },
     /// Exit the event loop cleanly (sent by the engine's destructor).
     Shutdown,
@@ -664,10 +662,6 @@ impl Encode for ShardCmd {
                 SEQ.encode(buf);
                 cmds.encode(buf);
             }
-            ShardCmd::Scale { factor } => {
-                8u8.encode(buf);
-                factor.encode(buf);
-            }
             ShardCmd::Shutdown => 9u8.encode(buf),
             ShardCmd::Die => 10u8.encode(buf),
             ShardCmd::Reshape {
@@ -677,7 +671,7 @@ impl Encode for ShardCmd {
                 shard_index,
                 local_bits,
                 len,
-                report,
+                renorm,
             } => {
                 12u8.encode(buf);
                 compact.encode(buf);
@@ -686,7 +680,7 @@ impl Encode for ShardCmd {
                 shard_index.encode(buf);
                 local_bits.encode(buf);
                 len.encode(buf);
-                report.encode(buf);
+                renorm.encode(buf);
             }
         }
     }
@@ -734,11 +728,9 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
             z_mask: usize::decode(buf)?,
             role: ExpectRole::decode(buf)?,
         },
-        // 4–7 were per-branch probability and collapse commands, and
-        // 11 a multi-segment frame; retired, they decode as unknown.
-        8 => ShardCmd::Scale {
-            factor: f64::decode(buf)?,
-        },
+        // 4–7 were per-branch probability and collapse commands, 8 a free's
+        // rescale and 11 a multi-segment frame; retired, they decode as
+        // unknown.
         9 => ShardCmd::Shutdown,
         10 => ShardCmd::Die,
         12 => {
@@ -750,10 +742,16 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
             let shard_index = usize::decode(buf)?;
             let local_bits = usize::decode(buf)?;
             let len = usize::decode(buf)?;
-            let report = bool::decode(buf)?;
-            // No payload bytes back the stripe length; it must agree
-            // with a layout the engine can reach.
-            if local_bits > MAX_DENSE_QUBITS || (len != 0 && len != 1 << local_bits) {
+            let renorm = usize::decode(buf)?;
+            // No payload bytes back the stripe length or the shard counts;
+            // they must agree with a layout the engine can reach, or a
+            // worker would wait on ranks that do not exist.
+            let shards = 1 << MAX_REMOTE_SHARD_BITS;
+            if local_bits > MAX_DENSE_QUBITS
+                || (len != 0 && len != 1 << local_bits)
+                || shard_index >= shards
+                || renorm > shards
+            {
                 return None;
             }
             ShardCmd::Reshape {
@@ -763,7 +761,7 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
                 shard_index,
                 local_bits,
                 len,
-                report,
+                renorm,
             }
         }
         13 => ShardCmd::Branches {
@@ -792,14 +790,6 @@ pub enum ShardReply {
     Amps(Vec<Complex>),
     /// A complex partial accumulator (distributed Pauli expectations).
     PartialC(Complex),
-    /// Outcome of a [`ShardCmd::Reshape`]: the probability mass this worker
-    /// discarded and the squared norm of its new stripe.
-    Reshaped {
-        /// Mass compacted away or discarded with the stripe.
-        dropped: f64,
-        /// Squared norm of the new stripe.
-        norm_sqr: f64,
-    },
 }
 
 impl Encode for ShardReply {
@@ -818,11 +808,6 @@ impl Encode for ShardReply {
                 2u8.encode(buf);
                 encode_complex(c, buf);
             }
-            ShardReply::Reshaped { dropped, norm_sqr } => {
-                3u8.encode(buf);
-                dropped.encode(buf);
-                norm_sqr.encode(buf);
-            }
         }
     }
 }
@@ -830,13 +815,10 @@ impl Encode for ShardReply {
 impl Decode for ShardReply {
     fn decode(buf: &mut Bytes) -> Option<Self> {
         match u8::decode(buf)? {
-            // 0 was a single partial sum; retired, it decodes as unknown.
+            // 0 was a single partial sum and 3 a free's reshape report;
+            // retired, they decode as unknown.
             1 => decode_amps(buf).map(ShardReply::Amps),
             2 => decode_complex(buf).map(ShardReply::PartialC),
-            3 => Some(ShardReply::Reshaped {
-                dropped: f64::decode(buf)?,
-                norm_sqr: f64::decode(buf)?,
-            }),
             4 => Some(ShardReply::Branches {
                 even: f64::decode(buf)?,
                 odd: f64::decode(buf)?,
@@ -928,9 +910,9 @@ fn run_op<C: ShardChannel>(
     Ok(())
 }
 
-/// Executes a [`ShardCmd::Reshape`] against the owned stripe (`me` is this
-/// worker's world rank) and returns the probability mass it discarded.
-/// Every part is sent before any is awaited.
+/// Executes a [`ShardCmd::Reshape`]'s layout change against the owned
+/// stripe (`me` is this worker's world rank). Every part is sent before any
+/// is awaited.
 fn reshape<C: ShardChannel>(
     chan: &mut C,
     amps: &mut Vec<Complex>,
@@ -939,14 +921,10 @@ fn reshape<C: ShardChannel>(
     sends: &[usize],
     recvs: &[usize],
     len: usize,
-) -> Result<f64, WorkerHalt> {
+) -> Result<(), WorkerHalt> {
     let mut old = std::mem::take(amps);
-    let mut dropped = 0.0;
     if let Some((pos, outcome)) = compact {
-        dropped = stripe::remove_qubit_in_place(&mut old, pos, outcome);
-    }
-    if sends.is_empty() {
-        dropped += old.iter().map(|a| a.norm_sqr()).sum::<f64>();
+        stripe::remove_qubit_in_place(&mut old, pos, outcome);
     }
     let part = old.len() / sends.len().max(1);
     let mut kept = Vec::new();
@@ -974,7 +952,39 @@ fn reshape<C: ShardChannel>(
     }
     new.resize(len, Complex::default());
     *amps = new;
-    Ok(dropped)
+    Ok(())
+}
+
+/// Renormalises a free's new stripe among the `active` workers of the new
+/// layout (world ranks `1..=active`, `me` among them): each sends its
+/// squared norm to every other on `TAG_XCHG`, and each adds all of them
+/// from `+0.0` in shard order, so every worker scales by the same
+/// `1/√sum`. With one active shard nothing moves.
+fn renormalise<C: ShardChannel>(
+    chan: &mut C,
+    amps: &mut [Complex],
+    me: usize,
+    active: usize,
+) -> Result<(), WorkerHalt> {
+    let own: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
+    for peer in (1..=active).filter(|&r| r != me) {
+        chan.send_xchg(peer, vec![Complex::real(own)])?;
+    }
+    let mut sum = 0.0;
+    for peer in 1..=active {
+        sum += if peer == me {
+            own
+        } else {
+            match chan.recv_xchg(peer, "its squared norm")?[..] {
+                [part] => part.re,
+                _ => return Err(WorkerHalt::Exit),
+            }
+        };
+    }
+    // The front frees only a qubit the state is collapsed onto.
+    debug_assert!(sum > 0.0, "cannot renormalize the zero vector");
+    stripe::scale(amps, 1.0 / sum.sqrt());
+    Ok(())
 }
 
 /// The event loop each shard worker runs, generic over its transport:
@@ -1099,7 +1109,6 @@ fn exec<C: ShardChannel>(
                 exec(chan, amps, base, cmd)?;
             }
         }
-        ShardCmd::Scale { factor } => stripe::scale(amps, factor),
         ShardCmd::Reshape {
             compact,
             sends,
@@ -1107,13 +1116,13 @@ fn exec<C: ShardChannel>(
             shard_index,
             local_bits,
             len,
-            report,
+            renorm,
         } => {
             *base = shard_index << local_bits;
-            let dropped = reshape(chan, amps, shard_index + 1, compact, &sends, &recvs, len)?;
-            if report {
-                let norm_sqr = amps.iter().map(|a| a.norm_sqr()).sum();
-                chan.send_reply(&ShardReply::Reshaped { dropped, norm_sqr })?;
+            let me = shard_index + 1;
+            reshape(chan, amps, me, compact, &sends, &recvs, len)?;
+            if shard_index < renorm {
+                renormalise(chan, amps, me, renorm)?;
             }
         }
         ShardCmd::Shutdown | ShardCmd::Die => return Err(WorkerHalt::Exit),
@@ -1204,7 +1213,6 @@ impl ShardCmd {
             ShardCmd::Batch { .. }
             | ShardCmd::Load { .. }
             | ShardCmd::CollapseScale { .. }
-            | ShardCmd::Scale { .. }
             | ShardCmd::Reshape { .. } => true,
             _ => false,
         }
@@ -1216,8 +1224,7 @@ impl ShardCmd {
 /// log + queue ≡ the state*, so recovery is always "reload checkpoint,
 /// replay log" and the queue ships with the retried unit — a failed unit's
 /// partial effects are erased by the reload, the queue it consumed is
-/// restored, and the unit is retried whole. A checkpoint taken while scales
-/// are queued is the pre-scale state, and the queue completes it.
+/// restored, and the unit is retried whole.
 struct FailoverState {
     /// Last checkpointed dense state: the scalar state of a fresh engine,
     /// then every whole-state gather (snapshot reads and the periodic
@@ -1230,9 +1237,20 @@ struct FailoverState {
     /// The currently open (uncommitted) unit, if any.
     unit: Option<LoggedUnit>,
     /// Forced-checkpoint threshold: once the log holds this many units,
-    /// commit gathers a fresh checkpoint and clears it, bounding replay
-    /// cost after a crash.
+    /// a commit gathers a fresh checkpoint and clears it as soon as the
+    /// register is no wider than at the last one ([`checkpoint_due`]), so
+    /// replay after a crash is bounded by twice this many units.
     limit: usize,
+}
+
+/// Whether a commit with `log` units logged takes the forced checkpoint:
+/// at `limit` units once the register (`n_qubits` wide) is no wider than at
+/// the last checkpoint (`ckpt_qubits`), and at `2 * limit` whatever its
+/// width. A free ends no unit, so reads while EPR halves are live would
+/// otherwise land the gather, and the checkpoint it leaves, at the widest
+/// register.
+fn checkpoint_due(log: usize, limit: usize, n_qubits: usize, ckpt_qubits: usize) -> bool {
+    log >= 2 * limit || (log >= limit && n_qubits <= ckpt_qubits)
 }
 
 impl FailoverState {
@@ -1265,8 +1283,9 @@ struct Controller {
     /// carries a read, a snapshot's queue, or a queue at its bound. The
     /// round-cost acceptance tests read this.
     cmd_rounds: u64,
-    /// Worker↔worker stripe-exchange rounds planned (one per cross-shard
-    /// op — the irreducible data motion).
+    /// Worker↔worker exchange rounds planned: one per cross-shard op or
+    /// moved reshape part (the irreducible data motion), and one per
+    /// free's norm all-gather among two or more shards.
     xchg_rounds: u64,
     /// Checkpoint + replay state; `Some` exactly for multi-process links.
     failover: Option<FailoverState>,
@@ -1275,7 +1294,7 @@ struct Controller {
 }
 
 /// The reply-free commands each worker has yet to receive, in global order:
-/// planned gate streams, alloc reshapes, scales and measurement collapses.
+/// planned gate streams, alloc and free reshapes, and measurement collapses.
 /// They travel in the frame of the next command round.
 #[derive(Clone)]
 struct Queue {
@@ -1537,18 +1556,15 @@ impl Controller {
     /// read-only ones vanish. A log at its limit is compacted into a fresh
     /// checkpoint so replay cost stays bounded.
     fn commit_unit(&mut self) {
-        let needs_checkpoint = {
-            let Some(f) = self.failover.as_mut() else {
-                return;
-            };
-            if let Some(unit) = f.unit.take() {
-                if unit.is_mutating() {
-                    f.log.push(unit);
-                }
-            }
-            f.log.len() >= f.limit
+        let Some(f) = self.failover.as_mut() else {
+            return;
         };
-        if needs_checkpoint {
+        if let Some(unit) = f.unit.take() {
+            if unit.is_mutating() {
+                f.log.push(unit);
+            }
+        }
+        if checkpoint_due(f.log.len(), f.limit, self.n_qubits, f.ckpt_qubits) {
             self.checkpoint_now();
         }
     }
@@ -1823,13 +1839,14 @@ impl Controller {
 
     /// The layout change of an alloc (`remove` is `None`: the new qubit
     /// takes the top position) or a free (`Some((pos, outcome))`, the qubit
-    /// already collapsed) where the amplitudes live: the qubit count after
-    /// it, and one [`ShardCmd::Reshape`] per involved worker, in shard
-    /// order. The shard stays the top `k` bits of the global index, so every
-    /// old stripe splits into equal parts with one destination each, and
-    /// each command tells its worker where its parts go and whose parts it
-    /// assembles.
-    fn reshape_cmds(&mut self, remove: Option<(usize, bool)>) -> (usize, Vec<ShardCmd>) {
+    /// already collapsed) where the amplitudes live: one queued
+    /// [`ShardCmd::Reshape`] per involved worker, and the layout switches at
+    /// once. Nothing comes back; a free's workers renormalise among
+    /// themselves. The shard stays the top `k` bits of the global index, so
+    /// every old stripe splits into equal parts with one destination each,
+    /// and each command tells its worker where its parts go and whose parts
+    /// it assembles.
+    fn reshape(&mut self, remove: Option<(usize, bool)>) {
         let (l, bits) = (self.local_bits(), self.shard_bits);
         let new_n = if remove.is_some() {
             self.n_qubits - 1
@@ -1869,59 +1886,22 @@ impl Controller {
                 self.xchg_rounds += (d != s) as u64;
             }
         }
-        let zipped = sends.into_iter().zip(recvs).enumerate();
-        let cmds = zipped.map(|(s, (sends, recvs))| ShardCmd::Reshape {
-            compact: remove.filter(|&(pos, _)| pos < l),
-            sends,
-            recvs,
-            shard_index: s,
-            local_bits: new_l,
-            len: if s >> new_bits == 0 { 1 << new_l } else { 0 },
-            report: remove.is_some(),
-        });
-        (new_n, cmds.collect())
-    }
-
-    /// Alloc: nothing comes back, so the reshape is queued.
-    fn alloc(&mut self) {
-        let (new_n, cmds) = self.reshape_cmds(None);
-        for (s, cmd) in cmds.into_iter().enumerate() {
+        // A free's norm all-gather is one more exchange round.
+        let renorm = if remove.is_some() { 1 << new_bits } else { 0 };
+        self.xchg_rounds += u64::from(renorm > 1);
+        for (s, (sends, recvs)) in sends.into_iter().zip(recvs).enumerate() {
+            let cmd = ShardCmd::Reshape {
+                compact: remove.filter(|&(pos, _)| pos < l),
+                sends,
+                recvs,
+                shard_index: s,
+                local_bits: new_l,
+                len: if s >> new_bits == 0 { 1 << new_l } else { 0 },
+                renorm,
+            };
             self.enqueue(s, cmd);
         }
         self.set_layout(new_n);
-    }
-
-    /// Free, a read: the reshape goes out with the queue, the per-worker
-    /// reports are reduced in shard order, and the rescale is queued. The
-    /// layout changes last, so a retried unit plans from the old layout
-    /// again.
-    fn free(&mut self, pos: usize, outcome: bool) -> Result<(), DeadWorker> {
-        let (new_n, cmds) = self.reshape_cmds(Some((pos, outcome)));
-        let involved = cmds.len();
-        let mut cmds = cmds.into_iter();
-        self.round(|_| cmds.next())?;
-        let (mut dropped, mut norm_sqr) = (0.0, 0.0);
-        for s in 0..involved {
-            let reply = self.reply_from(s, "reshape report")?;
-            let (d, n) = Self::shaped(s, "a reshape report", reply, |r| match r {
-                ShardReply::Reshaped { dropped, norm_sqr } => Ok((dropped, norm_sqr)),
-                other => Err(other),
-            });
-            dropped += d;
-            norm_sqr += n;
-        }
-        assert!(
-            dropped < NORM_TOL,
-            "removing qubit position {pos} with outcome {outcome} would discard \
-             {dropped:.3e} probability; collapse it first"
-        );
-        let norm = norm_sqr.sqrt();
-        assert!(norm > 0.0, "cannot renormalize the zero vector");
-        self.set_layout(new_n);
-        for s in 0..self.active() {
-            self.enqueue(s, ShardCmd::Scale { factor: 1.0 / norm });
-        }
-        Ok(())
     }
 
     /// Switches the layout bookkeeping to `n_qubits` live qubits.
@@ -1937,9 +1917,9 @@ impl Controller {
 
 /// The amplitude store of [`RemoteShardedEngine`]: the controller of one
 /// worker world, driven by the simulator front like any other
-/// [`AmpStore`]. Gate methods and `add_qubit` queue their work; every other
-/// method is a read, which ships the queue in the frame of its own command
-/// (one retry unit per read).
+/// [`AmpStore`]. Gate methods, `add_qubit` and `remove_qubit` queue their
+/// work; every other method is a read, which ships the queue in the frame
+/// of its own command (one retry unit per read).
 pub struct RemoteStore {
     ctl: Mutex<Controller>,
 }
@@ -1988,7 +1968,7 @@ impl RemoteStore {
     }
 
     /// Command rounds (one per fan-out of command frames, which is one per
-    /// read: gates, allocs and collapses wait for the next one),
+    /// read: gates, allocs, frees and collapses wait for the next one),
     /// worker↔worker exchange rounds (data motion no framing can remove),
     /// wire bytes (see [`TransportStats::wire_bytes`]) and worker respawns
     /// (failover events; always 0 in-process).
@@ -2014,12 +1994,14 @@ impl AmpStore for RemoteStore {
             "qubit budget exhausted (MAX_DENSE_QUBITS = {MAX_DENSE_QUBITS})"
         );
         let pos = ctl.n_qubits;
-        ctl.defer(Controller::alloc);
+        ctl.defer(|c| c.reshape(None));
         pos
     }
 
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
-        self.ctl.get_mut().run(|c| c.free(target, outcome));
+        self.ctl
+            .get_mut()
+            .defer(|c| c.reshape(Some((target, outcome))));
     }
 
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
@@ -2062,8 +2044,8 @@ impl AmpStore for RemoteStore {
         self.ctl.get_mut().project(mask_of(qubits), |_| odd);
     }
 
-    /// Two reads: the measurement's, then the free reshape's (the dropped
-    /// mass and the norm have to come back), which carries the collapse.
+    /// One read, the measurement's: the collapse and the free's reshape
+    /// queue behind it, and the workers renormalise among themselves.
     fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
         let outcome = self.measure_parity(&[target], u);
         self.remove_qubit(target, outcome);
@@ -2217,7 +2199,7 @@ impl RemoteShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ops, QuantumBackend, SimEngine, StateVectorEngine};
+    use crate::backend::{ops, QuantumBackend, ShardedStateVector, SimEngine, StateVectorEngine};
     use qsim::{Gate, Pauli, QubitId};
 
     #[test]
@@ -2310,7 +2292,6 @@ mod tests {
                 ShardCmd::Batch {
                     ops: vec![WorkerOp::Phase { lo_mask: 0b1 }],
                 },
-                ShardCmd::Scale { factor: 0.5 },
                 ShardCmd::CollapseScale {
                     mask: 0b10,
                     odd: false,
@@ -2318,10 +2299,10 @@ mod tests {
                 },
                 ShardCmd::Branches { mask: 0b10 },
             ]),
-            ShardCmd::Scale { factor: 1.25 },
             ShardCmd::Shutdown,
             ShardCmd::Die,
-            // A free that compacts locally and keeps the stripe...
+            // A free that compacts locally, keeps the stripe and
+            // renormalises among the eight shards of the new layout...
             ShardCmd::Reshape {
                 compact: Some((2, true)),
                 sends: vec![4],
@@ -2329,7 +2310,17 @@ mod tests {
                 shard_index: 3,
                 local_bits: 5,
                 len: 32,
-                report: true,
+                renorm: 8,
+            },
+            // ...the largest world's last shard, renormalising among all...
+            ShardCmd::Reshape {
+                compact: None,
+                sends: vec![],
+                recvs: vec![64],
+                shard_index: 63,
+                local_bits: 1,
+                len: 2,
+                renorm: 1 << MAX_REMOTE_SHARD_BITS,
             },
             // ...an alloc assembling two neighbours' stripes...
             ShardCmd::Reshape {
@@ -2339,7 +2330,7 @@ mod tests {
                 shard_index: 0,
                 local_bits: 3,
                 len: 8,
-                report: false,
+                renorm: 0,
             },
             // ...and a worker that discards its stripe and goes inactive.
             ShardCmd::Reshape {
@@ -2349,7 +2340,7 @@ mod tests {
                 shard_index: 6,
                 local_bits: 0,
                 len: 0,
-                report: true,
+                renorm: 4,
             },
         ];
         for cmd in cmds {
@@ -2369,10 +2360,6 @@ mod tests {
             ShardReply::Amps(vec![Complex::new(1.0, -2.0); 5]),
             ShardReply::Amps(vec![]),
             ShardReply::PartialC(Complex::new(-0.75, 2.5)),
-            ShardReply::Reshaped {
-                dropped: 1e-17,
-                norm_sqr: 0.5,
-            },
         ] {
             let bytes = cmpi::to_bytes(&reply);
             let back: ShardReply = cmpi::from_bytes(&bytes).expect("decode");
@@ -2478,34 +2465,55 @@ mod tests {
         assert!(cmpi::from_bytes::<ShardCmd>(&seq(plain.clone(), usize::MAX)).is_none());
         let nested = ShardCmd::Seq(vec![plain]);
         assert!(cmpi::from_bytes::<ShardCmd>(&seq(nested, 1)).is_none());
-        // Reply discriminant 0, a retired single partial sum, is unknown.
+        // Discriminant 8, a free's retired rescale, is unknown with what was
+        // once its factor.
         let mut buf = BytesMut::new();
-        0u8.encode(&mut buf);
+        8u8.encode(&mut buf);
         0.5f64.encode(&mut buf);
-        assert!(cmpi::from_bytes::<ShardReply>(&buf.freeze()).is_none());
-        // Reshape frames: an unknown compaction tag, a rank list longer
-        // than the payload (either list), a frame cut short, and a stripe
-        // length that disagrees with the layout.
-        let reshape = |compact_tag: u8, sends: usize, recvs: usize, len: usize| {
+        assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
+        // Reply discriminants 0, a retired single partial sum, and 3, a
+        // free's retired reshape report, are unknown.
+        for (tag, floats) in [(0u8, 1), (3, 2)] {
             let mut buf = BytesMut::new();
-            12u8.encode(&mut buf); // ShardCmd::Reshape
-            compact_tag.encode(&mut buf);
-            sends.encode(&mut buf); // rank counts; no ranks follow
-            recvs.encode(&mut buf);
-            1usize.encode(&mut buf); // shard_index
-            4usize.encode(&mut buf); // local_bits
-            len.encode(&mut buf);
-            true.encode(&mut buf); // report
-            buf.freeze()
-        };
-        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, 0, 0, 16)).is_some());
-        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(7, 0, 0, 16)).is_none());
-        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, usize::MAX, 0, 16)).is_none());
-        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, 0, usize::MAX, 16)).is_none());
-        assert!(cmpi::from_bytes::<ShardCmd>(&reshape(0, 0, 0, 17)).is_none());
-        let mut whole = reshape(0, 0, 0, 16);
+            tag.encode(&mut buf);
+            for _ in 0..floats {
+                0.5f64.encode(&mut buf);
+            }
+            assert!(cmpi::from_bytes::<ShardReply>(&buf.freeze()).is_none());
+        }
+        // Reshape frames: an unknown compaction tag, a rank list longer
+        // than the payload (either list), a frame cut short, a stripe
+        // length that disagrees with the layout, and a shard index or an
+        // active-shard count no world reaches.
+        // `ranks` are the two rank-list counts (no ranks follow), `shard`
+        // the shard index and the active-shard count.
+        let reshape =
+            |compact_tag: u8, ranks: (usize, usize), len: usize, shard: (usize, usize)| {
+                let mut buf = BytesMut::new();
+                12u8.encode(&mut buf); // ShardCmd::Reshape
+                compact_tag.encode(&mut buf);
+                ranks.0.encode(&mut buf);
+                ranks.1.encode(&mut buf);
+                shard.0.encode(&mut buf);
+                4usize.encode(&mut buf); // local_bits
+                len.encode(&mut buf);
+                shard.1.encode(&mut buf);
+                buf.freeze()
+            };
+        let decodes = |frame: &Bytes| cmpi::from_bytes::<ShardCmd>(frame).is_some();
+        assert!(decodes(&reshape(0, (0, 0), 16, (1, 2))));
+        assert!(!decodes(&reshape(7, (0, 0), 16, (1, 2))));
+        assert!(!decodes(&reshape(0, (usize::MAX, 0), 16, (1, 2))));
+        assert!(!decodes(&reshape(0, (0, usize::MAX), 16, (1, 2))));
+        assert!(!decodes(&reshape(0, (0, 0), 17, (1, 2))));
+        let mut whole = reshape(0, (0, 0), 16, (1, 2));
         let cut = whole.split_to(whole.len() - 1);
-        assert!(cmpi::from_bytes::<ShardCmd>(&cut).is_none());
+        assert!(!decodes(&cut));
+        let shards = 1usize << MAX_REMOTE_SHARD_BITS;
+        assert!(decodes(&reshape(0, (0, 0), 16, (shards - 1, shards))));
+        assert!(!decodes(&reshape(0, (0, 0), 16, (shards, shards))));
+        assert!(!decodes(&reshape(0, (0, 0), 16, (1, shards + 1))));
+        assert!(!decodes(&reshape(0, (0, 0), 16, (usize::MAX, 2))));
         // Expect with an unknown role.
         let mut buf = BytesMut::new();
         3u8.encode(&mut buf); // ShardCmd::Expect
@@ -2570,11 +2578,31 @@ mod tests {
             0usize.encode(&mut buf); // shard_index
             local_bits.encode(&mut buf);
             0usize.encode(&mut buf); // len
-            false.encode(&mut buf); // report
+            0usize.encode(&mut buf); // renorm
             buf.freeze()
         };
         assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS)).is_some());
         assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS + 1)).is_none());
+    }
+
+    #[test]
+    fn forced_checkpoints_wait_for_a_register_no_wider_than_the_last() {
+        let limit = 32;
+        // Under the limit, never, however narrow the register.
+        assert!(!checkpoint_due(limit - 1, limit, 0, 16));
+        // At the limit: as soon as the register is no wider than at the
+        // last checkpoint, and not while it is wider.
+        assert!(checkpoint_due(limit, limit, 14, 14));
+        assert!(checkpoint_due(limit, limit, 13, 14));
+        assert!(!checkpoint_due(limit, limit, 15, 14));
+        assert!(!checkpoint_due(2 * limit - 1, limit, 16, 14));
+        // At twice the limit, whatever the width.
+        assert!(checkpoint_due(2 * limit, limit, 16, 14));
+        assert!(checkpoint_due(2 * limit, limit, 16, 0));
+        // The lowest limit, as `QMPI_CHECKPOINT_ROUNDS=1` sets it.
+        assert!(checkpoint_due(1, 1, 3, 3));
+        assert!(!checkpoint_due(1, 1, 4, 3));
+        assert!(checkpoint_due(2, 1, 4, 3));
     }
 
     /// Applies the same circuit to the dense engine and a remote engine and
@@ -2622,6 +2650,42 @@ mod tests {
                 w.re.to_bits() == g.re.to_bits() && w.im.to_bits() == g.im.to_bits(),
                 "shards={shards} amp[{i}] differs: {w:?} vs {g:?}"
             );
+        }
+    }
+
+    /// A free's workers add their squared norms from `+0.0` in shard order,
+    /// as the striped store adds its stripes' norms, so eight shards land on
+    /// the striped store's bits through frees at every position of
+    /// generic-angle states.
+    #[test]
+    fn frees_renormalise_to_the_striped_stores_bits() {
+        fn run(e: &mut impl SimEngine, seed: u64) -> (Vec<bool>, Vec<(u64, u64)>) {
+            let angle = |i: usize| 0.31 + 0.57 * (i as f64 + seed as f64).sin().abs();
+            let mut qs: Vec<QubitId> = (0..7).map(|_| e.alloc()).collect();
+            let mut outcomes = Vec::new();
+            for round in 0..10 {
+                for (i, &q) in qs.iter().enumerate() {
+                    e.apply_batch(&ops::gate(Gate::Ry(angle(round * 7 + i)), q))
+                        .unwrap();
+                }
+                for w in qs.windows(2) {
+                    e.apply_batch(&ops::cnot(w[0], w[1])).unwrap();
+                }
+                let gone = qs.remove(round % qs.len());
+                outcomes.push(e.measure_and_free(gone).unwrap());
+                qs.push(e.alloc());
+            }
+            let st = e.state_vector(&qs).unwrap();
+            let bits = st.amplitudes().iter();
+            (
+                outcomes,
+                bits.map(|a| (a.re.to_bits(), a.im.to_bits())).collect(),
+            )
+        }
+        for seed in 0..4 {
+            let want = run(&mut ShardedStateVector::new(seed, 8), seed);
+            let got = run(&mut RemoteShardedEngine::new(seed, 8), seed);
+            assert_eq!(got, want, "seed {seed}");
         }
     }
 

@@ -88,7 +88,7 @@ const TAG_ACK: u8 = 6;
 
 /// Version of the byte layout of every command, reply and exchange frame,
 /// sent as the `HELLO` body; bump it with any change to that layout.
-const WIRE_VERSION: u32 = 1;
+const WIRE_VERSION: u32 = 2;
 
 /// How long a spawned child gets to connect and say HELLO before the
 /// spawn is declared failed (an environmental error, not a protocol one).

@@ -357,11 +357,11 @@ fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
 
 /// A worker SIGKILLed while work waits in the queue: right after a
 /// `measure` (its `CollapseScale` queued), right after an alloc (its
-/// `Reshape` queued) and right after a `measure_and_free` (its `Scale`
-/// queued). Each time the next read ships the queue into the dead socket,
-/// and failover reloads the checkpoint, replays the log, restores the queue
-/// and retries the read — landing on the undisturbed run's amplitudes and
-/// measurement trajectory.
+/// `Reshape` queued) and right after a `measure_and_free` (its collapse and
+/// `Reshape` queued). Each time the next read ships the queue into the dead
+/// socket, and failover reloads the checkpoint, replays the log, restores
+/// the queue and retries the read — landing on the undisturbed run's
+/// amplitudes and measurement trajectory.
 #[test]
 fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
     ensure_worker_bin();
@@ -407,11 +407,75 @@ fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
     );
 }
 
+/// A free needs no reply: its reshape waits in the queue, and the workers
+/// of the new layout trade squared norms and renormalise when a read ships
+/// it. SIGKILL a worker right after `measure_and_free` or `free` returns,
+/// with that reshape still queued: the next read ships it into the dead
+/// socket, failover replays the log and the restored queue, and the norms
+/// are traded again by the new generation — every read and the final
+/// amplitudes land on the undisturbed run's bits. Frees alternate between
+/// the fresh top (shard-selecting) qubit and an older one.
+#[test]
+fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
+    ensure_worker_bin();
+    const WORKERS: usize = 4;
+    const ROUNDS: usize = 8;
+    let run = |kill: bool| {
+        let mut e = RemoteShardedEngine::over_transport(
+            29,
+            WORKERS,
+            NoiseModel::depolarizing(0.1),
+            TransportKind::UnixSocket,
+        )
+        .expect("spawn unix-socket shard workers");
+        let mut qs: Vec<_> = (0..5).map(|_| e.alloc()).collect();
+        for (i, &q) in qs.iter().enumerate() {
+            e.apply_batch(&ops::gate(Gate::Ry(0.3 + 0.4 * i as f64), q))
+                .unwrap();
+        }
+        let mut reads = Vec::new();
+        for round in 0..ROUNDS {
+            let fresh = e.alloc();
+            e.apply_batch(&ops::gate(Gate::H, fresh)).unwrap();
+            let partner = round % qs.len();
+            e.apply_batch(&ops::cnot(fresh, qs[partner])).unwrap();
+            let gone = if round % 2 == 0 {
+                fresh
+            } else {
+                std::mem::replace(&mut qs[partner], fresh)
+            };
+            let outcome = if round % 4 < 2 {
+                e.measure_and_free(gone).unwrap()
+            } else {
+                let m = e.measure_z_parity(&[gone]).unwrap();
+                assert_eq!(e.free(gone).unwrap(), m);
+                m
+            };
+            if kill {
+                e.debug_kill_worker_process(round % WORKERS);
+            }
+            let p = e.prob_one(qs[0]).unwrap();
+            reads.push((outcome, p.to_bits()));
+        }
+        let respawns = e.transport_stats().respawns;
+        (reads, amp_bits(&e, &qs), respawns)
+    };
+    let (calm, killed) = (run(false), run(true));
+    assert_eq!(calm.2, 0, "undisturbed run respawns nothing");
+    assert!(killed.2 >= ROUNDS as u64, "{} respawns", killed.2);
+    assert_eq!(
+        (calm.0, calm.1),
+        (killed.0, killed.1),
+        "worker deaths with a free queued must not show"
+    );
+}
+
 /// What each call costs in command rounds on `RemoteSharded{2}`, over
 /// threads and over sockets. Allocs, gate batches and EPR establishment on
 /// fresh qubits wait in the queue. A read is one round, and so is an EPR
 /// establishment that has to probe a qubit a batch touched. A free,
-/// measuring or not, is two: the dropped mass and the norm come back. A
+/// measuring or not, is one: its read decides the outcome, and its reshape
+/// queues behind it, the workers renormalising among themselves. A
 /// snapshot is one, or two when work is queued.
 #[test]
 fn every_call_costs_its_pinned_command_rounds() {
@@ -448,10 +512,10 @@ fn every_call_costs_its_pinned_command_rounds() {
         ("expectation", 1, |b, q| {
             b.expectation(0, &[(q[0], Pauli::X)]).unwrap();
         }),
-        ("measure_and_free", 2, |b, q| {
+        ("measure_and_free", 1, |b, q| {
             b.measure_and_free(0, q[0]).unwrap();
         }),
-        ("free", 2, |b, q| {
+        ("free", 1, |b, q| {
             b.free(0, q[1]).unwrap();
         }),
         ("state_vector, nothing queued", 1, |b, q| {
@@ -540,12 +604,13 @@ fn reshape_tracks_the_dense_engine_through_every_layout_case() {
     }
 }
 
-/// Alloc and free move stripe parts worker↔worker and report two floats per
-/// worker; the dense state never reaches the controller. Over the socket
-/// that is a byte bound: growing a 12-qubit state costs the one stripe that
-/// changes owner, relayed once (in and out of the router: one state's worth
-/// of bytes, where gather + doubled scatter cost three), and freeing a
-/// within-stripe qubit costs command and report frames only.
+/// Alloc and free move stripe parts worker↔worker, and a free's workers
+/// trade one squared norm each; the dense state never reaches the
+/// controller. Over the socket that is a byte bound: growing a 12-qubit
+/// state costs the one stripe that changes owner, relayed once (in and out
+/// of the router: one state's worth of bytes, where gather + doubled
+/// scatter cost three), and freeing a within-stripe qubit costs command
+/// and norm frames only.
 #[test]
 fn alloc_and_free_keep_the_state_off_the_controller_wire() {
     // A forced checkpoint is a gather by design; with the interval lowered
