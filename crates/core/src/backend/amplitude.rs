@@ -1,14 +1,16 @@
-//! The full-state amplitude engines — dense (the paper's prototype
+//! The engines on the simulator front — dense (the paper's prototype
 //! backend), sparse (real amplitudes at paper-scale rank counts), striped
-//! (the dense vector in the remote workers' layout) and remote (those
-//! stripes in worker ranks, [`super::remote`]) — as one generic engine over
-//! the simulator front's amplitude store.
+//! (the dense vector in the remote workers' layout), remote (those stripes
+//! in worker ranks, [`super::remote`]) and trace (no amplitudes, only
+//! counts) — as one generic engine over the front's amplitude store, so
+//! handles, operand checks, counters and noise sites exist once.
 
 use super::{BackendKind, SimEngine, TransportStats};
 use qsim::noise::NoiseModel;
 use qsim::sim::AmpSim;
 use qsim::{
     AmpStore, BatchOp, GateBatch, Pauli, QubitId, ShardedState, SimError, SparseState, State,
+    TraceState,
 };
 
 /// An amplitude store that backs an engine, and the [`BackendKind`] it is
@@ -16,6 +18,13 @@ use qsim::{
 pub trait EngineStore: AmpStore + Send + Sync {
     /// The kind [`AmplitudeEngine`] reports over this store.
     fn kind(&self) -> BackendKind;
+
+    /// Whether the store models noise rather than sampling it: one with no
+    /// amplitudes to perturb, whose engine reports the front's error-free
+    /// probability as [`SimEngine::modeled_fidelity`].
+    fn models_noise() -> bool {
+        false
+    }
 
     /// Transport accounting, for a store driven over a message substrate;
     /// `None` for a store in this address space.
@@ -44,6 +53,16 @@ impl EngineStore for ShardedState {
     }
 }
 
+impl EngineStore for TraceState {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Trace
+    }
+
+    fn models_noise() -> bool {
+        true
+    }
+}
+
 /// The stores whose empty register takes no parameter, so their engines
 /// are built from a seed alone. (A local bound: `Default` by itself would
 /// leave the seed-only constructors overlapping the striped engine's.)
@@ -52,6 +71,8 @@ pub trait UnstripedStore: EngineStore + Default {}
 impl UnstripedStore for State {}
 
 impl UnstripedStore for SparseState {}
+
+impl UnstripedStore for TraceState {}
 
 /// Full-state engine over [`qsim::sim::AmpSim`]: exact for arbitrary gates,
 /// with the storage format (and where the amplitudes live) chosen by `S`.
@@ -91,6 +112,12 @@ pub type SparseEngine = AmplitudeEngine<SparseState>;
 /// per-stripe partial sums — in one address space. It is the reference that
 /// separates a layout bug from a transport or planner bug.
 pub type ShardedStateVector = AmplitudeEngine<ShardedState>;
+
+/// Counting-only engine over [`qsim::TraceState`]: every measurement reads
+/// `false`, so the resource ledger reproduces the paper's Tables 1–3 at any
+/// rank count. Noise it draws lands on no amplitudes, so it reports the
+/// probability that none fired instead ([`SimEngine::modeled_fidelity`]).
+pub type TraceEngine = AmplitudeEngine<TraceState>;
 
 impl<S: UnstripedStore> AmplitudeEngine<S> {
     /// Creates a noiseless engine with a deterministic measurement RNG seed.
@@ -136,6 +163,10 @@ impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
 
     fn noise(&self) -> NoiseModel {
         self.sim.noise_model()
+    }
+
+    fn modeled_fidelity(&self) -> Option<f64> {
+        S::models_noise().then(|| self.sim.error_free_probability())
     }
 
     fn transport_stats(&self) -> Option<TransportStats> {

@@ -12,18 +12,18 @@
 //!   (allocate, apply a gate batch, measure, diagnose). Six engines ship:
 //!   [`amplitude::StateVectorEngine`] (exact amplitudes, the paper's
 //!   prototype), [`stabilizer::StabilizerEngine`] (CHP tableau; Clifford
-//!   protocols at thousands of ranks), [`trace::TraceEngine`] (no
-//!   amplitudes at all — pure operation counting for Table 1–3-style
-//!   resource estimation at paper scale), [`amplitude::SparseEngine`] (exact
-//!   amplitudes stored sparsely — only nonzero entries — so structured
-//!   states carry real amplitudes at hundreds of ranks),
-//!   [`amplitude::ShardedStateVector`] (the dense vector cut into the
-//!   remote workers' stripes in one address space — the layout reference)
-//!   and [`remote::RemoteShardedEngine`] (exact amplitudes over shards owned
-//!   by dedicated worker ranks that exchange nothing but [`cmpi`] messages —
-//!   the paper's process-separated deployment model). The four amplitude
-//!   engines are one [`amplitude::AmplitudeEngine`] over different stores,
-//!   so the simulator front is written once.
+//!   protocols at thousands of ranks), [`amplitude::TraceEngine`] (no
+//!   amplitudes at all — operation counting for Table 1–3-style resource
+//!   estimation at paper scale), [`amplitude::SparseEngine`] (only nonzero
+//!   amplitudes stored, so structured states carry real amplitudes at
+//!   hundreds of ranks), [`amplitude::ShardedStateVector`] (the dense
+//!   vector in the remote workers' stripes in one address space — the
+//!   layout reference) and [`remote::RemoteShardedEngine`] (shards owned by
+//!   worker ranks that exchange nothing but [`cmpi`] messages — the paper's
+//!   process-separated deployment model). All but the stabilizer engine
+//!   are one [`amplitude::AmplitudeEngine`] over different stores, so the
+//!   simulator front — handles, operand checks, counters, noise sites — is
+//!   written once.
 //! * [`Shared`] — the locality wrapper: one reader-writer-locked engine
 //!   plus the qubit-ownership registry. Every engine gets the paper's
 //!   locality semantics for free — a multi-qubit gate across ranks is
@@ -45,8 +45,9 @@
 //! (threaded through [`build_backend`] from
 //! [`crate::QmpiConfig::noise`]): the stochastic engines sample seeded
 //! Pauli/Kraus insertions, the stabilizer engine runs the
-//! Clifford-compatible Pauli subset, and the trace engine folds the rates
-//! into a modeled fidelity ([`QuantumBackend::modeled_fidelity`]). See
+//! Clifford-compatible Pauli subset, and the trace engine, with nothing to
+//! sample into, reports the front's error-free probability as a modeled
+//! fidelity ([`QuantumBackend::modeled_fidelity`]). See
 //! `docs/NOISE.md` for channel definitions and conventions.
 //!
 //! Exclusive acquisition mirrors the prototype's "all ranks forward
@@ -61,7 +62,6 @@ pub mod pool;
 pub mod remote;
 pub mod remote_transport;
 pub mod stabilizer;
-pub mod trace;
 
 use crate::context::BatchPolicy;
 use crate::error::{QmpiError, Result};
@@ -73,12 +73,11 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use amplitude::{ShardedStateVector, SparseEngine, StateVectorEngine};
+pub use amplitude::{ShardedStateVector, SparseEngine, StateVectorEngine, TraceEngine};
 pub use pool::{ShardLease, ShardWorkerPool};
 pub use remote::RemoteShardedEngine;
 pub use remote_transport::qworker_main;
 pub use stabilizer::StabilizerEngine;
-pub use trace::TraceEngine;
 
 /// Which simulation engine backs a QMPI world.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -255,7 +254,7 @@ pub fn build_backend_with_policy(
             StabilizerEngine::with_noise(seed, noise),
             policy,
         )),
-        BackendKind::Trace => Arc::new(Shared::new(TraceEngine::with_noise(noise), policy)),
+        BackendKind::Trace => Arc::new(Shared::new(TraceEngine::with_noise(seed, noise), policy)),
         BackendKind::Sparse => Arc::new(Shared::new(SparseEngine::with_noise(seed, noise), policy)),
         BackendKind::ShardedStateVector { shards } => Arc::new(Shared::new(
             ShardedStateVector::with_noise(seed, shards, noise),
@@ -376,15 +375,13 @@ pub trait SimEngine: Send + Sync {
     fn kind(&self) -> BackendKind;
 
     /// The noise model this engine applies (ideal unless configured).
-    fn noise(&self) -> NoiseModel {
-        NoiseModel::ideal()
-    }
+    fn noise(&self) -> NoiseModel;
 
     /// The engine's running estimate of run fidelity under its noise model,
-    /// if it maintains one. Only the trace engine does: the probability
-    /// that *no* noise event fired across every operation so far — a lower
-    /// bound on state fidelity, computable at scales where no amplitudes
-    /// exist.
+    /// if it models noise rather than sampling it. Only the trace engine
+    /// does ([`amplitude::EngineStore::models_noise`]): the probability that
+    /// *no* noise event fired across every operation so far — a lower bound
+    /// on state fidelity, computable at scales where no amplitudes exist.
     fn modeled_fidelity(&self) -> Option<f64> {
         None
     }
@@ -435,9 +432,11 @@ pub trait SimEngine: Send + Sync {
         strings.iter().map(|t| self.expectation(t)).collect()
     }
 
-    /// Dense state snapshot in the given qubit order (engines without
-    /// amplitudes return [`qsim::SimError::Unsupported`]).
-    fn state_vector(&self, order: &[QubitId]) -> std::result::Result<State, qsim::SimError>;
+    /// Dense state snapshot in the given qubit order; engines without
+    /// amplitudes return [`qsim::SimError::Unsupported`].
+    fn state_vector(&self, _order: &[QubitId]) -> std::result::Result<State, qsim::SimError> {
+        Err(unsupported(self, "dense snapshot"))
+    }
 
     /// The amplitude of the single basis state where the qubits in `ones`
     /// are 1 and every other live qubit is 0 — a diagnostic point probe.
@@ -450,10 +449,7 @@ pub trait SimEngine: Send + Sync {
         &self,
         _ones: &[QubitId],
     ) -> std::result::Result<qsim::Complex, qsim::SimError> {
-        Err(qsim::SimError::Unsupported(format!(
-            "amplitude probe on the {} engine",
-            self.kind().name()
-        )))
+        Err(unsupported(self, "amplitude probe"))
     }
 
     /// Live qubit count.
@@ -470,6 +466,14 @@ pub trait SimEngine: Send + Sync {
     /// [`qsim::noise::OpClass::Epr`] channel rather than the gate channels.
     fn entangle_epr(&mut self, qa: QubitId, qb: QubitId)
         -> std::result::Result<(), qsim::SimError>;
+}
+
+/// `what` is not available on `engine`, which tracks no amplitudes.
+fn unsupported<E: SimEngine + ?Sized>(engine: &E, what: &str) -> qsim::SimError {
+    qsim::SimError::Unsupported(format!(
+        "{what} on the {} engine, which tracks no amplitudes; use an amplitude engine",
+        engine.kind().name()
+    ))
 }
 
 /// The full, rank-aware backend surface held by every `QmpiRank` as

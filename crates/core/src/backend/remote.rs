@@ -709,15 +709,32 @@ impl Decode for ShardCmd {
     }
 }
 
+/// Whether a decoded stripe header names a layout the engine can reach: a
+/// worker computes `shard_index << local_bits` from it, and a stripe of
+/// `len` amplitudes is empty or covers the `local_bits` within-stripe bits.
+fn reachable_layout(shard_index: usize, local_bits: usize, len: usize) -> bool {
+    local_bits <= MAX_DENSE_QUBITS
+        && shard_index < 1 << MAX_REMOTE_SHARD_BITS
+        && (len == 0 || len == 1 << local_bits)
+}
+
 /// Decodes the body of every command but [`ShardCmd::Seq`] after its
 /// discriminant `tag`.
 fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
     Some(match tag {
-        0 => ShardCmd::Load {
-            shard_index: usize::decode(buf)?,
-            local_bits: usize::decode(buf)?,
-            amps: decode_amps(buf)?,
-        },
+        0 => {
+            let shard_index = usize::decode(buf)?;
+            let local_bits = usize::decode(buf)?;
+            let amps = decode_amps(buf)?;
+            if !reachable_layout(shard_index, local_bits, amps.len()) {
+                return None;
+            }
+            ShardCmd::Load {
+                shard_index,
+                local_bits,
+                amps,
+            }
+        }
         1 => ShardCmd::Gather,
         2 => ShardCmd::Batch {
             ops: Vec::<WorkerOp>::decode(buf)?,
@@ -746,11 +763,8 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
             // No payload bytes back the stripe length or the shard counts;
             // they must agree with a layout the engine can reach, or a
             // worker would wait on ranks that do not exist.
-            let shards = 1 << MAX_REMOTE_SHARD_BITS;
-            if local_bits > MAX_DENSE_QUBITS
-                || (len != 0 && len != 1 << local_bits)
-                || shard_index >= shards
-                || renorm > shards
+            if !reachable_layout(shard_index, local_bits, len)
+                || renorm > 1 << MAX_REMOTE_SHARD_BITS
             {
                 return None;
             }
@@ -2077,8 +2091,8 @@ impl AmpStore for RemoteStore {
     }
 
     /// Gather, then index: a diagnostic probe, one gather on this store.
-    fn amplitude_of(&self, ones: &[usize]) -> Complex {
-        self.gather()[mask_of(ones)]
+    fn amplitude_of(&self, ones: &[usize]) -> Result<Complex, SimError> {
+        Ok(self.gather()[mask_of(ones)])
     }
 }
 
@@ -2209,7 +2223,7 @@ mod tests {
         let cmds = [
             ShardCmd::Load {
                 shard_index: 3,
-                local_bits: 7,
+                local_bits: 1,
                 amps: amps.clone(),
             },
             ShardCmd::Load {
@@ -2514,6 +2528,27 @@ mod tests {
         assert!(!decodes(&reshape(0, (0, 0), 16, (shards, shards))));
         assert!(!decodes(&reshape(0, (0, 0), 16, (1, shards + 1))));
         assert!(!decodes(&reshape(0, (0, 0), 16, (usize::MAX, 2))));
+        // Load frames take the same header bounds: within-stripe bits a
+        // worker can shift by, a shard index no world exceeds, and a stripe
+        // that is empty or exactly covers those bits.
+        let load = |shard_index: usize, local_bits: usize, len: usize| {
+            let mut buf = BytesMut::new();
+            ShardCmd::Load {
+                shard_index,
+                local_bits,
+                amps: vec![Complex::new(0.5, 0.0); len],
+            }
+            .encode(&mut buf);
+            buf.freeze()
+        };
+        assert!(decodes(&load(shards - 1, 4, 16)));
+        assert!(decodes(&load(shards - 1, MAX_DENSE_QUBITS, 0)));
+        assert!(!decodes(&load(0, 64, 0)));
+        assert!(!decodes(&load(0, MAX_DENSE_QUBITS + 1, 0)));
+        assert!(!decodes(&load(shards, 4, 16)));
+        assert!(!decodes(&load(usize::MAX, 4, 0)));
+        assert!(!decodes(&load(0, 4, 15)));
+        assert!(!decodes(&load(0, 4, 32)));
         // Expect with an unknown role.
         let mut buf = BytesMut::new();
         3u8.encode(&mut buf); // ShardCmd::Expect

@@ -274,19 +274,15 @@ impl ShardChannel for SockChannel {
 /// controller hangs up or shuts the worker down.
 ///
 /// Invocation (by `ProcessLink`, not humans):
-/// `qworker <addr> <rank> <epoch> <watchdog_ms>`.
+/// `qworker <addr> <rank> <epoch> <watchdog_ms>`; a malformed one prints
+/// the usage line and exits 2.
 pub fn qworker_main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.len() != 5 {
+    let (addr, rank, epoch, watchdog_ms) = parse_worker_args(&args).unwrap_or_else(|why| {
+        eprintln!("qworker: {why}");
         eprintln!("usage: qworker <addr> <rank> <epoch> <watchdog_ms>");
         std::process::exit(2);
-    }
-    let addr = &args[1];
-    let rank: usize = args[2].parse().expect("qworker: rank must be an integer");
-    let epoch: u32 = args[3].parse().expect("qworker: epoch must be an integer");
-    let watchdog_ms: u64 = args[4]
-        .parse()
-        .expect("qworker: watchdog must be milliseconds");
+    });
     let mut stream = WireStream::connect(addr).unwrap_or_else(|e| {
         eprintln!("qworker: cannot connect to controller at {addr}: {e}");
         std::process::exit(1);
@@ -301,6 +297,28 @@ pub fn qworker_main() {
     }
     let mut chan = SockChannel::new(stream, rank, epoch, watchdog_ms);
     worker_loop(&mut chan);
+}
+
+/// The address, rank, epoch and watchdog milliseconds of a `qworker`
+/// command line (`args[0]` is the program), or why it is malformed.
+fn parse_worker_args(args: &[String]) -> Result<(&str, usize, u32, u64), String> {
+    fn field<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, String> {
+        value
+            .parse()
+            .map_err(|_| format!("{what} must be a non-negative integer, got {value:?}"))
+    }
+    let [_, addr, rank, epoch, watchdog_ms] = args else {
+        return Err(format!(
+            "expected 4 arguments, got {}",
+            args.len().saturating_sub(1)
+        ));
+    };
+    Ok((
+        addr,
+        field("rank", rank)?,
+        field("epoch", epoch)?,
+        field("watchdog_ms", watchdog_ms)?,
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -769,5 +787,33 @@ mod tests {
         }
         // The rank still authenticates.
         assert!(check_hello(2, &hello, &WIRE_VERSION.to_le_bytes()).is_err());
+    }
+
+    #[test]
+    fn worker_argv_parses_or_says_what_is_wrong() {
+        let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        let ok = argv(&["qworker", "/tmp/s.sock", "3", "7", "30000"]);
+        assert_eq!(parse_worker_args(&ok), Ok(("/tmp/s.sock", 3, 7, 30000)));
+        for (args, why) in [
+            (
+                &["qworker", "a", "3", "7"][..],
+                "expected 4 arguments, got 3",
+            ),
+            (&["qworker"][..], "expected 4 arguments, got 0"),
+            (&[][..], "expected 4 arguments, got 0"),
+            (&["qworker", "a", "x", "7", "1"][..], "rank must be"),
+            (&["qworker", "a", "-1", "7", "1"][..], "rank must be"),
+            (
+                &["qworker", "a", "3", "4294967296", "1"][..],
+                "epoch must be",
+            ),
+            (
+                &["qworker", "a", "3", "7", "1.5"][..],
+                "watchdog_ms must be",
+            ),
+        ] {
+            let err = parse_worker_args(&argv(args)).unwrap_err();
+            assert!(err.contains(why), "{args:?}: {err}");
+        }
     }
 }

@@ -34,6 +34,8 @@
 //!   draws. [`sim::Simulator`] runs it over [`state::State`],
 //!   [`sim::SparseSim`] over [`sparse::SparseState`], and it runs over a
 //!   [`sharded::ShardedState`] just the same.
+//! - [`trace`] — [`trace::TraceState`]: the store with no amplitudes, only
+//!   a register width; the front over it counts operations at any scale.
 //! - [`stabilizer`] — [`stabilizer::StabilizerSim`]: CHP tableau engine with
 //!   the same handle surface, for Clifford-only workloads at scales far
 //!   beyond any state vector (the QMPI protocols are all Clifford).
@@ -57,6 +59,7 @@ pub mod sparse;
 pub mod stabilizer;
 pub mod state;
 pub mod stripe;
+pub mod trace;
 
 pub use batch::{sweep_positions, BatchOp, GateBatch, SweepFactor};
 pub use complex::Complex;
@@ -68,6 +71,7 @@ pub use sim::{AmpStore, QubitId, SimError, Simulator, SparseSim};
 pub use sparse::SparseState;
 pub use stabilizer::StabilizerSim;
 pub use state::State;
+pub use trace::TraceState;
 
 #[cfg(test)]
 mod proptests {

@@ -134,7 +134,8 @@ impl NoiseChannel {
     }
 
     /// Probability that no error event fires at one application site —
-    /// the factor the trace backend multiplies into its modeled fidelity.
+    /// the factor [`crate::sim::AmpSim::error_free_probability`] multiplies
+    /// in per site (the trace backend's modeled fidelity).
     pub fn error_free_probability(self) -> f64 {
         1.0 - self.rate()
     }

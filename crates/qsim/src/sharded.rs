@@ -326,9 +326,9 @@ impl AmpStore for ShardedState {
         Ok(self.to_dense().permuted(perm))
     }
 
-    fn amplitude_of(&self, ones: &[usize]) -> Complex {
+    fn amplitude_of(&self, ones: &[usize]) -> Result<Complex, SimError> {
         let (lo, hi) = self.split_masks(ones);
-        self.stripes[hi][lo]
+        Ok(self.stripes[hi][lo])
     }
 }
 

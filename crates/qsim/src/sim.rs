@@ -10,8 +10,9 @@
 //!
 //! The front is written once, generic over the store: [`Simulator`] runs it
 //! over the dense [`State`], [`SparseSim`] over the [`SparseState`] map, and
-//! `qmpi`'s engines also over the striped store and the process-separated
-//! engine's worker-backed one. All therefore seed and draw their RNG
+//! `qmpi`'s engines also over the striped store, the process-separated
+//! engine's worker-backed one and the amplitude-free
+//! [`crate::trace::TraceState`]. All therefore seed and draw their RNG
 //! streams identically — the noise stream before the measurement stream,
 //! one draw per touched position in operand order — which is what makes the
 //! engines line up draw for draw (see [`crate::sparse`] for the rule their
@@ -75,7 +76,9 @@ impl std::error::Error for SimError {}
 /// and every implementation evaluates the same floating-point expressions
 /// in the same order, so the front's results do not depend on which one it
 /// runs over (up to the sparse canonical rule, and to the order in which a
-/// striped store adds its per-stripe partial sums).
+/// striped store adds its per-stripe partial sums). The one exception is
+/// [`crate::trace::TraceState`], which holds the register width alone and
+/// reads every qubit as |0>: the front over it only counts.
 pub trait AmpStore {
     /// Appends a fresh qubit in |0> as the new most-significant position and
     /// returns that position. Existing positions are stable.
@@ -165,8 +168,9 @@ pub trait AmpStore {
     fn snapshot(&self, perm: &[usize]) -> Result<State, SimError>;
 
     /// The amplitude of the basis state where the positions in `ones` read
-    /// 1 and every other position reads 0.
-    fn amplitude_of(&self, ones: &[usize]) -> Complex;
+    /// 1 and every other position reads 0, or [`SimError::Unsupported`]
+    /// from a store that holds no amplitudes.
+    fn amplitude_of(&self, ones: &[usize]) -> Result<Complex, SimError>;
 }
 
 /// Full-state simulator with dynamic qubit allocation over the amplitude
@@ -177,6 +181,8 @@ pub struct AmpSim<S> {
     reg: QubitRegistry,
     rng: StdRng,
     noise: NoiseState,
+    /// Probability that no noise event has fired so far (1.0 when ideal).
+    error_free: f64,
     gate_count: u64,
     measurement_count: u64,
 }
@@ -223,6 +229,7 @@ impl<S: AmpStore> AmpSim<S> {
             reg: QubitRegistry::new(),
             rng: StdRng::seed_from_u64(seed),
             noise: NoiseState::new(seed, model),
+            error_free: 1.0,
             gate_count: 0,
             measurement_count: 0,
         }
@@ -238,15 +245,24 @@ impl<S: AmpStore> AmpSim<S> {
         self.noise.model
     }
 
+    /// The probability that no noise event fired over every operation so
+    /// far: the product of each noise site's channel fidelity (1.0 under
+    /// an ideal model). A store that holds no amplitudes has nothing to
+    /// sample noise into, so this is what a run over it reports instead.
+    pub fn error_free_probability(&self) -> f64 {
+        self.error_free
+    }
+
     /// Samples and applies the `class` channel to each listed store
-    /// position. Noise insertions are not counted as gates: the counters
-    /// report the *program's* operations, and the trace backend's modeled
-    /// fidelity stays comparable across engines.
+    /// position, and folds it into [`AmpSim::error_free_probability`].
+    /// Noise insertions are not counted as gates: the counters report the
+    /// *program's* operations on every store.
     fn inject(&mut self, class: OpClass, positions: &[usize]) {
         let ch = self.noise.model.channel(class);
         if ch.is_ideal() {
             return;
         }
+        self.error_free *= ch.error_free_probability().powi(positions.len() as i32);
         for &pos in positions {
             let action = ch.sample(|| self.state.parity_prob_odd(&[pos]), &mut self.noise.rng);
             match action {
@@ -513,7 +529,7 @@ impl<S: AmpStore> AmpSim<S> {
     /// 1 and all other live qubits are 0 — usable at any qubit count, unlike
     /// [`AmpSim::state_vector`].
     pub fn amplitude_of(&self, ones: &[QubitId]) -> Result<Complex, SimError> {
-        Ok(self.state.amplitude_of(&self.positions(ones)?))
+        self.state.amplitude_of(&self.positions(ones)?)
     }
 }
 

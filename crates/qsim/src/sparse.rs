@@ -458,8 +458,8 @@ impl AmpStore for SparseState {
         Ok(st.permuted(perm))
     }
 
-    fn amplitude_of(&self, ones: &[usize]) -> Complex {
-        self.amps.get(&key_of(ones)).copied().unwrap_or(C_ZERO)
+    fn amplitude_of(&self, ones: &[usize]) -> Result<Complex, SimError> {
+        Ok(self.amps.get(&key_of(ones)).copied().unwrap_or(C_ZERO))
     }
 }
 

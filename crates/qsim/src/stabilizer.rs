@@ -21,10 +21,10 @@
 
 use crate::gates::{Gate, Pauli};
 use crate::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
+use crate::registry::QubitRegistry;
 use crate::sim::{QubitId, SimError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// One tableau row: a Pauli string in the binary symplectic representation
 /// (`x` and `z` bit-vectors) plus a sign bit. A set `x` bit alone is X, a
@@ -85,14 +85,18 @@ impl Row {
         acc & 1 == 1
     }
 
-    /// Swaps the bits of two columns (used when compacting after a free).
-    fn swap_cols(&mut self, a: usize, b: usize) {
-        let (xa, za) = (self.get_x(a), self.get_z(a));
-        let (xb, zb) = (self.get_x(b), self.get_z(b));
-        self.set_x(a, xb);
-        self.set_z(a, zb);
-        self.set_x(b, xa);
-        self.set_z(b, za);
+    /// Deletes column `col`; the columns above it shift down one place, as
+    /// the registry's positions do on a free.
+    fn remove_col(&mut self, col: usize) {
+        let (w, b) = (col / 64, col % 64);
+        for bits in [&mut self.x, &mut self.z] {
+            let low = (1u64 << b) - 1;
+            bits[w] = (bits[w] & low) | ((bits[w] >> 1) & !low);
+            for i in w + 1..bits.len() {
+                bits[i - 1] |= bits[i] << 63;
+                bits[i] >>= 1;
+            }
+        }
     }
 }
 
@@ -132,13 +136,10 @@ fn rowsum(dst: &mut Row, src: &Row) {
 
 /// Stabilizer-tableau simulator with dynamic qubit allocation.
 pub struct StabilizerSim {
-    n: usize,
     words: usize,
     destab: Vec<Row>,
     stab: Vec<Row>,
-    positions: HashMap<QubitId, usize>,
-    by_position: Vec<QubitId>,
-    next_id: u64,
+    reg: QubitRegistry,
     rng: StdRng,
     noise: NoiseState,
     gate_count: u64,
@@ -157,13 +158,10 @@ impl StabilizerSim {
     /// amplitude damping surfaces [`SimError::Unsupported`].
     pub fn with_noise(seed: u64, model: NoiseModel) -> Self {
         StabilizerSim {
-            n: 0,
             words: 0,
             destab: Vec::new(),
             stab: Vec::new(),
-            positions: HashMap::new(),
-            by_position: Vec::new(),
-            next_id: 0,
+            reg: QubitRegistry::new(),
             rng: StdRng::seed_from_u64(seed),
             noise: NoiseState::new(seed, model),
             gate_count: 0,
@@ -178,7 +176,7 @@ impl StabilizerSim {
 
     /// Number of currently allocated qubits.
     pub fn n_qubits(&self) -> usize {
-        self.n
+        self.reg.len()
     }
 
     /// Total gates applied so far.
@@ -192,19 +190,13 @@ impl StabilizerSim {
     }
 
     fn pos(&self, q: QubitId) -> Result<usize, SimError> {
-        self.positions
-            .get(&q)
-            .copied()
-            .ok_or(SimError::UnknownQubit(q))
+        self.reg.pos(q)
     }
 
     /// Allocates one fresh qubit in |0>.
     pub fn alloc(&mut self) -> QubitId {
-        let id = QubitId(self.next_id);
-        self.next_id += 1;
-        let col = self.n;
-        self.n += 1;
-        let words = self.n.div_ceil(64);
+        let col = self.n_qubits();
+        let words = (col + 1).div_ceil(64);
         if words > self.words {
             self.words = words;
             for row in self.destab.iter_mut().chain(self.stab.iter_mut()) {
@@ -217,9 +209,7 @@ impl StabilizerSim {
         s.set_z(col, true);
         self.destab.push(d);
         self.stab.push(s);
-        self.positions.insert(id, col);
-        self.by_position.push(id);
-        id
+        self.reg.push(col)
     }
 
     /// Allocates `n` fresh qubits in |0>.
@@ -367,7 +357,11 @@ impl StabilizerSim {
         }
         let pa = self.pos(a)?;
         let pb = self.pos(b)?;
-        self.for_each_row(|row| row.swap_cols(pa, pb));
+        // SWAP = CNOT(a,b) CNOT(b,a) CNOT(a,b) as unitaries, so the
+        // conjugated rows, signs included, are the same.
+        self.apply_cnot_cols(pa, pb);
+        self.apply_cnot_cols(pb, pa);
+        self.apply_cnot_cols(pa, pb);
         self.gate_count += 1;
         self.inject(OpClass::Gate2q, &[pa, pb])
     }
@@ -404,37 +398,47 @@ impl StabilizerSim {
         p
     }
 
+    /// The first stabilizer generator that anticommutes with `p`; there is
+    /// one exactly when measuring `p` has a random outcome.
+    fn anticommuting(&self, p: &Row) -> Option<usize> {
+        self.stab.iter().position(|row| row.anticommutes(p))
+    }
+
+    /// Collapses onto the `neg` eigenspace of `p`, which anticommutes with
+    /// the generator at `pivot`: every other row that anticommutes with `p`
+    /// absorbs that generator, which becomes the destabilizer, and `±p`
+    /// becomes the stabilizer at `pivot`.
+    fn project(&mut self, pivot: usize, p: &Row, neg: bool) {
+        let row_p = self.stab[pivot].clone();
+        for i in (0..self.n_qubits()).filter(|&i| i != pivot) {
+            if self.stab[i].anticommutes(p) {
+                rowsum(&mut self.stab[i], &row_p);
+            }
+            if self.destab[i].anticommutes(p) {
+                rowsum(&mut self.destab[i], &row_p);
+            }
+        }
+        self.destab[pivot] = row_p;
+        self.stab[pivot] = Row { neg, ..p.clone() };
+    }
+
     /// Measures the Pauli operator `p`, collapsing when the outcome is
     /// random. Returns `true` for the −1 eigenvalue.
     fn measure_pauli(&mut self, p: &Row) -> bool {
         self.measurement_count += 1;
-        if let Some(pivot) = (0..self.n).find(|&i| self.stab[i].anticommutes(p)) {
-            // Random outcome: restructure the tableau around the collapse.
-            let row_p = self.stab[pivot].clone();
-            for i in 0..self.n {
-                if i != pivot && self.stab[i].anticommutes(p) {
-                    rowsum(&mut self.stab[i], &row_p);
-                }
-                if i != pivot && self.destab[i].anticommutes(p) {
-                    rowsum(&mut self.destab[i], &row_p);
-                }
-            }
-            let outcome = self.rng.gen_bool(0.5);
-            self.destab[pivot] = row_p;
-            let mut new_stab = p.clone();
-            new_stab.neg = outcome;
-            self.stab[pivot] = new_stab;
-            outcome
-        } else {
-            self.deterministic_outcome(p)
-        }
+        let Some(pivot) = self.anticommuting(p) else {
+            return self.deterministic_outcome(p);
+        };
+        let outcome = self.rng.gen_bool(0.5);
+        self.project(pivot, p, outcome);
+        outcome
     }
 
     /// Outcome of measuring `p` when it commutes with every stabilizer
     /// (so ±`p` is in the stabilizer group and the outcome is determined).
     fn deterministic_outcome(&self, p: &Row) -> bool {
         let mut scratch = Row::zero(self.words);
-        for i in 0..self.n {
+        for i in 0..self.n_qubits() {
             if self.destab[i].anticommutes(p) {
                 rowsum(&mut scratch, &self.stab[i]);
             }
@@ -479,7 +483,7 @@ impl StabilizerSim {
     pub fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
         let j = self.pos(q)?;
         let p = self.z_string(&[j]);
-        if (0..self.n).any(|i| self.stab[i].anticommutes(&p)) {
+        if self.anticommuting(&p).is_some() {
             Ok(0.5)
         } else if self.deterministic_outcome(&p) {
             Ok(1.0)
@@ -506,7 +510,7 @@ impl StabilizerSim {
                 Pauli::Z => p.set_z(j, true),
             }
         }
-        if (0..self.n).any(|i| self.stab[i].anticommutes(&p)) {
+        if self.anticommuting(&p).is_some() {
             return Ok(0.0);
         }
         Ok(if self.deterministic_outcome(&p) {
@@ -517,56 +521,26 @@ impl StabilizerSim {
     }
 
     /// Removes a qubit that is in a product Z-basis state. The tableau is
-    /// restructured so one stabilizer generator is exactly `±Z_j`, the rest
-    /// of the column is cleared, and the row pair plus column are deleted.
+    /// restructured so one stabilizer generator is exactly `+Z_j`, which
+    /// leaves every other row with `x[j] = 0`: qubit `j` is then a product
+    /// factor, and its row pair and column are deleted.
     fn remove_classical_qubit(&mut self, q: QubitId, j: usize) {
         // Put the qubit in an X eigenstate so the Z measurement below is
-        // guaranteed to take the random branch, which leaves the tableau
-        // with stab[pivot] = Z_j exactly.
+        // guaranteed to take the random branch; project onto its |0> branch.
         self.apply_h(j);
         let p = self.z_string(&[j]);
-        let pivot = (0..self.n)
-            .find(|&i| self.stab[i].anticommutes(&p))
+        let pivot = self
+            .anticommuting(&p)
             .expect("an X-eigenstate qubit must have an anticommuting stabilizer");
-        let row_p = self.stab[pivot].clone();
-        for i in 0..self.n {
-            if i != pivot && self.stab[i].anticommutes(&p) {
-                rowsum(&mut self.stab[i], &row_p);
-            }
-            if i != pivot && self.destab[i].anticommutes(&p) {
-                rowsum(&mut self.destab[i], &row_p);
-            }
-        }
-        self.destab[pivot] = row_p;
-        self.stab[pivot] = p; // +Z_j: we choose the |0> collapse branch.
-                              // Clear the rest of column j: every remaining row has x[j] = 0, so
-                              // multiplying by +Z_j just toggles its z bit, without sign changes.
-        for i in 0..self.n {
-            if i != pivot {
-                if self.stab[i].get_z(j) {
-                    self.stab[i].set_z(j, false);
-                }
-                if self.destab[i].get_z(j) {
-                    self.destab[i].set_z(j, false);
-                }
-            }
-        }
-        // Compact: move column j to the end, then drop it with the pivot
-        // row pair.
-        let last = self.n - 1;
-        if j != last {
-            for row in self.destab.iter_mut().chain(self.stab.iter_mut()) {
-                row.swap_cols(j, last);
-            }
-            let moved = self.by_position[last];
-            self.by_position.swap(j, last);
-            self.positions.insert(moved, j);
-        }
-        self.by_position.pop();
-        self.positions.remove(&q);
+        self.project(pivot, &p, false);
+        // Compact: drop column j (any `z[j]` left in another row only
+        // multiplies it by the +Z_j stabilizer), shifting the columns above
+        // it down as the registry shifts their handles; then the pivot row
+        // pair.
+        self.for_each_row(|row| row.remove_col(j));
+        self.reg.remove(q, j);
         self.destab.remove(pivot);
         self.stab.remove(pivot);
-        self.n -= 1;
     }
 
     /// Frees a qubit that is already in a classical state, returning its
@@ -574,7 +548,7 @@ impl StabilizerSim {
     pub fn free(&mut self, q: QubitId) -> Result<bool, SimError> {
         let j = self.pos(q)?;
         let p = self.z_string(&[j]);
-        if (0..self.n).any(|i| self.stab[i].anticommutes(&p)) {
+        if self.anticommuting(&p).is_some() {
             return Err(SimError::NotClassical(q));
         }
         let outcome = self.deterministic_outcome(&p);
@@ -611,6 +585,7 @@ impl StabilizerSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::noise::NoiseModel;
 
     #[test]
     fn unsupported_noise_rejected_without_mutating() {
@@ -924,5 +899,102 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// One seeded run that allocates, entangles, measures and frees qubits
+    /// from the middle of the register, as a string: `0`/`1` per
+    /// measurement, `+`/`-`/`.` per Z⊗Z expectation, `f`/`t` per free.
+    fn transcript(seed: u64, noise: NoiseModel) -> String {
+        let mut sim = StabilizerSim::with_noise(seed, noise);
+        let mut live = sim.alloc_n(9);
+        let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |n: usize| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n as u64) as usize
+        };
+        let bit = |b: bool| if b { '1' } else { '0' };
+        let mut out = String::new();
+        for _ in 0..300 {
+            let n = live.len();
+            let (a, b) = (next(n), next(n));
+            match next(10) {
+                0 | 1 => sim.apply(Gate::H, live[a]).unwrap(),
+                2 => sim.apply(Gate::S, live[a]).unwrap(),
+                3 if a != b => sim.cnot(live[a], live[b]).unwrap(),
+                4 if a != b => sim.cz(live[a], live[b]).unwrap(),
+                5 if a != b => sim.swap(live[a], live[b]).unwrap(),
+                6 => out.push(bit(sim.measure(live[a]).unwrap())),
+                7 if n > 4 => {
+                    let q = live.remove(a);
+                    out.push(bit(sim.measure_and_free(q).unwrap()));
+                }
+                8 if n > 4 => {
+                    let q = live.remove(a);
+                    out.push(bit(sim.measure(q).unwrap()));
+                    out.push(if sim.free(q).unwrap() { 't' } else { 'f' });
+                }
+                9 if n < 70 => live.extend(sim.alloc_n(1 + next(3))),
+                _ if a != b => {
+                    let e = sim
+                        .expectation(&[(live[a], Pauli::Z), (live[b], Pauli::Z)])
+                        .unwrap();
+                    out.push(match e as i64 {
+                        1 => '+',
+                        -1 => '-',
+                        _ => '.',
+                    });
+                }
+                _ => {}
+            }
+        }
+        for q in live {
+            out.push(bit(sim.measure_and_free(q).unwrap()));
+        }
+        out
+    }
+
+    /// Frees from the middle of the register compact the tableau, and the
+    /// outcomes per seed do not depend on the column order that leaves.
+    /// Pinned: a change to where or how often `gen_bool` draws, or to the
+    /// row order, shows here.
+    #[test]
+    fn seeded_transcripts_with_middle_frees_are_pinned() {
+        let want = [
+            "00f0f000f000000f01010...1+00f0f1t00..0...0f0f1t0010-1..0.01101t000f11t001t0f+0f0f01t0f00f01t00f1t0000f00f000f.0100",
+            "00f0f000f000000f01010...1-00f0f1t00..0...0f0f1t1011-1..0.01101t000f11t001t1t+0f0f01t0f00f01t00f1t0001t00f011t.1100",
+            "0000f0f000f0.00f000f0f1000f000111010010f0f0f0000f00f00f000000f00f00000f0f0f0000f0f00f01101t0f00010010f1111101110010001001",
+            "0000f0f000f0.00f000f0f1000f001111000000f0f0f0000f00f00f000010f00f01100f0f0f1010f1t10f01000f0f01010010f1111101011010001001",
+            "0101t0f0f0000+000000f00f000f10f0101000f00000000f00f000f0f0000f00f1t0f0000f00f1t00000f01100000f0000011110000000010000101100100100",
+            "0101t0f0f0100+000000f00f000f10f0101000f00010000f11t000f0f0000f00f1t0f0000f00f1t00000f01110000f0010011110001101010000001100000100",
+            "0f00f0f0f0.00f0f000f0010f00f00110f1+.0f00.11t1001-..+-+01t00f100f0f00f0f00f00f000f0101000101t100000f0f00000100000000000010",
+            "0f00f0f0f0.10f0f000f0010f00f11110f1+.0f00.11t1000+..+++00f00f100f0f00f1t00f00f001t0101100111t100010f0f00000100000000000010",
+        ];
+        let mut want = want.iter();
+        for seed in 0..4u64 {
+            for noise in [NoiseModel::ideal(), NoiseModel::depolarizing(0.05)] {
+                assert_eq!(
+                    transcript(seed, noise),
+                    *want.next().unwrap(),
+                    "seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn removing_a_column_shifts_the_ones_above_across_words() {
+        let mut row = Row::zero(3);
+        for col in [3, 63, 64, 100, 130] {
+            row.set_x(col, true);
+            row.set_z(col + 1, true);
+        }
+        row.remove_col(5);
+        let cols = |get: &dyn Fn(usize) -> bool| (0..192).filter(|&c| get(c)).collect::<Vec<_>>();
+        assert_eq!(cols(&|c| row.get_x(c)), [3, 62, 63, 99, 129]);
+        assert_eq!(cols(&|c| row.get_z(c)), [4, 63, 64, 100, 130]);
+        row.remove_col(3);
+        assert_eq!(cols(&|c| row.get_x(c)), [61, 62, 98, 128]);
     }
 }

@@ -339,8 +339,8 @@ impl AmpStore for State {
         Ok(self.permuted(perm))
     }
 
-    fn amplitude_of(&self, ones: &[usize]) -> Complex {
-        self.amps[self.mask_of(ones)]
+    fn amplitude_of(&self, ones: &[usize]) -> Result<Complex, SimError> {
+        Ok(self.amps[self.mask_of(ones)])
     }
 }
 

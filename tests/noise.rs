@@ -220,6 +220,57 @@ fn trace_backend_models_error_free_probability() {
     );
 }
 
+/// The trace engine is the simulator front over a store with no
+/// amplitudes, so it counts every op kind exactly as the dense engine
+/// does, and models one noise site wherever the front samples one.
+#[test]
+fn trace_counts_what_the_front_counts() {
+    use qsim::{BatchOp, Complex};
+    let noise = NoiseModel::depolarizing(0.1);
+    // Branch-free: no outcome is read back, so both engines run the same
+    // ops whatever their measurements return.
+    let run = |kind| {
+        let b = build(kind, 7, noise).unwrap();
+        let qs = b.alloc(0, 4);
+        let other = b.alloc(1, 1)[0];
+        let program = ops::batch([
+            BatchOp::Gate {
+                gate: Gate::H,
+                q: qs[0],
+            },
+            BatchOp::Controlled {
+                controls: vec![qs[0]],
+                gate: Gate::Ry(0.3),
+                target: qs[1],
+            },
+            BatchOp::Cnot { c: qs[1], t: qs[2] },
+            BatchOp::Cz { a: qs[2], b: qs[3] },
+            BatchOp::Swap { a: qs[3], b: qs[3] },
+            BatchOp::PhaseSweep {
+                qubits: vec![qs[0], qs[1]],
+                diags: vec![(0b11, Complex::real(1.0), Complex::new(0.0, 1.0))],
+                czs: vec![(qs[1], qs[2])],
+            },
+        ]);
+        b.apply_batch(0, &program).unwrap();
+        b.entangle_epr_batch(&[(qs[3], other)]).unwrap();
+        b.measure_z_parity(0, &[qs[0], qs[2]]).unwrap();
+        b.measure_and_free(1, other).unwrap();
+        (b.counts(), b.modeled_fidelity())
+    };
+    let (trace, fidelity) = run(BackendKind::Trace);
+    let (dense, dense_fidelity) = run(BackendKind::StateVector);
+    assert_eq!(trace, dense);
+    // Five swept ops (the self-swap is none) and the EPR pair's H + CNOT.
+    assert_eq!((trace.gates, trace.measurements), (7, 2));
+    assert_eq!(dense_fidelity, None);
+    // Sites: H 1, controlled 2, CNOT 2, CZ 2, self-swap 0, sweep over three
+    // distinct qubits 3, EPR 2, two-qubit parity 2, measuring free 1.
+    let want = 0.9f64.powi(15);
+    let got = fidelity.expect("trace models fidelity");
+    assert!((got - want).abs() < 1e-12, "{got} vs {want}");
+}
+
 /// A merged sweep's noise rides on each qubit it touches once, however
 /// many factors read it, and a sweep that lists a qubit twice (a parity set
 /// naming both would silently cancel it) is an error on every engine.
