@@ -9,7 +9,7 @@ use crate::encode::{from_bytes, to_bytes, Decode, Encode};
 use crate::mailbox::{Envelope, Mailbox, SourceSel, Tag, TagSel};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Shared per-world state: one mailbox per world rank plus traffic counters.
 pub struct World {
@@ -17,6 +17,8 @@ pub struct World {
     next_context: AtomicU64,
     messages_sent: AtomicU64,
     bytes_sent: AtomicU64,
+    /// The first rank whose panic aborted the world.
+    aborted_by: OnceLock<usize>,
 }
 
 impl World {
@@ -28,6 +30,7 @@ impl World {
             next_context: AtomicU64::new(2),
             messages_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
+            aborted_by: OnceLock::new(),
         })
     }
 
@@ -44,6 +47,22 @@ impl World {
     /// Total payload bytes sent so far (all communicators).
     pub fn bytes_sent(&self) -> u64 {
         self.bytes_sent.load(Ordering::Relaxed)
+    }
+
+    /// Marks the world failed by world rank `rank` and wakes every
+    /// receiver; a blocking receive that then finds no match panics naming
+    /// the first rank to abort.
+    pub(crate) fn abort(&self, rank: usize) {
+        if self.aborted_by.set(rank).is_ok() {
+            for mailbox in &self.mailboxes {
+                mailbox.abort(rank);
+            }
+        }
+    }
+
+    /// The first rank whose panic aborted the world, if any.
+    pub(crate) fn aborted_by(&self) -> Option<usize> {
+        self.aborted_by.get().copied()
     }
 
     fn alloc_context_pair(&self) -> u64 {

@@ -16,8 +16,10 @@ impl Universe {
     /// Runs `f` on `n` ranks (threads), each receiving its world
     /// communicator. Returns the per-rank results in rank order.
     ///
-    /// Panics if any rank panics (propagating the first panic payload), so
-    /// test failures inside ranks surface as test failures.
+    /// Panics if any rank panics, so test failures inside ranks surface as
+    /// test failures. A rank that panics aborts the world: peers blocked on
+    /// a message that can no longer arrive panic too instead of hanging,
+    /// and the payload re-raised here is the first failing rank's.
     pub fn run<T, F>(n: usize, f: F) -> Vec<T>
     where
         T: Send + 'static,
@@ -37,30 +39,33 @@ impl Universe {
                 .stack_size(8 << 20);
             handles.push(
                 builder
-                    .spawn(move || f(Communicator::world(world, rank)))
+                    .spawn(move || {
+                        let _abort = AbortOnUnwind {
+                            world: Arc::clone(&world),
+                            rank,
+                        };
+                        f(Communicator::world(world, rank))
+                    })
                     .expect("failed to spawn rank thread"),
             );
         }
         let mut results = Vec::with_capacity(n);
-        let mut panic: Option<Box<dyn std::any::Any + Send>> = None;
-        for h in handles {
+        let mut panics = Vec::new();
+        for (rank, h) in handles.into_iter().enumerate() {
             match h.join() {
-                Ok(v) => results.push(Some(v)),
-                Err(e) => {
-                    results.push(None);
-                    if panic.is_none() {
-                        panic = Some(e);
-                    }
-                }
+                Ok(v) => results.push(v),
+                Err(payload) => panics.push((rank, payload)),
             }
         }
-        if let Some(p) = panic {
-            std::panic::resume_unwind(p);
+        if !panics.is_empty() {
+            let first = world.aborted_by();
+            let i = panics
+                .iter()
+                .position(|(rank, _)| Some(*rank) == first)
+                .unwrap_or(0);
+            std::panic::resume_unwind(panics.swap_remove(i).1);
         }
         results
-            .into_iter()
-            .map(|r| r.expect("rank result present"))
-            .collect()
     }
 
     /// Spawns `n` long-lived *worker* ranks and returns the controller's
@@ -110,6 +115,20 @@ impl Universe {
     {
         let f = Arc::new(f);
         Self::run(n, move |comm| f(comm, Arc::clone(&ctx)))
+    }
+}
+
+/// Aborts the rank's world if the rank unwinds.
+struct AbortOnUnwind {
+    world: Arc<World>,
+    rank: usize,
+}
+
+impl Drop for AbortOnUnwind {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.world.abort(self.rank);
+        }
     }
 }
 
@@ -175,6 +194,30 @@ mod tests {
             }
             comm.rank()
         });
+    }
+
+    #[test]
+    fn a_rank_panic_fails_its_world_instead_of_hanging_it() {
+        // Ranks 0 and 2 block on a message rank 1 never sends; the world
+        // must fail with rank 1's payload, not hang or report a bystander.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                Universe::run(3, |comm| {
+                    if comm.rank() == 1 {
+                        panic!("rank 1 exploded before its send");
+                    }
+                    comm.recv::<u64>(1, 0).0
+                })
+            });
+            let payload = outcome.expect_err("the world succeeded");
+            let _ = tx.send(payload.downcast_ref::<&str>().map(|s| s.to_string()));
+        });
+        let msg = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the world hung on its dead rank");
+        assert_eq!(msg.as_deref(), Some("rank 1 exploded before its send"));
+        runner.join().unwrap();
     }
 
     #[test]
