@@ -1,27 +1,29 @@
-//! The engines on the simulator front — dense (the paper's prototype
-//! backend), sparse (real amplitudes at paper-scale rank counts), striped
-//! (the dense vector in the remote workers' layout), remote (those stripes
-//! in worker ranks, [`super::remote`]) and trace (no amplitudes, only
-//! counts) — as one generic engine over the front's amplitude store, so
-//! handles, operand checks, counters and noise sites exist once.
+//! The six engines, all on the simulator front — dense (the paper's
+//! prototype backend), sparse (real amplitudes at paper-scale rank counts),
+//! striped (the dense vector in the remote workers' layout), remote (those
+//! stripes in worker ranks, [`super::remote`]), stabilizer (the CHP
+//! tableau, Clifford protocols at thousands of ranks) and trace (no
+//! amplitudes, only counts) — as one generic engine over the front's
+//! store, so handles, operand checks, counters, noise sites and the one
+//! uniform per measurement exist once.
 
-use super::{BackendKind, SimEngine, TransportStats};
+use super::{BackendKind, TransportStats};
 use qsim::noise::NoiseModel;
 use qsim::sim::AmpSim;
 use qsim::{
-    AmpStore, BatchOp, GateBatch, Pauli, QubitId, ShardedState, SimError, SparseState, State,
-    TraceState,
+    AmpStore, BatchOp, GateBatch, ShardedState, SimError, SparseState, State, Tableau, TraceState,
 };
+use std::ops::{Deref, DerefMut};
 
-/// An amplitude store that backs an engine, and the [`BackendKind`] it is
-/// selected by.
+/// A store that backs an engine, and the [`BackendKind`] it is selected
+/// by.
 pub trait EngineStore: AmpStore + Send + Sync {
     /// The kind [`AmplitudeEngine`] reports over this store.
     fn kind(&self) -> BackendKind;
 
     /// Whether the store models noise rather than sampling it: one with no
     /// amplitudes to perturb, whose engine reports the front's error-free
-    /// probability as [`SimEngine::modeled_fidelity`].
+    /// probability as [`AmplitudeEngine::modeled_fidelity`].
     fn models_noise() -> bool {
         false
     }
@@ -53,6 +55,12 @@ impl EngineStore for ShardedState {
     }
 }
 
+impl EngineStore for Tableau {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Stabilizer
+    }
+}
+
 impl EngineStore for TraceState {
     fn kind(&self) -> BackendKind {
         BackendKind::Trace
@@ -72,12 +80,31 @@ impl UnstripedStore for State {}
 
 impl UnstripedStore for SparseState {}
 
+impl UnstripedStore for Tableau {}
+
 impl UnstripedStore for TraceState {}
 
-/// Full-state engine over [`qsim::sim::AmpSim`]: exact for arbitrary gates,
-/// with the storage format (and where the amplitudes live) chosen by `S`.
+/// The engine over [`qsim::sim::AmpSim`], with the storage format (and
+/// where the amplitudes live) chosen by `S`. It dereferences to the front,
+/// whose methods — alloc, free, measurement, expectations, snapshots,
+/// counters — are the engine's; it adds the engine's identity and the one
+/// `match` over [`BatchOp`] that applies a gate batch.
 pub struct AmplitudeEngine<S> {
     sim: AmpSim<S>,
+}
+
+impl<S> Deref for AmplitudeEngine<S> {
+    type Target = AmpSim<S>;
+
+    fn deref(&self) -> &AmpSim<S> {
+        &self.sim
+    }
+}
+
+impl<S> DerefMut for AmplitudeEngine<S> {
+    fn deref_mut(&mut self) -> &mut AmpSim<S> {
+        &mut self.sim
+    }
 }
 
 impl<S: EngineStore> AmplitudeEngine<S> {
@@ -88,9 +115,41 @@ impl<S: EngineStore> AmplitudeEngine<S> {
         }
     }
 
-    /// The amplitude store.
-    pub(crate) fn store(&self) -> &S {
-        self.sim.raw_state()
+    /// Which [`BackendKind`] this engine realizes.
+    pub fn kind(&self) -> BackendKind {
+        self.sim.raw_state().kind()
+    }
+
+    /// The engine's running estimate of run fidelity under its noise model,
+    /// if it models noise rather than sampling it. Only the trace engine
+    /// does ([`EngineStore::models_noise`]): the probability that *no*
+    /// noise event fired across every operation so far — a lower bound on
+    /// state fidelity, computable at scales where no amplitudes exist.
+    pub fn modeled_fidelity(&self) -> Option<f64> {
+        S::models_noise().then(|| self.sim.error_free_probability())
+    }
+
+    /// Applies a recorded gate stream in program order — the engine's only
+    /// gate entry point (an eager gate is a batch of one). Each
+    /// [`BatchOp`] counts as one gate, a `Swap` of a qubit with itself as
+    /// none. On error, the operations preceding the failing one have been
+    /// applied; the failing one has moved nothing.
+    pub fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
+        batch.ops().iter().try_for_each(|op| match op {
+            BatchOp::Gate { gate, q } => self.sim.apply(*gate, *q),
+            BatchOp::Controlled {
+                controls,
+                gate,
+                target,
+            } => self.sim.apply_controlled(controls, *gate, *target),
+            BatchOp::Cnot { c, t } => self.sim.cnot(*c, *t),
+            BatchOp::Cz { a, b } => self.sim.cz(*a, *b),
+            BatchOp::Swap { a, b } => self.sim.swap(*a, *b),
+            BatchOp::Fused1q { q, m } => self.sim.apply_fused_1q(*q, m),
+            BatchOp::PhaseSweep { qubits, diags, czs } => {
+                self.sim.apply_phase_sweep(qubits, diags, czs)
+            }
+        })
     }
 }
 
@@ -113,10 +172,21 @@ pub type SparseEngine = AmplitudeEngine<SparseState>;
 /// separates a layout bug from a transport or planner bug.
 pub type ShardedStateVector = AmplitudeEngine<ShardedState>;
 
+/// CHP stabilizer-tableau engine over [`qsim::StabilizerSim`]:
+/// Clifford-only, polynomial in qubit count, so every QMPI communication
+/// protocol runs at thousands of ranks. A non-Clifford op is
+/// [`SimError::Unsupported`] before anything moves; under a noise model
+/// only the Pauli channels (depolarizing/dephasing) are realizable, and
+/// [`super::build_backend`] rejects amplitude damping up front. On a
+/// Clifford program its outcomes agree per seed with the dense engine's
+/// (see [`qsim::stabilizer`]).
+pub type StabilizerEngine = AmplitudeEngine<Tableau>;
+
 /// Counting-only engine over [`qsim::TraceState`]: every measurement reads
 /// `false`, so the resource ledger reproduces the paper's Tables 1–3 at any
 /// rank count. Noise it draws lands on no amplitudes, so it reports the
-/// probability that none fired instead ([`SimEngine::modeled_fidelity`]).
+/// probability that none fired instead
+/// ([`AmplitudeEngine::modeled_fidelity`]).
 pub type TraceEngine = AmplitudeEngine<TraceState>;
 
 impl<S: UnstripedStore> AmplitudeEngine<S> {
@@ -148,110 +218,12 @@ impl ShardedStateVector {
     }
 }
 
-impl SparseEngine {
-    /// Number of nonzero amplitudes currently stored — the working-set
-    /// size that stays small for the paper's structured states.
-    pub fn nonzero_count(&self) -> usize {
-        self.sim.nonzero_count()
-    }
-}
-
-impl<S: EngineStore> SimEngine for AmplitudeEngine<S> {
-    fn kind(&self) -> BackendKind {
-        self.sim.raw_state().kind()
-    }
-
-    fn noise(&self) -> NoiseModel {
-        self.sim.noise_model()
-    }
-
-    fn modeled_fidelity(&self) -> Option<f64> {
-        S::models_noise().then(|| self.sim.error_free_probability())
-    }
-
-    fn transport_stats(&self) -> Option<TransportStats> {
-        self.store().transport_stats()
-    }
-
-    fn entangle_epr(&mut self, qa: QubitId, qb: QubitId) -> Result<(), SimError> {
-        // Routed through the simulator so interconnect noise uses the
-        // dedicated EPR channel rather than the gate channels.
-        self.sim.entangle_epr(qa, qb)
-    }
-
-    fn alloc(&mut self) -> QubitId {
-        self.sim.alloc()
-    }
-
-    fn free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        self.sim.free(q)
-    }
-
-    fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        self.sim.measure_and_free(q)
-    }
-
-    fn apply_batch(&mut self, batch: &GateBatch) -> Result<(), SimError> {
-        batch.ops().iter().try_for_each(|op| match op {
-            BatchOp::Gate { gate, q } => self.sim.apply(*gate, *q),
-            BatchOp::Controlled {
-                controls,
-                gate,
-                target,
-            } => self.sim.apply_controlled(controls, *gate, *target),
-            BatchOp::Cnot { c, t } => self.sim.cnot(*c, *t),
-            BatchOp::Cz { a, b } => self.sim.cz(*a, *b),
-            BatchOp::Swap { a, b } => self.sim.swap(*a, *b),
-            BatchOp::Fused1q { q, m } => self.sim.apply_fused_1q(*q, m),
-            BatchOp::PhaseSweep { qubits, diags, czs } => {
-                self.sim.apply_phase_sweep(qubits, diags, czs)
-            }
-        })
-    }
-
-    fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
-        self.sim.prob_one(q)
-    }
-
-    fn measure_z_parity(&mut self, qubits: &[QubitId]) -> Result<bool, SimError> {
-        self.sim.measure_z_parity(qubits)
-    }
-
-    fn expectation(&self, terms: &[(QubitId, Pauli)]) -> Result<f64, SimError> {
-        self.sim.expectation(terms)
-    }
-
-    fn expectation_each(&self, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>, SimError> {
-        self.sim.expectation_each(strings)
-    }
-
-    fn state_vector(&self, order: &[QubitId]) -> Result<State, SimError> {
-        self.sim.state_vector(order)
-    }
-
-    fn amplitude_of(&self, ones: &[QubitId]) -> Result<qsim::Complex, SimError> {
-        self.sim.amplitude_of(ones)
-    }
-
-    fn n_qubits(&self) -> usize {
-        self.sim.n_qubits()
-    }
-
-    fn gate_count(&self) -> u64 {
-        self.sim.gate_count()
-    }
-
-    fn measurement_count(&self) -> u64 {
-        self.sim.measurement_count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::backend::{build_backend, ops, BackendKind, QuantumBackend, DIAG_RANK};
     use cmpi::TransportKind;
-    use qsim::Gate;
+    use qsim::{Gate, QubitId};
 
     #[test]
     fn engine_reports_its_kind_and_counts() {
@@ -318,7 +290,11 @@ mod tests {
         Cz(usize, usize),
     }
 
-    fn apply_steps<E: SimEngine>(engine: &mut E, qs: &[QubitId], steps: &[Step]) {
+    fn apply_steps<S: EngineStore>(
+        engine: &mut AmplitudeEngine<S>,
+        qs: &[QubitId],
+        steps: &[Step],
+    ) {
         for &step in steps {
             match step {
                 Step::Gate(g, t) => engine.apply_batch(&ops::gate(g, qs[t])).unwrap(),

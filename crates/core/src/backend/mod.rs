@@ -8,10 +8,12 @@
 //! can reach. This module therefore splits the execution core into three
 //! layers:
 //!
-//! * [`SimEngine`] — the minimal, ownership-agnostic engine contract
-//!   (allocate, apply a gate batch, measure, diagnose). Six engines ship:
+//! * [`AmplitudeEngine`] — the engine: the one simulator front
+//!   ([`qsim::sim::AmpSim`]: handles, operand checks, counters, noise
+//!   sites, one uniform per measurement) over a store, with no notion of
+//!   ranks or ownership. Six engines ship, one per store:
 //!   [`amplitude::StateVectorEngine`] (exact amplitudes, the paper's
-//!   prototype), [`stabilizer::StabilizerEngine`] (CHP tableau; Clifford
+//!   prototype), [`amplitude::StabilizerEngine`] (CHP tableau; Clifford
 //!   protocols at thousands of ranks), [`amplitude::TraceEngine`] (no
 //!   amplitudes at all — operation counting for Table 1–3-style resource
 //!   estimation at paper scale), [`amplitude::SparseEngine`] (only nonzero
@@ -20,10 +22,7 @@
 //!   vector in the remote workers' stripes in one address space — the
 //!   layout reference) and [`remote::RemoteShardedEngine`] (shards owned by
 //!   worker ranks that exchange nothing but [`cmpi`] messages — the paper's
-//!   process-separated deployment model). All but the stabilizer engine
-//!   are one [`amplitude::AmplitudeEngine`] over different stores, so the
-//!   simulator front — handles, operand checks, counters, noise sites — is
-//!   written once.
+//!   process-separated deployment model).
 //! * [`Shared`] — the locality wrapper: one reader-writer-locked engine
 //!   plus the qubit-ownership registry. Every engine gets the paper's
 //!   locality semantics for free — a multi-qubit gate across ranks is
@@ -38,14 +37,15 @@
 //!   world via [`crate::QmpiConfig::backend`] and [`BackendKind`].
 //!
 //! One gate IR crosses all three layers: a [`qsim::GateBatch`] handed to
-//! `apply_batch` (an eager gate is a batch of one), and each engine holds
-//! the one `match` over [`qsim::BatchOp`] that executes it.
+//! `apply_batch` (an eager gate is a batch of one), and
+//! [`AmplitudeEngine::apply_batch`] holds the one `match` over
+//! [`qsim::BatchOp`] that executes it.
 //!
 //! Every engine additionally accepts a [`qsim::noise::NoiseModel`]
 //! (threaded through [`build_backend`] from
 //! [`crate::QmpiConfig::noise`]): the stochastic engines sample seeded
-//! Pauli/Kraus insertions, the stabilizer engine runs the
-//! Clifford-compatible Pauli subset, and the trace engine, with nothing to
+//! Pauli/Kraus insertions (the stabilizer engine only the
+//! Clifford-compatible Pauli subset), and the trace engine, with nothing to
 //! sample into, reports the front's error-free probability as a modeled
 //! fidelity ([`QuantumBackend::modeled_fidelity`]). See
 //! `docs/NOISE.md` for channel definitions and conventions.
@@ -61,7 +61,6 @@ pub mod amplitude;
 pub mod pool;
 pub mod remote;
 pub mod remote_transport;
-pub mod stabilizer;
 
 use crate::context::BatchPolicy;
 use crate::error::{QmpiError, Result};
@@ -73,11 +72,13 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
-pub use amplitude::{ShardedStateVector, SparseEngine, StateVectorEngine, TraceEngine};
+pub use amplitude::{
+    AmplitudeEngine, EngineStore, ShardedStateVector, SparseEngine, StabilizerEngine,
+    StateVectorEngine, TraceEngine,
+};
 pub use pool::{ShardLease, ShardWorkerPool};
 pub use remote::RemoteShardedEngine;
 pub use remote_transport::qworker_main;
-pub use stabilizer::StabilizerEngine;
 
 /// Which simulation engine backs a QMPI world.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
@@ -367,115 +368,6 @@ pub struct OpCounts {
     pub max_live_qubits: u64,
 }
 
-/// The minimal engine contract: quantum state manipulation with stable
-/// qubit handles, no notion of ranks or ownership. Implementations are
-/// wrapped in [`Shared`], which adds locking, ownership, and locality.
-pub trait SimEngine: Send + Sync {
-    /// Which [`BackendKind`] this engine realizes.
-    fn kind(&self) -> BackendKind;
-
-    /// The noise model this engine applies (ideal unless configured).
-    fn noise(&self) -> NoiseModel;
-
-    /// The engine's running estimate of run fidelity under its noise model,
-    /// if it models noise rather than sampling it. Only the trace engine
-    /// does ([`amplitude::EngineStore::models_noise`]): the probability that
-    /// *no* noise event fired across every operation so far — a lower bound
-    /// on state fidelity, computable at scales where no amplitudes exist.
-    fn modeled_fidelity(&self) -> Option<f64> {
-        None
-    }
-
-    /// Message-transport accounting for engines driven over a message
-    /// substrate ([`RemoteShardedEngine`]); `None` for in-process engines,
-    /// where no transport exists.
-    fn transport_stats(&self) -> Option<TransportStats> {
-        None
-    }
-
-    /// Allocates one fresh qubit in |0>.
-    fn alloc(&mut self) -> QubitId;
-
-    /// Frees a classical-state qubit, returning its value.
-    fn free(&mut self, q: QubitId) -> std::result::Result<bool, qsim::SimError>;
-
-    /// Measures a qubit and frees it.
-    fn measure_and_free(&mut self, q: QubitId) -> std::result::Result<bool, qsim::SimError>;
-
-    /// Applies a recorded gate stream in program order — the engine's only
-    /// gate entry point (an eager gate is a batch of one). Each
-    /// [`qsim::BatchOp`] counts as one gate, a `Swap` of a qubit with
-    /// itself as none. On error, the operations preceding the failing one
-    /// have been applied.
-    fn apply_batch(&mut self, batch: &GateBatch) -> std::result::Result<(), qsim::SimError>;
-
-    /// Probability of measuring |1> (non-destructive).
-    fn prob_one(&self, q: QubitId) -> std::result::Result<f64, qsim::SimError>;
-
-    /// Joint Z-parity measurement over distinct qubits; a projective Z
-    /// measurement is the one-qubit case. A repeated qubit is
-    /// [`qsim::SimError::DuplicateQubit`], before any draw or count.
-    fn measure_z_parity(&mut self, qubits: &[QubitId])
-        -> std::result::Result<bool, qsim::SimError>;
-
-    /// Expectation value of a Pauli string over distinct qubits. A repeated
-    /// qubit is [`qsim::SimError::DuplicateQubit`].
-    fn expectation(&self, terms: &[(QubitId, Pauli)]) -> std::result::Result<f64, qsim::SimError>;
-
-    /// [`SimEngine::expectation`] of each string, to the same bits. An
-    /// amplitude engine hands the list to its store in one call (the dense
-    /// store sweeps once for all Z-only strings); the default loops.
-    fn expectation_each(
-        &self,
-        strings: &[Vec<(QubitId, Pauli)>],
-    ) -> std::result::Result<Vec<f64>, qsim::SimError> {
-        strings.iter().map(|t| self.expectation(t)).collect()
-    }
-
-    /// Dense state snapshot in the given qubit order; engines without
-    /// amplitudes return [`qsim::SimError::Unsupported`].
-    fn state_vector(&self, _order: &[QubitId]) -> std::result::Result<State, qsim::SimError> {
-        Err(unsupported(self, "dense snapshot"))
-    }
-
-    /// The amplitude of the single basis state where the qubits in `ones`
-    /// are 1 and every other live qubit is 0 — a diagnostic point probe.
-    /// Every amplitude engine answers it; on the sparse engine it stays
-    /// available at rank counts where no dense snapshot can exist (the
-    /// paper-scale assertion hook), on the process-separated one it costs
-    /// a gather. Engines that do not track per-basis-state amplitudes
-    /// return [`qsim::SimError::Unsupported`].
-    fn amplitude_of(
-        &self,
-        _ones: &[QubitId],
-    ) -> std::result::Result<qsim::Complex, qsim::SimError> {
-        Err(unsupported(self, "amplitude probe"))
-    }
-
-    /// Live qubit count.
-    fn n_qubits(&self) -> usize;
-
-    /// Total gates applied.
-    fn gate_count(&self) -> u64;
-
-    /// Total measurements performed.
-    fn measurement_count(&self) -> u64;
-
-    /// Entangles two fresh |0> qubits into (|00> + |11>)/sqrt(2): an H and
-    /// a CNOT in the gate tally, with noise drawn from the dedicated
-    /// [`qsim::noise::OpClass::Epr`] channel rather than the gate channels.
-    fn entangle_epr(&mut self, qa: QubitId, qb: QubitId)
-        -> std::result::Result<(), qsim::SimError>;
-}
-
-/// `what` is not available on `engine`, which tracks no amplitudes.
-fn unsupported<E: SimEngine + ?Sized>(engine: &E, what: &str) -> qsim::SimError {
-    qsim::SimError::Unsupported(format!(
-        "{what} on the {} engine, which tracks no amplitudes; use an amplitude engine",
-        engine.kind().name()
-    ))
-}
-
 /// The full, rank-aware backend surface held by every `QmpiRank` as
 /// `Arc<dyn QuantumBackend>`. [`Shared`] is the one implementation, so
 /// locality enforcement is uniform across engines.
@@ -488,11 +380,11 @@ pub trait QuantumBackend: Send + Sync {
 
     /// The engine's modeled run fidelity, if it maintains one (the trace
     /// backend's error-free probability; `None` elsewhere). See
-    /// [`SimEngine::modeled_fidelity`].
+    /// [`AmplitudeEngine::modeled_fidelity`].
     fn modeled_fidelity(&self) -> Option<f64>;
 
     /// The engine's transport accounting, if it is driven over a message
-    /// substrate — see [`SimEngine::transport_stats`]. Per-job accounting
+    /// substrate — see [`EngineStore::transport_stats`]. Per-job accounting
     /// (the `qserve` job service) reads these through the backend handle.
     fn transport_stats(&self) -> Option<TransportStats>;
 
@@ -553,7 +445,7 @@ pub trait QuantumBackend: Send + Sync {
 
     /// Expectation values of many Pauli strings — one observable, many
     /// terms — in one backend acquisition and one engine call
-    /// ([`SimEngine::expectation_each`]), each to [`Self::expectation`]'s
+    /// ([`qsim::sim::AmpSim::expectation_each`]), each to [`Self::expectation`]'s
     /// bits, every qubit ownership-checked before anything is read. Term by
     /// term (per-site magnetization, multi-rank parity checks) costs a lock
     /// and, on the dense engine, a sweep per Z-only term.
@@ -568,7 +460,7 @@ pub trait QuantumBackend: Send + Sync {
     /// Amplitude of the basis state with the qubits in `ones` set to 1 and
     /// every other live qubit 0, over qubits owned by `rank` (diagnostics
     /// pass [`DIAG_RANK`] to probe across the whole machine). Every
-    /// amplitude engine answers it (see [`SimEngine::amplitude_of`]);
+    /// amplitude engine answers it (see [`qsim::sim::AmpSim::amplitude_of`]);
     /// unlike [`Self::state_vector`], it works at paper-scale rank counts
     /// on the sparse backend. Amplitude-less engines report
     /// [`qsim::SimError::Unsupported`].
@@ -587,8 +479,8 @@ pub trait QuantumBackend: Send + Sync {
 /// Engine state plus the ownership registry, resource counters and the
 /// coalesce window — what [`Shared`] guards. The ownership/locality
 /// semantics live here, written once for every engine.
-struct Inner<E> {
-    engine: E,
+struct Inner<S> {
+    engine: AmplitudeEngine<S>,
     owner: HashMap<QubitId, usize>,
     /// Qubits untouched since their alloc, so certainly |0>: an EPR
     /// establishment on them skips the freshness probe (a read, on an
@@ -608,7 +500,7 @@ struct Inner<E> {
     coalesced_flushes: u64,
 }
 
-impl<E: SimEngine> Inner<E> {
+impl<S: EngineStore> Inner<S> {
     /// Parks an ownership-checked flush in the coalesce window and reports
     /// whether a window budget tripped.
     fn park(&mut self, batch: &GateBatch, policy: &BatchPolicy) -> bool {
@@ -773,7 +665,7 @@ impl<E: SimEngine> Inner<E> {
 }
 
 /// The locality wrapper and the one [`QuantumBackend`]: a reader-writer
-/// locked [`SimEngine`] plus the qubit-ownership registry and resource
+/// locked [`AmplitudeEngine`] plus the qubit-ownership registry and resource
 /// counters, so ownership/locality semantics are written exactly once.
 ///
 /// Every quantum operation — gate batches, alloc/free, measurement, EPR
@@ -784,11 +676,11 @@ impl<E: SimEngine> Inner<E> {
 /// ## Cross-rank coalescing
 ///
 /// In front of an engine driven over a message substrate (one that reports
-/// [`SimEngine::transport_stats`]: the process-separated engine), with
+/// [`EngineStore::transport_stats`]: the process-separated engine), with
 /// [`crate::BatchPolicy::coalesce`] on (the default), a rank's
 /// [`QuantumBackend::apply_batch`] flush does not dispatch to the engine
 /// immediately: the (ownership-checked) batch joins one coalesce window,
-/// and the whole window ships as **one** [`SimEngine::apply_batch`] when
+/// and the whole window ships as **one** [`AmplitudeEngine::apply_batch`] when
 /// any rank hits a synchronization point
 /// (measurement, probability or expectation reads, free, EPR
 /// establishment, snapshots, or an explicit
@@ -801,7 +693,7 @@ impl<E: SimEngine> Inner<E> {
 /// would have used). Every gate enters through `apply_batch`, so no gate
 /// can overtake the window. An eager policy (`max_ops = 0`) never
 /// coalesces: its batches of one dispatch at once.
-pub struct Shared<E> {
+pub struct Shared<S> {
     /// Cached at construction so [`QuantumBackend::kind`] never touches the
     /// lock that serializes quantum operations.
     kind: BackendKind,
@@ -812,21 +704,21 @@ pub struct Shared<E> {
     /// transport under a batching, coalescing policy (an eager world has no
     /// flush stream to merge, an in-memory engine no transport).
     coalescing: bool,
-    inner: RwLock<Inner<E>>,
+    inner: RwLock<Inner<S>>,
 }
 
-impl<E: SimEngine> Shared<E> {
+impl<S: EngineStore> Shared<S> {
     /// Wraps an engine. `policy` governs the cross-rank coalesce window
     /// (`policy.coalesce` plus the op / byte / age budgets) and must be the
     /// policy the world's ranks flush under;
     /// [`build_backend_with_policy`] routes a world's configured policy
     /// here.
-    pub fn new(engine: E, policy: BatchPolicy) -> Self {
+    pub fn new(engine: AmplitudeEngine<S>, policy: BatchPolicy) -> Self {
         Shared {
             kind: engine.kind(),
-            noise: engine.noise(),
+            noise: engine.noise_model(),
             policy,
-            coalescing: engine.transport_stats().is_some()
+            coalescing: engine.raw_state().transport_stats().is_some()
                 && policy.coalesce
                 && policy.is_batching(),
             inner: RwLock::new(Inner {
@@ -846,14 +738,14 @@ impl<E: SimEngine> Shared<E> {
 
     /// The exclusive side of the lock with the coalesce window shipped:
     /// every structural or reading operation is a synchronization point.
-    fn synced(&self) -> Result<RwLockWriteGuard<'_, Inner<E>>> {
+    fn synced(&self) -> Result<RwLockWriteGuard<'_, Inner<S>>> {
         let mut g = self.inner.write();
         g.ship_window()?;
         Ok(g)
     }
 }
 
-impl<E: SimEngine> QuantumBackend for Shared<E> {
+impl<S: EngineStore> QuantumBackend for Shared<S> {
     fn kind(&self) -> BackendKind {
         self.kind
     }
@@ -872,7 +764,7 @@ impl<E: SimEngine> QuantumBackend for Shared<E> {
         // unflushed gates). The wrapper owns the coalesce counter, so it
         // is added on top of the engine's transport numbers here.
         let g = self.inner.read();
-        let mut stats = g.engine.transport_stats()?;
+        let mut stats = g.engine.raw_state().transport_stats()?;
         stats.coalesced_flushes += g.coalesced_flushes;
         Some(stats)
     }

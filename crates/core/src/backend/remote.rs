@@ -2168,7 +2168,7 @@ impl RemoteShardedEngine {
     /// is shared atomically with the workers). Tests use a short one to
     /// prove timeouts diagnose instead of hang.
     pub fn with_watchdog(self, watchdog: Duration) -> Self {
-        self.store()
+        self.raw_state()
             .ctl
             .lock()
             .lease
@@ -2180,12 +2180,12 @@ impl RemoteShardedEngine {
 
     /// The configured worker/shard count.
     pub fn max_shards(&self) -> usize {
-        self.store().ctl.lock().workers()
+        self.raw_state().ctl.lock().workers()
     }
 
     /// The engine's transport accounting (see [`TransportStats`]).
     pub fn transport_stats(&self) -> TransportStats {
-        self.store().stats()
+        self.raw_state().stats()
     }
 
     /// Test/diagnostic hook: makes shard `shard`'s worker exit its event
@@ -2194,7 +2194,7 @@ impl RemoteShardedEngine {
     /// the deadlock watchdog instead of hanging; over a socket transport
     /// the worker process exits and failover respawns it.
     pub fn debug_kill_worker(&self, shard: usize) {
-        let mut ctl = self.store().ctl.lock();
+        let mut ctl = self.raw_state().ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");
         let _ = ctl.send_raw(shard, &ShardCmd::Die);
     }
@@ -2204,7 +2204,7 @@ impl RemoteShardedEngine {
     /// hardest death a shard node can die. The next operation touching the
     /// shard observes EOF and runs failover.
     pub fn debug_kill_worker_process(&self, shard: usize) {
-        let mut ctl = self.store().ctl.lock();
+        let mut ctl = self.raw_state().ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");
         ctl.lease.link_mut().kill_process(shard);
     }
@@ -2213,7 +2213,9 @@ impl RemoteShardedEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{ops, QuantumBackend, ShardedStateVector, SimEngine, StateVectorEngine};
+    use crate::backend::{
+        ops, AmplitudeEngine, EngineStore, QuantumBackend, ShardedStateVector, StateVectorEngine,
+    };
     use qsim::{Gate, Pauli, QubitId};
 
     #[test]
@@ -2694,7 +2696,10 @@ mod tests {
     /// generic-angle states.
     #[test]
     fn frees_renormalise_to_the_striped_stores_bits() {
-        fn run(e: &mut impl SimEngine, seed: u64) -> (Vec<bool>, Vec<(u64, u64)>) {
+        fn run<S: EngineStore>(
+            e: &mut AmplitudeEngine<S>,
+            seed: u64,
+        ) -> (Vec<bool>, Vec<(u64, u64)>) {
             let angle = |i: usize| 0.31 + 0.57 * (i as f64 + seed as f64).sin().abs();
             let mut qs: Vec<QubitId> = (0..7).map(|_| e.alloc()).collect();
             let mut outcomes = Vec::new();
@@ -2896,7 +2901,7 @@ mod tests {
         for i in 0..2 * bound {
             let gate = Gate::Rz(1e-3 * i as f64);
             e.apply_batch(&ops::gate(gate, qs[i % 3])).unwrap();
-            assert!(e.store().ctl.lock().queue.len < bound, "gate {i}");
+            assert!(e.raw_state().ctl.lock().queue.len < bound, "gate {i}");
         }
         // Every gate queues one op on each of the two stripes, within a
         // stripe or across the pair.
@@ -2965,8 +2970,8 @@ mod tests {
         );
         assert!(d_opt.len() < stream(&dq).len(), "fewer kernel sweeps");
         let before = remote.transport_stats();
-        SimEngine::apply_batch(&mut dense, &d_opt).unwrap();
-        SimEngine::apply_batch(&mut remote, &r_opt).unwrap();
+        dense.apply_batch(&d_opt).unwrap();
+        remote.apply_batch(&r_opt).unwrap();
         let after = remote.transport_stats();
         assert_eq!(
             after.command_rounds, before.command_rounds,

@@ -107,8 +107,8 @@ pub struct BatchPolicy {
     pub max_bytes: usize,
     /// Run the plan-time optimizer on every flushed batch (1q-run fusion
     /// and diagonal phase-sweep merging; see [`qsim::optimize`]). Only
-    /// consulted where fusion is sound: amplitude-class backends under an
-    /// ideal noise model. Latency stays bounded by the flush points
+    /// consulted where fusion is sound: every backend but the trace engine,
+    /// under an ideal noise model. Latency stays bounded by the flush points
     /// themselves — fusion never delays dispatch.
     pub fuse: bool,
     /// Merge concurrent ranks' flushes into one gate batch on the
@@ -406,10 +406,10 @@ pub struct QmpiRank {
     /// suffices.
     pub(crate) pending: std::cell::RefCell<qsim::GateBatch>,
     /// Whether flushed batches run through the plan-time optimizer:
-    /// [`BatchPolicy::fuse`] is on AND the world's backend is an
-    /// amplitude-class engine under an ideal noise model (resolved once at
-    /// world construction). Fusing would otherwise change the op stream
-    /// that noise injection and Clifford classification key on.
+    /// [`BatchPolicy::fuse`] is on AND the world's noise model is ideal
+    /// AND its backend is not the trace engine (resolved once at world
+    /// construction). Fusing would otherwise change the op stream that
+    /// noise injection and the trace engine's counts key on.
     pub(crate) fuse: bool,
     /// A flush error raised at an infallible flush point (an accessor like
     /// [`QmpiRank::classical`] that cannot return `Result`). Parked here
@@ -707,18 +707,11 @@ where
     let ledger_out = Arc::clone(&ledger);
     // Whether flushes run the plan-time optimizer: resolved once against
     // the *actual* backend (not the informational `config.backend`). Fusing
-    // is sound only where amplitudes are the semantics — it rewrites the op
-    // stream, which must not perturb per-op noise injection, trace-engine
-    // accounting, or the stabilizer backend's Clifford classification.
-    let fuse = config.batch.fuse
-        && backend.noise().is_ideal()
-        && matches!(
-            backend.kind(),
-            BackendKind::StateVector
-                | BackendKind::Sparse
-                | BackendKind::ShardedStateVector { .. }
-                | BackendKind::RemoteSharded { .. }
-        );
+    // rewrites the op stream, which must not perturb per-op noise injection
+    // or the trace engine's accounting. Fused products of Cliffords are
+    // Clifford, so the stabilizer tableau takes the fused stream too.
+    let fuse =
+        config.batch.fuse && backend.noise().is_ideal() && backend.kind() != BackendKind::Trace;
     let results = Universe::run(n, move |comm| {
         // The original world communicator carries the QMPI protocol; users
         // get a duplicate so their classical traffic can never collide.

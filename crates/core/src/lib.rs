@@ -112,9 +112,10 @@ pub mod reduce_ops;
 pub mod resources;
 
 pub use backend::{
-    build_backend, build_backend_with_policy, qworker_main, BackendKind, OpCounts, QuantumBackend,
-    RemoteShardedEngine, ShardLease, ShardWorkerPool, ShardedStateVector, Shared, SimEngine,
-    SparseEngine, StabilizerEngine, StateVectorEngine, TraceEngine, TransportStats, DIAG_RANK,
+    build_backend, build_backend_with_policy, qworker_main, AmplitudeEngine, BackendKind,
+    EngineStore, OpCounts, QuantumBackend, RemoteShardedEngine, ShardLease, ShardWorkerPool,
+    ShardedStateVector, Shared, SparseEngine, StabilizerEngine, StateVectorEngine, TraceEngine,
+    TransportStats, DIAG_RANK,
 };
 pub use cmpi::TransportKind;
 pub use collectives::{

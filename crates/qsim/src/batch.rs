@@ -19,6 +19,7 @@
 use crate::complex::Complex;
 use crate::gates::{Gate, Mat2};
 use crate::sim::{QubitId, SimError};
+use crate::stabilizer::{check_clifford, check_clifford_sweep};
 
 /// One recorded gate operation in a [`GateBatch`].
 #[derive(Clone, Debug, PartialEq)]
@@ -218,22 +219,23 @@ impl BatchOp {
     }
 
     /// Whether the op stays inside the Clifford group — and, equivalently,
-    /// whether the stabilizer tableau can realize it. CNOT/CZ/SWAP always
-    /// qualify; a `Controlled` op only as single-control X or Z (its CNOT/
-    /// CZ spellings — a multi-controlled gate like Toffoli is genuinely
-    /// outside the group). Used to keep non-Clifford rejection *eager* on
-    /// the stabilizer backend even when batching.
+    /// whether the stabilizer tableau can realize it: the tableau's own
+    /// rule (its [`crate::AmpStore::check_1q`] and
+    /// [`crate::AmpStore::check_sweep`]), so a recorded op and the store it
+    /// reaches cannot disagree. CNOT/CZ/SWAP always qualify; a
+    /// `Controlled` op only as a single-control X, Y or Z (a multi-controlled
+    /// gate like Toffoli is genuinely outside the group). Used to keep
+    /// non-Clifford rejection *eager* on the stabilizer backend even when
+    /// batching.
     pub fn is_clifford(&self) -> bool {
         match self {
             BatchOp::Gate { gate, .. } => gate.is_clifford(),
             BatchOp::Controlled { controls, gate, .. } => {
-                controls.len() == 1 && matches!(gate, Gate::X | Gate::Z)
+                check_clifford(controls.len(), &gate.matrix()).is_ok()
             }
             BatchOp::Cnot { .. } | BatchOp::Cz { .. } | BatchOp::Swap { .. } => true,
-            // Optimizer products carry raw matrices/factors; the syntactic
-            // check cannot certify them, and the optimizer never runs for
-            // the stabilizer backend anyway.
-            BatchOp::Fused1q { .. } | BatchOp::PhaseSweep { .. } => false,
+            BatchOp::Fused1q { m, .. } => check_clifford(0, m).is_ok(),
+            BatchOp::PhaseSweep { diags, .. } => check_clifford_sweep(diags).is_ok(),
         }
     }
 
@@ -279,7 +281,7 @@ impl BatchOp {
 /// A recorded stream of gate operations, applied as one unit.
 ///
 /// Built by the per-rank gate calls (which append instead of dispatching),
-/// consumed by `SimEngine::apply_batch` implementations. The batch carries
+/// consumed by the engines' `apply_batch`. The batch carries
 /// program order: engines must apply `ops()` front to back.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GateBatch {
@@ -400,6 +402,18 @@ mod tests {
             target: QubitId(1)
         }
         .is_clifford());
+        let t = Gate::T.matrix();
+        assert!(BatchOp::Fused1q {
+            q,
+            m: crate::gates::matmul2(&t, &t)
+        }
+        .is_clifford());
+        assert!(!BatchOp::PhaseSweep {
+            qubits: vec![q],
+            diags: vec![(1, t[0][0], t[1][1])],
+            czs: vec![]
+        }
+        .is_clifford());
     }
 
     #[test]
@@ -442,7 +456,8 @@ mod tests {
         };
         let good = sweep(vec![q(2), q(5)], &[0b01, 0b11, 0], vec![(q(1), q(3))]);
         assert_eq!(good.qubits(), vec![q(2), q(5), q(1), q(3)]);
-        assert!(!good.is_clifford());
+        // Unit factors are the identity on every parity: Clifford.
+        assert!(good.is_clifford());
         assert!(good.validate().is_ok());
         assert_eq!(
             sweep(vec![], &[], vec![(q(1), q(1))]).validate(),

@@ -6,6 +6,7 @@
 //! that dominate the cost model in Section 7.
 
 use crate::complex::{Complex, C_I, C_ONE, C_ZERO};
+use crate::stabilizer::check_clifford;
 
 /// A dense 2x2 complex matrix (row-major). Used for single-qubit unitaries.
 pub type Mat2 = [[Complex; 2]; 2];
@@ -138,16 +139,15 @@ impl Gate {
         }
     }
 
-    /// Whether this gate is a member of the single-qubit Clifford group
-    /// (syntactic check: rotations and `U` report `false` even at Clifford
-    /// angles). The stabilizer backend can only realize Clifford gates, so
-    /// batching layers use this to reject non-Clifford gates *eagerly*
-    /// instead of deferring the error to the next flush point.
+    /// Whether this gate is a member of the single-qubit Clifford group,
+    /// by its matrix's conjugation action — the stabilizer tableau's own
+    /// rule ([`crate::Tableau`]'s `check_1q`), so `Rz(π/2)` and a `U`
+    /// holding a Clifford qualify and `T` does not. The stabilizer backend
+    /// can only realize Clifford gates, so batching layers use this to
+    /// reject non-Clifford gates *eagerly* instead of deferring the error
+    /// to the next flush point.
     pub fn is_clifford(&self) -> bool {
-        matches!(
-            self,
-            Gate::X | Gate::Y | Gate::Z | Gate::H | Gate::S | Gate::Sdg
-        )
+        check_clifford(0, &self.matrix()).is_ok()
     }
 
     /// Whether this gate is diagonal in the computational basis.

@@ -32,12 +32,14 @@
 //! - [`sim`] — the simulator front, written once over [`sim::AmpStore`]:
 //!   stable qubit handles, operand checks, counters, noise and measurement
 //!   draws. [`sim::Simulator`] runs it over [`state::State`],
-//!   [`sim::SparseSim`] over [`sparse::SparseState`], and it runs over a
-//!   [`sharded::ShardedState`] just the same.
+//!   [`sim::SparseSim`] over [`sparse::SparseState`],
+//!   [`stabilizer::StabilizerSim`] over [`stabilizer::Tableau`], and it
+//!   runs over a [`sharded::ShardedState`] just the same.
 //! - [`trace`] — [`trace::TraceState`]: the store with no amplitudes, only
 //!   a register width; the front over it counts operations at any scale.
-//! - [`stabilizer`] — [`stabilizer::StabilizerSim`]: CHP tableau engine with
-//!   the same handle surface, for Clifford-only workloads at scales far
+//! - [`stabilizer`] — [`stabilizer::Tableau`]: the CHP tableau as a store,
+//!   realising the Clifford ops the front passes it (and refusing the rest
+//!   before anything moves), for Clifford-only workloads at scales far
 //!   beyond any state vector (the QMPI protocols are all Clifford).
 //! - [`noise`] — pluggable noise channels ([`noise::NoiseModel`]):
 //!   depolarizing/dephasing/amplitude-damping with independent rates per
@@ -69,7 +71,7 @@ pub use optimizer::optimize;
 pub use sharded::ShardedState;
 pub use sim::{AmpStore, QubitId, SimError, Simulator, SparseSim};
 pub use sparse::SparseState;
-pub use stabilizer::StabilizerSim;
+pub use stabilizer::{StabilizerSim, Tableau};
 pub use state::State;
 pub use trace::TraceState;
 

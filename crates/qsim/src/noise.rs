@@ -33,8 +33,9 @@
 //! sequence draw identical noise streams — this is what keeps the dense and
 //! sharded state-vector engines amplitude-identical under noise.
 
-use crate::complex::{Complex, C_ZERO};
+use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::{Mat2, Pauli};
+use crate::stabilizer::clifford_action;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -122,15 +123,33 @@ impl NoiseChannel {
         self.rate() == 0.0
     }
 
-    /// True when every sampled action is a Pauli insertion, i.e. the
-    /// channel can run on the stabilizer tableau.
-    pub fn is_clifford(self) -> bool {
+    /// The matrices a sample of this channel can apply, up to its
+    /// renormalisation: what a store must realise to run it (see
+    /// [`crate::sim::AmpStore::check_1q`]). None for an ideal channel,
+    /// which never fires.
+    pub fn actions(self) -> Vec<Mat2> {
         match self {
-            NoiseChannel::None
-            | NoiseChannel::Depolarizing { .. }
-            | NoiseChannel::Dephasing { .. } => true,
-            NoiseChannel::AmplitudeDamping { .. } => self.is_ideal(),
+            _ if self.is_ideal() => Vec::new(),
+            NoiseChannel::None => Vec::new(),
+            NoiseChannel::Depolarizing { .. } => {
+                [Pauli::X, Pauli::Y, Pauli::Z].map(Pauli::matrix).to_vec()
+            }
+            NoiseChannel::Dephasing { .. } => vec![Pauli::Z.matrix()],
+            NoiseChannel::AmplitudeDamping { gamma } => vec![
+                [[C_ZERO, C_ONE], [C_ZERO, C_ZERO]],
+                [
+                    [C_ONE, C_ZERO],
+                    [C_ZERO, Complex::real((1.0 - gamma).sqrt())],
+                ],
+            ],
         }
+    }
+
+    /// True when every action is a Clifford (every sampled action a Pauli
+    /// insertion), i.e. the channel can run on the stabilizer tableau.
+    pub fn is_clifford(self) -> bool {
+        let actions = self.actions();
+        actions.iter().all(|m| clifford_action(m).is_some())
     }
 
     /// Probability that no error event fires at one application site —

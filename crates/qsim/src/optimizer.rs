@@ -383,8 +383,9 @@ fn merge_phase_sweeps(ops: Vec<BatchOp>) -> Vec<BatchOp> {
 /// The result applies the same unitary as `batch` (to FP re-association;
 /// see the module docs for the exactness contract) with at most as many —
 /// typically far fewer — kernel sweeps. Must only be called under the
-/// fusion barriers the caller enforces: ideal noise model, amplitude-class
-/// engine, and never across measurements/ownership changes (those are
+/// fusion barriers the caller enforces: ideal noise model, an engine that
+/// does not count the recorded stream (every engine but the trace one), and
+/// never across measurements/ownership changes (those are
 /// flush points, so they cannot appear inside one batch by construction).
 pub fn optimize(batch: GateBatch) -> GateBatch {
     let ops = merge_phase_sweeps(fuse_1q_runs(batch.into_ops()));

@@ -66,7 +66,8 @@ impl QubitRegistry {
 
     /// Position permutation for a dense snapshot with qubits ordered as in
     /// `order` (`order[0]` becomes the least-significant bit). `order` must
-    /// name every live qubit exactly once.
+    /// name every live qubit exactly once: a missing one is
+    /// [`SimError::MissingQubit`], naming the lowest-position one.
     pub fn permutation(&self, order: &[QubitId]) -> Result<Vec<usize>, SimError> {
         let mut seen = vec![false; self.by_position.len()];
         let mut perm = Vec::with_capacity(order.len());
@@ -77,9 +78,8 @@ impl QubitRegistry {
             }
             perm.push(pos);
         }
-        if perm.len() != self.by_position.len() {
-            // Every named qubit is live and distinct, so one is missing.
-            return Err(SimError::UnknownQubit(QubitId(u64::MAX)));
+        if let Some(pos) = seen.iter().position(|&named| !named) {
+            return Err(SimError::MissingQubit(self.by_position[pos]));
         }
         Ok(perm)
     }
@@ -122,7 +122,8 @@ mod tests {
         let a = reg.push(0);
         let b = reg.push(1);
         assert_eq!(reg.permutation(&[b, a]), Ok(vec![1, 0]));
-        assert!(reg.permutation(&[a]).is_err());
+        assert_eq!(reg.permutation(&[a]), Err(SimError::MissingQubit(b)));
+        assert_eq!(reg.permutation(&[]), Err(SimError::MissingQubit(a)));
         assert_eq!(reg.permutation(&[a, a]), Err(SimError::DuplicateQubit(a)));
     }
 

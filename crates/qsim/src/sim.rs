@@ -9,14 +9,18 @@
 //! [`AmpStore`], which holds the amplitudes and does the arithmetic.
 //!
 //! The front is written once, generic over the store: [`Simulator`] runs it
-//! over the dense [`State`], [`SparseSim`] over the [`SparseState`] map, and
-//! `qmpi`'s engines also over the striped store, the process-separated
-//! engine's worker-backed one and the amplitude-free
-//! [`crate::trace::TraceState`]. All therefore seed and draw their RNG
-//! streams identically — the noise stream before the measurement stream,
-//! one draw per touched position in operand order — which is what makes the
+//! over the dense [`State`], [`SparseSim`] over the [`SparseState`] map,
+//! [`crate::StabilizerSim`] over the CHP [`crate::Tableau`], and `qmpi`'s
+//! engines also over the striped store, the process-separated engine's
+//! worker-backed one and the amplitude-free [`crate::trace::TraceState`].
+//! All therefore seed and draw their RNG streams identically — the noise
+//! stream before the measurement stream, one draw per touched position in
+//! operand order, one uniform per measurement — which is what makes the
 //! engines line up draw for draw (see [`crate::sparse`] for the rule their
-//! amplitudes agree under).
+//! amplitudes agree under, and [`crate::stabilizer`] for the tableau's). A
+//! store that realises only some ops (the tableau) refuses the rest through
+//! [`AmpStore::check_1q`] and [`AmpStore::check_sweep`], which the front asks
+//! before it counts, draws or touches anything.
 
 use crate::batch::{sweep_positions, SweepFactor};
 use crate::complex::Complex;
@@ -42,6 +46,8 @@ pub enum SimError {
     DuplicateQubit(QubitId),
     /// `free` was called on a qubit still in superposition/entangled.
     NotClassical(QubitId),
+    /// A snapshot order omits this live qubit.
+    MissingQubit(QubitId),
     /// The operation is outside this engine's supported set (e.g. a
     /// non-Clifford gate on the stabilizer tableau, or a state-vector
     /// snapshot from an engine that tracks no amplitudes).
@@ -58,6 +64,9 @@ impl std::fmt::Display for SimError {
                     f,
                     "qubit {q:?} is not in a classical state; measure it before freeing"
                 )
+            }
+            SimError::MissingQubit(q) => {
+                write!(f, "live qubit {q:?} is missing from the snapshot order")
             }
             SimError::Unsupported(what) => write!(f, "unsupported operation: {what}"),
         }
@@ -76,9 +85,11 @@ impl std::error::Error for SimError {}
 /// and every implementation evaluates the same floating-point expressions
 /// in the same order, so the front's results do not depend on which one it
 /// runs over (up to the sparse canonical rule, and to the order in which a
-/// striped store adds its per-stripe partial sums). The one exception is
-/// [`crate::trace::TraceState`], which holds the register width alone and
-/// reads every qubit as |0>: the front over it only counts.
+/// striped store adds its per-stripe partial sums). Two stores hold no
+/// amplitudes: [`crate::trace::TraceState`] holds the register width alone
+/// and reads every qubit as |0>, so the front over it only counts, and
+/// [`crate::Tableau`] holds stabilizer generators, whose probabilities and
+/// expectations are exact.
 pub trait AmpStore {
     /// Appends a fresh qubit in |0> as the new most-significant position and
     /// returns that position. Existing positions are stable.
@@ -114,6 +125,22 @@ pub trait AmpStore {
         diags: &[SweepFactor],
         czs: &[(usize, usize)],
     );
+
+    /// Whether the store realises the 2×2 matrix `m` under `controls`
+    /// controls. The front asks before it counts, draws or touches the
+    /// store — for an op's matrix and for every matrix its class's noise
+    /// channel can apply ([`crate::noise::NoiseChannel::actions`]) — so
+    /// `apply_1q` never sees what this refuses. Every amplitude store
+    /// realises everything; [`crate::stabilizer::Tableau`] only Cliffords.
+    fn check_1q(&self, _controls: usize, _m: &Mat2) -> Result<(), SimError> {
+        Ok(())
+    }
+
+    /// [`AmpStore::check_1q`] for the factors of a phase sweep, asked before
+    /// [`AmpStore::apply_phase_sweep`].
+    fn check_sweep(&self, _diags: &[SweepFactor]) -> Result<(), SimError> {
+        Ok(())
+    }
 
     /// Probability mass of the basis states with odd parity over `qubits`.
     /// Over one position it is the probability that measuring it yields 1:
@@ -173,9 +200,9 @@ pub trait AmpStore {
     fn amplitude_of(&self, ones: &[usize]) -> Result<Complex, SimError>;
 }
 
-/// Full-state simulator with dynamic qubit allocation over the amplitude
-/// store `S`: [`Simulator`], [`SparseSim`], or [`AmpSim::over`] a
-/// [`crate::sharded::ShardedState`].
+/// Simulator with dynamic qubit allocation over the store `S`:
+/// [`Simulator`], [`SparseSim`], [`crate::StabilizerSim`], or
+/// [`AmpSim::over`] a [`crate::sharded::ShardedState`].
 pub struct AmpSim<S> {
     state: S,
     reg: QubitRegistry,
@@ -253,6 +280,13 @@ impl<S: AmpStore> AmpSim<S> {
         self.error_free
     }
 
+    /// Refuses, before anything moves, a `class` channel whose actions the
+    /// store cannot realise (see [`AmpStore::check_1q`]).
+    fn check_noise(&self, class: OpClass) -> Result<(), SimError> {
+        let actions = self.noise.model.channel(class).actions();
+        actions.iter().try_for_each(|m| self.state.check_1q(0, m))
+    }
+
     /// Samples and applies the `class` channel to each listed store
     /// position, and folds it into [`AmpSim::error_free_probability`].
     /// Noise insertions are not counted as gates: the counters report the
@@ -321,7 +355,7 @@ impl<S: AmpStore> AmpSim<S> {
     /// Measures a qubit and frees it in one step.
     pub fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
         let pos = self.pos(q)?;
-        let u = self.draw_uniform(&[pos]);
+        let u = self.draw_uniform(&[pos])?;
         let outcome = self.state.measure_and_remove(pos, u);
         self.reg.remove(q, pos);
         Ok(outcome)
@@ -339,6 +373,8 @@ impl<S: AmpStore> AmpSim<S> {
     /// report kernel sweeps, which is what the fused plan reduces).
     pub fn apply_fused_1q(&mut self, q: QubitId, m: &Mat2) -> Result<(), SimError> {
         let pos = self.pos(q)?;
+        self.state.check_1q(0, m)?;
+        self.check_noise(OpClass::Gate1q)?;
         self.state.apply_1q(&[], pos, m);
         self.gate_count += 1;
         self.inject(OpClass::Gate1q, &[pos]);
@@ -357,6 +393,8 @@ impl<S: AmpStore> AmpSim<S> {
         czs: &[(QubitId, QubitId)],
     ) -> Result<(), SimError> {
         let (positions, flips, touched) = sweep_positions(qubits, diags, czs, |q| self.pos(q))?;
+        self.state.check_sweep(diags)?;
+        self.check_noise(OpClass::Gate1q)?;
         self.state.apply_phase_sweep(&positions, diags, &flips);
         self.gate_count += 1;
         self.inject(OpClass::Gate1q, &touched);
@@ -378,7 +416,10 @@ impl<S: AmpStore> AmpSim<S> {
             }
             cpos.push(self.pos(c)?);
         }
-        self.state.apply_1q(&cpos, tpos, &gate.matrix());
+        let m = gate.matrix();
+        self.state.check_1q(cpos.len(), &m)?;
+        self.check_noise(OpClass::Gate2q)?;
+        self.state.apply_1q(&cpos, tpos, &m);
         self.gate_count += 1;
         cpos.push(tpos);
         self.inject(OpClass::Gate2q, &cpos);
@@ -397,6 +438,7 @@ impl<S: AmpStore> AmpSim<S> {
         }
         let pa = self.pos(a)?;
         let pb = self.pos(b)?;
+        self.check_noise(OpClass::Gate2q)?;
         kernel(&mut self.state, pa, pb);
         self.gate_count += 1;
         self.inject(OpClass::Gate2q, &[pa, pb]);
@@ -445,10 +487,11 @@ impl<S: AmpStore> AmpSim<S> {
     /// drawn against. It is drawn before the read, so a store can read and
     /// collapse at once; no other draw comes from this stream, so its
     /// position does not move.
-    fn draw_uniform(&mut self, positions: &[usize]) -> f64 {
+    fn draw_uniform(&mut self, positions: &[usize]) -> Result<f64, SimError> {
+        self.check_noise(OpClass::Measurement)?;
         self.inject(OpClass::Measurement, positions);
         self.measurement_count += 1;
-        self.rng.gen::<f64>()
+        Ok(self.rng.gen::<f64>())
     }
 
     /// Non-destructive joint Z-parity measurement over `qubits`: projects
@@ -464,7 +507,7 @@ impl<S: AmpStore> AmpSim<S> {
             }
             pos.push(p);
         }
-        let u = self.draw_uniform(&pos);
+        let u = self.draw_uniform(&pos)?;
         Ok(self.state.measure_parity(&pos, u))
     }
 
@@ -509,6 +552,7 @@ impl<S: AmpStore> AmpSim<S> {
         }
         let pa = self.pos(qa)?;
         let pb = self.pos(qb)?;
+        self.check_noise(OpClass::Epr)?;
         self.state.apply_1q(&[], pa, &Gate::H.matrix());
         self.state.apply_cnot(pa, pb);
         self.gate_count += 2;

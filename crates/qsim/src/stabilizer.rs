@@ -1,30 +1,46 @@
-//! CHP-style stabilizer-tableau simulator (Aaronson & Gottesman,
-//! arXiv:quant-ph/0406196).
+//! [`Tableau`]: the CHP stabilizer tableau (Aaronson & Gottesman, "Improved
+//! simulation of stabilizer circuits", PRA 70, 052328, 2004) as an
+//! amplitude store under the simulator front.
 //!
 //! Every QMPI communication primitive — EPR establishment, entangled copy,
 //! teleportation, cat-state fanout, parity reduction — is pure Clifford, so
-//! a tableau simulator executes the paper's protocols in polynomial time and
-//! memory where the dense state vector of [`crate::Simulator`] caps out near
-//! 25 qubits. This engine backs the `Stabilizer` QMPI backend, which scales
-//! the protocol suite to thousands of ranks.
+//! a tableau executes the paper's protocols in polynomial time and memory
+//! where the dense state vector of [`crate::Simulator`] caps out near 25
+//! qubits. [`StabilizerSim`] is the one front ([`AmpSim`]) over it, so its
+//! handles, operand checks, counters, noise sites and measurement draws
+//! are every other engine's; it backs the `Stabilizer` QMPI backend, which
+//! scales the protocol suite to thousands of ranks.
 //!
 //! The tableau keeps `n` destabilizer and `n` stabilizer generators as
-//! bit-packed X/Z rows plus a sign. Supported gates: Pauli X/Y/Z, H, S, S†,
-//! CNOT, CZ, SWAP. Non-Clifford gates (T, rotations, arbitrary unitaries)
-//! return [`SimError::Unsupported`]. Measurement follows the standard CHP
-//! procedure; joint Z-parity measurement and Pauli-string expectations use
-//! its textbook generalization to arbitrary Pauli operators.
+//! bit-packed X/Z rows plus a sign; positions are its columns. It
+//! recognises a Clifford from what the front passes every store (its
+//! [`AmpStore::check_1q`] and [`AmpStore::check_sweep`]):
 //!
-//! Qubit handles are stable [`QubitId`]s with dynamic allocate/free, matching
-//! the [`crate::Simulator`] surface so the two engines are interchangeable
-//! behind the QMPI backend trait.
+//! - a 2×2 matrix with no controls by how it conjugates X, Y and Z (to
+//!   within 1e-9) — that action is the per-column update, so a gate, a
+//!   fused product of Cliffords and a sampled Pauli insertion are one
+//!   case;
+//! - an X, Y or Z target under one control as CNOT, CY or CZ;
+//! - a phase-sweep factor whose ratio `d1/d0` is a power of `i` as `S^k` on
+//!   its parity.
+//!
+//! The front asks before it counts, draws or touches the store, so anything
+//! else — T, generic rotations, Toffoli, amplitude damping — is
+//! [`SimError::Unsupported`] with the tableau unchanged.
+//!
+//! Measurement follows the CHP procedure, generalised to joint Z parities
+//! and Pauli-string expectations. Every probability is exactly 0, ½ or 1,
+//! and the front's one uniform per measurement decides a random outcome as
+//! `u < 0.5`: the draw, and the threshold up to dense rounding, that decide
+//! it on the dense store, so a Clifford program's outcomes agree per seed
+//! with the dense engine's.
 
-use crate::gates::{Gate, Pauli};
-use crate::noise::{ChannelAction, NoiseModel, NoiseState, OpClass};
-use crate::registry::QubitRegistry;
-use crate::sim::{QubitId, SimError};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use crate::batch::{named, SweepFactor};
+use crate::complex::{Complex, C_I, C_ONE};
+use crate::gates::{dagger2, matmul2, Mat2, Pauli};
+use crate::measure::PauliTerm;
+use crate::sim::{AmpSim, AmpStore, SimError};
+use crate::state::State;
 
 /// One tableau row: a Pauli string in the binary symplectic representation
 /// (`x` and `z` bit-vectors) plus a sign bit. A set `x` bit alone is X, a
@@ -134,259 +150,141 @@ fn rowsum(dst: &mut Row, src: &Row) {
     dst.neg = total.rem_euclid(4) == 2;
 }
 
-/// Stabilizer-tableau simulator with dynamic qubit allocation.
-pub struct StabilizerSim {
+/// How a single-qubit Clifford conjugates `[X, Y, Z]`: each image
+/// `m P m†` as the `(x, z, neg)` bits of a tableau column (Y is `x = z =
+/// 1`) and its sign.
+type CliffordAction = [(bool, bool, bool); 3];
+
+/// Hadamard: X ↔ Z, Y → −Y.
+const H: CliffordAction = [
+    (false, true, false),
+    (true, true, true),
+    (true, false, false),
+];
+
+/// S: X → Y, Y → −X.
+const S: CliffordAction = [
+    (true, true, false),
+    (true, false, true),
+    (false, true, false),
+];
+
+/// S†: X → −Y, Y → X.
+const SDG: CliffordAction = [
+    (true, true, true),
+    (true, false, false),
+    (false, true, false),
+];
+
+/// How close a matrix entry must be to its Clifford value.
+const TOL: f64 = 1e-9;
+
+const PAULIS: [Pauli; 3] = [Pauli::X, Pauli::Y, Pauli::Z];
+
+/// Entrywise `a ≈ sign · b` to within [`TOL`].
+fn close(a: &Mat2, b: &Mat2, sign: f64) -> bool {
+    (0..4).all(|k| a[k / 2][k % 2].approx_eq(b[k / 2][k % 2].scale(sign), TOL))
+}
+
+/// The conjugation action of the 2×2 matrix `m`, or `None` when some
+/// `m P m†` is not ±X, ±Y or ±Z to within 1e-9 — exactly when `m` is not a
+/// single-qubit Clifford (a global phase is allowed, a non-unitary map is
+/// not).
+pub(crate) fn clifford_action(m: &Mat2) -> Option<CliffordAction> {
+    let md = dagger2(m);
+    let mut action = [(false, false, false); 3];
+    for (image, p) in action.iter_mut().zip(PAULIS) {
+        let c = matmul2(&matmul2(m, &p.matrix()), &md);
+        *image = PAULIS.into_iter().find_map(|q| {
+            [(false, 1.0), (true, -1.0)]
+                .into_iter()
+                .find(|&(_, sign)| close(&c, &q.matrix(), sign))
+                .map(|(neg, _)| (q != Pauli::Z, q != Pauli::X, neg))
+        })?;
+    }
+    Some(action)
+}
+
+/// The Pauli `m` equals to within 1e-9, phase included: the targets the
+/// tableau realises under one control (CNOT, CY, CZ).
+fn controlled_pauli(m: &Mat2) -> Option<Pauli> {
+    PAULIS.into_iter().find(|p| close(m, &p.matrix(), 1.0))
+}
+
+/// `k` with `d1/d0 = i^k`: the sweep factor `(d0, d1)` is `S^k` on its
+/// parity up to the global phase `d0`.
+fn quarter_turns(d0: Complex, d1: Complex) -> Option<usize> {
+    let ratio = d1 * d0.conj();
+    [C_ONE, C_I, -C_ONE, -C_I]
+        .iter()
+        .position(|&w| ratio.approx_eq(w, TOL))
+}
+
+fn not_clifford(what: String) -> SimError {
+    SimError::Unsupported(format!(
+        "{what} is not Clifford; the stabilizer tableau realises Clifford gates \
+         (single-controlled X/Y/Z among the controlled ones) and Pauli noise only"
+    ))
+}
+
+/// Whether the tableau realises the 2×2 matrix `m` under `controls`
+/// controls: a Clifford with none, an X, Y or Z with one. The one Clifford
+/// rule — [`crate::Gate::is_clifford`] and [`crate::BatchOp::is_clifford`]
+/// ask it too.
+pub(crate) fn check_clifford(controls: usize, m: &Mat2) -> Result<(), SimError> {
+    let realised = match controls {
+        0 => clifford_action(m).is_some(),
+        1 => controlled_pauli(m).is_some(),
+        _ => false,
+    };
+    if realised {
+        Ok(())
+    } else {
+        Err(not_clifford(format!("{m:?} under {controls} control(s)")))
+    }
+}
+
+/// Whether the tableau realises every phase-sweep factor: `d1/d0` a power
+/// of `i`.
+pub(crate) fn check_clifford_sweep(diags: &[SweepFactor]) -> Result<(), SimError> {
+    match diags.iter().find(|d| quarter_turns(d.1, d.2).is_none()) {
+        None => Ok(()),
+        Some(d) => Err(not_clifford(format!("phase-sweep factor {d:?}"))),
+    }
+}
+
+/// The CHP tableau as an [`AmpStore`]; see the module docs.
+#[derive(Clone, Debug, Default)]
+pub struct Tableau {
     words: usize,
     destab: Vec<Row>,
     stab: Vec<Row>,
-    reg: QubitRegistry,
-    rng: StdRng,
-    noise: NoiseState,
-    gate_count: u64,
-    measurement_count: u64,
 }
 
-impl StabilizerSim {
-    /// Creates an empty, noiseless simulator with a deterministic RNG seed.
-    pub fn new(seed: u64) -> Self {
-        StabilizerSim::with_noise(seed, NoiseModel::ideal())
-    }
+/// The stabilizer simulator: the simulator front over a [`Tableau`].
+pub type StabilizerSim = AmpSim<Tableau>;
 
-    /// Creates an empty simulator with a deterministic RNG seed and a noise
-    /// model. Only the Clifford-compatible Pauli channels (depolarizing,
-    /// dephasing) can run on the tableau; an operation whose channel is
-    /// amplitude damping surfaces [`SimError::Unsupported`].
-    pub fn with_noise(seed: u64, model: NoiseModel) -> Self {
-        StabilizerSim {
-            words: 0,
-            destab: Vec::new(),
-            stab: Vec::new(),
-            reg: QubitRegistry::new(),
-            rng: StdRng::seed_from_u64(seed),
-            noise: NoiseState::new(seed, model),
-            gate_count: 0,
-            measurement_count: 0,
-        }
-    }
-
-    /// The configured noise model.
-    pub fn noise_model(&self) -> NoiseModel {
-        self.noise.model
-    }
-
-    /// Number of currently allocated qubits.
-    pub fn n_qubits(&self) -> usize {
-        self.reg.len()
-    }
-
-    /// Total gates applied so far.
-    pub fn gate_count(&self) -> u64 {
-        self.gate_count
-    }
-
-    /// Total measurements performed so far.
-    pub fn measurement_count(&self) -> u64 {
-        self.measurement_count
-    }
-
-    fn pos(&self, q: QubitId) -> Result<usize, SimError> {
-        self.reg.pos(q)
-    }
-
-    /// Allocates one fresh qubit in |0>.
-    pub fn alloc(&mut self) -> QubitId {
-        let col = self.n_qubits();
-        let words = (col + 1).div_ceil(64);
-        if words > self.words {
-            self.words = words;
-            for row in self.destab.iter_mut().chain(self.stab.iter_mut()) {
-                row.grow(words);
-            }
-        }
-        let mut d = Row::zero(self.words);
-        d.set_x(col, true);
-        let mut s = Row::zero(self.words);
-        s.set_z(col, true);
-        self.destab.push(d);
-        self.stab.push(s);
-        self.reg.push(col)
-    }
-
-    /// Allocates `n` fresh qubits in |0>.
-    pub fn alloc_n(&mut self, n: usize) -> Vec<QubitId> {
-        (0..n).map(|_| self.alloc()).collect()
-    }
-
+impl Tableau {
     fn for_each_row(&mut self, mut f: impl FnMut(&mut Row)) {
         for row in self.destab.iter_mut().chain(self.stab.iter_mut()) {
             f(row);
         }
     }
 
-    fn apply_h(&mut self, j: usize) {
+    /// Conjugates column `j` by a single-qubit Clifford.
+    fn apply_action(&mut self, j: usize, action: &CliffordAction) {
         self.for_each_row(|row| {
-            let (x, z) = (row.get_x(j), row.get_z(j));
-            row.neg ^= x & z;
-            row.set_x(j, z);
-            row.set_z(j, x);
+            let k = match (row.get_x(j), row.get_z(j)) {
+                (false, false) => return,
+                (true, false) => 0,
+                (true, true) => 1,
+                (false, true) => 2,
+            };
+            let (x, z, neg) = action[k];
+            row.set_x(j, x);
+            row.set_z(j, z);
+            row.neg ^= neg;
         });
-    }
-
-    fn apply_s(&mut self, j: usize) {
-        self.for_each_row(|row| {
-            let (x, z) = (row.get_x(j), row.get_z(j));
-            row.neg ^= x & z;
-            row.set_z(j, z ^ x);
-        });
-    }
-
-    fn apply_cnot_cols(&mut self, c: usize, t: usize) {
-        self.for_each_row(|row| {
-            let (xc, zc) = (row.get_x(c), row.get_z(c));
-            let (xt, zt) = (row.get_x(t), row.get_z(t));
-            row.neg ^= xc & zt & !(xt ^ zc);
-            row.set_x(t, xt ^ xc);
-            row.set_z(c, zc ^ zt);
-        });
-    }
-
-    /// Applies one Pauli to column `j` without touching the gate counter —
-    /// the tableau realization of a sampled noise insertion.
-    fn inject_pauli(&mut self, j: usize, p: Pauli) {
-        match p {
-            Pauli::X => self.for_each_row(|row| row.neg ^= row.get_z(j)),
-            Pauli::Y => self.for_each_row(|row| row.neg ^= row.get_x(j) ^ row.get_z(j)),
-            Pauli::Z => self.for_each_row(|row| row.neg ^= row.get_x(j)),
-        }
-    }
-
-    /// Errors when the `class` channel cannot run on the tableau. Gate and
-    /// measurement methods call this *before* mutating anything, so an
-    /// unsupported-noise error leaves the simulator state untouched.
-    fn check_noise(&self, class: OpClass) -> Result<(), SimError> {
-        let ch = self.noise.model.channel(class);
-        if ch.is_clifford() {
-            Ok(())
-        } else {
-            Err(SimError::Unsupported(format!(
-                "noise channel {ch} is not Clifford; the stabilizer backend supports \
-                 depolarizing/dephasing noise only"
-            )))
-        }
-    }
-
-    /// Samples and applies the `class` channel to each listed column. Only
-    /// Pauli channels are Clifford; amplitude damping is rejected (callers
-    /// pre-check via [`Self::check_noise`] so the gate itself never lands).
-    fn inject(&mut self, class: OpClass, cols: &[usize]) -> Result<(), SimError> {
-        let ch = self.noise.model.channel(class);
-        if ch.is_ideal() {
-            return Ok(());
-        }
-        self.check_noise(class)?;
-        for &j in cols {
-            // Pauli channels never query the |1> probability.
-            let action = ch.sample(|| 0.0, &mut self.noise.rng);
-            match action {
-                ChannelAction::Nothing => {}
-                ChannelAction::Pauli(p) => self.inject_pauli(j, p),
-                ChannelAction::Kraus(_) => unreachable!("non-Clifford channels rejected above"),
-            }
-        }
-        Ok(())
-    }
-
-    /// Applies a single-qubit gate; non-Clifford gates are rejected.
-    pub fn apply(&mut self, gate: Gate, q: QubitId) -> Result<(), SimError> {
-        self.check_noise(OpClass::Gate1q)?;
-        let j = self.pos(q)?;
-        match gate {
-            Gate::X => self.for_each_row(|row| row.neg ^= row.get_z(j)),
-            Gate::Y => self.for_each_row(|row| row.neg ^= row.get_x(j) ^ row.get_z(j)),
-            Gate::Z => self.for_each_row(|row| row.neg ^= row.get_x(j)),
-            Gate::H => self.apply_h(j),
-            Gate::S => self.apply_s(j),
-            Gate::Sdg => {
-                // S† = Z · S (diagonal gates commute).
-                self.for_each_row(|row| row.neg ^= row.get_x(j));
-                self.apply_s(j);
-            }
-            other => {
-                return Err(SimError::Unsupported(format!(
-                    "gate {other:?} is not Clifford; the stabilizer backend supports X/Y/Z/H/S/Sdg/CNOT/CZ/SWAP"
-                )));
-            }
-        }
-        self.gate_count += 1;
-        self.inject(OpClass::Gate1q, &[j])
-    }
-
-    /// CNOT with `control`, `target`.
-    pub fn cnot(&mut self, control: QubitId, target: QubitId) -> Result<(), SimError> {
-        self.check_noise(OpClass::Gate2q)?;
-        if control == target {
-            return Err(SimError::DuplicateQubit(control));
-        }
-        let c = self.pos(control)?;
-        let t = self.pos(target)?;
-        self.apply_cnot_cols(c, t);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[c, t])
-    }
-
-    /// Controlled-Z (symmetric).
-    pub fn cz(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.check_noise(OpClass::Gate2q)?;
-        if a == b {
-            return Err(SimError::DuplicateQubit(a));
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        self.apply_h(pb);
-        self.apply_cnot_cols(pa, pb);
-        self.apply_h(pb);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[pa, pb])
-    }
-
-    /// SWAP two qubits.
-    pub fn swap(&mut self, a: QubitId, b: QubitId) -> Result<(), SimError> {
-        self.check_noise(OpClass::Gate2q)?;
-        if a == b {
-            return Ok(());
-        }
-        let pa = self.pos(a)?;
-        let pb = self.pos(b)?;
-        // SWAP = CNOT(a,b) CNOT(b,a) CNOT(a,b) as unitaries, so the
-        // conjugated rows, signs included, are the same.
-        self.apply_cnot_cols(pa, pb);
-        self.apply_cnot_cols(pb, pa);
-        self.apply_cnot_cols(pa, pb);
-        self.gate_count += 1;
-        self.inject(OpClass::Gate2q, &[pa, pb])
-    }
-
-    /// Controlled single-qubit gate. Only single-controlled X and Z are
-    /// Clifford; everything else is rejected.
-    pub fn apply_controlled(
-        &mut self,
-        controls: &[QubitId],
-        gate: Gate,
-        target: QubitId,
-    ) -> Result<(), SimError> {
-        for &c in controls {
-            if c == target {
-                return Err(SimError::DuplicateQubit(c));
-            }
-        }
-        match (controls, gate) {
-            ([c], Gate::X) => self.cnot(*c, target),
-            ([c], Gate::Z) => self.cz(*c, target),
-            _ => Err(SimError::Unsupported(format!(
-                "controlled {gate:?} with {} controls is not Clifford",
-                controls.len()
-            ))),
-        }
     }
 
     /// The Pauli string `Z` on every listed column, as a [`Row`].
@@ -410,7 +308,7 @@ impl StabilizerSim {
     /// becomes the stabilizer at `pivot`.
     fn project(&mut self, pivot: usize, p: &Row, neg: bool) {
         let row_p = self.stab[pivot].clone();
-        for i in (0..self.n_qubits()).filter(|&i| i != pivot) {
+        for i in (0..self.stab.len()).filter(|&i| i != pivot) {
             if self.stab[i].anticommutes(p) {
                 rowsum(&mut self.stab[i], &row_p);
             }
@@ -422,23 +320,11 @@ impl StabilizerSim {
         self.stab[pivot] = Row { neg, ..p.clone() };
     }
 
-    /// Measures the Pauli operator `p`, collapsing when the outcome is
-    /// random. Returns `true` for the −1 eigenvalue.
-    fn measure_pauli(&mut self, p: &Row) -> bool {
-        self.measurement_count += 1;
-        let Some(pivot) = self.anticommuting(p) else {
-            return self.deterministic_outcome(p);
-        };
-        let outcome = self.rng.gen_bool(0.5);
-        self.project(pivot, p, outcome);
-        outcome
-    }
-
     /// Outcome of measuring `p` when it commutes with every stabilizer
     /// (so ±`p` is in the stabilizer group and the outcome is determined).
     fn deterministic_outcome(&self, p: &Row) -> bool {
         let mut scratch = Row::zero(self.words);
-        for i in 0..self.n_qubits() {
+        for i in 0..self.stab.len() {
             if self.destab[i].anticommutes(p) {
                 rowsum(&mut scratch, &self.stab[i]);
             }
@@ -454,137 +340,201 @@ impl StabilizerSim {
         scratch.neg != p.neg
     }
 
-    /// Projective Z measurement with collapse:
-    /// [`StabilizerSim::measure_z_parity`] over `q` alone. The measurement
-    /// channel of a configured noise model is applied before projection
-    /// (readout error).
-    pub fn measure(&mut self, q: QubitId) -> Result<bool, SimError> {
-        self.measure_z_parity(&[q])
-    }
-
-    /// Joint Z-parity measurement over `qubits` (collapses onto the parity
-    /// subspace without collapsing individual qubits).
-    pub fn measure_z_parity(&mut self, qubits: &[QubitId]) -> Result<bool, SimError> {
-        let mut cols = Vec::with_capacity(qubits.len());
-        for &q in qubits {
-            let j = self.pos(q)?;
-            if cols.contains(&j) {
-                return Err(SimError::DuplicateQubit(q));
-            }
-            cols.push(j);
-        }
-        self.inject(OpClass::Measurement, &cols)?;
-        let p = self.z_string(&cols);
-        Ok(self.measure_pauli(&p))
-    }
-
-    /// Probability of measuring 1: exactly 0, 1, or 1/2 for stabilizer
-    /// states.
-    pub fn prob_one(&self, q: QubitId) -> Result<f64, SimError> {
-        let j = self.pos(q)?;
-        let p = self.z_string(&[j]);
-        if self.anticommuting(&p).is_some() {
-            Ok(0.5)
-        } else if self.deterministic_outcome(&p) {
-            Ok(1.0)
-        } else {
-            Ok(0.0)
+    /// `p`'s expectation class: `Some(true)` for the −1 eigenvalue,
+    /// `Some(false)` for +1, `None` when the outcome is random.
+    fn determined(&self, p: &Row) -> Option<bool> {
+        match self.anticommuting(p) {
+            Some(_) => None,
+            None => Some(self.deterministic_outcome(p)),
         }
     }
+}
 
-    /// Expectation value of a Pauli string: −1, 0, or +1 on a stabilizer
-    /// state.
-    pub fn expectation(&self, terms: &[(QubitId, Pauli)]) -> Result<f64, SimError> {
-        let mut p = Row::zero(self.words);
-        for &(q, op) in terms {
-            let j = self.pos(q)?;
-            if p.get_x(j) || p.get_z(j) {
-                return Err(SimError::DuplicateQubit(q));
-            }
-            match op {
-                Pauli::X => p.set_x(j, true),
-                Pauli::Y => {
-                    p.set_x(j, true);
-                    p.set_z(j, true);
-                }
-                Pauli::Z => p.set_z(j, true),
+fn no_amplitudes(what: &str) -> SimError {
+    SimError::Unsupported(format!(
+        "the stabilizer tableau holds no amplitudes, so no {what}; use an amplitude backend"
+    ))
+}
+
+impl AmpStore for Tableau {
+    fn add_qubit(&mut self) -> usize {
+        let col = self.stab.len();
+        let words = (col + 1).div_ceil(64);
+        if words > self.words {
+            self.words = words;
+            for row in self.destab.iter_mut().chain(self.stab.iter_mut()) {
+                row.grow(words);
             }
         }
-        if self.anticommuting(&p).is_some() {
-            return Ok(0.0);
-        }
-        Ok(if self.deterministic_outcome(&p) {
-            -1.0
-        } else {
-            1.0
-        })
+        let mut d = Row::zero(self.words);
+        d.set_x(col, true);
+        let mut s = Row::zero(self.words);
+        s.set_z(col, true);
+        self.destab.push(d);
+        self.stab.push(s);
+        col
     }
 
-    /// Removes a qubit that is in a product Z-basis state. The tableau is
-    /// restructured so one stabilizer generator is exactly `+Z_j`, which
-    /// leaves every other row with `x[j] = 0`: qubit `j` is then a product
-    /// factor, and its row pair and column are deleted.
-    fn remove_classical_qubit(&mut self, q: QubitId, j: usize) {
-        // Put the qubit in an X eigenstate so the Z measurement below is
-        // guaranteed to take the random branch; project onto its |0> branch.
-        self.apply_h(j);
-        let p = self.z_string(&[j]);
+    /// The qubit at `target` is a Z eigenstate, so a product factor: a
+    /// Hadamard makes its Z measurement random, and projecting onto |0>
+    /// leaves one stabilizer generator exactly `+Z_target` and every other
+    /// row with `x[target] = 0`. Its row pair and column are then deleted.
+    fn remove_qubit(&mut self, target: usize, _outcome: bool) {
+        self.apply_action(target, &H);
+        let p = self.z_string(&[target]);
         let pivot = self
             .anticommuting(&p)
             .expect("an X-eigenstate qubit must have an anticommuting stabilizer");
         self.project(pivot, &p, false);
-        // Compact: drop column j (any `z[j]` left in another row only
-        // multiplies it by the +Z_j stabilizer), shifting the columns above
-        // it down as the registry shifts their handles; then the pivot row
-        // pair.
-        self.for_each_row(|row| row.remove_col(j));
-        self.reg.remove(q, j);
+        // Any `z[target]` left in another row only multiplies it by the
+        // +Z_target stabilizer; the columns above shift down as the
+        // registry shifts their handles.
+        self.for_each_row(|row| row.remove_col(target));
         self.destab.remove(pivot);
         self.stab.remove(pivot);
     }
 
-    /// Frees a qubit that is already in a classical state, returning its
-    /// value; errors with [`SimError::NotClassical`] otherwise.
-    pub fn free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let j = self.pos(q)?;
-        let p = self.z_string(&[j]);
-        if self.anticommuting(&p).is_some() {
-            return Err(SimError::NotClassical(q));
+    /// Realises what [`AmpStore::check_1q`] accepts; the front never
+    /// passes anything else.
+    fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
+        match controls {
+            [] => {
+                if let Some(action) = clifford_action(m) {
+                    self.apply_action(target, &action);
+                }
+            }
+            &[c] => match controlled_pauli(m) {
+                Some(Pauli::X) => self.apply_cnot(c, target),
+                Some(Pauli::Y) => {
+                    self.apply_action(target, &SDG);
+                    self.apply_cnot(c, target);
+                    self.apply_action(target, &S);
+                }
+                Some(Pauli::Z) => self.apply_cz(c, target),
+                None => {}
+            },
+            _ => {}
         }
-        let outcome = self.deterministic_outcome(&p);
-        self.remove_classical_qubit(q, j);
-        Ok(outcome)
     }
 
-    /// Measures a qubit and frees it in one step.
-    pub fn measure_and_free(&mut self, q: QubitId) -> Result<bool, SimError> {
-        let outcome = self.measure(q)?;
-        let j = self.pos(q)?;
-        self.remove_classical_qubit(q, j);
-        Ok(outcome)
+    fn apply_cnot(&mut self, c: usize, t: usize) {
+        self.for_each_row(|row| {
+            let (xc, zc) = (row.get_x(c), row.get_z(c));
+            let (xt, zt) = (row.get_x(t), row.get_z(t));
+            row.neg ^= xc & zt & !(xt ^ zc);
+            row.set_x(t, xt ^ xc);
+            row.set_z(c, zc ^ zt);
+        });
     }
 
-    /// Entangles two fresh |0> qubits into (|00> + |11>)/sqrt(2), modeling
-    /// the quantum-coherent interconnect. Counted as the H + CNOT it stands
-    /// for; a configured EPR noise channel is applied to *each half* after
-    /// entangling (see [`OpClass::Epr`]).
-    pub fn entangle_epr(&mut self, qa: QubitId, qb: QubitId) -> Result<(), SimError> {
-        self.check_noise(OpClass::Epr)?;
-        if qa == qb {
-            return Err(SimError::DuplicateQubit(qa));
+    fn apply_cz(&mut self, a: usize, b: usize) {
+        self.apply_action(b, &H);
+        self.apply_cnot(a, b);
+        self.apply_action(b, &H);
+    }
+
+    /// SWAP = CNOT(a,b) CNOT(b,a) CNOT(a,b) as unitaries, so the conjugated
+    /// rows, signs included, are the same.
+    fn apply_swap(&mut self, a: usize, b: usize) {
+        self.apply_cnot(a, b);
+        self.apply_cnot(b, a);
+        self.apply_cnot(a, b);
+    }
+
+    /// Each factor folds its parity onto one column with a CNOT ladder,
+    /// turns it by `S^k` and unfolds; the global phase `d0` is dropped.
+    /// Realises what [`AmpStore::check_sweep`] accepts.
+    fn apply_phase_sweep(
+        &mut self,
+        positions: &[usize],
+        diags: &[SweepFactor],
+        czs: &[(usize, usize)],
+    ) {
+        for &(set, d0, d1) in diags {
+            let cols: Vec<usize> = named(set, positions).copied().collect();
+            let (Some(k), Some((&last, rest))) = (quarter_turns(d0, d1), cols.split_last()) else {
+                continue;
+            };
+            rest.iter().for_each(|&c| self.apply_cnot(c, last));
+            (0..k).for_each(|_| self.apply_action(last, &S));
+            rest.iter().for_each(|&c| self.apply_cnot(c, last));
         }
-        let pa = self.pos(qa)?;
-        let pb = self.pos(qb)?;
-        self.apply_h(pa);
-        self.apply_cnot_cols(pa, pb);
-        self.gate_count += 2;
-        self.inject(OpClass::Epr, &[pa, pb])
+        for &(a, b) in czs {
+            self.apply_cz(a, b);
+        }
+    }
+
+    fn check_1q(&self, controls: usize, m: &Mat2) -> Result<(), SimError> {
+        check_clifford(controls, m)
+    }
+
+    fn check_sweep(&self, diags: &[SweepFactor]) -> Result<(), SimError> {
+        check_clifford_sweep(diags)
+    }
+
+    /// Exactly 0, ½ or 1.
+    fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
+        match self.determined(&self.z_string(qubits)) {
+            None => 0.5,
+            Some(true) => 1.0,
+            Some(false) => 0.0,
+        }
+    }
+
+    /// Projects only when the outcome is random; a determined one is
+    /// already the state's.
+    fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
+        let p = self.z_string(qubits);
+        if let Some(pivot) = self.anticommuting(&p) {
+            self.project(pivot, &p, odd);
+        }
+    }
+
+    /// One anticommutation scan serves the read and the collapse: a
+    /// determined outcome is returned as it is, a random one is `u < 0.5`.
+    fn measure_parity(&mut self, qubits: &[usize], u: f64) -> bool {
+        let p = self.z_string(qubits);
+        let Some(pivot) = self.anticommuting(&p) else {
+            return self.deterministic_outcome(&p);
+        };
+        let odd = u < 0.5;
+        self.project(pivot, &p, odd);
+        odd
+    }
+
+    fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
+        let outcome = self.measure_parity(&[target], u);
+        self.remove_qubit(target, outcome);
+        outcome
+    }
+
+    /// ±1 or 0.
+    fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
+        let mut p = Row::zero(self.words);
+        for t in terms {
+            p.set_x(t.qubit, t.op != Pauli::Z);
+            p.set_z(t.qubit, t.op != Pauli::X);
+        }
+        match self.determined(&p) {
+            None => 0.0,
+            Some(true) => -1.0,
+            Some(false) => 1.0,
+        }
+    }
+
+    fn snapshot(&self, _perm: &[usize]) -> Result<State, SimError> {
+        Err(no_amplitudes("dense snapshot"))
+    }
+
+    fn amplitude_of(&self, _ones: &[usize]) -> Result<Complex, SimError> {
+        Err(no_amplitudes("amplitude probe"))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gates::Gate;
     use crate::noise::NoiseModel;
 
     #[test]
@@ -786,6 +736,22 @@ mod tests {
         ));
         // The tableau is untouched by rejected gates.
         assert_eq!(sim.prob_one(q), Ok(0.0));
+        // The rule is a matrix's action, not a list of gate names.
+        let t = sim.alloc();
+        assert!(matches!(
+            sim.toffoli(c, t, q),
+            Err(SimError::Unsupported(_))
+        ));
+        assert!(matches!(
+            sim.apply_controlled(&[c], Gate::H, q),
+            Err(SimError::Unsupported(_))
+        ));
+        sim.apply(Gate::Rz(std::f64::consts::FRAC_PI_2), q).unwrap();
+        sim.apply(Gate::U(Gate::H.matrix()), q).unwrap();
+        sim.apply(Gate::X, c).unwrap();
+        sim.apply_controlled(&[c], Gate::Y, q).unwrap();
+        // Y|+> = -i|->.
+        assert_eq!(sim.expectation(&[(q, Pauli::X)]), Ok(-1.0));
     }
 
     #[test]
@@ -836,76 +802,16 @@ mod tests {
         assert_eq!(sim.measure(qs[149]), Ok(m0));
     }
 
-    /// Cross-validation against the dense state-vector simulator on random
-    /// Clifford circuits: all single-qubit probabilities and pairwise ZZ
-    /// expectations must agree exactly.
-    #[test]
-    fn matches_state_vector_on_random_clifford_circuits() {
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        const N: usize = 5;
-        for seed in 0..25u64 {
-            let mut driver = StdRng::seed_from_u64(seed ^ 0xC11F_F0D5);
-            let mut tab = StabilizerSim::new(seed);
-            let mut vec = crate::Simulator::new(seed);
-            let tq = tab.alloc_n(N);
-            let vq = vec.alloc_n(N);
-            for _ in 0..40 {
-                match driver.gen_range(0..6u64) {
-                    0..=3 => {
-                        let g = [Gate::H, Gate::S, Gate::X, Gate::Z][driver.gen_range(0..4usize)];
-                        let t = driver.gen_range(0..N);
-                        tab.apply(g, tq[t]).unwrap();
-                        vec.apply(g, vq[t]).unwrap();
-                    }
-                    4 => {
-                        let c = driver.gen_range(0..N);
-                        let t = driver.gen_range(0..N);
-                        if c != t {
-                            tab.cnot(tq[c], tq[t]).unwrap();
-                            vec.cnot(vq[c], vq[t]).unwrap();
-                        }
-                    }
-                    _ => {
-                        let a = driver.gen_range(0..N);
-                        let b = driver.gen_range(0..N);
-                        if a != b {
-                            tab.cz(tq[a], tq[b]).unwrap();
-                            vec.cz(vq[a], vq[b]).unwrap();
-                        }
-                    }
-                }
-            }
-            for i in 0..N {
-                let pt = tab.prob_one(tq[i]).unwrap();
-                let pv = vec.prob_one(vq[i]).unwrap();
-                assert!(
-                    (pt - pv).abs() < 1e-9,
-                    "seed {seed} qubit {i}: {pt} vs {pv}"
-                );
-            }
-            for i in 0..N {
-                for j in (i + 1)..N {
-                    let et = tab
-                        .expectation(&[(tq[i], Pauli::Z), (tq[j], Pauli::Z)])
-                        .unwrap();
-                    let ev = vec
-                        .expectation(&[(vq[i], Pauli::Z), (vq[j], Pauli::Z)])
-                        .unwrap();
-                    assert!(
-                        (et - ev).abs() < 1e-9,
-                        "seed {seed} ZZ({i},{j}): {et} vs {ev}"
-                    );
-                }
-            }
-        }
-    }
-
-    /// One seeded run that allocates, entangles, measures and frees qubits
-    /// from the middle of the register, as a string: `0`/`1` per
-    /// measurement, `+`/`-`/`.` per Z⊗Z expectation, `f`/`t` per free.
-    fn transcript(seed: u64, noise: NoiseModel) -> String {
-        let mut sim = StabilizerSim::with_noise(seed, noise);
+    /// One seeded run over the front entry points the tableau realises —
+    /// H, S, S†, Y, CNOT, CZ, SWAP, CY, fused products of four Cliffords,
+    /// {S, Z}-factor sweeps with a CZ; measurements, two-qubit parities,
+    /// Z⊗Z and X⊗Y expectations, measure-and-free and measure-then-free
+    /// from the middle of the register, allocations up to `max_live` — as a
+    /// string: `0`/`1` per outcome, `+`/`-`/`.` per expectation (rounded,
+    /// so dense rounding reads as the tableau's exact ±1 or 0), `f`/`t` per
+    /// free.
+    fn transcript<S: AmpStore + Default>(seed: u64, noise: NoiseModel, max_live: usize) -> String {
+        let mut sim = AmpSim::<S>::with_noise(seed, noise);
         let mut live = sim.alloc_n(9);
         let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move |n: usize| {
@@ -915,36 +821,55 @@ mod tests {
             (x % n as u64) as usize
         };
         let bit = |b: bool| if b { '1' } else { '0' };
+        let sign = |e: f64| match e.round() as i64 {
+            1 => '+',
+            -1 => '-',
+            _ => '.',
+        };
+        let cliffords = [Gate::H, Gate::S, Gate::Sdg, Gate::X, Gate::Y, Gate::Z];
         let mut out = String::new();
         for _ in 0..300 {
             let n = live.len();
             let (a, b) = (next(n), next(n));
-            match next(10) {
-                0 | 1 => sim.apply(Gate::H, live[a]).unwrap(),
-                2 => sim.apply(Gate::S, live[a]).unwrap(),
-                3 if a != b => sim.cnot(live[a], live[b]).unwrap(),
-                4 if a != b => sim.cz(live[a], live[b]).unwrap(),
-                5 if a != b => sim.swap(live[a], live[b]).unwrap(),
-                6 => out.push(bit(sim.measure(live[a]).unwrap())),
+            let (qa, qb) = (live[a], live[b]);
+            match next(16) {
+                0 | 1 => sim.apply(Gate::H, qa).unwrap(),
+                2 => sim.apply(Gate::S, qa).unwrap(),
+                3 if a != b => sim.cnot(qa, qb).unwrap(),
+                4 if a != b => sim.cz(qa, qb).unwrap(),
+                5 if a != b => sim.swap(qa, qb).unwrap(),
+                6 => out.push(bit(sim.measure(qa).unwrap())),
                 7 if n > 4 => {
-                    let q = live.remove(a);
-                    out.push(bit(sim.measure_and_free(q).unwrap()));
+                    live.remove(a);
+                    out.push(bit(sim.measure_and_free(qa).unwrap()));
                 }
                 8 if n > 4 => {
-                    let q = live.remove(a);
-                    out.push(bit(sim.measure(q).unwrap()));
-                    out.push(if sim.free(q).unwrap() { 't' } else { 'f' });
+                    live.remove(a);
+                    out.push(bit(sim.measure(qa).unwrap()));
+                    out.push(if sim.free(qa).unwrap() { 't' } else { 'f' });
                 }
-                9 if n < 70 => live.extend(sim.alloc_n(1 + next(3))),
-                _ if a != b => {
-                    let e = sim
-                        .expectation(&[(live[a], Pauli::Z), (live[b], Pauli::Z)])
-                        .unwrap();
-                    out.push(match e as i64 {
-                        1 => '+',
-                        -1 => '-',
-                        _ => '.',
+                9 if n + 3 <= max_live => live.extend(sim.alloc_n(1 + next(3))),
+                10 => sim.apply([Gate::Sdg, Gate::Y][next(2)], qa).unwrap(),
+                11 if a != b => sim.apply_controlled(&[qa], Gate::Y, qb).unwrap(),
+                12 => {
+                    let m = (0..3).fold(Gate::X.matrix(), |m, _| {
+                        matmul2(&cliffords[next(6)].matrix(), &m)
                     });
+                    sim.apply_fused_1q(qa, &m).unwrap();
+                }
+                13 if a != b => {
+                    let turn = |k: usize| [C_I, -C_ONE][k];
+                    let diags = [
+                        (1 + next(3) as u64, C_ONE, turn(next(2))),
+                        (1 + next(3) as u64, C_ONE, turn(next(2))),
+                    ];
+                    sim.apply_phase_sweep(&[qa, qb], &diags, &[(qa, qb)])
+                        .unwrap();
+                }
+                14 if a != b => out.push(bit(sim.measure_z_parity(&[qa, qb]).unwrap())),
+                _ if a != b => {
+                    let (pa, pb) = [(Pauli::Z, Pauli::Z), (Pauli::X, Pauli::Y)][next(2)];
+                    out.push(sign(sim.expectation(&[(qa, pa), (qb, pb)]).unwrap()));
                 }
                 _ => {}
             }
@@ -955,27 +880,46 @@ mod tests {
         out
     }
 
+    /// The tableau against the dense store through the one front: the same
+    /// seed draws the same noise and the same uniform per measurement, and
+    /// a random outcome is `u < 0.5` on the tableau and `u < p` with `p`
+    /// within rounding of 0.5 on the dense store, so every outcome, free,
+    /// parity and rounded expectation agrees (a draw within dense rounding
+    /// of 0.5 could split them; none of these seeds has one).
+    #[test]
+    fn matches_state_vector_on_random_clifford_circuits() {
+        for seed in 0..150u64 {
+            for noise in [NoiseModel::ideal(), NoiseModel::depolarizing(0.05)] {
+                assert_eq!(
+                    transcript::<Tableau>(seed, noise, 12),
+                    transcript::<State>(seed, noise, 12),
+                    "seed {seed} under {noise:?}"
+                );
+            }
+        }
+    }
+
     /// Frees from the middle of the register compact the tableau, and the
     /// outcomes per seed do not depend on the column order that leaves.
-    /// Pinned: a change to where or how often `gen_bool` draws, or to the
-    /// row order, shows here.
+    /// Pinned: a change to the front's draws or to the row order shows
+    /// here.
     #[test]
     fn seeded_transcripts_with_middle_frees_are_pinned() {
         let want = [
-            "00f0f000f000000f01010...1+00f0f1t00..0...0f0f1t0010-1..0.01101t000f11t001t0f+0f0f01t0f00f01t00f1t0000f00f000f.0100",
-            "00f0f000f000000f01010...1-00f0f1t00..0...0f0f1t1011-1..0.01101t000f11t001t1t+0f0f01t0f00f01t00f1t0001t00f011t.1100",
-            "0000f0f000f0.00f000f0f1000f000111010010f0f0f0000f00f00f000000f00f00000f0f0f0000f0f00f01101t0f00010010f1111101110010001001",
-            "0000f0f000f0.00f000f0f1000f001111000000f0f0f0000f00f00f000010f00f01100f0f0f1010f1t10f01000f0f01010010f1111101011010001001",
-            "0101t0f0f0000+000000f00f000f10f0101000f00000000f00f000f0f0000f00f1t0f0000f00f1t00000f01100000f0000011110000000010000101100100100",
-            "0101t0f0f0100+000000f00f000f10f0101000f00010000f11t000f0f0000f00f1t0f0000f00f1t00000f01110000f0010011110001101010000001100000100",
-            "0f00f0f0f0.00f0f000f0010f00f00110f1+.0f00.11t1001-..+-+01t00f100f0f00f0f00f00f000f0101000101t100000f0f00000100000000000010",
-            "0f00f0f0f0.10f0f000f0010f00f11110f1+.0f00.11t1000+..+++00f00f100f0f00f1t00f00f001t0101100111t100010f0f00000100000000000010",
+            "00.00f1.0f1.0.0f+1.1t000f00f010f00.1.110.100.0f00f.100000.111..0f0010f01t00f001t.0f0f1.1101t1t010101010100",
+            "00.00f1.0f1.0.0f+1.1t000f00f110f00.1.110.100.0f00f.100000.111..1t0010f01t00f001t.0f0f1.1101t1t010101010100",
+            "00000000.0.0000000010000f0.010.1100.10f0f1t0f0100..+100f0-10.11010f1t0f0f0000f1t00000.01000f..0+0.+100f01t0f.00f001110100000",
+            "00000000.0.0000000010000f0.110.1101.10f0f1t0f0100..+100f0+10.11010f1t0f0f0000f1t10000.01000f..0+0.+101t01t0f.00f001110100000",
+            "00000f1010f00f+0f0f0f0000.1t0f0010f10f01..1-..00000111.0f100.0......+000+0.....011.-.0..0+0f00.011001t00f..11+00.0f.100000010000",
+            "00001t1001t00f+0f0f0f1110.1t0f0010f11t01..1+..01010111.1t100.0......+000-0.....011.+.0..1-1t11.111000f10f..11-00.0f.101000010011",
+            "0f00.0f10f1t0010f.0.01001t1t-10f-0f0010f-0f000..0010.00f.0f0f1.101t1.00100f010100..11.111+000+010.110f00011000111000110",
+            "1t00.0f10f1t0010f.1.01001t1t-10f-1t0110f+0f000..0010.10f.0f0f1.101t1.00110f010100..10.011-010+010.010f00011010011000100",
         ];
         let mut want = want.iter();
         for seed in 0..4u64 {
             for noise in [NoiseModel::ideal(), NoiseModel::depolarizing(0.05)] {
                 assert_eq!(
-                    transcript(seed, noise),
+                    transcript::<Tableau>(seed, noise, 70),
                     *want.next().unwrap(),
                     "seed {seed}"
                 );

@@ -174,8 +174,10 @@ fn duplicate_qubit_errors_surface_at_the_call_site() {
 }
 
 /// Ops the stabilizer tableau cannot realize — Toffoli, controlled
-/// rotations — must be rejected at the call site even though their base
-/// gate is Clifford, not recorded and exploded at teardown.
+/// rotations, T, generic rotations — must be rejected at the call site
+/// even though their base gate may be Clifford, not recorded and exploded
+/// at teardown. The rule is the tableau's own, by matrix: a
+/// single-controlled Y, `Rz(π/2)` and a `U` holding a Clifford batch fine.
 #[test]
 fn stabilizer_rejects_unsupported_controlled_ops_eagerly() {
     let cfg = QmpiConfig::new()
@@ -188,14 +190,21 @@ fn stabilizer_rejects_unsupported_controlled_ops_eagerly() {
         let t = ctx.alloc_one();
         let toffoli_err = ctx.toffoli(&a, &b, &t).unwrap_err();
         let ch_err = ctx.controlled(&[&a], qsim::Gate::H, &t).unwrap_err();
-        // The single-control X/Z spellings the tableau does realize still
-        // batch fine.
+        let t_err = ctx.apply(qsim::Gate::T, &t).unwrap_err();
+        let rz_err = ctx.apply(qsim::Gate::Rz(0.3), &t).unwrap_err();
+        // The single-control X/Y/Z spellings the tableau does realize still
+        // batch fine, and so do Cliffords spelled as matrices or angles.
         ctx.controlled(&[&a], qsim::Gate::X, &t).unwrap();
         ctx.controlled(&[&a], qsim::Gate::Z, &b).unwrap();
+        ctx.controlled(&[&a], qsim::Gate::Y, &b).unwrap();
+        ctx.apply(qsim::Gate::Rz(std::f64::consts::FRAC_PI_2), &t)
+            .unwrap();
+        ctx.apply(qsim::Gate::U(qsim::Gate::H.matrix()), &t)
+            .unwrap();
         for q in [a, b, t] {
             ctx.measure_and_free(q).unwrap();
         }
-        [toffoli_err, ch_err]
+        [toffoli_err, ch_err, t_err, rz_err]
             .iter()
             .all(|e| matches!(e, qmpi::QmpiError::Sim(qsim::SimError::Unsupported(_))))
     });

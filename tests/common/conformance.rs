@@ -178,8 +178,8 @@ pub fn run_circuit(
 /// engine on the same seed, circuit, noise model, and [`BatchPolicy`] —
 /// including with the plan-time optimizer on, where every backend
 /// executes the same fused stream with the same per-amplitude arithmetic.
-/// Only meaningful for amplitude-class backends — both sides must
-/// actually expose amplitudes, and the helper enforces that.
+/// Both sides must expose amplitudes, and the helper enforces that; the
+/// stabilizer tableau has its own arm, [`assert_stabilizer_matches_dense`].
 pub fn assert_matches_dense_oracle(
     kind: BackendKind,
     n_qubits: usize,
@@ -199,12 +199,55 @@ pub fn assert_matches_dense_oracle(
     let (other, _) = run_circuit(cfg(kind), n_qubits, steps, false);
     assert!(
         !dense.amps.is_empty() && !other.amps.is_empty(),
-        "{kind}: the conformance oracle only applies to amplitude-class backends"
+        "{kind}: this oracle compares amplitudes (the stabilizer has its Clifford arm)"
     );
     assert_eq!(
         dense, other,
         "{kind} diverged from the dense state-vector oracle (seed {seed}, {policy:?})"
     );
+}
+
+/// The oracle's Clifford arm: the stabilizer tableau against the dense
+/// engine on the same seed, Clifford circuit ([`run_circuit`]'s
+/// `clifford_only`), noise model and [`BatchPolicy`]. Both engines run the
+/// one simulator front, which draws the same noise and one uniform per
+/// measurement, so outcomes and counts must be equal.
+///
+/// A tableau probability or expectation is exactly 0, ½ or ±1; the dense
+/// one is that value to within rounding. So expectations compare to
+/// within 1e-9 — dense rounding, nothing looser — and the one exception
+/// to equal outcomes is a uniform drawn within dense rounding of 0.5,
+/// which the tableau reads against exactly 0.5 (about one draw in 2^50).
+/// The tableau holds no amplitudes, so only the dense run has a snapshot.
+pub fn assert_stabilizer_matches_dense(
+    n_qubits: usize,
+    steps: &[Step],
+    noise: NoiseModel,
+    seed: u64,
+    policy: BatchPolicy,
+) {
+    let cfg = |k: BackendKind| {
+        QmpiConfig::new()
+            .seed(seed)
+            .backend(k)
+            .noise(noise)
+            .batch(policy)
+    };
+    let (dense, _) = run_circuit(cfg(BackendKind::StateVector), n_qubits, steps, true);
+    let (tableau, _) = run_circuit(cfg(BackendKind::Stabilizer), n_qubits, steps, true);
+    let at = format!("seed {seed}, {noise:?}, {policy:?}");
+    assert_eq!(tableau.outcomes, dense.outcomes, "outcomes diverged ({at})");
+    assert_eq!(tableau.counts, dense.counts, "counts diverged ({at})");
+    assert_eq!(tableau.expectations.len(), dense.expectations.len());
+    for (i, (t, d)) in tableau
+        .expectations
+        .iter()
+        .zip(&dense.expectations)
+        .enumerate()
+    {
+        let (t, d) = (f64::from_bits(*t), f64::from_bits(*d));
+        assert!((t - d).abs() <= 1e-9, "expectation[{i}]: {t} vs {d} ({at})");
+    }
 }
 
 /// The fusion-vs-eager oracle: the same circuit run unfused-eager and

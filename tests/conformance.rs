@@ -8,9 +8,12 @@
 //! counters, on random Clifford+T circuits with random flush points, with
 //! and without batching, ideal and under Pauli / amplitude-damping noise.
 //!
-//! (The stabilizer and trace engines expose no amplitudes; their
-//! conformance bar — batched-vs-eager self-identity on the observables
-//! they do expose — lives in `tests/batching.rs`, driven by this same
+//! The stabilizer tableau exposes no amplitudes, so it has the oracle's
+//! Clifford arm instead: on random Clifford circuits its outcomes and
+//! counts equal the dense engine's per seed, and its expectations equal
+//! them up to dense rounding, at every batch policy, ideal and noisy. (The
+//! trace engine's bar — batched-vs-eager self-identity on the observables
+//! it exposes — lives in `tests/batching.rs`, driven by this same
 //! harness.)
 //!
 //! The property module runs under the nightly stress lane's
@@ -18,10 +21,15 @@
 
 mod common;
 
-use common::conformance::{assert_matches_dense_oracle, canon_bits, ensure_worker_bin, Step};
+use common::conformance::{
+    assert_matches_dense_oracle, assert_stabilizer_matches_dense, canon_bits, ensure_worker_bin,
+    Step,
+};
 use common::ops;
 use proptest::test_runner::TestRng;
-use qmpi::{BackendKind, BatchPolicy, RemoteShardedEngine, ShardedStateVector, SimEngine};
+use qmpi::{
+    AmplitudeEngine, BackendKind, BatchPolicy, EngineStore, RemoteShardedEngine, ShardedStateVector,
+};
 use qsim::{BatchOp, Gate, NoiseModel, Pauli, QubitId};
 
 const N_QUBITS: usize = 10;
@@ -460,7 +468,10 @@ struct GenericAngleObs {
 /// reduction add many nonzero terms, which the Clifford+T vocabulary of the
 /// oracle above never does. Returns the exact observables and two
 /// expectation values, one with X on the top (shard-selecting) qubit.
-fn generic_angle_program(e: &mut impl SimEngine, seed: u64) -> (GenericAngleObs, [f64; 2]) {
+fn generic_angle_program<S: EngineStore>(
+    e: &mut AmplitudeEngine<S>,
+    seed: u64,
+) -> (GenericAngleObs, [f64; 2]) {
     let mut rng = TestRng::for_case(seed);
     let angles: Vec<f64> = (0..22).map(|_| 3.0 * rng.unit_f64()).collect();
     let rotations = |gate: fn(f64) -> Gate, qs: &[QubitId], angles: &[f64]| {
@@ -578,6 +589,33 @@ mod proptests {
             for kind in local_amplitude_kinds() {
                 assert_matches_dense_oracle(kind, N_QUBITS, &steps, NoiseModel::ideal(), seed, policy);
                 assert_matches_dense_oracle(kind, N_QUBITS, &steps, NoiseModel::depolarizing(p), seed, policy);
+            }
+        }
+
+        /// The Clifford arm: on random 10-qubit Clifford circuits with
+        /// random flush points (`run_circuit` turns T and rotations into
+        /// S), the stabilizer tableau's outcomes and counts equal the
+        /// dense oracle's per seed — eager, unfused batching and the fused
+        /// default, ideal, depolarizing, and with dephasing readout noise.
+        #[test]
+        fn random_clifford_circuits_match_dense_on_the_stabilizer(
+            steps in arb_steps(N_QUBITS, true, 8..30),
+            seed in 0u64..1000,
+        ) {
+            let noises = [
+                NoiseModel::ideal(),
+                NoiseModel::depolarizing(0.1),
+                NoiseModel::ideal().with_measurement(qsim::NoiseChannel::Dephasing { p: 0.3 }),
+            ];
+            let policies = [
+                BatchPolicy::eager(),
+                BatchPolicy { fuse: false, ..BatchPolicy::default() },
+                BatchPolicy::default(),
+            ];
+            for noise in noises {
+                for policy in policies {
+                    assert_stabilizer_matches_dense(N_QUBITS, &steps, noise, seed, policy);
+                }
             }
         }
 

@@ -15,7 +15,7 @@ use common::ops;
 use qalgo::fidelity::{analytic_teleport_fidelity, teleport_fidelity, teleport_fidelity_sweep};
 use qmpi::{
     run_with_config, BackendKind, NoiseChannel, NoiseModel, OpCounts, QmpiConfig, QmpiError,
-    SimEngine, StateVectorEngine,
+    StateVectorEngine,
 };
 use qsim::Gate;
 
@@ -110,7 +110,7 @@ fn zero_rate_amplitudes_are_bit_identical() {
     // bit pattern after a circuit with measurements must match exactly.
     let mut ideal = StateVectorEngine::new(7);
     let mut zeroed = StateVectorEngine::with_noise(7, zero_rate_model());
-    for engine in [&mut ideal as &mut dyn SimEngine, &mut zeroed] {
+    for engine in [&mut ideal, &mut zeroed] {
         let q0 = engine.alloc();
         let q1 = engine.alloc();
         let q2 = engine.alloc();

@@ -26,7 +26,7 @@ use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
     build_backend, run_with_config, BackendKind, QmpiConfig, QuantumBackend, RemoteShardedEngine,
-    ShardWorkerPool, SimEngine, StateVectorEngine, TransportKind,
+    ShardWorkerPool, StateVectorEngine, TransportKind,
 };
 use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli, QubitId, SimError};
 
