@@ -980,7 +980,7 @@ fn renormalise<C: ShardChannel>(
     me: usize,
     active: usize,
 ) -> Result<(), WorkerHalt> {
-    let own: f64 = amps.iter().map(|a| a.norm_sqr()).sum();
+    let own = stripe::norm_sqr(amps);
     for peer in (1..=active).filter(|&r| r != me) {
         chan.send_xchg(peer, vec![Complex::real(own)])?;
     }

@@ -10,8 +10,8 @@
 //! - [`gates`] — the paper's gate set (Pauli, H, S/T, rotations, CNOT/CZ/...).
 //! - [`stripe`] — the amplitude kernels (pair gates, phase passes, masked
 //!   norms, collapse, Pauli expectation, qubit removal) over one contiguous
-//!   stripe: the single definition of the per-amplitude arithmetic, serial
-//!   by design (ranks are the unit of parallelism).
+//!   stripe: the single definition of the per-amplitude arithmetic, on one
+//!   thread (ranks are the unit of parallelism), at the host's vector width.
 //! - [`state`] — dense amplitude vector with add/remove-qubit support: the
 //!   one-stripe case of [`stripe`].
 //! - [`sharded`] — [`sharded::ShardedState`]: the same amplitude vector
@@ -46,7 +46,9 @@
 //!   operation class, realized as seeded stochastic Pauli/Kraus insertions
 //!   in every simulator.
 
-#![forbid(unsafe_code)]
+// Not `forbid`: `stripe::dispatch` allows it, to call the wide kernel copies.
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod batch;
 pub mod complex;

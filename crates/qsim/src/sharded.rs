@@ -108,10 +108,7 @@ impl ShardedState {
 
     /// Total squared norm (should always be ~1).
     pub fn norm_sqr(&self) -> f64 {
-        self.stripes
-            .iter()
-            .map(|amps| amps.iter().map(|a| a.norm_sqr()).sum::<f64>())
-            .sum()
+        self.stripes.iter().map(|amps| stripe::norm_sqr(amps)).sum()
     }
 
     fn scale(&mut self, factor: f64) {

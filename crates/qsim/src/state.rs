@@ -107,7 +107,7 @@ impl State {
 
     /// Total squared norm (should always be ~1).
     pub fn norm_sqr(&self) -> f64 {
-        self.amps.iter().map(|a| a.norm_sqr()).sum()
+        stripe::norm_sqr(&self.amps)
     }
 
     /// Rescales so that the squared norm is exactly 1.

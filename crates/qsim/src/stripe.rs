@@ -36,12 +36,15 @@ use crate::batch::{named, SweepFactor};
 use crate::complex::{Complex, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
+pub use dispatch::kernel_level;
+use dispatch::wide;
+mod dispatch;
 
 /// Calls `f` with the offset of each whole `len`-long run below `total`, in
 /// ascending order. Inlined, so a constant `len` is a constant length of
 /// every slice the caller cuts with it.
 #[inline(always)]
-fn walk(total: usize, len: usize, f: &mut impl FnMut(usize)) {
+fn walk(total: usize, len: usize, mut f: impl FnMut(usize)) {
     let mut at = 0;
     while at + len <= total {
         f(at);
@@ -83,17 +86,23 @@ macro_rules! walk_known_short {
 /// `f` each one's offset and length in ascending order. Runs are taken two
 /// at a time: neighbours differ in the lowest bit of `bits`, so a test of it
 /// reads the same, run after run, at each place `f` is called from. (That is
-/// seven places; where the optimizer would rather call `f` than inline it
-/// that often, the caller marks its closure `#[inline(always)]`.)
+/// seven places; a caller whose closure must be inlined at all of them, as a
+/// wide kernel copy's must, marks it `#[inline(always)]`.)
+#[inline(always)]
 fn for_runs(total: usize, bits: usize, mut f: impl FnMut(usize, usize)) {
     debug_assert!(total == 0 || total.is_power_of_two());
     if run_len(bits) >= total {
         return f(0, total);
     }
-    walk_known_short!(run_len(bits), |len| walk(total, 2 * len, &mut |at| {
-        f(at, len);
-        f(at + len, len);
-    }));
+    walk_known_short!(run_len(bits), |len| walk(
+        total,
+        2 * len,
+        #[inline(always)]
+        |at| {
+            f(at, len);
+            f(at + len, len);
+        }
+    ));
 }
 
 /// Hands `f` the runs of two equal-length slices, offset for offset, whose
@@ -134,16 +143,26 @@ fn within_runs(
         // With no control below the target a half is one run, so a block of
         // known-short halves is itself of known length.
         let block = if below == 0 { 2 * len } else { 2 * tbit };
-        walk(amps.len(), block, &mut |at| {
-            if at & above == above {
-                let (lo, hi) = amps[at..at + block].split_at_mut(block / 2);
-                walk(block / 2, len, &mut |at| {
-                    if at & below == below {
-                        f(&mut lo[at..at + len], &mut hi[at..at + len]);
-                    }
-                });
-            }
-        })
+        walk(
+            amps.len(),
+            block,
+            #[inline(always)]
+            |at| {
+                if at & above == above {
+                    let (lo, hi) = amps[at..at + block].split_at_mut(block / 2);
+                    walk(
+                        block / 2,
+                        len,
+                        #[inline(always)]
+                        |at| {
+                            if at & below == below {
+                                f(&mut lo[at..at + len], &mut hi[at..at + len]);
+                            }
+                        },
+                    );
+                }
+            },
+        )
     });
 }
 
@@ -221,13 +240,21 @@ impl PairKernel {
     /// Runs the kernel over the within-stripe pairs `(i, i | tbit)` whose
     /// low member satisfies the control mask `c_lo`.
     pub fn apply_within(self, amps: &mut [Complex], c_lo: usize, tbit: usize) {
-        within_runs(amps, c_lo, tbit, |lo, hi| self.run(lo, hi));
+        match self {
+            PairKernel::Swap => within_runs(amps, c_lo, tbit, |lo, hi| self.run(lo, hi)),
+            PairKernel::Mat(m) => pair_unitary(amps, c_lo, tbit, &m),
+        }
     }
 
     /// Runs the kernel across a stripe pair (the target bit selects the
     /// shard), offset for offset, on the offsets satisfying `c_lo`.
     pub fn apply_across(self, a: &mut [Complex], b: &mut [Complex], c_lo: usize) {
-        across_runs(a, b, c_lo, |lo, hi| self.run(lo, hi));
+        match self {
+            PairKernel::Swap => across_runs(a, b, c_lo, |lo, hi| self.run(lo, hi)),
+            PairKernel::Mat(_) => wide!(Avx512, {
+                across_runs(a, b, c_lo, |lo, hi| self.run(lo, hi))
+            }),
+        }
     }
 }
 
@@ -236,7 +263,10 @@ impl PairKernel {
 /// the kernel behind every (controlled) single-qubit gate and fused 1q run
 /// ([`crate::batch::BatchOp::Fused1q`]): [`PairKernel::Mat`] in one stripe.
 pub fn pair_unitary(amps: &mut [Complex], c_lo: usize, tbit: usize, m: &Mat2) {
-    PairKernel::Mat(*m).apply_within(amps, c_lo, tbit);
+    let kernel = PairKernel::Mat(*m);
+    wide!(Avx512, {
+        within_runs(amps, c_lo, tbit, |lo, hi| kernel.run(lo, hi))
+    });
 }
 
 /// One-pass SWAP kernel for two qubits that both address *within* the
@@ -309,35 +339,42 @@ pub fn phase_sweep(
     factors: &[(usize, Complex, Complex)],
     flips: &[usize],
 ) {
-    let reads = factors.iter().fold(0, |bits, f| bits | f.0);
-    let tile_len = amps.len().clamp(1, SWEEP_TILE);
-    let run = run_len(reads).min(tile_len);
-    let above = reads & !(tile_len - 1);
-    let mut table = [C_ZERO; SWEEP_TILE];
-    let mut built_for = None;
-    for_runs(amps.len(), SWEEP_TILE, |at, len| {
-        let (base, tile) = (base | at, &mut amps[at..at + len]);
-        if let Some((first, rest)) = factors.split_first() {
-            let table = &mut table[..len / run];
-            if built_for != Some(base & above) {
-                for (r, product) in table.iter_mut().enumerate() {
-                    let g = base | (r * run);
-                    *product = rest
-                        .iter()
-                        .fold(selected(g, first), |p, f| p * selected(g, f));
+    wide!(Avx2, {
+        let reads = factors.iter().fold(0, |bits, f| bits | f.0);
+        let tile_len = amps.len().clamp(1, SWEEP_TILE);
+        let run = run_len(reads).min(tile_len);
+        let above = reads & !(tile_len - 1);
+        let mut table = [C_ZERO; SWEEP_TILE];
+        let mut built_for = None;
+        for_runs(
+            amps.len(),
+            SWEEP_TILE,
+            #[inline(always)]
+            |at, len| {
+                let (base, tile) = (base | at, &mut amps[at..at + len]);
+                if let Some((first, rest)) = factors.split_first() {
+                    let table = &mut table[..len / run];
+                    if built_for != Some(base & above) {
+                        for (r, product) in table.iter_mut().enumerate() {
+                            let g = base | (r * run);
+                            *product = rest
+                                .iter()
+                                .fold(selected(g, first), |p, f| p * selected(g, f));
+                        }
+                        built_for = Some(base & above);
+                    }
+                    walk_known_short!(run, |run| {
+                        for (amps, &product) in tile.chunks_exact_mut(run).zip(table.iter()) {
+                            amps.iter_mut().for_each(|a| *a *= product);
+                        }
+                    });
                 }
-                built_for = Some(base & above);
-            }
-            walk_known_short!(run, |run| {
-                for (amps, &product) in tile.chunks_exact_mut(run).zip(table.iter()) {
-                    amps.iter_mut().for_each(|a| *a *= product);
+                for &flip in flips {
+                    phase_flip_where(tile, flip, |at| (base | at) & flip == flip);
                 }
-            });
-        }
-        for &flip in flips {
-            phase_flip_where(tile, flip, |at| (base | at) & flip == flip);
-        }
-    });
+            },
+        );
+    })
 }
 
 /// The entry of a [`phase_sweep`] factor that basis index `g` selects.
@@ -381,7 +418,9 @@ fn phase_flip_where(amps: &mut [Complex], bits: usize, selected: impl Fn(usize) 
 /// within-stripe offset satisfies `lo_mask`. The caller is responsible for
 /// only running it on stripes whose shard index satisfies the high mask.
 pub fn phase_flip(amps: &mut [Complex], lo_mask: usize) {
-    phase_flip_where(amps, lo_mask, |at| at & lo_mask == lo_mask);
+    wide!(Avx512, {
+        phase_flip_where(amps, lo_mask, |at| at & lo_mask == lo_mask);
+    })
 }
 
 /// Probability mass of the runs of `amps`, as `bits` cuts them, whose
@@ -483,9 +522,17 @@ pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd:
 /// Rescales every amplitude by the real factor (collapse renormalization,
 /// phase 3 — broadcast once the global kept mass is reduced).
 pub fn scale(amps: &mut [Complex], factor: f64) {
-    for a in amps.iter_mut() {
-        *a = a.scale(factor);
-    }
+    wide!(Avx512, {
+        for a in amps.iter_mut() {
+            *a = a.scale(factor);
+        }
+    })
+}
+
+/// Squared norm of the stripe (the mass a renormalization divides by): every
+/// `|a|²` in ascending index order, added from `-0.0` by `Iterator::sum`.
+pub fn norm_sqr(amps: &[Complex]) -> f64 {
+    amps.iter().map(|a| a.norm_sqr()).sum()
 }
 
 /// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
@@ -497,23 +544,25 @@ pub fn scale(amps: &mut [Complex], factor: f64) {
 /// [`pauli_masks`] and the per-basis-state term with [`expectation_pauli`],
 /// so both accumulate the identical floating-point sequence.
 pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
-    let n_qubits = amps.len().trailing_zeros() as usize;
-    let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-    let mut acc = Complex::default();
-    for_runs(
-        amps.len(),
-        x_mask | z_mask,
-        #[inline(always)]
-        |g, len| {
-            let sign = z_sign(g, z_mask);
-            for (&a, &partner) in amps[g..g + len].iter().zip(&amps[g ^ x_mask..][..len]) {
-                if !a.is_negligible(NEGLIGIBLE) {
-                    acc += signed_term(a, partner, sign);
+    wide!(Avx2, {
+        let n_qubits = amps.len().trailing_zeros() as usize;
+        let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
+        let mut acc = Complex::default();
+        for_runs(
+            amps.len(),
+            x_mask | z_mask,
+            #[inline(always)]
+            |g, len| {
+                let sign = z_sign(g, z_mask);
+                for (&a, &partner) in amps[g..g + len].iter().zip(&amps[g ^ x_mask..][..len]) {
+                    if !a.is_negligible(NEGLIGIBLE) {
+                        acc += signed_term(a, partner, sign);
+                    }
                 }
-            }
-        },
-    );
-    hermitian_value(i_pow, acc)
+            },
+        );
+        hermitian_value(i_pow, acc)
+    })
 }
 
 /// [`expectation_pauli_flat`] for callers whose amplitudes are not one
@@ -524,14 +573,16 @@ pub fn expectation_pauli(
     at: impl Fn(usize) -> Complex,
     terms: &[PauliTerm],
 ) -> f64 {
-    let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-    let mut acc = Complex::default();
-    for g in 0..(1usize << n_qubits) {
-        if let Some(t) = expectation_term(&at, g, x_mask, z_mask) {
-            acc += t;
+    wide!(Avx2, {
+        let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
+        let mut acc = Complex::default();
+        for g in 0..(1usize << n_qubits) {
+            if let Some(t) = expectation_term(&at, g, x_mask, z_mask) {
+                acc += t;
+            }
         }
-    }
-    hermitian_value(i_pow, acc)
+        hermitian_value(i_pow, acc)
+    })
 }
 
 /// Diagonal strings [`expectation_pauli_each_flat`] reads in one sweep: one
@@ -551,29 +602,32 @@ const SIGN_TILE: usize = 1 << 8;
 /// accumulator that starts at `+0.0` leaves its bits alone, so the sweep
 /// adds every term.
 pub fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
-    let n_qubits = amps.len().trailing_zeros() as usize;
-    let mut values = vec![0.0; strings.len()];
-    let mut diagonal = Vec::new();
-    for (i, terms) in strings.iter().enumerate() {
-        match pauli_masks(n_qubits, terms) {
-            (0, z_mask, _) => diagonal.push((i, z_mask)),
-            _ => values[i] = expectation_pauli_flat(amps, terms),
+    wide!(Avx512, {
+        let n_qubits = amps.len().trailing_zeros() as usize;
+        let mut values = vec![0.0; strings.len()];
+        let mut diagonal = Vec::new();
+        for (i, terms) in strings.iter().enumerate() {
+            match pauli_masks(n_qubits, terms) {
+                (0, z_mask, _) => diagonal.push((i, z_mask)),
+                _ => values[i] = expectation_pauli_flat(amps, terms),
+            }
         }
-    }
-    for chunk in diagonal.chunks(DIAGONAL_CHUNK) {
-        let mut z_masks: Vec<usize> = chunk.iter().map(|&(_, z)| z).collect();
-        z_masks.resize(DIAGONAL_CHUNK, 0);
-        for (&(i, _), sum) in chunk.iter().zip(diagonal_sums(amps, &z_masks)) {
-            values[i] = sum;
+        for chunk in diagonal.chunks(DIAGONAL_CHUNK) {
+            let mut z_masks: Vec<usize> = chunk.iter().map(|&(_, z)| z).collect();
+            z_masks.resize(DIAGONAL_CHUNK, 0);
+            for (&(i, _), sum) in chunk.iter().zip(diagonal_sums(amps, &z_masks)) {
+                values[i] = sum;
+            }
         }
-    }
-    values
+        values
+    })
 }
 
 /// `Σ_g (-1)^{|g & z|} |a_g|²` for each of the [`DIAGONAL_CHUNK`] masks, in
 /// one pass: one accumulator per mask, from `+0.0`, in ascending index
 /// order. A sign is a sign bit, its low-bit half from a table built once and
 /// its high-bit half once per tile: no amplitude pays a popcount.
+#[inline(always)]
 fn diagonal_sums(amps: &[Complex], z_masks: &[usize]) -> [f64; DIAGONAL_CHUNK] {
     let sign_bits = |g: usize| -> [u64; DIAGONAL_CHUNK] {
         std::array::from_fn(|k| u64::from(odd_parity(g, z_masks[k])) << 63)
@@ -716,46 +770,48 @@ pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bo
 /// or summed in the half that is dropped, and each kept amplitude moves once.
 /// Panics, as the composed form does, when the outcome has no probability.
 pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool) {
-    walk_known_short!(1usize << target, |bit| {
-        let kept_at = if outcome { bit } else { 0 };
-        let mut kept = 0.0f64;
-        for block in amps.chunks_exact(2 * bit) {
-            for a in &block[kept_at..kept_at + bit] {
-                kept += a.norm_sqr();
-            }
-        }
-        assert!(
-            kept > 1e-12,
-            "collapsing qubit {target} onto probability-zero outcome"
-        );
-        let s1 = 1.0 / kept.sqrt();
-        // From `-0.0`: what `Iterator::sum` makes of the compacted vector.
-        let mut norm = -0.0f64;
-        for block in amps.chunks_exact(2 * bit) {
-            for a in &block[kept_at..kept_at + bit] {
-                norm += a.scale(s1).norm_sqr();
-            }
-        }
-        assert!(norm.sqrt() > 0.0, "cannot renormalize the zero vector");
-        let s2 = 1.0 / norm.sqrt();
-        // Block 0 keeping its low run rescales where it stands; every other
-        // kept run moves down, by at least its own length, onto amplitudes
-        // that were dropped or have moved already.
-        for k in 0..amps.len() / (2 * bit) {
-            let (to, from) = (k * bit, 2 * k * bit + kept_at);
-            if from == to {
-                for a in &mut amps[..bit] {
-                    *a = a.scale(s1).scale(s2);
-                }
-            } else {
-                let (low, high) = amps.split_at_mut(from);
-                for (to, a) in low[to..to + bit].iter_mut().zip(&high[..bit]) {
-                    *to = a.scale(s1).scale(s2);
+    wide!(Avx2, {
+        walk_known_short!(1usize << target, |bit| {
+            let kept_at = if outcome { bit } else { 0 };
+            let mut kept = 0.0f64;
+            for block in amps.chunks_exact(2 * bit) {
+                for a in &block[kept_at..kept_at + bit] {
+                    kept += a.norm_sqr();
                 }
             }
-        }
-    });
-    amps.truncate(amps.len() / 2);
+            assert!(
+                kept > 1e-12,
+                "collapsing qubit {target} onto probability-zero outcome"
+            );
+            let s1 = 1.0 / kept.sqrt();
+            // From `-0.0`: what `Iterator::sum` makes of the compacted vector.
+            let mut norm = -0.0f64;
+            for block in amps.chunks_exact(2 * bit) {
+                for a in &block[kept_at..kept_at + bit] {
+                    norm += a.scale(s1).norm_sqr();
+                }
+            }
+            assert!(norm.sqrt() > 0.0, "cannot renormalize the zero vector");
+            let s2 = 1.0 / norm.sqrt();
+            // Block 0 keeping its low run rescales where it stands; every other
+            // kept run moves down, by at least its own length, onto amplitudes
+            // that were dropped or have moved already.
+            for k in 0..amps.len() / (2 * bit) {
+                let (to, from) = (k * bit, 2 * k * bit + kept_at);
+                if from == to {
+                    for a in &mut amps[..bit] {
+                        *a = a.scale(s1).scale(s2);
+                    }
+                } else {
+                    let (low, high) = amps.split_at_mut(from);
+                    for (to, a) in low[to..to + bit].iter_mut().zip(&high[..bit]) {
+                        *to = a.scale(s1).scale(s2);
+                    }
+                }
+            }
+        });
+        amps.truncate(amps.len() / 2);
+    })
 }
 
 /// The copying form of [`remove_qubit_in_place`]: returns the halved vector
@@ -768,6 +824,7 @@ pub fn remove_qubit_flat(flat: &[Complex], target: usize, outcome: bool) -> (Vec
 
 #[cfg(test)]
 mod tests {
+    use super::dispatch::tests::on_each_copy;
     use super::*;
     use crate::complex::C_ONE;
     use crate::gates::{cnot_matrix, swap_matrix, Gate};
@@ -1752,5 +1809,100 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Every dispatched kernel, on each copy, against the per-index loops:
+    /// generic-angle amplitudes, runs of 1 to 2^12 amplitudes, controls
+    /// below and above the target.
+    #[test]
+    fn both_kernel_copies_match_the_per_index_loops_bit_for_bit() {
+        const LEN: usize = 1 << 14;
+        let amps = seeded(LEN, 1000);
+        let m = crate::gates::matmul2(&Gate::Ry(0.37).matrix(), &Gate::Rz(1.1).matrix());
+        let d = |k: f64| (Complex::cis(-0.1 - k), Complex::cis(0.3 + k));
+        let naive_scale = |v: &mut [Complex], f: f64| v.iter_mut().for_each(|a| *a = a.scale(f));
+        on_each_copy(|| {
+            for j in 0..=12usize {
+                let run = 1usize << j;
+                // No control; one above the target; one below it.
+                for (c_lo, tbit) in [(0, run), (2 * run, run), (run, 2 * run)] {
+                    let case = (run, c_lo, tbit);
+                    same_bits(
+                        &amps,
+                        ("pair_unitary", case),
+                        on_first(LEN, &|s| pair_unitary(s, c_lo, tbit, &m)),
+                        on_first(LEN, &|s| {
+                            naive::pair_within(s, c_lo, tbit, naive::unitary(&m))
+                        }),
+                    );
+                    same_bits(
+                        &amps,
+                        ("Mat across", case),
+                        on_halves(LEN / 2, &|a, b| PairKernel::Mat(m).apply_across(a, b, c_lo)),
+                        on_halves(LEN / 2, &|a, b| {
+                            naive::pair_across(a, b, c_lo, naive::unitary(&m))
+                        }),
+                    );
+                }
+                let mask = run | (2 * run);
+                same_bits(
+                    &amps,
+                    ("phase_flip", run),
+                    on_first(LEN, &|s| phase_flip(s, mask)),
+                    on_first(LEN, &|s| naive::phase_flip(s, mask)),
+                );
+                let factors = [(run, d(0.0).0, d(0.0).1), (mask, d(0.2).0, d(0.2).1)];
+                // At a base with bits above the stripe set, as a shard's.
+                for base in [0, LEN] {
+                    same_bits(
+                        &amps,
+                        ("phase_sweep", run, base),
+                        on_first(LEN, &|s| phase_sweep(s, base, &factors, &[mask])),
+                        on_first(LEN, &|s| naive::phase_sweep(s, base, &factors, &[mask])),
+                    );
+                }
+                // Stripe lengths of 1 to 2^12 for the whole-stripe pass (and
+                // the one norm, single-copy, against `Iterator::sum`).
+                same_bits(
+                    &amps[..run],
+                    ("scale", run),
+                    |v| {
+                        scale(v, 0.7);
+                        norm_sqr(v)
+                    },
+                    |v| {
+                        naive_scale(v, 0.7);
+                        v.iter().map(|a| a.norm_sqr()).sum()
+                    },
+                );
+                // X⊗Z from qubit j up, and the diagonal Z⊗Z over `mask`.
+                let n = LEN.trailing_zeros() as usize;
+                let strings = [
+                    pauli_string(n, (1 << (2 * j)) | (3 << (2 * j + 2))),
+                    z_string(mask),
+                ];
+                let each = expectation_pauli_each_flat(&amps, &strings);
+                for (terms, value) in strings.iter().zip(each) {
+                    let want = naive::expectation_pauli_flat(&amps, terms).to_bits();
+                    let flat = expectation_pauli_flat(&amps, terms);
+                    let via_accessor = expectation_pauli(n, |g| amps[g], terms);
+                    for got in [flat, via_accessor, value] {
+                        assert_eq!(got.to_bits(), want, "{terms:?}");
+                    }
+                }
+                for outcome in [false, true] {
+                    // Collapse, rescale, remove, renormalize: the composed form.
+                    let mut want = amps.clone();
+                    let kept = naive::collapse_parity(&mut want, 0, run, outcome);
+                    naive_scale(&mut want, 1.0 / kept.sqrt());
+                    let (mut want, _) = naive::remove_qubit_flat(&want, j, outcome);
+                    let norm: f64 = want.iter().map(|a| a.norm_sqr()).sum();
+                    naive_scale(&mut want, 1.0 / norm.sqrt());
+                    let mut got = amps.clone();
+                    collapse_remove_in_place(&mut got, j, outcome);
+                    assert_eq!(bits(&got), bits(&want), "qubit {j} onto {outcome}");
+                }
+            }
+        });
     }
 }
