@@ -57,9 +57,10 @@ fn quartiles(samples: &mut [f64]) -> [f64; 3] {
 fn main() {
     let repeats = arg_usize("--repeats", 5).max(1);
     println!(
-        "engine census: {repeats} alternated repeat(s), ms, median (q1–q3), {} hardware thread(s), {} kernels\n",
+        "engine census: {repeats} alternated repeat(s), ms, median (q1–q3), {} hardware thread(s), {} kernels on {} thread(s)\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
-        qsim::stripe::kernel_level()
+        qsim::stripe::kernel_level(),
+        qsim::stripe::kernel_threads()
     );
     let names = ENGINES.map(|(name, _)| name).join(" | ");
     println!("| program | {names} |");

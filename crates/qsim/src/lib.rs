@@ -10,10 +10,12 @@
 //! - [`gates`] — the paper's gate set (Pauli, H, S/T, rotations, CNOT/CZ/...).
 //! - [`stripe`] — the amplitude kernels (pair gates, phase passes, masked
 //!   norms, collapse, Pauli expectation, qubit removal) over one contiguous
-//!   stripe: the single definition of the per-amplitude arithmetic, on one
-//!   thread (ranks are the unit of parallelism), at the host's vector width.
+//!   stripe: the single definition of the per-amplitude arithmetic, at the
+//!   host's vector width.
 //! - [`state`] — dense amplitude vector with add/remove-qubit support: the
-//!   one-stripe case of [`stripe`].
+//!   one-stripe case of [`stripe`], whose element-wise kernels it splits
+//!   across the caller and one helper thread on registers of 2^15
+//!   amplitudes and up.
 //! - [`sharded`] — [`sharded::ShardedState`]: the same amplitude vector
 //!   cut into `2^k` contiguous stripes, one kernel call per stripe — the
 //!   remote workers' layout in one address space.

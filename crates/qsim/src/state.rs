@@ -10,17 +10,18 @@
 //!
 //! The dense state is the one-stripe case of [`crate::stripe`]: its
 //! [`AmpStore`] implementation checks operands, turns positions into bit
-//! masks, and runs the stripe kernels over the whole vector at `base = 0`.
-//! No per-amplitude arithmetic is defined here except the 4×4
-//! [`State::apply_2q`], which no engine executes and the fast-path tests
-//! use as their reference.
+//! masks, and runs the stripe kernels over the whole vector at `base = 0`,
+//! the element-wise ones split across two threads on a long vector (the
+//! split entries in `stripe/split.rs`, same bits). No per-amplitude
+//! arithmetic is defined here except the 4×4 [`State::apply_2q`], which no
+//! engine executes and the fast-path tests use as their reference.
 
 use crate::batch::SweepFactor;
 use crate::complex::{Complex, C_ONE, C_ZERO};
 use crate::gates::{Mat2, Mat4};
 use crate::measure::PauliTerm;
 use crate::sim::{AmpStore, SimError};
-use crate::stripe;
+use crate::stripe::{self, split};
 
 /// Numerical tolerance used for normalization and classicality checks.
 pub const NORM_TOL: f64 = 1e-9;
@@ -114,7 +115,7 @@ impl State {
     pub fn renormalize(&mut self) {
         let n = self.norm_sqr().sqrt();
         assert!(n > 0.0, "cannot renormalize the zero vector");
-        stripe::scale(&mut self.amps, 1.0 / n);
+        split::scale(&mut self.amps, 1.0 / n);
     }
 
     /// Applies an arbitrary two-qubit unitary to qubits `(q1, q0)`, where `q0`
@@ -159,6 +160,13 @@ impl State {
     /// width.
     fn mask_of(&self, qubits: &[usize]) -> usize {
         qubits.iter().fold(0, |mask, &q| mask | self.bit_of(q))
+    }
+
+    /// Collapses `target` onto `outcome`, whose branch holds the `kept`
+    /// mass, and removes it: [`AmpStore::collapse_remove`]'s result.
+    fn remove_collapsed(&mut self, target: usize, outcome: bool, kept: f64) {
+        split::collapse_remove(&mut self.amps, target, outcome, kept);
+        self.n_qubits -= 1;
     }
 
     /// Checks a two-qubit fast-path operand pair and returns its bits.
@@ -274,23 +282,23 @@ impl AmpStore for State {
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
         let (cmask, tbit) = (self.mask_of(controls), self.bit_of(target));
         assert_eq!(cmask & tbit, 0, "control equals target");
-        stripe::pair_unitary(&mut self.amps, cmask, tbit, m);
+        split::apply_within(stripe::PairKernel::Mat(*m), &mut self.amps, cmask, tbit);
     }
 
     fn apply_cnot(&mut self, control: usize, target: usize) {
         let (cbit, tbit) = self.pair_bits(control, target, "CNOT");
-        stripe::PairKernel::Swap.apply_within(&mut self.amps, cbit, tbit);
+        split::apply_within(stripe::PairKernel::Swap, &mut self.amps, cbit, tbit);
     }
 
     fn apply_cz(&mut self, a: usize, b: usize) {
         let (abit, bbit) = self.pair_bits(a, b, "CZ");
-        stripe::phase_flip(&mut self.amps, abit | bbit);
+        split::phase_flip(&mut self.amps, abit | bbit);
     }
 
     fn apply_swap(&mut self, a: usize, b: usize) {
         let (abit, bbit) = (self.bit_of(a), self.bit_of(b));
         if a != b {
-            stripe::swap_within(&mut self.amps, abit, bbit);
+            split::swap_within(&mut self.amps, abit, bbit);
         }
     }
 
@@ -304,13 +312,22 @@ impl AmpStore for State {
             self.bit_of(q);
         }
         let (factors, flips) = stripe::sweep_masks(positions, diags, czs);
-        stripe::phase_sweep(&mut self.amps, 0, &factors, &flips);
+        split::phase_sweep(&mut self.amps, &factors, &flips);
     }
 
     fn collapse_remove(&mut self, target: usize, outcome: bool) {
-        self.bit_of(target);
-        stripe::collapse_remove_in_place(&mut self.amps, target, outcome);
-        self.n_qubits -= 1;
+        let tbit = self.bit_of(target);
+        let want = if outcome { tbit } else { 0 };
+        let kept = stripe::masked_norm(&self.amps, 0, tbit, want);
+        self.remove_collapsed(target, outcome, kept);
+    }
+
+    /// Sums the outcome's branch mass once, for the draw and the collapse
+    /// both (the two masses on two threads above the split threshold).
+    fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
+        let (outcome, kept) = split::measure(&self.amps, self.bit_of(target), u);
+        self.remove_collapsed(target, outcome, kept);
+        outcome
     }
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
@@ -324,7 +341,7 @@ impl AmpStore for State {
             norm > 1e-12,
             "collapsing {qubits:?} onto probability-zero outcome"
         );
-        stripe::scale(&mut self.amps, 1.0 / norm.sqrt());
+        split::scale(&mut self.amps, 1.0 / norm.sqrt());
     }
 
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {

@@ -36,9 +36,10 @@ use crate::batch::{named, SweepFactor};
 use crate::complex::{Complex, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
-pub use dispatch::kernel_level;
 use dispatch::wide;
+pub use dispatch::{kernel_level, kernel_threads};
 mod dispatch;
+pub(crate) mod split;
 
 /// Calls `f` with the offset of each whole `len`-long run below `total`, in
 /// ascending order. Inlined, so a constant `len` is a constant length of
@@ -762,37 +763,20 @@ pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bo
     dropped
 }
 
-/// Measure-and-free on a dense amplitude vector: leaves, to the bit, what
-/// [`collapse_parity`] over `target` onto `outcome`, [`scale`] by the kept mass,
-/// [`remove_qubit_in_place`], a norm and a second [`scale`] leave — the same
-/// two sums in the same ascending order and the same two roundings per
-/// amplitude — in three passes over the kept half: nothing is zeroed, scaled
-/// or summed in the half that is dropped, and each kept amplitude moves once.
-/// Panics, as the composed form does, when the outcome has no probability.
-pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool) {
+/// Measure-and-free on a dense amplitude vector, given the `kept` mass of
+/// the `outcome` branch (the sum [`masked_norm`] forms over `target`'s bit):
+/// leaves, to the bit, what [`collapse_parity`] over `target` onto
+/// `outcome`, [`scale`] by the kept mass, [`remove_qubit_in_place`], a norm
+/// and a second [`scale`] leave — the same two sums in the same ascending
+/// order and the same two roundings per amplitude — in two passes over the
+/// kept half: nothing is zeroed, scaled or summed in the half that is
+/// dropped, and each kept amplitude moves once. Panics, as the composed form
+/// does, when the outcome has no probability.
+pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool, kept: f64) {
+    let s = collapse_remove_scales(amps, target, outcome, kept);
     wide!(Avx2, {
         walk_known_short!(1usize << target, |bit| {
             let kept_at = if outcome { bit } else { 0 };
-            let mut kept = 0.0f64;
-            for block in amps.chunks_exact(2 * bit) {
-                for a in &block[kept_at..kept_at + bit] {
-                    kept += a.norm_sqr();
-                }
-            }
-            assert!(
-                kept > 1e-12,
-                "collapsing qubit {target} onto probability-zero outcome"
-            );
-            let s1 = 1.0 / kept.sqrt();
-            // From `-0.0`: what `Iterator::sum` makes of the compacted vector.
-            let mut norm = -0.0f64;
-            for block in amps.chunks_exact(2 * bit) {
-                for a in &block[kept_at..kept_at + bit] {
-                    norm += a.scale(s1).norm_sqr();
-                }
-            }
-            assert!(norm.sqrt() > 0.0, "cannot renormalize the zero vector");
-            let s2 = 1.0 / norm.sqrt();
             // Block 0 keeping its low run rescales where it stands; every other
             // kept run moves down, by at least its own length, onto amplitudes
             // that were dropped or have moved already.
@@ -800,18 +784,51 @@ pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome:
                 let (to, from) = (k * bit, 2 * k * bit + kept_at);
                 if from == to {
                     for a in &mut amps[..bit] {
-                        *a = a.scale(s1).scale(s2);
+                        *a = scaled_twice(*a, s);
                     }
                 } else {
                     let (low, high) = amps.split_at_mut(from);
                     for (to, a) in low[to..to + bit].iter_mut().zip(&high[..bit]) {
-                        *to = a.scale(s1).scale(s2);
+                        *to = scaled_twice(*a, s);
                     }
                 }
             }
         });
         amps.truncate(amps.len() / 2);
     })
+}
+
+/// The two factors [`collapse_remove_in_place`] scales each kept amplitude
+/// by: `1/√kept`, then one over the norm of the kept half so scaled, that
+/// norm summed in ascending order from `-0.0` (what `Iterator::sum` makes
+/// of the compacted vector).
+fn collapse_remove_scales(amps: &[Complex], target: usize, outcome: bool, kept: f64) -> (f64, f64) {
+    assert!(
+        kept > 1e-12,
+        "collapsing qubit {target} onto probability-zero outcome"
+    );
+    let s1 = 1.0 / kept.sqrt();
+    let norm = wide!(Avx2, {
+        walk_known_short!(1usize << target, |bit| {
+            let kept_at = if outcome { bit } else { 0 };
+            let mut norm = -0.0f64;
+            for block in amps.chunks_exact(2 * bit) {
+                for a in &block[kept_at..kept_at + bit] {
+                    norm += a.scale(s1).norm_sqr();
+                }
+            }
+            norm
+        })
+    });
+    assert!(norm.sqrt() > 0.0, "cannot renormalize the zero vector");
+    (s1, 1.0 / norm.sqrt())
+}
+
+/// A kept amplitude as [`collapse_remove_in_place`] leaves it: scaled by
+/// each factor in turn, two roundings.
+#[inline(always)]
+fn scaled_twice(a: Complex, (s1, s2): (f64, f64)) -> Complex {
+    a.scale(s1).scale(s2)
 }
 
 /// The copying form of [`remove_qubit_in_place`]: returns the halved vector
@@ -824,7 +841,7 @@ pub fn remove_qubit_flat(flat: &[Complex], target: usize, outcome: bool) -> (Vec
 
 #[cfg(test)]
 mod tests {
-    use super::dispatch::tests::on_each_copy;
+    use super::dispatch::tests::{on_each_copy, on_each_split};
     use super::*;
     use crate::complex::C_ONE;
     use crate::gates::{cnot_matrix, swap_matrix, Gate};
@@ -1736,6 +1753,127 @@ mod tests {
         use super::*;
         use proptest::prelude::*;
 
+        /// [`seeded`] amplitudes scaled to unit norm.
+        fn normalized(len: usize, seed: u64) -> Vec<Complex> {
+            let amps = seeded(len, seed);
+            let norm = norm_sqr(&amps).sqrt();
+            amps.iter().map(|a| a.scale(1.0 / norm)).collect()
+        }
+
+        /// Measure-and-free as the per-index loops compose it: the parity
+        /// mass, collapse, rescale, remove, renormalize.
+        fn measured_and_removed(amps: &[Complex], target: usize, u: f64) -> (bool, Vec<Complex>) {
+            let scaled = |v: &mut [Complex], f: f64| v.iter_mut().for_each(|a| *a = a.scale(f));
+            let tbit = 1 << target;
+            let outcome = u < naive::parity_prob_odd(amps, 0, tbit);
+            let mut collapsed = amps.to_vec();
+            let kept = naive::collapse_parity(&mut collapsed, 0, tbit, outcome);
+            scaled(&mut collapsed, 1.0 / kept.sqrt());
+            let (mut removed, _) = naive::remove_qubit_flat(&collapsed, target, outcome);
+            let norm: f64 = removed.iter().map(|a| a.norm_sqr()).sum();
+            scaled(&mut removed, 1.0 / norm.sqrt());
+            (outcome, removed)
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// Every split entry `State` calls, at and above the split
+            /// threshold, against the serial kernel over the whole register
+            /// bit for bit, with the halves on the helper thread and in
+            /// sequence on the caller: generic-angle states, the target on
+            /// the top bit (split into quarters) or anywhere, a control on
+            /// the bit the call is cut at, on the next one down, anywhere or
+            /// nowhere, sweep factors and flips on random masks, and
+            /// measure-and-free onto both outcomes.
+            #[test]
+            fn split_kernels_are_the_serial_kernels_bit_for_bit(
+                above in 0usize..2,
+                seed in any::<u64>(),
+                picks in (any::<u64>(), any::<u64>(), any::<u64>()),
+                sweep in collection::vec(any::<u64>(), 1..5),
+                u in 0.0f64..1.0,
+            ) {
+                let len = split::SPLIT_MIN << above;
+                let (n, top) = (len.trailing_zeros() as u64, len / 2);
+                let amps = normalized(len, seed);
+                let (t, c, o) = picks;
+                let target = if t % 2 == 0 { n - 1 } else { t / 2 % n } as usize;
+                let tbit = 1usize << target;
+                let c_lo = [0, top, top / 2, 1 << (c / 4 % n)][(c % 4) as usize] & !tbit;
+                let other = 1usize << (o % n);
+                let m = crate::gates::matmul2(&Gate::Ry(6.0 * u).matrix(), &Gate::Rz(1.1).matrix());
+                let factors: Vec<_> = sweep
+                    .iter()
+                    .map(|&k| {
+                        let angle = k as f64 * 1e-19;
+                        (k as usize & (len - 1), Complex::cis(angle), Complex::cis(0.3 - angle))
+                    })
+                    .collect();
+                let flips: Vec<usize> = sweep.iter().map(|&k| k.rotate_left(23) as usize & (len - 1)).collect();
+                let measured = [u, 0.0, 1.0 - f64::EPSILON].map(|u| (u, measured_and_removed(&amps, target, u)));
+                on_each_split(|| {
+                    for kernel in [PairKernel::Mat(m), PairKernel::Swap] {
+                        same_bits(
+                            &amps,
+                            ("apply_within", kernel, tbit, c_lo),
+                            |v| {
+                                split::apply_within(kernel, v, c_lo, tbit);
+                                0.0
+                            },
+                            |v| {
+                                kernel.apply_within(v, c_lo, tbit);
+                                0.0
+                            },
+                        );
+                    }
+                    same_bits(
+                        &amps,
+                        ("phase_sweep", &factors, &flips),
+                        |v| {
+                            split::phase_sweep(v, &factors, &flips);
+                            0.0
+                        },
+                        |v| {
+                            phase_sweep(v, 0, &factors, &flips);
+                            0.0
+                        },
+                    );
+                    same_bits(
+                        &amps,
+                        ("phase_flip", tbit | c_lo),
+                        on_first(len, &|v| split::phase_flip(v, tbit | c_lo)),
+                        on_first(len, &|v| phase_flip(v, tbit | c_lo)),
+                    );
+                    if other != tbit {
+                        same_bits(
+                            &amps,
+                            ("swap_within", tbit, other),
+                            on_first(len, &|v| split::swap_within(v, tbit, other)),
+                            on_first(len, &|v| swap_within(v, tbit, other)),
+                        );
+                    }
+                    same_bits(
+                        &amps,
+                        "scale",
+                        on_first(len, &|v| split::scale(v, 0.5 + u)),
+                        on_first(len, &|v| scale(v, 0.5 + u)),
+                    );
+                    for (u, (outcome, want)) in &measured {
+                        let kept = match outcome {
+                            true => parity_prob_odd(&amps, 0, tbit),
+                            false => masked_norm(&amps, 0, tbit, 0),
+                        };
+                        let got = split::measure(&amps, tbit, *u);
+                        assert_eq!((got.0, got.1.to_bits()), (*outcome, kept.to_bits()), "u = {u}");
+                        let mut got = State::from_amplitudes(amps.clone());
+                        assert_eq!(got.measure_and_remove(target, *u), *outcome, "u = {u}");
+                        assert_eq!(bits(got.amplitudes()), bits(want), "qubit {target} onto {outcome}");
+                    }
+                });
+            }
+        }
+
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -1899,7 +2037,8 @@ mod tests {
                     let norm: f64 = want.iter().map(|a| a.norm_sqr()).sum();
                     naive_scale(&mut want, 1.0 / norm.sqrt());
                     let mut got = amps.clone();
-                    collapse_remove_in_place(&mut got, j, outcome);
+                    let kept = masked_norm(&got, 0, run, if outcome { run } else { 0 });
+                    collapse_remove_in_place(&mut got, j, outcome, kept);
                     assert_eq!(bits(&got), bits(&want), "qubit {j} onto {outcome}");
                 }
             }
