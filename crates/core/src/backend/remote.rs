@@ -2366,6 +2366,211 @@ mod tests {
         }
     }
 
+    /// Every frame the protocol can carry, one encoding each, for
+    /// [`every_frame_keeps_its_golden_bytes`].
+    fn golden_cases() -> Vec<(&'static str, Bytes)> {
+        let c = Complex::new;
+        let mat = [[c(0.5, 0.0), c(0.0, -0.5)], [c(-1.0, 0.0), c(0.25, 2.0)]];
+        // Literal, a zero run, literal: the second segment is a length.
+        let z = Complex::default();
+        let stripe = vec![c(1.0, 0.0), z, z, z, z, c(-0.5, 0.25)];
+        let ops = [
+            WorkerOp::PairWithin {
+                c_lo: 0b101,
+                tbit: 1 << 4,
+                kernel: PairKernel::Mat(mat),
+            },
+            WorkerOp::PairWithin {
+                c_lo: 0,
+                tbit: 2,
+                kernel: PairKernel::Swap,
+            },
+            WorkerOp::CrossLow {
+                partner: 3,
+                c_lo: 0b11,
+                kernel: PairKernel::Swap,
+            },
+            WorkerOp::CrossHigh { partner: 2 },
+            WorkerOp::Phase { lo_mask: 0b1001 },
+            WorkerOp::SwapWithin { abit: 4, bbit: 32 },
+            WorkerOp::SwapCrossLow {
+                partner: 5,
+                abit: 1,
+            },
+            WorkerOp::PhaseSweep {
+                diags: vec![(0b100, c(1.0, 0.0), c(0.0, 1.0))],
+                flips: vec![0b110],
+            },
+        ];
+        let expect = |role| ShardCmd::Expect {
+            x_lo: 0b10,
+            x_hi: 1 << 6,
+            z_mask: 0b101,
+            role,
+        };
+        let cmds = [
+            (
+                "Load",
+                ShardCmd::Load {
+                    shard_index: 3,
+                    local_bits: 2,
+                    amps: stripe.clone(),
+                },
+            ),
+            ("Gather", ShardCmd::Gather),
+            (
+                "Batch",
+                ShardCmd::Batch {
+                    ops: ops[..2].to_vec(),
+                },
+            ),
+            ("Expect Solo", expect(ExpectRole::Solo)),
+            ("Expect Low", expect(ExpectRole::Low { partner: 2 })),
+            ("Expect High", expect(ExpectRole::High { partner: 1 })),
+            ("Branches", ShardCmd::Branches { mask: 0b110 }),
+            (
+                "CollapseScale",
+                ShardCmd::CollapseScale {
+                    mask: 0b11,
+                    odd: true,
+                    factor: 2.0,
+                },
+            ),
+            (
+                "Seq",
+                ShardCmd::Seq(vec![ShardCmd::Gather, ShardCmd::Branches { mask: 1 }]),
+            ),
+            (
+                "Reshape",
+                ShardCmd::Reshape {
+                    compact: Some((2, true)),
+                    sends: vec![1, 4],
+                    recvs: vec![4],
+                    shard_index: 3,
+                    local_bits: 5,
+                    len: 32,
+                    renorm: 8,
+                },
+            ),
+            ("Shutdown", ShardCmd::Shutdown),
+            ("Die", ShardCmd::Die),
+        ];
+        let replies = [
+            (
+                "reply Branches",
+                ShardReply::Branches {
+                    even: 0.75,
+                    odd: 0.25,
+                },
+            ),
+            ("reply Amps", ShardReply::Amps(stripe)),
+            ("reply PartialC", ShardReply::PartialC(c(-0.75, 2.5))),
+        ];
+        let names = [
+            "PairWithin Mat",
+            "PairWithin Swap",
+            "CrossLow",
+            "CrossHigh",
+            "Phase",
+            "SwapWithin",
+            "SwapCrossLow",
+            "PhaseSweep",
+        ];
+        let ops = names
+            .into_iter()
+            .zip(ops)
+            .map(|(what, op)| (what, cmpi::to_bytes(&op)));
+        let cmds = cmds
+            .into_iter()
+            .map(|(what, cmd)| (what, cmpi::to_bytes(&cmd)));
+        let replies = replies
+            .into_iter()
+            .map(|(what, r)| (what, cmpi::to_bytes(&r)));
+        ops.chain(cmds).chain(replies).collect()
+    }
+
+    /// One encoding of every [`WorkerOp`], [`ShardCmd`] (each [`ExpectRole`]
+    /// inside an `Expect`) and [`ShardReply`] variant, as literal bytes: a
+    /// round trip cannot see a re-layout both ends share. The stripe payloads
+    /// hold a zero run. A `usize` is a little-endian `u64`, an `f64` its
+    /// little-endian bits, a `Vec` its length first.
+    #[test]
+    fn every_frame_keeps_its_golden_bytes() {
+        let golden = [
+            (
+                "PairWithin Mat",
+                "000500000000000000100000000000000001000000000000e03f000000000000\
+                 00000000000000000000000000000000e0bf000000000000f0bf000000000000\
+                 0000000000000000d03f0000000000000040",
+            ),
+            ("PairWithin Swap", "000000000000000000020000000000000000"),
+            ("CrossLow", "010300000000000000030000000000000000"),
+            ("CrossHigh", "020200000000000000"),
+            ("Phase", "030900000000000000"),
+            ("SwapWithin", "0404000000000000002000000000000000"),
+            ("SwapCrossLow", "0505000000000000000100000000000000"),
+            (
+                "PhaseSweep",
+                "0701000000000000000400000000000000000000000000f03f00000000000000\
+                 000000000000000000000000000000f03f010000000000000006000000000000\
+                 00",
+            ),
+            (
+                "Load",
+                "0003000000000000000200000000000000060000000000000000000000000000\
+                 000100000000000000000000000000f03f000000000000000004000000000000\
+                 000100000000000000000000000000e0bf000000000000d03f",
+            ),
+            ("Gather", "01"),
+            (
+                "Batch",
+                "0202000000000000000005000000000000001000000000000000010000000000\
+                 00e03f00000000000000000000000000000000000000000000e0bf0000000000\
+                 00f0bf0000000000000000000000000000d03f00000000000000400000000000\
+                 00000000020000000000000000",
+            ),
+            (
+                "Expect Solo",
+                "0302000000000000004000000000000000050000000000000000",
+            ),
+            (
+                "Expect Low",
+                "0302000000000000004000000000000000050000000000000001020000000000\
+                 0000",
+            ),
+            (
+                "Expect High",
+                "0302000000000000004000000000000000050000000000000002010000000000\
+                 0000",
+            ),
+            ("Branches", "0d0600000000000000"),
+            ("CollapseScale", "0e0300000000000000010000000000000040"),
+            ("Seq", "0f0200000000000000010d0100000000000000"),
+            (
+                "Reshape",
+                "0c01020000000000000001020000000000000001000000000000000400000000\
+                 0000000100000000000000040000000000000003000000000000000500000000\
+                 00000020000000000000000800000000000000",
+            ),
+            ("Shutdown", "09"),
+            ("Die", "0a"),
+            ("reply Branches", "04000000000000e83f000000000000d03f"),
+            (
+                "reply Amps",
+                "01060000000000000000000000000000000100000000000000000000000000f0\
+                 3f000000000000000004000000000000000100000000000000000000000000e0\
+                 bf000000000000d03f",
+            ),
+            ("reply PartialC", "02000000000000e8bf0000000000000440"),
+        ];
+        let cases = golden_cases();
+        assert_eq!(cases.len(), golden.len());
+        for ((what, bytes), (name, want)) in cases.iter().zip(golden) {
+            let hex: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+            assert_eq!((*what, hex.as_str()), (name, want));
+        }
+    }
+
     #[test]
     fn shard_reply_roundtrips() {
         for reply in [

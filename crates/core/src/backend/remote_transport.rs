@@ -789,6 +789,12 @@ mod tests {
         assert!(check_hello(2, &hello, &WIRE_VERSION.to_le_bytes()).is_err());
     }
 
+    /// The `HELLO` body as literal bytes: wire format 2, little-endian.
+    #[test]
+    fn hello_body_keeps_its_golden_bytes() {
+        assert_eq!(WIRE_VERSION.to_le_bytes(), [2, 0, 0, 0]);
+    }
+
     #[test]
     fn worker_argv_parses_or_says_what_is_wrong() {
         let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
