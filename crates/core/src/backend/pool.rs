@@ -14,8 +14,8 @@
 //! [`RemoteShardedEngine::from_lease`]: super::RemoteShardedEngine::from_lease
 
 use super::remote::{
-    shard_worker, watchdog_from_env, DeadWorker, ShardCmd, ShardReply, MAX_REMOTE_SHARD_BITS,
-    TAG_CMD, TAG_REPLY,
+    rank_of, shard_worker, watchdog_from_env, DeadWorker, ShardCmd, ShardReply,
+    MAX_REMOTE_SHARD_BITS, TAG_CMD, TAG_REPLY,
 };
 use super::remote_transport::ProcessLink;
 use cmpi::{Communicator, SourceSel, TransportKind, Universe, WorkerGroup};
@@ -25,8 +25,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// The controller's connection to one worker world. Shard `s` is worker
-/// rank `s + 1`; the controller is rank 0.
+/// The controller's connection to one worker world (shard `s` is world rank
+/// [`rank_of`]`(s)`).
 pub(crate) enum WorkerLink {
     /// Worker threads in a private [`cmpi`] world.
     Threads {
@@ -87,7 +87,7 @@ impl WorkerLink {
     pub(crate) fn send_cmd(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
         match self {
             WorkerLink::Threads { comm, .. } => {
-                comm.send(cmd, shard + 1, TAG_CMD);
+                comm.send(cmd, rank_of(shard), TAG_CMD);
                 Ok(())
             }
             WorkerLink::Processes(p) => p.send_cmd(shard, cmd),
@@ -105,7 +105,7 @@ impl WorkerLink {
         let wd = self.watchdog_now();
         match self {
             WorkerLink::Threads { comm, .. } => {
-                match comm.recv_timeout::<ShardReply>(shard + 1, TAG_REPLY, wd) {
+                match comm.recv_timeout::<ShardReply>(rank_of(shard), TAG_REPLY, wd) {
                     Some((r, _)) => Ok(r),
                     None => panic!(
                         "remote-shard watchdog: no {what} reply from shard {shard}'s worker \

@@ -49,7 +49,7 @@
 //! answer `ACK`, and every frame stamped with an older epoch is discarded
 //! by whoever reads it. The engine's controller then re-scatters its
 //! checkpoint and replays the committed command log — see
-//! `super::remote::FailoverState`. Stale commands a survivor processed
+//! `super::remote::failover`. Stale commands a survivor processed
 //! before seeing the abort are harmless: the checkpoint `Load` overwrites
 //! whole stripes.
 //!
@@ -61,7 +61,8 @@
 //! controller-side reply waits (expiry kills and respawns the worker).
 
 use super::remote::{
-    worker_loop, DeadWorker, ShardChannel, ShardCmd, ShardReply, WireAmps, WorkerHalt,
+    rank_of, shard_of, worker_loop, DeadWorker, ShardChannel, ShardCmd, ShardReply, WireAmps,
+    WorkerHalt, WIRE_VERSION,
 };
 use bytes::Bytes;
 use cmpi::transport::{
@@ -85,10 +86,6 @@ const TAG_REPLY: u8 = 3;
 const TAG_XCHG: u8 = 4;
 const TAG_ABORT: u8 = 5;
 const TAG_ACK: u8 = 6;
-
-/// Version of the byte layout of every command, reply and exchange frame,
-/// sent as the `HELLO` body; bump it with any change to that layout.
-const WIRE_VERSION: u32 = 2;
 
 /// How long a spawned child gets to connect and say HELLO before the
 /// spawn is declared failed (an environmental error, not a protocol one).
@@ -156,94 +153,88 @@ impl SockChannel {
         self.epoch = epoch;
         self.pending_cmds.clear();
         self.pending_xchg.clear();
+        let _ = self.send(TAG_ACK, self.rank, &[]);
+    }
+
+    /// Writes one frame of this epoch; `peer` is this worker's rank, or the
+    /// rank an exchange is for.
+    fn send(&mut self, tag: u8, peer: usize, body: &[u8]) -> Result<(), WorkerHalt> {
         let hdr = FrameHeader {
-            tag: TAG_ACK,
-            epoch,
-            peer: self.rank as u32,
+            tag,
+            epoch: self.epoch,
+            peer: peer as u32,
         };
-        let _ = write_frame(&mut self.stream, &hdr, &[]);
+        write_frame(&mut self.stream, &hdr, body).map_err(|_| WorkerHalt::Exit)?;
+        Ok(())
+    }
+
+    /// Takes the exchange `partner` sent, if it has come.
+    fn take_xchg(&mut self, partner: usize) -> Option<Vec<Complex>> {
+        let i = self.pending_xchg.iter().position(|(p, _)| *p == partner)?;
+        Some(self.pending_xchg.remove(i).1)
+    }
+
+    /// Reads one frame: drops it if stale, buffers a command or an exchange
+    /// (the controller pipelines rounds, so commands for later ops can
+    /// overtake a relayed exchange), and enters the epoch an abort
+    /// announces. `Ok(true)` for an abort; `Err` when the read fails or a
+    /// frame does not decode.
+    fn pump(&mut self) -> io::Result<bool> {
+        let (hdr, body) = read_frame(&mut self.stream)?;
+        let garbled = || io::Error::from(io::ErrorKind::InvalidData);
+        if hdr.epoch < self.epoch {
+            return Ok(false);
+        }
+        match hdr.tag {
+            TAG_CMD => {
+                let cmd = from_bytes::<ShardCmd>(&Bytes::from(body)).ok_or_else(garbled)?;
+                self.pending_cmds.push_back(cmd);
+            }
+            TAG_XCHG => {
+                let w = from_bytes::<WireAmps>(&Bytes::from(body)).ok_or_else(garbled)?;
+                self.pending_xchg.push((hdr.peer as usize, w.0));
+            }
+            TAG_ABORT => {
+                self.handle_abort(hdr.epoch);
+                return Ok(true);
+            }
+            _ => {}
+        }
+        Ok(false)
     }
 }
 
 impl ShardChannel for SockChannel {
     fn recv_cmd(&mut self) -> Option<ShardCmd> {
-        if let Some(c) = self.pending_cmds.pop_front() {
-            return Some(c);
+        if self.pending_cmds.is_empty() {
+            let _ = self.stream.set_read_timeout(None);
         }
-        let _ = self.stream.set_read_timeout(None);
-        loop {
-            let (hdr, body) = read_frame(&mut self.stream).ok()?;
-            if hdr.epoch < self.epoch {
-                continue;
-            }
-            match hdr.tag {
-                TAG_CMD => return from_bytes::<ShardCmd>(&Bytes::from(body)),
-                TAG_XCHG => {
-                    let w = from_bytes::<WireAmps>(&Bytes::from(body))?;
-                    self.pending_xchg.push((hdr.peer as usize, w.0));
-                }
-                TAG_ABORT => self.handle_abort(hdr.epoch),
-                _ => {}
-            }
+        while self.pending_cmds.is_empty() {
+            self.pump().ok()?;
         }
+        self.pending_cmds.pop_front()
     }
 
     fn send_reply(&mut self, reply: &ShardReply) -> Result<(), WorkerHalt> {
-        let hdr = FrameHeader {
-            tag: TAG_REPLY,
-            epoch: self.epoch,
-            peer: self.rank as u32,
-        };
-        write_frame(&mut self.stream, &hdr, &to_bytes(reply)).map_err(|_| WorkerHalt::Exit)?;
-        Ok(())
+        self.send(TAG_REPLY, self.rank, &to_bytes(reply))
     }
 
     fn send_xchg(&mut self, partner: usize, amps: Vec<Complex>) -> Result<(), WorkerHalt> {
-        let hdr = FrameHeader {
-            tag: TAG_XCHG,
-            epoch: self.epoch,
-            peer: partner as u32,
-        };
-        write_frame(&mut self.stream, &hdr, &to_bytes(&WireAmps(amps)))
-            .map_err(|_| WorkerHalt::Exit)?;
-        Ok(())
+        self.send(TAG_XCHG, partner, &to_bytes(&WireAmps(amps)))
     }
 
     fn recv_xchg(&mut self, partner: usize, what: &str) -> Result<Vec<Complex>, WorkerHalt> {
-        if let Some(i) = self.pending_xchg.iter().position(|(p, _)| *p == partner) {
-            return Ok(self.pending_xchg.remove(i).1);
+        if let Some(amps) = self.take_xchg(partner) {
+            return Ok(amps);
         }
         let wd = Duration::from_millis(self.watchdog_ms.max(1));
         let _ = self.stream.set_read_timeout(Some(wd));
         let result = loop {
-            match read_frame(&mut self.stream) {
-                Ok((hdr, body)) => {
-                    if hdr.epoch < self.epoch {
-                        continue;
-                    }
-                    match hdr.tag {
-                        TAG_XCHG => {
-                            let Some(w) = from_bytes::<WireAmps>(&Bytes::from(body)) else {
-                                break Err(WorkerHalt::Exit);
-                            };
-                            if hdr.peer as usize == partner {
-                                break Ok(w.0);
-                            }
-                            self.pending_xchg.push((hdr.peer as usize, w.0));
-                        }
-                        TAG_CMD => {
-                            // The controller pipelines rounds; commands for
-                            // later ops can overtake a relayed exchange.
-                            let Some(c) = from_bytes::<ShardCmd>(&Bytes::from(body)) else {
-                                break Err(WorkerHalt::Exit);
-                            };
-                            self.pending_cmds.push_back(c);
-                        }
-                        TAG_ABORT => {
-                            self.handle_abort(hdr.epoch);
-                            break Err(WorkerHalt::Aborted);
-                        }
-                        _ => {}
+            match self.pump() {
+                Ok(true) => break Err(WorkerHalt::Aborted),
+                Ok(false) => {
+                    if let Some(amps) = self.take_xchg(partner) {
+                        break Ok(amps);
                     }
                 }
                 Err(e)
@@ -455,7 +446,7 @@ impl ProcessLink {
     /// child at the current epoch, accept its connection, verify its
     /// HELLO, start its router.
     fn spawn_worker(&mut self, shard: usize) -> io::Result<()> {
-        let rank = shard + 1;
+        let rank = rank_of(shard);
         let child = Command::new(&self.bin)
             .arg(&self.addr)
             .arg(rank.to_string())
@@ -492,7 +483,7 @@ impl ProcessLink {
         let writers = Arc::clone(&self.writers);
         let events = self.events_tx.clone();
         let bytes = Arc::clone(&self.wire_bytes);
-        let from_rank = (shard + 1) as u32;
+        let from_rank = rank_of(shard) as u32;
         std::thread::spawn(move || loop {
             match read_frame(&mut reader) {
                 Ok((hdr, body)) => {
@@ -517,8 +508,8 @@ impl ProcessLink {
                             }
                         },
                         TAG_XCHG => {
-                            let dest = (hdr.peer as usize).wrapping_sub(1);
-                            if let Some(slot) = writers.get(dest) {
+                            let dest = shard_of(hdr.peer as usize);
+                            if let Some(slot) = dest.and_then(|d| writers.get(d)) {
                                 let mut guard = slot.lock();
                                 if let Some(stream) = guard.as_mut() {
                                     let out = FrameHeader {
@@ -590,38 +581,39 @@ impl ProcessLink {
         self.write_to(shard, TAG_CMD, &to_bytes(cmd))
     }
 
-    /// Processes one router event against the dead set / pending buffers.
-    /// Returns the reply if it is a current-epoch reply from `want`, and
-    /// `DeadWorker` on *any* worker's EOF: the awaited shard may be blocked
-    /// in a stripe exchange with the dead one, so its reply would arrive
-    /// only at watchdog expiry.
-    fn absorb_event(
-        &mut self,
-        event: RouterEvent,
-        want: usize,
-    ) -> Option<Result<ShardReply, DeadWorker>> {
-        match event {
-            RouterEvent::Reply { from, epoch, reply } if epoch == self.epoch => {
-                if from == want {
-                    return Some(Ok(reply));
+    /// The next router event before `deadline`, or `None` once it passes.
+    /// The EOF of a worker's current router (a stale router of an
+    /// already-respawned worker condemns nobody) marks the worker dead and
+    /// comes back as `Err`.
+    fn next_event(&mut self, deadline: Instant) -> Option<Result<RouterEvent, DeadWorker>> {
+        loop {
+            let now = Instant::now();
+            if now >= deadline {
+                return None;
+            }
+            match self.events_rx.recv_timeout(deadline - now) {
+                Ok(RouterEvent::Eof { from, router_id })
+                    if router_id == self.slots[from].router_id =>
+                {
+                    *self.writers[from].lock() = None;
+                    self.dead.insert(from);
+                    return Some(Err(DeadWorker));
                 }
-                self.pending.entry(from).or_default().push_back(reply);
+                Ok(event) => return Some(Ok(event)),
+                Err(mpsc::RecvTimeoutError::Timeout) => {}
+                Err(mpsc::RecvTimeoutError::Disconnected) => {
+                    unreachable!("the link holds an event sender")
+                }
             }
-            RouterEvent::Eof { from, router_id } if router_id == self.slots[from].router_id => {
-                *self.writers[from].lock() = None;
-                self.dead.insert(from);
-                return Some(Err(DeadWorker));
-            }
-            // Stale replies, stale EOFs, out-of-protocol acks.
-            _ => {}
         }
-        None
     }
 
     /// Awaits shard `shard`'s next current-epoch reply, up to `wd`, failing
-    /// at once while any worker is known dead. Expiry means the worker is
-    /// dead *or* deadlocked — either way it is killed and reported dead,
-    /// and failover respawns it.
+    /// at once while any worker is known dead, and on *any* worker's EOF:
+    /// the awaited shard may be blocked in a stripe exchange with the dead
+    /// one, so its reply would arrive only at watchdog expiry. Expiry means
+    /// the worker is dead *or* deadlocked — either way it is killed and
+    /// reported dead, and failover respawns it.
     pub(crate) fn reply_from(
         &mut self,
         shard: usize,
@@ -634,25 +626,21 @@ impl ProcessLink {
             return Ok(r);
         }
         let deadline = Instant::now() + wd;
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                let _ = self.slots[shard].child.kill();
-                self.dead.insert(shard);
-                return Err(DeadWorker);
-            }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok(event) => {
-                    if let Some(outcome) = self.absorb_event(event, shard) {
-                        return outcome;
+        while let Some(event) = self.next_event(deadline) {
+            match event? {
+                RouterEvent::Reply { from, epoch, reply } if epoch == self.epoch => {
+                    if from == shard {
+                        return Ok(reply);
                     }
+                    self.pending.entry(from).or_default().push_back(reply);
                 }
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("the link holds an event sender")
-                }
+                // Stale replies, stale EOFs, out-of-protocol acks.
+                _ => {}
             }
         }
+        let _ = self.slots[shard].child.kill();
+        self.dead.insert(shard);
+        Err(DeadWorker)
     }
 
     /// Restarts the worker generation after deaths: bump the epoch, kill
@@ -687,31 +675,16 @@ impl ProcessLink {
         let mut acked: HashSet<usize> = HashSet::new();
         let deadline = Instant::now() + wd;
         while acked.len() < live.len() {
-            let now = Instant::now();
-            if now >= deadline {
-                for &s in &live {
-                    if !acked.contains(&s) {
-                        let _ = self.slots[s].child.kill();
-                        self.dead.insert(s);
-                    }
+            let Some(event) = self.next_event(deadline) else {
+                for &s in live.iter().filter(|s| !acked.contains(s)) {
+                    let _ = self.slots[s].child.kill();
+                    self.dead.insert(s);
                 }
                 return Err(DeadWorker);
-            }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok(RouterEvent::Ack { from, epoch }) if epoch == self.epoch => {
+            };
+            if let RouterEvent::Ack { from, epoch } = event? {
+                if epoch == self.epoch {
                     acked.insert(from);
-                }
-                Ok(RouterEvent::Eof { from, router_id })
-                    if router_id == self.slots[from].router_id =>
-                {
-                    *self.writers[from].lock() = None;
-                    self.dead.insert(from);
-                    return Err(DeadWorker);
-                }
-                Ok(_) => {}
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("the link holds an event sender")
                 }
             }
         }
@@ -787,12 +760,6 @@ mod tests {
         }
         // The rank still authenticates.
         assert!(check_hello(2, &hello, &WIRE_VERSION.to_le_bytes()).is_err());
-    }
-
-    /// The `HELLO` body as literal bytes: wire format 2, little-endian.
-    #[test]
-    fn hello_body_keeps_its_golden_bytes() {
-        assert_eq!(WIRE_VERSION.to_le_bytes(), [2, 0, 0, 0]);
     }
 
     #[test]

@@ -133,6 +133,9 @@ impl QmpiRank {
 
     /// Probability of measuring |1> (non-destructive diagnostic). A flush
     /// point.
+    ///
+    /// A read sees the joint state at that instant: one that races a peer's
+    /// measurement of an entangled qubit depends on thread order.
     pub fn prob_one(&self, q: &Qubit) -> Result<f64> {
         self.flush()?;
         self.backend.prob_one(self.rank(), q.id)
@@ -165,6 +168,9 @@ impl QmpiRank {
     /// must be owned by this rank — reading another rank's observable
     /// without communication would break the distributed-machine model. A
     /// flush point.
+    ///
+    /// A read sees the joint state at that instant: one that races a peer's
+    /// measurement of an entangled qubit depends on thread order.
     pub fn expectation(&self, terms: &[(&Qubit, Pauli)]) -> Result<f64> {
         self.flush()?;
         let mapped: Vec<_> = terms.iter().map(|&(q, p)| (q.id, p)).collect();
@@ -183,6 +189,9 @@ impl QmpiRank {
     /// amplitudes instead of one sweep each. Each value is bit-identical to
     /// the one [`QmpiRank::expectation`] returns for that string; a qubit
     /// repeated within a string is [`qsim::SimError::DuplicateQubit`].
+    ///
+    /// A read sees the joint state at that instant: one that races a peer's
+    /// measurement of an entangled qubit depends on thread order.
     pub fn expectation_each(&self, strings: &[Vec<(&Qubit, Pauli)>]) -> Result<Vec<f64>> {
         self.flush()?;
         let mapped: Vec<Vec<(qsim::QubitId, Pauli)>> = strings

@@ -538,32 +538,45 @@ pub fn norm_sqr(amps: &[Complex]) -> f64 {
 
 /// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
 /// single-qubit Paulis on distinct qubits; identity elsewhere) over one
-/// contiguous amplitude slice holding the whole register — the kernel the
-/// dense [`crate::state::State`] runs. Below the string's lowest qubit the
-/// sign is constant and partners are neighbours, so it zips each run with
-/// its partner run instead of going through an accessor; it shares
-/// [`pauli_masks`] and the per-basis-state term with [`expectation_pauli`],
-/// so both accumulate the identical floating-point sequence.
+/// slice holding the whole register, the dense [`crate::state::State`]'s:
+/// [`expectation_partial`] of the slice against itself.
 pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
-    wide!(Avx2, {
-        let n_qubits = amps.len().trailing_zeros() as usize;
-        let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-        let mut acc = Complex::default();
+    let n_qubits = amps.len().trailing_zeros() as usize;
+    let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
+    let mut acc = Complex::default();
+    expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
+    hermitian_value(i_pow, acc)
+}
+
+/// Adds to `acc`, in ascending `i`, the (pre-phase) Pauli expectation term
+/// of each non-negligible `own[i]` against `other[i ^ x_lo]`, signed by
+/// `base | i` under `z_mask`. Sign and partner offset are constant over a
+/// run below the string's lowest bit, so it zips runs, not indices.
+pub fn expectation_partial(
+    own: &[Complex],
+    other: &[Complex],
+    base: usize,
+    x_lo: usize,
+    z_mask: usize,
+    acc: &mut Complex,
+) {
+    *acc = wide!(Avx2, {
+        let mut sum = *acc;
         for_runs(
-            amps.len(),
-            x_mask | z_mask,
+            own.len(),
+            x_lo | z_mask,
             #[inline(always)]
-            |g, len| {
-                let sign = z_sign(g, z_mask);
-                for (&a, &partner) in amps[g..g + len].iter().zip(&amps[g ^ x_mask..][..len]) {
+            |i, len| {
+                let sign = z_sign(base | i, z_mask);
+                for (&a, &partner) in own[i..i + len].iter().zip(&other[i ^ x_lo..][..len]) {
                     if !a.is_negligible(NEGLIGIBLE) {
-                        acc += signed_term(a, partner, sign);
+                        sum += signed_term(a, partner, sign);
                     }
                 }
             },
         );
-        hermitian_value(i_pow, acc)
-    })
+        sum
+    });
 }
 
 /// [`expectation_pauli_flat`] for callers whose amplitudes are not one
@@ -701,7 +714,7 @@ pub(crate) fn y_phase(y_count: u32) -> Complex {
 /// (not add zero), so every evaluation path accumulates the identical
 /// floating-point sequence.
 #[inline]
-pub fn expectation_term(
+fn expectation_term(
     at: &impl Fn(usize) -> Complex,
     g: usize,
     x_mask: usize,
@@ -1870,6 +1883,81 @@ mod tests {
                         assert_eq!(got.measure_and_remove(target, *u), *outcome, "u = {u}");
                         assert_eq!(bits(got.amplitudes()), bits(want), "qubit {target} onto {outcome}");
                     }
+                });
+            }
+        }
+
+        /// A stripe's share of a Pauli expectation as a shard worker summed
+        /// it index by index through [`expectation_term`], into `acc`: alone
+        /// (`x_hi == 0`, partners in the stripe itself), or paired, `own`'s
+        /// terms against `other`, the stripe the shard-crossing X bits
+        /// `x_hi` pair it with.
+        fn per_index_partial(
+            own: &[Complex],
+            other: &[Complex],
+            base: usize,
+            (x_lo, x_hi, z_mask): (usize, usize, usize),
+            acc: &mut Complex,
+        ) {
+            for i in 0..own.len() {
+                let term = if x_hi == 0 {
+                    let at = |g: usize| own[g & (own.len() - 1)];
+                    expectation_term(&at, base | i, x_lo, z_mask)
+                } else {
+                    let at = |g: usize| {
+                        if g == base | i {
+                            own[i]
+                        } else {
+                            other[i ^ x_lo]
+                        }
+                    };
+                    expectation_term(&at, base | i, x_lo | x_hi, z_mask)
+                };
+                if let Some(t) = term {
+                    *acc += t;
+                }
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(32))]
+
+            /// The run kernel adds a stripe's terms to the bits of the
+            /// per-index loop, on each kernel copy: alone, and as the low
+            /// member of a pair, its own terms and then its partner's into
+            /// one accumulator. Stripes of 1 to 2^8 amplitudes at a nonzero
+            /// base, `x_lo` on bit 0, on the top stripe bit or anywhere, Z
+            /// bits above the stripe, and amplitudes the skip drops.
+            #[test]
+            fn expectation_partial_is_the_per_index_loop_bit_for_bit(
+                l in 0usize..9,
+                shard in 1usize..8,
+                flip in 1usize..8,
+                picks in (0usize..4, any::<usize>(), any::<usize>()),
+                seeds in (any::<u64>(), any::<u64>()),
+                tame in any::<bool>(),
+            ) {
+                let len = 1usize << l;
+                let (x_pick, x_any, z_any) = picks;
+                let x_lo = [0, 1, len / 2, x_any][x_pick] & (len - 1);
+                let z_mask = z_any & ((len << 3) - 1);
+                let (base, x_hi) = (shard << l, flip << l);
+                let stripe = |seed| if tame { seeded(len, seed) } else { extremes(len, seed) };
+                let (own, other) = (stripe(seeds.0), stripe(seeds.1));
+                let c_bits = |c: Complex| (c.re.to_bits(), c.im.to_bits());
+                on_each_copy(|| {
+                    let (mut got, mut want) = (Complex::default(), Complex::default());
+                    expectation_partial(&own, &own, base, x_lo, z_mask, &mut got);
+                    per_index_partial(&own, &own, base, (x_lo, 0, z_mask), &mut want);
+                    assert_eq!(c_bits(got), c_bits(want), "alone");
+                    let (mut got, mut want) = (Complex::default(), Complex::default());
+                    expectation_partial(&own, &other, base, x_lo, z_mask, &mut got);
+                    per_index_partial(&own, &other, base, (x_lo, x_hi, z_mask), &mut want);
+                    assert_eq!(c_bits(got), c_bits(want), "low member, own terms");
+                    let partner = base ^ x_hi;
+                    expectation_partial(&other, &own, partner, x_lo, z_mask, &mut got);
+                    per_index_partial(&other, &own, partner, (x_lo, x_hi, z_mask), &mut want);
+                    assert_eq!(c_bits(got), c_bits(want), "low member, partner terms");
                 });
             }
         }
