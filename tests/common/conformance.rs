@@ -356,3 +356,129 @@ pub mod strategies {
         proptest::collection::vec(arb_step(n, with_flush), len)
     }
 }
+
+/// What the generic-angle family reads, in program order and exactly
+/// comparable: every probability, parity mass and expectation value as
+/// canonical bits, every measurement outcome, the amplitudes after each
+/// collapse, and (gates, measurements).
+#[derive(Debug, PartialEq, Eq)]
+pub struct GenericAngleReads {
+    pub values: Vec<u64>,
+    pub outcomes: Vec<bool>,
+    pub amps: Vec<Vec<(u64, u64)>>,
+    pub counts: (u64, u64),
+}
+
+/// Register width of the generic-angle family: three shard-selecting
+/// qubits at eight shards and four addressing within a stripe.
+pub const GENERIC_QUBITS: usize = 7;
+
+/// The generic-angle family: seeded `Ry`/`Rx`/`Rz` layers between CNOT
+/// ladders, with every read after each layer — each qubit's probability,
+/// parity masses of neighbouring and far pairs, one- and two-site
+/// expectations (X, Y and Z on every position) and the same strings through
+/// `expectation_each` — then a Z measurement, a parity measurement and a
+/// measure-and-free at a position that walks the register (bottom, middle,
+/// top: shard-selecting on a striped or remote engine), a fresh qubit in its
+/// place, and the amplitudes after every collapse. Generic angles make every
+/// reduction add many nonzero terms of mixed magnitude, so the order in
+/// which an engine adds them would show in the last bit.
+pub fn generic_angle_family<S: qmpi::EngineStore>(
+    e: &mut qmpi::AmplitudeEngine<S>,
+    seed: u64,
+) -> GenericAngleReads {
+    use qsim::{AmpStore, BatchOp, QubitId};
+    let n = GENERIC_QUBITS;
+    let mut rng = proptest::test_runner::TestRng::for_case(seed);
+    let mut angle = move || 0.05 + 3.0 * rng.unit_f64();
+    let mut reads = GenericAngleReads {
+        values: Vec::new(),
+        outcomes: Vec::new(),
+        amps: Vec::new(),
+        counts: (0, 0),
+    };
+    // Live qubits in position order: allocation order, less the freed.
+    let mut qs: Vec<QubitId> = (0..n).map(|_| e.alloc()).collect();
+    for layer in 0..n {
+        let mut batch = qsim::GateBatch::new();
+        for rotation in [Gate::Ry, Gate::Rx, Gate::Rz] {
+            for &q in &qs {
+                batch.push(BatchOp::Gate {
+                    gate: rotation(angle()),
+                    q,
+                });
+            }
+        }
+        for w in qs.windows(2) {
+            batch.push(BatchOp::Cnot { c: w[0], t: w[1] });
+        }
+        batch.push(BatchOp::Cnot {
+            c: qs[n - 1],
+            t: qs[layer % (n - 1)],
+        });
+        e.apply_batch(&batch).unwrap();
+        // Reads: probabilities and parity masses...
+        for (p, &q) in qs.iter().enumerate() {
+            reads.values.push(canon_bits(e.prob_one(q).unwrap()));
+            for other in [(p + 1) % n, (p + 3) % n] {
+                let mass = e.raw_state().parity_prob_odd(&[p, other]);
+                reads.values.push(canon_bits(mass));
+            }
+        }
+        // ...one- and two-site expectations, one call each and all at once.
+        let mut strings: Vec<Vec<(QubitId, Pauli)>> = Vec::new();
+        for (p, &q) in qs.iter().enumerate() {
+            for op in [Pauli::X, Pauli::Y, Pauli::Z] {
+                strings.push(vec![(q, op)]);
+            }
+            strings.push(vec![(q, Pauli::Z), (qs[(p + 1) % n], Pauli::Z)]);
+            strings.push(vec![(q, Pauli::X), (qs[(p + 2) % n], Pauli::Z)]);
+            strings.push(vec![(q, Pauli::Y), (qs[(p + 4) % n], Pauli::X)]);
+        }
+        for terms in &strings {
+            reads.values.push(canon_bits(e.expectation(terms).unwrap()));
+        }
+        let each = e.expectation_each(&strings).unwrap();
+        reads.values.extend(each.into_iter().map(canon_bits));
+        // Measurements at a position that walks the register.
+        let at = |k: usize| (layer * 3 + k) % n;
+        reads
+            .outcomes
+            .push(e.measure_z_parity(&[qs[at(0)]]).unwrap());
+        reads
+            .outcomes
+            .push(e.measure_z_parity(&[qs[at(1)], qs[at(2)]]).unwrap());
+        let freed = qs.remove(at(n - 1 - layer % 2));
+        reads.outcomes.push(e.measure_and_free(freed).unwrap());
+        let fresh = e.alloc();
+        qs.push(fresh);
+        let st = e.state_vector(&qs).unwrap();
+        reads.amps.push(
+            st.amplitudes()
+                .iter()
+                .map(|a| (canon_bits(a.re), canon_bits(a.im)))
+                .collect(),
+        );
+    }
+    reads.counts = (e.gate_count(), e.measurement_count());
+    reads
+}
+
+/// Asserts that two runs of [`generic_angle_family`] read the same bits,
+/// naming the first read that differs.
+pub fn assert_same_reads(want: &GenericAngleReads, got: &GenericAngleReads, case: &str) {
+    let first = |w: &[u64], g: &[u64]| w.iter().zip(g).position(|(w, g)| w != g);
+    if let Some(i) = first(&want.values, &got.values) {
+        let (w, g) = (
+            f64::from_bits(want.values[i]),
+            f64::from_bits(got.values[i]),
+        );
+        panic!("{case}: read {i} differs: {g:e} where dense reads {w:e}");
+    }
+    for (k, (w, g)) in want.amps.iter().zip(&got.amps).enumerate() {
+        if let Some(i) = w.iter().zip(g).position(|(w, g)| w != g) {
+            panic!("{case}: amplitude {i} after collapse {k} differs");
+        }
+    }
+    assert_eq!(want, got, "{case}");
+}

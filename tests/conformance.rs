@@ -22,13 +22,14 @@
 mod common;
 
 use common::conformance::{
-    assert_matches_dense_oracle, assert_stabilizer_matches_dense, canon_bits, ensure_worker_bin,
-    Step,
+    assert_matches_dense_oracle, assert_same_reads, assert_stabilizer_matches_dense, canon_bits,
+    ensure_worker_bin, generic_angle_family, Step,
 };
 use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
-    AmplitudeEngine, BackendKind, BatchPolicy, EngineStore, RemoteShardedEngine, ShardedStateVector,
+    AmplitudeEngine, BackendKind, BatchPolicy, EngineStore, RemoteShardedEngine,
+    ShardedStateVector, SparseEngine, StateVectorEngine,
 };
 use qsim::{BatchOp, Gate, NoiseModel, Pauli, QubitId};
 
@@ -526,11 +527,10 @@ fn generic_angle_program<S: EngineStore>(
     (obs, expectations)
 }
 
-/// The remote engine is bit-identical to its layout reference, the striped
-/// engine at the same shard count, on generic-angle states: amplitudes,
-/// probabilities, outcomes and counters, in-process and over sockets,
-/// ideal, under Pauli noise with readout dephasing, and under amplitude
-/// damping.
+/// The remote engine is bit-identical to the dense engine on generic-angle
+/// states: amplitudes, probabilities, outcomes, counters and expectation
+/// values, in-process and over sockets, ideal, under Pauli noise with
+/// readout dephasing, and under amplitude damping.
 #[test]
 fn remote_engine_matches_its_layout_reference_on_generic_angles() {
     use cmpi::TransportKind::{InProcess, UnixSocket};
@@ -544,7 +544,7 @@ fn remote_engine_matches_its_layout_reference_on_generic_angles() {
     ] {
         for shards in [1usize, 2, 4] {
             for seed in [3u64, 17] {
-                let mut reference = ShardedStateVector::with_noise(seed, shards, noise);
+                let mut reference = StateVectorEngine::with_noise(seed, noise);
                 let (want, want_x) = generic_angle_program(&mut reference, seed);
                 for transport in [InProcess, UnixSocket] {
                     let mut remote =
@@ -553,14 +553,39 @@ fn remote_engine_matches_its_layout_reference_on_generic_angles() {
                     let (got, got_x) = generic_angle_program(&mut remote, seed);
                     let case = format!("{shards} shards over {transport}, seed {seed}, {noise:?}");
                     assert_eq!(got, want, "{case}");
-                    // Not bit for bit: the remote workers add one partial
-                    // per stripe (per stripe pair when X flips a
-                    // shard-selecting qubit), the striped store one running
-                    // sum over every amplitude.
-                    for (g, w) in got_x.iter().zip(want_x) {
-                        assert!((g - w).abs() < 1e-12, "{case}: {g} vs {w}");
-                    }
+                    assert_eq!(got_x.map(canon_bits), want_x.map(canon_bits), "{case}");
                 }
+            }
+        }
+    }
+}
+
+/// The generic-angle family ([`generic_angle_family`]) reads the dense
+/// engine's bits on every other amplitude engine: sparse, striped and
+/// remote at 2, 4 and 8 shards, the remote one in-process and over Unix
+/// sockets.
+#[test]
+fn generic_angle_family_matches_dense_on_every_amplitude_engine() {
+    use cmpi::TransportKind::{InProcess, UnixSocket};
+    ensure_worker_bin();
+    for seed in [5u64, 23, 61] {
+        let want = generic_angle_family(&mut StateVectorEngine::new(seed), seed);
+        let got = generic_angle_family(&mut SparseEngine::new(seed), seed);
+        assert_same_reads(&want, &got, &format!("sparse, seed {seed}"));
+        for shards in [2usize, 4, 8] {
+            let got = generic_angle_family(&mut ShardedStateVector::new(seed, shards), seed);
+            assert_same_reads(&want, &got, &format!("{shards} stripes, seed {seed}"));
+            for transport in [InProcess, UnixSocket] {
+                let mut remote = RemoteShardedEngine::over_transport(
+                    seed,
+                    shards,
+                    NoiseModel::ideal(),
+                    transport,
+                )
+                .expect("spawn shard workers");
+                let got = generic_angle_family(&mut remote, seed);
+                let case = format!("{shards} shards over {transport}, seed {seed}");
+                assert_same_reads(&want, &got, &case);
             }
         }
     }
