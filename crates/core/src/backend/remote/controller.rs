@@ -6,7 +6,7 @@ use super::failover::{DeadWorker, FailoverState};
 use super::{rank_of, ExpectRole, PairKernel, ShardCmd, ShardReply, WorkerOp};
 use crate::backend::pool::ShardLease;
 use crate::context::BatchPolicy;
-use qsim::stripe;
+use qsim::stripe::{self, ExactSum};
 use qsim::{Complex, SweepFactor};
 
 /// The controller half of the shard protocol: the worker link, the shard
@@ -28,13 +28,16 @@ pub(super) struct Controller {
     /// round-cost acceptance tests read this.
     pub(super) cmd_rounds: u64,
     /// Worker↔worker exchange rounds planned: one per cross-shard op or
-    /// moved reshape part (the irreducible data motion), and one per
-    /// free's norm all-gather among two or more shards.
+    /// moved reshape part (the irreducible data motion).
     pub(super) xchg_rounds: u64,
     /// Checkpoint + replay state; `Some` exactly for multi-process links.
     pub(super) failover: Option<FailoverState>,
     /// Reply-free work not yet shipped.
     pub(super) queue: Queue,
+    /// The branch masses of the last [`Controller::masses`] read and its
+    /// mask, for as long as no work is queued after it: a free takes the
+    /// mass it rescales by from the read that decided its outcome.
+    read: Option<(usize, [ExactSum; 2])>,
 }
 
 /// The reply-free commands each worker has yet to receive, in global order:
@@ -64,6 +67,7 @@ impl Controller {
                 cmds: vec![Vec::new(); workers],
                 len: 0,
             },
+            read: None,
         }
     }
 
@@ -109,6 +113,7 @@ impl Controller {
 
     /// Appends a reply-free command to shard `s`'s queue.
     fn enqueue(&mut self, s: usize, cmd: ShardCmd) {
+        self.read = None;
         self.queue.len += 1;
         self.queue.cmds[s].push(cmd);
     }
@@ -116,6 +121,7 @@ impl Controller {
     /// Appends a gate-stream op to shard `s`'s queue, joining the batch at
     /// its tail or opening one.
     fn push_op(&mut self, s: usize, op: WorkerOp) {
+        self.read = None;
         self.queue.len += 1;
         match self.queue.cmds[s].last_mut() {
             Some(ShardCmd::Batch { ops }) => ops.push(op),
@@ -158,39 +164,63 @@ impl Controller {
         Ok(())
     }
 
-    /// The (even, odd) masses under the parity of `mask`, each summed over
-    /// the active shards in shard order from `0.0`: one read.
-    pub(super) fn branches(&mut self, mask: usize) -> (f64, f64) {
-        self.run(|c| {
-            let active = c.active();
-            c.round(|s| (s < active).then_some(ShardCmd::Branches { mask }))?;
-            let (mut even, mut odd) = (0.0, 0.0);
-            for s in 0..active {
-                let reply = c.reply_from(s, "branch masses")?;
-                let (e, o) = Self::shaped(s, "branch masses", reply, |r| match r {
-                    ShardReply::Branches { even, odd } => Ok((even, odd)),
-                    other => Err(other),
-                });
-                even += e;
-                odd += o;
-            }
-            Ok((even, odd))
-        })
+    /// The (even, odd) masses under the parity of `mask`: each worker's
+    /// exact partials, merged. One read.
+    pub(super) fn masses(&mut self, mask: usize) -> [ExactSum; 2] {
+        let masses = self.run(|c| c.branches(mask));
+        self.read = Some((mask, masses));
+        masses
+    }
+
+    /// The read behind [`Controller::masses`].
+    fn branches(&mut self, mask: usize) -> Result<[ExactSum; 2], DeadWorker> {
+        let active = self.active();
+        self.round(|s| (s < active).then_some(ShardCmd::Branches { mask }))?;
+        let mut masses = [ExactSum::ZERO; 2];
+        for s in 0..active {
+            let reply = self.reply_from(s, "branch masses")?;
+            let [e, o] = Self::shaped(s, "branch masses", reply, |r| match r {
+                ShardReply::Branches { even, odd } => Ok([even, odd]),
+                other => Err(other),
+            });
+            masses[0].merge(e);
+            masses[1].merge(o);
+        }
+        Ok(masses)
     }
 
     /// Projects onto the parity of `mask` that `pick` chooses from the odd
-    /// mass of one [`Controller::branches`] read, and queues the collapse;
-    /// returns the pick.
+    /// mass of one read, and queues the collapse with its rescale by the
+    /// kept mass; returns the pick.
     pub(super) fn project(&mut self, mask: usize, pick: impl FnOnce(f64) -> bool) -> bool {
-        let (even_mass, odd_mass) = self.branches(mask);
-        let odd = pick(odd_mass);
-        let kept = if odd { odd_mass } else { even_mass };
-        assert!(kept > 1e-12, "collapsing onto probability-zero outcome");
-        let factor = 1.0 / kept.sqrt();
+        let masses = self.masses(mask);
+        let odd = pick(masses[1].finish());
+        self.collapse(mask, odd, masses);
+        odd
+    }
+
+    /// Queues the collapse onto the `odd` parity of `mask` with its rescale
+    /// by the kept side of `masses`.
+    fn collapse(&mut self, mask: usize, odd: bool, masses: [ExactSum; 2]) {
+        let factor = stripe::renormalizer(masses[usize::from(odd)].finish());
         for s in 0..self.active() {
             self.enqueue(s, ShardCmd::CollapseScale { mask, odd, factor });
         }
-        odd
+    }
+
+    /// Removes position `pos`, keeping its `outcome` branch rescaled by
+    /// one over the square root of its mass, and queues the reshape. The
+    /// mass is the last read's when that read was of this qubit and nothing
+    /// has been queued since (the read that decided a free), else one read
+    /// now.
+    pub(super) fn remove_branch(&mut self, pos: usize, outcome: bool) {
+        let mask = 1 << pos;
+        let masses = match self.read {
+            Some((read, masses)) if read == mask => masses,
+            _ => self.masses(mask),
+        };
+        self.collapse(mask, outcome, masses);
+        self.reshape(Some((pos, outcome)));
     }
 
     /// Uncounted, unrecorded whole-state gather (shards are contiguous
@@ -382,9 +412,13 @@ impl Controller {
 
     /// Distributed (gather-free) Pauli expectation: one read of
     /// [`ShardCmd::Expect`] with the pairing roles implied by the
-    /// shard-crossing half of the X mask, then the complex partials summed
-    /// in shard order.
-    pub(super) fn expect(&mut self, x_mask: usize, z_mask: usize) -> Result<Complex, DeadWorker> {
+    /// shard-crossing half of the X mask, then the workers' exact partials
+    /// merged.
+    pub(super) fn expect(
+        &mut self,
+        x_mask: usize,
+        z_mask: usize,
+    ) -> Result<[ExactSum; 2], DeadWorker> {
         let l = self.local_bits();
         let x_lo = x_mask & ((1usize << l) - 1);
         let x_hi = x_mask & !((1usize << l) - 1);
@@ -415,13 +449,15 @@ impl Controller {
         }
         let mut cmds = cmds.into_iter();
         self.round(|_| cmds.next())?;
-        let mut acc = Complex::default();
+        let mut acc = [ExactSum::ZERO; 2];
         for s in reporters {
             let reply = self.reply_from(s, "expectation partial")?;
-            acc += Self::shaped(s, "a complex partial", reply, |r| match r {
-                ShardReply::PartialC(c) => Ok(c),
+            let [re, im] = Self::shaped(s, "an expectation partial", reply, |r| match r {
+                ShardReply::Expect { re, im } => Ok([re, im]),
                 other => Err(other),
             });
+            acc[0].merge(re);
+            acc[1].merge(im);
         }
         Ok(acc)
     }
@@ -430,8 +466,8 @@ impl Controller {
     /// takes the top position) or a free (`Some((pos, outcome))`, the qubit
     /// already collapsed) where the amplitudes live: one queued
     /// [`ShardCmd::Reshape`] per involved worker, and the layout switches at
-    /// once. Nothing comes back; a free's workers renormalise among
-    /// themselves. The shard stays the top `k` bits of the global index, so
+    /// once. Nothing comes back. The shard stays the top `k` bits of the
+    /// global index, so
     /// every old stripe splits into equal parts with one destination each,
     /// and each command tells its worker where its parts go and whose parts
     /// it assembles.
@@ -475,9 +511,6 @@ impl Controller {
                 self.xchg_rounds += (d != s) as u64;
             }
         }
-        // A free's norm all-gather is one more exchange round.
-        let renorm = if remove.is_some() { 1 << new_bits } else { 0 };
-        self.xchg_rounds += u64::from(renorm > 1);
         for (s, (sends, recvs)) in sends.into_iter().zip(recvs).enumerate() {
             let cmd = ShardCmd::Reshape {
                 compact: remove.filter(|&(pos, _)| pos < l),
@@ -486,7 +519,6 @@ impl Controller {
                 shard_index: s,
                 local_bits: new_l,
                 len: if s >> new_bits == 0 { 1 << new_l } else { 0 },
-                renorm,
             };
             self.enqueue(s, cmd);
         }

@@ -158,8 +158,7 @@ pub(crate) fn watchdog_from_env() -> Duration {
 mod tests {
     use super::*;
     use crate::backend::{
-        ops, AmplitudeEngine, BackendKind, EngineStore, QuantumBackend, ShardedStateVector,
-        StateVectorEngine,
+        ops, AmplitudeEngine, BackendKind, EngineStore, QuantumBackend, StateVectorEngine,
     };
     use crate::context::BatchPolicy;
     use qsim::noise::NoiseModel;
@@ -213,12 +212,11 @@ mod tests {
         }
     }
 
-    /// A free's workers add their squared norms from `+0.0` in shard order,
-    /// as the striped store adds its stripes' norms, so eight shards land on
-    /// the striped store's bits through frees at every position of
-    /// generic-angle states.
+    /// A free rescales by the exact mass of the read that decided it, so
+    /// eight shards land on the dense engine's bits through frees at every
+    /// position of generic-angle states.
     #[test]
-    fn frees_renormalise_to_the_striped_stores_bits() {
+    fn frees_rescale_to_the_dense_engines_bits() {
         fn run<S: EngineStore>(
             e: &mut AmplitudeEngine<S>,
             seed: u64,
@@ -246,7 +244,7 @@ mod tests {
             )
         }
         for seed in 0..4 {
-            let want = run(&mut ShardedStateVector::new(seed, 8), seed);
+            let want = run(&mut StateVectorEngine::new(seed), seed);
             let got = run(&mut RemoteShardedEngine::new(seed, 8), seed);
             assert_eq!(got, want, "seed {seed}");
         }

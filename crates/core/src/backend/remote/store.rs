@@ -91,8 +91,14 @@ impl AmpStore for RemoteStore {
         pos
     }
 
+    /// The front has read the qubit's mass to check that it is classical,
+    /// so the rescale reuses that read and the removal queues.
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
-        self.defer(|c| c.reshape(Some((target, outcome))));
+        self.collapse_remove(target, outcome);
+    }
+
+    fn collapse_remove(&mut self, target: usize, outcome: bool) {
+        self.defer(|c| c.remove_branch(target, outcome));
     }
 
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
@@ -122,18 +128,18 @@ impl AmpStore for RemoteStore {
     }
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
-        self.ctl.lock().branches(mask_of(qubits)).1
+        self.ctl.lock().masses(mask_of(qubits))[1].finish()
     }
 
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
         self.ctl.get_mut().project(mask_of(qubits), |_| odd);
     }
 
-    /// One read, the measurement's: the collapse and the free's reshape
-    /// queue behind it, and the workers renormalise among themselves.
+    /// One read, the measurement's: the collapse, its rescale by the read's
+    /// mass, and the free's reshape queue behind it.
     fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
-        let outcome = self.measure_parity(&[target], u);
-        self.remove_qubit(target, outcome);
+        let outcome = u < self.parity_prob_odd(&[target]);
+        self.collapse_remove(target, outcome);
         outcome
     }
 
@@ -147,10 +153,9 @@ impl AmpStore for RemoteStore {
 
     /// Gather-free: the X mask's shard-crossing half pairs workers up
     /// directly (worker↔worker stripe exchange) and each pair reports one
-    /// complex partial, instead of every stripe flowing to the controller.
-    /// A pair sums two stripes into one partial, so values match the striped
-    /// store's per-stripe sums to re-association (last ulp), not bit for
-    /// bit; expectations never write state.
+    /// exact partial sum, instead of every stripe flowing to the controller.
+    /// Partials merge exactly, so the value is the dense engine's to the
+    /// bit, however the shards pair up; expectations never write state.
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         let mut ctl = self.ctl.lock();
         let (x_mask, z_mask, i_pow) = stripe::pauli_masks(ctl.n_qubits, terms);

@@ -6,12 +6,12 @@ use bytes::{BufMut, Bytes, BytesMut};
 use cmpi::{Decode, Encode};
 use qsim::gates::Mat2;
 use qsim::state::MAX_DENSE_QUBITS;
-use qsim::stripe::PairKernel;
+use qsim::stripe::{ExactSum, PairKernel};
 use qsim::Complex;
 
 /// Version of the byte layout of every command, reply and exchange frame,
 /// sent as the `HELLO` body; bump it with any change to that layout.
-pub(crate) const WIRE_VERSION: u32 = 2;
+pub(crate) const WIRE_VERSION: u32 = 3;
 
 fn encode_complex(c: &Complex, buf: &mut BytesMut) {
     c.re.encode(buf);
@@ -22,6 +22,22 @@ fn decode_complex(buf: &mut Bytes) -> Option<Complex> {
     let re = f64::decode(buf)?;
     let im = f64::decode(buf)?;
     Some(Complex::new(re, im))
+}
+
+/// A partial sum as its `i128` of grid units ([`ExactSum::units`]): the
+/// low 64 bits, then the high.
+fn encode_sum(sum: &ExactSum, buf: &mut BytesMut) {
+    let units = sum.units();
+    (units as u64).encode(buf);
+    ((units >> 64) as u64).encode(buf);
+}
+
+fn decode_sum(buf: &mut Bytes) -> Option<ExactSum> {
+    let low = u64::decode(buf)?;
+    let high = u64::decode(buf)?;
+    Some(ExactSum::from_units(
+        (i128::from(high as i64) << 64) | i128::from(low),
+    ))
 }
 
 /// Shortest run of zero amplitudes a stripe payload sends as a length:
@@ -405,7 +421,7 @@ pub enum ShardCmd {
     },
     /// Distributed Pauli expectation: accumulate this stripe's
     /// contribution (see [`ExpectRole`] for the pairing protocol) against
-    /// the global X/Z masks. Replies [`ShardReply::PartialC`] (except for
+    /// the global X/Z masks. Replies [`ShardReply::Expect`] (except for
     /// the `High` role, which only ships its stripe to its partner).
     Expect {
         /// Within-stripe X mask (bit positions `< local_bits`).
@@ -460,12 +476,6 @@ pub enum ShardCmd {
         local_bits: usize,
         /// New stripe length: `2^local_bits`, or 0 for an inactive worker.
         len: usize,
-        /// After a free, the count of shards active in the new layout,
-        /// which renormalise among themselves: each sends its squared norm
-        /// to the others on `TAG_XCHG`, and all scale by `1/√sum`, the sum
-        /// taken from `+0.0` in shard order. 0 for an alloc, which keeps
-        /// the norm.
-        renorm: usize,
     },
     /// Exit the event loop cleanly (sent by the engine's destructor).
     Shutdown,
@@ -527,7 +537,6 @@ impl Encode for ShardCmd {
                 shard_index,
                 local_bits,
                 len,
-                renorm,
             } => {
                 12u8.encode(buf);
                 compact.encode(buf);
@@ -536,7 +545,6 @@ impl Encode for ShardCmd {
                 shard_index.encode(buf);
                 local_bits.encode(buf);
                 len.encode(buf);
-                renorm.encode(buf);
             }
         }
     }
@@ -615,13 +623,9 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
             let shard_index = usize::decode(buf)?;
             let local_bits = usize::decode(buf)?;
             let len = usize::decode(buf)?;
-            let renorm = usize::decode(buf)?;
-            // No payload bytes back the stripe length or the shard counts;
-            // they must agree with a layout the engine can reach, or a
-            // worker would wait on ranks that do not exist.
-            if !reachable_layout(shard_index, local_bits, len)
-                || renorm > 1 << MAX_REMOTE_SHARD_BITS
-            {
+            // No payload bytes back the stripe length; it must agree with a
+            // layout the engine can reach.
+            if !reachable_layout(shard_index, local_bits, len) {
                 return None;
             }
             ShardCmd::Reshape {
@@ -631,7 +635,6 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
                 shard_index,
                 local_bits,
                 len,
-                renorm,
             }
         }
         13 => ShardCmd::Branches {
@@ -649,17 +652,24 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
 /// One reply from a shard worker to the controller.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ShardReply {
-    /// The stripe's even- and odd-parity masses ([`ShardCmd::Branches`]).
+    /// The stripe's even- and odd-parity masses ([`ShardCmd::Branches`]),
+    /// as exact partial sums.
     Branches {
         /// Mass of the even-parity basis states.
-        even: f64,
+        even: ExactSum,
         /// Mass of the odd-parity basis states.
-        odd: f64,
+        odd: ExactSum,
     },
     /// The worker's stripe (gather).
     Amps(Vec<Complex>),
-    /// A complex partial accumulator (distributed Pauli expectations).
-    PartialC(Complex),
+    /// A stripe's (or stripe pair's) share of a Pauli expectation
+    /// ([`ShardCmd::Expect`]), as exact partial sums.
+    Expect {
+        /// Sum of the terms' real parts.
+        re: ExactSum,
+        /// Sum of the terms' imaginary parts.
+        im: ExactSum,
+    },
 }
 
 impl Encode for ShardReply {
@@ -667,16 +677,17 @@ impl Encode for ShardReply {
         match self {
             ShardReply::Branches { even, odd } => {
                 4u8.encode(buf);
-                even.encode(buf);
-                odd.encode(buf);
+                encode_sum(even, buf);
+                encode_sum(odd, buf);
             }
             ShardReply::Amps(amps) => {
                 1u8.encode(buf);
                 encode_amps(amps, buf);
             }
-            ShardReply::PartialC(c) => {
+            ShardReply::Expect { re, im } => {
                 2u8.encode(buf);
-                encode_complex(c, buf);
+                encode_sum(re, buf);
+                encode_sum(im, buf);
             }
         }
     }
@@ -688,10 +699,13 @@ impl Decode for ShardReply {
             // 0 was a single partial sum and 3 a free's reshape report;
             // retired, they decode as unknown.
             1 => decode_amps(buf).map(ShardReply::Amps),
-            2 => decode_complex(buf).map(ShardReply::PartialC),
+            2 => Some(ShardReply::Expect {
+                re: decode_sum(buf)?,
+                im: decode_sum(buf)?,
+            }),
             4 => Some(ShardReply::Branches {
-                even: f64::decode(buf)?,
-                odd: f64::decode(buf)?,
+                even: decode_sum(buf)?,
+                odd: decode_sum(buf)?,
             }),
             _ => None,
         }
@@ -802,8 +816,7 @@ mod tests {
             ]),
             ShardCmd::Shutdown,
             ShardCmd::Die,
-            // A free that compacts locally, keeps the stripe and
-            // renormalises among the eight shards of the new layout...
+            // A free that compacts locally and keeps the stripe...
             ShardCmd::Reshape {
                 compact: Some((2, true)),
                 sends: vec![4],
@@ -811,19 +824,17 @@ mod tests {
                 shard_index: 3,
                 local_bits: 5,
                 len: 32,
-                renorm: 8,
             },
-            // ...the largest world's last shard, renormalising among all...
+            // ...the largest world's last shard...
             ShardCmd::Reshape {
                 compact: None,
                 sends: vec![],
                 recvs: vec![64],
-                shard_index: 63,
+                shard_index: (1 << MAX_REMOTE_SHARD_BITS) - 1,
                 local_bits: 1,
                 len: 2,
-                renorm: 1 << MAX_REMOTE_SHARD_BITS,
             },
-            // ...an alloc assembling two neighbours' stripes...
+            // ...a stripe assembled from two neighbours'...
             ShardCmd::Reshape {
                 compact: None,
                 sends: vec![1],
@@ -831,7 +842,6 @@ mod tests {
                 shard_index: 0,
                 local_bits: 3,
                 len: 8,
-                renorm: 0,
             },
             // ...and a worker that discards its stripe and goes inactive.
             ShardCmd::Reshape {
@@ -841,7 +851,6 @@ mod tests {
                 shard_index: 6,
                 local_bits: 0,
                 len: 0,
-                renorm: 4,
             },
         ];
         for cmd in cmds {
@@ -855,6 +864,11 @@ mod tests {
     /// of [`every_frame_keeps_its_golden_bytes`]'s table.
     fn golden_cases() -> Vec<Bytes> {
         let c = Complex::new;
+        let sum = |t| {
+            let mut sum = ExactSum::ZERO;
+            sum.add(t);
+            sum
+        };
         let mat = [[c(0.5, 0.0), c(0.0, -0.5)], [c(-1.0, 0.0), c(0.25, 2.0)]];
         // Literal, a zero run, literal: the second segment is a length.
         let z = Complex::default();
@@ -920,18 +934,20 @@ mod tests {
                 shard_index: 3,
                 local_bits: 5,
                 len: 32,
-                renorm: 8,
             },
             ShardCmd::Shutdown,
             ShardCmd::Die,
         ];
         let replies = [
             ShardReply::Branches {
-                even: 0.75,
-                odd: 0.25,
+                even: sum(0.75),
+                odd: sum(0.25),
             },
             ShardReply::Amps(stripe),
-            ShardReply::PartialC(c(-0.75, 2.5)),
+            ShardReply::Expect {
+                re: sum(-0.75),
+                im: sum(0.625),
+            },
         ];
         let ops = ops.iter().map(cmpi::to_bytes);
         let cmds = cmds.iter().map(cmpi::to_bytes);
@@ -944,7 +960,8 @@ mod tests {
     /// inside an `Expect`) and [`ShardReply`] variant, as literal bytes: a
     /// round trip cannot see a re-layout both ends share. The stripe payloads
     /// hold a zero run. A `usize` is a little-endian `u64`, an `f64` its
-    /// little-endian bits, a `Vec` its length first.
+    /// little-endian bits, a `Vec` its length first, and an exact partial
+    /// sum its `i128` of 2^-102 units, low 64 bits first: 0.75 is `3 << 100`.
     #[test]
     fn every_frame_keeps_its_golden_bytes() {
         let golden = [
@@ -1001,18 +1018,26 @@ mod tests {
                 "Reshape",
                 "0c01020000000000000001020000000000000001000000000000000400000000\
                  0000000100000000000000040000000000000003000000000000000500000000\
-                 00000020000000000000000800000000000000",
+                 0000002000000000000000",
             ),
             ("Shutdown", "09"),
             ("Die", "0a"),
-            ("reply Branches", "04000000000000e83f000000000000d03f"),
+            (
+                "reply Branches",
+                "0400000000000000000000000030000000000000000000000000000000100000\
+                 00",
+            ),
             (
                 "reply Amps",
                 "01060000000000000000000000000000000100000000000000000000000000f0\
                  3f000000000000000004000000000000000100000000000000000000000000e0\
                  bf000000000000d03f",
             ),
-            ("reply PartialC", "02000000000000e8bf0000000000000440"),
+            (
+                "reply Expect",
+                "02000000000000000000000000d0ffffff000000000000000000000000280000\
+                 00",
+            ),
         ];
         let cases = golden_cases();
         assert_eq!(cases.len(), golden.len());
@@ -1026,12 +1051,15 @@ mod tests {
     fn shard_reply_roundtrips() {
         for reply in [
             ShardReply::Branches {
-                even: 0.625,
-                odd: f64::MIN_POSITIVE,
+                even: ExactSum::from_units(5 << 99),
+                odd: ExactSum::from_units(-1),
             },
             ShardReply::Amps(vec![Complex::new(1.0, -2.0); 5]),
             ShardReply::Amps(vec![]),
-            ShardReply::PartialC(Complex::new(-0.75, 2.5)),
+            ShardReply::Expect {
+                re: ExactSum::from_units(i128::MIN),
+                im: ExactSum::from_units(i128::MAX),
+            },
         ] {
             let bytes = cmpi::to_bytes(&reply);
             let back: ShardReply = cmpi::from_bytes(&bytes).expect("decode");
@@ -1155,37 +1183,32 @@ mod tests {
         }
         // Reshape frames: an unknown compaction tag, a rank list longer
         // than the payload (either list), a frame cut short, a stripe
-        // length that disagrees with the layout, and a shard index or an
-        // active-shard count no world reaches.
-        // `ranks` are the two rank-list counts (no ranks follow), `shard`
-        // the shard index and the active-shard count.
-        let reshape =
-            |compact_tag: u8, ranks: (usize, usize), len: usize, shard: (usize, usize)| {
-                let mut buf = BytesMut::new();
-                12u8.encode(&mut buf); // ShardCmd::Reshape
-                compact_tag.encode(&mut buf);
-                ranks.0.encode(&mut buf);
-                ranks.1.encode(&mut buf);
-                shard.0.encode(&mut buf);
-                4usize.encode(&mut buf); // local_bits
-                len.encode(&mut buf);
-                shard.1.encode(&mut buf);
-                buf.freeze()
-            };
+        // length that disagrees with the layout, and a shard index no world
+        // reaches. `ranks` are the two rank-list counts (no ranks follow).
+        let reshape = |compact_tag: u8, ranks: (usize, usize), len: usize, shard: usize| {
+            let mut buf = BytesMut::new();
+            12u8.encode(&mut buf); // ShardCmd::Reshape
+            compact_tag.encode(&mut buf);
+            ranks.0.encode(&mut buf);
+            ranks.1.encode(&mut buf);
+            shard.encode(&mut buf);
+            4usize.encode(&mut buf); // local_bits
+            len.encode(&mut buf);
+            buf.freeze()
+        };
         let decodes = |frame: &Bytes| cmpi::from_bytes::<ShardCmd>(frame).is_some();
-        assert!(decodes(&reshape(0, (0, 0), 16, (1, 2))));
-        assert!(!decodes(&reshape(7, (0, 0), 16, (1, 2))));
-        assert!(!decodes(&reshape(0, (usize::MAX, 0), 16, (1, 2))));
-        assert!(!decodes(&reshape(0, (0, usize::MAX), 16, (1, 2))));
-        assert!(!decodes(&reshape(0, (0, 0), 17, (1, 2))));
-        let mut whole = reshape(0, (0, 0), 16, (1, 2));
+        assert!(decodes(&reshape(0, (0, 0), 16, 1)));
+        assert!(!decodes(&reshape(7, (0, 0), 16, 1)));
+        assert!(!decodes(&reshape(0, (usize::MAX, 0), 16, 1)));
+        assert!(!decodes(&reshape(0, (0, usize::MAX), 16, 1)));
+        assert!(!decodes(&reshape(0, (0, 0), 17, 1)));
+        let mut whole = reshape(0, (0, 0), 16, 1);
         let cut = whole.split_to(whole.len() - 1);
         assert!(!decodes(&cut));
         let shards = 1usize << MAX_REMOTE_SHARD_BITS;
-        assert!(decodes(&reshape(0, (0, 0), 16, (shards - 1, shards))));
-        assert!(!decodes(&reshape(0, (0, 0), 16, (shards, shards))));
-        assert!(!decodes(&reshape(0, (0, 0), 16, (1, shards + 1))));
-        assert!(!decodes(&reshape(0, (0, 0), 16, (usize::MAX, 2))));
+        assert!(decodes(&reshape(0, (0, 0), 16, shards - 1)));
+        assert!(!decodes(&reshape(0, (0, 0), 16, shards)));
+        assert!(!decodes(&reshape(0, (0, 0), 16, usize::MAX)));
         // Load frames take the same header bounds: within-stripe bits a
         // worker can shift by, a shard index no world exceeds, and a stripe
         // that is empty or exactly covers those bits.
@@ -1271,17 +1294,16 @@ mod tests {
             0usize.encode(&mut buf); // shard_index
             local_bits.encode(&mut buf);
             0usize.encode(&mut buf); // len
-            0usize.encode(&mut buf); // renorm
             buf.freeze()
         };
         assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS)).is_some());
         assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS + 1)).is_none());
     }
 
-    /// The `HELLO` body as literal bytes: wire format 2, little-endian.
+    /// The `HELLO` body as literal bytes: wire format 3, little-endian.
     #[test]
     fn hello_body_keeps_its_golden_bytes() {
-        assert_eq!(WIRE_VERSION.to_le_bytes(), [2, 0, 0, 0]);
+        assert_eq!(WIRE_VERSION.to_le_bytes(), [3, 0, 0, 0]);
     }
 
     mod proptests {

@@ -2,7 +2,7 @@
 
 use super::{rank_of, ExpectRole, ShardCmd, ShardReply, WireAmps, WorkerOp, CONTROLLER};
 use cmpi::Communicator;
-use qsim::stripe;
+use qsim::stripe::{self, ExactSum};
 use qsim::Complex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -12,7 +12,8 @@ use std::time::Duration;
 pub(crate) const TAG_CMD: cmpi::Tag = 0;
 /// Reply channel: worker → controller.
 pub(crate) const TAG_REPLY: cmpi::Tag = 1;
-/// Stripe-exchange channel: worker ↔ worker (cross-shard pairing).
+/// Stripe-exchange channel: worker ↔ worker (cross-shard pairing, reshape
+/// parts).
 const TAG_XCHG: cmpi::Tag = 2;
 
 /// Why a worker's event loop (or one blocking wait inside it) ends early.
@@ -138,39 +139,6 @@ fn reshape<C: ShardChannel>(
     Ok(())
 }
 
-/// Renormalises a free's new stripe among the `active` workers of the new
-/// layout (shards `0..active`, `me` the world rank of one): each sends its
-/// squared norm to every other on `TAG_XCHG`, and each adds all of them
-/// from `+0.0` in shard order, so every worker scales by the same
-/// `1/√sum`. With one active shard nothing moves.
-fn renormalise<C: ShardChannel>(
-    chan: &mut C,
-    amps: &mut [Complex],
-    me: usize,
-    active: usize,
-) -> Result<(), WorkerHalt> {
-    let own = stripe::norm_sqr(amps);
-    let peers = || (0..active).map(rank_of);
-    for peer in peers().filter(|&r| r != me) {
-        chan.send_xchg(peer, vec![Complex::real(own)])?;
-    }
-    let mut sum = 0.0;
-    for peer in peers() {
-        sum += if peer == me {
-            own
-        } else {
-            match chan.recv_xchg(peer, "its squared norm")?[..] {
-                [part] => part.re,
-                _ => return Err(WorkerHalt::Exit),
-            }
-        };
-    }
-    // The front frees only a qubit the state is collapsed onto.
-    debug_assert!(sum > 0.0, "cannot renormalize the zero vector");
-    stripe::scale(amps, 1.0 / sum.sqrt());
-    Ok(())
-}
-
 /// The event loop each shard worker runs, generic over its transport:
 /// receive one [`ShardCmd`], execute it against the owned stripe, loop
 /// until shutdown. Commands arrive in the controller's global send order
@@ -219,7 +187,7 @@ fn exec<C: ShardChannel>(
             z_mask,
             role,
         } => {
-            let mut acc = Complex::default();
+            let mut acc = [ExactSum::ZERO; 2];
             match role {
                 // x never leaves the stripe: the partner of offset `i` sits
                 // at `i ^ x_lo` locally.
@@ -236,10 +204,11 @@ fn exec<C: ShardChannel>(
                     stripe::expectation_partial(&b, amps, *base ^ x_hi, x_lo, z_mask, &mut acc);
                 }
             }
-            chan.send_reply(&ShardReply::PartialC(acc))?;
+            let [re, im] = acc;
+            chan.send_reply(&ShardReply::Expect { re, im })?;
         }
         ShardCmd::Branches { mask } => {
-            let (even, odd) = stripe::branch_masses(amps, *base, mask);
+            let [even, odd] = stripe::branch_masses(amps, *base, mask);
             chan.send_reply(&ShardReply::Branches { even, odd })?;
         }
         ShardCmd::CollapseScale { mask, odd, factor } => {
@@ -258,14 +227,10 @@ fn exec<C: ShardChannel>(
             shard_index,
             local_bits,
             len,
-            renorm,
         } => {
             *base = shard_index << local_bits;
             let me = rank_of(shard_index);
             reshape(chan, amps, me, compact, &sends, &recvs, len)?;
-            if shard_index < renorm {
-                renormalise(chan, amps, me, renorm)?;
-            }
         }
         ShardCmd::Shutdown | ShardCmd::Die => return Err(WorkerHalt::Exit),
     }

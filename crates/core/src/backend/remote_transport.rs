@@ -762,6 +762,20 @@ mod tests {
         assert!(check_hello(2, &hello, &WIRE_VERSION.to_le_bytes()).is_err());
     }
 
+    /// A worker of wire format 2 (`f64` partial sums, frees renormalised by
+    /// an all-gather) is refused at spawn.
+    #[test]
+    fn handshake_refuses_a_wire_format_2_worker() {
+        let hello = FrameHeader {
+            tag: TAG_HELLO,
+            epoch: 0,
+            peer: 1,
+        };
+        let err = check_hello(1, &hello, &2u32.to_le_bytes()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().ends_with("at wire format 2"), "{err}");
+    }
+
     #[test]
     fn worker_argv_parses_or_says_what_is_wrong() {
         let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();

@@ -10,12 +10,12 @@
 //! * a gate on a **high** qubit (bit index `>= n - k`) pairs stripe `s` with
 //!   stripe `s | 2^(q - (n-k))`, offset for offset;
 //! * a diagonal gate is stripe-local wherever its qubits sit;
-//! * a reduction (probability, collapse norm, parity mass) is one partial
-//!   per stripe, the partials added in stripe order.
+//! * a reduction (probability, collapse norm, parity mass) is one exact
+//!   partial sum per stripe, merged.
 //!
 //! This is the layout of the process-separated engine's workers, with the
-//! same [`crate::stripe`] kernel called per stripe with the same `base` and
-//! the same order of partial sums, minus the transport: cutting the vector
+//! same [`crate::stripe`] kernel called per stripe with the same `base`,
+//! minus the transport: cutting the vector
 //! into blocks changes where amplitudes live, never the answer. It is what
 //! tells a layout bug from a transport or planner bug. The type is an
 //! [`AmpStore`] like the dense [`State`] and is driven by the one simulator
@@ -27,7 +27,7 @@ use crate::gates::Mat2;
 use crate::measure::PauliTerm;
 use crate::sim::{AmpStore, SimError};
 use crate::state::{State, MAX_DENSE_QUBITS, NORM_TOL};
-use crate::stripe::{self, PairKernel};
+use crate::stripe::{self, ExactSum, PairKernel};
 
 /// Hard cap on the stripe count (`2^8`).
 pub const MAX_SHARD_BITS: u32 = 8;
@@ -99,16 +99,34 @@ impl ShardedState {
         self.stripes = flat.chunks_exact(len).map(<[Complex]>::to_vec).collect();
     }
 
-    /// Rescales so that the squared norm is exactly 1.
-    pub fn renormalize(&mut self) {
-        let norm = self.norm_sqr().sqrt();
-        assert!(norm > 0.0, "cannot renormalize the zero vector");
-        self.scale(1.0 / norm);
+    /// Total squared norm (should always be ~1): the stripes' exact partial
+    /// sums, merged.
+    pub fn norm_sqr(&self) -> f64 {
+        let mut norm = ExactSum::ZERO;
+        for amps in &self.stripes {
+            norm.merge(stripe::norm_sum(amps));
+        }
+        norm.finish()
     }
 
-    /// Total squared norm (should always be ~1).
-    pub fn norm_sqr(&self) -> f64 {
-        self.stripes.iter().map(|amps| stripe::norm_sqr(amps)).sum()
+    /// The even- and odd-parity masses under `mask`: each stripe's exact
+    /// partials, merged.
+    fn masses(&self, mask: usize) -> [ExactSum; 2] {
+        let mut masses = [ExactSum::ZERO; 2];
+        for (base, amps) in self.based() {
+            let [even, odd] = stripe::branch_masses(amps, base, mask);
+            masses[0].merge(even);
+            masses[1].merge(odd);
+        }
+        masses
+    }
+
+    /// Removes `target`, keeping its `outcome` branch, which holds the
+    /// `kept` mass, rescaled by [`stripe::renormalizer`].
+    fn remove_kept(&mut self, target: usize, outcome: bool, kept: f64) {
+        let mut flat = self.stripes.concat();
+        stripe::collapse_remove_in_place(&mut flat, target, outcome, kept);
+        self.rebuild(&flat, self.n_qubits - 1);
     }
 
     fn scale(&mut self, factor: f64) {
@@ -203,15 +221,19 @@ impl AmpStore for ShardedState {
     }
 
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
-        assert!(target < self.n_qubits, "qubit {target} out of range");
-        let mut flat = self.stripes.concat();
-        let dropped = stripe::remove_qubit_in_place(&mut flat, target, outcome);
+        let [clear, set] = self.masses(self.mask_of(&[target]));
+        let (kept, dropped) = if outcome { (set, clear) } else { (clear, set) };
+        let dropped = dropped.finish();
         assert!(
             dropped < NORM_TOL,
             "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
         );
-        self.rebuild(&flat, self.n_qubits - 1);
-        self.renormalize();
+        self.remove_kept(target, outcome, kept.finish());
+    }
+
+    fn collapse_remove(&mut self, target: usize, outcome: bool) {
+        let kept = self.masses(self.mask_of(&[target]))[usize::from(outcome)];
+        self.remove_kept(target, outcome, kept.finish());
     }
 
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
@@ -290,25 +312,16 @@ impl AmpStore for ShardedState {
     }
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
-        let mask = self.mask_of(qubits);
-        let mut p_odd = 0.0f64;
-        for (base, amps) in self.based() {
-            p_odd += stripe::parity_prob_odd(amps, base, mask);
-        }
-        p_odd
+        self.masses(self.mask_of(qubits))[1].finish()
     }
 
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
         let mask = self.mask_of(qubits);
-        let mut norm = 0.0f64;
+        let mut kept = ExactSum::ZERO;
         for (base, amps) in self.based_mut() {
-            norm += stripe::collapse_parity(amps, base, mask, odd);
+            kept.merge(stripe::collapse_parity(amps, base, mask, odd));
         }
-        assert!(
-            norm > 1e-12,
-            "collapsing {qubits:?} onto probability-zero outcome"
-        );
-        self.scale(1.0 / norm.sqrt());
+        self.scale(stripe::renormalizer(kept.finish()));
     }
 
     /// The string may couple any pair of stripes, so it reads amplitudes by

@@ -83,9 +83,9 @@ impl std::error::Error for SimError {}
 /// or stripes held by other processes (`qmpi`'s remote store, which queues
 /// whatever needs no reply and ships the queue with the next read) —
 /// and every implementation evaluates the same floating-point expressions
-/// in the same order, so the front's results do not depend on which one it
-/// runs over (up to the sparse canonical rule, and to the order in which a
-/// striped store adds its per-stripe partial sums). Two stores hold no
+/// per amplitude and sums them exactly ([`crate::stripe::ExactSum`]), so the
+/// front's results do not depend on which one it runs over (up to the
+/// sparse canonical rule). Two stores hold no
 /// amplitudes: [`crate::trace::TraceState`] holds the register width alone
 /// and reads every qubit as |0>, so the front over it only counts, and
 /// [`crate::Tableau`] holds stabilizer generators, whose probabilities and
@@ -96,8 +96,10 @@ pub trait AmpStore {
     fn add_qubit(&mut self) -> usize;
 
     /// Removes position `target`, which must already be collapsed to the
-    /// classical value `outcome` (all amplitude mass on that branch);
-    /// positions above `target` shift down by one.
+    /// classical value `outcome` (all amplitude mass on that branch, up to
+    /// [`crate::state::NORM_TOL`]); positions above `target` shift down by
+    /// one. What is kept is rescaled as [`AmpStore::collapse_remove`]
+    /// rescales it.
     fn remove_qubit(&mut self, target: usize, outcome: bool);
 
     /// Applies the 2×2 matrix `m` to `target` on the basis states where
@@ -148,17 +150,17 @@ pub trait AmpStore {
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64;
 
     /// Projects onto the odd (`true`) or even parity subspace over `qubits`
-    /// and renormalizes; over one position, collapses it onto the outcome.
-    /// Panics when the kept subspace has no probability.
+    /// and rescales it by `1/√m`, `m` its mass; over one position, collapses
+    /// it onto the outcome. Panics when the kept subspace has no
+    /// probability.
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool);
 
-    /// [`AmpStore::collapse_parity`] over `target` alone, then
-    /// [`AmpStore::remove_qubit`] — measure and free — to the same bits; a
-    /// store overrides it only to make fewer passes over its amplitudes.
-    fn collapse_remove(&mut self, target: usize, outcome: bool) {
-        self.collapse_parity(&[target], outcome);
-        self.remove_qubit(target, outcome);
-    }
+    /// Measure and free, after the draw: keeps the `outcome` branch of
+    /// `target`, rescaled once by `1/√m` (`m` that branch's mass, an exact
+    /// sum: [`crate::stripe::renormalizer`]), and removes the position, as
+    /// [`AmpStore::remove_qubit`] does without its check that the other
+    /// branch is empty. Panics when the branch has no probability.
+    fn collapse_remove(&mut self, target: usize, outcome: bool);
 
     /// Measures `target` against the uniform draw `u`, as
     /// [`AmpStore::measure_parity`] over it alone does, then removes it

@@ -30,14 +30,15 @@
 //!   `±0.0` are dropped from the map (IEEE-754 guarantees a signed zero
 //!   operand can only ever produce results differing in the sign of a zero —
 //!   the difference never escapes the zero equivalence class);
-//! * every probability/norm/expectation accumulation iterates present entries
-//!   in **ascending basis-index order**, which matches the dense loop because
-//!   dense's exact-zero entries contribute `+0.0` — a bitwise no-op on the
-//!   accumulator;
+//! * every probability/norm/expectation is an exact sum
+//!   ([`crate::stripe::ExactSum`]) of the dense loop's terms over the present
+//!   entries, in whatever order the map holds them: dense's exact-zero
+//!   entries contribute exact-zero terms, and an exact sum does not depend
+//!   on order;
 //! * collapse ([`crate::stripe::collapse_parity`] then
 //!   [`crate::stripe::scale`]), free-compaction
-//!   (`j = (i & low) | ((i >> 1) & !low)`) and renormalization reuse the
-//!   dense formulas verbatim;
+//!   (`j = (i & low) | ((i >> 1) & !low)`) and the one rescale by the kept
+//!   mass reuse the dense formulas verbatim;
 //! * the measurement RNG and the decoupled noise RNG live in the shared
 //!   front, so zero-rate noise models are bit-identical to noiseless runs and
 //!   trajectories line up draw for draw.
@@ -51,7 +52,7 @@ use crate::gates::{Mat2, Pauli};
 use crate::measure::PauliTerm;
 use crate::sim::{AmpStore, SimError};
 use crate::state::{State, MAX_DENSE_QUBITS, NORM_TOL};
-use crate::stripe;
+use crate::stripe::{self, ExactSum};
 use std::collections::HashMap;
 
 /// Number of 64-bit words in a [`BasisKey`].
@@ -214,14 +215,6 @@ fn set_or_prune(amps: &mut HashMap<BasisKey, Complex>, k: BasisKey, a: Complex) 
     }
 }
 
-/// Present entries in ascending basis-index order — the iteration order every
-/// accumulation must use to stay bitwise-aligned with the dense loops.
-fn sorted_entries(amps: &HashMap<BasisKey, Complex>) -> Vec<(BasisKey, Complex)> {
-    let mut v: Vec<(BasisKey, Complex)> = amps.iter().map(|(k, &a)| (*k, a)).collect();
-    v.sort_unstable_by_key(|x| x.0);
-    v
-}
-
 /// The nonzero amplitudes of a register, keyed by basis state. See the
 /// module docs for the canonical bit-identity rule relative to the dense
 /// [`State`].
@@ -236,28 +229,29 @@ impl SparseState {
         self.amps.len()
     }
 
-    /// Probability mass of the entries `pred` accepts, accumulated in
-    /// ascending key order.
-    fn mass_where(&self, pred: impl Fn(BasisKey) -> bool) -> f64 {
-        sorted_entries(&self.amps)
-            .iter()
-            .filter(|(k, _)| pred(*k))
-            .map(|(_, a)| a.norm_sqr())
-            .sum()
-    }
-
-    /// Keeps the entries `keep` accepts, drops the rest, and returns the
-    /// kept probability mass (accumulated in ascending key order).
-    fn project(&mut self, keep: impl Fn(BasisKey) -> bool) -> f64 {
-        let mut norm = 0.0f64;
-        for (k, a) in sorted_entries(&self.amps) {
-            if keep(k) {
-                norm += a.norm_sqr();
-            } else {
-                self.amps.remove(&k);
+    /// Probability mass of the entries `pred` accepts, summed exactly.
+    fn mass_where(&self, pred: impl Fn(BasisKey) -> bool) -> ExactSum {
+        let mut mass = ExactSum::ZERO;
+        for (&k, a) in &self.amps {
+            if pred(k) {
+                mass.add(a.norm_sqr());
             }
         }
-        norm
+        mass
+    }
+
+    /// Removes position `pos`, keeping its `outcome` branch, whose mass is
+    /// `kept`, rescaled by [`stripe::renormalizer`].
+    fn remove_kept(&mut self, pos: usize, outcome: bool, kept: f64) {
+        let factor = stripe::renormalizer(kept);
+        let mut out: HashMap<BasisKey, Complex> = HashMap::with_capacity(self.amps.len());
+        for (k, a) in self.amps.drain() {
+            if k.bit(pos) == outcome {
+                set_or_prune(&mut out, k.remove_bit(pos), a.scale(factor));
+            }
+        }
+        self.amps = out;
+        self.n_qubits -= 1;
     }
 
     /// Rescales every entry by the real factor, pruning exact zeros.
@@ -311,24 +305,17 @@ impl AmpStore for SparseState {
     }
 
     fn remove_qubit(&mut self, pos: usize, outcome: bool) {
-        let mut out: HashMap<BasisKey, Complex> = HashMap::with_capacity(self.amps.len());
-        let mut dropped = 0.0f64;
-        for (k, a) in sorted_entries(&self.amps) {
-            if k.bit(pos) == outcome {
-                out.insert(k.remove_bit(pos), a);
-            } else {
-                dropped += a.norm_sqr();
-            }
-        }
+        let dropped = self.mass_where(|k| k.bit(pos) != outcome).finish();
         assert!(
             dropped < NORM_TOL,
             "removing qubit {pos} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
         );
-        self.amps = out;
-        self.n_qubits -= 1;
-        let n = self.mass_where(|_| true).sqrt();
-        assert!(n > 0.0, "cannot renormalize the zero vector");
-        self.scale(1.0 / n);
+        self.collapse_remove(pos, outcome);
+    }
+
+    fn collapse_remove(&mut self, pos: usize, outcome: bool) {
+        let kept = self.mass_where(|k| k.bit(pos) == outcome).finish();
+        self.remove_kept(pos, outcome, kept);
     }
 
     /// Absent entries read as exact zero and exact-zero results are pruned.
@@ -397,21 +384,18 @@ impl AmpStore for SparseState {
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
         let mask = key_of(qubits);
-        self.mass_where(|k| k.and(mask).parity())
+        self.mass_where(|k| k.and(mask).parity()).finish()
     }
 
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
         let mask = key_of(qubits);
-        let norm = self.project(|k| k.and(mask).parity() == odd);
-        assert!(
-            norm > 1e-12,
-            "collapsing {qubits:?} onto probability-zero outcome"
-        );
-        self.scale(1.0 / norm.sqrt());
+        self.amps.retain(|k, _| k.and(mask).parity() == odd);
+        let kept = self.mass_where(|_| true).finish();
+        self.scale(stripe::renormalizer(kept));
     }
 
-    /// [`crate::stripe::expectation_pauli_flat`] over present entries in
-    /// ascending order, with the identical `is_negligible(1e-300)` skip.
+    /// [`crate::stripe::expectation_pauli_flat`]'s terms over the present
+    /// entries: an absent entry's term is exactly zero.
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         let mut x_mask = BasisKey::ZERO;
         let mut z_mask = BasisKey::ZERO;
@@ -427,15 +411,14 @@ impl AmpStore for SparseState {
                 }
             }
         }
-        let mut acc = Complex::default();
-        for (k, a) in sorted_entries(&self.amps) {
-            if a.is_negligible(1e-300) {
-                continue;
-            }
+        let mut acc = [ExactSum::ZERO; 2];
+        for (&k, &a) in &self.amps {
             let sign = if k.and(z_mask).parity() { -1.0 } else { 1.0 };
             let partner = k.xor(x_mask);
             let b = self.amps.get(&partner).copied().unwrap_or(C_ZERO);
-            acc += b.conj() * (a.scale(sign));
+            let term = b.conj() * (a.scale(sign));
+            acc[0].add(term.re);
+            acc[1].add(term.im);
         }
         stripe::hermitian_value(stripe::y_phase(y_count), acc)
     }

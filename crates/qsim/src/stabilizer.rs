@@ -502,6 +502,13 @@ impl AmpStore for Tableau {
         odd
     }
 
+    /// A projection needs no rescale, so this is the collapse, then the
+    /// removal.
+    fn collapse_remove(&mut self, target: usize, outcome: bool) {
+        self.collapse_parity(&[target], outcome);
+        self.remove_qubit(target, outcome);
+    }
+
     fn measure_and_remove(&mut self, target: usize, u: f64) -> bool {
         let outcome = self.measure_parity(&[target], u);
         self.remove_qubit(target, outcome);

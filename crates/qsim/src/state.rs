@@ -162,8 +162,8 @@ impl State {
         qubits.iter().fold(0, |mask, &q| mask | self.bit_of(q))
     }
 
-    /// Collapses `target` onto `outcome`, whose branch holds the `kept`
-    /// mass, and removes it: [`AmpStore::collapse_remove`]'s result.
+    /// Removes `target`, keeping its `outcome` branch, which holds the
+    /// `kept` mass, scaled by one over its square root.
     fn remove_collapsed(&mut self, target: usize, outcome: bool, kept: f64) {
         split::collapse_remove(&mut self.amps, target, outcome, kept);
         self.n_qubits -= 1;
@@ -270,13 +270,14 @@ impl AmpStore for State {
 
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
         assert!(target < self.n_qubits, "qubit {target} out of range");
-        let dropped = stripe::remove_qubit_in_place(&mut self.amps, target, outcome);
+        let [clear, set] = split::masses(&self.amps, 1 << target);
+        let (kept, dropped) = if outcome { (set, clear) } else { (clear, set) };
+        let dropped = dropped.finish();
         assert!(
             dropped < NORM_TOL,
             "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
         );
-        self.n_qubits -= 1;
-        self.renormalize();
+        self.remove_collapsed(target, outcome, kept.finish());
     }
 
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {
@@ -331,25 +332,21 @@ impl AmpStore for State {
     }
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
-        stripe::parity_prob_odd(&self.amps, 0, self.mask_of(qubits))
+        split::parity_prob_odd(&self.amps, self.mask_of(qubits))
     }
 
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
         let mask = self.mask_of(qubits);
-        let norm = stripe::collapse_parity(&mut self.amps, 0, mask, odd);
-        assert!(
-            norm > 1e-12,
-            "collapsing {qubits:?} onto probability-zero outcome"
-        );
-        split::scale(&mut self.amps, 1.0 / norm.sqrt());
+        let kept = stripe::collapse_parity(&mut self.amps, 0, mask, odd);
+        split::scale(&mut self.amps, stripe::renormalizer(kept.finish()));
     }
 
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
-        stripe::expectation_pauli_flat(&self.amps, terms)
+        split::expectation(&self.amps, terms)
     }
 
     fn expectation_pauli_each(&self, strings: &[Vec<PauliTerm>]) -> Vec<f64> {
-        stripe::expectation_pauli_each_flat(&self.amps, strings)
+        split::expectation_each(&self.amps, strings)
     }
 
     fn snapshot(&self, perm: &[usize]) -> Result<State, SimError> {
@@ -518,10 +515,10 @@ mod tests {
             let amps: Vec<Complex> = raw.iter().map(|a| a.scale(1.0 / norm)).collect();
             for target in 0..n {
                 for outcome in [false, true] {
-                    // `AmpStore::collapse_remove`'s default body.
+                    // The collapse's one rescale, then the position dropped.
                     let mut want = State::from_amplitudes(amps.clone());
                     want.collapse_parity(&[target], outcome);
-                    want.remove_qubit(target, outcome);
+                    stripe::remove_qubit_in_place(&mut want.amps, target, outcome);
                     let mut got = State::from_amplitudes(amps.clone());
                     let capacity = got.amps.capacity();
                     got.collapse_remove(target, outcome);

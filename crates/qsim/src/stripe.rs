@@ -28,9 +28,19 @@
 //! index bits is constant over every aligned run as long as the lowest of
 //! them, so the kernels walk runs (`for_runs`): the condition is tested once
 //! per run, blocks whose controls above the target are clear are skipped
-//! whole, and the arithmetic loops over plain slices. Every reduction still
-//! adds into one accumulator in ascending index order: runs remove the
-//! per-amplitude test, they do not re-associate the sum.
+//! whole, and the arithmetic loops over plain slices.
+//!
+//! # Sums
+//!
+//! Every reduction — a probability mass, a norm, an expectation value —
+//! adds its terms into one [`ExactSum`]: each term is cut onto a fixed
+//! binary grid on its own, the cut terms add as integers, and the total is
+//! rounded to an `f64` once. Integer adds do not depend on their order, so a
+//! sum's bits do not depend on the order of its terms, on the lane width or
+//! thread split that adds them, or on how the amplitudes are cut into
+//! stripes or shards: a partial sum is merged exactly wherever it is formed.
+//! What must still agree across engines is each *term*, which every store
+//! forms from the same operands in the same order.
 
 use crate::batch::{named, SweepFactor};
 use crate::complex::{Complex, C_ZERO};
@@ -424,45 +434,220 @@ pub fn phase_flip(amps: &mut [Complex], lo_mask: usize) {
     })
 }
 
-/// Probability mass of the runs of `amps`, as `bits` cuts them, whose
-/// global start index passes `selected`: one sum, in ascending index order,
-/// over exactly the selected amplitudes.
-#[inline(always)]
-fn norm_where(amps: &[Complex], base: usize, bits: usize, selected: impl Fn(usize) -> bool) -> f64 {
-    // What `Iterator::sum` makes of no terms, and of these terms after it.
-    let mut mass = -0.0f64;
-    for_runs(amps.len(), bits, |at, len| {
-        if selected(base | at) {
-            for a in &amps[at..at + len] {
-                mass += a.norm_sqr();
-            }
+/// Grid step of an [`ExactSum`]'s high limb: 2^-50.
+const HI_STEP: f64 = 1.0 / (1u64 << 50) as f64;
+
+/// Grid step of the low limb, in high-limb steps: 2^-52 (so 2^-102 overall).
+const LO_STEP: f64 = 1.0 / (1u64 << 52) as f64;
+
+/// 1.5·2^52: adding it to an `f64` of magnitude at most 2^51 rounds that to
+/// the nearest integer (ties to even), whose value the sum's bits then hold
+/// above this constant's.
+const ROUND: f64 = 6_755_399_441_055_744.0;
+
+/// Terms one pair of `i64` limbs takes before it is folded into the `i128`:
+/// each limb of a term is at most 2^51 in magnitude, so 2^11 of them stay
+/// below 2^62.
+const LIMB_RUN: usize = 1 << 11;
+
+/// An exact, order-free sum of `f64` terms of magnitude at most 2.
+///
+/// A term `t` is held as the integer `round(t·2^102)` (ties to even): the
+/// nearest point of a 2^-102 grid, which is a function of the term alone,
+/// so cutting it is deterministic and the cut error is at most 2^-103.
+/// Integers add associatively, so [`ExactSum::add`] and [`ExactSum::merge`]
+/// give the same total in any order, split or grouping, and
+/// [`ExactSum::finish`] rounds that total to the nearest `f64` once. Every
+/// term a store sums is bounded by 1 — `|a|²`, and the real and imaginary
+/// parts of `conj(b)·a` (at most `|a||b|`) — and so is every partial sum of
+/// them (Cauchy–Schwarz), far inside the `i128`'s 2^25.
+///
+/// The cut runs in two `f64` roundings and two `i64` limbs (a 2^-50 grid,
+/// then the remainder on a 2^-52 grid below it), which vectorize; a run of
+/// terms adds into the limbs and folds into the `i128` once per
+/// [`LIMB_RUN`] terms.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ExactSum(i128);
+
+impl ExactSum {
+    /// The sum of nothing.
+    pub const ZERO: ExactSum = ExactSum(0);
+
+    /// Adds one term (`|t| ≤ 2`).
+    pub fn add(&mut self, t: f64) {
+        let mut limbs = Limbs::default();
+        limbs.add(t);
+        self.fold(limbs);
+    }
+
+    /// Adds another partial sum, exactly.
+    pub fn merge(&mut self, other: ExactSum) {
+        self.0 += other.0;
+    }
+
+    /// The sum, rounded to the nearest `f64` (ties to even) once: the
+    /// integer converts with one rounding, and the power-of-two scale that
+    /// follows is exact. An empty or cancelled sum is `+0.0`.
+    pub fn finish(self) -> f64 {
+        self.0 as f64 * (HI_STEP * LO_STEP)
+    }
+
+    /// The sum in units of 2^-102: the state a partial sum travels as.
+    pub fn units(self) -> i128 {
+        self.0
+    }
+
+    /// The partial sum of [`ExactSum::units`] `units`.
+    pub fn from_units(units: i128) -> Self {
+        ExactSum(units)
+    }
+
+    #[inline(always)]
+    fn fold(&mut self, limbs: Limbs) {
+        self.0 += (i128::from(limbs.hi) << 52) + i128::from(limbs.lo);
+    }
+
+    /// Adds `term(x)` for every `x` of `xs`.
+    #[inline(always)]
+    fn add_each<T: Copy>(&mut self, xs: &[T], term: impl Fn(T) -> f64) {
+        let mut adder = Adder::<1>::new();
+        adder.add_each(0, xs, term);
+        self.merge(adder.total()[0]);
+    }
+}
+
+/// `N` exact sums being added to run by run: terms go into limbs until the
+/// next run could overflow them, and only then fold into the `i128`s, so a
+/// run of one or two terms does not pay a fold of its own.
+struct Adder<const N: usize> {
+    sums: [ExactSum; N],
+    limbs: [Limbs; N],
+    /// Terms any one limb pair can still take.
+    room: usize,
+}
+
+impl<const N: usize> Adder<N> {
+    #[inline(always)]
+    fn new() -> Self {
+        Adder {
+            sums: [ExactSum::ZERO; N],
+            limbs: [Limbs::default(); N],
+            room: LIMB_RUN,
         }
-    });
-    mass
+    }
+
+    /// Makes room for `n <= LIMB_RUN` more terms in every limb pair.
+    #[inline(always)]
+    fn make_room(&mut self, n: usize) {
+        if n > self.room {
+            for (sum, limbs) in self.sums.iter_mut().zip(&mut self.limbs) {
+                sum.fold(std::mem::take(limbs));
+            }
+            self.room = LIMB_RUN;
+        }
+        self.room -= n;
+    }
+
+    /// Adds `term(x)` for every `x` of `xs` to sum `k`.
+    #[inline(always)]
+    fn add_each<T: Copy>(&mut self, k: usize, xs: &[T], term: impl Fn(T) -> f64) {
+        for run in xs.chunks(LIMB_RUN) {
+            self.make_room(run.len());
+            let mut limbs = self.limbs[k];
+            for &x in run {
+                limbs.add(term(x));
+            }
+            self.limbs[k] = limbs;
+        }
+    }
+
+    #[inline(always)]
+    fn total(mut self) -> [ExactSum; N] {
+        self.make_room(LIMB_RUN);
+        self.sums
+    }
+}
+
+/// `x` rounded to the nearest integer (ties to even), as an integer and as
+/// an `f64`; `|x| ≤ 2^51`. No `as` cast: it saturates, and does not
+/// vectorize.
+#[inline(always)]
+fn round_int(x: f64) -> (i64, f64) {
+    let r = x + ROUND;
+    let int = (r.to_bits() as i64).wrapping_sub(ROUND.to_bits() as i64);
+    (int, r - ROUND)
+}
+
+/// Running limb sums of fewer than [`LIMB_RUN`] terms.
+#[derive(Clone, Copy, Default)]
+struct Limbs {
+    hi: i64,
+    lo: i64,
+}
+
+impl Limbs {
+    /// Adds `t` as `hi·2^-50 + lo·2^-102`: `hi = round(t·2^50)`, then
+    /// `lo = round((t·2^50 − hi)·2^52)`. Both scalings and the difference
+    /// are exact, so `hi·2^52 + lo = round(t·2^102)`.
+    #[inline(always)]
+    fn add(&mut self, t: f64) {
+        debug_assert!(t.abs() <= 2.0, "an exact sum's term is at most 2: {t:e}");
+        let x = t * (1.0 / HI_STEP);
+        let (hi, hi_f) = round_int(x);
+        let (lo, _) = round_int((x - hi_f) * (1.0 / LO_STEP));
+        self.hi += hi;
+        self.lo += lo;
+    }
+}
+
+/// Probability mass of the runs of `amps`, as `bits` cuts them, whose
+/// global start index passes `selected`: the exact sum of exactly the
+/// selected `|a|²`.
+#[inline(always)]
+fn norm_where(
+    amps: &[Complex],
+    base: usize,
+    bits: usize,
+    selected: impl Fn(usize) -> bool,
+) -> ExactSum {
+    let mut mass = Adder::<1>::new();
+    for_runs(
+        amps.len(),
+        bits,
+        #[inline(always)]
+        |at, len| {
+            if selected(base | at) {
+                mass.add_each(0, &amps[at..at + len], Complex::norm_sqr);
+            }
+        },
+    );
+    mass.total()[0]
 }
 
 /// Zeroes the runs of `amps`, as `bits` cuts them, whose global start index
-/// fails `keep`, and returns the mass of the rest: one sum, in ascending
-/// index order, over exactly the kept amplitudes.
+/// fails `keep`, and returns the exact mass of the rest.
 #[inline(always)]
 fn collapse_where(
     amps: &mut [Complex],
     base: usize,
     bits: usize,
     keep: impl Fn(usize) -> bool,
-) -> f64 {
-    let mut kept = 0.0f64;
-    for_runs(amps.len(), bits, |at, len| {
-        let run = &mut amps[at..at + len];
-        if keep(base | at) {
-            for a in run.iter() {
-                kept += a.norm_sqr();
+) -> ExactSum {
+    let mut kept = Adder::<1>::new();
+    for_runs(
+        amps.len(),
+        bits,
+        #[inline(always)]
+        |at, len| {
+            let run = &mut amps[at..at + len];
+            if keep(base | at) {
+                kept.add_each(0, run, Complex::norm_sqr);
+            } else {
+                run.fill(C_ZERO);
             }
-        } else {
-            run.fill(C_ZERO);
-        }
-    });
-    kept
+        },
+    );
+    kept.total()[0]
 }
 
 /// True when an odd number of the `mask` bits of `g` are set.
@@ -471,53 +656,68 @@ fn odd_parity(g: usize, mask: usize) -> bool {
     (g & mask).count_ones() % 2 == 1
 }
 
-/// Partial probability mass of the basis states in this stripe whose
-/// *global* index (stripe base ORed with the offset) matches `want` under
-/// `mask`. Summing the partials over all stripes gives the global mass.
+/// Probability mass of the basis states in this stripe whose *global*
+/// index (stripe base ORed with the offset) matches `want` under `mask`.
 /// No engine reads it: under a one-bit mask it is [`parity_prob_odd`] to the
 /// bit (`want = mask`), which is how every store reads one qubit.
 pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
-    norm_where(amps, base, mask, |g| g & mask == want)
+    wide!(Avx512, {
+        norm_where(amps, base, mask, |g| g & mask == want)
+    })
+    .finish()
 }
 
 /// Collapse pass: zeroes every amplitude whose global index does *not*
 /// match `want` under `mask` and returns the kept probability mass of this
-/// stripe. The caller renormalizes once the global mass is known. Under a
-/// one-bit mask it is [`collapse_parity`] to the bit, which every store
-/// collapses one qubit with.
+/// stripe. Under a one-bit mask it is [`collapse_parity`] to the bit, which
+/// every store collapses one qubit with.
 pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize) -> f64 {
-    collapse_where(amps, base, mask, |g| g & mask == want)
+    wide!(Avx512, {
+        collapse_where(amps, base, mask, |g| g & mask == want)
+    })
+    .finish()
 }
 
-/// Partial probability mass of odd `mask`-parity basis states in this
-/// stripe (joint Z-parity measurement, phase 1).
+/// Probability mass of odd `mask`-parity basis states in this stripe (joint
+/// Z-parity measurement, phase 1).
 pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
-    norm_where(amps, base, mask, |g| odd_parity(g, mask))
+    parity_sum(amps, base, mask).finish()
+}
+
+/// [`parity_prob_odd`] as a partial sum.
+pub(crate) fn parity_sum(amps: &[Complex], base: usize, mask: usize) -> ExactSum {
+    wide!(Avx512, {
+        norm_where(amps, base, mask, |g| odd_parity(g, mask))
+    })
 }
 
 /// Partial probability masses of the even and the odd `mask`-parity basis
-/// states in this stripe, in one pass: each is the sum [`parity_prob_odd`]
-/// forms for its side, to the bit. Under a one-bit mask the odd side is
-/// [`masked_norm`]`(mask, mask)` and the even side `masked_norm(mask, 0)`.
-pub fn branch_masses(amps: &[Complex], base: usize, mask: usize) -> (f64, f64) {
-    let (mut even, mut odd) = (-0.0f64, -0.0f64);
-    for_runs(amps.len(), mask, |at, len| {
-        let mass = if odd_parity(base | at, mask) {
-            &mut odd
-        } else {
-            &mut even
-        };
-        for a in &amps[at..at + len] {
-            *mass += a.norm_sqr();
-        }
-    });
-    (even, odd)
+/// states in this stripe, in one pass, as partial sums to merge across
+/// stripes: under a one-bit mask the odd side is the mass [`masked_norm`]
+/// reads for `(mask, mask)` and the even side for `(mask, 0)`.
+pub fn branch_masses(amps: &[Complex], base: usize, mask: usize) -> [ExactSum; 2] {
+    wide!(Avx512, {
+        let mut masses = Adder::<2>::new();
+        for_runs(
+            amps.len(),
+            mask,
+            #[inline(always)]
+            |at, len| {
+                let side = usize::from(odd_parity(base | at, mask));
+                masses.add_each(side, &amps[at..at + len], Complex::norm_sqr);
+            },
+        );
+        masses.total()
+    })
 }
 
 /// Parity-collapse pass: keeps the `want_odd` parity subspace, zeroes the
-/// rest, returns the kept mass of this stripe (joint Z-parity, phase 2).
-pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd: bool) -> f64 {
-    collapse_where(amps, base, mask, |g| odd_parity(g, mask) == want_odd)
+/// rest, returns the kept mass of this stripe as a partial sum (joint
+/// Z-parity, phase 2).
+pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd: bool) -> ExactSum {
+    wide!(Avx512, {
+        collapse_where(amps, base, mask, |g| odd_parity(g, mask) == want_odd)
+    })
 }
 
 /// Rescales every amplitude by the real factor (collapse renormalization,
@@ -530,10 +730,25 @@ pub fn scale(amps: &mut [Complex], factor: f64) {
     })
 }
 
-/// Squared norm of the stripe (the mass a renormalization divides by): every
-/// `|a|²` in ascending index order, added from `-0.0` by `Iterator::sum`.
+/// The factor a collapse scales the kept amplitudes by, given their mass:
+/// `1/√kept`. Panics when the kept branch has no probability.
+pub fn renormalizer(kept: f64) -> f64 {
+    assert!(kept > 1e-12, "collapsing onto probability-zero outcome");
+    1.0 / kept.sqrt()
+}
+
+/// Squared norm of the stripe: the exact sum of every `|a|²`.
 pub fn norm_sqr(amps: &[Complex]) -> f64 {
-    amps.iter().map(|a| a.norm_sqr()).sum()
+    norm_sum(amps).finish()
+}
+
+/// [`norm_sqr`] as a partial sum, to merge across stripes.
+pub fn norm_sum(amps: &[Complex]) -> ExactSum {
+    wide!(Avx512, {
+        let mut sum = ExactSum::ZERO;
+        sum.add_each(amps, Complex::norm_sqr);
+        sum
+    })
 }
 
 /// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
@@ -543,13 +758,13 @@ pub fn norm_sqr(amps: &[Complex]) -> f64 {
 pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
     let n_qubits = amps.len().trailing_zeros() as usize;
     let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-    let mut acc = Complex::default();
+    let mut acc = [ExactSum::ZERO; 2];
     expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
     hermitian_value(i_pow, acc)
 }
 
-/// Adds to `acc`, in ascending `i`, the (pre-phase) Pauli expectation term
-/// of each non-negligible `own[i]` against `other[i ^ x_lo]`, signed by
+/// Adds to `acc` (real part, imaginary part) the (pre-phase) Pauli
+/// expectation term of each `own[i]` against `other[i ^ x_lo]`, signed by
 /// `base | i` under `z_mask`. Sign and partner offset are constant over a
 /// run below the string's lowest bit, so it zips runs, not indices.
 pub fn expectation_partial(
@@ -558,25 +773,33 @@ pub fn expectation_partial(
     base: usize,
     x_lo: usize,
     z_mask: usize,
-    acc: &mut Complex,
+    acc: &mut [ExactSum; 2],
 ) {
-    *acc = wide!(Avx2, {
-        let mut sum = *acc;
+    let [re, im] = wide!(Avx512, {
+        let mut adder = Adder::<2>::new();
         for_runs(
             own.len(),
             x_lo | z_mask,
             #[inline(always)]
             |i, len| {
                 let sign = z_sign(base | i, z_mask);
-                for (&a, &partner) in own[i..i + len].iter().zip(&other[i ^ x_lo..][..len]) {
-                    if !a.is_negligible(NEGLIGIBLE) {
-                        sum += signed_term(a, partner, sign);
+                let (own, other) = (&own[i..i + len], &other[i ^ x_lo..][..len]);
+                for (own, other) in own.chunks(LIMB_RUN).zip(other.chunks(LIMB_RUN)) {
+                    adder.make_room(own.len());
+                    let [mut re, mut im] = adder.limbs;
+                    for (&a, &partner) in own.iter().zip(other) {
+                        let t = signed_term(a, partner, sign);
+                        re.add(t.re);
+                        im.add(t.im);
                     }
+                    adder.limbs = [re, im];
                 }
             },
         );
-        sum
+        adder.total()
     });
+    acc[0].merge(re);
+    acc[1].merge(im);
 }
 
 /// [`expectation_pauli_flat`] for callers whose amplitudes are not one
@@ -589,82 +812,124 @@ pub fn expectation_pauli(
 ) -> f64 {
     wide!(Avx2, {
         let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-        let mut acc = Complex::default();
+        let mut adder = Adder::<2>::new();
         for g in 0..(1usize << n_qubits) {
-            if let Some(t) = expectation_term(&at, g, x_mask, z_mask) {
-                acc += t;
-            }
+            adder.make_room(1);
+            let t = signed_term(at(g), at(g ^ x_mask), z_sign(g, z_mask));
+            adder.limbs[0].add(t.re);
+            adder.limbs[1].add(t.im);
         }
-        hermitian_value(i_pow, acc)
+        hermitian_value(i_pow, adder.total())
     })
 }
 
-/// Diagonal strings [`expectation_pauli_each_flat`] reads in one sweep: one
-/// accumulator each, as many as stay in registers.
-const DIAGONAL_CHUNK: usize = 16;
-
-/// Amplitudes per tile of a diagonal sweep: the low index bits whose signs
-/// are tabled once per call; the bits above are one sign per tile.
+/// Amplitudes per tile of a diagonal sweep: the low index bits whose
+/// parities are tabled once per call; the bits above are one parity per
+/// tile.
 const SIGN_TILE: usize = 1 << 8;
 
 /// [`expectation_pauli_flat`] of each string in `strings`, bit for bit, with
-/// the diagonal (Z-only) strings read together, up to 16 per sweep. A
-/// diagonal term `conj(a)·(±a)` is exactly `±|a|²` with a `+0.0` imaginary
-/// part and the `i^{#Y}` phase is 1, so the value is one real sum of
-/// `±a.norm_sqr()` in ascending index order from `+0.0`. The negligible skip
-/// only drops terms whose `norm_sqr()` is `0.0`, and adding `±0.0` to an
-/// accumulator that starts at `+0.0` leaves its bits alone, so the sweep
-/// adds every term.
+/// the diagonal (Z-only) strings read together in one sweep
+/// ([`diagonal_sums`]).
 pub fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
+    each_string(
+        amps.len(),
+        strings,
+        |x_mask, z_mask| {
+            let mut acc = [ExactSum::ZERO; 2];
+            expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
+            acc
+        },
+        |z_masks| diagonal_sums(amps, 0, z_masks),
+    )
+}
+
+/// The values of `strings` over a register of `len` amplitudes: each
+/// string with an X or Y through `pauli(x_mask, z_mask)`, the Z-only ones
+/// through one `diagonal(z_masks)` call. A diagonal term `conj(a)·(±a)` is
+/// exactly `±|a|²` with a zero imaginary part and the `i^{#Y}` phase is 1,
+/// so a diagonal string's value is the exact sum of the signed `|a|²`.
+pub(crate) fn each_string(
+    len: usize,
+    strings: &[Vec<PauliTerm>],
+    pauli: impl Fn(usize, usize) -> [ExactSum; 2],
+    diagonal: impl FnOnce(&[usize]) -> Vec<ExactSum>,
+) -> Vec<f64> {
+    let n_qubits = len.trailing_zeros() as usize;
+    let mut values = vec![0.0; strings.len()];
+    let (mut at, mut z_masks) = (Vec::new(), Vec::new());
+    for (i, terms) in strings.iter().enumerate() {
+        match pauli_masks(n_qubits, terms) {
+            (0, z_mask, _) => {
+                at.push(i);
+                z_masks.push(z_mask);
+            }
+            (x_mask, z_mask, i_pow) => values[i] = hermitian_value(i_pow, pauli(x_mask, z_mask)),
+        }
+    }
+    if !z_masks.is_empty() {
+        for (i, sum) in at.into_iter().zip(diagonal(&z_masks)) {
+            values[i] = sum.finish();
+        }
+    }
+    values
+}
+
+/// `Σ_g (-1)^{|g & z|} |a_g|²` for each mask `z` of `z_masks`, `g` the
+/// global index `base | i`, in one sweep: the exact total, less twice the
+/// exact mass of the amplitudes each mask reads odd. A tile's terms are cut
+/// onto the grid once; a mask then sums the terms its low bits read odd
+/// (a table of all-ones limb masks, built once per call), and the tile's
+/// high bits decide whether that sum or the rest of the tile is the odd
+/// side. No amplitude pays a popcount, and every inner loop runs over a
+/// tile's terms.
+pub(crate) fn diagonal_sums(amps: &[Complex], base: usize, z_masks: &[usize]) -> Vec<ExactSum> {
     wide!(Avx512, {
-        let n_qubits = amps.len().trailing_zeros() as usize;
-        let mut values = vec![0.0; strings.len()];
-        let mut diagonal = Vec::new();
-        for (i, terms) in strings.iter().enumerate() {
-            match pauli_masks(n_qubits, terms) {
-                (0, z_mask, _) => diagonal.push((i, z_mask)),
-                _ => values[i] = expectation_pauli_flat(amps, terms),
+        let tile = amps.len().min(SIGN_TILE);
+        let low_odd: Vec<[i64; SIGN_TILE]> = z_masks
+            .iter()
+            .map(|&z| std::array::from_fn(|l| -i64::from(odd_parity(l, z))))
+            .collect();
+        let mut total = ExactSum::ZERO;
+        let mut odd_mass = vec![ExactSum::ZERO; z_masks.len()];
+        let (mut hi, mut lo) = ([0i64; SIGN_TILE], [0i64; SIGN_TILE]);
+        for (at, amps) in (base..).step_by(tile).zip(amps.chunks_exact(tile)) {
+            let mut all = Limbs::default();
+            for ((a, hi), lo) in amps.iter().zip(&mut hi).zip(&mut lo) {
+                let mut one = Limbs::default();
+                one.add(a.norm_sqr());
+                (*hi, *lo) = (one.hi, one.lo);
+                all.hi += one.hi;
+                all.lo += one.lo;
+            }
+            let mut tile_total = ExactSum::ZERO;
+            tile_total.fold(all);
+            total.merge(tile_total);
+            for ((&z, low), odd) in z_masks.iter().zip(&low_odd).zip(&mut odd_mass) {
+                let mut picked = Limbs::default();
+                for ((&h, &l), &m) in hi[..tile].iter().zip(&lo[..tile]).zip(&low[..tile]) {
+                    picked.hi += h & m;
+                    picked.lo += l & m;
+                }
+                let mut low_side = ExactSum::ZERO;
+                low_side.fold(picked);
+                odd.merge(match odd_parity(at, z) {
+                    false => low_side,
+                    true => ExactSum(tile_total.0 - low_side.0),
+                });
             }
         }
-        for chunk in diagonal.chunks(DIAGONAL_CHUNK) {
-            let mut z_masks: Vec<usize> = chunk.iter().map(|&(_, z)| z).collect();
-            z_masks.resize(DIAGONAL_CHUNK, 0);
-            for (&(i, _), sum) in chunk.iter().zip(diagonal_sums(amps, &z_masks)) {
-                values[i] = sum;
-            }
-        }
-        values
+        odd_mass
+            .into_iter()
+            .map(|odd| ExactSum(total.0 - 2 * odd.0))
+            .collect()
     })
 }
 
-/// `Σ_g (-1)^{|g & z|} |a_g|²` for each of the [`DIAGONAL_CHUNK`] masks, in
-/// one pass: one accumulator per mask, from `+0.0`, in ascending index
-/// order. A sign is a sign bit, its low-bit half from a table built once and
-/// its high-bit half once per tile: no amplitude pays a popcount.
-#[inline(always)]
-fn diagonal_sums(amps: &[Complex], z_masks: &[usize]) -> [f64; DIAGONAL_CHUNK] {
-    let sign_bits = |g: usize| -> [u64; DIAGONAL_CHUNK] {
-        std::array::from_fn(|k| u64::from(odd_parity(g, z_masks[k])) << 63)
-    };
-    let tile = amps.len().min(SIGN_TILE);
-    let low: Vec<[u64; DIAGONAL_CHUNK]> = (0..tile).map(sign_bits).collect();
-    let mut acc = [0.0f64; DIAGONAL_CHUNK];
-    for (at, amps) in (0..).step_by(tile).zip(amps.chunks_exact(tile)) {
-        let high = sign_bits(at);
-        for (a, low) in amps.iter().zip(&low) {
-            let mass = a.norm_sqr().to_bits();
-            for k in 0..DIAGONAL_CHUNK {
-                acc[k] += f64::from_bits(mass ^ low[k] ^ high[k]);
-            }
-        }
-    }
-    acc
-}
-
-/// Applies the `i^{#Y}` phase to a finished accumulator and returns the
-/// (necessarily real) expectation value.
-pub fn hermitian_value(i_pow: Complex, acc: Complex) -> f64 {
-    let val = i_pow * acc;
+/// Finishes an accumulator's real and imaginary parts, applies the `i^{#Y}`
+/// phase and returns the (necessarily real) expectation value.
+pub fn hermitian_value(i_pow: Complex, [re, im]: [ExactSum; 2]) -> f64 {
+    let val = i_pow * Complex::new(re.finish(), im.finish());
     debug_assert!(
         val.im.abs() < 1e-9,
         "expectation of Hermitian operator must be real"
@@ -708,29 +973,6 @@ pub(crate) fn y_phase(y_count: u32) -> Complex {
     }
 }
 
-/// One basis state's contribution to the (pre-phase) Pauli expectation
-/// accumulator: `conj(a[g ^ x_mask]) * a[g] * (-1)^{|g & z_mask|}`.
-/// `None` when the amplitude at `g` is negligible — the caller must *skip*
-/// (not add zero), so every evaluation path accumulates the identical
-/// floating-point sequence.
-#[inline]
-fn expectation_term(
-    at: &impl Fn(usize) -> Complex,
-    g: usize,
-    x_mask: usize,
-    z_mask: usize,
-) -> Option<Complex> {
-    let a = at(g);
-    if a.is_negligible(NEGLIGIBLE) {
-        return None;
-    }
-    Some(signed_term(a, at(g ^ x_mask), z_sign(g, z_mask)))
-}
-
-/// Amplitudes below this magnitude are skipped by every Pauli-expectation
-/// accumulation (skipped, not added as zero).
-const NEGLIGIBLE: f64 = 1e-300;
-
 /// `(-1)^{|g & z_mask|}`: the sign basis state `g` takes from the Z and Y
 /// factors of a Pauli string.
 #[inline(always)]
@@ -742,8 +984,10 @@ fn z_sign(g: usize, z_mask: usize) -> f64 {
     }
 }
 
-/// The term a non-negligible amplitude `a` contributes, given its `x_mask`
-/// partner and its [`z_sign`].
+/// The (pre-phase) term amplitude `a` contributes to a Pauli expectation,
+/// given its `x_mask` partner and its [`z_sign`]:
+/// `conj(partner) · (±a)`, the partner's conjugate first. Every store forms
+/// every term this way, so every store sums the same terms.
 #[inline(always)]
 fn signed_term(a: Complex, partner: Complex, sign: f64) -> Complex {
     partner.conj() * a.scale(sign)
@@ -752,8 +996,7 @@ fn signed_term(a: Complex, partner: Complex, sign: f64) -> Complex {
 /// Removes qubit `target` from a dense amplitude vector in place, keeping
 /// the `outcome` branch; qubits above `target` shift down one position.
 /// Halves the length, keeps the capacity, and returns the probability mass
-/// that was discarded — the caller asserts it is negligible (the qubit must
-/// already be collapsed) and renormalizes.
+/// that was discarded.
 ///
 /// Compacts forward: block `k` (`2·bit` amplitudes) keeps one `bit`-long
 /// run, which moves down to `k·bit` — into an earlier block, or for block 0
@@ -762,31 +1005,27 @@ fn signed_term(a: Complex, partner: Complex, sign: f64) -> Complex {
 pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool) -> f64 {
     let dropped = walk_known_short!(1usize << target, |bit| {
         let (kept_at, dropped_at) = if outcome { (bit, 0) } else { (0, bit) };
-        let mut dropped = 0.0f64;
+        let mut dropped = Adder::<1>::new();
         for k in 0..amps.len() / (2 * bit) {
             let block = 2 * k * bit;
-            for a in &amps[block + dropped_at..][..bit] {
-                dropped += a.norm_sqr();
-            }
+            dropped.add_each(0, &amps[block + dropped_at..][..bit], Complex::norm_sqr);
             amps.copy_within(block + kept_at..block + kept_at + bit, k * bit);
         }
-        dropped
+        dropped.total()[0]
     });
     amps.truncate(amps.len() / 2);
-    dropped
+    dropped.finish()
 }
 
-/// Measure-and-free on a dense amplitude vector, given the `kept` mass of
-/// the `outcome` branch (the sum [`masked_norm`] forms over `target`'s bit):
-/// leaves, to the bit, what [`collapse_parity`] over `target` onto
-/// `outcome`, [`scale`] by the kept mass, [`remove_qubit_in_place`], a norm
-/// and a second [`scale`] leave — the same two sums in the same ascending
-/// order and the same two roundings per amplitude — in two passes over the
-/// kept half: nothing is zeroed, scaled or summed in the half that is
-/// dropped, and each kept amplitude moves once. Panics, as the composed form
-/// does, when the outcome has no probability.
+/// Removes qubit `target` from a dense amplitude vector, keeping the
+/// `outcome` branch, whose mass is `kept`, scaled by [`renormalizer`]: to
+/// the bit what [`collapse_parity`] over `target` onto `outcome`, [`scale`]
+/// by the kept mass and [`remove_qubit_in_place`] leave, in one pass over
+/// the kept half — nothing is zeroed or scaled in the half that is dropped,
+/// and each kept amplitude moves once. Panics when the outcome has no
+/// probability.
 pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool, kept: f64) {
-    let s = collapse_remove_scales(amps, target, outcome, kept);
+    let factor = renormalizer(kept);
     wide!(Avx2, {
         walk_known_short!(1usize << target, |bit| {
             let kept_at = if outcome { bit } else { 0 };
@@ -797,51 +1036,18 @@ pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome:
                 let (to, from) = (k * bit, 2 * k * bit + kept_at);
                 if from == to {
                     for a in &mut amps[..bit] {
-                        *a = scaled_twice(*a, s);
+                        *a = a.scale(factor);
                     }
                 } else {
                     let (low, high) = amps.split_at_mut(from);
                     for (to, a) in low[to..to + bit].iter_mut().zip(&high[..bit]) {
-                        *to = scaled_twice(*a, s);
+                        *to = a.scale(factor);
                     }
                 }
             }
         });
         amps.truncate(amps.len() / 2);
     })
-}
-
-/// The two factors [`collapse_remove_in_place`] scales each kept amplitude
-/// by: `1/√kept`, then one over the norm of the kept half so scaled, that
-/// norm summed in ascending order from `-0.0` (what `Iterator::sum` makes
-/// of the compacted vector).
-fn collapse_remove_scales(amps: &[Complex], target: usize, outcome: bool, kept: f64) -> (f64, f64) {
-    assert!(
-        kept > 1e-12,
-        "collapsing qubit {target} onto probability-zero outcome"
-    );
-    let s1 = 1.0 / kept.sqrt();
-    let norm = wide!(Avx2, {
-        walk_known_short!(1usize << target, |bit| {
-            let kept_at = if outcome { bit } else { 0 };
-            let mut norm = -0.0f64;
-            for block in amps.chunks_exact(2 * bit) {
-                for a in &block[kept_at..kept_at + bit] {
-                    norm += a.scale(s1).norm_sqr();
-                }
-            }
-            norm
-        })
-    });
-    assert!(norm.sqrt() > 0.0, "cannot renormalize the zero vector");
-    (s1, 1.0 / norm.sqrt())
-}
-
-/// A kept amplitude as [`collapse_remove_in_place`] leaves it: scaled by
-/// each factor in turn, two roundings.
-#[inline(always)]
-fn scaled_twice(a: Complex, (s1, s2): (f64, f64)) -> Complex {
-    a.scale(s1).scale(s2)
 }
 
 /// The copying form of [`remove_qubit_in_place`]: returns the halved vector
@@ -1043,7 +1249,7 @@ mod tests {
         let mut amps = uniform(2);
         let p_odd = parity_prob_odd(&amps, 0, 0b11);
         assert!((p_odd - 0.5).abs() < 1e-12);
-        let kept = collapse_parity(&mut amps, 0, 0b11, false);
+        let kept = collapse_parity(&mut amps, 0, 0b11, false).finish();
         assert!((kept - 0.5).abs() < 1e-12);
         assert_eq!(amps[0b01], C_ZERO);
         assert_eq!(amps[0b10], C_ZERO);
@@ -1175,6 +1381,13 @@ mod tests {
     mod naive {
         use super::super::*;
 
+        /// The exact sum of `terms`, one [`ExactSum::add`] each.
+        pub fn exact(terms: impl IntoIterator<Item = f64>) -> f64 {
+            let mut sum = ExactSum::ZERO;
+            terms.into_iter().for_each(|t| sum.add(t));
+            sum.finish()
+        }
+
         pub fn pair_indices(i: usize, bit: usize) -> (usize, usize) {
             let low = i & (bit - 1);
             let high = (i & !(bit - 1)) << 1;
@@ -1273,31 +1486,37 @@ mod tests {
         }
 
         pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
-            amps.iter()
-                .enumerate()
-                .filter(|(i, _)| (base | i) & mask == want)
-                .map(|(_, a)| a.norm_sqr())
-                .sum()
+            exact(
+                amps.iter()
+                    .enumerate()
+                    .filter(|(i, _)| (base | i) & mask == want)
+                    .map(|(_, a)| a.norm_sqr()),
+            )
         }
 
         pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize) -> f64 {
-            let mut kept = 0.0f64;
+            let mut kept = ExactSum::ZERO;
             for (i, a) in amps.iter_mut().enumerate() {
                 if (base | i) & mask == want {
-                    kept += a.norm_sqr();
+                    kept.add(a.norm_sqr());
                 } else {
                     *a = C_ZERO;
                 }
             }
-            kept
+            kept.finish()
         }
 
         pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
-            amps.iter()
-                .enumerate()
-                .filter(|(i, _)| ((base | i) & mask).count_ones() % 2 == 1)
-                .map(|(_, a)| a.norm_sqr())
-                .sum()
+            parity_mass(amps, base, mask, true)
+        }
+
+        pub fn parity_mass(amps: &[Complex], base: usize, mask: usize, odd: bool) -> f64 {
+            exact(
+                amps.iter()
+                    .enumerate()
+                    .filter(|(i, _)| (((base | i) & mask).count_ones() % 2 == 1) == odd)
+                    .map(|(_, a)| a.norm_sqr()),
+            )
         }
 
         pub fn collapse_parity(
@@ -1306,31 +1525,31 @@ mod tests {
             mask: usize,
             want_odd: bool,
         ) -> f64 {
-            let mut kept = 0.0f64;
+            let mut kept = ExactSum::ZERO;
             for (i, a) in amps.iter_mut().enumerate() {
                 let odd = ((base | i) & mask).count_ones() % 2 == 1;
                 if odd == want_odd {
-                    kept += a.norm_sqr();
+                    kept.add(a.norm_sqr());
                 } else {
                     *a = C_ZERO;
                 }
             }
-            kept
+            kept.finish()
         }
 
         pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
             let n_qubits = amps.len().trailing_zeros() as usize;
             let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-            let mut acc = Complex::default();
+            let mut acc = [ExactSum::ZERO; 2];
             for (g, &a) in amps.iter().enumerate() {
-                if !a.is_negligible(1e-300) {
-                    let sign = if (g & z_mask).count_ones() % 2 == 1 {
-                        -1.0
-                    } else {
-                        1.0
-                    };
-                    acc += amps[g ^ x_mask].conj() * a.scale(sign);
-                }
+                let sign = if (g & z_mask).count_ones() % 2 == 1 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                let term = amps[g ^ x_mask].conj() * a.scale(sign);
+                acc[0].add(term.re);
+                acc[1].add(term.im);
             }
             hermitian_value(i_pow, acc)
         }
@@ -1344,16 +1563,16 @@ mod tests {
             let low_mask = bit - 1;
             let keep = if outcome { bit } else { 0 };
             let mut out = vec![C_ZERO; flat.len() / 2];
-            let mut dropped = 0.0f64;
+            let mut dropped = ExactSum::ZERO;
             for (i, &a) in flat.iter().enumerate() {
                 if i & bit == keep {
                     let j = (i & low_mask) | ((i >> 1) & !low_mask);
                     out[j] = a;
                 } else {
-                    dropped += a.norm_sqr();
+                    dropped.add(a.norm_sqr());
                 }
             }
-            (out, dropped)
+            (out, dropped.finish())
         }
     }
 
@@ -1528,26 +1747,20 @@ mod tests {
                     same_bits(
                         &amps,
                         ("branch_masses odd", case),
-                        |v| branch_masses(v, base, mask).1,
+                        |v| branch_masses(v, base, mask)[1].finish(),
                         |v| naive::parity_prob_odd(v, base, mask),
                     );
                     same_bits(
                         &amps,
                         ("branch_masses even", case),
-                        |v| branch_masses(v, base, mask).0,
-                        |v| {
-                            v.iter()
-                                .enumerate()
-                                .filter(|(i, _)| ((base | i) & mask).count_ones() % 2 == 0)
-                                .map(|(_, a)| a.norm_sqr())
-                                .sum()
-                        },
+                        |v| branch_masses(v, base, mask)[0].finish(),
+                        |v| naive::parity_mass(v, base, mask, false),
                     );
                     for want_odd in [false, true] {
                         same_bits(
                             &amps,
                             ("collapse_parity", case, want_odd),
-                            |v| collapse_parity(v, base, mask, want_odd),
+                            |v| collapse_parity(v, base, mask, want_odd).finish(),
                             |v| naive::collapse_parity(v, base, mask, want_odd),
                         );
                     }
@@ -1582,11 +1795,8 @@ mod tests {
                 );
             }
         }
-        // The empty selection returns the empty sum's own bits.
-        assert_eq!(
-            masked_norm(&seeded(8, 1), 0, 0b1, 0b10).to_bits(),
-            (-0.0f64).to_bits()
-        );
+        // The empty selection sums to `+0.0`.
+        assert_eq!(masked_norm(&seeded(8, 1), 0, 0b1, 0b10).to_bits(), 0);
         assert_eq!(collapse_keep(&mut seeded(8, 1), 0, 0b1, 0b10).to_bits(), 0);
     }
 
@@ -1612,7 +1822,7 @@ mod tests {
                         same_bits(
                             &amps,
                             ("collapse_parity", case, odd),
-                            |v| collapse_parity(v, base, bit, odd),
+                            |v| collapse_parity(v, base, bit, odd).finish(),
                             |v| collapse_keep(v, base, bit, want),
                         );
                     }
@@ -1742,11 +1952,10 @@ mod tests {
             let mut rng = rand::rngs::StdRng::seed_from_u64(700 + n as u64);
             let all = (1usize << n) - 1;
             // Every single-Z string, the identity, random Z-only and general
-            // strings and one repeat: past one chunk of diagonal strings at
-            // every n, in an order that interleaves the kinds.
+            // strings and one repeat, in an order that interleaves the kinds.
             let mut strings: Vec<_> = (0..n).map(|q| z_string(1 << q)).collect();
             strings.push(vec![]);
-            for _ in 0..DIAGONAL_CHUNK {
+            for _ in 0..16 {
                 strings.push(z_string(rng.gen::<usize>() & all));
                 strings.push(pauli_string(n, rng.gen()));
             }
@@ -1762,9 +1971,174 @@ mod tests {
         assert!(expectation_pauli_each_flat(&seeded(8, 1), &[]).is_empty());
     }
 
+    mod exact_sum_proptests {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Fisher–Yates.
+        fn shuffle<T>(v: &mut [T], rng: &mut StdRng) {
+            for i in (1..v.len()).rev() {
+                v.swap(i, rng.gen_range(0..i + 1));
+            }
+        }
+
+        /// `2^e` for `-1022 <= e <= 1023`.
+        fn pow2(e: i32) -> f64 {
+            f64::from_bits(((1023 + e) as u64) << 52)
+        }
+
+        /// `t` on the 2^-102 grid, rounded half to even, from its sign,
+        /// exponent and mantissa alone.
+        fn grid_units(t: f64) -> i128 {
+            let bits = t.to_bits();
+            let (exp, frac) = (((bits >> 52) & 0x7ff) as i32, bits & ((1 << 52) - 1));
+            // |t| = mant · 2^e.
+            let (mant, e) = match exp {
+                0 => (frac, -1074),
+                _ => (frac | 1 << 52, exp - 1075),
+            };
+            let shift = e + 102;
+            let units = if shift >= 0 {
+                i128::from(mant) << shift
+            } else if shift < -60 {
+                0 // below a quarter of a grid step
+            } else {
+                let s = -shift;
+                let (q, rem, half) = (mant >> s, mant & ((1 << s) - 1), 1u64 << (s - 1));
+                i128::from(q + u64::from(rem > half || (rem == half && q & 1 == 1)))
+            };
+            if bits >> 63 == 1 {
+                -units
+            } else {
+                units
+            }
+        }
+
+        /// `units · 2^-102` rounded half to even once, by hand: the top 53
+        /// bits of the magnitude and a sticky remainder.
+        fn rounded(units: i128) -> f64 {
+            let m = units.unsigned_abs();
+            let width = 128 - m.leading_zeros() as i32;
+            let value = if width <= 53 {
+                m as u64 as f64 * pow2(-102)
+            } else {
+                let s = width - 53;
+                let (q, rem, half) = (m >> s, m & ((1 << s) - 1), 1u128 << (s - 1));
+                let q = q + u128::from(rem > half || (rem == half && q & 1 == 1));
+                q as u64 as f64 * pow2(s - 102)
+            };
+            if units < 0 {
+                -value
+            } else {
+                value
+            }
+        }
+
+        /// The terms no sum may get wrong: ±1, both zeros, the smallest and
+        /// largest subnormals, 1e-300, a grid step and half of one (a tie),
+        /// and values a hair either side of grid points.
+        fn edge_terms() -> Vec<f64> {
+            let sub = f64::from_bits(1);
+            let big_sub = f64::from_bits((1 << 52) - 1);
+            let step = pow2(-102);
+            let mut terms = vec![1.0, -1.0, 0.0, -0.0, sub, -sub, big_sub, 1e-300, -1e-300];
+            terms.extend([step, -step, step / 2.0, 1.5 * step, -2.5 * step]);
+            terms.extend([
+                1.0 - f64::EPSILON / 2.0,
+                -(0.5 + f64::EPSILON),
+                1e-31,
+                3e-17,
+            ]);
+            terms
+        }
+
+        /// Random terms in [-1, 1] of every scale, with the edge terms
+        /// mixed in.
+        fn terms(seed: u64, n: usize) -> Vec<f64> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut terms: Vec<f64> = (0..n)
+                .map(|_| (2.0 * rng.gen::<f64>() - 1.0) * pow2(-((rng.gen::<u32>() % 120) as i32)))
+                .collect();
+            terms.extend(edge_terms());
+            shuffle(&mut terms, &mut rng);
+            terms
+        }
+
+        #[test]
+        fn each_edge_term_lands_on_its_grid_point() {
+            for t in edge_terms() {
+                let mut sum = ExactSum::ZERO;
+                sum.add(t);
+                assert_eq!(sum.units(), grid_units(t), "{t:e}");
+                assert_eq!(
+                    sum.finish().to_bits(),
+                    rounded(grid_units(t)).to_bits(),
+                    "{t:e}"
+                );
+            }
+            // A sum that cancels to exactly zero reads `+0.0`.
+            let mut sum = ExactSum::ZERO;
+            for t in [0.75, 1e-300, -0.5, 3e-17, -0.25, -3e-17, -1e-300, -0.0] {
+                sum.add(t);
+            }
+            assert_eq!(sum.finish().to_bits(), 0);
+            assert_eq!(ExactSum::ZERO.finish().to_bits(), 0);
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            /// Terms cut into random groups, each summed on its own (by one
+            /// add at a time or a limb run), merged in a random order: the
+            /// same units and bits every way, and `finish()` is the terms'
+            /// exact grid sum rounded once.
+            #[test]
+            fn partitions_and_merge_orders_give_identical_bits(
+                seed in any::<u64>(),
+                n in 0usize..5000,
+                groups in 1usize..12,
+            ) {
+                let terms = terms(seed, n);
+                let want: i128 = terms.iter().map(|&t| grid_units(t)).sum();
+                let mut rng = StdRng::seed_from_u64(!seed);
+                let mut cuts: Vec<usize> = (0..groups - 1).map(|_| rng.gen_range(0..terms.len() + 1)).collect();
+                cuts.extend([0, terms.len()]);
+                cuts.sort_unstable();
+                let mut partials: Vec<ExactSum> = cuts
+                    .windows(2)
+                    .enumerate()
+                    .map(|(i, w)| {
+                        let mut part = ExactSum::ZERO;
+                        match i % 2 {
+                            0 => terms[w[0]..w[1]].iter().for_each(|&t| part.add(t)),
+                            _ => part.add_each(&terms[w[0]..w[1]], |t| t),
+                        }
+                        part
+                    })
+                    .collect();
+                shuffle(&mut partials, &mut rng);
+                let mut total = ExactSum::ZERO;
+                for part in partials {
+                    total.merge(part);
+                }
+                prop_assert_eq!(total.units(), want);
+                prop_assert_eq!(total.finish().to_bits(), rounded(want).to_bits());
+                let mut serial = ExactSum::ZERO;
+                serial.add_each(&terms, |t| t);
+                prop_assert_eq!(serial, total);
+            }
+        }
+    }
+
     mod proptests {
         use super::*;
         use proptest::prelude::*;
+
+        fn bits_of(values: &[f64]) -> Vec<u64> {
+            values.iter().map(|v| v.to_bits()).collect()
+        }
 
         /// [`seeded`] amplitudes scaled to unit norm.
         fn normalized(len: usize, seed: u64) -> Vec<Complex> {
@@ -1774,7 +2148,7 @@ mod tests {
         }
 
         /// Measure-and-free as the per-index loops compose it: the parity
-        /// mass, collapse, rescale, remove, renormalize.
+        /// mass, collapse, rescale by the kept mass, remove.
         fn measured_and_removed(amps: &[Complex], target: usize, u: f64) -> (bool, Vec<Complex>) {
             let scaled = |v: &mut [Complex], f: f64| v.iter_mut().for_each(|a| *a = a.scale(f));
             let tbit = 1 << target;
@@ -1782,9 +2156,7 @@ mod tests {
             let mut collapsed = amps.to_vec();
             let kept = naive::collapse_parity(&mut collapsed, 0, tbit, outcome);
             scaled(&mut collapsed, 1.0 / kept.sqrt());
-            let (mut removed, _) = naive::remove_qubit_flat(&collapsed, target, outcome);
-            let norm: f64 = removed.iter().map(|a| a.norm_sqr()).sum();
-            scaled(&mut removed, 1.0 / norm.sqrt());
+            let (removed, _) = naive::remove_qubit_flat(&collapsed, target, outcome);
             (outcome, removed)
         }
 
@@ -1872,6 +2244,28 @@ mod tests {
                         on_first(len, &|v| split::scale(v, 0.5 + u)),
                         on_first(len, &|v| scale(v, 0.5 + u)),
                     );
+                    // The reads: a parity mass, both branch masses, a
+                    // string with X on the top bit, on the bit below it or
+                    // anywhere, and diagonal strings.
+                    let mask = tbit | other;
+                    let masses = split::masses(&amps, mask);
+                    assert_eq!(masses, branch_masses(&amps, 0, mask), "masses of {mask:#x}");
+                    let odd = split::parity_prob_odd(&amps, mask);
+                    assert_eq!(odd.to_bits(), parity_prob_odd(&amps, 0, mask).to_bits());
+                    let strings = [
+                        pauli_string(n as usize, 1 << (2 * (n - 1)) | 3 << (2 * (t % n))),
+                        pauli_string(n as usize, 2 << (2 * (n - 2)) | 1 << (2 * (c % n))),
+                        pauli_string(n as usize, o | 1),
+                        z_string(mask),
+                        z_string(tbit),
+                    ];
+                    let each = split::expectation_each(&amps, &strings);
+                    assert_eq!(bits_of(&each), bits_of(&expectation_pauli_each_flat(&amps, &strings)));
+                    for (terms, value) in strings.iter().zip(&each) {
+                        let flat = expectation_pauli_flat(&amps, terms).to_bits();
+                        assert_eq!(split::expectation(&amps, terms).to_bits(), flat, "{terms:?}");
+                        assert_eq!(value.to_bits(), flat, "{terms:?}");
+                    }
                     for (u, (outcome, want)) in &measured {
                         let kept = match outcome {
                             true => parity_prob_odd(&amps, 0, tbit),
@@ -1887,8 +2281,8 @@ mod tests {
             }
         }
 
-        /// A stripe's share of a Pauli expectation as a shard worker summed
-        /// it index by index through [`expectation_term`], into `acc`: alone
+        /// A stripe's share of a Pauli expectation summed index by index,
+        /// each term `conj(partner)·(±a)` added on its own, into `acc`: alone
         /// (`x_hi == 0`, partners in the stripe itself), or paired, `own`'s
         /// terms against `other`, the stripe the shard-crossing X bits
         /// `x_hi` pair it with.
@@ -1897,25 +2291,22 @@ mod tests {
             other: &[Complex],
             base: usize,
             (x_lo, x_hi, z_mask): (usize, usize, usize),
-            acc: &mut Complex,
+            acc: &mut [ExactSum; 2],
         ) {
-            for i in 0..own.len() {
-                let term = if x_hi == 0 {
-                    let at = |g: usize| own[g & (own.len() - 1)];
-                    expectation_term(&at, base | i, x_lo, z_mask)
+            for (i, &a) in own.iter().enumerate() {
+                let partner = if x_hi == 0 {
+                    own[i ^ x_lo]
                 } else {
-                    let at = |g: usize| {
-                        if g == base | i {
-                            own[i]
-                        } else {
-                            other[i ^ x_lo]
-                        }
-                    };
-                    expectation_term(&at, base | i, x_lo | x_hi, z_mask)
+                    other[i ^ x_lo]
                 };
-                if let Some(t) = term {
-                    *acc += t;
-                }
+                let sign = if ((base | i) & z_mask).count_ones() % 2 == 1 {
+                    -1.0
+                } else {
+                    1.0
+                };
+                let term = partner.conj() * a.scale(sign);
+                acc[0].add(term.re);
+                acc[1].add(term.im);
             }
         }
 
@@ -1944,20 +2335,20 @@ mod tests {
                 let (base, x_hi) = (shard << l, flip << l);
                 let stripe = |seed| if tame { seeded(len, seed) } else { extremes(len, seed) };
                 let (own, other) = (stripe(seeds.0), stripe(seeds.1));
-                let c_bits = |c: Complex| (c.re.to_bits(), c.im.to_bits());
                 on_each_copy(|| {
-                    let (mut got, mut want) = (Complex::default(), Complex::default());
+                    let zero = [ExactSum::ZERO; 2];
+                    let (mut got, mut want) = (zero, zero);
                     expectation_partial(&own, &own, base, x_lo, z_mask, &mut got);
                     per_index_partial(&own, &own, base, (x_lo, 0, z_mask), &mut want);
-                    assert_eq!(c_bits(got), c_bits(want), "alone");
-                    let (mut got, mut want) = (Complex::default(), Complex::default());
+                    assert_eq!(got, want, "alone");
+                    let (mut got, mut want) = (zero, zero);
                     expectation_partial(&own, &other, base, x_lo, z_mask, &mut got);
                     per_index_partial(&own, &other, base, (x_lo, x_hi, z_mask), &mut want);
-                    assert_eq!(c_bits(got), c_bits(want), "low member, own terms");
+                    assert_eq!(got, want, "low member, own terms");
                     let partner = base ^ x_hi;
                     expectation_partial(&other, &own, partner, x_lo, z_mask, &mut got);
                     per_index_partial(&other, &own, partner, (x_lo, x_hi, z_mask), &mut want);
-                    assert_eq!(c_bits(got), c_bits(want), "low member, partner terms");
+                    assert_eq!(got, want, "low member, partner terms");
                 });
             }
         }
@@ -2087,8 +2478,8 @@ mod tests {
                         on_first(LEN, &|s| naive::phase_sweep(s, base, &factors, &[mask])),
                     );
                 }
-                // Stripe lengths of 1 to 2^12 for the whole-stripe pass (and
-                // the one norm, single-copy, against `Iterator::sum`).
+                // Stripe lengths of 1 to 2^12 for the whole-stripe pass and
+                // the norm.
                 same_bits(
                     &amps[..run],
                     ("scale", run),
@@ -2098,7 +2489,7 @@ mod tests {
                     },
                     |v| {
                         naive_scale(v, 0.7);
-                        v.iter().map(|a| a.norm_sqr()).sum()
+                        naive::exact(v.iter().map(|a| a.norm_sqr()))
                     },
                 );
                 // X⊗Z from qubit j up, and the diagonal Z⊗Z over `mask`.
@@ -2117,13 +2508,12 @@ mod tests {
                     }
                 }
                 for outcome in [false, true] {
-                    // Collapse, rescale, remove, renormalize: the composed form.
+                    // Collapse, rescale by the kept mass, remove: the composed
+                    // form.
                     let mut want = amps.clone();
                     let kept = naive::collapse_parity(&mut want, 0, run, outcome);
                     naive_scale(&mut want, 1.0 / kept.sqrt());
-                    let (mut want, _) = naive::remove_qubit_flat(&want, j, outcome);
-                    let norm: f64 = want.iter().map(|a| a.norm_sqr()).sum();
-                    naive_scale(&mut want, 1.0 / norm.sqrt());
+                    let (want, _) = naive::remove_qubit_flat(&want, j, outcome);
                     let mut got = amps.clone();
                     let kept = masked_norm(&got, 0, run, if outcome { run } else { 0 });
                     collapse_remove_in_place(&mut got, j, outcome, kept);

@@ -6,17 +6,21 @@
 //! amplitude goes through exactly the operations it does unsplit: a split
 //! call leaves the same bits. A gate targeting the top bit pairs the halves
 //! offset for offset and is cut at the next bit down instead; a control on
-//! the bit a call is cut at runs the half where it is set, alone. Every
-//! ordered sum stays one sum on one thread; the two branch masses of a
-//! measurement are two independent sums, and run one per thread.
+//! the bit a call is cut at runs the half where it is set, alone. A sum
+//! is exact ([`super::ExactSum`]), so its two halves merge to the bits the
+//! whole would sum to.
 //!
 //! Only [`crate::state::State`] calls these. The striped store and the
 //! remote workers keep the serial kernels: the workers' shards already
 //! occupy the cores.
 
 use super::dispatch::{join, wide};
-use super::{masked_norm, scaled_twice, PairKernel};
+use super::{
+    branch_masses, diagonal_sums, each_string, expectation_partial, masked_norm, parity_sum,
+    pauli_masks, renormalizer, ExactSum, PairKernel,
+};
 use crate::complex::Complex;
+use crate::measure::PauliTerm;
 
 /// Fewest amplitudes a call must cover to be split. Splitting costs a
 /// handoff of a few microseconds; at 2^15 amplitudes (512 KiB) the second
@@ -114,13 +118,13 @@ pub(crate) fn scale(amps: &mut [Complex], factor: f64) {
 
 /// Measures bit `tbit` against the uniform draw `u` and returns the outcome
 /// with its branch's mass: set (odd) when `u` is below the set branch's
-/// mass, which is [`super::parity_prob_odd`]'s to the bit, and each mass the
-/// one ascending sum [`masked_norm`] forms. Below the threshold the clear
-/// branch is summed only when the outcome is clear; above it the two masses
-/// are two sums, one per thread.
+/// mass, which is [`super::parity_prob_odd`]'s to the bit. Below the
+/// threshold the clear branch is summed only when the outcome is clear;
+/// above it each thread sums both masses over one half, and the halves
+/// merge exactly.
 pub(crate) fn measure(amps: &[Complex], tbit: usize, u: f64) -> (bool, f64) {
-    let mass = |want| masked_norm(amps, 0, tbit, want);
     if amps.len() < SPLIT_MIN {
+        let mass = |want| masked_norm(amps, 0, tbit, want);
         let odd = mass(tbit);
         return if u < odd {
             (true, odd)
@@ -128,7 +132,8 @@ pub(crate) fn measure(amps: &[Complex], tbit: usize, u: f64) -> (bool, f64) {
             (false, mass(0))
         };
     }
-    let (even, odd) = join(|| mass(0), || mass(tbit));
+    let [even, odd] = masses(amps, tbit);
+    let (even, odd) = (even.finish(), odd.finish());
     if u < odd {
         (true, odd)
     } else {
@@ -136,16 +141,29 @@ pub(crate) fn measure(amps: &[Complex], tbit: usize, u: f64) -> (bool, f64) {
     }
 }
 
+/// [`branch_masses`] under `mask` over the whole register (`base = 0`),
+/// each half of it on one thread.
+pub(crate) fn masses(amps: &[Complex], mask: usize) -> [ExactSum; 2] {
+    merged(amps, |half, base| branch_masses(half, base, mask))
+}
+
+/// [`super::parity_prob_odd`] over the whole register, each half of it on
+/// one thread.
+pub(crate) fn parity_prob_odd(amps: &[Complex], mask: usize) -> f64 {
+    let [odd] = merged(amps, |half, base| [parity_sum(half, base, mask)]);
+    odd.finish()
+}
+
 /// [`super::collapse_remove_in_place`] over the whole register. With the
 /// target on the top bit the kept half moves down as one run onto the
-/// dropped half (or stays), so its last pass splits: each thread rescales
-/// one quarter of the register.
+/// dropped half (or stays), so the pass splits: each thread rescales one
+/// quarter of the register.
 pub(crate) fn collapse_remove(amps: &mut Vec<Complex>, target: usize, outcome: bool, kept: f64) {
     let top = amps.len() / 2;
     if amps.len() < SPLIT_MIN || 1 << target != top {
         return super::collapse_remove_in_place(amps, target, outcome, kept);
     }
-    let s = super::collapse_remove_scales(amps, target, outcome, kept);
+    let factor = renormalizer(kept);
     let (low, high) = amps.split_at_mut(top);
     let (low, low_up) = low.split_at_mut(top / 2);
     if outcome {
@@ -153,20 +171,96 @@ pub(crate) fn collapse_remove(amps: &mut Vec<Complex>, target: usize, outcome: b
         let rescale = |to: &mut [Complex], from: &[Complex]| {
             wide!(Avx2, {
                 for (to, a) in to.iter_mut().zip(from) {
-                    *to = scaled_twice(*a, s);
+                    *to = a.scale(factor);
                 }
             })
         };
         join(|| rescale(low, high), || rescale(low_up, high_up));
     } else {
-        let rescale = |run: &mut [Complex]| {
-            wide!(Avx2, {
-                for a in run.iter_mut() {
-                    *a = scaled_twice(*a, s);
-                }
-            })
-        };
-        join(|| rescale(low), || rescale(low_up));
+        join(
+            || super::scale(low, factor),
+            || super::scale(low_up, factor),
+        );
     }
     amps.truncate(top);
+}
+
+/// The two halves' partial sums of `f`, merged: `f(half, base)` on each
+/// half of the register, one per thread.
+fn merged<const N: usize>(
+    amps: &[Complex],
+    f: impl Fn(&[Complex], usize) -> [ExactSum; N] + Sync,
+) -> [ExactSum; N] {
+    if amps.len() < SPLIT_MIN {
+        return f(amps, 0);
+    }
+    let top = amps.len() / 2;
+    let (low, high) = amps.split_at(top);
+    let (mut sums, upper) = join(|| f(low, 0), || f(high, top));
+    for (sum, upper) in sums.iter_mut().zip(upper) {
+        sum.merge(upper);
+    }
+    sums
+}
+
+/// The (pre-phase) Pauli expectation sums of the string with masks
+/// `(x_mask, z_mask)` over the whole register: each half's terms on one
+/// thread, the partners from the other half where `x_mask` flips the top
+/// bit.
+fn pauli_sums(amps: &[Complex], x_mask: usize, z_mask: usize) -> [ExactSum; 2] {
+    let partial = |own, other, base, x_mask| {
+        let mut acc = [ExactSum::ZERO; 2];
+        expectation_partial(own, other, base, x_mask, z_mask, &mut acc);
+        acc
+    };
+    if amps.len() < SPLIT_MIN {
+        return partial(amps, amps, 0, x_mask);
+    }
+    let top = amps.len() / 2;
+    let (low, high) = amps.split_at(top);
+    let (low_partners, high_partners) = match x_mask & top {
+        0 => (low, high),
+        _ => (high, low),
+    };
+    let x_lo = x_mask & !top;
+    let ([mut re, mut im], [re_high, im_high]) = join(
+        || partial(low, low_partners, 0, x_lo),
+        || partial(high, high_partners, top, x_lo),
+    );
+    re.merge(re_high);
+    im.merge(im_high);
+    [re, im]
+}
+
+/// [`super::expectation_pauli_flat`] over the whole register, its two
+/// halves' terms on two threads.
+pub(crate) fn expectation(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
+    let n_qubits = amps.len().trailing_zeros() as usize;
+    let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
+    super::hermitian_value(i_pow, pauli_sums(amps, x_mask, z_mask))
+}
+
+/// [`super::expectation_pauli_each_flat`] over the whole register, each
+/// sweep's two halves on two threads.
+pub(crate) fn expectation_each(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
+    each_string(
+        amps.len(),
+        strings,
+        |x_mask, z_mask| pauli_sums(amps, x_mask, z_mask),
+        |z_masks| {
+            if amps.len() < SPLIT_MIN {
+                return diagonal_sums(amps, 0, z_masks);
+            }
+            let top = amps.len() / 2;
+            let (low, high) = amps.split_at(top);
+            let (mut sums, upper) = join(
+                || diagonal_sums(low, 0, z_masks),
+                || diagonal_sums(high, top, z_masks),
+            );
+            for (sum, upper) in sums.iter_mut().zip(upper) {
+                sum.merge(upper);
+            }
+            sums
+        },
+    )
 }

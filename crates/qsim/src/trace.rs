@@ -56,6 +56,10 @@ impl AmpStore for TraceState {
 
     fn collapse_parity(&mut self, _qubits: &[usize], _odd: bool) {}
 
+    fn collapse_remove(&mut self, target: usize, outcome: bool) {
+        self.remove_qubit(target, outcome);
+    }
+
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         if terms.iter().all(|t| t.op == Pauli::Z) {
             1.0

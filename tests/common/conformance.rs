@@ -387,7 +387,7 @@ pub fn generic_angle_family<S: qmpi::EngineStore>(
     e: &mut qmpi::AmplitudeEngine<S>,
     seed: u64,
 ) -> GenericAngleReads {
-    use qsim::{AmpStore, BatchOp, QubitId};
+    use qsim::{BatchOp, QubitId};
     let n = GENERIC_QUBITS;
     let mut rng = proptest::test_runner::TestRng::for_case(seed);
     let mut angle = move || 0.05 + 3.0 * rng.unit_f64();
