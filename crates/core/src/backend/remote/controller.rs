@@ -19,6 +19,11 @@ pub(super) struct Controller {
     pub(super) lease: ShardLease,
     /// Live qubit positions (mirrors the registry length).
     pub(super) n_qubits: usize,
+    /// The physical index bit of each live position. Bits below
+    /// `local_bits` address within a stripe and the `shard_bits` above them
+    /// select it; a position keeps its bit while it lives, unless a free
+    /// moves it (see [`Controller::reshape`]).
+    phys: Vec<usize>,
     /// Active shard-index bits: `min(max_shard_bits, n_qubits)`.
     pub(super) shard_bits: u32,
     /// Configured shard-count exponent.
@@ -57,6 +62,7 @@ impl Controller {
         let workers = lease.shards();
         Controller {
             n_qubits: 0,
+            phys: Vec::new(),
             shard_bits: 0,
             max_shard_bits: workers.trailing_zeros(),
             failover: lease.link().arms_failover().then(FailoverState::new),
@@ -214,7 +220,7 @@ impl Controller {
     /// has been queued since (the read that decided a free), else one read
     /// now.
     pub(super) fn remove_branch(&mut self, pos: usize, outcome: bool) {
-        let mask = 1 << pos;
+        let mask = 1 << self.bit(pos);
         let masses = match self.read {
             Some((read, masses)) if read == mask => masses,
             _ => self.masses(mask),
@@ -272,28 +278,42 @@ impl Controller {
         Ok(())
     }
 
-    /// Splits a set of global qubit positions into (within-stripe,
-    /// shard-index) masks.
+    /// The physical index bit of position `pos`.
+    fn bit(&self, pos: usize) -> usize {
+        assert!(pos < self.n_qubits, "position {pos} out of range");
+        self.phys[pos]
+    }
+
+    /// The physical index mask of the listed positions.
+    pub(super) fn mask(&self, positions: &[usize]) -> usize {
+        positions.iter().fold(0, |mask, &p| mask | 1 << self.bit(p))
+    }
+
+    /// The physical index mask of the positions set in `mask`.
+    pub(super) fn phys_mask(&self, mask: usize) -> usize {
+        (0..self.n_qubits)
+            .filter(|p| mask >> p & 1 == 1)
+            .fold(0, |phys, p| phys | 1 << self.phys[p])
+    }
+
+    /// The physical bit of each position of `perm`, in order: the
+    /// permutation that takes a gathered (physical) state to `perm`'s
+    /// order ([`qsim::State::permuted`]).
+    pub(super) fn phys_order(&self, perm: &[usize]) -> Vec<usize> {
+        perm.iter().map(|&p| self.bit(p)).collect()
+    }
+
+    /// Splits a set of positions into (within-stripe, shard-index) masks.
     fn split_masks(&self, positions: &[usize]) -> (usize, usize) {
-        let l = self.local_bits();
-        let mut lo = 0usize;
-        let mut hi = 0usize;
-        for &p in positions {
-            assert!(p < self.n_qubits, "position {p} out of range");
-            if p < l {
-                lo |= 1 << p;
-            } else {
-                hi |= 1 << (p - l);
-            }
-        }
-        (lo, hi)
+        let (mask, l) = (self.mask(positions), self.local_bits());
+        (mask & ((1 << l) - 1), mask >> l)
     }
 
     /// Plans one pair gate: within-shard targets get a local pass,
     /// cross-shard targets get the stripe-pair exchange ops.
     pub(super) fn plan_pair(&mut self, controls: &[usize], target: usize, kernel: PairKernel) {
         let (c_lo, c_hi) = self.split_masks(controls);
-        let l = self.local_bits();
+        let (l, target) = (self.local_bits(), self.bit(target));
         if target < l {
             let tbit = 1usize << target;
             for s in 0..self.active() {
@@ -350,7 +370,12 @@ impl Controller {
     ) {
         let l = self.local_bits();
         let low = (1usize << l) - 1;
-        let (factors, flips) = stripe::sweep_masks(positions, diags, czs);
+        let positions: Vec<usize> = positions.iter().map(|&p| self.bit(p)).collect();
+        let czs: Vec<(usize, usize)> = czs
+            .iter()
+            .map(|&(a, b)| (self.bit(a), self.bit(b)))
+            .collect();
+        let (factors, flips) = stripe::sweep_masks(&positions, diags, &czs);
         for s in 0..self.active() {
             let diags: Vec<_> = factors
                 .iter()
@@ -382,7 +407,7 @@ impl Controller {
     /// passes, 6 transfers, of the naive form).
     pub(super) fn plan_swap(&mut self, a: usize, b: usize) {
         debug_assert_ne!(a, b);
-        let l = self.local_bits();
+        let (l, a, b) = (self.local_bits(), self.bit(a), self.bit(b));
         let (lo, hi) = (a.min(b), a.max(b));
         if hi < l {
             let (abit, bbit) = (1usize << lo, 1usize << hi);
@@ -462,67 +487,126 @@ impl Controller {
         Ok(acc)
     }
 
-    /// The layout change of an alloc (`remove` is `None`: the new qubit
-    /// takes the top position) or a free (`Some((pos, outcome))`, the qubit
-    /// already collapsed) where the amplitudes live: one queued
-    /// [`ShardCmd::Reshape`] per involved worker, and the layout switches at
-    /// once. Nothing comes back. The shard stays the top `k` bits of the
-    /// global index, so
-    /// every old stripe splits into equal parts with one destination each,
-    /// and each command tells its worker where its parts go and whose parts
-    /// it assembles.
+    /// The layout change of an alloc (`remove` is `None`) or a free
+    /// (`Some((pos, outcome))`, the qubit already collapsed), as one queued
+    /// [`ShardCmd::Reshape`] per involved worker; the layout switches at
+    /// once and nothing comes back.
+    ///
+    /// The shard axes stay on the qubits that hold them. While there are
+    /// fewer qubits than shard bits, a new qubit is a new shard axis and
+    /// the new shards start from zero; after that, a new qubit is the
+    /// highest local bit, so each stripe doubles in place. Freeing a local
+    /// qubit compacts each stripe in place. Only freeing a shard axis moves
+    /// amplitudes: the highest local qubit takes the axis over, and the
+    /// kept side of each shard pair sends one half of its stripe to the
+    /// other (with no local qubit left, the shard count halves instead).
     pub(super) fn reshape(&mut self, remove: Option<(usize, bool)>) {
-        let (l, bits) = (self.local_bits(), self.shard_bits);
-        let new_n = if remove.is_some() {
-            self.n_qubits - 1
-        } else {
-            self.n_qubits + 1
-        };
-        let new_bits = self.max_shard_bits.min(new_n as u32);
-        let new_l = new_n - new_bits as usize;
-        // Destination shards of old shard `s`'s equal parts, in offset
-        // order; none when the stripe lies on the discarded branch.
-        let dest = |s: usize| match remove {
-            // The shard count doubles: single amplitudes stay put.
-            None if new_bits > bits => vec![s],
-            // New shard `s'` is old shards `2s'` and `2s' + 1` end to end.
-            None => vec![s >> 1],
-            Some((pos, _)) if pos < l => vec![s],
+        let (n, l, active) = (self.n_qubits, self.local_bits(), self.active());
+        // Per worker: where its stripe's equal parts go, whose parts make
+        // up its new stripe (world ranks), and a local compaction first.
+        let mut sends: Vec<Vec<usize>> = (0..active).map(|s| vec![rank_of(s)]).collect();
+        let mut recvs = sends.clone();
+        let mut compact = None;
+        let (new_n, new_l) = match remove {
+            None if self.shard_bits < self.max_shard_bits => {
+                // The new shards start empty: zero-filled to one amplitude.
+                sends.resize(2 * active, Vec::new());
+                recvs.resize(2 * active, Vec::new());
+                self.phys.push(n);
+                (n + 1, 0)
+            }
+            None => {
+                for p in &mut self.phys {
+                    *p += usize::from(*p >= l);
+                }
+                self.phys.push(l);
+                (n + 1, l + 1)
+            }
             Some((pos, outcome)) => {
-                let j = pos - l;
-                if (s >> j) & 1 != outcome as usize {
-                    return Vec::new();
+                let b = self.phys.remove(pos);
+                let into = match b.checked_sub(l) {
+                    None => {
+                        compact = Some((b, outcome));
+                        b
+                    }
+                    Some(j) if l > 0 => {
+                        self.promote(j, outcome, &mut sends, &mut recvs);
+                        // The top local qubit moves onto the freed axis and
+                        // its bit is the one vacated.
+                        let top = self.phys.iter().position(|&p| p == l - 1);
+                        self.phys[top.expect("a local qubit is live")] = b;
+                        l - 1
+                    }
+                    Some(j) => {
+                        self.halve(j, outcome, &mut sends, &mut recvs);
+                        b
+                    }
+                };
+                for p in &mut self.phys {
+                    *p -= usize::from(*p > into);
                 }
-                let s_r = (s & ((1 << j) - 1)) | ((s >> (j + 1)) << j);
-                if new_bits < bits {
-                    vec![s_r]
-                } else {
-                    vec![s_r << 1, (s_r << 1) | 1]
-                }
+                (n - 1, l.saturating_sub(1))
             }
         };
-        let involved = self.active().max(1 << new_bits);
-        let mut sends = vec![Vec::new(); involved];
-        let mut recvs = vec![Vec::new(); involved];
-        for (s, sends) in sends.iter_mut().enumerate().take(self.active()) {
-            for d in dest(s) {
-                sends.push(rank_of(d));
-                recvs[d].push(rank_of(s));
-                self.xchg_rounds += (d != s) as u64;
-            }
-        }
+        self.set_layout(new_n);
         for (s, (sends, recvs)) in sends.into_iter().zip(recvs).enumerate() {
             let cmd = ShardCmd::Reshape {
-                compact: remove.filter(|&(pos, _)| pos < l),
+                compact,
                 sends,
                 recvs,
                 shard_index: s,
                 local_bits: new_l,
-                len: if s >> new_bits == 0 { 1 << new_l } else { 0 },
+                len: if s < self.active() { 1 << new_l } else { 0 },
             };
             self.enqueue(s, cmd);
         }
-        self.set_layout(new_n);
+    }
+
+    /// The moves of freeing shard axis `j` onto `outcome` while local
+    /// qubits live: in each shard pair the kept side's low half (top local
+    /// bit clear) goes to the pair's low shard and its high half to the
+    /// high shard, one half crossing, and the other side's stripe is
+    /// dropped.
+    fn promote(
+        &mut self,
+        j: usize,
+        outcome: bool,
+        sends: &mut [Vec<usize>],
+        recvs: &mut [Vec<usize>],
+    ) {
+        let jbit = 1usize << j;
+        for low in (0..sends.len()).filter(|s| s & jbit == 0) {
+            let high = low | jbit;
+            let (kept, gone) = if outcome { (high, low) } else { (low, high) };
+            sends[kept] = vec![rank_of(low), rank_of(high)];
+            sends[gone].clear();
+            recvs[gone] = vec![rank_of(kept)];
+            self.xchg_rounds += 1;
+        }
+    }
+
+    /// The moves of freeing shard axis `j` onto `outcome` when every qubit
+    /// is a shard axis: the shards on the outcome's side keep their one
+    /// amplitude and renumber without bit `j`, and the others go inactive.
+    fn halve(
+        &mut self,
+        j: usize,
+        outcome: bool,
+        sends: &mut [Vec<usize>],
+        recvs: &mut [Vec<usize>],
+    ) {
+        for r in recvs.iter_mut() {
+            r.clear();
+        }
+        for (s, sends) in sends.iter_mut().enumerate() {
+            sends.clear();
+            if (s >> j) & 1 == usize::from(outcome) {
+                let d = (s & ((1 << j) - 1)) | ((s >> (j + 1)) << j);
+                sends.push(rank_of(d));
+                recvs[d].push(rank_of(s));
+                self.xchg_rounds += u64::from(d != s);
+            }
+        }
     }
 
     /// Switches the layout bookkeeping to `n_qubits` live qubits.

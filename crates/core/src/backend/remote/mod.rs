@@ -437,34 +437,36 @@ mod tests {
     #[test]
     fn fused_ops_ship_with_the_next_read_and_match_dense_bitwise() {
         use qsim::BatchOp;
-        // 5 qubits over 4 shards: positions 3 and 4 are shard-selecting,
+        // 5 qubits over 4 shards: the first two allocated hold the shard
+        // axes (`q(3)` and `q(4)` below), the other three are local,
         // so the sweep exercises local factors, shard-constant factors,
         // and all three CZ localizations (lo/lo+hi/hi+hi).
         let stream = |qs: &[QubitId]| {
+            let q = |i: usize| qs[(i + 2) % 5];
             ops::batch(vec![
                 BatchOp::Gate {
                     gate: Gate::H,
-                    q: qs[0],
+                    q: q(0),
                 },
                 BatchOp::Gate {
                     gate: Gate::Ry(0.3),
-                    q: qs[0],
+                    q: q(0),
                 },
                 BatchOp::Gate {
                     gate: Gate::T,
-                    q: qs[3],
+                    q: q(3),
                 },
                 BatchOp::Gate {
                     gate: Gate::T,
-                    q: qs[4],
+                    q: q(4),
                 },
                 BatchOp::Gate {
                     gate: Gate::Z,
-                    q: qs[1],
+                    q: q(1),
                 },
-                BatchOp::Cz { a: qs[1], b: qs[3] },
-                BatchOp::Cz { a: qs[0], b: qs[4] },
-                BatchOp::Cz { a: qs[3], b: qs[4] },
+                BatchOp::Cz { a: q(1), b: q(3) },
+                BatchOp::Cz { a: q(0), b: q(4) },
+                BatchOp::Cz { a: q(3), b: q(4) },
             ])
         };
         let mut dense = StateVectorEngine::new(2);

@@ -26,11 +26,6 @@ pub struct RemoteStore {
     pub(super) ctl: Mutex<Controller>,
 }
 
-/// The mask of the listed positions.
-fn mask_of(positions: &[usize]) -> usize {
-    positions.iter().fold(0, |mask, &p| mask | 1 << p)
-}
-
 impl RemoteStore {
     /// The store over `lease`'s world (reset first), holding the 0-qubit
     /// scalar state.
@@ -128,11 +123,14 @@ impl AmpStore for RemoteStore {
     }
 
     fn parity_prob_odd(&self, qubits: &[usize]) -> f64 {
-        self.ctl.lock().masses(mask_of(qubits))[1].finish()
+        let mut ctl = self.ctl.lock();
+        let mask = ctl.mask(qubits);
+        ctl.masses(mask)[1].finish()
     }
 
     fn collapse_parity(&mut self, qubits: &[usize], odd: bool) {
-        self.ctl.get_mut().project(mask_of(qubits), |_| odd);
+        let ctl = self.ctl.get_mut();
+        ctl.project(ctl.mask(qubits), |_| odd);
     }
 
     /// One read, the measurement's: the collapse, its rescale by the read's
@@ -146,9 +144,8 @@ impl AmpStore for RemoteStore {
     /// One read: both branch masses come back with the probability, and the
     /// collapse onto the outcome is queued.
     fn measure_parity(&mut self, qubits: &[usize], u: f64) -> bool {
-        self.ctl
-            .get_mut()
-            .project(mask_of(qubits), |p_odd| u < p_odd)
+        let ctl = self.ctl.get_mut();
+        ctl.project(ctl.mask(qubits), |p_odd| u < p_odd)
     }
 
     /// Gather-free: the X mask's shard-crossing half pairs workers up
@@ -159,16 +156,20 @@ impl AmpStore for RemoteStore {
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         let mut ctl = self.ctl.lock();
         let (x_mask, z_mask, i_pow) = stripe::pauli_masks(ctl.n_qubits, terms);
+        let (x_mask, z_mask) = (ctl.phys_mask(x_mask), ctl.phys_mask(z_mask));
         stripe::hermitian_value(i_pow, ctl.run(|c| c.expect(x_mask, z_mask)))
     }
 
+    /// The gathered state is in physical bit order.
     fn snapshot(&self, perm: &[usize]) -> Result<State, SimError> {
-        Ok(State::from_amplitudes(self.gather()).permuted(perm))
+        let order = self.ctl.lock().phys_order(perm);
+        Ok(State::from_amplitudes(self.gather()).permuted(&order))
     }
 
     /// Gather, then index: a diagnostic probe, one gather on this store.
     fn amplitude_of(&self, ones: &[usize]) -> Result<Complex, SimError> {
-        Ok(self.gather()[mask_of(ones)])
+        let index = self.ctl.lock().mask(ones);
+        Ok(self.gather()[index])
     }
 }
 
