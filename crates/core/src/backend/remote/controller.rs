@@ -45,6 +45,10 @@ pub(super) struct Controller {
     read: Option<(usize, [ExactSum; 2])>,
 }
 
+/// The world ranks a worker's stripe parts go to, and those whose parts make
+/// up its new stripe ([`ShardCmd::Reshape`]'s `sends` and `recvs`).
+type Moves = (Vec<usize>, Vec<usize>);
+
 /// The reply-free commands each worker has yet to receive, in global order:
 /// planned gate streams, alloc and free reshapes, and measurement collapses.
 /// They travel in the frame of the next command round.
@@ -279,7 +283,7 @@ impl Controller {
     }
 
     /// The physical index bit of position `pos`.
-    fn bit(&self, pos: usize) -> usize {
+    pub(super) fn bit(&self, pos: usize) -> usize {
         assert!(pos < self.n_qubits, "position {pos} out of range");
         self.phys[pos]
     }
@@ -287,20 +291,6 @@ impl Controller {
     /// The physical index mask of the listed positions.
     pub(super) fn mask(&self, positions: &[usize]) -> usize {
         positions.iter().fold(0, |mask, &p| mask | 1 << self.bit(p))
-    }
-
-    /// The physical index mask of the positions set in `mask`.
-    pub(super) fn phys_mask(&self, mask: usize) -> usize {
-        (0..self.n_qubits)
-            .filter(|p| mask >> p & 1 == 1)
-            .fold(0, |phys, p| phys | 1 << self.phys[p])
-    }
-
-    /// The physical bit of each position of `perm`, in order: the
-    /// permutation that takes a gathered (physical) state to `perm`'s
-    /// order ([`qsim::State::permuted`]).
-    pub(super) fn phys_order(&self, perm: &[usize]) -> Vec<usize> {
-        perm.iter().map(|&p| self.bit(p)).collect()
     }
 
     /// Splits a set of positions into (within-stripe, shard-index) masks.
@@ -502,16 +492,16 @@ impl Controller {
     /// other (with no local qubit left, the shard count halves instead).
     pub(super) fn reshape(&mut self, remove: Option<(usize, bool)>) {
         let (n, l, active) = (self.n_qubits, self.local_bits(), self.active());
-        // Per worker: where its stripe's equal parts go, whose parts make
-        // up its new stripe (world ranks), and a local compaction first.
-        let mut sends: Vec<Vec<usize>> = (0..active).map(|s| vec![rank_of(s)]).collect();
-        let mut recvs = sends.clone();
+        // Per worker: the world ranks its stripe's equal parts go to, and
+        // those whose parts make up its new stripe; a compaction first.
+        let mut moves: Vec<Moves> = (0..active)
+            .map(|s| (vec![rank_of(s)], vec![rank_of(s)]))
+            .collect();
         let mut compact = None;
         let (new_n, new_l) = match remove {
             None if self.shard_bits < self.max_shard_bits => {
                 // The new shards start empty: zero-filled to one amplitude.
-                sends.resize(2 * active, Vec::new());
-                recvs.resize(2 * active, Vec::new());
+                moves.resize(2 * active, Moves::default());
                 self.phys.push(n);
                 (n + 1, 0)
             }
@@ -530,7 +520,7 @@ impl Controller {
                         b
                     }
                     Some(j) if l > 0 => {
-                        self.promote(j, outcome, &mut sends, &mut recvs);
+                        self.promote(j, outcome, &mut moves);
                         // The top local qubit moves onto the freed axis and
                         // its bit is the one vacated.
                         let top = self.phys.iter().position(|&p| p == l - 1);
@@ -538,7 +528,7 @@ impl Controller {
                         l - 1
                     }
                     Some(j) => {
-                        self.halve(j, outcome, &mut sends, &mut recvs);
+                        self.halve(j, outcome, &mut moves);
                         b
                     }
                 };
@@ -549,7 +539,7 @@ impl Controller {
             }
         };
         self.set_layout(new_n);
-        for (s, (sends, recvs)) in sends.into_iter().zip(recvs).enumerate() {
+        for (s, (sends, recvs)) in moves.into_iter().enumerate() {
             let cmd = ShardCmd::Reshape {
                 compact,
                 sends,
@@ -567,20 +557,13 @@ impl Controller {
     /// bit clear) goes to the pair's low shard and its high half to the
     /// high shard, one half crossing, and the other side's stripe is
     /// dropped.
-    fn promote(
-        &mut self,
-        j: usize,
-        outcome: bool,
-        sends: &mut [Vec<usize>],
-        recvs: &mut [Vec<usize>],
-    ) {
+    fn promote(&mut self, j: usize, outcome: bool, moves: &mut [Moves]) {
         let jbit = 1usize << j;
-        for low in (0..sends.len()).filter(|s| s & jbit == 0) {
+        for low in (0..moves.len()).filter(|s| s & jbit == 0) {
             let high = low | jbit;
             let (kept, gone) = if outcome { (high, low) } else { (low, high) };
-            sends[kept] = vec![rank_of(low), rank_of(high)];
-            sends[gone].clear();
-            recvs[gone] = vec![rank_of(kept)];
+            moves[kept].0 = vec![rank_of(low), rank_of(high)];
+            moves[gone] = (Vec::new(), vec![rank_of(kept)]);
             self.xchg_rounds += 1;
         }
     }
@@ -588,24 +571,13 @@ impl Controller {
     /// The moves of freeing shard axis `j` onto `outcome` when every qubit
     /// is a shard axis: the shards on the outcome's side keep their one
     /// amplitude and renumber without bit `j`, and the others go inactive.
-    fn halve(
-        &mut self,
-        j: usize,
-        outcome: bool,
-        sends: &mut [Vec<usize>],
-        recvs: &mut [Vec<usize>],
-    ) {
-        for r in recvs.iter_mut() {
-            r.clear();
-        }
-        for (s, sends) in sends.iter_mut().enumerate() {
-            sends.clear();
-            if (s >> j) & 1 == usize::from(outcome) {
-                let d = (s & ((1 << j) - 1)) | ((s >> (j + 1)) << j);
-                sends.push(rank_of(d));
-                recvs[d].push(rank_of(s));
-                self.xchg_rounds += u64::from(d != s);
-            }
+    fn halve(&mut self, j: usize, outcome: bool, moves: &mut [Moves]) {
+        moves.fill(Moves::default());
+        for s in (0..moves.len()).filter(|s| (s >> j) & 1 == usize::from(outcome)) {
+            let d = (s & ((1 << j) - 1)) | ((s >> (j + 1)) << j);
+            moves[s].0.push(rank_of(d));
+            moves[d].1.push(rank_of(s));
+            self.xchg_rounds += u64::from(d != s);
         }
     }
 

@@ -155,14 +155,18 @@ impl AmpStore for RemoteStore {
     /// bit, however the shards pair up; expectations never write state.
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         let mut ctl = self.ctl.lock();
-        let (x_mask, z_mask, i_pow) = stripe::pauli_masks(ctl.n_qubits, terms);
-        let (x_mask, z_mask) = (ctl.phys_mask(x_mask), ctl.phys_mask(z_mask));
+        let on_bits = terms.iter().map(|&PauliTerm { qubit, op }| PauliTerm {
+            qubit: ctl.bit(qubit),
+            op,
+        });
+        let (x_mask, z_mask, i_pow) =
+            stripe::pauli_masks(ctl.n_qubits, &on_bits.collect::<Vec<_>>());
         stripe::hermitian_value(i_pow, ctl.run(|c| c.expect(x_mask, z_mask)))
     }
 
     /// The gathered state is in physical bit order.
     fn snapshot(&self, perm: &[usize]) -> Result<State, SimError> {
-        let order = self.ctl.lock().phys_order(perm);
+        let order: Vec<usize> = perm.iter().map(|&p| self.ctl.lock().bit(p)).collect();
         Ok(State::from_amplitudes(self.gather()).permuted(&order))
     }
 

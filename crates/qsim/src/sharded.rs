@@ -121,14 +121,6 @@ impl ShardedState {
         masses
     }
 
-    /// Removes `target`, keeping its `outcome` branch, which holds the
-    /// `kept` mass, rescaled by [`stripe::renormalizer`].
-    fn remove_kept(&mut self, target: usize, outcome: bool, kept: f64) {
-        let mut flat = self.stripes.concat();
-        stripe::collapse_remove_in_place(&mut flat, target, outcome, kept);
-        self.rebuild(&flat, self.n_qubits - 1);
-    }
-
     fn scale(&mut self, factor: f64) {
         for amps in &mut self.stripes {
             stripe::scale(amps, factor);
@@ -221,19 +213,19 @@ impl AmpStore for ShardedState {
     }
 
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
-        let [clear, set] = self.masses(self.mask_of(&[target]));
-        let (kept, dropped) = if outcome { (set, clear) } else { (clear, set) };
-        let dropped = dropped.finish();
+        let dropped = self.masses(self.mask_of(&[target]))[usize::from(!outcome)].finish();
         assert!(
             dropped < NORM_TOL,
             "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
         );
-        self.remove_kept(target, outcome, kept.finish());
+        self.collapse_remove(target, outcome);
     }
 
     fn collapse_remove(&mut self, target: usize, outcome: bool) {
         let kept = self.masses(self.mask_of(&[target]))[usize::from(outcome)];
-        self.remove_kept(target, outcome, kept.finish());
+        let mut flat = self.stripes.concat();
+        stripe::collapse_remove_in_place(&mut flat, target, outcome, kept.finish());
+        self.rebuild(&flat, self.n_qubits - 1);
     }
 
     fn apply_1q(&mut self, controls: &[usize], target: usize, m: &Mat2) {

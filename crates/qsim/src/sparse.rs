@@ -240,20 +240,6 @@ impl SparseState {
         mass
     }
 
-    /// Removes position `pos`, keeping its `outcome` branch, whose mass is
-    /// `kept`, rescaled by [`stripe::renormalizer`].
-    fn remove_kept(&mut self, pos: usize, outcome: bool, kept: f64) {
-        let factor = stripe::renormalizer(kept);
-        let mut out: HashMap<BasisKey, Complex> = HashMap::with_capacity(self.amps.len());
-        for (k, a) in self.amps.drain() {
-            if k.bit(pos) == outcome {
-                set_or_prune(&mut out, k.remove_bit(pos), a.scale(factor));
-            }
-        }
-        self.amps = out;
-        self.n_qubits -= 1;
-    }
-
     /// Rescales every entry by the real factor, pruning exact zeros.
     fn scale(&mut self, factor: f64) {
         let keys: Vec<BasisKey> = self.amps.keys().copied().collect();
@@ -313,9 +299,16 @@ impl AmpStore for SparseState {
         self.collapse_remove(pos, outcome);
     }
 
+    /// The kept entries move to their compacted keys, rescaled.
     fn collapse_remove(&mut self, pos: usize, outcome: bool) {
         let kept = self.mass_where(|k| k.bit(pos) == outcome).finish();
-        self.remove_kept(pos, outcome, kept);
+        let factor = stripe::renormalizer(kept);
+        let mut out = HashMap::with_capacity(self.amps.len());
+        for (k, a) in self.amps.drain().filter(|(k, _)| k.bit(pos) == outcome) {
+            set_or_prune(&mut out, k.remove_bit(pos), a.scale(factor));
+        }
+        self.amps = out;
+        self.n_qubits -= 1;
     }
 
     /// Absent entries read as exact zero and exact-zero results are pruned.

