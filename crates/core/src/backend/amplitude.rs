@@ -166,10 +166,9 @@ pub type StateVectorEngine = AmplitudeEngine<State>;
 pub type SparseEngine = AmplitudeEngine<SparseState>;
 
 /// Dense-amplitude engine over a [`ShardedState`]: the envelope of
-/// [`StateVectorEngine`], with the vector cut into the stripes the
-/// process-separated engine's workers hold — same kernels, same order of
-/// per-stripe partial sums — in one address space. It is the reference that
-/// separates a layout bug from a transport or planner bug.
+/// [`StateVectorEngine`], with the vector cut into stripes (by position
+/// order, not the remote engine's stable axes) in one address space, the
+/// same kernels run per stripe and each stripe's exact partial sums merged.
 pub type ShardedStateVector = AmplitudeEngine<ShardedState>;
 
 /// CHP stabilizer-tableau engine over [`qsim::StabilizerSim`]:

@@ -19,8 +19,8 @@
 //!   estimation at paper scale), [`amplitude::SparseEngine`] (only nonzero
 //!   amplitudes stored, so structured states carry real amplitudes at
 //!   hundreds of ranks), [`amplitude::ShardedStateVector`] (the dense
-//!   vector in the remote workers' stripes in one address space — the
-//!   layout reference) and [`remote::RemoteShardedEngine`] (shards owned by
+//!   vector cut into stripes in one address space) and
+//!   [`remote::RemoteShardedEngine`] (shards owned by
 //!   worker ranks that exchange nothing but [`cmpi`] messages — the paper's
 //!   process-separated deployment model).
 //! * [`Shared`] — the locality wrapper: one reader-writer-locked engine

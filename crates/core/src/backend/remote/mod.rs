@@ -75,16 +75,17 @@
 //!   gates — planned into the same batch frame as the gates they ride on.
 //!   An amplitude-damping draw reads the qubit's one-bit parity mass, which
 //!   ships the queue first.
-//! * **Allocating and freeing qubits** reshapes the stripes where they
-//!   live ([`ShardCmd::Reshape`]): the shard stays the top `k` bits of the
-//!   global index and a new qubit takes the top position, so the
-//!   controller can tell each worker which equal parts of its stripe go to
-//!   which workers and whose parts make up its new stripe. Parts move
-//!   worker↔worker on `TAG_XCHG`; a fresh top qubit's all-zero |1⟩ half
-//!   travels as a length. Neither needs anything back, so both queue. After
-//!   a free the workers of the new layout renormalise among themselves:
-//!   each sends its squared norm to the others on `TAG_XCHG`, and all add
-//!   them in shard order and scale by the same `1/√sum`.
+//! * **Stable shard axes.** The controller maps each live position to a
+//!   physical index bit: the low bits address within a stripe, the top `k`
+//!   select it. The first qubits allocated take the shard axes and keep
+//!   them while they live; a later qubit enters as the highest local bit,
+//!   so an alloc doubles each stripe where it lives and freeing a local
+//!   qubit compacts each stripe where it lives ([`ShardCmd::Reshape`]). A
+//!   fresh communication qubit therefore never moves a stripe. Only
+//!   freeing a shard axis moves amplitudes: the highest local qubit takes
+//!   the axis over, one half-stripe per shard pair on `TAG_XCHG`. Neither
+//!   needs anything back, so both queue; a free rescales by the mass of
+//!   the read that decided it, queued as a [`ShardCmd::CollapseScale`].
 //! * **Snapshots** (`state_vector`), failover checkpoints and recovery are
 //!   the only users of the dense state: [`ShardCmd::Gather`] and
 //!   [`ShardCmd::Load`]. A snapshot ships the queue in a round of its own

@@ -192,8 +192,7 @@ impl EngineStore for RemoteStore {
 /// Full state-vector engine whose `2^k` amplitude shards live in dedicated
 /// worker ranks and exchange nothing but [`cmpi`] messages: the one
 /// [`AmplitudeEngine`] over a [`RemoteStore`]. See the module docs for the
-/// protocol; see [`crate::backend::ShardedStateVector`] for the same stripe
-/// layout in one address space, this engine's layout reference.
+/// protocol.
 pub type RemoteShardedEngine = AmplitudeEngine<RemoteStore>;
 
 impl RemoteShardedEngine {

@@ -762,8 +762,8 @@ mod tests {
         assert!(check_hello(2, &hello, &WIRE_VERSION.to_le_bytes()).is_err());
     }
 
-    /// A worker of wire format 2 (`f64` partial sums, frees renormalised by
-    /// an all-gather) is refused at spawn.
+    /// A worker of wire format 2 (`f64` partial sums, a renormalisation
+    /// count in every reshape) is refused at spawn.
     #[test]
     fn handshake_refuses_a_wire_format_2_worker() {
         let hello = FrameHeader {

@@ -464,8 +464,8 @@ const LIMB_RUN: usize = 1 << 11;
 ///
 /// The cut runs in two `f64` roundings and two `i64` limbs (a 2^-50 grid,
 /// then the remainder on a 2^-52 grid below it), which vectorize; a run of
-/// terms adds into the limbs and folds into the `i128` once per
-/// [`LIMB_RUN`] terms.
+/// terms adds into the limbs and folds into the `i128` once per 2^11
+/// terms.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExactSum(i128);
 
@@ -811,8 +811,7 @@ pub fn expectation_pauli(
 const SIGN_TILE: usize = 1 << 8;
 
 /// [`expectation_pauli_flat`] of each string in `strings`, bit for bit, with
-/// the diagonal (Z-only) strings read together in one sweep
-/// ([`diagonal_sums`]).
+/// the diagonal (Z-only) strings read together in one sweep.
 pub fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
     each_string(
         amps.len(),
