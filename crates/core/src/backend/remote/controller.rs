@@ -284,7 +284,6 @@ impl Controller {
 
     /// The physical index bit of position `pos`.
     pub(super) fn bit(&self, pos: usize) -> usize {
-        assert!(pos < self.n_qubits, "position {pos} out of range");
         self.phys[pos]
     }
 
@@ -553,10 +552,8 @@ impl Controller {
     }
 
     /// The moves of freeing shard axis `j` onto `outcome` while local
-    /// qubits live: in each shard pair the kept side's low half (top local
-    /// bit clear) goes to the pair's low shard and its high half to the
-    /// high shard, one half crossing, and the other side's stripe is
-    /// dropped.
+    /// qubits live: the kept side of each shard pair sends the half of its
+    /// stripe the top local bit selects to that side of the pair.
     fn promote(&mut self, j: usize, outcome: bool, moves: &mut [Moves]) {
         let jbit = 1usize << j;
         for low in (0..moves.len()).filter(|s| s & jbit == 0) {

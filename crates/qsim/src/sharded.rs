@@ -99,16 +99,6 @@ impl ShardedState {
         self.stripes = flat.chunks_exact(len).map(<[Complex]>::to_vec).collect();
     }
 
-    /// Total squared norm (should always be ~1): the stripes' exact partial
-    /// sums, merged.
-    pub fn norm_sqr(&self) -> f64 {
-        let mut norm = ExactSum::ZERO;
-        for amps in &self.stripes {
-            norm.merge(stripe::norm_sum(amps));
-        }
-        norm.finish()
-    }
-
     /// The even- and odd-parity masses under `mask`: each stripe's exact
     /// partials, merged.
     fn masses(&self, mask: usize) -> [ExactSum; 2] {
@@ -556,6 +546,6 @@ mod tests {
             s.apply_1q(&[], i % 6, &g.matrix());
             s.apply_cnot(i % 6, (i + 1) % 6);
         }
-        assert!((s.norm_sqr() - 1.0).abs() < 1e-9);
+        assert!((s.to_dense().norm_sqr() - 1.0).abs() < 1e-9);
     }
 }

@@ -72,13 +72,6 @@ impl BasisKey {
     /// The all-zero basis state |0...0>.
     pub const ZERO: BasisKey = BasisKey([0; KEY_WORDS]);
 
-    /// Builds a key from a dense basis index (low 64 bits).
-    pub fn from_index(i: usize) -> Self {
-        let mut k = BasisKey::ZERO;
-        k.0[0] = i as u64;
-        k
-    }
-
     /// The dense basis index, if it fits in a `usize`.
     pub fn to_index(self) -> Option<usize> {
         if self.0[1..].iter().any(|&w| w != 0) {
@@ -183,25 +176,6 @@ impl BasisKey {
             r.0[w] |= hi.0[w] & !low.0[w];
         }
         r
-    }
-}
-
-impl Ord for BasisKey {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Most-significant word first = numeric order of the 512-bit index.
-        for w in (0..KEY_WORDS).rev() {
-            match self.0[w].cmp(&other.0[w]) {
-                std::cmp::Ordering::Equal => continue,
-                ord => return ord,
-            }
-        }
-        std::cmp::Ordering::Equal
-    }
-}
-
-impl PartialOrd for BasisKey {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -447,16 +421,6 @@ mod tests {
     use crate::sim::{AmpSim, QubitId, Simulator, SparseSim};
 
     const TOL: f64 = 1e-12;
-
-    #[test]
-    fn basis_key_orders_numerically() {
-        let a = BasisKey::from_index(3);
-        let mut b = BasisKey::ZERO;
-        b.0[1] = 1; // bit 64
-        assert!(a < b);
-        assert!(BasisKey::ZERO < a);
-        assert_eq!(a.cmp(&a), std::cmp::Ordering::Equal);
-    }
 
     #[test]
     fn basis_key_bit_ops_across_words() {

@@ -46,8 +46,8 @@ use crate::batch::{named, SweepFactor};
 use crate::complex::{Complex, C_ZERO};
 use crate::gates::Mat2;
 use crate::measure::PauliTerm;
-use dispatch::wide;
 pub use dispatch::{kernel_level, kernel_threads};
+use dispatch::{wide, wide_from};
 mod dispatch;
 pub(crate) mod split;
 
@@ -602,7 +602,7 @@ fn norm_where(
     bits: usize,
     selected: impl Fn(usize) -> bool,
 ) -> ExactSum {
-    wide!(Avx512, {
+    wide_from!(Avx512, amps.len(), {
         let mut mass = Adder::<1>::new();
         for_runs(
             amps.len(),
@@ -627,7 +627,7 @@ fn collapse_where(
     bits: usize,
     keep: impl Fn(usize) -> bool,
 ) -> ExactSum {
-    wide!(Avx512, {
+    wide_from!(Avx512, amps.len(), {
         let mut kept = Adder::<1>::new();
         for_runs(
             amps.len(),
@@ -684,7 +684,7 @@ pub(crate) fn parity_sum(amps: &[Complex], base: usize, mask: usize) -> ExactSum
 /// stripes: under a one-bit mask the odd side is the mass [`masked_norm`]
 /// reads for `(mask, mask)` and the even side for `(mask, 0)`.
 pub fn branch_masses(amps: &[Complex], base: usize, mask: usize) -> [ExactSum; 2] {
-    wide!(Avx512, {
+    wide_from!(Avx512, amps.len(), {
         let mut masses = Adder::<2>::new();
         for_runs(
             amps.len(),
@@ -725,12 +725,7 @@ pub fn renormalizer(kept: f64) -> f64 {
 
 /// Squared norm of the stripe: the exact sum of every `|a|²`.
 pub fn norm_sqr(amps: &[Complex]) -> f64 {
-    norm_sum(amps).finish()
-}
-
-/// [`norm_sqr`] as a partial sum, to merge across stripes.
-pub fn norm_sum(amps: &[Complex]) -> ExactSum {
-    norm_where(amps, 0, 0, |_| true)
+    norm_where(amps, 0, 0, |_| true).finish()
 }
 
 /// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
@@ -821,7 +816,11 @@ pub fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>])
             expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
             acc
         },
-        |z_masks| diagonal_sums(amps, 0, z_masks),
+        |z_masks| {
+            let mut sums = vec![ExactSum::ZERO; z_masks.len()];
+            diagonal_sums(amps, 0, z_masks, &odd_tables(z_masks), &mut sums);
+            sums
+        },
     )
 }
 
@@ -856,23 +855,34 @@ pub(crate) fn each_string(
     values
 }
 
-/// `Σ_g (-1)^{|g & z|} |a_g|²` for each mask `z` of `z_masks`, `g` the
-/// global index `base | i`, in one sweep: the exact total, less twice the
-/// exact mass of the amplitudes each mask reads odd. A tile's terms are cut
-/// onto the grid once; a mask then sums the terms its low bits read odd
-/// (a table of all-ones limb masks, built once per call), and the tile's
+/// Per mask of `z_masks`, the limb mask [`diagonal_sums`] selects a tile's
+/// odd terms with: all ones at each offset below [`SIGN_TILE`] the mask
+/// reads odd.
+pub(crate) fn odd_tables(z_masks: &[usize]) -> Vec<[i64; SIGN_TILE]> {
+    let table = |z| std::array::from_fn(|l| -i64::from(odd_parity(l, z)));
+    z_masks.iter().map(|&z| table(z)).collect()
+}
+
+/// Writes to `sums` `Σ_g (-1)^{|g & z|} |a_g|²` for each mask `z` of
+/// `z_masks`, `g` the global index `base | i`, in one sweep: the exact
+/// total, less twice the exact mass of the amplitudes each mask reads odd.
+/// A tile's terms are cut onto the grid once; a mask then sums the terms
+/// its low bits read odd (`low_odd`, from [`odd_tables`]), and the tile's
 /// high bits decide whether that sum or the rest of the tile is the odd
-/// side. No amplitude pays a popcount, and every inner loop runs over a
-/// tile's terms.
-pub(crate) fn diagonal_sums(amps: &[Complex], base: usize, z_masks: &[usize]) -> Vec<ExactSum> {
+/// side. No amplitude pays a popcount, every inner loop runs over a tile's
+/// terms, and nothing is allocated.
+pub(crate) fn diagonal_sums(
+    amps: &[Complex],
+    base: usize,
+    z_masks: &[usize],
+    low_odd: &[[i64; SIGN_TILE]],
+    sums: &mut [ExactSum],
+) {
     wide!(Avx512, {
         let tile = amps.len().min(SIGN_TILE);
-        let low_odd: Vec<[i64; SIGN_TILE]> = z_masks
-            .iter()
-            .map(|&z| std::array::from_fn(|l| -i64::from(odd_parity(l, z))))
-            .collect();
         let mut total = ExactSum::ZERO;
-        let mut odd_mass = vec![ExactSum::ZERO; z_masks.len()];
+        let odd_mass = sums;
+        odd_mass.fill(ExactSum::ZERO);
         let (mut hi, mut lo) = ([0i64; SIGN_TILE], [0i64; SIGN_TILE]);
         for (at, amps) in (base..).step_by(tile).zip(amps.chunks_exact(tile)) {
             let mut all = Limbs::default();
@@ -886,7 +896,7 @@ pub(crate) fn diagonal_sums(amps: &[Complex], base: usize, z_masks: &[usize]) ->
             let mut tile_total = ExactSum::ZERO;
             tile_total.fold(all);
             total.merge(tile_total);
-            for ((&z, low), odd) in z_masks.iter().zip(&low_odd).zip(&mut odd_mass) {
+            for ((&z, low), odd) in z_masks.iter().zip(low_odd).zip(odd_mass.iter_mut()) {
                 let mut picked = Limbs::default();
                 for ((&h, &l), &m) in hi[..tile].iter().zip(&lo[..tile]).zip(&low[..tile]) {
                     picked.hi += h & m;
@@ -900,10 +910,9 @@ pub(crate) fn diagonal_sums(amps: &[Complex], base: usize, z_masks: &[usize]) ->
                 });
             }
         }
-        odd_mass
-            .into_iter()
-            .map(|odd| ExactSum(total.0 - 2 * odd.0))
-            .collect()
+        for odd in odd_mass {
+            *odd = ExactSum(total.0 - 2 * odd.0);
+        }
     })
 }
 

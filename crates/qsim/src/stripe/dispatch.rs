@@ -76,6 +76,20 @@ macro_rules! wide {
 }
 pub(crate) use wide;
 
+/// [`wide!`] for a kernel over `$len` amplitudes: below 64 the baseline copy
+/// runs in place, since the call into a wider copy costs more than its width
+/// saves on so few (a protocol's registers).
+macro_rules! wide_from {
+    ($widest:ident, $len:expr, $kernel:block) => {
+        if $len < 64 {
+            $kernel
+        } else {
+            $crate::stripe::dispatch::wide!($widest, $kernel)
+        }
+    };
+}
+pub(crate) use wide_from;
+
 /// The body of [`wide!`].
 #[inline(always)]
 pub(crate) fn run<R>(widest: Level, kernel: impl FnOnce() -> R) -> R {

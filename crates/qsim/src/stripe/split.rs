@@ -16,8 +16,8 @@
 
 use super::dispatch::{join, wide};
 use super::{
-    branch_masses, diagonal_sums, each_string, expectation_partial, parity_sum, renormalizer,
-    ExactSum, PairKernel,
+    branch_masses, diagonal_sums, each_string, expectation_partial, odd_tables, parity_sum,
+    renormalizer, ExactSum, PairKernel,
 };
 use crate::complex::Complex;
 use crate::measure::PauliTerm;
@@ -131,14 +131,14 @@ pub(crate) fn measure(amps: &[Complex], tbit: usize, u: f64) -> (bool, f64) {
 /// [`branch_masses`] under `mask` over the whole register (`base = 0`),
 /// each half of it on one thread.
 pub(crate) fn masses(amps: &[Complex], mask: usize) -> [ExactSum; 2] {
-    let masses = merged(amps, |half, base| branch_masses(half, base, mask).to_vec());
-    [masses[0], masses[1]]
+    merged(amps, |half, base| branch_masses(half, base, mask))
 }
 
 /// [`super::parity_prob_odd`] over the whole register, each half of it on
 /// one thread.
 pub(crate) fn parity_prob_odd(amps: &[Complex], mask: usize) -> f64 {
-    merged(amps, |half, base| vec![parity_sum(half, base, mask)])[0].finish()
+    let [odd] = merged(amps, |half, base| [parity_sum(half, base, mask)]);
+    odd.finish()
 }
 
 /// [`super::collapse_remove_in_place`] over the whole register. With the
@@ -173,11 +173,13 @@ pub(crate) fn collapse_remove(amps: &mut Vec<Complex>, target: usize, outcome: b
 }
 
 /// The two halves' partial sums of `f`, merged: `f(half, base)` on each
-/// half of the register, one per thread.
-fn merged(
+/// half of the register, one per thread. (Nothing is allocated on the
+/// helper: a small allocation there can pin freed state vectors in the
+/// heap.)
+fn merged<const N: usize>(
     amps: &[Complex],
-    f: impl Fn(&[Complex], usize) -> Vec<ExactSum> + Sync,
-) -> Vec<ExactSum> {
+    f: impl Fn(&[Complex], usize) -> [ExactSum; N] + Sync,
+) -> [ExactSum; N] {
     if amps.len() < SPLIT_MIN {
         return f(amps, 0);
     }
@@ -195,16 +197,32 @@ fn merged(
 /// half where the X mask flips the top bit.
 pub(crate) fn expectation_each(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
     let pauli_sums = |x_mask: usize, z_mask| {
-        let sums = merged(amps, |half, base| {
+        merged(amps, |half, base| {
             let local = half.len() - 1;
             let partners = &amps[base ^ (x_mask & !local)..][..half.len()];
             let mut acc = [ExactSum::ZERO; 2];
             expectation_partial(half, partners, base, x_mask & local, z_mask, &mut acc);
-            acc.to_vec()
-        });
-        [sums[0], sums[1]]
+            acc
+        })
     };
     each_string(amps.len(), strings, pauli_sums, |z_masks| {
-        merged(amps, |half, base| diagonal_sums(half, base, z_masks))
+        let (n, tables) = (z_masks.len(), odd_tables(z_masks));
+        let mut sums = vec![ExactSum::ZERO; 2 * n];
+        let (low_sums, high_sums) = sums.split_at_mut(n);
+        if amps.len() < SPLIT_MIN {
+            diagonal_sums(amps, 0, z_masks, &tables, low_sums);
+        } else {
+            let (low, high) = amps.split_at(amps.len() / 2);
+            join(
+                || diagonal_sums(low, 0, z_masks, &tables, low_sums),
+                || diagonal_sums(high, low.len(), z_masks, &tables, high_sums),
+            );
+        }
+        for k in 0..n {
+            let upper = sums[n + k];
+            sums[k].merge(upper);
+        }
+        sums.truncate(n);
+        sums
     })
 }
