@@ -788,10 +788,9 @@ fn alloc_and_free_keep_the_state_off_the_controller_wire() {
 }
 
 /// A fresh qubit is a local bit: its |1⟩ half is zero-filled where the
-/// stripe lives, and a gate pairing two fresh qubits runs within each
-/// stripe, so growing a 12-qubit state by an entangled pair moves no
-/// amplitude at all (shipping every zero of the old layout cost eleven
-/// states' worth of bytes).
+/// stripe lives (no zero run travels, not even as a length), and a gate
+/// pairing two fresh qubits runs within each stripe, so growing a 12-qubit
+/// state by an entangled pair moves no amplitude at all.
 #[test]
 fn a_fresh_pair_ships_its_zero_halves_as_lengths() {
     // A forced checkpoint gathers the state; see the test above.
