@@ -730,8 +730,8 @@ pub fn norm_sqr(amps: &[Complex]) -> f64 {
 
 /// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
 /// single-qubit Paulis on distinct qubits; identity elsewhere) over one
-/// slice holding the whole register, the dense [`crate::state::State`]'s:
-/// [`expectation_partial`] of the slice against itself.
+/// slice holding the whole register: [`expectation_partial`] of the slice
+/// against itself (the dense store reads it on two threads, to these bits).
 pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
     let n_qubits = amps.len().trailing_zeros() as usize;
     let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
