@@ -14,10 +14,8 @@ use qmpi::{run_with_config, BackendKind, QmpiConfig, QmpiRank, TransportKind};
 use qmpi_bench::{arg_usize, local_gates, parity_reduce, teleport_chain, tfim};
 use std::time::Instant;
 
-const ENGINES: [(&str, BackendKind); 4] = [
+const ENGINES: [(&str, BackendKind); 2] = [
     ("dense", BackendKind::StateVector),
-    ("striped{2}", BackendKind::ShardedStateVector { shards: 2 }),
-    ("striped{8}", BackendKind::ShardedStateVector { shards: 8 }),
     (
         "in-process remote{2}",
         BackendKind::RemoteSharded { shards: 2 },

@@ -97,10 +97,11 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 
 /// A reader-writer lock (std-backed, no poisoning).
 ///
-/// Added for the lock-striped sharded backend: gate dispatch holds a read
-/// guard (many ranks apply gates concurrently, each striping through the
-/// per-shard mutexes), while structural operations — allocation, free,
-/// measurement collapse — take the write guard for exclusive access.
+/// `qmpi`'s backend wrapper holds its engine in one: every quantum
+/// operation mutates the engine (or ships the wrapper's coalesce window)
+/// and takes the write guard, while read-only observers — counters, qubit
+/// ownership, transport statistics — take the read guard, so concurrent
+/// observers do not queue behind one another.
 pub struct RwLock<T: ?Sized> {
     inner: std::sync::RwLock<T>,
 }

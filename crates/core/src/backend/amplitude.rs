@@ -1,18 +1,16 @@
-//! The six engines, all on the simulator front — dense (the paper's
+//! The five engines, all on the simulator front — dense (the paper's
 //! prototype backend), sparse (real amplitudes at paper-scale rank counts),
-//! striped (the dense vector in the remote workers' layout), remote (those
-//! stripes in worker ranks, [`super::remote`]), stabilizer (the CHP
-//! tableau, Clifford protocols at thousands of ranks) and trace (no
-//! amplitudes, only counts) — as one generic engine over the front's
+//! remote (the dense vector cut into stripes held by worker ranks,
+//! [`super::remote`]), stabilizer (the CHP tableau, Clifford protocols at
+//! thousands of ranks) and trace (no amplitudes, only counts) — as one
+//! generic engine over the front's
 //! store, so handles, operand checks, counters, noise sites and the one
 //! uniform per measurement exist once.
 
 use super::{BackendKind, TransportStats};
 use qsim::noise::NoiseModel;
 use qsim::sim::AmpSim;
-use qsim::{
-    AmpStore, BatchOp, GateBatch, ShardedState, SimError, SparseState, State, Tableau, TraceState,
-};
+use qsim::{AmpStore, BatchOp, GateBatch, SimError, SparseState, State, Tableau, TraceState};
 use std::ops::{Deref, DerefMut};
 
 /// A store that backs an engine, and the [`BackendKind`] it is selected
@@ -47,14 +45,6 @@ impl EngineStore for SparseState {
     }
 }
 
-impl EngineStore for ShardedState {
-    fn kind(&self) -> BackendKind {
-        BackendKind::ShardedStateVector {
-            shards: self.max_shards(),
-        }
-    }
-}
-
 impl EngineStore for Tableau {
     fn kind(&self) -> BackendKind {
         BackendKind::Stabilizer
@@ -70,19 +60,6 @@ impl EngineStore for TraceState {
         true
     }
 }
-
-/// The stores whose empty register takes no parameter, so their engines
-/// are built from a seed alone. (A local bound: `Default` by itself would
-/// leave the seed-only constructors overlapping the striped engine's.)
-pub trait UnstripedStore: EngineStore + Default {}
-
-impl UnstripedStore for State {}
-
-impl UnstripedStore for SparseState {}
-
-impl UnstripedStore for Tableau {}
-
-impl UnstripedStore for TraceState {}
 
 /// The engine over [`qsim::sim::AmpSim`], with the storage format (and
 /// where the amplitudes live) chosen by `S`. It dereferences to the front,
@@ -165,12 +142,6 @@ pub type StateVectorEngine = AmplitudeEngine<State>;
 /// out of memory.
 pub type SparseEngine = AmplitudeEngine<SparseState>;
 
-/// Dense-amplitude engine over a [`ShardedState`]: the envelope of
-/// [`StateVectorEngine`], with the vector cut into stripes (by position
-/// order, not the remote engine's stable axes) in one address space, the
-/// same kernels run per stripe and each stripe's exact partial sums merged.
-pub type ShardedStateVector = AmplitudeEngine<ShardedState>;
-
 /// CHP stabilizer-tableau engine over [`qsim::StabilizerSim`]:
 /// Clifford-only, polynomial in qubit count, so every QMPI communication
 /// protocol runs at thousands of ranks. A non-Clifford op is
@@ -188,7 +159,9 @@ pub type StabilizerEngine = AmplitudeEngine<Tableau>;
 /// ([`AmplitudeEngine::modeled_fidelity`]).
 pub type TraceEngine = AmplitudeEngine<TraceState>;
 
-impl<S: UnstripedStore> AmplitudeEngine<S> {
+/// An engine over a store whose empty register takes no parameter is built
+/// from a seed alone.
+impl<S: EngineStore + Default> AmplitudeEngine<S> {
     /// Creates a noiseless engine with a deterministic measurement RNG seed.
     pub fn new(seed: u64) -> Self {
         Self::with_noise(seed, NoiseModel::ideal())
@@ -199,21 +172,6 @@ impl<S: UnstripedStore> AmplitudeEngine<S> {
     /// RNG stream discipline.
     pub fn with_noise(seed: u64, noise: NoiseModel) -> Self {
         Self::over(S::default(), seed, noise)
-    }
-}
-
-impl ShardedStateVector {
-    /// Creates a noiseless engine with a deterministic measurement RNG seed
-    /// and (up to) `shards` amplitude stripes (rounded to a power of two,
-    /// clamped to `[1, 256]`).
-    pub fn new(seed: u64, shards: usize) -> Self {
-        Self::with_noise(seed, shards, NoiseModel::ideal())
-    }
-
-    /// [`ShardedStateVector::new`] with a noise model, drawn exactly as
-    /// the dense engine draws it.
-    pub fn with_noise(seed: u64, shards: usize, noise: NoiseModel) -> Self {
-        Self::over(ShardedState::new(shards), seed, noise)
     }
 }
 
@@ -244,7 +202,6 @@ mod tests {
         for kind in [
             BackendKind::StateVector,
             BackendKind::Sparse,
-            BackendKind::ShardedStateVector { shards: 4 },
             BackendKind::RemoteSharded { shards: 2 },
         ] {
             let backend =
@@ -279,8 +236,6 @@ mod tests {
         assert!(backend.amplitude_of(0, &q).is_err());
     }
 
-    const TOL: f64 = 1e-12;
-
     /// One step of a random Clifford+T circuit.
     #[derive(Clone, Copy, Debug)]
     enum Step {
@@ -304,36 +259,10 @@ mod tests {
         }
     }
 
-    fn amplitudes_match(steps: &[Step], shards: usize, n_qubits: usize) {
-        amplitudes_match_noisy(steps, shards, n_qubits, NoiseModel::ideal());
-    }
-
-    /// Dense and striped engines given the same seed and noise model must
-    /// draw identical noise trajectories: the sampling logic and stream
-    /// seeding live in `qsim::noise`, shared by both.
-    fn amplitudes_match_noisy(steps: &[Step], shards: usize, n_qubits: usize, noise: NoiseModel) {
-        let mut dense = StateVectorEngine::with_noise(1, noise);
-        let mut striped = ShardedStateVector::with_noise(1, shards, noise);
-        let dq: Vec<QubitId> = (0..n_qubits).map(|_| dense.alloc()).collect();
-        let sq: Vec<QubitId> = (0..n_qubits).map(|_| striped.alloc()).collect();
-        apply_steps(&mut dense, &dq, steps);
-        apply_steps(&mut striped, &sq, steps);
-        let want = dense.state_vector(&dq).unwrap();
-        let got = striped.state_vector(&sq).unwrap();
-        for i in 0..want.len() {
-            assert!(
-                want.amplitude(i).approx_eq(got.amplitude(i), TOL),
-                "shards={shards} amp[{i}]: {:?} vs {:?}",
-                want.amplitude(i),
-                got.amplitude(i)
-            );
-        }
-    }
-
     /// The process-separated engine must match the dense engine *bit for
     /// bit* per seed: the shard workers run the same `qsim::stripe` kernels
-    /// in the same global command order, and Pauli-noise trajectories come
-    /// from the same seeded stream.
+    /// in the same global command order, every sum is exact, and noise
+    /// trajectories come from the same seeded stream.
     fn remote_matches_dense_bitwise(
         steps: &[Step],
         shards: usize,
@@ -371,7 +300,7 @@ mod tests {
             Step::Cnot(8, 9),
         ];
         for shards in [1usize, 2, 8] {
-            amplitudes_match(&steps, shards, 10);
+            remote_matches_dense_bitwise(&steps, shards, 10, NoiseModel::ideal());
         }
     }
 
@@ -388,16 +317,15 @@ mod tests {
         let noise = NoiseModel::depolarizing(0.25)
             .with_measurement(qsim::NoiseChannel::Dephasing { p: 0.3 });
         for shards in [1usize, 2, 8] {
-            amplitudes_match_noisy(&steps, shards, 4, noise);
+            remote_matches_dense_bitwise(&steps, shards, 4, noise);
         }
     }
 
     #[test]
     fn engine_matches_dense_under_amplitude_damping() {
-        // The trajectory decision depends on prob_one, computed by summing
-        // amplitudes in different orders in the two engines; a fixed seed
-        // and circuit keeps both on the same branch and the Kraus maps
-        // must then agree to round-off.
+        // The trajectory decision depends on prob_one, an exact sum on both
+        // engines, so the Kraus branches and their amplitudes agree bit for
+        // bit.
         let steps = [
             Step::Gate(Gate::H, 0),
             Step::Gate(Gate::X, 1),
@@ -408,13 +336,14 @@ mod tests {
         ];
         let noise = NoiseModel::amplitude_damping(0.2);
         for shards in [1usize, 2, 8] {
-            amplitudes_match_noisy(&steps, shards, 4, noise);
+            remote_matches_dense_bitwise(&steps, shards, 4, noise);
         }
     }
 
     #[test]
     fn amplitude_damping_preserves_norm() {
-        let mut engine = ShardedStateVector::with_noise(5, 4, NoiseModel::amplitude_damping(0.3));
+        use crate::backend::RemoteShardedEngine;
+        let mut engine = RemoteShardedEngine::with_noise(5, 4, NoiseModel::amplitude_damping(0.3));
         let qs: Vec<QubitId> = (0..6).map(|_| engine.alloc()).collect();
         for &q in &qs {
             engine.apply_batch(&ops::gate(Gate::H, q)).unwrap();
@@ -431,7 +360,7 @@ mod tests {
     fn wrapper_runs_concurrent_rank_gates() {
         use std::sync::Arc;
         let backend: Arc<dyn QuantumBackend> = crate::backend::build_backend(
-            BackendKind::ShardedStateVector { shards: 8 },
+            BackendKind::RemoteSharded { shards: 8 },
             cmpi::TransportKind::InProcess,
             3,
             NoiseModel::ideal(),
@@ -475,7 +404,7 @@ mod tests {
     #[test]
     fn batch_entangle_is_one_acquisition_of_many_pairs() {
         let backend = crate::backend::build_backend(
-            BackendKind::ShardedStateVector { shards: 4 },
+            BackendKind::RemoteSharded { shards: 4 },
             cmpi::TransportKind::InProcess,
             9,
             NoiseModel::ideal(),
@@ -521,21 +450,19 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(12))]
 
-            /// The satellite acceptance property: 1-, 2-, and 8-shard
-            /// striped engines produce amplitudes identical to the dense
-            /// engine on random 10-qubit Clifford+T circuits — and the
-            /// process-separated engine matches bit for bit.
+            /// At 1, 2 and 8 shards the process-separated engine matches
+            /// the dense engine bit for bit on random 10-qubit Clifford+T
+            /// circuits.
             #[test]
             fn sharded_amplitudes_identical_to_dense(
                 steps in proptest::collection::vec(arb_step(10), 10..60),
             ) {
                 for shards in [1usize, 2, 8] {
-                    amplitudes_match(&steps, shards, 10);
                     remote_matches_dense_bitwise(&steps, shards, 10, NoiseModel::ideal());
                 }
             }
 
-            /// The same property under Pauli noise: every engine must draw
+            /// The same property under Pauli noise: both engines must draw
             /// identical trajectories from the shared seeded noise stream
             /// (the remote engine samples on the controller, so its stream
             /// is the dense engine's stream).
@@ -546,7 +473,6 @@ mod tests {
             ) {
                 let noise = NoiseModel::depolarizing(p);
                 for shards in [1usize, 2, 8] {
-                    amplitudes_match_noisy(&steps, shards, 8, noise);
                     remote_matches_dense_bitwise(&steps, shards, 8, noise);
                 }
             }

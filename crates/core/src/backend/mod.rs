@@ -11,16 +11,14 @@
 //! * [`AmplitudeEngine`] — the engine: the one simulator front
 //!   ([`qsim::sim::AmpSim`]: handles, operand checks, counters, noise
 //!   sites, one uniform per measurement) over a store, with no notion of
-//!   ranks or ownership. Six engines ship, one per store:
+//!   ranks or ownership. Five engines ship, one per store:
 //!   [`amplitude::StateVectorEngine`] (exact amplitudes, the paper's
 //!   prototype), [`amplitude::StabilizerEngine`] (CHP tableau; Clifford
 //!   protocols at thousands of ranks), [`amplitude::TraceEngine`] (no
 //!   amplitudes at all — operation counting for Table 1–3-style resource
 //!   estimation at paper scale), [`amplitude::SparseEngine`] (only nonzero
 //!   amplitudes stored, so structured states carry real amplitudes at
-//!   hundreds of ranks), [`amplitude::ShardedStateVector`] (the dense
-//!   vector cut into stripes in one address space) and
-//!   [`remote::RemoteShardedEngine`] (shards owned by
+//!   hundreds of ranks) and [`remote::RemoteShardedEngine`] (shards owned by
 //!   worker ranks that exchange nothing but [`cmpi`] messages — the paper's
 //!   process-separated deployment model).
 //! * [`Shared`] — the locality wrapper: one reader-writer-locked engine
@@ -73,8 +71,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 pub use amplitude::{
-    AmplitudeEngine, EngineStore, ShardedStateVector, SparseEngine, StabilizerEngine,
-    StateVectorEngine, TraceEngine,
+    AmplitudeEngine, EngineStore, SparseEngine, StabilizerEngine, StateVectorEngine, TraceEngine,
 };
 pub use pool::{ShardLease, ShardWorkerPool};
 pub use remote::RemoteShardedEngine;
@@ -102,15 +99,12 @@ pub enum BackendKind {
     /// amplitudes instead of `2^n` — structured states (cat/GHZ trees,
     /// teleport chains) run with real amplitudes at hundreds of ranks.
     Sparse,
-    /// Full state-vector simulation with the amplitudes cut into `shards`
-    /// contiguous stripes in one address space: the stripe layout, kernels
-    /// and partial-sum order of [`BackendKind::RemoteSharded`] without its
-    /// transport, serialized through one lock like the dense engine (which
-    /// is faster on every measured workload — this is the reference that
-    /// tells a layout bug from a transport or planner bug). `shards` is
-    /// rounded up to a power of two (clamped to `[1, 256]`).
+    /// Another name for [`BackendKind::RemoteSharded`]: the same engine,
+    /// over the transport it is given, with the same shard rule, and its
+    /// backend reports itself as `RemoteSharded`. It remains only because
+    /// the qperf harness's `sharded` layer probe still names it.
     ShardedStateVector {
-        /// Number of amplitude stripes.
+        /// Number of amplitude shards (= worker ranks).
         shards: usize,
     },
     /// Full state-vector simulation whose `shards` amplitude shards live in
@@ -127,23 +121,16 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// The shard/stripe count this kind will actually run with, after the
-    /// rounding and clamping its engine constructor applies (`[1, 256]`
-    /// stripes for the striped engine, `[1, 64]` worker ranks for the
-    /// process-separated one). `None` for the unsharded kinds.
+    /// The shard count this kind will actually run with, after the
+    /// rounding and clamping the remote engine applies (`[1, 64]` worker
+    /// ranks). `None` for the unsharded kinds.
     pub fn effective_shards(self) -> Option<usize> {
-        // One normalization rule, shared with the engine constructors
-        // (`ShardedState::new`, `RemoteShardedEngine::with_noise`), so the
-        // clamp warning cannot drift from what the engines actually run.
+        // The worker world's own rule, so the clamp warning cannot drift
+        // from what the engine actually runs.
         match self {
-            BackendKind::ShardedStateVector { shards } => Some(qsim::sharded::normalize_shards(
-                shards,
-                qsim::sharded::MAX_SHARD_BITS,
-            )),
-            BackendKind::RemoteSharded { shards } => Some(qsim::sharded::normalize_shards(
-                shards,
-                remote::MAX_REMOTE_SHARD_BITS,
-            )),
+            BackendKind::ShardedStateVector { shards } | BackendKind::RemoteSharded { shards } => {
+                Some(remote::normalize_shards(shards))
+            }
             _ => None,
         }
     }
@@ -165,10 +152,7 @@ impl BackendKind {
         if requested == effective {
             return None;
         }
-        let cap = match self {
-            BackendKind::RemoteSharded { .. } => 1usize << remote::MAX_REMOTE_SHARD_BITS,
-            _ => 1usize << qsim::sharded::MAX_SHARD_BITS,
-        };
+        let cap = 1usize << remote::MAX_REMOTE_SHARD_BITS;
         let what = if requested == 0 || requested > cap {
             format!("clamped to the supported range [1, {cap}]")
         } else {
@@ -199,7 +183,8 @@ impl BackendKind {
 /// through here.
 ///
 /// The transport selects where shard workers live and only applies to
-/// [`BackendKind::RemoteSharded`]: [`TransportKind::InProcess`] runs them
+/// [`BackendKind::RemoteSharded`] (and its other name,
+/// [`BackendKind::ShardedStateVector`]): [`TransportKind::InProcess`] runs them
 /// as threads over `cmpi` mailboxes, the multi-process kinds
 /// ([`TransportKind::UnixSocket`], [`TransportKind::Tcp`]) spawn real
 /// `qworker` child processes speaking framed sockets (with failover — see
@@ -257,16 +242,18 @@ pub fn build_backend_with_policy(
         )),
         BackendKind::Trace => Arc::new(Shared::new(TraceEngine::with_noise(seed, noise), policy)),
         BackendKind::Sparse => Arc::new(Shared::new(SparseEngine::with_noise(seed, noise), policy)),
-        BackendKind::ShardedStateVector { shards } => Arc::new(Shared::new(
-            ShardedStateVector::with_noise(seed, shards, noise),
-            policy,
-        )),
-        BackendKind::RemoteSharded { shards } => Arc::new(Shared::new(
-            RemoteShardedEngine::over_transport(seed, shards, noise, transport).map_err(|e| {
-                QmpiError::InvalidArgument(format!("cannot spawn {transport} shard workers: {e}"))
-            })?,
-            policy,
-        )),
+        BackendKind::ShardedStateVector { shards } | BackendKind::RemoteSharded { shards } => {
+            Arc::new(Shared::new(
+                RemoteShardedEngine::over_transport(seed, shards, noise, transport).map_err(
+                    |e| {
+                        QmpiError::InvalidArgument(format!(
+                            "cannot spawn {transport} shard workers: {e}"
+                        ))
+                    },
+                )?,
+                policy,
+            ))
+        }
     })
 }
 
@@ -873,24 +860,22 @@ mod tests {
             .expect("test backend configurations are valid")
     }
 
-    fn all_kinds() -> [BackendKind; 6] {
+    fn all_kinds() -> [BackendKind; 5] {
         [
             BackendKind::StateVector,
             BackendKind::Stabilizer,
             BackendKind::Trace,
             BackendKind::Sparse,
-            BackendKind::ShardedStateVector { shards: 4 },
             BackendKind::RemoteSharded { shards: 2 },
         ]
     }
 
     /// Kinds that track real quantum state (trace excluded).
-    fn stateful_kinds() -> [BackendKind; 5] {
+    fn stateful_kinds() -> [BackendKind; 4] {
         [
             BackendKind::StateVector,
             BackendKind::Stabilizer,
             BackendKind::Sparse,
-            BackendKind::ShardedStateVector { shards: 4 },
             BackendKind::RemoteSharded { shards: 2 },
         ]
     }
@@ -1157,6 +1142,11 @@ mod tests {
             BackendKind::ShardedStateVector { shards: 8 }.shard_clamp_warning(),
             None
         );
+        // The other name of the remote engine follows its rule exactly.
+        assert_eq!(
+            BackendKind::ShardedStateVector { shards: 4 }.effective_shards(),
+            BackendKind::RemoteSharded { shards: 4 }.effective_shards()
+        );
         assert_eq!(BackendKind::StateVector.shard_clamp_warning(), None);
         // Over the remote cap: clamped to 64 with a visible message.
         let w = BackendKind::RemoteSharded { shards: 128 }
@@ -1177,12 +1167,12 @@ mod tests {
         // Non-power-of-two inside the range: rounded, different message.
         let w = BackendKind::ShardedStateVector { shards: 6 }
             .shard_clamp_warning()
-            .expect("6 stripes round to 8");
+            .expect("6 shards round to 8");
         assert!(w.contains("rounded") && w.contains('8'), "{w}");
-        // Over the striped cap too.
+        // The other name has no cap of its own.
         assert_eq!(
             BackendKind::ShardedStateVector { shards: 1000 }.effective_shards(),
-            Some(256)
+            Some(64)
         );
     }
 

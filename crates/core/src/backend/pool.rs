@@ -14,8 +14,8 @@
 //! [`RemoteShardedEngine::from_lease`]: super::RemoteShardedEngine::from_lease
 
 use super::remote::{
-    rank_of, shard_worker, watchdog_from_env, DeadWorker, ShardCmd, ShardReply,
-    MAX_REMOTE_SHARD_BITS, TAG_CMD, TAG_REPLY,
+    normalize_shards, rank_of, shard_worker, watchdog_from_env, DeadWorker, ShardCmd, ShardReply,
+    TAG_CMD, TAG_REPLY,
 };
 use super::remote_transport::ProcessLink;
 use cmpi::{Communicator, SourceSel, TransportKind, Universe, WorkerGroup};
@@ -41,12 +41,11 @@ pub(crate) enum WorkerLink {
 }
 
 impl WorkerLink {
-    /// Spawns a world of `shards` workers (rounded up to a power of two,
-    /// clamped to `[1, 2^MAX_REMOTE_SHARD_BITS]`) over `kind`, with the
-    /// watchdog taken from `QMPI_REMOTE_WATCHDOG_MS`. Only the
-    /// multi-process kinds can fail.
+    /// Spawns a world of `shards` workers (rounded by [`normalize_shards`])
+    /// over `kind`, with the watchdog taken from `QMPI_REMOTE_WATCHDOG_MS`.
+    /// Only the multi-process kinds can fail.
     fn spawn(kind: TransportKind, shards: usize) -> io::Result<WorkerLink> {
-        let shards = qsim::sharded::normalize_shards(shards, MAX_REMOTE_SHARD_BITS);
+        let shards = normalize_shards(shards);
         let watchdog = Arc::new(AtomicU64::new(watchdog_from_env().as_millis() as u64));
         if kind.is_multiprocess() {
             let link = ProcessLink::spawn(kind, shards, watchdog)?;

@@ -1,7 +1,7 @@
 //! Process-separated shard workers: the remote sharded state-vector engine.
 //!
-//! [`RemoteShardedEngine`] places each of the `2^k` amplitude shards that
-//! [`super::ShardedStateVector`] keeps in one address space in a dedicated
+//! [`RemoteShardedEngine`] cuts the dense amplitude vector into `2^k`
+//! shards and places each in a dedicated
 //! *worker rank* — a thread spawned via [`cmpi::Universe::spawn_workers`],
 //! or a `qworker` process — and turns every shard interaction into a
 //! [`cmpi`] message protocol. Nothing but messages crosses the shard
@@ -45,8 +45,8 @@
 //!   and coalesced gate streams therefore become the same frames, execute
 //!   the same kernels in the same order and stay bit-identical per seed.
 //! * **Within-shard gates** become [`WorkerOp::PairWithin`] entries;
-//!   workers run the identical [`qsim::stripe`] kernels the in-process
-//!   striped store runs, in parallel.
+//!   workers run the identical [`qsim::stripe`] kernels the dense store
+//!   runs, each on its own stripe, in parallel.
 //! * **Cross-shard gates** pair shard `s0` with `s0 | tbit`: the high
 //!   member ships its stripe to the low member ([`WorkerOp::CrossHigh`] /
 //!   [`WorkerOp::CrossLow`]), which zips the pair kernel across both
@@ -143,9 +143,18 @@ pub(crate) fn shard_of(rank: usize) -> Option<usize> {
 }
 
 /// Hard cap on the worker count (`2^6` = 64 worker ranks); each shard is a
-/// real thread with a mailbox, so this is deliberately tighter than the
-/// in-process stripe cap.
+/// real thread or process with a mailbox.
 pub const MAX_REMOTE_SHARD_BITS: u32 = 6;
+
+/// The one shard-count rule: clamp to `[1, 2^MAX_REMOTE_SHARD_BITS]`, then
+/// round up to a power of two. The worker world and `BackendKind`'s
+/// clamp-warning diagnostics both call this, so what the warning reports is
+/// by construction what the engine runs with.
+pub(crate) fn normalize_shards(requested: usize) -> usize {
+    requested
+        .clamp(1, 1 << MAX_REMOTE_SHARD_BITS)
+        .next_power_of_two()
+}
 
 /// Default watchdog for blocking protocol receives, in milliseconds.
 const DEFAULT_WATCHDOG_MS: usize = 30_000;

@@ -956,7 +956,6 @@ mod tests {
             crate::BackendKind::Stabilizer,
             crate::BackendKind::Trace,
             crate::BackendKind::Sparse,
-            crate::BackendKind::ShardedStateVector { shards: 4 },
             crate::BackendKind::RemoteSharded { shards: 2 },
         ] {
             let out = run_with_config(2, QmpiConfig::new().backend(kind), move |ctx| {

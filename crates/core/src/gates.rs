@@ -270,7 +270,6 @@ mod tests {
             BackendKind::Stabilizer,
             BackendKind::Trace,
             BackendKind::Sparse,
-            BackendKind::ShardedStateVector { shards: 4 },
             BackendKind::RemoteSharded { shards: 2 },
         ] {
             let config = QmpiConfig::new().seed(3).backend(kind);

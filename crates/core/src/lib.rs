@@ -61,15 +61,11 @@
 //!   EPR establishments, and qubit high-water marks are only counted
 //!   ([`OpCounts`]), which reproduces the paper's Table 1–3 resource
 //!   formulas at arbitrary scale in microseconds.
-//! * `BackendKind::ShardedStateVector { shards }` — exact amplitudes like
-//!   the default engine, cut into `shards` contiguous stripes in one address
-//!   space: the remote engine's layout without its transport, kept as the
-//!   reference that separates a layout bug from a transport bug. Slower than
-//!   the default engine on every measured workload.
 //! * `BackendKind::RemoteSharded { shards }` — exact amplitudes whose
 //!   shards live in dedicated *worker ranks* driven purely by [`cmpi`]
 //!   message passing (the paper's process-separated deployment model); same
 //!   results as the dense engines, no shared-address-space assumption.
+//!   `BackendKind::ShardedStateVector { shards }` is another name for it.
 //!
 //! [`qalgo`-style workloads]: BackendKind::StateVector
 //!
@@ -114,8 +110,8 @@ pub mod resources;
 pub use backend::{
     build_backend, build_backend_with_policy, qworker_main, AmplitudeEngine, BackendKind,
     EngineStore, OpCounts, QuantumBackend, RemoteShardedEngine, ShardLease, ShardWorkerPool,
-    ShardedStateVector, Shared, SparseEngine, StabilizerEngine, StateVectorEngine, TraceEngine,
-    TransportStats, DIAG_RANK,
+    Shared, SparseEngine, StabilizerEngine, StateVectorEngine, TraceEngine, TransportStats,
+    DIAG_RANK,
 };
 pub use cmpi::TransportKind;
 pub use collectives::{

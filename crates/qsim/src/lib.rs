@@ -16,9 +16,6 @@
 //!   one-stripe case of [`stripe`], whose element-wise kernels it splits
 //!   across the caller and one helper thread on registers of 2^15
 //!   amplitudes and up.
-//! - [`sharded`] — [`sharded::ShardedState`]: the same amplitude vector
-//!   cut into `2^k` contiguous stripes, one kernel call per stripe — the
-//!   remote workers' layout in one address space.
 //! - [`batch`] — [`batch::GateBatch`]: the batched gate-stream IR that
 //!   engines apply as one unit (one lock acquisition per batch instead of
 //!   per gate).
@@ -35,8 +32,8 @@
 //!   stable qubit handles, operand checks, counters, noise and measurement
 //!   draws. [`sim::Simulator`] runs it over [`state::State`],
 //!   [`sim::SparseSim`] over [`sparse::SparseState`],
-//!   [`stabilizer::StabilizerSim`] over [`stabilizer::Tableau`], and it
-//!   runs over a [`sharded::ShardedState`] just the same.
+//!   [`stabilizer::StabilizerSim`] over [`stabilizer::Tableau`], and
+//!   `qmpi` runs it over the stripes its shard workers hold.
 //! - [`trace`] — [`trace::TraceState`]: the store with no amplitudes, only
 //!   a register width; the front over it counts operations at any scale.
 //! - [`stabilizer`] — [`stabilizer::Tableau`]: the CHP tableau as a store,
@@ -59,7 +56,6 @@ pub mod measure;
 pub mod noise;
 pub mod optimizer;
 pub mod registry;
-pub mod sharded;
 pub mod sim;
 pub mod sparse;
 pub mod stabilizer;
@@ -72,7 +68,6 @@ pub use complex::Complex;
 pub use gates::{Gate, Pauli};
 pub use noise::{NoiseChannel, NoiseModel};
 pub use optimizer::optimize;
-pub use sharded::ShardedState;
 pub use sim::{AmpStore, QubitId, SimError, Simulator, SparseSim};
 pub use sparse::SparseState;
 pub use stabilizer::{StabilizerSim, Tableau};

@@ -11,8 +11,8 @@
 //! The front is written once, generic over the store: [`Simulator`] runs it
 //! over the dense [`State`], [`SparseSim`] over the [`SparseState`] map,
 //! [`crate::StabilizerSim`] over the CHP [`crate::Tableau`], and `qmpi`'s
-//! engines also over the striped store, the process-separated engine's
-//! worker-backed one and the amplitude-free [`crate::trace::TraceState`].
+//! engines also over the process-separated engine's worker-backed store and
+//! the amplitude-free [`crate::trace::TraceState`].
 //! All therefore seed and draw their RNG streams identically — the noise
 //! stream before the measurement stream, one draw per touched position in
 //! operand order, one uniform per measurement — which is what makes the
@@ -78,8 +78,7 @@ impl std::error::Error for SimError {}
 /// Amplitude storage under the simulator front: a register of qubits
 /// addressed by *position* (bit index of the basis state), no handles, no
 /// counters, no randomness. The trait hides the storage format — a dense
-/// `2^n` vector ([`State`]), the same vector cut into stripes
-/// ([`crate::sharded::ShardedState`]) or a map of the nonzero entries ([`SparseState`]),
+/// `2^n` vector ([`State`]) or a map of the nonzero entries ([`SparseState`]),
 /// or stripes held by other processes (`qmpi`'s remote store, which queues
 /// whatever needs no reply and ships the queue with the next read) —
 /// and every implementation evaluates the same floating-point expressions
@@ -204,7 +203,7 @@ pub trait AmpStore {
 
 /// Simulator with dynamic qubit allocation over the store `S`:
 /// [`Simulator`], [`SparseSim`], [`crate::StabilizerSim`], or
-/// [`AmpSim::over`] a [`crate::sharded::ShardedState`].
+/// [`AmpSim::over`] any other [`AmpStore`].
 pub struct AmpSim<S> {
     state: S,
     reg: QubitRegistry,
@@ -585,96 +584,6 @@ mod tests {
     use crate::gates::{Gate, Pauli};
 
     const TOL: f64 = 1e-10;
-
-    /// One seeded program over every front entry point — each `BatchOp`
-    /// kind's method, both measurements, `free` and `measure_and_free` at
-    /// the top, bottom and middle positions — returning everything it can
-    /// observe.
-    ///
-    /// Only the first gate and the EPR pair (made after everything else is
-    /// measured) superpose; the rest permute or phase basis states. With at
-    /// most two nonzero amplitudes every reduction has at most two nonzero
-    /// terms, which no order of addition can tell apart: on wider states
-    /// the dense sum and the striped partial sums round differently in the
-    /// last bit, as they did before the striped store joined this front.
-    fn observe<S: AmpStore>(store: S, model: NoiseModel) -> (Vec<(u64, u64)>, Vec<bool>, u64, u64) {
-        let mut sim = AmpSim::over(store, 17, model);
-        let mut q = sim.alloc_n(7);
-        let mut outcomes = Vec::new();
-        let t = Gate::T.matrix();
-        sim.apply(Gate::Ry(0.37), q[0]).unwrap();
-        for &qi in &q[1..] {
-            sim.apply(Gate::X, qi).unwrap();
-        }
-        sim.cnot(q[0], q[6]).unwrap();
-        sim.cnot(q[5], q[1]).unwrap();
-        sim.cz(q[2], q[4]).unwrap();
-        sim.apply(Gate::Rz(1.1), q[3]).unwrap();
-        sim.apply_controlled(&[q[0], q[5]], Gate::X, q[3]).unwrap();
-        sim.apply_controlled(&[q[6]], Gate::S, q[2]).unwrap();
-        // At 8 stripes: within a stripe, mixed, both stripe-selecting.
-        for (a, b) in [(0, 1), (1, 5), (4, 6)] {
-            sim.swap(q[a], q[b]).unwrap();
-        }
-        sim.apply_fused_1q(q[4], &crate::gates::matmul2(&Gate::X.matrix(), &t))
-            .unwrap();
-        // Factors on q1, on q6 and on the parity of {q6, q2} (at 8 stripes a
-        // stripe-selecting and a within-stripe bit); q6 is a noise site once.
-        sim.apply_phase_sweep(
-            &[q[1], q[6], q[2]],
-            &[
-                (0b001, t[0][0], t[1][1]),
-                (0b010, t[1][1], t[0][0]),
-                (0b110, t[0][0], t[1][1]),
-            ],
-            &[(q[0], q[6]), (q[2], q[3])],
-        )
-        .unwrap();
-        assert_eq!(
-            sim.apply_phase_sweep(&[q[1], q[1]], &[(0b11, t[0][0], t[1][1])], &[]),
-            Err(SimError::DuplicateQubit(q[1]))
-        );
-        outcomes.push(sim.measure(q[3]).unwrap());
-        outcomes.push(sim.measure_z_parity(&[q[0], q[2], q[6]]).unwrap());
-        for at in [6, 0, 2] {
-            outcomes.push(sim.measure_and_free(q.remove(at)).unwrap());
-        }
-        for &qi in &q {
-            outcomes.push(sim.measure(qi).unwrap());
-        }
-        let (ea, eb) = (sim.alloc(), sim.alloc());
-        sim.entangle_epr(ea, eb).unwrap();
-        sim.cnot(q[0], ea).unwrap();
-        outcomes.push(sim.measure(ea).unwrap());
-        outcomes.push(sim.free(ea).unwrap());
-        sim.apply(Gate::H, eb).unwrap();
-        q.push(eb);
-        let state = sim.state_vector(&q).unwrap();
-        let bits = state.amplitudes().iter();
-        (
-            bits.map(|a| (a.re.to_bits(), a.im.to_bits())).collect(),
-            outcomes,
-            sim.gate_count(),
-            sim.measurement_count(),
-        )
-    }
-
-    #[test]
-    fn striped_store_matches_dense_through_the_front() {
-        use crate::noise::NoiseChannel;
-        use crate::sharded::ShardedState;
-        for model in [
-            NoiseModel::ideal(),
-            NoiseModel::depolarizing(0.2).with_measurement(NoiseChannel::Dephasing { p: 0.3 }),
-            NoiseModel::amplitude_damping(0.2),
-        ] {
-            let want = observe(State::default(), model);
-            for stripes in [1, 2, 8] {
-                let got = observe(ShardedState::new(stripes), model);
-                assert_eq!(got, want, "{stripes} stripes under {model:?}");
-            }
-        }
-    }
 
     #[test]
     fn alloc_free_roundtrip() {

@@ -27,8 +27,8 @@ use crate::stripe::{self, split};
 pub const NORM_TOL: f64 = 1e-9;
 
 /// The qubit budget of every dense-amplitude engine: `2^29` amplitudes
-/// (8 GiB) is the widest register a [`State`], a striped or a
-/// remote-sharded state will hold or a sparse state will materialize.
+/// (8 GiB) is the widest register a [`State`] or a remote-sharded state
+/// will hold or a sparse state will materialize.
 pub const MAX_DENSE_QUBITS: usize = 29;
 
 /// A pure quantum state over `n` qubits as a dense amplitude vector.

@@ -10,14 +10,13 @@
 //! passes — only needs the stripe slice plus its global base index
 //! `s << l`.
 //!
-//! Three deployments run these functions and nothing else: the dense
+//! Two deployments run these functions and nothing else: the dense
 //! [`crate::state::State`] is the one-stripe case (`k = 0`, `base = 0`, the
-//! cross-stripe kernels never fire); the in-process
-//! [`crate::sharded::ShardedState`] loops over its stripes calling them; and
-//! a process-separated shard worker receiving commands over a message
-//! channel runs them on the stripe it owns. One kernel set is what keeps
-//! dense, striped, and remote-sharded engines bit-identical: there is no
-//! second copy of the arithmetic to drift. The sparse map
+//! cross-stripe kernels never fire), and a process-separated shard worker
+//! receiving commands over a message channel runs them on the stripe it
+//! owns. One kernel set is what keeps the dense and remote-sharded engines
+//! bit-identical: there is no second copy of the arithmetic to drift. The
+//! sparse map
 //! ([`crate::sparse`]) evaluates the same expressions in the same order
 //! over its present entries.
 //!
@@ -41,6 +40,12 @@
 //! stripes or shards: a partial sum is merged exactly wherever it is formed.
 //! What must still agree across engines is each *term*, which every store
 //! forms from the same operands in the same order.
+//!
+//! A term must be at most 2 in magnitude: an `|a|²`, or a part of
+//! `conj(b)·a`, of amplitudes of modulus at most √2, which any normalized
+//! state's are. A larger, infinite or NaN term would be cut onto the grid
+//! wrongly, so every reduction here panics on one instead, naming its
+//! magnitude.
 
 use crate::batch::{named, SweepFactor};
 use crate::complex::{Complex, C_ZERO};
@@ -450,6 +455,12 @@ const ROUND: f64 = 6_755_399_441_055_744.0;
 /// below 2^62.
 const LIMB_RUN: usize = 1 << 11;
 
+/// The largest term an [`ExactSum`] takes, 2, as the bits of its magnitude.
+/// The bits of non-negative `f64`s order as their values do, and a NaN's lie
+/// above infinity's, so one integer comparison rejects all three kinds of
+/// term the grid cannot hold.
+const MAX_TERM_BITS: i64 = 2.0f64.to_bits() as i64;
+
 /// An exact, order-free sum of `f64` terms of magnitude at most 2.
 ///
 /// A term `t` is held as the integer `round(t·2^102)` (ties to even): the
@@ -465,7 +476,9 @@ const LIMB_RUN: usize = 1 << 11;
 /// The cut runs in two `f64` roundings and two `i64` limbs (a 2^-50 grid,
 /// then the remainder on a 2^-52 grid below it), which vectorize; a run of
 /// terms adds into the limbs and folds into the `i128` once per 2^11
-/// terms.
+/// terms. The limbs also keep the largest magnitude they took, and the
+/// fold checks it: a term above 2, infinite or NaN panics there, in any
+/// build, with that magnitude in the message.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExactSum(i128);
 
@@ -473,7 +486,7 @@ impl ExactSum {
     /// The sum of nothing.
     pub const ZERO: ExactSum = ExactSum(0);
 
-    /// Adds one term (`|t| ≤ 2`).
+    /// Adds one term. Panics unless `|t| ≤ 2`.
     pub fn add(&mut self, t: f64) {
         let mut limbs = Limbs::default();
         limbs.add(t);
@@ -502,10 +515,23 @@ impl ExactSum {
         ExactSum(units)
     }
 
+    /// Adds a run of limbs, once their terms are known to be in range.
     #[inline(always)]
     fn fold(&mut self, limbs: Limbs) {
+        if limbs.peak > MAX_TERM_BITS {
+            out_of_range(limbs.peak);
+        }
         self.0 += (i128::from(limbs.hi) << 52) + i128::from(limbs.lo);
     }
+}
+
+/// The panic of a run whose largest term magnitude, as `f64` bits, is
+/// `peak`: out of line, so the check costs the kernels one branch.
+#[cold]
+#[inline(never)]
+fn out_of_range(peak: i64) -> ! {
+    let magnitude = f64::from_bits(peak as u64);
+    panic!("an exact sum's terms are at most 2 in magnitude; one was |t| = {magnitude}")
 }
 
 /// `N` exact sums being added to run by run: terms go into limbs until the
@@ -575,20 +601,33 @@ fn round_int(x: f64) -> (i64, f64) {
 struct Limbs {
     hi: i64,
     lo: i64,
+    /// The largest magnitude added, as `f64` bits: checked against
+    /// [`MAX_TERM_BITS`] when the run folds, not once per term.
+    peak: i64,
 }
 
 impl Limbs {
     /// Adds `t` as `hi·2^-50 + lo·2^-102`: `hi = round(t·2^50)`, then
-    /// `lo = round((t·2^50 − hi)·2^52)`. Both scalings and the difference
-    /// are exact, so `hi·2^52 + lo = round(t·2^102)`.
+    /// `lo = round((t·2^50 − hi)·2^52)`. For `|t| ≤ 2` both scalings and
+    /// the difference are exact, so `hi·2^52 + lo = round(t·2^102)`; any
+    /// other term only raises `peak` past the bound, and the limbs wrap
+    /// instead of trapping so the fold's check is what reports it.
     #[inline(always)]
     fn add(&mut self, t: f64) {
-        debug_assert!(t.abs() <= 2.0, "an exact sum's term is at most 2: {t:e}");
+        self.peak = self.peak.max(t.abs().to_bits() as i64);
         let x = t * (1.0 / HI_STEP);
         let (hi, hi_f) = round_int(x);
         let (lo, _) = round_int((x - hi_f) * (1.0 / LO_STEP));
-        self.hi += hi;
-        self.lo += lo;
+        self.hi = self.hi.wrapping_add(hi);
+        self.lo = self.lo.wrapping_add(lo);
+    }
+
+    /// Adds another run's limbs.
+    #[inline(always)]
+    fn merge(&mut self, other: Limbs) {
+        self.hi = self.hi.wrapping_add(other.hi);
+        self.lo = self.lo.wrapping_add(other.lo);
+        self.peak = self.peak.max(other.peak);
     }
 }
 
@@ -656,6 +695,7 @@ fn odd_parity(g: usize, mask: usize) -> bool {
 /// index (stripe base ORed with the offset) matches `want` under `mask`.
 /// No engine reads it: under a one-bit mask it is [`parity_prob_odd`] to the
 /// bit (`want = mask`), which is how every store reads one qubit.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
     norm_where(amps, base, mask, |g| g & mask == want).finish()
 }
@@ -664,12 +704,14 @@ pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f
 /// match `want` under `mask` and returns the kept probability mass of this
 /// stripe. Under a one-bit mask it is [`collapse_parity`] to the bit, which
 /// every store collapses one qubit with.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize) -> f64 {
     collapse_where(amps, base, mask, |g| g & mask == want).finish()
 }
 
 /// Probability mass of odd `mask`-parity basis states in this stripe (joint
 /// Z-parity measurement, phase 1).
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
     parity_sum(amps, base, mask).finish()
 }
@@ -683,6 +725,7 @@ pub(crate) fn parity_sum(amps: &[Complex], base: usize, mask: usize) -> ExactSum
 /// states in this stripe, in one pass, as partial sums to merge across
 /// stripes: under a one-bit mask the odd side is the mass [`masked_norm`]
 /// reads for `(mask, mask)` and the even side for `(mask, 0)`.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn branch_masses(amps: &[Complex], base: usize, mask: usize) -> [ExactSum; 2] {
     wide_from!(Avx512, amps.len(), {
         let mut masses = Adder::<2>::new();
@@ -702,6 +745,7 @@ pub fn branch_masses(amps: &[Complex], base: usize, mask: usize) -> [ExactSum; 2
 /// Parity-collapse pass: keeps the `want_odd` parity subspace, zeroes the
 /// rest, returns the kept mass of this stripe as a partial sum (joint
 /// Z-parity, phase 2).
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd: bool) -> ExactSum {
     collapse_where(amps, base, mask, |g| odd_parity(g, mask) == want_odd)
 }
@@ -724,6 +768,7 @@ pub fn renormalizer(kept: f64) -> f64 {
 }
 
 /// Squared norm of the stripe: the exact sum of every `|a|²`.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn norm_sqr(amps: &[Complex]) -> f64 {
     norm_where(amps, 0, 0, |_| true).finish()
 }
@@ -732,6 +777,7 @@ pub fn norm_sqr(amps: &[Complex]) -> f64 {
 /// single-qubit Paulis on distinct qubits; identity elsewhere) over one
 /// slice holding the whole register: [`expectation_partial`] of the slice
 /// against itself (the dense store reads it on two threads, to these bits).
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
     let n_qubits = amps.len().trailing_zeros() as usize;
     let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
@@ -744,6 +790,7 @@ pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
 /// expectation term of each `own[i]` against `other[i ^ x_lo]`, signed by
 /// `base | i` under `z_mask`. Sign and partner offset are constant over a
 /// run below the string's lowest bit, so it zips runs, not indices.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn expectation_partial(
     own: &[Complex],
     other: &[Complex],
@@ -782,6 +829,7 @@ pub fn expectation_partial(
 /// [`expectation_pauli_flat`] for callers whose amplitudes are not one
 /// slice: reads them through `at` (global basis index → amplitude), so the
 /// caller can serve them from separate stripes or anything else.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn expectation_pauli(
     n_qubits: usize,
     at: impl Fn(usize) -> Complex,
@@ -807,6 +855,7 @@ const SIGN_TILE: usize = 1 << 8;
 
 /// [`expectation_pauli_flat`] of each string in `strings`, bit for bit, with
 /// the diagonal (Z-only) strings read together in one sweep.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
     each_string(
         amps.len(),
@@ -890,8 +939,7 @@ pub(crate) fn diagonal_sums(
                 let mut one = Limbs::default();
                 one.add(a.norm_sqr());
                 (*hi, *lo) = (one.hi, one.lo);
-                all.hi += one.hi;
-                all.lo += one.lo;
+                all.merge(one);
             }
             let mut tile_total = ExactSum::ZERO;
             tile_total.fold(all);
@@ -992,6 +1040,7 @@ fn signed_term(a: Complex, partner: Complex, sign: f64) -> Complex {
 /// run, which moves down to `k·bit` — into an earlier block, or for block 0
 /// onto the run it drops — so summing a block's dropped run before moving
 /// its kept run never reads an amplitude that was already overwritten.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool) -> f64 {
     let dropped = walk_known_short!(1usize << target, |bit| {
         let (kept_at, dropped_at) = if outcome { (bit, 0) } else { (0, bit) };
@@ -1042,6 +1091,7 @@ pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome:
 
 /// The copying form of [`remove_qubit_in_place`]: returns the halved vector
 /// plus the discarded probability mass and leaves `flat` as it was.
+/// Panics on a term out of range (see [Sums](self#sums)).
 pub fn remove_qubit_flat(flat: &[Complex], target: usize, outcome: bool) -> (Vec<Complex>, f64) {
     let mut out = flat.to_vec();
     let dropped = remove_qubit_in_place(&mut out, target, outcome);
@@ -2026,14 +2076,15 @@ mod tests {
             }
         }
 
-        /// The terms no sum may get wrong: ±1, both zeros, the smallest and
-        /// largest subnormals, 1e-300, a grid step and half of one (a tie),
-        /// and values a hair either side of grid points.
+        /// The terms no sum may get wrong: ±2 (the bound), ±1, both zeros,
+        /// the smallest and largest subnormals, 1e-300, a grid step and half
+        /// of one (a tie), and values a hair either side of grid points.
         fn edge_terms() -> Vec<f64> {
             let sub = f64::from_bits(1);
             let big_sub = f64::from_bits((1 << 52) - 1);
             let step = pow2(-102);
-            let mut terms = vec![1.0, -1.0, 0.0, -0.0, sub, -sub, big_sub, 1e-300, -1e-300];
+            let mut terms = vec![2.0, -2.0, 1.0, -1.0, 0.0, -0.0, sub, -sub, big_sub, 1e-300];
+            terms.push(-1e-300);
             terms.extend([step, -step, step / 2.0, 1.5 * step, -2.5 * step]);
             terms.extend([
                 1.0 - f64::EPSILON / 2.0,
@@ -2075,6 +2126,35 @@ mod tests {
             }
             assert_eq!(sum.finish().to_bits(), 0);
             assert_eq!(ExactSum::ZERO.finish().to_bits(), 0);
+        }
+
+        /// A term the grid cannot hold panics in every build, naming its
+        /// magnitude: added on its own, and as the square of one amplitude
+        /// in the middle of a stripe long enough to take the vector loop.
+        macro_rules! out_of_range_terms_panic {
+            ($($add:ident, $norm:ident: $t:expr => $term:literal, $square:literal;)*) => {$(
+                #[test]
+                #[should_panic(expected = $term)]
+                fn $add() {
+                    let mut sum = ExactSum::ZERO;
+                    sum.add($t);
+                }
+
+                #[test]
+                #[should_panic(expected = $square)]
+                fn $norm() {
+                    let mut amps = vec![Complex::real(0.01); 1 << 12];
+                    amps[1000] = Complex::real($t);
+                    norm_sqr(&amps);
+                }
+            )*};
+        }
+
+        out_of_range_terms_panic! {
+            add_rejects_2_5, norm_rejects_2_5: 2.5 => "|t| = 2.5", "|t| = 6.25";
+            add_rejects_minus_3, norm_rejects_minus_3: -3.0 => "|t| = 3", "|t| = 9";
+            add_rejects_infinity, norm_rejects_infinity: f64::INFINITY => "|t| = inf", "|t| = inf";
+            add_rejects_nan, norm_rejects_nan: f64::NAN => "|t| = NaN", "|t| = NaN";
         }
 
         proptest! {

@@ -10,9 +10,8 @@
 //! is exact ([`super::ExactSum`]), so its two halves merge to the bits the
 //! whole would sum to.
 //!
-//! Only [`crate::state::State`] calls these. The striped store and the
-//! remote workers keep the serial kernels: the workers' shards already
-//! occupy the cores.
+//! Only [`crate::state::State`] calls these. The remote workers keep the
+//! serial kernels: the workers' shards already occupy the cores.
 
 use super::dispatch::{join, wide};
 use super::{

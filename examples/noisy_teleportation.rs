@@ -4,8 +4,8 @@
 //! Relays |1> along an 8-rank teleport chain under a depolarizing EPR
 //! channel ([`qmpi::QmpiConfig::noise`]) and compares the empirical
 //! fidelity with the closed-form prediction on three backends from the
-//! same configuration call: state-vector, sharded state-vector, and
-//! stabilizer. A second section pairs noise with [`qmpi::QmpiConfig::s_limit`]
+//! same configuration call: state-vector, remote-sharded (worker threads),
+//! and stabilizer. A second section pairs noise with [`qmpi::QmpiConfig::s_limit`]
 //! to show the SENDQ trade the paper reasons about, and the trace backend's
 //! modeled fidelity for the identical protocol.
 //!
@@ -21,7 +21,7 @@ fn main() {
     println!("--- teleport |1> along {RANKS} ranks, depolarizing EPR noise ---");
     for kind in [
         BackendKind::StateVector,
-        BackendKind::ShardedStateVector { shards: 4 },
+        BackendKind::RemoteSharded { shards: 4 },
         BackendKind::Stabilizer,
     ] {
         // The stabilizer tableau is polynomial-cost, so give it more trials.

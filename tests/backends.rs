@@ -23,7 +23,6 @@ fn all_kinds() -> Vec<BackendKind> {
         BackendKind::StateVector,
         BackendKind::Stabilizer,
         BackendKind::Sparse,
-        BackendKind::ShardedStateVector { shards: 8 },
         BackendKind::RemoteSharded { shards: 4 },
         BackendKind::Trace,
     ]
@@ -247,12 +246,12 @@ fn stabilizer_scales_to_96_rank_ghz() {
     );
 }
 
-/// The sharded backend runs the full cat-state protocol (establish, agree,
-/// disband) at 8 ranks — 14+ simulator qubits cut into 8 stripes — with
+/// The remote backend runs the full cat-state protocol (establish, agree,
+/// disband) at 8 ranks — 14+ simulator qubits cut into 8 shards — with
 /// the batched single-acquisition EPR establishment underneath.
 #[test]
 fn sharded_runs_cat_broadcast_with_batched_establishment() {
-    let kind = BackendKind::ShardedStateVector { shards: 8 };
+    let kind = BackendKind::RemoteSharded { shards: 8 };
     let out = run_with_config(8, cfg(kind, 13), |ctx| {
         let share = ctx.cat_establish().unwrap();
         ctx.barrier();

@@ -4,8 +4,8 @@
 //! per-rank `GateBatch` that flushes lazily; with it off, every gate
 //! dispatches eagerly. The two modes must be *observably identical per
 //! seed* on every backend — bit-identical amplitudes on the
-//! amplitude-class engines (state-vector, sparse, lock-striped sharded,
-//! process-separated remote), identical expectation values and
+//! amplitude-class engines (state-vector, sparse, process-separated
+//! remote), identical expectation values and
 //! measurement outcomes on the stabilizer tableau, identical operation
 //! counts and modeled fidelity on the trace engine — no matter where
 //! flush points land and whether Pauli noise is drawn along the way.
@@ -52,13 +52,12 @@ fn run_one(kind: BackendKind, batching: bool, steps: &[Step], noise: NoiseModel)
     run_circuit(cfg, N_QUBITS, steps, kind == BackendKind::Stabilizer).0
 }
 
-fn all_kinds() -> [BackendKind; 6] {
+fn all_kinds() -> [BackendKind; 5] {
     [
         BackendKind::StateVector,
         BackendKind::Stabilizer,
         BackendKind::Trace,
         BackendKind::Sparse,
-        BackendKind::ShardedStateVector { shards: 4 },
         BackendKind::RemoteSharded { shards: 4 },
     ]
 }
@@ -135,7 +134,6 @@ fn amplitude_damping_falls_back_to_identical_trajectories() {
     for kind in [
         BackendKind::StateVector,
         BackendKind::Sparse,
-        BackendKind::ShardedStateVector { shards: 4 },
         BackendKind::RemoteSharded { shards: 4 },
     ] {
         let eager = run_one(kind, false, &steps, noise);

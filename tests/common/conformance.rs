@@ -6,7 +6,7 @@
 //! observable a backend exposes, one canonical float comparison, and one
 //! dense-state-vector oracle assertion. The suites differ only in *which*
 //! pair they compare (batched vs eager, in-process vs socket transport,
-//! sparse/sharded/remote vs the dense oracle) — never in how they run the
+//! sparse/remote vs the dense oracle) — never in how they run the
 //! circuit or read it out.
 //!
 //! ## Canonical comparison rule
@@ -379,7 +379,7 @@ pub const GENERIC_QUBITS: usize = 7;
 /// expectations (X, Y and Z on every position) and the same strings through
 /// `expectation_each` — then a Z measurement, a parity measurement and a
 /// measure-and-free at a position that walks the register (bottom, middle,
-/// top: shard-selecting on a striped or remote engine), a fresh qubit in its
+/// top: shard-selecting on the remote engine), a fresh qubit in its
 /// place, and the amplitudes after every collapse. Generic angles make every
 /// reduction add many nonzero terms of mixed magnitude, so the order in
 /// which an engine adds them would show in the last bit.

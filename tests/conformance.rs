@@ -1,7 +1,7 @@
-//! Cross-backend amplitude conformance suite: one harness, six backends.
+//! Cross-backend amplitude conformance suite: one harness, five backends.
 //!
-//! Every amplitude-class backend — sparse, striped (at one and several
-//! stripes), process-separated remote — must be bit-identical
+//! Every amplitude-class backend — sparse, and process-separated remote at
+//! several shard counts, in-process and over sockets — must be bit-identical
 //! to the dense state-vector oracle per seed, under the shared harness's
 //! canonical rule (`-0.0 ≡ +0.0`, everything else exact): same
 //! amplitudes, same expectation values, same measurement trajectory, same
@@ -28,8 +28,8 @@ use common::conformance::{
 use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
-    AmplitudeEngine, BackendKind, BatchPolicy, EngineStore, RemoteShardedEngine,
-    ShardedStateVector, SparseEngine, StateVectorEngine,
+    AmplitudeEngine, BackendKind, BatchPolicy, EngineStore, RemoteShardedEngine, SparseEngine,
+    StateVectorEngine,
 };
 use qsim::{BatchOp, Gate, NoiseModel, Pauli, QubitId};
 
@@ -56,12 +56,12 @@ fn policies() -> [BatchPolicy; 4] {
     ]
 }
 
-/// The in-process amplitude-class backends (cheap enough to sweep widely).
-fn local_amplitude_kinds() -> [BackendKind; 3] {
+/// The in-process amplitude-class backends (cheap enough to sweep widely):
+/// sparse, and the remote engine with its eight workers as threads.
+fn local_amplitude_kinds() -> [BackendKind; 2] {
     [
         BackendKind::Sparse,
-        BackendKind::ShardedStateVector { shards: 1 },
-        BackendKind::ShardedStateVector { shards: 8 },
+        BackendKind::RemoteSharded { shards: 8 },
     ]
 }
 
@@ -277,19 +277,14 @@ fn benchmark_sized_state_is_bit_identical_across_dense_engines() {
     assert_eq!(dense.0.len(), 1 << 16);
     let dense_8_ranks = concurrent_ranks_observables(BackendKind::StateVector);
     assert_eq!(dense_8_ranks.0.len(), 1 << 16);
+    let remote = BackendKind::RemoteSharded { shards: 2 };
+    let other = large_state_observables(remote);
+    assert!(dense.0 == other.0, "{remote}: amplitude bits diverged");
+    assert_eq!(dense.1, other.1, "{remote}: measurement outcome");
+    assert_eq!(dense.2, other.2, "{remote}: expectation bits");
     for kind in [
-        BackendKind::ShardedStateVector { shards: 2 },
         BackendKind::RemoteSharded { shards: 2 },
-    ] {
-        let other = large_state_observables(kind);
-        assert!(dense.0 == other.0, "{kind}: amplitude bits diverged");
-        assert_eq!(dense.1, other.1, "{kind}: measurement outcome");
-        assert_eq!(dense.2, other.2, "{kind}: expectation bits");
-    }
-    for kind in [
-        BackendKind::ShardedStateVector { shards: 2 },
-        BackendKind::ShardedStateVector { shards: 8 },
-        BackendKind::RemoteSharded { shards: 2 },
+        BackendKind::RemoteSharded { shards: 8 },
     ] {
         let other = concurrent_ranks_observables(kind);
         assert!(
@@ -304,7 +299,7 @@ fn benchmark_sized_state_is_bit_identical_across_dense_engines() {
 /// TFIM Trotter step (a ZZ bond per neighbour pair, then the Rx layer) and
 /// a Jordan–Wigner string over all eight qubits. Under the default policy
 /// each ladder reaches the engine as one parity sweep whose factors read
-/// the top qubits — shard-selecting on the sharded engines — together with
+/// the top qubits — shard-selecting on the remote engine — together with
 /// stripe-local ones. Amplitudes are read before anything is measured: an
 /// engine's reduction order does not enter.
 fn fused_ladder_observables(
@@ -362,8 +357,6 @@ fn fused_ladders_are_bit_identical_across_amplitude_engines_and_transports() {
     assert_eq!(dense.1, 8 + 1 + 8 + 1);
     for (kind, transport) in [
         (BackendKind::Sparse, InProcess),
-        (BackendKind::ShardedStateVector { shards: 2 }, InProcess),
-        (BackendKind::ShardedStateVector { shards: 8 }, InProcess),
         (BackendKind::RemoteSharded { shards: 2 }, InProcess),
         (BackendKind::RemoteSharded { shards: 4 }, InProcess),
         (BackendKind::RemoteSharded { shards: 2 }, UnixSocket),
@@ -380,8 +373,8 @@ type InterleavingObs = (Vec<Vec<(u64, u64)>>, Vec<bool>, [u64; 2]);
 
 /// Alloc → entangle → measure-and-free, three times over, with the freed
 /// qubit at the bottom, in the middle and at the top of the register: the
-/// dense engine compacts in place, the striped one flattens and re-cuts
-/// its stripes, the remote one reshapes worker to worker. The state
+/// dense engine compacts in place, the remote one compacts each stripe or
+/// hands a shard axis over worker to worker. The state
 /// is `a|0…0> + b|1…1>` with generic `a`, `b` and phases, measured in the X
 /// basis, so no reduction here ever adds more than two nonzero terms and
 /// the order an engine adds its partial sums in cannot show.
@@ -437,10 +430,9 @@ fn alloc_free_interleaving_is_bit_identical_across_amplitude_engines() {
         assert_eq!(dense.0.iter().map(Vec::len).collect::<Vec<_>>(), [64; 3]);
         for kind in [
             BackendKind::Sparse,
-            BackendKind::ShardedStateVector { shards: 2 },
-            BackendKind::ShardedStateVector { shards: 8 },
             BackendKind::RemoteSharded { shards: 2 },
             BackendKind::RemoteSharded { shards: 4 },
+            BackendKind::RemoteSharded { shards: 8 },
         ] {
             assert_eq!(
                 dense,
@@ -561,9 +553,8 @@ fn remote_engine_matches_its_layout_reference_on_generic_angles() {
 }
 
 /// The generic-angle family ([`generic_angle_family`]) reads the dense
-/// engine's bits on every other amplitude engine: sparse, striped and
-/// remote at 2, 4 and 8 shards, the remote one in-process and over Unix
-/// sockets.
+/// engine's bits on every other amplitude engine: sparse, and remote at 2,
+/// 4 and 8 shards, in-process and over Unix sockets.
 #[test]
 fn generic_angle_family_matches_dense_on_every_amplitude_engine() {
     use cmpi::TransportKind::{InProcess, UnixSocket};
@@ -573,8 +564,6 @@ fn generic_angle_family_matches_dense_on_every_amplitude_engine() {
         let got = generic_angle_family(&mut SparseEngine::new(seed), seed);
         assert_same_reads(&want, &got, &format!("sparse, seed {seed}"));
         for shards in [2usize, 4, 8] {
-            let got = generic_angle_family(&mut ShardedStateVector::new(seed, shards), seed);
-            assert_same_reads(&want, &got, &format!("{shards} stripes, seed {seed}"));
             for transport in [InProcess, UnixSocket] {
                 let mut remote = RemoteShardedEngine::over_transport(
                     seed,
@@ -599,10 +588,10 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(6))]
 
-        /// The tentpole acceptance property: on random 10-qubit
-        /// Clifford+T circuits with random flush points, the sparse and
-        /// sharded engines are bit-identical to the dense oracle, ideal
-        /// and under depolarizing noise.
+        /// On random 10-qubit Clifford+T circuits with random flush
+        /// points, the sparse and in-process remote engines are
+        /// bit-identical to the dense oracle, ideal and under depolarizing
+        /// noise.
         #[test]
         fn random_circuits_match_dense_oracle(
             steps in arb_steps(N_QUBITS, true, 8..30),

@@ -30,13 +30,8 @@ use qsim::{Gate, NoiseModel};
 const N_QUBITS: usize = 6;
 const TOL: f64 = 1e-12;
 
-fn amplitude_kinds() -> [BackendKind; 4] {
-    [
-        BackendKind::StateVector,
-        BackendKind::Sparse,
-        BackendKind::ShardedStateVector { shards: 1 },
-        BackendKind::ShardedStateVector { shards: 8 },
-    ]
+fn amplitude_kinds() -> [BackendKind; 2] {
+    [BackendKind::StateVector, BackendKind::Sparse]
 }
 
 /// A general Clifford+T circuit with long 1q runs and diagonal stretches —
@@ -99,7 +94,7 @@ fn permutation_phase_circuit() -> Vec<Step> {
 /// throughout: one rank's TFIM Trotter step (§7.2: a ZZ bond per neighbour
 /// pair, then the transverse-field layer) and a Jordan–Wigner string (§7.3:
 /// one `Rz` read through a CNOT chain). Every qubit is on a ladder, so on
-/// the sharded engines the shard-selecting (top) qubits are too.
+/// the remote engine the shard-selecting (top) qubits are too.
 fn ladder_circuit() -> Vec<Step> {
     use Step::*;
     let mut steps = Vec::new();
@@ -157,14 +152,13 @@ fn remote_workers_fuse_identically() {
 /// The counter proof: on a 1q-run-heavy circuit the fused run must apply
 /// *strictly fewer* kernel sweeps than the unfused-batched run — the
 /// optimizer demonstrably fired, it didn't just pass the stream through —
-/// on the dense engine and on the striped and remote ones, which plan the
-/// same fused stream onto stripes.
+/// on the dense engine and on the remote one, which plans the same fused
+/// stream onto stripes.
 #[test]
 fn fusion_strictly_reduces_kernel_sweeps() {
     ensure_worker_bin();
     for kind in [
         BackendKind::StateVector,
-        BackendKind::ShardedStateVector { shards: 4 },
         BackendKind::RemoteSharded { shards: 4 },
     ] {
         assert_fusion_reduces_sweeps(kind);

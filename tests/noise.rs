@@ -6,8 +6,8 @@
 //! * A seeded depolarizing teleport on the stabilizer backend must
 //!   reproduce the closed-form fidelity within statistical tolerance.
 //! * One `QmpiConfig::noise(..)` call must drive a noisy 8-rank
-//!   teleportation sweep on the state-vector, sharded, and stabilizer
-//!   backends.
+//!   teleportation sweep on the state-vector, remote-sharded, and
+//!   stabilizer backends.
 
 mod common;
 
@@ -29,12 +29,11 @@ fn build(
     qmpi::build_backend(kind, qmpi::TransportKind::InProcess, seed, noise)
 }
 
-fn all_kinds() -> [BackendKind; 5] {
+fn all_kinds() -> [BackendKind; 4] {
     [
         BackendKind::StateVector,
         BackendKind::Stabilizer,
         BackendKind::Trace,
-        BackendKind::ShardedStateVector { shards: 4 },
         BackendKind::RemoteSharded { shards: 2 },
     ]
 }
@@ -151,11 +150,11 @@ fn stabilizer_depolarizing_teleport_matches_analytic_fidelity() {
 #[test]
 fn noisy_sweep_runs_on_all_stateful_backends_from_one_config() {
     // The acceptance bar: an 8-rank noisy teleportation sweep on the
-    // state-vector, sharded, and stabilizer backends, all driven by the
-    // same QmpiConfig::noise(..) call inside the sweep.
+    // state-vector, remote-sharded, and stabilizer backends, all driven by
+    // the same QmpiConfig::noise(..) call inside the sweep.
     for kind in [
         BackendKind::StateVector,
-        BackendKind::ShardedStateVector { shards: 4 },
+        BackendKind::RemoteSharded { shards: 4 },
         BackendKind::Stabilizer,
     ] {
         let pts = teleport_fidelity_sweep(kind, &[0.0, 0.2], 8, 30, 77);
@@ -179,7 +178,7 @@ fn stabilizer_rejects_amplitude_damping_noise() {
     // The same model is fine on amplitude-tracking backends.
     for kind in [
         BackendKind::StateVector,
-        BackendKind::ShardedStateVector { shards: 2 },
+        BackendKind::RemoteSharded { shards: 2 },
         BackendKind::Trace,
     ] {
         assert!(build(kind, 1, noise).is_ok(), "{kind}");
@@ -296,7 +295,6 @@ fn sweep_noise_sites_are_distinct_and_a_repeated_qubit_is_rejected() {
         BackendKind::StateVector,
         BackendKind::Sparse,
         BackendKind::Trace,
-        BackendKind::ShardedStateVector { shards: 4 },
         BackendKind::RemoteSharded { shards: 2 },
     ] {
         let b = build(kind, 0, NoiseModel::ideal()).unwrap();
@@ -321,7 +319,7 @@ fn amplitude_damping_relaxes_excited_qubits() {
     let model = NoiseModel::ideal().with_gate_1q(NoiseChannel::AmplitudeDamping { gamma: 1.0 });
     for kind in [
         BackendKind::StateVector,
-        BackendKind::ShardedStateVector { shards: 2 },
+        BackendKind::RemoteSharded { shards: 2 },
     ] {
         let b = build(kind, 5, model).unwrap();
         let q = b.alloc(0, 1)[0];
