@@ -1,14 +1,13 @@
 //! Classical collective operations (the MPI collectives QMPI builds on).
 //!
 //! Algorithms follow standard MPI implementations: dissemination barrier,
-//! binomial-tree broadcast and reduce, direct gather/scatter/alltoall, and a
-//! Hillis-Steele style logarithmic scan/exscan (after Sanders & Träff, the
+//! binomial-tree broadcast and reduce, direct gather/scatter, and a
+//! Hillis-Steele style logarithmic exscan (after Sanders & Träff, the
 //! reference the paper cites for the classical `MPI_Exscan` used by the
 //! cat-state fixup in Section 7.1).
 
 use crate::comm::Communicator;
 use crate::encode::{Decode, Encode};
-use crate::mailbox::Tag;
 
 /// A binary reduction operator. Must be associative (like MPI ops);
 /// commutativity is *not* required — all algorithms combine in rank order.
@@ -23,39 +22,11 @@ impl<T, F: Fn(&T, &T) -> T> ReduceOp<T> for F {
     }
 }
 
-/// Ready-made reduction operators for common types.
+/// Ready-made reduction operators.
 pub mod ops {
-    /// Sum of two values.
-    pub fn sum<T: std::ops::Add<Output = T> + Copy>(a: &T, b: &T) -> T {
-        *a + *b
-    }
-    /// Maximum of two values.
-    pub fn max<T: PartialOrd + Copy>(a: &T, b: &T) -> T {
-        if *b > *a {
-            *b
-        } else {
-            *a
-        }
-    }
-    /// Minimum of two values.
-    pub fn min<T: PartialOrd + Copy>(a: &T, b: &T) -> T {
-        if *b < *a {
-            *b
-        } else {
-            *a
-        }
-    }
     /// Bitwise XOR — the classical analogue of QMPI_PARITY.
     pub fn bxor<T: std::ops::BitXor<Output = T> + Copy>(a: &T, b: &T) -> T {
         *a ^ *b
-    }
-    /// Logical AND.
-    pub fn land(a: &bool, b: &bool) -> bool {
-        *a && *b
-    }
-    /// Logical OR.
-    pub fn lor(a: &bool, b: &bool) -> bool {
-        *a || *b
     }
 }
 
@@ -163,40 +134,6 @@ impl Communicator {
         }
     }
 
-    /// All ranks obtain every rank's value, in rank order (MPI_Allgather).
-    pub fn allgather<T: Encode + Decode + Clone>(&self, value: &T) -> Vec<T> {
-        // Gather at 0, then broadcast. (Ring allgather would also work; this
-        // keeps the combining order obvious.)
-        let gathered = self.gather(value, 0);
-        self.bcast(gathered, 0)
-    }
-
-    /// Personalized all-to-all exchange (MPI_Alltoall): `values[r]` goes to
-    /// rank `r`; the result's entry `r` came from rank `r`.
-    pub fn alltoall<T: Encode + Decode>(&self, values: Vec<T>) -> Vec<T> {
-        let tag = self.next_coll_tag();
-        let n = self.size();
-        assert_eq!(values.len(), n, "alltoall needs one value per rank");
-        let mut own: Option<T> = None;
-        for (r, v) in values.into_iter().enumerate() {
-            if r == self.rank() {
-                own = Some(v);
-            } else {
-                self.coll_send(&v, r, tag);
-            }
-        }
-        let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-        out[self.rank()] = own;
-        #[allow(clippy::needless_range_loop)] // skip-one fill of out[r]
-        for r in 0..n {
-            if r == self.rank() {
-                continue;
-            }
-            out[r] = Some(self.coll_recv(r, tag));
-        }
-        out.into_iter().map(|v| v.expect("alltoall slot")).collect()
-    }
-
     /// Reduces all ranks' values to the root in rank order (MPI_Reduce),
     /// binomial tree: combine(lo_ranks, hi_ranks) at every merge, so
     /// non-commutative (but associative) operators are safe.
@@ -243,36 +180,6 @@ impl Communicator {
         self.bcast(reduced, 0)
     }
 
-    /// Inclusive prefix reduction (MPI_Scan): rank r obtains
-    /// `op(v_0, ..., v_r)`. Hillis-Steele doubling, rank-ordered combines.
-    pub fn scan<T, O>(&self, value: T, op: &O) -> T
-    where
-        T: Encode + Decode + Clone,
-        O: ReduceOp<T>,
-    {
-        let tag = self.next_coll_tag();
-        let n = self.size();
-        let r = self.rank();
-        // `prefix` = combined value of ranks [r - covered + 1 ..= r].
-        let mut prefix = value;
-        let mut covered = 1usize;
-        let mut dist = 1usize;
-        while dist < n {
-            // Send current prefix to rank + dist, receive from rank - dist.
-            if r + dist < n {
-                self.coll_send(&prefix, r + dist, tag);
-            }
-            if r >= dist {
-                let theirs: T = self.coll_recv(r - dist, tag);
-                prefix = op.combine(&theirs, &prefix);
-                covered += dist.min(r - dist + 1);
-            }
-            dist *= 2;
-        }
-        let _ = covered;
-        prefix
-    }
-
     /// Exclusive prefix reduction (MPI_Exscan): rank r obtains
     /// `op(v_0, ..., v_{r-1})`; rank 0 obtains `None`.
     /// This is the classical collective used to compute the cat-state
@@ -315,48 +222,16 @@ impl Communicator {
         }
         prefix
     }
-
-    /// Reduce then scatter one block per rank (MPI_Reduce_scatter_block
-    /// with one element per rank): entry `r` of the element-wise reduction
-    /// lands on rank `r`.
-    pub fn reduce_scatter_block<T, O>(&self, values: Vec<T>, op: &O) -> T
-    where
-        T: Encode + Decode + Clone,
-        O: ReduceOp<T>,
-    {
-        assert_eq!(values.len(), self.size(), "one block per rank required");
-        let combine_vec = |a: &Vec<T>, b: &Vec<T>| -> Vec<T> {
-            a.iter()
-                .zip(b.iter())
-                .map(|(x, y)| op.combine(x, y))
-                .collect()
-        };
-        let reduced = self.reduce(values, &combine_vec, 0);
-        self.scatter(reduced, 0)
-    }
-
-    /// Variable-count gather (MPI_Gatherv): each rank contributes a vector,
-    /// the root receives the concatenation in rank order.
-    pub fn gatherv<T: Encode + Decode>(&self, values: Vec<T>, root: usize) -> Option<Vec<Vec<T>>> {
-        self.gather(&values, root)
-    }
-
-    /// Variable-count scatter (MPI_Scatterv).
-    pub fn scatterv<T: Encode + Decode>(&self, values: Option<Vec<Vec<T>>>, root: usize) -> Vec<T> {
-        self.scatter(values, root)
-    }
-
-    /// Reserves and returns a fresh collective tag; exposed so higher layers
-    /// (QMPI) can run their own sub-protocols on the collective channel.
-    pub fn reserve_coll_tag(&self) -> Tag {
-        self.next_coll_tag()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::universe::Universe;
+
+    fn sum(a: &u64, b: &u64) -> u64 {
+        a + b
+    }
 
     #[test]
     fn barrier_completes() {
@@ -416,33 +291,9 @@ mod tests {
     }
 
     #[test]
-    fn allgather_everyone_sees_all() {
-        let out = Universe::run(4, |comm| comm.allgather(&comm.rank()));
-        for res in out {
-            assert_eq!(res, vec![0, 1, 2, 3]);
-        }
-    }
-
-    #[test]
-    fn alltoall_transposes() {
-        let out = Universe::run(3, |comm| {
-            let values: Vec<usize> = (0..3).map(|dst| comm.rank() * 10 + dst).collect();
-            comm.alltoall(values)
-        });
-        // out[r][s] == s*10 + r
-        for (r, row) in out.iter().enumerate() {
-            for (s, &v) in row.iter().enumerate() {
-                assert_eq!(v, s * 10 + r);
-            }
-        }
-    }
-
-    #[test]
     fn reduce_sum_and_roots() {
         for root in 0..4 {
-            let out = Universe::run(4, move |comm| {
-                comm.reduce(comm.rank() as u64, &ops::sum, root)
-            });
+            let out = Universe::run(4, move |comm| comm.reduce(comm.rank() as u64, &sum, root));
             for (r, res) in out.iter().enumerate() {
                 if r == root {
                     assert_eq!(*res, Some(6));
@@ -474,7 +325,7 @@ mod tests {
     #[test]
     fn allreduce_max() {
         let out = Universe::run(5, |comm| {
-            comm.allreduce(comm.rank() as i64 * 3 - 4, &ops::max)
+            comm.allreduce(comm.rank() as i64 * 3 - 4, &|a: &i64, b: &i64| *a.max(b))
         });
         for v in out {
             assert_eq!(v, 8);
@@ -482,21 +333,11 @@ mod tests {
     }
 
     #[test]
-    fn scan_prefix_sums() {
-        for n in [1, 2, 3, 4, 8] {
-            let out = Universe::run(n, |comm| comm.scan(comm.rank() as u64 + 1, &ops::sum));
-            for (r, v) in out.iter().enumerate() {
-                let expect: u64 = (1..=(r as u64 + 1)).sum();
-                assert_eq!(*v, expect, "n={n} r={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn scan_respects_rank_order() {
+    fn exscan_respects_rank_order() {
         let concat = |a: &String, b: &String| format!("{a}{b}");
-        let out = Universe::run(4, move |comm| comm.scan(comm.rank().to_string(), &concat));
-        assert_eq!(out, vec!["0", "01", "012", "0123"]);
+        let out = Universe::run(5, move |comm| comm.exscan(comm.rank().to_string(), &concat));
+        let want = [None, Some("0"), Some("01"), Some("012"), Some("0123")];
+        assert_eq!(out.iter().map(Option::as_deref).collect::<Vec<_>>(), want);
     }
 
     #[test]
@@ -519,52 +360,19 @@ mod tests {
     }
 
     #[test]
-    fn reduce_scatter_block_distributes_sums() {
-        let out = Universe::run(3, |comm| {
-            // values[r] = rank contribution to destination r.
-            let values: Vec<u64> = (0..3).map(|dst| (comm.rank() + dst) as u64).collect();
-            comm.reduce_scatter_block(values, &ops::sum)
-        });
-        // dest r receives sum over ranks s of (s + r) = (0+1+2) + 3r.
-        assert_eq!(out, vec![3, 6, 9]);
-    }
-
-    #[test]
-    fn gatherv_variable_lengths() {
-        let out = Universe::run(3, |comm| {
-            let mine: Vec<u32> = (0..comm.rank() as u32).collect();
-            comm.gatherv(mine, 0)
-        });
-        assert_eq!(out[0].as_ref().unwrap(), &vec![vec![], vec![0], vec![0, 1]]);
-    }
-
-    #[test]
-    fn scatterv_variable_lengths() {
-        let out = Universe::run(3, |comm| {
-            let v = if comm.rank() == 0 {
-                Some(vec![vec![1u8], vec![2, 3], vec![4, 5, 6]])
-            } else {
-                None
-            };
-            comm.scatterv(v, 0)
-        });
-        assert_eq!(out, vec![vec![1], vec![2, 3], vec![4, 5, 6]]);
-    }
-
-    #[test]
     fn collectives_compose_in_sequence() {
         // Interleave several collectives to exercise tag sequencing.
         let out = Universe::run(4, |comm| {
-            let s = comm.allreduce(comm.rank() as u64, &ops::sum);
+            let s = comm.allreduce(comm.rank() as u64, &sum);
             comm.barrier();
-            let g = comm.allgather(&s);
-            let x = comm.scan(1u64, &ops::sum);
+            let g = comm.bcast(comm.gather(&s, 0), 0);
+            let x = comm.exscan(1u64, &sum);
             (s, g, x)
         });
         for (r, (s, g, x)) in out.into_iter().enumerate() {
             assert_eq!(s, 6);
             assert_eq!(g, vec![6, 6, 6, 6]);
-            assert_eq!(x, r as u64 + 1);
+            assert_eq!(x, (r > 0).then_some(r as u64));
         }
     }
 }

@@ -1,9 +1,10 @@
 //! Communicators and point-to-point operations.
 //!
-//! A [`Communicator`] names an ordered group of ranks plus a private context
-//! id, so traffic in different communicators can never match (as required by
-//! MPI semantics). `QMPI_COMM_WORLD` from the paper corresponds to the world
-//! communicator handed to each rank by [`crate::universe::Universe::run`].
+//! A [`Communicator`] names the world's ranks plus a private context id, so
+//! traffic in different communicators (the world one and its `dup`s) can
+//! never match (as required by MPI semantics). `QMPI_COMM_WORLD` from the
+//! paper corresponds to the world communicator handed to each rank by
+//! [`crate::universe::Universe::run`].
 
 use crate::encode::{from_bytes, to_bytes, Decode, Encode};
 use crate::mailbox::{Envelope, Mailbox, SourceSel, Tag, TagSel};
@@ -15,7 +16,6 @@ use std::sync::{Arc, OnceLock};
 pub struct World {
     pub(crate) mailboxes: Vec<Arc<Mailbox>>,
     next_context: AtomicU64,
-    messages_sent: AtomicU64,
     bytes_sent: AtomicU64,
     /// The first rank whose panic aborted the world.
     aborted_by: OnceLock<usize>,
@@ -28,20 +28,9 @@ impl World {
             mailboxes: (0..n).map(|_| Arc::new(Mailbox::new())).collect(),
             // Context 0/1 are reserved for the world communicator (p2p/coll).
             next_context: AtomicU64::new(2),
-            messages_sent: AtomicU64::new(0),
             bytes_sent: AtomicU64::new(0),
             aborted_by: OnceLock::new(),
         })
-    }
-
-    /// Number of ranks in the world.
-    pub fn size(&self) -> usize {
-        self.mailboxes.len()
-    }
-
-    /// Total messages sent so far (all communicators).
-    pub fn messages_sent(&self) -> u64 {
-        self.messages_sent.load(Ordering::Relaxed)
     }
 
     /// Total payload bytes sent so far (all communicators).
@@ -81,16 +70,14 @@ pub struct Status {
     pub bytes: usize,
 }
 
-/// An ordered group of ranks with a private matching context.
+/// The world's ranks under a private matching context.
 pub struct Communicator {
     world: Arc<World>,
     /// Context id for point-to-point traffic.
     context: u64,
     /// Context id for collective traffic (context + 1).
     coll_context: u64,
-    /// comm rank -> world rank.
-    members: Arc<Vec<usize>>,
-    /// This rank's position within `members`.
+    /// This rank's index in the world.
     rank: usize,
     /// Per-rank collective sequence number; identical across ranks because
     /// MPI requires collectives to be invoked in the same order on every rank.
@@ -100,12 +87,10 @@ pub struct Communicator {
 impl Communicator {
     /// Builds the world communicator for `rank` over `world`.
     pub fn world(world: Arc<World>, rank: usize) -> Self {
-        let n = world.size();
         Communicator {
             world,
             context: 0,
             coll_context: 1,
-            members: Arc::new((0..n).collect()),
             rank,
             coll_seq: Cell::new(0),
         }
@@ -120,7 +105,7 @@ impl Communicator {
     /// Number of ranks in the communicator (MPI_Comm_size).
     #[inline]
     pub fn size(&self) -> usize {
-        self.members.len()
+        self.world.mailboxes.len()
     }
 
     /// The underlying shared world (for traffic statistics).
@@ -128,13 +113,8 @@ impl Communicator {
         &self.world
     }
 
-    /// World rank of communicator rank `r`.
-    pub fn world_rank_of(&self, r: usize) -> usize {
-        self.members[r]
-    }
-
     fn mailbox_of(&self, comm_rank: usize) -> &Mailbox {
-        &self.world.mailboxes[self.members[comm_rank]]
+        &self.world.mailboxes[comm_rank]
     }
 
     fn deliver(&self, dest: usize, context: u64, tag: Tag, payload: bytes::Bytes) {
@@ -143,7 +123,6 @@ impl Communicator {
             "destination rank {dest} out of range (size {})",
             self.size()
         );
-        self.world.messages_sent.fetch_add(1, Ordering::Relaxed);
         self.world
             .bytes_sent
             .fetch_add(payload.len() as u64, Ordering::Relaxed);
@@ -170,11 +149,9 @@ impl Communicator {
         source: impl Into<SourceSel>,
         tag: impl Into<TagSel>,
     ) -> (T, Status) {
-        let env = self.world.mailboxes[self.members[self.rank]].pop_matching(
-            self.context,
-            source.into(),
-            tag.into(),
-        );
+        let env = self
+            .mailbox_of(self.rank)
+            .pop_matching(self.context, source.into(), tag.into());
         let status = Status {
             source: env.source,
             tag: env.tag,
@@ -195,7 +172,7 @@ impl Communicator {
         tag: impl Into<TagSel>,
         timeout: std::time::Duration,
     ) -> Option<(T, Status)> {
-        let env = self.world.mailboxes[self.members[self.rank]].pop_matching_timeout(
+        let env = self.mailbox_of(self.rank).pop_matching_timeout(
             self.context,
             source.into(),
             tag.into(),
@@ -211,28 +188,8 @@ impl Communicator {
         Some((value, status))
     }
 
-    /// Combined send+receive (MPI_Sendrecv): posts the send, then receives.
-    pub fn sendrecv<S: Encode, R: Decode>(
-        &self,
-        send_value: &S,
-        dest: usize,
-        send_tag: Tag,
-        source: impl Into<SourceSel>,
-        recv_tag: impl Into<TagSel>,
-    ) -> (R, Status) {
-        self.send(send_value, dest, send_tag);
-        self.recv(source, recv_tag)
-    }
-
-    /// Non-blocking send. With buffered delivery the operation completes
-    /// immediately; a request is returned for symmetry with MPI.
-    pub fn isend<T: Encode + ?Sized>(&self, value: &T, dest: usize, tag: Tag) -> SendRequest {
-        self.send(value, dest, tag);
-        SendRequest { _done: true }
-    }
-
-    /// Non-blocking receive; completes on [`RecvRequest::wait`] or a
-    /// successful [`RecvRequest::test`].
+    /// Non-blocking receive; completes on a successful
+    /// [`RecvRequest::test`].
     pub fn irecv<T: Decode>(
         &self,
         source: impl Into<SourceSel>,
@@ -244,16 +201,6 @@ impl Communicator {
             tag: tag.into(),
             _marker: std::marker::PhantomData,
         }
-    }
-
-    /// Non-destructively checks for a matching incoming message
-    /// (MPI_Iprobe). Returns `(source, tag, bytes)`.
-    pub fn iprobe(
-        &self,
-        source: impl Into<SourceSel>,
-        tag: impl Into<TagSel>,
-    ) -> Option<(usize, Tag, usize)> {
-        self.world.mailboxes[self.members[self.rank]].probe(self.context, source.into(), tag.into())
     }
 
     // ------------------------------------------------------------------
@@ -274,7 +221,7 @@ impl Communicator {
 
     /// Receives on the collective context.
     pub(crate) fn coll_recv<T: Decode>(&self, source: usize, tag: Tag) -> T {
-        let env = self.world.mailboxes[self.members[self.rank]].pop_matching(
+        let env = self.mailbox_of(self.rank).pop_matching(
             self.coll_context,
             SourceSel::Rank(source),
             TagSel::Tag(tag),
@@ -303,99 +250,9 @@ impl Communicator {
             world: Arc::clone(&self.world),
             context: ctx,
             coll_context: ctx + 1,
-            members: Arc::clone(&self.members),
             rank: self.rank,
             coll_seq: Cell::new(0),
         }
-    }
-
-    /// Splits the communicator by `color`, ordering ranks by `(key, rank)`
-    /// (MPI_Comm_split). Collective over all ranks. Returns `None` for
-    /// ranks passing `color == None` (MPI_UNDEFINED).
-    pub fn split(&self, color: Option<u64>, key: i64) -> Option<Communicator> {
-        let tag = self.next_coll_tag();
-        // Gather (color, key) from everyone at rank 0, which assigns contexts.
-        let my_entry = (color.is_some(), color.unwrap_or(0), key);
-        let assignments: Vec<(bool, u64, i64)> = if self.rank == 0 {
-            let mut all = vec![my_entry];
-            for r in 1..self.size() {
-                let env = self.world.mailboxes[self.members[self.rank]].pop_matching(
-                    self.coll_context,
-                    SourceSel::Rank(r),
-                    TagSel::Tag(tag),
-                );
-                all.push(from_bytes(&env.payload).expect("split payload"));
-            }
-            for r in 1..self.size() {
-                self.coll_send(&all, r, tag);
-            }
-            all
-        } else {
-            self.coll_send(&my_entry, 0, tag);
-            self.coll_recv(0, tag)
-        };
-        // Contexts per color: rank 0 allocates one pair per distinct color and
-        // broadcasts the mapping.
-        let mut colors: Vec<u64> = assignments
-            .iter()
-            .filter(|(some, _, _)| *some)
-            .map(|(_, c, _)| *c)
-            .collect();
-        colors.sort_unstable();
-        colors.dedup();
-        let tag2 = self.next_coll_tag();
-        let contexts: Vec<u64> = if self.rank == 0 {
-            let ctxs: Vec<u64> = colors
-                .iter()
-                .map(|_| self.world.alloc_context_pair())
-                .collect();
-            for r in 1..self.size() {
-                self.coll_send(&ctxs, r, tag2);
-            }
-            ctxs
-        } else {
-            self.coll_recv(0, tag2)
-        };
-        let my_color = color?;
-        let color_idx = colors.binary_search(&my_color).expect("own color present");
-        let ctx = contexts[color_idx];
-        // Build the new member list ordered by (key, old rank).
-        let mut group: Vec<(i64, usize)> = assignments
-            .iter()
-            .enumerate()
-            .filter(|(_, (some, c, _))| *some && *c == my_color)
-            .map(|(r, (_, _, k))| (*k, r))
-            .collect();
-        group.sort_unstable();
-        let members: Vec<usize> = group.iter().map(|&(_, r)| self.members[r]).collect();
-        let new_rank = group
-            .iter()
-            .position(|&(_, r)| r == self.rank)
-            .expect("own rank in group");
-        Some(Communicator {
-            world: Arc::clone(&self.world),
-            context: ctx,
-            coll_context: ctx + 1,
-            members: Arc::new(members),
-            rank: new_rank,
-            coll_seq: Cell::new(0),
-        })
-    }
-}
-
-/// Handle for a non-blocking send (always complete under buffered delivery).
-#[derive(Debug)]
-pub struct SendRequest {
-    _done: bool,
-}
-
-impl SendRequest {
-    /// Blocks until the send completes (immediately).
-    pub fn wait(self) {}
-
-    /// Tests for completion (always true).
-    pub fn test(&self) -> bool {
-        true
     }
 }
 
@@ -408,14 +265,9 @@ pub struct RecvRequest<'a, T: Decode> {
 }
 
 impl<T: Decode> RecvRequest<'_, T> {
-    /// Blocks until a matching message arrives.
-    pub fn wait(self) -> (T, Status) {
-        self.comm.recv(self.source, self.tag)
-    }
-
     /// Completes the receive if a matching message has already arrived.
     pub fn test(&self) -> Option<(T, Status)> {
-        let env = self.comm.world.mailboxes[self.comm.members[self.comm.rank]].try_pop_matching(
+        let env = self.comm.mailbox_of(self.comm.rank).try_pop_matching(
             self.comm.context,
             self.source,
             self.tag,
@@ -505,16 +357,6 @@ mod tests {
     }
 
     #[test]
-    fn sendrecv_exchanges() {
-        let out = Universe::run(2, |comm| {
-            let peer = 1 - comm.rank();
-            let (theirs, _) = comm.sendrecv::<usize, usize>(&comm.rank(), peer, 3, peer, 3);
-            theirs
-        });
-        assert_eq!(out, vec![1, 0]);
-    }
-
-    #[test]
     fn recv_timeout_delivers_or_expires() {
         let out = Universe::run(2, |comm| {
             if comm.rank() == 0 {
@@ -537,7 +379,7 @@ mod tests {
     }
 
     #[test]
-    fn irecv_test_and_wait() {
+    fn irecv_test_completes_once_the_message_arrives() {
         let out = Universe::run(2, |comm| {
             if comm.rank() == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(10));
@@ -545,36 +387,17 @@ mod tests {
                 0
             } else {
                 let req = comm.irecv::<u32>(0, 0);
-                // May or may not be there yet; wait() must return it regardless.
-                let (v, _) = req.wait();
-                v
-            }
-        });
-        assert_eq!(out[1], 123);
-    }
-
-    #[test]
-    fn iprobe_sees_pending_message() {
-        let out = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(&5u8, 1, 9);
-                comm.recv::<()>(1, 1);
-                true
-            } else {
-                // Wait for the probe to succeed.
+                // May or may not be there yet; test() takes it once it is.
                 loop {
-                    if let Some((src, tag, len)) = comm.iprobe(SourceSel::Any, TagSel::Any) {
-                        assert_eq!((src, tag, len), (0, 9, 1));
-                        break;
+                    if let Some((v, st)) = req.test() {
+                        assert_eq!(st.source, 0);
+                        break v;
                     }
                     std::thread::yield_now();
                 }
-                let (v, _) = comm.recv::<u8>(0, 9);
-                comm.send(&(), 0, 1);
-                v == 5
             }
         });
-        assert!(out[0] && out[1]);
+        assert_eq!(out[1], 123);
     }
 
     #[test]
@@ -598,49 +421,6 @@ mod tests {
     }
 
     #[test]
-    fn split_into_even_odd() {
-        let out = Universe::run(6, |comm| {
-            let color = (comm.rank() % 2) as u64;
-            let sub = comm.split(Some(color), comm.rank() as i64).unwrap();
-            // Even ranks 0,2,4 -> subranks 0,1,2; odd 1,3,5 -> 0,1,2.
-            (sub.rank(), sub.size())
-        });
-        assert_eq!(out[0], (0, 3));
-        assert_eq!(out[2], (1, 3));
-        assert_eq!(out[4], (2, 3));
-        assert_eq!(out[1], (0, 3));
-        assert_eq!(out[3], (1, 3));
-        assert_eq!(out[5], (2, 3));
-    }
-
-    #[test]
-    fn split_subcomm_communicates() {
-        let out = Universe::run(4, |comm| {
-            let color = (comm.rank() / 2) as u64;
-            let sub = comm.split(Some(color), 0).unwrap();
-            if sub.rank() == 0 {
-                sub.send(&(comm.rank() * 10), 1, 0);
-                comm.rank() * 10
-            } else {
-                sub.recv::<usize>(0, 0).0
-            }
-        });
-        assert_eq!(out, vec![0, 0, 20, 20]);
-    }
-
-    #[test]
-    fn split_with_undefined_color() {
-        let out = Universe::run(3, |comm| {
-            let color = if comm.rank() == 2 { None } else { Some(0) };
-            match comm.split(color, 0) {
-                Some(sub) => sub.size(),
-                None => 0,
-            }
-        });
-        assert_eq!(out, vec![2, 2, 0]);
-    }
-
-    #[test]
     fn traffic_counters_increase() {
         let out = Universe::run(2, |comm| {
             if comm.rank() == 0 {
@@ -648,12 +428,8 @@ mod tests {
             } else {
                 comm.recv::<Vec<u8>>(0, 0);
             }
-            (
-                comm.world_handle().messages_sent(),
-                comm.world_handle().bytes_sent(),
-            )
+            comm.world_handle().bytes_sent()
         });
-        assert!(out[1].0 >= 1);
-        assert!(out[1].1 >= 100);
+        assert!(out[1] >= 100);
     }
 }

@@ -4,8 +4,8 @@
 //! the MPI semantics QMPI depends on (Section 4.1 of the paper: "QMPI
 //! leverages MPI for classical communication") are implemented faithfully —
 //! `(source, tag)` matching with wildcards, non-overtaking delivery,
-//! non-blocking requests, communicator contexts (`dup`/`split`), and the
-//! full set of collectives including the `MPI_Exscan` the cat-state
+//! non-blocking receives, communicator contexts (`dup`), and the
+//! collectives QMPI calls, including the `MPI_Exscan` the cat-state
 //! protocol of Section 7.1 relies on.
 //!
 //! See DESIGN.md substitution #1 for why an in-process transport preserves
@@ -21,7 +21,7 @@ pub mod transport;
 pub mod universe;
 
 pub use collectives::{ops, ReduceOp};
-pub use comm::{Communicator, RecvRequest, SendRequest, Status, World};
+pub use comm::{Communicator, RecvRequest, Status, World};
 pub use encode::{from_bytes, to_bytes, Decode, Encode};
 pub use mailbox::{Envelope, Mailbox, SourceSel, Tag, TagSel};
 pub use transport::{FrameHeader, TransportKind, WireListener, WireStream};
@@ -67,22 +67,10 @@ mod proptests {
             let n = values.len();
             let vals = std::sync::Arc::new(values.clone());
             let out = Universe::run(n, move |comm| {
-                comm.allreduce(vals[comm.rank()] as u64, &ops::sum)
+                comm.allreduce(vals[comm.rank()] as u64, &|a: &u64, b: &u64| a + b)
             });
             let expect: u64 = values.iter().map(|&v| v as u64).sum();
             prop_assert!(out.into_iter().all(|v| v == expect));
-        }
-
-        #[test]
-        fn scan_matches_serial_prefices(values in proptest::collection::vec(0u64..1000, 2..6)) {
-            let n = values.len();
-            let vals = std::sync::Arc::new(values.clone());
-            let out = Universe::run(n, move |comm| comm.scan(vals[comm.rank()], &ops::sum));
-            let mut acc = 0u64;
-            for (r, v) in out.into_iter().enumerate() {
-                acc += values[r];
-                prop_assert_eq!(v, acc);
-            }
         }
 
         #[test]
@@ -160,7 +148,7 @@ mod proptests {
                 world.barrier();
                 let leftover = comms
                     .iter()
-                    .any(|c| c.iprobe(SourceSel::Any, TagSel::Any).is_some());
+                    .any(|c| c.irecv::<u64>(SourceSel::Any, TagSel::Any).test().is_some());
                 (got, leftover)
             });
             for (got, leftover) in out {
@@ -170,19 +158,6 @@ mod proptests {
                     let e = expect.entry(class).or_insert(0u64);
                     prop_assert_eq!(s, *e, "out of order in class {:?}", class);
                     *e += 1;
-                }
-            }
-        }
-
-        #[test]
-        fn alltoall_is_transpose(n in 2usize..5) {
-            let out = Universe::run(n, move |comm| {
-                let row: Vec<u64> = (0..n).map(|c| (comm.rank() * n + c) as u64).collect();
-                comm.alltoall(row)
-            });
-            for (r, row) in out.iter().enumerate() {
-                for (s, &v) in row.iter().enumerate() {
-                    prop_assert_eq!(v, (s * n + r) as u64);
                 }
             }
         }

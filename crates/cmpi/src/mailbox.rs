@@ -176,7 +176,8 @@ pub struct Mailbox {
     changes: AtomicU64,
     /// Spin budget in iterations, within `[SPIN_FLOOR, SPIN_CEILING]`.
     budget: AtomicU32,
-    /// Receives that parked.
+    /// Receives that parked (read by the tests, which pin when a receive
+    /// spins and when it sleeps).
     parks: AtomicU64,
 }
 
@@ -196,22 +197,6 @@ impl Mailbox {
     /// Creates an empty mailbox.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of queued messages (diagnostic).
-    pub fn len(&self) -> usize {
-        self.inbox.lock().queue.len()
-    }
-
-    /// True if no messages are queued.
-    pub fn is_empty(&self) -> bool {
-        self.inbox.lock().queue.is_empty()
-    }
-
-    /// Number of receives so far that found no match within their spin and
-    /// parked (diagnostic).
-    pub fn parks(&self) -> u64 {
-        self.parks.load(Ordering::Relaxed)
     }
 
     /// Delivers an envelope (called by the *sender*).
@@ -345,28 +330,23 @@ impl Mailbox {
             inbox.parked -= 1;
         }
     }
-
-    /// Peeks whether a matching message is available without removing it
-    /// (MPI_Iprobe analogue). Returns `(source, tag, payload_len)`.
-    pub fn probe(
-        &self,
-        context: u64,
-        source: SourceSel,
-        tag: TagSel,
-    ) -> Option<(usize, Tag, usize)> {
-        let inbox = self.inbox.lock();
-        inbox
-            .queue
-            .iter()
-            .find(|e| e.matches(context, source, tag))
-            .map(|e| (e.source, e.tag, e.payload.len()))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::Arc;
+
+    /// Number of queued messages.
+    fn queued(mb: &Mailbox) -> usize {
+        mb.inbox.lock().queue.len()
+    }
+
+    /// Number of receives so far that found no match within their spin and
+    /// parked.
+    fn parks(mb: &Mailbox) -> u64 {
+        mb.parks.load(Ordering::Relaxed)
+    }
 
     fn env(context: u64, source: usize, tag: Tag, byte: u8) -> Envelope {
         Envelope {
@@ -395,7 +375,7 @@ mod tests {
         mb.push(env(0, 1, 6, 20));
         let b = mb.pop_matching(0, SourceSel::Rank(1), TagSel::Tag(6));
         assert_eq!(b.payload[0], 20);
-        assert_eq!(mb.len(), 1);
+        assert_eq!(queued(&mb), 1);
     }
 
     #[test]
@@ -443,14 +423,14 @@ mod tests {
             Duration::from_millis(30),
         );
         assert!(r.is_none());
-        assert_eq!(mb.len(), 1);
+        assert_eq!(queued(&mb), 1);
     }
 
     /// Waits until `mb` has counted `n` parked receives. A receiver bumps
     /// the count under the queue lock and holds it until `wait` releases
     /// it, so a push made after this returns finds the receiver parked.
     fn await_parks(mb: &Mailbox, n: u64) {
-        while mb.parks() < n {
+        while parks(mb) < n {
             std::thread::yield_now();
         }
     }
@@ -488,7 +468,7 @@ mod tests {
         let overrun = start.elapsed().saturating_sub(timeout);
         assert!(r.is_none());
         assert_eq!(
-            mb.parks(),
+            parks(&mb),
             0,
             "the receive parked although its deadline had passed"
         );
@@ -507,7 +487,7 @@ mod tests {
         // the budget shows: only a spin-satisfied receive doubles it.
         for _ in 0..100 {
             mb.budget.store(SPIN_CEILING / 2, Ordering::Relaxed);
-            let parks = mb.parks();
+            let before = parks(&mb);
             let got = std::thread::scope(|s| {
                 let rx = s.spawn(|| {
                     go.wait();
@@ -523,7 +503,7 @@ mod tests {
             });
             assert_eq!(got.payload[0], 7);
             if mb.budget.load(Ordering::Relaxed) == SPIN_CEILING {
-                assert_eq!(mb.parks(), parks);
+                assert_eq!(parks(&mb), before);
                 return;
             }
         }
@@ -578,14 +558,5 @@ mod tests {
             mb.pop_matching(0, SourceSel::Any, TagSel::Any).payload[0],
             5
         );
-    }
-
-    #[test]
-    fn probe_does_not_consume() {
-        let mb = Mailbox::new();
-        mb.push(env(0, 2, 4, 9));
-        let (src, tag, len) = mb.probe(0, SourceSel::Any, TagSel::Any).unwrap();
-        assert_eq!((src, tag, len), (2, 4, 1));
-        assert_eq!(mb.len(), 1);
     }
 }

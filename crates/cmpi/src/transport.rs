@@ -26,7 +26,7 @@
 //!   the way in to the relay, source on the way out).
 //!
 //! A reader that hits EOF mid-frame gets [`std::io::ErrorKind::UnexpectedEof`];
-//! a length over [`MAX_FRAME_LEN`] (or under the header size) is
+//! a length over `MAX_FRAME_LEN` (1 GiB) or under the header size is
 //! [`std::io::ErrorKind::InvalidData`] — corruption is diagnosed, never
 //! trusted. The body is read in bounded chunks, so a corrupt length cannot
 //! force a giant up-front allocation.
@@ -89,7 +89,7 @@ impl std::fmt::Display for TransportKind {
 }
 
 /// Fixed per-frame header bytes following the length prefix.
-pub const HEADER_LEN: usize = 1 + 4 + 4;
+const HEADER_LEN: usize = 1 + 4 + 4;
 
 /// Total wire overhead of one frame: length prefix plus header.
 pub const FRAME_OVERHEAD: usize = 4 + HEADER_LEN;
@@ -97,7 +97,7 @@ pub const FRAME_OVERHEAD: usize = 4 + HEADER_LEN;
 /// Upper bound on `len` a reader will honor. Generous (a 26-qubit stripe
 /// gather is ~1 GiB) but finite: a corrupt length prefix fails fast as
 /// `InvalidData` instead of hanging the stream waiting for garbage bytes.
-pub const MAX_FRAME_LEN: usize = 1 << 30;
+const MAX_FRAME_LEN: usize = 1 << 30;
 
 /// Body bytes read per `read_exact` round while receiving a frame — bounds
 /// the allocation a lying length prefix can trigger before EOF surfaces.

@@ -104,18 +104,6 @@ impl Universe {
         }
         (Communicator::world(world, 0), WorkerGroup { handles })
     }
-
-    /// Like [`Universe::run`] but also hands each rank a shared context
-    /// value (used by QMPI to share the simulator backend).
-    pub fn run_with<C, T, F>(n: usize, ctx: Arc<C>, f: F) -> Vec<T>
-    where
-        C: Send + Sync + 'static,
-        T: Send + 'static,
-        F: Fn(Communicator, Arc<C>) -> T + Send + Sync + 'static,
-    {
-        let f = Arc::new(f);
-        Self::run(n, move |comm| f(comm, Arc::clone(&ctx)))
-    }
 }
 
 /// Aborts the rank's world if the rank unwinds.
@@ -142,16 +130,6 @@ pub struct WorkerGroup {
 }
 
 impl WorkerGroup {
-    /// Number of workers in the group.
-    pub fn len(&self) -> usize {
-        self.handles.len()
-    }
-
-    /// True when the group holds no workers.
-    pub fn is_empty(&self) -> bool {
-        self.handles.is_empty()
-    }
-
     /// Joins every worker thread, returning how many panicked. Unlike
     /// [`Universe::run`] this never resumes a worker panic: the group is
     /// typically joined from a destructor, where propagating would abort.
@@ -231,7 +209,7 @@ mod tests {
             }
             comm.send(&(v * 2), 0, 1);
         });
-        assert_eq!(group.len(), 3);
+        assert_eq!(group.handles.len(), 3);
         for w in 1..=3usize {
             ctl.send(&(w as u64 * 10), w, 0);
         }
@@ -258,16 +236,5 @@ mod tests {
         ctl.send(&7u64, 1, 0);
         ctl.send(&0u64, 2, 0);
         assert_eq!(group.join(), 1);
-    }
-
-    #[test]
-    fn run_with_shares_context() {
-        let shared = Arc::new(std::sync::atomic::AtomicUsize::new(0));
-        let out = Universe::run_with(4, shared.clone(), |comm, ctx| {
-            ctx.fetch_add(comm.rank(), std::sync::atomic::Ordering::Relaxed);
-            comm.rank()
-        });
-        assert_eq!(out.len(), 4);
-        assert_eq!(shared.load(std::sync::atomic::Ordering::Relaxed), 1 + 2 + 3);
     }
 }

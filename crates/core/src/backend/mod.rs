@@ -141,7 +141,7 @@ impl BackendKind {
     /// [`build_backend`] logs this to stderr so a request
     /// for, say, 128 remote workers visibly becomes 64 instead of silently
     /// shrinking.
-    pub fn shard_clamp_warning(self) -> Option<String> {
+    fn shard_clamp_warning(self) -> Option<String> {
         let effective = self.effective_shards()?;
         let requested = match self {
             BackendKind::ShardedStateVector { shards } | BackendKind::RemoteSharded { shards } => {
@@ -277,15 +277,6 @@ fn emit_clamp_warning_once(warning: &str) -> bool {
         eprintln!("warning: {warning} (further shard-clamp warnings suppressed)");
     }
     first
-}
-
-/// Rearms the once-per-process shard-clamp warning so the next
-/// [`build_backend`] that clamps will print (and return `true` from the
-/// emitter) again. Test-only: lets the clamp unit test assert both sides of
-/// the latch without depending on process-wide test ordering.
-#[doc(hidden)]
-pub fn reset_clamp_warning_for_tests() {
-    CLAMP_WARNING_EMITTED.store(false, std::sync::atomic::Ordering::Relaxed);
 }
 
 impl std::fmt::Display for BackendKind {
@@ -852,6 +843,14 @@ pub(crate) mod ops;
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Rearms the once-per-process shard-clamp warning so the next
+    /// [`build_backend`] that clamps will print (and return `true` from the
+    /// emitter) again: lets the clamp test assert both sides of the latch
+    /// without depending on process-wide test ordering.
+    fn reset_clamp_warning_for_tests() {
+        CLAMP_WARNING_EMITTED.store(false, std::sync::atomic::Ordering::Relaxed);
+    }
 
     /// The unified construction path over the in-process transport, ideal
     /// noise.

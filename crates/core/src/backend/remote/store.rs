@@ -258,11 +258,6 @@ impl RemoteShardedEngine {
         self
     }
 
-    /// The configured worker/shard count.
-    pub fn max_shards(&self) -> usize {
-        self.raw_state().ctl.lock().workers()
-    }
-
     /// The engine's transport accounting (see [`TransportStats`]).
     pub fn transport_stats(&self) -> TransportStats {
         self.raw_state().stats()

@@ -120,8 +120,9 @@ pub struct BatchPolicy {
     /// Off hands each rank's flush to the engine on its own. The engine
     /// queues every flush until a read either way, so both settings cost
     /// the same command rounds and wire bytes (`tests/coalesce.rs`); the
-    /// knob stays because the qperf harness reads it
-    /// (`QMPI_COALESCE=off`).
+    /// field stays because the qperf harness records it in its run
+    /// description (qperf clears `QMPI_COALESCE` and every other `QMPI_*`
+    /// variable before it runs).
     pub coalesce: bool,
     /// Time budget for an open coalesce window, in milliseconds: a flush
     /// that finds the window older than this ships it immediately, so a
@@ -129,7 +130,7 @@ pub struct BatchPolicy {
     /// indefinitely. `0` (the default) disables the age check — windows
     /// then ship only at synchronization points and op/byte budgets, which
     /// keeps round counts deterministic (timing-independent) per seed.
-    /// Override with `QMPI_BATCH_AGE_MS`.
+    /// No environment variable sets it.
     pub max_age_ms: u64,
 }
 
@@ -165,28 +166,21 @@ impl BatchPolicy {
     }
 
     /// The [`BatchPolicy::default`] with environment overrides applied:
-    /// `QMPI_BATCH_OPS` / `QMPI_BATCH_BYTES` (decimal sizes),
+    /// `QMPI_BATCH_OPS` (a decimal op budget; `0` is the eager policy's),
     /// `QMPI_FUSE` (`off`/`0`/`false` disables the optimizer — CI's
-    /// fusion-off cross-check lane), `QMPI_COALESCE` (`off`/`0`/`false`
-    /// hands each rank flush to the engine on its own), and
-    /// `QMPI_BATCH_AGE_MS` (window age budget in milliseconds, `0`
-    /// disables). Unparsable values are ignored.
+    /// fusion-off cross-check lane) and `QMPI_COALESCE` (`off`/`0`/`false`
+    /// hands each rank flush to the engine on its own). Unparsable values
+    /// are ignored.
     pub fn env_default() -> Self {
         let mut p = BatchPolicy::default();
         if let Some(v) = env_usize("QMPI_BATCH_OPS") {
             p.max_ops = v;
-        }
-        if let Some(v) = env_usize("QMPI_BATCH_BYTES") {
-            p.max_bytes = v;
         }
         if let Ok(v) = std::env::var("QMPI_FUSE") {
             p.fuse = !matches!(v.to_lowercase().as_str(), "off" | "0" | "false");
         }
         if let Ok(v) = std::env::var("QMPI_COALESCE") {
             p.coalesce = !matches!(v.to_lowercase().as_str(), "off" | "0" | "false");
-        }
-        if let Some(v) = env_usize("QMPI_BATCH_AGE_MS") {
-            p.max_age_ms = v as u64;
         }
         p
     }

@@ -74,7 +74,7 @@ impl QmpiRank {
 
 /// Pending EPR establishment returned by [`QmpiRank::iprepare_epr`].
 #[derive(Debug)]
-#[must_use = "an EPR request must be waited on (or cancelled)"]
+#[must_use = "an EPR request must be waited on: the peer blocks until it is"]
 pub struct EprRequest {
     local: u64,
     dest: usize,
@@ -131,18 +131,6 @@ impl EprRequest {
         let level = ctx.ledger.buffer_inc(my_rank);
         ctx.check_buffer(level)?;
         Ok(())
-    }
-
-    /// Cancels the request (QMPI_Cancel). The id message may already have
-    /// been consumed by the peer — as Table 2 notes, "resources may already
-    /// have been used" — so cancellation only suppresses the local wait.
-    /// Returns `true` if the pending id message could still be retracted.
-    pub fn cancel(self, ctx: &QmpiRank) -> bool {
-        // Our substrate cannot recall a delivered message; report whether
-        // the peer had consumed it (probe on the ack/id channel is not
-        // possible from here), so conservatively report false.
-        let _ = ctx;
-        false
     }
 }
 

@@ -4,8 +4,8 @@
 //! so that `QMPI_Unreduce` can uncompute scratch space ("the QMPI
 //! implementation leaves all memory management to the user and QMPI_Reduce
 //! only accepts reversible operations"). The first version of QMPI ships
-//! `QMPI_PARITY`; this module also provides the controlled-phase fold used
-//! in tests to prove the interface generalizes.
+//! `QMPI_PARITY`, the one operation here; a user-defined operation
+//! implements [`QuantumReduceOp`].
 
 use crate::context::QmpiRank;
 use crate::error::Result;
@@ -41,30 +41,5 @@ impl QuantumReduceOp for Parity {
 
     fn name(&self) -> &'static str {
         "QMPI_PARITY"
-    }
-}
-
-/// Logical AND folded via Toffoli *onto a |0> accumulator chain* is not
-/// reversible qubit-to-qubit, so QMPI instead offers CAND as a
-/// controlled-controlled-X against the accumulator (self-inverse), which
-/// computes acc ^= (local AND flag) given a fixed flag qubit — provided
-/// here as a template for user-defined ops in tests.
-#[derive(Debug)]
-pub struct ControlledParity<'a> {
-    /// Additional control qubit that gates the fold.
-    pub flag: &'a Qubit,
-}
-
-impl QuantumReduceOp for ControlledParity<'_> {
-    fn apply(&self, ctx: &QmpiRank, local: &Qubit, acc: &Qubit) -> Result<()> {
-        ctx.toffoli(self.flag, local, acc)
-    }
-
-    fn unapply(&self, ctx: &QmpiRank, local: &Qubit, acc: &Qubit) -> Result<()> {
-        ctx.toffoli(self.flag, local, acc)
-    }
-
-    fn name(&self) -> &'static str {
-        "QMPI_CONTROLLED_PARITY"
     }
 }

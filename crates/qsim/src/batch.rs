@@ -210,14 +210,6 @@ impl BatchOp {
         }
     }
 
-    /// Every qubit the operation touches, in [`BatchOp::for_each_qubit`]
-    /// order, collected.
-    pub fn qubits(&self) -> Vec<QubitId> {
-        let mut qs = Vec::new();
-        self.for_each_qubit(|q| qs.push(q));
-        qs
-    }
-
     /// Whether the op stays inside the Clifford group — and, equivalently,
     /// whether the stabilizer tableau can realize it: the tableau's own
     /// rule (its [`crate::AmpStore::check_1q`] and
@@ -264,7 +256,7 @@ impl BatchOp {
     /// (`qmpi::BatchPolicy::max_bytes`). An estimate, not an accounting —
     /// the budget bounds the memory a long measurement-free gate storm can
     /// pin, it does not meter allocations.
-    pub fn approx_bytes(&self) -> usize {
+    fn approx_bytes(&self) -> usize {
         let heap = match self {
             BatchOp::Controlled { controls, .. } => std::mem::size_of_val(controls.as_slice()),
             BatchOp::PhaseSweep { qubits, diags, czs } => {
@@ -314,8 +306,8 @@ impl GateBatch {
         self.ops
     }
 
-    /// Approximate memory pinned by the recorded ops (sum of
-    /// [`BatchOp::approx_bytes`]), consulted by the flush byte budget.
+    /// Approximate memory pinned by the recorded ops (each op's stack slot
+    /// plus its owned heap), consulted by the flush byte budget.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes
     }
@@ -356,32 +348,37 @@ impl GateBatch {
 mod tests {
     use super::*;
 
+    /// Every qubit `op` touches, in [`BatchOp::for_each_qubit`] order.
+    fn qubits(op: &BatchOp) -> Vec<QubitId> {
+        let mut qs = Vec::new();
+        op.for_each_qubit(|q| qs.push(q));
+        qs
+    }
+
     #[test]
     fn qubits_cover_all_operands_in_order() {
         let q = |i: u64| QubitId(i);
         assert_eq!(
-            BatchOp::Gate {
+            qubits(&BatchOp::Gate {
                 gate: Gate::H,
                 q: q(3)
-            }
-            .qubits(),
+            }),
             vec![q(3)]
         );
         assert_eq!(
-            BatchOp::Controlled {
+            qubits(&BatchOp::Controlled {
                 controls: vec![q(1), q(2)],
                 gate: Gate::X,
                 target: q(0)
-            }
-            .qubits(),
+            }),
             vec![q(1), q(2), q(0)]
         );
         assert_eq!(
-            BatchOp::Cnot { c: q(5), t: q(6) }.qubits(),
+            qubits(&BatchOp::Cnot { c: q(5), t: q(6) }),
             vec![q(5), q(6)]
         );
         assert_eq!(
-            BatchOp::Swap { a: q(7), b: q(8) }.qubits(),
+            qubits(&BatchOp::Swap { a: q(7), b: q(8) }),
             vec![q(7), q(8)]
         );
     }
@@ -438,14 +435,11 @@ mod tests {
     #[test]
     fn optimizer_ops_report_their_qubits_in_order() {
         let q = |i: u64| QubitId(i);
-        assert_eq!(
-            BatchOp::Fused1q {
-                q: q(4),
-                m: Gate::H.matrix()
-            }
-            .qubits(),
-            vec![q(4)]
-        );
+        let fused = BatchOp::Fused1q {
+            q: q(4),
+            m: Gate::H.matrix(),
+        };
+        assert_eq!(qubits(&fused), vec![q(4)]);
         let one = Complex::real(1.0);
         let sweep = |qubits: Vec<QubitId>, sets: &[u64], czs: Vec<(QubitId, QubitId)>| {
             BatchOp::PhaseSweep {
@@ -455,7 +449,7 @@ mod tests {
             }
         };
         let good = sweep(vec![q(2), q(5)], &[0b01, 0b11, 0], vec![(q(1), q(3))]);
-        assert_eq!(good.qubits(), vec![q(2), q(5), q(1), q(3)]);
+        assert_eq!(qubits(&good), vec![q(2), q(5), q(1), q(3)]);
         // Unit factors are the identity on every parity: Clifford.
         assert!(good.is_clifford());
         assert!(good.validate().is_ok());

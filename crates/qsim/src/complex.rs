@@ -60,18 +60,6 @@ impl Complex {
         self.re * self.re + self.im * self.im
     }
 
-    /// Modulus `|z|`.
-    #[inline]
-    pub fn abs(self) -> f64 {
-        self.norm_sqr().sqrt()
-    }
-
-    /// Argument (phase angle) in `(-pi, pi]`.
-    #[inline]
-    pub fn arg(self) -> f64 {
-        self.im.atan2(self.re)
-    }
-
     /// Multiplies by a real scalar.
     #[inline(always)]
     pub fn scale(self, s: f64) -> Self {
@@ -95,7 +83,7 @@ impl Complex {
 
     /// Multiplicative inverse. Panics in debug builds if `self` is zero.
     #[inline]
-    pub fn inv(self) -> Self {
+    fn inv(self) -> Self {
         let d = self.norm_sqr();
         debug_assert!(d > 0.0, "division by zero complex number");
         Complex {
@@ -252,7 +240,6 @@ mod tests {
         let z = Complex::new(3.0, 4.0);
         assert!((z * z.conj()).approx_eq(Complex::real(25.0), TOL));
         assert!((z.norm_sqr() - 25.0).abs() < TOL);
-        assert!((z.abs() - 5.0).abs() < TOL);
     }
 
     #[test]
@@ -277,11 +264,5 @@ mod tests {
         let b = Complex::new(0.5, 1.5);
         assert!(((a * b) / b).approx_eq(a, 1e-10));
         assert!((b * b.inv()).approx_eq(C_ONE, TOL));
-    }
-
-    #[test]
-    fn arg_of_axes() {
-        assert!((Complex::real(1.0).arg()).abs() < TOL);
-        assert!((C_I.arg() - std::f64::consts::FRAC_PI_2).abs() < TOL);
     }
 }

@@ -14,7 +14,7 @@ pub type Mat2 = [[Complex; 2]; 2];
 pub type Mat4 = [[Complex; 4]; 4];
 
 /// `1/sqrt(2)`, the Hadamard normalization.
-pub const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
+const FRAC_1_SQRT_2: f64 = std::f64::consts::FRAC_1_SQRT_2;
 
 /// A single-qubit Pauli operator.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -74,15 +74,6 @@ pub enum Gate {
 }
 
 impl Gate {
-    /// A Pauli rotation `R_P(theta) = exp(-0.5 i theta P)` (paper Section 2).
-    pub fn rotation(p: Pauli, theta: f64) -> Gate {
-        match p {
-            Pauli::X => Gate::Rx(theta),
-            Pauli::Y => Gate::Ry(theta),
-            Pauli::Z => Gate::Rz(theta),
-        }
-    }
-
     /// The 2x2 unitary matrix of this gate.
     pub fn matrix(&self) -> Mat2 {
         let h = FRAC_1_SQRT_2;
@@ -178,17 +169,6 @@ pub fn matmul2(a: &Mat2, b: &Mat2) -> Mat2 {
     out
 }
 
-/// Hermitian conjugate of a 4x4 matrix.
-pub fn dagger4(m: &Mat4) -> Mat4 {
-    let mut out = [[C_ZERO; 4]; 4];
-    for (i, row) in out.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = m[j][i].conj();
-        }
-    }
-    out
-}
-
 /// Product `a * b` of two 4x4 matrices.
 pub fn matmul4(a: &Mat4, b: &Mat4) -> Mat4 {
     let mut out = [[C_ZERO; 4]; 4];
@@ -202,24 +182,6 @@ pub fn matmul4(a: &Mat4, b: &Mat4) -> Mat4 {
         }
     }
     out
-}
-
-/// Checks `u * u† = I` to tolerance `tol` for a 2x2 matrix.
-pub fn is_unitary2(m: &Mat2, tol: f64) -> bool {
-    let p = matmul2(m, &dagger2(m));
-    let id = [[C_ONE, C_ZERO], [C_ZERO, C_ONE]];
-    (0..2).all(|i| (0..2).all(|j| p[i][j].approx_eq(id[i][j], tol)))
-}
-
-/// Checks `u * u† = I` to tolerance `tol` for a 4x4 matrix.
-pub fn is_unitary4(m: &Mat4, tol: f64) -> bool {
-    let p = matmul4(m, &dagger4(m));
-    (0..4).all(|i| {
-        (0..4).all(|j| {
-            let expect = if i == j { C_ONE } else { C_ZERO };
-            p[i][j].approx_eq(expect, tol)
-        })
-    })
 }
 
 /// The CNOT unitary, ordered as |control target> with the target in the low bit.
@@ -257,6 +219,35 @@ mod tests {
     use super::*;
 
     const TOL: f64 = 1e-12;
+
+    /// Hermitian conjugate of a 4x4 matrix.
+    fn dagger4(m: &Mat4) -> Mat4 {
+        let mut out = [[C_ZERO; 4]; 4];
+        for (i, row) in out.iter_mut().enumerate() {
+            for (j, v) in row.iter_mut().enumerate() {
+                *v = m[j][i].conj();
+            }
+        }
+        out
+    }
+
+    /// Checks `u * u† = I` to tolerance `tol` for a 2x2 matrix.
+    fn is_unitary2(m: &Mat2, tol: f64) -> bool {
+        let p = matmul2(m, &dagger2(m));
+        let id = [[C_ONE, C_ZERO], [C_ZERO, C_ONE]];
+        (0..2).all(|i| (0..2).all(|j| p[i][j].approx_eq(id[i][j], tol)))
+    }
+
+    /// Checks `u * u† = I` to tolerance `tol` for a 4x4 matrix.
+    fn is_unitary4(m: &Mat4, tol: f64) -> bool {
+        let p = matmul4(m, &dagger4(m));
+        (0..4).all(|i| {
+            (0..4).all(|j| {
+                let expect = if i == j { C_ONE } else { C_ZERO };
+                p[i][j].approx_eq(expect, tol)
+            })
+        })
+    }
 
     fn all_fixed_gates() -> Vec<Gate> {
         vec![
@@ -345,13 +336,6 @@ mod tests {
                 assert!(rz[i][j].approx_eq(phase * z[i][j], TOL));
             }
         }
-    }
-
-    #[test]
-    fn pauli_rotation_constructor_dispatches() {
-        assert_eq!(Gate::rotation(Pauli::X, 0.5), Gate::Rx(0.5));
-        assert_eq!(Gate::rotation(Pauli::Y, 0.5), Gate::Ry(0.5));
-        assert_eq!(Gate::rotation(Pauli::Z, 0.5), Gate::Rz(0.5));
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub mod gates;
 pub mod measure;
 pub mod noise;
 pub mod optimizer;
-pub mod registry;
+mod registry;
 pub mod sim;
 pub mod sparse;
 pub mod stabilizer;

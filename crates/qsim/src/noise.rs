@@ -62,12 +62,13 @@ pub enum OpClass {
 /// [`OpClass`] for the per-qubit conventions).
 ///
 /// ```
-/// use qsim::noise::NoiseChannel;
+/// use qsim::noise::{NoiseChannel, NoiseModel};
 ///
 /// let ch = NoiseChannel::Depolarizing { p: 0.01 };
-/// assert!(ch.is_clifford());
+/// assert!(NoiseModel::ideal().with_gate_1q(ch).is_clifford());
 /// assert!((ch.error_free_probability() - 0.99).abs() < 1e-12);
-/// assert!(!NoiseChannel::AmplitudeDamping { gamma: 0.1 }.is_clifford());
+/// let damping = NoiseChannel::AmplitudeDamping { gamma: 0.1 };
+/// assert!(!NoiseModel::ideal().with_gate_1q(damping).is_clifford());
 /// ```
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub enum NoiseChannel {
@@ -108,7 +109,7 @@ pub enum ChannelAction {
 
 impl NoiseChannel {
     /// The channel's error rate (`p` or `gamma`; 0 for the ideal channel).
-    pub fn rate(self) -> f64 {
+    fn rate(self) -> f64 {
         match self {
             NoiseChannel::None => 0.0,
             NoiseChannel::Depolarizing { p } | NoiseChannel::Dephasing { p } => p,
@@ -147,7 +148,7 @@ impl NoiseChannel {
 
     /// True when every action is a Clifford (every sampled action a Pauli
     /// insertion), i.e. the channel can run on the stabilizer tableau.
-    pub fn is_clifford(self) -> bool {
+    fn is_clifford(self) -> bool {
         let actions = self.actions();
         actions.iter().all(|m| clifford_action(m).is_some())
     }
@@ -160,7 +161,7 @@ impl NoiseChannel {
     }
 
     /// Checks the rate is a probability.
-    pub fn validate(self) -> Result<(), String> {
+    fn validate(self) -> Result<(), String> {
         let r = self.rate();
         if (0.0..=1.0).contains(&r) {
             Ok(())
@@ -352,18 +353,6 @@ impl NoiseModel {
     /// True when every channel runs on the stabilizer tableau.
     pub fn is_clifford(&self) -> bool {
         self.channels().iter().all(|ch| ch.is_clifford())
-    }
-
-    /// True when some channel's sampling decision depends on the quantum
-    /// state (amplitude damping reads `P(|1>)` to decide the jump). A
-    /// state-dependent model cannot be sampled ahead of applying the gates
-    /// it rides on, so batching engines fall back to gate-at-a-time
-    /// dispatch under it; Pauli-only models sample state-free and batch
-    /// fully.
-    pub fn is_state_dependent(&self) -> bool {
-        self.channels()
-            .iter()
-            .any(|ch| !ch.is_ideal() && matches!(ch, NoiseChannel::AmplitudeDamping { .. }))
     }
 
     /// Checks every rate is a probability.

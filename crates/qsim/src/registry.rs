@@ -30,11 +30,6 @@ impl QubitRegistry {
         self.by_position.len()
     }
 
-    /// Whether no qubits are live.
-    pub fn is_empty(&self) -> bool {
-        self.by_position.is_empty()
-    }
-
     /// Registers a fresh handle at position `pos`, which must be the next
     /// dense position (i.e. the current [`QubitRegistry::len`]).
     pub fn push(&mut self, pos: usize) -> QubitId {

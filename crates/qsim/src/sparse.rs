@@ -5,7 +5,7 @@
 //! map keyed by basis state simulates *real amplitudes* at hundreds of ranks
 //! where the dense [`crate::Simulator`] caps out near 20 qubits (the design of
 //! the Microsoft QDK `quantum_sparse_sim`). This module holds the storage
-//! half only — [`BasisKey`] and the [`SparseState`] map kernels behind
+//! half only — a 512-bit basis key and the [`SparseState`] map kernels behind
 //! [`AmpStore`]; the simulator over it, [`crate::SparseSim`], is the same
 //! generic front as the dense [`crate::Simulator`] ([`crate::sim::AmpSim`])
 //! and is proven against it by the cross-backend conformance harness.
@@ -56,7 +56,7 @@ use crate::stripe::{self, ExactSum};
 use std::collections::HashMap;
 
 /// Number of 64-bit words in a [`BasisKey`].
-pub const KEY_WORDS: usize = 8;
+const KEY_WORDS: usize = 8;
 
 /// Maximum number of simultaneously live qubits (512). The 128-rank cat
 /// broadcast peaks near 130 live qubits (one share per rank plus transient
@@ -66,14 +66,14 @@ pub const MAX_QUBITS: usize = KEY_WORDS * 64;
 /// A basis-state index wide enough for paper-scale rank counts: 512 bits,
 /// little-endian words (`word 0` holds qubit positions 0..64).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
-pub struct BasisKey(pub [u64; KEY_WORDS]);
+struct BasisKey([u64; KEY_WORDS]);
 
 impl BasisKey {
     /// The all-zero basis state |0...0>.
-    pub const ZERO: BasisKey = BasisKey([0; KEY_WORDS]);
+    const ZERO: BasisKey = BasisKey([0; KEY_WORDS]);
 
     /// The dense basis index, if it fits in a `usize`.
-    pub fn to_index(self) -> Option<usize> {
+    fn to_index(self) -> Option<usize> {
         if self.0[1..].iter().any(|&w| w != 0) {
             return None;
         }
@@ -82,34 +82,34 @@ impl BasisKey {
 
     /// Value of bit `pos`.
     #[inline]
-    pub fn bit(self, pos: usize) -> bool {
+    fn bit(self, pos: usize) -> bool {
         (self.0[pos / 64] >> (pos % 64)) & 1 == 1
     }
 
     /// Copy with bit `pos` set.
     #[inline]
-    pub fn with_set(mut self, pos: usize) -> Self {
+    fn with_set(mut self, pos: usize) -> Self {
         self.0[pos / 64] |= 1u64 << (pos % 64);
         self
     }
 
     /// Copy with bit `pos` cleared.
     #[inline]
-    pub fn with_cleared(mut self, pos: usize) -> Self {
+    fn with_cleared(mut self, pos: usize) -> Self {
         self.0[pos / 64] &= !(1u64 << (pos % 64));
         self
     }
 
     /// Copy with bit `pos` flipped.
     #[inline]
-    pub fn with_flipped(mut self, pos: usize) -> Self {
+    fn with_flipped(mut self, pos: usize) -> Self {
         self.0[pos / 64] ^= 1u64 << (pos % 64);
         self
     }
 
     /// Bitwise XOR.
     #[inline]
-    pub fn xor(self, other: BasisKey) -> Self {
+    fn xor(self, other: BasisKey) -> Self {
         let mut r = self;
         for (w, o) in r.0.iter_mut().zip(other.0) {
             *w ^= o;
@@ -119,7 +119,7 @@ impl BasisKey {
 
     /// Bitwise AND.
     #[inline]
-    pub fn and(self, other: BasisKey) -> Self {
+    fn and(self, other: BasisKey) -> Self {
         let mut r = self;
         for (w, o) in r.0.iter_mut().zip(other.0) {
             *w &= o;
@@ -129,18 +129,18 @@ impl BasisKey {
 
     /// Total number of set bits.
     #[inline]
-    pub fn count_ones(self) -> u32 {
+    fn count_ones(self) -> u32 {
         self.0.iter().map(|w| w.count_ones()).sum()
     }
 
     /// Parity of the set-bit count (`true` = odd).
     #[inline]
-    pub fn parity(self) -> bool {
+    fn parity(self) -> bool {
         self.count_ones() % 2 == 1
     }
 
     /// Mask with bits `0..pos` set — the 512-bit analogue of `(1 << pos) - 1`.
-    pub fn low_mask(pos: usize) -> Self {
+    fn low_mask(pos: usize) -> Self {
         let mut m = BasisKey::ZERO;
         for (w, word) in m.0.iter_mut().enumerate() {
             let lo = w * 64;
@@ -168,7 +168,7 @@ impl BasisKey {
     /// Removes bit `pos`, shifting all higher bits down one position — the
     /// key analogue, `(i & low) | ((i >> 1) & !low)`, of what
     /// [`crate::stripe::remove_qubit_in_place`] does to a dense index.
-    pub fn remove_bit(self, pos: usize) -> Self {
+    fn remove_bit(self, pos: usize) -> Self {
         let low = BasisKey::low_mask(pos);
         let mut r = self.and(low);
         let hi = self.shr1();
@@ -361,8 +361,8 @@ impl AmpStore for SparseState {
         self.scale(stripe::renormalizer(kept));
     }
 
-    /// [`crate::stripe::expectation_pauli_flat`]'s terms over the present
-    /// entries: an absent entry's term is exactly zero.
+    /// The dense store's terms ([`crate::stripe::expectation_partial`]) over
+    /// the present entries: an absent entry's term is exactly zero.
     fn expectation_pauli(&self, terms: &[PauliTerm]) -> f64 {
         let mut x_mask = BasisKey::ZERO;
         let mut z_mask = BasisKey::ZERO;

@@ -70,12 +70,6 @@ impl State {
         state
     }
 
-    /// Number of qubits in the register.
-    #[inline]
-    pub fn n_qubits(&self) -> usize {
-        self.n_qubits
-    }
-
     /// Number of amplitudes (`2^n`).
     #[inline]
     pub fn len(&self) -> usize {
@@ -109,13 +103,6 @@ impl State {
     /// Total squared norm (should always be ~1).
     pub fn norm_sqr(&self) -> f64 {
         stripe::norm_sqr(&self.amps)
-    }
-
-    /// Rescales so that the squared norm is exactly 1.
-    pub fn renormalize(&mut self) {
-        let n = self.norm_sqr().sqrt();
-        assert!(n > 0.0, "cannot renormalize the zero vector");
-        split::scale(&mut self.amps, 1.0 / n);
     }
 
     /// Applies an arbitrary two-qubit unitary to qubits `(q1, q0)`, where `q0`
@@ -177,27 +164,8 @@ impl State {
         (1usize << a, 1usize << b)
     }
 
-    /// Tensor product `self ⊗ other`: `other`'s qubits become the new
-    /// high-order qubits `self.n_qubits ..`.
-    pub fn tensor(&self, other: &State) -> State {
-        let mut amps = vec![C_ZERO; self.amps.len() * other.amps.len()];
-        for (j, &b) in other.amps.iter().enumerate() {
-            if b.is_negligible(1e-300) {
-                continue;
-            }
-            let base = j << self.n_qubits;
-            for (i, &a) in self.amps.iter().enumerate() {
-                amps[base | i] = a * b;
-            }
-        }
-        State {
-            amps,
-            n_qubits: self.n_qubits + other.n_qubits,
-        }
-    }
-
     /// Inner product `<self|other>`.
-    pub fn inner_product(&self, other: &State) -> Complex {
+    fn inner_product(&self, other: &State) -> Complex {
         assert_eq!(self.n_qubits, other.n_qubits, "dimension mismatch");
         self.amps
             .iter()
@@ -238,14 +206,6 @@ impl State {
     #[inline]
     pub fn probability(&self, index: usize) -> f64 {
         self.amps[index].norm_sqr()
-    }
-
-    /// Checks approximate equality up to a global phase.
-    pub fn approx_eq_up_to_phase(&self, other: &State, tol: f64) -> bool {
-        if self.n_qubits != other.n_qubits {
-            return false;
-        }
-        (self.fidelity(other) - 1.0).abs() < tol
     }
 }
 
@@ -412,7 +372,7 @@ mod tests {
         ]);
         let idx = s.add_qubit();
         assert_eq!(idx, 2);
-        assert_eq!(s.n_qubits(), 3);
+        assert_eq!(s.n_qubits, 3);
         for i in 0..4 {
             assert!((s.probability(i) - 0.25).abs() < 1e-12);
         }
@@ -432,7 +392,7 @@ mod tests {
         amps[0b101] = Complex::real(h);
         let mut s = State::from_amplitudes(amps);
         s.remove_qubit(1, false);
-        assert_eq!(s.n_qubits(), 2);
+        assert_eq!(s.n_qubits, 2);
         // Expect (|00> + |11>)/sqrt(2) over (q2->q1, q0).
         assert!((s.probability(0b00) - 0.5).abs() < 1e-12);
         assert!((s.probability(0b11) - 0.5).abs() < 1e-12);
@@ -482,20 +442,17 @@ mod tests {
                     let amps = nearly_collapsed(n, target, outcome, &mut r);
                     let case = (n, target, outcome);
                     // The copying form, then the same renormalisation.
-                    let (copied, dropped) = stripe::remove_qubit_flat(&amps, target, outcome);
+                    let (mut want, dropped) = stripe::remove_qubit_flat(&amps, target, outcome);
                     assert!(dropped > 0.0 && dropped < NORM_TOL, "{case:?}: {dropped:e}");
-                    let mut want = State {
-                        amps: copied,
-                        n_qubits: n - 1,
-                    };
-                    want.renormalize();
+                    let norm = stripe::norm_sqr(&want).sqrt();
+                    split::scale(&mut want, 1.0 / norm);
                     let mut in_place = amps.clone();
                     let mass = stripe::remove_qubit_in_place(&mut in_place, target, outcome);
                     assert_eq!(mass.to_bits(), dropped.to_bits(), "{case:?}");
                     let mut got = State::from_amplitudes(amps);
                     got.remove_qubit(target, outcome);
-                    assert_eq!(got.n_qubits(), n - 1, "{case:?}");
-                    assert_eq!(bits(got.amplitudes()), bits(want.amplitudes()), "{case:?}");
+                    assert_eq!(got.n_qubits, n - 1, "{case:?}");
+                    assert_eq!(bits(got.amplitudes()), bits(&want), "{case:?}");
                 }
             }
         }
@@ -524,7 +481,7 @@ mod tests {
                     let capacity = got.amps.capacity();
                     got.collapse_remove(target, outcome);
                     let case = (n, target, outcome);
-                    assert_eq!(got.n_qubits(), n - 1, "{case:?}");
+                    assert_eq!(got.n_qubits, n - 1, "{case:?}");
                     assert_eq!(bits(got.amplitudes()), bits(want.amplitudes()), "{case:?}");
                     assert!(got.amps.capacity() >= capacity, "{case:?}");
                 }
@@ -567,17 +524,6 @@ mod tests {
             // The new half is +0.0 throughout: nothing the compaction left
             // behind past the halved length shows through.
             assert!(bits(&s.amplitudes()[32..]).iter().all(|&b| b == (0, 0)));
-        }
-    }
-
-    #[test]
-    fn tensor_of_plus_states() {
-        let h = std::f64::consts::FRAC_1_SQRT_2;
-        let plus = State::from_amplitudes(vec![Complex::real(h), Complex::real(h)]);
-        let two = plus.tensor(&plus);
-        assert_eq!(two.n_qubits(), 2);
-        for i in 0..4 {
-            assert!((two.probability(i) - 0.25).abs() < 1e-12);
         }
     }
 

@@ -194,18 +194,6 @@ fn each_pair(lo: &mut [Complex], hi: &mut [Complex], f: impl Fn(&mut Complex, &m
     }
 }
 
-/// Applies `f` to every within-stripe amplitude pair `(i, i | tbit)` whose
-/// low member satisfies the within-stripe control mask `c_lo`. The target
-/// bit `tbit` must address within the stripe (`tbit < amps.len()`).
-pub fn pair_within(
-    amps: &mut [Complex],
-    c_lo: usize,
-    tbit: usize,
-    f: impl Fn(&mut Complex, &mut Complex),
-) {
-    within_runs(amps, c_lo, tbit, |lo, hi| each_pair(lo, hi, &f));
-}
-
 /// Applies `f` to amplitude pairs spanning two stripes: `a` is the stripe
 /// whose shard index has the target bit clear, `b` its partner with the
 /// target bit set, and the pairs line up offset-for-offset. Offsets are
@@ -693,8 +681,9 @@ fn odd_parity(g: usize, mask: usize) -> bool {
 
 /// Probability mass of the basis states in this stripe whose *global*
 /// index (stripe base ORed with the offset) matches `want` under `mask`.
-/// No engine reads it: under a one-bit mask it is [`parity_prob_odd`] to the
-/// bit (`want = mask`), which is how every store reads one qubit.
+/// No engine reads it: under a one-bit mask it is the odd side of
+/// [`branch_masses`] to the bit (`want = mask`), which is how every store
+/// reads one qubit.
 /// Panics on a term out of range (see [Sums](self#sums)).
 pub fn masked_norm(amps: &[Complex], base: usize, mask: usize, want: usize) -> f64 {
     norm_where(amps, base, mask, |g| g & mask == want).finish()
@@ -710,13 +699,8 @@ pub fn collapse_keep(amps: &mut [Complex], base: usize, mask: usize, want: usize
 }
 
 /// Probability mass of odd `mask`-parity basis states in this stripe (joint
-/// Z-parity measurement, phase 1).
+/// Z-parity measurement, phase 1), as a partial sum.
 /// Panics on a term out of range (see [Sums](self#sums)).
-pub fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
-    parity_sum(amps, base, mask).finish()
-}
-
-/// [`parity_prob_odd`] as a partial sum.
 pub(crate) fn parity_sum(amps: &[Complex], base: usize, mask: usize) -> ExactSum {
     norm_where(amps, base, mask, |g| odd_parity(g, mask))
 }
@@ -773,19 +757,6 @@ pub fn norm_sqr(amps: &[Complex]) -> f64 {
     norm_where(amps, 0, 0, |_| true).finish()
 }
 
-/// Expectation value `<psi| P |psi>` of a Pauli string (a tensor product of
-/// single-qubit Paulis on distinct qubits; identity elsewhere) over one
-/// slice holding the whole register: [`expectation_partial`] of the slice
-/// against itself (the dense store reads it on two threads, to these bits).
-/// Panics on a term out of range (see [Sums](self#sums)).
-pub fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
-    let n_qubits = amps.len().trailing_zeros() as usize;
-    let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
-    let mut acc = [ExactSum::ZERO; 2];
-    expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
-    hermitian_value(i_pow, acc)
-}
-
 /// Adds to `acc` (real part, imaginary part) the (pre-phase) Pauli
 /// expectation term of each `own[i]` against `other[i ^ x_lo]`, signed by
 /// `base | i` under `z_mask`. Sign and partner offset are constant over a
@@ -826,9 +797,11 @@ pub fn expectation_partial(
     acc[1].merge(im);
 }
 
-/// [`expectation_pauli_flat`] for callers whose amplitudes are not one
-/// slice: reads them through `at` (global basis index → amplitude), so the
-/// caller can serve them from separate stripes or anything else.
+/// The expectation value `<psi| P |psi>` of a Pauli string (a tensor
+/// product of single-qubit Paulis on distinct qubits; identity elsewhere),
+/// for callers whose amplitudes are not one slice: reads them through `at`
+/// (global basis index → amplitude), so the caller can serve them from
+/// separate stripes or anything else.
 /// Panics on a term out of range (see [Sums](self#sums)).
 pub fn expectation_pauli(
     n_qubits: usize,
@@ -852,26 +825,6 @@ pub fn expectation_pauli(
 /// parities are tabled once per call; the bits above are one parity per
 /// tile.
 const SIGN_TILE: usize = 1 << 8;
-
-/// [`expectation_pauli_flat`] of each string in `strings`, bit for bit, with
-/// the diagonal (Z-only) strings read together in one sweep.
-/// Panics on a term out of range (see [Sums](self#sums)).
-pub fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
-    each_string(
-        amps.len(),
-        strings,
-        |x_mask, z_mask| {
-            let mut acc = [ExactSum::ZERO; 2];
-            expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
-            acc
-        },
-        |z_masks| {
-            let mut sums = vec![ExactSum::ZERO; z_masks.len()];
-            diagonal_sums(amps, 0, z_masks, &odd_tables(z_masks), &mut sums);
-            sums
-        },
-    )
-}
 
 /// The values of `strings` over a register of `len` amplitudes: each
 /// string with an X or Y through `pauli(x_mask, z_mask)`, the Z-only ones
@@ -1063,7 +1016,7 @@ pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bo
 /// the kept half — nothing is zeroed or scaled in the half that is dropped,
 /// and each kept amplitude moves once. Panics when the outcome has no
 /// probability.
-pub fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool, kept: f64) {
+fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool, kept: f64) {
     let factor = renormalizer(kept);
     wide!(Avx2, {
         walk_known_short!(1usize << target, |bit| {
@@ -1107,25 +1060,56 @@ mod tests {
     use crate::sim::AmpStore;
     use crate::state::State;
 
+    /// The odd-parity mass of one stripe: the serial read the split one
+    /// (`split::parity_prob_odd`) is compared with.
+    fn parity_prob_odd(amps: &[Complex], base: usize, mask: usize) -> f64 {
+        parity_sum(amps, base, mask).finish()
+    }
+
+    /// The value of one Pauli string over a whole register in one slice:
+    /// [`expectation_partial`] of the slice against itself.
+    fn expectation_pauli_flat(amps: &[Complex], terms: &[PauliTerm]) -> f64 {
+        let n_qubits = amps.len().trailing_zeros() as usize;
+        let (x_mask, z_mask, i_pow) = pauli_masks(n_qubits, terms);
+        let mut acc = [ExactSum::ZERO; 2];
+        expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
+        hermitian_value(i_pow, acc)
+    }
+
+    /// [`expectation_pauli_flat`] of each string, with the diagonal
+    /// (Z-only) strings read together in one sweep: the serial form of the
+    /// dense store's `split::expectation_each`.
+    fn expectation_pauli_each_flat(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
+        each_string(
+            amps.len(),
+            strings,
+            |x_mask, z_mask| {
+                let mut acc = [ExactSum::ZERO; 2];
+                expectation_partial(amps, amps, 0, x_mask, z_mask, &mut acc);
+                acc
+            },
+            |z_masks| {
+                let mut sums = vec![ExactSum::ZERO; z_masks.len()];
+                diagonal_sums(amps, 0, z_masks, &odd_tables(z_masks), &mut sums);
+                sums
+            },
+        )
+    }
+
     fn uniform(n: usize) -> Vec<Complex> {
         let len = 1usize << n;
         vec![Complex::real(1.0 / (len as f64).sqrt()); len]
     }
 
     #[test]
-    fn pair_within_matches_dense_1q_kernel() {
-        // One 8-amplitude stripe; H on the low qubit via the raw pair walk
+    fn apply_within_matches_dense_1q_kernel() {
+        // One 8-amplitude stripe; H on the middle qubit via the pair kernel
         // vs the dense state's entry point must be bit-identical.
         let mut dense = State::zero(3);
         dense.apply_1q(&[], 1, &Gate::H.matrix());
         let mut amps = vec![C_ZERO; 8];
         amps[0] = C_ONE;
-        let m = Gate::H.matrix();
-        pair_within(&mut amps, 0, 1 << 1, |a0, a1| {
-            let (x0, x1) = (*a0, *a1);
-            *a0 = m[0][0] * x0 + m[0][1] * x1;
-            *a1 = m[1][0] * x0 + m[1][1] * x1;
-        });
+        PairKernel::Mat(Gate::H.matrix()).apply_within(&mut amps, 0, 1 << 1);
         for (i, &a) in amps.iter().enumerate() {
             assert_eq!(a, dense.amplitude(i), "amp[{i}]");
         }
@@ -1315,12 +1299,7 @@ mod tests {
         let mut dense = State::zero(1);
         dense.apply_1q(&[], 0, &Gate::H.matrix());
         let mut amps = vec![C_ONE, C_ZERO];
-        let m = Gate::H.matrix();
-        pair_within(&mut amps, 0, 1, |a0, a1| {
-            let (x0, x1) = (*a0, *a1);
-            *a0 = m[0][0] * x0 + m[0][1] * x1;
-            *a1 = m[1][0] * x0 + m[1][1] * x1;
-        });
+        pair_unitary(&mut amps, 0, 1, &Gate::H.matrix());
         assert_eq!(amps[0], dense.amplitude(0));
         assert_eq!(amps[1], dense.amplitude(1));
         // Diagonal pass on the only |1> state.
@@ -1337,7 +1316,7 @@ mod tests {
     fn one_shard_configuration_covers_the_full_register() {
         // k=0 stripes: the single stripe holds all 2^n amplitudes at base
         // 0 and the cross-stripe kernels never fire. The within-stripe
-        // CNOT (control mask + swap pair) must equal the 4x4 reference
+        // CNOT (control mask + swap kernel) must equal the 4x4 reference
         // (whose 0/1 entries make it exact) on an arbitrary state.
         let raw: Vec<Complex> = (0..8)
             .map(|i| Complex::new(0.5 + i as f64, (i as f64) * 0.3 - 1.0))
@@ -1347,9 +1326,7 @@ mod tests {
         let mut dense = State::from_amplitudes(amps.clone());
         dense.apply_2q(2, 0, &cnot_matrix());
         let mut striped = amps;
-        pair_within(&mut striped, 1 << 2, 1 << 0, |a0, a1| {
-            std::mem::swap(a0, a1)
-        });
+        PairKernel::Swap.apply_within(&mut striped, 1 << 2, 1 << 0);
         for (i, &a) in striped.iter().enumerate() {
             assert_eq!(a, dense.amplitude(i), "amp[{i}]");
         }
@@ -1720,12 +1697,6 @@ mod tests {
                 );
                 for tbit in (0..len.trailing_zeros()).map(|t| 1usize << t) {
                     let case = (len, c_lo, tbit);
-                    same_bits(
-                        &amps,
-                        ("pair_within", case),
-                        on_first(len, &|s| pair_within(s, c_lo, tbit, lopsided)),
-                        on_first(len, &|s| naive::pair_within(s, c_lo, tbit, lopsided)),
-                    );
                     same_bits(
                         &amps,
                         ("pair_unitary", case),

@@ -117,7 +117,7 @@ pub(crate) fn scale(amps: &mut [Complex], factor: f64) {
 
 /// Measures bit `tbit` against the uniform draw `u` and returns the outcome
 /// with its branch's mass: set (odd) when `u` is below the set branch's
-/// mass, which is [`super::parity_prob_odd`]'s to the bit.
+/// mass, which is [`parity_prob_odd`]'s to the bit.
 pub(crate) fn measure(amps: &[Complex], tbit: usize, u: f64) -> (bool, f64) {
     let [even, odd] = masses(amps, tbit).map(ExactSum::finish);
     if u < odd {
@@ -133,8 +133,8 @@ pub(crate) fn masses(amps: &[Complex], mask: usize) -> [ExactSum; 2] {
     merged(amps, |half, base| branch_masses(half, base, mask))
 }
 
-/// [`super::parity_prob_odd`] over the whole register, each half of it on
-/// one thread.
+/// The mass of the odd `mask`-parity basis states over the whole register
+/// ([`parity_sum`] at `base = 0`), each half of it on one thread.
 pub(crate) fn parity_prob_odd(amps: &[Complex], mask: usize) -> f64 {
     let [odd] = merged(amps, |half, base| [parity_sum(half, base, mask)]);
     odd.finish()
@@ -191,9 +191,10 @@ fn merged<const N: usize>(
     sums
 }
 
-/// [`super::expectation_pauli_each_flat`] over the whole register, each
-/// sweep's two halves on two threads: a half's partners lie in the other
-/// half where the X mask flips the top bit.
+/// The value of each Pauli string over the whole register, the diagonal
+/// (Z-only) ones read together in one sweep; each sweep's two halves on two
+/// threads: a half's partners lie in the other half where the X mask flips
+/// the top bit.
 pub(crate) fn expectation_each(amps: &[Complex], strings: &[Vec<PauliTerm>]) -> Vec<f64> {
     let pauli_sums = |x_mask: usize, z_mask| {
         merged(amps, |half, base| {
