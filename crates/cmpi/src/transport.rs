@@ -17,19 +17,18 @@
 //! ```
 //!
 //! * `tag` multiplexes logical channels over one stream (commands, replies,
-//!   relayed stripe exchanges, control) — the socket analogue of the
-//!   mailbox `(source, tag)` match key.
-//! * `epoch` stamps the failover generation; receivers discard frames from
-//!   an older epoch, which is what makes recovery safe against stale
-//!   in-flight traffic.
-//! * `peer` names the counterpart rank of a relayed frame (destination on
-//!   the way in to the relay, source on the way out).
+//!   stripe exchanges, handshake) — the socket analogue of the mailbox
+//!   `(source, tag)` match key.
+//! * `epoch` is a generation stamp for the protocol above to use; the
+//!   shard transport writes 0, since it replaces a whole generation of
+//!   workers (and every socket between them) at once.
+//! * `peer` names the sending rank where the stream alone does not.
 //!
 //! A reader that hits EOF mid-frame gets [`std::io::ErrorKind::UnexpectedEof`];
 //! a length over `MAX_FRAME_LEN` (1 GiB) or under the header size is
 //! [`std::io::ErrorKind::InvalidData`] — corruption is diagnosed, never
-//! trusted. The body is read in bounded chunks, so a corrupt length cannot
-//! force a giant up-front allocation.
+//! trusted. The body grows only as its bytes arrive, so a corrupt length
+//! cannot force a giant up-front allocation.
 
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -56,6 +55,17 @@ pub enum TransportKind {
 }
 
 impl TransportKind {
+    /// The kind of a connect string produced by [`WireListener::addr`].
+    pub fn of_addr(addr: &str) -> Option<TransportKind> {
+        if addr.starts_with("unix:") {
+            Some(TransportKind::UnixSocket)
+        } else if addr.starts_with("tcp:") {
+            Some(TransportKind::Tcp)
+        } else {
+            None
+        }
+    }
+
     /// Stable lowercase name (used in CI matrix entries and bench labels).
     pub fn name(self) -> &'static str {
         match self {
@@ -99,8 +109,9 @@ pub const FRAME_OVERHEAD: usize = 4 + HEADER_LEN;
 /// `InvalidData` instead of hanging the stream waiting for garbage bytes.
 const MAX_FRAME_LEN: usize = 1 << 30;
 
-/// Body bytes read per `read_exact` round while receiving a frame — bounds
-/// the allocation a lying length prefix can trigger before EOF surfaces.
+/// Body bytes reserved before any arrive — bounds the allocation a lying
+/// length prefix can trigger before EOF surfaces; beyond it the body grows
+/// as bytes come in.
 const READ_CHUNK: usize = 64 * 1024;
 
 /// The routing header carried by every frame; see the [module docs](self)
@@ -109,9 +120,9 @@ const READ_CHUNK: usize = 64 * 1024;
 pub struct FrameHeader {
     /// Logical channel (command/reply/exchange/control).
     pub tag: u8,
-    /// Failover generation stamp.
+    /// Generation stamp; 0 where unused.
     pub epoch: u32,
-    /// Counterpart rank for relayed frames; 0 where unused.
+    /// Sending rank; 0 where unused.
     pub peer: u32,
 }
 
@@ -164,14 +175,15 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(FrameHeader, Vec<u8>)> {
         epoch: u32::from_le_bytes(hdr_buf[1..5].try_into().expect("4 bytes")),
         peer: u32::from_le_bytes(hdr_buf[5..9].try_into().expect("4 bytes")),
     };
-    let mut body = Vec::new();
-    let mut remaining = len - HEADER_LEN;
-    let mut chunk = [0u8; READ_CHUNK];
-    while remaining > 0 {
-        let n = remaining.min(READ_CHUNK);
-        r.read_exact(&mut chunk[..n])?;
-        body.extend_from_slice(&chunk[..n]);
-        remaining -= n;
+    // Straight into the body, which grows only as bytes arrive.
+    let want = len - HEADER_LEN;
+    let mut body = Vec::with_capacity(want.min(READ_CHUNK));
+    r.by_ref().take(want as u64).read_to_end(&mut body)?;
+    if body.len() < want {
+        return Err(io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!("frame body cut at {} of {want} bytes", body.len()),
+        ));
     }
     Ok((hdr, body))
 }
@@ -318,21 +330,21 @@ impl WireStream {
         }
     }
 
-    /// An independently-readable handle to the same socket (reader/writer
-    /// split for the controller's per-worker router thread).
-    pub fn try_clone(&self) -> io::Result<WireStream> {
-        match self {
-            WireStream::Unix(s) => s.try_clone().map(WireStream::Unix),
-            WireStream::Tcp(s) => s.try_clone().map(WireStream::Tcp),
-        }
-    }
-
     /// Read deadline for subsequent reads (`None` blocks forever) — the
     /// hook the remote engine's deadlock watchdog maps onto.
     pub fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
         match self {
             WireStream::Unix(s) => s.set_read_timeout(t),
             WireStream::Tcp(s) => s.set_read_timeout(t),
+        }
+    }
+
+    /// Write deadline for subsequent writes (`None` blocks forever): a
+    /// write that makes no progress for that long fails.
+    pub fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
+        match self {
+            WireStream::Unix(s) => s.set_write_timeout(t),
+            WireStream::Tcp(s) => s.set_write_timeout(t),
         }
     }
 
@@ -406,6 +418,15 @@ mod tests {
     }
 
     #[test]
+    fn listener_addresses_name_their_kind() {
+        for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+            let addr = WireListener::bind(kind).unwrap().addr().unwrap();
+            assert_eq!(TransportKind::of_addr(&addr), Some(kind), "{addr}");
+        }
+        assert_eq!(TransportKind::of_addr("shm:/x"), None);
+    }
+
+    #[test]
     fn frame_roundtrips_and_reports_wire_size() {
         let hdr = FrameHeader {
             tag: 3,
@@ -434,6 +455,20 @@ mod tests {
         buf.extend_from_slice(&[0u8; HEADER_LEN]);
         let err = read_frame(&mut buf.as_slice()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    #[test]
+    fn body_cut_after_its_first_64_kib_is_unexpected_eof() {
+        let hdr = FrameHeader {
+            tag: 4,
+            epoch: 0,
+            peer: 2,
+        };
+        let mut buf = frame_bytes(&hdr, &vec![0x5Au8; 1 << 20]);
+        buf.truncate(FRAME_OVERHEAD + READ_CHUNK);
+        let err = read_frame(&mut buf.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        assert!(err.to_string().contains("65536 of 1048576"), "{err}");
     }
 
     #[test]

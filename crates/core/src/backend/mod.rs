@@ -304,14 +304,16 @@ pub struct TransportStats {
     /// wait for the next one).
     pub command_rounds: u64,
     /// Worker↔worker exchange rounds: cross-shard gate and reshape
-    /// traffic, and a free's norm all-gather.
+    /// and expectation traffic.
     pub exchange_rounds: u64,
-    /// Bytes put on the wire, both directions, including relayed
-    /// exchanges. Over a socket transport the controller counts them as
-    /// frames pass through it. In-process they are the serialized bytes
-    /// the worker world's mailboxes carried, counted by whichever thread
-    /// sends — workers' exchanges set off by a read land while it runs, so
-    /// read this after a reduction (`prob_one`).
+    /// Bytes put on the wire, both directions, each frame counted once on
+    /// the socket it crosses. Over a socket transport the controller counts
+    /// the commands it writes and the replies it reads, and each worker
+    /// reports the exchange frames it wrote to its peers in its next reply.
+    /// In-process they are the serialized bytes the worker world's
+    /// mailboxes carried, counted by whichever thread sends. Either way a
+    /// read's exchanges are all counted once its replies are in, so read
+    /// this after a reduction every worker answers (`prob_one`).
     pub wire_bytes: u64,
     /// Worker processes respawned by failover. Zero for the in-process
     /// transport, which has no process boundary to fail over.

@@ -118,11 +118,9 @@ impl WorkerLink {
 
     /// Clears whatever protocol the link's last user left dangling, so the
     /// next scatter starts from a quiet world: thread links drain unread
-    /// replies; process links restart the worker generation (respawn the
-    /// dead, abort the live into a new epoch). `Err` means further workers
-    /// died meanwhile; the caller retries with a budget.
-    pub(crate) fn reset(&mut self) -> Result<(), DeadWorker> {
-        let wd = self.watchdog_now();
+    /// replies; process links replace a worker generation that failed or
+    /// still owes replies.
+    pub(crate) fn reset(&mut self) {
         match self {
             WorkerLink::Threads { comm, .. } => {
                 while comm
@@ -130,9 +128,8 @@ impl WorkerLink {
                     .test()
                     .is_some()
                 {}
-                Ok(())
             }
-            WorkerLink::Processes(p) => p.restart_generation(wd),
+            WorkerLink::Processes(p) => p.reset(),
         }
     }
 
@@ -143,8 +140,8 @@ impl WorkerLink {
         matches!(self, WorkerLink::Processes(_))
     }
 
-    /// Bytes moved so far (mailbox payloads, or frames in both directions
-    /// including relayed exchanges).
+    /// Bytes moved so far: mailbox payloads, or every frame once on the
+    /// socket it crossed.
     pub(crate) fn wire_bytes(&self) -> u64 {
         match self {
             WorkerLink::Threads { comm, .. } => comm.world_handle().bytes_sent(),
@@ -152,7 +149,7 @@ impl WorkerLink {
         }
     }
 
-    /// Workers respawned by failover so far (always 0 for threads).
+    /// Worker processes replaced by failover so far (always 0 for threads).
     pub(crate) fn respawns(&self) -> u64 {
         match self {
             WorkerLink::Threads { .. } => 0,
@@ -339,16 +336,8 @@ impl ShardLease {
     /// panicked) lessee may have left replies unread, a protocol dangling
     /// or workers dead. A world nobody has used yet is already quiet.
     pub(crate) fn reset(&mut self) {
-        if self.home.is_none() {
-            return;
-        }
-        let mut attempts = 0usize;
-        while self.link_mut().reset().is_err() {
-            attempts += 1;
-            assert!(
-                attempts <= 16,
-                "pool lease reset: workers keep dying during the reset"
-            );
+        if self.home.is_some() {
+            self.link_mut().reset();
         }
     }
 }

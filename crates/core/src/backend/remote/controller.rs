@@ -415,10 +415,14 @@ impl Controller {
         } else {
             let abit = 1usize << (lo - l);
             let bbit = 1usize << (hi - l);
-            // Both members trade whole stripes.
+            // The members trade whole stripes: the lower one swaps its
+            // stripe with the one its partner ships (a pure permutation) and
+            // ships the old one back, so neither writes while the other does.
             for s in (0..self.active()).filter(|s| s & abit != 0 && s & bbit == 0) {
-                self.pair_up(s, s ^ abit ^ bbit, |partner| WorkerOp::CrossHigh {
+                self.pair_up(s, s ^ abit ^ bbit, |partner| WorkerOp::CrossLow {
                     partner,
+                    c_lo: 0,
+                    kernel: PairKernel::Swap,
                 });
             }
         }

@@ -92,6 +92,14 @@ impl FailoverState {
     }
 }
 
+/// Generations one retry may go through: a unit, a checkpoint gather or a
+/// recovery that fails this many times running fails for good.
+const RESPAWN_BUDGET: usize = 16;
+
+fn budget_exhausted() -> ! {
+    panic!("remote-shard failover: respawn budget exhausted — workers keep dying")
+}
+
 impl Controller {
     /// Sends one command to shard `shard`, recording it into the open
     /// retry unit (if failover is armed) so a crash can replay it.
@@ -134,7 +142,8 @@ impl Controller {
     /// plain call (failures panic inside, never return `Err`). For process
     /// links the unit body is recorded; on worker death the generation is
     /// restarted (respawn + checkpoint reload + log replay), the queue the
-    /// unit consumed is restored, and the unit retried from scratch. The
+    /// unit consumed is restored, and the unit retried from scratch, up to
+    /// `RESPAWN_BUDGET` times. The
     /// closure must therefore be free of external side effects — in
     /// particular it must not draw RNG, which the engine keeps outside units
     /// precisely so trajectories stay bit-identical across failovers.
@@ -147,24 +156,21 @@ impl Controller {
                 .unwrap_or_else(|_| unreachable!("in-process links never report dead workers"));
         }
         let queue = self.queue.clone();
-        loop {
+        for _ in 0..RESPAWN_BUDGET {
             if let Some(fo) = self.failover.as_mut() {
                 fo.unit = Some(LoggedUnit::default());
             }
-            match f(self) {
-                Ok(v) => {
-                    self.commit_unit();
-                    return v;
-                }
-                Err(DeadWorker) => {
-                    if let Some(fo) = self.failover.as_mut() {
-                        fo.unit = None;
-                    }
-                    self.queue = queue.clone();
-                    self.recover();
-                }
+            if let Ok(v) = f(self) {
+                self.commit_unit();
+                return v;
             }
+            if let Some(fo) = self.failover.as_mut() {
+                fo.unit = None;
+            }
+            self.queue = queue.clone();
+            self.recover();
         }
+        budget_exhausted()
     }
 
     /// Commits the open unit: mutating units enter the replay log;
@@ -188,41 +194,34 @@ impl Controller {
     /// bookkeeping, not protocol traffic the round counters should see)
     /// and clears the log, retrying through failover as needed.
     fn checkpoint_now(&mut self) {
-        loop {
-            match self.gather_raw() {
-                Ok(flat) => {
-                    let n = self.n_qubits;
-                    let f = self
-                        .failover
-                        .as_mut()
-                        .expect("checkpointing requires failover state");
-                    f.checkpoint = flat;
-                    f.ckpt_qubits = n;
-                    f.log.clear();
-                    return;
-                }
-                Err(DeadWorker) => self.recover(),
+        for _ in 0..RESPAWN_BUDGET {
+            if let Ok(flat) = self.gather_raw() {
+                let n = self.n_qubits;
+                let f = self
+                    .failover
+                    .as_mut()
+                    .expect("checkpointing requires failover state");
+                f.checkpoint = flat;
+                f.ckpt_qubits = n;
+                f.log.clear();
+                return;
             }
+            self.recover();
         }
+        budget_exhausted()
     }
 
-    /// Failover: restart the worker generation (respawn the dead, abort
-    /// the live into the new epoch), reload the checkpoint, replay the
-    /// committed log. Loops until a full generation survives the whole
-    /// sequence; panics if workers keep dying past the respawn budget.
+    /// Failover: replace the worker generation, reload the checkpoint,
+    /// replay the committed log. Loops until a generation survives the
+    /// whole sequence; panics if workers keep dying past the respawn budget.
     fn recover(&mut self) {
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            assert!(
-                attempts <= 16,
-                "remote-shard failover: respawn budget exhausted — workers keep dying during \
-                 recovery"
-            );
-            if self.lease.link_mut().reset().is_ok() && self.replay().is_ok() {
+        for _ in 0..RESPAWN_BUDGET {
+            self.lease.link_mut().reset();
+            if self.replay().is_ok() {
                 return;
             }
         }
+        budget_exhausted()
     }
 
     /// Reloads the checkpoint and replays every committed unit against the

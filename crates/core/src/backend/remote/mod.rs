@@ -17,13 +17,16 @@
 //! |---|---|---|
 //! | `TAG_CMD` | controller → worker | [`ShardCmd`] (gates, queries, lifecycle) |
 //! | `TAG_REPLY` | worker → controller | [`ShardReply`] (partial sums, stripes) |
-//! | `TAG_XCHG` | worker ↔ worker | stripe amplitudes (cross-shard pairing, reshape parts, a free's squared norms) |
+//! | `TAG_XCHG` | worker ↔ worker, direct | stripe amplitudes (cross-shard pairing, expectation partners, reshape parts) |
 //!
 //! Every command broadcast happens under one controller lock, so all
 //! workers observe the *same global command order*; each worker applies its
-//! commands sequentially from its mailbox (FIFO per sender under cmpi's
-//! non-overtaking guarantee). Together those two facts give every stripe a
-//! single consistent history without any shared memory.
+//! commands sequentially from its mailbox or socket (FIFO per sender).
+//! Together those two facts give every stripe a single consistent history
+//! without any shared memory. Exchanges go straight from worker to worker
+//! (a mailbox, or a socket per worker pair), and every one of them is
+//! ordered — one member receives before it sends — so none waits on a
+//! cycle even where a send blocks until its receiver reads.
 //!
 //! Each file owns one decision: `wire.rs` the bytes of every frame and
 //! their `WIRE_VERSION`, `worker.rs` what a worker does with a command,
@@ -121,7 +124,7 @@ mod worker;
 pub(crate) use failover::DeadWorker;
 pub use qsim::stripe::PairKernel;
 pub use store::{RemoteShardedEngine, RemoteStore};
-pub(crate) use wire::WIRE_VERSION;
+pub(crate) use wire::{decode_reply_frame, encode_reply_frame, WIRE_VERSION};
 pub use wire::{ExpectRole, ShardCmd, ShardReply, WireAmps, WorkerOp};
 pub(crate) use worker::{shard_worker, worker_loop, ShardChannel, WorkerHalt, TAG_CMD, TAG_REPLY};
 

@@ -10,8 +10,9 @@ use qsim::stripe::{ExactSum, PairKernel};
 use qsim::Complex;
 
 /// Version of the byte layout of every command, reply and exchange frame,
-/// sent as the `HELLO` body; bump it with any change to that layout.
-pub(crate) const WIRE_VERSION: u32 = 3;
+/// sent at the head of the `HELLO` body; bump it with any change to that
+/// layout.
+pub(crate) const WIRE_VERSION: u32 = 4;
 
 fn encode_complex(c: &Complex, buf: &mut BytesMut) {
     c.re.encode(buf);
@@ -193,10 +194,11 @@ pub enum WorkerOp {
         kernel: PairKernel,
     },
     /// Ship the stripe to `partner`, then take the stripe that comes back as
-    /// this one. The high member of a pair-gate or mixed-SWAP exchange runs
-    /// it, and both members of a SWAP of two shard-selecting qubits run it to
-    /// trade whole stripes (sends are buffered, so both send first and then
-    /// receive).
+    /// this one: the high member of every stripe exchange, whose low member
+    /// ([`WorkerOp::CrossLow`] or [`WorkerOp::SwapCrossLow`]) receives
+    /// first, so the two never write at once. A SWAP of two shard-selecting
+    /// qubits pairs it with a `CrossLow` of [`PairKernel::Swap`] over the
+    /// whole stripe.
     CrossHigh {
         /// World rank of the partner.
         partner: usize,
@@ -452,15 +454,15 @@ pub enum ShardCmd {
         factor: f64,
     },
     /// Execute the commands in order: a worker's queue followed by the
-    /// command that needs its reply. Holds no `Seq`; a failover abort
-    /// abandons the rest of the frame.
+    /// command that needs its reply. Holds no `Seq`.
     Seq(Vec<ShardCmd>),
     /// In-place layout change for an alloc or a free: compact the stripe
     /// locally, ship its equal parts worker↔worker on `TAG_XCHG`, and
     /// assemble the new stripe from the parts received (zero-padded to
     /// `len`). A rank equal to the worker's own (`shard_index + 1`) names a
-    /// part that stays where it is. Everyone sends before receiving and
-    /// sends are buffered, so no cycle of workers can wait on each other.
+    /// part that stays where it is. A worker trades with its peers in rank
+    /// order, the lower rank of each pair writing first, so no cycle of
+    /// workers can wait on each other.
     Reshape {
         /// Drop this within-stripe qubit first, keeping the `bool` branch
         /// ([`qsim::stripe::remove_qubit_in_place`] on the worker's own stripe).
@@ -691,6 +693,33 @@ impl Encode for ShardReply {
             }
         }
     }
+}
+
+impl ShardCmd {
+    /// How many replies executing the command sends back.
+    pub(crate) fn replies(&self) -> usize {
+        match self {
+            ShardCmd::Seq(cmds) => cmds.iter().map(ShardCmd::replies).sum(),
+            ShardCmd::Gather | ShardCmd::Branches { .. } => 1,
+            ShardCmd::Expect { role, .. } => usize::from(!matches!(role, ExpectRole::High { .. })),
+            _ => 0,
+        }
+    }
+}
+
+/// A reply as a socket worker frames it: the bytes of the exchange frames
+/// it wrote since its last reply, headers included (they cross no socket
+/// the controller reads), then the reply itself.
+pub(crate) fn encode_reply_frame(xchg_bytes: u64, reply: &ShardReply) -> Bytes {
+    let mut buf = BytesMut::new();
+    xchg_bytes.encode(&mut buf);
+    reply.encode(&mut buf);
+    buf.freeze()
+}
+
+/// The exchange byte count and reply of a [`encode_reply_frame`] body.
+pub(crate) fn decode_reply_frame(body: &Bytes) -> Option<(u64, ShardReply)> {
+    cmpi::from_bytes(body)
 }
 
 impl Decode for ShardReply {
@@ -949,15 +978,18 @@ mod tests {
                 im: sum(0.625),
             },
         ];
+        let framed = encode_reply_frame(0x0102_0304, &replies[0]);
         let ops = ops.iter().map(cmpi::to_bytes);
         let cmds = cmds.iter().map(cmpi::to_bytes);
         ops.chain(cmds)
             .chain(replies.iter().map(cmpi::to_bytes))
+            .chain([framed])
             .collect()
     }
 
     /// One encoding of every [`WorkerOp`], [`ShardCmd`] (each [`ExpectRole`]
-    /// inside an `Expect`) and [`ShardReply`] variant, as literal bytes: a
+    /// inside an `Expect`) and [`ShardReply`] variant, and of a socket
+    /// worker's reply frame, as literal bytes: a
     /// round trip cannot see a re-layout both ends share. The stripe payloads
     /// hold a zero run. A `usize` is a little-endian `u64`, an `f64` its
     /// little-endian bits, a `Vec` its length first, and an exact partial
@@ -1037,6 +1069,11 @@ mod tests {
                 "reply Expect",
                 "02000000000000000000000000d0ffffff000000000000000000000000280000\
                  00",
+            ),
+            (
+                "reply frame",
+                "0403020100000000040000000000000000000000003000000000000000000000\
+                 000000000010000000",
             ),
         ];
         let cases = golden_cases();
@@ -1300,10 +1337,38 @@ mod tests {
         assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS + 1)).is_none());
     }
 
-    /// The `HELLO` body as literal bytes: wire format 3, little-endian.
+    /// The head of the `HELLO` body as literal bytes: wire format 4,
+    /// little-endian.
     #[test]
     fn hello_body_keeps_its_golden_bytes() {
-        assert_eq!(WIRE_VERSION.to_le_bytes(), [3, 0, 0, 0]);
+        assert_eq!(WIRE_VERSION.to_le_bytes(), [4, 0, 0, 0]);
+    }
+
+    #[test]
+    fn replies_count_what_a_worker_answers() {
+        let expect = |role| ShardCmd::Expect {
+            x_lo: 0,
+            x_hi: 0,
+            z_mask: 0,
+            role,
+        };
+        assert_eq!(ShardCmd::Gather.replies(), 1);
+        assert_eq!(ShardCmd::Branches { mask: 1 }.replies(), 1);
+        assert_eq!(expect(ExpectRole::Solo).replies(), 1);
+        assert_eq!(expect(ExpectRole::Low { partner: 2 }).replies(), 1);
+        assert_eq!(expect(ExpectRole::High { partner: 1 }).replies(), 0);
+        assert_eq!(ShardCmd::Batch { ops: vec![] }.replies(), 0);
+        let seq = ShardCmd::Seq(vec![ShardCmd::Batch { ops: vec![] }, ShardCmd::Gather]);
+        assert_eq!(seq.replies(), 1);
+    }
+
+    #[test]
+    fn reply_frames_roundtrip_and_refuse_a_cut_count() {
+        let reply = ShardReply::Amps(vec![Complex::new(0.5, -0.5); 3]);
+        let bytes = encode_reply_frame(u64::MAX, &reply);
+        assert_eq!(decode_reply_frame(&bytes), Some((u64::MAX, reply)));
+        let cut = bytes.clone().split_to(7);
+        assert_eq!(decode_reply_frame(&cut), None);
     }
 
     mod proptests {

@@ -16,24 +16,17 @@ pub(crate) const TAG_REPLY: cmpi::Tag = 1;
 /// parts).
 const TAG_XCHG: cmpi::Tag = 2;
 
-/// Why a worker's event loop (or one blocking wait inside it) ends early.
+/// A worker's event loop ends early: the controller hung up, a peer is
+/// unreachable, or a watchdog expired.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub(crate) enum WorkerHalt {
-    /// The session is over: the controller hung up, a peer is unreachable,
-    /// or a watchdog expired. The worker exits its loop.
-    Exit,
-    /// A failover abort: the controller declared a new epoch mid-protocol.
-    /// The worker abandons the rest of the in-flight frame and returns to
-    /// the command loop; its (possibly half-updated) stripe is overwritten
-    /// by the recovery `Load`.
-    Aborted,
-}
+pub(crate) struct WorkerHalt;
 
 /// The transport a shard worker's event loop runs over. The in-process
 /// implementation is a cmpi mailbox ([`ThreadChannel`]); the multi-process
-/// one is a framed socket to the controller, with worker↔worker exchanges
-/// relayed through the controller's router threads
-/// (`backend::remote_transport::SockChannel`). [`worker_loop`] is generic
+/// one is a framed socket to the controller plus one direct socket to each
+/// peer worker (`backend::remote_transport::SockChannel`). A send may block
+/// until its receiver reads, so every exchange orders its writes (see
+/// [`reshape`]). [`worker_loop`] is generic
 /// over this trait, so both transports execute the identical stripe
 /// kernels in the identical order — the substance of the bit-identity
 /// guarantee across `TransportKind`s.
@@ -95,8 +88,13 @@ fn run_op<C: ShardChannel>(
 }
 
 /// Executes a [`ShardCmd::Reshape`]'s layout change against the owned
-/// stripe (`me` is this worker's world rank). Every part is sent before any
-/// is awaited.
+/// stripe (`me` is this worker's world rank; a rank appears at most once in
+/// `sends` and once in `recvs`). The peers are visited in rank order, and
+/// with each the lower rank writes its part first and then reads, the
+/// higher reads first. Every worker thus meets the transfers of a reshape
+/// in one global order (by rank pair, lower writer first), so the earliest
+/// unfinished transfer always has both of its ends at it, and a send that
+/// blocks on a full socket never waits on a cycle.
 fn reshape<C: ShardChannel>(
     chan: &mut C,
     amps: &mut Vec<Complex>,
@@ -111,28 +109,42 @@ fn reshape<C: ShardChannel>(
         stripe::remove_qubit_in_place(&mut old, pos, outcome);
     }
     let part = old.len() / sends.len().max(1);
-    let mut kept = Vec::new();
+    let mut out = Vec::with_capacity(sends.len());
     for &to in sends {
         let rest = old.split_off(part);
-        let chunk = std::mem::replace(&mut old, rest);
-        if to == me {
-            kept = chunk;
-        } else {
-            chan.send_xchg(to, chunk)?;
+        out.push((to, std::mem::replace(&mut old, rest)));
+    }
+    let mut got = vec![Vec::new(); recvs.len()];
+    let mut peers: Vec<usize> = sends.iter().chain(recvs).copied().collect();
+    peers.sort_unstable();
+    peers.dedup();
+    for peer in peers {
+        let bound = out.iter_mut().find(|(to, _)| *to == peer);
+        let mut outgoing = bound.map(|(_, p)| std::mem::take(p));
+        let incoming = recvs.iter().position(|&from| from == peer);
+        if peer == me {
+            // A part that stays is moved, not sent.
+            if let (Some(p), Some(slot)) = (outgoing, incoming) {
+                got[slot] = p;
+            }
+            continue;
+        }
+        if me < peer {
+            if let Some(p) = outgoing.take() {
+                chan.send_xchg(peer, p)?;
+            }
+        }
+        if let Some(slot) = incoming {
+            got[slot] = chan.recv_xchg(peer, "its stripe part")?;
+        }
+        if let Some(p) = outgoing {
+            chan.send_xchg(peer, p)?;
         }
     }
-    let mut new = Vec::new();
-    for &from in recvs {
-        let chunk = if from == me {
-            std::mem::take(&mut kept)
-        } else {
-            chan.recv_xchg(from, "its stripe part")?
-        };
-        if new.is_empty() {
-            new = chunk;
-        } else {
-            new.extend(chunk);
-        }
+    let mut parts = got.into_iter();
+    let mut new = parts.next().unwrap_or_default();
+    for p in parts {
+        new.extend(p);
     }
     new.resize(len, Complex::default());
     *amps = new;
@@ -148,10 +160,7 @@ pub(crate) fn worker_loop<C: ShardChannel>(chan: &mut C) {
     let mut amps: Vec<Complex> = Vec::new();
     let mut base: usize = 0;
     while let Some(cmd) = chan.recv_cmd() {
-        // An abort abandons the rest of the frame, leaving the stripe half
-        // updated; the recovery Load overwrites it before any further
-        // command can observe it.
-        if exec(chan, &mut amps, &mut base, cmd) == Err(WorkerHalt::Exit) {
+        if exec(chan, &mut amps, &mut base, cmd).is_err() {
             return;
         }
     }
@@ -232,7 +241,7 @@ fn exec<C: ShardChannel>(
             let me = rank_of(shard_index);
             reshape(chan, amps, me, compact, &sends, &recvs, len)?;
         }
-        ShardCmd::Shutdown | ShardCmd::Die => return Err(WorkerHalt::Exit),
+        ShardCmd::Shutdown | ShardCmd::Die => return Err(WorkerHalt),
     }
     Ok(())
 }

@@ -6,90 +6,121 @@
 //! mailboxes between threads. This module carries the *identical* protocol
 //! across real OS boundaries: each shard worker is a child process (the
 //! `qworker` binary) speaking length-prefixed [`cmpi::transport`] frames
-//! over a Unix domain socket or TCP loopback connection back to the
-//! controller. The controller's end, `ProcessLink`, is one of the two shapes
-//! of [`super::pool`]'s worker link; spawning, leasing and shutting worlds
-//! down is that module's business, not this one's.
+//! over Unix domain sockets or TCP loopback connections. The controller's
+//! end, `ProcessLink`, is one of the two shapes of [`super::pool`]'s worker
+//! link; spawning, leasing and shutting worlds down is that module's
+//! business, not this one's.
 //!
-//! ## Topology: one socket per worker, relayed exchanges
+//! ## Topology: a socket per worker, and one per worker pair
 //!
-//! Every worker holds exactly one connection, to the controller. The
-//! controller runs one *router thread* per worker that drains the worker's
-//! socket continuously:
+//! Every worker holds one connection to the controller, which carries
+//! `CMD` frames down and `REPLY` frames up, and one direct connection to
+//! every other worker of its world, which carries the `XCHG` frames of
+//! cross-shard pairings, expectations and reshapes. All of them are of the
+//! kind the controller listens on. No thread relays anything: the
+//! controller writes each command and reads each reply itself, on its own
+//! thread, and a stripe crosses one socket, as a message between two QMPI
+//! nodes pays one network latency.
 //!
-//! * `REPLY`/`ACK` frames become `RouterEvent`s on a channel the
-//!   controller thread consumes;
-//! * worker↔worker `XCHG` frames (cross-shard stripe pairing) are relayed
-//!   to the destination worker's socket, with the header's `peer` field
-//!   rewritten from destination to source.
+//! ## No deadlock for any payload size
 //!
-//! Because a dedicated router always reads each socket, a worker's writes
-//! always drain — and a relay write blocks only while its destination
-//! computes, never cyclically. That is the deadlock-freedom argument the
-//! mailbox transport gets from unbounded queues.
+//! No one drains a socket on anyone's behalf any more, so a write blocks
+//! once the socket buffer is full until its reader reads. Three facts keep
+//! every blocked write finite:
+//!
+//! * Every exchange is ordered. A pairing's low member receives first and
+//!   its high member sends first; an expectation's high member only sends;
+//!   a reshape walks its peers in rank order, and with each the lower rank
+//!   writes first. So every worker meets its transfers in one global order
+//!   (command order, then rank pair, lower writer first), and the earliest
+//!   unfinished transfer always has both of its ends at it.
+//! * The controller writes a round's frames to every worker before it reads
+//!   any reply, and writes the next round only once every reply is read. A
+//!   worker reads its whole frame before it runs any of it, so a write of
+//!   the controller waits at most for work the earlier rounds set off.
+//! * A reply is the last thing a frame does, so a worker blocked writing it
+//!   owes no peer anything.
 //!
 //! ## Handshake
 //!
-//! The controller binds a listener, spawns each `qworker <addr> <rank>
-//! <epoch> <watchdog_ms>` child, accepts its connection, and reads one
-//! `HELLO` frame whose `peer` field authenticates the worker's rank and
-//! whose body is its build's wire-format version: a missing or different
-//! one fails the spawn, naming both, instead of the first decode.
+//! The controller binds a listener and spawns one `qworker <addr> <rank>
+//! <watchdog_ms>` child per shard. Each worker binds a listener of the same
+//! kind (a Unix path under `TMPDIR`, or an ephemeral loopback port),
+//! connects back, and sends a `HELLO` frame whose `peer` field is its rank
+//! and whose body is its build's wire-format version, then its listener's
+//! address: a missing or different version fails the spawn, naming both,
+//! instead of the first decode. Once every worker has said HELLO, the
+//! controller sends each one the `PEERS` table of addresses; a worker
+//! connects to every lower rank (saying HELLO with its rank) and accepts
+//! every higher one, drops its listener and answers `READY`. A spawn
+//! returns when every worker is ready.
 //!
-//! ## Failover: epochs, abort, replay
+//! ## Failover: a new generation
 //!
-//! A dead worker surfaces as an `Eof` router event (its socket closed) or
-//! a reply timeout (the deadlock watchdog mapped onto a bounded event
-//! wait). *Any* worker's EOF fails the controller's current reply wait,
-//! whichever shard it was waiting on: a survivor blocked in a stripe
-//! exchange with the dead worker would otherwise hold the controller
-//! until the watchdog expired. Recovery bumps the *epoch*: the dead worker's process is killed
-//! and respawned at the new epoch, survivors receive an `ABORT` frame
-//! (which makes a worker blocked mid-exchange abandon its batch) and
-//! answer `ACK`, and every frame stamped with an older epoch is discarded
-//! by whoever reads it. The engine's controller then re-scatters its
-//! checkpoint and replays the committed command log — see
-//! `super::remote::failover`. Stale commands a survivor processed
-//! before seeing the abort are harmless: the checkpoint `Load` overwrites
-//! whole stripes.
+//! A dead worker surfaces where the controller next touches it: a failed
+//! write, EOF on a reply read, or a reply read that outlasts the watchdog
+//! (the worker is then killed: dead or deadlocked, it is replaced). Death
+//! travels between workers the same way: a survivor blocked on a dead
+//! peer's link reads EOF and exits, so the controller's read of that
+//! survivor fails at once, and detection takes milliseconds whichever
+//! worker died. Recovery replaces the whole generation: every worker
+//! process is killed and a fresh world spawned and linked, and the engine's
+//! controller re-scatters its checkpoint and replays the committed command
+//! log (see `super::remote::failover`). A survivor's stripe would be
+//! overwritten by that scatter anyway, and no survivor has links to mend.
+//! `TransportStats::respawns` counts every process replaced.
 //!
 //! ## Watchdog mapping
 //!
-//! The in-process engine's deadlock watchdog becomes, out here: a socket
-//! read timeout on worker-side exchange waits (expiry exits the process,
-//! which the controller sees as EOF), and a bounded event wait on
-//! controller-side reply waits (expiry kills and respawns the worker).
+//! The in-process engine's deadlock watchdog becomes, out here: a read and
+//! write timeout on each worker's peer links (expiry exits the process,
+//! which its peers and the controller see as EOF), and a read timeout on
+//! the controller's worker sockets (expiry kills the worker and fails
+//! over).
 
 use super::remote::{
-    rank_of, shard_of, worker_loop, DeadWorker, ShardChannel, ShardCmd, ShardReply, WireAmps,
-    WorkerHalt, WIRE_VERSION,
+    decode_reply_frame, encode_reply_frame, rank_of, shard_of, worker_loop, DeadWorker,
+    ShardChannel, ShardCmd, ShardReply, WireAmps, WorkerHalt, WIRE_VERSION,
 };
 use bytes::Bytes;
 use cmpi::transport::{
     read_frame, write_frame, FrameHeader, TransportKind, WireListener, WireStream, FRAME_OVERHEAD,
 };
 use cmpi::{from_bytes, to_bytes};
-use parking_lot::Mutex;
 use qsim::Complex;
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::io;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Frame tags multiplexing the shard protocol over one stream per worker.
+/// Frame tags multiplexing the shard protocol over each stream. 5 and 6
+/// were a retired failover abort and its acknowledgement.
 const TAG_HELLO: u8 = 1;
 const TAG_CMD: u8 = 2;
 const TAG_REPLY: u8 = 3;
 const TAG_XCHG: u8 = 4;
-const TAG_ABORT: u8 = 5;
-const TAG_ACK: u8 = 6;
+const TAG_PEERS: u8 = 7;
+const TAG_READY: u8 = 8;
 
-/// How long a spawned child gets to connect and say HELLO before the
-/// spawn is declared failed (an environmental error, not a protocol one).
+/// How long a spawned world gets to connect, say HELLO and link up before
+/// the spawn is declared failed (an environmental error, not a protocol
+/// one).
 const SPAWN_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A frame header of `tag` from `rank`.
+fn header(tag: u8, rank: usize) -> FrameHeader {
+    FrameHeader {
+        tag,
+        epoch: 0,
+        peer: rank as u32,
+    }
+}
+
+fn garbled(what: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what.to_string())
+}
 
 /// Locates the `qworker` binary: `QMPI_QWORKER_BIN` wins, then the
 /// directory of the current executable and its parent (which covers
@@ -121,268 +152,235 @@ fn qworker_bin() -> io::Result<PathBuf> {
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// The worker-process end of the transport: one framed socket to the
-/// controller, implementing [`ShardChannel`] for the shared
-/// [`worker_loop`]. Exchange frames from out-of-order partners and
-/// commands that arrive while awaiting an exchange are buffered; frames
-/// from an older epoch are discarded.
+/// The worker-process end of the transport, implementing [`ShardChannel`]
+/// for the shared [`worker_loop`]: commands and replies on the controller's
+/// socket, exchanges on the direct link to the partner.
 struct SockChannel {
-    stream: WireStream,
+    ctl: WireStream,
+    /// The links to the other workers, by world rank (`None` at the
+    /// controller's rank and this worker's own).
+    peers: Vec<Option<WireStream>>,
     rank: usize,
-    epoch: u32,
-    watchdog_ms: u64,
-    pending_cmds: VecDeque<ShardCmd>,
-    pending_xchg: Vec<(usize, Vec<Complex>)>,
+    /// The read and write timeout of every peer link.
+    watchdog: Duration,
+    /// Bytes of the exchange frames written since the last reply.
+    xchg_bytes: u64,
 }
 
 impl SockChannel {
-    fn new(stream: WireStream, rank: usize, epoch: u32, watchdog_ms: u64) -> Self {
-        SockChannel {
-            stream,
-            rank,
-            epoch,
-            watchdog_ms,
-            pending_cmds: VecDeque::new(),
-            pending_xchg: Vec::new(),
+    fn peer(&mut self, rank: usize) -> Result<&mut WireStream, WorkerHalt> {
+        self.peers
+            .get_mut(rank)
+            .and_then(Option::as_mut)
+            .ok_or(WorkerHalt)
+    }
+
+    /// Why a link to `partner` failed, as a halt. The watchdog mapped onto
+    /// the link expired: diagnose (`what` names the stripe, `dir` the way
+    /// it goes), then halt; the controller and the peers see EOF and fail
+    /// over. Anything else (EOF: the partner died, or the world is shutting
+    /// down) halts quietly.
+    fn halt(&self, e: io::Error, what: &str, dir: &str, partner: usize) -> WorkerHalt {
+        if matches!(
+            e.kind(),
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ) {
+            eprintln!(
+                "remote-shard watchdog: worker {} waited {:?} for {what} {dir} partner \
+                 {partner}; the partner is presumed dead or deadlocked",
+                self.rank, self.watchdog
+            );
         }
-    }
-
-    /// Enters the `epoch` the abort announces: drop everything buffered
-    /// from the old generation and acknowledge.
-    fn handle_abort(&mut self, epoch: u32) {
-        self.epoch = epoch;
-        self.pending_cmds.clear();
-        self.pending_xchg.clear();
-        let _ = self.send(TAG_ACK, self.rank, &[]);
-    }
-
-    /// Writes one frame of this epoch; `peer` is this worker's rank, or the
-    /// rank an exchange is for.
-    fn send(&mut self, tag: u8, peer: usize, body: &[u8]) -> Result<(), WorkerHalt> {
-        let hdr = FrameHeader {
-            tag,
-            epoch: self.epoch,
-            peer: peer as u32,
-        };
-        write_frame(&mut self.stream, &hdr, body).map_err(|_| WorkerHalt::Exit)?;
-        Ok(())
-    }
-
-    /// Takes the exchange `partner` sent, if it has come.
-    fn take_xchg(&mut self, partner: usize) -> Option<Vec<Complex>> {
-        let i = self.pending_xchg.iter().position(|(p, _)| *p == partner)?;
-        Some(self.pending_xchg.remove(i).1)
-    }
-
-    /// Reads one frame: drops it if stale, buffers a command or an exchange
-    /// (the controller pipelines rounds, so commands for later ops can
-    /// overtake a relayed exchange), and enters the epoch an abort
-    /// announces. `Ok(true)` for an abort; `Err` when the read fails or a
-    /// frame does not decode.
-    fn pump(&mut self) -> io::Result<bool> {
-        let (hdr, body) = read_frame(&mut self.stream)?;
-        let garbled = || io::Error::from(io::ErrorKind::InvalidData);
-        if hdr.epoch < self.epoch {
-            return Ok(false);
-        }
-        match hdr.tag {
-            TAG_CMD => {
-                let cmd = from_bytes::<ShardCmd>(&Bytes::from(body)).ok_or_else(garbled)?;
-                self.pending_cmds.push_back(cmd);
-            }
-            TAG_XCHG => {
-                let w = from_bytes::<WireAmps>(&Bytes::from(body)).ok_or_else(garbled)?;
-                self.pending_xchg.push((hdr.peer as usize, w.0));
-            }
-            TAG_ABORT => {
-                self.handle_abort(hdr.epoch);
-                return Ok(true);
-            }
-            _ => {}
-        }
-        Ok(false)
+        WorkerHalt
     }
 }
 
 impl ShardChannel for SockChannel {
     fn recv_cmd(&mut self) -> Option<ShardCmd> {
-        if self.pending_cmds.is_empty() {
-            let _ = self.stream.set_read_timeout(None);
-        }
-        while self.pending_cmds.is_empty() {
-            self.pump().ok()?;
-        }
-        self.pending_cmds.pop_front()
+        let (hdr, body) = read_frame(&mut self.ctl).ok()?;
+        (hdr.tag == TAG_CMD).then_some(())?;
+        from_bytes(&Bytes::from(body))
     }
 
     fn send_reply(&mut self, reply: &ShardReply) -> Result<(), WorkerHalt> {
-        self.send(TAG_REPLY, self.rank, &to_bytes(reply))
+        let body = encode_reply_frame(std::mem::take(&mut self.xchg_bytes), reply);
+        let hdr = header(TAG_REPLY, self.rank);
+        write_frame(&mut self.ctl, &hdr, body.as_slice()).map_err(|_| WorkerHalt)?;
+        Ok(())
     }
 
     fn send_xchg(&mut self, partner: usize, amps: Vec<Complex>) -> Result<(), WorkerHalt> {
-        self.send(TAG_XCHG, partner, &to_bytes(&WireAmps(amps)))
+        let hdr = header(TAG_XCHG, self.rank);
+        let body = to_bytes(&WireAmps(amps));
+        match write_frame(self.peer(partner)?, &hdr, body.as_slice()) {
+            Ok(n) => {
+                self.xchg_bytes += n as u64;
+                Ok(())
+            }
+            Err(e) => Err(self.halt(e, "its stripe", "to reach", partner)),
+        }
     }
 
     fn recv_xchg(&mut self, partner: usize, what: &str) -> Result<Vec<Complex>, WorkerHalt> {
-        if let Some(amps) = self.take_xchg(partner) {
-            return Ok(amps);
+        match read_frame(self.peer(partner)?) {
+            Ok((hdr, body)) if hdr.tag == TAG_XCHG => from_bytes::<WireAmps>(&Bytes::from(body))
+                .map(|w| w.0)
+                .ok_or(WorkerHalt),
+            Ok(_) => Err(WorkerHalt),
+            Err(e) => Err(self.halt(e, what, "from", partner)),
         }
-        let wd = Duration::from_millis(self.watchdog_ms.max(1));
-        let _ = self.stream.set_read_timeout(Some(wd));
-        let result = loop {
-            match self.pump() {
-                Ok(true) => break Err(WorkerHalt::Aborted),
-                Ok(false) => {
-                    if let Some(amps) = self.take_xchg(partner) {
-                        break Ok(amps);
-                    }
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    // The watchdog mapped onto the socket: diagnose and die;
-                    // the controller sees EOF and fails over.
-                    eprintln!(
-                        "remote-shard watchdog: worker {} waited {wd:?} for {what} from \
-                         partner {partner}; the partner is presumed dead or deadlocked",
-                        self.rank
-                    );
-                    break Err(WorkerHalt::Exit);
-                }
-                Err(_) => break Err(WorkerHalt::Exit),
-            }
-        };
-        let _ = self.stream.set_read_timeout(None);
-        result
     }
 }
 
-/// Entry point of the `qworker` binary: connect back to the controller,
-/// authenticate with a HELLO frame, run the shard event loop until the
+/// Entry point of the `qworker` binary: join the controller's world (see
+/// the module docs' handshake), then run the shard event loop until the
 /// controller hangs up or shuts the worker down.
 ///
 /// Invocation (by `ProcessLink`, not humans):
-/// `qworker <addr> <rank> <epoch> <watchdog_ms>`; a malformed one prints
-/// the usage line and exits 2.
+/// `qworker <addr> <rank> <watchdog_ms>`; a malformed one prints the usage
+/// line and exits 2, and a world it cannot join exits 1.
 pub fn qworker_main() {
     let args: Vec<String> = std::env::args().collect();
-    let (addr, rank, epoch, watchdog_ms) = parse_worker_args(&args).unwrap_or_else(|why| {
+    let (addr, rank, watchdog_ms) = parse_worker_args(&args).unwrap_or_else(|why| {
         eprintln!("qworker: {why}");
-        eprintln!("usage: qworker <addr> <rank> <epoch> <watchdog_ms>");
+        eprintln!("usage: qworker <addr> <rank> <watchdog_ms>");
         std::process::exit(2);
     });
-    let mut stream = WireStream::connect(addr).unwrap_or_else(|e| {
-        eprintln!("qworker: cannot connect to controller at {addr}: {e}");
+    let mut chan = join_world(addr, rank, watchdog_ms).unwrap_or_else(|e| {
+        eprintln!("qworker {rank}: cannot join the worker world at {addr}: {e}");
         std::process::exit(1);
     });
-    let hello = FrameHeader {
-        tag: TAG_HELLO,
-        epoch,
-        peer: rank as u32,
-    };
-    if write_frame(&mut stream, &hello, &WIRE_VERSION.to_le_bytes()).is_err() {
-        std::process::exit(1);
-    }
-    let mut chan = SockChannel::new(stream, rank, epoch, watchdog_ms);
     worker_loop(&mut chan);
 }
 
-/// The address, rank, epoch and watchdog milliseconds of a `qworker`
-/// command line (`args[0]` is the program), or why it is malformed.
-fn parse_worker_args(args: &[String]) -> Result<(&str, usize, u32, u64), String> {
+/// The address, rank and watchdog milliseconds of a `qworker` command line
+/// (`args[0]` is the program), or why it is malformed.
+fn parse_worker_args(args: &[String]) -> Result<(&str, usize, u64), String> {
     fn field<T: std::str::FromStr>(what: &str, value: &str) -> Result<T, String> {
         value
             .parse()
             .map_err(|_| format!("{what} must be a non-negative integer, got {value:?}"))
     }
-    let [_, addr, rank, epoch, watchdog_ms] = args else {
+    let [_, addr, rank, watchdog_ms] = args else {
         return Err(format!(
-            "expected 4 arguments, got {}",
+            "expected 3 arguments, got {}",
             args.len().saturating_sub(1)
         ));
     };
     Ok((
         addr,
         field("rank", rank)?,
-        field("epoch", epoch)?,
         field("watchdog_ms", watchdog_ms)?,
     ))
+}
+
+/// The worker's half of the handshake: listen, say HELLO to the controller
+/// at `addr`, link to every peer of the `PEERS` table that comes back
+/// (connect to the lower ranks, accept the higher), answer `READY`.
+fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChannel> {
+    let kind = TransportKind::of_addr(addr).ok_or_else(|| garbled("no transport address"))?;
+    let listener = WireListener::bind(kind)?;
+    let mut ctl = WireStream::connect(addr)?;
+    let mut hello = WIRE_VERSION.to_le_bytes().to_vec();
+    hello.extend_from_slice(listener.addr()?.as_bytes());
+    write_frame(&mut ctl, &header(TAG_HELLO, rank), &hello)?;
+    let (hdr, table) = read_frame(&mut ctl)?;
+    let addrs: Vec<String> = (hdr.tag == TAG_PEERS)
+        .then(|| from_bytes(&Bytes::from(table)))
+        .flatten()
+        .ok_or_else(|| garbled("expected the PEERS table"))?;
+    let workers = addrs.len();
+    let mut peers: Vec<Option<WireStream>> = (0..=workers).map(|_| None).collect();
+    for (s, peer_addr) in addrs.iter().enumerate() {
+        if rank_of(s) < rank {
+            let mut link = WireStream::connect(peer_addr)?;
+            write_frame(&mut link, &header(TAG_HELLO, rank), &[])?;
+            peers[rank_of(s)] = Some(link);
+        }
+    }
+    // One connection from each higher rank, `rank + 1 ..= workers`.
+    for _ in rank..workers {
+        let mut link = listener.accept_timeout(SPAWN_TIMEOUT)?;
+        link.set_read_timeout(Some(SPAWN_TIMEOUT))?;
+        let (hdr, _) = read_frame(&mut link)?;
+        let from = hdr.peer as usize;
+        if hdr.tag != TAG_HELLO || from <= rank || from > workers || peers[from].is_some() {
+            return Err(garbled("a peer link without a HELLO from a higher rank"));
+        }
+        peers[from] = Some(link);
+    }
+    // Gone before READY: a worker killed once its world is up leaves no
+    // socket file behind.
+    drop(listener);
+    let watchdog = Duration::from_millis(watchdog_ms.max(1));
+    for link in peers.iter().flatten() {
+        link.set_read_timeout(Some(watchdog))?;
+        link.set_write_timeout(Some(watchdog))?;
+    }
+    write_frame(&mut ctl, &header(TAG_READY, rank), &[])?;
+    Ok(SockChannel {
+        ctl,
+        peers,
+        rank,
+        watchdog,
+        xchg_bytes: 0,
+    })
 }
 
 // ---------------------------------------------------------------------------
 // Controller side
 // ---------------------------------------------------------------------------
 
-/// Checks the `HELLO` of the worker spawned as `rank`: its tag, its rank,
-/// and this build's [`WIRE_VERSION`] as its body.
-fn check_hello(rank: usize, hello: &FrameHeader, body: &[u8]) -> io::Result<()> {
-    let version = <[u8; 4]>::try_from(body).ok().map(u32::from_le_bytes);
-    if hello.tag == TAG_HELLO && hello.peer as usize == rank && version == Some(WIRE_VERSION) {
-        return Ok(());
+/// Checks the `HELLO` of a worker of a `shards`-worker world: its tag, a
+/// rank in the world, and this build's [`WIRE_VERSION`] at the head of its
+/// body. Returns the worker's shard and the listener address the body goes
+/// on with.
+fn check_hello(shards: usize, hello: &FrameHeader, body: &[u8]) -> io::Result<(usize, String)> {
+    let version = body.first_chunk::<4>().map(|v| u32::from_le_bytes(*v));
+    let shard = shard_of(hello.peer as usize).filter(|&s| s < shards);
+    if let (TAG_HELLO, Some(shard), Some(WIRE_VERSION)) = (hello.tag, shard, version) {
+        let addr = std::str::from_utf8(&body[4..]).ok();
+        return addr
+            .filter(|a| TransportKind::of_addr(a).is_some())
+            .map(|a| (shard, a.to_string()))
+            .ok_or_else(|| garbled("worker handshake: HELLO without a listener address"));
     }
     let theirs = version.map_or("none".into(), |v| v.to_string());
     let why = format!(
-        "worker handshake: expected HELLO from rank {rank} at wire format {WIRE_VERSION}, \
-         got tag {} peer {} at wire format {theirs}",
+        "worker handshake: expected HELLO from a rank in 1..={shards} at wire format \
+         {WIRE_VERSION}, got tag {} peer {} at wire format {theirs}",
         hello.tag, hello.peer
     );
     Err(io::Error::new(io::ErrorKind::InvalidData, why))
 }
 
-/// What a worker's router thread feeds the controller.
-enum RouterEvent {
-    /// A decoded reply frame (epoch-stamped; stale ones are discarded).
-    Reply {
-        from: usize,
-        epoch: u32,
-        reply: ShardReply,
-    },
-    /// The worker acknowledged an abort into `epoch`.
-    Ack { from: usize, epoch: u32 },
-    /// The worker's socket closed (or sent garbage): it is dead.
-    /// `router_id` guards against a stale router of an already-respawned
-    /// worker condemning its successor.
-    Eof { from: usize, router_id: u64 },
-}
-
-struct WorkerSlot {
-    child: Child,
-    /// Identity of the router generation currently reading this worker.
-    router_id: u64,
-}
-
-/// The controller's half of the multi-process transport: child processes,
-/// their shared writers (command path + relay path), router threads, and
-/// the failover bookkeeping (epoch, dead set, respawn count).
+/// The controller's half of the multi-process transport: one generation of
+/// child processes, the controller's socket to each, and the failover
+/// bookkeeping.
 pub(crate) struct ProcessLink {
     listener: WireListener,
     addr: String,
     bin: PathBuf,
     shards: usize,
-    epoch: u32,
     watchdog: Arc<AtomicU64>,
-    /// Write halves, indexed by shard. Stable `Arc` so router threads can
-    /// relay into them across respawns (the `Option` is replaced, not the
-    /// slot). `None` = currently no live connection.
-    writers: Arc<Vec<Mutex<Option<WireStream>>>>,
-    slots: Vec<WorkerSlot>,
-    events_tx: mpsc::Sender<RouterEvent>,
-    events_rx: mpsc::Receiver<RouterEvent>,
-    next_router_id: u64,
-    dead: HashSet<usize>,
-    /// Current-epoch replies that arrived while awaiting another shard's.
-    pending: HashMap<usize, VecDeque<ShardReply>>,
+    /// The current generation's processes and sockets, by shard.
+    children: Vec<Child>,
+    streams: Vec<WireStream>,
+    /// The read timeout the sockets carry (the watchdog when it was set).
+    read_timeout: Duration,
+    /// Replies owed for the commands sent and not yet read.
+    owed: usize,
+    /// A write, read or reply wait failed: the generation is spent, and
+    /// nothing is sent to it until it is replaced.
+    broken: bool,
     respawns: u64,
-    wire_bytes: Arc<AtomicU64>,
+    wire_bytes: u64,
 }
 
 impl ProcessLink {
-    /// Binds the listener and spawns `shards` worker processes, each
-    /// connected and authenticated. `watchdog` (milliseconds) is passed to
-    /// every worker at spawn time.
+    /// Binds the listener and spawns a world of `shards` worker processes,
+    /// linked to each other and authenticated. `watchdog` (milliseconds) is
+    /// passed to every worker at spawn time.
     pub(crate) fn spawn(
         kind: TransportKind,
         shards: usize,
@@ -390,33 +388,21 @@ impl ProcessLink {
     ) -> io::Result<ProcessLink> {
         let listener = WireListener::bind(kind)?;
         let addr = listener.addr()?;
-        let bin = qworker_bin()?;
-        let (events_tx, events_rx) = mpsc::channel();
-        let writers = Arc::new(
-            (0..shards)
-                .map(|_| Mutex::new(None))
-                .collect::<Vec<Mutex<Option<WireStream>>>>(),
-        );
         let mut link = ProcessLink {
             listener,
             addr,
-            bin,
+            bin: qworker_bin()?,
             shards,
-            epoch: 0,
             watchdog,
-            writers,
-            slots: Vec::with_capacity(shards),
-            events_tx,
-            events_rx,
-            next_router_id: 0,
-            dead: HashSet::new(),
-            pending: HashMap::new(),
+            children: Vec::with_capacity(shards),
+            streams: Vec::with_capacity(shards),
+            read_timeout: Duration::ZERO,
+            owed: 0,
+            broken: false,
             respawns: 0,
-            wire_bytes: Arc::new(AtomicU64::new(0)),
+            wire_bytes: 0,
         };
-        for s in 0..shards {
-            link.spawn_worker(s)?;
-        }
+        link.spawn_generation()?;
         Ok(link)
     }
 
@@ -425,13 +411,14 @@ impl ProcessLink {
         self.shards
     }
 
-    /// Total bytes put on the wire so far (frames in both directions,
-    /// including relayed exchanges).
+    /// Bytes of the protocol's frames so far, each counted once on the
+    /// socket it crossed: the commands the controller wrote, the replies it
+    /// read, and the exchanges the workers report in their replies.
     pub(crate) fn wire_bytes(&self) -> u64 {
-        self.wire_bytes.load(Ordering::Relaxed)
+        self.wire_bytes
     }
 
-    /// Worker processes respawned by failover so far.
+    /// Worker processes replaced by failover so far.
     pub(crate) fn respawns(&self) -> u64 {
         self.respawns
     }
@@ -442,282 +429,202 @@ impl ProcessLink {
         &self.watchdog
     }
 
-    /// Spawns (or respawns) shard `shard`'s worker process: launch the
-    /// child at the current epoch, accept its connection, verify its
-    /// HELLO, start its router.
-    fn spawn_worker(&mut self, shard: usize) -> io::Result<()> {
-        let rank = rank_of(shard);
-        let child = Command::new(&self.bin)
-            .arg(&self.addr)
-            .arg(rank.to_string())
-            .arg(self.epoch.to_string())
-            .arg(self.watchdog.load(Ordering::Relaxed).to_string())
-            .stdin(Stdio::null())
-            .spawn()
-            .map_err(|e| {
-                io::Error::new(e.kind(), format!("cannot run {}: {e}", self.bin.display()))
-            })?;
-        let stream = self.listener.accept_timeout(SPAWN_TIMEOUT)?;
-        stream.set_read_timeout(Some(SPAWN_TIMEOUT))?;
-        let mut reader = stream.try_clone()?;
-        let (hello, body) = read_frame(&mut reader)?;
-        check_hello(rank, &hello, &body)?;
-        stream.set_read_timeout(None)?;
-        *self.writers[shard].lock() = Some(stream);
-        let router_id = self.next_router_id;
-        self.next_router_id += 1;
-        let slot = WorkerSlot { child, router_id };
-        if shard < self.slots.len() {
-            self.slots[shard] = slot;
-        } else {
-            self.slots.push(slot);
+    /// Spawns one worker process per shard and links them into a world
+    /// (see the module docs' handshake). A failure leaves the link broken,
+    /// its processes to be killed.
+    fn spawn_generation(&mut self) -> io::Result<()> {
+        let result = self.link_up();
+        self.broken = result.is_err();
+        result
+    }
+
+    fn link_up(&mut self) -> io::Result<()> {
+        let watchdog_ms = self.watchdog.load(Ordering::Relaxed);
+        for s in 0..self.shards {
+            let child = Command::new(&self.bin)
+                .arg(&self.addr)
+                .arg(rank_of(s).to_string())
+                .arg(watchdog_ms.to_string())
+                .stdin(Stdio::null())
+                .spawn()
+                .map_err(|e| {
+                    io::Error::new(e.kind(), format!("cannot run {}: {e}", self.bin.display()))
+                })?;
+            self.children.push(child);
         }
-        self.spawn_router(shard, reader, router_id);
+        let mut streams: Vec<Option<WireStream>> = (0..self.shards).map(|_| None).collect();
+        let mut addrs = vec![String::new(); self.shards];
+        for _ in 0..self.shards {
+            let mut stream = self.accept_worker()?;
+            stream.set_read_timeout(Some(SPAWN_TIMEOUT))?;
+            let (hello, body) = read_frame(&mut stream)?;
+            let (s, addr) = check_hello(self.shards, &hello, &body)?;
+            if streams[s].is_some() {
+                return Err(garbled("worker handshake: two workers of one rank"));
+            }
+            (streams[s], addrs[s]) = (Some(stream), addr);
+        }
+        let mut streams: Vec<WireStream> = streams.into_iter().flatten().collect();
+        let table = to_bytes(&addrs);
+        for stream in &mut streams {
+            write_frame(stream, &header(TAG_PEERS, 0), table.as_slice())?;
+        }
+        for stream in &mut streams {
+            if read_frame(stream)?.0.tag != TAG_READY {
+                return Err(garbled("worker handshake: expected READY"));
+            }
+        }
+        self.read_timeout = Duration::from_millis(watchdog_ms.max(1));
+        for stream in &streams {
+            stream.set_read_timeout(Some(self.read_timeout))?;
+        }
+        self.streams = streams;
         Ok(())
     }
 
-    /// Starts the router thread that drains worker `shard`'s socket:
-    /// replies and acks become events, exchange frames are relayed to
-    /// their destination worker with `peer` rewritten to name the source.
-    fn spawn_router(&self, shard: usize, mut reader: WireStream, router_id: u64) {
-        let writers = Arc::clone(&self.writers);
-        let events = self.events_tx.clone();
-        let bytes = Arc::clone(&self.wire_bytes);
-        let from_rank = rank_of(shard) as u32;
-        std::thread::spawn(move || loop {
-            match read_frame(&mut reader) {
-                Ok((hdr, body)) => {
-                    bytes.fetch_add((FRAME_OVERHEAD + body.len()) as u64, Ordering::Relaxed);
-                    match hdr.tag {
-                        TAG_REPLY => match from_bytes::<ShardReply>(&Bytes::from(body)) {
-                            Some(reply) => {
-                                let _ = events.send(RouterEvent::Reply {
-                                    from: shard,
-                                    epoch: hdr.epoch,
-                                    reply,
-                                });
-                            }
-                            None => {
-                                // A worker speaking garbage is as dead as
-                                // one speaking nothing.
-                                let _ = events.send(RouterEvent::Eof {
-                                    from: shard,
-                                    router_id,
-                                });
-                                return;
-                            }
-                        },
-                        TAG_XCHG => {
-                            let dest = shard_of(hdr.peer as usize);
-                            if let Some(slot) = dest.and_then(|d| writers.get(d)) {
-                                let mut guard = slot.lock();
-                                if let Some(stream) = guard.as_mut() {
-                                    let out = FrameHeader {
-                                        tag: TAG_XCHG,
-                                        epoch: hdr.epoch,
-                                        peer: from_rank,
-                                    };
-                                    // A failed relay means the destination
-                                    // died; its own EOF surfaces that.
-                                    if let Ok(n) = write_frame(stream, &out, &body) {
-                                        bytes.fetch_add(n as u64, Ordering::Relaxed);
-                                    }
-                                }
-                            }
+    /// The next worker connection, failing early when a child exits before
+    /// it connects (a `qworker` of another build exits at its usage line).
+    fn accept_worker(&mut self) -> io::Result<WireStream> {
+        let deadline = Instant::now() + SPAWN_TIMEOUT;
+        loop {
+            match self.listener.accept_timeout(Duration::from_millis(50)) {
+                Err(e) if e.kind() == io::ErrorKind::TimedOut && Instant::now() < deadline => {
+                    for (s, child) in self.children.iter_mut().enumerate() {
+                        if let Ok(Some(status)) = child.try_wait() {
+                            let why = format!("the worker of shard {s} exited at spawn: {status}");
+                            return Err(io::Error::other(why));
                         }
-                        TAG_ACK => {
-                            let _ = events.send(RouterEvent::Ack {
-                                from: shard,
-                                epoch: hdr.epoch,
-                            });
-                        }
-                        _ => {}
                     }
                 }
-                Err(_) => {
-                    let _ = events.send(RouterEvent::Eof {
-                        from: shard,
-                        router_id,
-                    });
-                    return;
-                }
+                accepted => return accepted,
             }
-        });
+        }
     }
 
-    /// Writes one frame to shard `shard`'s socket, accounting its bytes.
-    fn write_to(&mut self, shard: usize, tag: u8, body: &[u8]) -> Result<(), DeadWorker> {
-        if self.dead.contains(&shard) {
-            return Err(DeadWorker);
+    /// Kills every process of the current generation and closes its sockets.
+    fn end_generation(&mut self) {
+        for stream in self.streams.drain(..) {
+            stream.shutdown();
         }
-        let hdr = FrameHeader {
-            tag,
-            epoch: self.epoch,
-            peer: 0,
-        };
-        let mut guard = self.writers[shard].lock();
-        let Some(stream) = guard.as_mut() else {
-            drop(guard);
-            self.dead.insert(shard);
-            return Err(DeadWorker);
-        };
-        match write_frame(stream, &hdr, body) {
-            Ok(n) => {
-                drop(guard);
-                self.wire_bytes.fetch_add(n as u64, Ordering::Relaxed);
-                Ok(())
-            }
-            Err(_) => {
-                *guard = None;
-                drop(guard);
-                self.dead.insert(shard);
-                Err(DeadWorker)
-            }
+        for mut child in self.children.drain(..) {
+            let _ = child.kill();
+            let _ = child.wait();
         }
+    }
+
+    /// Marks the generation spent.
+    fn fail<T>(&mut self) -> Result<T, DeadWorker> {
+        self.broken = true;
+        Err(DeadWorker)
     }
 
     /// Sends one protocol command to shard `shard`.
     pub(crate) fn send_cmd(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
-        self.write_to(shard, TAG_CMD, &to_bytes(cmd))
-    }
-
-    /// The next router event before `deadline`, or `None` once it passes.
-    /// The EOF of a worker's current router (a stale router of an
-    /// already-respawned worker condemns nobody) marks the worker dead and
-    /// comes back as `Err`.
-    fn next_event(&mut self, deadline: Instant) -> Option<Result<RouterEvent, DeadWorker>> {
-        loop {
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
+        if self.broken {
+            return Err(DeadWorker);
+        }
+        let body = to_bytes(cmd);
+        match write_frame(
+            &mut self.streams[shard],
+            &header(TAG_CMD, 0),
+            body.as_slice(),
+        ) {
+            Ok(n) => {
+                self.wire_bytes += n as u64;
+                self.owed += cmd.replies();
+                Ok(())
             }
-            match self.events_rx.recv_timeout(deadline - now) {
-                Ok(RouterEvent::Eof { from, router_id })
-                    if router_id == self.slots[from].router_id =>
-                {
-                    *self.writers[from].lock() = None;
-                    self.dead.insert(from);
-                    return Some(Err(DeadWorker));
-                }
-                Ok(event) => return Some(Ok(event)),
-                Err(mpsc::RecvTimeoutError::Timeout) => {}
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    unreachable!("the link holds an event sender")
-                }
-            }
+            Err(_) => self.fail(),
         }
     }
 
-    /// Awaits shard `shard`'s next current-epoch reply, up to `wd`, failing
-    /// at once while any worker is known dead, and on *any* worker's EOF:
-    /// the awaited shard may be blocked in a stripe exchange with the dead
-    /// one, so its reply would arrive only at watchdog expiry. Expiry means
-    /// the worker is dead *or* deadlocked — either way it is killed and
-    /// reported dead, and failover respawns it.
+    /// Reads shard `shard`'s next reply from its socket, waiting up to `wd`
+    /// for each read. Expiry means the worker is dead *or* deadlocked —
+    /// either way it is killed, and the generation is spent.
     pub(crate) fn reply_from(
         &mut self,
         shard: usize,
         wd: Duration,
     ) -> Result<ShardReply, DeadWorker> {
-        if !self.dead.is_empty() {
+        if self.broken {
             return Err(DeadWorker);
         }
-        if let Some(r) = self.pending.get_mut(&shard).and_then(|q| q.pop_front()) {
-            return Ok(r);
-        }
-        let deadline = Instant::now() + wd;
-        while let Some(event) = self.next_event(deadline) {
-            match event? {
-                RouterEvent::Reply { from, epoch, reply } if epoch == self.epoch => {
-                    if from == shard {
-                        return Ok(reply);
-                    }
-                    self.pending.entry(from).or_default().push_back(reply);
-                }
-                // Stale replies, stale EOFs, out-of-protocol acks.
-                _ => {}
+        let wd = wd.max(Duration::from_millis(1));
+        if wd != self.read_timeout {
+            for stream in &self.streams {
+                let _ = stream.set_read_timeout(Some(wd));
             }
+            self.read_timeout = wd;
         }
-        let _ = self.slots[shard].child.kill();
-        self.dead.insert(shard);
-        Err(DeadWorker)
+        match read_frame(&mut self.streams[shard]) {
+            Ok((hdr, body)) if hdr.tag == TAG_REPLY => {
+                let frame = (FRAME_OVERHEAD + body.len()) as u64;
+                let Some((xchg_bytes, reply)) = decode_reply_frame(&Bytes::from(body)) else {
+                    return self.fail();
+                };
+                self.wire_bytes += frame + xchg_bytes;
+                self.owed = self.owed.saturating_sub(1);
+                Ok(reply)
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                let _ = self.children[shard].kill();
+                self.fail()
+            }
+            // EOF, a reset, or a worker speaking garbage: as dead as silent.
+            _ => self.fail(),
+        }
     }
 
-    /// Restarts the worker generation after deaths: bump the epoch, kill
-    /// and respawn every dead worker at it, abort the survivors into it
-    /// and collect their acks. `Err` means further workers died during the
-    /// restart; the caller loops (with a budget).
-    pub(crate) fn restart_generation(&mut self, wd: Duration) -> Result<(), DeadWorker> {
-        self.epoch += 1;
-        self.pending.clear();
-        let dead: Vec<usize> = self.dead.drain().collect();
-        for &s in &dead {
-            // A "dead" entry may be a live-but-deadlocked process (reply
-            // timeout); make it properly dead before replacing it.
-            let _ = self.slots[s].child.kill();
-            let _ = self.slots[s].child.wait();
-            if let Some(stale) = self.writers[s].lock().take() {
-                stale.shutdown();
-            }
+    /// Readies the world for its next user: a generation that is spent,
+    /// or that still owes replies its last user left unread, is replaced
+    /// whole (see the module docs' failover).
+    pub(crate) fn reset(&mut self) {
+        if !self.broken && self.owed == 0 {
+            return;
         }
-        for &s in &dead {
-            self.spawn_worker(s).unwrap_or_else(|e| {
-                panic!("remote-shard failover: cannot respawn shard {s}'s worker: {e}")
-            });
-            self.respawns += 1;
-        }
-        let live: Vec<usize> = (0..self.shards).filter(|s| !dead.contains(s)).collect();
-        for &s in &live {
-            if self.write_to(s, TAG_ABORT, &[]).is_err() {
-                return Err(DeadWorker);
-            }
-        }
-        let mut acked: HashSet<usize> = HashSet::new();
-        let deadline = Instant::now() + wd;
-        while acked.len() < live.len() {
-            let Some(event) = self.next_event(deadline) else {
-                for &s in live.iter().filter(|s| !acked.contains(s)) {
-                    let _ = self.slots[s].child.kill();
-                    self.dead.insert(s);
-                }
-                return Err(DeadWorker);
-            };
-            if let RouterEvent::Ack { from, epoch } = event? {
-                if epoch == self.epoch {
-                    acked.insert(from);
-                }
-            }
-        }
-        Ok(())
+        self.end_generation();
+        self.owed = 0;
+        self.spawn_generation().unwrap_or_else(|e| {
+            panic!("remote-shard failover: cannot respawn the worker processes: {e}")
+        });
+        self.respawns += self.shards as u64;
     }
 
     /// SIGKILLs shard `shard`'s worker process (test hook for failover).
     pub(crate) fn kill_child(&mut self, shard: usize) {
-        let _ = self.slots[shard].child.kill();
+        let _ = self.children[shard].kill();
     }
 }
 
 impl Drop for ProcessLink {
     fn drop(&mut self) {
-        // Best-effort clean shutdown, then close every connection (which
-        // unblocks any worker still reading) and reap the children.
-        for s in 0..self.shards {
-            let _ = self.write_to(s, TAG_CMD, &to_bytes(&ShardCmd::Shutdown));
-        }
-        for w in self.writers.iter() {
-            if let Some(stream) = w.lock().take() {
-                stream.shutdown();
+        // Best-effort clean shutdown of a sound generation, then close every
+        // connection (which unblocks any worker still reading) and reap the
+        // children.
+        if !self.broken {
+            let body = to_bytes(&ShardCmd::Shutdown);
+            for stream in &mut self.streams {
+                let _ = write_frame(stream, &header(TAG_CMD, 0), body.as_slice());
             }
         }
-        for slot in &mut self.slots {
-            let deadline = Instant::now() + Duration::from_secs(5);
+        for stream in &self.streams {
+            stream.shutdown();
+        }
+        let grace = if self.broken { 0 } else { 5 };
+        let deadline = Instant::now() + Duration::from_secs(grace);
+        for child in &mut self.children {
             loop {
-                match slot.child.try_wait() {
+                match child.try_wait() {
                     Ok(Some(_)) | Err(_) => break,
                     Ok(None) => {
                         if Instant::now() >= deadline {
-                            let _ = slot.child.kill();
-                            let _ = slot.child.wait();
+                            let _ = child.kill();
+                            let _ = child.wait();
                             break;
                         }
                         std::thread::sleep(Duration::from_millis(5));
@@ -732,24 +639,31 @@ impl Drop for ProcessLink {
 mod tests {
     use super::*;
 
+    /// A HELLO body: `version`, then `addr`.
+    fn hello_body(version: u32, addr: &str) -> Vec<u8> {
+        let mut body = version.to_le_bytes().to_vec();
+        body.extend_from_slice(addr.as_bytes());
+        body
+    }
+
     #[test]
     fn handshake_refuses_a_worker_of_another_wire_format() {
-        let hello = FrameHeader {
-            tag: TAG_HELLO,
-            epoch: 0,
-            peer: 3,
-        };
-        assert!(check_hello(3, &hello, &WIRE_VERSION.to_le_bytes()).is_ok());
+        let hello = header(TAG_HELLO, 3);
+        let ours = hello_body(WIRE_VERSION, "unix:w.sock");
+        assert_eq!(
+            check_hello(4, &hello, &ours).unwrap(),
+            (2, "unix:w.sock".to_string())
+        );
         // Another build's version, and a build from before the version was
         // sent, are refused at spawn, naming both sides' versions.
         for (body, theirs) in [
             (
-                &(WIRE_VERSION + 1).to_le_bytes()[..],
+                hello_body(WIRE_VERSION + 1, "unix:w.sock"),
                 (WIRE_VERSION + 1).to_string(),
             ),
-            (&[][..], "none".to_string()),
+            (Vec::new(), "none".to_string()),
         ] {
-            let err = check_hello(3, &hello, body).unwrap_err();
+            let err = check_hello(4, &hello, &body).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData);
             let msg = err.to_string();
             assert!(
@@ -758,46 +672,40 @@ mod tests {
             );
             assert!(msg.ends_with(&format!("at wire format {theirs}")), "{msg}");
         }
-        // The rank still authenticates.
-        assert!(check_hello(2, &hello, &WIRE_VERSION.to_le_bytes()).is_err());
+        // The rank must be one of the world's, and the address a transport's.
+        assert!(check_hello(2, &hello, &ours).is_err());
+        assert!(check_hello(4, &header(TAG_HELLO, 0), &ours).is_err());
+        let no_addr = hello_body(WIRE_VERSION, "");
+        assert!(check_hello(4, &hello, &no_addr).is_err());
     }
 
-    /// A worker of wire format 2 (`f64` partial sums, a renormalisation
-    /// count in every reshape) is refused at spawn.
+    /// A worker of wire format 3 (replies without the exchange bytes the
+    /// worker wrote, exchanges relayed through the controller) is refused at
+    /// spawn.
     #[test]
-    fn handshake_refuses_a_wire_format_2_worker() {
-        let hello = FrameHeader {
-            tag: TAG_HELLO,
-            epoch: 0,
-            peer: 1,
-        };
-        let err = check_hello(1, &hello, &2u32.to_le_bytes()).unwrap_err();
+    fn handshake_refuses_a_wire_format_3_worker() {
+        let hello = header(TAG_HELLO, 1);
+        let err = check_hello(1, &hello, &3u32.to_le_bytes()).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().ends_with("at wire format 2"), "{err}");
+        assert!(err.to_string().ends_with("at wire format 3"), "{err}");
     }
 
     #[test]
     fn worker_argv_parses_or_says_what_is_wrong() {
         let argv = |args: &[&str]| args.iter().map(|a| a.to_string()).collect::<Vec<_>>();
-        let ok = argv(&["qworker", "/tmp/s.sock", "3", "7", "30000"]);
-        assert_eq!(parse_worker_args(&ok), Ok(("/tmp/s.sock", 3, 7, 30000)));
+        let ok = argv(&["qworker", "unix:s.sock", "3", "30000"]);
+        assert_eq!(parse_worker_args(&ok), Ok(("unix:s.sock", 3, 30000)));
         for (args, why) in [
+            (&["qworker", "a", "3"][..], "expected 3 arguments, got 2"),
             (
-                &["qworker", "a", "3", "7"][..],
-                "expected 4 arguments, got 3",
+                &["qworker", "a", "3", "7", "1"][..],
+                "expected 3 arguments, got 4",
             ),
-            (&["qworker"][..], "expected 4 arguments, got 0"),
-            (&[][..], "expected 4 arguments, got 0"),
-            (&["qworker", "a", "x", "7", "1"][..], "rank must be"),
-            (&["qworker", "a", "-1", "7", "1"][..], "rank must be"),
-            (
-                &["qworker", "a", "3", "4294967296", "1"][..],
-                "epoch must be",
-            ),
-            (
-                &["qworker", "a", "3", "7", "1.5"][..],
-                "watchdog_ms must be",
-            ),
+            (&["qworker"][..], "expected 3 arguments, got 0"),
+            (&[][..], "expected 3 arguments, got 0"),
+            (&["qworker", "a", "x", "1"][..], "rank must be"),
+            (&["qworker", "a", "-1", "1"][..], "rank must be"),
+            (&["qworker", "a", "3", "1.5"][..], "watchdog_ms must be"),
         ] {
             let err = parse_worker_args(&argv(args)).unwrap_err();
             assert!(err.contains(why), "{args:?}: {err}");

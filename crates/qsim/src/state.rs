@@ -76,10 +76,11 @@ impl State {
         self.amps.len()
     }
 
-    /// True for the 0-qubit scalar state.
+    /// Whether the state holds no amplitude (`len() == 0`): never, since
+    /// even the 0-qubit scalar state holds one.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.n_qubits == 0
+        self.amps.is_empty()
     }
 
     /// Read-only view of the amplitudes.
@@ -337,6 +338,14 @@ mod tests {
 
     fn rng() -> StdRng {
         StdRng::seed_from_u64(42)
+    }
+
+    #[test]
+    fn the_scalar_state_holds_one_amplitude_and_is_not_empty() {
+        let scalar = State::from_amplitudes(vec![C_ONE]);
+        assert_eq!(scalar.len(), 1);
+        assert!(!scalar.is_empty());
+        assert!(!basis(3, 5).is_empty());
     }
 
     /// Joint Z-parity measurement at the store level (over one position, a

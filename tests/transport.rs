@@ -25,10 +25,11 @@ use common::conformance::{ensure_worker_bin, run_circuit, Outcome, Step};
 use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
-    build_backend, run_with_config, BackendKind, QmpiConfig, QuantumBackend, RemoteShardedEngine,
-    ShardWorkerPool, StateVectorEngine, TransportKind,
+    build_backend, run_with_config, BackendKind, BatchPolicy, QmpiConfig, QuantumBackend,
+    RemoteShardedEngine, ShardWorkerPool, StateVectorEngine, TransportKind,
 };
 use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli, QubitId, SimError};
+use std::time::{Duration, Instant};
 
 const SHARDS: usize = 2;
 const N_QUBITS: usize = 4;
@@ -298,6 +299,192 @@ fn worker_survives_repeated_kills() {
     );
     assert!(e.prob_one(p).unwrap() < 1e-9);
     assert!(e.transport_stats().respawns >= 2);
+}
+
+/// Stripes of 2^17 amplitudes (2 MiB, far past a socket buffer) cross the
+/// direct worker links both ways: a SWAP of the two shard-selecting qubits
+/// of four shards trades whole stripes, and freeing a shard axis moves a
+/// 1 MiB half-stripe per shard pair. Both land on the dense engine's bits,
+/// under a 2 s watchdog a deadlock would trip.
+#[test]
+fn stripe_trades_past_a_socket_buffer_match_dense_bit_for_bit() {
+    ensure_worker_bin();
+    const WIDTH: usize = 19;
+    let bits = |s: &qsim::State| -> Vec<(u64, u64)> {
+        let amps = s.amplitudes().iter();
+        amps.map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
+    };
+    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+        let mut dense = StateVectorEngine::new(41);
+        let mut remote = spawned(41, 4, kind).with_watchdog(Duration::from_secs(2));
+        let dq: Vec<_> = (0..WIDTH).map(|_| dense.alloc()).collect();
+        let mut rq: Vec<_> = (0..WIDTH).map(|_| remote.alloc()).collect();
+        for i in 0..WIDTH {
+            let ry = Gate::Ry(0.3 + 0.1 * i as f64);
+            dense.apply_batch(&ops::gate(ry, dq[i])).unwrap();
+            remote.apply_batch(&ops::gate(ry, rq[i])).unwrap();
+        }
+        // The first two qubits allocated hold the shard axes.
+        dense.apply_batch(&ops::swap(dq[0], dq[1])).unwrap();
+        remote.apply_batch(&ops::swap(rq[0], rq[1])).unwrap();
+        let want = dense.state_vector(&dq).unwrap();
+        assert_eq!(
+            bits(&remote.state_vector(&rq).unwrap()),
+            bits(&want),
+            "{kind}: swap"
+        );
+        let before = remote.transport_stats().exchange_rounds;
+        let outcome = dense.measure_and_free(dq[0]).unwrap();
+        assert_eq!(
+            remote.measure_and_free(rq.remove(0)).unwrap(),
+            outcome,
+            "{kind}"
+        );
+        let want = dense.state_vector(&dq[1..]).unwrap();
+        assert_eq!(
+            bits(&remote.state_vector(&rq).unwrap()),
+            bits(&want),
+            "{kind}: free"
+        );
+        let moved = remote.transport_stats().exchange_rounds - before;
+        assert_eq!(
+            moved, 2,
+            "{kind}: the freed axis moves one part per shard pair"
+        );
+        assert_eq!(remote.transport_stats().respawns, 0, "{kind}");
+    }
+}
+
+/// SIGKILL a worker while its partner is blocked receiving that worker's
+/// stripe. Shard 1 has thousands of gates to run before it ships its
+/// stripe to shard 0, which has only the pairing: the queue fills to its
+/// bound and ships in a round of its own, no reply awaited, and the kill
+/// lands while shard 1 still grinds. Shard 0 reads EOF on its link and
+/// exits, the next read fails over at once — not at the 30 s watchdog —
+/// and the run finishes on the undisturbed run's bits.
+#[test]
+fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
+    ensure_worker_bin();
+    const WIDTH: usize = 12;
+    let bound = BatchPolicy::default().max_ops;
+    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+        let run = |kill: bool| {
+            let mut e = spawned(37, SHARDS, kind);
+            // The first qubit allocated holds the shard axis.
+            let qs: Vec<_> = (0..WIDTH).map(|_| e.alloc()).collect();
+            for (i, &q) in qs.iter().enumerate() {
+                e.apply_batch(&ops::gate(Gate::Ry(0.3 + 0.2 * i as f64), q))
+                    .unwrap();
+            }
+            e.prob_one(qs[0]).unwrap();
+            // Controlled by the shard axis, each gate is one queued op on
+            // shard 1 alone; the cross-shard CNOT adds one on each shard
+            // and brings the queue to its bound.
+            let grind = (0..bound - 2).map(|i| BatchOp::Controlled {
+                controls: vec![qs[0]],
+                gate: Gate::Ry(1e-3 * (i + 1) as f64),
+                target: qs[1 + i % (WIDTH - 1)],
+            });
+            e.apply_batch(&ops::batch(grind)).unwrap();
+            let rounds = e.transport_stats().command_rounds;
+            e.apply_batch(&ops::cnot(qs[1], qs[0])).unwrap();
+            assert_eq!(
+                e.transport_stats().command_rounds,
+                rounds + 1,
+                "{kind}: the queue shipped at its bound"
+            );
+            let start = Instant::now();
+            if kill {
+                e.debug_kill_worker_process(1);
+            }
+            let p = e.prob_one(qs[0]).unwrap().to_bits();
+            let took = start.elapsed();
+            let respawns = e.transport_stats().respawns;
+            ((p, amp_bits(&e, &qs)), took, respawns)
+        };
+        let (calm, killed) = (run(false), run(true));
+        assert_eq!(calm.2, 0, "{kind}: undisturbed run respawns nothing");
+        assert!(killed.2 >= 1, "{kind}: {} respawns", killed.2);
+        assert!(
+            killed.1 < Duration::from_secs(10),
+            "{kind}: the death took {:?} to fail over",
+            killed.1
+        );
+        assert_eq!(
+            calm.0, killed.0,
+            "{kind}: a death mid-exchange must not show"
+        );
+    }
+}
+
+/// `wire_bytes` counts each frame once, on the socket it crosses: a
+/// cross-shard CNOT adds its op to both workers' frames and two stripe
+/// frames worker to worker — the high member's stripe and the half the
+/// low member ships back — and nothing else.
+#[test]
+fn a_cross_shard_gate_counts_each_stripe_frame_once() {
+    // A forced checkpoint is a gather by design; see the byte bounds above.
+    if std::env::var_os("QMPI_CHECKPOINT_ROUNDS").is_some() {
+        return;
+    }
+    ensure_worker_bin();
+    const LOCAL_BITS: usize = 10;
+    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+        let mut e = spawned(3, SHARDS, kind);
+        let qs: Vec<_> = (0..=LOCAL_BITS).map(|_| e.alloc()).collect();
+        for &q in &qs {
+            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+        }
+        // Every exchange has been reported once the read's replies are in.
+        let read = |e: &mut RemoteShardedEngine| {
+            let before = e.transport_stats().wire_bytes;
+            e.prob_one(qs[1]).unwrap();
+            e.transport_stats().wire_bytes - before
+        };
+        read(&mut e);
+        let alone = read(&mut e);
+        // qs[0] holds the shard axis: this CNOT pairs the two stripes.
+        e.apply_batch(&ops::cnot(qs[1], qs[0])).unwrap();
+        let with_gate = read(&mut e);
+        // A stripe of 2^10 amplitudes, none zero after the Hadamards: the
+        // frame header, the count and one segment header, and the literals.
+        let stripe_frame = cmpi::transport::FRAME_OVERHEAD + 24 + (16 << LOCAL_BITS);
+        // Each worker's frame becomes a `Seq` of a one-op batch and the read:
+        // 18 B more, plus the op (18 B for the low member's `CrossLow`, 9 B
+        // for the high member's `CrossHigh`).
+        let ops_bytes = (18 + 18) + (18 + 9);
+        assert_eq!(
+            with_gate - alone,
+            (2 * stripe_frame + ops_bytes) as u64,
+            "{kind}"
+        );
+    }
+}
+
+/// The largest world, 64 workers, links every pair up over each socket
+/// kind and runs a read that pairs every shard with its opposite.
+#[test]
+fn the_largest_world_links_up_over_each_socket_kind() {
+    ensure_worker_bin();
+    const WORKERS: usize = 64;
+    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+        let start = Instant::now();
+        let mut e = spawned(9, WORKERS, kind);
+        let spawn = start.elapsed();
+        let qs: Vec<_> = (0..8).map(|_| e.alloc()).collect();
+        for &q in &qs {
+            e.apply_batch(&ops::gate(Gate::Ry(0.7), q)).unwrap();
+        }
+        // X on every shard axis pairs shard s with shard 63 - s.
+        let string: Vec<_> = qs[..6].iter().map(|&q| (q, Pauli::X)).collect();
+        let want = 0.7f64.sin().powi(6);
+        let got = e.expectation(&string).unwrap();
+        assert!((got - want).abs() < 1e-12, "{kind}: {got} vs {want}");
+        assert!(
+            spawn < Duration::from_secs(10),
+            "{kind}: 64 workers took {spawn:?} to link up"
+        );
+    }
 }
 
 /// Allocs and frees are logged like any gate batch, not checkpoints: a worker SIGKILLed (a) before an alloc, (b) between an
@@ -831,7 +1018,7 @@ fn invalid_snapshot_order_costs_no_gather() {
         let (a, b) = (e.alloc(), e.alloc());
         e.apply_batch(&ops::gate(Gate::H, a)).unwrap();
         assert!(!e.free(b).unwrap());
-        // A reduction first, so the routers have counted every exchange.
+        // A reduction first, so every exchange has been reported.
         e.prob_one(a).unwrap();
         let before = e.transport_stats();
         assert!(
