@@ -98,8 +98,7 @@ impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
 /// A reader-writer lock (std-backed, no poisoning).
 ///
 /// `qmpi`'s backend wrapper holds its engine in one: every quantum
-/// operation mutates the engine (or ships the wrapper's coalesce window)
-/// and takes the write guard, while read-only observers — counters, qubit
+/// operation mutates the engine and takes the write guard, while read-only observers — counters, qubit
 /// ownership, transport statistics — take the read guard, so concurrent
 /// observers do not queue behind one another.
 pub struct RwLock<T: ?Sized> {

@@ -51,9 +51,7 @@
 //! Exclusive acquisition mirrors the prototype's "all ranks forward
 //! quantum operations to rank 0" — identical serialization semantics, and
 //! the engine's global state faithfully represents the distributed machine
-//! at every point. In front of the process-separated engine, [`Shared`]
-//! also lets ranks' flushed gate streams (on disjoint qubits, which
-//! locality guarantees) merge into one gate batch.
+//! at every point.
 
 pub mod amplitude;
 pub mod pool;
@@ -63,12 +61,11 @@ pub mod remote_transport;
 use crate::context::BatchPolicy;
 use crate::error::{QmpiError, Result};
 use cmpi::TransportKind;
-use parking_lot::{RwLock, RwLockWriteGuard};
+use parking_lot::RwLock;
 use qsim::noise::NoiseModel;
 use qsim::{GateBatch, Pauli, QubitId, State};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
-use std::time::Instant;
 
 pub use amplitude::{
     AmplitudeEngine, EngineStore, SparseEngine, StabilizerEngine, StateVectorEngine, TraceEngine,
@@ -203,23 +200,6 @@ pub fn build_backend(
     seed: u64,
     noise: NoiseModel,
 ) -> Result<Arc<dyn QuantumBackend>> {
-    build_backend_with_policy(kind, transport, seed, noise, BatchPolicy::env_default())
-}
-
-/// [`build_backend`] with an explicit [`crate::BatchPolicy`], which on the
-/// process-separated engine governs [`Shared`]'s cross-rank coalesce
-/// window: whether concurrent ranks' flushes merge into one gate batch
-/// (`policy.coalesce`) and the window's op / byte / age budgets. The other
-/// engines have no command rounds and ignore the policy.
-/// This is what [`crate::QmpiConfig::build_backend`] calls, so a world's
-/// configured policy reaches the backend it constructs.
-pub fn build_backend_with_policy(
-    kind: BackendKind,
-    transport: TransportKind,
-    seed: u64,
-    noise: NoiseModel,
-    policy: BatchPolicy,
-) -> Result<Arc<dyn QuantumBackend>> {
     noise.validate().map_err(QmpiError::InvalidArgument)?;
     if kind == BackendKind::Stabilizer && !noise.is_clifford() {
         return Err(QmpiError::InvalidArgument(
@@ -232,16 +212,12 @@ pub fn build_backend_with_policy(
         emit_clamp_warning_once(&warning);
     }
     Ok(match kind {
-        BackendKind::StateVector => Arc::new(Shared::new(
-            StateVectorEngine::with_noise(seed, noise),
-            policy,
-        )),
-        BackendKind::Stabilizer => Arc::new(Shared::new(
-            StabilizerEngine::with_noise(seed, noise),
-            policy,
-        )),
-        BackendKind::Trace => Arc::new(Shared::new(TraceEngine::with_noise(seed, noise), policy)),
-        BackendKind::Sparse => Arc::new(Shared::new(SparseEngine::with_noise(seed, noise), policy)),
+        BackendKind::StateVector => {
+            Arc::new(Shared::new(StateVectorEngine::with_noise(seed, noise)))
+        }
+        BackendKind::Stabilizer => Arc::new(Shared::new(StabilizerEngine::with_noise(seed, noise))),
+        BackendKind::Trace => Arc::new(Shared::new(TraceEngine::with_noise(seed, noise))),
+        BackendKind::Sparse => Arc::new(Shared::new(SparseEngine::with_noise(seed, noise))),
         BackendKind::ShardedStateVector { shards } | BackendKind::RemoteSharded { shards } => {
             Arc::new(Shared::new(
                 RemoteShardedEngine::over_transport(seed, shards, noise, transport).map_err(
@@ -251,10 +227,24 @@ pub fn build_backend_with_policy(
                         ))
                     },
                 )?,
-                policy,
             ))
         }
     })
+}
+
+/// [`build_backend`], with a [`BatchPolicy`] that no backend reads: a
+/// stub kept only because the qperf harness still calls it. The policy
+/// governs how each rank records and flushes (see
+/// [`crate::QmpiConfig::batch`]); the backend applies every flush at its
+/// call.
+pub fn build_backend_with_policy(
+    kind: BackendKind,
+    transport: TransportKind,
+    seed: u64,
+    noise: NoiseModel,
+    _policy: BatchPolicy,
+) -> Result<Arc<dyn QuantumBackend>> {
+    build_backend(kind, transport, seed, noise)
 }
 
 /// Once-per-process latch for the shard-clamp warning. Module-scoped (not
@@ -318,10 +308,9 @@ pub struct TransportStats {
     /// Worker processes respawned by failover. Zero for the in-process
     /// transport, which has no process boundary to fail over.
     pub respawns: u64,
-    /// Rank flushes absorbed into an already-open cross-rank coalesce
-    /// window instead of reaching the engine on their own. Since the remote
-    /// engine queues every flush until a read, a join saves no command
-    /// round. Zero with coalescing off (`BatchPolicy::coalesce = false`).
+    /// Always 0: a stub kept only because the qperf harness still reads
+    /// it. Every flush reaches the engine at its call, and the remote
+    /// engine's queue carries it in the frame of the next read.
     pub coalesced_flushes: u64,
 }
 
@@ -368,12 +357,12 @@ pub trait QuantumBackend: Send + Sync {
     /// (the `qserve` job service) reads these through the backend handle.
     fn transport_stats(&self) -> Option<TransportStats>;
 
-    /// Ships the cross-rank coalesce window (see [`Shared`]), so every
-    /// gate segment flushed into it so far becomes visible engine state.
-    /// Called by the rank layer at synchronization points that do not
-    /// otherwise touch the backend (classical sends, barriers); a no-op
-    /// when the backend is not coalescing.
-    fn sync_coalesced(&self) -> Result<()>;
+    /// Does nothing and returns `Ok`: a stub kept only because the qperf
+    /// harness still calls it. [`Self::apply_batch`] hands every flush to
+    /// the engine at its call, so there is nothing left to ship.
+    fn sync_coalesced(&self) -> Result<()> {
+        Ok(())
+    }
 
     /// Allocates `n` fresh |0> qubits owned by `rank`.
     fn alloc(&self, rank: usize, n: usize) -> Vec<QubitId>;
@@ -456,9 +445,9 @@ pub trait QuantumBackend: Send + Sync {
     fn counts(&self) -> OpCounts;
 }
 
-/// Engine state plus the ownership registry, resource counters and the
-/// coalesce window — what [`Shared`] guards. The ownership/locality
-/// semantics live here, written once for every engine.
+/// Engine state plus the ownership registry and resource counters — what
+/// [`Shared`] guards. The ownership/locality semantics live here, written
+/// once for every engine.
 struct Inner<S> {
     engine: AmplitudeEngine<S>,
     owner: HashMap<QubitId, usize>,
@@ -470,42 +459,9 @@ struct Inner<S> {
     allocations: u64,
     frees: u64,
     max_live: u64,
-    /// The cross-rank coalesce window: ownership-checked flushes not yet
-    /// applied, joined in arrival order (empty unless [`Shared`] coalesces).
-    window: GateBatch,
-    /// When the window's first flush arrived (the age budget); `None`
-    /// while it is empty.
-    opened: Option<Instant>,
-    /// Flushes that joined a non-empty window.
-    coalesced_flushes: u64,
 }
 
 impl<S: EngineStore> Inner<S> {
-    /// Parks an ownership-checked flush in the coalesce window and reports
-    /// whether a window budget tripped.
-    fn park(&mut self, batch: &GateBatch, policy: &BatchPolicy) -> bool {
-        if !self.window.is_empty() {
-            self.coalesced_flushes += 1;
-        }
-        self.window.append(batch.clone());
-        let opened = *self.opened.get_or_insert_with(Instant::now);
-        let age_tripped =
-            policy.max_age_ms > 0 && opened.elapsed().as_millis() as u64 >= policy.max_age_ms;
-        self.window.len() >= policy.max_ops
-            || self.window.approx_bytes() >= policy.max_bytes
-            || age_tripped
-    }
-
-    /// Applies the coalesce window as one engine batch and empties it.
-    fn ship_window(&mut self) -> Result<()> {
-        if self.window.is_empty() {
-            return Ok(());
-        }
-        self.opened = None;
-        let window = self.window.take();
-        Ok(self.engine.apply_batch(&window)?)
-    }
-
     fn check_owner(&self, rank: usize, q: QubitId) -> Result<()> {
         match self.owner.get(&q) {
             None => Err(QmpiError::Sim(qsim::SimError::UnknownQubit(q))),
@@ -651,56 +607,26 @@ impl<S: EngineStore> Inner<S> {
 /// Every quantum operation — gate batches, alloc/free, measurement, EPR
 /// establishment, expectations, snapshots — takes the exclusive side; only
 /// read-only accessors (counters, ownership lookups, transport stats) take
-/// the shared side.
-///
-/// ## Cross-rank coalescing
-///
-/// In front of an engine driven over a message substrate (one that reports
-/// [`EngineStore::transport_stats`]: the process-separated engine), with
-/// [`crate::BatchPolicy::coalesce`] on (the default), a rank's
-/// [`QuantumBackend::apply_batch`] flush does not dispatch to the engine
-/// immediately: the (ownership-checked) batch joins one coalesce window,
-/// and the whole window ships as **one** [`AmplitudeEngine::apply_batch`] when
-/// any rank hits a synchronization point
-/// (measurement, probability or expectation reads, free, EPR
-/// establishment, snapshots, or an explicit
-/// [`QuantumBackend::sync_coalesced`], which the rank layer calls at
-/// classical sends and barriers) or a window budget (`max_ops`,
-/// `max_bytes`, `max_age_ms`) trips. Ranks own disjoint qubits, so parked
-/// flushes commute; applying them in arrival order reproduces the
-/// uncoalesced execution bit for bit, noise draws included (noise is
-/// sampled at ship time, in the arrival order the uncoalesced dispatches
-/// would have used). Every gate enters through `apply_batch`, so no gate
-/// can overtake the window. An eager policy (`max_ops = 0`) never
-/// coalesces: its batches of one dispatch at once.
+/// the shared side. A rank's flushed gate batch is ownership-checked and
+/// handed to the engine under that one acquisition, on every engine. The
+/// process-separated engine's store queues it there and ships it in the
+/// frame of the next read (see [`remote`]), so concurrent ranks' flushes
+/// share that read's command round without any joining here.
 pub struct Shared<S> {
     /// Cached at construction so [`QuantumBackend::kind`] never touches the
     /// lock that serializes quantum operations.
     kind: BackendKind,
     /// Cached like `kind`: the model is immutable after construction.
     noise: NoiseModel,
-    policy: BatchPolicy,
-    /// Whether flushes park in the coalesce window: an engine with a
-    /// transport under a batching, coalescing policy (an eager world has no
-    /// flush stream to merge, an in-memory engine no transport).
-    coalescing: bool,
     inner: RwLock<Inner<S>>,
 }
 
 impl<S: EngineStore> Shared<S> {
-    /// Wraps an engine. `policy` governs the cross-rank coalesce window
-    /// (`policy.coalesce` plus the op / byte / age budgets) and must be the
-    /// policy the world's ranks flush under;
-    /// [`build_backend_with_policy`] routes a world's configured policy
-    /// here.
-    pub fn new(engine: AmplitudeEngine<S>, policy: BatchPolicy) -> Self {
+    /// Wraps an engine.
+    pub fn new(engine: AmplitudeEngine<S>) -> Self {
         Shared {
             kind: engine.kind(),
             noise: engine.noise_model(),
-            policy,
-            coalescing: engine.raw_state().transport_stats().is_some()
-                && policy.coalesce
-                && policy.is_batching(),
             inner: RwLock::new(Inner {
                 engine,
                 owner: HashMap::new(),
@@ -709,19 +635,8 @@ impl<S: EngineStore> Shared<S> {
                 allocations: 0,
                 frees: 0,
                 max_live: 0,
-                window: GateBatch::new(),
-                opened: None,
-                coalesced_flushes: 0,
             }),
         }
-    }
-
-    /// The exclusive side of the lock with the coalesce window shipped:
-    /// every structural or reading operation is a synchronization point.
-    fn synced(&self) -> Result<RwLockWriteGuard<'_, Inner<S>>> {
-        let mut g = self.inner.write();
-        g.ship_window()?;
-        Ok(g)
     }
 }
 
@@ -739,37 +654,19 @@ impl<S: EngineStore> QuantumBackend for Shared<S> {
     }
 
     fn transport_stats(&self) -> Option<TransportStats> {
-        // A read-only observer: reports without shipping the window (the
-        // engine's own counters are likewise stale while a rank holds
-        // unflushed gates). The wrapper owns the coalesce counter, so it
-        // is added on top of the engine's transport numbers here.
-        let g = self.inner.read();
-        let mut stats = g.engine.raw_state().transport_stats()?;
-        stats.coalesced_flushes += g.coalesced_flushes;
-        Some(stats)
-    }
-
-    fn sync_coalesced(&self) -> Result<()> {
-        if !self.coalescing {
-            return Ok(());
-        }
-        self.inner.write().ship_window()
+        self.inner.read().engine.raw_state().transport_stats()
     }
 
     fn alloc(&self, rank: usize, n: usize) -> Vec<QubitId> {
-        // Infallible, so it cannot ship the window itself; the rank layer
-        // syncs before allocating (`alloc_qmem` is an accessor flush
-        // point). Parked flushes name only pre-existing qubits, so
-        // shipping them after an alloc computes the same amplitudes.
         self.inner.write().alloc(rank, n)
     }
 
     fn free(&self, rank: usize, q: QubitId) -> Result<bool> {
-        self.synced()?.free(rank, q)
+        self.inner.write().free(rank, q)
     }
 
     fn measure_and_free(&self, rank: usize, q: QubitId) -> Result<bool> {
-        self.synced()?.measure_and_free(rank, q)
+        self.inner.write().measure_and_free(rank, q)
     }
 
     fn owner_of(&self, q: QubitId) -> Option<usize> {
@@ -779,30 +676,23 @@ impl<S: EngineStore> QuantumBackend for Shared<S> {
     fn apply_batch(&self, rank: usize, batch: &GateBatch) -> Result<()> {
         // One acquisition (plus one ownership sweep) for the whole gate
         // stream — the lock-per-batch rule. Ownership errors surface here,
-        // before the flush can enter the coalesce window, so a bad flush
-        // fails at its own call site exactly as without coalescing.
+        // before any op applies.
         let mut g = self.inner.write();
         g.check_batch(rank, batch)?;
         g.touch_batch(batch);
-        if !self.coalescing {
-            return Ok(g.engine.apply_batch(batch)?);
-        }
-        if !batch.is_empty() && g.park(batch, &self.policy) {
-            g.ship_window()?;
-        }
-        Ok(())
+        Ok(g.engine.apply_batch(batch)?)
     }
 
     fn prob_one(&self, rank: usize, q: QubitId) -> Result<f64> {
-        self.synced()?.prob_one(rank, q)
+        self.inner.write().prob_one(rank, q)
     }
 
     fn measure_z_parity(&self, rank: usize, qubits: &[QubitId]) -> Result<bool> {
-        self.synced()?.measure_z_parity(rank, qubits)
+        self.inner.write().measure_z_parity(rank, qubits)
     }
 
     fn entangle_epr_batch(&self, pairs: &[(QubitId, QubitId)]) -> Result<()> {
-        let mut g = self.synced()?;
+        let mut g = self.inner.write();
         pairs
             .iter()
             .try_for_each(|&(qa, qb)| g.entangle_epr(qa, qb))
@@ -813,15 +703,15 @@ impl<S: EngineStore> QuantumBackend for Shared<S> {
     }
 
     fn expectation_each(&self, rank: usize, strings: &[Vec<(QubitId, Pauli)>]) -> Result<Vec<f64>> {
-        self.synced()?.expectation_each(rank, strings)
+        self.inner.write().expectation_each(rank, strings)
     }
 
     fn state_vector(&self, order: &[QubitId]) -> Result<State> {
-        Ok(self.synced()?.engine.state_vector(order)?)
+        Ok(self.inner.write().engine.state_vector(order)?)
     }
 
     fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex> {
-        self.synced()?.amplitude_of(rank, ones)
+        self.inner.write().amplitude_of(rank, ones)
     }
 
     fn n_qubits(&self) -> usize {
@@ -884,10 +774,9 @@ mod tests {
     /// The one gate surface's contract, checked on every backend kind:
     /// batch granularity is unobservable, locality is checked before
     /// anything applies, an engine failure leaves the prefix applied, and
-    /// an eager world's gates reach the engine at once (never parked in a
-    /// coalesce window the world would not ship) — on the remote engine
-    /// they then wait in the store's queue for the next read, costing no
-    /// command round.
+    /// an eager world's gates reach the engine at once — on the remote
+    /// engine they then wait in the store's queue for the next read,
+    /// costing no command round.
     #[test]
     fn gate_surface_contract_holds_on_every_backend() {
         use crate::context::{run_on_backend, QmpiConfig};
@@ -922,8 +811,6 @@ mod tests {
                 split.apply_batch(0, &ops::batch([op])).unwrap();
             }
             whole.apply_batch(0, &ops::batch(circuit(&wq))).unwrap();
-            split.sync_coalesced().unwrap();
-            whole.sync_coalesced().unwrap();
             assert_eq!(split.counts(), whole.counts(), "{kind}");
             assert_eq!(whole.counts().gates, 6, "{kind}");
             if let (Ok(want), Ok(got)) = (split.state_vector(&sq), whole.state_vector(&wq)) {
@@ -953,14 +840,13 @@ mod tests {
                 }),
                 "{kind}"
             );
-            whole.sync_coalesced().unwrap();
             assert_eq!(whole.gate_count(), 6, "{kind}: rejected batch applied ops");
 
             // An engine-level failure mid-batch leaves the prefix applied.
             if !non_clifford {
-                let mut failing = ops::gate(Gate::H, wq[0]);
-                failing.append(ops::gate(Gate::T, wq[0]));
-                failing.append(ops::gate(Gate::H, wq[0]));
+                let failing = ops::batch(
+                    [Gate::H, Gate::T, Gate::H].map(|gate| BatchOp::Gate { gate, q: wq[0] }),
+                );
                 assert!(matches!(
                     whole.apply_batch(0, &failing),
                     Err(QmpiError::Sim(qsim::SimError::Unsupported(_)))
@@ -975,16 +861,8 @@ mod tests {
             // An eager world hands each gate to the engine at its call
             // site; on the remote engine none of them is a command round,
             // and the measurement that follows is one read for all three.
-            let eager = BatchPolicy::eager();
-            let backend = build_backend_with_policy(
-                kind,
-                TransportKind::InProcess,
-                5,
-                NoiseModel::ideal(),
-                eager,
-            )
-            .unwrap();
-            let config = QmpiConfig::new().batch(eager).backend(kind);
+            let backend = build(kind, 5);
+            let config = QmpiConfig::new().batch(BatchPolicy::eager()).backend(kind);
             let run = run_on_backend(1, config, Arc::clone(&backend), |ctx| {
                 let q = ctx.alloc_one();
                 // A handle taken up front: reading through it is not a

@@ -44,9 +44,11 @@
 //!   reaches `BatchPolicy::default().max_ops` entries ships on its own.
 //! * **Gate streams** are *planned*: the controller decomposes each gate
 //!   into per-stripe moves ([`WorkerOp`]) and appends them to the
-//!   [`ShardCmd::Batch`] at the tail of each worker's queue. Batched, eager
-//!   and coalesced gate streams therefore become the same frames, execute
-//!   the same kernels in the same order and stay bit-identical per seed.
+//!   [`ShardCmd::Batch`] at the tail of each worker's queue. One batch of
+//!   gates and the same gates in several consecutive batches (eager
+//!   dispatch, or several ranks' flushes between two reads) therefore
+//!   become the same frames, execute the same kernels in the same order
+//!   and stay bit-identical per seed.
 //! * **Within-shard gates** become [`WorkerOp::PairWithin`] entries;
 //!   workers run the identical [`qsim::stripe`] kernels the dense store
 //!   runs, each on its own stripe, in parallel.

@@ -67,8 +67,6 @@ impl RemoteStore {
             exchange_rounds: ctl.xchg_rounds,
             wire_bytes: ctl.lease.link().wire_bytes(),
             respawns: ctl.lease.link().respawns(),
-            // Coalescing happens in the locality wrapper above the engine,
-            // which adds its own window counter on top of these.
             coalesced_flushes: 0,
         }
     }

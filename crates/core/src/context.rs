@@ -111,32 +111,17 @@ pub struct BatchPolicy {
     /// under an ideal noise model. Latency stays bounded by the flush points
     /// themselves — fusion never delays dispatch.
     pub fuse: bool,
-    /// Merge concurrent ranks' flushes into one gate batch on the
-    /// process-separated engine (cross-rank coalescing; see
-    /// `docs/ARCHITECTURE.md`). With it on (the default), a rank's flush
-    /// *appends* its optimized stream to a backend-side coalesce window
-    /// instead of dispatching immediately; the window ships as one gate
-    /// batch when any rank hits a synchronization point or a budget trips.
-    /// Off hands each rank's flush to the engine on its own. The engine
-    /// queues every flush until a read either way, so both settings cost
-    /// the same command rounds and wire bytes (`tests/coalesce.rs`); the
-    /// field stays because the qperf harness records it in its run
-    /// description (qperf clears `QMPI_COALESCE` and every other `QMPI_*`
-    /// variable before it runs).
+    /// Nothing reads it: a stub kept only because the qperf harness
+    /// records it in its run description. Every flush reaches the backend
+    /// at its call.
     pub coalesce: bool,
-    /// Time budget for an open coalesce window, in milliseconds: a flush
-    /// that finds the window older than this ships it immediately, so a
-    /// busy rank cannot stall a previously flushed rank's gates
-    /// indefinitely. `0` (the default) disables the age check — windows
-    /// then ship only at synchronization points and op/byte budgets, which
-    /// keeps round counts deterministic (timing-independent) per seed.
-    /// No environment variable sets it.
+    /// Nothing reads it: a stub kept only because the qperf harness
+    /// records it in its run description.
     pub max_age_ms: u64,
 }
 
 impl Default for BatchPolicy {
-    /// 4096 pending ops or ~1 MiB of recorded stream, optimizer and
-    /// cross-rank coalescing on, no window age budget.
+    /// 4096 pending ops or ~1 MiB of recorded stream, optimizer on.
     fn default() -> Self {
         BatchPolicy {
             max_ops: 4096,
@@ -166,11 +151,9 @@ impl BatchPolicy {
     }
 
     /// The [`BatchPolicy::default`] with environment overrides applied:
-    /// `QMPI_BATCH_OPS` (a decimal op budget; `0` is the eager policy's),
-    /// `QMPI_FUSE` (`off`/`0`/`false` disables the optimizer — CI's
-    /// fusion-off cross-check lane) and `QMPI_COALESCE` (`off`/`0`/`false`
-    /// hands each rank flush to the engine on its own). Unparsable values
-    /// are ignored.
+    /// `QMPI_BATCH_OPS` (a decimal op budget; `0` is the eager policy's)
+    /// and `QMPI_FUSE` (`off`/`0`/`false` disables the optimizer — CI's
+    /// fusion-off cross-check lane). Unparsable values are ignored.
     pub fn env_default() -> Self {
         let mut p = BatchPolicy::default();
         if let Some(v) = env_usize("QMPI_BATCH_OPS") {
@@ -178,9 +161,6 @@ impl BatchPolicy {
         }
         if let Ok(v) = std::env::var("QMPI_FUSE") {
             p.fuse = !matches!(v.to_lowercase().as_str(), "off" | "0" | "false");
-        }
-        if let Ok(v) = std::env::var("QMPI_COALESCE") {
-            p.coalesce = !matches!(v.to_lowercase().as_str(), "off" | "0" | "false");
         }
         p
     }
@@ -337,13 +317,7 @@ impl QmpiConfig {
     /// schedulers that manage backends themselves (qserve) construct them
     /// identically.
     pub fn build_backend(&self) -> crate::error::Result<Arc<dyn QuantumBackend>> {
-        crate::backend::build_backend_with_policy(
-            self.backend,
-            self.transport,
-            self.seed,
-            self.noise,
-            self.batch,
-        )
+        crate::backend::build_backend(self.backend, self.transport, self.seed, self.noise)
     }
 
     /// Sets the full batch policy for the world, overriding the
@@ -482,16 +456,8 @@ impl QmpiRank {
     /// Flush for the accessors that cannot return `Result`: a failure is
     /// parked in `deferred` (first error wins) and re-raised, typed, by
     /// the next fallible call instead of panicking here.
-    ///
-    /// Accessor flush points are also *synchronization* points for the
-    /// cross-rank coalesce window: a classical send, a barrier, or a
-    /// backend read is how this rank's gates become observable to others,
-    /// so any segment parked in the backend's window must ship too. (The
-    /// fallible flush points — measurement, allocation, EPR — go through
-    /// backend methods that ship the window under their own lock.)
     fn flush_or_defer(&self) {
-        let synced = self.flush().and_then(|()| self.backend.sync_coalesced());
-        if let Err(e) = synced {
+        if let Err(e) = self.flush() {
             self.deferred.borrow_mut().get_or_insert(e);
         }
     }
@@ -723,10 +689,8 @@ where
         };
         let out = f(&ctx);
         // The rank's program is over: anything still pending must land so
-        // post-run diagnostics (counts, snapshots) see the full program —
-        // including any segment parked in the backend's coalesce window.
+        // post-run diagnostics (counts, snapshots) see the full program.
         ctx.flush()
-            .and_then(|()| ctx.backend.sync_coalesced())
             .expect("flushing the rank's pending batched gates at world teardown");
         out
     });
@@ -758,11 +722,7 @@ impl Drop for QmpiRank {
         } else {
             batch
         };
-        let landed = self
-            .backend
-            .apply_batch(self.proto.rank(), &batch)
-            .and_then(|()| self.backend.sync_coalesced());
-        if let Err(e) = landed {
+        if let Err(e) = self.backend.apply_batch(self.proto.rank(), &batch) {
             eprintln!(
                 "qmpi: rank {}: {} batched gate(s) failed during teardown flush: {e}",
                 self.proto.rank(),
@@ -854,8 +814,7 @@ mod tests {
             max_ops: 17,
             max_bytes: 1234,
             fuse: false,
-            coalesce: false,
-            max_age_ms: 5,
+            ..BatchPolicy::default()
         };
         assert_eq!(QmpiConfig::new().batch(custom).batch_policy(), custom);
         assert!(BatchPolicy::default().is_batching());

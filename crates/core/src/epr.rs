@@ -17,15 +17,14 @@ impl QmpiRank {
     /// a partner qubit on rank `dest`, which must make the matching call.
     /// Upon return the joint state is (|00> + |11>)/sqrt(2).
     pub fn prepare_epr(&self, qubit: &Qubit, dest: usize, tag: QTag) -> Result<()> {
-        let req = self.iprepare_epr(qubit, dest, tag)?;
-        req.wait(self)
+        self.iprepare_epr(qubit, dest, tag)?.wait()
     }
 
     /// Non-blocking EPR establishment (QMPI_Iprepare_EPR): posts the request
     /// immediately so pairs can be prepared ahead of when they are needed
     /// (the key optimization behind Section 4.7's persistent requests).
     /// Complete with [`EprRequest::wait`].
-    pub fn iprepare_epr(&self, qubit: &Qubit, dest: usize, tag: QTag) -> Result<EprRequest> {
+    pub fn iprepare_epr(&self, qubit: &Qubit, dest: usize, tag: QTag) -> Result<EprRequest<'_>> {
         self.iprepare_epr_role(qubit, dest, tag, EprRole::Symmetric)
     }
 
@@ -37,7 +36,7 @@ impl QmpiRank {
         dest: usize,
         tag: QTag,
         role: EprRole,
-    ) -> Result<EprRequest> {
+    ) -> Result<EprRequest<'_>> {
         if dest >= self.size() {
             return Err(QmpiError::InvalidArgument(format!(
                 "EPR partner rank {dest} out of range (size {})",
@@ -54,10 +53,12 @@ impl QmpiRank {
             .send(&qubit.id().0, dest, ptag_role(ProtoOp::EprId, role, tag));
         self.ledger.record_control();
         Ok(EprRequest {
+            ctx: self,
             local: qubit.id().0,
             dest,
             tag,
             role,
+            pending: true,
         })
     }
 
@@ -68,21 +69,42 @@ impl QmpiRank {
         tag: QTag,
         role: EprRole,
     ) -> Result<()> {
-        self.iprepare_epr_role(qubit, dest, tag, role)?.wait(self)
+        self.iprepare_epr_role(qubit, dest, tag, role)?.wait()
     }
 }
 
 /// Pending EPR establishment returned by [`QmpiRank::iprepare_epr`].
-#[derive(Debug)]
-#[must_use = "an EPR request must be waited on: the peer blocks until it is"]
-pub struct EprRequest {
+///
+/// Dropped before [`EprRequest::wait`] has run the protocol (never called,
+/// or left early on an error), the request is abandoned: on the lower rank
+/// — the one that entangles — the drop acknowledges a failure, so the
+/// peer's `wait` returns [`QmpiError::Protocol`] instead of blocking. The
+/// higher rank's peer never waits on it past the qubit id posted here, so
+/// it establishes the pair whatever the higher rank does next. Either way
+/// the pair's id stream is left out of step: do not reuse its tag.
+#[must_use = "an EPR request must be waited on: dropped, it fails the pair"]
+pub struct EprRequest<'a> {
+    ctx: &'a QmpiRank,
     local: u64,
     dest: usize,
     tag: QTag,
     role: EprRole,
+    /// Whether the protocol is still to run (cleared once `wait` starts it).
+    pending: bool,
 }
 
-impl EprRequest {
+impl std::fmt::Debug for EprRequest<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EprRequest")
+            .field("rank", &self.ctx.rank())
+            .field("dest", &self.dest)
+            .field("tag", &self.tag)
+            .field("pending", &self.pending)
+            .finish()
+    }
+}
+
+impl EprRequest<'_> {
     /// The partner rank.
     pub fn partner(&self) -> usize {
         self.dest
@@ -90,13 +112,16 @@ impl EprRequest {
 
     /// Completes the establishment. The lower world rank performs the
     /// entangling operation; the higher rank waits for the acknowledgement.
-    pub fn wait(self, ctx: &QmpiRank) -> Result<()> {
+    pub fn wait(mut self) -> Result<()> {
+        let ctx = self.ctx;
         // Flush point: the entangling operation both reads the pair's
         // freshness and changes shared backend state, so this rank's
         // recorded gates must land first — in the same order the eager
         // path would apply them (which is also what keeps the noise-stream
-        // draws aligned between batched and unbatched runs).
+        // draws aligned between batched and unbatched runs). A failed flush
+        // drops the request, which abandons it.
         ctx.flush()?;
+        self.pending = false;
         let my_rank = ctx.rank();
         // The peer posted its id on the opposite role stream.
         let (their_id, _) = ctx.proto.recv::<u64>(
@@ -123,7 +148,8 @@ impl EprRequest {
                 .recv(self.dest, ptag_role(ProtoOp::EprAck, self.role, self.tag));
             if !ok {
                 return Err(QmpiError::Protocol(format!(
-                    "EPR establishment with rank {} failed on the peer side",
+                    "EPR establishment with rank {} failed on the peer side \
+                     (the entangling operation failed, or the request was dropped)",
                     self.dest
                 )));
             }
@@ -131,6 +157,19 @@ impl EprRequest {
         let level = ctx.ledger.buffer_inc(my_rank);
         ctx.check_buffer(level)?;
         Ok(())
+    }
+}
+
+impl Drop for EprRequest<'_> {
+    fn drop(&mut self) {
+        if self.pending && self.ctx.rank() < self.dest {
+            self.ctx.proto.send(
+                &false,
+                self.dest,
+                ptag_role(ProtoOp::EprAck, self.role.opposite(), self.tag),
+            );
+            self.ctx.ledger.record_control();
+        }
     }
 }
 
@@ -176,8 +215,8 @@ mod tests {
             // Issue both asynchronously, then complete.
             let r1 = ctx.iprepare_epr(&q1, dest, 1).unwrap();
             let r2 = ctx.iprepare_epr(&q2, dest, 2).unwrap();
-            r1.wait(ctx).unwrap();
-            r2.wait(ctx).unwrap();
+            r1.wait().unwrap();
+            r2.wait().unwrap();
             let m1 = ctx.measure_and_free(q1).unwrap();
             let m2 = ctx.measure_and_free(q2).unwrap();
             (m1, m2)

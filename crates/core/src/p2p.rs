@@ -125,14 +125,14 @@ impl QmpiRank {
         let q_r = self.alloc_one();
         let req_r = self.iprepare_epr_role(&q_r, src, tag, EprRole::Target)?;
         // Complete the send side.
-        req_s.wait(self)?;
+        req_s.wait()?;
         self.cnot(qubit, &epr_s)?;
         let m = self.measure_and_free(epr_s)?;
         self.ledger.buffer_dec(self.rank());
         self.proto.send(&m, dest, ptag(ProtoOp::CopyFix, tag));
         self.ledger.record_classical(1);
         // Complete the receive side.
-        req_r.wait(self)?;
+        req_r.wait()?;
         let (m, _) = self.proto.recv::<bool>(src, ptag(ProtoOp::CopyFix, tag));
         if m {
             self.x(&q_r)?;
@@ -170,7 +170,7 @@ impl QmpiRank {
         let q_r = self.alloc_one();
         let req_r = self.iprepare_epr_role(&q_r, src, tag, EprRole::Target)?;
         // Teleport our qubit out.
-        req_s.wait(self)?;
+        req_s.wait()?;
         self.cnot(&qubit, &epr_s)?;
         let mut r = 0u8;
         if self.measure_and_free(epr_s)? {
@@ -184,7 +184,7 @@ impl QmpiRank {
         self.proto.send(&r, dest, ptag(ProtoOp::MoveFix, tag));
         self.ledger.record_classical(2);
         // Receive the incoming teleport.
-        req_r.wait(self)?;
+        req_r.wait()?;
         let (r, _) = self.proto.recv::<u8>(src, ptag(ProtoOp::MoveFix, tag));
         if r & 1 != 0 {
             self.x(&q_r)?;

@@ -41,7 +41,7 @@ impl QmpiRank {
             pool.push_back(q);
         }
         for req in requests {
-            req.wait(self)?;
+            req.wait()?;
         }
         Ok(PersistentSend { dest, tag, pool })
     }
@@ -56,7 +56,7 @@ impl QmpiRank {
             pool.push_back(q);
         }
         for req in requests {
-            req.wait(self)?;
+            req.wait()?;
         }
         Ok(PersistentRecv { src, tag, pool })
     }

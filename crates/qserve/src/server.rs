@@ -27,6 +27,7 @@ use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Server capacity knobs.
@@ -115,13 +116,16 @@ struct Inner {
     state: Mutex<SchedState>,
     /// Signaled on every job completion (drain waits on it).
     done_cv: Condvar,
+    /// Job threads not yet known to have exited; each holds an `Arc` of
+    /// this, so the pool shuts down only once they are joined.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     next_job: AtomicU64,
     next_dispatch: AtomicU64,
 }
 
 impl Inner {
     fn lock(&self) -> std::sync::MutexGuard<'_, SchedState> {
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
+        lock(&self.state)
     }
 }
 
@@ -153,6 +157,7 @@ impl JobServer {
                     finished: 0,
                 }),
                 done_cv: Condvar::new(),
+                threads: Mutex::new(Vec::new()),
                 next_job: AtomicU64::new(0),
                 next_dispatch: AtomicU64::new(0),
             }),
@@ -249,9 +254,26 @@ impl JobServer {
 impl Drop for JobServer {
     fn drop(&mut self) {
         // Graceful: run everything to completion so no handle is left
-        // hanging, then (via the last Arc) shut the pool's workers down.
+        // hanging. Then join every job thread, so this `Arc` is the last
+        // and the pool's worlds shut down before `drop` returns. A thread
+        // pushes the handles of the jobs it dispatched before it exits, so
+        // joining until the list stays empty joins them all.
         self.drain();
+        loop {
+            let threads = std::mem::take(&mut *lock(&self.inner.threads));
+            if threads.is_empty() {
+                break;
+            }
+            for thread in threads {
+                // A job's panic was caught and reported in `run_job`.
+                let _ = thread.join();
+            }
+        }
     }
+}
+
+fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Waits for one submitted job.
@@ -331,7 +353,7 @@ fn pump(inner: &Arc<Inner>) {
         let queued_for = job.submitted.elapsed();
         let budget = job.budget;
         let inner2 = Arc::clone(inner);
-        std::thread::Builder::new()
+        let thread = std::thread::Builder::new()
             .name(format!("qserve-job-{dispatch_seq}"))
             .spawn(move || {
                 (job.run)(RunCtx {
@@ -349,6 +371,10 @@ fn pump(inner: &Arc<Inner>) {
                 pump(&inner2);
             })
             .expect("failed to spawn job thread");
+        let mut threads = lock(&inner.threads);
+        threads.retain(|t| !t.is_finished());
+        threads.push(thread);
+        drop(threads);
         // Loop: more queued jobs may be admissible.
     }
 }
@@ -428,9 +454,7 @@ where
     F: Fn(&QmpiRank) -> T + Send + Sync + 'static,
 {
     // The noise rides in the backend; the config's model would only
-    // rebuild it. s_limit and the batch policy apply per rank — and the
-    // same policy governs the backend's coalesce window, so both are built
-    // from this one config.
+    // rebuild it. s_limit and the batch policy apply per rank.
     let mut config = QmpiConfig::new().seed(spec.seed).noise(NoiseModel::ideal());
     if let Some(limit) = spec.s_limit {
         config = config.s_limit(limit);
@@ -441,16 +465,12 @@ where
                 .validate()
                 .map_err(|e| format!("invalid noise model: {e}"))?;
             let engine = RemoteShardedEngine::from_lease(spec.seed, lease, spec.noise);
-            Arc::new(Shared::new(engine, config.batch_policy()))
+            Arc::new(Shared::new(engine))
         }
-        (JobBackend::Spawn(kind), _) => qmpi::build_backend_with_policy(
-            *kind,
-            transport,
-            spec.seed,
-            spec.noise,
-            config.batch_policy(),
-        )
-        .map_err(|e| e.to_string())?,
+        (JobBackend::Spawn(kind), _) => {
+            qmpi::build_backend(*kind, transport, spec.seed, spec.noise)
+                .map_err(|e| e.to_string())?
+        }
         (JobBackend::Pooled, None) => unreachable!("pooled dispatch always carries a lease"),
     };
     let kind = backend.kind();

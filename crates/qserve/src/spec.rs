@@ -198,10 +198,8 @@ pub struct JobReport {
     /// Backend operation counts (gates, measurements, entanglements).
     pub counts: OpCounts,
     /// Transport accounting (command rounds, exchange rounds, wire bytes,
-    /// worker respawns, cross-rank coalesced flushes), for message-driven
-    /// backends; `None` when the backend has no transport. With coalescing
-    /// on, `coalesced_flushes` counts the rank flushes that rode an
-    /// already-open window instead of reaching the engine on their own.
+    /// worker respawns), for message-driven backends; `None` when the
+    /// backend has no transport.
     pub transport: Option<TransportStats>,
     /// The backend's modeled run fidelity, when it maintains one (the
     /// trace engine's error-free probability).
@@ -213,7 +211,7 @@ impl JobReport {
     /// the `job_server` example prints.
     pub fn table_header() -> String {
         format!(
-            "{:>4}  {:<8} {:<16} {:>5} {:>6} {:>8} {:>6} {:>6} {:>6} {:>8} {:>8} {:>9} {:>4} {:>6} {:>9}  {:>10}",
+            "{:>4}  {:<8} {:<16} {:>5} {:>6} {:>8} {:>6} {:>6} {:>6} {:>8} {:>8} {:>9} {:>4} {:>9}  {:>10}",
             "job",
             "tenant",
             "backend",
@@ -227,7 +225,6 @@ impl JobReport {
             "xch-rnd",
             "wire-B",
             "rsp",
-            "coal",
             "fidelity",
             "wall"
         )
@@ -238,7 +235,7 @@ impl JobReport {
         let opt = |v: Option<u64>| v.map_or_else(|| "-".into(), |v| v.to_string());
         let t = self.transport;
         format!(
-            "{:>4}  {:<8} {:<16} {:>5} {:>6} {:>8} {:>6} {:>6} {:>6} {:>8} {:>8} {:>9} {:>4} {:>6} {:>9}  {:>10}",
+            "{:>4}  {:<8} {:<16} {:>5} {:>6} {:>8} {:>6} {:>6} {:>6} {:>8} {:>8} {:>9} {:>4} {:>9}  {:>10}",
             self.job_id,
             self.tenant,
             self.backend.to_string(),
@@ -252,7 +249,6 @@ impl JobReport {
             opt(t.map(|t| t.exchange_rounds)),
             opt(t.map(|t| t.wire_bytes)),
             opt(t.map(|t| t.respawns)),
-            opt(t.map(|t| t.coalesced_flushes)),
             self.modeled_fidelity
                 .map_or_else(|| "-".into(), |f| format!("{f:.5}")),
             format!("{:.2?}", self.wall),
@@ -296,7 +292,7 @@ mod tests {
                 exchange_rounds: 9,
                 wire_bytes: 4096,
                 respawns: 1,
-                coalesced_flushes: 33,
+                ..TransportStats::default()
             }),
             modeled_fidelity: Some(0.75),
         };
@@ -304,7 +300,7 @@ mod tests {
         let row = report.table_row();
         assert!(row.contains("alice") && row.contains("0.75000"));
         assert!(row.contains("4096") && row.contains("12") && row.contains('9'));
-        assert!(header.contains("coal") && row.contains("33"));
+        assert!(header.contains("rsp") && header.contains("wire-B"));
         // Fixed-width formatting: the row may only differ in length by the
         // wall-clock field's rendering.
         assert!(header.len() >= 100 && row.len() >= 100);

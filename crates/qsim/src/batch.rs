@@ -272,8 +272,8 @@ impl BatchOp {
 
 /// A recorded stream of gate operations, applied as one unit.
 ///
-/// Built by the per-rank gate calls (which append instead of dispatching),
-/// consumed by the engines' `apply_batch`. The batch carries
+/// Built by one rank's gate calls (which record instead of dispatching)
+/// and handed whole to the engines' `apply_batch`; nothing joins batches. The batch carries
 /// program order: engines must apply `ops()` front to back.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct GateBatch {
@@ -330,17 +330,6 @@ impl GateBatch {
             ops: std::mem::take(&mut self.ops),
             approx_bytes: std::mem::take(&mut self.approx_bytes),
         }
-    }
-
-    /// Appends every op of `other` after this batch's ops, preserving both
-    /// streams' internal order. This is pure concatenation — no
-    /// re-optimization happens across the seam, so two independently
-    /// optimized streams keep their own fusion boundaries and each runs
-    /// exactly as its own dispatch would have (the contract of the
-    /// cross-rank coalesce window, which joins ranks' flushes with this).
-    pub fn append(&mut self, other: GateBatch) {
-        self.approx_bytes += other.approx_bytes;
-        self.ops.extend(other.ops);
     }
 }
 
@@ -491,31 +480,6 @@ mod tests {
             sweep_positions(&[q(2), q(2)], &diags[..1], &[], pos),
             Err(SimError::DuplicateQubit(q(2)))
         );
-    }
-
-    #[test]
-    fn append_concatenates_preserving_order_and_bytes() {
-        let mut a = GateBatch::new();
-        a.push(BatchOp::Gate {
-            gate: Gate::H,
-            q: QubitId(0),
-        });
-        let mut b = GateBatch::new();
-        b.push(BatchOp::Cnot {
-            c: QubitId(1),
-            t: QubitId(2),
-        });
-        b.push(BatchOp::Gate {
-            gate: Gate::T,
-            q: QubitId(1),
-        });
-        let (a_bytes, b_bytes) = (a.approx_bytes(), b.approx_bytes());
-        a.append(b);
-        assert_eq!(a.len(), 3);
-        assert_eq!(a.approx_bytes(), a_bytes + b_bytes);
-        assert!(matches!(a.ops()[0], BatchOp::Gate { gate: Gate::H, .. }));
-        assert!(matches!(a.ops()[1], BatchOp::Cnot { .. }));
-        assert!(matches!(a.ops()[2], BatchOp::Gate { gate: Gate::T, .. }));
     }
 
     #[test]

@@ -482,38 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn append_preserves_per_segment_fusion_boundaries() {
-        // Two ranks each end their (optimized) flush with an H run on
-        // their own qubit; naive re-optimization of the concatenation
-        // would be a no-op here, but on a *shared-order* stream ending in
-        // H,H on the same qubit it would cancel the pair. Build exactly
-        // that hazard: flush A ends with H(0), flush B begins with H(0) —
-        // legal only because the coalesce window never interleaves a qubit
-        // across ranks in practice, but the join must not fuse across the
-        // seam regardless.
-        let mut a = GateBatch::new();
-        a.push(gate(Gate::H, 0));
-        let mut b = GateBatch::new();
-        b.push(gate(Gate::H, 0));
-        b.push(gate(Gate::T, 1));
-        let mut merged = a.clone();
-        merged.append(b.clone());
-        // Pure concatenation: both H ops survive verbatim, in order.
-        assert_eq!(merged.len(), 3);
-        assert_eq!(merged.ops()[0], gate(Gate::H, 0));
-        assert_eq!(merged.ops()[1], gate(Gate::H, 0));
-        assert_eq!(merged.ops()[2], gate(Gate::T, 1));
-        // Contrast: optimizing the same stream as one batch drops the pair.
-        let fused = optimize(merged.clone());
-        assert!(fused.len() < merged.len());
-        assert_eq!(
-            merged.approx_bytes(),
-            a.approx_bytes() + b.approx_bytes(),
-            "byte accounting must survive concatenation"
-        );
-    }
-
-    #[test]
     fn adjacent_1q_gates_fuse_into_one_kernel() {
         let out = optimize_ops(vec![
             gate(Gate::H, 0),

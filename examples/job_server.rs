@@ -5,9 +5,8 @@
 //! parity reduction) across backends — pooled shard workers alongside
 //! spawn-per-job state-vector, stabilizer, and trace engines — then prints
 //! the accounting table every tenant would be billed from: EPR pairs,
-//! correction bits, rounds, buffer peaks, transport rounds, coalesced
-//! flushes (rank flushes joined by cross-rank batch coalescing), fidelity,
-//! and wall/queue time.
+//! correction bits, rounds, buffer peaks, transport rounds and wire bytes,
+//! fidelity, and wall/queue time.
 //!
 //! Run: `cargo run --release --example job_server`
 
@@ -134,14 +133,6 @@ fn main() {
         );
     }
     assert!(reports.iter().all(|(_, ok, _)| *ok));
-
-    let joined: u64 = reports
-        .iter()
-        .filter_map(|(_, _, r)| r.transport.map(|t| t.coalesced_flushes))
-        .sum();
-    println!(
-        "\ncross-rank coalescing joined {joined} rank flushes into open windows across the storm"
-    );
 
     server.drain();
     let stats = server.stats();

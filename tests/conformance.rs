@@ -36,20 +36,14 @@ use qsim::{BatchOp, Gate, NoiseModel, Pauli, QubitId};
 const N_QUBITS: usize = 10;
 
 /// The batch-policy dimension of the sweep: eager dispatch, unfused
-/// batching, coalescing off, and the full default — fusion-off stays
-/// bit-identical to the pre-fusion engines, fusion-on must agree because
-/// every backend executes the same optimized stream, and coalescing
-/// on/off must agree because the window only *defers* a flush's dispatch
-/// to the next synchronization point, never reorders it.
-fn policies() -> [BatchPolicy; 4] {
+/// batching, and the full default — fusion-off stays bit-identical to the
+/// pre-fusion engines, and fusion-on must agree because every backend
+/// executes the same optimized stream.
+fn policies() -> [BatchPolicy; 3] {
     [
         BatchPolicy::eager(),
         BatchPolicy {
             fuse: false,
-            ..BatchPolicy::default()
-        },
-        BatchPolicy {
-            coalesce: false,
             ..BatchPolicy::default()
         },
         BatchPolicy::default(),
@@ -154,19 +148,6 @@ fn fixed_circuit_matches_dense_oracle_over_remote_workers() {
         NoiseModel::depolarizing(0.2),
         7,
         BatchPolicy::default(),
-    );
-    // Coalescing off must land on the same amplitudes and trajectory —
-    // the window never reorders a rank's stream, only defers its ship.
-    assert_matches_dense_oracle(
-        kind,
-        N_QUBITS,
-        &steps,
-        NoiseModel::depolarizing(0.2),
-        7,
-        BatchPolicy {
-            coalesce: false,
-            ..BatchPolicy::default()
-        },
     );
     assert_matches_dense_oracle(
         kind,
@@ -597,7 +578,7 @@ mod proptests {
             steps in arb_steps(N_QUBITS, true, 8..30),
             seed in 0u64..1000,
             p in 0.0f64..0.4,
-            pol in 0usize..4,
+            pol in 0usize..3,
         ) {
             let policy = policies()[pol];
             for kind in local_amplitude_kinds() {

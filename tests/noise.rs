@@ -299,7 +299,7 @@ fn sweep_noise_sites_are_distinct_and_a_repeated_qubit_is_rejected() {
     ] {
         let b = build(kind, 0, NoiseModel::ideal()).unwrap();
         let qs = b.alloc(0, 2);
-        let apply = |batch| b.apply_batch(0, &batch).and_then(|()| b.sync_coalesced());
+        let apply = |batch| b.apply_batch(0, &batch);
         assert_eq!(
             apply(sweep(vec![qs[0], qs[0]], vec![])),
             Err(QmpiError::Sim(SimError::DuplicateQubit(qs[0]))),

@@ -156,6 +156,50 @@ fn eight_concurrent_pooled_jobs_match_solo_runs_bit_for_bit() {
     assert_eq!(server.stats().pool_available, JOBS);
 }
 
+/// Dropping a server shuts its pool down before `drop` returns, so the
+/// `job_server` example over a `qworker` pool leaves no controller socket
+/// file behind when it exits. Each run gets a private `TMPDIR`, where the
+/// sockets live. Runs the example binary this build made (any `cargo test`
+/// without a target filter builds it; so does
+/// `cargo build --example job_server`).
+#[test]
+fn job_server_example_leaves_no_socket_files() {
+    let profile_dir = std::env::current_exe()
+        .unwrap()
+        .parent()
+        .and_then(|deps| deps.parent())
+        .expect("test binaries live in <target>/<profile>/deps")
+        .to_path_buf();
+    let example = profile_dir.join("examples").join("job_server");
+    assert!(
+        example.exists(),
+        "{} is missing: build it with `cargo build --example job_server`",
+        example.display()
+    );
+    for run in 0..8 {
+        let tmp = std::env::temp_dir().join(format!("qserve-sockets-{}-{run}", std::process::id()));
+        std::fs::create_dir_all(&tmp).unwrap();
+        let out = std::process::Command::new(&example)
+            .env("QSERVE_TRANSPORT", "unix-socket")
+            .env("QMPI_QWORKER_BIN", env!("CARGO_BIN_EXE_qworker"))
+            .env("TMPDIR", &tmp)
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "run {run}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let left: Vec<_> = std::fs::read_dir(&tmp)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("cmpi-") && name.ends_with(".sock"))
+            .collect();
+        std::fs::remove_dir_all(&tmp).unwrap();
+        assert!(left.is_empty(), "run {run} left {left:?}");
+    }
+}
+
 /// The same server, but pooling real `qworker` child processes over the
 /// unix-socket transport: leased process workers produce trajectories
 /// bit-identical to solo in-process runs of the same seed, and the report

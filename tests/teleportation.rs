@@ -1,12 +1,13 @@
 //! Cross-crate integration: the Fig. 3 protocols (fanout, unfanout,
 //! teleportation) executed on the full stack — QMPI ranks over the
 //! classical substrate over the shared simulator — verified against dense
-//! single-process references at the state-vector level.
+//! single-process references at the state-vector level. Also what an EPR
+//! request dropped before its `wait` leaves its peer.
 
 mod common;
 
 use common::ops;
-use qmpi::{run_with_config, QmpiConfig};
+use qmpi::{run, run_with_config, QmpiConfig, QmpiError};
 use qsim::{Gate, QubitId, Simulator};
 
 fn prepared_reference(theta: f64, phi: f64) -> qsim::State {
@@ -192,4 +193,60 @@ fn ghz_built_from_pairwise_sends_matches_cat_collective() {
     });
     assert!((out[0].0 - 0.5).abs() < 1e-9);
     assert!((out[0].1 - 0.5).abs() < 1e-9);
+}
+
+/// Runs a two-rank world on a thread and gives it `secs` to return;
+/// `None` when it is still blocked by then (the thread is left behind).
+fn within_secs<T: Send + 'static>(
+    secs: u64,
+    f: impl Fn(&qmpi::QmpiRank) -> T + Send + Sync + 'static,
+) -> Option<Vec<T>> {
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(run(2, f));
+    });
+    rx.recv_timeout(std::time::Duration::from_secs(secs)).ok()
+}
+
+/// A request the lower rank drops without `wait` fails the higher
+/// rank's `prepare_epr` with a typed error instead of blocking it.
+#[test]
+fn an_epr_request_dropped_on_the_lower_rank_fails_the_peer() {
+    let out = within_secs(10, |ctx| {
+        let q = ctx.alloc_one();
+        let got = if ctx.rank() == 0 {
+            drop(ctx.iprepare_epr(&q, 1, 0).unwrap());
+            Ok(())
+        } else {
+            ctx.prepare_epr(&q, 0, 0)
+        };
+        ctx.measure_and_free(q).unwrap();
+        got
+    })
+    .expect("the peer of a dropped EPR request blocked");
+    assert_eq!(out[0], Ok(()));
+    assert!(
+        matches!(&out[1], Err(QmpiError::Protocol(m)) if m.contains("rank 0")),
+        "{out:?}"
+    );
+}
+
+/// The lower rank needs nothing from the higher one past its posted id,
+/// so a request the higher rank drops still becomes a pair.
+#[test]
+fn an_epr_request_dropped_on_the_higher_rank_still_pairs() {
+    let out = within_secs(10, |ctx| {
+        let q = ctx.alloc_one();
+        let got = if ctx.rank() == 1 {
+            drop(ctx.iprepare_epr(&q, 0, 0).unwrap());
+            Ok(())
+        } else {
+            ctx.prepare_epr(&q, 1, 0)
+        };
+        ctx.barrier();
+        (got, ctx.measure_and_free(q).unwrap())
+    })
+    .expect("a dropped EPR request blocked its peer");
+    assert_eq!(out[0].0, Ok(()));
+    assert_eq!(out[0].1, out[1].1, "the pair was established");
 }

@@ -21,7 +21,7 @@
 
 mod common;
 
-use common::conformance::{ensure_worker_bin, run_circuit, Outcome, Step};
+use common::conformance::{canon_bits, ensure_worker_bin, run_circuit, Outcome, Step};
 use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
@@ -203,14 +203,14 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
     );
 }
 
-/// Failover through *coalesced* batches: two ranks' flushes joined into one
-/// batch (what the coalesce window ships) wait in the queue at no command
-/// round. SIGKILL a worker after one such batch; the measurement's read
-/// ships both and trips over the EOF, failover reloads the checkpoint,
-/// restores the queue, retries the read — and the run finishes
-/// bit-identical to an undisturbed run, noise draws included.
+/// Failover through two-segment batches: each batch holds two segments on
+/// disjoint qubit pairs and waits in the queue at no command round.
+/// SIGKILL a worker after one such batch; the measurement's read ships
+/// both and trips over the EOF, failover reloads the checkpoint, restores
+/// the queue, retries the read — and the run finishes bit-identical to an
+/// undisturbed run, noise draws included.
 #[test]
-fn sigkilled_worker_mid_coalesced_batch_replays_segments_bit_identically() {
+fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
     ensure_worker_bin();
     let run = |kill: bool| {
         let mut e = RemoteShardedEngine::over_transport(
@@ -224,34 +224,30 @@ fn sigkilled_worker_mid_coalesced_batch_replays_segments_bit_identically() {
         for &q in &qs {
             e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         }
-        // One "rank's" segment: a rotation plus an entangler confined to
-        // its own qubit pair (the window's disjoint-ownership shape).
+        // One segment: a rotation plus an entangler confined to one qubit
+        // pair.
         let seg = |lo: usize, theta: f64| {
-            let mut b = GateBatch::new();
-            b.push(BatchOp::Gate {
-                gate: Gate::Ry(theta),
-                q: qs[lo],
-            });
-            b.push(BatchOp::Cnot {
-                c: qs[lo],
-                t: qs[lo + 1],
-            });
-            b
+            [
+                BatchOp::Gate {
+                    gate: Gate::Ry(theta),
+                    q: qs[lo],
+                },
+                BatchOp::Cnot {
+                    c: qs[lo],
+                    t: qs[lo + 1],
+                },
+            ]
         };
-        let coalesced = |first: GateBatch, second: GateBatch| {
-            let mut window = first;
-            window.append(second);
-            window
-        };
-        // A coalesced batch (two segments) is queued: no command round.
+        let two_segments = |(a, ta), (b, tb)| ops::batch(seg(a, ta).into_iter().chain(seg(b, tb)));
+        // A two-segment batch is queued: no command round.
         let rounds = e.transport_stats().command_rounds;
-        e.apply_batch(&coalesced(seg(0, 0.3), seg(2, 0.7))).unwrap();
+        e.apply_batch(&two_segments((0, 0.3), (2, 0.7))).unwrap();
         assert_eq!(e.transport_stats().command_rounds, rounds);
         if kill {
             e.debug_kill_worker_process(SHARDS - 1);
         }
         // Queued too; the measurement's read discovers the dead socket.
-        e.apply_batch(&coalesced(seg(0, 1.1), seg(2, 0.2))).unwrap();
+        e.apply_batch(&two_segments((0, 1.1), (2, 0.2))).unwrap();
         // Trajectory identity proves replay did not re-draw randomness.
         let m = e.measure_z_parity(&[qs[0]]).unwrap();
         let amps = amp_bits(&e, &qs);
@@ -269,7 +265,7 @@ fn sigkilled_worker_mid_coalesced_batch_replays_segments_bit_identically() {
     assert_eq!(
         run(false),
         run(true),
-        "a coalesced batch interrupted by a worker death must replay bit-identically"
+        "a two-segment batch interrupted by a worker death must replay bit-identically"
     );
 }
 
@@ -678,7 +674,6 @@ fn every_call_costs_its_pinned_command_rounds() {
         }),
         ("gate batch", 0, 0, |b, q| {
             b.apply_batch(0, &ops::cnot(q[0], q[1])).unwrap();
-            b.sync_coalesced().unwrap();
         }),
         ("an EPR pair on fresh qubits", 0, 0, |b, _| {
             let (x, y) = (b.alloc(0, 1)[0], b.alloc(1, 1)[0]);
@@ -1032,6 +1027,145 @@ fn invalid_snapshot_order_costs_no_gather() {
         );
         assert_eq!(e.transport_stats(), before, "{kind}: a repeated qubit");
     }
+}
+
+/// Every engine kind.
+const KINDS: [BackendKind; 5] = [
+    BackendKind::StateVector,
+    BackendKind::Stabilizer,
+    BackendKind::Trace,
+    BackendKind::Sparse,
+    BackendKind::RemoteSharded { shards: SHARDS },
+];
+
+/// A rank's flush reaches the engine at its call, on every engine kind and
+/// over threads and sockets alike: the engine counts its gates before
+/// `apply_batch` returns. On the remote engine the store queues them, so
+/// the flushes cost no command round and the next read costs one.
+#[test]
+fn a_flush_reaches_the_engine_at_its_call_on_every_kind() {
+    ensure_worker_bin();
+    for kind in KINDS {
+        for transport in [TransportKind::InProcess, TransportKind::UnixSocket] {
+            let b = build_backend(kind, transport, 3, NoiseModel::ideal()).unwrap();
+            let (mine, theirs) = (b.alloc(0, 2), b.alloc(1, 1)[0]);
+            let rounds = || b.transport_stats().map(|t| t.command_rounds);
+            let before = rounds();
+            b.apply_batch(
+                0,
+                &ops::batch([
+                    BatchOp::Gate {
+                        gate: Gate::H,
+                        q: mine[0],
+                    },
+                    BatchOp::Cnot {
+                        c: mine[0],
+                        t: mine[1],
+                    },
+                ]),
+            )
+            .unwrap();
+            assert_eq!(b.gate_count(), 2, "{kind} over {transport}");
+            b.apply_batch(1, &ops::gate(Gate::X, theirs)).unwrap();
+            assert_eq!(b.gate_count(), 3, "{kind} over {transport}");
+            assert_eq!(rounds(), before, "{kind} over {transport}: flushes queue");
+            b.prob_one(1, theirs).unwrap();
+            assert_eq!(
+                rounds(),
+                before.map(|r| r + 1),
+                "{kind} over {transport}: one read ships them"
+            );
+        }
+    }
+}
+
+const STORM_RANKS: usize = 4;
+const STORM_QUBITS_PER_RANK: usize = 2;
+const STORM_ROUNDS: usize = 3;
+
+/// One rank's flush in a storm round: a few gates on the rank's own qubits.
+fn storm_batch(round: usize, qs: &[QubitId]) -> GateBatch {
+    ops::batch([
+        BatchOp::Gate {
+            gate: Gate::H,
+            q: qs[round % qs.len()],
+        },
+        BatchOp::Cnot { c: qs[0], t: qs[1] },
+        BatchOp::Gate {
+            gate: Gate::Rz(0.3 + 0.1 * round as f64),
+            q: qs[1],
+        },
+    ])
+}
+
+/// What a storm observes: amplitudes as canonical bit patterns, then every
+/// qubit's measurement.
+type StormOutcome = (Vec<(u64, u64)>, Vec<bool>);
+
+/// Runs a gate storm: each of four ranks owns a pair of qubits and flushes
+/// one batch a round, for three rounds, driven from this one thread so the
+/// flush order (and so the noise-draw order) is fixed. Returns what the
+/// storm observes and the command rounds its flushes cost (`None` without
+/// a transport).
+fn run_storm(backend: &dyn QuantumBackend) -> (StormOutcome, Option<u64>) {
+    let owned: Vec<Vec<QubitId>> = (0..STORM_RANKS)
+        .map(|r| backend.alloc(r, STORM_QUBITS_PER_RANK))
+        .collect();
+    let rounds = || backend.transport_stats().map(|t| t.command_rounds);
+    let before = rounds();
+    for round in 0..STORM_ROUNDS {
+        for (r, qs) in owned.iter().enumerate() {
+            backend.apply_batch(r, &storm_batch(round, qs)).unwrap();
+        }
+    }
+    let cost = rounds().zip(before).map(|(after, before)| after - before);
+    let all: Vec<QubitId> = owned.iter().flatten().copied().collect();
+    let st = backend.state_vector(&all).unwrap();
+    let amps = (0..st.len())
+        .map(|i| {
+            let a = st.amplitude(i);
+            (canon_bits(a.re), canon_bits(a.im))
+        })
+        .collect();
+    let trajectory = owned
+        .iter()
+        .enumerate()
+        .flat_map(|(r, qs)| qs.iter().map(move |&q| (r, q)))
+        .map(|(r, q)| backend.measure_z_parity(r, &[q]).unwrap())
+        .collect();
+    ((amps, trajectory), cost)
+}
+
+/// A storm of rank flushes costs no command round — the store queues them
+/// until a read — and lands on the dense engine's bits, amplitudes and
+/// measurements both, with and without Pauli noise drawn along the way.
+#[test]
+fn a_storm_of_rank_flushes_costs_no_command_round_and_matches_dense() {
+    for noise in [NoiseModel::ideal(), NoiseModel::depolarizing(0.2)] {
+        for seed in [7u64, 42] {
+            let build = |kind| build_backend(kind, TransportKind::InProcess, seed, noise).unwrap();
+            let (remote, rounds) =
+                run_storm(&*build(BackendKind::RemoteSharded { shards: SHARDS }));
+            let (dense, _) = run_storm(&*build(BackendKind::StateVector));
+            assert_eq!(rounds, Some(0), "flushes wait for a read");
+            assert_eq!(remote, dense, "the storm left the dense bits (seed {seed})");
+        }
+    }
+}
+
+/// The same noisy storm over `qworker` processes costs the same rounds
+/// and observes the same bits as over threads.
+#[test]
+fn a_socket_storm_matches_the_in_process_storm_bit_for_bit() {
+    ensure_worker_bin();
+    let storm = |transport| {
+        let kind = BackendKind::RemoteSharded { shards: SHARDS };
+        run_storm(&*build_backend(kind, transport, 13, NoiseModel::depolarizing(0.15)).unwrap())
+    };
+    assert_eq!(
+        storm(TransportKind::UnixSocket),
+        storm(TransportKind::InProcess)
+    );
 }
 
 /// Every place worker worlds can live.
