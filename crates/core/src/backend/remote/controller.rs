@@ -45,9 +45,9 @@ pub(super) struct Controller {
     read: Option<(usize, [ExactSum; 2])>,
 }
 
-/// The world ranks a worker's stripe parts go to, and those whose parts make
-/// up its new stripe ([`ShardCmd::Reshape`]'s `sends` and `recvs`).
-type Moves = (Vec<usize>, Vec<usize>);
+/// The world ranks a worker's stripe parts go to, and the one whose part
+/// becomes its new stripe ([`ShardCmd::Reshape`]'s `sends` and `recv`).
+type Moves = (Vec<usize>, Option<usize>);
 
 /// The reply-free commands each worker has yet to receive, in global order:
 /// planned gate streams, alloc and free reshapes, and measurement collapses.
@@ -205,21 +205,15 @@ impl Controller {
     pub(super) fn project(&mut self, mask: usize, pick: impl FnOnce(f64) -> bool) -> bool {
         let masses = self.masses(mask);
         let odd = pick(masses[1].finish());
-        self.collapse(mask, odd, masses);
-        odd
-    }
-
-    /// Queues the collapse onto the `odd` parity of `mask` with its rescale
-    /// by the kept side of `masses`.
-    fn collapse(&mut self, mask: usize, odd: bool, masses: [ExactSum; 2]) {
         let factor = stripe::renormalizer(masses[usize::from(odd)].finish());
         for s in 0..self.active() {
             self.enqueue(s, ShardCmd::CollapseScale { mask, odd, factor });
         }
+        odd
     }
 
     /// Removes position `pos`, keeping its `outcome` branch rescaled by
-    /// one over the square root of its mass, and queues the reshape. The
+    /// one over the square root of its mass, as one queued reshape. The
     /// mass is the last read's when that read was of this qubit and nothing
     /// has been queued since (the read that decided a free), else one read
     /// now.
@@ -229,8 +223,8 @@ impl Controller {
             Some((read, masses)) if read == mask => masses,
             _ => self.masses(mask),
         };
-        self.collapse(mask, outcome, masses);
-        self.reshape(Some((pos, outcome)));
+        let factor = stripe::renormalizer(masses[usize::from(outcome)].finish());
+        self.reshape(Some((pos, outcome, factor)));
     }
 
     /// Uncounted, unrecorded whole-state gather (shards are contiguous
@@ -481,26 +475,28 @@ impl Controller {
     }
 
     /// The layout change of an alloc (`remove` is `None`) or a free
-    /// (`Some((pos, outcome))`, the qubit already collapsed), as one queued
-    /// [`ShardCmd::Reshape`] per involved worker; the layout switches at
-    /// once and nothing comes back.
+    /// (`Some((pos, outcome, factor))`, keeping the `outcome` branch scaled
+    /// by `factor`), as one queued [`ShardCmd::Reshape`] per involved
+    /// worker; the layout switches at once and nothing comes back.
     ///
     /// The shard axes stay on the qubits that hold them. While there are
     /// fewer qubits than shard bits, a new qubit is a new shard axis and
     /// the new shards start from zero; after that, a new qubit is the
     /// highest local bit, so each stripe doubles in place. Freeing a local
-    /// qubit compacts each stripe in place. Only freeing a shard axis moves
-    /// amplitudes: the highest local qubit takes the axis over, and the
-    /// kept side of each shard pair sends one half of its stripe to the
-    /// other (with no local qubit left, the shard count halves instead).
-    pub(super) fn reshape(&mut self, remove: Option<(usize, bool)>) {
+    /// qubit compacts and rescales each stripe in one pass where it lives.
+    /// Only freeing a shard axis moves amplitudes: the highest local qubit
+    /// takes the axis over, and the kept side of each shard pair rescales
+    /// and sends one half of its stripe to the other (with no local qubit
+    /// left, the shard count halves instead); the dropped side discards its
+    /// stripe untouched.
+    pub(super) fn reshape(&mut self, remove: Option<(usize, bool, f64)>) {
         let (n, l, active) = (self.n_qubits, self.local_bits(), self.active());
         // Per worker: the world ranks its stripe's equal parts go to, and
-        // those whose parts make up its new stripe; a compaction first.
+        // the one whose part becomes its new stripe.
         let mut moves: Vec<Moves> = (0..active)
-            .map(|s| (vec![rank_of(s)], vec![rank_of(s)]))
+            .map(|s| (vec![rank_of(s)], Some(rank_of(s))))
             .collect();
-        let mut compact = None;
+        let (mut compact, mut factor) = (None, 1.0);
         let (new_n, new_l) = match remove {
             None if self.shard_bits < self.max_shard_bits => {
                 // The new shards start empty: zero-filled to one amplitude.
@@ -515,7 +511,8 @@ impl Controller {
                 self.phys.push(l);
                 (n + 1, l + 1)
             }
-            Some((pos, outcome)) => {
+            Some((pos, outcome, kept_factor)) => {
+                factor = kept_factor;
                 let b = self.phys.remove(pos);
                 let into = match b.checked_sub(l) {
                     None => {
@@ -542,11 +539,12 @@ impl Controller {
             }
         };
         self.set_layout(new_n);
-        for (s, (sends, recvs)) in moves.into_iter().enumerate() {
+        for (s, (sends, recv)) in moves.into_iter().enumerate() {
             let cmd = ShardCmd::Reshape {
                 compact,
+                factor,
                 sends,
-                recvs,
+                recv,
                 shard_index: s,
                 local_bits: new_l,
                 len: if s < self.active() { 1 << new_l } else { 0 },
@@ -564,7 +562,7 @@ impl Controller {
             let high = low | jbit;
             let (kept, gone) = if outcome { (high, low) } else { (low, high) };
             moves[kept].0 = vec![rank_of(low), rank_of(high)];
-            moves[gone] = (Vec::new(), vec![rank_of(kept)]);
+            moves[gone] = (Vec::new(), Some(rank_of(kept)));
             self.xchg_rounds += 1;
         }
     }
@@ -577,7 +575,7 @@ impl Controller {
         for s in (0..moves.len()).filter(|s| (s >> j) & 1 == usize::from(outcome)) {
             let d = (s & ((1 << j) - 1)) | ((s >> (j + 1)) << j);
             moves[s].0.push(rank_of(d));
-            moves[d].1.push(rank_of(s));
+            moves[d].1 = Some(rank_of(s));
             self.xchg_rounds += u64::from(d != s);
         }
     }

@@ -68,8 +68,8 @@
 //!   stripe's (even, odd) mass under a parity mask (a single qubit is a
 //!   one-bit parity, the only form the store is asked for), the controller
 //!   compares the front's uniform draw with the odd total, and the
-//!   projection onto the outcome is queued as a reply-free
-//!   [`ShardCmd::CollapseScale`].
+//!   rescaled projection onto the outcome is queued as one reply-free pass
+//!   per stripe ([`ShardCmd::CollapseScale`]); a free queues none.
 //! * **Expectation values** are gather-free: [`ShardCmd::Expect`] pairs
 //!   each shard with its `x_mask`-partner ([`ExpectRole`]), the partners
 //!   exchange stripes worker↔worker, and only complex partial sums flow
@@ -85,12 +85,13 @@
 //!   select it. The first qubits allocated take the shard axes and keep
 //!   them while they live; a later qubit enters as the highest local bit,
 //!   so an alloc doubles each stripe where it lives and freeing a local
-//!   qubit compacts each stripe where it lives ([`ShardCmd::Reshape`]). A
+//!   qubit rescales and compacts each stripe in one pass where it lives
+//!   ([`ShardCmd::Reshape`], by the mass of the read that decided it). A
 //!   fresh communication qubit therefore never moves a stripe. Only
 //!   freeing a shard axis moves amplitudes: the highest local qubit takes
-//!   the axis over, one half-stripe per shard pair on `TAG_XCHG`. Neither
-//!   needs anything back, so both queue; a free rescales by the mass of
-//!   the read that decided it, queued as a [`ShardCmd::CollapseScale`].
+//!   the axis over, and the kept side rescales and sends one half-stripe
+//!   per shard pair on `TAG_XCHG`. Neither needs anything back, so each is
+//!   one queued command per worker.
 //! * **Snapshots** (`state_vector`), failover checkpoints and recovery are
 //!   the only users of the dense state: [`ShardCmd::Gather`] and
 //!   [`ShardCmd::Load`]. A snapshot ships the queue in a round of its own
@@ -126,8 +127,10 @@ mod worker;
 pub(crate) use failover::DeadWorker;
 pub use qsim::stripe::PairKernel;
 pub use store::{RemoteShardedEngine, RemoteStore};
-pub(crate) use wire::{decode_reply_frame, encode_reply_frame, WIRE_VERSION};
-pub use wire::{ExpectRole, ShardCmd, ShardReply, WireAmps, WorkerOp};
+pub(crate) use wire::{
+    decode_reply_frame, decode_stripe_into, encode_reply_frame, WireAmps, WIRE_VERSION,
+};
+pub use wire::{ExpectRole, ShardCmd, ShardReply, WorkerOp};
 pub(crate) use worker::{shard_worker, worker_loop, ShardChannel, WorkerHalt, TAG_CMD, TAG_REPLY};
 
 use crate::context::env_positive;

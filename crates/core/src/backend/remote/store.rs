@@ -261,6 +261,12 @@ impl RemoteShardedEngine {
         self.raw_state().stats()
     }
 
+    /// Test/diagnostic hook: each worker's queued commands (a batch is one).
+    pub fn debug_queued_commands(&self) -> Vec<usize> {
+        let ctl = self.raw_state().ctl.lock();
+        ctl.queue.cmds.iter().map(Vec::len).collect()
+    }
+
     /// Test/diagnostic hook: makes shard `shard`'s worker exit its event
     /// loop *without* completing the protocol, simulating a crashed shard
     /// node. In-process, subsequent operations touching that shard trip

@@ -12,7 +12,7 @@ use qsim::Complex;
 /// Version of the byte layout of every command, reply and exchange frame,
 /// sent at the head of the `HELLO` body; bump it with any change to that
 /// layout.
-pub(crate) const WIRE_VERSION: u32 = 4;
+pub(crate) const WIRE_VERSION: u32 = 5;
 
 fn encode_complex(c: &Complex, buf: &mut BytesMut) {
     c.re.encode(buf);
@@ -96,14 +96,17 @@ fn decode_segments(buf: &mut Bytes, len: usize, mut each: impl FnMut(usize, Byte
     Some(())
 }
 
-fn decode_amps(buf: &mut Bytes) -> Option<Vec<Complex>> {
+/// Decodes a stripe payload into `out`, replacing what it held; `out` keeps
+/// its capacity, and grows only if the stripe does not fit.
+fn decode_amps_into(buf: &mut Bytes, out: &mut Vec<Complex>) -> Option<()> {
     let len = usize::decode(buf)?;
     if len > 1 << MAX_DENSE_QUBITS {
         return None;
     }
     // Zero runs cost no payload: check every segment before allocating.
     decode_segments(&mut buf.clone(), len, |_, _| {})?;
-    let mut out = Vec::with_capacity(len);
+    out.clear();
+    out.reserve(len);
     decode_segments(buf, len, |zeros, lits| {
         out.resize(out.len() + zeros, Complex::default());
         out.extend(lits.as_chunks::<16>().0.iter().map(|c| {
@@ -111,7 +114,12 @@ fn decode_amps(buf: &mut Bytes) -> Option<Vec<Complex>> {
             let [re, im] = [bits as u64, (bits >> 64) as u64].map(f64::from_bits);
             Complex::new(re, im)
         }));
-    })?;
+    })
+}
+
+fn decode_amps(buf: &mut Bytes) -> Option<Vec<Complex>> {
+    let mut out = Vec::new();
+    decode_amps_into(buf, &mut out)?;
     Some(out)
 }
 
@@ -133,20 +141,21 @@ fn decode_mat(buf: &mut Bytes) -> Option<Mat2> {
     Some(m)
 }
 
-/// Stripe payload exchanged between cross-shard pairing partners.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireAmps(pub Vec<Complex>);
+/// Stripe payload exchanged between workers, encoded from the stripe it
+/// borrows; [`decode_stripe_into`] reads one back.
+pub(crate) struct WireAmps<'a>(pub(crate) &'a [Complex]);
 
-impl Encode for WireAmps {
+impl Encode for WireAmps<'_> {
     fn encode(&self, buf: &mut BytesMut) {
-        encode_amps(&self.0, buf);
+        encode_amps(self.0, buf);
     }
 }
 
-impl Decode for WireAmps {
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        decode_amps(buf).map(WireAmps)
-    }
+/// Decodes a whole [`WireAmps`] body into `out`, which keeps its capacity;
+/// `None` on a malformed body or bytes left over.
+pub(crate) fn decode_stripe_into(mut body: Bytes, out: &mut Vec<Complex>) -> Option<()> {
+    decode_amps_into(&mut body, out)?;
+    body.is_empty().then_some(())
 }
 
 fn encode_kernel(kernel: &PairKernel, buf: &mut BytesMut) {
@@ -442,9 +451,9 @@ pub enum ShardCmd {
         /// Global parity mask; one bit for a single qubit.
         mask: usize,
     },
-    /// Keep the `odd` (or even) parity subspace under `mask`, zero the rest,
-    /// and rescale every amplitude by `factor`: the reply-free half of a
-    /// measurement.
+    /// Keep the `odd` (or even) parity subspace under `mask` rescaled by
+    /// `factor`, and zero the rest: the reply-free half of a measurement
+    /// that keeps its qubits ([`qsim::stripe::collapse_scale`]).
     CollapseScale {
         /// Global parity mask.
         mask: usize,
@@ -456,22 +465,27 @@ pub enum ShardCmd {
     /// Execute the commands in order: a worker's queue followed by the
     /// command that needs its reply. Holds no `Seq`.
     Seq(Vec<ShardCmd>),
-    /// In-place layout change for an alloc or a free: compact the stripe
-    /// locally, ship its equal parts worker↔worker on `TAG_XCHG`, and
-    /// assemble the new stripe from the parts received (zero-padded to
-    /// `len`). A rank equal to the worker's own (`shard_index + 1`) names a
-    /// part that stays where it is. A worker trades with its peers in rank
-    /// order, the lower rank of each pair writing first, so no cycle of
-    /// workers can wait on each other.
+    /// In-place layout change for an alloc or a free: rescale a free's
+    /// kept amplitudes (dropping a within-stripe qubit in the same pass),
+    /// ship the stripe's equal parts worker↔worker on `TAG_XCHG`, and take
+    /// the part received as the new stripe (zero-padded to `len`). A rank
+    /// equal to the worker's own (`shard_index + 1`) names a part that
+    /// stays. A worker trades with its peers in rank order, the lower rank
+    /// of each pair writing first, so no cycle of workers can wait on each
+    /// other.
     Reshape {
-        /// Drop this within-stripe qubit first, keeping the `bool` branch
-        /// ([`qsim::stripe::remove_qubit_in_place`] on the worker's own stripe).
+        /// A free of this within-stripe qubit, keeping the `bool` branch
+        /// ([`qsim::stripe::collapse_remove_in_place`] by `factor`).
         compact: Option<(usize, bool)>,
+        /// A free's rescale of the kept amplitudes, `1/√(kept mass)` from
+        /// the read that decided it; 1 for an alloc.
+        factor: f64,
         /// World ranks the stripe's `sends.len()` equal parts go to, in
         /// offset order; empty discards the stripe.
         sends: Vec<usize>,
-        /// World ranks whose parts make up the new stripe, in offset order.
-        recvs: Vec<usize>,
+        /// World rank whose part becomes the new stripe; `None` starts it
+        /// from zeros.
+        recv: Option<usize>,
         /// This worker's shard index under the new layout.
         shard_index: usize,
         /// Within-stripe bit count under the new layout.
@@ -534,16 +548,18 @@ impl Encode for ShardCmd {
             ShardCmd::Die => 10u8.encode(buf),
             ShardCmd::Reshape {
                 compact,
+                factor,
                 sends,
-                recvs,
+                recv,
                 shard_index,
                 local_bits,
                 len,
             } => {
                 12u8.encode(buf);
                 compact.encode(buf);
+                factor.encode(buf);
                 sends.encode(buf);
-                recvs.encode(buf);
+                recv.encode(buf);
                 shard_index.encode(buf);
                 local_bits.encode(buf);
                 len.encode(buf);
@@ -617,11 +633,12 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
         9 => ShardCmd::Shutdown,
         10 => ShardCmd::Die,
         12 => {
-            // The generic decoders reject an unknown compaction tag and
-            // a rank count beyond the bytes that remain.
+            // The generic decoders reject an unknown option tag and a rank
+            // count beyond the bytes that remain.
             let compact = Option::<(usize, bool)>::decode(buf)?;
+            let factor = f64::decode(buf)?;
             let sends = Vec::<usize>::decode(buf)?;
-            let recvs = Vec::<usize>::decode(buf)?;
+            let recv = Option::<usize>::decode(buf)?;
             let shard_index = usize::decode(buf)?;
             let local_bits = usize::decode(buf)?;
             let len = usize::decode(buf)?;
@@ -632,8 +649,9 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
             }
             ShardCmd::Reshape {
                 compact,
+                factor,
                 sends,
-                recvs,
+                recv,
                 shard_index,
                 local_bits,
                 len,
@@ -848,8 +866,9 @@ mod tests {
             // A free that compacts locally and keeps the stripe...
             ShardCmd::Reshape {
                 compact: Some((2, true)),
+                factor: 1.25,
                 sends: vec![4],
-                recvs: vec![4],
+                recv: Some(4),
                 shard_index: 3,
                 local_bits: 5,
                 len: 32,
@@ -857,17 +876,19 @@ mod tests {
             // ...the largest world's last shard...
             ShardCmd::Reshape {
                 compact: None,
+                factor: 1.0,
                 sends: vec![],
-                recvs: vec![64],
+                recv: Some(64),
                 shard_index: (1 << MAX_REMOTE_SHARD_BITS) - 1,
                 local_bits: 1,
                 len: 2,
             },
-            // ...a stripe assembled from two neighbours'...
+            // ...a stripe that rescales and ships a half of itself...
             ShardCmd::Reshape {
                 compact: None,
-                sends: vec![1],
-                recvs: vec![1, 2],
+                factor: 2.0f64.sqrt(),
+                sends: vec![1, 2],
+                recv: Some(1),
                 shard_index: 0,
                 local_bits: 3,
                 len: 8,
@@ -875,8 +896,9 @@ mod tests {
             // ...and a worker that discards its stripe and goes inactive.
             ShardCmd::Reshape {
                 compact: None,
+                factor: 1.0,
                 sends: vec![],
-                recvs: vec![],
+                recv: None,
                 shard_index: 6,
                 local_bits: 0,
                 len: 0,
@@ -958,8 +980,9 @@ mod tests {
             ShardCmd::Seq(vec![ShardCmd::Gather, ShardCmd::Branches { mask: 1 }]),
             ShardCmd::Reshape {
                 compact: Some((2, true)),
+                factor: 2.0,
                 sends: vec![1, 4],
-                recvs: vec![4],
+                recv: Some(4),
                 shard_index: 3,
                 local_bits: 5,
                 len: 32,
@@ -1048,9 +1071,9 @@ mod tests {
             ("Seq", "0f0200000000000000010d0100000000000000"),
             (
                 "Reshape",
-                "0c01020000000000000001020000000000000001000000000000000400000000\
-                 0000000100000000000000040000000000000003000000000000000500000000\
-                 0000002000000000000000",
+                "0c01020000000000000001000000000000004002000000000000000100000000\
+                 0000000400000000000000010400000000000000030000000000000005000000\
+                 000000002000000000000000",
             ),
             ("Shutdown", "09"),
             ("Die", "0a"),
@@ -1106,7 +1129,7 @@ mod tests {
 
     #[test]
     fn stripe_payload_sizes_are_bounded() {
-        let size = |amps: Vec<Complex>| cmpi::to_bytes(&WireAmps(amps)).len();
+        let size = |amps: Vec<Complex>| cmpi::to_bytes(&WireAmps(&amps)).len();
         // An all-zero stripe is one segment, however long.
         for k in 2..=16 {
             assert_eq!(size(vec![Complex::default(); 1 << k]), 24, "2^{k} zeros");
@@ -1218,34 +1241,36 @@ mod tests {
             }
             assert!(cmpi::from_bytes::<ShardReply>(&buf.freeze()).is_none());
         }
-        // Reshape frames: an unknown compaction tag, a rank list longer
-        // than the payload (either list), a frame cut short, a stripe
-        // length that disagrees with the layout, and a shard index no world
-        // reaches. `ranks` are the two rank-list counts (no ranks follow).
-        let reshape = |compact_tag: u8, ranks: (usize, usize), len: usize, shard: usize| {
+        // Reshape frames: an unknown compaction or receive tag, a send list
+        // longer than the payload, a frame cut short, a stripe length that
+        // disagrees with the layout, and a shard index no world reaches.
+        // `tags` are the compaction's and the receive's option tags (no
+        // value follows) and `sends` the send count (no ranks follow).
+        let reshape = |tags: (u8, u8), sends: usize, len: usize, shard: usize| {
             let mut buf = BytesMut::new();
             12u8.encode(&mut buf); // ShardCmd::Reshape
-            compact_tag.encode(&mut buf);
-            ranks.0.encode(&mut buf);
-            ranks.1.encode(&mut buf);
+            tags.0.encode(&mut buf);
+            1.0f64.encode(&mut buf); // factor
+            sends.encode(&mut buf);
+            tags.1.encode(&mut buf);
             shard.encode(&mut buf);
             4usize.encode(&mut buf); // local_bits
             len.encode(&mut buf);
             buf.freeze()
         };
         let decodes = |frame: &Bytes| cmpi::from_bytes::<ShardCmd>(frame).is_some();
-        assert!(decodes(&reshape(0, (0, 0), 16, 1)));
-        assert!(!decodes(&reshape(7, (0, 0), 16, 1)));
-        assert!(!decodes(&reshape(0, (usize::MAX, 0), 16, 1)));
-        assert!(!decodes(&reshape(0, (0, usize::MAX), 16, 1)));
-        assert!(!decodes(&reshape(0, (0, 0), 17, 1)));
-        let mut whole = reshape(0, (0, 0), 16, 1);
+        assert!(decodes(&reshape((0, 0), 0, 16, 1)));
+        assert!(!decodes(&reshape((7, 0), 0, 16, 1)));
+        assert!(!decodes(&reshape((0, 7), 0, 16, 1)));
+        assert!(!decodes(&reshape((0, 0), usize::MAX, 16, 1)));
+        assert!(!decodes(&reshape((0, 0), 0, 17, 1)));
+        let mut whole = reshape((0, 0), 0, 16, 1);
         let cut = whole.split_to(whole.len() - 1);
         assert!(!decodes(&cut));
         let shards = 1usize << MAX_REMOTE_SHARD_BITS;
-        assert!(decodes(&reshape(0, (0, 0), 16, shards - 1)));
-        assert!(!decodes(&reshape(0, (0, 0), 16, shards)));
-        assert!(!decodes(&reshape(0, (0, 0), 16, usize::MAX)));
+        assert!(decodes(&reshape((0, 0), 0, 16, shards - 1)));
+        assert!(!decodes(&reshape((0, 0), 0, 16, shards)));
+        assert!(!decodes(&reshape((0, 0), 0, 16, usize::MAX)));
         // Load frames take the same header bounds: within-stripe bits a
         // worker can shift by, a shard index no world exceeds, and a stripe
         // that is empty or exactly covers those bits.
@@ -1326,8 +1351,9 @@ mod tests {
             let mut buf = BytesMut::new();
             12u8.encode(&mut buf); // ShardCmd::Reshape
             0u8.encode(&mut buf); // no compaction
+            1.0f64.encode(&mut buf); // factor
             0usize.encode(&mut buf); // sends
-            0usize.encode(&mut buf); // recvs
+            0u8.encode(&mut buf); // no receive
             0usize.encode(&mut buf); // shard_index
             local_bits.encode(&mut buf);
             0usize.encode(&mut buf); // len
@@ -1337,11 +1363,11 @@ mod tests {
         assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS + 1)).is_none());
     }
 
-    /// The head of the `HELLO` body as literal bytes: wire format 4,
+    /// The head of the `HELLO` body as literal bytes: wire format 5,
     /// little-endian.
     #[test]
     fn hello_body_keeps_its_golden_bytes() {
-        assert_eq!(WIRE_VERSION.to_le_bytes(), [4, 0, 0, 0]);
+        assert_eq!(WIRE_VERSION.to_le_bytes(), [5, 0, 0, 0]);
     }
 
     #[test]
@@ -1403,9 +1429,10 @@ mod tests {
                 pieces in proptest::collection::vec(arb_piece(), 0..24),
             ) {
                 let amps: Vec<Complex> = pieces.concat();
-                let bytes = cmpi::to_bytes(&WireAmps(amps.clone()));
+                let bytes = cmpi::to_bytes(&WireAmps(&amps));
                 prop_assert!(bytes.len() <= 8 + 16 * amps.len() + 16);
-                let back = cmpi::from_bytes::<WireAmps>(&bytes).expect("decode").0;
+                let mut back = vec![Complex::new(9.0, 9.0); 3];
+                decode_stripe_into(bytes.clone(), &mut back).expect("decode");
                 let bits = |v: &[Complex]| -> Vec<(u64, u64)> {
                     v.iter().map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
                 };

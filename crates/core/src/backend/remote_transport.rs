@@ -79,8 +79,8 @@
 //! over).
 
 use super::remote::{
-    decode_reply_frame, encode_reply_frame, rank_of, shard_of, worker_loop, DeadWorker,
-    ShardChannel, ShardCmd, ShardReply, WireAmps, WorkerHalt, WIRE_VERSION,
+    decode_reply_frame, decode_stripe_into, encode_reply_frame, rank_of, shard_of, worker_loop,
+    DeadWorker, ShardChannel, ShardCmd, ShardReply, WireAmps, WorkerHalt, WIRE_VERSION,
 };
 use bytes::Bytes;
 use cmpi::transport::{
@@ -209,7 +209,7 @@ impl ShardChannel for SockChannel {
         Ok(())
     }
 
-    fn send_xchg(&mut self, partner: usize, amps: Vec<Complex>) -> Result<(), WorkerHalt> {
+    fn send_xchg(&mut self, partner: usize, amps: &[Complex]) -> Result<(), WorkerHalt> {
         let hdr = header(TAG_XCHG, self.rank);
         let body = to_bytes(&WireAmps(amps));
         match write_frame(self.peer(partner)?, &hdr, body.as_slice()) {
@@ -221,11 +221,16 @@ impl ShardChannel for SockChannel {
         }
     }
 
-    fn recv_xchg(&mut self, partner: usize, what: &str) -> Result<Vec<Complex>, WorkerHalt> {
+    fn recv_xchg(
+        &mut self,
+        partner: usize,
+        what: &str,
+        into: &mut Vec<Complex>,
+    ) -> Result<(), WorkerHalt> {
         match read_frame(self.peer(partner)?) {
-            Ok((hdr, body)) if hdr.tag == TAG_XCHG => from_bytes::<WireAmps>(&Bytes::from(body))
-                .map(|w| w.0)
-                .ok_or(WorkerHalt),
+            Ok((hdr, body)) if hdr.tag == TAG_XCHG => {
+                decode_stripe_into(Bytes::from(body), into).ok_or(WorkerHalt)
+            }
             Ok(_) => Err(WorkerHalt),
             Err(e) => Err(self.halt(e, what, "from", partner)),
         }

@@ -384,6 +384,12 @@ pub struct QmpiRank {
     /// and surfaced — typed — by the next fallible QMPI call instead of
     /// panicking inside the accessor.
     deferred: std::cell::RefCell<Option<QmpiError>>,
+    /// One `(peer, tag, role)` entry per EPR request dropped before its
+    /// protocol ran: the peer's messages for it (its qubit id, and on the
+    /// higher rank the acknowledgement) still arrive on that stream, and
+    /// the next request waited on there discards them first (see
+    /// [`crate::epr::EprRequest`]).
+    pub(crate) abandoned_epr: std::cell::RefCell<Vec<(usize, QTag, EprRole)>>,
 }
 
 impl QmpiRank {
@@ -686,6 +692,7 @@ where
             pending: std::cell::RefCell::new(qsim::GateBatch::new()),
             fuse,
             deferred: std::cell::RefCell::new(None),
+            abandoned_epr: std::cell::RefCell::new(Vec::new()),
         };
         let out = f(&ctx);
         // The rank's program is over: anything still pending must land so

@@ -80,8 +80,10 @@ impl QmpiRank {
 /// — the one that entangles — the drop acknowledges a failure, so the
 /// peer's `wait` returns [`QmpiError::Protocol`] instead of blocking. The
 /// higher rank's peer never waits on it past the qubit id posted here, so
-/// it establishes the pair whatever the higher rank does next. Either way
-/// the pair's id stream is left out of step: do not reuse its tag.
+/// it establishes the pair whatever the higher rank does next. The peer's
+/// messages for the abandoned request (its qubit id, and on the higher rank
+/// the acknowledgement) are discarded by this rank's next `wait` with the
+/// same peer, tag and role, so that request pairs as if none were dropped.
 #[must_use = "an EPR request must be waited on: dropped, it fails the pair"]
 pub struct EprRequest<'a> {
     ctx: &'a QmpiRank,
@@ -123,6 +125,22 @@ impl EprRequest<'_> {
         ctx.flush()?;
         self.pending = false;
         let my_rank = ctx.rank();
+        // The peer's messages for requests abandoned on this stream come
+        // first: discard them.
+        let abandoned = {
+            let mut list = ctx.abandoned_epr.borrow_mut();
+            let before = list.len();
+            list.retain(|&k| k != (self.dest, self.tag, self.role));
+            before - list.len()
+        };
+        for _ in 0..abandoned {
+            let id_tag = ptag_role(ProtoOp::EprId, self.role.opposite(), self.tag);
+            ctx.proto.recv::<u64>(self.dest, id_tag);
+            if my_rank > self.dest {
+                let ack_tag = ptag_role(ProtoOp::EprAck, self.role, self.tag);
+                ctx.proto.recv::<bool>(self.dest, ack_tag);
+            }
+        }
         // The peer posted its id on the opposite role stream.
         let (their_id, _) = ctx.proto.recv::<u64>(
             self.dest,
@@ -162,13 +180,20 @@ impl EprRequest<'_> {
 
 impl Drop for EprRequest<'_> {
     fn drop(&mut self) {
-        if self.pending && self.ctx.rank() < self.dest {
-            self.ctx.proto.send(
+        if !self.pending {
+            return;
+        }
+        let ctx = self.ctx;
+        ctx.abandoned_epr
+            .borrow_mut()
+            .push((self.dest, self.tag, self.role));
+        if ctx.rank() < self.dest {
+            ctx.proto.send(
                 &false,
                 self.dest,
                 ptag_role(ProtoOp::EprAck, self.role.opposite(), self.tag),
             );
-            self.ctx.ledger.record_control();
+            ctx.ledger.record_control();
         }
     }
 }

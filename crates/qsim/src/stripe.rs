@@ -734,6 +734,26 @@ pub fn collapse_parity(amps: &mut [Complex], base: usize, mask: usize, want_odd:
     collapse_where(amps, base, mask, |g| odd_parity(g, mask) == want_odd)
 }
 
+/// [`collapse_parity`] onto `want_odd` then [`scale`] by `factor`, in one
+/// pass that sums nothing: the kept runs are scaled, the others zeroed.
+pub fn collapse_scale(amps: &mut [Complex], base: usize, mask: usize, want_odd: bool, factor: f64) {
+    wide_from!(Avx512, amps.len(), {
+        for_runs(
+            amps.len(),
+            mask,
+            #[inline(always)]
+            |at, len| {
+                let run = &mut amps[at..at + len];
+                if odd_parity(base | at, mask) == want_odd {
+                    run.iter_mut().for_each(|a| *a = a.scale(factor));
+                } else {
+                    run.fill(C_ZERO);
+                }
+            },
+        );
+    })
+}
+
 /// Rescales every amplitude by the real factor (collapse renormalization,
 /// phase 3 — broadcast once the global kept mass is reduced).
 pub fn scale(amps: &mut [Complex], factor: f64) {
@@ -1010,14 +1030,17 @@ pub fn remove_qubit_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bo
 }
 
 /// Removes qubit `target` from a dense amplitude vector, keeping the
-/// `outcome` branch, whose mass is `kept`, scaled by [`renormalizer`]: to
-/// the bit what [`collapse_parity`] over `target` onto `outcome`, [`scale`]
-/// by the kept mass and [`remove_qubit_in_place`] leave, in one pass over
-/// the kept half — nothing is zeroed or scaled in the half that is dropped,
-/// and each kept amplitude moves once. Panics when the outcome has no
-/// probability.
-fn collapse_remove_in_place(amps: &mut Vec<Complex>, target: usize, outcome: bool, kept: f64) {
-    let factor = renormalizer(kept);
+/// `outcome` branch scaled by `factor` (the [`renormalizer`] of its mass):
+/// to the bit what [`collapse_parity`] over `target` onto `outcome`,
+/// [`scale`] by `factor` and [`remove_qubit_in_place`] leave, in one pass
+/// over the kept half — nothing is zeroed or scaled in the half that is
+/// dropped, and each kept amplitude moves once.
+pub fn collapse_remove_in_place(
+    amps: &mut Vec<Complex>,
+    target: usize,
+    outcome: bool,
+    factor: f64,
+) {
     wide!(Avx2, {
         walk_known_short!(1usize << target, |bit| {
             let kept_at = if outcome { bit } else { 0 };
@@ -1842,6 +1865,41 @@ mod tests {
         }
     }
 
+    /// The one-pass collapse is the per-index collapse and then the per-index
+    /// rescale, on every kernel copy the host has, with exact zeros of
+    /// either sign among generic amplitudes.
+    #[test]
+    fn collapse_scale_is_collapse_then_scale_bit_for_bit() {
+        let factor = renormalizer(0.3);
+        on_each_copy(|| {
+            for len in stripe_lens() {
+                let mut amps = seeded(len, 700 + len as u64);
+                for (i, a) in amps.iter_mut().enumerate().filter(|(i, _)| i % 5 == 1) {
+                    *a = Complex::new(-0.0, if i % 2 == 0 { 0.0 } else { -0.0 });
+                }
+                for mask in 0..4 * len {
+                    for base in [0, len, 2 * len, 3 * len] {
+                        for odd in [false, true] {
+                            same_bits(
+                                &amps,
+                                ("collapse_scale", len, base, mask, odd),
+                                |v| {
+                                    collapse_scale(v, base, mask, odd, factor);
+                                    0.0
+                                },
+                                |v| {
+                                    naive::collapse_parity(v, base, mask, odd);
+                                    v.iter_mut().for_each(|a| *a = a.scale(factor));
+                                    0.0
+                                },
+                            );
+                        }
+                    }
+                }
+            }
+        });
+    }
+
     #[test]
     fn phase_sweep_matches_the_per_index_loop_bit_for_bit() {
         let d = |k: usize| {
@@ -2560,7 +2618,7 @@ mod tests {
                     let (want, _) = naive::remove_qubit_flat(&want, j, outcome);
                     let mut got = amps.clone();
                     let kept = masked_norm(&got, 0, run, if outcome { run } else { 0 });
-                    collapse_remove_in_place(&mut got, j, outcome, kept);
+                    collapse_remove_in_place(&mut got, j, outcome, renormalizer(kept));
                     assert_eq!(bits(&got), bits(&want), "qubit {j} onto {outcome}");
                 }
             }

@@ -145,11 +145,11 @@ pub(crate) fn parity_prob_odd(amps: &[Complex], mask: usize) -> f64 {
 /// dropped half (or stays), so the pass splits: each thread rescales one
 /// quarter of the register.
 pub(crate) fn collapse_remove(amps: &mut Vec<Complex>, target: usize, outcome: bool, kept: f64) {
+    let factor = renormalizer(kept);
     let top = amps.len() / 2;
     if amps.len() < SPLIT_MIN || 1 << target != top {
-        return super::collapse_remove_in_place(amps, target, outcome, kept);
+        return super::collapse_remove_in_place(amps, target, outcome, factor);
     }
-    let factor = renormalizer(kept);
     let (low, high) = amps.split_at_mut(top);
     let (low, low_up) = low.split_at_mut(top / 2);
     if outcome {

@@ -7,7 +7,7 @@
 mod common;
 
 use common::ops;
-use qmpi::{run, run_with_config, QmpiConfig, QmpiError};
+use qmpi::{run_with_config, QmpiConfig, QmpiError};
 use qsim::{Gate, QubitId, Simulator};
 
 fn prepared_reference(theta: f64, phi: f64) -> qsim::State {
@@ -195,15 +195,17 @@ fn ghz_built_from_pairwise_sends_matches_cat_collective() {
     assert!((out[0].1 - 0.5).abs() < 1e-9);
 }
 
-/// Runs a two-rank world on a thread and gives it `secs` to return;
-/// `None` when it is still blocked by then (the thread is left behind).
+/// Runs a two-rank world under `cfg` on a thread and gives it `secs` to
+/// return; `None` when it is still blocked by then (the thread is left
+/// behind).
 fn within_secs<T: Send + 'static>(
     secs: u64,
+    cfg: QmpiConfig,
     f: impl Fn(&qmpi::QmpiRank) -> T + Send + Sync + 'static,
 ) -> Option<Vec<T>> {
     let (tx, rx) = std::sync::mpsc::channel();
     std::thread::spawn(move || {
-        let _ = tx.send(run(2, f));
+        let _ = tx.send(run_with_config(2, cfg, f));
     });
     rx.recv_timeout(std::time::Duration::from_secs(secs)).ok()
 }
@@ -212,7 +214,7 @@ fn within_secs<T: Send + 'static>(
 /// rank's `prepare_epr` with a typed error instead of blocking it.
 #[test]
 fn an_epr_request_dropped_on_the_lower_rank_fails_the_peer() {
-    let out = within_secs(10, |ctx| {
+    let out = within_secs(10, QmpiConfig::default(), |ctx| {
         let q = ctx.alloc_one();
         let got = if ctx.rank() == 0 {
             drop(ctx.iprepare_epr(&q, 1, 0).unwrap());
@@ -235,7 +237,7 @@ fn an_epr_request_dropped_on_the_lower_rank_fails_the_peer() {
 /// so a request the higher rank drops still becomes a pair.
 #[test]
 fn an_epr_request_dropped_on_the_higher_rank_still_pairs() {
-    let out = within_secs(10, |ctx| {
+    let out = within_secs(10, QmpiConfig::default(), |ctx| {
         let q = ctx.alloc_one();
         let got = if ctx.rank() == 1 {
             drop(ctx.iprepare_epr(&q, 0, 0).unwrap());
@@ -249,4 +251,42 @@ fn an_epr_request_dropped_on_the_higher_rank_still_pairs() {
     .expect("a dropped EPR request blocked its peer");
     assert_eq!(out[0].0, Ok(()));
     assert_eq!(out[0].1, out[1].1, "the pair was established");
+}
+
+/// The tag of a dropped request pairs again: whichever rank dropped it,
+/// the peer's messages for it wait on that rank's stream, and the next
+/// establishment on the same tag discards them before it pairs — over 50
+/// seeds, both establishments of each run and their outcomes.
+#[test]
+fn an_epr_tag_pairs_again_after_a_request_on_it_is_dropped() {
+    for seed in 0..50 {
+        for dropper in [0, 1] {
+            let out = within_secs(10, QmpiConfig::new().seed(seed), move |ctx| {
+                let peer = 1 - ctx.rank();
+                let q = ctx.alloc_one();
+                let first = if ctx.rank() == dropper {
+                    drop(ctx.iprepare_epr(&q, peer, 0).unwrap());
+                    Ok(())
+                } else {
+                    ctx.prepare_epr(&q, peer, 0)
+                };
+                ctx.barrier();
+                let m = ctx.measure_and_free(q).unwrap();
+                let q = ctx.alloc_one();
+                let again = ctx.prepare_epr(&q, peer, 0);
+                (first, m, again, ctx.measure_and_free(q).unwrap())
+            })
+            .expect("an EPR stream blocked after a dropped request");
+            let what = format!("seed {seed}, rank {dropper} dropped");
+            if dropper == 1 {
+                // The lower rank entangles without the higher one's wait.
+                assert_eq!(out[0].0, Ok(()), "{what}");
+                assert_eq!(out[0].1, out[1].1, "{what}: the first pair correlates");
+            } else {
+                assert!(matches!(out[1].0, Err(QmpiError::Protocol(_))), "{what}");
+            }
+            assert_eq!((&out[0].2, &out[1].2), (&Ok(()), &Ok(())), "{what}");
+            assert_eq!(out[0].3, out[1].3, "{what}: the second pair correlates");
+        }
+    }
 }

@@ -590,14 +590,15 @@ fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
     );
 }
 
-/// A free needs no reply: its reshape waits in the queue, and the workers
-/// of the new layout trade squared norms and renormalise when a read ships
-/// it. SIGKILL a worker right after `measure_and_free` or `free` returns,
-/// with that reshape still queued: the next read ships it into the dead
-/// socket, failover replays the log and the restored queue, and the norms
-/// are traded again by the new generation — every read and the final
-/// amplitudes land on the undisturbed run's bits. Frees alternate between
-/// the fresh top (shard-selecting) qubit and an older one.
+/// A free needs no reply: its one `Reshape` per worker waits in the queue
+/// until a read ships it. SIGKILL a worker right after `measure_and_free`
+/// or `free` returns, with that reshape still queued: the next read ships
+/// it into the dead socket, failover replays the log and the restored
+/// queue, and the new generation runs the reshape again — every read and
+/// the final amplitudes land on the undisturbed run's bits. Frees alternate
+/// between the fresh qubit (the top local bit: compacted where it lives)
+/// and an older one, which is a shard axis in two of the rounds (its free
+/// moves half-stripes, counted as exchange rounds); both kinds occur.
 #[test]
 fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
     ensure_worker_bin();
@@ -627,6 +628,7 @@ fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
             } else {
                 std::mem::replace(&mut qs[partner], fresh)
             };
+            let before = e.transport_stats().exchange_rounds;
             let outcome = if round % 4 < 2 {
                 e.measure_and_free(gone).unwrap()
             } else {
@@ -634,11 +636,13 @@ fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
                 assert_eq!(e.free(gone).unwrap(), m);
                 m
             };
+            let axis = e.transport_stats().exchange_rounds > before;
+            assert_eq!(e.debug_queued_commands(), [1; WORKERS], "round {round}");
             if kill {
                 e.debug_kill_worker_process(round % WORKERS);
             }
             let p = e.prob_one(qs[0]).unwrap();
-            reads.push((outcome, p.to_bits()));
+            reads.push((axis, outcome, p.to_bits()));
         }
         let respawns = e.transport_stats().respawns;
         (reads, amp_bits(&e, &qs), respawns)
@@ -646,11 +650,70 @@ fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
     let (calm, killed) = (run(false), run(true));
     assert_eq!(calm.2, 0, "undisturbed run respawns nothing");
     assert!(killed.2 >= ROUNDS as u64, "{} respawns", killed.2);
+    let axes: Vec<bool> = calm.0.iter().map(|&(axis, ..)| axis).collect();
+    assert!(axes.contains(&true) && axes.contains(&false), "{axes:?}");
     assert_eq!(
         (calm.0, calm.1),
         (killed.0, killed.1),
         "worker deaths with a free queued must not show"
     );
+}
+
+/// Each kind of free, onto each outcome, over threads and over sockets: a
+/// local qubit's free rescales and compacts each stripe where it lives,
+/// and a shard axis's free rescales the kept side's stripes and moves
+/// half of each to the dropped side. Either is one queued `Reshape` per
+/// worker, with no collapse command ahead of it, and lands on the dense
+/// engine's outcome and amplitudes to the bit.
+#[test]
+fn each_kind_of_free_is_one_queued_command_per_worker_and_matches_dense() {
+    ensure_worker_bin();
+    for transport in [TransportKind::InProcess, TransportKind::UnixSocket] {
+        // Indexed by [the freed qubit is the shard axis][outcome].
+        let mut seen = [[false; 2]; 2];
+        for seed in 0..24u64 {
+            for axis in [false, true] {
+                let mut dense = StateVectorEngine::new(seed);
+                let mut remote = RemoteShardedEngine::over_transport(
+                    seed,
+                    SHARDS,
+                    NoiseModel::ideal(),
+                    transport,
+                )
+                .expect("spawn shard workers");
+                // The first qubit allocated holds the shard axis.
+                let dq: Vec<QubitId> = (0..3).map(|_| dense.alloc()).collect();
+                let rq: Vec<QubitId> = (0..3).map(|_| remote.alloc()).collect();
+                for i in 0..3 {
+                    let ry = Gate::Ry(0.4 + 0.7 * i as f64 + 0.05 * seed as f64);
+                    dense.apply_batch(&ops::gate(ry, dq[i])).unwrap();
+                    remote.apply_batch(&ops::gate(ry, rq[i])).unwrap();
+                }
+                dense.apply_batch(&ops::cnot(dq[0], dq[2])).unwrap();
+                remote.apply_batch(&ops::cnot(rq[0], rq[2])).unwrap();
+                let gone = if axis { 0 } else { 2 };
+                let outcome = dense.measure_and_free(dq[gone]).unwrap();
+                assert_eq!(remote.measure_and_free(rq[gone]).unwrap(), outcome);
+                assert_eq!(remote.debug_queued_commands(), [1; SHARDS]);
+                seen[usize::from(axis)][usize::from(outcome)] = true;
+                let keep = |q: &[QubitId]| -> Vec<QubitId> {
+                    (0..3).filter(|&i| i != gone).map(|i| q[i]).collect()
+                };
+                let want = dense.state_vector(&keep(&dq)).unwrap();
+                let got = remote.state_vector(&keep(&rq)).unwrap();
+                assert_eq!(want.len(), got.len());
+                for i in 0..want.len() {
+                    let (w, g) = (want.amplitude(i), got.amplitude(i));
+                    assert_eq!(
+                        (w.re.to_bits(), w.im.to_bits()),
+                        (g.re.to_bits(), g.im.to_bits()),
+                        "{transport} seed {seed} axis {axis} amp[{i}]"
+                    );
+                }
+            }
+        }
+        assert_eq!(seen, [[true; 2]; 2], "{transport}: every kind and outcome");
+    }
 }
 
 /// What each call costs in command rounds and in exchange rounds on
