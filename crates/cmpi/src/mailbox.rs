@@ -229,7 +229,7 @@ impl Mailbox {
     pub fn pop_matching(&self, context: u64, source: SourceSel, tag: TagSel) -> Envelope {
         loop {
             // Without a deadline `receive` returns only with an envelope.
-            if let Some(env) = self.receive(context, source, tag, None) {
+            if let Some(env) = self.receive(context, source, tag, None, SPIN_CAP) {
                 return env;
             }
         }
@@ -256,17 +256,20 @@ impl Mailbox {
         tag: TagSel,
         timeout: Duration,
     ) -> Option<Envelope> {
-        self.receive(context, source, tag, Some(Instant::now() + timeout))
+        let deadline = Some(Instant::now() + timeout);
+        self.receive(context, source, tag, deadline, SPIN_CAP)
     }
 
-    /// The blocking receive: scan, spin, then park until a match arrives or
-    /// `deadline` passes. See the [module docs](self).
+    /// The blocking receive: scan, spin for at most `spin_cap`, then park
+    /// until a match arrives or `deadline` passes. See the
+    /// [module docs](self).
     fn receive(
         &self,
         context: u64,
         source: SourceSel,
         tag: TagSel,
         deadline: Option<Instant>,
+        spin_cap: Duration,
     ) -> Option<Envelope> {
         // `seen` is the change count at the last scan.
         let mut seen;
@@ -279,7 +282,7 @@ impl Mailbox {
         }
 
         let budget = self.budget.load(Ordering::Relaxed);
-        let spin_end = Instant::now() + SPIN_CAP;
+        let spin_end = Instant::now() + spin_cap;
         let spin_end = deadline.map_or(spin_end, |d| d.min(spin_end));
         for i in 1..=budget {
             if i % YIELD_EVERY == 0 {
@@ -482,32 +485,34 @@ mod tests {
     fn a_message_pushed_during_the_spin_is_taken_without_parking() {
         let mb = Mailbox::new();
         let go = std::sync::Barrier::new(2);
-        // A descheduled thread can put the handoff on the fast path or past
-        // the spin cap, so retry until one lands inside the spin, which
-        // the budget shows: only a spin-satisfied receive doubles it.
+        // A spin of a minute and 2^30 iterations outlasts a push 1 ms after
+        // the barrier however the threads are scheduled. Only a receiver
+        // descheduled for that whole millisecond before its first scan
+        // takes the message without spinning (leaving the budget as it
+        // was), so that case retries; a spin-satisfied receive doubles the
+        // budget, to the ceiling.
+        let budget = 1 << 30;
         for _ in 0..100 {
-            mb.budget.store(SPIN_CEILING / 2, Ordering::Relaxed);
-            let before = parks(&mb);
+            mb.budget.store(budget, Ordering::Relaxed);
             let got = std::thread::scope(|s| {
                 let rx = s.spawn(|| {
                     go.wait();
-                    mb.pop_matching(0, SourceSel::Rank(0), TagSel::Tag(1))
+                    let (rank, tag) = (SourceSel::Rank(0), TagSel::Tag(1));
+                    mb.receive(0, rank, tag, None, Duration::from_secs(60))
                 });
                 go.wait();
-                let t = Instant::now();
-                while t.elapsed() < SPIN_CAP / 10 {
-                    std::hint::spin_loop();
-                }
+                std::thread::sleep(Duration::from_millis(1));
                 mb.push(env(0, 0, 1, 7));
                 rx.join().unwrap()
             });
-            assert_eq!(got.payload[0], 7);
-            if mb.budget.load(Ordering::Relaxed) == SPIN_CEILING {
-                assert_eq!(parks(&mb), before);
+            assert_eq!(got.expect("a receive without deadline").payload[0], 7);
+            assert_eq!(parks(&mb), 0, "the receive parked");
+            if mb.budget.load(Ordering::Relaxed) != budget {
+                assert_eq!(mb.budget.load(Ordering::Relaxed), SPIN_CEILING);
                 return;
             }
         }
-        panic!("no handoff in 100 landed inside the receiver's spin");
+        panic!("in 100 handoffs the receiver never reached its spin");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! The in-process substrate ([`crate::comm`]) moves already-encoded frames
 //! between threads through mailboxes. This module carries the *same* framed
 //! payloads across real OS boundaries — a controller process talking to
-//! worker child processes over Unix domain sockets (or TCP loopback) — so
-//! the protocol layered on top ([`crate::Encode`]/[`crate::Decode`] command
-//! frames) does not change when workers stop sharing an address space.
+//! worker child processes over Unix domain sockets — so the protocol
+//! layered on top ([`crate::Encode`]/[`crate::Decode`] command frames) does
+//! not change when workers stop sharing an address space.
 //!
 //! ## Frame layout
 //!
@@ -31,12 +31,12 @@
 //! cannot force a giant up-front allocation.
 
 use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::time::Duration;
 
-/// Which wire substrate carries controller↔worker shard traffic.
+/// Which substrate carries controller↔worker shard traffic: threads in
+/// this process, or child processes over Unix domain sockets.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Workers are threads in this process; frames travel through
@@ -47,31 +47,14 @@ pub enum TransportKind {
     /// Workers are child processes connected over Unix domain sockets in
     /// the system temp directory.
     UnixSocket,
-    /// Workers are child processes connected over TCP loopback
-    /// (`127.0.0.1`, ephemeral port). Functionally identical to
-    /// [`TransportKind::UnixSocket`]; exists so the same code path is
-    /// provably address-family agnostic.
-    Tcp,
 }
 
 impl TransportKind {
-    /// The kind of a connect string produced by [`WireListener::addr`].
-    pub fn of_addr(addr: &str) -> Option<TransportKind> {
-        if addr.starts_with("unix:") {
-            Some(TransportKind::UnixSocket)
-        } else if addr.starts_with("tcp:") {
-            Some(TransportKind::Tcp)
-        } else {
-            None
-        }
-    }
-
-    /// Stable lowercase name (used in CI matrix entries and bench labels).
+    /// Stable lowercase name (used in test messages and bench labels).
     pub fn name(self) -> &'static str {
         match self {
             TransportKind::InProcess => "in-process",
             TransportKind::UnixSocket => "unix-socket",
-            TransportKind::Tcp => "tcp",
         }
     }
 
@@ -80,15 +63,11 @@ impl TransportKind {
         self != TransportKind::InProcess
     }
 
-    /// Parses the names accepted by the `QMPI_TEST_TRANSPORT`-style knobs
-    /// (`in-process`, `unix-socket`/`unix`, `tcp`, underscores tolerated).
+    /// The kind whose [`TransportKind::name`] is `s`, exactly.
     pub fn parse(s: &str) -> Option<TransportKind> {
-        match s.to_lowercase().replace('_', "-").as_str() {
-            "in-process" | "inprocess" | "thread" => Some(TransportKind::InProcess),
-            "unix-socket" | "unix" | "uds" => Some(TransportKind::UnixSocket),
-            "tcp" => Some(TransportKind::Tcp),
-            _ => None,
-        }
+        [TransportKind::InProcess, TransportKind::UnixSocket]
+            .into_iter()
+            .find(|kind| kind.name() == s)
     }
 }
 
@@ -195,66 +174,53 @@ fn next_socket_serial() -> u64 {
     SERIAL.fetch_add(1, Ordering::Relaxed)
 }
 
-/// A bound, listening endpoint workers connect back to. Unix listeners own
-/// their socket file and remove it on drop.
+/// A bound, listening Unix domain socket in the system temp directory that
+/// workers connect back to. It owns its socket file and removes it on drop.
 #[derive(Debug)]
-pub enum WireListener {
-    /// Unix domain socket in the system temp directory.
-    Unix {
-        /// The listening socket.
-        listener: UnixListener,
-        /// Path of the socket file (removed on drop).
-        path: PathBuf,
-    },
-    /// TCP on loopback, ephemeral port.
-    Tcp(TcpListener),
+pub struct WireListener {
+    listener: UnixListener,
+    path: PathBuf,
 }
 
 impl WireListener {
     /// Binds a listener for `kind`. [`TransportKind::InProcess`] has no
     /// wire endpoint and is rejected with `InvalidInput`.
     pub fn bind(kind: TransportKind) -> io::Result<WireListener> {
-        match kind {
-            TransportKind::InProcess => Err(io::Error::new(
+        if !kind.is_multiprocess() {
+            return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
                 "the in-process transport has no socket listener",
-            )),
-            TransportKind::UnixSocket => {
-                let path = std::env::temp_dir().join(format!(
-                    "cmpi-{}-{}.sock",
-                    std::process::id(),
-                    next_socket_serial()
-                ));
-                // A stale file from a crashed previous process with a
-                // recycled pid would fail the bind; it is ours to reclaim.
-                if path.exists() {
-                    let _ = std::fs::remove_file(&path);
-                }
-                let listener = UnixListener::bind(&path)?;
-                Ok(WireListener::Unix { listener, path })
-            }
-            TransportKind::Tcp => Ok(WireListener::Tcp(TcpListener::bind("127.0.0.1:0")?)),
+            ));
         }
+        let path = std::env::temp_dir().join(format!(
+            "cmpi-{}-{}.sock",
+            std::process::id(),
+            next_socket_serial()
+        ));
+        // A stale file from a crashed previous process with a recycled pid
+        // would fail the bind; it is ours to reclaim.
+        if path.exists() {
+            let _ = std::fs::remove_file(&path);
+        }
+        let listener = UnixListener::bind(&path)?;
+        Ok(WireListener { listener, path })
     }
 
-    /// The connect string workers are handed (`unix:<path>` or
-    /// `tcp:<ip>:<port>`), parseable by [`WireStream::connect`].
+    /// The connect string workers are handed (`unix:<path>`), parseable by
+    /// [`WireStream::connect`].
     pub fn addr(&self) -> io::Result<String> {
-        match self {
-            WireListener::Unix { path, .. } => Ok(format!("unix:{}", path.display())),
-            WireListener::Tcp(l) => Ok(format!("tcp:{}", l.local_addr()?)),
-        }
+        Ok(format!("unix:{}", self.path.display()))
     }
 
     /// Accepts one connection, waiting at most `timeout`. Uses a
-    /// non-blocking accept poll (neither listener type has a native accept
+    /// non-blocking accept poll (the listener has no native accept
     /// deadline); the accepted stream is returned in blocking mode.
     pub fn accept_timeout(&self, timeout: Duration) -> io::Result<WireStream> {
         let deadline = std::time::Instant::now() + timeout;
-        self.set_nonblocking(true)?;
+        self.listener.set_nonblocking(true)?;
         let result = loop {
-            match self.accept_once() {
-                Ok(stream) => break Ok(stream),
+            match self.listener.accept() {
+                Ok((stream, _)) => break Ok(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if std::time::Instant::now() >= deadline {
                         break Err(io::Error::new(
@@ -267,125 +233,67 @@ impl WireListener {
                 Err(e) => break Err(e),
             }
         };
-        self.set_nonblocking(false)?;
+        self.listener.set_nonblocking(false)?;
         let stream = result?;
         stream.set_nonblocking(false)?;
-        Ok(stream)
-    }
-
-    fn accept_once(&self) -> io::Result<WireStream> {
-        match self {
-            WireListener::Unix { listener, .. } => {
-                listener.accept().map(|(s, _)| WireStream::Unix(s))
-            }
-            WireListener::Tcp(l) => l.accept().and_then(|(s, _)| WireStream::tcp(s)),
-        }
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            WireListener::Unix { listener, .. } => listener.set_nonblocking(nb),
-            WireListener::Tcp(l) => l.set_nonblocking(nb),
-        }
+        Ok(WireStream(stream))
     }
 }
 
 impl Drop for WireListener {
     fn drop(&mut self) {
-        if let WireListener::Unix { path, .. } = self {
-            let _ = std::fs::remove_file(path);
-        }
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
-/// One connected wire endpoint; `Read`/`Write` pass straight through to
-/// the underlying socket.
+/// One connected Unix domain socket; `Read`/`Write` pass straight through
+/// to it.
 #[derive(Debug)]
-pub enum WireStream {
-    /// Unix domain socket stream.
-    Unix(UnixStream),
-    /// TCP loopback stream.
-    Tcp(TcpStream),
-}
+pub struct WireStream(UnixStream);
 
 impl WireStream {
-    /// Frames are small and pipelined; with Nagle on, each one after the
-    /// first waits out the peer's delayed ACK (~40 ms).
-    fn tcp(s: TcpStream) -> io::Result<WireStream> {
-        s.set_nodelay(true)?;
-        Ok(WireStream::Tcp(s))
-    }
-
     /// Connects to an address produced by [`WireListener::addr`].
     pub fn connect(addr: &str) -> io::Result<WireStream> {
-        if let Some(path) = addr.strip_prefix("unix:") {
-            Ok(WireStream::Unix(UnixStream::connect(path)?))
-        } else if let Some(sock) = addr.strip_prefix("tcp:") {
-            WireStream::tcp(TcpStream::connect(sock)?)
-        } else {
-            Err(io::Error::new(
+        let path = addr.strip_prefix("unix:").ok_or_else(|| {
+            io::Error::new(
                 io::ErrorKind::InvalidInput,
-                format!("wire address '{addr}' must start with unix: or tcp:"),
-            ))
-        }
+                format!("wire address '{addr}' must start with unix:"),
+            )
+        })?;
+        Ok(WireStream(UnixStream::connect(path)?))
     }
 
     /// Read deadline for subsequent reads (`None` blocks forever) — the
     /// hook the remote engine's deadlock watchdog maps onto.
     pub fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            WireStream::Unix(s) => s.set_read_timeout(t),
-            WireStream::Tcp(s) => s.set_read_timeout(t),
-        }
+        self.0.set_read_timeout(t)
     }
 
     /// Write deadline for subsequent writes (`None` blocks forever): a
     /// write that makes no progress for that long fails.
     pub fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        match self {
-            WireStream::Unix(s) => s.set_write_timeout(t),
-            WireStream::Tcp(s) => s.set_write_timeout(t),
-        }
+        self.0.set_write_timeout(t)
     }
 
     /// Shuts down both directions, unblocking any reader on the peer side.
     pub fn shutdown(&self) {
-        let _ = match self {
-            WireStream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            WireStream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            WireStream::Unix(s) => s.set_nonblocking(nb),
-            WireStream::Tcp(s) => s.set_nonblocking(nb),
-        }
+        let _ = self.0.shutdown(std::net::Shutdown::Both);
     }
 }
 
 impl Read for WireStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Unix(s) => s.read(buf),
-            WireStream::Tcp(s) => s.read(buf),
-        }
+        self.0.read(buf)
     }
 }
 
 impl Write for WireStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            WireStream::Unix(s) => s.write(buf),
-            WireStream::Tcp(s) => s.write(buf),
-        }
+        self.0.write(buf)
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        match self {
-            WireStream::Unix(s) => s.flush(),
-            WireStream::Tcp(s) => s.flush(),
-        }
+        self.0.flush()
     }
 }
 
@@ -400,30 +308,26 @@ mod tests {
     }
 
     #[test]
-    fn transport_kind_names_roundtrip_through_parse() {
-        for kind in [
-            TransportKind::InProcess,
-            TransportKind::UnixSocket,
-            TransportKind::Tcp,
-        ] {
+    fn transport_kind_parses_exactly_its_names() {
+        for kind in [TransportKind::InProcess, TransportKind::UnixSocket] {
             assert_eq!(TransportKind::parse(kind.name()), Some(kind));
         }
-        assert_eq!(
-            TransportKind::parse("unix_socket"),
-            Some(TransportKind::UnixSocket)
-        );
-        assert_eq!(TransportKind::parse("shared-memory"), None);
+        for other in ["unix_socket", "unix", "Unix-Socket", "tcp", "thread", ""] {
+            assert_eq!(TransportKind::parse(other), None, "{other:?}");
+        }
         assert!(!TransportKind::InProcess.is_multiprocess());
         assert!(TransportKind::UnixSocket.is_multiprocess());
     }
 
     #[test]
-    fn listener_addresses_name_their_kind() {
-        for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
-            let addr = WireListener::bind(kind).unwrap().addr().unwrap();
-            assert_eq!(TransportKind::of_addr(&addr), Some(kind), "{addr}");
-        }
-        assert_eq!(TransportKind::of_addr("shm:/x"), None);
+    fn a_connect_string_must_name_a_unix_socket() {
+        let addr = WireListener::bind(TransportKind::UnixSocket)
+            .unwrap()
+            .addr()
+            .unwrap();
+        assert!(addr.starts_with("unix:"), "{addr}");
+        let err = WireStream::connect("shm:/x").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
     }
 
     #[test]
@@ -513,37 +417,10 @@ mod tests {
     #[test]
     fn unix_listener_removes_socket_file_on_drop() {
         let listener = WireListener::bind(TransportKind::UnixSocket).unwrap();
-        let path = match &listener {
-            WireListener::Unix { path, .. } => path.clone(),
-            _ => unreachable!(),
-        };
+        let path = listener.path.clone();
         assert!(path.exists());
         drop(listener);
         assert!(!path.exists());
-    }
-
-    #[test]
-    fn tcp_transport_carries_frames() {
-        let listener = WireListener::bind(TransportKind::Tcp).unwrap();
-        let addr = listener.addr().unwrap();
-        assert!(addr.starts_with("tcp:127.0.0.1:"));
-        let client = std::thread::spawn(move || {
-            let mut s = WireStream::connect(&addr).unwrap();
-            write_frame(
-                &mut s,
-                &FrameHeader {
-                    tag: 0,
-                    epoch: 0,
-                    peer: 0,
-                },
-                &[1, 2, 3],
-            )
-            .unwrap();
-        });
-        let mut server = listener.accept_timeout(Duration::from_secs(5)).unwrap();
-        let (_, body) = read_frame(&mut server).unwrap();
-        assert_eq!(body, [1, 2, 3]);
-        client.join().unwrap();
     }
 
     #[test]

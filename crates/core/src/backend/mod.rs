@@ -182,16 +182,15 @@ impl BackendKind {
 /// The transport selects where shard workers live and only applies to
 /// [`BackendKind::RemoteSharded`] (and its other name,
 /// [`BackendKind::ShardedStateVector`]): [`TransportKind::InProcess`] runs them
-/// as threads over `cmpi` mailboxes, the multi-process kinds
-/// ([`TransportKind::UnixSocket`], [`TransportKind::Tcp`]) spawn real
-/// `qworker` child processes speaking framed sockets (with failover — see
-/// [`remote_transport`]). Every other backend kind is transport-less and
-/// ignores the parameter.
+/// as threads over `cmpi` mailboxes, [`TransportKind::UnixSocket`] spawns
+/// real `qworker` child processes speaking framed Unix domain sockets (with
+/// failover — see [`remote_transport`]). Every other backend kind is
+/// transport-less and ignores the parameter.
 ///
 /// Fails with [`QmpiError::InvalidArgument`] when a noise rate is outside
 /// `[0, 1]`, when the stabilizer backend is paired with a non-Clifford
 /// channel (amplitude damping) — the tableau can only realize Pauli noise
-/// (depolarizing/dephasing) — or when a multi-process transport cannot
+/// (depolarizing/dephasing) — or when the Unix-socket transport cannot
 /// start its `qworker` processes (the message names the transport and the
 /// binary path tried).
 pub fn build_backend(

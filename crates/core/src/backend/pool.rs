@@ -14,7 +14,7 @@
 //! [`RemoteShardedEngine::from_lease`]: super::RemoteShardedEngine::from_lease
 
 use super::remote::{
-    normalize_shards, rank_of, shard_worker, watchdog_from_env, DeadWorker, ShardCmd, ShardReply,
+    normalize_shards, rank_of, shard_worker, DeadWorker, ShardCmd, ShardReply, DEFAULT_WATCHDOG_MS,
     TAG_CMD, TAG_REPLY,
 };
 use super::remote_transport::ProcessLink;
@@ -42,11 +42,11 @@ pub(crate) enum WorkerLink {
 
 impl WorkerLink {
     /// Spawns a world of `shards` workers (rounded by [`normalize_shards`])
-    /// over `kind`, with the watchdog taken from `QMPI_REMOTE_WATCHDOG_MS`.
+    /// over `kind`, with the default watchdog ([`DEFAULT_WATCHDOG_MS`]).
     /// Only the multi-process kinds can fail.
     fn spawn(kind: TransportKind, shards: usize) -> io::Result<WorkerLink> {
         let shards = normalize_shards(shards);
-        let watchdog = Arc::new(AtomicU64::new(watchdog_from_env().as_millis() as u64));
+        let watchdog = Arc::new(AtomicU64::new(DEFAULT_WATCHDOG_MS));
         if kind.is_multiprocess() {
             let link = ProcessLink::spawn(kind, shards, watchdog)?;
             return Ok(WorkerLink::Processes(Box::new(link)));

@@ -3,7 +3,6 @@
 
 use super::controller::Controller;
 use super::{ShardCmd, ShardReply};
-use crate::context::env_positive;
 use qsim::Complex;
 
 /// Marker error: a worker's OS process died (connection EOF, write
@@ -67,8 +66,12 @@ pub(super) struct FailoverState {
     /// a commit gathers a fresh checkpoint and clears it as soon as the
     /// register is no wider than at the last one ([`checkpoint_due`]), so
     /// replay after a crash is bounded by twice this many units.
-    limit: usize,
+    /// [`CHECKPOINT_UNITS`] unless a test lowers it.
+    pub(super) limit: usize,
 }
+
+/// The forced-checkpoint threshold of every engine, in logged units.
+const CHECKPOINT_UNITS: usize = 32;
 
 /// Whether a commit with `log` units logged takes the forced checkpoint:
 /// at `limit` units once the register (`n_qubits` wide) is no wider than at
@@ -87,7 +90,7 @@ impl FailoverState {
             ckpt_qubits: 0,
             log: Vec::new(),
             unit: None,
-            limit: env_positive("QMPI_CHECKPOINT_ROUNDS", 32),
+            limit: CHECKPOINT_UNITS,
         }
     }
 }
@@ -273,7 +276,7 @@ mod tests {
         // At twice the limit, whatever the width.
         assert!(checkpoint_due(2 * limit, limit, 16, 14));
         assert!(checkpoint_due(2 * limit, limit, 16, 0));
-        // The lowest limit, as `QMPI_CHECKPOINT_ROUNDS=1` sets it.
+        // The lowest limit, as `debug_checkpoint_limit(1)` sets it.
         assert!(checkpoint_due(1, 1, 3, 3));
         assert!(!checkpoint_due(1, 1, 4, 3));
         assert!(checkpoint_due(2, 1, 4, 3));

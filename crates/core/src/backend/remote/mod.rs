@@ -101,11 +101,11 @@
 //!
 //! A dead or deadlocked worker must fail CI with a diagnostic, not hang it.
 //! Every blocking receive of the controller, and of a worker awaiting its
-//! exchange partner, is bounded by the engine's watchdog (default 30 s, or
-//! a positive `QMPI_REMOTE_WATCHDOG_MS` at construction, or
-//! [`RemoteShardedEngine::with_watchdog`]). In-process, expiry panics with
-//! the shard and operation that timed out; a process worker is declared
-//! dead instead, and the world fails over.
+//! exchange partner, is bounded by the engine's watchdog
+//! (`DEFAULT_WATCHDOG_MS`, 30 s, unless
+//! [`RemoteShardedEngine::with_watchdog`] sets another). In-process,
+//! expiry panics with the shard and operation that timed out; a process
+//! worker is declared dead instead, and the world fails over.
 //!
 //! ## The engine is a store under the one front
 //!
@@ -132,9 +132,6 @@ pub(crate) use wire::{
 };
 pub use wire::{ExpectRole, ShardCmd, ShardReply, WorkerOp};
 pub(crate) use worker::{shard_worker, worker_loop, ShardChannel, WorkerHalt, TAG_CMD, TAG_REPLY};
-
-use crate::context::env_positive;
-use std::time::Duration;
 
 /// The controller's rank in the private worker world.
 const CONTROLLER: usize = 0;
@@ -164,13 +161,10 @@ pub(crate) fn normalize_shards(requested: usize) -> usize {
         .next_power_of_two()
 }
 
-/// Default watchdog for blocking protocol receives, in milliseconds.
-const DEFAULT_WATCHDOG_MS: usize = 30_000;
-
-pub(crate) fn watchdog_from_env() -> Duration {
-    let ms = env_positive("QMPI_REMOTE_WATCHDOG_MS", DEFAULT_WATCHDOG_MS);
-    Duration::from_millis(ms as u64)
-}
+/// The watchdog a worker world starts with, in milliseconds: the bound on
+/// every blocking protocol receive until
+/// [`RemoteShardedEngine::with_watchdog`] sets another.
+pub(crate) const DEFAULT_WATCHDOG_MS: u64 = 30_000;
 
 #[cfg(test)]
 mod tests {
@@ -181,6 +175,7 @@ mod tests {
     use crate::context::BatchPolicy;
     use qsim::noise::NoiseModel;
     use qsim::{Gate, Pauli, QubitId};
+    use std::time::Duration;
 
     /// Applies the same circuit to the dense engine and a remote engine and
     /// asserts the amplitudes agree bit-for-bit (the kernels perform the

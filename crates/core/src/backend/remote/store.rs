@@ -261,6 +261,17 @@ impl RemoteShardedEngine {
         self.raw_state().stats()
     }
 
+    /// Test/diagnostic hook: forces a checkpoint once `units` (at least 1)
+    /// mutating units are logged, instead of the default 32, so a test can
+    /// interleave checkpoints with every alloc, gate batch and free it
+    /// makes. Only a multi-process transport checkpoints; in-process the
+    /// hook does nothing.
+    pub fn debug_checkpoint_limit(&self, units: usize) {
+        if let Some(f) = self.raw_state().ctl.lock().failover.as_mut() {
+            f.limit = units.max(1);
+        }
+    }
+
     /// Test/diagnostic hook: each worker's queued commands (a batch is one).
     pub fn debug_queued_commands(&self) -> Vec<usize> {
         let ctl = self.raw_state().ctl.lock();

@@ -6,21 +6,19 @@
 //! mailboxes between threads. This module carries the *identical* protocol
 //! across real OS boundaries: each shard worker is a child process (the
 //! `qworker` binary) speaking length-prefixed [`cmpi::transport`] frames
-//! over Unix domain sockets or TCP loopback connections. The controller's
-//! end, `ProcessLink`, is one of the two shapes of [`super::pool`]'s worker
-//! link; spawning, leasing and shutting worlds down is that module's
-//! business, not this one's.
+//! over Unix domain sockets. The controller's end, `ProcessLink`, is one
+//! of the two shapes of [`super::pool`]'s worker link; spawning, leasing
+//! and shutting worlds down is that module's business, not this one's.
 //!
 //! ## Topology: a socket per worker, and one per worker pair
 //!
 //! Every worker holds one connection to the controller, which carries
 //! `CMD` frames down and `REPLY` frames up, and one direct connection to
 //! every other worker of its world, which carries the `XCHG` frames of
-//! cross-shard pairings, expectations and reshapes. All of them are of the
-//! kind the controller listens on. No thread relays anything: the
-//! controller writes each command and reads each reply itself, on its own
-//! thread, and a stripe crosses one socket, as a message between two QMPI
-//! nodes pays one network latency.
+//! cross-shard pairings, expectations and reshapes. No thread relays
+//! anything: the controller writes each command and reads each reply
+//! itself, on its own thread, and a stripe crosses one socket, as a
+//! message between two QMPI nodes pays one network latency.
 //!
 //! ## No deadlock for any payload size
 //!
@@ -44,11 +42,10 @@
 //! ## Handshake
 //!
 //! The controller binds a listener and spawns one `qworker <addr> <rank>
-//! <watchdog_ms>` child per shard. Each worker binds a listener of the same
-//! kind (a Unix path under `TMPDIR`, or an ephemeral loopback port),
-//! connects back, and sends a `HELLO` frame whose `peer` field is its rank
-//! and whose body is its build's wire-format version, then its listener's
-//! address: a missing or different version fails the spawn, naming both,
+//! <watchdog_ms>` child per shard. Each worker binds a listener of its own
+//! (a Unix socket path under `TMPDIR`), connects back, and sends a `HELLO`
+//! frame whose `peer` field is its rank and whose body is its build's
+//! wire-format version, then its listener's address: a missing or different version fails the spawn, naming both,
 //! instead of the first decode. Once every worker has said HELLO, the
 //! controller sends each one the `PEERS` table of addresses; a worker
 //! connects to every lower rank (saying HELLO with its rank) and accepts
@@ -283,8 +280,7 @@ fn parse_worker_args(args: &[String]) -> Result<(&str, usize, u64), String> {
 /// at `addr`, link to every peer of the `PEERS` table that comes back
 /// (connect to the lower ranks, accept the higher), answer `READY`.
 fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChannel> {
-    let kind = TransportKind::of_addr(addr).ok_or_else(|| garbled("no transport address"))?;
-    let listener = WireListener::bind(kind)?;
+    let listener = WireListener::bind(TransportKind::UnixSocket)?;
     let mut ctl = WireStream::connect(addr)?;
     let mut hello = WIRE_VERSION.to_le_bytes().to_vec();
     hello.extend_from_slice(listener.addr()?.as_bytes());
@@ -346,7 +342,7 @@ fn check_hello(shards: usize, hello: &FrameHeader, body: &[u8]) -> io::Result<(u
     if let (TAG_HELLO, Some(shard), Some(WIRE_VERSION)) = (hello.tag, shard, version) {
         let addr = std::str::from_utf8(&body[4..]).ok();
         return addr
-            .filter(|a| TransportKind::of_addr(a).is_some())
+            .filter(|a| a.starts_with("unix:"))
             .map(|a| (shard, a.to_string()))
             .ok_or_else(|| garbled("worker handshake: HELLO without a listener address"));
     }

@@ -80,10 +80,9 @@ pub(crate) fn ptag_role(op: ProtoOp, role: EprRole, user_tag: QTag) -> cmpi::Tag
 /// Gate calls append to a per-rank [`qsim::GateBatch`]; the policy bounds
 /// the memory such a stream can pin (the op and byte budgets) and decides
 /// whether the plan-time optimizer ([`qsim::optimize`]) rewrites each
-/// batch into fused kernel sweeps before dispatch. Defaults come from the
-/// environment at [`QmpiConfig::new`] time ([`BatchPolicy::env_default`]),
-/// so an explicit [`QmpiConfig::batch`] call always wins over the
-/// environment.
+/// batch into fused kernel sweeps before dispatch. [`QmpiConfig::new`]
+/// starts from [`BatchPolicy::default`], and only a
+/// [`QmpiConfig::batch`] call changes it: no environment variable does.
 ///
 /// ```
 /// use qmpi::{BatchPolicy, QmpiConfig};
@@ -149,42 +148,6 @@ impl BatchPolicy {
     pub fn is_batching(&self) -> bool {
         self.max_ops > 0
     }
-
-    /// The [`BatchPolicy::default`] with environment overrides applied:
-    /// `QMPI_BATCH_OPS` (a decimal op budget; `0` is the eager policy's)
-    /// and `QMPI_FUSE` (`off`/`0`/`false` disables the optimizer — CI's
-    /// fusion-off cross-check lane). Unparsable values are ignored.
-    pub fn env_default() -> Self {
-        let mut p = BatchPolicy::default();
-        if let Some(v) = env_usize("QMPI_BATCH_OPS") {
-            p.max_ops = v;
-        }
-        if let Ok(v) = std::env::var("QMPI_FUSE") {
-            p.fuse = !matches!(v.to_lowercase().as_str(), "off" | "0" | "false");
-        }
-        p
-    }
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    parse_count(&std::env::var(name).ok()?)
-}
-
-/// A knob's text as a count, surrounding whitespace ignored.
-fn parse_count(raw: &str) -> Option<usize> {
-    raw.trim().parse().ok()
-}
-
-/// A count knob that must be positive: unset, `0` or unparsable reads as
-/// `default`.
-pub(crate) fn env_positive(name: &str, default: usize) -> usize {
-    positive_or(std::env::var(name).ok().as_deref(), default)
-}
-
-fn positive_or(raw: Option<&str>, default: usize) -> usize {
-    raw.and_then(parse_count)
-        .filter(|&v| v > 0)
-        .unwrap_or(default)
 }
 
 /// World configuration, built fluently:
@@ -221,7 +184,9 @@ pub struct QmpiConfig {
 
 impl QmpiConfig {
     /// The default configuration (state-vector backend, fixed seed, no
-    /// buffer limit); identical to [`QmpiConfig::default`].
+    /// buffer limit, in-process workers, ideal noise,
+    /// [`BatchPolicy::default`]); identical to [`QmpiConfig::default`].
+    /// Nothing in the environment changes it.
     pub fn new() -> Self {
         QmpiConfig::default()
     }
@@ -253,10 +218,9 @@ impl QmpiConfig {
     /// Selects the shard-worker transport for the world's backend: where
     /// the [`BackendKind::RemoteSharded`] engine's workers live and how
     /// they speak. [`TransportKind::InProcess`] (the default) runs them as
-    /// threads over `cmpi` mailboxes; [`TransportKind::UnixSocket`] and
-    /// [`TransportKind::Tcp`] spawn real `qworker` child processes behind
-    /// framed sockets, with failover. Backends without shard workers
-    /// ignore the setting.
+    /// threads over `cmpi` mailboxes; [`TransportKind::UnixSocket`] spawns
+    /// real `qworker` child processes behind framed Unix domain sockets,
+    /// with failover. Backends without shard workers ignore the setting.
     pub fn transport(mut self, kind: TransportKind) -> Self {
         self.transport = kind;
         self
@@ -320,8 +284,8 @@ impl QmpiConfig {
         crate::backend::build_backend(self.backend, self.transport, self.seed, self.noise)
     }
 
-    /// Sets the full batch policy for the world, overriding the
-    /// environment defaults captured at [`QmpiConfig::new`]. With batching
+    /// Sets the full batch policy for the world, replacing the
+    /// [`BatchPolicy::default`] that [`QmpiConfig::new`] starts from. With batching
     /// on (`max_ops > 0`), rank-local gate calls append to a per-rank
     /// [`qsim::GateBatch`] that flushes lazily — on measurement,
     /// probability/expectation reads, allocation, EPR establishment,
@@ -351,7 +315,7 @@ impl Default for QmpiConfig {
             backend: BackendKind::default(),
             transport: TransportKind::default(),
             noise: NoiseModel::ideal(),
-            batch: BatchPolicy::env_default(),
+            batch: BatchPolicy::default(),
         }
     }
 }
@@ -697,6 +661,8 @@ where
         let out = f(&ctx);
         // The rank's program is over: anything still pending must land so
         // post-run diagnostics (counts, snapshots) see the full program.
+        // This is the only teardown flush; a rank that panics skips it,
+        // and its world re-raises the panic.
         ctx.flush()
             .expect("flushing the rank's pending batched gates at world teardown");
         out
@@ -708,58 +674,9 @@ where
     }
 }
 
-impl Drop for QmpiRank {
-    fn drop(&mut self) {
-        // Backstop for contexts dropped outside `run_with_config` (or after
-        // a panic): never let recorded gates vanish silently, and never let
-        // a deferred typed error disappear unreported. Errors can only be
-        // reported, not propagated, from a destructor.
-        if let Some(e) = self.deferred.get_mut().take() {
-            eprintln!(
-                "qmpi: rank {}: a deferred batch flush error was never surfaced: {e}",
-                self.proto.rank()
-            );
-        }
-        let batch = self.pending.borrow_mut().take();
-        if batch.is_empty() {
-            return;
-        }
-        let batch = if self.fuse {
-            qsim::optimize(batch)
-        } else {
-            batch
-        };
-        if let Err(e) = self.backend.apply_batch(self.proto.rank(), &batch) {
-            eprintln!(
-                "qmpi: rank {}: {} batched gate(s) failed during teardown flush: {e}",
-                self.proto.rank(),
-                batch.len()
-            );
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The parse behind `QMPI_REMOTE_WATCHDOG_MS` and
-    /// `QMPI_CHECKPOINT_ROUNDS`: a zero watchdog would expire every
-    /// receive at once, so `0` reads as the default.
-    #[test]
-    fn positive_knobs_trim_and_read_zero_as_the_default() {
-        assert_eq!(positive_or(Some(" 250 \n"), 30_000), 250);
-        for raw in [
-            None,
-            Some("0"),
-            Some(" 0 "),
-            Some("x"),
-            Some("-5"),
-            Some(""),
-        ] {
-            assert_eq!(positive_or(raw, 30_000), 30_000, "{raw:?}");
-        }
-    }
 
     #[test]
     fn world_sizes_and_ranks() {
@@ -812,11 +729,11 @@ mod tests {
         assert_eq!(cfg.unlimited_buffer().epr_buffer_limit(), None);
     }
 
-    /// A fresh config carries the environment-derived policy; an explicit
-    /// policy wins over it and round-trips through the accessor.
+    /// A fresh config carries the default policy; an explicit policy
+    /// replaces it and round-trips through the accessor.
     #[test]
-    fn explicit_batch_policy_wins_over_the_environment_default() {
-        assert_eq!(QmpiConfig::new().batch_policy(), BatchPolicy::env_default());
+    fn an_explicit_batch_policy_replaces_the_default() {
+        assert_eq!(QmpiConfig::new().batch_policy(), BatchPolicy::default());
         let custom = BatchPolicy {
             max_ops: 17,
             max_bytes: 1234,

@@ -7,14 +7,18 @@
 //! the resource consumption alone, at scales only it and the stabilizer
 //! engine can reach.
 //!
-//! Every test runs on every [`BackendKind`] it applies to, and every
-//! assertion names its kind, so a regression in one engine cannot hide
-//! behind another engine's pass. `QMPI_TEST_TRANSPORT=unix-socket` moves the
-//! remote backend's workers into real `qworker` child processes, re-proving
-//! every protocol invariant across an OS boundary; without it, every backend
-//! runs in-process.
+//! Every test runs on every arm it applies to, and every assertion names
+//! its arm, so a regression in one engine, policy or transport cannot hide
+//! behind another's pass. An arm is a [`BackendKind`] in-process under
+//! each of three batch policies — the default (batched and fused), eager
+//! (a batch of one per gate, on the remote engine's queue as well) and
+//! unfused (batched, optimizer off) — and, for the remote engine, its
+//! workers as `qworker` child processes over Unix sockets, which re-proves
+//! every protocol invariant across an OS boundary.
 
-use qmpi::{run_with_config, BackendKind, Parity, QmpiConfig, ResourceSnapshot, TransportKind};
+use qmpi::{
+    run_with_config, BackendKind, BatchPolicy, Parity, QmpiConfig, ResourceSnapshot, TransportKind,
+};
 use qsim::Pauli;
 
 /// Every backend under test.
@@ -33,34 +37,71 @@ fn is_stateful(kind: BackendKind) -> bool {
     kind != BackendKind::Trace
 }
 
-/// The backends that track real quantum state.
-fn stateful_kinds() -> Vec<BackendKind> {
-    all_kinds()
-        .into_iter()
-        .filter(|&k| is_stateful(k))
-        .collect()
+/// One configuration the suite runs a test under.
+#[derive(Clone, Copy)]
+struct Arm {
+    kind: BackendKind,
+    transport: TransportKind,
+    policy: (&'static str, BatchPolicy),
 }
 
-/// The shard-worker transport selected by `QMPI_TEST_TRANSPORT`, if any.
-/// Multi-process transports need the `qworker` binary; this suite is part
-/// of the package that builds it, so point the engine at it directly.
-fn env_transport() -> TransportKind {
-    let Ok(v) = std::env::var("QMPI_TEST_TRANSPORT") else {
-        return TransportKind::InProcess;
-    };
-    let transport =
-        TransportKind::parse(&v).unwrap_or_else(|| panic!("unknown QMPI_TEST_TRANSPORT '{v}'"));
-    if transport.is_multiprocess() && std::env::var_os("QMPI_QWORKER_BIN").is_none() {
-        std::env::set_var("QMPI_QWORKER_BIN", env!("CARGO_BIN_EXE_qworker"));
+impl std::fmt::Display for Arm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (kind, transport, policy) = (self.kind, self.transport, self.policy.0);
+        write!(f, "{kind:?} over {transport}, {policy} policy")
     }
-    transport
 }
 
-fn cfg(kind: BackendKind, seed: u64) -> QmpiConfig {
-    QmpiConfig::new()
-        .seed(seed)
-        .backend(kind)
-        .transport(env_transport())
+impl Arm {
+    fn cfg(self, seed: u64) -> QmpiConfig {
+        if self.transport.is_multiprocess() && std::env::var_os("QMPI_QWORKER_BIN").is_none() {
+            // This suite is part of the package that builds `qworker`.
+            std::env::set_var("QMPI_QWORKER_BIN", env!("CARGO_BIN_EXE_qworker"));
+        }
+        QmpiConfig::new()
+            .seed(seed)
+            .backend(self.kind)
+            .transport(self.transport)
+            .batch(self.policy.1)
+    }
+}
+
+/// The arms of `kind`: in-process under the default, eager and unfused
+/// policies, and for the remote engine also over Unix sockets under the
+/// default policy.
+fn arms_of(kind: BackendKind) -> Vec<Arm> {
+    let unfused = BatchPolicy {
+        fuse: false,
+        ..BatchPolicy::default()
+    };
+    let policies = [
+        ("default", BatchPolicy::default()),
+        ("eager", BatchPolicy::eager()),
+        ("unfused", unfused),
+    ];
+    let in_process = policies.map(|policy| Arm {
+        kind,
+        transport: TransportKind::InProcess,
+        policy,
+    });
+    let sockets = matches!(kind, BackendKind::RemoteSharded { .. }).then_some(Arm {
+        kind,
+        transport: TransportKind::UnixSocket,
+        policy: policies[0],
+    });
+    in_process.into_iter().chain(sockets).collect()
+}
+
+/// Every arm of every backend under test.
+fn all_arms() -> Vec<Arm> {
+    all_kinds().into_iter().flat_map(arms_of).collect()
+}
+
+/// The arms of the backends that track real quantum state.
+fn stateful_arms() -> Vec<Arm> {
+    let mut arms = all_arms();
+    arms.retain(|arm| is_stateful(arm.kind));
+    arms
 }
 
 /// Teleportation chain 0 -> 1 -> 2 of a basis state: the delivered value
@@ -69,9 +110,9 @@ fn cfg(kind: BackendKind, seed: u64) -> QmpiConfig {
 #[test]
 fn teleportation_chain_identical_across_backends() {
     for input in [false, true] {
-        let mut per_backend: Vec<(BackendKind, bool, ResourceSnapshot)> = Vec::new();
-        for kind in all_kinds() {
-            let out = run_with_config(3, cfg(kind, 7), move |ctx| {
+        let mut per_arm: Vec<(Arm, bool, ResourceSnapshot)> = Vec::new();
+        for arm in all_arms() {
+            let out = run_with_config(3, arm.cfg(7), move |ctx| {
                 let (delta, delivered) = ctx.measure_resources(|| match ctx.rank() {
                     0 => {
                         let q = ctx.alloc_one();
@@ -93,16 +134,16 @@ fn teleportation_chain_identical_across_backends() {
                 });
                 (delivered, delta)
             });
-            per_backend.push((kind, out[2].0, out[0].1));
+            per_arm.push((arm, out[2].0, out[0].1));
         }
-        for &(kind, delivered, bill) in &per_backend {
-            if is_stateful(kind) {
-                assert_eq!(delivered, input, "{kind}: must deliver the input");
+        for &(arm, delivered, bill) in &per_arm {
+            if is_stateful(arm.kind) {
+                assert_eq!(delivered, input, "{arm}: must deliver the input");
             }
-            assert_eq!(bill.epr_pairs, 2, "{kind}: two hops, one pair each");
-            assert_eq!(bill.classical_bits, 4, "{kind}: two 2-bit fixup messages");
+            assert_eq!(bill.epr_pairs, 2, "{arm}: two hops, one pair each");
+            assert_eq!(bill.classical_bits, 4, "{arm}: two 2-bit fixup messages");
         }
-        for w in per_backend.windows(2) {
+        for w in per_arm.windows(2) {
             assert_eq!(
                 w[0].2, w[1].2,
                 "{} and {} must consume identical resources",
@@ -118,8 +159,8 @@ fn teleportation_chain_identical_across_backends() {
 fn copy_uncopy_identical_across_backends() {
     for input in [false, true] {
         let mut results = Vec::new();
-        for kind in stateful_kinds() {
-            let out = run_with_config(2, cfg(kind, 21), move |ctx| {
+        for arm in stateful_arms() {
+            let out = run_with_config(2, arm.cfg(21), move |ctx| {
                 if ctx.rank() == 0 {
                     let q = ctx.alloc_one();
                     if input {
@@ -137,16 +178,16 @@ fn copy_uncopy_identical_across_backends() {
                     (seen, 0.0, false)
                 }
             });
-            results.push((kind, (out[1].0, out[0].1, out[0].2)));
+            results.push((arm, (out[1].0, out[0].1, out[0].2)));
         }
         let z_expect = if input { -1.0 } else { 1.0 };
-        for &(kind, (seen, z, survived)) in &results {
-            assert_eq!(seen, input, "{kind}: copy carries the sender's value");
+        for &(arm, (seen, z, survived)) in &results {
+            assert_eq!(seen, input, "{arm}: copy carries the sender's value");
             assert!(
                 (z - z_expect).abs() < 1e-9,
-                "{kind}: uncopy restores the original"
+                "{arm}: uncopy restores the original"
             );
-            assert_eq!(survived, input, "{kind}: original survives with its value");
+            assert_eq!(survived, input, "{arm}: original survives with its value");
         }
         for w in results.windows(2) {
             assert_eq!(
@@ -170,9 +211,9 @@ fn parity_reduce_identical_across_backends() {
     for bits in patterns {
         let bits_owned: Vec<bool> = bits.to_vec();
         let expect = bits_owned.iter().fold(false, |a, &b| a ^ b);
-        for kind in stateful_kinds() {
+        for arm in stateful_arms() {
             let bits_arc = std::sync::Arc::new(bits_owned.clone());
-            let out = run_with_config(bits_owned.len(), cfg(kind, 4), move |ctx| {
+            let out = run_with_config(bits_owned.len(), arm.cfg(4), move |ctx| {
                 let q = ctx.alloc_one();
                 if bits_arc[ctx.rank()] {
                     ctx.x(&q).unwrap();
@@ -189,7 +230,7 @@ fn parity_reduce_identical_across_backends() {
             assert_eq!(
                 out[0],
                 (Some(expect), bits_owned[0]),
-                "{kind}: root parity = classical XOR, inputs restored"
+                "{arm}: root parity = classical XOR, inputs restored"
             );
         }
     }
@@ -201,31 +242,33 @@ fn parity_reduce_identical_across_backends() {
 #[test]
 fn stabilizer_runs_64_rank_cat_broadcast_fast() {
     let n = 64;
-    let start = std::time::Instant::now();
-    let out = run_with_config(n, cfg(BackendKind::Stabilizer, 64), |ctx| {
-        // First establishment: measure in Z — every share must agree.
-        let share = ctx.cat_establish().unwrap();
-        ctx.barrier();
-        let m = ctx.measure(&share).unwrap();
-        ctx.measure_and_free(share).unwrap();
-        let m0: bool = ctx
-            .classical()
-            .bcast(if ctx.rank() == 0 { Some(m) } else { None }, 0);
-        // Second establishment: the collective X-parity disband check must
-        // certify a pure cat state.
-        let share = ctx.cat_establish().unwrap();
-        let disband_ok = ctx.cat_disband(share).is_ok();
-        m == m0 && disband_ok
-    });
-    let elapsed = start.elapsed();
-    assert!(
-        out.iter().all(|&ok| ok),
-        "all 64 GHZ shares agree and disband cleanly"
-    );
-    assert!(
-        elapsed < std::time::Duration::from_secs(5),
-        "64-rank cat broadcast took {elapsed:?}, budget is 5s"
-    );
+    for arm in arms_of(BackendKind::Stabilizer) {
+        let start = std::time::Instant::now();
+        let out = run_with_config(n, arm.cfg(64), |ctx| {
+            // First establishment: measure in Z — every share must agree.
+            let share = ctx.cat_establish().unwrap();
+            ctx.barrier();
+            let m = ctx.measure(&share).unwrap();
+            ctx.measure_and_free(share).unwrap();
+            let m0: bool = ctx
+                .classical()
+                .bcast(if ctx.rank() == 0 { Some(m) } else { None }, 0);
+            // Second establishment: the collective X-parity disband check must
+            // certify a pure cat state.
+            let share = ctx.cat_establish().unwrap();
+            let disband_ok = ctx.cat_disband(share).is_ok();
+            m == m0 && disband_ok
+        });
+        let elapsed = start.elapsed();
+        assert!(
+            out.iter().all(|&ok| ok),
+            "{arm}: all 64 GHZ shares agree and disband cleanly"
+        );
+        assert!(
+            elapsed < std::time::Duration::from_secs(5),
+            "{arm}: 64-rank cat broadcast took {elapsed:?}, budget is 5s"
+        );
+    }
 }
 
 /// A GHZ fanout across 96 ranks on the stabilizer backend — a scale at
@@ -233,17 +276,19 @@ fn stabilizer_runs_64_rank_cat_broadcast_fast() {
 #[test]
 fn stabilizer_scales_to_96_rank_ghz() {
     let n = 96;
-    let out = run_with_config(n, cfg(BackendKind::Stabilizer, 5), |ctx| {
-        let share = ctx.cat_establish().unwrap();
-        ctx.barrier();
-        let m = ctx.measure(&share).unwrap();
-        ctx.measure_and_free(share).unwrap();
-        m
-    });
-    assert!(
-        out.iter().all(|&m| m == out[0]),
-        "96-rank GHZ shares must agree"
-    );
+    for arm in arms_of(BackendKind::Stabilizer) {
+        let out = run_with_config(n, arm.cfg(5), |ctx| {
+            let share = ctx.cat_establish().unwrap();
+            ctx.barrier();
+            let m = ctx.measure(&share).unwrap();
+            ctx.measure_and_free(share).unwrap();
+            m
+        });
+        assert!(
+            out.iter().all(|&m| m == out[0]),
+            "{arm}: 96-rank GHZ shares must agree"
+        );
+    }
 }
 
 /// The remote backend runs the full cat-state protocol (establish, agree,
@@ -251,21 +296,25 @@ fn stabilizer_scales_to_96_rank_ghz() {
 /// the batched single-acquisition EPR establishment underneath.
 #[test]
 fn sharded_runs_cat_broadcast_with_batched_establishment() {
-    let kind = BackendKind::RemoteSharded { shards: 8 };
-    let out = run_with_config(8, cfg(kind, 13), |ctx| {
-        let share = ctx.cat_establish().unwrap();
-        ctx.barrier();
-        let m = ctx.measure(&share).unwrap();
-        ctx.measure_and_free(share).unwrap();
-        let share = ctx.cat_establish().unwrap();
-        let disband_ok = ctx.cat_disband(share).is_ok();
-        (m, disband_ok)
-    });
-    assert!(
-        out.iter().all(|&(m, _)| m == out[0].0),
-        "GHZ shares must agree"
-    );
-    assert!(out.iter().all(|&(_, ok)| ok), "disband check must pass");
+    for arm in arms_of(BackendKind::RemoteSharded { shards: 8 }) {
+        let out = run_with_config(8, arm.cfg(13), |ctx| {
+            let share = ctx.cat_establish().unwrap();
+            ctx.barrier();
+            let m = ctx.measure(&share).unwrap();
+            ctx.measure_and_free(share).unwrap();
+            let share = ctx.cat_establish().unwrap();
+            let disband_ok = ctx.cat_disband(share).is_ok();
+            (m, disband_ok)
+        });
+        assert!(
+            out.iter().all(|&(m, _)| m == out[0].0),
+            "{arm}: GHZ shares must agree"
+        );
+        assert!(
+            out.iter().all(|&(_, ok)| ok),
+            "{arm}: disband check must pass"
+        );
+    }
 }
 
 /// The process-separated engine runs the full cat-state protocol
@@ -275,21 +324,25 @@ fn sharded_runs_cat_broadcast_with_batched_establishment() {
 /// engine's deadlock watchdog rather than stall this test forever.
 #[test]
 fn remote_runs_cat_broadcast_over_message_passing_shards() {
-    let kind = BackendKind::RemoteSharded { shards: 4 };
-    let out = run_with_config(4, cfg(kind, 17), |ctx| {
-        let share = ctx.cat_establish().unwrap();
-        ctx.barrier();
-        let m = ctx.measure(&share).unwrap();
-        ctx.measure_and_free(share).unwrap();
-        let share = ctx.cat_establish().unwrap();
-        let disband_ok = ctx.cat_disband(share).is_ok();
-        (m, disband_ok)
-    });
-    assert!(
-        out.iter().all(|&(m, _)| m == out[0].0),
-        "GHZ shares must agree"
-    );
-    assert!(out.iter().all(|&(_, ok)| ok), "disband check must pass");
+    for arm in arms_of(BackendKind::RemoteSharded { shards: 4 }) {
+        let out = run_with_config(4, arm.cfg(17), |ctx| {
+            let share = ctx.cat_establish().unwrap();
+            ctx.barrier();
+            let m = ctx.measure(&share).unwrap();
+            ctx.measure_and_free(share).unwrap();
+            let share = ctx.cat_establish().unwrap();
+            let disband_ok = ctx.cat_disband(share).is_ok();
+            (m, disband_ok)
+        });
+        assert!(
+            out.iter().all(|&(m, _)| m == out[0].0),
+            "{arm}: GHZ shares must agree"
+        );
+        assert!(
+            out.iter().all(|&(_, ok)| ok),
+            "{arm}: disband check must pass"
+        );
+    }
 }
 
 /// Table 3 via the trace backend at paper scale: the cat-state broadcast on
@@ -301,46 +354,54 @@ fn remote_runs_cat_broadcast_over_message_passing_shards() {
 fn trace_backend_reproduces_table3_formulas_at_64_ranks() {
     use qmpi::BcastAlgorithm;
     let n = 64;
-    for (algo, bits, rounds) in [
-        (
-            BcastAlgorithm::CatState,
-            (n as u64 - 2) + (n as u64 - 1),
-            2u64,
-        ),
-        (BcastAlgorithm::BinomialTree, n as u64 - 1, 6),
-    ] {
-        let out = run_with_config(n, cfg(BackendKind::Trace, 0), move |ctx| {
-            let (delta, q) = ctx.measure_resources(|| {
-                if ctx.rank() == 0 {
-                    let q = ctx.alloc_one();
-                    ctx.bcast_with(algo, Some(&q), 0).unwrap();
-                    q
-                } else {
-                    ctx.bcast_with(algo, None, 0).unwrap().unwrap()
-                }
+    for arm in arms_of(BackendKind::Trace) {
+        for (algo, bits, rounds) in [
+            (
+                BcastAlgorithm::CatState,
+                (n as u64 - 2) + (n as u64 - 1),
+                2u64,
+            ),
+            (BcastAlgorithm::BinomialTree, n as u64 - 1, 6),
+        ] {
+            let out = run_with_config(n, arm.cfg(0), move |ctx| {
+                let (delta, q) = ctx.measure_resources(|| {
+                    if ctx.rank() == 0 {
+                        let q = ctx.alloc_one();
+                        ctx.bcast_with(algo, Some(&q), 0).unwrap();
+                        q
+                    } else {
+                        ctx.bcast_with(algo, None, 0).unwrap().unwrap()
+                    }
+                });
+                ctx.measure_and_free(q).unwrap();
+                // Let every rank finish freeing before reading global counts.
+                ctx.barrier();
+                (delta, ctx.backend().counts())
             });
-            ctx.measure_and_free(q).unwrap();
-            // Let every rank finish freeing before reading global counts.
-            ctx.barrier();
-            (delta, ctx.backend().counts())
-        });
-        let delta = out[0].0;
-        assert_eq!(
-            delta.epr_pairs,
-            n as u64 - 1,
-            "{algo:?}: N-1 EPR pairs (Table 3)"
-        );
-        assert_eq!(
-            delta.classical_bits, bits,
-            "{algo:?}: protocol bits (Table 3)"
-        );
-        assert_eq!(
-            delta.epr_rounds, rounds,
-            "{algo:?}: establishment rounds (Section 7.1)"
-        );
-        let counts = out[0].1;
-        assert!(counts.gates > 0 && counts.max_live_qubits >= n as u64);
-        assert_eq!(counts.live_qubits, 0, "everything measured away");
+            let delta = out[0].0;
+            assert_eq!(
+                delta.epr_pairs,
+                n as u64 - 1,
+                "{arm}, {algo:?}: N-1 EPR pairs (Table 3)"
+            );
+            assert_eq!(
+                delta.classical_bits, bits,
+                "{arm}, {algo:?}: protocol bits (Table 3)"
+            );
+            assert_eq!(
+                delta.epr_rounds, rounds,
+                "{arm}, {algo:?}: establishment rounds (Section 7.1)"
+            );
+            let counts = out[0].1;
+            assert!(
+                counts.gates > 0 && counts.max_live_qubits >= n as u64,
+                "{arm}, {algo:?}: {counts:?}"
+            );
+            assert_eq!(
+                counts.live_qubits, 0,
+                "{arm}, {algo:?}: everything measured away"
+            );
+        }
     }
 }
 
@@ -350,8 +411,8 @@ fn trace_backend_reproduces_table3_formulas_at_64_ranks() {
 fn resource_ledger_is_backend_invariant() {
     let n = 5;
     let mut bills = Vec::new();
-    for kind in all_kinds() {
-        let out = run_with_config(n, cfg(kind, 3), |ctx| {
+    for arm in all_arms() {
+        let out = run_with_config(n, arm.cfg(3), |ctx| {
             let (delta, q) = ctx.measure_resources(|| {
                 let q = ctx.alloc_one();
                 if ctx.rank() == 2 {
@@ -367,13 +428,13 @@ fn resource_ledger_is_backend_invariant() {
             ctx.measure_and_free(q).unwrap();
             delta
         });
-        bills.push((kind, out[0]));
+        bills.push((arm, out[0]));
     }
-    for &(kind, bill) in &bills {
+    for &(arm, bill) in &bills {
         assert_eq!(
             bill.epr_pairs,
             2 * (n as u64 - 1),
-            "{kind}: reduce + cat establishment"
+            "{arm}: reduce + cat establishment"
         );
     }
     for w in bills.windows(2) {
@@ -386,24 +447,25 @@ fn resource_ledger_is_backend_invariant() {
 #[test]
 fn non_clifford_rejected_on_stabilizer_only() {
     assert_eq!(QmpiConfig::new().backend_kind(), BackendKind::StateVector);
-    let out = run_with_config(1, cfg(BackendKind::Stabilizer, 1), |ctx| {
-        let q = ctx.alloc_one();
-        let err = ctx.t(&q).unwrap_err();
-        ctx.measure_and_free(q).unwrap();
-        matches!(err, qmpi::QmpiError::Sim(qsim::SimError::Unsupported(_)))
-    });
-    assert!(out[0]);
-    for kind in stateful_kinds() {
-        if kind == BackendKind::Stabilizer {
-            continue;
-        }
-        let out = run_with_config(1, cfg(kind, 1), move |ctx| {
+    for arm in stateful_arms() {
+        let out = run_with_config(1, arm.cfg(1), move |ctx| {
             let q = ctx.alloc_one();
-            let ok = ctx.t(&q).is_ok();
+            let t = ctx.t(&q);
             ctx.measure_and_free(q).unwrap();
-            ok
+            t
         });
-        assert!(out[0], "{kind}: dense backends support T");
+        if arm.kind == BackendKind::Stabilizer {
+            assert!(
+                matches!(
+                    out[0],
+                    Err(qmpi::QmpiError::Sim(qsim::SimError::Unsupported(_)))
+                ),
+                "{arm}: {:?}",
+                out[0]
+            );
+        } else {
+            assert!(out[0].is_ok(), "{arm}: dense backends support T");
+        }
     }
 }
 
@@ -414,9 +476,9 @@ fn non_clifford_rejected_on_stabilizer_only() {
 #[test]
 fn repeated_qubit_in_a_parity_measurement_is_rejected_before_any_draw() {
     let noise = qsim::NoiseModel::depolarizing(0.2);
-    for kind in all_kinds() {
+    for arm in all_arms() {
         let run = |repeat: bool| {
-            run_with_config(1, cfg(kind, 8).noise(noise), move |ctx| {
+            run_with_config(1, arm.cfg(8).noise(noise), move |ctx| {
                 let qs = ctx.alloc_qmem(3);
                 for q in &qs {
                     ctx.h(q).unwrap();
@@ -430,9 +492,9 @@ fn repeated_qubit_in_a_parity_measurement_is_rejected_before_any_draw() {
                             err,
                             Err(qmpi::QmpiError::Sim(qsim::SimError::DuplicateQubit(_)))
                         ),
-                        "{kind}: {err:?}"
+                        "{arm}: {err:?}"
                     );
-                    assert_eq!(ctx.backend().counts(), before, "{kind}");
+                    assert_eq!(ctx.backend().counts(), before, "{arm}");
                 }
                 let m = ctx.measure(&qs[0]).unwrap();
                 let probs = [&qs[1], &qs[2]].map(|q| ctx.prob_one(q).unwrap().to_bits());
@@ -443,7 +505,7 @@ fn repeated_qubit_in_a_parity_measurement_is_rejected_before_any_draw() {
                 (m, probs, frees, ctx.backend().counts())
             })
         };
-        assert_eq!(run(true), run(false), "{kind}");
+        assert_eq!(run(true), run(false), "{arm}");
     }
 }
 
@@ -453,8 +515,8 @@ fn repeated_qubit_in_a_parity_measurement_is_rejected_before_any_draw() {
 /// after it sees the state as it was.
 #[test]
 fn repeated_qubit_in_a_pauli_string_is_rejected() {
-    for kind in all_kinds() {
-        let out = run_with_config(1, cfg(kind, 8), move |ctx| {
+    for arm in all_arms() {
+        let out = run_with_config(1, arm.cfg(8), move |ctx| {
             let qs = ctx.alloc_qmem(2);
             ctx.x(&qs[0]).unwrap();
             let duplicate = |e: Option<qmpi::QmpiError>| {
@@ -479,8 +541,8 @@ fn repeated_qubit_in_a_pauli_string_is_rejected() {
             (rejected, z)
         });
         let (rejected, z) = &out[0];
-        assert_eq!(rejected, &[true; 4], "{kind}");
-        let want = if is_stateful(kind) { -1.0 } else { 1.0 };
-        assert_eq!(*z, want, "{kind}: <Z> of |1>");
+        assert_eq!(rejected, &[true; 4], "{arm}");
+        let want = if is_stateful(arm.kind) { -1.0 } else { 1.0 };
+        assert_eq!(*z, want, "{arm}: <Z> of |1>");
     }
 }

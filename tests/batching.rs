@@ -150,7 +150,7 @@ fn duplicate_qubit_errors_surface_at_the_call_site() {
         let cfg = QmpiConfig::new()
             .seed(1)
             .backend(kind)
-            .batch(BatchPolicy::env_default());
+            .batch(BatchPolicy::default());
         let out = run_with_config(1, cfg, |ctx| {
             let q = ctx.alloc_one();
             let a = ctx.alloc_one();
@@ -181,7 +181,7 @@ fn stabilizer_rejects_unsupported_controlled_ops_eagerly() {
     let cfg = QmpiConfig::new()
         .seed(1)
         .backend(BackendKind::Stabilizer)
-        .batch(BatchPolicy::env_default());
+        .batch(BatchPolicy::default());
     let out = run_with_config(1, cfg, |ctx| {
         let a = ctx.alloc_one();
         let b = ctx.alloc_one();
@@ -244,6 +244,15 @@ fn classical_send_flushes_pending_gates_first() {
         "rank 0's recorded gates must land before its classical send, saw {}",
         out[1]
     );
+}
+
+/// The batch policy comes from code alone: with `QMPI_BATCH_OPS` and
+/// `QMPI_FUSE` set, a fresh config still carries the default policy.
+#[test]
+fn the_environment_does_not_set_the_batch_policy() {
+    std::env::set_var("QMPI_BATCH_OPS", "0");
+    std::env::set_var("QMPI_FUSE", "off");
+    assert_eq!(QmpiConfig::new().batch_policy(), BatchPolicy::default());
 }
 
 mod proptests {

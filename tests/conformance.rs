@@ -503,7 +503,10 @@ fn generic_angle_program<S: EngineStore>(
 /// The remote engine is bit-identical to the dense engine on generic-angle
 /// states: amplitudes, probabilities, outcomes, counters and expectation
 /// values, in-process and over sockets, ideal, under Pauli noise with
-/// readout dephasing, and under amplitude damping.
+/// readout dephasing, and under amplitude damping. Over sockets it runs at
+/// the engine's own checkpoint threshold and once more with a checkpoint
+/// after every logged unit, so every read of the remote store is a
+/// replayed unit.
 #[test]
 fn remote_engine_matches_its_layout_reference_on_generic_angles() {
     use cmpi::TransportKind::{InProcess, UnixSocket};
@@ -519,12 +522,20 @@ fn remote_engine_matches_its_layout_reference_on_generic_angles() {
             for seed in [3u64, 17] {
                 let mut reference = StateVectorEngine::with_noise(seed, noise);
                 let (want, want_x) = generic_angle_program(&mut reference, seed);
-                for transport in [InProcess, UnixSocket] {
+                for (transport, limit) in
+                    [(InProcess, None), (UnixSocket, None), (UnixSocket, Some(1))]
+                {
                     let mut remote =
                         RemoteShardedEngine::over_transport(seed, shards, noise, transport)
                             .expect("spawn shard workers");
+                    if let Some(units) = limit {
+                        remote.debug_checkpoint_limit(units);
+                    }
                     let (got, got_x) = generic_angle_program(&mut remote, seed);
-                    let case = format!("{shards} shards over {transport}, seed {seed}, {noise:?}");
+                    let case = format!(
+                        "{shards} shards over {transport}, checkpoint limit {limit:?}, \
+                         seed {seed}, {noise:?}"
+                    );
                     assert_eq!(got, want, "{case}");
                     assert_eq!(got_x.map(canon_bits), want_x.map(canon_bits), "{case}");
                 }

@@ -1,7 +1,7 @@
 //! Multi-process transport acceptance suite.
 //!
-//! The socket transports run the same planner, the same kernels, in the
-//! same global order as the in-process remote engine — so per seed they
+//! The Unix-socket transport runs the same planner, the same kernels, in
+//! the same global order as the in-process remote engine — so per seed they
 //! must be *bit-identical*, not merely close: same amplitudes (as bit
 //! patterns), same measurement trajectory, same command/exchange round
 //! counts, with or without Pauli noise drawn along the way.
@@ -9,7 +9,10 @@
 //! And a worker process dying mid-run must be survivable: the controller
 //! observes EOF, respawns the child, re-scatters its stripe from the last
 //! checkpoint, replays the logged suffix, and the run finishes with the
-//! same amplitudes as a run in which nothing died.
+//! same amplitudes as a run in which nothing died — at the engine's own
+//! checkpoint threshold and with a checkpoint after every logged unit
+//! (`RemoteShardedEngine::debug_checkpoint_limit(1)`), so checkpoints
+//! interleave with every alloc, gate batch and free a test makes.
 //!
 //! Circuit driving and observable capture live in the shared conformance
 //! harness (`common::conformance`); this suite only picks the pair to
@@ -26,7 +29,7 @@ use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
     build_backend, run_with_config, BackendKind, BatchPolicy, QmpiConfig, QuantumBackend,
-    RemoteShardedEngine, ShardWorkerPool, StateVectorEngine, TransportKind,
+    RemoteShardedEngine, ShardWorkerPool, Shared, StateVectorEngine, TransportKind,
 };
 use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli, QubitId, SimError};
 use std::time::{Duration, Instant};
@@ -80,6 +83,37 @@ fn amp_bits(e: &RemoteShardedEngine, order: &[QubitId]) -> Vec<(u64, u64)> {
         .collect()
 }
 
+/// The forced-checkpoint thresholds the failover tests run at: the
+/// engine's own (`None`), and a checkpoint after every logged unit.
+const CHECKPOINT_LIMITS: [Option<usize>; 2] = [None, Some(1)];
+
+/// Where a remote engine's workers live and the checkpoint threshold it
+/// runs at: in-process, which never checkpoints, and over Unix sockets at
+/// each of [`CHECKPOINT_LIMITS`].
+const REMOTE_ARMS: [(TransportKind, Option<usize>); 3] = [
+    (TransportKind::InProcess, None),
+    (TransportKind::UnixSocket, CHECKPOINT_LIMITS[0]),
+    (TransportKind::UnixSocket, CHECKPOINT_LIMITS[1]),
+];
+
+/// A remote engine over `transport`, checkpointing every `limit` units
+/// where given.
+fn remote(
+    seed: u64,
+    shards: usize,
+    noise: NoiseModel,
+    transport: TransportKind,
+    limit: Option<usize>,
+) -> RemoteShardedEngine {
+    ensure_worker_bin();
+    let e = RemoteShardedEngine::over_transport(seed, shards, noise, transport)
+        .expect("spawn shard workers");
+    if let Some(units) = limit {
+        e.debug_checkpoint_limit(units);
+    }
+    e
+}
+
 /// A fixed dense circuit (Clifford + T + rotations, cross-shard traffic
 /// included) lands bit-identically over the socket transport, ideal and
 /// noisy, across several seeds.
@@ -97,11 +131,10 @@ fn socket_transport_matches_in_process_bit_for_bit() {
         Step::Cnot(2, 3),
         Step::G(Gate::H, 3),
     ];
-    for socket in [TransportKind::UnixSocket, TransportKind::Tcp] {
-        for seed in [1u64, 7, 42] {
-            assert_transports_bit_identical(socket, &steps, NoiseModel::ideal(), seed);
-            assert_transports_bit_identical(socket, &steps, NoiseModel::depolarizing(0.2), seed);
-        }
+    let socket = TransportKind::UnixSocket;
+    for seed in [1u64, 7, 42] {
+        assert_transports_bit_identical(socket, &steps, NoiseModel::ideal(), seed);
+        assert_transports_bit_identical(socket, &steps, NoiseModel::depolarizing(0.2), seed);
     }
 }
 
@@ -143,64 +176,63 @@ fn teleportation_over_socket_workers_matches_in_process() {
 /// run — plus a respawn on the books.
 #[test]
 fn sigkilled_worker_respawns_and_finishes_bit_identically() {
-    ensure_worker_bin();
-    let run = |kill: bool| {
-        let mut e = RemoteShardedEngine::over_transport(
-            11,
-            SHARDS,
-            NoiseModel::depolarizing(0.1),
-            TransportKind::UnixSocket,
-        )
-        .expect("spawn unix-socket shard workers");
-        let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
-        for &q in &qs {
-            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
-        }
-        for w in qs.windows(2) {
-            e.apply_batch(&ops::cnot(w[0], w[1])).unwrap();
-        }
-        e.apply_batch(&ops::gate(Gate::T, qs[0])).unwrap();
-        if kill {
-            // The hardest death a shard node can die: no protocol, no
-            // cleanup — the child is SIGKILLed outright.
-            e.debug_kill_worker_process(SHARDS - 1);
-        }
-        // The batch waits in the queue; the measurement's read ships it
-        // into the dead socket, failover respawns the worker, re-scatters
-        // the stripe from the checkpoint, replays the logged suffix and
-        // retries the read with the queue restored.
-        let mut batch = GateBatch::new();
-        for (i, &q) in qs.iter().enumerate() {
-            batch.push(BatchOp::Gate {
-                gate: Gate::Ry(0.3 + 0.1 * i as f64),
-                q,
+    for limit in CHECKPOINT_LIMITS {
+        let run = |kill: bool| {
+            let noise = NoiseModel::depolarizing(0.1);
+            let mut e = remote(11, SHARDS, noise, TransportKind::UnixSocket, limit);
+            let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
+            for &q in &qs {
+                e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+            }
+            for w in qs.windows(2) {
+                e.apply_batch(&ops::cnot(w[0], w[1])).unwrap();
+            }
+            e.apply_batch(&ops::gate(Gate::T, qs[0])).unwrap();
+            if kill {
+                // The hardest death a shard node can die: no protocol, no
+                // cleanup — the child is SIGKILLed outright.
+                e.debug_kill_worker_process(SHARDS - 1);
+            }
+            // The batch waits in the queue; the measurement's read ships it
+            // into the dead socket, failover respawns the worker, re-scatters
+            // the stripe from the checkpoint, replays the logged suffix and
+            // retries the read with the queue restored.
+            let mut batch = GateBatch::new();
+            for (i, &q) in qs.iter().enumerate() {
+                batch.push(BatchOp::Gate {
+                    gate: Gate::Ry(0.3 + 0.1 * i as f64),
+                    q,
+                });
+            }
+            batch.push(BatchOp::Cz {
+                a: qs[0],
+                b: qs[N_QUBITS - 1],
             });
-        }
-        batch.push(BatchOp::Cz {
-            a: qs[0],
-            b: qs[N_QUBITS - 1],
-        });
-        e.apply_batch(&batch).unwrap();
-        // The measurement draws from the engine RNG: trajectory identity
-        // proves replay did not re-draw or skip randomness.
-        let m = e.measure_z_parity(&[qs[1]]).unwrap();
-        let amps = amp_bits(&e, &qs);
-        let stats = e.transport_stats();
-        if kill {
-            assert!(
-                stats.respawns >= 1,
-                "the SIGKILLed worker must have been respawned"
-            );
-        } else {
-            assert_eq!(stats.respawns, 0, "undisturbed run respawns nothing");
-        }
-        (m, amps)
-    };
-    assert_eq!(
+            e.apply_batch(&batch).unwrap();
+            // The measurement draws from the engine RNG: trajectory identity
+            // proves replay did not re-draw or skip randomness.
+            let m = e.measure_z_parity(&[qs[1]]).unwrap();
+            let amps = amp_bits(&e, &qs);
+            let stats = e.transport_stats();
+            if kill {
+                assert!(
+                    stats.respawns >= 1,
+                    "limit {limit:?}: the SIGKILLed worker must have been respawned"
+                );
+            } else {
+                assert_eq!(
+                    stats.respawns, 0,
+                    "limit {limit:?}: undisturbed run respawns nothing"
+                );
+            }
+            (m, amps)
+        };
+        assert_eq!(
         run(false),
         run(true),
-        "a run that lost a worker must finish bit-identically to one that did not"
+        "limit {limit:?}: a run that lost a worker must finish bit-identically to one that did not"
     );
+    }
 }
 
 /// Failover through two-segment batches: each batch holds two segments on
@@ -211,90 +243,95 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
 /// undisturbed run, noise draws included.
 #[test]
 fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
-    ensure_worker_bin();
-    let run = |kill: bool| {
-        let mut e = RemoteShardedEngine::over_transport(
-            17,
-            SHARDS,
-            NoiseModel::depolarizing(0.1),
-            TransportKind::UnixSocket,
-        )
-        .expect("spawn unix-socket shard workers");
-        let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
-        for &q in &qs {
-            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
-        }
-        // One segment: a rotation plus an entangler confined to one qubit
-        // pair.
-        let seg = |lo: usize, theta: f64| {
-            [
-                BatchOp::Gate {
-                    gate: Gate::Ry(theta),
-                    q: qs[lo],
-                },
-                BatchOp::Cnot {
-                    c: qs[lo],
-                    t: qs[lo + 1],
-                },
-            ]
-        };
-        let two_segments = |(a, ta), (b, tb)| ops::batch(seg(a, ta).into_iter().chain(seg(b, tb)));
-        // A two-segment batch is queued: no command round.
-        let rounds = e.transport_stats().command_rounds;
-        e.apply_batch(&two_segments((0, 0.3), (2, 0.7))).unwrap();
-        assert_eq!(e.transport_stats().command_rounds, rounds);
-        if kill {
-            e.debug_kill_worker_process(SHARDS - 1);
-        }
-        // Queued too; the measurement's read discovers the dead socket.
-        e.apply_batch(&two_segments((0, 1.1), (2, 0.2))).unwrap();
-        // Trajectory identity proves replay did not re-draw randomness.
-        let m = e.measure_z_parity(&[qs[0]]).unwrap();
-        let amps = amp_bits(&e, &qs);
-        let stats = e.transport_stats();
-        if kill {
-            assert!(
-                stats.respawns >= 1,
-                "the SIGKILLed worker must have been respawned"
+    for limit in CHECKPOINT_LIMITS {
+        let run = |kill: bool| {
+            let noise = NoiseModel::depolarizing(0.1);
+            let mut e = remote(17, SHARDS, noise, TransportKind::UnixSocket, limit);
+            let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
+            for &q in &qs {
+                e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+            }
+            // One segment: a rotation plus an entangler confined to one qubit
+            // pair.
+            let seg = |lo: usize, theta: f64| {
+                [
+                    BatchOp::Gate {
+                        gate: Gate::Ry(theta),
+                        q: qs[lo],
+                    },
+                    BatchOp::Cnot {
+                        c: qs[lo],
+                        t: qs[lo + 1],
+                    },
+                ]
+            };
+            let two_segments =
+                |(a, ta), (b, tb)| ops::batch(seg(a, ta).into_iter().chain(seg(b, tb)));
+            // A two-segment batch is queued: no command round.
+            let rounds = e.transport_stats().command_rounds;
+            e.apply_batch(&two_segments((0, 0.3), (2, 0.7))).unwrap();
+            assert_eq!(
+                e.transport_stats().command_rounds,
+                rounds,
+                "limit {limit:?}"
             );
-        } else {
-            assert_eq!(stats.respawns, 0, "undisturbed run respawns nothing");
-        }
-        (m, amps)
-    };
-    assert_eq!(
+            if kill {
+                e.debug_kill_worker_process(SHARDS - 1);
+            }
+            // Queued too; the measurement's read discovers the dead socket.
+            e.apply_batch(&two_segments((0, 1.1), (2, 0.2))).unwrap();
+            // Trajectory identity proves replay did not re-draw randomness.
+            let m = e.measure_z_parity(&[qs[0]]).unwrap();
+            let amps = amp_bits(&e, &qs);
+            let stats = e.transport_stats();
+            if kill {
+                assert!(
+                    stats.respawns >= 1,
+                    "limit {limit:?}: the SIGKILLed worker must have been respawned"
+                );
+            } else {
+                assert_eq!(
+                    stats.respawns, 0,
+                    "limit {limit:?}: undisturbed run respawns nothing"
+                );
+            }
+            (m, amps)
+        };
+        assert_eq!(
         run(false),
         run(true),
-        "a two-segment batch interrupted by a worker death must replay bit-identically"
+        "limit {limit:?}: a two-segment batch interrupted by a worker death must replay bit-identically"
     );
+    }
 }
 
 /// Killing a worker twice (including re-killing the respawned child) is
 /// still survivable: every failure epoch restarts cleanly.
 #[test]
 fn worker_survives_repeated_kills() {
-    ensure_worker_bin();
-    let mut e = RemoteShardedEngine::over_transport(
-        5,
-        SHARDS,
-        NoiseModel::ideal(),
-        TransportKind::UnixSocket,
-    )
-    .expect("spawn unix-socket shard workers");
-    let q = e.alloc();
-    let p = e.alloc();
-    e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
-    e.apply_batch(&ops::cnot(q, p)).unwrap();
-    e.debug_kill_worker_process(0);
-    e.apply_batch(&ops::cnot(q, p)).unwrap();
-    e.debug_kill_worker_process(SHARDS - 1);
-    e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
-    assert!(
-        e.prob_one(q).unwrap() < 1e-9,
-        "the self-inverse run ends in |00>"
-    );
-    assert!(e.prob_one(p).unwrap() < 1e-9);
-    assert!(e.transport_stats().respawns >= 2);
+    for limit in CHECKPOINT_LIMITS {
+        let mut e = remote(
+            5,
+            SHARDS,
+            NoiseModel::ideal(),
+            TransportKind::UnixSocket,
+            limit,
+        );
+        let q = e.alloc();
+        let p = e.alloc();
+        e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+        e.apply_batch(&ops::cnot(q, p)).unwrap();
+        e.debug_kill_worker_process(0);
+        e.apply_batch(&ops::cnot(q, p)).unwrap();
+        e.debug_kill_worker_process(SHARDS - 1);
+        e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+        assert!(
+            e.prob_one(q).unwrap() < 1e-9,
+            "limit {limit:?}: the self-inverse run ends in |00>"
+        );
+        assert!(e.prob_one(p).unwrap() < 1e-9, "limit {limit:?}");
+        assert!(e.transport_stats().respawns >= 2, "limit {limit:?}");
+    }
 }
 
 /// Stripes of 2^17 amplitudes (2 MiB, far past a socket buffer) cross the
@@ -310,45 +347,44 @@ fn stripe_trades_past_a_socket_buffer_match_dense_bit_for_bit() {
         let amps = s.amplitudes().iter();
         amps.map(|a| (a.re.to_bits(), a.im.to_bits())).collect()
     };
-    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
-        let mut dense = StateVectorEngine::new(41);
-        let mut remote = spawned(41, 4, kind).with_watchdog(Duration::from_secs(2));
-        let dq: Vec<_> = (0..WIDTH).map(|_| dense.alloc()).collect();
-        let mut rq: Vec<_> = (0..WIDTH).map(|_| remote.alloc()).collect();
-        for i in 0..WIDTH {
-            let ry = Gate::Ry(0.3 + 0.1 * i as f64);
-            dense.apply_batch(&ops::gate(ry, dq[i])).unwrap();
-            remote.apply_batch(&ops::gate(ry, rq[i])).unwrap();
-        }
-        // The first two qubits allocated hold the shard axes.
-        dense.apply_batch(&ops::swap(dq[0], dq[1])).unwrap();
-        remote.apply_batch(&ops::swap(rq[0], rq[1])).unwrap();
-        let want = dense.state_vector(&dq).unwrap();
-        assert_eq!(
-            bits(&remote.state_vector(&rq).unwrap()),
-            bits(&want),
-            "{kind}: swap"
-        );
-        let before = remote.transport_stats().exchange_rounds;
-        let outcome = dense.measure_and_free(dq[0]).unwrap();
-        assert_eq!(
-            remote.measure_and_free(rq.remove(0)).unwrap(),
-            outcome,
-            "{kind}"
-        );
-        let want = dense.state_vector(&dq[1..]).unwrap();
-        assert_eq!(
-            bits(&remote.state_vector(&rq).unwrap()),
-            bits(&want),
-            "{kind}: free"
-        );
-        let moved = remote.transport_stats().exchange_rounds - before;
-        assert_eq!(
-            moved, 2,
-            "{kind}: the freed axis moves one part per shard pair"
-        );
-        assert_eq!(remote.transport_stats().respawns, 0, "{kind}");
+    let kind = TransportKind::UnixSocket;
+    let mut dense = StateVectorEngine::new(41);
+    let mut remote = spawned(41, 4, kind).with_watchdog(Duration::from_secs(2));
+    let dq: Vec<_> = (0..WIDTH).map(|_| dense.alloc()).collect();
+    let mut rq: Vec<_> = (0..WIDTH).map(|_| remote.alloc()).collect();
+    for i in 0..WIDTH {
+        let ry = Gate::Ry(0.3 + 0.1 * i as f64);
+        dense.apply_batch(&ops::gate(ry, dq[i])).unwrap();
+        remote.apply_batch(&ops::gate(ry, rq[i])).unwrap();
     }
+    // The first two qubits allocated hold the shard axes.
+    dense.apply_batch(&ops::swap(dq[0], dq[1])).unwrap();
+    remote.apply_batch(&ops::swap(rq[0], rq[1])).unwrap();
+    let want = dense.state_vector(&dq).unwrap();
+    assert_eq!(
+        bits(&remote.state_vector(&rq).unwrap()),
+        bits(&want),
+        "{kind}: swap"
+    );
+    let before = remote.transport_stats().exchange_rounds;
+    let outcome = dense.measure_and_free(dq[0]).unwrap();
+    assert_eq!(
+        remote.measure_and_free(rq.remove(0)).unwrap(),
+        outcome,
+        "{kind}"
+    );
+    let want = dense.state_vector(&dq[1..]).unwrap();
+    assert_eq!(
+        bits(&remote.state_vector(&rq).unwrap()),
+        bits(&want),
+        "{kind}: free"
+    );
+    let moved = remote.transport_stats().exchange_rounds - before;
+    assert_eq!(
+        moved, 2,
+        "{kind}: the freed axis moves one part per shard pair"
+    );
+    assert_eq!(remote.transport_stats().respawns, 0, "{kind}");
 }
 
 /// SIGKILL a worker while its partner is blocked receiving that worker's
@@ -360,12 +396,17 @@ fn stripe_trades_past_a_socket_buffer_match_dense_bit_for_bit() {
 /// and the run finishes on the undisturbed run's bits.
 #[test]
 fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
-    ensure_worker_bin();
     const WIDTH: usize = 12;
     let bound = BatchPolicy::default().max_ops;
-    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+    for limit in CHECKPOINT_LIMITS {
         let run = |kill: bool| {
-            let mut e = spawned(37, SHARDS, kind);
+            let mut e = remote(
+                37,
+                SHARDS,
+                NoiseModel::ideal(),
+                TransportKind::UnixSocket,
+                limit,
+            );
             // The first qubit allocated holds the shard axis.
             let qs: Vec<_> = (0..WIDTH).map(|_| e.alloc()).collect();
             for (i, &q) in qs.iter().enumerate() {
@@ -387,7 +428,7 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
             assert_eq!(
                 e.transport_stats().command_rounds,
                 rounds + 1,
-                "{kind}: the queue shipped at its bound"
+                "limit {limit:?}: the queue shipped at its bound"
             );
             let start = Instant::now();
             if kill {
@@ -399,16 +440,19 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
             ((p, amp_bits(&e, &qs)), took, respawns)
         };
         let (calm, killed) = (run(false), run(true));
-        assert_eq!(calm.2, 0, "{kind}: undisturbed run respawns nothing");
-        assert!(killed.2 >= 1, "{kind}: {} respawns", killed.2);
+        assert_eq!(
+            calm.2, 0,
+            "limit {limit:?}: undisturbed run respawns nothing"
+        );
+        assert!(killed.2 >= 1, "limit {limit:?}: {} respawns", killed.2);
         assert!(
             killed.1 < Duration::from_secs(10),
-            "{kind}: the death took {:?} to fail over",
+            "limit {limit:?}: the death took {:?} to fail over",
             killed.1
         );
         assert_eq!(
             calm.0, killed.0,
-            "{kind}: a death mid-exchange must not show"
+            "limit {limit:?}: a death mid-exchange must not show"
         );
     }
 }
@@ -419,68 +463,62 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
 /// low member ships back — and nothing else.
 #[test]
 fn a_cross_shard_gate_counts_each_stripe_frame_once() {
-    // A forced checkpoint is a gather by design; see the byte bounds above.
-    if std::env::var_os("QMPI_CHECKPOINT_ROUNDS").is_some() {
-        return;
-    }
     ensure_worker_bin();
     const LOCAL_BITS: usize = 10;
-    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
-        let mut e = spawned(3, SHARDS, kind);
-        let qs: Vec<_> = (0..=LOCAL_BITS).map(|_| e.alloc()).collect();
-        for &q in &qs {
-            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
-        }
-        // Every exchange has been reported once the read's replies are in.
-        let read = |e: &mut RemoteShardedEngine| {
-            let before = e.transport_stats().wire_bytes;
-            e.prob_one(qs[1]).unwrap();
-            e.transport_stats().wire_bytes - before
-        };
-        read(&mut e);
-        let alone = read(&mut e);
-        // qs[0] holds the shard axis: this CNOT pairs the two stripes.
-        e.apply_batch(&ops::cnot(qs[1], qs[0])).unwrap();
-        let with_gate = read(&mut e);
-        // A stripe of 2^10 amplitudes, none zero after the Hadamards: the
-        // frame header, the count and one segment header, and the literals.
-        let stripe_frame = cmpi::transport::FRAME_OVERHEAD + 24 + (16 << LOCAL_BITS);
-        // Each worker's frame becomes a `Seq` of a one-op batch and the read:
-        // 18 B more, plus the op (18 B for the low member's `CrossLow`, 9 B
-        // for the high member's `CrossHigh`).
-        let ops_bytes = (18 + 18) + (18 + 9);
-        assert_eq!(
-            with_gate - alone,
-            (2 * stripe_frame + ops_bytes) as u64,
-            "{kind}"
-        );
+    let kind = TransportKind::UnixSocket;
+    let mut e = spawned(3, SHARDS, kind);
+    let qs: Vec<_> = (0..=LOCAL_BITS).map(|_| e.alloc()).collect();
+    for &q in &qs {
+        e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
     }
+    // Every exchange has been reported once the read's replies are in.
+    let read = |e: &mut RemoteShardedEngine| {
+        let before = e.transport_stats().wire_bytes;
+        e.prob_one(qs[1]).unwrap();
+        e.transport_stats().wire_bytes - before
+    };
+    read(&mut e);
+    let alone = read(&mut e);
+    // qs[0] holds the shard axis: this CNOT pairs the two stripes.
+    e.apply_batch(&ops::cnot(qs[1], qs[0])).unwrap();
+    let with_gate = read(&mut e);
+    // A stripe of 2^10 amplitudes, none zero after the Hadamards: the
+    // frame header, the count and one segment header, and the literals.
+    let stripe_frame = cmpi::transport::FRAME_OVERHEAD + 24 + (16 << LOCAL_BITS);
+    // Each worker's frame becomes a `Seq` of a one-op batch and the read:
+    // 18 B more, plus the op (18 B for the low member's `CrossLow`, 9 B
+    // for the high member's `CrossHigh`).
+    let ops_bytes = (18 + 18) + (18 + 9);
+    assert_eq!(
+        with_gate - alone,
+        (2 * stripe_frame + ops_bytes) as u64,
+        "{kind}"
+    );
 }
 
-/// The largest world, 64 workers, links every pair up over each socket
-/// kind and runs a read that pairs every shard with its opposite.
+/// The largest world, 64 workers, links every pair up over Unix sockets
+/// and runs a read that pairs every shard with its opposite.
 #[test]
 fn the_largest_world_links_up_over_each_socket_kind() {
     ensure_worker_bin();
     const WORKERS: usize = 64;
-    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
-        let start = Instant::now();
-        let mut e = spawned(9, WORKERS, kind);
-        let spawn = start.elapsed();
-        let qs: Vec<_> = (0..8).map(|_| e.alloc()).collect();
-        for &q in &qs {
-            e.apply_batch(&ops::gate(Gate::Ry(0.7), q)).unwrap();
-        }
-        // X on every shard axis pairs shard s with shard 63 - s.
-        let string: Vec<_> = qs[..6].iter().map(|&q| (q, Pauli::X)).collect();
-        let want = 0.7f64.sin().powi(6);
-        let got = e.expectation(&string).unwrap();
-        assert!((got - want).abs() < 1e-12, "{kind}: {got} vs {want}");
-        assert!(
-            spawn < Duration::from_secs(10),
-            "{kind}: 64 workers took {spawn:?} to link up"
-        );
+    let kind = TransportKind::UnixSocket;
+    let start = Instant::now();
+    let mut e = spawned(9, WORKERS, kind);
+    let spawn = start.elapsed();
+    let qs: Vec<_> = (0..8).map(|_| e.alloc()).collect();
+    for &q in &qs {
+        e.apply_batch(&ops::gate(Gate::Ry(0.7), q)).unwrap();
     }
+    // X on every shard axis pairs shard s with shard 63 - s.
+    let string: Vec<_> = qs[..6].iter().map(|&q| (q, Pauli::X)).collect();
+    let want = 0.7f64.sin().powi(6);
+    let got = e.expectation(&string).unwrap();
+    assert!((got - want).abs() < 1e-12, "{kind}: {got} vs {want}");
+    assert!(
+        spawn < Duration::from_secs(10),
+        "{kind}: 64 workers took {spawn:?} to link up"
+    );
 }
 
 /// Allocs and frees are logged like any gate batch, not checkpoints: a worker SIGKILLed (a) before an alloc, (b) between an
@@ -491,11 +529,16 @@ fn the_largest_world_links_up_over_each_socket_kind() {
 /// top (shard-selecting) one, so both data paths replay.
 #[test]
 fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
-    ensure_worker_bin();
     const ROUNDS: usize = 12;
-    for kind in [TransportKind::UnixSocket, TransportKind::Tcp] {
+    for limit in CHECKPOINT_LIMITS {
         let run = |kill: bool| {
-            let mut e = spawned(19, SHARDS, kind);
+            let mut e = remote(
+                19,
+                SHARDS,
+                NoiseModel::ideal(),
+                TransportKind::UnixSocket,
+                limit,
+            );
             let mut kills = 0u64;
             let mut kill_at = |e: &RemoteShardedEngine, round: usize, site: usize| {
                 if kill && round % 3 == site {
@@ -526,14 +569,14 @@ fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
             let respawns = e.transport_stats().respawns;
             assert!(
                 respawns >= kills,
-                "{kind}: {respawns} respawns, {kills} kills"
+                "limit {limit:?}: {respawns} respawns, {kills} kills"
             );
             (outcomes, amp_bits(&e, &live))
         };
         assert_eq!(
             run(false),
             run(true),
-            "{kind}: worker deaths around layout changes must not show"
+            "limit {limit:?}: worker deaths around layout changes must not show"
         );
     }
 }
@@ -547,47 +590,50 @@ fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
 /// amplitudes and measurement trajectory.
 #[test]
 fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
-    ensure_worker_bin();
-    let run = |kill: bool| {
-        let mut e = RemoteShardedEngine::over_transport(
-            23,
-            SHARDS,
-            NoiseModel::depolarizing(0.1),
-            TransportKind::UnixSocket,
-        )
-        .expect("spawn unix-socket shard workers");
-        let kill_now = |e: &RemoteShardedEngine, shard: usize| {
-            if kill {
-                e.debug_kill_worker_process(shard);
+    for limit in CHECKPOINT_LIMITS {
+        let run = |kill: bool| {
+            let noise = NoiseModel::depolarizing(0.1);
+            let mut e = remote(23, SHARDS, noise, TransportKind::UnixSocket, limit);
+            let kill_now = |e: &RemoteShardedEngine, shard: usize| {
+                if kill {
+                    e.debug_kill_worker_process(shard);
+                }
+            };
+            let mut qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
+            for (i, &q) in qs.iter().enumerate() {
+                e.apply_batch(&ops::gate(Gate::Ry(0.5 + 0.2 * i as f64), q))
+                    .unwrap();
             }
+            e.apply_batch(&ops::cnot(qs[0], qs[N_QUBITS - 1])).unwrap();
+            let mut trajectory = vec![e.measure_z_parity(&[qs[1]]).unwrap()];
+            kill_now(&e, 0);
+            trajectory.push(e.measure_z_parity(&[qs[2]]).unwrap());
+            qs.push(e.alloc());
+            kill_now(&e, SHARDS - 1);
+            e.apply_batch(&ops::gate(Gate::H, qs[N_QUBITS])).unwrap();
+            e.apply_batch(&ops::cnot(qs[N_QUBITS], qs[0])).unwrap();
+            trajectory.push(e.measure_and_free(qs.remove(1)).unwrap());
+            kill_now(&e, 0);
+            trajectory.push(e.measure_z_parity(&[qs[0]]).unwrap());
+            let respawns = e.transport_stats().respawns;
+            (trajectory, amp_bits(&e, &qs), respawns)
         };
-        let mut qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
-        for (i, &q) in qs.iter().enumerate() {
-            e.apply_batch(&ops::gate(Gate::Ry(0.5 + 0.2 * i as f64), q))
-                .unwrap();
-        }
-        e.apply_batch(&ops::cnot(qs[0], qs[N_QUBITS - 1])).unwrap();
-        let mut trajectory = vec![e.measure_z_parity(&[qs[1]]).unwrap()];
-        kill_now(&e, 0);
-        trajectory.push(e.measure_z_parity(&[qs[2]]).unwrap());
-        qs.push(e.alloc());
-        kill_now(&e, SHARDS - 1);
-        e.apply_batch(&ops::gate(Gate::H, qs[N_QUBITS])).unwrap();
-        e.apply_batch(&ops::cnot(qs[N_QUBITS], qs[0])).unwrap();
-        trajectory.push(e.measure_and_free(qs.remove(1)).unwrap());
-        kill_now(&e, 0);
-        trajectory.push(e.measure_z_parity(&[qs[0]]).unwrap());
-        let respawns = e.transport_stats().respawns;
-        (trajectory, amp_bits(&e, &qs), respawns)
-    };
-    let (calm, killed) = (run(false), run(true));
-    assert_eq!(calm.2, 0, "undisturbed run respawns nothing");
-    assert!(killed.2 >= 3, "{} respawns for three kills", killed.2);
-    assert_eq!(
-        (calm.0, calm.1),
-        (killed.0, killed.1),
-        "worker deaths with work queued must not show"
-    );
+        let (calm, killed) = (run(false), run(true));
+        assert_eq!(
+            calm.2, 0,
+            "limit {limit:?}: undisturbed run respawns nothing"
+        );
+        assert!(
+            killed.2 >= 3,
+            "limit {limit:?}: {} respawns for three kills",
+            killed.2
+        );
+        assert_eq!(
+            (calm.0, calm.1),
+            (killed.0, killed.1),
+            "limit {limit:?}: worker deaths with work queued must not show"
+        );
+    }
 }
 
 /// A free needs no reply: its one `Reshape` per worker waits in the queue
@@ -601,62 +647,72 @@ fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
 /// moves half-stripes, counted as exchange rounds); both kinds occur.
 #[test]
 fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
-    ensure_worker_bin();
     const WORKERS: usize = 4;
     const ROUNDS: usize = 8;
-    let run = |kill: bool| {
-        let mut e = RemoteShardedEngine::over_transport(
-            29,
-            WORKERS,
-            NoiseModel::depolarizing(0.1),
-            TransportKind::UnixSocket,
-        )
-        .expect("spawn unix-socket shard workers");
-        let mut qs: Vec<_> = (0..5).map(|_| e.alloc()).collect();
-        for (i, &q) in qs.iter().enumerate() {
-            e.apply_batch(&ops::gate(Gate::Ry(0.3 + 0.4 * i as f64), q))
-                .unwrap();
-        }
-        let mut reads = Vec::new();
-        for round in 0..ROUNDS {
-            let fresh = e.alloc();
-            e.apply_batch(&ops::gate(Gate::H, fresh)).unwrap();
-            let partner = round % qs.len();
-            e.apply_batch(&ops::cnot(fresh, qs[partner])).unwrap();
-            let gone = if round % 2 == 0 {
-                fresh
-            } else {
-                std::mem::replace(&mut qs[partner], fresh)
-            };
-            let before = e.transport_stats().exchange_rounds;
-            let outcome = if round % 4 < 2 {
-                e.measure_and_free(gone).unwrap()
-            } else {
-                let m = e.measure_z_parity(&[gone]).unwrap();
-                assert_eq!(e.free(gone).unwrap(), m);
-                m
-            };
-            let axis = e.transport_stats().exchange_rounds > before;
-            assert_eq!(e.debug_queued_commands(), [1; WORKERS], "round {round}");
-            if kill {
-                e.debug_kill_worker_process(round % WORKERS);
+    for limit in CHECKPOINT_LIMITS {
+        let run = |kill: bool| {
+            let noise = NoiseModel::depolarizing(0.1);
+            let mut e = remote(29, WORKERS, noise, TransportKind::UnixSocket, limit);
+            let mut qs: Vec<_> = (0..5).map(|_| e.alloc()).collect();
+            for (i, &q) in qs.iter().enumerate() {
+                e.apply_batch(&ops::gate(Gate::Ry(0.3 + 0.4 * i as f64), q))
+                    .unwrap();
             }
-            let p = e.prob_one(qs[0]).unwrap();
-            reads.push((axis, outcome, p.to_bits()));
-        }
-        let respawns = e.transport_stats().respawns;
-        (reads, amp_bits(&e, &qs), respawns)
-    };
-    let (calm, killed) = (run(false), run(true));
-    assert_eq!(calm.2, 0, "undisturbed run respawns nothing");
-    assert!(killed.2 >= ROUNDS as u64, "{} respawns", killed.2);
-    let axes: Vec<bool> = calm.0.iter().map(|&(axis, ..)| axis).collect();
-    assert!(axes.contains(&true) && axes.contains(&false), "{axes:?}");
-    assert_eq!(
-        (calm.0, calm.1),
-        (killed.0, killed.1),
-        "worker deaths with a free queued must not show"
-    );
+            let mut reads = Vec::new();
+            for round in 0..ROUNDS {
+                let fresh = e.alloc();
+                e.apply_batch(&ops::gate(Gate::H, fresh)).unwrap();
+                let partner = round % qs.len();
+                e.apply_batch(&ops::cnot(fresh, qs[partner])).unwrap();
+                let gone = if round % 2 == 0 {
+                    fresh
+                } else {
+                    std::mem::replace(&mut qs[partner], fresh)
+                };
+                let before = e.transport_stats().exchange_rounds;
+                let outcome = if round % 4 < 2 {
+                    e.measure_and_free(gone).unwrap()
+                } else {
+                    let m = e.measure_z_parity(&[gone]).unwrap();
+                    assert_eq!(e.free(gone).unwrap(), m);
+                    m
+                };
+                let axis = e.transport_stats().exchange_rounds > before;
+                assert_eq!(
+                    e.debug_queued_commands(),
+                    [1; WORKERS],
+                    "limit {limit:?}, round {round}"
+                );
+                if kill {
+                    e.debug_kill_worker_process(round % WORKERS);
+                }
+                let p = e.prob_one(qs[0]).unwrap();
+                reads.push((axis, outcome, p.to_bits()));
+            }
+            let respawns = e.transport_stats().respawns;
+            (reads, amp_bits(&e, &qs), respawns)
+        };
+        let (calm, killed) = (run(false), run(true));
+        assert_eq!(
+            calm.2, 0,
+            "limit {limit:?}: undisturbed run respawns nothing"
+        );
+        assert!(
+            killed.2 >= ROUNDS as u64,
+            "limit {limit:?}: {} respawns",
+            killed.2
+        );
+        let axes: Vec<bool> = calm.0.iter().map(|&(axis, ..)| axis).collect();
+        assert!(
+            axes.contains(&true) && axes.contains(&false),
+            "limit {limit:?}: {axes:?}"
+        );
+        assert_eq!(
+            (calm.0, calm.1),
+            (killed.0, killed.1),
+            "limit {limit:?}: worker deaths with a free queued must not show"
+        );
+    }
 }
 
 /// Each kind of free, onto each outcome, over threads and over sockets: a
@@ -812,10 +868,6 @@ fn every_call_costs_its_pinned_command_rounds() {
 /// and at 12 qubits, commands and replies only.
 #[test]
 fn a_fresh_qubit_costs_no_exchange_and_no_stripe_bytes() {
-    // A forced checkpoint is a gather by design; see the byte bounds below.
-    if std::env::var_os("QMPI_CHECKPOINT_ROUNDS").is_some() {
-        return;
-    }
     ensure_worker_bin();
     let cycle = |transport: TransportKind, width: usize| {
         let mut e = spawned(5, 4, transport);
@@ -863,12 +915,11 @@ fn a_fresh_qubit_costs_no_exchange_and_no_stripe_bytes() {
 /// freed.
 #[test]
 fn alloc_free_storm_over_shard_axes_matches_dense_bit_for_bit() {
-    ensure_worker_bin();
-    for transport in [TransportKind::InProcess, TransportKind::UnixSocket] {
+    for (transport, limit) in REMOTE_ARMS {
         for seed in [1u64, 7] {
             let mut rng = TestRng::for_case(seed);
             let mut dense = StateVectorEngine::new(seed);
-            let mut remote = spawned(seed, 4, transport);
+            let mut remote = remote(seed, 4, NoiseModel::ideal(), transport, limit);
             let (mut dq, mut rq): (Vec<QubitId>, Vec<QubitId>) = (Vec::new(), Vec::new());
             let (mut axis_frees, mut local_frees) = (0, 0);
             for round in 0..24 {
@@ -894,7 +945,7 @@ fn alloc_free_storm_over_shard_axes_matches_dense_bit_for_bit() {
                 };
                 let (d, r) = (dq.remove(at), rq.remove(at));
                 let before = remote.transport_stats().exchange_rounds;
-                let case = format!("{transport}, seed {seed}, round {round}");
+                let case = format!("{transport}, limit {limit:?}, seed {seed}, round {round}");
                 if round % 2 == 0 {
                     let outcome = dense.measure_and_free(d).unwrap();
                     assert_eq!(remote.measure_and_free(r).unwrap(), outcome, "{case}");
@@ -918,7 +969,7 @@ fn alloc_free_storm_over_shard_axes_matches_dense_bit_for_bit() {
             }
             assert!(
                 axis_frees >= 4 && local_frees >= 4,
-                "{axis_frees} / {local_frees}"
+                "{transport}, limit {limit:?}: {axis_frees} / {local_frees}"
             );
         }
     }
@@ -932,50 +983,52 @@ fn alloc_free_storm_over_shard_axes_matches_dense_bit_for_bit() {
 /// step, at every shard count: every sum is exact.
 #[test]
 fn reshape_tracks_the_dense_engine_through_every_layout_case() {
-    for shards in [1usize, 2, 4, 8] {
-        for seed in 0..4u64 {
-            let mut rng = TestRng::for_case(seed * 16 + shards as u64);
-            let mut dense = StateVectorEngine::new(seed);
-            let mut remote = RemoteShardedEngine::new(seed, shards);
-            let (mut dq, mut rq): (Vec<QubitId>, Vec<QubitId>) = (Vec::new(), Vec::new());
-            for step in 0..80 {
-                let n = dq.len();
-                match rng.below(3) {
-                    0 if n < 7 => {
-                        dq.push(dense.alloc());
-                        rq.push(remote.alloc());
-                    }
-                    1 if n > 0 => {
-                        let i = rng.below(n as u64) as usize;
-                        let ry = Gate::Ry(3.0 * rng.unit_f64());
-                        dense.apply_batch(&ops::gate(ry, dq[i])).unwrap();
-                        remote.apply_batch(&ops::gate(ry, rq[i])).unwrap();
-                        if n > 1 {
-                            let j = (i + 1 + rng.below(n as u64 - 1) as usize) % n;
-                            dense.apply_batch(&ops::cnot(dq[i], dq[j])).unwrap();
-                            remote.apply_batch(&ops::cnot(rq[i], rq[j])).unwrap();
+    for (transport, limit) in REMOTE_ARMS {
+        for shards in [1usize, 2, 4, 8] {
+            for seed in 0..4u64 {
+                let mut rng = TestRng::for_case(seed * 16 + shards as u64);
+                let mut dense = StateVectorEngine::new(seed);
+                let mut remote = remote(seed, shards, NoiseModel::ideal(), transport, limit);
+                let (mut dq, mut rq): (Vec<QubitId>, Vec<QubitId>) = (Vec::new(), Vec::new());
+                for step in 0..80 {
+                    let n = dq.len();
+                    match rng.below(3) {
+                        0 if n < 7 => {
+                            dq.push(dense.alloc());
+                            rq.push(remote.alloc());
                         }
-                    }
-                    2 if n > 0 => {
-                        let i = rng.below(n as u64) as usize;
-                        assert_eq!(
+                        1 if n > 0 => {
+                            let i = rng.below(n as u64) as usize;
+                            let ry = Gate::Ry(3.0 * rng.unit_f64());
+                            dense.apply_batch(&ops::gate(ry, dq[i])).unwrap();
+                            remote.apply_batch(&ops::gate(ry, rq[i])).unwrap();
+                            if n > 1 {
+                                let j = (i + 1 + rng.below(n as u64 - 1) as usize) % n;
+                                dense.apply_batch(&ops::cnot(dq[i], dq[j])).unwrap();
+                                remote.apply_batch(&ops::cnot(rq[i], rq[j])).unwrap();
+                            }
+                        }
+                        2 if n > 0 => {
+                            let i = rng.below(n as u64) as usize;
+                            assert_eq!(
                             dense.measure_and_free(dq.remove(i)).unwrap(),
                             remote.measure_and_free(rq.remove(i)).unwrap(),
-                            "shards={shards} seed={seed} step={step}: outcome"
+                            "{transport}, limit {limit:?}, shards={shards} seed={seed} step={step}: outcome"
                         );
+                        }
+                        _ => continue,
                     }
-                    _ => continue,
-                }
-                let want = dense.state_vector(&dq).unwrap();
-                let got = remote.state_vector(&rq).unwrap();
-                assert_eq!(want.len(), got.len());
-                for i in 0..want.len() {
-                    let (w, g) = (want.amplitude(i), got.amplitude(i));
-                    assert_eq!(
+                    let want = dense.state_vector(&dq).unwrap();
+                    let got = remote.state_vector(&rq).unwrap();
+                    assert_eq!(want.len(), got.len());
+                    for i in 0..want.len() {
+                        let (w, g) = (want.amplitude(i), got.amplitude(i));
+                        assert_eq!(
                         (w.re.to_bits(), w.im.to_bits()),
                         (g.re.to_bits(), g.im.to_bits()),
-                        "shards={shards} seed={seed} step={step} amp[{i}]: {w:?} vs {g:?}"
+                        "{transport}, limit {limit:?}, shards={shards} seed={seed} step={step} amp[{i}]: {w:?} vs {g:?}"
                     );
+                    }
                 }
             }
         }
@@ -988,12 +1041,6 @@ fn reshape_tracks_the_dense_engine_through_every_layout_case() {
 /// cost command and reply frames only.
 #[test]
 fn alloc_and_free_keep_the_state_off_the_controller_wire() {
-    // A forced checkpoint is a gather by design; with the interval lowered
-    // (CI's QMPI_CHECKPOINT_ROUNDS=1 lane) one lands inside every window
-    // measured here, and the bounds are about alloc and free themselves.
-    if std::env::var_os("QMPI_CHECKPOINT_ROUNDS").is_some() {
-        return;
-    }
     ensure_worker_bin();
     let mut e = spawned(3, SHARDS, TransportKind::UnixSocket);
     let qs: Vec<_> = (0..12).map(|_| e.alloc()).collect();
@@ -1038,10 +1085,6 @@ fn alloc_and_free_keep_the_state_off_the_controller_wire() {
 /// state by an entangled pair moves no amplitude at all.
 #[test]
 fn a_fresh_pair_ships_its_zero_halves_as_lengths() {
-    // A forced checkpoint gathers the state; see the test above.
-    if std::env::var_os("QMPI_CHECKPOINT_ROUNDS").is_some() {
-        return;
-    }
     ensure_worker_bin();
     let mut e = spawned(3, SHARDS, TransportKind::UnixSocket);
     let qs: Vec<_> = (0..12).map(|_| e.alloc()).collect();
@@ -1064,6 +1107,40 @@ fn a_fresh_pair_ships_its_zero_halves_as_lengths() {
         "an entangled pair's alloc moved {moved} B for a {state_bytes} B state"
     );
     assert!((e.prob_one(b).unwrap() - 0.5).abs() < 1e-12);
+}
+
+/// A checkpoint limit of one logged unit gathers the whole state after
+/// every read that ships work, on top of what the read itself moves: the
+/// same gate and read cost at least the 16 KiB of a 10-qubit state more on
+/// the wire than at the engine's own threshold, and read the same bits.
+#[test]
+fn a_checkpoint_limit_of_one_gathers_the_state_after_every_unit() {
+    let cost = |limit| {
+        let mut e = remote(
+            3,
+            SHARDS,
+            NoiseModel::ideal(),
+            TransportKind::UnixSocket,
+            limit,
+        );
+        let qs: Vec<_> = (0..10).map(|_| e.alloc()).collect();
+        for &q in &qs {
+            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+        }
+        e.prob_one(qs[0]).unwrap();
+        let before = e.transport_stats().wire_bytes;
+        e.apply_batch(&ops::gate(Gate::Ry(0.4), qs[1])).unwrap();
+        let p = e.prob_one(qs[1]).unwrap().to_bits();
+        (p, e.transport_stats().wire_bytes - before)
+    };
+    let (own, one) = (cost(None), cost(Some(1)));
+    assert_eq!(own.0, one.0, "the read does not depend on the limit");
+    assert!(
+        one.1 >= own.1 + (16 << 10),
+        "limit 1 moved {} B, the default {} B",
+        one.1,
+        own.1
+    );
 }
 
 /// A snapshot order the front rejects — a freed qubit, or a live one twice —
@@ -1206,12 +1283,20 @@ fn run_storm(backend: &dyn QuantumBackend) -> (StormOutcome, Option<u64>) {
 fn a_storm_of_rank_flushes_costs_no_command_round_and_matches_dense() {
     for noise in [NoiseModel::ideal(), NoiseModel::depolarizing(0.2)] {
         for seed in [7u64, 42] {
-            let build = |kind| build_backend(kind, TransportKind::InProcess, seed, noise).unwrap();
-            let (remote, rounds) =
-                run_storm(&*build(BackendKind::RemoteSharded { shards: SHARDS }));
-            let (dense, _) = run_storm(&*build(BackendKind::StateVector));
-            assert_eq!(rounds, Some(0), "flushes wait for a read");
-            assert_eq!(remote, dense, "the storm left the dense bits (seed {seed})");
+            let dense = build_backend(
+                BackendKind::StateVector,
+                TransportKind::InProcess,
+                seed,
+                noise,
+            );
+            let (dense, _) = run_storm(&*dense.unwrap());
+            for (transport, limit) in REMOTE_ARMS {
+                let (remote, rounds) =
+                    run_storm(&Shared::new(remote(seed, SHARDS, noise, transport, limit)));
+                let case = format!("{transport}, limit {limit:?}, seed {seed}");
+                assert_eq!(rounds, Some(0), "{case}: flushes wait for a read");
+                assert_eq!(remote, dense, "{case}: the storm left the dense bits");
+            }
         }
     }
 }
@@ -1220,27 +1305,25 @@ fn a_storm_of_rank_flushes_costs_no_command_round_and_matches_dense() {
 /// and observes the same bits as over threads.
 #[test]
 fn a_socket_storm_matches_the_in_process_storm_bit_for_bit() {
-    ensure_worker_bin();
-    let storm = |transport| {
-        let kind = BackendKind::RemoteSharded { shards: SHARDS };
-        run_storm(&*build_backend(kind, transport, 13, NoiseModel::depolarizing(0.15)).unwrap())
+    let storm = |transport, limit| {
+        let noise = NoiseModel::depolarizing(0.15);
+        run_storm(&Shared::new(remote(13, SHARDS, noise, transport, limit)))
     };
-    assert_eq!(
-        storm(TransportKind::UnixSocket),
-        storm(TransportKind::InProcess)
-    );
+    let threads = storm(TransportKind::InProcess, None);
+    for limit in CHECKPOINT_LIMITS {
+        assert_eq!(
+            storm(TransportKind::UnixSocket, limit),
+            threads,
+            "limit {limit:?}"
+        );
+    }
 }
 
 /// Every place worker worlds can live.
-const TRANSPORTS: [TransportKind; 3] = [
-    TransportKind::InProcess,
-    TransportKind::UnixSocket,
-    TransportKind::Tcp,
-];
+const TRANSPORTS: [TransportKind; 2] = [TransportKind::InProcess, TransportKind::UnixSocket];
 
 fn spawned(seed: u64, shards: usize, kind: TransportKind) -> RemoteShardedEngine {
-    RemoteShardedEngine::over_transport(seed, shards, NoiseModel::ideal(), kind)
-        .expect("spawn shard workers")
+    remote(seed, shards, NoiseModel::ideal(), kind, None)
 }
 
 fn pool_over(slots: usize, shards: usize, kind: TransportKind) -> ShardWorkerPool {
