@@ -12,11 +12,10 @@ use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// Shared per-world state: one mailbox per world rank plus traffic counters.
+/// Shared per-world state: one mailbox per world rank.
 pub struct World {
     pub(crate) mailboxes: Vec<Arc<Mailbox>>,
     next_context: AtomicU64,
-    bytes_sent: AtomicU64,
     /// The first rank whose panic aborted the world.
     aborted_by: OnceLock<usize>,
 }
@@ -28,14 +27,8 @@ impl World {
             mailboxes: (0..n).map(|_| Arc::new(Mailbox::new())).collect(),
             // Context 0/1 are reserved for the world communicator (p2p/coll).
             next_context: AtomicU64::new(2),
-            bytes_sent: AtomicU64::new(0),
             aborted_by: OnceLock::new(),
         })
-    }
-
-    /// Total payload bytes sent so far (all communicators).
-    pub fn bytes_sent(&self) -> u64 {
-        self.bytes_sent.load(Ordering::Relaxed)
     }
 
     /// Marks the world failed by world rank `rank` and wakes every
@@ -66,8 +59,6 @@ pub struct Status {
     pub source: usize,
     /// Tag the message was sent with.
     pub tag: Tag,
-    /// Payload size in bytes.
-    pub bytes: usize,
 }
 
 /// The world's ranks under a private matching context.
@@ -108,11 +99,6 @@ impl Communicator {
         self.world.mailboxes.len()
     }
 
-    /// The underlying shared world (for traffic statistics).
-    pub fn world_handle(&self) -> &Arc<World> {
-        &self.world
-    }
-
     fn mailbox_of(&self, comm_rank: usize) -> &Mailbox {
         &self.world.mailboxes[comm_rank]
     }
@@ -123,9 +109,6 @@ impl Communicator {
             "destination rank {dest} out of range (size {})",
             self.size()
         );
-        self.world
-            .bytes_sent
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
         self.mailbox_of(dest).push(Envelope {
             context,
             source: self.rank,
@@ -155,37 +138,10 @@ impl Communicator {
         let status = Status {
             source: env.source,
             tag: env.tag,
-            bytes: env.payload.len(),
         };
         let value = from_bytes(&env.payload)
             .expect("message payload failed to decode: type mismatch between send and recv");
         (value, status)
-    }
-
-    /// Blocking receive with a deadline; `None` when no matching message
-    /// arrives within `timeout`. This is the watchdog primitive used by
-    /// long-lived shard workers and their controller: a peer that died or
-    /// deadlocked turns into a diagnosable timeout instead of a CI hang.
-    pub fn recv_timeout<T: Decode>(
-        &self,
-        source: impl Into<SourceSel>,
-        tag: impl Into<TagSel>,
-        timeout: std::time::Duration,
-    ) -> Option<(T, Status)> {
-        let env = self.mailbox_of(self.rank).pop_matching_timeout(
-            self.context,
-            source.into(),
-            tag.into(),
-            timeout,
-        )?;
-        let status = Status {
-            source: env.source,
-            tag: env.tag,
-            bytes: env.payload.len(),
-        };
-        let value = from_bytes(&env.payload)
-            .expect("message payload failed to decode: type mismatch between send and recv");
-        Some((value, status))
     }
 
     /// Non-blocking receive; completes on a successful
@@ -275,7 +231,6 @@ impl<T: Decode> RecvRequest<'_, T> {
         let status = Status {
             source: env.source,
             tag: env.tag,
-            bytes: env.payload.len(),
         };
         let value = from_bytes(&env.payload).expect("message payload failed to decode");
         Some((value, status))
@@ -286,6 +241,32 @@ impl<T: Decode> RecvRequest<'_, T> {
 mod tests {
     use super::*;
     use crate::universe::Universe;
+
+    impl Communicator {
+        /// Blocking receive with a deadline; `None` when no matching message
+        /// arrives within `timeout`, so a test whose message is lost fails
+        /// instead of hanging.
+        pub(crate) fn recv_timeout<T: Decode>(
+            &self,
+            source: impl Into<SourceSel>,
+            tag: impl Into<TagSel>,
+            timeout: std::time::Duration,
+        ) -> Option<(T, Status)> {
+            let env = self.mailbox_of(self.rank).pop_matching_timeout(
+                self.context,
+                source.into(),
+                tag.into(),
+                timeout,
+            )?;
+            let status = Status {
+                source: env.source,
+                tag: env.tag,
+            };
+            let value = from_bytes(&env.payload)
+                .expect("message payload failed to decode: type mismatch between send and recv");
+            Some((value, status))
+        }
+    }
 
     #[test]
     fn rank_and_size() {
@@ -418,18 +399,5 @@ mod tests {
             }
         });
         assert_eq!(out, vec![0, 1]);
-    }
-
-    #[test]
-    fn traffic_counters_increase() {
-        let out = Universe::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send(&vec![0u8; 100], 1, 0);
-            } else {
-                comm.recv::<Vec<u8>>(0, 0);
-            }
-            comm.world_handle().bytes_sent()
-        });
-        assert!(out[1] >= 100);
     }
 }

@@ -25,7 +25,7 @@ pub use comm::{Communicator, RecvRequest, Status, World};
 pub use encode::{from_bytes, to_bytes, Decode, Encode};
 pub use mailbox::{Envelope, Mailbox, SourceSel, Tag, TagSel};
 pub use transport::{FrameHeader, TransportKind, WireListener, WireStream};
-pub use universe::{Universe, WorkerGroup};
+pub use universe::Universe;
 
 #[cfg(test)]
 mod proptests {

@@ -84,7 +84,7 @@ impl From<Tag> for TagSel {
 }
 
 /// A queued message.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Envelope {
     /// Communicator context id (segregates traffic between communicators).
     pub context: u64,
@@ -245,8 +245,8 @@ impl Mailbox {
         self.inbox.lock().take(context, source, tag)
     }
 
-    /// Blocking pop with a timeout; `None` on expiry. Used to detect
-    /// deadlocks in tests.
+    /// Blocking pop with a timeout; `None` on expiry. A pipe read with a
+    /// deadline is one.
     ///
     /// Panics like [`Mailbox::pop_matching`] on an aborted world.
     pub fn pop_matching_timeout(

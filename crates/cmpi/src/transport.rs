@@ -1,11 +1,20 @@
-//! Wire transports: the OS-boundary substrate under remote shard workers.
+//! Wire transports: the byte streams under remote shard workers.
 //!
-//! The in-process substrate ([`crate::comm`]) moves already-encoded frames
-//! between threads through mailboxes. This module carries the *same* framed
-//! payloads across real OS boundaries — a controller process talking to
-//! worker child processes over Unix domain sockets — so the protocol
-//! layered on top ([`crate::Encode`]/[`crate::Decode`] command frames) does
-//! not change when workers stop sharing an address space.
+//! A [`WireStream`] is one of two things behind the same `Read`/`Write`
+//! surface: a Unix domain socket to a worker child process, or one end of
+//! an in-process pipe ([`WireStream::pair`]) to a worker thread. The framed
+//! protocol layered on top ([`crate::Encode`]/[`crate::Decode`] command
+//! frames) is the same either way, so it does not change when workers stop
+//! sharing an address space.
+//!
+//! ## The in-process pipe
+//!
+//! Each direction of a pipe is a [`Mailbox`]: a write is one envelope, so a
+//! blocked read spins and then parks as a rank's receive does. As for a
+//! socket pair, a read honours [`WireStream::set_read_timeout`] (expiry is
+//! `WouldBlock`) and returns EOF once the other end has dropped or called
+//! [`WireStream::shutdown`], and a write to such an end fails with
+//! `BrokenPipe`. A write never blocks: the queue has no bound.
 //!
 //! ## Frame layout
 //!
@@ -30,9 +39,14 @@
 //! trusted. The body grows only as its bytes arrive, so a corrupt length
 //! cannot force a giant up-front allocation.
 
+use crate::mailbox::{Envelope, Mailbox, SourceSel, TagSel};
+use bytes::Bytes;
+use std::cell::Cell;
 use std::io::{self, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Which substrate carries controller↔worker shard traffic: threads in
@@ -40,8 +54,8 @@ use std::time::Duration;
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
 pub enum TransportKind {
     /// Workers are threads in this process; frames travel through
-    /// [`crate::comm`] mailboxes. The default, and the only kind with no
-    /// spawn/serialization overhead.
+    /// in-process pipes ([`WireStream::pair`]). The default, and the only
+    /// kind with no process to spawn.
     #[default]
     InProcess,
     /// Workers are child processes connected over Unix domain sockets in
@@ -105,10 +119,8 @@ pub struct FrameHeader {
     pub peer: u32,
 }
 
-/// Writes one frame (header + body) as a single buffered write, returning
-/// the bytes put on the wire. One `write_all` per frame keeps concurrent
-/// writers (behind a lock) from interleaving partial frames.
-pub fn write_frame(w: &mut impl Write, hdr: &FrameHeader, body: &[u8]) -> io::Result<usize> {
+/// A frame's bytes: length prefix, header, body.
+fn encode_frame(hdr: &FrameHeader, body: &[u8]) -> io::Result<Vec<u8>> {
     let len = HEADER_LEN + body.len();
     if len > MAX_FRAME_LEN {
         return Err(io::Error::new(
@@ -122,19 +134,22 @@ pub fn write_frame(w: &mut impl Write, hdr: &FrameHeader, body: &[u8]) -> io::Re
     frame.extend_from_slice(&hdr.epoch.to_le_bytes());
     frame.extend_from_slice(&hdr.peer.to_le_bytes());
     frame.extend_from_slice(body);
-    w.write_all(&frame)?;
-    w.flush()?;
-    Ok(frame.len())
+    Ok(frame)
 }
 
-/// Reads one frame. EOF *before* the length prefix surfaces as
-/// `UnexpectedEof` with an empty message (clean peer shutdown); EOF
-/// anywhere later is a mid-frame truncation, also `UnexpectedEof`. A length
-/// outside `[HEADER_LEN, MAX_FRAME_LEN]` is `InvalidData`.
-pub fn read_frame(r: &mut impl Read) -> io::Result<(FrameHeader, Vec<u8>)> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_le_bytes(len_buf) as usize;
+/// The header of a frame from its `HEADER_LEN` bytes.
+fn decode_header(b: &[u8]) -> FrameHeader {
+    let word = |at: usize| u32::from_le_bytes([b[at], b[at + 1], b[at + 2], b[at + 3]]);
+    FrameHeader {
+        tag: b[0],
+        epoch: word(1),
+        peer: word(5),
+    }
+}
+
+/// The body length a length prefix announces, or why it is corrupt.
+fn body_len(prefix: [u8; 4]) -> io::Result<usize> {
+    let len = u32::from_le_bytes(prefix) as usize;
     if len < HEADER_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -147,15 +162,31 @@ pub fn read_frame(r: &mut impl Read) -> io::Result<(FrameHeader, Vec<u8>)> {
             format!("frame length {len} exceeds MAX_FRAME_LEN ({MAX_FRAME_LEN})"),
         ));
     }
+    Ok(len - HEADER_LEN)
+}
+
+/// Writes one frame (header + body) as a single buffered write, returning
+/// the bytes put on the wire. One `write_all` per frame keeps concurrent
+/// writers (behind a lock) from interleaving partial frames.
+pub fn write_frame(w: &mut impl Write, hdr: &FrameHeader, body: &[u8]) -> io::Result<usize> {
+    let frame = encode_frame(hdr, body)?;
+    w.write_all(&frame)?;
+    w.flush()?;
+    Ok(frame.len())
+}
+
+/// Reads one frame. EOF *before* the length prefix surfaces as
+/// `UnexpectedEof` with an empty message (clean peer shutdown); EOF
+/// anywhere later is a mid-frame truncation, also `UnexpectedEof`. A length
+/// outside `[HEADER_LEN, MAX_FRAME_LEN]` is `InvalidData`.
+pub fn read_frame(r: &mut impl Read) -> io::Result<(FrameHeader, Vec<u8>)> {
+    let mut len_buf = [0u8; 4];
+    r.read_exact(&mut len_buf)?;
+    let want = body_len(len_buf)?;
     let mut hdr_buf = [0u8; HEADER_LEN];
     r.read_exact(&mut hdr_buf)?;
-    let hdr = FrameHeader {
-        tag: hdr_buf[0],
-        epoch: u32::from_le_bytes(hdr_buf[1..5].try_into().expect("4 bytes")),
-        peer: u32::from_le_bytes(hdr_buf[5..9].try_into().expect("4 bytes")),
-    };
+    let hdr = decode_header(&hdr_buf);
     // Straight into the body, which grows only as bytes arrive.
-    let want = len - HEADER_LEN;
     let mut body = Vec::with_capacity(want.min(READ_CHUNK));
     r.by_ref().take(want as u64).read_to_end(&mut body)?;
     if body.len() < want {
@@ -236,7 +267,7 @@ impl WireListener {
         self.listener.set_nonblocking(false)?;
         let stream = result?;
         stream.set_nonblocking(false)?;
-        Ok(WireStream(stream))
+        Ok(WireStream(Stream::Unix(stream)))
     }
 }
 
@@ -246,10 +277,16 @@ impl Drop for WireListener {
     }
 }
 
-/// One connected Unix domain socket; `Read`/`Write` pass straight through
-/// to it.
+/// One connected byte stream: a Unix domain socket, or one end of an
+/// in-process pipe ([`WireStream::pair`]).
 #[derive(Debug)]
-pub struct WireStream(UnixStream);
+pub struct WireStream(Stream);
+
+#[derive(Debug)]
+enum Stream {
+    Unix(UnixStream),
+    Pipe(Pipe),
+}
 
 impl WireStream {
     /// Connects to an address produced by [`WireListener::addr`].
@@ -260,40 +297,221 @@ impl WireStream {
                 format!("wire address '{addr}' must start with unix:"),
             )
         })?;
-        Ok(WireStream(UnixStream::connect(path)?))
+        Ok(WireStream(Stream::Unix(UnixStream::connect(path)?)))
+    }
+
+    /// Two connected ends of an in-process pipe: what one end writes, the
+    /// other reads (see the [module docs](self)).
+    pub fn pair() -> (WireStream, WireStream) {
+        let (a, b) = (Arc::new(Lane::default()), Arc::new(Lane::default()));
+        let end = |rx, tx| {
+            WireStream(Stream::Pipe(Pipe {
+                rx,
+                tx,
+                unread: Bytes::new(),
+                eof: false,
+                read_timeout: Cell::new(None),
+            }))
+        };
+        (end(Arc::clone(&a), Arc::clone(&b)), end(b, a))
+    }
+
+    /// Writes one frame as [`write_frame`] does; on a pipe the frame's
+    /// buffer becomes the write itself, with no second copy.
+    pub fn send(&mut self, hdr: &FrameHeader, body: &[u8]) -> io::Result<usize> {
+        match &mut self.0 {
+            Stream::Unix(s) => write_frame(s, hdr, body),
+            Stream::Pipe(p) => {
+                let frame = encode_frame(hdr, body)?;
+                let n = frame.len();
+                p.send(Bytes::from(frame)).map(|()| n)
+            }
+        }
+    }
+
+    /// Reads one frame as [`read_frame`] does; from a pipe, a frame that
+    /// arrives as one write (as [`WireStream::send`] and [`write_frame`]
+    /// make every frame) is taken without a copy.
+    pub fn recv(&mut self) -> io::Result<(FrameHeader, Bytes)> {
+        if let Stream::Pipe(p) = &mut self.0 {
+            if let Some(frame) = p.whole_frame()? {
+                return Ok(frame);
+            }
+        }
+        read_frame(self).map(|(hdr, body)| (hdr, Bytes::from(body)))
     }
 
     /// Read deadline for subsequent reads (`None` blocks forever) — the
     /// hook the remote engine's deadlock watchdog maps onto.
     pub fn set_read_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        self.0.set_read_timeout(t)
+        match &self.0 {
+            Stream::Unix(s) => s.set_read_timeout(t),
+            Stream::Pipe(p) => {
+                p.read_timeout.set(t);
+                Ok(())
+            }
+        }
     }
 
     /// Write deadline for subsequent writes (`None` blocks forever): a
-    /// write that makes no progress for that long fails.
+    /// write that makes no progress for that long fails. A pipe's writes
+    /// never block, so it has nothing to bound.
     pub fn set_write_timeout(&self, t: Option<Duration>) -> io::Result<()> {
-        self.0.set_write_timeout(t)
+        match &self.0 {
+            Stream::Unix(s) => s.set_write_timeout(t),
+            Stream::Pipe(_) => Ok(()),
+        }
     }
 
-    /// Shuts down both directions, unblocking any reader on the peer side.
+    /// Shuts down both directions: the peer's reads end at EOF, and writes
+    /// from either end fail.
     pub fn shutdown(&self) {
-        let _ = self.0.shutdown(std::net::Shutdown::Both);
+        match &self.0 {
+            Stream::Unix(s) => {
+                let _ = s.shutdown(std::net::Shutdown::Both);
+            }
+            Stream::Pipe(p) => {
+                p.rx.close();
+                p.tx.close();
+            }
+        }
     }
 }
 
 impl Read for WireStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        self.0.read(buf)
+        match &mut self.0 {
+            Stream::Unix(s) => s.read(buf),
+            Stream::Pipe(p) => p.read(buf),
+        }
     }
 }
 
 impl Write for WireStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        self.0.write(buf)
+        match &mut self.0 {
+            Stream::Unix(s) => s.write(buf),
+            Stream::Pipe(p) => p.send(Bytes::copy_from_slice(buf)).map(|()| buf.len()),
+        }
     }
 
     fn flush(&mut self) -> io::Result<()> {
-        self.0.flush()
+        match &mut self.0 {
+            Stream::Unix(s) => s.flush(),
+            Stream::Pipe(_) => Ok(()),
+        }
+    }
+}
+
+/// One direction of a pipe: the queue of writes its reader takes, and
+/// whether either end has closed it. A closed lane's last envelope is an
+/// empty one, the EOF mark.
+#[derive(Default)]
+struct Lane {
+    queue: Mailbox,
+    closed: AtomicBool,
+}
+
+impl Lane {
+    fn push(&self, payload: Bytes) {
+        self.queue.push(Envelope {
+            payload,
+            ..Envelope::default()
+        });
+    }
+
+    /// Closes the lane, marking EOF after what is already queued, once.
+    fn close(&self) {
+        if !self.closed.swap(true, Ordering::AcqRel) {
+            self.push(Bytes::new());
+        }
+    }
+}
+
+/// One end of an in-process pipe.
+struct Pipe {
+    /// The lane this end reads.
+    rx: Arc<Lane>,
+    /// The lane this end writes.
+    tx: Arc<Lane>,
+    /// The rest of the envelope a read took last.
+    unread: Bytes,
+    /// The EOF mark has been read.
+    eof: bool,
+    read_timeout: Cell<Option<Duration>>,
+}
+
+impl std::fmt::Debug for Pipe {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Pipe")
+    }
+}
+
+impl Pipe {
+    /// Takes the next write into `unread`, waiting up to the read timeout;
+    /// an empty write is the EOF mark.
+    fn fill(&mut self) -> io::Result<()> {
+        let (ctx, any, tag) = (0, SourceSel::Any, TagSel::Any);
+        let env = match self.read_timeout.get() {
+            None => self.rx.queue.pop_matching(ctx, any, tag),
+            Some(wait) => {
+                let env = self.rx.queue.pop_matching_timeout(ctx, any, tag, wait);
+                env.ok_or_else(|| io::Error::new(io::ErrorKind::WouldBlock, "pipe read timed out"))?
+            }
+        };
+        self.eof = env.payload.is_empty();
+        self.unread = env.payload;
+        Ok(())
+    }
+
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while self.unread.is_empty() && !self.eof && !buf.is_empty() {
+            self.fill()?;
+        }
+        let n = buf.len().min(self.unread.len());
+        buf[..n].copy_from_slice(&self.unread.split_to(n));
+        Ok(n)
+    }
+
+    /// The next frame, if the next write holds exactly one whole frame;
+    /// `None` leaves the read to the byte stream.
+    fn whole_frame(&mut self) -> io::Result<Option<(FrameHeader, Bytes)>> {
+        if !self.unread.is_empty() || self.eof {
+            return Ok(None);
+        }
+        self.fill()?;
+        let whole = match self.unread.first_chunk::<4>() {
+            Some(&prefix) if self.unread.len() >= FRAME_OVERHEAD => {
+                body_len(prefix)? == self.unread.len() - FRAME_OVERHEAD
+            }
+            _ => false,
+        };
+        if !whole {
+            return Ok(None);
+        }
+        let mut body = std::mem::take(&mut self.unread);
+        let head = body.split_to(FRAME_OVERHEAD);
+        Ok(Some((decode_header(&head[4..]), body)))
+    }
+
+    fn send(&mut self, payload: Bytes) -> io::Result<()> {
+        if self.tx.closed.load(Ordering::Acquire) {
+            return Err(io::Error::new(
+                io::ErrorKind::BrokenPipe,
+                "the pipe's other end is closed",
+            ));
+        }
+        if !payload.is_empty() {
+            self.tx.push(payload);
+        }
+        Ok(())
+    }
+}
+
+impl Drop for Pipe {
+    fn drop(&mut self) {
+        self.rx.close();
+        self.tx.close();
     }
 }
 
@@ -451,6 +669,98 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn a_pipe_carries_a_frame_larger_than_one_read() {
+        let (mut a, mut b) = WireStream::pair();
+        let hdr = FrameHeader {
+            tag: 4,
+            epoch: 0,
+            peer: 2,
+        };
+        // Twice the reader's first reservation, so the body takes more
+        // than one read.
+        let body: Vec<u8> = (0..2 * READ_CHUNK).map(|i| (i % 251) as u8).collect();
+        let sent = write_frame(&mut a, &hdr, &body).unwrap();
+        assert_eq!(sent, FRAME_OVERHEAD + body.len());
+        let (got_hdr, got_body) = read_frame(&mut b).unwrap();
+        assert_eq!(got_hdr, hdr);
+        assert_eq!(got_body, body);
+    }
+
+    #[test]
+    fn a_pipe_frame_arrives_whole_or_in_pieces() {
+        let (mut a, mut b) = WireStream::pair();
+        let hdr = FrameHeader {
+            tag: 3,
+            epoch: 1,
+            peer: 2,
+        };
+        // `send` makes the frame one write, which `recv` takes whole.
+        assert_eq!(a.send(&hdr, b"whole").unwrap(), FRAME_OVERHEAD + 5);
+        assert_eq!(b.recv().unwrap(), (hdr, Bytes::from(b"whole".to_vec())));
+        // A frame cut across writes, and two frames in one write, are read
+        // byte by byte.
+        let frame = frame_bytes(&hdr, b"in pieces");
+        a.write_all(&frame[..7]).unwrap();
+        a.write_all(&frame[7..]).unwrap();
+        assert_eq!(b.recv().unwrap().1.as_slice(), b"in pieces");
+        a.write_all(&[frame.clone(), frame].concat()).unwrap();
+        for _ in 0..2 {
+            assert_eq!(b.recv().unwrap().1.as_slice(), b"in pieces");
+        }
+    }
+
+    #[test]
+    fn a_pipe_reads_eof_after_its_other_end_drops_or_shuts_down() {
+        let hdr = FrameHeader {
+            tag: 1,
+            epoch: 0,
+            peer: 0,
+        };
+        let (mut a, mut b) = WireStream::pair();
+        write_frame(&mut a, &hdr, b"last").unwrap();
+        drop(a);
+        // What was written before the drop is still read, then EOF, twice.
+        assert_eq!(read_frame(&mut b).unwrap().1, b"last");
+        for _ in 0..2 {
+            let err = read_frame(&mut b).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
+        let (a, mut b) = WireStream::pair();
+        a.shutdown();
+        let err = read_frame(&mut b).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    #[test]
+    fn a_pipe_read_past_its_timeout_would_block() {
+        let (_a, mut b) = WireStream::pair();
+        b.set_read_timeout(Some(Duration::from_millis(25))).unwrap();
+        let start = std::time::Instant::now();
+        let err = read_frame(&mut b).unwrap_err();
+        assert!(
+            matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "{err:?}"
+        );
+        assert!(start.elapsed() >= Duration::from_millis(25));
+    }
+
+    #[test]
+    fn a_write_to_a_dropped_pipe_end_is_a_broken_pipe() {
+        let (mut a, b) = WireStream::pair();
+        drop(b);
+        let hdr = FrameHeader {
+            tag: 2,
+            epoch: 0,
+            peer: 0,
+        };
+        let err = write_frame(&mut a, &hdr, b"lost").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 
     #[test]

@@ -67,43 +67,6 @@ impl Universe {
         }
         results
     }
-
-    /// Spawns `n` long-lived *worker* ranks and returns the controller's
-    /// communicator without blocking.
-    ///
-    /// Unlike [`Universe::run`], which joins every rank before returning,
-    /// this builds a world of `n + 1` ranks, runs `f` on ranks `1..=n`
-    /// (each on its own thread), and hands rank 0 — the controller — back
-    /// to the caller together with a [`WorkerGroup`] holding the join
-    /// handles. This is the lifecycle used by process-separated simulation
-    /// shards: the controller drives workers over point-to-point messages
-    /// and each worker runs a mailbox event loop until told to shut down.
-    ///
-    /// The caller owns the shutdown protocol: workers must return from `f`
-    /// (typically on receiving a shutdown message) before
-    /// [`WorkerGroup::join`] can complete.
-    pub fn spawn_workers<F>(n: usize, f: F) -> (Communicator, WorkerGroup)
-    where
-        F: Fn(Communicator) + Send + Sync + 'static,
-    {
-        assert!(n > 0, "need at least one worker");
-        let world = World::new(n + 1);
-        let f = Arc::new(f);
-        let mut handles = Vec::with_capacity(n);
-        for rank in 1..=n {
-            let world = Arc::clone(&world);
-            let f = Arc::clone(&f);
-            let builder = std::thread::Builder::new()
-                .name(format!("cmpi-worker-{rank}"))
-                .stack_size(8 << 20);
-            handles.push(
-                builder
-                    .spawn(move || f(Communicator::world(world, rank)))
-                    .expect("failed to spawn worker thread"),
-            );
-        }
-        (Communicator::world(world, 0), WorkerGroup { handles })
-    }
 }
 
 /// Aborts the rank's world if the rank unwinds.
@@ -117,30 +80,6 @@ impl Drop for AbortOnUnwind {
         if std::thread::panicking() {
             self.world.abort(self.rank);
         }
-    }
-}
-
-/// Join handles for workers started by [`Universe::spawn_workers`].
-///
-/// Workers are expected to exit via the caller's shutdown protocol; `join`
-/// then reaps the threads. Dropping the group without joining detaches the
-/// threads (they keep running until their closures return).
-pub struct WorkerGroup {
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl WorkerGroup {
-    /// Joins every worker thread, returning how many panicked. Unlike
-    /// [`Universe::run`] this never resumes a worker panic: the group is
-    /// typically joined from a destructor, where propagating would abort.
-    pub fn join(self) -> usize {
-        let mut panicked = 0;
-        for h in self.handles {
-            if h.join().is_err() {
-                panicked += 1;
-            }
-        }
-        panicked
     }
 }
 
@@ -196,45 +135,5 @@ mod tests {
             .expect("the world hung on its dead rank");
         assert_eq!(msg.as_deref(), Some("rank 1 exploded before its send"));
         runner.join().unwrap();
-    }
-
-    #[test]
-    fn spawn_workers_echo_and_shutdown() {
-        // Workers double incoming numbers until they receive the shutdown
-        // sentinel (u64::MAX); the controller drives them and joins.
-        let (ctl, group) = Universe::spawn_workers(3, |comm| loop {
-            let (v, _) = comm.recv::<u64>(0, 0);
-            if v == u64::MAX {
-                return;
-            }
-            comm.send(&(v * 2), 0, 1);
-        });
-        assert_eq!(group.handles.len(), 3);
-        for w in 1..=3usize {
-            ctl.send(&(w as u64 * 10), w, 0);
-        }
-        let mut sum = 0u64;
-        for w in 1..=3usize {
-            let (v, _) = ctl.recv::<u64>(w, 1);
-            sum += v;
-        }
-        assert_eq!(sum, 2 * (10 + 20 + 30));
-        for w in 1..=3usize {
-            ctl.send(&u64::MAX, w, 0);
-        }
-        assert_eq!(group.join(), 0);
-    }
-
-    #[test]
-    fn worker_group_join_counts_panics() {
-        let (ctl, group) = Universe::spawn_workers(2, |comm| {
-            let (v, _) = comm.recv::<u64>(0, 0);
-            if comm.rank() == 1 && v == 7 {
-                panic!("worker 1 told to panic");
-            }
-        });
-        ctl.send(&7u64, 1, 0);
-        ctl.send(&0u64, 2, 0);
-        assert_eq!(group.join(), 1);
     }
 }

@@ -182,7 +182,7 @@ impl BackendKind {
 /// The transport selects where shard workers live and only applies to
 /// [`BackendKind::RemoteSharded`] (and its other name,
 /// [`BackendKind::ShardedStateVector`]): [`TransportKind::InProcess`] runs them
-/// as threads over `cmpi` mailboxes, [`TransportKind::UnixSocket`] spawns
+/// as threads over in-process pipes, [`TransportKind::UnixSocket`] spawns
 /// real `qworker` child processes speaking framed Unix domain sockets (with
 /// failover — see [`remote_transport`]). Every other backend kind is
 /// transport-less and ignores the parameter.
@@ -279,8 +279,8 @@ impl std::fmt::Display for BackendKind {
 pub const DIAG_RANK: usize = usize::MAX;
 
 /// Uniform transport accounting for engines driven over a message
-/// substrate ([`RemoteShardedEngine`] — in-process mailboxes or real
-/// process workers behind sockets). Returned by
+/// substrate ([`RemoteShardedEngine`] — worker threads behind in-process
+/// pipes, or worker processes behind sockets). Returned by
 /// [`QuantumBackend::transport_stats`]; `None` means the backend has no
 /// transport at all (dense in-memory engines).
 ///
@@ -296,16 +296,17 @@ pub struct TransportStats {
     /// and expectation traffic.
     pub exchange_rounds: u64,
     /// Bytes put on the wire, both directions, each frame counted once on
-    /// the socket it crosses. Over a socket transport the controller counts
-    /// the commands it writes and the replies it reads, and each worker
-    /// reports the exchange frames it wrote to its peers in its next reply.
-    /// In-process they are the serialized bytes the worker world's
-    /// mailboxes carried, counted by whichever thread sends. Either way a
-    /// read's exchanges are all counted once its replies are in, so read
-    /// this after a reduction every worker answers (`prob_one`).
+    /// the link it crosses. The controller counts the commands it writes
+    /// and the replies it reads, and each worker reports the exchange
+    /// frames it wrote to its peers in its next reply. In-process the links
+    /// are pipes carrying the same frames as the sockets, so both
+    /// transports count the same bytes. A read's exchanges are all counted
+    /// once its replies are in, so read this after a reduction every
+    /// worker answers (`prob_one`).
     pub wire_bytes: u64,
-    /// Worker processes respawned by failover. Zero for the in-process
-    /// transport, which has no process boundary to fail over.
+    /// Workers respawned: by failover, which only a multi-process
+    /// transport runs, or by a pooled world's reset after its last user
+    /// left it with a dead worker or unread replies.
     pub respawns: u64,
     /// Always 0: a stub kept only because the qperf harness still reads
     /// it. Every flush reaches the engine at its call, and the remote

@@ -96,15 +96,15 @@ impl Controller {
         self.n_qubits - self.shard_bits as usize
     }
 
-    /// Raw command send: straight to the wire/mailbox, no unit recording.
+    /// Raw command send: straight to the link, no unit recording.
     /// Recovery and checkpoint traffic uses this directly.
     pub(super) fn send_raw(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
         self.lease.link_mut().send_cmd(shard, cmd)
     }
 
     /// Raw reply receive, no unit recording.
-    pub(super) fn reply_raw(&mut self, shard: usize, what: &str) -> Result<ShardReply, DeadWorker> {
-        self.lease.link_mut().reply_from(shard, what)
+    pub(super) fn reply_raw(&mut self, shard: usize) -> Result<ShardReply, DeadWorker> {
+        self.lease.link_mut().reply_from(shard)
     }
 
     /// Unwraps the reply shape the protocol calls for at this point; a
@@ -188,7 +188,7 @@ impl Controller {
         self.round(|s| (s < active).then_some(ShardCmd::Branches { mask }))?;
         let mut masses = [ExactSum::ZERO; 2];
         for s in 0..active {
-            let reply = self.reply_from(s, "branch masses")?;
+            let reply = self.reply_from(s)?;
             let [e, o] = Self::shaped(s, "branch masses", reply, |r| match r {
                 ShardReply::Branches { even, odd } => Ok([even, odd]),
                 other => Err(other),
@@ -236,7 +236,7 @@ impl Controller {
         }
         let mut flat = Vec::with_capacity(1usize << self.n_qubits);
         for s in 0..self.active() {
-            let reply = self.reply_raw(s, "gather")?;
+            let reply = self.reply_raw(s)?;
             flat.extend(Self::shaped(s, "a stripe", reply, |r| match r {
                 ShardReply::Amps(a) => Ok(a),
                 other => Err(other),
@@ -463,7 +463,7 @@ impl Controller {
         self.round(|_| cmds.next())?;
         let mut acc = [ExactSum::ZERO; 2];
         for s in reporters {
-            let reply = self.reply_from(s, "expectation partial")?;
+            let reply = self.reply_from(s)?;
             let [re, im] = Self::shaped(s, "an expectation partial", reply, |r| match r {
                 ShardReply::Expect { re, im } => Ok([re, im]),
                 other => Err(other),

@@ -1,17 +1,20 @@
 //! Failover for process workers: the log a dead worker's world is rebuilt
-//! from, and the retry loop around every controller round.
+//! from, and the retry loop around every controller round. A world of
+//! worker threads has none, and reports the lost shard.
 
 use super::controller::Controller;
 use super::{ShardCmd, ShardReply};
 use qsim::Complex;
 
-/// Marker error: a worker's OS process died (connection EOF, write
-/// failure, or reply timeout) under a multi-process link. In-process links
-/// never produce it — their failures keep the historical
-/// panic-with-diagnostic behavior. Reaching [`Controller::run`] with this
-/// triggers failover: respawn, checkpoint re-scatter, log replay.
+/// A worker is gone: its link reached EOF, a write to it failed, or a
+/// reply wait outlasted the watchdog. `shard` is the first shard the
+/// controller found so. Reaching [`Controller::run`] with this triggers
+/// failover where it is armed (respawn, checkpoint re-scatter, log
+/// replay); elsewhere it ends the engine, naming the shard.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct DeadWorker;
+pub(crate) struct DeadWorker {
+    pub(crate) shard: usize,
+}
 
 /// One committed retry unit in the failover log: the mutating commands it
 /// sent (by shard) and the per-shard replies it drained, in order. Replay
@@ -46,7 +49,7 @@ impl ShardCmd {
 }
 
 /// Controller-side failover state, present only on multi-process links (an
-/// in-process engine pays zero overhead for it). Invariant: *checkpoint +
+/// in-process engine pays nothing for it). Invariant: *checkpoint +
 /// log + queue ≡ the state*, so recovery is always "reload checkpoint,
 /// replay log" and the queue ships with the retried unit — a failed unit's
 /// partial effects are erased by the reload, the queue it consumed is
@@ -115,12 +118,8 @@ impl Controller {
 
     /// Receives shard `s`'s reply, recording the drain into the open retry
     /// unit (replay must consume replayed replies in the same pattern).
-    pub(super) fn reply_from(
-        &mut self,
-        shard: usize,
-        what: &str,
-    ) -> Result<ShardReply, DeadWorker> {
-        let reply = self.reply_raw(shard, what)?;
+    pub(super) fn reply_from(&mut self, shard: usize) -> Result<ShardReply, DeadWorker> {
+        let reply = self.reply_raw(shard)?;
         if let Some(unit) = self.failover.as_mut().and_then(|f| f.unit.as_mut()) {
             unit.drains.push(shard);
         }
@@ -132,31 +131,34 @@ impl Controller {
     /// possible — so the reader gets a copy of it.
     pub(super) fn run_gather(&mut self) -> Vec<Complex> {
         self.cmd_rounds += 1;
-        if self.failover.is_some() {
-            self.checkpoint_now();
-            let f = self.failover.as_ref().expect("checked above");
-            return f.checkpoint.clone();
+        if self.failover.is_none() {
+            return self.run(Controller::gather_raw);
         }
-        self.gather_raw()
-            .unwrap_or_else(|_| unreachable!("in-process links never report dead workers"))
+        self.checkpoint_now();
+        let f = self.failover.as_ref().expect("checked above");
+        f.checkpoint.clone()
     }
 
-    /// Runs one retry unit to completion. For in-process links this is a
-    /// plain call (failures panic inside, never return `Err`). For process
-    /// links the unit body is recorded; on worker death the generation is
-    /// restarted (respawn + checkpoint reload + log replay), the queue the
-    /// unit consumed is restored, and the unit retried from scratch, up to
-    /// `RESPAWN_BUDGET` times. The
-    /// closure must therefore be free of external side effects — in
-    /// particular it must not draw RNG, which the engine keeps outside units
-    /// precisely so trajectories stay bit-identical across failovers.
+    /// Runs one retry unit to completion. Without failover this is a
+    /// plain call, and a dead worker ends the engine naming its shard. With
+    /// failover (process worlds) the unit body is recorded; on worker death
+    /// the generation is restarted (respawn + checkpoint reload + log
+    /// replay), the queue the unit consumed is restored, and the unit
+    /// retried from scratch, up to `RESPAWN_BUDGET` times. The closure must
+    /// therefore be free of external side effects — in particular it must
+    /// not draw RNG, which the engine keeps outside units precisely so
+    /// trajectories stay bit-identical across failovers.
     pub(super) fn run<T>(
         &mut self,
         mut f: impl FnMut(&mut Controller) -> Result<T, DeadWorker>,
     ) -> T {
         if self.failover.is_none() {
-            return f(self)
-                .unwrap_or_else(|_| unreachable!("in-process links never report dead workers"));
+            return f(self).unwrap_or_else(|DeadWorker { shard }| {
+                panic!(
+                    "remote-shard engine: lost shard {shard}'s worker (its link closed, or its \
+                     reply outlasted the watchdog); only a multi-process world fails over"
+                )
+            });
         }
         let queue = self.queue.clone();
         for _ in 0..RESPAWN_BUDGET {
@@ -248,7 +250,7 @@ impl Controller {
                     self.send_raw(*s, cmd)?;
                 }
                 for &s in &unit.drains {
-                    self.reply_raw(s, "replayed reply")?;
+                    self.reply_raw(s)?;
                 }
             }
             Ok(())

@@ -2,16 +2,19 @@
 //!
 //! [`RemoteShardedEngine`] cuts the dense amplitude vector into `2^k`
 //! shards and places each in a dedicated
-//! *worker rank* — a thread spawned via [`cmpi::Universe::spawn_workers`],
-//! or a `qworker` process — and turns every shard interaction into a
-//! [`cmpi`] message protocol. Nothing but messages crosses the shard
-//! boundary: the paper's deployment model (Section 4: shards live in
-//! separate QMPI nodes) and the shape NetQMPI gives its simulation workers.
+//! *worker rank* — a thread of this process or a `qworker` process — and
+//! turns every shard interaction into a framed message protocol over one
+//! kind of link (`backend::remote_transport`: an in-process pipe or a Unix
+//! domain socket). Nothing but messages crosses the shard boundary: the
+//! paper's deployment model (Section 4: shards live in separate QMPI nodes)
+//! and the shape NetQMPI gives its simulation workers.
 //!
 //! ## Roles and message flow
 //!
 //! The engine is the *controller* (rank 0 of a private worker world); shard
-//! `s` is owned by worker rank `s + 1`. Three tag channels exist:
+//! `s` is owned by worker rank `s + 1`. Three frame tags carry the
+//! protocol, on a link from the controller to each worker and on one
+//! between each pair of workers:
 //!
 //! | tag | direction | carries |
 //! |---|---|---|
@@ -21,10 +24,10 @@
 //!
 //! Every command broadcast happens under one controller lock, so all
 //! workers observe the *same global command order*; each worker applies its
-//! commands sequentially from its mailbox or socket (FIFO per sender).
-//! Together those two facts give every stripe a single consistent history
-//! without any shared memory. Exchanges go straight from worker to worker
-//! (a mailbox, or a socket per worker pair), and every one of them is
+//! commands sequentially from its controller link (FIFO). Together those
+//! two facts give every stripe a single consistent history without any
+//! shared memory. Exchanges go straight from worker to worker (a link per
+//! worker pair), and every one of them is
 //! ordered — one member receives before it sends — so none waits on a
 //! cycle even where a send blocks until its receiver reads.
 //!
@@ -97,15 +100,15 @@
 //!   [`ShardCmd::Load`]. A snapshot ships the queue in a round of its own
 //!   before it gathers.
 //!
-//! ## Deadlock watchdog
+//! ## Dead workers and the deadlock watchdog
 //!
 //! A dead or deadlocked worker must fail CI with a diagnostic, not hang it.
-//! Every blocking receive of the controller, and of a worker awaiting its
-//! exchange partner, is bounded by the engine's watchdog
+//! A worker that exits closes its links, so the controller reads EOF from
+//! it within milliseconds; a stuck one outlasts the watchdog
 //! (`DEFAULT_WATCHDOG_MS`, 30 s, unless
-//! [`RemoteShardedEngine::with_watchdog`] sets another). In-process,
-//! expiry panics with the shard and operation that timed out; a process
-//! worker is declared dead instead, and the world fails over.
+//! [`RemoteShardedEngine::with_watchdog`] sets another) that bounds every
+//! blocking read. A process world then fails over, and an in-process one
+//! panics naming the lost shard (`backend::remote_transport`).
 //!
 //! ## The engine is a store under the one front
 //!
@@ -131,10 +134,7 @@ pub(crate) use wire::{
     decode_reply_frame, decode_stripe_into, encode_reply_frame, WireAmps, WIRE_VERSION,
 };
 pub use wire::{ExpectRole, ShardCmd, ShardReply, WorkerOp};
-pub(crate) use worker::{shard_worker, worker_loop, ShardChannel, WorkerHalt, TAG_CMD, TAG_REPLY};
-
-/// The controller's rank in the private worker world.
-const CONTROLLER: usize = 0;
+pub(crate) use worker::{worker_loop, WorkerHalt};
 
 /// World rank of shard `shard`'s worker: the controller is rank 0, so shard
 /// `s` is rank `s + 1`.
@@ -148,7 +148,7 @@ pub(crate) fn shard_of(rank: usize) -> Option<usize> {
 }
 
 /// Hard cap on the worker count (`2^6` = 64 worker ranks); each shard is a
-/// real thread or process with a mailbox.
+/// real thread or process with a link to every other.
 pub const MAX_REMOTE_SHARD_BITS: u32 = 6;
 
 /// The one shard-count rule: clamp to `[1, 2^MAX_REMOTE_SHARD_BITS]`, then
@@ -638,46 +638,48 @@ mod tests {
         );
     }
 
+    /// The panic message of `f`, which must panic.
+    fn panic_message(what: &str, f: impl FnOnce()) -> String {
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err(what);
+        err.downcast_ref::<String>()
+            .cloned()
+            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+            .unwrap_or_default()
+    }
+
     #[test]
-    fn watchdog_diagnoses_dead_worker_instead_of_hanging() {
+    fn dead_worker_is_diagnosed_at_eof_instead_of_hanging() {
         let start = std::time::Instant::now();
-        let e = RemoteShardedEngine::new(3, 2).with_watchdog(Duration::from_millis(200));
-        let mut e = e;
+        let mut e = RemoteShardedEngine::new(3, 2);
         let a = e.alloc();
         let b = e.alloc();
         e.apply_batch(&ops::gate(Gate::H, a)).unwrap();
         // Kill shard 1's worker, then run a reduction that needs it.
         e.debug_kill_worker(1);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let msg = panic_message("query against a dead worker must fail", || {
             e.prob_one(b).unwrap();
-        }))
-        .expect_err("query against a dead worker must fail");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        });
         assert!(
-            msg.contains("watchdog"),
-            "panic must carry the watchdog diagnostic, got: {msg}"
+            msg.contains("lost shard 1's worker"),
+            "panic must name the lost worker, got: {msg}"
         );
         assert!(
             start.elapsed() < Duration::from_secs(10),
-            "watchdog must fire promptly, not hang"
+            "a dead worker must be seen at EOF, not hang"
         );
         drop(e); // shutdown must still reap the surviving workers
     }
 
-    /// A worker dying *mid-batch* — with a framed gate stream already in
-    /// its mailbox and a cross-shard exchange pending against it — must
-    /// surface as a watchdog diagnostic on the next protocol round, not a
-    /// hang. (The surviving exchange partner panics with its own watchdog
-    /// message; the controller's next reduction then times out loudly.)
+    /// A worker dying *mid-batch* — with a framed gate stream queued for it
+    /// and a cross-shard exchange pending against it — must surface as a
+    /// diagnostic naming it on the next protocol round, not a hang. (The
+    /// surviving exchange partner reads EOF on its link to the dead worker
+    /// and exits too.)
     #[test]
-    fn watchdog_diagnoses_worker_dying_mid_batch() {
+    fn worker_dying_mid_batch_is_diagnosed_at_eof() {
         use qsim::BatchOp;
         let start = std::time::Instant::now();
-        let mut e = RemoteShardedEngine::new(7, 4).with_watchdog(Duration::from_millis(200));
+        let mut e = RemoteShardedEngine::new(7, 4);
         let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
         e.apply_batch(&ops::gate(Gate::H, qs[0])).unwrap();
         // Kill shard 2's worker, then queue a batch whose cross-shard CNOT
@@ -694,24 +696,46 @@ mod tests {
             BatchOp::Cnot { c: qs[0], t: qs[3] },
         ]);
         e.apply_batch(&batch).unwrap();
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let msg = panic_message("reduction against a dead worker must fail", || {
             e.prob_one(qs[3]).unwrap();
-        }))
-        .expect_err("reduction against a dead worker must fail");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
+        });
         assert!(
-            msg.contains("watchdog"),
-            "panic must carry the watchdog diagnostic, got: {msg}"
+            msg.contains("lost shard 2's worker"),
+            "panic must name the lost worker, got: {msg}"
         );
         assert!(
             start.elapsed() < Duration::from_secs(10),
-            "watchdog must fire promptly, not hang"
+            "a dead worker must be seen at EOF, not hang"
         );
         drop(e); // shutdown must still reap the surviving workers
+    }
+
+    /// Under the default 30 s watchdog, a worker that left its loop and one
+    /// whose controller link was shut (the in-process kill) are each seen
+    /// at the next read within 2 s, naming the shard.
+    #[test]
+    fn a_dead_thread_worker_is_seen_in_milliseconds_not_at_the_watchdog() {
+        type Kill = fn(&RemoteShardedEngine, usize);
+        let kills: [(&str, Kill); 2] = [
+            ("debug_kill_worker", RemoteShardedEngine::debug_kill_worker),
+            (
+                "debug_kill_worker_process",
+                RemoteShardedEngine::debug_kill_worker_process,
+            ),
+        ];
+        for (how, kill) in kills {
+            let mut e = RemoteShardedEngine::new(5, 2);
+            let qs: Vec<QubitId> = (0..3).map(|_| e.alloc()).collect();
+            e.apply_batch(&ops::gate(Gate::H, qs[1])).unwrap();
+            let start = std::time::Instant::now();
+            kill(&e, 1);
+            let msg = panic_message(how, || {
+                e.prob_one(qs[2]).unwrap();
+            });
+            let took = start.elapsed();
+            assert!(msg.contains("lost shard 1's worker"), "{how}: {msg}");
+            assert!(took < Duration::from_secs(2), "{how}: took {took:?}");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the one simulator front, and [`RemoteShardedEngine`] is that front.
 
 use super::controller::Controller;
-use super::{PairKernel, ShardCmd};
+use super::PairKernel;
 use crate::backend::amplitude::{AmplitudeEngine, EngineStore};
 use crate::backend::pool::ShardLease;
 use crate::backend::{BackendKind, TransportStats};
@@ -14,7 +14,6 @@ use qsim::noise::NoiseModel;
 use qsim::state::MAX_DENSE_QUBITS;
 use qsim::stripe;
 use qsim::{AmpStore, Complex, SimError, State, SweepFactor};
-use std::sync::atomic::Ordering;
 use std::time::Duration;
 
 /// The amplitude store of [`RemoteShardedEngine`]: the controller of one
@@ -27,10 +26,11 @@ pub struct RemoteStore {
 }
 
 impl RemoteStore {
-    /// The store over `lease`'s world (reset first), holding the 0-qubit
-    /// scalar state.
+    /// The store over `lease`'s world, holding the 0-qubit scalar state.
+    /// A pooled world is reset first: a previous (possibly panicked) lessee
+    /// may have left replies unread or workers dead.
     fn from_lease(mut lease: ShardLease) -> Self {
-        lease.reset();
+        lease.link_mut().reset();
         let mut ctl = Controller::new(lease);
         // The 0-qubit scalar state |> with amplitude 1 — the checkpoint a
         // fresh `FailoverState` holds, so a death during this scatter
@@ -58,8 +58,8 @@ impl RemoteStore {
     /// Command rounds (one per fan-out of command frames, which is one per
     /// read: gates, allocs, frees and collapses wait for the next one),
     /// worker↔worker exchange rounds (data motion no framing can remove),
-    /// wire bytes (see [`TransportStats::wire_bytes`]) and worker respawns
-    /// (failover events; always 0 in-process).
+    /// wire bytes (see [`TransportStats::wire_bytes`]) and workers
+    /// respawned (by failover, or by a pooled world's reset).
     fn stats(&self) -> TransportStats {
         let ctl = self.ctl.lock();
         TransportStats {
@@ -194,27 +194,28 @@ impl EngineStore for RemoteStore {
 pub type RemoteShardedEngine = AmplitudeEngine<RemoteStore>;
 
 impl RemoteShardedEngine {
-    /// Spawns in-process worker ranks for a noiseless engine. `shards` is
-    /// rounded up to a power of two and clamped to
+    /// Spawns in-process worker threads for a noiseless engine. `shards`
+    /// is rounded up to a power of two and clamped to
     /// `[1, 2^MAX_REMOTE_SHARD_BITS]`.
     pub fn new(seed: u64, shards: usize) -> Self {
         RemoteShardedEngine::with_noise(seed, shards, NoiseModel::ideal())
     }
 
-    /// Spawns in-process worker ranks for an engine applying `noise` as
+    /// Spawns in-process worker threads for an engine applying `noise` as
     /// controller-sampled trajectory insertions.
     pub fn with_noise(seed: u64, shards: usize, noise: NoiseModel) -> Self {
         Self::over_transport(seed, shards, noise, TransportKind::InProcess)
-            .expect("spawning worker threads performs no I/O")
+            .expect("the system refused to start a worker thread")
     }
 
     /// Spawns a worker world for this engine alone behind the given
-    /// transport: threads for [`TransportKind::InProcess`], child
-    /// processes speaking framed sockets otherwise — with
-    /// checkpoint/replay failover armed. Per-seed trajectories are
-    /// bit-identical across transports: both run the same planner, the
-    /// same kernels, in the same global order. Fails when the worker
-    /// processes cannot be started (no `qworker` binary, no socket).
+    /// transport: threads linked by in-process pipes for
+    /// [`TransportKind::InProcess`], child processes linked by sockets
+    /// otherwise — with checkpoint/replay failover armed. Per-seed
+    /// trajectories are bit-identical across transports: both run the same
+    /// planner, the same frames, the same kernels, in the same global
+    /// order. Fails when the workers cannot be started (no `qworker`
+    /// binary, no socket, no thread).
     pub fn over_transport(
         seed: u64,
         shards: usize,
@@ -241,18 +242,15 @@ impl RemoteShardedEngine {
         Self::over(RemoteStore::from_lease(lease), seed, noise)
     }
 
-    /// Overrides the watchdog for every blocking protocol receive —
-    /// controller reply waits and worker exchange waits alike (the duration
-    /// is shared atomically with the workers). Tests use a short one to
-    /// prove timeouts diagnose instead of hang.
+    /// Overrides the watchdog for the controller's reply waits and, since
+    /// a worker takes it when it starts, for the exchange waits of every
+    /// worker a failover or a pooled reset starts later. Tests use a short
+    /// one to prove timeouts diagnose instead of hang.
     pub fn with_watchdog(self, watchdog: Duration) -> Self {
-        self.raw_state()
-            .ctl
-            .lock()
-            .lease
-            .link()
-            .watchdog()
-            .store(watchdog.as_millis() as u64, Ordering::Relaxed);
+        // A link that refuses the timeout is broken; the next round says so.
+        let mut ctl = self.raw_state().ctl.lock();
+        let _ = ctl.lease.link_mut().set_watchdog(watchdog);
+        drop(ctl);
         self
     }
 
@@ -280,22 +278,25 @@ impl RemoteShardedEngine {
 
     /// Test/diagnostic hook: makes shard `shard`'s worker exit its event
     /// loop *without* completing the protocol, simulating a crashed shard
-    /// node. In-process, subsequent operations touching that shard trip
-    /// the deadlock watchdog instead of hanging; over a socket transport
-    /// the worker process exits and failover respawns it.
+    /// node, and shuts its link. The next operation touching that shard
+    /// finds it gone: an in-process engine panics naming the shard, and
+    /// over a socket transport failover respawns it.
     pub fn debug_kill_worker(&self, shard: usize) {
         let mut ctl = self.raw_state().ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");
-        let _ = ctl.send_raw(shard, &ShardCmd::Die);
+        ctl.lease.link_mut().die(shard);
     }
 
-    /// Test/diagnostic hook for the socket transports: SIGKILLs shard
-    /// `shard`'s worker *process* outright — no protocol, no cleanup, the
-    /// hardest death a shard node can die. The next operation touching the
-    /// shard observes EOF and runs failover.
+    /// Test/diagnostic hook: stops shard `shard`'s worker outright, with no
+    /// protocol and no cleanup. Over a socket transport its *process* is
+    /// SIGKILLed, the hardest death a shard node can die; in-process its
+    /// controller link is shut, so the thread reads EOF and exits and its
+    /// peers then read EOF from it. The next operation touching the shard
+    /// observes the death: a socket engine fails over, an in-process one
+    /// panics naming the shard.
     pub fn debug_kill_worker_process(&self, shard: usize) {
         let mut ctl = self.raw_state().ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");
-        ctl.lease.link_mut().kill_process(shard);
+        ctl.lease.link_mut().kill(shard);
     }
 }

@@ -1,55 +1,14 @@
-//! The shard worker: what it does with each command, over either transport.
+//! The shard worker: what it does with each command.
 
-use super::wire::decode_stripe_into;
-use super::{rank_of, ExpectRole, ShardCmd, ShardReply, WireAmps, WorkerOp, CONTROLLER};
-use bytes::Bytes;
-use cmpi::{Communicator, Decode};
+use super::{rank_of, ExpectRole, ShardCmd, ShardReply, WorkerOp};
+use crate::backend::remote_transport::SockChannel;
 use qsim::stripe::{self, ExactSum};
 use qsim::Complex;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
-
-/// Command channel: controller → worker.
-pub(crate) const TAG_CMD: cmpi::Tag = 0;
-/// Reply channel: worker → controller.
-pub(crate) const TAG_REPLY: cmpi::Tag = 1;
-/// Stripe-exchange channel: worker ↔ worker (cross-shard pairing, reshape
-/// parts).
-const TAG_XCHG: cmpi::Tag = 2;
 
 /// A worker's event loop ends early: the controller hung up, a peer is
 /// unreachable, or a watchdog expired.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) struct WorkerHalt;
-
-/// The transport a shard worker's event loop runs over. The in-process
-/// implementation is a cmpi mailbox ([`ThreadChannel`]); the multi-process
-/// one is a framed socket to the controller plus one direct socket to each
-/// peer worker (`backend::remote_transport::SockChannel`). A send may block
-/// until its receiver reads, so every exchange orders its writes (see
-/// [`Shard::reshape`]). [`worker_loop`] is generic
-/// over this trait, so both transports execute the identical stripe
-/// kernels in the identical order — the substance of the bit-identity
-/// guarantee across `TransportKind`s.
-pub(crate) trait ShardChannel {
-    /// Next command from the controller; `None` means the controller hung
-    /// up and the worker should exit.
-    fn recv_cmd(&mut self) -> Option<ShardCmd>;
-    /// Ship a reply to the controller.
-    fn send_reply(&mut self, reply: &ShardReply) -> Result<(), WorkerHalt>;
-    /// Ship stripe amplitudes to the exchange partner (a world rank).
-    fn send_xchg(&mut self, partner: usize, amps: &[Complex]) -> Result<(), WorkerHalt>;
-    /// Await stripe amplitudes from the exchange partner, bounded by the
-    /// watchdog, and decode them into `into`, which keeps its capacity.
-    /// `what` names the awaited payload for diagnostics.
-    fn recv_xchg(
-        &mut self,
-        partner: usize,
-        what: &str,
-        into: &mut Vec<Complex>,
-    ) -> Result<(), WorkerHalt>;
-}
 
 /// What a worker holds between commands: its stripe, the stripe's global
 /// base index, and a spare buffer received stripes are decoded into. Both
@@ -66,7 +25,7 @@ impl Shard {
     /// `ShardCmd::Batch` frames; every worker walks its frame in the same
     /// global gate order, so cross-shard exchanges pair up without any
     /// further coordination.
-    fn run_op<C: ShardChannel>(&mut self, chan: &mut C, op: WorkerOp) -> Result<(), WorkerHalt> {
+    fn run_op(&mut self, chan: &mut SockChannel, op: WorkerOp) -> Result<(), WorkerHalt> {
         let (amps, spare) = (&mut self.amps, &mut self.spare);
         match op {
             WorkerOp::PairWithin { c_lo, tbit, kernel } => {
@@ -104,7 +63,7 @@ impl Shard {
 
     /// Executes one command against the stripe; a [`ShardCmd::Seq`] frame
     /// runs its commands in order and stops at the first halt.
-    fn exec<C: ShardChannel>(&mut self, chan: &mut C, cmd: ShardCmd) -> Result<(), WorkerHalt> {
+    fn exec(&mut self, chan: &mut SockChannel, cmd: ShardCmd) -> Result<(), WorkerHalt> {
         match cmd {
             ShardCmd::Load {
                 shard_index,
@@ -201,9 +160,9 @@ impl Shard {
     /// order (by rank pair, lower writer first), so the earliest unfinished
     /// transfer always has both of its ends at it, and a send that blocks
     /// on a full socket never waits on a cycle.
-    fn reshape<C: ShardChannel>(
+    fn reshape(
         &mut self,
-        chan: &mut C,
+        chan: &mut SockChannel,
         me: usize,
         sends: &[usize],
         recv: Option<usize>,
@@ -243,12 +202,14 @@ impl Shard {
     }
 }
 
-/// The event loop each shard worker runs, generic over its transport:
-/// receive one [`ShardCmd`], execute it against the owned stripe, loop
-/// until shutdown. Commands arrive in the controller's global send order
-/// (FIFO per sender on both transports), so the stripe observes one
-/// consistent history.
-pub(crate) fn worker_loop<C: ShardChannel>(chan: &mut C) {
+/// The event loop each shard worker runs, thread or process: receive one
+/// [`ShardCmd`], execute it against the owned stripe, loop until shutdown
+/// or until the controller hangs up. Commands arrive in the controller's
+/// global send order (FIFO on the link), so the stripe observes one
+/// consistent history, and both kinds of world execute the identical
+/// stripe kernels in the identical order — the substance of the
+/// bit-identity guarantee across `TransportKind`s.
+pub(crate) fn worker_loop(chan: &mut SockChannel) {
     let mut shard = Shard::default();
     while let Some(cmd) = chan.recv_cmd() {
         if shard.exec(chan, cmd).is_err() {
@@ -257,84 +218,31 @@ pub(crate) fn worker_loop<C: ShardChannel>(chan: &mut C) {
     }
 }
 
-/// The in-process transport: a cmpi mailbox endpoint inside the engine's
-/// private worker world. Exchange waits are bounded by the shared watchdog
-/// and *panic* on expiry (the historical diagnose-don't-hang contract for
-/// thread workers, asserted by the watchdog tests).
-pub(crate) struct ThreadChannel {
-    comm: Communicator,
-    watchdog: Arc<AtomicU64>,
-}
-
-impl ShardChannel for ThreadChannel {
-    fn recv_cmd(&mut self) -> Option<ShardCmd> {
-        let (cmd, _) = self.comm.recv::<ShardCmd>(CONTROLLER, TAG_CMD);
-        Some(cmd)
-    }
-
-    fn send_reply(&mut self, reply: &ShardReply) -> Result<(), WorkerHalt> {
-        self.comm.send(reply, CONTROLLER, TAG_REPLY);
-        Ok(())
-    }
-
-    fn send_xchg(&mut self, partner: usize, amps: &[Complex]) -> Result<(), WorkerHalt> {
-        self.comm.send(&WireAmps(amps), partner, TAG_XCHG);
-        Ok(())
-    }
-
-    fn recv_xchg(
-        &mut self,
-        partner: usize,
-        what: &str,
-        into: &mut Vec<Complex>,
-    ) -> Result<(), WorkerHalt> {
-        let wd = Duration::from_millis(self.watchdog.load(Ordering::Relaxed));
-        match self.comm.recv_timeout::<Body>(partner, TAG_XCHG, wd) {
-            Some((Body(body), _)) => decode_stripe_into(body, into).ok_or(WorkerHalt),
-            None => panic!(
-                "remote-shard watchdog: worker {} waited {wd:?} for {what} from \
-                 partner {partner}; the partner is presumed dead or deadlocked",
-                self.comm.rank()
-            ),
-        }
-    }
-}
-
-/// An exchange message's body taken whole, for [`decode_stripe_into`].
-struct Body(Bytes);
-
-impl Decode for Body {
-    fn decode(buf: &mut Bytes) -> Option<Self> {
-        Some(Body(std::mem::take(buf)))
-    }
-}
-
-/// The mailbox-driven shard worker: [`worker_loop`] over a
-/// [`ThreadChannel`] (the in-process transport).
-pub(crate) fn shard_worker(comm: Communicator, watchdog: Arc<AtomicU64>) {
-    let mut chan = ThreadChannel { comm, watchdog };
-    worker_loop(&mut chan);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cmpi::WireStream;
     use qsim::stripe::PairKernel;
+    use std::time::Duration;
 
-    /// Two workers over the in-process channel, each holding a 4-amplitude
+    /// Two workers over in-process pipes, each holding a 4-amplitude
     /// stripe in a buffer of 8 (a free halved it): a `CrossLow` /
     /// `CrossHigh` trade of whole stripes and the alloc after it leave each
     /// stripe in its own buffer, the low member decoding into its spare and
     /// the high member into its stripe, and the alloc grows it in place.
     #[test]
     fn an_exchange_and_the_alloc_after_it_keep_each_stripes_buffer() {
-        let world = cmpi::World::new(3);
+        let (low, high) = WireStream::pair();
+        let mut links = [Some(low), Some(high)];
         let workers: Vec<_> = [1usize, 2]
             .map(|rank| {
-                let comm = Communicator::world(world.clone(), rank);
+                let mut peers = vec![None, None, None];
+                peers[3 - rank] = links[rank - 1].take();
                 std::thread::spawn(move || {
-                    let watchdog = Arc::new(AtomicU64::new(10_000));
-                    let mut chan = ThreadChannel { comm, watchdog };
+                    // No commands come from the controller's end.
+                    let (ctl, _controller) = WireStream::pair();
+                    let watchdog = Duration::from_secs(10);
+                    let mut chan = SockChannel::new(ctl, peers, rank, watchdog).unwrap();
                     let mut shard = Shard::default();
                     let s = rank - 1;
                     let reshape = |compact, local_bits| ShardCmd::Reshape {

@@ -1,95 +1,67 @@
-//! Multi-process shard transport: child-process workers behind framed
-//! sockets, with respawn-and-replay failover.
+//! The shard transport: one worker link, whether the workers are threads
+//! or processes, with respawn-and-replay failover for process worlds.
 //!
 //! [`super::remote`] defines the shard protocol ([`ShardCmd`] /
-//! [`ShardReply`] / stripe exchanges) and runs it, by default, over cmpi
-//! mailboxes between threads. This module carries the *identical* protocol
-//! across real OS boundaries: each shard worker is a child process (the
-//! `qworker` binary) speaking length-prefixed [`cmpi::transport`] frames
-//! over Unix domain sockets. The controller's end, `ProcessLink`, is one
-//! of the two shapes of [`super::pool`]'s worker link; spawning, leasing
-//! and shutting worlds down is that module's business, not this one's.
+//! [`ShardReply`] / stripe exchanges); this module carries it as
+//! length-prefixed [`cmpi::transport`] frames on one [`WireStream`] per
+//! worker (`CMD` down, `REPLY` up) and one per worker pair (`XCHG`). A
+//! world's workers are threads of this process linked by in-process pipes
+//! ([`WireStream::pair`]), or `qworker` child processes linked by Unix
+//! domain sockets. Both run `worker_loop` over a `SockChannel`, and the
+//! controller's end, `WorkerLink`, treats them alike except in how a
+//! worker is started, killed and reaped. No thread relays anything: a
+//! stripe crosses one link, as a message between two QMPI nodes pays one
+//! network latency. A socket write blocks on a full buffer until its reader
+//! reads (a pipe's never does), and every exchange is ordered so that no
+//! blocked write waits on a cycle (docs/ARCHITECTURE.md, "Deadlock
+//! freedom"). Spawning, leasing and shutting worlds down is
+//! [`super::pool`]'s business.
 //!
-//! ## Topology: a socket per worker, and one per worker pair
+//! ## Start-up
 //!
-//! Every worker holds one connection to the controller, which carries
-//! `CMD` frames down and `REPLY` frames up, and one direct connection to
-//! every other worker of its world, which carries the `XCHG` frames of
-//! cross-shard pairings, expectations and reshapes. No thread relays
-//! anything: the controller writes each command and reads each reply
-//! itself, on its own thread, and a stripe crosses one socket, as a
-//! message between two QMPI nodes pays one network latency.
-//!
-//! ## No deadlock for any payload size
-//!
-//! No one drains a socket on anyone's behalf any more, so a write blocks
-//! once the socket buffer is full until its reader reads. Three facts keep
-//! every blocked write finite:
-//!
-//! * Every exchange is ordered. A pairing's low member receives first and
-//!   its high member sends first; an expectation's high member only sends;
-//!   a reshape walks its peers in rank order, and with each the lower rank
-//!   writes first. So every worker meets its transfers in one global order
-//!   (command order, then rank pair, lower writer first), and the earliest
-//!   unfinished transfer always has both of its ends at it.
-//! * The controller writes a round's frames to every worker before it reads
-//!   any reply, and writes the next round only once every reply is read. A
-//!   worker reads its whole frame before it runs any of it, so a write of
-//!   the controller waits at most for work the earlier rounds set off.
-//! * A reply is the last thing a frame does, so a worker blocked writing it
-//!   owes no peer anything.
-//!
-//! ## Handshake
-//!
-//! The controller binds a listener and spawns one `qworker <addr> <rank>
+//! Worker threads are handed their links when they start; no foreign
+//! binary can join an in-process world, so it has no handshake. A process
+//! world binds a listener and spawns one `qworker <addr> <rank>
 //! <watchdog_ms>` child per shard. Each worker binds a listener of its own
 //! (a Unix socket path under `TMPDIR`), connects back, and sends a `HELLO`
 //! frame whose `peer` field is its rank and whose body is its build's
-//! wire-format version, then its listener's address: a missing or different version fails the spawn, naming both,
-//! instead of the first decode. Once every worker has said HELLO, the
-//! controller sends each one the `PEERS` table of addresses; a worker
-//! connects to every lower rank (saying HELLO with its rank) and accepts
-//! every higher one, drops its listener and answers `READY`. A spawn
-//! returns when every worker is ready.
+//! wire-format version, then its listener's address: a missing or different
+//! version fails the spawn, naming both, instead of the first decode. Once
+//! every worker has said HELLO, the controller sends each one the `PEERS`
+//! table of addresses; a worker connects to every lower rank (saying HELLO
+//! with its rank) and accepts every higher one, drops its listener and
+//! answers `READY`.
 //!
-//! ## Failover: a new generation
+//! ## A dead worker, and failover
 //!
 //! A dead worker surfaces where the controller next touches it: a failed
 //! write, EOF on a reply read, or a reply read that outlasts the watchdog
-//! (the worker is then killed: dead or deadlocked, it is replaced). Death
-//! travels between workers the same way: a survivor blocked on a dead
-//! peer's link reads EOF and exits, so the controller's read of that
-//! survivor fails at once, and detection takes milliseconds whichever
-//! worker died. Recovery replaces the whole generation: every worker
-//! process is killed and a fresh world spawned and linked, and the engine's
-//! controller re-scatters its checkpoint and replays the committed command
-//! log (see `super::remote::failover`). A survivor's stripe would be
-//! overwritten by that scatter anyway, and no survivor has links to mend.
-//! `TransportStats::respawns` counts every process replaced.
+//! (the worker is then killed: SIGKILL for a process, its controller link
+//! shut for a thread). A worker that exits, thread or process, drops its
+//! links, so a survivor blocked on it reads EOF and exits too, and the
+//! controller sees the death within milliseconds whichever worker died.
+//! A worker's peer links carry the watchdog as a read timeout, so a worker
+//! stuck on a live but deadlocked peer halts too.
 //!
-//! ## Watchdog mapping
-//!
-//! The in-process engine's deadlock watchdog becomes, out here: a read and
-//! write timeout on each worker's peer links (expiry exits the process,
-//! which its peers and the controller see as EOF), and a read timeout on
-//! the controller's worker sockets (expiry kills the worker and fails
-//! over).
+//! Only a process world fails over: every worker process is killed, a
+//! fresh world spawned and linked, and the engine's controller re-scatters
+//! its checkpoint and replays the committed command log (see
+//! `super::remote::failover`). An in-process world reports the lost shard
+//! instead. `TransportStats::respawns` counts every worker replaced, by
+//! failover or by a pooled world's reset.
 
 use super::remote::{
-    decode_reply_frame, decode_stripe_into, encode_reply_frame, rank_of, shard_of, worker_loop,
-    DeadWorker, ShardChannel, ShardCmd, ShardReply, WireAmps, WorkerHalt, WIRE_VERSION,
+    decode_reply_frame, decode_stripe_into, encode_reply_frame, normalize_shards, rank_of,
+    shard_of, worker_loop, DeadWorker, ShardCmd, ShardReply, WireAmps, WorkerHalt,
+    DEFAULT_WATCHDOG_MS, WIRE_VERSION,
 };
-use bytes::Bytes;
-use cmpi::transport::{
-    read_frame, write_frame, FrameHeader, TransportKind, WireListener, WireStream, FRAME_OVERHEAD,
-};
+use cmpi::transport::{FrameHeader, TransportKind, WireListener, WireStream, FRAME_OVERHEAD};
 use cmpi::{from_bytes, to_bytes};
 use qsim::Complex;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Frame tags multiplexing the shard protocol over each stream. 5 and 6
@@ -149,10 +121,11 @@ fn qworker_bin() -> io::Result<PathBuf> {
 // Worker side
 // ---------------------------------------------------------------------------
 
-/// The worker-process end of the transport, implementing [`ShardChannel`]
-/// for the shared [`worker_loop`]: commands and replies on the controller's
-/// socket, exchanges on the direct link to the partner.
-struct SockChannel {
+/// A worker's end of the transport, which [`worker_loop`] runs over:
+/// commands and replies on the controller's link, exchanges on the direct
+/// link to each peer. A socket write may block until its reader reads, so
+/// every exchange orders its writes (see the module docs).
+pub(crate) struct SockChannel {
     ctl: WireStream,
     /// The links to the other workers, by world rank (`None` at the
     /// controller's rank and this worker's own).
@@ -165,6 +138,28 @@ struct SockChannel {
 }
 
 impl SockChannel {
+    /// World rank `rank`'s channel over `ctl` and `peers`, each peer link
+    /// bounded by `watchdog` both ways.
+    pub(crate) fn new(
+        ctl: WireStream,
+        peers: Vec<Option<WireStream>>,
+        rank: usize,
+        watchdog: Duration,
+    ) -> io::Result<SockChannel> {
+        let watchdog = watchdog.max(Duration::from_millis(1));
+        for link in peers.iter().flatten() {
+            link.set_read_timeout(Some(watchdog))?;
+            link.set_write_timeout(Some(watchdog))?;
+        }
+        Ok(SockChannel {
+            ctl,
+            peers,
+            rank,
+            watchdog,
+            xchg_bytes: 0,
+        })
+    }
+
     fn peer(&mut self, rank: usize) -> Result<&mut WireStream, WorkerHalt> {
         self.peers
             .get_mut(rank)
@@ -190,26 +185,29 @@ impl SockChannel {
         }
         WorkerHalt
     }
-}
 
-impl ShardChannel for SockChannel {
-    fn recv_cmd(&mut self) -> Option<ShardCmd> {
-        let (hdr, body) = read_frame(&mut self.ctl).ok()?;
+    /// Next command from the controller; `None` means the controller hung
+    /// up and the worker should exit.
+    pub(crate) fn recv_cmd(&mut self) -> Option<ShardCmd> {
+        let (hdr, body) = self.ctl.recv().ok()?;
         (hdr.tag == TAG_CMD).then_some(())?;
-        from_bytes(&Bytes::from(body))
+        from_bytes(&body)
     }
 
-    fn send_reply(&mut self, reply: &ShardReply) -> Result<(), WorkerHalt> {
+    /// Ships a reply to the controller, with the exchange bytes written
+    /// since the last one.
+    pub(crate) fn send_reply(&mut self, reply: &ShardReply) -> Result<(), WorkerHalt> {
         let body = encode_reply_frame(std::mem::take(&mut self.xchg_bytes), reply);
         let hdr = header(TAG_REPLY, self.rank);
-        write_frame(&mut self.ctl, &hdr, body.as_slice()).map_err(|_| WorkerHalt)?;
+        self.ctl.send(&hdr, &body).map_err(|_| WorkerHalt)?;
         Ok(())
     }
 
-    fn send_xchg(&mut self, partner: usize, amps: &[Complex]) -> Result<(), WorkerHalt> {
+    /// Ships stripe amplitudes to the exchange partner (a world rank).
+    pub(crate) fn send_xchg(&mut self, partner: usize, amps: &[Complex]) -> Result<(), WorkerHalt> {
         let hdr = header(TAG_XCHG, self.rank);
         let body = to_bytes(&WireAmps(amps));
-        match write_frame(self.peer(partner)?, &hdr, body.as_slice()) {
+        match self.peer(partner)?.send(&hdr, &body) {
             Ok(n) => {
                 self.xchg_bytes += n as u64;
                 Ok(())
@@ -218,15 +216,18 @@ impl ShardChannel for SockChannel {
         }
     }
 
-    fn recv_xchg(
+    /// Awaits stripe amplitudes from the exchange partner, bounded by the
+    /// watchdog, and decodes them into `into`, which keeps its capacity.
+    /// `what` names the awaited payload for diagnostics.
+    pub(crate) fn recv_xchg(
         &mut self,
         partner: usize,
         what: &str,
         into: &mut Vec<Complex>,
     ) -> Result<(), WorkerHalt> {
-        match read_frame(self.peer(partner)?) {
+        match self.peer(partner)?.recv() {
             Ok((hdr, body)) if hdr.tag == TAG_XCHG => {
-                decode_stripe_into(Bytes::from(body), into).ok_or(WorkerHalt)
+                decode_stripe_into(body, into).ok_or(WorkerHalt)
             }
             Ok(_) => Err(WorkerHalt),
             Err(e) => Err(self.halt(e, what, "from", partner)),
@@ -238,7 +239,7 @@ impl ShardChannel for SockChannel {
 /// the module docs' handshake), then run the shard event loop until the
 /// controller hangs up or shuts the worker down.
 ///
-/// Invocation (by `ProcessLink`, not humans):
+/// Invocation (by `WorkerLink`, not humans):
 /// `qworker <addr> <rank> <watchdog_ms>`; a malformed one prints the usage
 /// line and exits 2, and a world it cannot join exits 1.
 pub fn qworker_main() {
@@ -284,10 +285,10 @@ fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChann
     let mut ctl = WireStream::connect(addr)?;
     let mut hello = WIRE_VERSION.to_le_bytes().to_vec();
     hello.extend_from_slice(listener.addr()?.as_bytes());
-    write_frame(&mut ctl, &header(TAG_HELLO, rank), &hello)?;
-    let (hdr, table) = read_frame(&mut ctl)?;
+    ctl.send(&header(TAG_HELLO, rank), &hello)?;
+    let (hdr, table) = ctl.recv()?;
     let addrs: Vec<String> = (hdr.tag == TAG_PEERS)
-        .then(|| from_bytes(&Bytes::from(table)))
+        .then(|| from_bytes(&table))
         .flatten()
         .ok_or_else(|| garbled("expected the PEERS table"))?;
     let workers = addrs.len();
@@ -295,7 +296,7 @@ fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChann
     for (s, peer_addr) in addrs.iter().enumerate() {
         if rank_of(s) < rank {
             let mut link = WireStream::connect(peer_addr)?;
-            write_frame(&mut link, &header(TAG_HELLO, rank), &[])?;
+            link.send(&header(TAG_HELLO, rank), &[])?;
             peers[rank_of(s)] = Some(link);
         }
     }
@@ -303,7 +304,7 @@ fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChann
     for _ in rank..workers {
         let mut link = listener.accept_timeout(SPAWN_TIMEOUT)?;
         link.set_read_timeout(Some(SPAWN_TIMEOUT))?;
-        let (hdr, _) = read_frame(&mut link)?;
+        let (hdr, _) = link.recv()?;
         let from = hdr.peer as usize;
         if hdr.tag != TAG_HELLO || from <= rank || from > workers || peers[from].is_some() {
             return Err(garbled("a peer link without a HELLO from a higher rank"));
@@ -313,19 +314,9 @@ fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChann
     // Gone before READY: a worker killed once its world is up leaves no
     // socket file behind.
     drop(listener);
-    let watchdog = Duration::from_millis(watchdog_ms.max(1));
-    for link in peers.iter().flatten() {
-        link.set_read_timeout(Some(watchdog))?;
-        link.set_write_timeout(Some(watchdog))?;
-    }
-    write_frame(&mut ctl, &header(TAG_READY, rank), &[])?;
-    Ok(SockChannel {
-        ctl,
-        peers,
-        rank,
-        watchdog,
-        xchg_bytes: 0,
-    })
+    let mut chan = SockChannel::new(ctl, peers, rank, Duration::from_millis(watchdog_ms))?;
+    chan.ctl.send(&header(TAG_READY, rank), &[])?;
+    Ok(chan)
 }
 
 // ---------------------------------------------------------------------------
@@ -355,51 +346,80 @@ fn check_hello(shards: usize, hello: &FrameHeader, body: &[u8]) -> io::Result<(u
     Err(io::Error::new(io::ErrorKind::InvalidData, why))
 }
 
-/// The controller's half of the multi-process transport: one generation of
-/// child processes, the controller's socket to each, and the failover
-/// bookkeeping.
-pub(crate) struct ProcessLink {
-    listener: WireListener,
-    addr: String,
-    bin: PathBuf,
+/// One worker of a generation, as it is stopped and reaped.
+enum Worker {
+    Thread(JoinHandle<()>),
+    Process(Child),
+}
+
+impl Worker {
+    /// Waits for the worker to end: a thread until it returns (its links
+    /// are shut, so it reads EOF), a process until `deadline`, past which
+    /// it is killed.
+    fn reap(self, deadline: Instant) {
+        match self {
+            // A worker's panic has already been reported as EOF on its link.
+            Worker::Thread(handle) => {
+                let _ = handle.join();
+            }
+            Worker::Process(mut child) => loop {
+                match child.try_wait() {
+                    Ok(Some(_)) | Err(_) => break,
+                    Ok(None) if Instant::now() >= deadline => {
+                        let _ = child.kill();
+                        let _ = child.wait();
+                        break;
+                    }
+                    Ok(None) => std::thread::sleep(Duration::from_millis(5)),
+                }
+            },
+        }
+    }
+}
+
+/// The controller's end of a worker world: one generation of workers, the
+/// controller's link to each, and the failover bookkeeping. Shard `s` is
+/// world rank [`rank_of`]`(s)`.
+pub(crate) struct WorkerLink {
+    /// For a process world, the listener its `qworker`s connect back to
+    /// and the binary they run; `None` for threads handed their pipes.
+    processes: Option<(WireListener, PathBuf)>,
     shards: usize,
-    watchdog: Arc<AtomicU64>,
-    /// The current generation's processes and sockets, by shard.
-    children: Vec<Child>,
+    /// Bounds every reply wait of the controller, and is handed to each
+    /// worker at its start for its exchange waits.
+    watchdog: Duration,
+    /// The current generation's workers and links, by shard.
+    workers: Vec<Worker>,
     streams: Vec<WireStream>,
-    /// The read timeout the sockets carry (the watchdog when it was set).
-    read_timeout: Duration,
     /// Replies owed for the commands sent and not yet read.
     owed: usize,
-    /// A write, read or reply wait failed: the generation is spent, and
-    /// nothing is sent to it until it is replaced.
-    broken: bool,
+    /// The shard whose write, read or reply wait failed first: the
+    /// generation is spent, and nothing is sent to it until it is replaced.
+    broken: Option<usize>,
     respawns: u64,
     wire_bytes: u64,
 }
 
-impl ProcessLink {
-    /// Binds the listener and spawns a world of `shards` worker processes,
-    /// linked to each other and authenticated. `watchdog` (milliseconds) is
-    /// passed to every worker at spawn time.
-    pub(crate) fn spawn(
-        kind: TransportKind,
-        shards: usize,
-        watchdog: Arc<AtomicU64>,
-    ) -> io::Result<ProcessLink> {
-        let listener = WireListener::bind(kind)?;
-        let addr = listener.addr()?;
-        let mut link = ProcessLink {
-            listener,
-            addr,
-            bin: qworker_bin()?,
+impl WorkerLink {
+    /// Spawns a world of `shards` workers (rounded by [`normalize_shards`])
+    /// over `kind`, with the default watchdog ([`DEFAULT_WATCHDOG_MS`]):
+    /// threads in-process, `qworker` processes linked to each other and
+    /// authenticated otherwise.
+    pub(crate) fn spawn(kind: TransportKind, shards: usize) -> io::Result<WorkerLink> {
+        let processes = if kind.is_multiprocess() {
+            Some((WireListener::bind(kind)?, qworker_bin()?))
+        } else {
+            None
+        };
+        let shards = normalize_shards(shards);
+        let mut link = WorkerLink {
+            processes,
             shards,
-            watchdog,
-            children: Vec::with_capacity(shards),
+            watchdog: Duration::from_millis(DEFAULT_WATCHDOG_MS),
+            workers: Vec::with_capacity(shards),
             streams: Vec::with_capacity(shards),
-            read_timeout: Duration::ZERO,
             owed: 0,
-            broken: false,
+            broken: None,
             respawns: 0,
             wire_bytes: 0,
         };
@@ -407,161 +427,127 @@ impl ProcessLink {
         Ok(link)
     }
 
-    /// Shard (worker process) count.
+    /// Shard (worker) count.
     pub(crate) fn shards(&self) -> usize {
         self.shards
     }
 
+    /// Whether a worker can die without taking the controller with it, so
+    /// that checkpoint + replay is worth its bookkeeping: only processes.
+    pub(crate) fn arms_failover(&self) -> bool {
+        self.processes.is_some()
+    }
+
     /// Bytes of the protocol's frames so far, each counted once on the
-    /// socket it crossed: the commands the controller wrote, the replies it
+    /// link it crossed: the commands the controller wrote, the replies it
     /// read, and the exchanges the workers report in their replies.
     pub(crate) fn wire_bytes(&self) -> u64 {
         self.wire_bytes
     }
 
-    /// Worker processes replaced by failover so far.
+    /// Workers replaced so far, by failover or by a reset.
     pub(crate) fn respawns(&self) -> u64 {
         self.respawns
     }
 
-    /// The watchdog (milliseconds) handed to every worker at (re)spawn
-    /// time; the controller-side waits read the same value.
-    pub(crate) fn watchdog(&self) -> &AtomicU64 {
-        &self.watchdog
+    /// Sets the watchdog: the controller's reply waits from now on, and
+    /// the exchange waits of every worker spawned after.
+    pub(crate) fn set_watchdog(&mut self, watchdog: Duration) -> io::Result<()> {
+        self.watchdog = watchdog.max(Duration::from_millis(1));
+        let wd = Some(self.watchdog);
+        self.streams.iter().try_for_each(|s| s.set_read_timeout(wd))
     }
 
-    /// Spawns one worker process per shard and links them into a world
-    /// (see the module docs' handshake). A failure leaves the link broken,
-    /// its processes to be killed.
+    /// Starts one worker per shard and links them into a world (see the
+    /// module docs' start-up). A failure ends whatever it started.
     fn spawn_generation(&mut self) -> io::Result<()> {
-        let result = self.link_up();
-        self.broken = result.is_err();
-        result
+        self.broken = None;
+        let started = match &self.processes {
+            None => self.start_threads(),
+            Some((listener, bin)) => {
+                let (shards, wd, workers) = (self.shards, self.watchdog, &mut self.workers);
+                start_processes(listener, bin, shards, wd, workers).map(|s| self.streams = s)
+            }
+        };
+        started
+            .and_then(|()| self.set_watchdog(self.watchdog))
+            .inspect_err(|_| self.end_generation(Instant::now()))
     }
 
-    fn link_up(&mut self) -> io::Result<()> {
-        let watchdog_ms = self.watchdog.load(Ordering::Relaxed);
-        for s in 0..self.shards {
-            let child = Command::new(&self.bin)
-                .arg(&self.addr)
-                .arg(rank_of(s).to_string())
-                .arg(watchdog_ms.to_string())
-                .stdin(Stdio::null())
-                .spawn()
-                .map_err(|e| {
-                    io::Error::new(e.kind(), format!("cannot run {}: {e}", self.bin.display()))
-                })?;
-            self.children.push(child);
-        }
-        let mut streams: Vec<Option<WireStream>> = (0..self.shards).map(|_| None).collect();
-        let mut addrs = vec![String::new(); self.shards];
-        for _ in 0..self.shards {
-            let mut stream = self.accept_worker()?;
-            stream.set_read_timeout(Some(SPAWN_TIMEOUT))?;
-            let (hello, body) = read_frame(&mut stream)?;
-            let (s, addr) = check_hello(self.shards, &hello, &body)?;
-            if streams[s].is_some() {
-                return Err(garbled("worker handshake: two workers of one rank"));
-            }
-            (streams[s], addrs[s]) = (Some(stream), addr);
-        }
-        let mut streams: Vec<WireStream> = streams.into_iter().flatten().collect();
-        let table = to_bytes(&addrs);
-        for stream in &mut streams {
-            write_frame(stream, &header(TAG_PEERS, 0), table.as_slice())?;
-        }
-        for stream in &mut streams {
-            if read_frame(stream)?.0.tag != TAG_READY {
-                return Err(garbled("worker handshake: expected READY"));
+    /// One thread per shard, handed its pipe to the controller and one to
+    /// each peer.
+    fn start_threads(&mut self) -> io::Result<()> {
+        let n = self.shards;
+        let mut links: Vec<Vec<Option<WireStream>>> =
+            (0..=n).map(|_| (0..=n).map(|_| None).collect()).collect();
+        for a in 1..=n {
+            let (low, high) = links.split_at_mut(a + 1);
+            for (b, row) in (a + 1..).zip(high) {
+                let (x, y) = WireStream::pair();
+                (low[a][b], row[a]) = (Some(x), Some(y));
             }
         }
-        self.read_timeout = Duration::from_millis(watchdog_ms.max(1));
-        for stream in &streams {
-            stream.set_read_timeout(Some(self.read_timeout))?;
+        for s in 0..n {
+            let rank = rank_of(s);
+            let (ctl, theirs) = WireStream::pair();
+            let peers = std::mem::take(&mut links[rank]);
+            let mut chan = SockChannel::new(theirs, peers, rank, self.watchdog)?;
+            let handle = std::thread::Builder::new()
+                .name(format!("qmpi-shard-{s}"))
+                .stack_size(8 << 20)
+                .spawn(move || worker_loop(&mut chan))?;
+            self.workers.push(Worker::Thread(handle));
+            self.streams.push(ctl);
         }
-        self.streams = streams;
         Ok(())
     }
 
-    /// The next worker connection, failing early when a child exits before
-    /// it connects (a `qworker` of another build exits at its usage line).
-    fn accept_worker(&mut self) -> io::Result<WireStream> {
-        let deadline = Instant::now() + SPAWN_TIMEOUT;
-        loop {
-            match self.listener.accept_timeout(Duration::from_millis(50)) {
-                Err(e) if e.kind() == io::ErrorKind::TimedOut && Instant::now() < deadline => {
-                    for (s, child) in self.children.iter_mut().enumerate() {
-                        if let Ok(Some(status)) = child.try_wait() {
-                            let why = format!("the worker of shard {s} exited at spawn: {status}");
-                            return Err(io::Error::other(why));
-                        }
-                    }
-                }
-                accepted => return accepted,
-            }
-        }
-    }
-
-    /// Kills every process of the current generation and closes its sockets.
-    fn end_generation(&mut self) {
+    /// Closes every link of the current generation and reaps its workers
+    /// (a process still running at `deadline` is killed).
+    fn end_generation(&mut self, deadline: Instant) {
         for stream in self.streams.drain(..) {
             stream.shutdown();
         }
-        for mut child in self.children.drain(..) {
-            let _ = child.kill();
-            let _ = child.wait();
+        for worker in self.workers.drain(..) {
+            worker.reap(deadline);
         }
     }
 
-    /// Marks the generation spent.
-    fn fail<T>(&mut self) -> Result<T, DeadWorker> {
-        self.broken = true;
-        Err(DeadWorker)
+    /// Marks the generation spent, by shard `shard` unless an earlier
+    /// failure did.
+    fn fail<T>(&mut self, shard: usize) -> Result<T, DeadWorker> {
+        let shard = *self.broken.get_or_insert(shard);
+        Err(DeadWorker { shard })
     }
 
     /// Sends one protocol command to shard `shard`.
     pub(crate) fn send_cmd(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
-        if self.broken {
-            return Err(DeadWorker);
+        if let Some(shard) = self.broken {
+            return Err(DeadWorker { shard });
         }
         let body = to_bytes(cmd);
-        match write_frame(
-            &mut self.streams[shard],
-            &header(TAG_CMD, 0),
-            body.as_slice(),
-        ) {
+        match self.streams[shard].send(&header(TAG_CMD, 0), &body) {
             Ok(n) => {
                 self.wire_bytes += n as u64;
                 self.owed += cmd.replies();
                 Ok(())
             }
-            Err(_) => self.fail(),
+            Err(_) => self.fail(shard),
         }
     }
 
-    /// Reads shard `shard`'s next reply from its socket, waiting up to `wd`
-    /// for each read. Expiry means the worker is dead *or* deadlocked —
-    /// either way it is killed, and the generation is spent.
-    pub(crate) fn reply_from(
-        &mut self,
-        shard: usize,
-        wd: Duration,
-    ) -> Result<ShardReply, DeadWorker> {
-        if self.broken {
-            return Err(DeadWorker);
+    /// Reads shard `shard`'s next reply, waiting up to the watchdog for
+    /// each read. Expiry means the worker is dead *or* deadlocked — either
+    /// way it is killed, and the generation is spent.
+    pub(crate) fn reply_from(&mut self, shard: usize) -> Result<ShardReply, DeadWorker> {
+        if let Some(shard) = self.broken {
+            return Err(DeadWorker { shard });
         }
-        let wd = wd.max(Duration::from_millis(1));
-        if wd != self.read_timeout {
-            for stream in &self.streams {
-                let _ = stream.set_read_timeout(Some(wd));
-            }
-            self.read_timeout = wd;
-        }
-        match read_frame(&mut self.streams[shard]) {
+        match self.streams[shard].recv() {
             Ok((hdr, body)) if hdr.tag == TAG_REPLY => {
                 let frame = (FRAME_OVERHEAD + body.len()) as u64;
-                let Some((xchg_bytes, reply)) = decode_reply_frame(&Bytes::from(body)) else {
-                    return self.fail();
+                let Some((xchg_bytes, reply)) = decode_reply_frame(&body) else {
+                    return self.fail(shard);
                 };
                 self.wire_bytes += frame + xchg_bytes;
                 self.owed = self.owed.saturating_sub(1);
@@ -573,11 +559,11 @@ impl ProcessLink {
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) =>
             {
-                let _ = self.children[shard].kill();
-                self.fail()
+                self.kill(shard);
+                self.fail(shard)
             }
             // EOF, a reset, or a worker speaking garbage: as dead as silent.
-            _ => self.fail(),
+            _ => self.fail(shard),
         }
     }
 
@@ -585,54 +571,130 @@ impl ProcessLink {
     /// or that still owes replies its last user left unread, is replaced
     /// whole (see the module docs' failover).
     pub(crate) fn reset(&mut self) {
-        if !self.broken && self.owed == 0 {
+        if self.broken.is_none() && self.owed == 0 {
             return;
         }
-        self.end_generation();
+        self.end_generation(Instant::now());
         self.owed = 0;
         self.spawn_generation().unwrap_or_else(|e| {
-            panic!("remote-shard failover: cannot respawn the worker processes: {e}")
+            panic!("remote-shard failover: cannot respawn the shard workers: {e}")
         });
         self.respawns += self.shards as u64;
     }
 
-    /// SIGKILLs shard `shard`'s worker process (test hook for failover).
-    pub(crate) fn kill_child(&mut self, shard: usize) {
-        let _ = self.children[shard].kill();
+    /// Stops shard `shard`'s worker outright, with no protocol: SIGKILL for
+    /// a process; for a thread, its controller link is shut, so it reads
+    /// EOF and exits, and its peers then read EOF from it.
+    pub(crate) fn kill(&mut self, shard: usize) {
+        match &mut self.workers[shard] {
+            Worker::Process(child) => {
+                let _ = child.kill();
+            }
+            Worker::Thread(_) => self.streams[shard].shutdown(),
+        }
+    }
+
+    /// Tells shard `shard`'s worker to leave its event loop (`Die`) and
+    /// shuts its link, so the next command sent to it finds it gone.
+    pub(crate) fn die(&mut self, shard: usize) {
+        let _ = self.send_cmd(shard, &ShardCmd::Die);
+        self.streams[shard].shutdown();
     }
 }
 
-impl Drop for ProcessLink {
-    fn drop(&mut self) {
-        // Best-effort clean shutdown of a sound generation, then close every
-        // connection (which unblocks any worker still reading) and reap the
-        // children.
-        if !self.broken {
-            let body = to_bytes(&ShardCmd::Shutdown);
-            for stream in &mut self.streams {
-                let _ = write_frame(stream, &header(TAG_CMD, 0), body.as_slice());
-            }
+/// One `qworker` process per shard of a `shards`-worker world, each
+/// pushed onto `workers` as it starts and told to connect back to
+/// `listener`, and the controller's links to them once the handshake is
+/// through.
+fn start_processes(
+    listener: &WireListener,
+    bin: &Path,
+    shards: usize,
+    watchdog: Duration,
+    workers: &mut Vec<Worker>,
+) -> io::Result<Vec<WireStream>> {
+    let addr = listener.addr()?;
+    for s in 0..shards {
+        let child = Command::new(bin)
+            .arg(&addr)
+            .arg(rank_of(s).to_string())
+            .arg(watchdog.as_millis().to_string())
+            .stdin(Stdio::null())
+            .spawn()
+            .map_err(|e| io::Error::new(e.kind(), format!("cannot run {}: {e}", bin.display())))?;
+        workers.push(Worker::Process(child));
+    }
+    handshake(listener, workers, shards)
+}
+
+/// The controller's half of a process world's handshake (see the module
+/// docs): the controller's link to each of `shards` workers, by shard,
+/// once every one is ready.
+fn handshake(
+    listener: &WireListener,
+    workers: &mut [Worker],
+    shards: usize,
+) -> io::Result<Vec<WireStream>> {
+    let mut streams: Vec<Option<WireStream>> = (0..shards).map(|_| None).collect();
+    let mut addrs = vec![String::new(); shards];
+    for _ in 0..shards {
+        let mut stream = accept_worker(listener, workers)?;
+        stream.set_read_timeout(Some(SPAWN_TIMEOUT))?;
+        let (hello, body) = stream.recv()?;
+        let (s, addr) = check_hello(shards, &hello, &body)?;
+        if streams[s].is_some() {
+            return Err(garbled("worker handshake: two workers of one rank"));
         }
-        for stream in &self.streams {
-            stream.shutdown();
+        (streams[s], addrs[s]) = (Some(stream), addr);
+    }
+    let mut streams: Vec<WireStream> = streams.into_iter().flatten().collect();
+    let table = to_bytes(&addrs);
+    for stream in &mut streams {
+        stream.send(&header(TAG_PEERS, 0), &table)?;
+    }
+    for stream in &mut streams {
+        if stream.recv()?.0.tag != TAG_READY {
+            return Err(garbled("worker handshake: expected READY"));
         }
-        let grace = if self.broken { 0 } else { 5 };
-        let deadline = Instant::now() + Duration::from_secs(grace);
-        for child in &mut self.children {
-            loop {
-                match child.try_wait() {
-                    Ok(Some(_)) | Err(_) => break,
-                    Ok(None) => {
-                        if Instant::now() >= deadline {
-                            let _ = child.kill();
-                            let _ = child.wait();
-                            break;
+    }
+    Ok(streams)
+}
+
+/// The next worker connection, failing early when a child exits before
+/// it connects (a `qworker` of another build exits at its usage line).
+fn accept_worker(listener: &WireListener, workers: &mut [Worker]) -> io::Result<WireStream> {
+    let deadline = Instant::now() + SPAWN_TIMEOUT;
+    loop {
+        match listener.accept_timeout(Duration::from_millis(50)) {
+            Err(e) if e.kind() == io::ErrorKind::TimedOut && Instant::now() < deadline => {
+                for (s, worker) in workers.iter_mut().enumerate() {
+                    if let Worker::Process(child) = worker {
+                        if let Ok(Some(status)) = child.try_wait() {
+                            let why = format!("the worker of shard {s} exited at spawn: {status}");
+                            return Err(io::Error::other(why));
                         }
-                        std::thread::sleep(Duration::from_millis(5));
                     }
                 }
             }
+            accepted => return accepted,
         }
+    }
+}
+
+impl Drop for WorkerLink {
+    fn drop(&mut self) {
+        // Best-effort clean shutdown of a sound generation, then close every
+        // link (which unblocks any worker still reading) and reap the
+        // workers, giving sound processes a grace period.
+        let mut deadline = Instant::now();
+        if self.broken.is_none() {
+            let body = to_bytes(&ShardCmd::Shutdown);
+            for stream in &mut self.streams {
+                let _ = stream.send(&header(TAG_CMD, 0), &body);
+            }
+            deadline += Duration::from_secs(5);
+        }
+        self.end_generation(deadline);
     }
 }
 

@@ -218,7 +218,7 @@ impl QmpiConfig {
     /// Selects the shard-worker transport for the world's backend: where
     /// the [`BackendKind::RemoteSharded`] engine's workers live and how
     /// they speak. [`TransportKind::InProcess`] (the default) runs them as
-    /// threads over `cmpi` mailboxes; [`TransportKind::UnixSocket`] spawns
+    /// threads over in-process pipes; [`TransportKind::UnixSocket`] spawns
     /// real `qworker` child processes behind framed Unix domain sockets,
     /// with failover. Backends without shard workers ignore the setting.
     pub fn transport(mut self, kind: TransportKind) -> Self {

@@ -142,7 +142,7 @@ fn eight_concurrent_pooled_jobs_match_solo_runs_bit_for_bit() {
         );
         assert!(
             transport.wire_bytes > 0,
-            "commands serialize through the mailbox even in-process"
+            "commands are framed on the in-process pipes too"
         );
         assert_eq!(
             transport.respawns, 0,

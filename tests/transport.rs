@@ -457,7 +457,7 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
     }
 }
 
-/// `wire_bytes` counts each frame once, on the socket it crosses: a
+/// `wire_bytes` counts each frame once, on the link it crosses: a
 /// cross-shard CNOT adds its op to both workers' frames and two stripe
 /// frames worker to worker — the high member's stripe and the half the
 /// low member ships back — and nothing else.
@@ -465,35 +465,36 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
 fn a_cross_shard_gate_counts_each_stripe_frame_once() {
     ensure_worker_bin();
     const LOCAL_BITS: usize = 10;
-    let kind = TransportKind::UnixSocket;
-    let mut e = spawned(3, SHARDS, kind);
-    let qs: Vec<_> = (0..=LOCAL_BITS).map(|_| e.alloc()).collect();
-    for &q in &qs {
-        e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+    for kind in [TransportKind::InProcess, TransportKind::UnixSocket] {
+        let mut e = spawned(3, SHARDS, kind);
+        let qs: Vec<_> = (0..=LOCAL_BITS).map(|_| e.alloc()).collect();
+        for &q in &qs {
+            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+        }
+        // Every exchange has been reported once the read's replies are in.
+        let read = |e: &mut RemoteShardedEngine| {
+            let before = e.transport_stats().wire_bytes;
+            e.prob_one(qs[1]).unwrap();
+            e.transport_stats().wire_bytes - before
+        };
+        read(&mut e);
+        let alone = read(&mut e);
+        // qs[0] holds the shard axis: this CNOT pairs the two stripes.
+        e.apply_batch(&ops::cnot(qs[1], qs[0])).unwrap();
+        let with_gate = read(&mut e);
+        // A stripe of 2^10 amplitudes, none zero after the Hadamards: the
+        // frame header, the count and one segment header, and the literals.
+        let stripe_frame = cmpi::transport::FRAME_OVERHEAD + 24 + (16 << LOCAL_BITS);
+        // Each worker's frame becomes a `Seq` of a one-op batch and the read:
+        // 18 B more, plus the op (18 B for the low member's `CrossLow`, 9 B
+        // for the high member's `CrossHigh`).
+        let ops_bytes = (18 + 18) + (18 + 9);
+        assert_eq!(
+            with_gate - alone,
+            (2 * stripe_frame + ops_bytes) as u64,
+            "{kind}"
+        );
     }
-    // Every exchange has been reported once the read's replies are in.
-    let read = |e: &mut RemoteShardedEngine| {
-        let before = e.transport_stats().wire_bytes;
-        e.prob_one(qs[1]).unwrap();
-        e.transport_stats().wire_bytes - before
-    };
-    read(&mut e);
-    let alone = read(&mut e);
-    // qs[0] holds the shard axis: this CNOT pairs the two stripes.
-    e.apply_batch(&ops::cnot(qs[1], qs[0])).unwrap();
-    let with_gate = read(&mut e);
-    // A stripe of 2^10 amplitudes, none zero after the Hadamards: the
-    // frame header, the count and one segment header, and the literals.
-    let stripe_frame = cmpi::transport::FRAME_OVERHEAD + 24 + (16 << LOCAL_BITS);
-    // Each worker's frame becomes a `Seq` of a one-op batch and the read:
-    // 18 B more, plus the op (18 B for the low member's `CrossLow`, 9 B
-    // for the high member's `CrossHigh`).
-    let ops_bytes = (18 + 18) + (18 + 9);
-    assert_eq!(
-        with_gate - alone,
-        (2 * stripe_frame + ops_bytes) as u64,
-        "{kind}"
-    );
 }
 
 /// The largest world, 64 workers, links every pair up over Unix sockets
