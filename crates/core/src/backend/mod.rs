@@ -304,10 +304,14 @@ pub struct TransportStats {
     /// once its replies are in, so read this after a reduction every
     /// worker answers (`prob_one`).
     pub wire_bytes: u64,
-    /// Workers respawned: by failover, which only a multi-process
-    /// transport runs, or by a pooled world's reset after its last user
-    /// left it with a dead worker or unread replies.
+    /// Workers respawned: by failover, over either transport, or by a
+    /// pooled world's reset after its last user left it with a dead worker
+    /// or unread replies. A failover replaces the whole generation.
     pub respawns: u64,
+    /// Failover checkpoints: the periodic gathers and every snapshot's.
+    pub checkpoints: u64,
+    /// Bytes of those gathers' frames, a share of `wire_bytes`.
+    pub checkpoint_bytes: u64,
     /// Always 0: a stub kept only because the qperf harness still reads
     /// it. Every flush reaches the engine at its call, and the remote
     /// engine's queue carries it in the frame of the next read.

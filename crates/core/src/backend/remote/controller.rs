@@ -3,6 +3,7 @@
 //! ships it with a read.
 
 use super::failover::{DeadWorker, FailoverState};
+use super::wire::encode_frame;
 use super::{rank_of, ExpectRole, PairKernel, ShardCmd, ShardReply, WorkerOp};
 use crate::backend::pool::ShardLease;
 use crate::context::BatchPolicy;
@@ -35,8 +36,8 @@ pub(super) struct Controller {
     /// Worker↔worker exchange rounds planned: one per cross-shard op or
     /// moved reshape part (the irreducible data motion).
     pub(super) xchg_rounds: u64,
-    /// Checkpoint + replay state; `Some` exactly for multi-process links.
-    pub(super) failover: Option<FailoverState>,
+    /// Checkpoint + replay state.
+    pub(super) failover: FailoverState,
     /// Reply-free work not yet shipped.
     pub(super) queue: Queue,
     /// The branch masses of the last [`Controller::masses`] read and its
@@ -51,8 +52,8 @@ type Moves = (Vec<usize>, Option<usize>);
 
 /// The reply-free commands each worker has yet to receive, in global order:
 /// planned gate streams, alloc and free reshapes, and measurement collapses.
-/// They travel in the frame of the next command round.
-#[derive(Clone)]
+/// They travel in the frame of the next command round, and stay here until
+/// its retry unit commits.
 pub(super) struct Queue {
     pub(super) cmds: Vec<Vec<ShardCmd>>,
     /// Commands and gate-stream ops held, over every worker.
@@ -60,8 +61,7 @@ pub(super) struct Queue {
 }
 
 impl Controller {
-    /// The controller of `lease`'s world, holding no qubits; failover is
-    /// armed when a worker of the link can die alone.
+    /// The controller of `lease`'s world, holding no qubits.
     pub(super) fn new(lease: ShardLease) -> Self {
         let workers = lease.shards();
         Controller {
@@ -69,7 +69,7 @@ impl Controller {
             phys: Vec::new(),
             shard_bits: 0,
             max_shard_bits: workers.trailing_zeros(),
-            failover: lease.link().arms_failover().then(FailoverState::new),
+            failover: FailoverState::new(),
             lease,
             cmd_rounds: 0,
             xchg_rounds: 0,
@@ -94,17 +94,6 @@ impl Controller {
     /// Index bits addressing within a stripe.
     fn local_bits(&self) -> usize {
         self.n_qubits - self.shard_bits as usize
-    }
-
-    /// Raw command send: straight to the link, no unit recording.
-    /// Recovery and checkpoint traffic uses this directly.
-    pub(super) fn send_raw(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
-        self.lease.link_mut().send_cmd(shard, cmd)
-    }
-
-    /// Raw reply receive, no unit recording.
-    pub(super) fn reply_raw(&mut self, shard: usize) -> Result<ShardReply, DeadWorker> {
-        self.lease.link_mut().reply_from(shard)
     }
 
     /// Unwraps the reply shape the protocol calls for at this point; a
@@ -156,20 +145,19 @@ impl Controller {
     }
 
     /// One command round: every worker gets its queue followed by `read(s)`
-    /// (asked once per worker, in shard order) in one frame, and a worker
-    /// with neither gets nothing. The caller collects the replies.
+    /// (asked once per worker, in shard order) in one frame, encoded from
+    /// the queue where it stays, and a worker with neither gets nothing.
+    /// The caller collects the replies.
     fn round(&mut self, mut read: impl FnMut(usize) -> Option<ShardCmd>) -> Result<(), DeadWorker> {
         self.cmd_rounds += 1;
-        self.queue.len = 0;
         for s in 0..self.workers() {
-            let mut frame = std::mem::take(&mut self.queue.cmds[s]);
-            frame.extend(read(s));
-            let cmd = match frame.len() {
-                0 => continue,
-                1 => frame.remove(0),
-                _ => ShardCmd::Seq(frame),
+            let read = read(s);
+            let queued = &self.queue.cmds[s];
+            let Some(frame) = encode_frame(queued, read.as_ref()) else {
+                continue;
             };
-            self.send_to(s, &cmd)?;
+            let replies = read.as_ref().map_or(0, ShardCmd::replies);
+            self.send_to(s, frame, replies, !queued.is_empty())?;
         }
         Ok(())
     }
@@ -232,11 +220,11 @@ impl Controller {
     /// Non-destructive: workers keep their stripes.
     pub(super) fn gather_raw(&mut self) -> Result<Vec<Complex>, DeadWorker> {
         for s in 0..self.active() {
-            self.send_raw(s, &ShardCmd::Gather)?;
+            self.lease.link_mut().send_cmd(s, &ShardCmd::Gather)?;
         }
         let mut flat = Vec::with_capacity(1usize << self.n_qubits);
         for s in 0..self.active() {
-            let reply = self.reply_raw(s)?;
+            let reply = self.lease.link_mut().reply_from(s)?;
             flat.extend(Self::shaped(s, "a stripe", reply, |r| match r {
                 ShardReply::Amps(a) => Ok(a),
                 other => Err(other),
@@ -264,7 +252,7 @@ impl Controller {
             } else {
                 Vec::new()
             };
-            self.send_raw(
+            self.lease.link_mut().send_cmd(
                 s,
                 &ShardCmd::Load {
                     shard_index: s,

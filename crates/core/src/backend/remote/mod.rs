@@ -102,13 +102,13 @@
 //!
 //! ## Dead workers and the deadlock watchdog
 //!
-//! A dead or deadlocked worker must fail CI with a diagnostic, not hang it.
-//! A worker that exits closes its links, so the controller reads EOF from
-//! it within milliseconds; a stuck one outlasts the watchdog
-//! (`DEFAULT_WATCHDOG_MS`, 30 s, unless
-//! [`RemoteShardedEngine::with_watchdog`] sets another) that bounds every
-//! blocking read. A process world then fails over, and an in-process one
-//! panics naming the lost shard (`backend::remote_transport`).
+//! A dead or deadlocked worker must not hang a run. A worker that exits
+//! closes its links, so the controller reads EOF from it within
+//! milliseconds; a stuck one outlasts the watchdog (`DEFAULT_WATCHDOG_MS`,
+//! 30 s, unless [`RemoteShardedEngine::with_watchdog`] sets another) that
+//! bounds every blocking read. Either way the world fails over, threads or
+//! processes alike (`failover.rs`); a shard whose worker dies 16
+//! generations running ends the engine with a panic naming it.
 //!
 //! ## The engine is a store under the one front
 //!
@@ -175,7 +175,7 @@ mod tests {
     use crate::context::BatchPolicy;
     use qsim::noise::NoiseModel;
     use qsim::{Gate, Pauli, QubitId};
-    use std::time::Duration;
+    use std::time::{Duration, Instant};
 
     /// Applies the same circuit to the dense engine and a remote engine and
     /// asserts the amplitudes agree bit-for-bit (the kernels perform the
@@ -638,83 +638,91 @@ mod tests {
         );
     }
 
-    /// The panic message of `f`, which must panic.
-    fn panic_message(what: &str, f: impl FnOnce()) -> String {
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).expect_err(what);
-        err.downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default()
+    /// What a run observed: the read after its kill point and its final
+    /// amplitudes as bits, its respawns, and how long that read took.
+    type Observed = ((u64, Vec<(u64, u64)>), u64, Duration);
+
+    /// Reads `read`'s probability, timed from `start`, then the state of
+    /// `qs`.
+    fn observe(e: &RemoteShardedEngine, read: QubitId, qs: &[QubitId], start: Instant) -> Observed {
+        let p = e.prob_one(read).unwrap().to_bits();
+        let took = start.elapsed();
+        let st = e.state_vector(qs).unwrap();
+        let bits = st.amplitudes().iter();
+        let bits = bits.map(|a| (a.re.to_bits(), a.im.to_bits())).collect();
+        ((p, bits), e.transport_stats().respawns, took)
     }
 
-    #[test]
-    fn dead_worker_is_diagnosed_at_eof_instead_of_hanging() {
-        let start = std::time::Instant::now();
-        let mut e = RemoteShardedEngine::new(3, 2);
-        let a = e.alloc();
-        let b = e.alloc();
-        e.apply_batch(&ops::gate(Gate::H, a)).unwrap();
-        // Kill shard 1's worker, then run a reduction that needs it.
-        e.debug_kill_worker(1);
-        let msg = panic_message("query against a dead worker must fail", || {
-            e.prob_one(b).unwrap();
-        });
+    /// The recovery contract of a killed thread worker: the killed run reads
+    /// the undisturbed run's bits, having replaced one generation of
+    /// `shards` workers, and its read returned within 2 s under the default
+    /// 30 s watchdog.
+    fn assert_recovered(how: &str, shards: usize, calm: Observed, killed: Observed) {
+        assert_eq!(calm.1, 0, "{how}: the undisturbed run respawns nothing");
+        assert_eq!(killed.1, shards as u64, "{how}: one generation replaced");
         assert!(
-            msg.contains("lost shard 1's worker"),
-            "panic must name the lost worker, got: {msg}"
+            killed.2 < Duration::from_secs(2),
+            "{how}: took {:?}",
+            killed.2
         );
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "a dead worker must be seen at EOF, not hang"
-        );
-        drop(e); // shutdown must still reap the surviving workers
+        assert_eq!(calm.0, killed.0, "{how}: the death must not show");
     }
 
-    /// A worker dying *mid-batch* — with a framed gate stream queued for it
-    /// and a cross-shard exchange pending against it — must surface as a
-    /// diagnostic naming it on the next protocol round, not a hang. (The
-    /// surviving exchange partner reads EOF on its link to the dead worker
-    /// and exits too.)
+    /// A worker that left its loop is seen at EOF by the next read, which
+    /// fails over instead of hanging, and the run finishes on the bits of an
+    /// undisturbed run of the same seed.
     #[test]
-    fn worker_dying_mid_batch_is_diagnosed_at_eof() {
+    fn a_dead_worker_is_replaced_at_eof_instead_of_hanging() {
+        let run = |kill: bool| {
+            let mut e = RemoteShardedEngine::new(3, 2);
+            let a = e.alloc();
+            let b = e.alloc();
+            e.apply_batch(&ops::gate(Gate::H, a)).unwrap();
+            let start = Instant::now();
+            if kill {
+                e.debug_kill_worker(1);
+            }
+            observe(&e, b, &[a, b], start)
+        };
+        assert_recovered("debug_kill_worker", 2, run(false), run(true));
+    }
+
+    /// A worker dying *mid-batch*, with a framed gate stream queued for it
+    /// and a cross-shard exchange pending against it, is replaced at the
+    /// next read: the read ships the queue into the dead link, fails over,
+    /// and ships it again to the new generation. (The surviving exchange
+    /// partner reads EOF on its link to the dead worker and exits too.)
+    #[test]
+    fn a_worker_dying_mid_batch_is_replaced_at_eof() {
         use qsim::BatchOp;
-        let start = std::time::Instant::now();
-        let mut e = RemoteShardedEngine::new(7, 4);
-        let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
-        e.apply_batch(&ops::gate(Gate::H, qs[0])).unwrap();
-        // Kill shard 2's worker, then queue a batch whose cross-shard CNOT
-        // pairs a live worker with the dead one. The next reduction ships
-        // it, and the failure must surface there.
-        e.debug_kill_worker(2);
-        let batch = ops::batch(vec![
-            BatchOp::Gate {
-                gate: Gate::H,
-                q: qs[1],
-            },
-            // Qubit 3 is shard-selecting (2 local bits at 4 shards), so
-            // this pairs shards across the dead worker.
-            BatchOp::Cnot { c: qs[0], t: qs[3] },
-        ]);
-        e.apply_batch(&batch).unwrap();
-        let msg = panic_message("reduction against a dead worker must fail", || {
-            e.prob_one(qs[3]).unwrap();
-        });
-        assert!(
-            msg.contains("lost shard 2's worker"),
-            "panic must name the lost worker, got: {msg}"
-        );
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "a dead worker must be seen at EOF, not hang"
-        );
-        drop(e); // shutdown must still reap the surviving workers
+        let run = |kill: bool| {
+            let mut e = RemoteShardedEngine::new(7, 4);
+            let qs: Vec<QubitId> = (0..4).map(|_| e.alloc()).collect();
+            e.apply_batch(&ops::gate(Gate::H, qs[0])).unwrap();
+            let start = Instant::now();
+            if kill {
+                e.debug_kill_worker(2);
+            }
+            let batch = ops::batch(vec![
+                BatchOp::Gate {
+                    gate: Gate::H,
+                    q: qs[1],
+                },
+                // Qubit 3 is shard-selecting (2 local bits at 4 shards), so
+                // this pairs shards across the dead worker.
+                BatchOp::Cnot { c: qs[0], t: qs[3] },
+            ]);
+            e.apply_batch(&batch).unwrap();
+            observe(&e, qs[3], &qs, start)
+        };
+        assert_recovered("mid-batch", 4, run(false), run(true));
     }
 
     /// Under the default 30 s watchdog, a worker that left its loop and one
-    /// whose controller link was shut (the in-process kill) are each seen
-    /// at the next read within 2 s, naming the shard.
+    /// whose controller link was shut (the in-process kill) are each
+    /// replaced at the next read within 2 s, and the run does not show it.
     #[test]
-    fn a_dead_thread_worker_is_seen_in_milliseconds_not_at_the_watchdog() {
+    fn a_dead_thread_worker_is_replaced_in_milliseconds_not_at_the_watchdog() {
         type Kill = fn(&RemoteShardedEngine, usize);
         let kills: [(&str, Kill); 2] = [
             ("debug_kill_worker", RemoteShardedEngine::debug_kill_worker),
@@ -724,17 +732,17 @@ mod tests {
             ),
         ];
         for (how, kill) in kills {
-            let mut e = RemoteShardedEngine::new(5, 2);
-            let qs: Vec<QubitId> = (0..3).map(|_| e.alloc()).collect();
-            e.apply_batch(&ops::gate(Gate::H, qs[1])).unwrap();
-            let start = std::time::Instant::now();
-            kill(&e, 1);
-            let msg = panic_message(how, || {
-                e.prob_one(qs[2]).unwrap();
-            });
-            let took = start.elapsed();
-            assert!(msg.contains("lost shard 1's worker"), "{how}: {msg}");
-            assert!(took < Duration::from_secs(2), "{how}: took {took:?}");
+            let run = |killed: bool| {
+                let mut e = RemoteShardedEngine::new(5, 2);
+                let qs: Vec<QubitId> = (0..3).map(|_| e.alloc()).collect();
+                e.apply_batch(&ops::gate(Gate::H, qs[1])).unwrap();
+                let start = Instant::now();
+                if killed {
+                    kill(&e, 1);
+                }
+                observe(&e, qs[2], &qs, start)
+            };
+            assert_recovered(how, 2, run(false), run(true));
         }
     }
 

@@ -47,8 +47,8 @@ impl RemoteStore {
         self.ctl.get_mut().defer(f);
     }
 
-    /// The dense state: the queue in a round of its own, then a gather (a
-    /// checkpoint, with failover armed).
+    /// The dense state: the queue in a round of its own, then a gather,
+    /// which is a checkpoint.
     fn gather(&self) -> Vec<Complex> {
         let mut ctl = self.ctl.lock();
         ctl.flush();
@@ -58,8 +58,8 @@ impl RemoteStore {
     /// Command rounds (one per fan-out of command frames, which is one per
     /// read: gates, allocs, frees and collapses wait for the next one),
     /// worker↔worker exchange rounds (data motion no framing can remove),
-    /// wire bytes (see [`TransportStats::wire_bytes`]) and workers
-    /// respawned (by failover, or by a pooled world's reset).
+    /// wire bytes (see [`TransportStats::wire_bytes`]), workers respawned
+    /// (by failover, or by a pooled world's reset) and checkpoints taken.
     fn stats(&self) -> TransportStats {
         let ctl = self.ctl.lock();
         TransportStats {
@@ -67,6 +67,8 @@ impl RemoteStore {
             exchange_rounds: ctl.xchg_rounds,
             wire_bytes: ctl.lease.link().wire_bytes(),
             respawns: ctl.lease.link().respawns(),
+            checkpoints: ctl.failover.checkpoints,
+            checkpoint_bytes: ctl.failover.checkpoint_bytes,
             coalesced_flushes: 0,
         }
     }
@@ -211,7 +213,7 @@ impl RemoteShardedEngine {
     /// Spawns a worker world for this engine alone behind the given
     /// transport: threads linked by in-process pipes for
     /// [`TransportKind::InProcess`], child processes linked by sockets
-    /// otherwise — with checkpoint/replay failover armed. Per-seed
+    /// otherwise — either way with checkpoint/replay failover. Per-seed
     /// trajectories are bit-identical across transports: both run the same
     /// planner, the same frames, the same kernels, in the same global
     /// order. Fails when the workers cannot be started (no `qworker`
@@ -262,12 +264,9 @@ impl RemoteShardedEngine {
     /// Test/diagnostic hook: forces a checkpoint once `units` (at least 1)
     /// mutating units are logged, instead of the default 32, so a test can
     /// interleave checkpoints with every alloc, gate batch and free it
-    /// makes. Only a multi-process transport checkpoints; in-process the
-    /// hook does nothing.
+    /// makes, over either transport.
     pub fn debug_checkpoint_limit(&self, units: usize) {
-        if let Some(f) = self.raw_state().ctl.lock().failover.as_mut() {
-            f.limit = units.max(1);
-        }
+        self.raw_state().ctl.lock().failover.limit = units.max(1);
     }
 
     /// Test/diagnostic hook: each worker's queued commands (a batch is one).
@@ -279,8 +278,7 @@ impl RemoteShardedEngine {
     /// Test/diagnostic hook: makes shard `shard`'s worker exit its event
     /// loop *without* completing the protocol, simulating a crashed shard
     /// node, and shuts its link. The next operation touching that shard
-    /// finds it gone: an in-process engine panics naming the shard, and
-    /// over a socket transport failover respawns it.
+    /// finds it gone, and failover replaces the generation.
     pub fn debug_kill_worker(&self, shard: usize) {
         let mut ctl = self.raw_state().ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");
@@ -292,8 +290,7 @@ impl RemoteShardedEngine {
     /// SIGKILLed, the hardest death a shard node can die; in-process its
     /// controller link is shut, so the thread reads EOF and exits and its
     /// peers then read EOF from it. The next operation touching the shard
-    /// observes the death: a socket engine fails over, an in-process one
-    /// panics naming the shard.
+    /// observes the death and fails over.
     pub fn debug_kill_worker_process(&self, shard: usize) {
         let mut ctl = self.raw_state().ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");

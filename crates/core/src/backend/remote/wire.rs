@@ -725,6 +725,25 @@ impl ShardCmd {
     }
 }
 
+/// The command frame of a worker's `queue` followed by `read`, encoded
+/// from the borrowed commands: one command alone, several as the bytes of
+/// a [`ShardCmd::Seq`] of them, and `None` for nothing.
+pub(crate) fn encode_frame(queue: &[ShardCmd], read: Option<&ShardCmd>) -> Option<Bytes> {
+    let mut buf = BytesMut::new();
+    match (queue, read) {
+        ([], None) => return None,
+        ([one], None) | ([], Some(one)) => one.encode(&mut buf),
+        _ => {
+            SEQ.encode(&mut buf);
+            (queue.len() + usize::from(read.is_some())).encode(&mut buf);
+            for cmd in queue.iter().chain(read) {
+                cmd.encode(&mut buf);
+            }
+        }
+    }
+    Some(buf.freeze())
+}
+
 /// A reply as a socket worker frames it: the bytes of the exchange frames
 /// it wrote since its last reply, headers included (they cross no socket
 /// the controller reads), then the reply itself.
@@ -1386,6 +1405,38 @@ mod tests {
         assert_eq!(ShardCmd::Batch { ops: vec![] }.replies(), 0);
         let seq = ShardCmd::Seq(vec![ShardCmd::Batch { ops: vec![] }, ShardCmd::Gather]);
         assert_eq!(seq.replies(), 1);
+    }
+
+    /// A frame encoded from a borrowed queue and read is the bytes of the
+    /// command, or the `Seq`, that the owned commands would make.
+    #[test]
+    fn a_borrowed_frame_encodes_as_the_owned_command() {
+        let batch = ShardCmd::Batch {
+            ops: vec![WorkerOp::Phase { lo_mask: 0b10 }],
+        };
+        let collapse = ShardCmd::CollapseScale {
+            mask: 1,
+            odd: false,
+            factor: 2.0,
+        };
+        let read = ShardCmd::Branches { mask: 0b100 };
+        assert_eq!(encode_frame(&[], None), None);
+        assert_eq!(encode_frame(&[], Some(&read)), Some(cmpi::to_bytes(&read)));
+        let queue = [batch, collapse];
+        assert_eq!(
+            encode_frame(&queue[..1], None),
+            Some(cmpi::to_bytes(&queue[0]))
+        );
+        assert_eq!(
+            encode_frame(&queue, None),
+            Some(cmpi::to_bytes(&ShardCmd::Seq(queue.to_vec())))
+        );
+        let mut owned = queue.to_vec();
+        owned.push(read.clone());
+        assert_eq!(
+            encode_frame(&queue, Some(&read)),
+            Some(cmpi::to_bytes(&ShardCmd::Seq(owned)))
+        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! The shard transport: one worker link, whether the workers are threads
-//! or processes, with respawn-and-replay failover for process worlds.
+//! or processes, and the generation replacement failover runs on.
 //!
 //! [`super::remote`] defines the shard protocol ([`ShardCmd`] /
 //! [`ShardReply`] / stripe exchanges); this module carries it as
@@ -43,12 +43,10 @@
 //! A worker's peer links carry the watchdog as a read timeout, so a worker
 //! stuck on a live but deadlocked peer halts too.
 //!
-//! Only a process world fails over: every worker process is killed, a
-//! fresh world spawned and linked, and the engine's controller re-scatters
-//! its checkpoint and replays the committed command log (see
-//! `super::remote::failover`). An in-process world reports the lost shard
-//! instead. `TransportStats::respawns` counts every worker replaced, by
-//! failover or by a pooled world's reset.
+//! Every world fails over alike: the generation is replaced whole, and the
+//! engine's controller re-scatters its checkpoint and replays its log of
+//! sent frames (`super::remote::failover`). `TransportStats::respawns`
+//! counts every worker replaced, by failover or by a pooled world's reset.
 
 use super::remote::{
     decode_reply_frame, decode_stripe_into, encode_reply_frame, normalize_shards, rank_of,
@@ -397,7 +395,10 @@ pub(crate) struct WorkerLink {
     /// generation is spent, and nothing is sent to it until it is replaced.
     broken: Option<usize>,
     respawns: u64,
-    wire_bytes: u64,
+    /// Bytes of the frames the controller wrote and read, and of the
+    /// exchanges the workers report.
+    frame_bytes: u64,
+    xchg_bytes: u64,
 }
 
 impl WorkerLink {
@@ -421,7 +422,8 @@ impl WorkerLink {
             owed: 0,
             broken: None,
             respawns: 0,
-            wire_bytes: 0,
+            frame_bytes: 0,
+            xchg_bytes: 0,
         };
         link.spawn_generation()?;
         Ok(link)
@@ -432,17 +434,16 @@ impl WorkerLink {
         self.shards
     }
 
-    /// Whether a worker can die without taking the controller with it, so
-    /// that checkpoint + replay is worth its bookkeeping: only processes.
-    pub(crate) fn arms_failover(&self) -> bool {
-        self.processes.is_some()
-    }
-
     /// Bytes of the protocol's frames so far, each counted once on the
     /// link it crossed: the commands the controller wrote, the replies it
     /// read, and the exchanges the workers report in their replies.
     pub(crate) fn wire_bytes(&self) -> u64 {
-        self.wire_bytes
+        self.frame_bytes + self.xchg_bytes
+    }
+
+    /// [`WorkerLink::wire_bytes`] without the workers' exchanges.
+    pub(crate) fn frame_bytes(&self) -> u64 {
+        self.frame_bytes
     }
 
     /// Workers replaced so far, by failover or by a reset.
@@ -522,14 +523,24 @@ impl WorkerLink {
 
     /// Sends one protocol command to shard `shard`.
     pub(crate) fn send_cmd(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
+        self.send_frame(shard, &to_bytes(cmd), cmd.replies())
+    }
+
+    /// Sends shard `shard` the command frame `body`, which provokes
+    /// `replies` replies.
+    pub(crate) fn send_frame(
+        &mut self,
+        shard: usize,
+        body: &[u8],
+        replies: usize,
+    ) -> Result<(), DeadWorker> {
         if let Some(shard) = self.broken {
             return Err(DeadWorker { shard });
         }
-        let body = to_bytes(cmd);
-        match self.streams[shard].send(&header(TAG_CMD, 0), &body) {
+        match self.streams[shard].send(&header(TAG_CMD, 0), body) {
             Ok(n) => {
-                self.wire_bytes += n as u64;
-                self.owed += cmd.replies();
+                self.frame_bytes += n as u64;
+                self.owed += replies;
                 Ok(())
             }
             Err(_) => self.fail(shard),
@@ -549,7 +560,8 @@ impl WorkerLink {
                 let Some((xchg_bytes, reply)) = decode_reply_frame(&body) else {
                     return self.fail(shard);
                 };
-                self.wire_bytes += frame + xchg_bytes;
+                self.frame_bytes += frame;
+                self.xchg_bytes += xchg_bytes;
                 self.owed = self.owed.saturating_sub(1);
                 Ok(reply)
             }

@@ -6,11 +6,12 @@
 //! patterns), same measurement trajectory, same command/exchange round
 //! counts, with or without Pauli noise drawn along the way.
 //!
-//! And a worker process dying mid-run must be survivable: the controller
-//! observes EOF, respawns the child, re-scatters its stripe from the last
-//! checkpoint, replays the logged suffix, and the run finishes with the
-//! same amplitudes as a run in which nothing died — at the engine's own
-//! checkpoint threshold and with a checkpoint after every logged unit
+//! And a worker dying mid-run, thread or process, must be survivable: the
+//! controller observes EOF, replaces the generation, re-scatters its
+//! stripes from the last checkpoint, replays the logged frames, and the run
+//! finishes with the same amplitudes as a run in which nothing died — over
+//! both transports, at the engine's own checkpoint threshold and with a
+//! checkpoint after every logged unit
 //! (`RemoteShardedEngine::debug_checkpoint_limit(1)`), so checkpoints
 //! interleave with every alloc, gate batch and free a test makes.
 //!
@@ -28,10 +29,11 @@ use common::conformance::{canon_bits, ensure_worker_bin, run_circuit, Outcome, S
 use common::ops;
 use proptest::test_runner::TestRng;
 use qmpi::{
-    build_backend, run_with_config, BackendKind, BatchPolicy, QmpiConfig, QuantumBackend,
-    RemoteShardedEngine, ShardWorkerPool, Shared, StateVectorEngine, TransportKind,
+    build_backend, run_on_backend, run_with_config, BackendKind, BatchPolicy, QmpiConfig,
+    QuantumBackend, RemoteShardedEngine, ShardWorkerPool, Shared, StateVectorEngine, TransportKind,
 };
 use qsim::{BatchOp, Gate, GateBatch, NoiseModel, Pauli, QubitId, SimError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 const SHARDS: usize = 2;
@@ -88,10 +90,13 @@ fn amp_bits(e: &RemoteShardedEngine, order: &[QubitId]) -> Vec<(u64, u64)> {
 const CHECKPOINT_LIMITS: [Option<usize>; 2] = [None, Some(1)];
 
 /// Where a remote engine's workers live and the checkpoint threshold it
-/// runs at: in-process, which never checkpoints, and over Unix sockets at
-/// each of [`CHECKPOINT_LIMITS`].
-const REMOTE_ARMS: [(TransportKind, Option<usize>); 3] = [
-    (TransportKind::InProcess, None),
+/// runs at: threads and `qworker` processes, each at every one of
+/// [`CHECKPOINT_LIMITS`]. The failover tests kill a worker in each, with
+/// `debug_kill_worker_process`: a SIGKILL for a process, and for a thread
+/// its controller link shut, so it exits at EOF and its peers after it.
+const REMOTE_ARMS: [(TransportKind, Option<usize>); 4] = [
+    (TransportKind::InProcess, CHECKPOINT_LIMITS[0]),
+    (TransportKind::InProcess, CHECKPOINT_LIMITS[1]),
     (TransportKind::UnixSocket, CHECKPOINT_LIMITS[0]),
     (TransportKind::UnixSocket, CHECKPOINT_LIMITS[1]),
 ];
@@ -170,16 +175,16 @@ fn teleportation_over_socket_workers_matches_in_process() {
     );
 }
 
-/// The failover acceptance test: SIGKILL a worker process mid-run, let
+/// The failover acceptance test: kill a worker mid-run, let
 /// the next read trip over the EOF, and require the run to finish with
 /// amplitudes and a measurement trajectory bit-identical to an undisturbed
 /// run — plus a respawn on the books.
 #[test]
 fn sigkilled_worker_respawns_and_finishes_bit_identically() {
-    for limit in CHECKPOINT_LIMITS {
+    for (kind, limit) in REMOTE_ARMS {
         let run = |kill: bool| {
             let noise = NoiseModel::depolarizing(0.1);
-            let mut e = remote(11, SHARDS, noise, TransportKind::UnixSocket, limit);
+            let mut e = remote(11, SHARDS, noise, kind, limit);
             let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
             for &q in &qs {
                 e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
@@ -190,13 +195,13 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
             e.apply_batch(&ops::gate(Gate::T, qs[0])).unwrap();
             if kill {
                 // The hardest death a shard node can die: no protocol, no
-                // cleanup — the child is SIGKILLed outright.
+                // cleanup — a child is SIGKILLed outright.
                 e.debug_kill_worker_process(SHARDS - 1);
             }
             // The batch waits in the queue; the measurement's read ships it
-            // into the dead socket, failover respawns the worker, re-scatters
+            // into the dead link, failover respawns the worker, re-scatters
             // the stripe from the checkpoint, replays the logged suffix and
-            // retries the read with the queue restored.
+            // retries the read with the queue it still holds.
             let mut batch = GateBatch::new();
             for (i, &q) in qs.iter().enumerate() {
                 batch.push(BatchOp::Gate {
@@ -217,12 +222,12 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
             if kill {
                 assert!(
                     stats.respawns >= 1,
-                    "limit {limit:?}: the SIGKILLed worker must have been respawned"
+                    "{kind}, limit {limit:?}: the killed worker must have been respawned"
                 );
             } else {
                 assert_eq!(
                     stats.respawns, 0,
-                    "limit {limit:?}: undisturbed run respawns nothing"
+                    "{kind}, limit {limit:?}: undisturbed run respawns nothing"
                 );
             }
             (m, amps)
@@ -230,23 +235,23 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
         assert_eq!(
         run(false),
         run(true),
-        "limit {limit:?}: a run that lost a worker must finish bit-identically to one that did not"
+        "{kind}, limit {limit:?}: a run that lost a worker must finish bit-identically to one that did not"
     );
     }
 }
 
 /// Failover through two-segment batches: each batch holds two segments on
 /// disjoint qubit pairs and waits in the queue at no command round.
-/// SIGKILL a worker after one such batch; the measurement's read ships
-/// both and trips over the EOF, failover reloads the checkpoint, restores
-/// the queue, retries the read — and the run finishes bit-identical to an
+/// Kill a worker after one such batch; the measurement's read ships
+/// both and trips over the EOF, failover reloads the checkpoint and
+/// retries the read with the queue it still holds — and the run finishes bit-identical to an
 /// undisturbed run, noise draws included.
 #[test]
 fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
-    for limit in CHECKPOINT_LIMITS {
+    for (kind, limit) in REMOTE_ARMS {
         let run = |kill: bool| {
             let noise = NoiseModel::depolarizing(0.1);
-            let mut e = remote(17, SHARDS, noise, TransportKind::UnixSocket, limit);
+            let mut e = remote(17, SHARDS, noise, kind, limit);
             let qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
             for &q in &qs {
                 e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
@@ -273,12 +278,12 @@ fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
             assert_eq!(
                 e.transport_stats().command_rounds,
                 rounds,
-                "limit {limit:?}"
+                "{kind}, limit {limit:?}"
             );
             if kill {
                 e.debug_kill_worker_process(SHARDS - 1);
             }
-            // Queued too; the measurement's read discovers the dead socket.
+            // Queued too; the measurement's read discovers the dead link.
             e.apply_batch(&two_segments((0, 1.1), (2, 0.2))).unwrap();
             // Trajectory identity proves replay did not re-draw randomness.
             let m = e.measure_z_parity(&[qs[0]]).unwrap();
@@ -287,12 +292,12 @@ fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
             if kill {
                 assert!(
                     stats.respawns >= 1,
-                    "limit {limit:?}: the SIGKILLed worker must have been respawned"
+                    "{kind}, limit {limit:?}: the killed worker must have been respawned"
                 );
             } else {
                 assert_eq!(
                     stats.respawns, 0,
-                    "limit {limit:?}: undisturbed run respawns nothing"
+                    "{kind}, limit {limit:?}: undisturbed run respawns nothing"
                 );
             }
             (m, amps)
@@ -300,23 +305,17 @@ fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
         assert_eq!(
         run(false),
         run(true),
-        "limit {limit:?}: a two-segment batch interrupted by a worker death must replay bit-identically"
+        "{kind}, limit {limit:?}: a two-segment batch interrupted by a worker death must replay bit-identically"
     );
     }
 }
 
-/// Killing a worker twice (including re-killing the respawned child) is
+/// Killing a worker twice (including re-killing the respawned one) is
 /// still survivable: every failure epoch restarts cleanly.
 #[test]
 fn worker_survives_repeated_kills() {
-    for limit in CHECKPOINT_LIMITS {
-        let mut e = remote(
-            5,
-            SHARDS,
-            NoiseModel::ideal(),
-            TransportKind::UnixSocket,
-            limit,
-        );
+    for (kind, limit) in REMOTE_ARMS {
+        let mut e = remote(5, SHARDS, NoiseModel::ideal(), kind, limit);
         let q = e.alloc();
         let p = e.alloc();
         e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
@@ -327,10 +326,10 @@ fn worker_survives_repeated_kills() {
         e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         assert!(
             e.prob_one(q).unwrap() < 1e-9,
-            "limit {limit:?}: the self-inverse run ends in |00>"
+            "{kind}, limit {limit:?}: the self-inverse run ends in |00>"
         );
-        assert!(e.prob_one(p).unwrap() < 1e-9, "limit {limit:?}");
-        assert!(e.transport_stats().respawns >= 2, "limit {limit:?}");
+        assert!(e.prob_one(p).unwrap() < 1e-9, "{kind}, limit {limit:?}");
+        assert!(e.transport_stats().respawns >= 2, "{kind}, limit {limit:?}");
     }
 }
 
@@ -387,26 +386,22 @@ fn stripe_trades_past_a_socket_buffer_match_dense_bit_for_bit() {
     assert_eq!(remote.transport_stats().respawns, 0, "{kind}");
 }
 
-/// SIGKILL a worker while its partner is blocked receiving that worker's
+/// Kill a worker while its partner is blocked receiving that worker's
 /// stripe. Shard 1 has thousands of gates to run before it ships its
 /// stripe to shard 0, which has only the pairing: the queue fills to its
 /// bound and ships in a round of its own, no reply awaited, and the kill
 /// lands while shard 1 still grinds. Shard 0 reads EOF on its link and
 /// exits, the next read fails over at once — not at the 30 s watchdog —
-/// and the run finishes on the undisturbed run's bits.
+/// and the run finishes on the undisturbed run's bits. (A killed thread,
+/// whose controller link alone is shut, finishes the frame it holds and
+/// exits at its next read, where the controller sees the death.)
 #[test]
 fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
     const WIDTH: usize = 12;
     let bound = BatchPolicy::default().max_ops;
-    for limit in CHECKPOINT_LIMITS {
+    for (kind, limit) in REMOTE_ARMS {
         let run = |kill: bool| {
-            let mut e = remote(
-                37,
-                SHARDS,
-                NoiseModel::ideal(),
-                TransportKind::UnixSocket,
-                limit,
-            );
+            let mut e = remote(37, SHARDS, NoiseModel::ideal(), kind, limit);
             // The first qubit allocated holds the shard axis.
             let qs: Vec<_> = (0..WIDTH).map(|_| e.alloc()).collect();
             for (i, &q) in qs.iter().enumerate() {
@@ -428,7 +423,7 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
             assert_eq!(
                 e.transport_stats().command_rounds,
                 rounds + 1,
-                "limit {limit:?}: the queue shipped at its bound"
+                "{kind}, limit {limit:?}: the queue shipped at its bound"
             );
             let start = Instant::now();
             if kill {
@@ -442,17 +437,21 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
         let (calm, killed) = (run(false), run(true));
         assert_eq!(
             calm.2, 0,
-            "limit {limit:?}: undisturbed run respawns nothing"
+            "{kind}, limit {limit:?}: undisturbed run respawns nothing"
         );
-        assert!(killed.2 >= 1, "limit {limit:?}: {} respawns", killed.2);
+        assert!(
+            killed.2 >= 1,
+            "{kind}, limit {limit:?}: {} respawns",
+            killed.2
+        );
         assert!(
             killed.1 < Duration::from_secs(10),
-            "limit {limit:?}: the death took {:?} to fail over",
+            "{kind}, limit {limit:?}: the death took {:?} to fail over",
             killed.1
         );
         assert_eq!(
             calm.0, killed.0,
-            "limit {limit:?}: a death mid-exchange must not show"
+            "{kind}, limit {limit:?}: a death mid-exchange must not show"
         );
     }
 }
@@ -522,7 +521,7 @@ fn the_largest_world_links_up_over_each_socket_kind() {
     );
 }
 
-/// Allocs and frees are logged like any gate batch, not checkpoints: a worker SIGKILLed (a) before an alloc, (b) between an
+/// Allocs and frees are logged like any gate batch, not checkpoints: a worker killed (a) before an alloc, (b) between an
 /// alloc and its first gate, (c) before a `measure_and_free` is respawned,
 /// the checkpoint reloaded at *its* layout, the logged reshapes replayed on
 /// top — and the run lands on the undisturbed run's outcomes and amplitude
@@ -531,15 +530,9 @@ fn the_largest_world_links_up_over_each_socket_kind() {
 #[test]
 fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
     const ROUNDS: usize = 12;
-    for limit in CHECKPOINT_LIMITS {
+    for (kind, limit) in REMOTE_ARMS {
         let run = |kill: bool| {
-            let mut e = remote(
-                19,
-                SHARDS,
-                NoiseModel::ideal(),
-                TransportKind::UnixSocket,
-                limit,
-            );
+            let mut e = remote(19, SHARDS, NoiseModel::ideal(), kind, limit);
             let mut kills = 0u64;
             let mut kill_at = |e: &RemoteShardedEngine, round: usize, site: usize| {
                 if kill && round % 3 == site {
@@ -570,31 +563,31 @@ fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
             let respawns = e.transport_stats().respawns;
             assert!(
                 respawns >= kills,
-                "limit {limit:?}: {respawns} respawns, {kills} kills"
+                "{kind}, limit {limit:?}: {respawns} respawns, {kills} kills"
             );
             (outcomes, amp_bits(&e, &live))
         };
         assert_eq!(
             run(false),
             run(true),
-            "limit {limit:?}: worker deaths around layout changes must not show"
+            "{kind}, limit {limit:?}: worker deaths around layout changes must not show"
         );
     }
 }
 
-/// A worker SIGKILLed while work waits in the queue: right after a
+/// A worker killed while work waits in the queue: right after a
 /// `measure` (its `CollapseScale` queued), right after an alloc (its
 /// `Reshape` queued) and right after a `measure_and_free` (its collapse and
 /// `Reshape` queued). Each time the next read ships the queue into the dead
-/// socket, and failover reloads the checkpoint, replays the log, restores
-/// the queue and retries the read — landing on the undisturbed run's
+/// link, and failover reloads the checkpoint, replays the log and retries
+/// the read with the queue it still holds — landing on the undisturbed run's
 /// amplitudes and measurement trajectory.
 #[test]
 fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
-    for limit in CHECKPOINT_LIMITS {
+    for (kind, limit) in REMOTE_ARMS {
         let run = |kill: bool| {
             let noise = NoiseModel::depolarizing(0.1);
-            let mut e = remote(23, SHARDS, noise, TransportKind::UnixSocket, limit);
+            let mut e = remote(23, SHARDS, noise, kind, limit);
             let kill_now = |e: &RemoteShardedEngine, shard: usize| {
                 if kill {
                     e.debug_kill_worker_process(shard);
@@ -622,26 +615,26 @@ fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
         let (calm, killed) = (run(false), run(true));
         assert_eq!(
             calm.2, 0,
-            "limit {limit:?}: undisturbed run respawns nothing"
+            "{kind}, limit {limit:?}: undisturbed run respawns nothing"
         );
         assert!(
             killed.2 >= 3,
-            "limit {limit:?}: {} respawns for three kills",
+            "{kind}, limit {limit:?}: {} respawns for three kills",
             killed.2
         );
         assert_eq!(
             (calm.0, calm.1),
             (killed.0, killed.1),
-            "limit {limit:?}: worker deaths with work queued must not show"
+            "{kind}, limit {limit:?}: worker deaths with work queued must not show"
         );
     }
 }
 
 /// A free needs no reply: its one `Reshape` per worker waits in the queue
-/// until a read ships it. SIGKILL a worker right after `measure_and_free`
+/// until a read ships it. Kill a worker right after `measure_and_free`
 /// or `free` returns, with that reshape still queued: the next read ships
-/// it into the dead socket, failover replays the log and the restored
-/// queue, and the new generation runs the reshape again — every read and
+/// it into the dead link, failover replays the log, the retried read ships
+/// the queue again, and the new generation runs the reshape again — every read and
 /// the final amplitudes land on the undisturbed run's bits. Frees alternate
 /// between the fresh qubit (the top local bit: compacted where it lives)
 /// and an older one, which is a shard axis in two of the rounds (its free
@@ -650,10 +643,10 @@ fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
 fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
     const WORKERS: usize = 4;
     const ROUNDS: usize = 8;
-    for limit in CHECKPOINT_LIMITS {
+    for (kind, limit) in REMOTE_ARMS {
         let run = |kill: bool| {
             let noise = NoiseModel::depolarizing(0.1);
-            let mut e = remote(29, WORKERS, noise, TransportKind::UnixSocket, limit);
+            let mut e = remote(29, WORKERS, noise, kind, limit);
             let mut qs: Vec<_> = (0..5).map(|_| e.alloc()).collect();
             for (i, &q) in qs.iter().enumerate() {
                 e.apply_batch(&ops::gate(Gate::Ry(0.3 + 0.4 * i as f64), q))
@@ -682,7 +675,7 @@ fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
                 assert_eq!(
                     e.debug_queued_commands(),
                     [1; WORKERS],
-                    "limit {limit:?}, round {round}"
+                    "{kind}, limit {limit:?}, round {round}"
                 );
                 if kill {
                     e.debug_kill_worker_process(round % WORKERS);
@@ -696,22 +689,22 @@ fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
         let (calm, killed) = (run(false), run(true));
         assert_eq!(
             calm.2, 0,
-            "limit {limit:?}: undisturbed run respawns nothing"
+            "{kind}, limit {limit:?}: undisturbed run respawns nothing"
         );
         assert!(
             killed.2 >= ROUNDS as u64,
-            "limit {limit:?}: {} respawns",
+            "{kind}, limit {limit:?}: {} respawns",
             killed.2
         );
         let axes: Vec<bool> = calm.0.iter().map(|&(axis, ..)| axis).collect();
         assert!(
             axes.contains(&true) && axes.contains(&false),
-            "limit {limit:?}: {axes:?}"
+            "{kind}, limit {limit:?}: {axes:?}"
         );
         assert_eq!(
             (calm.0, calm.1),
             (killed.0, killed.1),
-            "limit {limit:?}: worker deaths with a free queued must not show"
+            "{kind}, limit {limit:?}: worker deaths with a free queued must not show"
         );
     }
 }
@@ -1111,37 +1104,137 @@ fn a_fresh_pair_ships_its_zero_halves_as_lengths() {
 }
 
 /// A checkpoint limit of one logged unit gathers the whole state after
-/// every read that ships work, on top of what the read itself moves: the
-/// same gate and read cost at least the 16 KiB of a 10-qubit state more on
-/// the wire than at the engine's own threshold, and read the same bits.
+/// every read that ships work: the same gate and read take one checkpoint
+/// at a limit of one and none at the engine's own, over either transport.
+/// The checkpoint's frames carry the 16 KiB of a 10-qubit state and are
+/// the whole of what the lower limit adds to the wire; the read's bits do
+/// not depend on the limit.
 #[test]
 fn a_checkpoint_limit_of_one_gathers_the_state_after_every_unit() {
-    let cost = |limit| {
-        let mut e = remote(
-            3,
-            SHARDS,
-            NoiseModel::ideal(),
-            TransportKind::UnixSocket,
-            limit,
+    for kind in TRANSPORTS {
+        let cost = |limit| {
+            let mut e = remote(3, SHARDS, NoiseModel::ideal(), kind, limit);
+            let qs: Vec<_> = (0..10).map(|_| e.alloc()).collect();
+            for &q in &qs {
+                e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
+            }
+            e.prob_one(qs[0]).unwrap();
+            let before = e.transport_stats();
+            e.apply_batch(&ops::gate(Gate::Ry(0.4), qs[1])).unwrap();
+            let p = e.prob_one(qs[1]).unwrap().to_bits();
+            let after = e.transport_stats();
+            let checkpoints = after.checkpoints - before.checkpoints;
+            let checkpoint_bytes = after.checkpoint_bytes - before.checkpoint_bytes;
+            (
+                p,
+                checkpoints,
+                checkpoint_bytes,
+                after.wire_bytes - before.wire_bytes,
+            )
+        };
+        let (own, one) = (cost(None), cost(Some(1)));
+        assert_eq!(
+            own.0, one.0,
+            "{kind}: the read does not depend on the limit"
         );
-        let qs: Vec<_> = (0..10).map(|_| e.alloc()).collect();
-        for &q in &qs {
-            e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
-        }
-        e.prob_one(qs[0]).unwrap();
-        let before = e.transport_stats().wire_bytes;
-        e.apply_batch(&ops::gate(Gate::Ry(0.4), qs[1])).unwrap();
-        let p = e.prob_one(qs[1]).unwrap().to_bits();
-        (p, e.transport_stats().wire_bytes - before)
-    };
-    let (own, one) = (cost(None), cost(Some(1)));
-    assert_eq!(own.0, one.0, "the read does not depend on the limit");
+        assert_eq!((own.1, own.2), (0, 0), "{kind}: the engine's own limit");
+        assert_eq!(one.1, 1, "{kind}: one checkpoint after the unit");
+        assert!(
+            one.2 >= 16 << 10,
+            "{kind}: the checkpoint moved {} B",
+            one.2
+        );
+        assert_eq!(
+            one.3 - own.3,
+            one.2,
+            "{kind}: the checkpoint is the difference"
+        );
+    }
+}
+
+/// Four qubits, then 70 reads that each ship one gate: 70 logged units and
+/// one snapshot.
+fn checkpointed_program(e: &mut RemoteShardedEngine) -> (Vec<u64>, Vec<(u64, u64)>) {
+    let qs: Vec<_> = (0..4).map(|_| e.alloc()).collect();
+    let reads = (0..70)
+        .map(|i| {
+            let ry = Gate::Ry(0.1 + 0.01 * i as f64);
+            e.apply_batch(&ops::gate(ry, qs[i % 4])).unwrap();
+            e.prob_one(qs[(i + 1) % 4]).unwrap().to_bits()
+        })
+        .collect();
+    (reads, amp_bits(e, &qs))
+}
+
+/// `checkpoints` and `checkpoint_bytes` count every gather that replaces
+/// the checkpoint, the same over threads and over processes. At the
+/// engine's own limit of 32 units, the first forced checkpoint waits for
+/// twice the limit, since the register never shrinks back to the scalar
+/// state's width: one at unit 64, plus the snapshot's. At a limit of one,
+/// every unit from the second on checkpoints (69), plus the snapshot's.
+/// A pooled job the size of the job storm benchmark's takes none.
+#[test]
+fn checkpoints_are_counted_at_each_limit_on_both_transports() {
+    let mut seen = Vec::new();
+    for (kind, limit) in REMOTE_ARMS {
+        let mut e = remote(43, SHARDS, NoiseModel::ideal(), kind, limit);
+        let bits = checkpointed_program(&mut e);
+        let t = e.transport_stats();
+        // A gather of the 4-qubit state is 376 B here: two 14 B commands
+        // and two 174 B replies (eight literal amplitudes each); zero runs
+        // make the early gathers at a limit of one smaller.
+        let want = if limit.is_some() {
+            (70, 26_064)
+        } else {
+            (2, 752)
+        };
+        assert_eq!(
+            (t.checkpoints, t.checkpoint_bytes),
+            want,
+            "{kind}, limit {limit:?}"
+        );
+        assert_eq!(t.respawns, 0, "{kind}, limit {limit:?}");
+        seen.push(bits);
+    }
     assert!(
-        one.1 >= own.1 + (16 << 10),
-        "limit 1 moved {} B, the default {} B",
-        one.1,
-        own.1
+        seen.windows(2).all(|w| w[0] == w[1]),
+        "every arm reads the same bits"
     );
+
+    // A teleport chain over three ranks on a pooled two-worker slot, as the
+    // job storm runs them: a handful of units, far under the limit.
+    let pool = pool_over(1, SHARDS, TransportKind::InProcess);
+    for seed in [1u64, 2] {
+        let engine = RemoteShardedEngine::from_lease(seed, pool.lease(), NoiseModel::ideal());
+        let backend: Arc<dyn QuantumBackend> = Arc::new(Shared::new(engine));
+        let cfg = QmpiConfig::new().seed(seed);
+        let run = run_on_backend(3, cfg, Arc::clone(&backend), |ctx| {
+            let q = match ctx.rank() {
+                0 => {
+                    let q = ctx.alloc_one();
+                    ctx.x(&q).unwrap();
+                    q
+                }
+                r => ctx.recv_move(r - 1, 0).unwrap(),
+            };
+            if ctx.rank() < 2 {
+                ctx.send_move(q, ctx.rank() + 1, 0).unwrap();
+                false
+            } else {
+                ctx.measure_and_free(q).unwrap()
+            }
+        });
+        assert_eq!(run.results, [false, false, true], "seed {seed}");
+        let t = backend.transport_stats().expect("a remote backend");
+        assert!(
+            t.command_rounds > 0,
+            "seed {seed}: the job ran on the workers"
+        );
+        assert_eq!(
+            t.checkpoints, 0,
+            "seed {seed}: a pooled job checkpoints nothing"
+        );
+    }
 }
 
 /// A snapshot order the front rejects — a freed qubit, or a live one twice —
