@@ -1,24 +1,29 @@
-//! Wire transports: the byte streams under remote shard workers.
+//! Wire transports: the frame streams under remote shard workers.
 //!
-//! A [`WireStream`] is one of two things behind the same `Read`/`Write`
-//! surface: a Unix domain socket to a worker child process, or one end of
-//! an in-process pipe ([`WireStream::pair`]) to a worker thread. The framed
-//! protocol layered on top ([`crate::Encode`]/[`crate::Decode`] command
-//! frames) is the same either way, so it does not change when workers stop
-//! sharing an address space.
+//! A [`WireStream`] is one of two things behind the same
+//! [`WireStream::send`]/[`WireStream::recv`] surface: a Unix domain socket
+//! to a worker child process, or one end of an in-process pipe
+//! ([`WireStream::pair`]) to a worker thread. The framed protocol layered
+//! on top ([`crate::Encode`]/[`crate::Decode`] command frames) is the same
+//! either way, so it does not change when workers stop sharing an address
+//! space.
 //!
 //! ## The in-process pipe
 //!
-//! Each direction of a pipe is a [`Mailbox`]: a write is one envelope, so a
-//! blocked read spins and then parks as a rank's receive does. As for a
-//! socket pair, a read honours [`WireStream::set_read_timeout`] (expiry is
-//! `WouldBlock`) and returns EOF once the other end has dropped or called
-//! [`WireStream::shutdown`], and a write to such an end fails with
-//! `BrokenPipe`. A write never blocks: the queue has no bound.
+//! A pipe carries whole frames, never bytes. Each direction is a
+//! [`Mailbox`], and a frame is one envelope holding its header fields and
+//! its body: the body's `Bytes` cross as they were sent, so a stripe
+//! crosses without a copy, and a blocked receive spins and then parks as a
+//! rank's receive does. As for a socket pair, a receive honours
+//! [`WireStream::set_read_timeout`] (expiry is `WouldBlock`) and returns
+//! EOF once the other end has dropped or called [`WireStream::shutdown`],
+//! and a send to such an end fails with `BrokenPipe`. A send never blocks:
+//! the queue has no bound. A pipe end has no byte stream: its `Read` and
+//! `Write` return `Unsupported`.
 //!
 //! ## Frame layout
 //!
-//! Every message on a stream is one length-prefixed frame:
+//! On a socket, every message is one length-prefixed frame:
 //!
 //! ```text
 //! [ len: u32 LE ][ tag: u8 ][ epoch: u32 LE ][ peer: u32 LE ][ body... ]
@@ -33,13 +38,15 @@
 //!   workers (and every socket between them) at once.
 //! * `peer` names the sending rank where the stream alone does not.
 //!
-//! A reader that hits EOF mid-frame gets [`std::io::ErrorKind::UnexpectedEof`];
-//! a length over `MAX_FRAME_LEN` (1 GiB) or under the header size is
+//! A pipe's frame is counted as the same bytes ([`FRAME_OVERHEAD`] plus the
+//! body), and both kinds refuse a body over `MAX_FRAME_LEN` (1 GiB). A
+//! reader that hits EOF mid-frame gets [`std::io::ErrorKind::UnexpectedEof`];
+//! a length over `MAX_FRAME_LEN` or under the header size is
 //! [`std::io::ErrorKind::InvalidData`] — corruption is diagnosed, never
 //! trusted. The body grows only as its bytes arrive, so a corrupt length
 //! cannot force a giant up-front allocation.
 
-use crate::mailbox::{Envelope, Mailbox, SourceSel, TagSel};
+use crate::mailbox::{Envelope, Mailbox, SourceSel, Tag, TagSel};
 use bytes::Bytes;
 use std::cell::Cell;
 use std::io::{self, Read, Write};
@@ -119,15 +126,21 @@ pub struct FrameHeader {
     pub peer: u32,
 }
 
-/// A frame's bytes: length prefix, header, body.
-fn encode_frame(hdr: &FrameHeader, body: &[u8]) -> io::Result<Vec<u8>> {
-    let len = HEADER_LEN + body.len();
-    if len > MAX_FRAME_LEN {
+/// The wire size of a frame of `body_len` body bytes, or why a body that
+/// long may not be sent.
+fn frame_len(body_len: usize) -> io::Result<usize> {
+    if HEADER_LEN + body_len > MAX_FRAME_LEN {
         return Err(io::Error::new(
             io::ErrorKind::InvalidInput,
-            format!("frame body of {} bytes exceeds MAX_FRAME_LEN", body.len()),
+            format!("frame body of {body_len} bytes exceeds MAX_FRAME_LEN"),
         ));
     }
+    Ok(FRAME_OVERHEAD + body_len)
+}
+
+/// A frame's bytes: length prefix, header, body.
+fn encode_frame(hdr: &FrameHeader, body: &[u8]) -> io::Result<Vec<u8>> {
+    let len = frame_len(body.len())? - 4;
     let mut frame = Vec::with_capacity(4 + len);
     frame.extend_from_slice(&(len as u32).to_le_bytes());
     frame.push(hdr.tag);
@@ -277,7 +290,7 @@ impl Drop for WireListener {
     }
 }
 
-/// One connected byte stream: a Unix domain socket, or one end of an
+/// One connected frame stream: a Unix domain socket, or one end of an
 /// in-process pipe ([`WireStream::pair`]).
 #[derive(Debug)]
 pub struct WireStream(Stream);
@@ -308,37 +321,32 @@ impl WireStream {
             WireStream(Stream::Pipe(Pipe {
                 rx,
                 tx,
-                unread: Bytes::new(),
-                eof: false,
                 read_timeout: Cell::new(None),
             }))
         };
         (end(Arc::clone(&a), Arc::clone(&b)), end(b, a))
     }
 
-    /// Writes one frame as [`write_frame`] does; on a pipe the frame's
-    /// buffer becomes the write itself, with no second copy.
-    pub fn send(&mut self, hdr: &FrameHeader, body: &[u8]) -> io::Result<usize> {
+    /// Sends one frame, returning its wire size, `FRAME_OVERHEAD +
+    /// body.len()`: on a socket as [`write_frame`] writes it, on a pipe as
+    /// one envelope that hands `body` over as it is.
+    pub fn send(&mut self, hdr: &FrameHeader, body: Bytes) -> io::Result<usize> {
         match &mut self.0 {
-            Stream::Unix(s) => write_frame(s, hdr, body),
+            Stream::Unix(s) => write_frame(s, hdr, &body),
             Stream::Pipe(p) => {
-                let frame = encode_frame(hdr, body)?;
-                let n = frame.len();
-                p.send(Bytes::from(frame)).map(|()| n)
+                let n = frame_len(body.len())?;
+                p.send(hdr, body).map(|()| n)
             }
         }
     }
 
-    /// Reads one frame as [`read_frame`] does; from a pipe, a frame that
-    /// arrives as one write (as [`WireStream::send`] and [`write_frame`]
-    /// make every frame) is taken without a copy.
+    /// Receives one frame: from a socket as [`read_frame`] reads it, from a
+    /// pipe the body its sender handed over.
     pub fn recv(&mut self) -> io::Result<(FrameHeader, Bytes)> {
-        if let Stream::Pipe(p) = &mut self.0 {
-            if let Some(frame) = p.whole_frame()? {
-                return Ok(frame);
-            }
+        match &mut self.0 {
+            Stream::Unix(s) => read_frame(s).map(|(hdr, body)| (hdr, Bytes::from(body))),
+            Stream::Pipe(p) => p.recv(),
         }
-        read_frame(self).map(|(hdr, body)| (hdr, Bytes::from(body)))
     }
 
     /// Read deadline for subsequent reads (`None` blocks forever) — the
@@ -378,34 +386,50 @@ impl WireStream {
     }
 }
 
+/// The byte stream of a socket; a pipe end has none.
 impl Read for WireStream {
     fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
         match &mut self.0 {
             Stream::Unix(s) => s.read(buf),
-            Stream::Pipe(p) => p.read(buf),
+            Stream::Pipe(_) => Err(no_byte_stream()),
         }
     }
 }
 
+/// The byte stream of a socket; a pipe end has none.
 impl Write for WireStream {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
         match &mut self.0 {
             Stream::Unix(s) => s.write(buf),
-            Stream::Pipe(p) => p.send(Bytes::copy_from_slice(buf)).map(|()| buf.len()),
+            Stream::Pipe(_) => Err(no_byte_stream()),
         }
     }
 
     fn flush(&mut self) -> io::Result<()> {
         match &mut self.0 {
             Stream::Unix(s) => s.flush(),
-            Stream::Pipe(_) => Ok(()),
+            Stream::Pipe(_) => Err(no_byte_stream()),
         }
     }
 }
 
-/// One direction of a pipe: the queue of writes its reader takes, and
-/// whether either end has closed it. A closed lane's last envelope is an
-/// empty one, the EOF mark.
+fn no_byte_stream() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::Unsupported,
+        "an in-process pipe carries whole frames: use WireStream::send and recv",
+    )
+}
+
+/// The envelope tag of the EOF mark, above every frame's `u8` tag.
+const EOF_MARK: Tag = 1 << 8;
+
+// A frame's `epoch` and `peer` travel together in an envelope's `source`.
+#[cfg(not(target_pointer_width = "64"))]
+compile_error!("an in-process pipe packs two u32 header fields into a usize");
+
+/// One direction of a pipe: the frames its reader takes, one envelope
+/// each, and whether either end has closed it. A closed lane's last
+/// envelope is the EOF mark.
 #[derive(Default)]
 struct Lane {
     queue: Mailbox,
@@ -413,17 +437,13 @@ struct Lane {
 }
 
 impl Lane {
-    fn push(&self, payload: Bytes) {
-        self.queue.push(Envelope {
-            payload,
-            ..Envelope::default()
-        });
-    }
-
     /// Closes the lane, marking EOF after what is already queued, once.
     fn close(&self) {
         if !self.closed.swap(true, Ordering::AcqRel) {
-            self.push(Bytes::new());
+            self.queue.push(Envelope {
+                tag: EOF_MARK,
+                ..Envelope::default()
+            });
         }
     }
 }
@@ -434,10 +454,6 @@ struct Pipe {
     rx: Arc<Lane>,
     /// The lane this end writes.
     tx: Arc<Lane>,
-    /// The rest of the envelope a read took last.
-    unread: Bytes,
-    /// The EOF mark has been read.
-    eof: bool,
     read_timeout: Cell<Option<Duration>>,
 }
 
@@ -448,9 +464,9 @@ impl std::fmt::Debug for Pipe {
 }
 
 impl Pipe {
-    /// Takes the next write into `unread`, waiting up to the read timeout;
-    /// an empty write is the EOF mark.
-    fn fill(&mut self) -> io::Result<()> {
+    /// The next frame, waiting up to the read timeout. The EOF mark stays
+    /// queued, so every receive after it reads EOF.
+    fn recv(&mut self) -> io::Result<(FrameHeader, Bytes)> {
         let (ctx, any, tag) = (0, SourceSel::Any, TagSel::Any);
         let env = match self.read_timeout.get() {
             None => self.rx.queue.pop_matching(ctx, any, tag),
@@ -459,51 +475,34 @@ impl Pipe {
                 env.ok_or_else(|| io::Error::new(io::ErrorKind::WouldBlock, "pipe read timed out"))?
             }
         };
-        self.eof = env.payload.is_empty();
-        self.unread = env.payload;
-        Ok(())
-    }
-
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        while self.unread.is_empty() && !self.eof && !buf.is_empty() {
-            self.fill()?;
+        if env.tag == EOF_MARK {
+            self.rx.queue.push(env);
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "the pipe's other end is closed",
+            ));
         }
-        let n = buf.len().min(self.unread.len());
-        buf[..n].copy_from_slice(&self.unread.split_to(n));
-        Ok(n)
-    }
-
-    /// The next frame, if the next write holds exactly one whole frame;
-    /// `None` leaves the read to the byte stream.
-    fn whole_frame(&mut self) -> io::Result<Option<(FrameHeader, Bytes)>> {
-        if !self.unread.is_empty() || self.eof {
-            return Ok(None);
-        }
-        self.fill()?;
-        let whole = match self.unread.first_chunk::<4>() {
-            Some(&prefix) if self.unread.len() >= FRAME_OVERHEAD => {
-                body_len(prefix)? == self.unread.len() - FRAME_OVERHEAD
-            }
-            _ => false,
+        let hdr = FrameHeader {
+            tag: env.tag as u8,
+            epoch: (env.source >> 32) as u32,
+            peer: env.source as u32,
         };
-        if !whole {
-            return Ok(None);
-        }
-        let mut body = std::mem::take(&mut self.unread);
-        let head = body.split_to(FRAME_OVERHEAD);
-        Ok(Some((decode_header(&head[4..]), body)))
+        Ok((hdr, env.payload))
     }
 
-    fn send(&mut self, payload: Bytes) -> io::Result<()> {
+    fn send(&mut self, hdr: &FrameHeader, body: Bytes) -> io::Result<()> {
         if self.tx.closed.load(Ordering::Acquire) {
             return Err(io::Error::new(
                 io::ErrorKind::BrokenPipe,
                 "the pipe's other end is closed",
             ));
         }
-        if !payload.is_empty() {
-            self.tx.push(payload);
-        }
+        self.tx.queue.push(Envelope {
+            context: 0,
+            source: (hdr.epoch as usize) << 32 | hdr.peer as usize,
+            tag: Tag::from(hdr.tag),
+            payload: body,
+        });
         Ok(())
     }
 }
@@ -671,45 +670,60 @@ mod tests {
         );
     }
 
+    /// A pipe hands the body over as it was sent, the same allocation, with
+    /// its header, and counts it as the socket frame it would be.
     #[test]
-    fn a_pipe_carries_a_frame_larger_than_one_read() {
+    fn a_pipe_hands_a_body_over_as_the_same_allocation() {
         let (mut a, mut b) = WireStream::pair();
         let hdr = FrameHeader {
             tag: 4,
-            epoch: 0,
+            epoch: 7,
             peer: 2,
         };
-        // Twice the reader's first reservation, so the body takes more
-        // than one read.
-        let body: Vec<u8> = (0..2 * READ_CHUNK).map(|i| (i % 251) as u8).collect();
-        let sent = write_frame(&mut a, &hdr, &body).unwrap();
-        assert_eq!(sent, FRAME_OVERHEAD + body.len());
-        let (got_hdr, got_body) = read_frame(&mut b).unwrap();
-        assert_eq!(got_hdr, hdr);
-        assert_eq!(got_body, body);
+        let body = Bytes::from(
+            (0..2 * READ_CHUNK)
+                .map(|i| (i % 251) as u8)
+                .collect::<Vec<_>>(),
+        );
+        let at = body.as_ptr();
+        assert_eq!(
+            a.send(&hdr, body.clone()).unwrap(),
+            FRAME_OVERHEAD + body.len()
+        );
+        let (got_hdr, got_body) = b.recv().unwrap();
+        assert_eq!((got_hdr, &got_body), (hdr, &body));
+        assert_eq!(got_body.as_ptr(), at, "the body was copied");
+        // Every header field crosses whole, and an empty body is a frame.
+        let edge = FrameHeader {
+            tag: u8::MAX,
+            epoch: u32::MAX,
+            peer: u32::MAX,
+        };
+        assert_eq!(a.send(&edge, Bytes::new()).unwrap(), FRAME_OVERHEAD);
+        assert_eq!(b.recv().unwrap(), (edge, Bytes::new()));
     }
 
+    /// Both kinds refuse a body whose frame would pass `MAX_FRAME_LEN`.
     #[test]
-    fn a_pipe_frame_arrives_whole_or_in_pieces() {
+    fn a_body_over_the_frame_limit_is_refused() {
+        let most = MAX_FRAME_LEN - HEADER_LEN;
+        assert_eq!(frame_len(most).unwrap(), FRAME_OVERHEAD + most);
+        let err = frame_len(most + 1).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+    }
+
+    /// A pipe end carries frames only: byte-level reads and writes are
+    /// refused, and nothing reaches the other end.
+    #[test]
+    fn a_pipe_end_has_no_byte_stream() {
         let (mut a, mut b) = WireStream::pair();
-        let hdr = FrameHeader {
-            tag: 3,
-            epoch: 1,
-            peer: 2,
-        };
-        // `send` makes the frame one write, which `recv` takes whole.
-        assert_eq!(a.send(&hdr, b"whole").unwrap(), FRAME_OVERHEAD + 5);
-        assert_eq!(b.recv().unwrap(), (hdr, Bytes::from(b"whole".to_vec())));
-        // A frame cut across writes, and two frames in one write, are read
-        // byte by byte.
-        let frame = frame_bytes(&hdr, b"in pieces");
-        a.write_all(&frame[..7]).unwrap();
-        a.write_all(&frame[7..]).unwrap();
-        assert_eq!(b.recv().unwrap().1.as_slice(), b"in pieces");
-        a.write_all(&[frame.clone(), frame].concat()).unwrap();
-        for _ in 0..2 {
-            assert_eq!(b.recv().unwrap().1.as_slice(), b"in pieces");
-        }
+        let err = a.write(b"bytes").unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        let err = b.read(&mut [0u8; 8]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported);
+        b.set_read_timeout(Some(Duration::from_millis(5))).unwrap();
+        let err = b.recv().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::WouldBlock);
     }
 
     #[test]
@@ -720,17 +734,17 @@ mod tests {
             peer: 0,
         };
         let (mut a, mut b) = WireStream::pair();
-        write_frame(&mut a, &hdr, b"last").unwrap();
+        a.send(&hdr, Bytes::from_static(b"last")).unwrap();
         drop(a);
-        // What was written before the drop is still read, then EOF, twice.
-        assert_eq!(read_frame(&mut b).unwrap().1, b"last");
+        // What was sent before the drop is still received, then EOF, twice.
+        assert_eq!(b.recv().unwrap().1.as_slice(), b"last");
         for _ in 0..2 {
-            let err = read_frame(&mut b).unwrap_err();
+            let err = b.recv().unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
         }
         let (a, mut b) = WireStream::pair();
         a.shutdown();
-        let err = read_frame(&mut b).unwrap_err();
+        let err = b.recv().unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
@@ -739,7 +753,7 @@ mod tests {
         let (_a, mut b) = WireStream::pair();
         b.set_read_timeout(Some(Duration::from_millis(25))).unwrap();
         let start = std::time::Instant::now();
-        let err = read_frame(&mut b).unwrap_err();
+        let err = b.recv().unwrap_err();
         assert!(
             matches!(
                 err.kind(),
@@ -759,7 +773,7 @@ mod tests {
             epoch: 0,
             peer: 0,
         };
-        let err = write_frame(&mut a, &hdr, b"lost").unwrap_err();
+        let err = a.send(&hdr, Bytes::from_static(b"lost")).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::BrokenPipe);
     }
 

@@ -377,9 +377,6 @@ pub trait QuantumBackend: Send + Sync {
     /// Measures and frees a qubit owned by `rank`.
     fn measure_and_free(&self, rank: usize, q: QubitId) -> Result<bool>;
 
-    /// Owner rank of a qubit.
-    fn owner_of(&self, q: QubitId) -> Option<usize>;
-
     /// Applies a recorded gate stream owned by `rank` in one backend
     /// acquisition — the only gate entry point. Per-rank gate calls
     /// accumulate into a [`qsim::GateBatch`] and flush through here (an
@@ -438,9 +435,6 @@ pub trait QuantumBackend: Send + Sync {
     /// on the sparse backend. Amplitude-less engines report
     /// [`qsim::SimError::Unsupported`].
     fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex>;
-
-    /// Number of live qubits (diagnostics).
-    fn n_qubits(&self) -> usize;
 
     /// Total gates applied (diagnostics).
     fn gate_count(&self) -> u64;
@@ -673,10 +667,6 @@ impl<S: EngineStore> QuantumBackend for Shared<S> {
         self.inner.write().measure_and_free(rank, q)
     }
 
-    fn owner_of(&self, q: QubitId) -> Option<usize> {
-        self.inner.read().owner.get(&q).copied()
-    }
-
     fn apply_batch(&self, rank: usize, batch: &GateBatch) -> Result<()> {
         // One acquisition (plus one ownership sweep) for the whole gate
         // stream — the lock-per-batch rule. Ownership errors surface here,
@@ -716,10 +706,6 @@ impl<S: EngineStore> QuantumBackend for Shared<S> {
 
     fn amplitude_of(&self, rank: usize, ones: &[QubitId]) -> Result<qsim::Complex> {
         self.inner.write().amplitude_of(rank, ones)
-    }
-
-    fn n_qubits(&self) -> usize {
-        self.inner.read().engine.n_qubits()
     }
 
     fn gate_count(&self) -> u64 {

@@ -96,20 +96,6 @@ impl Controller {
         self.n_qubits - self.shard_bits as usize
     }
 
-    /// Unwraps the reply shape the protocol calls for at this point; a
-    /// worker answering with any other shape is a protocol bug, diagnosed
-    /// here for every caller.
-    fn shaped<T>(
-        shard: usize,
-        label: &str,
-        reply: ShardReply,
-        extract: impl FnOnce(ShardReply) -> Result<T, ShardReply>,
-    ) -> T {
-        extract(reply).unwrap_or_else(|other| {
-            panic!("shard {shard} sent {other:?} where {label} was expected")
-        })
-    }
-
     /// Appends a reply-free command to shard `s`'s queue.
     fn enqueue(&mut self, s: usize, cmd: ShardCmd) {
         self.read = None;
@@ -176,13 +162,11 @@ impl Controller {
         self.round(|s| (s < active).then_some(ShardCmd::Branches { mask }))?;
         let mut masses = [ExactSum::ZERO; 2];
         for s in 0..active {
-            let reply = self.reply_from(s)?;
-            let [e, o] = Self::shaped(s, "branch masses", reply, |r| match r {
-                ShardReply::Branches { even, odd } => Ok([even, odd]),
-                other => Err(other),
-            });
-            masses[0].merge(e);
-            masses[1].merge(o);
+            let ShardReply::Branches { even, odd } = self.reply_from(s)? else {
+                return self.lease.link_mut().fail(s);
+            };
+            masses[0].merge(even);
+            masses[1].merge(odd);
         }
         Ok(masses)
     }
@@ -224,11 +208,10 @@ impl Controller {
         }
         let mut flat = Vec::with_capacity(1usize << self.n_qubits);
         for s in 0..self.active() {
-            let reply = self.lease.link_mut().reply_from(s)?;
-            flat.extend(Self::shaped(s, "a stripe", reply, |r| match r {
-                ShardReply::Amps(a) => Ok(a),
-                other => Err(other),
-            }));
+            let ShardReply::Amps(stripe) = self.lease.link_mut().reply_from(s)? else {
+                return self.lease.link_mut().fail(s);
+            };
+            flat.extend(stripe);
         }
         Ok(flat)
     }
@@ -451,11 +434,9 @@ impl Controller {
         self.round(|_| cmds.next())?;
         let mut acc = [ExactSum::ZERO; 2];
         for s in reporters {
-            let reply = self.reply_from(s)?;
-            let [re, im] = Self::shaped(s, "an expectation partial", reply, |r| match r {
-                ShardReply::Expect { re, im } => Ok([re, im]),
-                other => Err(other),
-            });
+            let ShardReply::Expect { re, im } = self.reply_from(s)? else {
+                return self.lease.link_mut().fail(s);
+            };
             acc[0].merge(re);
             acc[1].merge(im);
         }

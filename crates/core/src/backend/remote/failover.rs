@@ -116,7 +116,9 @@ impl Controller {
         replies: usize,
         mutates: bool,
     ) -> Result<(), DeadWorker> {
-        self.lease.link_mut().send_frame(shard, &body, replies)?;
+        self.lease
+            .link_mut()
+            .send_frame(shard, body.clone(), replies)?;
         self.failover.mutates |= mutates;
         self.failover.log.push(Logged::Sent(shard, body, replies));
         Ok(())
@@ -152,7 +154,8 @@ impl Controller {
         v
     }
 
-    /// Calls `attempt` until it succeeds, and `repair` after each failure.
+    /// Calls `attempt` until it succeeds, and `repair` after each failure,
+    /// rolling the round counters back to where the first attempt started.
     /// A shard whose worker fails `RESPAWN_BUDGET` attempts running ends
     /// the engine, naming the shard.
     fn retry<T>(
@@ -161,11 +164,15 @@ impl Controller {
         repair: fn(&mut Controller),
     ) -> T {
         let mut lost = 0;
+        // A retried attempt counts its rounds once: recovery traffic is
+        // not the logical protocol's.
+        let rounds = (self.cmd_rounds, self.xchg_rounds);
         for _ in 0..RESPAWN_BUDGET {
             match attempt(self) {
                 Ok(v) => return v,
                 Err(DeadWorker { shard }) => lost = shard,
             }
+            (self.cmd_rounds, self.xchg_rounds) = rounds;
             repair(self);
         }
         panic!(
@@ -230,7 +237,7 @@ impl Controller {
         let link = self.lease.link_mut();
         for entry in &self.failover.log {
             match entry {
-                Logged::Sent(s, body, replies) => link.send_frame(*s, body, *replies)?,
+                Logged::Sent(s, body, replies) => link.send_frame(*s, body.clone(), *replies)?,
                 Logged::Drained(s) => {
                     link.reply_from(*s)?;
                 }

@@ -275,23 +275,13 @@ impl RemoteShardedEngine {
         ctl.queue.cmds.iter().map(Vec::len).collect()
     }
 
-    /// Test/diagnostic hook: makes shard `shard`'s worker exit its event
-    /// loop *without* completing the protocol, simulating a crashed shard
-    /// node, and shuts its link. The next operation touching that shard
-    /// finds it gone, and failover replaces the generation.
-    pub fn debug_kill_worker(&self, shard: usize) {
-        let mut ctl = self.raw_state().ctl.lock();
-        assert!(shard < ctl.workers(), "shard {shard} out of range");
-        ctl.lease.link_mut().die(shard);
-    }
-
     /// Test/diagnostic hook: stops shard `shard`'s worker outright, with no
     /// protocol and no cleanup. Over a socket transport its *process* is
     /// SIGKILLed, the hardest death a shard node can die; in-process its
     /// controller link is shut, so the thread reads EOF and exits and its
     /// peers then read EOF from it. The next operation touching the shard
     /// observes the death and fails over.
-    pub fn debug_kill_worker_process(&self, shard: usize) {
+    pub fn debug_kill_worker(&self, shard: usize) {
         let mut ctl = self.raw_state().ctl.lock();
         assert!(shard < ctl.workers(), "shard {shard} out of range");
         ctl.lease.link_mut().kill(shard);

@@ -12,7 +12,7 @@ use qsim::Complex;
 /// Version of the byte layout of every command, reply and exchange frame,
 /// sent at the head of the `HELLO` body; bump it with any change to that
 /// layout.
-pub(crate) const WIRE_VERSION: u32 = 5;
+pub(crate) const WIRE_VERSION: u32 = 6;
 
 fn encode_complex(c: &Complex, buf: &mut BytesMut) {
     c.re.encode(buf);
@@ -493,11 +493,6 @@ pub enum ShardCmd {
         /// New stripe length: `2^local_bits`, or 0 for an inactive worker.
         len: usize,
     },
-    /// Exit the event loop cleanly (sent by the engine's destructor).
-    Shutdown,
-    /// Exit the event loop *without* completing the protocol — a test hook
-    /// for exercising the deadlock watchdog (a worker that dies mid-run).
-    Die,
 }
 
 impl Encode for ShardCmd {
@@ -544,8 +539,6 @@ impl Encode for ShardCmd {
                 SEQ.encode(buf);
                 cmds.encode(buf);
             }
-            ShardCmd::Shutdown => 9u8.encode(buf),
-            ShardCmd::Die => 10u8.encode(buf),
             ShardCmd::Reshape {
                 compact,
                 factor,
@@ -628,10 +621,9 @@ fn decode_plain(tag: u8, buf: &mut Bytes) -> Option<ShardCmd> {
             role: ExpectRole::decode(buf)?,
         },
         // 4–7 were per-branch probability and collapse commands, 8 a free's
-        // rescale and 11 a multi-segment frame; retired, they decode as
-        // unknown.
-        9 => ShardCmd::Shutdown,
-        10 => ShardCmd::Die,
+        // rescale, 9 and 10 a worker's clean and unclean exit (EOF on its
+        // link ends it) and 11 a multi-segment frame; retired, they decode
+        // as unknown.
         12 => {
             // The generic decoders reject an unknown option tag and a rank
             // count beyond the bytes that remain.
@@ -880,8 +872,6 @@ mod tests {
                 },
                 ShardCmd::Branches { mask: 0b10 },
             ]),
-            ShardCmd::Shutdown,
-            ShardCmd::Die,
             // A free that compacts locally and keeps the stripe...
             ShardCmd::Reshape {
                 compact: Some((2, true)),
@@ -1006,8 +996,6 @@ mod tests {
                 local_bits: 5,
                 len: 32,
             },
-            ShardCmd::Shutdown,
-            ShardCmd::Die,
         ];
         let replies = [
             ShardReply::Branches {
@@ -1094,8 +1082,6 @@ mod tests {
                  0000000400000000000000010400000000000000030000000000000005000000\
                  000000002000000000000000",
             ),
-            ("Shutdown", "09"),
-            ("Die", "0a"),
             (
                 "reply Branches",
                 "0400000000000000000000000030000000000000000000000000000000100000\
@@ -1215,6 +1201,11 @@ mod tests {
         4usize.encode(&mut buf); // ...four flips claimed
         1usize.encode(&mut buf); // but only one follows
         assert!(cmpi::from_bytes::<ShardCmd>(&buf.freeze()).is_none());
+        // Discriminants 9 and 10, a worker's retired clean and unclean exit,
+        // are unknown: EOF on its link is what ends a worker.
+        for tag in [9u8, 10] {
+            assert!(cmpi::from_bytes::<ShardCmd>(&Bytes::from(vec![tag])).is_none());
+        }
         // Discriminant 11 (a retired multi-segment frame) is unknown, even
         // followed by what was once a well-formed empty frame.
         let mut buf = BytesMut::new();
@@ -1382,11 +1373,11 @@ mod tests {
         assert!(cmpi::from_bytes::<ShardCmd>(&reshape(MAX_DENSE_QUBITS + 1)).is_none());
     }
 
-    /// The head of the `HELLO` body as literal bytes: wire format 5,
+    /// The head of the `HELLO` body as literal bytes: wire format 6,
     /// little-endian.
     #[test]
     fn hello_body_keeps_its_golden_bytes() {
-        assert_eq!(WIRE_VERSION.to_le_bytes(), [5, 0, 0, 0]);
+        assert_eq!(WIRE_VERSION.to_le_bytes(), [6, 0, 0, 0]);
     }
 
     #[test]

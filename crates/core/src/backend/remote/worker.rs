@@ -146,7 +146,6 @@ impl Shard {
                 self.reshape(chan, rank_of(shard_index), &sends, recv)?;
                 self.amps.resize(len, Complex::default());
             }
-            ShardCmd::Shutdown | ShardCmd::Die => return Err(WorkerHalt),
         }
         Ok(())
     }
@@ -203,12 +202,13 @@ impl Shard {
 }
 
 /// The event loop each shard worker runs, thread or process: receive one
-/// [`ShardCmd`], execute it against the owned stripe, loop until shutdown
-/// or until the controller hangs up. Commands arrive in the controller's
-/// global send order (FIFO on the link), so the stripe observes one
-/// consistent history, and both kinds of world execute the identical
-/// stripe kernels in the identical order — the substance of the
-/// bit-identity guarantee across `TransportKind`s.
+/// [`ShardCmd`], execute it against the owned stripe, loop until the
+/// controller link ends (EOF: the world ends, or the thread is killed) or
+/// carries a frame that does not decode, or a peer is lost. Commands
+/// arrive in the controller's global send order (FIFO on the link), so the
+/// stripe observes one consistent history, and both kinds of world execute
+/// the identical stripe kernels in the identical order — the substance of
+/// the bit-identity guarantee across `TransportKind`s.
 pub(crate) fn worker_loop(chan: &mut SockChannel) {
     let mut shard = Shard::default();
     while let Some(cmd) = chan.recv_cmd() {

@@ -3,11 +3,12 @@
 //!
 //! [`super::remote`] defines the shard protocol ([`ShardCmd`] /
 //! [`ShardReply`] / stripe exchanges); this module carries it as
-//! length-prefixed [`cmpi::transport`] frames on one [`WireStream`] per
-//! worker (`CMD` down, `REPLY` up) and one per worker pair (`XCHG`). A
-//! world's workers are threads of this process linked by in-process pipes
-//! ([`WireStream::pair`]), or `qworker` child processes linked by Unix
-//! domain sockets. Both run `worker_loop` over a `SockChannel`, and the
+//! [`cmpi::transport`] frames on one [`WireStream`] per worker (`CMD`
+//! down, `REPLY` up) and one per worker pair (`XCHG`). A world's workers
+//! are threads of this process linked by in-process pipes
+//! ([`WireStream::pair`], which hand a frame's body over whole), or
+//! `qworker` child processes linked by Unix domain sockets (length-prefixed
+//! frames). Both run `worker_loop` over a `SockChannel`, and the
 //! controller's end, `WorkerLink`, treats them alike except in how a
 //! worker is started, killed and reaped. No thread relays anything: a
 //! stripe crosses one link, as a message between two QMPI nodes pays one
@@ -32,12 +33,18 @@
 //! with its rank) and accepts every higher one, drops its listener and
 //! answers `READY`.
 //!
-//! ## A dead worker, and failover
+//! ## The end of a worker, and failover
+//!
+//! No command ends a worker. Closing its controller link does: the worker
+//! reads EOF and exits, which is how a world ends (`WorkerLink`'s drop
+//! shuts every link, then reaps, giving the processes of a sound
+//! generation 5 s) and how a test kills a thread.
 //!
 //! A dead worker surfaces where the controller next touches it: a failed
-//! write, EOF on a reply read, or a reply read that outlasts the watchdog
-//! (the worker is then killed: SIGKILL for a process, its controller link
-//! shut for a thread). A worker that exits, thread or process, drops its
+//! write, EOF on a reply read, a reply that does not decode or is not the
+//! shape the protocol calls for, or a reply read that outlasts the
+//! watchdog (the worker is then killed: SIGKILL for a process, its
+//! controller link shut for a thread). A worker that exits, thread or process, drops its
 //! links, so a survivor blocked on it reads EOF and exits too, and the
 //! controller sees the death within milliseconds whichever worker died.
 //! A worker's peer links carry the watchdog as a read timeout, so a worker
@@ -53,6 +60,7 @@ use super::remote::{
     shard_of, worker_loop, DeadWorker, ShardCmd, ShardReply, WireAmps, WorkerHalt,
     DEFAULT_WATCHDOG_MS, WIRE_VERSION,
 };
+use bytes::Bytes;
 use cmpi::transport::{FrameHeader, TransportKind, WireListener, WireStream, FRAME_OVERHEAD};
 use cmpi::{from_bytes, to_bytes};
 use qsim::Complex;
@@ -197,7 +205,7 @@ impl SockChannel {
     pub(crate) fn send_reply(&mut self, reply: &ShardReply) -> Result<(), WorkerHalt> {
         let body = encode_reply_frame(std::mem::take(&mut self.xchg_bytes), reply);
         let hdr = header(TAG_REPLY, self.rank);
-        self.ctl.send(&hdr, &body).map_err(|_| WorkerHalt)?;
+        self.ctl.send(&hdr, body).map_err(|_| WorkerHalt)?;
         Ok(())
     }
 
@@ -205,7 +213,7 @@ impl SockChannel {
     pub(crate) fn send_xchg(&mut self, partner: usize, amps: &[Complex]) -> Result<(), WorkerHalt> {
         let hdr = header(TAG_XCHG, self.rank);
         let body = to_bytes(&WireAmps(amps));
-        match self.peer(partner)?.send(&hdr, &body) {
+        match self.peer(partner)?.send(&hdr, body) {
             Ok(n) => {
                 self.xchg_bytes += n as u64;
                 Ok(())
@@ -235,7 +243,7 @@ impl SockChannel {
 
 /// Entry point of the `qworker` binary: join the controller's world (see
 /// the module docs' handshake), then run the shard event loop until the
-/// controller hangs up or shuts the worker down.
+/// controller hangs up.
 ///
 /// Invocation (by `WorkerLink`, not humans):
 /// `qworker <addr> <rank> <watchdog_ms>`; a malformed one prints the usage
@@ -283,7 +291,7 @@ fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChann
     let mut ctl = WireStream::connect(addr)?;
     let mut hello = WIRE_VERSION.to_le_bytes().to_vec();
     hello.extend_from_slice(listener.addr()?.as_bytes());
-    ctl.send(&header(TAG_HELLO, rank), &hello)?;
+    ctl.send(&header(TAG_HELLO, rank), Bytes::from(hello))?;
     let (hdr, table) = ctl.recv()?;
     let addrs: Vec<String> = (hdr.tag == TAG_PEERS)
         .then(|| from_bytes(&table))
@@ -294,7 +302,7 @@ fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChann
     for (s, peer_addr) in addrs.iter().enumerate() {
         if rank_of(s) < rank {
             let mut link = WireStream::connect(peer_addr)?;
-            link.send(&header(TAG_HELLO, rank), &[])?;
+            link.send(&header(TAG_HELLO, rank), Bytes::new())?;
             peers[rank_of(s)] = Some(link);
         }
     }
@@ -313,7 +321,7 @@ fn join_world(addr: &str, rank: usize, watchdog_ms: u64) -> io::Result<SockChann
     // socket file behind.
     drop(listener);
     let mut chan = SockChannel::new(ctl, peers, rank, Duration::from_millis(watchdog_ms))?;
-    chan.ctl.send(&header(TAG_READY, rank), &[])?;
+    chan.ctl.send(&header(TAG_READY, rank), Bytes::new())?;
     Ok(chan)
 }
 
@@ -515,15 +523,16 @@ impl WorkerLink {
     }
 
     /// Marks the generation spent, by shard `shard` unless an earlier
-    /// failure did.
-    fn fail<T>(&mut self, shard: usize) -> Result<T, DeadWorker> {
+    /// failure did: what a write that fails, a reply that does not decode
+    /// or one of the wrong shape finds.
+    pub(crate) fn fail<T>(&mut self, shard: usize) -> Result<T, DeadWorker> {
         let shard = *self.broken.get_or_insert(shard);
         Err(DeadWorker { shard })
     }
 
     /// Sends one protocol command to shard `shard`.
     pub(crate) fn send_cmd(&mut self, shard: usize, cmd: &ShardCmd) -> Result<(), DeadWorker> {
-        self.send_frame(shard, &to_bytes(cmd), cmd.replies())
+        self.send_frame(shard, to_bytes(cmd), cmd.replies())
     }
 
     /// Sends shard `shard` the command frame `body`, which provokes
@@ -531,7 +540,7 @@ impl WorkerLink {
     pub(crate) fn send_frame(
         &mut self,
         shard: usize,
-        body: &[u8],
+        body: Bytes,
         replies: usize,
     ) -> Result<(), DeadWorker> {
         if let Some(shard) = self.broken {
@@ -605,13 +614,6 @@ impl WorkerLink {
             Worker::Thread(_) => self.streams[shard].shutdown(),
         }
     }
-
-    /// Tells shard `shard`'s worker to leave its event loop (`Die`) and
-    /// shuts its link, so the next command sent to it finds it gone.
-    pub(crate) fn die(&mut self, shard: usize) {
-        let _ = self.send_cmd(shard, &ShardCmd::Die);
-        self.streams[shard].shutdown();
-    }
 }
 
 /// One `qworker` process per shard of a `shards`-worker world, each
@@ -662,7 +664,7 @@ fn handshake(
     let mut streams: Vec<WireStream> = streams.into_iter().flatten().collect();
     let table = to_bytes(&addrs);
     for stream in &mut streams {
-        stream.send(&header(TAG_PEERS, 0), &table)?;
+        stream.send(&header(TAG_PEERS, 0), table.clone())?;
     }
     for stream in &mut streams {
         if stream.recv()?.0.tag != TAG_READY {
@@ -695,18 +697,14 @@ fn accept_worker(listener: &WireListener, workers: &mut [Worker]) -> io::Result<
 
 impl Drop for WorkerLink {
     fn drop(&mut self) {
-        // Best-effort clean shutdown of a sound generation, then close every
-        // link (which unblocks any worker still reading) and reap the
-        // workers, giving sound processes a grace period.
-        let mut deadline = Instant::now();
-        if self.broken.is_none() {
-            let body = to_bytes(&ShardCmd::Shutdown);
-            for stream in &mut self.streams {
-                let _ = stream.send(&header(TAG_CMD, 0), &body);
-            }
-            deadline += Duration::from_secs(5);
-        }
-        self.end_generation(deadline);
+        // Close every link, so each worker reads EOF and exits, and reap the
+        // workers, giving the processes of a sound generation a grace
+        // period.
+        let grace = match self.broken {
+            None => Duration::from_secs(5),
+            Some(_) => Duration::ZERO,
+        };
+        self.end_generation(Instant::now() + grace);
     }
 }
 

@@ -17,7 +17,7 @@
 //! the same bill); what the batching removes is the simulator-side lock
 //! traffic that dominated 64-rank broadcast latency.
 
-use crate::context::{QTag, QmpiRank};
+use crate::context::QmpiRank;
 use crate::error::Result;
 use crate::qubit::Qubit;
 
@@ -27,11 +27,6 @@ impl QmpiRank {
     /// Collective: every rank must call it. Costs `n-1` EPR pairs in 2
     /// parallel establishment rounds (1 round for n = 2).
     pub fn cat_establish(&self) -> Result<Qubit> {
-        let tag = self.next_qcoll_tag();
-        self.cat_establish_tagged(tag)
-    }
-
-    pub(crate) fn cat_establish_tagged(&self, tag: QTag) -> Result<Qubit> {
         let n = self.size();
         let r = self.rank();
         if n == 1 {
@@ -48,7 +43,6 @@ impl QmpiRank {
         // acquisition: every rank reports its edge qubit ids to rank 0
         // (substrate control traffic, not protocol bits), rank 0 drives
         // `entangle_epr_batch`, and a broadcast acknowledges completion.
-        let _ = tag; // establishment no longer needs per-edge rendezvous tags
         let left: Option<Qubit> = if r > 0 { Some(self.alloc_one()) } else { None };
         let right: Option<Qubit> = if r + 1 < n {
             Some(self.alloc_one())

@@ -111,7 +111,7 @@ impl QmpiRank {
         }
         match algo {
             BcastAlgorithm::BinomialTree => self.bcast_tree(qubit, root, tag),
-            BcastAlgorithm::CatState => self.bcast_cat(qubit, root, tag),
+            BcastAlgorithm::CatState => self.bcast_cat(qubit, root),
         }
     }
 
@@ -158,8 +158,8 @@ impl QmpiRank {
         }
     }
 
-    fn bcast_cat(&self, qubit: Option<&Qubit>, root: usize, tag: QTag) -> Result<Option<Qubit>> {
-        let share = self.cat_establish_tagged(tag)?;
+    fn bcast_cat(&self, qubit: Option<&Qubit>, root: usize) -> Result<Option<Qubit>> {
+        let share = self.cat_establish()?;
         if self.rank() == root {
             let data = qubit.expect("root qubit checked above");
             self.cnot(data, &share)?;

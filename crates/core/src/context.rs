@@ -22,7 +22,7 @@ pub type QTag = u16;
 #[derive(Clone, Copy, Debug)]
 #[repr(u32)]
 pub(crate) enum ProtoOp {
-    /// EPR rendezvous: qubit-id exchange.
+    /// EPR rendezvous: the higher rank's qubit id.
     EprId = 1,
     /// EPR rendezvous: establishment acknowledgement.
     EprAck = 2,
@@ -349,9 +349,9 @@ pub struct QmpiRank {
     /// panicking inside the accessor.
     deferred: std::cell::RefCell<Option<QmpiError>>,
     /// One `(peer, tag, role)` entry per EPR request dropped before its
-    /// protocol ran: the peer's messages for it (its qubit id, and on the
-    /// higher rank the acknowledgement) still arrive on that stream, and
-    /// the next request waited on there discards them first (see
+    /// protocol ran: the peer's message for it (on the lower rank its
+    /// qubit id, on the higher the acknowledgement) still arrives on that
+    /// stream, and the next request waited on there discards it first (see
     /// [`crate::epr::EprRequest`]).
     pub(crate) abandoned_epr: std::cell::RefCell<Vec<(usize, QTag, EprRole)>>,
 }

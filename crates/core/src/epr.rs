@@ -2,11 +2,12 @@
 //! (Section 4.3): "The basic building block and most time consuming part for
 //! all quantum communication is the creation of EPR pairs."
 //!
-//! Protocol (per pair): both ranks name their fresh |0> qubit to the peer on
-//! the control channel; the lower world rank asks the backend (modeling the
-//! quantum-coherent interconnect) to entangle the two qubits, then
-//! acknowledges. The id exchange and ack are substrate metadata — they are
-//! tallied as control messages, not protocol bits (DESIGN.md §5).
+//! Protocol (per pair), two control messages: the higher world rank names
+//! its fresh |0> qubit to the lower one on the control channel; the lower
+//! rank asks the backend (modeling the quantum-coherent interconnect) to
+//! entangle that qubit with its own, then acknowledges. The id and the ack
+//! are substrate metadata — they are tallied as control messages, not
+//! protocol bits (DESIGN.md §5).
 
 use crate::context::{ptag_role, EprRole, ProtoOp, QTag, QmpiRank};
 use crate::error::{QmpiError, Result};
@@ -48,10 +49,13 @@ impl QmpiRank {
                 "cannot establish an EPR pair with oneself".into(),
             ));
         }
-        // Post our qubit id to the peer on this side's role stream.
-        self.proto
-            .send(&qubit.id().0, dest, ptag_role(ProtoOp::EprId, role, tag));
-        self.ledger.record_control();
+        // The higher rank posts its qubit id to the peer on this side's role
+        // stream; the lower rank, which entangles, names nothing.
+        if self.rank() > dest {
+            self.proto
+                .send(&qubit.id().0, dest, ptag_role(ProtoOp::EprId, role, tag));
+            self.ledger.record_control();
+        }
         Ok(EprRequest {
             ctx: self,
             local: qubit.id().0,
@@ -79,11 +83,12 @@ impl QmpiRank {
 /// or left early on an error), the request is abandoned: on the lower rank
 /// — the one that entangles — the drop acknowledges a failure, so the
 /// peer's `wait` returns [`QmpiError::Protocol`] instead of blocking. The
-/// higher rank's peer never waits on it past the qubit id posted here, so
-/// it establishes the pair whatever the higher rank does next. The peer's
-/// messages for the abandoned request (its qubit id, and on the higher rank
-/// the acknowledgement) are discarded by this rank's next `wait` with the
-/// same peer, tag and role, so that request pairs as if none were dropped.
+/// lower rank needs nothing from the higher one past the qubit id posted
+/// at its request, so it establishes the pair whatever the higher rank
+/// does next. The peer's message for the abandoned request (on the lower
+/// rank the qubit id, on the higher the acknowledgement) is discarded by
+/// this rank's next `wait` with the same peer, tag and role, so that
+/// request pairs as if none were dropped.
 #[must_use = "an EPR request must be waited on: dropped, it fails the pair"]
 pub struct EprRequest<'a> {
     ctx: &'a QmpiRank,
@@ -126,27 +131,26 @@ impl EprRequest<'_> {
         self.pending = false;
         let my_rank = ctx.rank();
         // The peer's messages for requests abandoned on this stream come
-        // first: discard them.
+        // first: discard them, an id on the lower rank and an ack on the
+        // higher.
         let abandoned = {
             let mut list = ctx.abandoned_epr.borrow_mut();
             let before = list.len();
             list.retain(|&k| k != (self.dest, self.tag, self.role));
             before - list.len()
         };
+        let id_tag = ptag_role(ProtoOp::EprId, self.role.opposite(), self.tag);
+        let ack_tag = ptag_role(ProtoOp::EprAck, self.role, self.tag);
         for _ in 0..abandoned {
-            let id_tag = ptag_role(ProtoOp::EprId, self.role.opposite(), self.tag);
-            ctx.proto.recv::<u64>(self.dest, id_tag);
-            if my_rank > self.dest {
-                let ack_tag = ptag_role(ProtoOp::EprAck, self.role, self.tag);
+            if my_rank < self.dest {
+                ctx.proto.recv::<u64>(self.dest, id_tag);
+            } else {
                 ctx.proto.recv::<bool>(self.dest, ack_tag);
             }
         }
-        // The peer posted its id on the opposite role stream.
-        let (their_id, _) = ctx.proto.recv::<u64>(
-            self.dest,
-            ptag_role(ProtoOp::EprId, self.role.opposite(), self.tag),
-        );
         if my_rank < self.dest {
+            // The peer posted its id on the opposite role stream.
+            let (their_id, _) = ctx.proto.recv::<u64>(self.dest, id_tag);
             let pair = (qsim::QubitId(self.local), qsim::QubitId(their_id));
             let result = ctx.backend.entangle_epr_batch(&[pair]);
             // Always acknowledge — even on failure — so the peer never
@@ -161,9 +165,7 @@ impl EprRequest<'_> {
             result?;
             ctx.ledger.record_epr_pair();
         } else {
-            let (ok, _): (bool, _) = ctx
-                .proto
-                .recv(self.dest, ptag_role(ProtoOp::EprAck, self.role, self.tag));
+            let (ok, _): (bool, _) = ctx.proto.recv(self.dest, ack_tag);
             if !ok {
                 return Err(QmpiError::Protocol(format!(
                     "EPR establishment with rank {} failed on the peer side \
@@ -229,6 +231,24 @@ mod tests {
         });
         assert_eq!(out[0].epr_pairs, 1, "pair counted once, not per endpoint");
         assert_eq!(out[0].classical_bits, 0, "EPR setup costs no protocol bits");
+    }
+
+    /// One pair costs two control messages: the higher rank's qubit id and
+    /// the lower rank's acknowledgement.
+    #[test]
+    fn one_pair_sends_two_control_messages() {
+        let out = run(2, |ctx| {
+            let (delta, q) = ctx.measure_resources(|| {
+                let q = ctx.alloc_one();
+                ctx.prepare_epr(&q, 1 - ctx.rank(), 0).unwrap();
+                q
+            });
+            ctx.measure_and_free(q).unwrap();
+            delta
+        });
+        for delta in out {
+            assert_eq!((delta.epr_pairs, delta.control_messages), (1, 2));
+        }
     }
 
     #[test]

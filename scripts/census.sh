@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Line census of the two directories ROADMAP.md tracks: per file (the
+# Line census of the three directories ROADMAP.md tracks (the simulator,
+# the backend and the classical substrate under it): per file (the
 # directory's subdirectories included) and per directory, total lines,
 # non-test lines (those before the file's first `#[cfg(test)]`; the whole
 # file when it has none), the non-test lines that can panic (matching
@@ -9,11 +10,12 @@
 # declare a `pub` item (`pub fn`, `pub struct`, `pub use`, ...; `pub(crate)`
 # and the like, and `pub` struct fields, do not count).
 #
-#   scripts/census.sh [DIR...]     default: crates/qsim/src crates/core/src/backend
+#   scripts/census.sh [DIR...]
+#       default: crates/qsim/src crates/core/src/backend crates/cmpi/src
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 
-[ "$#" -gt 0 ] || set -- crates/qsim/src crates/core/src/backend
+[ "$#" -gt 0 ] || set -- crates/qsim/src crates/core/src/backend crates/cmpi/src
 
 row() { printf '  %-42s %7s %9s %7s %7s %5s\n' "$@"; }
 

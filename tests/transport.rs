@@ -92,8 +92,8 @@ const CHECKPOINT_LIMITS: [Option<usize>; 2] = [None, Some(1)];
 /// Where a remote engine's workers live and the checkpoint threshold it
 /// runs at: threads and `qworker` processes, each at every one of
 /// [`CHECKPOINT_LIMITS`]. The failover tests kill a worker in each, with
-/// `debug_kill_worker_process`: a SIGKILL for a process, and for a thread
-/// its controller link shut, so it exits at EOF and its peers after it.
+/// `debug_kill_worker`: a SIGKILL for a process, and for a thread its
+/// controller link shut, so it exits at EOF and its peers after it.
 const REMOTE_ARMS: [(TransportKind, Option<usize>); 4] = [
     (TransportKind::InProcess, CHECKPOINT_LIMITS[0]),
     (TransportKind::InProcess, CHECKPOINT_LIMITS[1]),
@@ -196,7 +196,7 @@ fn sigkilled_worker_respawns_and_finishes_bit_identically() {
             if kill {
                 // The hardest death a shard node can die: no protocol, no
                 // cleanup — a child is SIGKILLed outright.
-                e.debug_kill_worker_process(SHARDS - 1);
+                e.debug_kill_worker(SHARDS - 1);
             }
             // The batch waits in the queue; the measurement's read ships it
             // into the dead link, failover respawns the worker, re-scatters
@@ -281,7 +281,7 @@ fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
                 "{kind}, limit {limit:?}"
             );
             if kill {
-                e.debug_kill_worker_process(SHARDS - 1);
+                e.debug_kill_worker(SHARDS - 1);
             }
             // Queued too; the measurement's read discovers the dead link.
             e.apply_batch(&two_segments((0, 1.1), (2, 0.2))).unwrap();
@@ -310,6 +310,38 @@ fn sigkilled_worker_mid_two_segment_batch_replays_segments_bit_identically() {
     }
 }
 
+/// A unit retried after a worker death counts its rounds once: a kill
+/// between a read and a shard-crossing CNOT, with an X⊗X expectation
+/// across a shard axis after it, leaves `command_rounds` and
+/// `exchange_rounds` where an undisturbed run leaves them, on the
+/// expectation's bits, having replaced one generation.
+#[test]
+fn a_retried_unit_counts_its_rounds_once() {
+    const WORKERS: usize = 4;
+    for (kind, limit) in REMOTE_ARMS {
+        let run = |kill: bool| {
+            let mut e = remote(13, WORKERS, NoiseModel::ideal(), kind, limit);
+            let qs: Vec<_> = (0..4).map(|_| e.alloc()).collect();
+            e.apply_batch(&ops::gate(Gate::H, qs[0])).unwrap();
+            e.prob_one(qs[0]).unwrap();
+            if kill {
+                e.debug_kill_worker(2);
+            }
+            // The first two qubits select the shard: the CNOT exchanges
+            // stripes, and X on the first pairs shards in the expectation.
+            e.apply_batch(&ops::cnot(qs[0], qs[1])).unwrap();
+            let x = e.expectation(&[(qs[0], Pauli::X), (qs[2], Pauli::X)]);
+            let t = e.transport_stats();
+            let rounds = (t.command_rounds, t.exchange_rounds);
+            ((x.unwrap().to_bits(), rounds), t.respawns)
+        };
+        let (calm, killed) = (run(false), run(true));
+        let arm = format!("{kind}, limit {limit:?}");
+        assert_eq!((calm.1, killed.1), (0, WORKERS as u64), "{arm}: respawns");
+        assert_eq!(killed.0, calm.0, "{arm}: the retry must not show");
+    }
+}
+
 /// Killing a worker twice (including re-killing the respawned one) is
 /// still survivable: every failure epoch restarts cleanly.
 #[test]
@@ -320,9 +352,9 @@ fn worker_survives_repeated_kills() {
         let p = e.alloc();
         e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         e.apply_batch(&ops::cnot(q, p)).unwrap();
-        e.debug_kill_worker_process(0);
+        e.debug_kill_worker(0);
         e.apply_batch(&ops::cnot(q, p)).unwrap();
-        e.debug_kill_worker_process(SHARDS - 1);
+        e.debug_kill_worker(SHARDS - 1);
         e.apply_batch(&ops::gate(Gate::H, q)).unwrap();
         assert!(
             e.prob_one(q).unwrap() < 1e-9,
@@ -427,7 +459,7 @@ fn sigkilled_worker_mid_exchange_fails_over_at_once_bit_identically() {
             );
             let start = Instant::now();
             if kill {
-                e.debug_kill_worker_process(1);
+                e.debug_kill_worker(1);
             }
             let p = e.prob_one(qs[0]).unwrap().to_bits();
             let took = start.elapsed();
@@ -536,7 +568,7 @@ fn sigkilled_workers_across_layout_changes_finish_bit_identically() {
             let mut kills = 0u64;
             let mut kill_at = |e: &RemoteShardedEngine, round: usize, site: usize| {
                 if kill && round % 3 == site {
-                    e.debug_kill_worker_process(round % SHARDS);
+                    e.debug_kill_worker(round % SHARDS);
                     kills += 1;
                 }
             };
@@ -590,7 +622,7 @@ fn sigkilled_worker_with_work_queued_finishes_bit_identically() {
             let mut e = remote(23, SHARDS, noise, kind, limit);
             let kill_now = |e: &RemoteShardedEngine, shard: usize| {
                 if kill {
-                    e.debug_kill_worker_process(shard);
+                    e.debug_kill_worker(shard);
                 }
             };
             let mut qs: Vec<_> = (0..N_QUBITS).map(|_| e.alloc()).collect();
@@ -678,7 +710,7 @@ fn sigkilled_worker_with_a_free_queued_finishes_bit_identically() {
                     "{kind}, limit {limit:?}, round {round}"
                 );
                 if kill {
-                    e.debug_kill_worker_process(round % WORKERS);
+                    e.debug_kill_worker(round % WORKERS);
                 }
                 let p = e.prob_one(qs[0]).unwrap();
                 reads.push((axis, outcome, p.to_bits()));
@@ -1548,7 +1580,7 @@ fn poisoned_lease_is_reset_for_the_next_lessee() {
             e.apply_batch(&ops::gate(Gate::H, w[0])).unwrap();
             e.apply_batch(&ops::cnot(w[0], w[1])).unwrap();
         }
-        e.debug_kill_worker_process(SHARDS - 1);
+        e.debug_kill_worker(SHARDS - 1);
     }
     assert_eq!(pool.available(), 1, "a poisoned slot still goes home");
     let mut next = RemoteShardedEngine::from_lease(31, pool.lease(), NoiseModel::ideal());
